@@ -13,7 +13,8 @@ discrete-event replacement providing the same observables:
 - training-data distribution across peers (:mod:`repro.sim.distribution`),
 - scenario configuration and running (:mod:`repro.sim.scenario`),
 - the sharded event kernel with conservative virtual-time windows
-  (:mod:`repro.sim.shard`),
+  (:mod:`repro.sim.shard`) and the one window-barrier coordinator loop
+  every shard executor runs (:mod:`repro.sim.barrier`),
 - the columnar cross-shard exchange frames and rings
   (:mod:`repro.sim.exchange`),
 - the per-window write-ahead log and prefix replay

@@ -28,8 +28,8 @@ copied frame bytes.
 
 Receive-side injection is vectorized symmetrically:
 :func:`merge_frames` concatenates the per-sender frames, orders the
-union with one ``np.lexsort`` by ``(deliver_time, src_shard, seq)`` —
-exactly the tuple sort the queue path used — and hands column lists to
+union with one ``np.lexsort`` by ``(deliver_time, src_shard, seq)`` and
+hands column lists to
 :meth:`repro.sim.engine.Simulator.schedule_block`.
 
 Synchronization leans on the window-barrier protocol: a writer only
@@ -40,13 +40,14 @@ traffic.  The pointer handshake is the classic SPSC publish: the writer
 copies payload bytes first and advances the write cursor last; aligned
 8-byte cursor loads/stores are single memcpy operations.  A frame that
 does not fit the ring is **never** waited on (a blocked writer inside the
-barrier handshake would deadlock the fleet) — it falls back to the queue
-path, counted loudly in ``StatsCollector.exchange["queue_fallbacks"]``.
+barrier handshake would deadlock the fleet) — its sender relays the same
+blob through the coordinator instead (up in the sync message, down in the
+receiver's decision: the route every tcp frame takes), counted loudly in
+``StatsCollector.exchange["queue_fallbacks"]``.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 import time
@@ -54,7 +55,7 @@ from typing import Any, List, MutableMapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.envutil import env_flag, env_float, env_int
+from repro.envutil import env_float
 from repro.errors import SimulationError
 
 _MAGIC = 0x536F4131  # "SoA1"
@@ -66,31 +67,25 @@ _FLAG_PAYLOADS = 1
 _INT_COLUMNS = ("seq", "src", "dst", "size_bytes", "wire_bytes", "hops")
 
 
-def scalar_exchange_enabled() -> bool:
-    """True when ``REPRO_SCALAR_EXCHANGE=1`` pins the legacy tuple/pickle
-    exchange path (the fallback/reference for the equivalence harness)."""
-    return env_flag("REPRO_SCALAR_EXCHANGE")
+#: encoded bytes per record: the f8 deliver column, six i8 columns, and
+#: the i4 type-id column
+_ROW_BYTES = 8 + 8 * len(_INT_COLUMNS) + 4
+
+#: ring sizing: a fixed total budget split across the K×K ring grid, with
+#: a per-ring floor
+_RING_TOTAL_BYTES = 32 * 1024 * 1024
+_RING_MIN_BYTES = 128 * 1024
 
 
 def ring_capacity_bytes(num_shards: int) -> int:
     """Per-ring byte capacity for a ``num_shards``-way exchange.
 
-    A fixed total budget (``REPRO_EXCHANGE_RING_KB_TOTAL``, default 32 MiB)
-    is split across the K×K ring grid with a floor
-    (``REPRO_EXCHANGE_RING_KB_MIN``, default 128 KiB): few-shard runs get
-    deep rings (cross-shard windows are big), many-shard runs get many
-    shallow ones (per-pair windows shrink as 1/K²).  Oversized frames are
-    not an error — they take the loud queue fallback.
+    Few-shard runs get deep rings (cross-shard windows are big), many-shard
+    runs get many shallow ones (per-pair windows shrink as 1/K²).  Oversized
+    frames are not an error — they take the loud relay fallback.
     """
-    total_kb = env_int(
-        "REPRO_EXCHANGE_RING_KB_TOTAL", 32768, minimum=0,
-        error=SimulationError,
-    )
-    min_kb = env_int(
-        "REPRO_EXCHANGE_RING_KB_MIN", 128, minimum=1, error=SimulationError,
-    )
-    per_ring = (total_kb * 1024) // max(1, num_shards * num_shards)
-    return max(min_kb * 1024, per_ring)
+    per_ring = _RING_TOTAL_BYTES // max(1, num_shards * num_shards)
+    return max(_RING_MIN_BYTES, per_ring)
 
 
 def exchange_timeout_seconds() -> float:
@@ -253,8 +248,18 @@ class ExchangeFrame:
 
         Numeric columns come back as ``np.frombuffer`` views over the blob
         (no copy); only the type table and the optional payload sidecar
-        allocate.
+        allocate.  This is the single receive-side gate for rings, relayed
+        blobs, tcp decisions and WAL replay, so ``count``, the type-table
+        lengths and ``payload_len`` are untrusted: each is checked against
+        ``len(data)`` before it sizes a view or a slice, and short or
+        lying input raises a :class:`SimulationError` naming the field.
         """
+        size = len(data)
+        if size < _HEADER.size:
+            raise SimulationError(
+                f"exchange frame truncated: header needs {_HEADER.size} "
+                f"bytes, blob has {size}"
+            )
         magic, barrier, count, src_shard, flags, payload_len = (
             _HEADER.unpack_from(data, 0)
         )
@@ -263,6 +268,12 @@ class ExchangeFrame:
                 f"exchange frame magic mismatch (0x{magic:08x})"
             )
         offset = _HEADER.size
+        if count == 0 or count * _ROW_BYTES + _U32.size > size - offset:
+            raise SimulationError(
+                f"exchange frame count {count} needs "
+                f"{count * _ROW_BYTES + _U32.size} column bytes (and frames "
+                f"are never empty), blob has {size - offset}"
+            )
         deliver = np.frombuffer(data, np.float64, count, offset)
         offset += count * 8
         ints = []
@@ -272,17 +283,39 @@ class ExchangeFrame:
         type_ids = np.frombuffer(data, np.int32, count, offset)
         offset += count * 4
         (n_types,) = _U32.unpack_from(data, offset)
-        offset += 4
+        offset += _U32.size
+        if n_types * _U32.size > size - offset:
+            raise SimulationError(
+                f"exchange frame type table claims {n_types} entries, only "
+                f"{size - offset} bytes follow"
+            )
         table = []
-        for _ in range(n_types):
-            (length,) = _U32.unpack_from(data, offset)
-            offset += 4
-            table.append(data[offset:offset + length].decode("utf-8"))
+        for index in range(n_types):
+            length = -1
+            if size - offset >= _U32.size:
+                (length,) = _U32.unpack_from(data, offset)
+                offset += _U32.size
+            if not 0 <= length <= size - offset:
+                raise SimulationError(
+                    f"exchange frame type name {index} truncated (length "
+                    f"{length}, {size - offset} bytes left)"
+                )
+            table.append(bytes(data[offset:offset + length]).decode("utf-8"))
             offset += length
+        if payload_len != size - offset:
+            raise SimulationError(
+                f"exchange frame payload_len {payload_len} but "
+                f"{size - offset} bytes follow the type table"
+            )
         payloads = None
         payload_count = 0
         if flags & _FLAG_PAYLOADS:
-            payloads = pickle.loads(data[offset:offset + payload_len])
+            payloads = pickle.loads(data[offset:])
+            if not isinstance(payloads, list) or len(payloads) != count:
+                raise SimulationError(
+                    f"exchange frame payload sidecar does not hold {count} "
+                    "records"
+                )
             payload_count = sum(1 for p in payloads if p is not None)
         seq, src, dst, size_bytes, wire_bytes, hops = ints
         frame = cls(
@@ -310,8 +343,7 @@ def merge_frames(
     Returns ``(times, columns)`` ready for
     ``Simulator.schedule_block(times, network._deliver_lazy, columns)``:
     the union of all frames ordered by ``(deliver_time, src_shard, seq)``
-    with one ``np.lexsort`` — the exact total order the tuple path's
-    ``_sort_inbox`` produced — and columns
+    with one ``np.lexsort`` and columns
     ``(src, dst, msg_type, payload, size_bytes, wire_bytes, hops)`` as
     plain Python lists (``.tolist()`` bulk-converts, so downstream stats
     arithmetic sees native ints/floats, never numpy scalars).
@@ -380,35 +412,44 @@ def merge_frames(
     return times, columns
 
 
-def encode_outbound_blobs(
+def columnarize_outbound(
     outbound: Sequence[Sequence[tuple]],
-    barrier: int,
     exchange: Optional[MutableMapping[str, int]] = None,
-) -> Tuple[List[Tuple[int, bytes]], float]:
-    """Columnarize and encode one window's outboxes for a byte transport.
+) -> Tuple[List[Tuple[int, ExchangeFrame]], float]:
+    """Columnarize one window's outboxes, one frame per non-empty box.
 
-    Returns ``(blobs, min_outbound)``: the non-empty outboxes as
-    ``(dst_shard, encoded_frame)`` pairs tagged with ``barrier``, plus the
-    minimum outbound delivery time (``inf`` when the window sent nothing).
-    This is the frame path of the mp channel's ``_ship`` without the ring
-    placement — the tcp executor sends these blobs inside sync messages,
-    and the same bytes are what the WAL logs.  ``exchange`` (a Counter) is
-    credited identically to the mp path so stats merge byte-equal.
+    Returns ``(frames, min_outbound)``: ``(dst_shard, frame)`` pairs plus
+    the minimum outbound delivery time (``inf`` when the window sent
+    nothing).  ``exchange`` (a Counter) is credited per frame — the same
+    way on every executor, so stats merge byte-equal.
     """
-    blobs: List[Tuple[int, bytes]] = []
+    frames: List[Tuple[int, ExchangeFrame]] = []
     min_outbound = float("inf")
     for dst_shard, box in enumerate(outbound):
         if not box:
             continue
         frame = ExchangeFrame.from_records(box)
         min_outbound = min(min_outbound, frame.min_time)
-        blob = frame.encode(barrier)
         if exchange is not None:
             exchange["frames"] += 1
             exchange["records"] += frame.count
-            exchange["encoded_bytes"] += len(blob)
             exchange["pickled_records"] += frame.payload_count
-        blobs.append((dst_shard, blob))
+        frames.append((dst_shard, frame))
+    return frames, min_outbound
+
+
+def encode_outbound_blobs(
+    outbound: Sequence[Sequence[tuple]],
+    barrier: int,
+    exchange: Optional[MutableMapping[str, int]] = None,
+) -> Tuple[List[Tuple[int, bytes]], float]:
+    """:func:`columnarize_outbound` for a byte transport: the frames come
+    back encoded, tagged with ``barrier`` — the blobs the mp rings carry,
+    tcp syncs ship, and the WAL logs."""
+    frames, min_outbound = columnarize_outbound(outbound, exchange)
+    blobs = [(dst_shard, frame.encode(barrier)) for dst_shard, frame in frames]
+    if exchange is not None and blobs:
+        exchange["encoded_bytes"] += sum(len(blob) for _, blob in blobs)
     return blobs, min_outbound
 
 
@@ -497,8 +538,8 @@ class ShardRing:
     def pop_wait(self, timeout: float, context: str = "") -> bytes:
         """Poll :meth:`try_pop` until a frame lands; raise after `timeout`.
 
-        The barrier protocol guarantees the expected frame was pushed (or
-        queued) before the window decision arrived, so under healthy
+        The barrier protocol guarantees the expected frame was pushed
+        before the window decision arrived, so under healthy
         workers this returns almost immediately; the deadline exists so a
         sender that died mid-window surfaces as a loud error, never a
         hang.

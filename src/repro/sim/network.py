@@ -27,7 +27,6 @@ from repro.sim.messages import Message
 from repro.sim.stats import StatsCollector
 
 DeliveryHandler = Callable[[Message], None]
-SendListener = Callable[[Message], None]
 BlockListener = Callable[["SendBlock"], None]
 
 
@@ -296,7 +295,6 @@ class PhysicalNetwork:
         self._remote: Set[int] = set()
         self._down: Set[int] = set()
         self._pair_latency_cache: Dict[tuple, float] = {}
-        self._send_listeners: List[SendListener] = []
         self._block_listeners: List[BlockListener] = []
         #: per-source stream providers (decomposed-randomness mode).  When
         #: unset, every draw comes from the simulator's single seeded stream
@@ -385,42 +383,13 @@ class PhysicalNetwork:
 
     # -- observation ---------------------------------------------------------
 
-    def add_send_listener(self, listener: SendListener) -> None:
-        """Observe every message presented to the wire (tracing, debugging).
-
-        Listeners fire for every send *attempt* — including attempts from
-        down sources and messages later dropped by loss — matching the seed
-        tracer, which recorded before any liveness check.  Batched sends are
-        seen message-by-message.
-
-        A per-message listener needs a :class:`Message` object per send, so
-        its presence forces :meth:`Transport.broadcast` off the lazy
-        vectorized path.  Observers that can consume SoA batches should use
-        :meth:`add_block_listener` instead, which all three send paths —
-        including :meth:`broadcast_block` — notify without leaving the fast
-        path.
-        """
-        self._send_listeners.append(listener)
-
-    def remove_send_listener(self, listener: SendListener) -> None:
-        if listener in self._send_listeners:
-            self._send_listeners.remove(listener)
-
-    @property
-    def has_send_listeners(self) -> bool:
-        """True when a *per-message* tracer is attached (disables the
-        lazy-message fast paths, which cannot present per-message
-        :class:`Message` objects at send time).  Block listeners do not
-        count: they receive SoA batches and keep every fast path taken.
-        """
-        return bool(self._send_listeners)
-
     def add_block_listener(self, listener: BlockListener) -> None:
         """Observe send attempts as SoA batches (one :class:`SendBlock` per
         network call) — the accounting-only observer contract.
 
-        Same attempt semantics as :meth:`add_send_listener` (fires before
-        liveness/loss checks), but batched: a vectorized
+        Listeners fire for every send *attempt*, before any liveness/loss
+        check — attempts from down sources and messages later dropped by
+        loss included — one batch per call: a vectorized
         :meth:`broadcast_block` delivers one callback with scalar columns
         plus the destination array, never materializing messages, so
         attaching a block listener never perturbs the event stream, the RNG
@@ -503,8 +472,6 @@ class PhysicalNetwork:
         """
         if message.src == message.dst:
             raise SimulationError("loopback messages need no network")
-        for listener in self._send_listeners:
-            listener(message)
         if self._block_listeners:
             self._notify_message_block((message,))
         if not self.is_up(message.src):
@@ -547,11 +514,7 @@ class PhysicalNetwork:
         results: List[bool] = []
         live: List[Message] = []
         record = self.stats.record_message
-        listeners = self._send_listeners
         for message in messages:
-            if listeners:
-                for listener in listeners:
-                    listener(message)
             if not self.is_up(message.src):
                 results.append(False)
                 continue
@@ -616,10 +579,9 @@ class PhysicalNetwork:
         equivalent message block: the jitter draw consumes the stream the
         same way, pair factors are the same splitmix64 mix, and the stats
         arithmetic matches message-by-message recording.  Callers must
-        pre-check the fallback conditions (loss model active, *per-message*
-        send listeners attached, or a down source), which this fast path
-        does not handle; ``dsts`` must be distinct and must not contain
-        ``src``.  Block listeners are notified right here — one SoA
+        pre-check the fallback conditions (loss model active or a down
+        source), which this fast path does not handle; ``dsts`` must be
+        distinct and must not contain ``src``.  Block listeners are notified right here — one SoA
         :class:`SendBlock` with scalar columns — so tracing through the
         block API never forces the scalar fallback.
 

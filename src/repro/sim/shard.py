@@ -39,19 +39,26 @@ same scenario:
    collectors (:meth:`StatsCollector.merge`) equals the single collector of
    the unsharded run regardless of execution order.
 
-Two executors run the same shard-worker code:
+Three executors run the same shard-worker code (:func:`_worker_body`)
+under the same coordinator loop (:func:`repro.sim.barrier.coordinate`);
+each contributes only worker spawn, teardown, and a *link* — how one
+barrier round of sync/done/error messages is collected and how decisions
+and aborts reach a worker:
 
 - ``serial`` — the deterministic reference: worker replicas run as lockstep
-  threads in one process, the coordinator routes exchange frames in memory.
+  threads in one process; exchange frames cross the coordinator by
+  reference (encoded only for the WAL).
 - ``mp`` — one forked worker process per shard; control messages flow over
-  pipes, encoded exchange frames over shared-memory rings
-  (:class:`~repro.sim.exchange.RingExchange` — zero per-record pickling;
-  oversized frames fall back to per-shard queues), and the per-worker stats
-  are merged in the parent via :meth:`StatsCollector.merge`.  Set
-  ``REPRO_SCALAR_EXCHANGE=1`` to pin the legacy per-record tuple/pickle
-  queue path (the reference the equivalence fuzz compares against).
+  pipes, encoded exchange frames peer to peer over shared-memory rings
+  (:class:`~repro.sim.exchange.RingExchange` — zero per-record pickling).
+  A frame too large for its ring is relayed through the coordinator
+  instead (up in the sync, down in the receiver's decision), counted in
+  ``StatsCollector.exchange["queue_fallbacks"]``; the per-worker stats are
+  merged in the parent via :meth:`StatsCollector.merge`.
+- ``tcp`` — workers over sockets (:mod:`repro.sim.tcpexec`): every frame
+  takes the relay route, and the link's collect step supervises the fleet.
 
-Both produce byte-identical fingerprints to each other and to the unsharded
+All produce byte-identical fingerprints to each other and to the unsharded
 kernel; ``tests/test_shard_equivalence.py`` fuzzes that claim across
 overlay × protocol × churn × loss × codec × shard-count.
 
@@ -101,15 +108,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.sim.barrier import SyncStatus, Verdict, coordinate
 from repro.sim.churn import DirectoryChurnClient
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan
 from repro.sim.exchange import (
     ExchangeFrame,
     RingExchange,
+    columnarize_outbound,
+    encode_outbound_blobs,
     exchange_timeout_seconds,
     merge_frames,
-    scalar_exchange_enabled,
 )
 from repro.sim.messages import Message, payload_size
 from repro.sim.network import LatencyModel, PeerStreams, PhysicalNetwork
@@ -121,18 +130,13 @@ _INF = float("inf")
 
 #: exchange record layout — a cross-shard delivery computed at send time:
 #: (deliver_at, src_shard, seq, src, dst, msg_type, payload, size_bytes,
-#:  wire_bytes, hops).  This tuple shape is the *outbox accumulator and
-#: reference wire format*, not the hot path: at each window barrier the
-#: per-destination outbox is columnarized into a struct-of-arrays
-#: :class:`~repro.sim.exchange.ExchangeFrame` (numeric numpy columns, an
-#: interned msg_type id table, and a pickle sidecar only for records whose
-#: payload is a real object) that serial executors pass through memory and
-#: the mp executor ships as one encoded blob through shared-memory rings —
-#: zero per-record pickling.  Tuples still travel whole-window over the mp
-#: queues in exactly two cases: ``REPRO_SCALAR_EXCHANGE=1`` pins this
-#: legacy path as the differential-fuzz reference, and a frame too large
-#: for its ring falls back to a single queue put of the encoded blob
-#: (counted in ``StatsCollector.exchange["queue_fallbacks"]``).
+#:  wire_bytes, hops).  This tuple shape is the *outbox accumulator* only:
+#: at each window barrier the per-destination outbox is columnarized into a
+#: struct-of-arrays :class:`~repro.sim.exchange.ExchangeFrame` (numeric
+#: numpy columns, an interned msg_type id table, and a pickle sidecar only
+#: for records whose payload is a real object) that the serial executor
+#: passes through memory and the mp/tcp executors ship as one encoded blob
+#: — zero per-record pickling.
 ExchangeRecord = Tuple[float, int, int, int, int, str, Any, int, int, int]
 
 #: directory delta record layout — one control-plane observable, serialized
@@ -596,31 +600,22 @@ class ShardSimulator(Simulator):
             )
         return executed
 
-    def _inject(self, records: Sequence[Any]) -> None:
+    def _inject(self, frames: Sequence[ExchangeFrame]) -> None:
         """Schedule received cross-shard deliveries at their exact times.
 
-        The inbox is either a list of :class:`ExchangeFrame` (the default
-        SoA path: one frame per sender shard, merged and ordered by
-        ``(deliver_time, src_shard, seq)`` with one ``np.lexsort`` and
-        bulk-scheduled through the array-native
+        The inbox holds one :class:`ExchangeFrame` per sender shard, merged
+        and ordered by ``(deliver_time, src_shard, seq)`` with one
+        ``np.lexsort`` and bulk-scheduled through the array-native
         :meth:`Simulator.schedule_block` — no per-event tuple/handle
-        allocation) or a pre-sorted list of :data:`ExchangeRecord` tuples
-        (the ``REPRO_SCALAR_EXCHANGE=1`` reference path).  Either way the
-        kernel's own past-time validation doubles as the conservative-
-        window guard (a record behind the local clock means the lookahead
-        contract was violated and raises loudly).
+        allocation.  The kernel's own past-time validation doubles as the
+        conservative-window guard (a record behind the local clock means
+        the lookahead contract was violated and raises loudly).
         """
-        if not records:
+        if not frames:
             return
-        network = self._runtime.network
-        if isinstance(records[0], ExchangeFrame):
-            times, columns = merge_frames(records)
-            self.schedule_block(times, network._deliver_lazy, columns)
-            return
-        self.schedule_batch_at(
-            [record[0] for record in records],
-            network._deliver_lazy,
-            (record[3:10] for record in records),
+        times, columns = merge_frames(frames)
+        self.schedule_block(
+            times, self._runtime.network._deliver_lazy, columns
         )
 
 
@@ -675,8 +670,6 @@ class ShardNetwork(PhysicalNetwork):
     def send(self, message: Message) -> bool:
         if message.src == message.dst:
             raise SimulationError("loopback messages need no network")
-        for listener in self._send_listeners:
-            listener(message)
         if self._block_listeners and self._owns(message.src):
             # Block observation is ownership-gated so K per-shard stores
             # merge to exactly the unsharded store's row set (each attempt
@@ -733,11 +726,7 @@ class ShardNetwork(PhysicalNetwork):
         results: List[bool] = []
         live: List[Message] = []
         record = self.stats.record_message
-        listeners = self._send_listeners
         for message in messages:
-            if listeners:
-                for listener in listeners:
-                    listener(message)
             if not self.is_up(message.src):
                 results.append(False)
                 continue
@@ -919,21 +908,21 @@ class _ShardWorkerScenario(Scenario):
 
 
 # ---------------------------------------------------------------------------
-# Window coordination (shared by both executors).
+# Worker endpoints of the window protocol (the coordinator half, shared by
+# every executor, is repro.sim.barrier).
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _Decision:
-    """One window barrier's coordinator verdict, identical for all shards
-    except for the per-shard inbox."""
+    """One window barrier's coordinator verdict as the worker kernel
+    consumes it — identical for all shards except for the inbox."""
 
     window_start: float = _INF
     global_last: float = -_INF
     total_executed: int = 0
-    #: SoA path: ``ExchangeFrame`` per sender shard (src-shard order);
-    #: scalar path: pre-sorted ``ExchangeRecord`` tuples
-    inbox: List[Any] = field(default_factory=list)
+    #: one ``ExchangeFrame`` per sender shard, in src-shard order
+    inbox: List[ExchangeFrame] = field(default_factory=list)
     #: directory mode: this window's served control-plane delta records,
     #: identical for every shard (application is ownership-gated)
     control: List[ControlRecord] = field(default_factory=list)
@@ -950,11 +939,13 @@ class _Channel:
     counter into the worker's stats once the workload finishes.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, shard_id: int) -> None:
+        self.shard_id = shard_id
         self.exchange: Counter = Counter()
         #: worker-side fault-plane accounting (stalls survived etc.),
         #: folded into ``StatsCollector.faults`` like :attr:`exchange`
         self.faults: Counter = Counter()
+        self._barrier = 0
 
     def sync(
         self,
@@ -963,7 +954,7 @@ class _Channel:
         last_time: float,
         executed: int,
         requests: List[Tuple[str, float]],
-        extras: Optional[dict] = None,
+        extras: Optional[bytes] = None,
     ) -> _Decision:
         raise NotImplementedError
 
@@ -973,135 +964,32 @@ class _Channel:
     def fail(self, message: str) -> None:
         raise NotImplementedError
 
-    def _frames_from_outbound(
-        self, outbound: List[List[ExchangeRecord]]
-    ) -> List[Optional[ExchangeFrame]]:
-        """Columnarize one window's outboxes (None for empty ones)."""
-        frames: List[Optional[ExchangeFrame]] = [None] * len(outbound)
-        exchange = self.exchange
-        for dst_shard, box in enumerate(outbound):
-            if box:
-                frame = ExchangeFrame.from_records(box)
-                frames[dst_shard] = frame
-                exchange["frames"] += 1
-                exchange["records"] += frame.count
-                exchange["pickled_records"] += frame.payload_count
-        return frames
-
-
-def _sort_inbox(inbox: List[ExchangeRecord]) -> List[ExchangeRecord]:
-    """Deterministic injection order: (deliver_at, src_shard, seq)."""
-    inbox.sort(key=lambda record: (record[0], record[1], record[2]))
-    return inbox
-
-
-def _agreed_requests(
-    all_requests: List[List[Tuple[str, float]]],
-) -> List[Tuple[str, float]]:
-    """The barrier's control requests, verified SPMD-identical per shard."""
-    first = all_requests[0]
-    for requests in all_requests[1:]:
-        if requests != first:
-            raise SimulationError(
-                "shard workers diverged: control requests differ across "
-                f"shards at one barrier ({all_requests!r}) — the SPMD "
-                "workload contract requires identical orchestration"
-            )
-    return first
-
-
-def _decide(
-    statuses: List[Tuple[List[List[ExchangeRecord]], float, float, int]],
-) -> Tuple[float, float, int, List[List[ExchangeRecord]]]:
-    """Route one barrier round: merge outboxes into per-shard inboxes and
-    compute the next window start (global minimum next-event time, counting
-    just-routed in-flight records), the agreed last-event clock, and the
-    global executed-event total."""
-    num_shards = len(statuses)
-    inboxes: List[List[ExchangeRecord]] = [[] for _ in range(num_shards)]
-    window_start = _INF
-    global_last = -_INF
-    total_executed = 0
-    for outbound, next_time, last_time, executed in statuses:
-        window_start = min(window_start, next_time)
-        global_last = max(global_last, last_time)
-        total_executed += executed
-        for dst_shard, records in enumerate(outbound):
-            if records:
-                inboxes[dst_shard].extend(records)
-    for box in inboxes:
-        if box:
-            window_start = min(
-                window_start, min(record[0] for record in box)
-            )
-            _sort_inbox(box)
-    return window_start, global_last, total_executed, inboxes
-
-
-def _decide_frames(
-    statuses: List[Tuple[List[Optional[ExchangeFrame]], float, float, int]],
-) -> Tuple[float, float, int, List[List[ExchangeFrame]]]:
-    """:func:`_decide` for the SoA path: outboxes arrive pre-columnarized
-    (one frame or None per destination), so routing is pure pointer moves —
-    per-shard inboxes collect frames in src-shard order and the cross-frame
-    sort happens once, receiver-side, in :func:`merge_frames`."""
-    num_shards = len(statuses)
-    inboxes: List[List[ExchangeFrame]] = [[] for _ in range(num_shards)]
-    window_start = _INF
-    global_last = -_INF
-    total_executed = 0
-    for frames, next_time, last_time, executed in statuses:
-        window_start = min(window_start, next_time)
-        global_last = max(global_last, last_time)
-        total_executed += executed
-        for dst_shard, frame in enumerate(frames):
-            if frame is not None:
-                inboxes[dst_shard].append(frame)
-                window_start = min(window_start, frame.min_time)
-    return window_start, global_last, total_executed, inboxes
-
-
-# ---------------------------------------------------------------------------
-# Serial executor: lockstep worker threads, in-memory exchange.
-# ---------------------------------------------------------------------------
-
-
-class _ThreadChannel(_Channel):
-    def __init__(
-        self,
-        shard_id: int,
-        to_coordinator: "queue.Queue",
-        from_coordinator: "queue.Queue",
-        use_frames: bool = True,
-    ) -> None:
-        super().__init__()
-        self.shard_id = shard_id
-        self.to_coordinator = to_coordinator
-        self.from_coordinator = from_coordinator
-        self.use_frames = use_frames
-
-    def sync(
-        self, outbound, next_time, last_time, executed, requests, extras=None
-    ) -> _Decision:
-        if self.use_frames:
-            # Columnarize worker-side (in parallel across threads); frames
-            # cross to the coordinator by reference — nothing is copied or
-            # encoded on the serial executor.
-            outbound = self._frames_from_outbound(outbound)
-        self.to_coordinator.put(
-            (
-                self.shard_id,
-                "sync",
-                (outbound, next_time, last_time, executed, requests, extras),
-            )
+    def _decision(self, verdict: Verdict, barrier: int) -> _Decision:
+        """Open the coordinator's verdict: every inbound item becomes a
+        frame (:meth:`_frame`), kept in src-shard order."""
+        window_start, global_last, total_executed, inbound, control = verdict
+        return _Decision(
+            window_start=window_start,
+            global_last=global_last,
+            total_executed=total_executed,
+            inbox=[
+                self._frame(src_shard, item, barrier)
+                for src_shard, item in inbound
+            ],
+            control=control,
         )
-        return self.from_coordinator.get()
 
-    def finish(self, payload: Any) -> None:
-        self.to_coordinator.put((self.shard_id, "done", payload))
-
-    def fail(self, message: str) -> None:
-        self.to_coordinator.put((self.shard_id, "error", message))
+    def _frame(self, src_shard: int, item: Any, barrier: int) -> ExchangeFrame:
+        """One inbound item as a frame: an encoded blob, decoded and
+        checked against the barrier it must belong to."""
+        frame, frame_barrier = ExchangeFrame.decode(item)
+        if frame_barrier != barrier:
+            raise SimulationError(
+                f"shard {self.shard_id}: exchange frame from shard "
+                f"{src_shard} tagged barrier {frame_barrier}, expected "
+                f"{barrier}"
+            )
+        return frame
 
 
 def _worker_body(
@@ -1132,20 +1020,96 @@ def _worker_body(
     return (scenario.stats, scenario.simulator.now, result)
 
 
+# ---------------------------------------------------------------------------
+# Serial executor: lockstep worker threads, in-memory exchange.
+# ---------------------------------------------------------------------------
+
+
+class _ThreadChannel(_Channel):
+    def __init__(
+        self,
+        shard_id: int,
+        to_coordinator: "queue.Queue",
+        from_coordinator: "queue.Queue",
+        log_blobs: bool = False,
+    ) -> None:
+        super().__init__(shard_id)
+        self.to_coordinator = to_coordinator
+        self.from_coordinator = from_coordinator
+        #: WAL runs: also hand the coordinator each frame encoded
+        self.log_blobs = log_blobs
+
+    def sync(
+        self, outbound, next_time, last_time, executed, requests, extras=None
+    ) -> _Decision:
+        barrier = self._barrier
+        self._barrier += 1
+        # Columnarize worker-side (in parallel across threads); frames
+        # cross to the coordinator and on to their receiver by reference —
+        # the serial executor encodes nothing except for the WAL (the same
+        # bytes the mp and tcp workers ship).
+        frames, min_outbound = columnarize_outbound(outbound, self.exchange)
+        blobs = (
+            [(dst_shard, frame.encode(barrier)) for dst_shard, frame in frames]
+            if self.log_blobs
+            else None
+        )
+        self.to_coordinator.put(
+            (
+                self.shard_id,
+                "sync",
+                SyncStatus(
+                    next_time, last_time, executed, min_outbound, requests,
+                    extras, frames, blobs,
+                ),
+            )
+        )
+        kind, payload = self.from_coordinator.get()
+        if kind == "abort":
+            return _Decision(error=payload)
+        return self._decision(payload, barrier)
+
+    def _frame(self, src_shard, item, barrier) -> ExchangeFrame:
+        return item
+
+    def finish(self, payload: Any) -> None:
+        self.to_coordinator.put((self.shard_id, "done", payload))
+
+    def fail(self, message: str) -> None:
+        self.to_coordinator.put((self.shard_id, "error", message))
+
+
+class _ThreadLink:
+    """The serial executor's :mod:`~repro.sim.barrier` link: one shared
+    queue up, one queue per worker thread down."""
+
+    def __init__(self, num_shards: int) -> None:
+        self.to_coordinator: "queue.Queue" = queue.Queue()
+        self.from_coordinator = [queue.Queue() for _ in range(num_shards)]
+
+    def collect(self, barrier: int) -> List[Tuple[int, str, Any]]:
+        return [self.to_coordinator.get() for _ in self.from_coordinator]
+
+    def send_decision(self, shard_id: int, verdict: Verdict) -> None:
+        self.from_coordinator[shard_id].put(("decision", verdict))
+
+    def abort(self, shard_id: int, failure: str) -> None:
+        self.from_coordinator[shard_id].put(("abort", failure))
+
+
 def _run_serial(
     config: ScenarioConfig, workload: Workload, num_shards: int,
     lookahead: float, plane: Optional[DirectoryControlPlane] = None,
-    use_frames: bool = True, wal: Optional[WalSession] = None,
+    wal: Optional[WalSession] = None,
 ) -> Tuple[List[tuple], int, Counter]:
-    to_coordinator: "queue.Queue" = queue.Queue()
-    from_coordinator = [queue.Queue() for _ in range(num_shards)]
+    link = _ThreadLink(num_shards)
     snapshot = plane.snapshot if plane is not None else None
     wal_cadence = wal.cursor_every if wal is not None else 0
 
     def worker(shard_id: int) -> None:
         channel = _ThreadChannel(
-            shard_id, to_coordinator, from_coordinator[shard_id],
-            use_frames=use_frames,
+            shard_id, link.to_coordinator, link.from_coordinator[shard_id],
+            log_blobs=wal is not None,
         )
         try:
             runtime = _ShardRuntime(
@@ -1163,91 +1127,7 @@ def _run_serial(
     ]
     for thread in threads:
         thread.start()
-
-    payloads: List[Optional[tuple]] = [None] * num_shards
-    windows = 0
-    while True:
-        round_messages: Dict[int, Tuple[str, Any]] = {}
-        while len(round_messages) < num_shards:
-            shard_id, kind, payload = to_coordinator.get()
-            if shard_id in round_messages:
-                raise SimulationError(
-                    f"shard {shard_id} raced the window barrier"
-                )
-            round_messages[shard_id] = (kind, payload)
-        kinds = {kind for kind, _ in round_messages.values()}
-        if "error" in kinds:
-            error = next(
-                payload
-                for kind, payload in round_messages.values()
-                if kind == "error"
-            )
-            for shard_id, (kind, _) in round_messages.items():
-                if kind == "sync":
-                    from_coordinator[shard_id].put(_Decision(error=error))
-            raise SimulationError(f"shard worker failed:\n{error}")
-        if kinds == {"done"}:
-            for shard_id, (_, payload) in round_messages.items():
-                payloads[shard_id] = payload
-            break
-        if kinds != {"sync"}:
-            error = "shard workers diverged (mixed done/sync at one barrier)"
-            for shard_id, (kind, _) in round_messages.items():
-                if kind == "sync":
-                    from_coordinator[shard_id].put(_Decision(error=error))
-            raise SimulationError(error)
-        statuses = [round_messages[i][1] for i in range(num_shards)]
-        decide = _decide_frames if use_frames else _decide
-        window_start, global_last, total_executed, inboxes = decide(
-            [status[:4] for status in statuses]
-        )
-        control: List[ControlRecord] = []
-        if plane is not None:
-            # The coordinator IS the directory: fold in the shards' control
-            # requests, let the timeline's next event open a window even
-            # when every worker heap is idle, and publish the window's
-            # deltas with the decision (one window ahead of execution).
-            plane.handle_requests(
-                _agreed_requests([status[4] for status in statuses])
-            )
-            window_start = min(window_start, plane.next_time())
-            if window_start != _INF:
-                control = plane.advance(window_start + lookahead)
-        if wal is not None:
-            # The serial executor never encodes frames for transport, so
-            # the WAL encodes them here (same bytes the mp workers ship).
-            frame_blobs: Dict[Tuple[int, int], bytes] = {}
-            for src_shard, status in enumerate(statuses):
-                for dst_shard, frame in enumerate(status[0]):
-                    if frame is not None:
-                        frame_blobs[(src_shard, dst_shard)] = (
-                            frame.encode(windows)
-                        )
-            try:
-                wal.on_window(
-                    barrier=windows,
-                    window_start=window_start,
-                    global_last=global_last,
-                    total_executed=total_executed,
-                    statuses=[status[1:6] for status in statuses],
-                    frames=frame_blobs,
-                    control=control,
-                )
-            except SimulationError as exc:
-                for shard_id in range(num_shards):
-                    from_coordinator[shard_id].put(_Decision(error=str(exc)))
-                raise
-        windows += 1
-        for shard_id in range(num_shards):
-            from_coordinator[shard_id].put(
-                _Decision(
-                    window_start=window_start,
-                    global_last=global_last,
-                    total_executed=total_executed,
-                    inbox=inboxes[shard_id],
-                    control=control,
-                )
-            )
+    payloads, windows = coordinate(link, num_shards, lookahead, plane, wal)
     for thread in threads:
         thread.join(timeout=30.0)
     # Third element: coordinator-side fault/recovery counters — always
@@ -1260,222 +1140,120 @@ def _run_serial(
 # ---------------------------------------------------------------------------
 
 
-#: how a window frame travels to its receiver (per destination shard):
-#: nothing sent / shared-memory ring / queue (scalar path, or a frame too
-#: large for its ring)
-_VIA_NONE, _VIA_RING, _VIA_QUEUE = 0, 1, 2
-
-
 class _ProcessChannel(_Channel):
     """Worker endpoint: control over a pipe to the parent coordinator, bulk
     exchange frames through shared-memory rings (peer to peer — the parent
-    never relays payload bytes, only counts, via codes, and window
-    decisions).
+    sees counts and window decisions, not payload bytes).
 
-    The SoA default encodes each destination's outbox into one
-    length-prefixed :class:`ExchangeFrame` blob and publishes it on the
-    ``(src, dst)`` :class:`ShardRing` — zero per-record pickling, and no
-    feeder threads or fds involved.  The sender can run at most one barrier
-    ahead (the coordinator withholds the next decision until every shard
-    has synced), so ring occupancy is bounded by two windows of traffic;
-    a frame that still does not fit is **never** waited on — a writer
-    blocking inside the barrier handshake would deadlock the fleet — and
-    falls back to one queue put of the same blob, flagged ``_VIA_QUEUE`` in
-    the sync so the receiver knows where to look.
+    Each destination's outbox is encoded into one length-prefixed
+    :class:`ExchangeFrame` blob and published on the ``(src, dst)``
+    :class:`ShardRing` — zero per-record pickling, and no feeder threads
+    or fds involved.  The sender can run at most one barrier ahead (the
+    coordinator withholds the next decision until every shard has synced),
+    so ring occupancy is bounded by two windows of traffic; a frame that
+    still does not fit is **never** waited on — a writer blocking inside
+    the barrier handshake would deadlock the fleet — and is relayed
+    instead: the same blob rides this worker's sync up to the coordinator
+    and the receiver's decision back down (the route every tcp frame
+    takes), counted in ``exchange["queue_fallbacks"]``.
 
-    Queue batches (fallbacks, and the whole ``REPRO_SCALAR_EXCHANGE=1``
-    path) are tagged with their barrier index: queue puts are flushed by a
-    background feeder thread, so a fast shard's barrier-``n+1`` batch can
-    reach a receiver before a slow shard's barrier-``n`` batch.  Early
-    arrivals are stashed until their barrier comes up.  Ring frames need no
-    stash: each ring is SPSC FIFO, so per sender they surface in barrier
-    order, and the barrier tag in the frame header is verified on decode.
-    All receive waits carry the ``REPRO_EXCHANGE_TIMEOUT_S`` deadline — a
-    sender that died mid-window surfaces as a loud error, never a hang.
+    Ring frames surface per sender in barrier order (each ring is SPSC
+    FIFO), and the barrier tag in every frame header is verified on
+    decode.  Ring waits carry the ``REPRO_EXCHANGE_TIMEOUT_S`` deadline —
+    a sender that died mid-window surfaces as a loud error, never a hang.
     """
 
     def __init__(
-        self, shard_id, num_shards, connection, data_queues,
-        rings: Optional[RingExchange] = None, use_frames: bool = True,
+        self, shard_id, connection, rings: Optional[RingExchange] = None,
         ship_wal_blobs: bool = False,
     ) -> None:
-        super().__init__()
-        self.shard_id = shard_id
-        self.num_shards = num_shards
+        super().__init__(shard_id)
         self.connection = connection
-        self.data_queues = data_queues
         self.rings = rings
-        self.use_frames = use_frames
         #: WAL runs: also hand the coordinator each window's encoded frame
         #: blobs inside the sync message (the rings are peer-to-peer, so
         #: the parent never sees payload bytes otherwise)
         self.ship_wal_blobs = ship_wal_blobs
         self.timeout = exchange_timeout_seconds()
-        self._barrier = 0
-        #: early queue batches keyed by (barrier, src_shard); values are
-        #: encoded frame blobs (SoA fallback) or record lists (scalar path)
-        self._stash: Dict[Tuple[int, int], Any] = {}
-
-    # -- send side ----------------------------------------------------------
-
-    def _ship(
-        self, outbound, barrier
-    ) -> Tuple[List[int], List[int], float, Optional[List[Tuple[int, bytes]]]]:
-        """Encode and publish one window's outboxes; returns per-dst record
-        counts, via codes, the minimum outbound delivery time, and (WAL
-        runs only) the encoded blobs for the coordinator's log."""
-        counts = [len(box) for box in outbound]
-        vias = [_VIA_NONE] * self.num_shards
-        min_outbound = _INF
-        wal_blobs: Optional[List[Tuple[int, bytes]]] = (
-            [] if self.ship_wal_blobs else None
-        )
-        exchange = self.exchange
-        for dst_shard, box in enumerate(outbound):
-            if not box:
-                continue
-            if self.use_frames:
-                frame = ExchangeFrame.from_records(box)
-                min_outbound = min(min_outbound, frame.min_time)
-                blob = frame.encode(barrier)
-                exchange["frames"] += 1
-                exchange["records"] += frame.count
-                exchange["encoded_bytes"] += len(blob)
-                exchange["pickled_records"] += frame.payload_count
-                if wal_blobs is not None:
-                    wal_blobs.append((dst_shard, blob))
-                ring = (
-                    self.rings.ring(self.shard_id, dst_shard)
-                    if self.rings is not None
-                    else None
-                )
-                if ring is not None and ring.try_push(blob):
-                    vias[dst_shard] = _VIA_RING
-                else:
-                    exchange["queue_fallbacks"] += 1
-                    vias[dst_shard] = _VIA_QUEUE
-                    self.data_queues[dst_shard].put(
-                        (self.shard_id, barrier, blob)
-                    )
-            else:
-                min_outbound = min(
-                    min_outbound, min(record[0] for record in box)
-                )
-                vias[dst_shard] = _VIA_QUEUE
-                self.data_queues[dst_shard].put((self.shard_id, barrier, box))
-        return counts, vias, min_outbound, wal_blobs
-
-    # -- receive side -------------------------------------------------------
-
-    def _collect_queue(self, barrier: int, expected: set) -> Dict[int, Any]:
-        """Drain the shard's queue until every expected sender's batch for
-        this barrier has arrived (stashing early ones)."""
-        batches: Dict[int, Any] = {}
-        for src_shard in list(expected):
-            stashed = self._stash.pop((barrier, src_shard), None)
-            if stashed is not None:
-                batches[src_shard] = stashed
-                expected.discard(src_shard)
-        while expected:
-            try:
-                src_shard, batch_barrier, batch = (
-                    self.data_queues[self.shard_id].get(timeout=self.timeout)
-                )
-            except queue.Empty:
-                raise SimulationError(
-                    f"shard {self.shard_id}: exchange queue starved for "
-                    f"{self.timeout:.0f}s waiting on shards "
-                    f"{sorted(expected)} at barrier {barrier}; a sender "
-                    "likely died mid-window"
-                ) from None
-            if batch_barrier == barrier and src_shard in expected:
-                expected.discard(src_shard)
-                batches[src_shard] = batch
-            elif batch_barrier > barrier:
-                self._stash[(batch_barrier, src_shard)] = batch
-            else:
-                raise SimulationError(
-                    f"shard {self.shard_id}: stale or duplicate exchange "
-                    f"batch from shard {src_shard} "
-                    f"(barrier {batch_barrier}, expected {barrier})"
-                )
-        return batches
-
-    def _decode_frame(self, blob: bytes, barrier: int, src: int) -> ExchangeFrame:
-        frame, frame_barrier = ExchangeFrame.decode(blob)
-        if frame_barrier != barrier:
-            raise SimulationError(
-                f"shard {self.shard_id}: exchange frame from shard {src} "
-                f"tagged barrier {frame_barrier}, expected {barrier}"
-            )
-        return frame
 
     def sync(
         self, outbound, next_time, last_time, executed, requests, extras=None
     ) -> _Decision:
         barrier = self._barrier
         self._barrier += 1
-        counts, vias, min_outbound, wal_blobs = self._ship(outbound, barrier)
+        blobs, min_outbound = encode_outbound_blobs(
+            outbound, barrier, self.exchange
+        )
+        # Frames are pushed *before* the sync is announced, so a receiver
+        # told to expect a ring frame always finds it published.
+        routed: List[Tuple[int, Optional[bytes]]] = []
+        for dst_shard, blob in blobs:
+            if self.rings.ring(self.shard_id, dst_shard).try_push(blob):
+                routed.append((dst_shard, None))
+            else:
+                self.exchange["queue_fallbacks"] += 1
+                routed.append((dst_shard, blob))
         self.connection.send(
             (
                 "sync",
-                (next_time, last_time, executed, counts, vias, min_outbound,
-                 requests, extras, wal_blobs),
+                SyncStatus(
+                    next_time, last_time, executed, min_outbound, requests,
+                    extras, routed, blobs if self.ship_wal_blobs else None,
+                ),
             )
         )
         kind, payload = self.connection.recv()
         if kind == "abort":
             return _Decision(error=payload)
-        window_start, global_last, total_executed, senders, control = payload
-        # senders: (src_shard, via) pairs in src-shard order.  Pop ring
-        # frames first (they are already published — the sender pushed
-        # before announcing its sync), then drain the queue for the rest.
-        ring_frames: Dict[int, ExchangeFrame] = {}
-        queue_expected = set()
-        for src_shard, via in senders:
-            if via == _VIA_RING:
-                blob = self.rings.ring(src_shard, self.shard_id).pop_wait(
-                    self.timeout,
-                    context=(
-                        f"shard {src_shard} -> {self.shard_id}, "
-                        f"barrier {barrier}"
-                    ),
-                )
-                ring_frames[src_shard] = self._decode_frame(
-                    blob, barrier, src_shard
-                )
-            else:
-                queue_expected.add(src_shard)
-        batches = self._collect_queue(barrier, queue_expected)
-        if self.use_frames:
-            inbox: List[Any] = []
-            for src_shard, via in senders:
-                if via == _VIA_RING:
-                    inbox.append(ring_frames[src_shard])
-                else:
-                    inbox.append(
-                        self._decode_frame(
-                            batches[src_shard], barrier, src_shard
-                        )
-                    )
-        else:
-            inbox = []
-            for src_shard in sorted(batches):
-                inbox.extend(batches[src_shard])
-            inbox = _sort_inbox(inbox)
-        return _Decision(
-            window_start=window_start,
-            global_last=global_last,
-            total_executed=total_executed,
-            inbox=inbox,
-            control=control,
-        )
+        return self._decision(payload, barrier)
+
+    def _frame(self, src_shard, item, barrier) -> ExchangeFrame:
+        if item is None:
+            item = self.rings.ring(src_shard, self.shard_id).pop_wait(
+                self.timeout,
+                context=(
+                    f"shard {src_shard} -> {self.shard_id}, "
+                    f"barrier {barrier}"
+                ),
+            )
+        return super()._frame(src_shard, item, barrier)
 
     def finish(self, payload: Any) -> None:
         self.connection.send(("done", payload))
 
     def fail(self, message: str) -> None:
         self.connection.send(("error", message))
+
+
+class _PipeLink:
+    """The mp executor's :mod:`~repro.sim.barrier` link: one pipe per
+    forked worker."""
+
+    def __init__(self, connections: list) -> None:
+        self.connections = connections
+
+    def collect(self, barrier: int) -> List[Tuple[int, str, Any]]:
+        round_messages = []
+        for shard_id, connection in enumerate(self.connections):
+            try:
+                kind, payload = connection.recv()
+            except EOFError:
+                # The worker died without a word (hard crash / kill): its
+                # pipe closed.  Treat like an error report so the rest of
+                # the fleet is aborted instead of left waiting at the
+                # barrier forever.
+                kind, payload = "error", (
+                    f"shard worker {shard_id} died mid-window "
+                    "(pipe closed without a sync/done/error message)"
+                )
+            round_messages.append((shard_id, kind, payload))
+        return round_messages
+
+    def send_decision(self, shard_id: int, verdict: Verdict) -> None:
+        self.connections[shard_id].send(("decision", verdict))
+
+    def abort(self, shard_id: int, failure: str) -> None:
+        self.connections[shard_id].send(("abort", failure))
 
 
 def _mp_context():
@@ -1493,10 +1271,9 @@ def _mp_context():
 def _run_mp(
     config: ScenarioConfig, workload: Workload, num_shards: int,
     lookahead: float, plane: Optional[DirectoryControlPlane] = None,
-    use_frames: bool = True, wal: Optional[WalSession] = None,
+    wal: Optional[WalSession] = None,
 ) -> Tuple[List[tuple], int, Counter]:
     context = _mp_context()
-    data_queues = [context.Queue() for _ in range(num_shards)]
     parent_connections = []
     processes = []
     # Directory mode: the plane (and its snapshot) is built in the parent
@@ -1506,9 +1283,7 @@ def _run_mp(
     # The ring grid likewise: one shared-memory segment mapped pre-fork, so
     # no names or fds cross the process boundary.  K=1 has no cross-shard
     # traffic and skips the mapping entirely.
-    rings = (
-        RingExchange(num_shards) if use_frames and num_shards > 1 else None
-    )
+    rings = RingExchange(num_shards) if num_shards > 1 else None
     # WAL plumbing is captured pre-fork as plain values (the session object
     # itself — open file handle and all — stays parent-only).
     wal_cadence = wal.cursor_every if wal is not None else 0
@@ -1516,9 +1291,7 @@ def _run_mp(
 
     def child_main(shard_id: int, connection) -> None:
         channel = _ProcessChannel(
-            shard_id, num_shards, connection, data_queues,
-            rings=rings, use_frames=use_frames,
-            ship_wal_blobs=ship_wal_blobs,
+            shard_id, connection, rings=rings, ship_wal_blobs=ship_wal_blobs
         )
         try:
             runtime = _ShardRuntime(
@@ -1548,117 +1321,10 @@ def _run_mp(
         parent_connections.append(parent_end)
         processes.append(process)
 
-    payloads: List[Optional[tuple]] = [None] * num_shards
-    windows = 0
-    failure: Optional[str] = None
     try:
-        while True:
-            round_messages: Dict[int, Tuple[str, Any]] = {}
-            for shard_id, connection in enumerate(parent_connections):
-                try:
-                    kind, payload = connection.recv()
-                except EOFError:
-                    # The worker died without a word (hard crash / kill):
-                    # its pipe closed.  Treat like an error report so the
-                    # rest of the fleet is aborted instead of left waiting
-                    # at the barrier forever.
-                    kind, payload = "error", (
-                        f"shard worker {shard_id} died mid-window "
-                        "(pipe closed without a sync/done/error message)"
-                    )
-                round_messages[shard_id] = (kind, payload)
-            kinds = {kind for kind, _ in round_messages.values()}
-            if "error" in kinds:
-                failure = next(
-                    payload
-                    for kind, payload in round_messages.values()
-                    if kind == "error"
-                )
-                for shard_id, (kind, _) in round_messages.items():
-                    if kind == "sync":
-                        try:
-                            parent_connections[shard_id].send(
-                                ("abort", failure)
-                            )
-                        except (BrokenPipeError, OSError):
-                            pass
-                raise SimulationError(f"shard worker failed:\n{failure}")
-            if kinds == {"done"}:
-                for shard_id, (_, payload) in round_messages.items():
-                    payloads[shard_id] = payload
-                break
-            if kinds != {"sync"}:
-                failure = (
-                    "shard workers diverged (mixed done/sync at one barrier)"
-                )
-                for shard_id, (kind, _) in round_messages.items():
-                    if kind == "sync":
-                        parent_connections[shard_id].send(("abort", failure))
-                raise SimulationError(failure)
-            all_counts = []
-            all_vias = []
-            all_requests = []
-            wal_statuses = []
-            frame_blobs: Dict[Tuple[int, int], bytes] = {}
-            window_start = _INF
-            global_last = -_INF
-            total_executed = 0
-            for shard_id in range(num_shards):
-                (next_time, last_time, executed, counts, vias, min_outbound,
-                 requests, extras, wal_blobs) = round_messages[shard_id][1]
-                window_start = min(window_start, next_time, min_outbound)
-                global_last = max(global_last, last_time)
-                total_executed += executed
-                all_counts.append(counts)
-                all_vias.append(vias)
-                all_requests.append(requests)
-                if wal is not None:
-                    wal_statuses.append(
-                        (next_time, last_time, executed, requests, extras)
-                    )
-                    for dst_shard, blob in wal_blobs or ():
-                        frame_blobs[(shard_id, dst_shard)] = blob
-            control: List[ControlRecord] = []
-            if plane is not None:
-                plane.handle_requests(_agreed_requests(all_requests))
-                window_start = min(window_start, plane.next_time())
-                if window_start != _INF:
-                    control = plane.advance(window_start + lookahead)
-            if wal is not None:
-                try:
-                    wal.on_window(
-                        barrier=windows,
-                        window_start=window_start,
-                        global_last=global_last,
-                        total_executed=total_executed,
-                        statuses=wal_statuses,
-                        frames=frame_blobs,
-                        control=control,
-                    )
-                except SimulationError as exc:
-                    failure = str(exc)
-                    for shard_id in range(num_shards):
-                        try:
-                            parent_connections[shard_id].send(
-                                ("abort", failure)
-                            )
-                        except (BrokenPipeError, OSError):
-                            pass
-                    raise
-            windows += 1
-            for shard_id in range(num_shards):
-                senders = [
-                    (src_shard, all_vias[src_shard][shard_id])
-                    for src_shard in range(num_shards)
-                    if all_counts[src_shard][shard_id] > 0
-                ]
-                parent_connections[shard_id].send(
-                    (
-                        "decision",
-                        (window_start, global_last, total_executed, senders,
-                         control),
-                    )
-                )
+        payloads, windows = coordinate(
+            _PipeLink(parent_connections), num_shards, lookahead, plane, wal
+        )
     finally:
         for connection in parent_connections:
             try:
@@ -1672,14 +1338,6 @@ def _run_mp(
                 process.join(timeout=5.0)
         for connection in parent_connections:
             connection.close()
-        for data_queue in data_queues:
-            # Explicit teardown: the parent never enqueues, so there is
-            # nothing for its feeder thread to flush — cancel the
-            # join-thread handshake outright rather than leaving close()'s
-            # implicit join to block interpreter exit on a wedged feeder
-            # (workers exit via os._exit and cannot wedge theirs).
-            data_queue.cancel_join_thread()
-            data_queue.close()
         if rings is not None:
             rings.destroy()
     return payloads, windows, Counter()
@@ -1781,12 +1439,9 @@ class ShardedScenario:
             if self.config.control_plane == "directory"
             else None
         )
-        # Read the exchange-path switch exactly once per run, in the
-        # parent, so workers can never disagree about the wire format.
-        use_frames = not scalar_exchange_enabled()
         wal = (
             WalSession(
-                self.config, self.config.shards, self.lookahead, use_frames,
+                self.config, self.config.shards, self.lookahead,
                 retain_records=(self.executor == "tcp"),
             )
             if (self.config.wal or self.config.resume)
@@ -1795,7 +1450,7 @@ class ShardedScenario:
         try:
             payloads, windows, run_faults = runner(
                 self.config, workload, self.config.shards, self.lookahead,
-                plane=plane, use_frames=use_frames, wal=wal,
+                plane=plane, wal=wal,
             )
             merged = StatsCollector()
             now = -_INF

@@ -75,9 +75,14 @@ class StatsCollector:
         #: kernel shapes.  Merged by :meth:`merge`, reported via
         #: :meth:`directory_summary`, never fingerprinted.
         self.directory: Counter = Counter()
-        #: columnar shard-exchange accounting (SoA frames built, records
-        #: carried, encoded bytes written to the shared-memory rings,
-        #: payload-pickle and ring-capacity fallbacks).  Same contract as
+        #: columnar shard-exchange accounting, credited by the worker
+        #: channels: ``frames``/``records`` (SoA window frames and the
+        #: records they carry), ``encoded_bytes`` (wire size of frames
+        #: serialized for the mp rings or tcp — zero under the serial
+        #: executor, which passes frames in memory), ``pickled_records``
+        #: (payloads that needed the pickle sidecar) and
+        #: ``queue_fallbacks`` (mp frames that outgrew their ring and were
+        #: relayed through the coordinator).  Same contract as
         #: :attr:`directory`: an artifact of the execution shape (it scales
         #: with K and the executor and vanishes unsharded), so it is merged
         #: by :meth:`merge` and reported via :meth:`exchange_summary` but
@@ -227,29 +232,6 @@ class StatsCollector:
         return dict(sorted(self.directory.items()))
 
     # -- shard-exchange accounting ------------------------------------------
-
-    def record_exchange(
-        self,
-        frames: int = 0,
-        records: int = 0,
-        encoded_bytes: int = 0,
-        pickled_records: int = 0,
-        queue_fallbacks: int = 0,
-    ) -> None:
-        """Account columnar shard-exchange work (outside the fingerprint).
-
-        ``frames``/``records`` count SoA window frames and the records they
-        carry; ``encoded_bytes`` is the wire size of frames serialized for
-        the mp rings (zero under the serial executor, which passes array
-        frames in memory); ``pickled_records`` counts records whose payload
-        genuinely needed the pickle sidecar; ``queue_fallbacks`` counts
-        frames that outgrew the ring and fell back to the queue path.
-        """
-        self.exchange["frames"] += frames
-        self.exchange["records"] += records
-        self.exchange["encoded_bytes"] += encoded_bytes
-        self.exchange["pickled_records"] += pickled_records
-        self.exchange["queue_fallbacks"] += queue_fallbacks
 
     def exchange_summary(self) -> Dict[str, int]:
         """The shard-exchange counters (diagnostics; executor-dependent)."""

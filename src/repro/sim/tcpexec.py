@@ -2,12 +2,16 @@
 
 The mp executor (:func:`repro.sim.shard._run_mp`) caps out at one box —
 its control pipes and shared-memory rings need a common kernel.  This
-module runs the *same* barrier protocol between a **coordinator** (the
+module runs the *same* barrier loop
+(:func:`repro.sim.barrier.coordinate`) between a **coordinator** (the
 process that owns the :class:`~repro.sim.shard.ShardedScenario`) and K
 **workers** connected over TCP, so shards can live on other machines
 while every observable stays byte-identical to serial/mp (the
 equivalence fuzz in ``tests/test_shard_equivalence.py`` proves it over
-localhost).
+localhost).  :class:`TcpCoordinator` is the loop's *link*: it assembles
+the fleet, and its collect step is the supervision pump — heartbeats,
+death detection, and in-run recovery all happen while one barrier round
+is being gathered, invisible to the loop.
 
 Wire model
 ----------
@@ -78,9 +82,6 @@ works with remote workers, and a tcp log resumes under serial/mp and
 vice versa (``executor`` and the tcp plumbing fields are excluded from
 the config fingerprint).
 
-Scalar exchange (``REPRO_SCALAR_EXCHANGE=1``) is rejected: like the WAL,
-the tcp wire carries columnar frames only.
-
 Trace stores ride along for free: workers execute through
 :class:`~repro.sim.shard.ShardSimulator`, so a workload that attaches a
 :class:`~repro.sim.tracestore.TraceStore` via ``attach_scenario`` gets
@@ -108,11 +109,17 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.envutil import env_float, env_int
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.exchange import ExchangeFrame, encode_outbound_blobs
+from repro.sim.barrier import (
+    SyncStatus,
+    Verdict,
+    abort_workers,
+    coordinate,
+    verdict_for,
+)
+from repro.sim.exchange import encode_outbound_blobs
 from repro.sim.faults import FaultPlan, mix64, splitmix64
+from repro.sim.shard import _Channel, _Decision, _ShardRuntime, _worker_body
 from repro.sim.wal import config_fingerprint
-
-_INF = float("inf")
 
 #: v2 added the liveness heartbeat (PING/PONG) and the RECOVER handshake
 PROTOCOL_VERSION = 2
@@ -379,7 +386,7 @@ class _Heartbeat(threading.Thread):
         self._stopped.set()
 
 
-class _TcpChannel:
+class _TcpChannel(_Channel):
     """Worker-side barrier endpoint: syncs up, decisions down, exchange
     frames riding both as encoded blobs (the coordinator routes them)."""
 
@@ -387,22 +394,17 @@ class _TcpChannel:
         self,
         sock: socket.socket,
         shard_id: int,
-        num_shards: int,
         lock: Optional[threading.Lock] = None,
         injector: Any = None,
     ) -> None:
-        self.exchange = Counter()
-        self.faults = Counter()
+        super().__init__(shard_id)
         self.sock = sock
-        self.shard_id = shard_id
-        self.num_shards = num_shards
         #: shared with the heartbeat thread: all sends are serialized
         self.lock = lock if lock is not None else threading.Lock()
         #: fault plane (repro.sim.faults.FaultInjector) — wire faults
         #: replace this barrier's sync frame; None on clean and
         #: RECOVER-ed workers
         self.injector = injector
-        self._barrier = 0
 
     def _recv_protocol(self, context: str) -> Tuple[int, bytes]:
         """Next non-heartbeat frame; every PONG skipped refreshes the
@@ -415,9 +417,7 @@ class _TcpChannel:
 
     def sync(
         self, outbound, next_time, last_time, executed, requests, extras=None
-    ):
-        from repro.sim.shard import _Decision
-
+    ) -> _Decision:
         barrier = self._barrier
         self._barrier += 1
         blobs, min_outbound = encode_outbound_blobs(
@@ -463,26 +463,7 @@ class _TcpChannel:
                 f"shard {self.shard_id}: expected a decision frame at "
                 f"barrier {barrier}, got kind {kind}"
             )
-        window_start, global_last, total_executed, inbound, control = (
-            pickle.loads(payload)
-        )
-        inbox: List[ExchangeFrame] = []
-        for src_shard, blob in inbound:
-            frame, frame_barrier = ExchangeFrame.decode(blob)
-            if frame_barrier != barrier:
-                raise SimulationError(
-                    f"shard {self.shard_id}: exchange frame from shard "
-                    f"{src_shard} tagged barrier {frame_barrier}, "
-                    f"expected {barrier}"
-                )
-            inbox.append(frame)
-        return _Decision(
-            window_start=window_start,
-            global_last=global_last,
-            total_executed=total_executed,
-            inbox=inbox,
-            control=control,
-        )
+        return self._decision(pickle.loads(payload), barrier)
 
     def finish(self, payload: Any) -> None:
         with self.lock:
@@ -495,10 +476,6 @@ class _TcpChannel:
     def fail(self, message: str) -> None:
         with self.lock:
             send_frame(self.sock, _K_ERROR, message.encode("utf-8"))
-
-    def _frames_from_outbound(self, outbound):  # pragma: no cover
-        # _Channel API parity; the tcp channel always encodes to blobs.
-        raise NotImplementedError
 
 
 def worker_main(
@@ -594,8 +571,6 @@ def worker_main(
             ).encode("utf-8"),
         )
 
-        from repro.sim.shard import _ShardRuntime, _worker_body
-
         plan = FaultPlan.parse(getattr(job["config"], "faults", None))
         injector = None
         if plan is not None and not recovering:
@@ -605,9 +580,7 @@ def worker_main(
                 blackhole_s=2.0 * timeout + 1.0,
             )
         lock = threading.Lock()
-        channel = _TcpChannel(
-            sock, shard_id, job["num_shards"], lock=lock, injector=injector
-        )
+        channel = _TcpChannel(sock, shard_id, lock=lock, injector=injector)
         if injector is not None:
             injector.counters = channel.faults
         heartbeat = _Heartbeat(sock, lock, max(0.05, timeout / 4.0))
@@ -661,12 +634,12 @@ def worker_main(
 
 
 class TcpCoordinator:
-    """The listening side of a tcp run: spawns/accepts K workers, drives
-    the barrier loop, routes exchange blobs, owns the directory plane and
-    the WAL — the :func:`repro.sim.shard._run_mp` control flow with the
-    pipes and rings replaced by one socket per worker, plus a supervision
-    loop that answers heartbeats and (on WAL runs) respawns and replays
-    workers that die mid-window."""
+    """The listening side of a tcp run: spawns/accepts K workers and is
+    the :func:`~repro.sim.barrier.coordinate` loop's link to them — one
+    socket per worker, every exchange blob relayed through the decision
+    frames.  Its :meth:`collect` is a supervision pump that answers
+    heartbeats and (on WAL runs) respawns and replays workers that die
+    mid-window."""
 
     def __init__(
         self,
@@ -705,6 +678,10 @@ class TcpCoordinator:
         #: reproducible from the same knob that schedules the faults
         plan = FaultPlan.parse(getattr(config, "faults", None))
         self._backoff_seed = plan.seed if plan is not None else 0
+        #: the pickled JOB and the fleet's config fingerprint — set by
+        #: :meth:`run`, re-served to every replacement worker
+        self._job_blob = b""
+        self._fingerprint = ""
 
     # -- fleet assembly ------------------------------------------------------
 
@@ -1067,14 +1044,7 @@ class TcpCoordinator:
 
     # -- in-run recovery -----------------------------------------------------
 
-    def _recover(
-        self,
-        shard_id: int,
-        reason: str,
-        job_blob: bytes,
-        fingerprint: str,
-        barrier: int,
-    ) -> None:
+    def _recover(self, shard_id: int, reason: str, barrier: int) -> None:
         """Respawn a dead worker's slot and replay it to ``barrier``.
 
         Raises (after aborting the fleet) when recovery is impossible:
@@ -1089,32 +1059,26 @@ class TcpCoordinator:
                 "worker from — run with --wal PATH to enable in-run "
                 "recovery"
             )
-            self._abort_all(failure)
+            abort_workers(self, range(self.num_shards), failure)
             raise SimulationError(f"tcp shard worker failed:\n{failure}")
         if self._respawn_budget <= 0:
             failure = (
                 f"{reason}; worker respawn budget exhausted "
                 f"({TCP_MAX_RESPAWNS_ENV}={tcp_max_respawns()})"
             )
-            self._abort_all(failure)
+            abort_workers(self, range(self.num_shards), failure)
             raise SimulationError(f"tcp shard worker failed:\n{failure}")
         self._respawn_budget -= 1
         try:
             self._spawn_one(shard_id, self.hosts[shard_id])
-            self._accept_recovered(shard_id, job_blob, fingerprint, barrier)
+            self._accept_recovered(shard_id, barrier)
             self._replay_prefix(shard_id, barrier)
         except SimulationError as exc:
-            self._abort_all(str(exc))
+            abort_workers(self, range(self.num_shards), str(exc))
             raise
         self.faults["respawns"] += 1
 
-    def _accept_recovered(
-        self,
-        shard_id: int,
-        job_blob: bytes,
-        fingerprint: str,
-        barrier: int,
-    ) -> None:
+    def _accept_recovered(self, shard_id: int, barrier: int) -> None:
         """Accept the replacement worker for one dead slot.
 
         Only ``shard_id`` is open: garbage and stale/duplicate claims
@@ -1159,7 +1123,7 @@ class TcpCoordinator:
                 continue
             _configure(conn, self.timeout)
             self._handshake(
-                conn, unclaimed, job_blob, fingerprint, sys_path,
+                conn, unclaimed, self._job_blob, self._fingerprint, sys_path,
                 recover_barrier=barrier,
             )
 
@@ -1171,8 +1135,10 @@ class TcpCoordinator:
         tell replay from live windows: its syncs are verified against
         the WAL's retained records (scalars field-by-field, frame blobs
         byte-for-byte — the same discipline as resume) and its decisions
-        are rebuilt from the log.  Its outbound frames are discarded —
-        the original recipients got them from the first incarnation.
+        are rebuilt from the log through the live windows' own
+        :func:`~repro.sim.barrier.verdict_for`, with the logged frame set
+        as the routing grid.  Its outbound frames are discarded — the
+        original recipients got them from the first incarnation.
         """
         for replay_barrier in range(barrier):
             record = self.wal.window_record(replay_barrier)
@@ -1199,17 +1165,14 @@ class TcpCoordinator:
             self._verify_replay(
                 shard_id, replay_barrier, record, pickle.loads(payload)
             )
-            inbound = [
-                (src_shard, record.frames[(src_shard, shard_id)])
-                for src_shard in range(self.num_shards)
-                if (src_shard, shard_id) in record.frames
-            ]
-            decision = pickle.dumps(
-                (record.window_start, record.global_last,
-                 record.total_executed, inbound, record.control),
-                protocol=pickle.HIGHEST_PROTOCOL,
+            self.send_decision(
+                shard_id,
+                verdict_for(
+                    shard_id, self.num_shards, record.window_start,
+                    record.global_last, record.total_executed,
+                    record.frames, record.control,
+                ),
             )
-            send_frame(self.connections[shard_id], _K_DECISION, decision)
             self.faults["replayed_windows"] += 1
 
     def _verify_replay(
@@ -1259,179 +1222,91 @@ class TcpCoordinator:
                     "differ from the WAL"
                 )
 
-    def _collect_round(
-        self, barrier: int, job_blob: bytes, fingerprint: str
-    ) -> Dict[int, Tuple[int, Any]]:
+    # -- the barrier loop's link --------------------------------------------
+
+    def collect(self, barrier: int) -> List[Tuple[int, str, Any]]:
         """One barrier's worth of protocol frames from every shard,
         recovering dead workers in place when the WAL allows it."""
         awaiting = set(range(self.num_shards))
-        round_messages: Dict[int, Tuple[int, Any]] = {}
+        round_messages: List[Tuple[int, str, Any]] = []
         while awaiting:
             results = self._await_frames(awaiting, barrier)
             awaiting = set()
             for shard_id in sorted(results):
                 kind, payload = results[shard_id]
-                if kind != _K_DEAD:
-                    round_messages[shard_id] = (kind, payload)
-                    continue
-                # _recover raises (after aborting the fleet) when the
-                # death cannot be healed; otherwise the slot is live and
-                # replayed to this barrier — re-await its live frame.
-                self._recover(
-                    shard_id, payload, job_blob, fingerprint, barrier
-                )
-                awaiting.add(shard_id)
+                if kind == _K_DEAD:
+                    # _recover raises (after aborting the fleet) when the
+                    # death cannot be healed; otherwise the slot is live
+                    # and replayed to this barrier — re-await its live
+                    # frame.
+                    self._recover(shard_id, payload, barrier)
+                    awaiting.add(shard_id)
+                elif kind == _K_SYNC:
+                    status = pickle.loads(payload)
+                    # On this wire the blobs a sync ships are both the
+                    # frames to route and the bytes the WAL logs.
+                    round_messages.append(
+                        (shard_id, "sync",
+                         SyncStatus(*status, blobs=status[-1]))
+                    )
+                elif kind == _K_DONE:
+                    round_messages.append(
+                        (shard_id, "done", pickle.loads(payload))
+                    )
+                else:
+                    round_messages.append(
+                        (shard_id, "error", payload.decode("utf-8", "replace"))
+                    )
         return round_messages
 
-    # -- the barrier loop ----------------------------------------------------
+    def send_decision(self, shard_id: int, verdict: Verdict) -> None:
+        conn = self.connections[shard_id]
+        if conn is None:
+            return
+        try:
+            send_frame(
+                conn,
+                _K_DECISION,
+                pickle.dumps(verdict, protocol=pickle.HIGHEST_PROTOCOL),
+            )
+        except OSError:
+            # The worker died after syncing; its next read slot surfaces
+            # the loud died-mid-window error (or the supervision loop
+            # recovers it).
+            pass
+
+    def abort(self, shard_id: int, failure: str) -> None:
+        conn = self.connections[shard_id]
+        if conn is not None:
+            send_frame(conn, _K_ABORT, failure.encode("utf-8"))
 
     def run(self, workload: Any) -> Tuple[List[tuple], int, Counter]:
-        """Assemble the fleet and drive the run; mirrors ``_run_mp``'s
-        coordinator loop message for message, with the supervision pump
-        wrapped around every read."""
+        """Assemble the fleet and drive the run through the shared barrier
+        loop, with the supervision pump wrapped around every read."""
         self.bind()
         wal = self.wal
         plane = self.plane
-        num_shards = self.num_shards
-        job_blob = pickle.dumps(
+        self._job_blob = pickle.dumps(
             {
                 "config": self.config,
                 "workload": workload,
-                "num_shards": num_shards,
+                "num_shards": self.num_shards,
                 "lookahead": self.lookahead,
                 "snapshot": plane.snapshot if plane is not None else None,
                 "wal_cadence": wal.cursor_every if wal is not None else 0,
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        fingerprint = fingerprint_digest(self.config)
-        payloads: List[Optional[tuple]] = [None] * num_shards
-        windows = 0
+        self._fingerprint = fingerprint_digest(self.config)
         try:
             self._spawn_workers()
-            self._accept_workers(job_blob, fingerprint)
-            while True:
-                round_messages = self._collect_round(
-                    windows, job_blob, fingerprint
-                )
-                kinds = {kind for kind, _ in round_messages.values()}
-                if _K_ERROR in kinds:
-                    failure = next(
-                        round_messages[shard_id][1].decode("utf-8", "replace")
-                        for shard_id in sorted(round_messages)
-                        if round_messages[shard_id][0] == _K_ERROR
-                    )
-                    self._abort_synced(round_messages, failure)
-                    raise SimulationError(
-                        f"tcp shard worker failed:\n{failure}"
-                    )
-                if kinds == {_K_DONE}:
-                    for shard_id, (_, payload) in round_messages.items():
-                        payloads[shard_id] = pickle.loads(payload)
-                    break
-                if kinds != {_K_SYNC}:
-                    failure = (
-                        "shard workers diverged (mixed done/sync at one "
-                        "barrier)"
-                    )
-                    self._abort_synced(round_messages, failure)
-                    raise SimulationError(failure)
-
-                statuses = [
-                    pickle.loads(round_messages[shard_id][1])
-                    for shard_id in range(num_shards)
-                ]
-                all_requests = []
-                wal_statuses = []
-                blob_grid: List[Dict[int, bytes]] = []
-                frame_blobs: Dict[Tuple[int, int], bytes] = {}
-                window_start = _INF
-                global_last = -_INF
-                total_executed = 0
-                for shard_id, status in enumerate(statuses):
-                    (next_time, last_time, executed, min_outbound, requests,
-                     extras, blobs) = status
-                    window_start = min(window_start, next_time, min_outbound)
-                    global_last = max(global_last, last_time)
-                    total_executed += executed
-                    all_requests.append(requests)
-                    blob_grid.append(dict(blobs))
-                    if wal is not None:
-                        wal_statuses.append(
-                            (next_time, last_time, executed, requests, extras)
-                        )
-                        for dst_shard, blob in blobs:
-                            frame_blobs[(shard_id, dst_shard)] = blob
-                control: List[tuple] = []
-                if plane is not None:
-                    from repro.sim.shard import _agreed_requests
-
-                    plane.handle_requests(_agreed_requests(all_requests))
-                    window_start = min(window_start, plane.next_time())
-                    if window_start != _INF:
-                        control = plane.advance(window_start + self.lookahead)
-                if wal is not None:
-                    try:
-                        wal.on_window(
-                            barrier=windows,
-                            window_start=window_start,
-                            global_last=global_last,
-                            total_executed=total_executed,
-                            statuses=wal_statuses,
-                            frames=frame_blobs,
-                            control=control,
-                        )
-                    except SimulationError as exc:
-                        self._abort_all(str(exc))
-                        raise
-                windows += 1
-                for shard_id in range(num_shards):
-                    inbound = [
-                        (src_shard, blob_grid[src_shard][shard_id])
-                        for src_shard in range(num_shards)
-                        if shard_id in blob_grid[src_shard]
-                    ]
-                    decision = pickle.dumps(
-                        (window_start, global_last, total_executed, inbound,
-                         control),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                    conn = self.connections[shard_id]
-                    if conn is None:
-                        continue
-                    try:
-                        send_frame(conn, _K_DECISION, decision)
-                    except OSError:
-                        # The worker died after syncing; its next read slot
-                        # surfaces the loud died-mid-window error (or the
-                        # supervision loop recovers it).
-                        pass
+            self._accept_workers(self._job_blob, self._fingerprint)
+            payloads, windows = coordinate(
+                self, self.num_shards, self.lookahead, plane, wal
+            )
         finally:
             self.close()
         return payloads, windows, self.faults
-
-    def _abort_synced(
-        self, round_messages: Dict[int, Tuple[int, Any]], failure: str
-    ) -> None:
-        # Per-connection guards: one already-dead socket must never mask
-        # the original failure being reported.
-        for shard_id, (kind, _) in round_messages.items():
-            conn = self.connections[shard_id]
-            if kind != _K_SYNC or conn is None:
-                continue
-            try:
-                send_frame(conn, _K_ABORT, failure.encode("utf-8"))
-            except Exception:
-                pass
-
-    def _abort_all(self, failure: str) -> None:
-        for conn in self.connections:
-            if conn is None:
-                continue
-            try:
-                send_frame(conn, _K_ABORT, failure.encode("utf-8"))
-            except Exception:
-                pass
 
     def close(self) -> None:
         """Full teardown: release every worker, close every socket, reap
@@ -1472,15 +1347,9 @@ def run_tcp(
     num_shards: int,
     lookahead: float,
     plane: Any = None,
-    use_frames: bool = True,
     wal: Any = None,
 ) -> Tuple[List[tuple], int, Counter]:
     """The ``executor="tcp"`` runner (the :func:`_run_mp` signature)."""
-    if not use_frames:
-        raise ConfigurationError(
-            "the tcp executor ships columnar exchange frames as its wire "
-            "payload; it cannot run with REPRO_SCALAR_EXCHANGE=1"
-        )
     return TcpCoordinator(
         config, num_shards, lookahead, plane=plane, wal=wal
     ).run(workload)

@@ -286,11 +286,10 @@ class Transport:
         access).  The RNG stream is consumed bit-identically to the scalar
         message-per-recipient path, which remains behind
         :attr:`scalar_broadcast` (and is the automatic fallback when a loss
-        model or a *per-message* send listener needs per-message
-        draws/objects).  Block listeners — the trace layer and the trace
-        store — ride the fast path: :meth:`PhysicalNetwork.broadcast_block`
-        hands them one SoA batch, so attaching a trace no longer disables
-        the vectorization.
+        model needs per-message draws).  Block listeners — the trace layer
+        and the trace store — ride the fast path:
+        :meth:`PhysicalNetwork.broadcast_block` hands them one SoA batch,
+        so attaching a trace never disables the vectorization.
         """
         redundant = 0
         if recipients is None:
@@ -313,7 +312,6 @@ class Transport:
             not self.scalar_broadcast
             and len(targets) >= 2
             and network.latency.drop_probability == 0
-            and not network.has_send_listeners
             and network.is_up(origin)
             # Overlay-derived recipient sets are distinct by construction;
             # caller-supplied duplicates need per-message accounting (the

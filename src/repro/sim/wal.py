@@ -390,14 +390,8 @@ class WalSession:
         config: Any,
         num_shards: int,
         lookahead: float,
-        use_frames: bool,
         retain_records: bool = False,
     ) -> None:
-        if not use_frames:
-            raise ConfigurationError(
-                "the simulation WAL records columnar exchange frames; it "
-                "cannot run with REPRO_SCALAR_EXCHANGE=1"
-            )
         wal_path = config.wal
         resume_path = config.resume
         if not wal_path and not resume_path:
@@ -448,11 +442,7 @@ class WalSession:
             self.logged = reader.windows
             self.commit = reader.commit
 
-        meta = {
-            "config": fingerprint,
-            "cursor_every": self.cursor_every,
-            "use_frames": True,
-        }
+        meta = {"config": fingerprint, "cursor_every": self.cursor_every}
         fresh_target = bool(wal_path) and (
             not resume_path
             or os.path.abspath(wal_path) != os.path.abspath(resume_path)

@@ -45,16 +45,12 @@ def test_env_flag_rejects_garbage(monkeypatch, raw):
 
 def test_every_production_flag_parses_identically(monkeypatch):
     """The sites the old idiom was copy-pasted into now share one parser:
-    transport's scalar broadcast, the classifier's scalar rounds, and the
-    exchange path switch agree on every value of the matrix."""
-    from repro.sim.exchange import scalar_exchange_enabled
-
+    transport's scalar broadcast and the classifier's scalar rounds agree
+    on every value of the matrix."""
     for raw, expected in [
         ("0", False), ("", False), ("false", False),
         ("1", True), ("yes", True),
     ]:
-        monkeypatch.setenv("REPRO_SCALAR_EXCHANGE", raw)
-        assert scalar_exchange_enabled() is expected
         # transport / p2pclass read their flags at construction through the
         # same env_flag helper; spot-check via the helper on their names
         monkeypatch.setenv("REPRO_SCALAR_BROADCAST", raw)

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import exchange
 from repro.sim.distribution import ShardSpec
 from repro.sim.exchange import (
     ExchangeFrame,
@@ -23,8 +24,6 @@ from repro.sim.exchange import (
     ShardRing,
     exchange_timeout_seconds,
     merge_frames,
-    ring_capacity_bytes,
-    scalar_exchange_enabled,
 )
 from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.shard import ShardedScenario, scenario_digest
@@ -96,6 +95,23 @@ def test_encode_decode_round_trip_property(seed, payload_mode):
 def test_decode_rejects_foreign_bytes():
     with pytest.raises(SimulationError, match="magic"):
         ExchangeFrame.decode(pickle.dumps(("not", "a", "frame")))
+    # Short input: a valid payload-carrying frame cut at every offset —
+    # inside the header, a column, the type table, the payload sidecar —
+    # is a named SimulationError, never struct.error / ValueError.
+    _, frame = _frame_of(
+        random.Random(7), src_shard=1, count=5, payload_mode="all"
+    )
+    blob = frame.encode(3)
+    assert ExchangeFrame.decode(blob)[1] == 3
+    for cut in range(len(blob)):
+        with pytest.raises(SimulationError, match="exchange frame"):
+            ExchangeFrame.decode(blob[:cut])
+    # Lying input: a header count far beyond what the blob can hold is
+    # rejected before any view or allocation is sized by it.
+    lying = bytearray(blob)
+    lying[8:12] = (2**31 - 1).to_bytes(4, "little")
+    with pytest.raises(SimulationError, match="count 2147483647"):
+        ExchangeFrame.decode(bytes(lying))
 
 
 def test_columns_are_plain_python_after_merge():
@@ -112,7 +128,7 @@ def test_columns_are_plain_python_after_merge():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_merge_frames_matches_tuple_sort_reference(seed):
-    """The lexsort merge must reproduce the queue path's
+    """The lexsort merge must reproduce the reference
     (deliver_time, src_shard, seq) tuple sort exactly."""
     rng = random.Random(0x3E + seed)
     all_records = []
@@ -210,53 +226,6 @@ def test_ring_exchange_grid_is_pairwise_independent():
         rings.destroy()
 
 
-def test_ring_capacity_env_knobs(monkeypatch):
-    monkeypatch.setenv("REPRO_EXCHANGE_RING_KB_TOTAL", "1024")
-    monkeypatch.setenv("REPRO_EXCHANGE_RING_KB_MIN", "16")
-    assert ring_capacity_bytes(2) == 1024 * 1024 // 4
-    assert ring_capacity_bytes(64) == 16 * 1024  # floor wins at high K
-
-
-def test_scalar_exchange_env_switch(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALAR_EXCHANGE", raising=False)
-    assert not scalar_exchange_enabled()
-    monkeypatch.setenv("REPRO_SCALAR_EXCHANGE", "0")
-    assert not scalar_exchange_enabled()
-    monkeypatch.setenv("REPRO_SCALAR_EXCHANGE", "1")
-    assert scalar_exchange_enabled()
-    # the old `not in ("", "0")` idiom parsed "false" as truthy; env_flag
-    # fixes that drift
-    monkeypatch.setenv("REPRO_SCALAR_EXCHANGE", "false")
-    assert not scalar_exchange_enabled()
-
-
-@pytest.mark.parametrize("bad", ["", "abc", "-1", "1.5", "0x20"])
-def test_ring_total_env_rejects_bad_values(monkeypatch, bad):
-    """Malformed/empty/negative budget knobs must raise a SimulationError
-    naming the variable, not a bare ValueError at fork time."""
-    monkeypatch.setenv("REPRO_EXCHANGE_RING_KB_TOTAL", bad)
-    with pytest.raises(SimulationError, match="REPRO_EXCHANGE_RING_KB_TOTAL"):
-        ring_capacity_bytes(2)
-
-
-@pytest.mark.parametrize("bad", ["", "abc", "-8", "0"])
-def test_ring_min_env_rejects_bad_values(monkeypatch, bad):
-    """A zero or negative floor would allow zero-capacity rings that force
-    every frame onto the fallback queue; reject at startup."""
-    monkeypatch.setenv("REPRO_EXCHANGE_RING_KB_MIN", bad)
-    with pytest.raises(SimulationError, match="REPRO_EXCHANGE_RING_KB_MIN"):
-        ring_capacity_bytes(2)
-
-
-def test_ring_total_zero_stays_legal_with_positive_floor(monkeypatch):
-    # TOTAL=0 deliberately remains valid: the MIN >= 1 floor guarantees
-    # positive ring capacity (the oversized-frame fallback test relies on
-    # forcing minimum-size rings this way).
-    monkeypatch.setenv("REPRO_EXCHANGE_RING_KB_TOTAL", "0")
-    monkeypatch.setenv("REPRO_EXCHANGE_RING_KB_MIN", "1")
-    assert ring_capacity_bytes(2) == 1024
-
-
 @pytest.mark.parametrize("bad", ["", "abc", "0", "-3", "inf", "nan"])
 def test_exchange_timeout_env_rejects_bad_values(monkeypatch, bad):
     monkeypatch.setenv("REPRO_EXCHANGE_TIMEOUT_S", bad)
@@ -332,20 +301,22 @@ def test_more_shards_than_peers_with_empty_frames(executor):
     assert 0 < windows_with_traffic <= run.windows * run.shards
 
 
-def test_oversized_frame_takes_queue_fallback(monkeypatch):
-    """A frame bigger than its ring must arrive via the queue fallback —
-    loudly counted, byte-identical, and without a ring grow or deadlock."""
-    monkeypatch.setenv("REPRO_EXCHANGE_RING_KB_TOTAL", "0")
-    monkeypatch.setenv("REPRO_EXCHANGE_RING_KB_MIN", "1")  # 1 KiB rings
+def test_oversized_frame_takes_queue_fallback(monkeypatch, tmp_path):
+    """A frame bigger than its ring must arrive via the coordinator relay
+    (sync up, decision down) — loudly counted, byte-identical, and without
+    a ring grow or deadlock; with a WAL the relayed blobs and the log's
+    blobs share one sync."""
+    monkeypatch.setattr(exchange, "_RING_TOTAL_BYTES", 0)
+    monkeypatch.setattr(exchange, "_RING_MIN_BYTES", 1024)  # 1 KiB rings
     reference = Scenario(_config(8, shards=0))
     _storm_workload(reference)
-    run = ShardedScenario(_config(8, shards=2), executor="mp").run(
-        _storm_workload
-    )
-    assert run.digest() == scenario_digest(
-        reference.stats, reference.simulator.now
-    )
-    assert run.stats.exchange["queue_fallbacks"] > 0
+    digest = scenario_digest(reference.stats, reference.simulator.now)
+    for wal in (None, str(tmp_path / "relay.wal")):
+        run = ShardedScenario(
+            _config(8, shards=2, wal=wal), executor="mp"
+        ).run(_storm_workload)
+        assert run.digest() == digest
+        assert run.stats.exchange["queue_fallbacks"] > 0
 
 
 def _storm_workload(scenario):

@@ -151,33 +151,6 @@ def test_sharded_mp_matches_serial(case):
     assert parallel.now == serial.now
 
 
-_SCALAR_SUBSET = [c for c in CASES if c[4] >= 2][:4]
-
-
-@pytest.mark.parametrize("case", _SCALAR_SUBSET, ids=_case_id)
-@pytest.mark.parametrize("executor", ["serial", "mp"])
-def test_scalar_exchange_env_matches_soa_default(case, executor, monkeypatch):
-    """REPRO_SCALAR_EXCHANGE=1 pins the legacy tuple/pickle exchange path;
-    it must stay byte-identical to the default SoA frame path (it is the
-    reference the columnar encoder is proven against)."""
-    overlay, protocol, variant, codec, shards = case
-    monkeypatch.delenv("REPRO_SCALAR_EXCHANGE", raising=False)
-    soa = run_training_sharded(
-        protocol, overlay, variant, shards, executor=executor, codec=codec
-    )
-    assert soa.stats.exchange.get("records", 0) > 0 or shards == 1
-    monkeypatch.setenv("REPRO_SCALAR_EXCHANGE", "1")
-    scalar = run_training_sharded(
-        protocol, overlay, variant, shards, executor=executor, codec=codec
-    )
-    assert not scalar.stats.exchange  # the legacy path ships no frames
-    assert scalar.digest() == soa.digest(), (
-        f"scalar exchange diverged from SoA frames on {_case_id(case)} "
-        f"({executor})"
-    )
-    assert scalar.now == soa.now
-
-
 def test_fuzz_matrix_covers_every_axis():
     """The fixed sample touches each overlay, protocol, variant, codec and
     shard count at least once (a regression here means the sampling seed

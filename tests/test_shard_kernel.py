@@ -1,7 +1,7 @@
 """Unit tests for the sharded kernel's window machinery.
 
 Covers the pieces the differential fuzz suite exercises only end-to-end:
-lookahead computation from the latency model's bounds, exchange-queue
+lookahead computation from the latency model's bounds, exchange-frame
 routing and the ``(time, src_shard, seq)`` tie-break, ``pending_events``
 accounting across window barriers (in-flight cross-shard records count at
 the source until exchanged), churn knocking out an in-flight cross-shard
@@ -17,10 +17,11 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.distribution import ShardSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, PeerStreams, stream_seed
+from repro.sim.barrier import SyncStatus, reduce_window, verdict_for
+from repro.sim.exchange import columnarize_outbound, merge_frames
 from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.shard import (
     ShardedScenario,
-    _decide,
     compute_lookahead,
     scenario_digest,
     shard_of,
@@ -138,34 +139,60 @@ def test_peer_streams_are_cached_and_independent():
 
 
 def _record(deliver_at, src_shard, seq, dst=1):
-    return (deliver_at, src_shard, seq, 0, dst, "m", None, 40, 40, 1)
+    # The sender address encodes (src_shard, seq) so merged columns can be
+    # read back as the sort key.
+    return (deliver_at, src_shard, seq, src_shard * 100 + seq, dst, "m",
+            None, 40, 40, 1)
+
+
+def _status(outbound, next_time, last_time, executed):
+    """A worker's sync as the serial channel builds it: outboxes
+    columnarized, frames routed by reference."""
+    frames, min_outbound = columnarize_outbound(outbound)
+    return SyncStatus(
+        next_time, last_time, executed, min_outbound, [], None, frames, None
+    )
 
 
 def test_decide_routes_and_orders_by_time_shard_seq():
     # Shard 0 sends two records to shard 1 (out of order); shard 1 sends one
-    # to shard 0 and one to shard 1's inbox from shard 2 ties on time.
+    # to shard 0; shard 2's record to shard 1 ties shard 0's on time.
     statuses = [
-        ([[], [_record(5.0, 0, 2), _record(3.0, 0, 1)]], 7.0, 2.0, 3),
-        ([[_record(4.0, 1, 1, dst=0)], []], INF, 2.5, 4),
-        ([[], [_record(3.0, 2, 9)]], 6.0, -INF, 0),
+        _status([[], [_record(5.0, 0, 2), _record(3.0, 0, 1)], []], 7.0, 2.0, 3),
+        _status([[_record(4.0, 1, 1, dst=0)], [], []], INF, 2.5, 4),
+        _status([[], [_record(3.0, 2, 9)], []], 6.0, -INF, 0),
     ]
-    window_start, global_last, total_executed, inboxes = _decide(statuses)
-    # Window opens at the earliest of next-event times and in-flight records.
+    window_start, global_last, total_executed, routed = reduce_window(statuses)
+    # Window opens at the earliest of next-event times and in-flight
+    # frames' min_time.
     assert window_start == 3.0
     assert global_last == 2.5
     assert total_executed == 7
-    assert [r[:3] for r in inboxes[0]] == [(4.0, 1, 1)]
-    # Tie at t=3.0 breaks on src_shard, then seq; later times follow.
-    assert [r[:3] for r in inboxes[1]] == [(3.0, 0, 1), (3.0, 2, 9), (5.0, 0, 2)]
+    inboxes = [
+        verdict_for(shard, 3, window_start, global_last, total_executed,
+                    routed, [])[3]
+        for shard in range(3)
+    ]
+    assert [(src, frame.to_records()[0][:3]) for src, frame in inboxes[0]] == [
+        (1, (4.0, 1, 1))
+    ]
+    # Frames reach the receiver in src-shard order; the tie at t=3.0 then
+    # breaks on src_shard, then seq, in the receiver's merge.
+    assert [src for src, _ in inboxes[1]] == [0, 2]
+    times, columns = merge_frames([frame for _, frame in inboxes[1]])
+    assert list(zip(times, columns[0])) == [(3.0, 1), (3.0, 209), (5.0, 2)]
     assert inboxes[2] == []
 
 
 def test_decide_idle_when_no_events_or_records():
-    statuses = [([[], []], INF, 1.5, 2), ([[], []], INF, 4.5, 2)]
-    window_start, global_last, total_executed, _ = _decide(statuses)
+    statuses = [
+        _status([[], []], INF, 1.5, 2), _status([[], []], INF, 4.5, 2),
+    ]
+    window_start, global_last, total_executed, routed = reduce_window(statuses)
     assert window_start == INF
     assert global_last == 4.5
     assert total_executed == 4
+    assert routed == {}
 
 
 def test_conservative_injection_guard():

@@ -568,13 +568,3 @@ def test_tcp_checkpoint_chopped_midlog_resumes_to_reference(tmp_path):
     ).run(_StormWorkload())
     assert resumed.digest() == reference.digest()
     assert WalReader(cut).commit["digest"] == reference.digest()
-
-
-def test_tcp_rejects_scalar_exchange(monkeypatch):
-    """The tcp wire is frames-only; the legacy tuple path is refused
-    loudly up front."""
-    monkeypatch.setenv("REPRO_SCALAR_EXCHANGE", "1")
-    with pytest.raises(ConfigurationError, match="SCALAR_EXCHANGE"):
-        ShardedScenario(
-            _config(8, shards=2, executor="tcp")
-        ).run(_StormWorkload())

@@ -126,7 +126,6 @@ class TestBlockListeners:
 
         network.broadcast_block = spy
         with MessageTrace().attach(network) as trace:
-            assert not network.has_send_listeners
             assert network.has_block_listeners
             transport.broadcast(
                 0, "cast", "y" * 64, recipients=list(range(1, 20))

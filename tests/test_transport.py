@@ -188,8 +188,8 @@ class TestBatchedEquivalence:
         # charged or delivered.
         transport = build_transport(num_nodes=4, seed=2)
         seen = []
-        transport.network.add_send_listener(
-            lambda message: seen.append(message.src)
+        transport.network.add_block_listener(
+            lambda block: seen.extend(block.src)
         )
         transport.network.set_down(1)
         transport.send_batch(
@@ -377,12 +377,14 @@ class TestVectorizedBroadcast:
         assert stats_fingerprint(vector.stats) == stats_fingerprint(scalar.stats)
         assert vector.stats.per_peer_received[1] == 2 * (40 + 8)
 
-    def test_listeners_force_scalar_path_and_see_every_message(self):
+    def test_block_listeners_see_every_message_in_one_block(self):
         transport = build_transport(num_nodes=6, seed=3)
-        seen = []
-        transport.network.add_send_listener(lambda m: seen.append(m.dst))
+        blocks = []
+        transport.network.add_block_listener(blocks.append)
         transport.broadcast(0, "b", "p", recipients=range(6))
-        assert seen == [1, 2, 3, 4, 5]
+        # One SoA block for the whole fan-out: observing a broadcast never
+        # forces the message-per-recipient path.
+        assert [list(block.dst) for block in blocks] == [[1, 2, 3, 4, 5]]
 
     def test_outcomes_materialize_lazily_and_cache(self):
         transport = build_transport(num_nodes=6, seed=3)

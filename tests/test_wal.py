@@ -423,14 +423,6 @@ def test_wal_requires_sharded_kernel():
         _config(8, shards=0, wal="x.wal").validate()
 
 
-def test_wal_rejects_scalar_exchange(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_EXCHANGE", "1")
-    with pytest.raises(ConfigurationError, match="SCALAR_EXCHANGE"):
-        ShardedScenario(
-            _config(8, shards=2, wal=str(tmp_path / "x.wal"))
-        ).run(_storm_workload)
-
-
 # ---------------------------------------------------------------------------
 # The delta algebra: Σ(window deltas) + commit tails == final fingerprint.
 # ---------------------------------------------------------------------------
