@@ -20,6 +20,11 @@ from typing import Dict, Optional, Sequence
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: REPRO_BENCH_SMOKE=1 shrinks network sizes to CI scale
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower() in (
+    "1", "true", "yes", "on",
+)
+
 
 def cpu_count() -> int:
     """Cores available to this process (affinity-aware)."""

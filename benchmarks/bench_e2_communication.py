@@ -19,11 +19,7 @@ from repro.bench.harness import ExperimentSetting, build_system
 from repro.bench.reporting import format_table
 from repro.sim.codec import codec_names
 
-from repro.envutil import env_flag
-
-from _common import write_results
-
-_SMOKE = env_flag("REPRO_BENCH_SMOKE")
+from _common import SMOKE as _SMOKE, write_results
 
 BASE = dict(
     num_users=6 if _SMOKE else 12,

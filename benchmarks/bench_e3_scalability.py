@@ -20,17 +20,14 @@ import pytest
 from repro.bench.harness import ExperimentSetting, run_experiment
 from repro.bench.reporting import format_table
 
-from repro.envutil import env_flag
-
 from _common import (
     RESULTS_DIR,
+    SMOKE as _SMOKE,
     cpu_count,
     peak_rss_mb,
     write_bench_trajectory,
     write_results,
 )
-
-_SMOKE = env_flag("REPRO_BENCH_SMOKE")
 
 SIZES = (6, 12) if _SMOKE else (6, 12, 18, 24)
 BASE = dict(docs_per_user=30, train_fraction=0.2, seed=0, max_eval_documents=50)
@@ -242,14 +239,16 @@ def run_broadcast_round(num_members, senders, scalar, seed=3, codec=None):
 
     ``senders`` origins each broadcast one 256-byte payload to all
     ``num_members`` members and consume the delivered set (what PACE's
-    bundle store does); the round then drains.  ``scalar`` forces the
-    message-per-recipient path (the PR 1 stack) — both paths produce
-    byte-identical stats, so the digest doubles as a correctness check.
+    bundle store does); the round then drains.  ``scalar`` sends one
+    materialized ``Message`` per recipient through ``send_batch`` (the
+    PR 1 stack) instead of ``broadcast`` — both produce byte-identical
+    stats, so the digest doubles as a correctness check.
     ``codec`` selects a wire-format codec table (accounting-only; the
     event stream is identical across the whole sweep).
     """
     from repro.sim.codec import make_codec_table
     from repro.sim.engine import Simulator
+    from repro.sim.messages import Message
     from repro.sim.network import PhysicalNetwork
     from repro.sim.stats import StatsCollector
     from repro.sim.transport import Transport
@@ -262,7 +261,6 @@ def run_broadcast_round(num_members, senders, scalar, seed=3, codec=None):
         stats=stats,
         codec=make_codec_table(codec) if codec else None,
     )
-    transport.scalar_broadcast = scalar
     delivered = [0]
 
     def handler(message):
@@ -276,10 +274,19 @@ def run_broadcast_round(num_members, senders, scalar, seed=3, codec=None):
     start = time.perf_counter()
     stored = 0
     for origin in range(senders):
-        result = transport.broadcast(
-            origin, "pace.model_broadcast", payload, recipients=recipients
-        )
-        stored += len(result.delivered_to())
+        if scalar:
+            outcomes = transport.send_batch([
+                Message(src=origin, dst=dst,
+                        msg_type="pace.model_broadcast", payload=payload)
+                for dst in recipients if dst != origin
+            ])
+            stored += sum(outcome.delivered for outcome in outcomes)
+        else:
+            result = transport.broadcast(
+                origin, "pace.model_broadcast", payload,
+                recipients=recipients,
+            )
+            stored += len(result.delivered_to())
     simulator.run()
     elapsed = time.perf_counter() - start
     return elapsed, stats, delivered[0], stored

@@ -25,7 +25,7 @@ from repro.p2pclass.pace import PaceClassifier, PaceConfig
 from repro.p2pclass.private import PrivatePaceClassifier, PrivatePaceConfig
 from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import Scenario, ScenarioConfig
-from repro.sim.trace import MessageTrace
+from repro.sim.tracestore import TraceStore
 from repro.text.sensitive import SensitiveWordFilter
 from repro.text.vectorizer import PreprocessingPipeline
 
@@ -73,10 +73,13 @@ def inspect_wire_content(peer_data, tags) -> None:
     print("-- layer 2: what PACE actually transmits --")
     scenario = fresh_scenario()
     classifier = PaceClassifier(scenario, peer_data, tags, PaceConfig())
-    with MessageTrace().attach(scenario.network) as trace:
+    with TraceStore(":memory:").attach(scenario.network) as store:
         classifier.train()
-    records = trace.records(msg_type="pace.model_broadcast")
-    print(f"model broadcasts on the wire: {len(records)}")
+        _, [(broadcasts,)] = store.sql(
+            "SELECT COUNT(*) FROM traffic WHERE msg_type = ?",
+            ("pace.model_broadcast",),
+        )
+    print(f"model broadcasts on the wire: {broadcasts}")
     sample = classifier._received[0][1]
     print(
         "a bundle contains: "

@@ -470,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one SQL query against the store instead of canned reports",
     )
     p_analyze.add_argument(
-        "--backend", choices=("sqlite", "duckdb"), default=None,
-        help="storage engine (default: sqlite, or REPRO_TRACE_BACKEND)",
+        "--backend", choices=("sqlite", "duckdb"), default="sqlite",
+        help="storage engine (default: sqlite)",
     )
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -206,8 +206,6 @@ class _ShardedTrainingWorkload:
             self.algorithm, scenario, self.peer_data, self.tags,
             self.seed, self.options,
         )
-        classifier.scalar_rounds = False
-        classifier.transport.scalar_broadcast = False
         classifier.train()
 
 

@@ -1,15 +1,8 @@
 """Environment-variable parsing with uniform semantics and loud failures.
 
-Every ``REPRO_*`` knob goes through this module, for two reasons:
-
-- **one boolean grammar** — the historical ``not in ("", "0")`` idiom was
-  copy-pasted per call site and drifted (``REPRO_X=false`` used to mean
-  *true*).  :func:`env_flag` parses unset/``""``/``0``/``false``/``no``/
-  ``off`` as False and ``1``/``true``/``yes``/``on`` as True, everywhere;
-  anything else is a hard error rather than a silent truthy surprise.
-- **validated numerics** — a malformed or out-of-range value must name the
-  variable and the accepted range at startup, not surface as a bare
-  ``ValueError`` at fork time or a zero-capacity ring deep in the exchange.
+Every runtime ``REPRO_*`` knob is numeric and goes through this module: a
+malformed or out-of-range value must name the variable and the accepted
+range at startup, not surface as a bare ``ValueError`` at fork time.
 
 Call sites pick the error class (``SimulationError`` for simulation-layer
 knobs) so the exception lands in the hierarchy the caller's tests expect.
@@ -22,31 +15,6 @@ import os
 from typing import Optional, Type
 
 from repro.errors import ConfigurationError, ReproError
-
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("", "0", "false", "no", "off")
-
-
-def env_flag(name: str) -> bool:
-    """Parse the boolean environment flag ``name``.
-
-    Unset, empty, ``0``, ``false``, ``no``, ``off`` (any case) → False;
-    ``1``, ``true``, ``yes``, ``on`` → True.  Anything else raises
-    :class:`ConfigurationError` naming the variable — a typo'd flag value
-    must never silently enable (or disable) a behaviour switch.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return False
-    value = raw.strip().lower()
-    if value in _TRUE:
-        return True
-    if value in _FALSE:
-        return False
-    raise ConfigurationError(
-        f"{name}={raw!r} is not a boolean flag; accepted values are "
-        f"1/true/yes/on, 0/false/no/off, or unset"
-    )
 
 
 def env_int(

@@ -25,7 +25,6 @@ from typing import (
 import numpy as np
 
 from repro.data.corpus import Corpus
-from repro.envutil import env_flag
 from repro.errors import ConfigurationError, NotTrainedError
 from repro.ml.sparse import SparseVector
 from repro.sim.node import SimNode
@@ -45,10 +44,6 @@ class TaggedVector:
 
 
 PeerData = Dict[int, List[TaggedVector]]
-
-#: set to "1" to force the legacy sequential-stagger round driver — the
-#: equivalence harness runs both drivers and compares stats byte-for-byte.
-SCALAR_ROUNDS_ENV = "REPRO_SCALAR_ROUNDS"
 
 
 def corpus_to_peer_data(
@@ -149,11 +144,6 @@ class P2PTagClassifier(ABC):
         if not self.tags:
             raise ConfigurationError("no tags to learn")
         self._trained = False
-        #: debug/equivalence flag: drive training rounds through the legacy
-        #: sequential ``_advance`` stagger loop instead of the kernel's
-        #: scheduled-batch pattern.  Activation times, RNG consumption, and
-        #: stats are bit-identical either way (see :meth:`_run_staggered_round`).
-        self.scalar_rounds = env_flag(SCALAR_ROUNDS_ENV)
         #: the one sanctioned path to the wire — protocols must not talk to
         #: the PhysicalNetwork directly (uniform charging and batching).
         self.transport = scenario.transport
@@ -227,21 +217,6 @@ class P2PTagClassifier(ABC):
 
     # -- helpers ---------------------------------------------------------------
 
-    def _advance(self, seconds: float) -> None:
-        """Advance virtual time by ``seconds`` (runs every queued event due
-        in the window, so churn and in-flight deliveries interleave with the
-        caller's next action).
-
-        Training rounds no longer drive the clock through repeated
-        ``_advance`` calls — they bulk-schedule all peer activations via
-        :meth:`_run_staggered_round` — but the method remains the sanctioned
-        way for a protocol to idle between phases, and the legacy scalar
-        round driver still steps through it.
-        """
-        if seconds > 0:
-            simulator = self.scenario.simulator
-            simulator.run(until=simulator.now + seconds)
-
     def _run_staggered_round(
         self,
         participants: Sequence[int],
@@ -259,27 +234,15 @@ class P2PTagClassifier(ABC):
         kernel's :meth:`~repro.sim.engine.Simulator.schedule_batch_at` —
         one kernel run interleaves every peer's activations with churn,
         stabilization, and in-flight deliveries, instead of serializing
-        the round through per-peer ``run(until=...)`` calls.
-
-        The legacy sequential driver survives behind :attr:`scalar_rounds`
-        (env ``REPRO_SCALAR_ROUNDS=1``): it steps ``_advance(gap)`` per
-        participant, which lands on bit-identical activation instants
-        because both drivers accumulate the same gaps in the same float
-        order.  The equivalence suite asserts byte-identical stats between
-        the two drivers on every overlay/churn/loss combination.
+        the round through per-peer ``run(until=...)`` calls.  That
+        sequential loop lives on as the test oracle
+        (``tests/reference/rounds.py``): both accumulate the same gaps in
+        the same float order, so activation instants are bit-identical.
         """
         if not participants:
             return
         simulator = self.scenario.simulator
         gaps = rng.exponential(scale, size=len(participants))
-        if self.scalar_rounds and not self.scenario.sharded:
-            # The sequential driver calls actions outside the kernel, which
-            # cannot be ownership-partitioned — sharded workers always use
-            # the scheduled path (both land on identical activation times).
-            for address, gap in zip(participants, gaps.tolist()):
-                self._advance(float(gap))
-                action(address)
-            return
         times: List[float] = []
         t = simulator.now
         for gap in gaps.tolist():

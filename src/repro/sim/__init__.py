@@ -9,7 +9,7 @@ discrete-event replacement providing the same observables:
 - churn processes driving joins and failures (:mod:`repro.sim.churn`),
 - size-accounted messages (:mod:`repro.sim.messages`),
 - wire-format codec size models (:mod:`repro.sim.codec`),
-- activity logging and statistics (:mod:`repro.sim.stats`),
+- traffic and counter statistics (:mod:`repro.sim.stats`),
 - training-data distribution across peers (:mod:`repro.sim.distribution`),
 - scenario configuration and running (:mod:`repro.sim.scenario`),
 - the sharded event kernel with conservative virtual-time windows
@@ -51,8 +51,7 @@ from repro.sim.churn import (
     ChurnDriver,
 )
 from repro.sim.node import SimNode
-from repro.sim.stats import StatsCollector, ActivityLog
-from repro.sim.trace import MessageTrace, TraceRecord
+from repro.sim.stats import StatsCollector
 from repro.sim.workload import QueryWorkload, WorkloadConfig, QueryEvent
 from repro.sim.distribution import DataDistributor, ShardSpec
 from repro.sim.scenario import ScenarioConfig, Scenario
@@ -90,9 +89,6 @@ __all__ = [
     "ChurnDriver",
     "SimNode",
     "StatsCollector",
-    "ActivityLog",
-    "MessageTrace",
-    "TraceRecord",
     "QueryWorkload",
     "WorkloadConfig",
     "QueryEvent",

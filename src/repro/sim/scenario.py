@@ -116,15 +116,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"tcp_port must be in [0, 65535], got {self.tcp_port}"
             )
-        if self.tcp_hosts is not None:
-            entries = [e.strip() for e in self.tcp_hosts.split(",")]
-            for entry in entries:
-                if entry in ("local", "wait") or entry.startswith("ssh:"):
-                    continue
-                raise ConfigurationError(
-                    f"unknown tcp hosts entry {entry!r}; expected 'local', "
-                    "'wait', or 'ssh:HOST'"
-                )
         if self.control_plane not in ("replicated", "directory"):
             raise ConfigurationError(
                 f"unknown control plane {self.control_plane!r}"
@@ -136,6 +127,10 @@ class ScenarioConfig:
             )
         if self.shards < 0:
             raise ConfigurationError("shards must be >= 0")
+        if self.tcp_hosts is not None:
+            from repro.sim.tcpexec import parse_hosts
+
+            parse_hosts(self.tcp_hosts, self.shards)  # grammar errors
         if not 0.0 <= self.jitter_floor <= 1.0:
             raise ConfigurationError("jitter_floor must be in [0, 1]")
         if self.shards >= 1:

@@ -1,8 +1,7 @@
-"""Statistics collection and activity logging (P2PDMT's "Log activities" /
-"Visualize statistics" boxes).
+"""Statistics collection (P2PDMT's "Visualize statistics" box).
 
 :class:`StatsCollector` is the single sink every component reports into:
-message counts and bytes by type, named counters, and time-stamped series.
+message counts and bytes by type, per-peer traffic, and named counters.
 Experiments read their cost columns from here.
 """
 
@@ -10,51 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Optional, Sequence
 
 from repro.sim.messages import Message
 
 
-@dataclass
-class LogEntry:
-    """One time-stamped activity record."""
-
-    time: float
-    actor: int
-    action: str
-    detail: str = ""
-
-
-class ActivityLog:
-    """Append-only activity log with simple filtering."""
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self._entries: List[LogEntry] = []
-        self._capacity = capacity
-
-    def record(self, time: float, actor: int, action: str, detail: str = "") -> None:
-        if self._capacity is not None and len(self._entries) >= self._capacity:
-            self._entries.pop(0)
-        self._entries.append(LogEntry(time, actor, action, detail))
-
-    def entries(
-        self, action: Optional[str] = None, actor: Optional[int] = None
-    ) -> List[LogEntry]:
-        result = self._entries
-        if action is not None:
-            result = [e for e in result if e.action == action]
-        if actor is not None:
-            result = [e for e in result if e.actor == actor]
-        return list(result)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class StatsCollector:
-    """Counters, per-message-type traffic accounting, and time series."""
+    """Named counters and per-message-type / per-peer traffic accounting."""
 
     def __init__(self) -> None:
         self.messages_by_type: Counter = Counter()
@@ -62,7 +24,6 @@ class StatsCollector:
         self.wire_bytes_by_type: Counter = Counter()
         self.hops_by_type: Counter = Counter()
         self.counters: Counter = Counter()
-        self.series: Dict[str, List[Tuple[float, float]]] = defaultdict(list)
         self.per_peer_bytes: Counter = Counter()
         self.per_peer_wire_bytes: Counter = Counter()
         self.per_peer_received: Counter = Counter()
@@ -100,7 +61,6 @@ class StatsCollector:
         #: :meth:`merge`, reported via :meth:`faults_summary`, and never
         #: joins :meth:`fingerprint`.
         self.faults: Counter = Counter()
-        self.log = ActivityLog()
         #: True once any recorded message's wire size diverged from its raw
         #: size (i.e. a non-identity codec touched this collector).  Gates
         #: the compressed columns in :meth:`fingerprint` and
@@ -250,16 +210,10 @@ class StatsCollector:
         """The fault/recovery counters (diagnostics; schedule-dependent)."""
         return dict(sorted(self.faults.items()))
 
-    # -- counters & series -------------------------------------------------------
+    # -- counters ----------------------------------------------------------
 
     def increment(self, name: str, amount: int = 1) -> None:
         self.counters[name] += amount
-
-    def observe(self, name: str, time: float, value: float) -> None:
-        self.series[name].append((time, value))
-
-    def series_values(self, name: str) -> List[float]:
-        return [value for _, value in self.series.get(name, [])]
 
     # -- fingerprinting ----------------------------------------------------
 
@@ -268,15 +222,13 @@ class StatsCollector:
 
         The determinism contract ("same seed → bit-identical stats") is
         checked against this structure: message/byte/hop counts by type,
-        per-peer sent/received bytes, and named counters.  Time series and
-        the activity log are excluded (they carry floats and free-form text,
-        not accounting), and so are the :attr:`directory`,
-        :attr:`exchange`, and :attr:`faults` counters — control-plane
-        service traffic, shard-exchange framing, and fault/recovery
-        events scale with the shard count, executor, and injected fault
-        schedule, while the fingerprint pins observables that must be
-        identical across every kernel shape.  Keys are stringified so
-        the snapshot serializes to canonical JSON.
+        per-peer sent/received bytes, and named counters.  The
+        :attr:`directory`, :attr:`exchange`, and :attr:`faults` counters
+        are excluded — control-plane service traffic, shard-exchange
+        framing, and fault/recovery events scale with the shard count,
+        executor, and injected fault schedule, while the fingerprint pins
+        observables that must be identical across every kernel shape.
+        Keys are stringified so the snapshot serializes to canonical JSON.
 
         The wire-byte counters appear only once compressed traffic exists:
         under the identity codec wire == raw everywhere, and the snapshot —
@@ -363,51 +315,46 @@ class StatsCollector:
         self.per_peer_wire_bytes.update(other.per_peer_wire_bytes)
         self.per_peer_received.update(other.per_peer_received)
         self._compressed = self._compressed or other._compressed
-        for name, points in other.series.items():
-            self.series[name].extend(points)
 
     # -- window deltas (simulation WAL) ------------------------------------
 
     #: the counter families :meth:`fingerprint` is built from — exactly the
     #: state the WAL must log per window for prefix replay to reproduce the
-    #: final digest.  ``series``/``log`` (not fingerprinted, unbounded) and
-    #: ``directory``/``exchange``/``faults`` (execution-shape artifacts,
-    #: see above) are deliberately excluded.
+    #: final digest.  ``directory``/``exchange``/``faults``
+    #: (execution-shape artifacts, see above) are deliberately excluded.
     _DELTA_FAMILIES = (
         "messages_by_type", "bytes_by_type", "wire_bytes_by_type",
         "hops_by_type", "counters", "per_peer_bytes",
         "per_peer_wire_bytes", "per_peer_received",
     )
 
-    def delta_snapshot(self) -> Dict[str, dict]:
-        """Cheap copy of the fingerprinted families, for :meth:`delta_since`."""
-        snapshot: Dict[str, dict] = {
-            name: dict(getattr(self, name)) for name in self._DELTA_FAMILIES
-        }
-        snapshot["compressed"] = self._compressed
-        return snapshot
-
-    def delta_since(self, snapshot: Dict[str, dict]) -> Dict[str, dict]:
-        """Changed-key increments since ``snapshot``.
+    def delta_since(self, cursor: Dict[str, dict]) -> Dict[str, dict]:
+        """Changed-key increments since ``cursor``'s last call, advancing
+        ``cursor`` in place (an empty dict means "since the beginning").
 
         Counters only ever grow, so the delta is ``{key: new - old}`` over
         keys whose value moved; empty families are omitted.  Deltas compose:
         applying every window's delta (any order — the algebra is
         commutative, like :meth:`merge`) to a fresh collector reproduces the
-        source collector's :meth:`fingerprint` exactly.
+        source collector's :meth:`fingerprint` exactly.  One fused pass per
+        family: this runs on every worker's barrier critical path (WAL probe
+        and trace store), so it touches each live counter entry once instead
+        of recopying whole families.
         """
         delta: Dict[str, dict] = {}
         for name in self._DELTA_FAMILIES:
-            base = snapshot[name]
-            changed = {
-                key: value - base.get(key, 0)
-                for key, value in getattr(self, name).items()
-                if value != base.get(key, 0)
-            }
+            base = cursor.setdefault(name, {})
+            get = base.get
+            changed = {}
+            for key, value in getattr(self, name).items():
+                old = get(key, 0)
+                if value != old:
+                    changed[key] = value - old
+                    base[key] = value
             if changed:
                 delta[name] = changed
-        if self._compressed and not snapshot["compressed"]:
-            delta["compressed"] = True
+        if self._compressed and not cursor.get("compressed"):
+            delta["compressed"] = cursor["compressed"] = True
         return delta
 
     def apply_delta(self, delta: Dict[str, dict]) -> None:

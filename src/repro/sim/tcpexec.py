@@ -119,7 +119,7 @@ from repro.sim.barrier import (
 from repro.sim.exchange import encode_outbound_blobs
 from repro.sim.faults import FaultPlan, mix64, splitmix64
 from repro.sim.shard import _Channel, _Decision, _ShardRuntime, _worker_body
-from repro.sim.wal import config_fingerprint
+from repro.sim.wal import config_fingerprint, verify_shard_window
 
 #: v2 added the liveness heartbeat (PING/PONG) and the RECOVER handshake
 PROTOCOL_VERSION = 2
@@ -1162,8 +1162,14 @@ class TcpCoordinator:
                     f"kind {kind} at replay window {replay_barrier}, "
                     "expected a sync"
                 )
-            self._verify_replay(
-                shard_id, replay_barrier, record, pickle.loads(payload)
+            # Any drift means the replacement is not the worker it claims
+            # to be: die before it can touch the digest.
+            next_time, last_time, executed, _min_outbound, requests, \
+                extras, blobs = pickle.loads(payload)
+            verify_shard_window(
+                record, shard_id,
+                (next_time, last_time, executed, requests, extras), blobs,
+                prefix="RECOVER",
             )
             self.send_decision(
                 shard_id,
@@ -1174,53 +1180,6 @@ class TcpCoordinator:
                 ),
             )
             self.faults["replayed_windows"] += 1
-
-    def _verify_replay(
-        self, shard_id: int, barrier: int, record: Any, status: tuple
-    ) -> None:
-        """A replayed sync must be bit-identical to what the log says the
-        first incarnation sent — any drift means the replacement is not
-        the worker it claims to be, and the run must die before the drift
-        can touch the digest."""
-        next_time, last_time, executed, _min_outbound, requests, extras, \
-            blobs = status
-        logged = record.statuses[shard_id]
-        for name, live_value, index in (
-            ("next event time", next_time, 0),
-            ("last event time", last_time, 1),
-            ("executed count", executed, 2),
-            ("control requests", requests, 3),
-        ):
-            if logged[index] != live_value:
-                raise SimulationError(
-                    f"RECOVER divergence at window {barrier}: shard "
-                    f"{shard_id} {name} differs from the WAL "
-                    f"(logged {logged[index]!r}, replayed {live_value!r})"
-                )
-        logged_extras = logged[4]
-        if (logged_extras is None) != (extras is None) or (
-            logged_extras is not None and logged_extras != extras
-        ):
-            raise SimulationError(
-                f"RECOVER divergence at window {barrier}: shard {shard_id} "
-                "probe extras differ from the WAL"
-            )
-        logged_dsts = sorted(
-            dst for (src, dst) in record.frames if src == shard_id
-        )
-        if sorted(dst for dst, _ in blobs) != logged_dsts:
-            raise SimulationError(
-                f"RECOVER divergence at window {barrier}: shard {shard_id} "
-                f"exchange frame set differs from the WAL (logged "
-                f"{logged_dsts}, replayed {sorted(d for d, _ in blobs)})"
-            )
-        for dst_shard, blob in blobs:
-            if record.frames.get((shard_id, dst_shard)) != blob:
-                raise SimulationError(
-                    f"RECOVER divergence at window {barrier}: shard "
-                    f"{shard_id} exchange frame bytes to shard {dst_shard} "
-                    "differ from the WAL"
-                )
 
     # -- the barrier loop's link --------------------------------------------
 

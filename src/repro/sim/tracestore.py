@@ -24,9 +24,9 @@ by sharded runs merge with :func:`merge_stores` (``ATTACH`` + append,
 mirroring :meth:`StatsCollector.merge` — type ids are remapped by name, so
 shards may intern types in different orders).
 
-Like :class:`~repro.sim.trace.MessageTrace`, the store records send
-*attempts* — including attempts from down sources — so its row counts
-match the tracer, not the post-liveness stats, under churn.
+The store records send *attempts* — including attempts from down
+sources — so under churn its row counts exceed the post-liveness stats.
+``TraceStore(":memory:")`` is the in-process trace: attach, run, query.
 
 Schema::
 
@@ -42,14 +42,12 @@ Schema::
 
 from __future__ import annotations
 
-import os
 import sqlite3
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.envutil import env_int
 from repro.errors import ConfigurationError
 from repro.sim.codec import TRAFFIC_CLASSES, traffic_class_of
 from repro.sim.network import PhysicalNetwork, SendBlock
@@ -83,9 +81,7 @@ def _duckdb():
     return duckdb
 
 
-def _resolve_backend(backend: Optional[str]) -> str:
-    if backend is None:
-        backend = os.environ.get("REPRO_TRACE_BACKEND") or "sqlite"
+def _resolve_backend(backend: str) -> str:
     if backend == "sqlite":
         return "sqlite"
     if backend == "duckdb":
@@ -157,16 +153,12 @@ class TraceStore:
     def __init__(
         self,
         path: Union[str, Path],
-        backend: Optional[str] = None,
-        batch_records: Optional[int] = None,
+        backend: str = "sqlite",
+        batch_records: int = DEFAULT_BATCH_RECORDS,
         shard: int = 0,
     ) -> None:
         self.path = str(path)
         self.backend = _resolve_backend(backend)
-        if batch_records is None:
-            batch_records = env_int(
-                "REPRO_TRACE_BATCH", DEFAULT_BATCH_RECORDS, minimum=1
-            )
         self.batch_records = batch_records
         self.shard = shard
         self._blocks: List[tuple] = []
@@ -174,7 +166,7 @@ class TraceStore:
         self._rows_written = 0
         self._network: Optional[PhysicalNetwork] = None
         self._scenario = None
-        self._stats_cursor: Optional[dict] = None
+        self._stats_cursor: dict = {}
         self._stats_window = 0
         self._closed = False
         if self.backend == "duckdb":
@@ -331,10 +323,7 @@ class TraceStore:
         every window's rows onto a fresh collector reproduces the source
         fingerprint.  ``window`` defaults to an auto-incrementing index.
         """
-        if self._stats_cursor is None:
-            self._stats_cursor = StatsCollector().delta_snapshot()
         delta = stats.delta_since(self._stats_cursor)
-        self._stats_cursor = stats.delta_snapshot()
         if window is None:
             window = self._stats_window
         self._stats_window = window + 1
@@ -519,7 +508,7 @@ def _quote_path(path: str) -> str:
 def merge_stores(
     target: Union[str, Path],
     sources: Sequence[Union[str, Path]],
-    backend: Optional[str] = None,
+    backend: str = "sqlite",
 ) -> TraceStore:
     """Merge per-shard store files into ``target`` (returned open).
 

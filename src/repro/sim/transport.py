@@ -35,17 +35,12 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.envutil import env_flag
 from repro.errors import SimulationError
 from repro.overlay.base import Overlay, RouteResult
 from repro.sim.codec import CodecTable, make_codec_table
 from repro.sim.messages import _HEADER_BYTES, Message, payload_size
 from repro.sim.network import PhysicalNetwork
 from repro.sim.stats import StatsCollector
-
-#: set to "1" to force the scalar (message-per-recipient) broadcast path —
-#: the equivalence harness runs both paths and compares stats byte-for-byte.
-SCALAR_BROADCAST_ENV = "REPRO_SCALAR_BROADCAST"
 
 
 @dataclass
@@ -134,10 +129,6 @@ class Transport:
         self.simulator = network.simulator
         self.overlay = overlay
         self.stats = stats or network.stats
-        #: debug/equivalence flag: force the scalar message-per-recipient
-        #: broadcast path (the pre-vectorization behaviour).  Results are
-        #: bit-identical either way; only wall-clock differs.
-        self.scalar_broadcast = env_flag(SCALAR_BROADCAST_ENV)
         self.codec = codec if codec is not None else make_codec_table("identity")
 
     # -- wire-format codec ---------------------------------------------------
@@ -283,11 +274,11 @@ class Transport:
         array draws, and neither :class:`Message` nor :class:`Outcome`
         objects are allocated per recipient at send time (messages
         materialize at delivery, outcomes on :attr:`BroadcastOutcome.outcomes`
-        access).  The RNG stream is consumed bit-identically to the scalar
-        message-per-recipient path, which remains behind
-        :attr:`scalar_broadcast` (and is the automatic fallback when a loss
-        model needs per-message draws).  Block listeners — the trace layer
-        and the trace store — ride the fast path:
+        access).  The RNG stream is consumed bit-identically to the
+        message-per-recipient path, which is the fallback whenever the
+        block cannot be vectorized: a loss model needs per-message draws,
+        fewer than two targets, a down origin, or duplicate recipients.
+        Block listeners (the trace store) ride the fast path:
         :meth:`PhysicalNetwork.broadcast_block` hands them one SoA batch,
         so attaching a trace never disables the vectorization.
         """
@@ -309,8 +300,7 @@ class Transport:
         size = _HEADER_BYTES + payload_size(payload)
         network = self.network
         vectorizable = (
-            not self.scalar_broadcast
-            and len(targets) >= 2
+            len(targets) >= 2
             and network.latency.drop_probability == 0
             and network.is_up(origin)
             # Overlay-derived recipient sets are distinct by construction;

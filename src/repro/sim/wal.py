@@ -40,8 +40,7 @@ Three operations build on the log:
   workload, the overlay, or the other 999 windows.
 
 What is *not* logged, and why: worker event heaps (unpicklable closures;
-redundant given deterministic re-execution), the ``series``/``log``
-stats families (unbounded, never fingerprinted), the
+redundant given deterministic re-execution), the
 ``directory``/``exchange`` counter families (execution-shape artifacts,
 excluded from golden digests by contract), and per-window RNG cursors at
 every barrier (reading ~3N generator states per window would dominate
@@ -57,7 +56,7 @@ import pickle
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.envutil import env_int
 from repro.errors import ConfigurationError, SimulationError
@@ -299,33 +298,9 @@ class WalProbe:
     def __init__(self, scenario: Any, cadence: int) -> None:
         self._scenario = scenario
         self._cadence = cadence
-        self._snapshot = scenario.stats.delta_snapshot()
+        self._cursor: dict = {}
+        scenario.stats.delta_since(self._cursor)  # deltas start from here
         self._barrier = 0
-
-    def _delta(self) -> dict:
-        """One fused pass per family: diff against the standing snapshot
-        and advance it in place.  Equivalent to ``delta_since`` +
-        ``delta_snapshot`` but runs on the worker's barrier critical path,
-        so it touches each live counter entry exactly once instead of
-        recopying whole families."""
-        stats = self._scenario.stats
-        snapshot = self._snapshot
-        delta: dict = {}
-        for name in stats._DELTA_FAMILIES:
-            base = snapshot[name]
-            get = base.get
-            changed = {}
-            for key, value in getattr(stats, name).items():
-                old = get(key, 0)
-                if value != old:
-                    changed[key] = value - old
-                    base[key] = value
-            if changed:
-                delta[name] = changed
-        if stats._compressed and not snapshot["compressed"]:
-            delta["compressed"] = True
-            snapshot["compressed"] = True
-        return delta
 
     def __call__(self) -> bytes:
         """The barrier hook: returns the window extras *pre-pickled*.
@@ -340,7 +315,7 @@ class WalProbe:
         barrier = self._barrier
         self._barrier += 1
         extras = {
-            "stats": self._delta(),
+            "stats": self._scenario.stats.delta_since(self._cursor),
             "kernel": self._scenario.simulator.export_cursors(),
         }
         if barrier % self._cadence == 0:
@@ -352,7 +327,7 @@ class WalProbe:
         plus the final kernel/RNG cursors — sealed into the commit record
         so Σ(window deltas) + tail == the worker's final fingerprint."""
         return {
-            "stats": self._delta(),
+            "stats": self._scenario.stats.delta_since(self._cursor),
             "kernel": self._scenario.simulator.export_cursors(),
             "rng": self._scenario.streams.export_cursors(),
         }
@@ -363,12 +338,78 @@ class WalProbe:
 # ---------------------------------------------------------------------------
 
 
-def _divergence(barrier: int, what: str, logged: Any, live: Any) -> SimulationError:
+def _divergence(
+    barrier: int, what: str, logged: Any, live: Any, prefix: str = "WAL"
+) -> SimulationError:
     return SimulationError(
-        f"WAL divergence at window {barrier}: {what} differs from the log "
-        f"(logged {logged!r}, live {live!r}) — resume requires the identical "
-        "scenario, workload, and code revision that wrote the WAL"
+        f"{prefix} divergence at window {barrier}: {what} differs from the "
+        f"log (logged {logged!r}, live {live!r}) — replaying a WAL requires "
+        "the identical scenario, workload, and code revision that wrote it"
     )
+
+
+def verify_shard_window(
+    logged: WindowRecord,
+    shard_id: int,
+    status: Tuple[float, float, int, list, Optional[bytes]],
+    frames: Sequence[Tuple[int, bytes]],
+    prefix: str = "WAL",
+) -> None:
+    """Check what one shard sent at a logged barrier against the record:
+    its status fields, its probe extras (byte-for-byte, unpickled only to
+    name the part that moved) and its outbound ``(dst_shard, blob)``
+    frames.  Resume verifies every shard of a window through here; the
+    tcp coordinator verifies a recovered worker's replayed syncs
+    (``prefix="RECOVER"``)."""
+    barrier = logged.barrier
+    logged_status = logged.statuses[shard_id]
+    for index, name in enumerate((
+        "next event time", "last event time", "executed count",
+        "control requests",
+    )):
+        if logged_status[index] != status[index]:
+            raise _divergence(
+                barrier, f"shard {shard_id} {name}",
+                logged_status[index], status[index], prefix,
+            )
+    logged_extras, live_extras = logged_status[4], status[4]
+    if (logged_extras is None) != (live_extras is None):
+        raise _divergence(
+            barrier, f"shard {shard_id} probe presence",
+            logged_extras is not None, live_extras is not None, prefix,
+        )
+    if logged_extras != live_extras:
+        logged_parts = pickle.loads(logged_extras)
+        live_parts = pickle.loads(live_extras)
+        for part in ("stats", "kernel", "rng"):
+            if logged_parts.get(part) != live_parts.get(part):
+                raise _divergence(
+                    barrier, f"shard {shard_id} {part} cursors",
+                    logged_parts.get(part), live_parts.get(part), prefix,
+                )
+        raise _divergence(
+            barrier, f"shard {shard_id} probe extras",
+            f"{len(logged_extras)}B blob", f"{len(live_extras)}B blob",
+            prefix,
+        )
+    logged_frames = {
+        dst: blob for (src, dst), blob in logged.frames.items()
+        if src == shard_id
+    }
+    live_dsts = sorted(dst for dst, _ in frames)
+    if sorted(logged_frames) != live_dsts:
+        raise _divergence(
+            barrier, f"shard {shard_id} exchange frame set",
+            sorted(logged_frames), live_dsts, prefix,
+        )
+    for dst, blob in frames:
+        if logged_frames[dst] != blob:
+            raise _divergence(
+                barrier,
+                f"exchange frame bytes (shard {shard_id} -> {dst})",
+                f"{len(logged_frames[dst])}B blob", f"{len(blob)}B blob",
+                prefix,
+            )
 
 
 class WalSession:
@@ -518,51 +559,11 @@ class WalSession:
             raise _divergence(
                 barrier, "control records", logged.control, live.control
             )
-        if sorted(logged.frames) != sorted(live.frames):
-            raise _divergence(
-                barrier, "exchange frame set",
-                sorted(logged.frames), sorted(live.frames),
-            )
-        for key in sorted(live.frames):
-            if logged.frames[key] != live.frames[key]:
-                raise _divergence(
-                    barrier,
-                    f"exchange frame bytes (shard {key[0]} -> {key[1]})",
-                    f"{len(logged.frames[key])}B blob",
-                    f"{len(live.frames[key])}B blob",
-                )
-        for shard_id, (logged_status, live_status) in enumerate(
-            zip(logged.statuses, live.statuses)
-        ):
-            for name, index in (
-                ("next event time", 0), ("last event time", 1),
-                ("executed count", 2), ("control requests", 3),
-            ):
-                if logged_status[index] != live_status[index]:
-                    raise _divergence(
-                        barrier, f"shard {shard_id} {name}",
-                        logged_status[index], live_status[index],
-                    )
-            logged_extras, live_extras = logged_status[4], live_status[4]
-            if (logged_extras is None) != (live_extras is None):
-                raise _divergence(
-                    barrier, f"shard {shard_id} probe presence",
-                    logged_extras is not None, live_extras is not None,
-                )
-            if logged_extras is None or logged_extras == live_extras:
-                continue
-            # Blobs differ: unpickle both only now, to name the part.
-            logged_parts = pickle.loads(logged_extras)
-            live_parts = pickle.loads(live_extras)
-            for part in ("stats", "kernel", "rng"):
-                if logged_parts.get(part) != live_parts.get(part):
-                    raise _divergence(
-                        barrier, f"shard {shard_id} {part} cursors",
-                        logged_parts.get(part), live_parts.get(part),
-                    )
-            raise _divergence(
-                barrier, f"shard {shard_id} probe extras",
-                f"{len(logged_extras)}B blob", f"{len(live_extras)}B blob",
+        for shard_id, status in enumerate(live.statuses):
+            verify_shard_window(
+                logged, shard_id, status,
+                [(dst, blob) for (src, dst), blob in live.frames.items()
+                 if src == shard_id],
             )
 
     def window_record(self, barrier: int) -> WindowRecord:

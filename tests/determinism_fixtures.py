@@ -173,16 +173,23 @@ def run_training(
     """Train one (protocol, overlay, variant) combo; returns the scenario
     (stats + clock) and the trained classifier.
 
-    ``scalar=True`` forces both legacy drivers — the sequential ``_advance``
-    stagger loop and the message-per-recipient broadcast path — which must
-    produce byte-identical stats to the scheduled-batch/vectorized default.
+    ``scalar=True`` installs both reference drivers (``tests/reference``:
+    the sequential stagger loop and the message-per-recipient broadcast),
+    which must produce byte-identical stats to the scheduled-batch /
+    vectorized production paths.
     ``codec`` selects the transport's wire-format codec table (the identity
     default reproduces the pre-codec stack byte-for-byte).
     """
     scenario = build_scenario(overlay, variant, codec=codec)
     classifier = build_classifier(protocol, scenario)
-    classifier.scalar_rounds = scalar
-    classifier.transport.scalar_broadcast = scalar
+    if scalar:
+        from reference import (
+            install_per_message_broadcast,
+            install_sequential_rounds,
+        )
+
+        install_sequential_rounds(classifier)
+        install_per_message_broadcast(classifier.transport)
     classifier.train()
     return scenario, classifier
 
@@ -229,8 +236,6 @@ class TrainingWorkload:
         if self.variant == "churn":
             scenario.start_churn()
         classifier = build_classifier(self.protocol, scenario)
-        classifier.scalar_rounds = False
-        classifier.transport.scalar_broadcast = False
         classifier.train()
         return None
 

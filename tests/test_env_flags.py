@@ -1,14 +1,16 @@
 """The central boolean/numeric env-knob parsing matrix.
 
-Every ``REPRO_*`` switch goes through :mod:`repro.envutil`, so the
-grammar is tested once here instead of per call site.  The drift this
-fixes: the old per-site ``not in ("", "0")`` idiom parsed ``false``/
-``no``/``off`` as *truthy*.
+Every runtime ``REPRO_*`` knob is numeric and goes through
+:mod:`repro.envutil`; the boolean test-tier flags go through
+``tier_flags.env_flag``.  Each grammar is tested once here instead of per
+call site.  The drift this fixes: the old per-site ``not in ("", "0")``
+idiom parsed ``false``/``no``/``off`` as *truthy*.
 """
 
 import pytest
 
-from repro.envutil import env_flag, env_float, env_int
+from repro.envutil import env_float, env_int
+from tier_flags import env_flag
 from repro.errors import ConfigurationError, ReproError, SimulationError
 
 FLAG = "REPRO_TEST_FLAG"
@@ -41,22 +43,6 @@ def test_env_flag_rejects_garbage(monkeypatch, raw):
     monkeypatch.setenv(FLAG, raw)
     with pytest.raises(ConfigurationError, match=FLAG):
         env_flag(FLAG)
-
-
-def test_every_production_flag_parses_identically(monkeypatch):
-    """The sites the old idiom was copy-pasted into now share one parser:
-    transport's scalar broadcast and the classifier's scalar rounds agree
-    on every value of the matrix."""
-    for raw, expected in [
-        ("0", False), ("", False), ("false", False),
-        ("1", True), ("yes", True),
-    ]:
-        # transport / p2pclass read their flags at construction through the
-        # same env_flag helper; spot-check via the helper on their names
-        monkeypatch.setenv("REPRO_SCALAR_BROADCAST", raw)
-        monkeypatch.setenv("REPRO_SCALAR_ROUNDS", raw)
-        assert env_flag("REPRO_SCALAR_BROADCAST") is expected
-        assert env_flag("REPRO_SCALAR_ROUNDS") is expected
 
 
 NUM = "REPRO_TEST_NUMBER"

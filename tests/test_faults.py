@@ -24,7 +24,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.envutil import env_flag
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.faults import KINDS, FaultEvent, FaultPlan, mix64, splitmix64
 from repro.sim.tcpexec import TCP_MAX_RESPAWNS_ENV, TCP_TIMEOUT_ENV
@@ -33,6 +32,7 @@ from determinism_fixtures import (
     build_scenario_config,
     run_training_sharded,
 )
+from tier_flags import env_flag
 
 SHARDED_GOLDEN_PATH = (
     Path(__file__).parent / "golden" / "training_digests_sharded.json"

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
 from repro.data.delicious import DeliciousGenerator
-from repro.sim.trace import MessageTrace
+from repro.sim.tracestore import TraceStore
 from repro.sim.workload import QueryWorkload, WorkloadConfig
 
 
@@ -69,12 +69,13 @@ class TestWorkloadIntegration:
 
     def test_trace_agrees_with_stats(self):
         system = build_system()
-        with MessageTrace().attach(system.scenario.network) as trace:
+        with TraceStore(":memory:").attach(system.scenario.network) as store:
             system.train()
+            _, rows = store.report_traffic()
         stats = system.scenario.stats
-        assert len(trace) == stats.total_messages
-        traced_bytes = sum(r.size_bytes * max(1, r.hops) for r in trace.records())
-        assert traced_bytes == stats.total_bytes
+        # columns: msg_type, msgs, bytes, wire_bytes, total_bytes (x hops)
+        assert sum(row[1] for row in rows) == stats.total_messages
+        assert sum(row[4] for row in rows) == stats.total_bytes
 
     def test_churn_run_charges_maintenance(self):
         system = build_system(churn="exponential")

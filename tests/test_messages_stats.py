@@ -2,7 +2,7 @@
 
 from repro.ml.sparse import SparseVector
 from repro.sim.messages import Message, payload_size
-from repro.sim.stats import ActivityLog, StatsCollector
+from repro.sim.stats import StatsCollector
 
 
 class TestPayloadSize:
@@ -87,14 +87,11 @@ class TestStatsCollector:
         assert stats.per_peer_bytes[1] == 42 + 41
         assert stats.per_peer_bytes[2] == 42
 
-    def test_counters_and_series(self):
+    def test_counters(self):
         stats = StatsCollector()
         stats.increment("lookups")
         stats.increment("lookups", 2)
-        stats.observe("accuracy", time=1.0, value=0.5)
-        stats.observe("accuracy", time=2.0, value=0.7)
         assert stats.counters["lookups"] == 3
-        assert stats.series_values("accuracy") == [0.5, 0.7]
 
     def test_merge(self):
         a, b = self.make(), self.make()
@@ -105,22 +102,3 @@ class TestStatsCollector:
     def test_traffic_table_renders(self):
         table = self.make().traffic_table()
         assert "model" in table and "TOTAL" in table
-
-
-class TestActivityLog:
-    def test_record_and_filter(self):
-        log = ActivityLog()
-        log.record(1.0, actor=5, action="join")
-        log.record(2.0, actor=6, action="leave")
-        log.record(3.0, actor=5, action="leave", detail="crash")
-        assert len(log) == 3
-        assert len(log.entries(action="leave")) == 2
-        assert len(log.entries(actor=5)) == 2
-        assert log.entries(action="leave", actor=5)[0].detail == "crash"
-
-    def test_capacity_evicts_oldest(self):
-        log = ActivityLog(capacity=2)
-        for i in range(5):
-            log.record(float(i), actor=0, action=f"a{i}")
-        assert len(log) == 2
-        assert log.entries()[0].action == "a3"

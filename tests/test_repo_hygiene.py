@@ -7,11 +7,16 @@ the author's machine and dies with ``FileNotFoundError`` in a clone.
 
 (b) The runtime ``REPRO_*`` env knobs under ``src/`` are exactly the list
 below — a new knob cannot arrive without editing it.
+
+(c) Every third-party module imported under ``tests/`` is installed by
+every CI job that runs anything under ``tests/`` — an import the runner
+lacks stops collection at the first suite that needs it.
 """
 
 import ast
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,15 +24,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 RUNTIME_KNOBS = {
-    "REPRO_SCALAR_ROUNDS",
-    "REPRO_SCALAR_BROADCAST",
     "REPRO_EXCHANGE_TIMEOUT_S",
     "REPRO_WAL_CURSORS_EVERY",
     "REPRO_TCP_TIMEOUT_S",
     "REPRO_TCP_RETRIES",
     "REPRO_TCP_MAX_RESPAWNS",
-    "REPRO_TRACE_BACKEND",
-    "REPRO_TRACE_BATCH",
 }
 
 _RESULT_NAME = re.compile(
@@ -102,8 +103,61 @@ def test_runtime_env_knobs_are_exactly_the_listed_ones():
         found.update(
             re.findall(r"REPRO_[A-Z_]+", path.read_text(encoding="utf-8"))
         )
-    found.discard("REPRO_X")  # docstring placeholder in repro.envutil
     assert found == RUNTIME_KNOBS, (
         f"unlisted: {sorted(found - RUNTIME_KNOBS)}, "
         f"gone: {sorted(RUNTIME_KNOBS - found)}"
     )
+
+
+def _third_party_test_imports():
+    """Top-level module names imported anywhere under ``tests/`` that are
+    neither stdlib, nor ``repro``, nor a module that lives in ``tests/``."""
+    tests = ROOT / "tests"
+    local = {"tests", "repro"} | {
+        path.stem for path in tests.iterdir()
+        if path.suffix == ".py" or path.is_dir()
+    }
+    imported = set()
+    for path in tests.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    return imported - local - set(sys.stdlib_module_names)
+
+
+def _ci_jobs():
+    """(name, non-comment lines) per job of the workflow."""
+    workflow = ROOT / ".github" / "workflows" / "ci.yml"
+    text = workflow.read_text(encoding="utf-8")
+    blocks = re.split(r"(?m)^  (?=[\w-]+:$)", text.split("\njobs:\n", 1)[1])
+    return [
+        (block.split(":", 1)[0], [
+            line for line in block.splitlines()
+            if not line.strip().startswith("#")
+        ])
+        for block in blocks if block.strip()
+    ]
+
+
+def test_every_third_party_test_import_is_installed_in_ci():
+    needed = _third_party_test_imports()
+    assert {"pytest", "numpy"} <= needed  # the scanner sees real imports
+    checked = 0
+    for name, lines in _ci_jobs():
+        if not any("tests/" in line or "pytest -x -q" in line
+                   for line in lines):
+            continue
+        installs = [
+            set(line.split("pip install", 1)[1].split())
+            for line in lines if "pip install" in line
+        ]
+        assert installs, f"job {name} runs tests/ but installs nothing"
+        installed = set().union(*installs)
+        assert needed <= installed, (
+            f"job {name} runs tests/ without installing "
+            f"{sorted(needed - installed)}"
+        )
+        checked += 1
+    assert checked >= 2  # tier1 and nightly

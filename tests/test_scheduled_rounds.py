@@ -1,10 +1,10 @@
 """Batch/sequential equivalence for scheduled training rounds and the
 vectorized broadcast.
 
-The tentpole refactor keeps two legacy drivers behind debug flags — the
-sequential ``_advance`` stagger loop (``scalar_rounds``) and the
-message-per-recipient broadcast path (``scalar_broadcast``).  These
-property tests run every round-driving protocol through both drivers on
+The two predecessors live on as oracles under ``tests/reference`` — the
+sequential stagger loop and the message-per-recipient broadcast
+(``run_training(scalar=True)`` installs both).  These property tests run
+every round-driving protocol through both drivers on
 every overlay under no-churn, churn, and loss, and assert *byte-identical*
 ``StatsCollector`` output (canonical-JSON fingerprint bytes) plus an
 identical final virtual clock.  The baselines' bulk-scheduled upload blocks
@@ -122,25 +122,11 @@ def test_scheduled_round_matches_scalar_round_under_codec(
     )
 
 
-def test_scalar_flags_default_off_and_env_override(monkeypatch):
-    scenario = build_scenario("chord", "none")
-    classifier = build_classifier("pace", scenario)
-    assert classifier.scalar_rounds is False
-    assert classifier.transport.scalar_broadcast is False
-
-    monkeypatch.setenv("REPRO_SCALAR_ROUNDS", "1")
-    monkeypatch.setenv("REPRO_SCALAR_BROADCAST", "1")
-    scenario = build_scenario("chord", "none")
-    classifier = build_classifier("pace", scenario)
-    assert classifier.scalar_rounds is True
-    assert classifier.transport.scalar_broadcast is True
-
-
 def test_round_activations_are_bulk_scheduled():
     """The scheduled-batch driver registers every activation up front: when
     the first peer activates, the rest of the round is already queued —
     rather than each slot being discovered through its own
-    ``run(until=...)`` call as the scalar driver does."""
+    ``run(until=...)`` call as the reference driver does."""
     scenario = build_scenario("chord", "none")
     classifier = build_classifier("pace", scenario)
     simulator = scenario.simulator

@@ -28,7 +28,6 @@ from functools import lru_cache
 
 import pytest
 
-from repro.envutil import env_flag
 from repro.sim.messages import Message
 from repro.sim.stats import StatsCollector
 
@@ -40,6 +39,7 @@ from tests.determinism_fixtures import (
     run_training_perpeer,
     run_training_sharded,
 )
+from tests.tier_flags import env_flag
 
 FUZZ_CASES = 50
 FUZZ_SEED = 0x5A4D

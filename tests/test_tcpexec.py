@@ -22,6 +22,7 @@ in ``test_shard_equivalence.py``.
 
 import json
 import os
+import pickle
 import socket
 import struct
 import threading
@@ -38,6 +39,7 @@ from repro.sim.tcpexec import (
     _K_HELLO,
     _K_JOB,
     _K_READY,
+    _K_SYNC,
     _K_WELCOME,
     _MAX_FRAME,
     _WIRE_HEADER,
@@ -55,7 +57,7 @@ from repro.sim.tcpexec import (
     send_frame,
     worker_main,
 )
-from repro.sim.wal import WalReader, truncate_wal
+from repro.sim.wal import WalReader, WindowRecord, truncate_wal
 
 
 def _config(num_peers, shards, **overrides):
@@ -547,6 +549,41 @@ def test_half_open_worker_surfaces_died_mid_window(monkeypatch):
     for _shard, process in coordinator.processes:
         assert process.poll() is not None
     half_open.close()
+
+
+@pytest.mark.parametrize("part", ("stats", "kernel", "rng"))
+def test_recover_divergence_names_the_extras_part(part):
+    """A replacement worker whose replayed sync drifts from the WAL dies
+    on the shared logged-window verifier, which names what moved (the
+    part of the probe extras, as resume does) under the RECOVER prefix."""
+    logged = {"stats": {"counters": {"x": 1}}, "kernel": {"seq": 4},
+              "rng": {"0:1": "state"}}
+    replayed = dict(logged, **{part: {"moved": True}})
+    record = WindowRecord(
+        barrier=0, window_start=0.0, global_last=0.5, total_executed=3,
+        statuses=[
+            (1.0, 0.5, 2, [], pickle.dumps(logged)),
+            (1.0, 0.5, 1, [], pickle.dumps(logged)),
+        ],
+        frames={(1, 0): b"frame"},
+    )
+    coordinator = _coordinator()
+
+    class _Wal:
+        @staticmethod
+        def window_record(barrier):
+            return record
+
+    coordinator.wal = _Wal
+    sync = (1.0, 0.5, 1, None, [], pickle.dumps(replayed), [(0, b"frame")])
+    coordinator._await_frames = lambda shards, barrier: {
+        1: (_K_SYNC, pickle.dumps(sync))
+    }
+    with pytest.raises(
+        SimulationError,
+        match=f"RECOVER divergence at window 0: shard 1 {part} cursors",
+    ):
+        coordinator._replay_prefix(1, barrier=1)
 
 
 def test_tcp_checkpoint_chopped_midlog_resumes_to_reference(tmp_path):

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 from repro.sim.network import PhysicalNetwork
-from repro.sim.trace import MessageTrace
+from repro.sim.tracestore import TraceStore
 
 
 def make_network():
@@ -18,94 +19,88 @@ def make_network():
     return simulator, network
 
 
+def traffic(store, where="1=1", params=()):
+    """(time, src, dst, msg_type, size_bytes) rows in ingest order."""
+    return store.sql(
+        "SELECT time, src, dst, msg_type, size_bytes FROM traffic"
+        f" WHERE {where}", params,
+    )[1]
+
+
 class TestMessageTrace:
+    """The in-process trace is ``TraceStore(":memory:")``."""
+
     def test_records_sent_messages(self):
         simulator, network = make_network()
-        with MessageTrace().attach(network) as trace:
-            network.send(Message(src=1, dst=2, msg_type="a", payload="xx"))
-            network.send(Message(src=2, dst=3, msg_type="b"))
-            simulator.run()
-        assert len(trace) == 2
-        assert trace.records()[0].msg_type == "a"
-        assert trace.records()[0].size_bytes == 42
+        store = TraceStore(":memory:").attach(network)
+        network.send(Message(src=1, dst=2, msg_type="a", payload="xx"))
+        network.send(Message(src=2, dst=3, msg_type="b"))
+        simulator.run()
+        rows = traffic(store)
+        assert len(rows) == 2
+        assert rows[0][3] == "a"
+        assert rows[0][4] == 42
 
     def test_detach_restores_send(self):
         simulator, network = make_network()
-        trace = MessageTrace().attach(network)
-        trace.detach()
+        store = TraceStore(":memory:").attach(network)
+        store.detach()
         network.send(Message(src=1, dst=2, msg_type="a"))
-        assert len(trace) == 0
+        assert traffic(store) == []
 
     def test_double_attach_rejected(self):
         _, network = make_network()
-        trace = MessageTrace().attach(network)
+        store = TraceStore(":memory:").attach(network)
         with pytest.raises(RuntimeError):
-            trace.attach(network)
-        trace.detach()
+            store.attach(network)
+        store.detach()
 
     def test_filters(self):
         simulator, network = make_network()
-        trace = MessageTrace().attach(network)
+        store = TraceStore(":memory:").attach(network)
         network.send(Message(src=1, dst=2, msg_type="a"))
         network.send(Message(src=1, dst=3, msg_type="b"))
         network.send(Message(src=2, dst=3, msg_type="a"))
-        trace.detach()
-        assert len(trace.records(msg_type="a")) == 2
-        assert len(trace.records(src=1)) == 2
-        assert len(trace.records(dst=3)) == 2
-        assert len(trace.records(msg_type="a", src=2)) == 1
+        store.detach()
+        assert len(traffic(store, "msg_type = 'a'")) == 2
+        assert len(traffic(store, "src = 1")) == 2
+        assert len(traffic(store, "dst = 3")) == 2
+        assert len(traffic(store, "msg_type = ? AND src = ?", ("a", 2))) == 1
 
     def test_time_window_filter(self):
         simulator, network = make_network()
-        trace = MessageTrace().attach(network)
+        store = TraceStore(":memory:").attach(network)
         network.send(Message(src=1, dst=2, msg_type="early"))
         simulator.run()
         simulator.schedule(10.0, lambda: network.send(
             Message(src=1, dst=2, msg_type="late")
         ))
         simulator.run()
-        trace.detach()
-        assert [r.msg_type for r in trace.records(since=5.0)] == ["late"]
+        store.detach()
+        assert [r[3] for r in traffic(store, "time >= 5.0")] == ["late"]
 
     def test_timeline_buckets(self):
         simulator, network = make_network()
-        trace = MessageTrace().attach(network)
+        store = TraceStore(":memory:").attach(network)
         network.send(Message(src=1, dst=2, msg_type="a"))
         network.send(Message(src=1, dst=2, msg_type="a"))
-        trace.detach()
-        timeline = trace.timeline(bucket_seconds=1.0)
-        assert timeline[0][1] == 2  # both at t=0
-        with pytest.raises(ValueError):
-            trace.timeline(bucket_seconds=0)
+        store.detach()
+        _, timeline = store.report_routes(bucket=1.0)
+        assert timeline[0][:3] == (0.0, 1, 2)  # both at t=0, one hop
+        with pytest.raises(ConfigurationError):
+            store.report_routes(bucket=0)
 
     def test_conversation_matrix(self):
         simulator, network = make_network()
-        trace = MessageTrace().attach(network)
+        store = TraceStore(":memory:").attach(network)
         network.send(Message(src=1, dst=2, msg_type="a"))
         network.send(Message(src=1, dst=2, msg_type="a"))
         network.send(Message(src=2, dst=1, msg_type="a"))
-        trace.detach()
-        matrix = trace.conversation_matrix()
-        assert matrix[(1, 2)] == 2
-        assert matrix[(2, 1)] == 1
-
-    def test_capacity_bound(self):
-        simulator, network = make_network()
-        trace = MessageTrace(capacity=2).attach(network)
-        for _ in range(5):
-            network.send(Message(src=1, dst=2, msg_type="a"))
-        trace.detach()
-        assert len(trace) == 2
-
-    def test_jsonl_roundtrip(self, tmp_path):
-        simulator, network = make_network()
-        trace = MessageTrace().attach(network)
-        network.send(Message(src=1, dst=2, msg_type="a", payload="xyz"))
-        trace.detach()
-        path = tmp_path / "trace.jsonl"
-        assert trace.export_jsonl(path) == 1
-        loaded = MessageTrace.load_jsonl(path)
-        assert loaded.records()[0] == trace.records()[0]
+        store.detach()
+        _, rows = store.sql(
+            "SELECT src, dst, COUNT(*) FROM messages GROUP BY src, dst"
+        )
+        assert sorted(rows) == [(1, 2, 2), (2, 1, 1)]
 
 
 SMALL = ["--users", "5", "--docs", "14", "--tags", "6", "--seed", "1"]

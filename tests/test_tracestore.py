@@ -1,22 +1,16 @@
-"""Tests for the block-listener API, the trace-layer hot-path fixes, and
-the queryable trace store (`repro.sim.tracestore`).
+"""Tests for the block-listener API and the queryable trace store
+(`repro.sim.tracestore`).
 
 The invariants under test:
 
 - block listeners observe every send attempt on all three network paths
   without forcing any of them off their fast path (the old per-message
   send-listener gate disabled the vectorized broadcast);
-- a capacity-bounded :class:`MessageTrace` evicts in O(1) (deque, not
-  ``list.pop(0)``);
-- :class:`TraceRecord` carries ``wire_bytes`` end to end (JSONL included,
-  with the pre-wire back-compat default);
+- ``wire_bytes`` reaches the store end to end;
 - trace-store ingest is accounting-only: golden digests are byte-identical
   with a store attached, across the sharded fuzz sample;
 - K per-shard stores merge to exactly the unsharded store's row set.
 """
-
-import collections
-import time as _time
 
 import pytest
 
@@ -36,13 +30,14 @@ from repro.sim.network import PhysicalNetwork, SendBlock
 from repro.sim.scenario import Scenario
 from repro.sim.shard import ShardedScenario
 from repro.sim.stats import StatsCollector
-from repro.sim.trace import MessageTrace, TraceRecord
 from repro.sim.tracestore import (
     TraceStore,
     duckdb_available,
     merge_stores,
 )
 from repro.sim.transport import Transport
+
+from reference import install_per_message_broadcast
 
 
 def make_stack(num_nodes=6, seed=0, codec=None):
@@ -125,118 +120,43 @@ class TestBlockListeners:
             return original(*args, **kwargs)
 
         network.broadcast_block = spy
-        with MessageTrace().attach(network) as trace:
+        with TraceStore(":memory:").attach(network) as store:
             assert network.has_block_listeners
             transport.broadcast(
                 0, "cast", "y" * 64, recipients=list(range(1, 20))
             )
+            assert len(store.sql(ROW_QUERY)[1]) == 19
         assert calls == [1], "trace attached forced the scalar fallback"
-        assert len(trace) == 19
 
     def test_digest_invariant_and_scalar_trace_equal(self):
         """Same digest with/without trace; same records scalar/vectorized."""
 
-        def run(trace=None, scalar=False, codec="gzip-model"):
+        def run(traced=False, scalar=False, codec="gzip-model"):
             simulator, stats, network, transport = make_stack(
                 num_nodes=12, codec=codec
             )
-            transport.scalar_broadcast = scalar
-            if trace is not None:
-                trace.attach(network)
+            if scalar:
+                install_per_message_broadcast(transport)
+            store = TraceStore(":memory:").attach(network) if traced else None
             for origin in (0, 1):
                 transport.broadcast(
                     origin, "cast", "z" * 100,
                     recipients=[n for n in range(12) if n != origin],
                 )
             simulator.run()
-            if trace is not None:
-                trace.detach()
-            return stats
+            rows = store.sql(ROW_QUERY)[1] if traced else None
+            return stats, rows
 
-        bare = run()
-        traced_trace = MessageTrace()
-        traced = run(trace=traced_trace)
+        bare, _ = run()
+        traced, traced_rows = run(traced=True)
         assert bare.fingerprint_bytes() == traced.fingerprint_bytes()
 
-        scalar_trace = MessageTrace()
-        scalar_stats = run(trace=scalar_trace, scalar=True)
+        scalar_stats, scalar_rows = run(traced=True, scalar=True)
         assert scalar_stats.fingerprint_bytes() == bare.fingerprint_bytes()
-        assert scalar_trace.records() == traced_trace.records()
-        # The codec dimension is captured, not defaulted.
-        assert all(
-            r.wire_bytes < r.size_bytes for r in traced_trace.records()
-        )
-
-
-# ---------------------------------------------------------------------------
-# MessageTrace hot-path fixes.
-# ---------------------------------------------------------------------------
-
-
-class TestTraceFixes:
-    def test_capacity_eviction_is_deque(self):
-        trace = MessageTrace(capacity=3)
-        assert isinstance(trace._records, collections.deque)
-        assert trace._records.maxlen == 3
-
-    def test_capacity_bounded_storm_stays_linear(self):
-        """50k sends into a capacity-bounded trace: the old list.pop(0)
-        made this quadratic (~1.5B element moves); the deque finishes in
-        well under the generous absolute bound."""
-        simulator, stats, network, transport = make_stack()
-        trace = MessageTrace(capacity=1000).attach(network)
-        message = Message(src=0, dst=1, msg_type="storm", size_bytes=8)
-        start = _time.perf_counter()
-        for _ in range(50_000):
-            network.send(message)
-        elapsed = _time.perf_counter() - start
-        trace.detach()
-        assert len(trace) == 1000
-        assert elapsed < 10.0, f"capacity-bounded trace took {elapsed:.1f}s"
-
-    def test_capacity_keeps_newest_records(self):
-        simulator, stats, network, transport = make_stack()
-        trace = MessageTrace(capacity=2).attach(network)
-        for index in range(5):
-            network.send(
-                Message(src=0, dst=1, msg_type=f"m{index}")
-            )
-        trace.detach()
-        assert [r.msg_type for r in trace.records()] == ["m3", "m4"]
-
-    def test_trace_record_wire_bytes_default(self):
-        record = TraceRecord(
-            time=0.0, src=1, dst=2, msg_type="a", size_bytes=40, hops=1
-        )
-        assert record.wire_bytes == 40  # identity default, like Message
-        explicit = TraceRecord(
-            time=0.0, src=1, dst=2, msg_type="a", size_bytes=40, hops=1,
-            wire_bytes=9,
-        )
-        assert explicit.wire_bytes == 9
-        assert explicit.to_dict()["wire"] == 9
-
-    def test_jsonl_roundtrip_preserves_wire(self, tmp_path):
-        simulator, stats, network, transport = make_stack(codec="gzip-model")
-        trace = MessageTrace().attach(network)
-        transport.broadcast(0, "cast", "q" * 80, recipients=[1, 2])
-        trace.detach()
-        path = tmp_path / "trace.jsonl"
-        assert trace.export_jsonl(path) == 2
-        loaded = MessageTrace.load_jsonl(path)
-        assert loaded.records() == trace.records()
-        assert loaded.records()[0].wire_bytes < loaded.records()[0].size_bytes
-
-    def test_jsonl_backcompat_without_wire(self, tmp_path):
-        """Pre-wire exports (no "wire" key) load with wire = raw bytes."""
-        path = tmp_path / "old.jsonl"
-        path.write_text(
-            '{"time": 1.5, "src": 1, "dst": 2, "type": "a", "bytes": 64,'
-            ' "hops": 2}\n'
-        )
-        record = MessageTrace.load_jsonl(path).records()[0]
-        assert record.wire_bytes == 64
-        assert record.hops == 2
+        assert scalar_rows == traced_rows and len(traced_rows) == 22
+        # The codec dimension is captured, not defaulted (columns:
+        # ... size_bytes, wire_bytes, hops).
+        assert all(row[5] < row[4] for row in traced_rows)
 
 
 # ---------------------------------------------------------------------------

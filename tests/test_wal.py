@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.envutil import env_flag
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import Scenario, ScenarioConfig
@@ -36,6 +35,7 @@ from repro.sim.wal import (
     truncate_wal,
 )
 from determinism_fixtures import run_training_sharded
+from tier_flags import env_flag
 
 SHARDED_GOLDEN_PATH = (
     Path(__file__).parent / "golden" / "training_digests_sharded.json"
