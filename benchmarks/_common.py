@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import json
 import os
-import resource
-import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -24,62 +22,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower() in (
     "1", "true", "yes", "on",
 )
-
-
-def cpu_count() -> int:
-    """Cores available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def peak_rss_mb(children: bool = False) -> float:
-    """Peak resident-set high-water mark in MiB.
-
-    ``children=True`` reads the reaped-children maximum (the mp executor's
-    forked shard workers).  Both values are monotone high-water marks for
-    the whole process lifetime, so per-row numbers in a multi-row benchmark
-    read as "peak so far", not per-run peaks — still exactly what a
-    trajectory diff needs to catch a memory regression.
-    """
-    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
-    kb = resource.getrusage(who).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - ru_maxrss is bytes
-        kb /= 1024
-    return round(kb / 1024.0, 2)
-
-
-def write_bench_trajectory(
-    name: str, entries: Sequence[Dict], context: Optional[Dict] = None
-) -> Path:
-    """Write ``benchmarks/results/BENCH_<name>.json`` — the performance
-    trajectory record.
-
-    One object per measured configuration (wall seconds, peak RSS, shape
-    identifiers), plus the machine context the numbers were taken on.  The
-    file is checked in as the baseline and refreshed by every benchmark
-    run, so a future PR's regression shows up as a reviewable diff and CI
-    uploads the fresh copy as an artifact.
-    """
-    import numpy
-
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "benchmark": name,
-        "context": {
-            "cpus": cpu_count(),
-            "python": "%d.%d" % sys.version_info[:2],
-            # the columnar exchange path's hot loops are numpy kernels, so
-            # trajectory diffs need the version the numbers were taken on
-            "numpy": numpy.__version__,
-            **(context or {}),
-        },
-        "entries": list(entries),
-    }
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def write_results(

@@ -12,7 +12,6 @@ routes) while PACE's broadcast cost per peer grows linearly — its known
 scalability trade-off.
 """
 
-import os
 import time
 
 import pytest
@@ -20,14 +19,7 @@ import pytest
 from repro.bench.harness import ExperimentSetting, run_experiment
 from repro.bench.reporting import format_table
 
-from _common import (
-    RESULTS_DIR,
-    SMOKE as _SMOKE,
-    cpu_count,
-    peak_rss_mb,
-    write_bench_trajectory,
-    write_results,
-)
+from _common import SMOKE as _SMOKE, write_results
 
 SIZES = (6, 12) if _SMOKE else (6, 12, 18, 24)
 BASE = dict(docs_per_user=30, train_fraction=0.2, seed=0, max_eval_documents=50)
@@ -412,531 +404,3 @@ def test_e3_broadcast_codec_axis(benchmark, request):
             assert row[4] == row[3]
         else:
             assert row[4] < row[3], row
-
-
-# ---------------------------------------------------------------------------
-# E3e sharded-storm axis: the transport storm through the K-shard kernel
-# (repro.sim.shard).  Every row must be byte-identical to the unsharded
-# kernel; the mp executor's wall-clock is the sharding payoff, and the
-# directory control plane's construction counters are the O(N/K) witness.
-# ---------------------------------------------------------------------------
-
-SHARDED_STORM_NODES = 100 if _SMOKE else 1000
-SHARDED_STORM_ROUNDS = 5 if _SMOKE else 20
-SHARDED_STORM_FANOUT = STORM_FANOUT  # 1000 x 10 x 20 = the 200k-message bar
-SHARDED_STORM_SHARDS = 2 if _SMOKE else 4
-#: the directory-mode scale-out axis (K ∈ {8, 16} at full size): SPMD
-#: replication priced every worker O(N); the directory serves construction
-#: so these shard counts become worth running.
-DIRECTORY_STORM_SHARDS = (2,) if _SMOKE else (8, 16)
-SHARDED_STORM_PAYLOAD_BYTES = 200
-
-
-def _cpus():
-    return cpu_count()
-
-
-class _StormWorkload:
-    """SPMD storm: every node fires one batched fanout block per round.
-
-    Runs identically on the unsharded kernel and in every shard worker;
-    under sharding each node's fire event is scheduled only on its owning
-    shard, so send-side work (jitter draws, stats, scheduling) partitions
-    across workers and cross-shard deliveries ride the exchange queues.
-    Registration goes through the ownership gate
-    (:meth:`Scenario.register_peer`): directory-mode workers materialize
-    handlers only for owned peers.  Returns (delivered, construction_cost).
-
-    A class carrying its parameters (not a closure) so the tcp executor
-    can pickle it into worker processes.
-
-    ``store_base`` attaches a :class:`~repro.sim.tracestore.TraceStore`
-    (file ``{store_base}.{shard_id}``, so every worker writes its own) —
-    the E3 ingest-overhead axis.  Only the path string is pickled; the
-    store opens inside the worker.
-    """
-
-    def __init__(self, num_nodes, rounds, fanout,
-                 payload_bytes=SHARDED_STORM_PAYLOAD_BYTES, store_base=None):
-        self.num_nodes = num_nodes
-        self.rounds = rounds
-        self.fanout = fanout
-        self.payload_bytes = payload_bytes
-        self.store_base = store_base
-
-    def __call__(self, scenario):
-        from repro.sim.messages import Message
-
-        store = None
-        if self.store_base is not None:
-            from repro.sim.tracestore import TraceStore
-
-            store = TraceStore(
-                f"{self.store_base}.{scenario.shard_id}",
-                shard=scenario.shard_id,
-            ).attach_scenario(scenario)
-
-        num_nodes = self.num_nodes
-        fanout = self.fanout
-        payload_bytes = self.payload_bytes
-        delivered = [0]
-
-        def handler(message):
-            delivered[0] += 1
-
-        for node in range(num_nodes):
-            scenario.register_peer(node, handler)
-        transport = scenario.transport
-        simulator = scenario.simulator
-
-        def fire(src, round_index):
-            block = []
-            for k in range(fanout):
-                dst = (src + 1 + (round_index * fanout + k) * 7) % num_nodes
-                if dst == src:
-                    dst = (dst + 1) % num_nodes
-                block.append(
-                    Message(src=src, dst=dst, msg_type="storm", payload=None,
-                            size_bytes=payload_bytes)
-                )
-            transport.send_batch(block)
-
-        owns = scenario.owns
-        for round_index in range(self.rounds):
-            at = float(round_index)
-            for src in range(num_nodes):
-                if owns(src):
-                    simulator.schedule_at(at, fire, args=(src, round_index))
-        simulator.run_until_idle(max_events=5_000_000)
-        if store is not None:
-            store.record_stats(scenario.stats)
-            store.close()
-        return delivered[0], scenario.construction_cost()
-
-
-def _storm_workload(num_nodes, rounds, fanout, store_base=None):
-    """Picklable SPMD storm workload (see :class:`_StormWorkload`)."""
-    return _StormWorkload(num_nodes, rounds, fanout, store_base=store_base)
-
-
-def _sharded_storm_config(num_nodes, shards, seed=3,
-                          control_plane="replicated", wal=None, faults=None):
-    from repro.sim.distribution import ShardSpec
-    from repro.sim.scenario import ScenarioConfig
-
-    return ScenarioConfig(
-        num_peers=num_nodes,
-        overlay="fullmesh",
-        rng_mode="perpeer",
-        jitter_floor=0.5,
-        shards=shards,
-        shard=ShardSpec(num_peers=num_nodes),
-        control_plane=control_plane if shards else "replicated",
-        wal=wal,
-        faults=faults,
-        seed=seed,
-    )
-
-
-def run_sharded_storm(num_nodes, shards, executor, rounds, fanout, seed=3,
-                      control_plane="replicated", wal=None, store_base=None,
-                      faults=None):
-    """One sharded storm run; returns (elapsed, digest, delivered, windows,
-    max-per-worker construction cost, exchange summary, fault counters)."""
-    from repro.sim.shard import ShardedScenario
-
-    workload = _storm_workload(num_nodes, rounds, fanout,
-                               store_base=store_base)
-    start = time.perf_counter()
-    run = ShardedScenario(
-        _sharded_storm_config(num_nodes, shards, seed, control_plane, wal,
-                              faults),
-        executor=executor,
-    ).run(workload)
-    elapsed = time.perf_counter() - start
-    delivered = sum(result[0] for result in run.results)
-    cost = {
-        key: max(result[1][key] for result in run.results)
-        for key in run.results[0][1]
-    }
-    return (
-        elapsed, run.digest(), delivered, run.windows, cost,
-        run.stats.exchange_summary(), dict(run.stats.faults),
-    )
-
-
-def run_unsharded_storm(num_nodes, rounds, fanout, seed=3, store_base=None):
-    """The single-heap reference of the same storm (shards=0)."""
-    from repro.sim.scenario import Scenario
-    from repro.sim.shard import scenario_digest
-
-    workload = _storm_workload(num_nodes, rounds, fanout,
-                               store_base=store_base)
-    start = time.perf_counter()
-    scenario = Scenario(_sharded_storm_config(num_nodes, 0, seed))
-    delivered, cost = workload(scenario)
-    elapsed = time.perf_counter() - start
-    return (
-        elapsed,
-        scenario_digest(scenario.stats, scenario.simulator.now),
-        delivered,
-        0,
-        cost,
-        {},
-        {},
-    )
-
-
-def _storm_configs():
-    """(label, shards, executor, control_plane, repeats, wal, pair, store,
-    faults) per E3e row.  Rows sharing a ``pair`` tag are measured with
-    their repeats interleaved run-for-run (see
-    :func:`run_sharded_storm_rows`)."""
-    nodes = SHARDED_STORM_NODES
-    k = SHARDED_STORM_SHARDS
-    configs = [
-        # The trace-store axis: the unsharded storm with and without a
-        # TraceStore ingesting every send attempt through the block-listener
-        # API.  Best-of-three interleaved like the WAL pairs; the <10%
-        # ingest-overhead bar divides the two minima, and the store row's
-        # digest must join the all-equal set (ingest is accounting-only).
-        ("unsharded", 0, None, "replicated", 3, False, "store", False, None),
-        ("unsharded store", 0, None, "replicated", 3, False, "store", True,
-         None),
-        # The WAL axis: the same storms with every window barrier logged
-        # (frames + cursors + deltas) to the write-ahead log.  Their digests
-        # must join the all-equal set and their wall-clock prices the
-        # checkpoint overhead against the matching no-WAL rows (<10% bar).
-        # Each plain/WAL pair runs best-of-three with the repeats
-        # interleaved, so the overhead ratio divides minima from the same
-        # time neighborhood instead of rows measured minutes apart.
-        (f"serial k{k}", k, "serial", "replicated", 3, False, "serial-wal",
-         False, None),
-        (f"serial k{k} wal", k, "serial", "replicated", 3, True,
-         "serial-wal", False, None),
-        (f"mp k{k}", k, "mp", "replicated", 3, False, "mp-wal", False, None),
-        (f"mp k{k} wal", k, "mp", "replicated", 3, True, "mp-wal", False,
-         None),
-        # The tcp executor (PR 8): the same storm with shard workers as
-        # socket-connected processes over localhost — prices the wire
-        # protocol (frame blobs riding sync/decision messages through the
-        # coordinator) against mp's shared-memory rings.  Digests must
-        # join the all-equal set like every other row.
-        (f"tcp k{k}", k, "tcp", "replicated", 2, False, None, False, None),
-        (f"tcp k{k} dir", k, "tcp", "directory", 2, False, None, False,
-         None),
-        # The fault plane (PR 10): the same tcp storm with a seeded
-        # worker-crash schedule.  One worker calls os._exit at a window
-        # barrier; the coordinator respawns the slot, replays the WAL
-        # prefix, and the run's digest must still join the all-equal set —
-        # the recovered fleet is byte-identical to the fault-free rows.
-        # The row writes its own log so the shared WAL rows (whose size
-        # and commit the assertions below inspect) stay unpolluted.
-        (f"tcp k{k} faults", k, "tcp", "replicated", 1, True, None, False,
-         "seed=3,crash@2"),
-    ]
-    for dk in DIRECTORY_STORM_SHARDS:
-        # Best-of-two on the K=8 pair (it carries the speedup bar); the
-        # K=16 oversubscription row is informational and runs once.
-        repeats = 2 if dk <= 8 else 1
-        configs.append((f"serial k{dk} dir", dk, "serial", "directory",
-                        repeats, False, None, False, None))
-        configs.append((f"mp k{dk} dir", dk, "mp", "directory", repeats,
-                        False, None, False, None))
-    return configs
-
-
-def run_sharded_storm_rows():
-    nodes = SHARDED_STORM_NODES
-    rounds = SHARDED_STORM_ROUNDS
-    fanout = SHARDED_STORM_FANOUT
-    rows = []
-    bench_entries = []
-    wal_path = RESULTS_DIR / "e3_storm.wal"
-    faults_wal_path = RESULTS_DIR / "e3_storm_faults.wal"
-    store_base = RESULTS_DIR / "e3_storm_trace"
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    configs = _storm_configs()
-
-    def _clear_store_files():
-        # Stores append on reopen; every timed repeat must ingest from a
-        # clean file so the work (and the final row counts) stay constant.
-        for stale in RESULTS_DIR.glob("e3_storm_trace.*"):
-            stale.unlink()
-
-    def _wal_file(faults):
-        # The faulted row both writes and replays its log mid-run, so it
-        # gets a dedicated file — the shared WAL (size/commit asserted
-        # below) must reflect the clean mp/serial rows only.
-        return faults_wal_path if faults else wal_path
-
-    def run_once(shards, executor, plane, wal, store, faults):
-        if store:
-            _clear_store_files()
-        base = str(store_base) if store else None
-        if shards == 0:
-            return run_unsharded_storm(nodes, rounds, fanout,
-                                       store_base=base)
-        return run_sharded_storm(
-            nodes, shards, executor, rounds, fanout, control_plane=plane,
-            # each repeat rewrites the log from scratch, so the timed
-            # work always includes the full checkpoint stream
-            wal=str(_wal_file(faults)) if wal else None,
-            store_base=base,
-            faults=faults,
-        )
-
-    # Measure, best of `repeats`.  Adjacent configs sharing a `pair` tag
-    # alternate run-for-run (plain, wal, plain, wal, ...): the <10%
-    # WAL-overhead bar divides two wall-clock minima, and back-to-back
-    # pairs cancel the slow machine drift (page cache, thermal, noisy
-    # neighbors) that otherwise dwarfs the true overhead when the two
-    # rows are measured minutes apart.
-    groups = []
-    for config in configs:
-        pair = config[6]
-        if pair is not None and groups and groups[-1][0] == pair:
-            groups[-1][1].append(config)
-        else:
-            groups.append((pair, [config]))
-    best = {}
-    for _pair, group in groups:
-        samples = {config[0]: [] for config in group}
-        for _ in range(group[0][4]):
-            for (label, shards, executor, plane, _repeats, wal, _tag,
-                 store, faults) in group:
-                samples[label].append(
-                    run_once(shards, executor, plane, wal, store, faults)
-                )
-        for label, runs in samples.items():
-            best[label] = min(runs, key=lambda r: r[0])
-
-    # The surviving store files (from the store pair's last repeat) merge
-    # into the queryable artifact the nightly job uploads; the E2/E3-style
-    # traffic table regenerates from the stored rows alone — no re-run.
-    from repro.bench.reporting import traffic_rows_from_store
-    from repro.sim.tracestore import merge_stores
-
-    merged_path = RESULTS_DIR / "e3_storm_trace.db"
-    if merged_path.exists():
-        merged_path.unlink()
-    shard_stores = sorted(RESULTS_DIR.glob("e3_storm_trace.*"))
-    with merge_stores(merged_path, shard_stores) as merged:
-        (_, store_rows) = merged.sql("SELECT COUNT(*) FROM messages")
-        store_row_count = store_rows[0][0]
-    traffic_headers, traffic_rows = traffic_rows_from_store(str(merged_path))
-    write_results(
-        "e3_storm_trace_traffic",
-        format_table(
-            "E3f  Storm traffic regenerated from the stored trace "
-            f"({store_row_count} rows, {len(shard_stores)} shard store(s))",
-            traffic_headers,
-            traffic_rows,
-        ),
-        headers=traffic_headers,
-        rows=traffic_rows,
-    )
-    assert store_row_count == nodes * rounds * fanout, (
-        f"trace store captured {store_row_count} rows, expected "
-        f"{nodes * rounds * fanout}"
-    )
-
-    for (label, shards, executor, plane, repeats, wal, _tag,
-         store, fault_spec) in configs:
-        (elapsed, digest, delivered, windows, cost, exchange,
-         fault_counters) = best[label]
-        if fault_spec:
-            # The self-healing contract at bench scale: the schedule's
-            # crash actually fired, a replacement was respawned and caught
-            # up via WAL replay — and the digest still joins the all-equal
-            # set asserted by the caller.
-            assert fault_counters.get("respawns", 0) >= 1, (
-                f"{label}: fault schedule {fault_spec!r} produced no "
-                f"respawns ({fault_counters})"
-            )
-            assert fault_counters.get("replayed_windows", 0) >= 1, (
-                f"{label}: recovery never replayed a WAL window "
-                f"({fault_counters})"
-            )
-        messages = nodes * rounds * fanout
-        rows.append(
-            [
-                nodes,
-                label,
-                messages,
-                delivered,
-                windows,
-                cost["peers_materialized"],
-                cost["overlay_entries_built"],
-                exchange.get("records", 0),
-                exchange.get("encoded_bytes", 0) // 1024,
-                round(elapsed, 3),
-                int(messages / max(elapsed, 1e-9)),
-                digest[:16],
-            ]
-        )
-        bench_entries.append(
-            {
-                "kernel": label,
-                "shards": shards,
-                "executor": executor or "local",
-                "control_plane": plane,
-                "nodes": nodes,
-                "messages": messages,
-                "seconds": round(elapsed, 3),
-                "peak_rss_mb": peak_rss_mb(
-                    children=(executor in ("mp", "tcp"))
-                ),
-                "peers_materialized_max": cost["peers_materialized"],
-                "overlay_entries_built_max": cost["overlay_entries_built"],
-                "exchange_records": exchange.get("records", 0),
-                "exchange_encoded_bytes": exchange.get("encoded_bytes", 0),
-                "exchange_queue_fallbacks": exchange.get(
-                    "queue_fallbacks", 0
-                ),
-                "wal": wal,
-                "wal_bytes": (
-                    os.path.getsize(_wal_file(fault_spec)) if wal else 0
-                ),
-                "faults": fault_spec,
-                "respawns": fault_counters.get("respawns", 0),
-                "replayed_windows": fault_counters.get(
-                    "replayed_windows", 0
-                ),
-                "trace_store": store,
-                "trace_db_bytes": (
-                    os.path.getsize(merged_path) if store else 0
-                ),
-                "stats_digest": digest[:16],
-            }
-        )
-    if not _SMOKE:
-        # Smoke runs (CI tier-1, local quick checks) shrink N and K, so
-        # their entries are not comparable to the checked-in full-size
-        # baseline — only full runs refresh BENCH_e3.json.
-        write_bench_trajectory(
-            "e3", bench_entries,
-            context={"smoke": False, "rounds": rounds, "fanout": fanout},
-        )
-    return rows
-
-
-@pytest.mark.benchmark(group="e3-scalability")
-def test_e3_sharded_storm(benchmark):
-    rows = benchmark.pedantic(run_sharded_storm_rows, rounds=1, iterations=1)
-    headers = [
-        "nodes", "kernel", "messages", "delivered", "windows", "peers_mat",
-        "ovl_built", "xch_recs", "xch_kb", "seconds", "msgs/sec",
-        "stats_digest",
-    ]
-    table = format_table(
-        f"E3e  Sharded storm at {SHARDED_STORM_NODES} nodes "
-        f"({SHARDED_STORM_NODES * SHARDED_STORM_ROUNDS * SHARDED_STORM_FANOUT}"
-        f" messages; K={SHARDED_STORM_SHARDS} replicated, "
-        f"K∈{DIRECTORY_STORM_SHARDS} directory; peers_mat/ovl_built are "
-        "max per worker, xch_* the SoA exchange volume)",
-        headers,
-        rows,
-    )
-    write_results("e3_sharded_storm", table, headers=headers, rows=rows)
-
-    nodes = SHARDED_STORM_NODES
-    expected = nodes * SHARDED_STORM_ROUNDS * SHARDED_STORM_FANOUT
-    # The sharding theorem at bench scale: every kernel shape — replicated
-    # or directory-served — produces byte-identical stats digests and full
-    # delivery.
-    digests = {row[11] for row in rows}
-    assert len(digests) == 1, f"kernel shapes diverged: {rows}"
-    for row in rows:
-        assert row[3] == expected
-    # Digest lineage: the storm's stats digest is pinned against the
-    # checked-in baseline (the dd230f743b050a6e full-size lineage and its
-    # smoke-size companion) so an exchange-path change that silently
-    # alters observables fails CI here, not in a later golden refresh.
-    # Smoke runs check their own pinned digest and never touch the
-    # full-size BENCH baseline.
-    import json as _json
-    from pathlib import Path
-
-    baseline = _json.loads(
-        (Path(__file__).parent / "results" / "e3_smoke_digest.json")
-        .read_text()
-    )
-    expected_digest = (
-        baseline["smoke_digest"] if _SMOKE else baseline["full_digest"]
-    )
-    assert digests == {expected_digest}, (
-        f"storm stats digest {digests} departed from the checked-in "
-        f"{'smoke' if _SMOKE else 'full'} baseline {expected_digest}; if "
-        "the change is intentional, refresh "
-        "benchmarks/results/e3_smoke_digest.json"
-    )
-    # Cross-shard exchange actually flowed on every sharded row.
-    for row in rows:
-        if not row[1].startswith("unsharded"):
-            assert row[7] > 0, f"no exchange records on {row[1]}"
-
-    by_label = {row[1]: row for row in rows}
-    # The O(N/K) construction contract, asserted numerically: replicated
-    # workers each materialize all N peers and build the whole overlay;
-    # directory workers materialize ceil(N/K) and build zero entries.
-    assert by_label["unsharded"][5] == nodes
-    assert by_label[f"serial k{SHARDED_STORM_SHARDS}"][5] == nodes
-    for dk in DIRECTORY_STORM_SHARDS:
-        dir_row = by_label[f"mp k{dk} dir"]
-        assert dir_row[5] == -(-nodes // dk), (
-            f"directory k{dk}: peers materialized per worker should be "
-            f"ceil(N/K), got {dir_row[5]}"
-        )
-        assert dir_row[6] == 0, "directory views must not build entries"
-
-    # The WAL rows carry the same digest (asserted above, they are in the
-    # all-equal set) and leave a committed, resumable log behind.
-    from repro.sim.wal import WalReader
-
-    wal_reader = WalReader(str(RESULTS_DIR / "e3_storm.wal"))
-    wal_row = by_label[f"mp k{SHARDED_STORM_SHARDS} wal"]
-    assert wal_reader.commit is not None
-    assert wal_reader.commit["windows"] == wal_row[4]
-    assert len(wal_reader.windows) == wal_row[4]
-    if not _SMOKE:
-        # The checkpoint overhead bar: logging every window barrier must
-        # cost < 10% wall-time against the matching no-WAL row.
-        for executor in ("serial", "mp"):
-            plain = by_label[f"{executor} k{SHARDED_STORM_SHARDS}"][9]
-            logged = by_label[f"{executor} k{SHARDED_STORM_SHARDS} wal"][9]
-            overhead = logged / max(plain, 1e-9) - 1.0
-            assert overhead < 0.10, (
-                f"{executor} WAL overhead {overhead:.1%} >= 10% "
-                f"({logged:.3f}s vs {plain:.3f}s)"
-            )
-        # The trace-store ingest bar: streaming every send attempt into
-        # the columnar store must cost < 10% wall-time against the
-        # matching no-store row (proves ingest keeps up with the
-        # vectorized transport instead of quietly serializing it).
-        plain = by_label["unsharded"][9]
-        ingest = by_label["unsharded store"][9]
-        store_overhead = ingest / max(plain, 1e-9) - 1.0
-        assert store_overhead < 0.10, (
-            f"trace-store ingest overhead {store_overhead:.1%} >= 10% "
-            f"({ingest:.3f}s vs {plain:.3f}s)"
-        )
-
-    serial_row = by_label[f"serial k{SHARDED_STORM_SHARDS}"]
-    mp_row = by_label[f"mp k{SHARDED_STORM_SHARDS}"]
-    speedup = serial_row[9] / max(mp_row[9], 1e-9)
-    if not _SMOKE and _cpus() >= 4:
-        # PR 4's bar: >= 1.5x over the lockstep serial reference with
-        # >= 4 workers on >= 4 cores.  (On smaller runners the mp row still
-        # verifies correctness; the parallel payoff needs parallel silicon.)
-        assert speedup >= 1.5, f"sharded storm speedup {speedup:.2f}x < 1.5x"
-    if not _SMOKE and _cpus() >= 8 and 8 in DIRECTORY_STORM_SHARDS:
-        # The directory-mode scale-out bar: >= 2.5x mp-vs-serial at K=8 on
-        # >= 8 cores, now that workers no longer pay O(N) control plane.
-        dir_speedup = (
-            by_label["serial k8 dir"][9]
-            / max(by_label["mp k8 dir"][9], 1e-9)
-        )
-        assert dir_speedup >= 2.5, (
-            f"directory storm speedup {dir_speedup:.2f}x < 2.5x at K=8"
-        )

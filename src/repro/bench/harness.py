@@ -97,28 +97,7 @@ class ExperimentResult:
 
 def run_experiment(setting: ExperimentSetting) -> ExperimentResult:
     """Generate the corpus, build and train the system, evaluate, report."""
-    corpus = standard_corpus(
-        num_users=setting.num_users,
-        seed=setting.seed,
-        num_tags=setting.num_tags,
-        docs_per_user=setting.docs_per_user,
-        interest_concentration=setting.interest_concentration,
-    )
-    system = P2PDocTaggerSystem(
-        corpus,
-        SystemConfig(
-            algorithm=setting.algorithm,
-            overlay=setting.overlay,
-            churn=setting.churn,
-            codec=setting.codec,
-            mean_session=setting.mean_session,
-            mean_downtime=setting.mean_downtime,
-            train_fraction=setting.train_fraction,
-            threshold=setting.threshold,
-            seed=setting.seed,
-            algorithm_options=dict(setting.algorithm_options),
-        ),
-    )
+    system = build_system(setting)
     system.train()
     report = system.evaluate(max_documents=setting.max_eval_documents)
     return ExperimentResult(setting=setting, report=report)

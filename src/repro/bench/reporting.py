@@ -1,14 +1,14 @@
 """Table formatting for benchmark output.
 
 The benchmarks print the same row structure EXPERIMENTS.md records, so the
-numbers in the document can be regenerated by reading benchmark stdout —
-or, for runs that wrote a trace store, re-derived offline from the stored
-rows via :func:`traffic_rows_from_store` without re-executing anything.
+numbers in the document can be regenerated by reading benchmark stdout (a
+run that wrote a trace store re-derives its traffic rows offline with
+``repro analyze --report traffic``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -45,26 +45,3 @@ def format_table(
     lines.extend(format_row(row, widths) for row in materialized)
     lines.append("")
     return "\n".join(lines)
-
-
-def traffic_rows_from_store(
-    path: str,
-) -> Tuple[List[str], List[List[Cell]]]:
-    """The E2/E3 per-message-type traffic rows, re-derived from a trace
-    store instead of a live :class:`StatsCollector`.
-
-    Lets a benchmark table be regenerated offline from the run's stored
-    trace (``repro analyze`` prints the same rows) — the counts are send
-    attempts, the tracer convention.
-    """
-    from repro.sim.tracestore import TraceStore
-
-    with TraceStore(path) as store:
-        headers, rows = store.report_traffic()
-    return list(headers), [list(row) for row in rows]
-
-
-def traffic_table_from_store(path: str, title: str) -> str:
-    """Render the stored-trace traffic rows as a benchmark table."""
-    headers, rows = traffic_rows_from_store(path)
-    return format_table(title, headers, rows)

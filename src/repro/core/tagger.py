@@ -11,7 +11,7 @@ This facade is what the examples and every benchmark drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.library import Library
@@ -86,29 +86,25 @@ class SystemConfig:
             raise ConfigurationError("train_fraction must be in (0, 1)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigurationError("threshold must be in [0, 1]")
-        if self.shards < 0:
-            raise ConfigurationError("shards must be >= 0")
-        if self.executor not in ("serial", "mp", "tcp"):
-            raise ConfigurationError(f"unknown executor {self.executor!r}")
-        if self.control_plane not in ("replicated", "directory"):
-            raise ConfigurationError(
-                f"unknown control plane {self.control_plane!r}"
-            )
-        if self.control_plane == "directory" and self.shards < 1:
-            raise ConfigurationError(
-                "the directory control plane only applies to sharded "
-                "execution (set shards >= 1)"
-            )
-        if (self.wal or self.resume) and self.shards < 1:
-            raise ConfigurationError(
-                "the simulation WAL records the sharded kernel's window "
-                "stream (set shards >= 1 to use wal/resume)"
-            )
-        if self.faults and self.shards < 1:
-            raise ConfigurationError(
-                "fault injection targets the sharded tcp fleet "
-                "(set shards >= 1 to use faults)"
-            )
+        # The sharded-execution fields are ScenarioConfig's to judge: check
+        # them on the config the sharded replay would run.
+        self._sharded_config(
+            ScenarioConfig(rng_mode="perpeer", jitter_floor=0.5)
+        ).validate()
+
+    def _sharded_config(self, base: ScenarioConfig) -> ScenarioConfig:
+        """``base`` with this config's sharded-execution fields applied —
+        the scenario the sharded training replay runs."""
+        return replace(
+            base,
+            shards=self.shards,
+            executor=self.executor,
+            control_plane=self.control_plane,
+            wal=self.wal,
+            resume=self.resume,
+            faults=self.faults,
+            tcp_hosts=self.tcp_hosts,
+        )
 
 
 @dataclass
@@ -427,21 +423,10 @@ class P2PDocTaggerSystem:
             self.sharded_run = self._verify_sharded_training()
 
     def _verify_sharded_training(self):
-        from dataclasses import replace
-
         from repro.errors import SimulationError
         from repro.sim.shard import ShardedScenario, scenario_digest
 
-        sharded_config = replace(
-            self._scenario_config,
-            shards=self.config.shards,
-            executor=self.config.executor,
-            control_plane=self.config.control_plane,
-            wal=self.config.wal,
-            resume=self.config.resume,
-            faults=self.config.faults,
-            tcp_hosts=self.config.tcp_hosts,
-        )
+        sharded_config = self.config._sharded_config(self._scenario_config)
         workload = _ShardedTrainingWorkload(
             self.config.churn,
             self._peer_data,

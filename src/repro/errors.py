@@ -28,10 +28,6 @@ class OverlayError(ReproError):
     """An overlay routing or membership operation failed."""
 
 
-class LookupError_(OverlayError):
-    """A DHT lookup could not be resolved (partition, churned-out owner)."""
-
-
 class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 

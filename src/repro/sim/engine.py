@@ -131,6 +131,9 @@ class Simulator:
         self._now = 0.0
         self._events_processed = 0
         self._pending = 0
+        #: time of the most recently executed event; unlike ``_now`` never
+        #: moved by an ``until`` clamp — the sharded kernel agrees the
+        #: global quiescence instant on it
         self._last_event_time = float("-inf")
         self.rng = np.random.default_rng(seed)
 
@@ -147,14 +150,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Live (non-cancelled) queued events — O(1), maintained counter."""
         return self._pending
-
-    @property
-    def last_event_time(self) -> float:
-        """Virtual time of the most recently executed event (``-inf`` if no
-        event has fired yet).  Unlike :attr:`now`, never moved forward by an
-        ``until`` clamp — the sharded kernel uses it to agree on the global
-        quiescence instant across shard heaps."""
-        return self._last_event_time
 
     def next_event_time(self) -> float:
         """Scheduled time of the earliest queued entry (``inf`` when empty).

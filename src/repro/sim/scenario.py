@@ -178,6 +178,16 @@ class ScenarioConfig:
             mean_downtime=self.mean_downtime,
         )
 
+    def build_latency(self) -> LatencyModel:
+        """The one mapping from config to delay model: the sharded lookahead
+        is derived from exactly the model every kernel's network runs."""
+        return LatencyModel(
+            base_latency=self.base_latency,
+            bandwidth=self.bandwidth,
+            drop_probability=self.drop_probability,
+            jitter_floor=self.jitter_floor,
+        )
+
     def build_overlay(self) -> Overlay:
         return make_overlay(
             self.overlay, seed=self.seed, degree=self.unstructured_degree
@@ -268,18 +278,10 @@ class Scenario:
     def _make_network(self) -> PhysicalNetwork:
         return PhysicalNetwork(
             self.simulator,
-            latency=self._make_latency(),
+            latency=self.config.build_latency(),
             stats=self.stats,
             rng_for_src=self.streams.net_rng if self.streams else None,
             loss_rng_for_src=self.streams.loss_rng if self.streams else None,
-        )
-
-    def _make_latency(self) -> LatencyModel:
-        return LatencyModel(
-            base_latency=self.config.base_latency,
-            bandwidth=self.config.bandwidth,
-            drop_probability=self.config.drop_probability,
-            jitter_floor=self.config.jitter_floor,
         )
 
     # -- ownership hooks -------------------------------------------------

@@ -39,7 +39,7 @@ same scenario:
    collectors (:meth:`StatsCollector.merge`) equals the single collector of
    the unsharded run regardless of execution order.
 
-Three executors run the same shard-worker code (:func:`_worker_body`)
+Three executors run the same shard-worker bootstrap (:func:`_run_worker`)
 under the same coordinator loop (:func:`repro.sim.barrier.coordinate`);
 each contributes only worker spawn, teardown, and a *link* — how one
 barrier round of sync/done/error messages is collected and how decisions
@@ -851,7 +851,7 @@ class _ShardWorkerScenario(Scenario):
     def _make_network(self) -> PhysicalNetwork:
         return ShardNetwork(
             self.simulator,
-            latency=self._make_latency(),
+            latency=self.config.build_latency(),
             stats=self.stats,
             rng_for_src=self.streams.net_rng,
             loss_rng_for_src=self.streams.loss_rng,
@@ -1020,6 +1020,36 @@ def _worker_body(
     return (scenario.stats, scenario.simulator.now, result)
 
 
+def _run_worker(
+    channel: _Channel,
+    config: ScenarioConfig,
+    workload: Workload,
+    num_shards: int,
+    lookahead: float,
+    snapshot: Optional[dict],
+    wal_cadence: int,
+    fault_hook: Optional[Callable[[int], None]] = None,
+) -> bool:
+    """One shard worker's whole life, whatever carries its channel: build
+    the runtime, run the workload, report ``finish(payload)`` — or
+    ``fail(traceback)``, under one guard so a failure to even build the
+    scenario still reaches the coordinator.  Returns whether it finished."""
+    try:
+        runtime = _ShardRuntime(
+            channel.shard_id, num_shards, channel, lookahead, snapshot=snapshot
+        )
+        runtime.fault_hook = fault_hook
+        channel.finish(_worker_body(config, workload, runtime, wal_cadence))
+        return True
+    except BaseException:
+        try:
+            channel.fail(traceback.format_exc())
+        except Exception:
+            # The link is gone too; the coordinator sees the death itself.
+            pass
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Serial executor: lockstep worker threads, in-memory exchange.
 # ---------------------------------------------------------------------------
@@ -1031,13 +1061,13 @@ class _ThreadChannel(_Channel):
         shard_id: int,
         to_coordinator: "queue.Queue",
         from_coordinator: "queue.Queue",
-        log_blobs: bool = False,
+        wal_blobs: bool = False,
     ) -> None:
         super().__init__(shard_id)
         self.to_coordinator = to_coordinator
         self.from_coordinator = from_coordinator
         #: WAL runs: also hand the coordinator each frame encoded
-        self.log_blobs = log_blobs
+        self.wal_blobs = wal_blobs
 
     def sync(
         self, outbound, next_time, last_time, executed, requests, extras=None
@@ -1051,7 +1081,7 @@ class _ThreadChannel(_Channel):
         frames, min_outbound = columnarize_outbound(outbound, self.exchange)
         blobs = (
             [(dst_shard, frame.encode(barrier)) for dst_shard, frame in frames]
-            if self.log_blobs
+            if self.wal_blobs
             else None
         )
         self.to_coordinator.put(
@@ -1109,17 +1139,12 @@ def _run_serial(
     def worker(shard_id: int) -> None:
         channel = _ThreadChannel(
             shard_id, link.to_coordinator, link.from_coordinator[shard_id],
-            log_blobs=wal is not None,
+            wal_blobs=wal is not None,
         )
-        try:
-            runtime = _ShardRuntime(
-                shard_id, num_shards, channel, lookahead, snapshot=snapshot
-            )
-            channel.finish(
-                _worker_body(config, workload, runtime, wal_cadence)
-            )
-        except BaseException:
-            channel.fail(traceback.format_exc())
+        _run_worker(
+            channel, config, workload, num_shards, lookahead, snapshot,
+            wal_cadence,
+        )
 
     threads = [
         threading.Thread(target=worker, args=(i,), daemon=True)
@@ -1165,7 +1190,7 @@ class _ProcessChannel(_Channel):
 
     def __init__(
         self, shard_id, connection, rings: Optional[RingExchange] = None,
-        ship_wal_blobs: bool = False,
+        wal_blobs: bool = False,
     ) -> None:
         super().__init__(shard_id)
         self.connection = connection
@@ -1173,7 +1198,7 @@ class _ProcessChannel(_Channel):
         #: WAL runs: also hand the coordinator each window's encoded frame
         #: blobs inside the sync message (the rings are peer-to-peer, so
         #: the parent never sees payload bytes otherwise)
-        self.ship_wal_blobs = ship_wal_blobs
+        self.wal_blobs = wal_blobs
         self.timeout = exchange_timeout_seconds()
 
     def sync(
@@ -1198,7 +1223,7 @@ class _ProcessChannel(_Channel):
                 "sync",
                 SyncStatus(
                     next_time, last_time, executed, min_outbound, requests,
-                    extras, routed, blobs if self.ship_wal_blobs else None,
+                    extras, routed, blobs if self.wal_blobs else None,
                 ),
             )
         )
@@ -1287,24 +1312,16 @@ def _run_mp(
     # WAL plumbing is captured pre-fork as plain values (the session object
     # itself — open file handle and all — stays parent-only).
     wal_cadence = wal.cursor_every if wal is not None else 0
-    ship_wal_blobs = wal is not None
+    wal_blobs = wal is not None
 
     def child_main(shard_id: int, connection) -> None:
         channel = _ProcessChannel(
-            shard_id, connection, rings=rings, ship_wal_blobs=ship_wal_blobs
+            shard_id, connection, rings=rings, wal_blobs=wal_blobs
         )
-        try:
-            runtime = _ShardRuntime(
-                shard_id, num_shards, channel, lookahead, snapshot=snapshot
-            )
-            channel.finish(
-                _worker_body(config, workload, runtime, wal_cadence)
-            )
-        except BaseException:
-            try:
-                channel.fail(traceback.format_exc())
-            except Exception:
-                pass
+        _run_worker(
+            channel, config, workload, num_shards, lookahead, snapshot,
+            wal_cadence,
+        )
         try:
             connection.recv()  # parent's "bye": results landed, safe to exit
         except EOFError:
@@ -1399,14 +1416,7 @@ class ShardedScenario:
         self.executor = executor if executor is not None else config.executor
         if self.executor not in ("serial", "mp", "tcp"):
             raise ConfigurationError(f"unknown executor {self.executor!r}")
-        self.lookahead = compute_lookahead(
-            LatencyModel(
-                base_latency=config.base_latency,
-                bandwidth=config.bandwidth,
-                drop_probability=config.drop_probability,
-                jitter_floor=config.jitter_floor,
-            )
-        )
+        self.lookahead = compute_lookahead(config.build_latency())
 
     def run(self, workload: Workload) -> ShardedRun:
         if self.executor == "tcp":

@@ -199,13 +199,6 @@ class StatsCollector:
 
     # -- fault-plane / recovery accounting -----------------------------------
 
-    def record_fault(self, kind: str, count: int = 1) -> None:
-        """Account one fault-plane or recovery event (outside the
-        fingerprint): ``worker_deaths``, ``respawns``,
-        ``replayed_windows``, ``quarantined_connections``,
-        ``heartbeats``, ``stalls``."""
-        self.faults[kind] += count
-
     def faults_summary(self) -> Dict[str, int]:
         """The fault/recovery counters (diagnostics; schedule-dependent)."""
         return dict(sorted(self.faults.items()))

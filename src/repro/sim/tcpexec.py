@@ -68,8 +68,12 @@ the workload from scratch, every replayed sync is verified field-by-
 field (and frame-blob byte-for-byte) against the log, and the logged
 decisions are served back — so by the time it reaches the live barrier
 it is bit-identical to the worker it replaced, and the run's final
-digest cannot move.  Stale or duplicate connections that dial in during
-recovery are rejected and counted as quarantined.  Without a WAL the
+digest cannot move.  The slot refills through the same accept loop that
+assembled the fleet, with the same supervision pump answering the parked
+workers' heartbeats between accepts; a newcomer's HELLO is read under the
+heartbeat interval, so a connection that says nothing cannot starve them.
+Stale or duplicate connections that dial in during recovery are rejected
+and counted as quarantined.  Without a WAL the
 crash degrades gracefully to the pre-recovery behavior: a loud abort
 naming the missing checkpoint.  All recovery accounting lands in the
 ``StatsCollector.faults`` family (never fingerprinted).
@@ -103,7 +107,6 @@ import subprocess
 import sys
 import threading
 import time
-import traceback
 from collections import Counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -118,7 +121,7 @@ from repro.sim.barrier import (
 )
 from repro.sim.exchange import encode_outbound_blobs
 from repro.sim.faults import FaultPlan, mix64, splitmix64
-from repro.sim.shard import _Channel, _Decision, _ShardRuntime, _worker_body
+from repro.sim.shard import _Channel, _Decision, _run_worker
 from repro.sim.wal import config_fingerprint, verify_shard_window
 
 #: v2 added the liveness heartbeat (PING/PONG) and the RECOVER handshake
@@ -162,6 +165,12 @@ def tcp_timeout_seconds() -> float:
     return env_float(
         TCP_TIMEOUT_ENV, 60.0, exclusive_minimum=0.0, error=SimulationError
     )
+
+
+def heartbeat_interval(timeout: float) -> float:
+    """How often a worker PINGs — a quarter of the read deadline — and so
+    the longest the coordinator may block on anything but the fleet."""
+    return max(0.05, timeout / 4.0)
 
 
 def tcp_retries() -> int:
@@ -391,20 +400,16 @@ class _TcpChannel(_Channel):
     frames riding both as encoded blobs (the coordinator routes them)."""
 
     def __init__(
-        self,
-        sock: socket.socket,
-        shard_id: int,
-        lock: Optional[threading.Lock] = None,
-        injector: Any = None,
+        self, sock: socket.socket, shard_id: int, lock: threading.Lock
     ) -> None:
         super().__init__(shard_id)
         self.sock = sock
         #: shared with the heartbeat thread: all sends are serialized
-        self.lock = lock if lock is not None else threading.Lock()
+        self.lock = lock
         #: fault plane (repro.sim.faults.FaultInjector) — wire faults
         #: replace this barrier's sync frame; None on clean and
         #: RECOVER-ed workers
-        self.injector = injector
+        self.injector: Any = None
 
     def _recv_protocol(self, context: str) -> Tuple[int, bytes]:
         """Next non-heartbeat frame; every PONG skipped refreshes the
@@ -571,43 +576,27 @@ def worker_main(
             ).encode("utf-8"),
         )
 
+        lock = threading.Lock()
+        channel = _TcpChannel(sock, shard_id, lock)
+        heartbeat = _Heartbeat(sock, lock, heartbeat_interval(timeout))
         plan = FaultPlan.parse(getattr(job["config"], "faults", None))
-        injector = None
+        fault_hook = None
         if plan is not None and not recovering:
-            injector = plan.injector(
+            channel.injector = plan.injector(
                 shard_id,
                 job["num_shards"],
+                counters=channel.faults,
                 blackhole_s=2.0 * timeout + 1.0,
             )
-        lock = threading.Lock()
-        channel = _TcpChannel(sock, shard_id, lock=lock, injector=injector)
-        if injector is not None:
-            injector.counters = channel.faults
-        heartbeat = _Heartbeat(sock, lock, max(0.05, timeout / 4.0))
-        if injector is not None:
-            injector.bind_heartbeat(heartbeat)
+        if channel.injector is not None:
+            channel.injector.bind_heartbeat(heartbeat)
+            fault_hook = channel.injector.at_barrier
         heartbeat.start()
-        try:
-            runtime = _ShardRuntime(
-                shard_id,
-                job["num_shards"],
-                channel,
-                job["lookahead"],
-                snapshot=job.get("snapshot"),
-            )
-            if injector is not None:
-                runtime.fault_hook = injector.at_barrier
-            channel.finish(
-                _worker_body(
-                    job["config"], job["workload"], runtime,
-                    job.get("wal_cadence", 0),
-                )
-            )
-        except BaseException:
-            try:
-                channel.fail(traceback.format_exc())
-            except Exception:
-                pass
+        if not _run_worker(
+            channel, job["config"], job["workload"], job["num_shards"],
+            job["lookahead"], job.get("snapshot"), job.get("wal_cadence", 0),
+            fault_hook=fault_hook,
+        ):
             return 1
         try:
             # The coordinator's BYE confirms the results landed; its
@@ -663,13 +652,18 @@ class TcpCoordinator:
         self.connections: List[Optional[socket.socket]] = (
             [None] * num_shards
         )
-        self.processes: List[Tuple[int, subprocess.Popen]] = []
-        #: connections refused during assembly (garbage, duplicate claims)
+        #: the *current* spawned process per slot ("wait" slots have none)
+        self.processes: Dict[int, subprocess.Popen] = {}
+        #: replaced predecessors: a recovered slot's corpse carries the
+        #: exit code of the death already healed, so nothing polls it
+        #: again — :meth:`close` reaps it
+        self._reap: List[subprocess.Popen] = []
+        #: connections the accept loop turned away (garbage, bad claims)
         self.rejected = 0
         #: fault/recovery accounting: merged into the run's
         #: ``StatsCollector.faults`` family (never fingerprinted)
         self.faults = Counter()
-        #: worker deaths observed while not awaited — surfaced when the
+        #: why each quarantined connection died — surfaced when the
         #: supervision loop next awaits that shard
         self._failed: Dict[int, str] = {}
         self._respawn_budget = tcp_max_respawns()
@@ -679,7 +673,7 @@ class TcpCoordinator:
         plan = FaultPlan.parse(getattr(config, "faults", None))
         self._backoff_seed = plan.seed if plan is not None else 0
         #: the pickled JOB and the fleet's config fingerprint — set by
-        #: :meth:`run`, re-served to every replacement worker
+        #: :meth:`run`, served to every worker and every replacement
         self._job_blob = b""
         self._fingerprint = ""
 
@@ -726,32 +720,44 @@ class TcpCoordinator:
                 ["ssh", entry[len("ssh:"):], "python3"]
                 + self._worker_command(shard_id)
             )
-        self.processes.append((shard_id, process))
-
-    def _spawn_workers(self) -> None:
-        for shard_id, entry in enumerate(self.hosts):
-            self._spawn_one(shard_id, entry)
+        if shard_id in self.processes:
+            self._reap.append(self.processes[shard_id])
+        self.processes[shard_id] = process
 
     @staticmethod
     def _sys_path() -> List[str]:
         return [entry or os.getcwd() for entry in sys.path]
 
-    def _check_spawned(self, unclaimed: set) -> None:
-        for shard_id, process in self.processes:
-            code = process.poll()
-            if code is not None and code != 0 and shard_id in unclaimed:
-                raise SimulationError(
-                    f"tcp worker process for shard {shard_id} exited with "
-                    f"code {code} before completing its handshake"
-                )
+    def _accept(
+        self, unclaimed: Set[int], recover_barrier: Optional[int] = None
+    ) -> None:
+        """The one accept loop: hand every slot in ``unclaimed`` to a
+        connection that completes the handshake — the whole fleet at
+        assembly, a dead worker's slot during recovery (``recover_barrier``
+        set: the newcomer is greeted with RECOVER instead of WELCOME).
 
-    def _accept_workers(self, job_blob: bytes, fingerprint: str) -> None:
-        unclaimed = set(range(self.num_shards))
-        sys_path = self._sys_path()
+        Garbage and stale/duplicate claims are turned away and the slot
+        stays open; version/fingerprint mismatches are run-fatal; so is
+        an open slot's spawned process exiting non-zero, and the deadline.
+        """
         deadline = time.monotonic() + self.timeout
         self.listener.settimeout(0.2)
         while unclaimed:
-            self._check_spawned(unclaimed)
+            if recover_barrier is not None:
+                # Recovery only: the surviving fleet is parked at a barrier
+                # and must keep getting PONGs while the slot refills.  At
+                # assembly nobody is parked, and an early worker's first
+                # SYNC may already be buffered — reading it here would be
+                # "out of turn"; it must wait for the first collect.
+                self._pump(set(), {}, {}, recover_barrier, wait=0.0)
+            for shard_id in sorted(unclaimed):
+                process = self.processes.get(shard_id)
+                code = process.poll() if process is not None else None
+                if code is not None and code != 0:
+                    raise SimulationError(
+                        f"tcp worker process for shard {shard_id} exited "
+                        f"with code {code} before completing its handshake"
+                    )
             if time.monotonic() > deadline:
                 raise SimulationError(
                     f"tcp coordinator timed out after {self.timeout:.0f}s "
@@ -762,10 +768,21 @@ class TcpCoordinator:
                 conn, _ = self.listener.accept()
             except socket.timeout:
                 continue
-            _configure(conn, self.timeout)
-            self._handshake(conn, unclaimed, job_blob, fingerprint, sys_path)
+            # HELLO is read under the heartbeat interval, not the full
+            # deadline: a connection that says nothing must not hold the
+            # loop past the point where parked workers miss their PONGs.
+            _configure(conn, heartbeat_interval(self.timeout))
+            self._handshake(conn, unclaimed, recover_barrier)
 
-    def _reject(self, conn: socket.socket, message: Optional[str]) -> None:
+    def _reject(
+        self,
+        conn: socket.socket,
+        message: Optional[str],
+        quarantined: bool = False,
+    ) -> None:
+        """Turn a connection away (with an ERROR frame when there is
+        something to say); ``quarantined`` counts it as a stale or stray
+        connection that dialed in while a dead slot was refilling."""
         if message is not None:
             try:
                 send_frame(conn, _K_ERROR, message.encode("utf-8"))
@@ -776,14 +793,13 @@ class TcpCoordinator:
         except OSError:  # pragma: no cover - close races
             pass
         self.rejected += 1
+        if quarantined:
+            self.faults["quarantined_connections"] += 1
 
     def _handshake(
         self,
         conn: socket.socket,
         unclaimed: set,
-        job_blob: bytes,
-        fingerprint: str,
-        sys_path: List[str],
         recover_barrier: Optional[int] = None,
     ) -> None:
         """One connection through HELLO → WELCOME/RECOVER → JOB → READY.
@@ -792,6 +808,7 @@ class TcpCoordinator:
         only the dead slot: any other claim — a stale duplicate of a
         live worker included — is rejected and quarantined.
         """
+        recovering = recover_barrier is not None
         context = "tcp coordinator handshaking a new connection"
         try:
             kind, payload = recv_frame(conn, context)
@@ -799,15 +816,12 @@ class TcpCoordinator:
         except (SimulationError, ValueError, UnicodeDecodeError):
             # Garbage, truncation, or silence: not a worker — drop the
             # connection, keep the slot open.
-            self._reject(conn, None)
-            if recover_barrier is not None:
-                self.faults["quarantined_connections"] += 1
+            self._reject(conn, None, recovering)
             return
         if kind != _K_HELLO or not isinstance(hello, dict):
-            self._reject(conn, "expected a HELLO frame")
-            if recover_barrier is not None:
-                self.faults["quarantined_connections"] += 1
+            self._reject(conn, "expected a HELLO frame", recovering)
             return
+        conn.settimeout(self.timeout)  # it speaks: the full read deadline
         version = hello.get("version")
         if version != PROTOCOL_VERSION:
             message = (
@@ -824,26 +838,23 @@ class TcpCoordinator:
                 conn,
                 f"shard id {claim} is already claimed or out of range "
                 f"(open slots: {sorted(unclaimed)})",
+                recovering,
             )
-            if recover_barrier is not None:
-                self.faults["quarantined_connections"] += 1
             return
         welcome = {
             "version": PROTOCOL_VERSION,
             "shard": claim,
-            "fingerprint": fingerprint,
-            "sys_path": sys_path,
+            "fingerprint": self._fingerprint,
+            "sys_path": self._sys_path(),
         }
-        if recover_barrier is None:
-            send_frame(
-                conn, _K_WELCOME, json.dumps(welcome).encode("utf-8")
-            )
-        else:
+        if recovering:
             welcome["barrier"] = recover_barrier
-            send_frame(
-                conn, _K_RECOVER, json.dumps(welcome).encode("utf-8")
-            )
-        send_frame(conn, _K_JOB, job_blob)
+        send_frame(
+            conn,
+            _K_RECOVER if recovering else _K_WELCOME,
+            json.dumps(welcome).encode("utf-8"),
+        )
+        send_frame(conn, _K_JOB, self._job_blob)
         context = f"tcp coordinator awaiting READY from shard {claim}"
         kind, payload = recv_frame(conn, context)
         if kind == _K_ERROR:
@@ -855,11 +866,12 @@ class TcpCoordinator:
             self._reject(conn, f"expected READY, got frame kind {kind}")
             return
         ready = json.loads(payload.decode("utf-8"))
-        if ready.get("fingerprint") != fingerprint:
+        if ready.get("fingerprint") != self._fingerprint:
             message = (
                 f"config fingerprint mismatch: worker for shard {claim} "
                 f"computed {ready.get('fingerprint')}, coordinator has "
-                f"{fingerprint} — the fleet disagrees about the scenario"
+                f"{self._fingerprint} — the fleet disagrees about the "
+                "scenario"
             )
             self._reject(conn, message)
             raise SimulationError(message)
@@ -868,57 +880,86 @@ class TcpCoordinator:
 
     # -- the supervision pump ------------------------------------------------
 
-    def _quarantine_connection(self, shard_id: int) -> None:
-        """Close and forget a dead (or stale) worker connection so no
-        later read can confuse its leftovers with live traffic."""
-        conn = self.connections[shard_id]
-        self.connections[shard_id] = None
-        if conn is not None:
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover - close races
-                pass
+    def _quarantine(self, shard_id: int, reason: str) -> None:
+        """Close and forget a dead (or misbehaving) worker connection so
+        no later read can confuse its leftovers with live traffic;
+        ``reason`` is what the next wait on that shard reports."""
+        self._failed[shard_id] = reason
+        conn, self.connections[shard_id] = self.connections[shard_id], None
+        try:
+            conn.close()
+        except Exception:  # pragma: no cover - close races
+            pass
 
-    def _service_heartbeats(self) -> None:
-        """Drain ready PINGs without blocking — called from wait loops
-        (recovery accept) so parked workers keep getting PONGs while the
-        coordinator is busy elsewhere."""
+    def _pump(
+        self,
+        pending: Set[int],
+        results: Dict[int, Tuple[int, Any]],
+        last_seen: Dict[int, float],
+        barrier: int,
+        wait: float,
+    ) -> None:
+        """One supervision pass over the whole fleet — the only place a
+        worker connection is read once its handshake is done.
+
+        Selects (for up to ``wait`` seconds) over every live connection.
+        A PING, from anyone, is answered with a PONG and refreshes that
+        shard's ``last_seen`` clock.  A protocol frame from a shard in
+        ``pending`` moves it to ``results`` (an ERROR's text decoded, any
+        kind but SYNC/DONE/ERROR turned into one).  A connection that yields
+        EOF or garbage, and a protocol frame from a shard nobody awaits,
+        are quarantined — the barrier wait turns that into the shard's
+        ``_K_DEAD`` result now or whenever it is next awaited.
+        """
         live = {
             conn: shard_id
             for shard_id, conn in enumerate(self.connections)
             if conn is not None
         }
-        if not live:
-            return
         try:
-            readable, _, _ = select.select(list(live), [], [], 0.0)
+            readable, _, _ = select.select(list(live), [], [], wait)
         except (OSError, ValueError):  # pragma: no cover - close races
             return
+        now = time.monotonic()
         for conn in readable:
             shard_id = live[conn]
             try:
-                kind, _payload = recv_frame(
-                    conn, f"tcp coordinator servicing shard {shard_id}"
+                kind, payload = recv_frame(
+                    conn,
+                    f"tcp coordinator waiting on shard {shard_id} "
+                    f"at barrier {barrier}",
                 )
             except SimulationError as exc:
-                self._failed[shard_id] = (
+                self._quarantine(
+                    shard_id,
                     f"worker {shard_id} died mid-window "
-                    f"(no sync/done/error message: {exc})"
+                    f"(no sync/done/error message: {exc})",
                 )
-                self._quarantine_connection(shard_id)
                 continue
             if kind == _K_PING:
                 self.faults["heartbeats"] += 1
+                if shard_id in last_seen:
+                    last_seen[shard_id] = now
                 try:
                     send_frame(conn, _K_PONG)
                 except OSError:
                     pass
-            else:
-                self._failed[shard_id] = (
+            elif shard_id not in pending:
+                self._quarantine(
+                    shard_id,
                     f"worker {shard_id} sent unexpected frame kind {kind} "
-                    "out of turn"
+                    "out of turn",
                 )
-                self._quarantine_connection(shard_id)
+            else:
+                pending.discard(shard_id)
+                if kind == _K_ERROR:
+                    payload = payload.decode("utf-8", "replace")
+                elif kind not in (_K_SYNC, _K_DONE):
+                    kind, payload = _K_ERROR, (
+                        f"worker {shard_id} sent unexpected frame kind "
+                        f"{kind} at barrier {barrier}"
+                    )
+                results[shard_id] = (kind, payload)
 
     def _await_frames(
         self, awaiting: Set[int], barrier: int
@@ -926,37 +967,32 @@ class TcpCoordinator:
         """One protocol frame from every awaited shard, pumping the whole
         fleet's heartbeats meanwhile.
 
-        Replaces per-connection blocking reads with a select loop over
-        every live connection: PINGs (from anyone) are answered with
-        PONGs and refresh that shard's activity clock; a shard that
-        produces *no* frame at all for the read deadline — or whose
-        connection yields EOF/garbage — comes back as the ``_K_DEAD``
-        sentinel with the died-mid-window message, for the supervision
-        loop to recover or surface.  Failures on non-awaited shards are
-        stashed in ``_failed`` until that shard is awaited.
+        A shard whose connection is quarantined — before this wait, by a
+        pump pass, or here because it produced *no* frame at all, not
+        even a heartbeat, for the read deadline — comes back as the
+        ``_K_DEAD`` sentinel with the died-mid-window message, for the
+        supervision loop to recover or surface.
         """
         results: Dict[int, Tuple[int, Any]] = {}
-        pending: Set[int] = set()
-        for shard_id in awaiting:
-            if self.connections[shard_id] is None:
-                results[shard_id] = (
-                    _K_DEAD,
-                    self._failed.pop(
+        pending = set(awaiting)
+        last_seen = dict.fromkeys(pending, time.monotonic())
+        while True:
+            now = time.monotonic()
+            for shard_id in sorted(pending):
+                if (
+                    self.connections[shard_id] is not None
+                    and now - last_seen[shard_id] > self.timeout
+                ):
+                    # A half-open socket.  A live shard in a long compute
+                    # window keeps pinging and never lands here.
+                    self._quarantine(
                         shard_id,
                         f"worker {shard_id} died mid-window "
-                        "(connection already quarantined)",
-                    ),
-                )
-            else:
-                pending.add(shard_id)
-        last_seen = {shard_id: time.monotonic() for shard_id in pending}
-        while pending:
-            live = {
-                conn: shard_id
-                for shard_id, conn in enumerate(self.connections)
-                if conn is not None
-            }
-            for shard_id in sorted(pending):
+                        "(no sync/done/error message: tcp coordinator "
+                        f"waiting on shard {shard_id} at barrier {barrier}: "
+                        f"no data within the {self.timeout:.0f}s deadline "
+                        f"({TCP_TIMEOUT_ENV}))",
+                    )
                 if self.connections[shard_id] is None:
                     pending.discard(shard_id)
                     results[shard_id] = (
@@ -968,79 +1004,8 @@ class TcpCoordinator:
                         ),
                     )
             if not pending:
-                break
-            try:
-                readable, _, _ = select.select(list(live), [], [], 0.2)
-            except (OSError, ValueError):  # pragma: no cover - close races
-                readable = []
-            now = time.monotonic()
-            for conn in readable:
-                shard_id = live[conn]
-                if self.connections[shard_id] is not conn:
-                    continue  # quarantined earlier in this pass
-                try:
-                    kind, payload = recv_frame(
-                        conn,
-                        f"tcp coordinator waiting on shard {shard_id} "
-                        f"at barrier {barrier}",
-                    )
-                except SimulationError as exc:
-                    message = (
-                        f"worker {shard_id} died mid-window "
-                        f"(no sync/done/error message: {exc})"
-                    )
-                    self._quarantine_connection(shard_id)
-                    if shard_id in pending:
-                        pending.discard(shard_id)
-                        results[shard_id] = (_K_DEAD, message)
-                    else:
-                        self._failed[shard_id] = message
-                    continue
-                if kind == _K_PING:
-                    self.faults["heartbeats"] += 1
-                    if shard_id in last_seen:
-                        last_seen[shard_id] = now
-                    try:
-                        send_frame(conn, _K_PONG)
-                    except OSError:
-                        pass
-                    continue
-                if shard_id not in pending:
-                    self._failed[shard_id] = (
-                        f"worker {shard_id} sent unexpected frame kind "
-                        f"{kind} out of turn"
-                    )
-                    self._quarantine_connection(shard_id)
-                    continue
-                pending.discard(shard_id)
-                if kind not in (_K_SYNC, _K_DONE, _K_ERROR):
-                    results[shard_id] = (
-                        _K_ERROR,
-                        (
-                            f"worker {shard_id} sent unexpected frame kind "
-                            f"{kind} at barrier {barrier}"
-                        ).encode("utf-8"),
-                    )
-                else:
-                    results[shard_id] = (kind, payload)
-            now = time.monotonic()
-            for shard_id in sorted(pending):
-                if now - last_seen[shard_id] > self.timeout:
-                    # Nothing — not even a heartbeat — inside the
-                    # deadline: a half-open socket.  A live shard in a
-                    # long compute window keeps pinging and never lands
-                    # here.
-                    message = (
-                        f"worker {shard_id} died mid-window "
-                        "(no sync/done/error message: tcp coordinator "
-                        f"waiting on shard {shard_id} at barrier {barrier}: "
-                        f"no data within the {self.timeout:.0f}s deadline "
-                        f"({TCP_TIMEOUT_ENV}))"
-                    )
-                    self._quarantine_connection(shard_id)
-                    pending.discard(shard_id)
-                    results[shard_id] = (_K_DEAD, message)
-        return results
+                return results
+            self._pump(pending, results, last_seen, barrier, wait=0.2)
 
     # -- in-run recovery -----------------------------------------------------
 
@@ -1053,79 +1018,30 @@ class TcpCoordinator:
         respawn budget is spent, or the replacement itself fails.
         """
         self.faults["worker_deaths"] += 1
+        failure = None
         if self.wal is None:
             failure = (
                 f"{reason}; no WAL checkpoint to replay a replacement "
                 "worker from — run with --wal PATH to enable in-run "
                 "recovery"
             )
-            abort_workers(self, range(self.num_shards), failure)
-            raise SimulationError(f"tcp shard worker failed:\n{failure}")
-        if self._respawn_budget <= 0:
+        elif self._respawn_budget <= 0:
             failure = (
                 f"{reason}; worker respawn budget exhausted "
                 f"({TCP_MAX_RESPAWNS_ENV}={tcp_max_respawns()})"
             )
+        if failure is not None:
             abort_workers(self, range(self.num_shards), failure)
             raise SimulationError(f"tcp shard worker failed:\n{failure}")
         self._respawn_budget -= 1
         try:
             self._spawn_one(shard_id, self.hosts[shard_id])
-            self._accept_recovered(shard_id, barrier)
+            self._accept({shard_id}, recover_barrier=barrier)
             self._replay_prefix(shard_id, barrier)
         except SimulationError as exc:
             abort_workers(self, range(self.num_shards), str(exc))
             raise
         self.faults["respawns"] += 1
-
-    def _accept_recovered(self, shard_id: int, barrier: int) -> None:
-        """Accept the replacement worker for one dead slot.
-
-        Only ``shard_id`` is open: garbage and stale/duplicate claims
-        are rejected (and counted quarantined) like during assembly,
-        version/fingerprint mismatches stay run-fatal.  Heartbeats from
-        the surviving fleet are serviced between accept attempts so
-        parked workers never starve while the slot refills.
-        """
-        unclaimed = {shard_id}
-        sys_path = self._sys_path()
-        deadline = time.monotonic() + self.timeout
-        self.listener.settimeout(0.2)
-        # Poll only the replacement process (the predecessor's corpse is
-        # still in self.processes with its non-zero exit code — that is
-        # exactly the death being recovered, not a new failure).
-        spawned = (
-            self.processes[-1]
-            if self.processes
-            and self.processes[-1][0] == shard_id
-            and self.hosts[shard_id] != "wait"
-            else None
-        )
-        while unclaimed:
-            self._service_heartbeats()
-            if spawned is not None:
-                code = spawned[1].poll()
-                if code is not None and code != 0:
-                    raise SimulationError(
-                        f"respawned tcp worker for shard {shard_id} exited "
-                        f"with code {code} before completing its RECOVER "
-                        "handshake"
-                    )
-            if time.monotonic() > deadline:
-                raise SimulationError(
-                    f"tcp coordinator timed out after {self.timeout:.0f}s "
-                    f"({TCP_TIMEOUT_ENV}) waiting for a replacement worker "
-                    f"for shard {shard_id}"
-                )
-            try:
-                conn, _ = self.listener.accept()
-            except socket.timeout:
-                continue
-            _configure(conn, self.timeout)
-            self._handshake(
-                conn, unclaimed, self._job_blob, self._fingerprint, sys_path,
-                recover_barrier=barrier,
-            )
 
     def _replay_prefix(self, shard_id: int, barrier: int) -> None:
         """Re-feed the recovered worker the logged prefix up to (not
@@ -1145,16 +1061,10 @@ class TcpCoordinator:
             kind, payload = self._await_frames(
                 {shard_id}, replay_barrier
             )[shard_id]
-            if kind == _K_DEAD:
-                raise SimulationError(
-                    f"replacement worker for shard {shard_id} died during "
-                    f"WAL replay at window {replay_barrier}: {payload}"
-                )
-            if kind == _K_ERROR:
+            if kind in (_K_DEAD, _K_ERROR):
                 raise SimulationError(
                     f"replacement worker for shard {shard_id} failed during "
-                    f"WAL replay at window {replay_barrier}:\n"
-                    + payload.decode("utf-8", "replace")
+                    f"WAL replay at window {replay_barrier}:\n{payload}"
                 )
             if kind != _K_SYNC:
                 raise SimulationError(
@@ -1213,9 +1123,7 @@ class TcpCoordinator:
                         (shard_id, "done", pickle.loads(payload))
                     )
                 else:
-                    round_messages.append(
-                        (shard_id, "error", payload.decode("utf-8", "replace"))
-                    )
+                    round_messages.append((shard_id, "error", payload))
         return round_messages
 
     def send_decision(self, shard_id: int, verdict: Verdict) -> None:
@@ -1258,8 +1166,9 @@ class TcpCoordinator:
         )
         self._fingerprint = fingerprint_digest(self.config)
         try:
-            self._spawn_workers()
-            self._accept_workers(self._job_blob, self._fingerprint)
+            for shard_id, entry in enumerate(self.hosts):
+                self._spawn_one(shard_id, entry)
+            self._accept(set(range(self.num_shards)))
             payloads, windows = coordinate(
                 self, self.num_shards, self.lookahead, plane, wal
             )
@@ -1288,7 +1197,7 @@ class TcpCoordinator:
                 self.listener.close()
             except Exception:  # pragma: no cover - close races
                 pass
-        for _shard_id, process in self.processes:
+        for process in list(self.processes.values()) + self._reap:
             try:
                 process.wait(timeout=10.0)
             except subprocess.TimeoutExpired:  # pragma: no cover - hung worker

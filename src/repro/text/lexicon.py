@@ -106,9 +106,6 @@ class Lexicon:
         """Number of registered documents containing ``word``."""
         return self._doc_frequency.get(word, 0)
 
-    def document_frequency_by_id(self, word_id: int) -> int:
-        return self._doc_frequency.get(self.word_of(word_id), 0)
-
     # -- pruning ----------------------------------------------------------------
 
     def prune(self, min_df: int = 1, max_df_fraction: float = 1.0) -> "Lexicon":

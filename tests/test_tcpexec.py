@@ -37,8 +37,12 @@ from repro.sim.shard import ShardedScenario
 from repro.sim.tcpexec import (
     _K_ERROR,
     _K_HELLO,
+    _K_DEAD,
     _K_JOB,
+    _K_PING,
+    _K_PONG,
     _K_READY,
+    _K_RECOVER,
     _K_SYNC,
     _K_WELCOME,
     _MAX_FRAME,
@@ -51,6 +55,7 @@ from repro.sim.tcpexec import (
     backoff_schedule,
     connect_with_retry,
     fingerprint_digest,
+    heartbeat_interval,
     parse_address,
     parse_hosts,
     recv_frame,
@@ -302,12 +307,18 @@ def _coordinator(shards=2, hosts="wait"):
     return TcpCoordinator(config, shards, lookahead)
 
 
-def _accept_in_thread(coordinator, fingerprint):
+def _accept_in_thread(coordinator, fingerprint, unclaimed=None, **recover):
+    """Run the one accept loop (fleet assembly by default; a recovery
+    accept with ``unclaimed``/``recover_barrier``) on a thread."""
     outcome = {}
+    coordinator._job_blob = b"fake-job"
+    coordinator._fingerprint = fingerprint
+    if unclaimed is None:
+        unclaimed = set(range(coordinator.num_shards))
 
     def accept():
         try:
-            coordinator._accept_workers(b"fake-job", fingerprint)
+            coordinator._accept(unclaimed, **recover)
             outcome["done"] = True
         except SimulationError as exc:
             outcome["error"] = str(exc)
@@ -317,9 +328,11 @@ def _accept_in_thread(coordinator, fingerprint):
     return thread, outcome
 
 
-def _handshake_client(host, port, shard, version=PROTOCOL_VERSION):
+def _handshake_client(host, port, shard, version=PROTOCOL_VERSION,
+                      greeting=_K_WELCOME):
     """A scripted worker: HELLO → WELCOME → JOB → READY (parroting the
-    announced fingerprint).  Returns the open socket."""
+    announced fingerprint).  Returns the open socket.  A replacement
+    worker expects ``greeting=_K_RECOVER``."""
     sock = socket.create_connection((host, port), timeout=5.0)
     sock.settimeout(5.0)
     send_frame(
@@ -329,7 +342,7 @@ def _handshake_client(host, port, shard, version=PROTOCOL_VERSION):
     kind, payload = recv_frame(sock, "client awaiting welcome")
     if kind == _K_ERROR:
         return sock, kind, payload
-    assert kind == _K_WELCOME
+    assert kind == greeting
     welcome = json.loads(payload.decode())
     kind, job = recv_frame(sock, "client awaiting job")
     assert kind == _K_JOB
@@ -339,7 +352,7 @@ def _handshake_client(host, port, shard, version=PROTOCOL_VERSION):
             {"shard": welcome["shard"], "fingerprint": welcome["fingerprint"]}
         ).encode(),
     )
-    return sock, _K_WELCOME, payload
+    return sock, greeting, payload
 
 
 def test_version_mismatch_is_run_fatal(monkeypatch):
@@ -496,6 +509,197 @@ def test_worker_rejects_coordinator_version_skew():
 
 
 # ---------------------------------------------------------------------------
+# The single accept loop and the single supervision pump, on scripted
+# sockets (no subprocesses).
+# ---------------------------------------------------------------------------
+
+
+def _parked(coordinator, shard_id):
+    """Install one end of a socketpair as shard ``shard_id``'s live
+    connection; returns the scripted worker's end."""
+    ours, theirs = _pair()
+    coordinator.connections[shard_id] = ours
+    return theirs
+
+
+def test_assembly_never_reads_a_protocol_frame(monkeypatch):
+    """An early worker's first SYNC (and heartbeat) may be buffered before
+    the fleet is complete: assembly must leave both for the first collect —
+    heartbeat servicing inside the accept loop is recovery-only."""
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, "10")
+    coordinator = _coordinator(shards=2)
+    host, port = coordinator.bind()
+    thread, outcome = _accept_in_thread(
+        coordinator, fingerprint_digest(coordinator.config)
+    )
+    early, kind, _ = _handshake_client(host, port, 0)
+    assert kind == _K_WELCOME
+    send_frame(early, _K_SYNC, b"first sync")
+    send_frame(early, _K_PING)
+    time.sleep(0.6)  # several turns of the accept loop
+    late, kind, _ = _handshake_client(host, port, 1)
+    assert kind == _K_WELCOME
+    thread.join(timeout=10.0)
+    assert outcome.get("done")
+    assert coordinator.faults["heartbeats"] == 0
+    assert coordinator.connections[0] is not None, "quarantined out of turn"
+    assert recv_frame(coordinator.connections[0], "first collect") == (
+        _K_SYNC, b"first sync"
+    )
+    early.close()
+    late.close()
+    coordinator.close()
+
+
+def test_silent_connection_during_recovery_cannot_starve_parked_workers(
+    monkeypatch,
+):
+    """A stray connection that says nothing while a dead slot refills is
+    read under the heartbeat interval, not the full deadline: a parked
+    worker's PING is answered within about one interval, and the slot is
+    still open for the real replacement."""
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, "4")
+    coordinator = _coordinator(shards=2)
+    interval = heartbeat_interval(coordinator.timeout)
+    assert interval == 1.0
+    host, port = coordinator.bind()
+    parked = _parked(coordinator, 0)
+    thread, outcome = _accept_in_thread(
+        coordinator, fingerprint_digest(coordinator.config),
+        unclaimed={1}, recover_barrier=0,
+    )
+    silent = socket.create_connection((host, port), timeout=5.0)
+    time.sleep(0.4)  # the accept loop is now blocked reading its HELLO
+    start = time.monotonic()
+    send_frame(parked, _K_PING)
+    assert recv_frame(parked, "parked worker awaiting pong")[0] == _K_PONG
+    # Unfixed, the PONG waits out the full 4s deadline.
+    assert time.monotonic() - start < 2.0 * interval
+    assert thread.is_alive() and not outcome, "the slot must stay open"
+    replacement, kind, payload = _handshake_client(
+        host, port, 1, greeting=_K_RECOVER
+    )
+    assert kind == _K_RECOVER
+    assert json.loads(payload.decode())["barrier"] == 0
+    thread.join(timeout=10.0)
+    assert outcome.get("done")
+    assert coordinator.connections[1] is not None
+    assert coordinator.faults["quarantined_connections"] == 1
+    assert coordinator.faults["heartbeats"] == 1
+    for sock in (silent, parked, replacement):
+        sock.close()
+    coordinator.close()
+
+
+def test_garbage_hello_during_recovery_is_quarantined_exactly_once(
+    monkeypatch,
+):
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, "10")
+    coordinator = _coordinator(shards=2)
+    host, port = coordinator.bind()
+    thread, outcome = _accept_in_thread(
+        coordinator, fingerprint_digest(coordinator.config),
+        unclaimed={1}, recover_barrier=3,
+    )
+    noise = socket.create_connection((host, port), timeout=5.0)
+    noise.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+    replacement, kind, _ = _handshake_client(
+        host, port, 1, greeting=_K_RECOVER
+    )
+    assert kind == _K_RECOVER
+    thread.join(timeout=10.0)
+    assert outcome.get("done")
+    assert coordinator.rejected == 1
+    assert coordinator.faults["quarantined_connections"] == 1
+    noise.close()
+    replacement.close()
+    coordinator.close()
+
+
+class _FakeProcess:
+    def __init__(self, code):
+        self.code = code
+
+    def poll(self):
+        return self.code
+
+    def wait(self, timeout=None):
+        return self.code
+
+
+def test_accept_loop_polls_only_the_current_process_per_slot(monkeypatch):
+    """Respawning a slot moves the predecessor to the reap list: its
+    non-zero exit code is the death being healed, not a failed handshake —
+    but the *replacement* exiting non-zero still is."""
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, "10")
+    import repro.sim.tcpexec as tcpexec
+
+    corpse, replacement = _FakeProcess(3), _FakeProcess(None)
+    spawned = iter([corpse, replacement])
+    monkeypatch.setattr(
+        tcpexec.subprocess, "Popen", lambda *args, **kwargs: next(spawned)
+    )
+    coordinator = _coordinator(shards=2, hosts="wait,local")
+    host, port = coordinator.bind()
+    coordinator._spawn_one(1, "local")
+    coordinator._spawn_one(1, "local")
+    assert coordinator.processes == {1: replacement}
+    assert coordinator._reap == [corpse]
+    fingerprint = fingerprint_digest(coordinator.config)
+    thread, outcome = _accept_in_thread(
+        coordinator, fingerprint, unclaimed={1}, recover_barrier=0
+    )
+    time.sleep(0.5)  # a few polls with the corpse in the reap list
+    assert thread.is_alive() and not outcome
+    worker, kind, _ = _handshake_client(host, port, 1, greeting=_K_RECOVER)
+    thread.join(timeout=10.0)
+    assert outcome == {"done": True}
+
+    replacement.code = 7
+    thread, outcome = _accept_in_thread(
+        coordinator, fingerprint, unclaimed={1}, recover_barrier=0
+    )
+    thread.join(timeout=10.0)
+    assert "shard 1 exited with code 7 before completing its handshake" in (
+        outcome["error"]
+    )
+    worker.close()
+    coordinator.close()
+
+
+@pytest.mark.parametrize("misbehaviour", ("out-of-turn frame", "death"))
+def test_non_awaited_shard_failure_is_stashed_until_awaited(misbehaviour):
+    """While only shard 0 is awaited, shard 1 speaking out of turn (or
+    dying) is quarantined by the same pump pass and surfaces — as the dead
+    sentinel with its reason — when shard 1 is next awaited."""
+    coordinator = _coordinator(shards=2)
+    awaited, other = _parked(coordinator, 0), _parked(coordinator, 1)
+    if misbehaviour == "death":
+        other.close()
+        reason = "worker 1 died mid-window"
+    else:
+        send_frame(other, _K_SYNC, b"too early")
+        reason = f"worker 1 sent unexpected frame kind {_K_SYNC} out of turn"
+    send_frame(awaited, _K_PING)
+    send_frame(awaited, _K_SYNC, b"on time")
+    assert coordinator._await_frames({0}, barrier=0) == {
+        0: (_K_SYNC, b"on time")
+    }
+    assert coordinator.faults["heartbeats"] == 1
+    assert coordinator.connections[1] is None
+    (kind, message), = coordinator._await_frames({1}, barrier=1).values()
+    assert kind == _K_DEAD
+    assert reason in message
+    # Surfaced once: a second wait falls back to the generic message.
+    (kind, message), = coordinator._await_frames({1}, barrier=1).values()
+    assert (kind, "already quarantined" in message) == (_K_DEAD, True)
+    awaited.close()
+    other.close()
+    coordinator.close()
+
+
+
+# ---------------------------------------------------------------------------
 # Fault injection: dead and half-open workers, and crash-consistent WALs.
 # ---------------------------------------------------------------------------
 
@@ -546,7 +750,8 @@ def test_half_open_worker_surfaces_died_mid_window(monkeypatch):
     assert coordinator.listener.fileno() == -1
     for conn in coordinator.connections:
         assert conn is None or conn.fileno() == -1
-    for _shard, process in coordinator.processes:
+    assert set(coordinator.processes) == {0}
+    for process in coordinator.processes.values():
         assert process.poll() is not None
     half_open.close()
 

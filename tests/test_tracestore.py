@@ -246,8 +246,6 @@ class TestTraceStore:
         assert main(["analyze", str(tmp_path / "missing.db")]) == 2
 
     def test_reporting_from_store_matches_stats(self, tmp_path):
-        from repro.bench.reporting import traffic_rows_from_store
-
         path = str(tmp_path / "s.db")
         simulator, stats, network, transport = make_stack(
             num_nodes=9, codec="gzip-model"
@@ -258,7 +256,8 @@ class TestTraceStore:
             network.send(Message(src=1, dst=2, msg_type="uni",
                                  size_bytes=33))
             simulator.run()
-        headers, rows = traffic_rows_from_store(path)
+        with TraceStore(path) as store:
+            headers, rows = store.report_traffic()
         by_type = {row[0]: row for row in rows}
         assert by_type["cast"][1] == stats.messages_by_type["cast"]
         assert by_type["cast"][2] == stats.bytes_by_type["cast"]
