@@ -13,12 +13,12 @@ KKT-violation outer loop).  Local training sets in the P2P setting are small
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, NotTrainedError
-from repro.ml.kernels import Kernel, gram_matrix, make_rbf
+from repro.ml.kernels import gram_matrix, kernel_by_name, kernel_from_dots
 from repro.ml.sparse import SparseVector
 
 
@@ -38,32 +38,59 @@ class SupportVector:
         return self.vector.wire_size() + 4 + 8  # label + alpha
 
 
+class _PackedSupport:
+    """A model's support vectors as one CSR-style block over local columns
+    (feature ids renumbered densely): memory follows the SVs' nonzeros,
+    never the hashed feature space, and all SV dot products are one
+    gather-multiply-``bincount`` instead of a Python loop of sparse dots."""
+
+    def __init__(self, support_vectors: Sequence[SupportVector]) -> None:
+        vectors = [sv.vector for sv in support_vectors]
+        columns: Dict[int, int] = {}
+        for vector in vectors:
+            for feature_id in vector:
+                columns.setdefault(feature_id, len(columns))
+        self.columns = columns
+        self.indices = np.fromiter((columns[f] for v in vectors for f in v), np.intp)
+        self.data = np.fromiter((x for v in vectors for x in v.values()), np.float64)
+        self.rows = np.fromiter((i for i, v in enumerate(vectors) for _ in v), np.intp)
+        self.coef = np.array([sv.alpha * sv.label for sv in support_vectors], float)
+        self.squared_norms = np.array([v.squared_norm() for v in vectors], float)
+
+    def dots(self, x: SparseVector) -> np.ndarray:
+        """``<sv_i, x>`` for every support vector."""
+        columns = self.columns
+        dense = np.zeros(len(columns), dtype=np.float64)
+        for feature_id, value in x.items():
+            column = columns.get(feature_id)
+            if column is not None:
+                dense[column] = value
+        return np.bincount(
+            self.rows, weights=self.data * dense[self.indices], minlength=len(self.coef)
+        )
+
+
 @dataclass
 class KernelSVMModel:
-    """A trained dual model: support vectors + bias + kernel parameters."""
+    """A trained dual model: support vectors + bias + kernel parameters.
+    The first ``decision`` call packs the (from then on fixed) support
+    vectors; models that are only shipped are never packed."""
 
     support_vectors: List[SupportVector]
     bias: float
     gamma: float
     kernel_name: str = "rbf"
-    _kernel: Optional[Kernel] = field(default=None, repr=False, compare=False)
-
-    def kernel(self) -> Kernel:
-        if self._kernel is None:
-            if self.kernel_name == "rbf":
-                self._kernel = make_rbf(self.gamma)
-            else:
-                from repro.ml.kernels import kernel_by_name
-
-                self._kernel = kernel_by_name(self.kernel_name, gamma=self.gamma)
-        return self._kernel
+    _packed: Optional[_PackedSupport] = field(default=None, repr=False, compare=False)
 
     def decision(self, x: SparseVector) -> float:
-        k = self.kernel()
-        return (
-            sum(sv.alpha * sv.label * k(sv.vector, x) for sv in self.support_vectors)
-            + self.bias
+        packed = self._packed
+        if packed is None:
+            packed = self._packed = _PackedSupport(self.support_vectors)
+        values = kernel_from_dots(
+            self.kernel_name, packed.dots(x), packed.squared_norms,
+            x.squared_norm(), gamma=self.gamma,
         )
+        return float(packed.coef @ values) + self.bias
 
     def predict(self, x: SparseVector) -> int:
         return 1 if self.decision(x) >= 0.0 else -1
@@ -145,13 +172,7 @@ class KernelSVM:
             )
             return self
 
-        if self.kernel_name == "rbf":
-            kernel = make_rbf(self.gamma)
-        else:
-            from repro.ml.kernels import kernel_by_name
-
-            kernel = kernel_by_name(self.kernel_name, gamma=self.gamma)
-
+        kernel = kernel_by_name(self.kernel_name, gamma=self.gamma)
         n = len(vectors)
         y = np.asarray(labels, dtype=np.float64)
         K = gram_matrix(list(vectors), kernel)

@@ -63,6 +63,22 @@ def kernel_by_name(name: str, gamma: float = 0.5, degree: int = 2) -> Kernel:
     raise ValueError(f"unknown kernel {name!r}; expected linear/rbf/poly")
 
 
+def kernel_from_dots(
+    name: str, dots: np.ndarray, squared_norms: np.ndarray,
+    query_squared_norm: float, gamma: float = 0.5,
+) -> np.ndarray:
+    """Array form of ``kernel_by_name(name, gamma)``: ``k(a_i, x)`` for every
+    row ``a_i`` of a block, given ``dots[i] = <a_i, x>``, ``squared_norms[i]
+    = |a_i|^2`` and ``|x|^2``, term by term in the scalar kernels' order."""
+    if name == "linear":
+        return dots
+    if name == "rbf":
+        return np.exp(-gamma * (squared_norms - 2.0 * dots + query_squared_norm))
+    if name == "poly":
+        return (dots + 1.0) ** 2  # kernel_by_name's default degree and coef0
+    raise ValueError(f"unknown kernel {name!r}; expected linear/rbf/poly")
+
+
 def gram_matrix(vectors: List[SparseVector], kernel: Kernel) -> np.ndarray:
     """Symmetric Gram matrix K[i, j] = kernel(x_i, x_j)."""
     n = len(vectors)

@@ -13,6 +13,8 @@ hashed feature space.
 
 from __future__ import annotations
 
+import functools
+import threading
 from collections import defaultdict
 from typing import Dict, Generic, Hashable, Iterable, List, Optional, Tuple, TypeVar
 
@@ -24,6 +26,36 @@ from repro.ml.sparse import SparseVector
 T = TypeVar("T", bound=Hashable)
 
 
+class _HyperplaneTable(dict):
+    """Hyperplane components for one ``(seed, num_bits)``: feature id -> row
+    of ``rows``, drawn on first lookup from a generator seeded by the feature
+    id alone, so no value depends on which peer or process asked first."""
+
+    def __init__(self, seed: int, num_bits: int) -> None:
+        super().__init__()
+        self.seed = seed
+        self.rows = np.empty((1024, num_bits), dtype=np.float64)
+        self._lock = threading.Lock()  # the serial shard executor's threads
+
+    def __missing__(self, feature_id: int) -> int:
+        with self._lock:
+            row = self.get(feature_id)  # drawn while this thread waited?
+            if row is None:
+                row = len(self)
+                if row == len(self.rows):
+                    self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
+                rng = np.random.default_rng((self.seed << 32) ^ feature_id)
+                self.rows[row] = rng.standard_normal(self.rows.shape[1])
+                self[feature_id] = row  # published last: readers take no lock
+        return row
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_table(seed: int, num_bits: int) -> _HyperplaneTable:
+    """The one table of this process for ``(seed, num_bits)``."""
+    return _HyperplaneTable(seed, num_bits)
+
+
 class RandomHyperplaneLSH(Generic[T]):
     """An LSH index mapping sparse vectors to payload objects.
 
@@ -33,10 +65,11 @@ class RandomHyperplaneLSH(Generic[T]):
         Signature length; buckets are ``2^num_bits`` at most.
     seed:
         Shared hyperplane seed (identical across peers).
-    dimension_hint:
-        Hyperplane components are generated lazily per feature id from a
-        per-id deterministic hash, so truly high-dimensional hashed spaces
-        cost memory proportional only to *observed* features.
+
+    Every index with the same ``(seed, num_bits)`` reads one process-wide
+    hyperplane table, grown lazily by one row per *observed* feature id:
+    truly high-dimensional hashed spaces cost ``observed features x
+    num_bits x 8`` bytes once per process, not once per peer.
     """
 
     def __init__(self, num_bits: int = 8, seed: int = 0) -> None:
@@ -44,31 +77,25 @@ class RandomHyperplaneLSH(Generic[T]):
             raise ConfigurationError("num_bits must be in [1, 64]")
         self.num_bits = num_bits
         self.seed = seed
-        self._component_cache: Dict[int, np.ndarray] = {}
+        self._table = _shared_table(seed, num_bits)
         self._buckets: Dict[int, List[Tuple[SparseVector, T]]] = defaultdict(list)
         self._size = 0
 
     # -- hashing ------------------------------------------------------------
 
-    def _components(self, feature_id: int) -> np.ndarray:
-        """Deterministic Gaussian hyperplane components for one feature id."""
-        cached = self._component_cache.get(feature_id)
-        if cached is None:
-            rng = np.random.default_rng((self.seed << 32) ^ feature_id)
-            cached = rng.standard_normal(self.num_bits)
-            self._component_cache[feature_id] = cached
-        return cached
-
     def signature(self, vector: SparseVector) -> int:
         """SimHash signature of ``vector`` as an integer bucket key."""
-        projection = np.zeros(self.num_bits, dtype=np.float64)
-        for feature_id, value in vector.items():
-            projection += value * self._components(feature_id)
-        bits = 0
-        for bit_index in range(self.num_bits):
-            if projection[bit_index] >= 0:
-                bits |= 1 << bit_index
-        return bits
+        table = self._table
+        rows = [table[feature_id] for feature_id in vector]
+        values = np.fromiter(vector.values(), np.float64, len(rows))
+        # A prefix sum adds the scaled rows strictly in the vector's own
+        # iteration order (``sum(axis=0)`` goes pairwise when num_bits == 1).
+        projection = np.add.accumulate(
+            values[:, None] * table.rows[rows], axis=0
+        )[-1:]
+        # No rows (the empty vector) sets every bit, like a zero projection.
+        bits = np.packbits((projection >= 0).all(axis=0), bitorder="little")
+        return int.from_bytes(bits.tobytes(), "little")
 
     # -- index operations ------------------------------------------------------
 

@@ -5,9 +5,10 @@ represents the word id and the value of the attributes represents the word
 frequency in the documents".  Vocabularies are large and documents short, so
 a dictionary-backed sparse vector is the natural representation.
 
-:class:`SparseVector` is immutable-by-convention (builders return new
-instances) which makes it safe to place inside simulated network messages
-without defensive copying.
+:class:`SparseVector` is immutable (every builder returns a new instance,
+nothing outside this module assigns ``_data`` — a hygiene test holds that),
+which makes it safe to place inside simulated network messages without
+defensive copying and lets it cache its squared norm.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class SparseVector:
     norms, cosine distance, and densification against a fixed dimension.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_squared_norm")
 
     def __init__(self, data: Mapping[int, float] | Iterable[Tuple[int, float]] = ()) -> None:
         items = data.items() if isinstance(data, Mapping) else data
@@ -35,6 +36,7 @@ class SparseVector:
             if value:
                 cleaned[int(key)] = float(value)
         self._data = cleaned
+        self._squared_norm: float | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -116,7 +118,11 @@ class SparseVector:
         return SparseVector({k: v * factor for k, v in self._data.items()})
 
     def squared_norm(self) -> float:
-        return sum(v * v for v in self._data.values())
+        """``<self, self>``, summed once per instance and cached."""
+        cached = self._squared_norm
+        if cached is None:
+            cached = self._squared_norm = sum(v * v for v in self._data.values())
+        return cached
 
     def norm(self) -> float:
         return math.sqrt(self.squared_norm())

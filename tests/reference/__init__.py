@@ -4,10 +4,17 @@ against: slow, obviously correct, and never a runtime branch.
 Each ``install_*`` replaces one bound method on ONE instance (the seam
 the fast path already goes through), so an equivalence test builds two
 identically seeded stacks, installs the reference on one, and compares
-fingerprints byte-for-byte.
+fingerprints byte-for-byte.  ``ml_scalar`` holds the scalar loops of
+``repro.ml``; its ``install_scalar_ml`` patches classes for the length of
+a ``monkeypatch`` context instead (models are born inside ``train()``).
 """
 
 from reference.broadcast import install_per_message_broadcast
+from reference.ml_scalar import install_scalar_ml
 from reference.rounds import install_sequential_rounds
 
-__all__ = ["install_per_message_broadcast", "install_sequential_rounds"]
+__all__ = [
+    "install_per_message_broadcast",
+    "install_scalar_ml",
+    "install_sequential_rounds",
+]

@@ -11,6 +11,14 @@ below — a new knob cannot arrive without editing it.
 (c) Every third-party module imported under ``tests/`` is installed by
 every CI job that runs anything under ``tests/`` — an import the runner
 lacks stops collection at the first suite that needs it.
+
+(d) Nothing under ``src/`` outside ``ml/sparse.py`` assigns to, or through,
+a ``SparseVector``'s ``_data`` / ``_squared_norm`` — the cached norm is only
+right while vectors are immutable.
+
+(e) Nothing under ``repro/sim/`` or ``repro/overlay/`` imports ``repro.ml``
+— it is why the two storm workloads of the repo benchmark cannot move when
+the ml layer changes.
 """
 
 import ast
@@ -120,6 +128,72 @@ def test_runtime_env_knobs_are_exactly_the_listed_ones():
     )
 
 
+_VECTOR_STATE = {"_data", "_squared_norm"}
+
+
+def _vector_state_writes(text):
+    """Line numbers in ``text`` that assign, augment, delete or
+    item-assign an attribute named like ``SparseVector``'s state."""
+    lines = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Subscript):
+            target, ctx = node.value, node.ctx
+        else:
+            target, ctx = node, getattr(node, "ctx", None)
+        if (
+            isinstance(target, ast.Attribute)
+            and target.attr in _VECTOR_STATE
+            and isinstance(ctx, (ast.Store, ast.Del))
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_sparse_vector_state_is_written_only_in_its_own_module():
+    assert _vector_state_writes(
+        "v._data = {}\nv._data[3] = 1.0\ndel v._data[3]\n"
+        "v._squared_norm += 1\nx = v._data.get(3)\n"
+    ) == [1, 2, 3, 4]  # the scanner sees writes, not reads
+    own = ROOT / "src" / "repro" / "ml" / "sparse.py"
+    assert _vector_state_writes(own.read_text(encoding="utf-8"))
+    offenders = {
+        str(path.relative_to(ROOT)): lines
+        for path in (ROOT / "src").rglob("*.py") if path != own
+        if (lines := _vector_state_writes(path.read_text(encoding="utf-8")))
+    }
+    assert not offenders, f"SparseVector state written outside sparse.py: {offenders}"
+
+
+def _imported_modules(text):
+    """Absolute module names ``text`` imports (``from a.b import c`` counts
+    as ``a.b`` and ``a.b.c``)."""
+    modules = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
+
+
+def test_sim_and_overlay_do_not_import_ml():
+    assert "repro.ml" in _imported_modules("from repro import ml\n")
+    assert "repro.ml.sparse" in _imported_modules(
+        "def f():\n    from repro.ml.sparse import SparseVector\n"
+    )
+    scanned = 0
+    for package in ("sim", "overlay"):
+        for path in (ROOT / "src" / "repro" / package).rglob("*.py"):
+            scanned += 1
+            uses = {
+                name for name in _imported_modules(path.read_text(encoding="utf-8"))
+                if name == "repro.ml" or name.startswith("repro.ml.")
+            }
+            assert not uses, f"{path.relative_to(ROOT)} imports {sorted(uses)}"
+    assert scanned >= 20  # both packages were found
+
+
 def _third_party_test_imports():
     """Top-level module names imported anywhere under ``tests/`` that are
     neither stdlib, nor ``repro``, nor a module that lives in ``tests/``."""
@@ -128,13 +202,11 @@ def _third_party_test_imports():
         path.stem for path in tests.iterdir()
         if path.suffix == ".py" or path.is_dir()
     }
-    imported = set()
-    for path in tests.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                imported.update(a.name.split(".")[0] for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+    imported = {
+        name.split(".")[0]
+        for path in tests.rglob("*.py")
+        for name in _imported_modules(path.read_text(encoding="utf-8"))
+    }
     return imported - local - set(sys.stdlib_module_names)
 
 

@@ -1,12 +1,14 @@
 """Tests for repro.ml.sparse, including hypothesis property tests."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference.ml_scalar import squared_norm
 from repro.ml.sparse import SparseVector
 
 # Values are bounded away from zero: term frequencies / weights never carry
@@ -159,3 +161,55 @@ def test_normalized_idempotent(a):
     v = sv(a).normalized()
     again = v.normalized()
     assert v.distance(again) == pytest.approx(0.0, abs=1e-6)
+
+
+# -- the cached squared norm relies on immutability -----------------------------
+
+
+@given(sparse_entries, sparse_entries, st.floats(min_value=-3.0, max_value=3.0))
+def test_builders_return_fresh_vectors_with_their_own_norm(a, b, factor):
+    va, vb = sv(a), sv(b)
+    norm_a, norm_b = va.squared_norm(), vb.squared_norm()  # cached from here on
+    built = [
+        va.add(vb, scale=factor),
+        va.scale(factor),
+        va.normalized(),
+        SparseVector.from_dense(va.to_dense(201)),
+        SparseVector.from_counts({key: 3 for key in a}),
+        SparseVector(va.to_dict()),
+    ]
+    for fresh in built:
+        assert fresh is not va and fresh is not vb
+        assert fresh.squared_norm() == squared_norm(fresh)
+        assert fresh.squared_norm() == fresh.squared_norm()
+    # the operands kept their entries and their norms
+    assert va == sv(a) and vb == sv(b)
+    assert va.squared_norm() == norm_a == squared_norm(va)
+    assert vb.squared_norm() == norm_b == squared_norm(vb)
+
+
+@given(sparse_entries)
+def test_to_dict_is_a_copy(a):
+    v = sv(a)
+    norm = v.squared_norm()
+    v.to_dict()[999] = 5.0
+    assert 999 not in v
+    assert v.squared_norm() == norm
+
+
+@given(sparse_entries, st.booleans())
+def test_pickle_round_trip_keeps_equality_hash_and_norm(a, warm):
+    """tcp/mp workers ship vectors: with the norm cached or not yet."""
+    v = sv(a)
+    if warm:
+        v.squared_norm()
+    for protocol in (2, pickle.HIGHEST_PROTOCOL):
+        shipped = pickle.loads(pickle.dumps(v, protocol))
+        assert shipped == v
+        assert hash(shipped) == hash(v)
+        assert shipped.squared_norm() == v.squared_norm() == squared_norm(v)
+
+
+def test_no_attribute_can_be_added():
+    with pytest.raises(AttributeError):
+        sv({1: 1.0}).extra = 1
