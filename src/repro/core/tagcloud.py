@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # networkx loads when a cloud is built, not at import:
+    import networkx as nx  # every tcp shard worker imports repro.cli
 
 
 @dataclass
@@ -48,6 +49,8 @@ class TagCloud:
     # ------------------------------------------------------------------
 
     def _build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self._frequencies)
         for (a, b), weight in self._cooccurrence.items():
@@ -59,6 +62,8 @@ class TagCloud:
             return []
         if self._graph.number_of_edges() == 0:
             return [{tag} for tag in self._graph.nodes]
+        import networkx as nx
+
         communities = nx.community.greedy_modularity_communities(
             self._graph, weight="weight"
         )
@@ -118,6 +123,8 @@ class TagCloud:
         """
         if self._graph.number_of_edges() == 0 or len(self._communities) < 2:
             return []
+        import networkx as nx
+
         centrality = nx.betweenness_centrality(self._graph, weight=None)
         community_of = {
             tag: idx

@@ -6,16 +6,19 @@ delay (size / bandwidth), and optional loss.  Nodes can be marked down, in
 which case delivery silently fails — exactly how a UDP overlay sees churn.
 
 Three send paths exist and are RNG-equivalent: :meth:`PhysicalNetwork.send`
-(one message), :meth:`PhysicalNetwork.send_batch` (a same-tick block with
-one vectorized jitter draw), and :meth:`PhysicalNetwork.broadcast_block`
-(one payload to many recipients with bulk stats arithmetic and lazily
-materialized messages).  numpy fills array draws by repeating the same
-underlying generator steps, so a batch of N sends consumes the RNG stream
-bit-identically to N sequential sends — batching never changes replay.
+(one message), :meth:`PhysicalNetwork.send_batch` (a same-tick block read
+once into columns: one liveness/ownership decision per source, one bulk
+stats charge, one vectorized pair-factor mix and jitter draw), and
+:meth:`PhysicalNetwork.broadcast_block` (one payload to many recipients
+with bulk stats arithmetic and lazily materialized messages).  numpy fills
+array draws by repeating the same underlying generator steps, so a batch of
+N sends consumes the RNG stream bit-identically to N sequential sends —
+batching never changes replay.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -79,6 +82,12 @@ _MIX_MULT_A = 0x9E3779B97F4A7C15
 _MIX_MULT_B = 0xBF58476D1CE4E5B9
 _MIX_MULT_C = 0x94D049BB133111EB
 _U64 = 0xFFFFFFFFFFFFFFFF
+#: the same constants as numpy scalars (built once, not per call)
+_NP_MULT_A = np.uint64(_MIX_MULT_A)
+_NP_MULT_B = np.uint64(_MIX_MULT_B)
+_NP_MULT_C = np.uint64(_MIX_MULT_C)
+_NP_PAIR_SALT = np.uint64(0x1F0A2F)
+_NP_11, _NP_27, _NP_30, _NP_31 = (np.uint64(n) for n in (11, 27, 30, 31))
 
 
 def pair_mix64(src: int, dst: int) -> int:
@@ -181,29 +190,28 @@ class PeerStreams:
         }
 
 
-def pair_factors(src: int, dsts: np.ndarray) -> np.ndarray:
-    """Vectorized per-pair latency factors in [0.5, 1.5] for one source.
+def pair_factors(src, dsts) -> np.ndarray:
+    """Vectorized per-pair latency factors in [0.5, 1.5].
 
-    Bit-identical to ``0.5 + (pair_mix64(src, dst) >> 11) * 2**-53`` per
-    destination — the splitmix64 finalizer runs in wrapping ``uint64``
-    numpy arithmetic, so a 10k-recipient broadcast computes its factors in
-    a handful of array operations instead of 10k Python-level mixes.
+    ``src`` is one source address or a column of them aligned with
+    ``dsts``.  Bit-identical to ``0.5 + (pair_mix64(src, dst) >> 11) *
+    2**-53`` per pair — the splitmix64 finalizer runs in wrapping
+    ``uint64`` numpy arithmetic, so a 10k-recipient broadcast computes its
+    factors in a handful of array operations instead of 10k Python-level
+    mixes.
     """
     dsts = np.asarray(dsts, dtype=np.uint64)
-    source = np.uint64(src)
-    low = np.minimum(dsts, source)
-    high = np.maximum(dsts, source)
-    x = (
-        low * np.uint64(_MIX_MULT_A)
-        + high * np.uint64(_MIX_MULT_C)
-        + np.uint64(0x1F0A2F)
-    )
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX_MULT_B)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX_MULT_C)
-    x ^= x >> np.uint64(31)
-    return 0.5 + (x >> np.uint64(11)) * (2.0 ** -53)
+    source = np.asarray(src, dtype=np.uint64)
+    x = np.minimum(dsts, source) * _NP_MULT_A
+    x += np.maximum(dsts, source) * _NP_MULT_C
+    x += _NP_PAIR_SALT
+    x ^= x >> _NP_30
+    x *= _NP_MULT_B
+    x ^= x >> _NP_27
+    x *= _NP_MULT_C
+    x ^= x >> _NP_31
+    x >>= _NP_11
+    return 0.5 + x * (2.0 ** -53)
 
 
 @dataclass
@@ -294,7 +302,6 @@ class PhysicalNetwork:
         #: checks answer globally while only owned peers carry handlers.
         self._remote: Set[int] = set()
         self._down: Set[int] = set()
-        self._pair_latency_cache: Dict[tuple, float] = {}
         self._block_listeners: List[BlockListener] = []
         #: per-source stream providers (decomposed-randomness mode).  When
         #: unset, every draw comes from the simulator's single seeded stream
@@ -405,19 +412,27 @@ class PhysicalNetwork:
     def has_block_listeners(self) -> bool:
         return bool(self._block_listeners)
 
-    def _notify_message_block(self, messages: Sequence[Message]) -> None:
-        """Present a same-tick block of materialized messages to the block
-        listeners as one SoA batch."""
-        block = SendBlock(
+    def _message_block(
+        self, messages: Sequence[Message], srcs=None, dsts=None
+    ) -> SendBlock:
+        """The SoA view of a same-tick block of materialized messages
+        (``srcs``/``dsts``: the two columns, when the caller already read
+        them)."""
+        if srcs is None:
+            srcs = [m.src for m in messages]
+            dsts = [m.dst for m in messages]
+        return SendBlock(
             time=self.simulator.now,
             count=len(messages),
-            src=[m.src for m in messages],
-            dst=[m.dst for m in messages],
+            src=srcs,
+            dst=dsts,
             msg_type=[m.msg_type for m in messages],
             size_bytes=[m.size_bytes for m in messages],
             wire_bytes=[m.wire_bytes for m in messages],
             hops=[m.hops for m in messages],
         )
+
+    def _notify(self, block: SendBlock) -> None:
         for listener in self._block_listeners:
             listener(block)
 
@@ -437,8 +452,7 @@ class PhysicalNetwork:
             wire_bytes=wire_bytes,
             hops=1,
         )
-        for listener in self._block_listeners:
-            listener(block)
+        self._notify(block)
 
     # -- latency -----------------------------------------------------------------
 
@@ -447,14 +461,10 @@ class PhysicalNetwork:
 
         The uniform draw comes straight from the top 53 bits of the pair
         mix — constructing a ``numpy`` Generator per pair costs ~10µs and
-        dominated million-message runs.
+        dominated million-message runs.  (:func:`pair_factors` is the same
+        arithmetic over a column.)
         """
-        key = (min(src, dst), max(src, dst))
-        cached = self._pair_latency_cache.get(key)
-        if cached is None:
-            cached = 0.5 + (pair_mix64(src, dst) >> 11) * (2.0 ** -53)
-            self._pair_latency_cache[key] = cached
-        return cached
+        return 0.5 + (pair_mix64(src, dst) >> 11) * (2.0 ** -53)
 
     # -- sending -------------------------------------------------------------------
 
@@ -466,14 +476,14 @@ class PhysicalNetwork:
         networks.  Traffic is counted for every *sent* message, delivered or
         not — bytes leave the NIC either way.
 
-        NOTE: :class:`repro.sim.shard.ShardNetwork` mirrors this method (and
-        :meth:`send_batch`) with ownership gates interleaved; semantic edits
-        here must be mirrored there.
+        NOTE: :class:`repro.sim.shard.ShardNetwork` mirrors this method
+        with ownership gates interleaved; semantic edits here must be
+        mirrored there.
         """
         if message.src == message.dst:
             raise SimulationError("loopback messages need no network")
         if self._block_listeners:
-            self._notify_message_block((message,))
+            self._notify(self._message_block((message,)))
         if not self.is_up(message.src):
             return False
         self.stats.record_message(message)
@@ -493,70 +503,88 @@ class PhysicalNetwork:
         )
         return True
 
+    def _owns(self, src: int) -> bool:
+        """Whether this network charges, draws and schedules for ``src``'s
+        sends — always, here; a shard worker owns a slice of the peers."""
+        return True
+
     def send_batch(self, messages: Sequence[Message]) -> List[bool]:
-        """Send a same-tick block of messages with one vectorized jitter draw.
+        """Send a same-tick block of messages, block-native.
 
         Per-message results match :meth:`send` exactly (same RNG stream
-        consumption, same delivery times, same stats); the win is doing one
-        numpy call and one bulk schedule instead of N of each.  With loss
-        enabled the drop and jitter draws interleave per message, so the
-        block falls back to sequential sends to preserve the stream order.
+        consumption, same delivery times, same stats and stats key order).
+        The block's ``src``/``dst`` columns are read once; liveness and
+        ownership are facts about a *source* that nothing inside a
+        same-tick block can change, so both are decided once per distinct
+        source; the survivors are charged, mixed, drawn and scheduled as
+        one :class:`SendBlock`.  With loss enabled the drop and jitter
+        draws interleave per message, so the block falls back to
+        sequential sends to preserve the stream order.
         """
-        for message in messages:
+        srcs = [m.src for m in messages]
+        dsts = [m.dst for m in messages]
+        if any(map(operator.eq, srcs, dsts)):
             # Validate the whole block before any side effect: a loopback
             # anywhere rejects the batch with nothing charged or scheduled.
-            if message.src == message.dst:
-                raise SimulationError("loopback messages need no network")
+            raise SimulationError("loopback messages need no network")
         if self.latency.drop_probability > 0 or len(messages) < 2:
             return [self.send(message) for message in messages]
+        sources = set(srcs)
+        up = {src: self.is_up(src) for src in sources}
+        results = [up[src] for src in srcs]
+        owned = set(filter(self._owns, sources))
+        if len(owned) < len(sources):
+            # Replicas only report the (identical) outcome; each attempt is
+            # observed, charged and scheduled once, on its source's owner.
+            messages = [m for m in messages if m.src in owned]
+            if not messages:
+                return results
+            srcs = dsts = None
+        block = self._message_block(messages, srcs, dsts)
         if self._block_listeners:
-            self._notify_message_block(messages)
-        results: List[bool] = []
-        live: List[Message] = []
-        record = self.stats.record_message
-        for message in messages:
-            if not self.is_up(message.src):
-                results.append(False)
-                continue
-            record(message)
-            live.append(message)
-            results.append(True)
-        if live:
-            self._schedule_block(live)
+            self._notify(block)
+        if not all(up.values()):
+            messages = [m for m in messages if up[m.src]]
+            if not messages:
+                return results
+            block = self._message_block(messages)
+        self.stats.record_messages(block)
+        self._schedule_block(messages, self._block_delays(block))
         return results
 
-    def _block_delays(self, live: Sequence[Message]) -> np.ndarray:
+    def _block_delays(self, block: SendBlock) -> np.ndarray:
         """Delivery delays for a live same-tick block.
 
-        Single-stream mode: one vectorized jitter draw over the whole block
-        (bit-identical to sequential :meth:`send` calls).  Per-source mode:
-        one vectorized draw *per source peer* over that peer's messages in
+        One stream feeds the block in single-stream mode and whenever the
+        block has one source: one vectorized jitter draw (bit-identical to
+        sequential :meth:`send` calls).  A mixed-source block in per-source
+        mode draws once *per source peer* over that peer's messages in
         block order — bit-identical to sequential sends because each source
         stream is consumed in the same per-message order either way.
         """
-        factors = np.asarray(
-            [self._pair_base_latency(m.src, m.dst) for m in live]
-        )
-        sizes = np.asarray([m.size_bytes for m in live], dtype=np.float64)
-        if self._rng_for_src is None:
+        srcs = block.src
+        sizes = np.array(block.size_bytes, dtype=np.float64)
+        if srcs.count(srcs[0]) == len(srcs):
+            srcs = srcs[0]
+            jitters = self.latency.delays_for(sizes, self._jitter_rng(srcs))
+        elif self._rng_for_src is None:
             jitters = self.latency.delays_for(sizes, self.simulator.rng)
         else:
-            jitters = np.empty(len(live))
+            jitters = np.empty(block.count)
             by_src: Dict[int, List[int]] = {}
-            for index, message in enumerate(live):
-                by_src.setdefault(message.src, []).append(index)
+            for index, src in enumerate(srcs):
+                by_src.setdefault(src, []).append(index)
             for src, indices in by_src.items():
                 jitters[indices] = self.latency.delays_for(
                     sizes[indices], self._rng_for_src(src)
                 )
-        return factors * jitters
+        return pair_factors(srcs, block.dst) * jitters
 
-    def _schedule_block(self, live: List[Message]) -> None:
+    def _schedule_block(
+        self, live: Sequence[Message], delays: np.ndarray
+    ) -> None:
         """Bulk-schedule delivery of an already-charged live block."""
-        delays = self._block_delays(live)
-        self.simulator.schedule_batch(
-            delays.tolist(), self._deliver, ((m,) for m in live)
-        )
+        self.simulator.schedule_batch(delays.tolist(), self._deliver, zip(live))
 
     def broadcast_block(
         self,

@@ -659,13 +659,15 @@ class ShardNetwork(PhysicalNetwork):
 
     # -- sending -----------------------------------------------------------
     #
-    # send/send_batch mirror PhysicalNetwork.send/send_batch line for line,
-    # with ownership gates interleaved at the three accounting points
-    # (record, drop counter, schedule/export).  The copy is deliberate: the
-    # base methods are the million-message hot path and must stay free of
-    # per-message hook calls.  ANY semantic edit to the base methods must be
-    # mirrored here — the golden + fuzz equivalence suites fail loudly on a
-    # missed mirror, but fix the copy, don't silence the suite.
+    # send mirrors PhysicalNetwork.send line for line, with ownership gates
+    # interleaved at the three accounting points (record, drop counter,
+    # schedule/export).  The copy is deliberate: the base method is the
+    # per-message hot path and must stay free of per-message hook calls.
+    # ANY semantic edit to the base method must be mirrored here — the
+    # golden + fuzz equivalence suites fail loudly on a missed mirror, but
+    # fix the copy, don't silence the suite.  The block paths need no copy:
+    # PhysicalNetwork.send_batch gates on _owns once per source and
+    # dispatches through _schedule_block.
 
     def send(self, message: Message) -> bool:
         if message.src == message.dst:
@@ -674,7 +676,7 @@ class ShardNetwork(PhysicalNetwork):
             # Block observation is ownership-gated so K per-shard stores
             # merge to exactly the unsharded store's row set (each attempt
             # observed once, on its source's owner).
-            self._notify_message_block((message,))
+            self._notify(self._message_block((message,)))
         if not self.is_up(message.src):
             return False
         owned = self._owns(message.src)
@@ -714,33 +716,14 @@ class ShardNetwork(PhysicalNetwork):
         return True
 
     def send_batch(self, messages: Sequence[Message]) -> List[bool]:
-        for message in messages:
-            if message.src == message.dst:
-                raise SimulationError("loopback messages need no network")
-        if self.latency.drop_probability > 0 or len(messages) < 2:
-            return [self.send(message) for message in messages]
-        if self._block_listeners:
-            owned_attempts = [m for m in messages if self._owns(m.src)]
-            if owned_attempts:
-                self._notify_message_block(owned_attempts)
-        results: List[bool] = []
-        live: List[Message] = []
-        record = self.stats.record_message
-        for message in messages:
-            if not self.is_up(message.src):
-                results.append(False)
-                continue
-            results.append(True)
-            if not self._owns(message.src):
-                continue
-            record(message)
-            live.append(message)
-        if live:
-            self._schedule_block(live)
-        return results
+        """The base block core, gated by :meth:`_owns`: a replica reports
+        liveness for every message but observes, charges and schedules
+        only its own sources' sends."""
+        return super().send_batch(messages)
 
-    def _schedule_block(self, live: List[Message]) -> None:
-        delays = self._block_delays(live)
+    def _schedule_block(
+        self, live: Sequence[Message], delays: np.ndarray
+    ) -> None:
         runtime = self._runtime
         now = self.simulator.now
         local: List[Message] = []
@@ -762,7 +745,7 @@ class ShardNetwork(PhysicalNetwork):
                 )
         if local:
             self.simulator.schedule_batch(
-                local_delays, self._deliver, ((m,) for m in local)
+                local_delays, self._deliver, zip(local)
             )
 
     def broadcast_block(

@@ -7,15 +7,18 @@ also routes its co-occurrence graphs through networkx.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.overlay.base import Overlay
+
+if TYPE_CHECKING:  # imported where a graph is built, never at module import
+    import networkx as nx
 
 
 def overlay_to_graph(overlay: Overlay) -> nx.Graph:
     """Undirected graph of the overlay's current links."""
+    import networkx as nx
+
     graph = nx.Graph()
     members = overlay.members()
     graph.add_nodes_from(members)
@@ -46,6 +49,8 @@ def connectivity_report(overlay: Overlay) -> Dict[str, float]:
     graph = overlay_to_graph(overlay)
     if graph.number_of_nodes() == 0:
         return {"connected": 0.0, "components": 0.0, "largest_component": 0.0}
+    import networkx as nx
+
     components = list(nx.connected_components(graph))
     largest = max((len(c) for c in components), default=0)
     return {

@@ -19,9 +19,21 @@ right while vectors are immutable.
 (e) Nothing under ``repro/sim/`` or ``repro/overlay/`` imports ``repro.ml``
 — it is why the two storm workloads of the repo benchmark cannot move when
 the ml layer changes.
+
+(f) ``import repro.cli`` does not load ``networkx`` — every tcp shard worker
+is ``python -m repro.cli worker`` and pays that import on each (re)spawn.
+
+(g) Every ``executemany(`` in ``repro/sim/tracestore.py`` sits inside a
+``with ..._transaction():`` block — the connection is in autocommit mode,
+so an unbracketed ``executemany`` commits once per row.
+
+(h) ``ShardNetwork.send_batch`` charges nothing itself — the block charge
+(``record_messages``) lives in ``PhysicalNetwork.send_batch`` only, gated
+by ``_owns``; a second copy is how the two drifted apart before.
 """
 
 import ast
+import os
 import re
 import subprocess
 import sys
@@ -192,6 +204,104 @@ def test_sim_and_overlay_do_not_import_ml():
             }
             assert not uses, f"{path.relative_to(ROOT)} imports {sorted(uses)}"
     assert scanned >= 20  # both packages were found
+
+
+def test_importing_the_cli_does_not_load_networkx():
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src")] + [
+                entry for entry in [os.environ.get("PYTHONPATH")] if entry
+            ]
+        )},
+    )
+    assert probe.stdout.strip() == "False"
+
+
+def _unbracketed_executemany(text):
+    """Line numbers of ``.executemany(`` calls in ``text`` that are not
+    lexically inside a ``with <something>._transaction():`` block."""
+
+    def is_bracket(item):
+        call = item.context_expr
+        return (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "_transaction"
+        )
+
+    lines = []
+
+    def visit(node, bracketed):
+        if isinstance(node, ast.With) and any(map(is_bracket, node.items)):
+            bracketed = True
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "executemany"
+            and not bracketed
+        ):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bracketed)
+
+    visit(ast.parse(text), False)
+    return lines
+
+
+def test_trace_store_bulk_writes_are_bracketed_by_a_transaction():
+    assert _unbracketed_executemany(
+        "conn.executemany(q, rows)\n"
+        "with store._transaction():\n"
+        "    conn.executemany(q, rows)\n"
+        "    if rows:\n"
+        "        conn.executemany(q, rows)\n"
+        "with open(p) as f:\n"
+        "    conn.executemany(q, rows)\n"
+    ) == [1, 7]
+    text = (ROOT / "src" / "repro" / "sim" / "tracestore.py").read_text(
+        encoding="utf-8"
+    )
+    assert text.count("executemany(") >= 3  # flush, record_stats, merge
+    assert _unbracketed_executemany(text) == []
+    bracket = next(
+        node for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef) and node.name == "_transaction"
+    )
+    issued = [
+        node.value for node in ast.walk(bracket)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert {"BEGIN", "COMMIT", "ROLLBACK"} <= set(issued)
+
+
+def _method_attribute_names(text, class_name, method):
+    """Every ``x.<name>`` attribute named inside ``class_name.method``."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == method:
+                    return {
+                        inner.attr for inner in ast.walk(item)
+                        if isinstance(inner, ast.Attribute)
+                    }
+    raise AssertionError(f"{class_name}.{method} not found")
+
+
+def test_the_block_charge_lives_in_the_base_send_batch_only():
+    sim = ROOT / "src" / "repro" / "sim"
+    base = _method_attribute_names(
+        (sim / "network.py").read_text(encoding="utf-8"),
+        "PhysicalNetwork", "send_batch",
+    )
+    assert {"record_messages", "_owns", "_schedule_block"} <= base
+    shard = _method_attribute_names(
+        (sim / "shard.py").read_text(encoding="utf-8"),
+        "ShardNetwork", "send_batch",
+    )
+    assert not shard & {"record_message", "record_messages"}
 
 
 def _third_party_test_imports():

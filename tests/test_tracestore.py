@@ -9,8 +9,18 @@ The invariants under test:
 - ``wire_bytes`` reaches the store end to end;
 - trace-store ingest is accounting-only: golden digests are byte-identical
   with a store attached, across the sharded fuzz sample;
-- K per-shard stores merge to exactly the unsharded store's row set.
+- K per-shard stores merge to exactly the unsharded store's row set;
+- ingest is one explicit transaction per ``flush()`` and per
+  ``record_stats()``, so a store whose run died holds whole batches only.
 """
+
+import gc
+import hashlib
+import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -38,6 +48,9 @@ from repro.sim.tracestore import (
 from repro.sim.transport import Transport
 
 from reference import install_per_message_broadcast
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_stack(num_nodes=6, seed=0, codec=None):
@@ -283,6 +296,191 @@ class TestTraceStore:
 
 
 # ---------------------------------------------------------------------------
+# The ingest transaction contract.
+# ---------------------------------------------------------------------------
+
+
+def _ingest_some(network, transport):
+    """One send_batch block, one broadcast block, one scalar send."""
+    transport.send_batch([
+        Message(src=0, dst=1, msg_type="uni"),
+        Message(src=0, dst=2, msg_type="other"),
+        Message(src=3, dst=1, msg_type="uni"),
+    ])
+    transport.broadcast(2, "cast", "p" * 16, recipients=[0, 1, 3, 4])
+    network.send(Message(src=4, dst=5, msg_type="uni"))
+    return 3 + 4 + 1
+
+
+def _orphan_rows(store):
+    """Message rows whose type id names no ``msg_types`` row."""
+    _, rows = store.sql(
+        "SELECT COUNT(*) FROM messages m LEFT JOIN msg_types t"
+        " ON t.type_id = m.type_id WHERE t.name IS NULL"
+    )
+    return rows[0][0]
+
+
+class TestIngestTransactions:
+    def _traced(self, path):
+        simulator, stats, network, transport = make_stack()
+        store = TraceStore(path).attach(network)
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        return store, statements, stats, network, transport
+
+    @staticmethod
+    def _brackets(statements):
+        return [s for s in statements if s in ("BEGIN", "COMMIT", "ROLLBACK")]
+
+    def test_each_flush_and_each_record_stats_is_one_transaction(
+        self, tmp_path
+    ):
+        store, statements, stats, network, transport = self._traced(
+            tmp_path / "s.db"
+        )
+        for barrier in range(3):
+            del statements[:]
+            rows = _ingest_some(network, transport)
+            assert statements == []  # buffering touches no SQL
+            assert store.flush() == rows
+            assert self._brackets(statements) == ["BEGIN", "COMMIT"]
+            assert (statements[0], statements[-1]) == ("BEGIN", "COMMIT")
+            assert sum("INTO messages" in s for s in statements) == rows
+            # newly interned types ride the same transaction
+            assert sum("INTO msg_types" in s for s in statements) == (
+                3 if barrier == 0 else 0
+            )
+            del statements[:]
+            assert store.record_stats(stats, window=barrier) > 0
+            assert (statements[0], statements[-1]) == ("BEGIN", "COMMIT")
+            assert self._brackets(statements) == ["BEGIN", "COMMIT"]
+            assert all(
+                "INTO window_stats" in s for s in statements[1:-1]
+            )
+            assert not store._conn.in_transaction
+        del statements[:]
+        assert store.flush() == 0 and store.record_stats(stats) == 0
+        assert statements == []  # nothing to write, nothing bracketed
+        store.close()
+
+    def test_a_failed_flush_rolls_its_batch_back(self, tmp_path):
+        store, statements, stats, network, transport = self._traced(
+            tmp_path / "s.db"
+        )
+        store._blocks.append((0.0, 2, [1, 2], [3, 4], "uni", [1, "x"], 1, 1))
+        store._pending = 2
+        with pytest.raises(ValueError):
+            store.flush()
+        assert self._brackets(statements) == ["BEGIN", "ROLLBACK"]
+        assert not store._conn.in_transaction
+        assert store.sql("SELECT COUNT(*) FROM messages")[1] == [(0,)]
+        # the type the lost batch interned is forgotten with it, so the
+        # next batch interns it again instead of pointing at nothing
+        assert _ingest_some(network, transport) == store.flush()
+        assert _orphan_rows(store) == 0
+        store.close()
+
+    def test_attach_is_legal_right_after_an_ingest(self, tmp_path):
+        """What autocommit is kept for: no transaction is ever left open,
+        so merge_stores can ATTACH into a store that has just ingested."""
+        paths = []
+        for index in range(2):
+            path = tmp_path / f"shard.{index}"
+            simulator, stats, network, transport = make_stack()
+            with TraceStore(path, shard=index).attach(network) as store:
+                rows = _ingest_some(network, transport)
+                store.record_stats(stats)
+            paths.append(path)
+        target = tmp_path / "merged.db"
+        simulator, stats, network, transport = make_stack()
+        with TraceStore(target).attach(network) as store:
+            _ingest_some(network, transport)
+            store.flush()
+            store.record_stats(stats)
+            store._conn.execute("ATTACH ':memory:' AS probe")
+            store._conn.execute("DETACH probe")
+        merged = merge_stores(target, paths)
+        try:
+            assert not merged._conn.in_transaction
+            _, shards = merged.sql(
+                "SELECT shard, COUNT(*) FROM messages GROUP BY shard"
+                " ORDER BY shard"
+            )
+            assert shards == [(0, 2 * rows), (1, rows)]
+            _, stats_rows = merged.sql(
+                "SELECT shard, COUNT(*) > 0 FROM window_stats GROUP BY shard"
+                " ORDER BY shard"
+            )
+            assert stats_rows == [(0, 1), (1, 1)]
+        finally:
+            merged.close()
+
+    def test_a_dropped_store_holds_exactly_the_committed_flushes(
+        self, tmp_path
+    ):
+        """Two barriers' worth of blocks flushed, a third buffered, the
+        object dropped without close(): the file has the two batches."""
+        path = tmp_path / "s.db"
+        simulator, stats, network, transport = make_stack()
+        store = TraceStore(path).attach(network)
+        committed = 0
+        for barrier in range(2):
+            committed += _ingest_some(network, transport)
+            store._on_barrier(barrier)
+            store.record_stats(stats, window=barrier)
+        _ingest_some(network, transport)  # buffered, never flushed
+        network.remove_block_listener(store._on_block)
+        del store
+        gc.collect()
+        with TraceStore(path) as reopened:
+            assert reopened.sql("SELECT COUNT(*) FROM messages")[1] == [
+                (committed,)
+            ]
+            _, windows = reopened.sql(
+                "SELECT DISTINCT win FROM window_stats ORDER BY win"
+            )
+            assert windows == [(0,), (1,)]
+            # the type table is consistent with the rows that made it
+            assert _orphan_rows(reopened) == 0
+
+    def test_a_killed_process_leaves_whole_batches(self, tmp_path):
+        """The same contract under a real death: the writer process
+        ``os._exit``s mid-run — no close(), no destructor, no atexit."""
+        path = tmp_path / "killed.db"
+        script = (
+            "import os, sys\n"
+            "from repro.sim.network import SendBlock\n"
+            "from repro.sim.tracestore import TraceStore\n"
+            "store = TraceStore(sys.argv[1])\n"
+            "def block(t):\n"
+            "    store._on_block(SendBlock(t, 50, 7, list(range(50)),\n"
+            "                              'storm', 200, 200, 1))\n"
+            "for barrier in range(3):\n"
+            "    for _ in range(4):\n"
+            "        block(float(barrier))\n"
+            "    store.flush()\n"
+            "block(9.0)\n"
+            "os._exit(0)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(ROOT, "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, str(path)], check=True, env=env,
+            timeout=120,
+        )
+        with TraceStore(path) as reopened:
+            _, per_time = reopened.sql(
+                "SELECT time, COUNT(*) FROM messages GROUP BY time"
+                " ORDER BY time"
+            )
+        assert per_time == [(0.0, 200), (1.0, 200), (2.0, 200)]
+
+
+# ---------------------------------------------------------------------------
 # Sharded ingest: digest invariance, merge equality, barrier flushing.
 # ---------------------------------------------------------------------------
 
@@ -383,6 +581,53 @@ class TestShardedStore:
             merged_path = tmp_path / f"merged{shards}.db"
             merge_stores(merged_path, sources).close()
             assert store_rows(merged_path) == reference
+
+    def test_smoke_storm_merge_and_reports_are_the_pinned_bytes(
+        self, tmp_path
+    ):
+        """The benchmark's own durable leg at smoke size (K=2, mp): the
+        merged row multiset, the window_stats rows and all five canned
+        reports hash to the value the per-row autocommit ingest produced
+        (pinned at 28a26e9, before flush became one transaction)."""
+        perf = os.path.join(ROOT, "benchmarks", "perf")
+        if perf not in sys.path:
+            sys.path.insert(0, perf)
+        workloads = importlib.import_module("workloads")
+        shape = workloads.StormSharded.SMOKE
+        base = str(tmp_path / "trace")
+        storm = workloads.StormWorkload(
+            shape["peers"], shape["rounds"], shape["fanout"], store_base=base
+        )
+        ShardedScenario(
+            workloads.storm_config(shape["peers"], 0, shards=2),
+            executor="mp",
+        ).run(storm)
+        merged = merge_stores(
+            tmp_path / "merged.db", [f"{base}.{shard}" for shard in (0, 1)]
+        )
+        try:
+            _, rows = merged.sql(
+                "SELECT time, src, dst, msg_type, size_bytes, wire_bytes,"
+                " hops, shard FROM traffic"
+            )
+            _, window_stats = merged.sql(
+                "SELECT win, shard, family, key, delta FROM window_stats"
+            )
+            reports = {
+                name: getattr(merged, name)()
+                for name in workloads.StormSharded.REPORTS
+            }
+        finally:
+            merged.close()
+        assert len(rows) == storm.messages
+        document = json.dumps(
+            {"rows": sorted(rows), "window_stats": sorted(window_stats),
+             "reports": reports},
+            sort_keys=True,
+        )
+        assert hashlib.sha256(document.encode()).hexdigest() == (
+            "ea38e1ff3008b72eafbd8226c344a99b0f990be557ac1a9e966253076493a938"
+        )
 
     def test_barrier_hook_flushes_per_window(self, tmp_path):
         """Sharded ingest records a window_stats timeline, one delta set
