@@ -10,11 +10,32 @@ network behaviour for each.
 Run:  python examples/churn_study.py
 """
 
-from repro.bench.harness import ExperimentSetting, build_system
 from repro.bench.reporting import format_table
+from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
+from repro.data import DeliciousGenerator
 from repro.sim.visualize import ascii_summary, connectivity_report
 
-BASE = dict(num_users=10, docs_per_user=30, train_fraction=0.2, seed=1)
+SEED = 1
+
+
+def make_system(algorithm: str, interest_concentration: float = 0.5,
+                 **config) -> P2PDocTaggerSystem:
+    corpus = DeliciousGenerator(
+        num_users=10,
+        seed=SEED,
+        num_tags=8,
+        docs_per_user_range=(30, 30),
+        vocabulary_size=600,
+        topic_words_per_tag=35,
+        doc_length_range=(30, 70),
+        interest_concentration=interest_concentration,
+    ).generate()
+    return P2PDocTaggerSystem(
+        corpus,
+        SystemConfig(
+            algorithm=algorithm, train_fraction=0.2, seed=SEED, **config
+        ),
+    )
 
 
 def churn_sweep() -> None:
@@ -26,14 +47,11 @@ def churn_sweep() -> None:
         ("weibull", 300.0),
         ("pareto", 300.0),
     ):
-        system = build_system(
-            ExperimentSetting(
-                algorithm="cempar",
-                churn=churn,
-                mean_session=session or 600.0,
-                mean_downtime=60.0,
-                **BASE,
-            )
+        system = make_system(
+            "cempar",
+            churn=churn,
+            mean_session=session or 600.0,
+            mean_downtime=60.0,
         )
         system.train()
         report = system.evaluate(max_documents=40)
@@ -61,9 +79,7 @@ def churn_sweep() -> None:
 def overlay_sweep() -> None:
     rows = []
     for overlay in ("chord", "kademlia", "unstructured"):
-        system = build_system(
-            ExperimentSetting(algorithm="pace", overlay=overlay, **BASE)
-        )
+        system = make_system("pace", overlay=overlay)
         system.train()
         report = system.evaluate(max_documents=40)
         connectivity = connectivity_report(system.scenario.overlay)
@@ -89,12 +105,8 @@ def distribution_sweep() -> None:
     for label, concentration in (("iid-ish", 50.0), ("moderate", 0.5),
                                  ("sharp", 0.1)):
         for algorithm in ("cempar", "local"):
-            system = build_system(
-                ExperimentSetting(
-                    algorithm=algorithm,
-                    interest_concentration=concentration,
-                    **BASE,
-                )
+            system = make_system(
+                algorithm, interest_concentration=concentration
             )
             system.train()
             report = system.evaluate(max_documents=40)
@@ -110,7 +122,7 @@ def distribution_sweep() -> None:
 
 
 def show_one_overlay() -> None:
-    system = build_system(ExperimentSetting(algorithm="local", **BASE))
+    system = make_system("local")
     print("Overlay summary for the scenario network:")
     print(ascii_summary(system.scenario.overlay))
     print()

@@ -1,24 +1,5 @@
-"""Shared experiment harness for the benchmarks in ``benchmarks/``.
+"""Fixed-width table formatting for the CLI and the examples."""
 
-Every table/figure benchmark drives :func:`repro.bench.harness.run_experiment`
-with a different parameter sweep and prints its rows through
-:mod:`repro.bench.reporting`, so all experiments share one code path from
-corpus generation to metric extraction.
-"""
-
-from repro.bench.harness import (
-    ExperimentSetting,
-    ExperimentResult,
-    run_experiment,
-    standard_corpus,
-)
 from repro.bench.reporting import format_table, format_row
 
-__all__ = [
-    "ExperimentSetting",
-    "ExperimentResult",
-    "run_experiment",
-    "standard_corpus",
-    "format_table",
-    "format_row",
-]
+__all__ = ["format_table", "format_row"]

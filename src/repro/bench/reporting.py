@@ -1,10 +1,4 @@
-"""Table formatting for benchmark output.
-
-The benchmarks print the same row structure EXPERIMENTS.md records, so the
-numbers in the document can be regenerated by reading benchmark stdout (a
-run that wrote a trace store re-derives its traffic rows offline with
-``repro analyze --report traffic``).
-"""
+"""Fixed-width tables: what ``repro compare`` and the examples print."""
 
 from __future__ import annotations
 

@@ -261,7 +261,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # Opening would create an empty store — catch the typo instead.
         print(f"error: no trace store at {args.path}", file=sys.stderr)
         return 2
-    with TraceStore(args.path, backend=args.backend) as store:
+    with TraceStore(args.path) as store:
         if args.sql:
             headers, rows = store.sql(args.sql)
             print(format_table("SQL", list(headers), [list(r) for r in rows]))
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="query a trace store: canned window-function analytics "
         "(traffic, peers, routes, churn, codec) or raw SQL",
     )
-    p_analyze.add_argument("path", help="trace store file (sqlite/duckdb)")
+    p_analyze.add_argument("path", help="trace store file (sqlite)")
     p_analyze.add_argument(
         "--report", action="append", choices=_ANALYZE_REPORTS, default=None,
         help="canned report to print (repeatable; default: summary, traffic)",
@@ -468,10 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--sql", default=None, metavar="QUERY",
         help="run one SQL query against the store instead of canned reports",
-    )
-    p_analyze.add_argument(
-        "--backend", choices=("sqlite", "duckdb"), default="sqlite",
-        help="storage engine (default: sqlite)",
     )
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -6,7 +6,9 @@ into sparse vectors, a pluggable P2P classifier learns collaboratively over
 the simulated network, and each peer exposes the user-facing operations —
 manual tagging, AutoTag, Suggest Tag, refinement, Library and Tag Cloud.
 
-This facade is what the examples and every benchmark drive.
+This facade is what the CLI, the examples, the claim tests
+(``tests/test_claims.py``) and the tag workloads of ``benchmarks/perf``
+drive.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Columnar zero-copy shard exchange: SoA window frames + shm rings.
 
 This module is the data plane of the sharded kernel's cross-shard
-exchange (:mod:`repro.sim.shard`).  PR 4/5 shipped every cross-shard
-delivery as one Python tuple pickled onto a ``multiprocessing`` queue —
-at 200k messages per storm the pickle round trips dominated the mp
-executor's wall clock.  Here a window's records to one destination shard
-become a single **struct-of-arrays** :class:`ExchangeFrame`:
+exchange (:mod:`repro.sim.shard`).  One pickled Python tuple per
+cross-shard delivery costs a pickle round trip per message — at 200k
+messages per storm that dominates the mp executor's wall clock — so a
+window's records to one destination shard become a single
+**struct-of-arrays** :class:`ExchangeFrame`:
 
 - numeric columns ``(deliver_time f8, seq i8, src i8, dst i8,
   size_bytes i8, wire_bytes i8, hops i8)`` as numpy arrays (``src_shard``

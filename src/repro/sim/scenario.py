@@ -76,9 +76,9 @@ class ScenarioConfig:
     #: connect in, "ssh:HOST" spawns them over ssh.  Like wal/resume this
     #: is plumbing, not physics: excluded from the WAL config fingerprint.
     tcp_hosts: Optional[str] = None
-    #: sharded control plane: "replicated" (every worker replays churn
-    #: timelines and overlay maintenance for all N peers — the PR 4 SPMD
-    #: scheme) or "directory" (one authoritative control plane owns them,
+    #: sharded control plane: "replicated" (SPMD: every worker replays
+    #: churn timelines and overlay maintenance for all N peers) or
+    #: "directory" (one authoritative control plane owns them,
     #: publishes an overlay snapshot at startup plus per-window delta
     #: records, and workers apply deltas at barriers — per-worker control
     #: and construction cost drops to O(N/K)).
@@ -414,8 +414,8 @@ class Scenario:
 
         Every live node probes a handful of neighbours (successor pings,
         bucket refreshes).  The table repair itself is computed synchronously
-        (DESIGN.md §5); this keeps its *cost* visible in every experiment
-        that runs under churn.  Probes are modelled-only traffic, charged
+        by ``overlay.stabilize()``; this keeps its *cost* visible in every
+        experiment that runs under churn.  Probes are modelled-only traffic, charged
         through the transport so the accounting matches real messages.
         """
         for address in self.overlay.members():

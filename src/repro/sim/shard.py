@@ -1362,7 +1362,7 @@ class ShardedRun:
     #: skipping this is bounded by the number of event clusters, not the
     #: virtual duration / lookahead)
     windows: int
-    #: "replicated" (PR 4 SPMD control plane) or "directory"
+    #: "replicated" (SPMD control plane) or "directory"
     control_plane: str = "replicated"
     #: directory mode: delta records / route-table edits the control plane
     #: published, and their modelled service bytes (snapshot included) —

@@ -33,8 +33,8 @@ worker:
   the slot stays open for the real worker.
 - **barriers**: each worker ``SYNC`` carries its window status plus the
   window's outboxes already encoded as :class:`ExchangeFrame` blobs (the
-  PR 6 ``SoA1`` wire format, byte-for-byte — the same blobs the mp rings
-  carry and the WAL logs).  The coordinator routes blobs between workers
+  ``SoA1`` wire format, byte-for-byte — the same blobs the mp rings carry
+  and the WAL logs).  The coordinator routes blobs between workers
   and answers per-shard ``DECISION`` frames (window start, inbound blobs
   in src-shard order, directory control records).  There is no
   worker-to-worker connection: the coordinator is the exchange fabric.

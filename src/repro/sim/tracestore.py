@@ -28,12 +28,10 @@ journal lives in memory, so the one exception is a process killed *while a
 commit writes its pages*: that can damage the file.  The store is derived
 data; rerun to rebuild it.)
 
-Backends: SQLite (stdlib, default) or DuckDB when importable — same
-schema, same SQL dialect subset (the canned analytics stick to window
-functions and expressions both engines accept).  Per-shard stores written
-by sharded runs merge with :func:`merge_stores` (``ATTACH`` + append,
-mirroring :meth:`StatsCollector.merge` — type ids are remapped by name, so
-shards may intern types in different orders).
+The store is a SQLite file (stdlib).  Per-shard stores written by sharded
+runs merge with :func:`merge_stores` (``ATTACH`` + append, mirroring
+:meth:`StatsCollector.merge` — type ids are remapped by name, so shards may
+intern types in different orders).
 
 The store records send *attempts* — including attempts from down
 sources — so under churn its row counts exceed the post-liveness stats.
@@ -71,7 +69,6 @@ from repro.sim.stats import StatsCollector
 __all__ = [
     "TraceStore",
     "merge_stores",
-    "duckdb_available",
     "DEFAULT_BATCH_RECORDS",
 ]
 
@@ -81,34 +78,6 @@ DEFAULT_BATCH_RECORDS = 50_000
 Headers = Tuple[str, ...]
 Rows = List[tuple]
 Report = Tuple[Headers, Rows]
-
-
-def duckdb_available() -> bool:
-    """True when the optional DuckDB backend can be imported."""
-    return _duckdb() is not None
-
-
-def _duckdb():
-    try:
-        import duckdb  # noqa: F401 — optional, never a hard dependency
-    except ImportError:
-        return None
-    return duckdb
-
-
-def _resolve_backend(backend: str) -> str:
-    if backend == "sqlite":
-        return "sqlite"
-    if backend == "duckdb":
-        if _duckdb() is None:
-            raise ConfigurationError(
-                "trace store backend 'duckdb' requested but duckdb is not "
-                "importable; install it or use the default sqlite backend"
-            )
-        return "duckdb"
-    raise ConfigurationError(
-        f"unknown trace store backend {backend!r} (sqlite or duckdb)"
-    )
 
 
 _SCHEMA = (
@@ -168,12 +137,10 @@ class TraceStore:
     def __init__(
         self,
         path: Union[str, Path],
-        backend: str = "sqlite",
         batch_records: int = DEFAULT_BATCH_RECORDS,
         shard: int = 0,
     ) -> None:
         self.path = str(path)
-        self.backend = _resolve_backend(backend)
         self.batch_records = batch_records
         self.shard = shard
         self._blocks: List[tuple] = []
@@ -184,23 +151,20 @@ class TraceStore:
         self._stats_cursor: dict = {}
         self._stats_window = 0
         self._closed = False
-        if self.backend == "duckdb":
-            self._conn = _duckdb().connect(self.path)
-        else:
-            Path(self.path).parent.mkdir(parents=True, exist_ok=True)
-            # Autocommit (isolation_level=None: the module never issues
-            # BEGIN by itself) keeps ATTACH legal at any time; every bulk
-            # write goes through _transaction(), which brackets it
-            # explicitly.  The store is derived data — a crash loses the
-            # batch in flight and what was still buffered — so
-            # fsync-per-commit and an on-disk journal buy nothing.
-            self._conn = sqlite3.connect(self.path, isolation_level=None)
-            self._conn.execute("PRAGMA synchronous=OFF")
-            self._conn.execute("PRAGMA journal_mode=MEMORY")
+        Path(self.path).parent.mkdir(parents=True, exist_ok=True)
+        # Autocommit (isolation_level=None: the module never issues BEGIN
+        # by itself) keeps ATTACH legal at any time; every bulk write goes
+        # through _transaction(), which brackets it explicitly.  The store
+        # is derived data — a crash loses the batch in flight and what was
+        # still buffered — so fsync-per-commit and an on-disk journal buy
+        # nothing.
+        self._conn = sqlite3.connect(self.path, isolation_level=None)
+        self._conn.execute("PRAGMA synchronous=OFF")
+        self._conn.execute("PRAGMA journal_mode=MEMORY")
         for statement in _SCHEMA:
             self._conn.execute(statement)
         self._type_ids = self._stored_type_ids()
-        self._set_meta("backend", self.backend)
+        self._set_meta("backend", "sqlite")
         self._set_meta("schema_version", "1")
 
     # -- lifecycle -----------------------------------------------------------
@@ -546,7 +510,6 @@ def _quote_path(path: str) -> str:
 def merge_stores(
     target: Union[str, Path],
     sources: Sequence[Union[str, Path]],
-    backend: str = "sqlite",
 ) -> TraceStore:
     """Merge per-shard store files into ``target`` (returned open).
 
@@ -558,7 +521,7 @@ def merge_stores(
     unsharded store's because ShardNetwork gates block observation on
     source ownership.
     """
-    store = TraceStore(target, backend=backend)
+    store = TraceStore(target)
     conn = store._conn
     for source in sources:
         # ATTACH/DETACH are illegal inside a transaction (what autocommit

@@ -1,91 +1,6 @@
-"""Tests for the experiment harness and table reporting."""
+"""Tests for the table reporting ``repro compare`` and the examples print."""
 
-import pytest
-
-from repro.bench.harness import (
-    ExperimentSetting,
-    build_system,
-    run_experiment,
-    standard_corpus,
-)
 from repro.bench.reporting import format_cell, format_row, format_table
-
-
-class TestStandardCorpus:
-    def test_shape(self):
-        corpus = standard_corpus(num_users=4, seed=0, docs_per_user=10)
-        assert len(corpus) == 40
-        assert len(corpus.owners) == 4
-
-    def test_reproducible(self):
-        a = standard_corpus(num_users=3, seed=5)
-        b = standard_corpus(num_users=3, seed=5)
-        assert [d.text for d in a] == [d.text for d in b]
-
-    def test_interest_concentration_passthrough(self):
-        iid = standard_corpus(num_users=4, seed=0, interest_concentration=50.0)
-        skew = standard_corpus(num_users=4, seed=0, interest_concentration=0.05)
-        assert [d.tags for d in iid] != [d.tags for d in skew]
-
-
-class TestExperimentSetting:
-    def test_label(self):
-        setting = ExperimentSetting(algorithm="pace", num_users=7, seed=3)
-        label = setting.label()
-        assert "pace" in label and "N=7" in label and "seed=3" in label
-
-    def test_defaults(self):
-        setting = ExperimentSetting()
-        assert setting.train_fraction == 0.2  # the paper's protocol
-
-
-class TestRunExperiment:
-    def test_end_to_end_local(self):
-        result = run_experiment(
-            ExperimentSetting(
-                algorithm="local", num_users=4, docs_per_user=12,
-                train_fraction=0.3, max_eval_documents=15,
-            )
-        )
-        assert 0.0 <= result.micro_f1 <= 1.0
-        assert 0.0 <= result.macro_f1 <= 1.0
-        assert 0.0 <= result.hamming <= 1.0
-        assert result.total_bytes == 0  # local-only never communicates
-        assert result.report.algorithm == "local"
-
-    def test_deterministic(self):
-        setting = ExperimentSetting(
-            algorithm="popularity", num_users=4, docs_per_user=10,
-            max_eval_documents=10,
-        )
-        a = run_experiment(setting)
-        b = run_experiment(setting)
-        assert a.micro_f1 == b.micro_f1
-        assert a.total_bytes == b.total_bytes
-
-    def test_build_system_without_training(self):
-        system = build_system(
-            ExperimentSetting(algorithm="local", num_users=4, docs_per_user=10)
-        )
-        assert not system.classifier.trained
-
-    def test_algorithm_options_reach_classifier(self):
-        system = build_system(
-            ExperimentSetting(
-                algorithm="pace", num_users=4, docs_per_user=10,
-                algorithm_options={"top_k": 3},
-            )
-        )
-        assert system.classifier.config.top_k == 3
-
-    def test_overlay_option(self):
-        system = build_system(
-            ExperimentSetting(
-                algorithm="local", num_users=4, docs_per_user=10,
-                overlay="pastry",
-            )
-        )
-        assert system.scenario.overlay.name == "pastry"
 
 
 class TestReporting:

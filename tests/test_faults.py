@@ -14,8 +14,8 @@ Three layers of coverage:
 
 Tier-1 runs one crash-and-recover smoke per concern; ``REPRO_CHAOS_FULL=1``
 (nightly) sweeps fault kinds over overlay x control-plane x K and writes
-the injected schedules to ``benchmarks/results/chaos_fault_schedules.json``
-as the CI artifact.
+the injected schedules to ``tests/artifacts/chaos_fault_schedules.json``
+(git-ignored) as the CI artifact.
 """
 
 import json
@@ -39,11 +39,10 @@ SHARDED_GOLDEN_PATH = (
 )
 
 #: gates the full chaos sweep (nightly CI); the schedule artifact lands in
-#: benchmarks/results/ for upload
+#: tests/artifacts/ for upload
 CHAOS_FULL_ENV = "REPRO_CHAOS_FULL"
 SCHEDULE_ARTIFACT = (
-    Path(__file__).parent.parent
-    / "benchmarks" / "results" / "chaos_fault_schedules.json"
+    Path(__file__).parent / "artifacts" / "chaos_fault_schedules.json"
 )
 
 CHAOS_FULL = env_flag(CHAOS_FULL_ENV)

@@ -14,7 +14,7 @@ from repro.sim.tracestore import TraceStore
 from repro.sim.workload import QueryWorkload, WorkloadConfig
 
 
-def build_system(algorithm="nbagg", churn="none", seed=4):
+def make_system(algorithm="nbagg", churn="none", seed=4):
     corpus = DeliciousGenerator(
         num_users=6, seed=seed, num_tags=6, docs_per_user_range=(14, 18),
         vocabulary_size=400, topic_words_per_tag=30, doc_length_range=(30, 60),
@@ -30,7 +30,7 @@ def build_system(algorithm="nbagg", churn="none", seed=4):
 
 class TestWorkloadIntegration:
     def test_workload_replay_tags_documents(self):
-        system = build_system()
+        system = make_system()
         system.train()
         workload = QueryWorkload(
             WorkloadConfig(
@@ -68,7 +68,7 @@ class TestWorkloadIntegration:
             assert system.peers[peer_id].store.tags_of(doc_id) == tags
 
     def test_trace_agrees_with_stats(self):
-        system = build_system()
+        system = make_system()
         with TraceStore(":memory:").attach(system.scenario.network) as store:
             system.train()
             _, rows = store.report_traffic()
@@ -78,7 +78,7 @@ class TestWorkloadIntegration:
         assert sum(row[4] for row in rows) == stats.total_bytes
 
     def test_churn_run_charges_maintenance(self):
-        system = build_system(churn="exponential")
+        system = make_system(churn="exponential")
         system.train()
         system.scenario.run(duration=120.0)
         stats = system.scenario.stats
@@ -87,6 +87,6 @@ class TestWorkloadIntegration:
         assert stats.messages_for("overlay.maintenance") > 0
 
     def test_static_run_has_no_maintenance(self):
-        system = build_system(churn="none")
+        system = make_system(churn="none")
         system.train()
         assert system.scenario.stats.bytes_for("overlay.maintenance") == 0

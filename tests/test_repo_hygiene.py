@@ -1,16 +1,17 @@
 """Repo-hygiene ratchets: things a fresh clone and a reviewer rely on.
 
-(a) Every ``benchmarks/results/`` file that a test, a benchmark script or
-the CI workflow *reads* is tracked by git — the directory is ignored by
-default, so a file read unconditionally but never checked in passes on
-the author's machine and dies with ``FileNotFoundError`` in a clone.
+(a) ``benchmarks/`` tracks ``benchmarks/perf/`` and nothing else — the one
+perf harness; a paper claim is a tier-1 test listed in ``docs/CLAIMS.md``,
+not a script beside it that nothing runs.
 
 (b) The runtime ``REPRO_*`` env knobs under ``src/`` are exactly the list
-below — a new knob cannot arrive without editing it.
+below — a new knob cannot arrive without editing it — and the ``REPRO_*``
+names CI sets in ``env:`` blocks are exactly the test-tier flags.
 
-(c) Every third-party module imported under ``tests/`` is installed by
-every CI job that runs anything under ``tests/`` — an import the runner
-lacks stops collection at the first suite that needs it.
+(c) Every third-party module imported under ``tests/`` or ``src/`` —
+function-level imports included — is installed by every CI job that runs
+anything under ``tests/``: an import the runner lacks stops collection at
+the first suite that needs it, or fails the first test that reaches it.
 
 (d) Nothing under ``src/`` outside ``ml/sparse.py`` assigns to, or through,
 a ``SparseVector``'s ``_data`` / ``_squared_norm`` — the cached norm is only
@@ -30,6 +31,14 @@ so an unbracketed ``executemany`` commits once per row.
 (h) ``ShardNetwork.send_batch`` charges nothing itself — the block charge
 (``record_messages``) lives in ``PhysicalNetwork.send_batch`` only, gated
 by ``_owns``; a second copy is how the two drifted apart before.
+
+(i) Every ``tests/...py::name`` id that ``docs/CLAIMS.md`` names resolves to
+a function or class defined in that file, and every test of
+``tests/test_claims.py`` is named there — the index of the paper's claims
+cannot point at a test that was renamed away, nor a claim test exist
+without its row.
+
+(j) ``repro.bench`` exports the two table formatters and nothing else.
 """
 
 import ast
@@ -51,81 +60,27 @@ RUNTIME_KNOBS = {
     "REPRO_TCP_MAX_RESPAWNS",
 }
 
-_RESULT_NAME = re.compile(
-    r'results"\s*/\s*"([\w.-]+)"|benchmarks/results/([\w.-]+)'
-)
-_READ_CALL = re.compile(r"\bread_text\(|\bread_bytes\(|\bopen\(|\bload\(")
+TIER_FLAGS = {
+    "REPRO_LARGE_GOLDEN",
+    "REPRO_CHAOS_FULL",
+    "REPRO_SHARD_MP_FULL",
+    "REPRO_SHARD_TCP_FULL",
+    "REPRO_WAL_FUZZ",
+}
+
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
 
-def _reads_in(text):
-    """Result files named inside a statement of ``text`` that also reads
-    a file."""
-    reads = set()
-    lines = text.splitlines()
-    for node in ast.walk(ast.parse(text)):
-        if not isinstance(node, (ast.Assign, ast.Expr, ast.Return)):
-            continue
-        segment = "\n".join(lines[node.lineno - 1:node.end_lineno])
-        if _READ_CALL.search(segment):
-            for match in _RESULT_NAME.finditer(segment):
-                reads.add(match.group(1) or match.group(2))
-    return reads
-
-
-def _python_reads():
-    reads = set()
-    sources = sorted((ROOT / "tests").glob("*.py")) + sorted(
-        (ROOT / "benchmarks").rglob("*.py")
-    )
-    for path in sources:
-        text = path.read_text(encoding="utf-8")
-        if "results" in text:
-            reads |= _reads_in(text)
-    return reads
-
-
-def _ci_reads():
-    """Result files the workflow names outside comments and outside
-    upload-artifact ``path:`` lists (those are outputs of the job)."""
-    reads = set()
-    uploading = False
-    workflow = ROOT / ".github" / "workflows" / "ci.yml"
-    for line in workflow.read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            continue
-        if stripped.startswith("- "):
-            uploading = False
-        if stripped.startswith("path:"):
-            uploading = True
-        if not uploading:
-            reads.update(
-                name for _, name in _RESULT_NAME.findall(line) if name
-            )
-    return reads
-
-
-def test_every_results_file_that_is_read_is_tracked():
+def test_benchmarks_tracks_only_the_perf_harness():
     if not (ROOT / ".git").exists():
         pytest.skip("not a git checkout")
-    listing = subprocess.run(
-        ["git", "ls-files", "benchmarks/results"],
+    tracked = subprocess.run(
+        ["git", "ls-files", "benchmarks"],
         cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout.split()
-    tracked = {Path(entry).name for entry in listing}
-    reads = _python_reads() | _ci_reads()
-    # The scanner itself must keep seeing an unconditional read (no tracked
-    # results file is left to witness it, so the sample is inline).
-    assert _reads_in(
-        'baseline = json.loads(\n'
-        '    (Path(__file__).parent / "results" / "pinned.json").read_text()\n'
-        ')\n'
-    ) == {"pinned.json"}
-    assert reads <= tracked, (
-        f"read by a test/benchmark/CI step but not tracked by git: "
-        f"{sorted(reads - tracked)} — re-include them in .gitignore and "
-        "check them in"
-    )
+    assert tracked  # the listing works
+    strays = [p for p in tracked if not p.startswith("benchmarks/perf/")]
+    assert not strays, strays
 
 
 def test_runtime_env_knobs_are_exactly_the_listed_ones():
@@ -137,6 +92,16 @@ def test_runtime_env_knobs_are_exactly_the_listed_ones():
     assert found == RUNTIME_KNOBS, (
         f"unlisted: {sorted(found - RUNTIME_KNOBS)}, "
         f"gone: {sorted(RUNTIME_KNOBS - found)}"
+    )
+
+
+def test_ci_sets_exactly_the_test_tier_flags():
+    set_in_ci = set(re.findall(
+        r"(?m)^\s+(REPRO_[A-Z_]+):", WORKFLOW.read_text(encoding="utf-8")
+    ))
+    assert set_in_ci == TIER_FLAGS, (
+        f"unlisted: {sorted(set_in_ci - TIER_FLAGS)}, "
+        f"never set: {sorted(TIER_FLAGS - set_in_ci)}"
     )
 
 
@@ -304,9 +269,10 @@ def test_the_block_charge_lives_in_the_base_send_batch_only():
     assert not shard & {"record_message", "record_messages"}
 
 
-def _third_party_test_imports():
-    """Top-level module names imported anywhere under ``tests/`` that are
-    neither stdlib, nor ``repro``, nor a module that lives in ``tests/``."""
+def _third_party_imports():
+    """Top-level module names imported anywhere under ``tests/`` or
+    ``src/`` that are neither stdlib, nor ``repro``, nor a module that
+    lives in ``tests/``."""
     tests = ROOT / "tests"
     local = {"tests", "repro"} | {
         path.stem for path in tests.iterdir()
@@ -314,7 +280,8 @@ def _third_party_test_imports():
     }
     imported = {
         name.split(".")[0]
-        for path in tests.rglob("*.py")
+        for root in (tests, ROOT / "src")
+        for path in root.rglob("*.py")
         for name in _imported_modules(path.read_text(encoding="utf-8"))
     }
     return imported - local - set(sys.stdlib_module_names)
@@ -322,8 +289,7 @@ def _third_party_test_imports():
 
 def _ci_jobs():
     """(name, non-comment lines) per job of the workflow."""
-    workflow = ROOT / ".github" / "workflows" / "ci.yml"
-    text = workflow.read_text(encoding="utf-8")
+    text = WORKFLOW.read_text(encoding="utf-8")
     blocks = re.split(r"(?m)^  (?=[\w-]+:$)", text.split("\njobs:\n", 1)[1])
     return [
         (block.split(":", 1)[0], [
@@ -335,8 +301,9 @@ def _ci_jobs():
 
 
 def test_every_third_party_test_import_is_installed_in_ci():
-    needed = _third_party_test_imports()
-    assert {"pytest", "numpy"} <= needed  # the scanner sees real imports
+    needed = _third_party_imports()
+    # the scanner sees real imports, function-level ones in src/ included
+    assert {"pytest", "numpy", "networkx"} <= needed
     checked = 0
     for name, lines in _ci_jobs():
         if not any("tests/" in line or "pytest -x -q" in line
@@ -354,3 +321,43 @@ def test_every_third_party_test_import_is_installed_in_ci():
         )
         checked += 1
     assert checked >= 2  # tier1 and nightly
+
+
+_TEST_ID = re.compile(
+    r"\b((?:tests|benchmarks/perf)/[\w/]+\.py)((?:::\w+)+)"
+)
+
+
+def test_every_test_id_in_the_claims_index_resolves():
+    index = (ROOT / "docs" / "CLAIMS.md").read_text(encoding="utf-8")
+    ids = set(_TEST_ID.findall(index))
+    assert len(ids) >= 30  # the pattern still matches the index
+    dangling = []
+    for path, names in sorted(ids):
+        scope = ast.parse((ROOT / path).read_text(encoding="utf-8")).body
+        for name in names.split("::")[1:]:
+            found = [
+                node for node in scope
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == name
+            ]
+            if not found:
+                dangling.append(path + names)
+                break
+            scope = found[0].body
+    assert not dangling, dangling
+    # and back: a claim test the index does not name has no row to justify it
+    claims = ast.parse(
+        (ROOT / "tests" / "test_claims.py").read_text(encoding="utf-8")
+    ).body
+    unindexed = {
+        node.name for node in claims
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    } - {names[2:] for path, names in ids if path == "tests/test_claims.py"}
+    assert not unindexed, unindexed
+
+
+def test_repro_bench_exports_the_two_formatters():
+    import repro.bench
+
+    assert sorted(repro.bench.__all__) == ["format_row", "format_table"]

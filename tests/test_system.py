@@ -56,6 +56,21 @@ class TestConstruction:
             system = P2PDocTaggerSystem.from_corpus(corpus, algorithm=algorithm)
             assert system.classifier is not None
 
+    def test_default_split_is_the_papers_protocol(self):
+        assert SystemConfig().train_fraction == 0.2  # 20 % tagged by hand
+
+    def test_algorithm_options_reach_classifier(self):
+        system = P2PDocTaggerSystem.from_corpus(
+            small_corpus(), algorithm="pace", algorithm_options={"top_k": 3}
+        )
+        assert system.classifier.config.top_k == 3
+
+    def test_overlay_option(self):
+        system = P2PDocTaggerSystem.from_corpus(
+            small_corpus(), algorithm="local", overlay="pastry"
+        )
+        assert system.scenario.overlay.name == "pastry"
+
     def test_train_test_split_follows_fraction(self):
         system = P2PDocTaggerSystem.from_corpus(
             small_corpus(), train_fraction=0.2

@@ -40,11 +40,7 @@ from repro.sim.network import PhysicalNetwork, SendBlock
 from repro.sim.scenario import Scenario
 from repro.sim.shard import ShardedScenario
 from repro.sim.stats import StatsCollector
-from repro.sim.tracestore import (
-    TraceStore,
-    duckdb_available,
-    merge_stores,
-)
+from repro.sim.tracestore import TraceStore, merge_stores
 from repro.sim.transport import Transport
 
 from reference import install_per_message_broadcast
@@ -195,6 +191,8 @@ class TestTraceStore:
             assert rows[0][0] == 27 == stats.total_messages
             _, types = reopened.sql("SELECT name FROM msg_types")
             assert [t[0] for t in types] == ["cast"]
+            _, meta = reopened.sql("SELECT key, value FROM meta ORDER BY key")
+            assert meta == [("backend", "sqlite"), ("schema_version", "1")]
 
     def test_store_counts_attempts_like_the_tracer(self, tmp_path):
         """Down-source sends land in the store (tracer convention), not in
@@ -276,23 +274,6 @@ class TestTraceStore:
         assert by_type["cast"][2] == stats.bytes_by_type["cast"]
         assert by_type["cast"][3] == stats.wire_bytes_by_type["cast"]
         assert by_type["uni"][2] == 33
-
-    @pytest.mark.skipif(
-        not duckdb_available(), reason="duckdb not installed"
-    )
-    def test_duckdb_backend_same_schema(self, tmp_path):
-        path = tmp_path / "s.duckdb"
-        simulator, stats, network, transport = make_stack()
-        with TraceStore(path, backend="duckdb").attach(network) as store:
-            network.send(Message(src=0, dst=1, msg_type="a"))
-            _, rows = store.sql(ROW_QUERY)
-        assert len(rows) == 1
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            TraceStore(tmp_path / "s.db", backend="parquet")
 
 
 # ---------------------------------------------------------------------------

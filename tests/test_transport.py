@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.overlay import make_overlay, overlay_names
+from repro.sim.churn import ChurnDriver, ExponentialChurn
 from repro.sim.codec import make_codec_table, register_traffic_class
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
@@ -201,6 +202,45 @@ class TestBatchedEquivalence:
         transport.send_message(Message(src=1, dst=3, msg_type="m"))
         assert seen == [1, 0, 1]
         assert transport.stats.messages_by_type["m"] == 1
+
+
+class TestBatchedStormUnderChurn:
+    """Conservation while liveness flips under a ``send_batch`` storm (the
+    all-up half is ``test_batch_matches_sequential`` plus the storm checks
+    of ``benchmarks/perf``): a down source charges nothing, and every
+    charged message is either delivered or counted undeliverable."""
+
+    def test_every_charged_message_is_delivered_or_counted_undeliverable(self):
+        nodes, rounds, fanout = 100, 5, 10
+        transport = build_transport(num_nodes=nodes, seed=3)
+        network, simulator = transport.network, transport.simulator
+        delivered = []
+        for node in range(nodes):
+            network.register(node, delivered.append)
+        driver = ChurnDriver(simulator, network, ExponentialChurn(6.0, 2.0))
+        driver.start(list(range(nodes)))
+        for round_index in range(rounds):
+            block = []
+            for src in range(nodes):
+                for k in range(fanout):
+                    dst = (src + 1 + (round_index * fanout + k) * 7) % nodes
+                    if dst == src:
+                        dst = (dst + 1) % nodes
+                    block.append(Message(
+                        src=src, dst=dst, msg_type="storm", payload="x" * 160
+                    ))
+            transport.send_batch(block)
+            # the queue never drains under churn: advance a bounded window
+            simulator.run(until=simulator.now + 2.0)
+        driver.stop()
+        simulator.run(until=simulator.now + 5.0)  # stragglers land
+
+        charged = transport.stats.total_messages
+        undeliverable = transport.stats.counters["messages_undeliverable"]
+        assert driver.leave_count + driver.join_count > 0
+        assert charged < nodes * fanout * rounds
+        assert len(delivered) < charged
+        assert len(delivered) + undeliverable == charged
 
 
 class TestHopChargingParity:

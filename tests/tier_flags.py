@@ -1,5 +1,6 @@
-"""Boolean env flags that select a test tier (``REPRO_WAL_FUZZ``,
-``REPRO_CHAOS_FULL``, ``REPRO_SHARD_MP_FULL``, ``REPRO_SHARD_TCP_FULL``).
+"""Boolean env flags that select a test tier (``REPRO_LARGE_GOLDEN``,
+``REPRO_WAL_FUZZ``, ``REPRO_CHAOS_FULL``, ``REPRO_SHARD_MP_FULL``,
+``REPRO_SHARD_TCP_FULL``).
 
 No runtime code reads a boolean knob any more, so the one boolean grammar
 lives here: a typo'd value in a CI ``env:`` block must fail the job, never
