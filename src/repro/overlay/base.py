@@ -104,8 +104,13 @@ class Overlay(ABC):
     def members(self) -> List[int]:
         """Current member addresses."""
 
+    def __contains__(self, address: int) -> bool:
+        """Whether ``address`` is a current member (O(1) in every overlay
+        here; this default serves a subclass that only lists members)."""
+        return address in self.members()
+
     def require_member(self, address: int) -> None:
-        if address not in self.members():
+        if address not in self:
             raise OverlayError(f"node {address} is not an overlay member")
 
     # ------------------------------------------------------------------

@@ -10,12 +10,16 @@ experiment measures.
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, List, Optional
+from bisect import bisect_left
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OverlayError
 from repro.overlay.base import Overlay, RouteResult, StateSlot, register_overlay
-from repro.overlay.idspace import ID_BITS, ID_SPACE, in_interval, node_id_for
+from repro.overlay.idspace import ID_BITS, ID_SPACE, node_id_for
+
+_MASK = ID_SPACE - 1  # x & _MASK == x % ID_SPACE: clockwise distances, inline
+#: (fingers, successors, distances, entries) — see ChordOverlay._index_reach
+_Reach = Tuple[Optional[List[int]], Optional[List[int]], List[int], List[int]]
 
 
 class ChordOverlay(Overlay):
@@ -40,6 +44,10 @@ class ChordOverlay(Overlay):
         self._fingers: Dict[int, List[int]] = {}  # address -> finger addresses
         self._successors: Dict[int, List[int]] = {}  # address -> successor addrs
         self._predecessors: Dict[int, int] = {}  # address -> predecessor addr
+        # address -> (fingers, successors, distances, entries): the reach
+        # index of the nodes that have routed; derived (see _index_reach),
+        # so not a state slot.
+        self._reach: Dict[int, _Reach] = {}
 
     def _state_slots(self):
         return {
@@ -77,10 +85,12 @@ class ChordOverlay(Overlay):
         if address in self._ids:
             return
         overlay_id = node_id_for(address)
-        if overlay_id in self._ids.values():  # pragma: no cover - 64-bit space
-            raise OverlayError(f"id collision for address {address}")
+        index = bisect_left(self._ring_ids, overlay_id)
+        if index < len(self._ring_ids) and self._ring_ids[index] == overlay_id:
+            raise OverlayError(  # pragma: no cover - 64-bit space
+                f"id collision for address {address}"
+            )
         self._ids[address] = overlay_id
-        index = bisect.bisect_left(self._ring_ids, overlay_id)
         self._ring_ids.insert(index, overlay_id)
         self._ring_addresses.insert(index, address)
         # The joining node builds its own tables immediately (it performed a
@@ -92,15 +102,19 @@ class ChordOverlay(Overlay):
         overlay_id = self._ids.pop(address, None)
         if overlay_id is None:
             return
-        index = bisect.bisect_left(self._ring_ids, overlay_id)
+        index = bisect_left(self._ring_ids, overlay_id)
         del self._ring_ids[index]
         del self._ring_addresses[index]
         self._fingers.pop(address, None)
         self._successors.pop(address, None)
         self._predecessors.pop(address, None)
+        self._reach.pop(address, None)
 
     def members(self) -> List[int]:
         return list(self._ids)
+
+    def __contains__(self, address: int) -> bool:
+        return address in self._ids
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -113,36 +127,36 @@ class ChordOverlay(Overlay):
         """Ground-truth owner: first live node clockwise from ``key``."""
         if not self._ring_ids:
             raise OverlayError("empty ring")
-        index = bisect.bisect_left(self._ring_ids, key)
+        index = bisect_left(self._ring_ids, key)
         if index == len(self._ring_ids):
             index = 0
         return self._ring_addresses[index]
 
     def _rebuild_tables_for(self, address: int) -> None:
         overlay_id = self._ids[address]
+        ring_ids, ring_addresses = self._ring_ids, self._ring_addresses
+        size = len(ring_ids)
         fingers: List[int] = []
-        for i in range(ID_BITS):
-            target = (overlay_id + (1 << i)) % ID_SPACE
-            finger = self._true_successor_address(target)
-            if finger != address and (not fingers or fingers[-1] != finger):
-                fingers.append(finger)
+        i = 0
+        while i < ID_BITS:
+            index = bisect_left(ring_ids, (overlay_id + (1 << i)) & _MASK)
+            if index == size:
+                index = 0
+            if ring_addresses[index] == address:
+                break  # nobody lies beyond this target, nor beyond a later one
+            fingers.append(ring_addresses[index])
+            # Every target up to the finger's own id resolves to it again:
+            # skip to the first power of two that reaches past it.
+            i = ((ring_ids[index] - overlay_id) & _MASK).bit_length()
         self._fingers[address] = fingers
-        successors: List[int] = []
-        cursor = (overlay_id + 1) % ID_SPACE
-        while len(successors) < min(self.successor_list_size, len(self._ids) - 1):
-            nxt = self._true_successor_address(cursor)
-            if nxt == address:
-                break
-            if nxt in successors:
-                break
-            successors.append(nxt)
-            cursor = (self._ids[nxt] + 1) % ID_SPACE
+        own = bisect_left(ring_ids, overlay_id)
+        successors = [
+            ring_addresses[(own + step) % size]
+            for step in range(1, min(self.successor_list_size, size - 1) + 1)
+        ]
         self._successors[address] = successors
-        if len(self._ids) > 1:
-            index = bisect.bisect_left(self._ring_ids, overlay_id)
-            self._predecessors[address] = self._ring_addresses[index - 1]
-        else:
-            self._predecessors[address] = address
+        # Alone on the ring, index -1 is the node itself.
+        self._predecessors[address] = ring_addresses[own - 1]
         self.entries_built += len(fingers) + len(successors) + 1
 
     def stabilize(self) -> None:
@@ -176,63 +190,102 @@ class ChordOverlay(Overlay):
                 seen.append(entry)
         return seen
 
-    def _live_successor(self, address: int) -> Optional[int]:
-        for candidate in self._successors.get(address, []):
-            if candidate in self._ids:
-                return candidate
-        return None
-
     def route(self, origin: int, key: int) -> RouteResult:
         self.require_member(origin)
         key = key % ID_SPACE
-        true_owner = self._true_successor_address(key)
+        ids = self._ids
+        alone = len(ids) == 1
         current = origin
         path: List[int] = []
         for _ in range(self.max_hops):
-            current_id = self._ids[current]
-            if current_id == key or len(self._ids) == 1:
+            current_id = ids[current]
+            ahead = (key - current_id) & _MASK  # clockwise, current -> key
+            if ahead == 0 or alone:
                 return RouteResult(key=key, owner=current, path=path)
-            predecessor = self._predecessors.get(current)
-            if (
-                predecessor is not None
-                and predecessor in self._ids
-                and in_interval(key, self._ids[predecessor], current_id)
-            ):
-                return RouteResult(key=key, owner=current, path=path)
-            successor = self._live_successor(current)
-            if successor is None:
+            predecessor_id = ids.get(self._predecessors.get(current))
+            if predecessor_id is not None:  # known and still alive
+                # key in (predecessor, current]; a span of 0 is a node whose
+                # predecessor is still itself (it joined an empty ring and
+                # has not stabilized): the full circle, it claims every key.
+                span = (current_id - predecessor_id) & _MASK
+                if span == 0 or ahead + span > ID_SPACE:
+                    return RouteResult(key=key, owner=current, path=path)
+            for successor in self._successors.get(current, ()):
+                if successor in ids:
+                    break
+            else:
                 # Fresh node or totally stale successor list.
-                if current == true_owner:
+                if current == self._true_successor_address(key):
                     return RouteResult(key=key, owner=current, path=path)
                 return RouteResult(key=key, owner=None, path=path, success=False)
-            if in_interval(key, current_id, self._ids[successor]):
+            if ahead <= (ids[successor] - current_id) & _MASK:
                 path.append(successor)
                 return RouteResult(key=key, owner=successor, path=path)
-            next_hop = self._closest_preceding(current, key) or successor
-            if next_hop == current:
+            next_hop = self._closest_preceding(current, key)
+            if next_hop is None or next_hop == 0:
+                # None: no live entry precedes the key.  0: the best entry is
+                # the peer whose *address* is 0 — the scalar core wrote
+                # ``_closest_preceding(...) or successor`` and 0 is falsy, so
+                # that finger was never taken.  A routing bug, but the golden
+                # digests pin the paths it produces (chord-nbagg-churn-2), so
+                # it is reproduced here and fixed with ROADMAP item 3(b)'s
+                # re-pin; tests/test_chord_oracle.py holds today's path.
                 next_hop = successor
             path.append(next_hop)
             current = next_hop
         return RouteResult(key=key, owner=None, path=path, success=False)
 
     def _closest_preceding(self, address: int, key: int) -> Optional[int]:
-        """Live finger/successor with id closest preceding ``key``."""
-        current_id = self._ids[address]
-        best: Optional[int] = None
-        best_id = current_id
-        for entry in self._fingers.get(address, []) + self._successors.get(
-            address, []
+        """Live finger/successor with id closest preceding ``key``.
+
+        ``key`` must differ from the node's own id (``route`` returns before
+        asking).  One bisect over the node's reach index, then a walk back
+        over entries that have died since their table was built.
+        """
+        ids = self._ids
+        reach = self._reach.get(address)
+        if (
+            reach is None
+            or reach[0] is not self._fingers.get(address)
+            or reach[1] is not self._successors.get(address)
         ):
-            entry_id = self._ids.get(entry)
-            if entry_id is None:
-                continue  # stale entry: dead node
-            if in_interval(entry_id, current_id, key, inclusive_right=False):
-                if best is None or in_interval(
-                    entry_id, best_id, key, inclusive_right=False
-                ):
-                    best = entry
-                    best_id = entry_id
-        return best
+            reach = self._index_reach(address)
+        _, _, distances, addresses = reach
+        index = bisect_left(distances, (key - ids[address]) & _MASK) - 1
+        while index >= 0:
+            if addresses[index] in ids:
+                return addresses[index]
+            index -= 1
+        return None
+
+    def _index_reach(self, address: int) -> _Reach:
+        """Merge the node's fingers and successors into its reach index:
+        clockwise distances from the node, ascending, and the entry at each.
+
+        Derived, never state: directory views have ``_fingers[a]`` /
+        ``_successors[a]`` replaced straight in the dicts by
+        ``apply_state_edits``, which no hook here sees, so the index keeps
+        the two lists it was built from and is valid exactly while they are
+        still the node's lists (``_closest_preceding`` checks by identity).
+        A dead entry keeps its place — it may rejoin — at the id its address
+        hashes to, since ``_ids`` has forgotten it.
+        """
+        ids = self._ids
+        own_id = ids[address]
+        fingers = self._fingers.get(address)
+        successors = self._successors.get(address)
+        by_distance = {
+            ((ids[entry] if entry in ids else node_id_for(entry)) - own_id)
+            & _MASK: entry
+            for entry in (fingers or []) + (successors or [])
+        }
+        distances = sorted(by_distance)
+        reach = (
+            fingers, successors, distances,
+            [by_distance[distance] for distance in distances],
+        )
+        self._reach[address] = reach
+        return reach
 
 
 register_overlay("chord", lambda **config: ChordOverlay())

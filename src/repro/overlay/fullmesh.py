@@ -67,6 +67,9 @@ class FullMeshOverlay(Overlay):
     def members(self) -> List[int]:
         return list(self._ids)
 
+    def __contains__(self, address: int) -> bool:
+        return address in self._ids
+
     def __len__(self) -> int:
         return len(self._ids)
 

@@ -190,6 +190,9 @@ class SuperPeerOverlay(Overlay):
         """Live super-peer addresses in ring order."""
         return list(self._core.addresses)
 
+    def __contains__(self, address: int) -> bool:
+        return address in self._ids
+
     def __len__(self) -> int:
         return len(self._ids)
 

@@ -89,6 +89,9 @@ class UnstructuredOverlay(Overlay):
     def members(self) -> List[int]:
         return list(self._edges)
 
+    def __contains__(self, address: int) -> bool:
+        return address in self._edges
+
     def __len__(self) -> int:
         return len(self._edges)
 

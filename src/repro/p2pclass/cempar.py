@@ -120,7 +120,7 @@ class CemparClassifier(P2PTagClassifier):
 
     def _upload_one(self, address: int) -> None:
         cfg = self.config
-        if address not in self.scenario.overlay.members():
+        if address not in self.scenario.overlay:
             # Churned out at its upload slot: this contribution misses
             # the initial cascade round.
             self.scenario.stats.increment("cempar_upload_skipped")
@@ -198,7 +198,7 @@ class CemparClassifier(P2PTagClassifier):
         vector), one response per contacted super-peer (per-tag scores).
         """
         self._require_trained()
-        if origin not in self.scenario.overlay.members():
+        if origin not in self.scenario.overlay:
             # The peer is churned out right now; the query happens when it is
             # next online (deferred), routed from its rejoined position.
             self.scenario.stats.increment("cempar_query_deferred")

@@ -121,7 +121,7 @@ class NBAggClassifier(P2PTagClassifier):
         )
 
     def _upload_one(self, address: int) -> None:
-        if address not in self.scenario.overlay.members():
+        if address not in self.scenario.overlay:
             self.scenario.stats.increment("nbagg_upload_skipped")
             return
         statistics = self._local_statistics(self.peer_data[address])
@@ -175,7 +175,7 @@ class NBAggClassifier(P2PTagClassifier):
         self._require_trained()
         if not items:
             return
-        if owner not in self.scenario.overlay.members():
+        if owner not in self.scenario.overlay:
             self.scenario.stats.increment("nbagg_update_deferred")
             return
         for tag, stats in sorted(self._local_statistics(items).items()):
@@ -189,7 +189,7 @@ class NBAggClassifier(P2PTagClassifier):
 
     def predict_scores(self, origin: int, vector: SparseVector) -> Dict[str, float]:
         self._require_trained()
-        if origin not in self.scenario.overlay.members():
+        if origin not in self.scenario.overlay:
             self.scenario.stats.increment("nbagg_query_deferred")
             members = self.scenario.overlay.members()
             if not members:

@@ -191,7 +191,7 @@ class PaceClassifier(P2PTagClassifier):
 
     def _broadcast_bundle(self, address: int, bundle: PaceModelBundle) -> None:
         """One peer's activation: broadcast its bundle to the live overlay."""
-        if address not in self.scenario.overlay.members():
+        if address not in self.scenario.overlay:
             self.scenario.stats.increment("pace_broadcast_skipped")
             return
         result = self.transport.broadcast(address, MSG_MODEL_BROADCAST, bundle)

@@ -478,8 +478,8 @@ class Scenario:
 
     def live_peers(self) -> List[int]:
         """Peers currently in the overlay (i.e. not churned out)."""
-        members = set(self.overlay.members())
-        return [a for a in self.peer_addresses if a in members]
+        overlay = self.overlay
+        return [a for a in self.peer_addresses if a in overlay]
 
     def run(self, duration: float) -> None:
         """Advance virtual time by ``duration`` seconds."""

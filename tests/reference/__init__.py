@@ -10,11 +10,13 @@ a ``monkeypatch`` context instead (models are born inside ``train()``).
 """
 
 from reference.broadcast import install_per_message_broadcast
+from reference.chord_linear_scan import install_linear_scan
 from reference.ml_scalar import install_scalar_ml
 from reference.per_message_send import install_per_message_send
 from reference.rounds import install_sequential_rounds
 
 __all__ = [
+    "install_linear_scan",
     "install_per_message_broadcast",
     "install_per_message_send",
     "install_scalar_ml",

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OverlayError
-from repro.overlay.base import RouteResult
+from repro.overlay import make_overlay, overlay_names
+from repro.overlay.base import Overlay, RouteResult
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.idspace import (
     ID_SPACE,
@@ -393,3 +394,36 @@ def test_chord_ownership_is_consistent(n, key_name):
     key = key_id_for(key_name)
     owners = {overlay.route(origin, key).owner for origin in range(0, n, max(1, n // 5))}
     assert len(owners) == 1
+
+
+@pytest.mark.parametrize("name", overlay_names())
+def test_membership_is_one_lookup_and_agrees_with_members(name):
+    """``address in overlay`` answers from the overlay's own dict on every
+    registered overlay (no N-element ``members()`` list per test), tracks
+    join / leave / rejoin, and is what ``require_member`` raises from."""
+    overlay = make_overlay(name, seed=1, degree=3)
+    assert type(overlay).__contains__ is not Overlay.__contains__
+    assert 0 not in overlay
+    for address in range(6):
+        overlay.join(address)
+    overlay.leave(0)
+    overlay.leave(4)
+    overlay.join(4)
+    for address in range(8):
+        assert (address in overlay) == (address in overlay.members())
+    overlay.require_member(4)
+    with pytest.raises(OverlayError, match="^node 0 is not an overlay member$"):
+        overlay.require_member(0)
+
+
+def test_the_base_overlay_answers_membership_from_members():
+    class Listed(Overlay):
+        join = leave = route = neighbors = None
+
+        def members(self):
+            return [3, 5]
+
+    listed = Listed()
+    assert 5 in listed and 4 not in listed
+    with pytest.raises(OverlayError, match="node 4 is not an overlay member"):
+        listed.require_member(4)
