@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, NotTrainedError
-from repro.ml.kernels import gram_matrix, kernel_by_name, kernel_from_dots
-from repro.ml.sparse import SparseVector
+from repro.ml.kernels import gram_matrix, kernel_from_dots
+from repro.ml.sparse import SparseVector, pack_rows
 
 
 @dataclass
@@ -46,14 +46,7 @@ class _PackedSupport:
 
     def __init__(self, support_vectors: Sequence[SupportVector]) -> None:
         vectors = [sv.vector for sv in support_vectors]
-        columns: Dict[int, int] = {}
-        for vector in vectors:
-            for feature_id in vector:
-                columns.setdefault(feature_id, len(columns))
-        self.columns = columns
-        self.indices = np.fromiter((columns[f] for v in vectors for f in v), np.intp)
-        self.data = np.fromiter((x for v in vectors for x in v.values()), np.float64)
-        self.rows = np.fromiter((i for i, v in enumerate(vectors) for _ in v), np.intp)
+        self.columns, self.indices, self.data, self.rows, _ = pack_rows(vectors)
         self.coef = np.array([sv.alpha * sv.label for sv in support_vectors], float)
         self.squared_norms = np.array([v.squared_norm() for v in vectors], float)
 
@@ -172,11 +165,15 @@ class KernelSVM:
             )
             return self
 
-        kernel = kernel_by_name(self.kernel_name, gamma=self.gamma)
         n = len(vectors)
-        y = np.asarray(labels, dtype=np.float64)
-        K = gram_matrix(list(vectors), kernel)
-        alphas = np.zeros(n, dtype=np.float64)
+        C, tol = float(self.C), self.tol
+        y = [float(label) for label in labels]
+        K = gram_matrix(list(vectors), self.kernel_name, self.gamma)
+        entries = K.tolist()  # scalar reads; ``np.dot`` keeps the array rows
+        alphas = [0.0] * n
+        signed = np.zeros(n, dtype=np.float64)  # alphas * y, kept in step
+        # <signed, K[k]> for the rows evaluated since an alpha last changed
+        outputs: Dict[int, float] = {}
         bias = 0.0
         rng = np.random.default_rng(self.seed)
 
@@ -186,46 +183,62 @@ class KernelSVM:
             iterations += 1
             changed = 0
             for i in range(n):
-                error_i = float(np.dot(alphas * y, K[i]) + bias - y[i])
-                if (y[i] * error_i < -self.tol and alphas[i] < self.C) or (
-                    y[i] * error_i > self.tol and alphas[i] > 0
+                y_i, alpha_i_old = y[i], alphas[i]
+                output = outputs.get(i)
+                if output is None:
+                    output = outputs[i] = float(np.dot(signed, K[i]))
+                error_i = output + bias - y_i
+                if (y_i * error_i < -tol and alpha_i_old < C) or (
+                    y_i * error_i > tol and alpha_i_old > 0
                 ):
                     j = int(rng.integers(0, n - 1))
                     if j >= i:
                         j += 1
-                    error_j = float(np.dot(alphas * y, K[j]) + bias - y[j])
-                    alpha_i_old, alpha_j_old = alphas[i], alphas[j]
-                    if y[i] != y[j]:
-                        low = max(0.0, alphas[j] - alphas[i])
-                        high = min(self.C, self.C + alphas[j] - alphas[i])
+                    y_j, alpha_j_old = y[j], alphas[j]
+                    output = outputs.get(j)
+                    if output is None:
+                        output = outputs[j] = float(np.dot(signed, K[j]))
+                    error_j = output + bias - y_j
+                    if y_i != y_j:
+                        low = max(0.0, alpha_j_old - alpha_i_old)
+                        high = min(C, C + alpha_j_old - alpha_i_old)
                     else:
-                        low = max(0.0, alphas[i] + alphas[j] - self.C)
-                        high = min(self.C, alphas[i] + alphas[j])
+                        low = max(0.0, alpha_i_old + alpha_j_old - C)
+                        high = min(C, alpha_i_old + alpha_j_old)
                     if low >= high:
                         continue
-                    eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+                    K_ii, K_ij, K_jj = entries[i][i], entries[i][j], entries[j][j]
+                    eta = 2.0 * K_ij - K_ii - K_jj
                     if eta >= 0:
                         continue
-                    alphas[j] -= y[j] * (error_i - error_j) / eta
-                    alphas[j] = min(high, max(low, alphas[j]))
-                    if abs(alphas[j] - alpha_j_old) < 1e-7:
+                    alpha_j = alpha_j_old - y_j * (error_i - error_j) / eta
+                    alpha_j = min(high, max(low, alpha_j))
+                    if alpha_j != alpha_j_old:
+                        # written before the threshold test below, so a
+                        # sub-threshold change is kept (and seen by the cache)
+                        alphas[j] = alpha_j
+                        signed[j] = alpha_j * y_j
+                        outputs.clear()
+                    if abs(alpha_j - alpha_j_old) < 1e-7:
                         continue
-                    alphas[i] += y[i] * y[j] * (alpha_j_old - alphas[j])
+                    alpha_i = alpha_i_old + y_i * y_j * (alpha_j_old - alpha_j)
+                    alphas[i] = alpha_i
+                    signed[i] = alpha_i * y_i
                     b1 = (
                         bias
                         - error_i
-                        - y[i] * (alphas[i] - alpha_i_old) * K[i, i]
-                        - y[j] * (alphas[j] - alpha_j_old) * K[i, j]
+                        - y_i * (alpha_i - alpha_i_old) * K_ii
+                        - y_j * (alpha_j - alpha_j_old) * K_ij
                     )
                     b2 = (
                         bias
                         - error_j
-                        - y[i] * (alphas[i] - alpha_i_old) * K[i, j]
-                        - y[j] * (alphas[j] - alpha_j_old) * K[j, j]
+                        - y_i * (alpha_i - alpha_i_old) * K_ij
+                        - y_j * (alpha_j - alpha_j_old) * K_jj
                     )
-                    if 0 < alphas[i] < self.C:
+                    if 0 < alpha_i < C:
                         bias = b1
-                    elif 0 < alphas[j] < self.C:
+                    elif 0 < alpha_j < C:
                         bias = b2
                     else:
                         bias = (b1 + b2) / 2.0
@@ -236,13 +249,13 @@ class KernelSVM:
                 passes = 0
 
         support = [
-            SupportVector(vector=vectors[i], label=int(y[i]), alpha=float(alphas[i]))
+            SupportVector(vector=vectors[i], label=int(y[i]), alpha=alphas[i])
             for i in range(n)
             if alphas[i] > 1e-8
         ]
         self._model = KernelSVMModel(
             support_vectors=support,
-            bias=float(bias),
+            bias=bias,
             gamma=self.gamma,
             kernel_name=self.kernel_name,
         )

@@ -13,12 +13,12 @@ largest-magnitude weights (PACE's communication/accuracy knob).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, NotTrainedError
-from repro.ml.sparse import SparseVector
+from repro.ml.sparse import SparseVector, pack_rows
 
 
 @dataclass
@@ -108,31 +108,46 @@ class LinearSVM:
 
         rng = np.random.default_rng(self.seed)
         n = len(vectors)
-        weights: dict[int, float] = {}
+        packed = pack_rows(vectors)
+        bounds = np.cumsum(packed.lengths)[:-1]
+        sample_columns = np.split(packed.indices, bounds)
+        sample_values = np.split(packed.data, bounds)
+        weights = np.zeros(len(packed.columns), dtype=np.float64)
+        stepped_on: Dict[int, None] = {}  # samples, in the order first stepped on
         scale = 1.0  # lazy scaling: true w = scale * weights
         bias = 0.0
         t = 0
         for _ in range(self.epochs):
-            order = rng.permutation(n)
-            for index in order:
+            for index in rng.permutation(n).tolist():
                 t += 1
                 eta = 1.0 / (self.lambda_reg * t)
-                x = vectors[index]
+                columns = sample_columns[index]
+                values = sample_values[index]
                 y = labels[index]
-                # margin = y * (scale * <weights, x> + bias)
-                wx = sum(
-                    value * weights.get(fid, 0.0) for fid, value in x.items()
+                # margin = y * (scale * <weights, x> + bias); a prefix sum
+                # adds the terms strictly left to right in x's own order
+                wx = (
+                    np.add.accumulate(values * weights[columns])[-1]
+                    if len(values) else 0.0
                 )
                 margin = y * (scale * wx + bias)
                 # Regularization shrink: w *= (1 - eta * lambda)
                 scale *= max(1e-12, 1.0 - eta * self.lambda_reg)
                 if margin < 1.0:
                     # w += (eta * y / scale) * x  (lazy-scaled update)
-                    factor = eta * y / scale
-                    for fid, value in x.items():
-                        weights[fid] = weights.get(fid, 0.0) + factor * value
+                    weights[columns] += (eta * y / scale) * values
                     bias += eta * y * 0.1  # unregularized, damped bias update
-        final = {fid: scale * value for fid, value in weights.items() if scale * value}
+                    stepped_on[index] = None
+        # Emitted in the order features were first updated (the insertion
+        # order of a dict filled by the steps): ``truncated``'s stable sort
+        # and ``weights.dot`` both read it.
+        updated = np.concatenate([sample_columns[i] for i in stepped_on])
+        emitted = list(dict.fromkeys(updated.tolist()))
+        feature_ids = list(packed.columns)  # the vectors' own key objects
+        final = zip(
+            [feature_ids[column] for column in emitted],
+            (scale * weights[emitted]).tolist(),
+        )
         self._model = LinearSVMModel(weights=SparseVector(final), bias=bias)
         return self
 

@@ -99,9 +99,15 @@ class RandomHyperplaneLSH(Generic[T]):
 
     # -- index operations ------------------------------------------------------
 
-    def insert(self, vector: SparseVector, payload: T) -> int:
-        """Index ``payload`` under ``vector``'s bucket; returns the bucket key."""
-        key = self.signature(vector)
+    def insert(self, vector: SparseVector, payload: T, key: Optional[int] = None) -> int:
+        """Index ``payload`` under ``vector``'s bucket; returns the bucket key.
+
+        ``key`` is ``signature(vector)`` when the caller already has it: the
+        hyperplanes come from a seed every peer shares, so one hashing
+        serves every index a vector is stored in.
+        """
+        if key is None:
+            key = self.signature(vector)
         self._buckets[key].append((vector, payload))
         self._size += 1
         return key

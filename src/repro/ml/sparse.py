@@ -13,8 +13,9 @@ defensive copying and lets it cache its squared norm.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -189,3 +190,36 @@ class SparseVector:
         preview = dict(sorted(self._data.items())[:4])
         suffix = "..." if len(self._data) > 4 else ""
         return f"SparseVector({preview}{suffix}, nnz={len(self._data)})"
+
+
+class PackedRows(NamedTuple):
+    """A block of vectors in CSR style over *local* columns: feature ids are
+    renumbered densely in order of first appearance, so an array over the
+    columns follows the block's nonzeros, never the hashed feature space.
+    Entries stay row after row, each row in its vector's own iteration
+    order — the order every training sum is taken in."""
+
+    columns: Dict[int, int]  # feature id -> local column
+    indices: np.ndarray  # local column of every stored entry
+    data: np.ndarray  # its value
+    rows: np.ndarray  # the row (vector) it belongs to
+    lengths: np.ndarray  # nnz per row
+
+
+def pack_rows(vectors: Sequence[SparseVector]) -> PackedRows:
+    """Pack ``vectors`` into one :class:`PackedRows` block."""
+    columns: Dict[int, int] = {}
+    indices = [
+        columns.setdefault(feature_id, len(columns))
+        for vector in vectors
+        for feature_id in vector
+    ]
+    lengths = np.fromiter(map(len, vectors), np.intp, len(vectors))
+    values = itertools.chain.from_iterable(map(SparseVector.values, vectors))
+    return PackedRows(
+        columns=columns,
+        indices=np.array(indices, dtype=np.intp),
+        data=np.fromiter(values, np.float64, len(indices)),
+        rows=np.repeat(np.arange(len(vectors)), lengths),
+        lengths=lengths,
+    )

@@ -199,12 +199,17 @@ class PaceClassifier(P2PTagClassifier):
             self.scenario.stats.increment(
                 "pace_flood_redundant", result.redundant_messages
             )
+        # Hashed once here, not once per receiver: every peer's hyperplanes
+        # come from the one shared seed.
+        signature = self._index_of(address).signature
+        keys = [signature(centroid) for centroid in bundle.centroids]
         for recipient in result.delivered_to():
-            self._store_bundle(recipient, bundle)
+            self._store_bundle(recipient, bundle, keys)
         # A peer also indexes its own models (no message).
-        self._store_bundle(address, bundle)
+        self._store_bundle(address, bundle, keys)
 
-    def _store_bundle(self, receiver: int, bundle: PaceModelBundle) -> None:
+    def _index_of(self, receiver: int) -> RandomHyperplaneLSH:
+        """``receiver``'s LSH index, created with its bundle store on first use."""
         index = self._indexes.get(receiver)
         if index is None:
             index = RandomHyperplaneLSH(
@@ -212,12 +217,19 @@ class PaceClassifier(P2PTagClassifier):
             )
             self._indexes[receiver] = index
             self._received[receiver] = {}
+        return index
+
+    def _store_bundle(
+        self, receiver: int, bundle: PaceModelBundle, keys: List[int]
+    ) -> None:
+        """Index ``bundle`` at ``receiver`` under its centroids' bucket ``keys``."""
+        index = self._index_of(receiver)
         store = self._received[receiver]
         if bundle.origin in store:
             return  # duplicate delivery (flood redundancy)
         store[bundle.origin] = bundle
-        for centroid in bundle.centroids:
-            index.insert(centroid, bundle.origin)
+        for centroid, key in zip(bundle.centroids, keys):
+            index.insert(centroid, bundle.origin, key)
 
     # ------------------------------------------------------------------
     # Prediction (fully local — the PACE advantage)

@@ -1,36 +1,56 @@
 """The scalar inner loops of ``repro.ml``: oracles for the cached norm, the
-packed support-vector ``decision`` and the shared-table LSH ``signature``.
+packed support-vector ``decision``, the shared-table LSH ``signature``, the
+array Gram matrix, the SMO sweep, the Pegasos steps and PACE's
+hash-once bundle store.
 
 Nothing here reads a cache: norms are re-summed on every call and
 hyperplane components are re-drawn per feature id, so these are the loops
-the array forms replaced, one Python operation at a time.
+the array forms replaced, one Python operation at a time.  The training
+loops (``dot``, ``gram_matrix``, ``smo_fit``, ``pegasos_fit``) accumulate
+with an explicit ``total += term``, never ``sum()``: CPython >= 3.12
+compensates ``sum()`` over floats, and the contract of the array kernels is
+the plain left-to-right sum on every interpreter.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from repro.ml.kernel_svm import KernelSVMModel
+from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, SupportVector
 from repro.ml.kernels import kernel_by_name
+from repro.ml.linear_svm import LinearSVM, LinearSVMModel
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import SparseVector
+from repro.p2pclass.pace import PaceClassifier
 
 
 def squared_norm(vector):
     return sum(value * value for value in vector.values())
 
 
+def dot(a, b):
+    """``SparseVector.dot``'s operand rule (iterate the one with fewer
+    entries, the first on a tie), summed left to right."""
+    if len(a) > len(b):
+        a, b = b, a
+    total = 0.0
+    for key, value in a.items():
+        if key in b:
+            total += value * b[key]
+    return total
+
+
 def kernel(name, gamma):
-    """``kernel_by_name`` over re-summed norms (for the Gram oracle; under
-    ``install_scalar_ml`` every norm is re-summed anyway)."""
+    """``kernel_by_name`` over re-summed norms and the explicit ``dot``."""
     if name == "linear":
-        return lambda a, b: a.dot(b)
+        return dot
     if name == "rbf":
         return lambda a, b: math.exp(
-            -gamma * (squared_norm(a) - 2.0 * a.dot(b) + squared_norm(b))
+            -gamma * (squared_norm(a) - 2.0 * dot(a, b) + squared_norm(b))
         )
     if name == "poly":
-        return lambda a, b: (a.dot(b) + 1.0) ** 2
+        return lambda a, b: (dot(a, b) + 1.0) ** 2
     raise ValueError(name)
 
 
@@ -42,6 +62,117 @@ def gram_matrix(vectors, name, gamma):
         for j in range(i, n):
             gram[i, j] = gram[j, i] = k(vectors[i], vectors[j])
     return gram
+
+
+def smo_fit(svm, vectors, labels):
+    """``KernelSVM.fit``'s two-class body as it was before the array SMO:
+    numpy ``alphas``/``y``, ``alphas * y`` rebuilt for every error, nothing
+    reused.  Returns the fitted model and the generator, so a caller can
+    check how many draws the sweep consumed."""
+    C, tol = svm.C, svm.tol
+    n = len(vectors)
+    y = np.asarray(labels, dtype=np.float64)
+    K = gram_matrix(list(vectors), svm.kernel_name, svm.gamma)
+    alphas = np.zeros(n, dtype=np.float64)
+    bias = 0.0
+    rng = np.random.default_rng(svm.seed)
+
+    passes = 0
+    iterations = 0
+    while passes < svm.max_passes and iterations < svm.max_iterations:
+        iterations += 1
+        changed = 0
+        for i in range(n):
+            error_i = float(np.dot(alphas * y, K[i]) + bias - y[i])
+            if (y[i] * error_i < -tol and alphas[i] < C) or (
+                y[i] * error_i > tol and alphas[i] > 0
+            ):
+                j = int(rng.integers(0, n - 1))
+                if j >= i:
+                    j += 1
+                error_j = float(np.dot(alphas * y, K[j]) + bias - y[j])
+                alpha_i_old, alpha_j_old = alphas[i], alphas[j]
+                if y[i] != y[j]:
+                    low = max(0.0, alphas[j] - alphas[i])
+                    high = min(C, C + alphas[j] - alphas[i])
+                else:
+                    low = max(0.0, alphas[i] + alphas[j] - C)
+                    high = min(C, alphas[i] + alphas[j])
+                if low >= high:
+                    continue
+                eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+                if eta >= 0:
+                    continue
+                alphas[j] -= y[j] * (error_i - error_j) / eta
+                alphas[j] = min(high, max(low, alphas[j]))
+                if abs(alphas[j] - alpha_j_old) < 1e-7:
+                    continue
+                alphas[i] += y[i] * y[j] * (alpha_j_old - alphas[j])
+                b1 = (
+                    bias
+                    - error_i
+                    - y[i] * (alphas[i] - alpha_i_old) * K[i, i]
+                    - y[j] * (alphas[j] - alpha_j_old) * K[i, j]
+                )
+                b2 = (
+                    bias
+                    - error_j
+                    - y[i] * (alphas[i] - alpha_i_old) * K[i, j]
+                    - y[j] * (alphas[j] - alpha_j_old) * K[j, j]
+                )
+                if 0 < alphas[i] < C:
+                    bias = b1
+                elif 0 < alphas[j] < C:
+                    bias = b2
+                else:
+                    bias = (b1 + b2) / 2.0
+                changed += 1
+        if changed == 0:
+            passes += 1
+        else:
+            passes = 0
+
+    support = [
+        SupportVector(vector=vectors[i], label=int(y[i]), alpha=float(alphas[i]))
+        for i in range(n)
+        if alphas[i] > 1e-8
+    ]
+    model = KernelSVMModel(
+        support_vectors=support, bias=float(bias), gamma=svm.gamma,
+        kernel_name=svm.kernel_name,
+    )
+    return model, rng
+
+
+def pegasos_fit(svm, vectors, labels):
+    """``LinearSVM.fit``'s two-class body as it was before the array
+    Pegasos: a dict of weights, filled in the order steps first touch a
+    feature."""
+    rng = np.random.default_rng(svm.seed)
+    n = len(vectors)
+    weights = {}
+    scale = 1.0
+    bias = 0.0
+    t = 0
+    for _ in range(svm.epochs):
+        order = rng.permutation(n)
+        for index in order:
+            t += 1
+            eta = 1.0 / (svm.lambda_reg * t)
+            x = vectors[index]
+            y = labels[index]
+            wx = 0.0
+            for fid, value in x.items():
+                wx += value * weights.get(fid, 0.0)
+            margin = y * (scale * wx + bias)
+            scale *= max(1e-12, 1.0 - eta * svm.lambda_reg)
+            if margin < 1.0:
+                factor = eta * y / scale
+                for fid, value in x.items():
+                    weights[fid] = weights.get(fid, 0.0) + factor * value
+                bias += eta * y * 0.1
+    final = {fid: scale * value for fid, value in weights.items() if scale * value}
+    return LinearSVMModel(weights=SparseVector(final), bias=bias)
 
 
 def decision(model, x):
@@ -64,11 +195,47 @@ def signature(lsh, vector):
     return bits
 
 
+def store_bundle(classifier, receiver, bundle, keys):
+    """``PaceClassifier._store_bundle`` as it was before bundles were hashed
+    once per broadcast: the handed-in ``keys`` are ignored and every
+    receiver's index hashes every centroid itself."""
+    index = classifier._index_of(receiver)
+    store = classifier._received[receiver]
+    if bundle.origin in store:
+        return
+    store[bundle.origin] = bundle
+    for centroid in bundle.centroids:
+        index.insert(centroid, bundle.origin)
+
+
+def install_per_receiver_hashing(classifier) -> None:
+    """Make ONE PACE classifier store bundles the per-receiver way."""
+    classifier._store_bundle = functools.partial(store_bundle, classifier)
+
+
+def _fit_with(loop, array_fit):
+    """A ``fit`` that runs ``loop`` for a well-formed two-class problem and
+    leaves validation and the one-class constant model to ``array_fit``."""
+
+    def fit(self, vectors, labels):
+        if len(vectors) != len(labels) or set(labels) != {-1, 1}:
+            return array_fit(self, vectors, labels)
+        self._model = loop(self, vectors, labels)
+        return self
+
+    return fit
+
+
 def install_scalar_ml(monkeypatch) -> None:
-    """Swap the three array forms for their oracles until ``monkeypatch``
-    is undone.  Class-level, unlike the other ``install_*``: models and
+    """Swap the array forms for their oracles until ``monkeypatch`` is
+    undone.  Class-level, unlike the other ``install_*``: models and
     indexes are created deep inside ``train()``, so there is no single
     instance to patch."""
     monkeypatch.setattr(SparseVector, "squared_norm", squared_norm)
     monkeypatch.setattr(KernelSVMModel, "decision", decision)
     monkeypatch.setattr(RandomHyperplaneLSH, "signature", signature)
+    monkeypatch.setattr(KernelSVM, "fit", _fit_with(
+        lambda *problem: smo_fit(*problem)[0], KernelSVM.fit
+    ))
+    monkeypatch.setattr(LinearSVM, "fit", _fit_with(pegasos_fit, LinearSVM.fit))
+    monkeypatch.setattr(PaceClassifier, "_store_bundle", store_bundle)

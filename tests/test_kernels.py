@@ -78,7 +78,7 @@ class TestKernelByName:
 class TestGramMatrix:
     def test_symmetry_and_diagonal(self):
         vectors = [sv({0: 1.0}), sv({1: 2.0}), sv({0: 1.0, 1: 1.0})]
-        gram = gram_matrix(vectors, make_rbf(0.5))
+        gram = gram_matrix(vectors, "rbf", 0.5)
         np.testing.assert_allclose(gram, gram.T)
         np.testing.assert_allclose(np.diag(gram), 1.0)
 
@@ -87,7 +87,7 @@ class TestGramMatrix:
         vectors = [
             sv({i: float(rng.normal()) for i in range(4)}) for _ in range(8)
         ]
-        gram = gram_matrix(vectors, make_rbf(0.3))
+        gram = gram_matrix(vectors, "rbf", 0.3)
         eigenvalues = np.linalg.eigvalsh(gram)
         assert eigenvalues.min() > -1e-8
 

@@ -1,29 +1,38 @@
 """The array forms of ``repro.ml`` against the scalar loops they replaced
 (``tests/reference/ml_scalar.py``).
 
-Bit-exact by construction, so asserted with ``==``: the cached squared norm
-(hence ``gram_matrix``, the SMO trajectory, SV sets and wire bytes) and the
-LSH ``signature``.  Held to a tolerance: the packed ``decision``, whose
-dot products and final sum associate differently — and, end to end, to the
-same AutoTag tag sets, digest and micro-F1 on the two tagging workloads of
-the repo benchmark at their smoke shapes.
+Bit-exact by construction, so asserted with ``==``: the cached squared norm,
+the LSH ``signature``, and the whole training path — the array
+``gram_matrix``, the SMO sweep of ``KernelSVM.fit`` (bias, support-vector
+objects, alphas, generator position), the Pegasos steps of
+``LinearSVM.fit`` (bias, weights *in order*) and PACE's hash-once bundle
+store (every receiver's buckets).  The training oracles sum with an
+explicit ``total += term`` — the left-to-right order is the contract on
+every interpreter, where ``sum()`` is compensated from CPython 3.12 on.
+Held to a tolerance: the packed ``decision``, whose dot products and final
+sum associate differently — and, end to end, to the same AutoTag tag sets,
+digest and micro-F1 on the two tagging workloads of the repo benchmark at
+their smoke shapes.
 """
 
 import importlib
 import os
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from determinism_fixtures import build_classifier, build_scenario
 from reference import ml_scalar
 from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, SupportVector
-from repro.ml.kernels import gram_matrix, kernel_by_name
+from repro.ml.kernels import gram_matrix
+from repro.ml.linear_svm import LinearSVM
 from repro.ml.lsh import RandomHyperplaneLSH
-from repro.ml.sparse import SparseVector
+from repro.ml.sparse import SparseVector, pack_rows
 
 PERF = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -103,11 +112,276 @@ def test_one_table_per_seed_and_width_shared_by_every_index():
 @settings(max_examples=40, deadline=None)
 @given(data=st.lists(vectors(), min_size=1, max_size=8))
 def test_gram_matrix_equals_the_uncached_loop(name, data):
-    gram = gram_matrix(data, kernel_by_name(name, gamma=0.7))
+    gram = gram_matrix(data, name, 0.7)
     assert np.array_equal(gram, ml_scalar.gram_matrix(data, name, 0.7))
     # and again, now that every norm is cached
-    again = gram_matrix(data, kernel_by_name(name, gamma=0.7))
+    again = gram_matrix(data, name, 0.7)
     assert np.array_equal(again, gram)
+
+
+def _shuffled_vectors(rng, count, ids, max_size, min_size=0):
+    """Vectors over a small id range — supports overlap heavily — each with
+    its own random insertion order and signed values."""
+    out = []
+    for _ in range(count):
+        size = int(rng.integers(min_size, max_size + 1))
+        keys = rng.choice(ids, size=size, replace=False).tolist()
+        values = rng.uniform(0.1, 3.0, size) * rng.choice([-1.0, 1.0], size)
+        out.append(SparseVector(zip(keys, values.tolist())))
+    return out
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_gram_matrix_takes_each_pair_in_the_iterated_operands_order(name):
+    """Equal lengths (``dot`` iterates the first operand), unequal lengths
+    (the shorter one), empty vectors and disjoint supports, on data where
+    the order is visible in the last bit."""
+    rng = np.random.default_rng(11)
+    tied = _shuffled_vectors(rng, 10, ids=9, max_size=7, min_size=7)
+    mixed = _shuffled_vectors(rng, 10, ids=9, max_size=9)
+    apart = [SparseVector({100: 1.5, 101: -2.0}), SparseVector({200: 0.7}),
+             SparseVector()]
+    data = tied + [SparseVector()] + mixed + apart
+    # the data has teeth: some equal-length pair sums differently from
+    # either side, and some unequal pair differently in the longer's order
+    assert any(ml_scalar.dot(a, b) != ml_scalar.dot(b, a)
+               for a in tied for b in tied)
+    assert any(
+        ml_scalar.dot(a, b) != ml_scalar.dot(SparseVector(
+            (k, v) for k, v in max(a, b, key=len).items()
+            if k in min(a, b, key=len)
+        ), min(a, b, key=len))
+        for a in mixed for b in mixed if len(a) != len(b)
+    )
+    got = gram_matrix(data, name, 0.3)
+    assert np.array_equal(got, ml_scalar.gram_matrix(data, name, 0.3))
+    assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.lists(vectors(max_id=10, max_size=8), min_size=1, max_size=8))
+def test_gram_matrix_equals_the_loop_on_overlapping_supports(name, data):
+    got = gram_matrix(data, name, 0.7)
+    assert np.array_equal(got, ml_scalar.gram_matrix(data, name, 0.7))
+
+
+def test_gram_matrix_of_nothing_and_of_one():
+    assert gram_matrix([], "rbf", 0.5).shape == (0, 0)
+    assert gram_matrix([SparseVector()], "rbf", 0.5).tolist() == [[1.0]]
+    assert gram_matrix([SparseVector({3: 2.0})], "poly", 0.5).tolist() == [[25.0]]
+
+
+def test_pack_rows_numbers_columns_by_first_appearance():
+    packed = pack_rows([
+        SparseVector({7: 1.0, 3: -2.0}), SparseVector(),
+        SparseVector({3: 4.0, 9: 0.5, 7: 8.0}),
+    ])
+    assert list(packed.columns.items()) == [(7, 0), (3, 1), (9, 2)]
+    assert packed.indices.tolist() == [0, 1, 1, 2, 0]
+    assert packed.data.tolist() == [1.0, -2.0, 4.0, 0.5, 8.0]
+    assert packed.rows.tolist() == [0, 0, 2, 2, 2]
+    assert packed.lengths.tolist() == [2, 0, 3]
+    empty = pack_rows([])
+    assert empty.columns == {} and len(empty.indices) == len(empty.rows) == 0
+
+
+# -- SMO: the same trajectory, draw for draw -------------------------------------
+
+
+def _fit_capturing_generator(svm, data, labels):
+    """``svm.fit`` and the generator it drew its second indices from."""
+    made = []
+    real = np.random.default_rng
+
+    def capture(seed):
+        made.append(real(seed))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", capture):
+        svm.fit(data, labels)
+    (rng,) = made
+    return svm.model, rng
+
+
+def _assert_same_smo(svm, data, labels):
+    got, got_rng = _fit_capturing_generator(svm, data, labels)
+    want, want_rng = ml_scalar.smo_fit(svm, data, labels)
+    assert got.bias == want.bias
+    assert len(got.support_vectors) == len(want.support_vectors)
+    for mine, theirs in zip(got.support_vectors, want.support_vectors):
+        assert mine.vector is theirs.vector
+        assert (mine.label, mine.alpha) == (theirs.label, theirs.alpha)
+    assert (got.gamma, got.kernel_name) == (want.gamma, want.kernel_name)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+_problem = st.lists(
+    st.tuples(vectors(max_id=12, max_size=6), st.sampled_from([-1, 1])),
+    min_size=2, max_size=10,
+).filter(lambda rows: len({label for _, label in rows}) == 2)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@settings(max_examples=40, deadline=None)
+@given(problem=_problem, seed=st.integers(0, 3), C=st.sampled_from([0.5, 1, 4.0]))
+def test_smo_equals_the_scalar_sweep(name, problem, seed, C):
+    data, labels = map(list, zip(*problem))
+    svm = KernelSVM(C=C, gamma=0.3, kernel_name=name, seed=seed,
+                    max_iterations=200)
+    _assert_same_smo(svm, data, labels)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_smo_equals_the_scalar_sweep_on_noisy_overlapping_classes(name):
+    """Forty problems whose classes overlap, so sweeps are long, alphas hit
+    both box bounds and some steps move ``alpha_j`` by less than the 1e-7
+    progress threshold — a write the scalar sweep keeps."""
+    rng = np.random.default_rng(23)
+    for case in range(40):
+        n = int(rng.integers(6, 28))
+        data = [v.normalized() for v in
+                _shuffled_vectors(rng, n, ids=14, max_size=8, min_size=1)]
+        labels = rng.choice([-1, 1], n).tolist()
+        labels[:2] = [-1, 1]
+        svm = KernelSVM(C=1.0, gamma=0.5, kernel_name=name, seed=case)
+        _assert_same_smo(svm, data, labels)
+
+
+def test_unknown_kernel_name_is_refused_at_fit():
+    data = [SparseVector({0: 1.0}), SparseVector({1: 1.0})]
+    with pytest.raises(ValueError, match="unknown kernel"):
+        KernelSVM(kernel_name="sigmoid").fit(data, [-1, 1])
+    with pytest.raises(ValueError, match="unknown kernel"):
+        gram_matrix(data, "sigmoid", 0.5)
+    # a one-class problem never reaches the kernel
+    assert KernelSVM(kernel_name="sigmoid").fit(data, [1, 1]).model.bias == 1.0
+
+
+# -- Pegasos: the same weights in the same order ----------------------------------
+
+
+def _assert_same_pegasos(svm, data, labels):
+    got = svm.fit(data, labels).model
+    want = ml_scalar.pegasos_fit(svm, data, labels)
+    assert got.bias == want.bias
+    assert list(got.weights.items()) == list(want.weights.items())  # in order
+    for keep in (1, 3, max(1, got.weights.nnz - 1)):
+        assert list(got.truncated(keep).weights.items()) == list(
+            want.truncated(keep).weights.items()
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_problem, seed=st.integers(0, 3), epochs=st.integers(1, 6),
+       lambda_reg=st.sampled_from([1e-4, 1e-2, 1.0]))
+def test_pegasos_equals_the_scalar_steps(problem, seed, epochs, lambda_reg):
+    data, labels = map(list, zip(*problem))
+    svm = LinearSVM(lambda_reg=lambda_reg, epochs=epochs, seed=seed)
+    _assert_same_pegasos(svm, data, labels)
+
+
+@pytest.mark.parametrize("ids, sizes", [(40, (1, 9)), (60, (8, 40))])
+def test_pegasos_equals_the_scalar_steps_on_seeded_corpora(ids, sizes):
+    """Short documents under strong regularisation: late in training a
+    sample can sit outside the margin at every step it is drawn for, so its
+    features enter the model when a *later* sample sharing them is stepped
+    on, or never — first seen is not first updated.  Long documents: a
+    ``<w, x>`` of eight or more terms is where a pairwise ``reduce`` and the
+    left-to-right sum part ways."""
+    rng = np.random.default_rng(31)
+    checked = 0
+    for case in range(30):
+        n = int(rng.integers(4, 14))
+        data = _shuffled_vectors(rng, n, ids, max_size=sizes[1], min_size=sizes[0])
+        data[int(rng.integers(n))] = SparseVector()  # an empty document
+        labels = [1 if v.get(0) + v.get(1) + v.get(2) > 0 else -1 for v in data]
+        if len(set(labels)) < 2:
+            continue
+        checked += 1
+        svm = LinearSVM(lambda_reg=0.5, epochs=2, seed=case)
+        _assert_same_pegasos(svm, data, labels)
+    assert checked >= 20
+
+
+def test_pegasos_sums_the_margin_left_to_right_where_it_decides_a_step():
+    """The second step's ``<w, x>`` is ``[+B, s, s, s, s, s, s, s, -B]``
+    with ``s`` under half an ulp of ``B``: left to right every ``s`` is
+    absorbed and the sum is 0, so the sample is stepped on; summed pairwise
+    (``np.add.reduce`` from eight terms up) the ``s`` meet each other first,
+    survive, and push the margin past 1."""
+    first = SparseVector([(0, 1e8)] + [(k, 0.5) for k in range(1, 8)] + [(8, -1e8)])
+    second = SparseVector([(0, 1e8)] + [(k, 1.0) for k in range(1, 8)] + [(8, 1e8)])
+    other = SparseVector({20: 1.0})
+    data, labels = [None] * 3, [None] * 3
+    order = np.random.default_rng(5).permutation(3).tolist()
+    for vector, label, slot in zip((first, second, other), (1, 1, -1), order):
+        data[slot], labels[slot] = vector, label
+    svm = LinearSVM(lambda_reg=1.0, epochs=1, seed=5)
+    _assert_same_pegasos(svm, data, labels)
+    assert svm.model.bias == 0.1 + 0.5 * 0.1 - (1.0 / 3) * 0.1  # all three stepped on
+
+
+def test_pegasos_weights_are_keyed_by_the_documents_own_id_objects():
+    """A fresh ``int`` per weight (ids through ``ndarray.tolist()``) cost
+    ``tag-pace-churn`` 1 MB of RSS and 7% of ``query_s``: 60 peers keep
+    every other peer's models."""
+    rng = np.random.default_rng(3)
+    data = [SparseVector(zip((1000 + rng.choice(50, 12, replace=False)).tolist(),
+                             rng.random(12) + 0.1)) for _ in range(8)]
+    labels = [-1, 1] * 4
+    owned = {id(key) for vector in data for key in vector}
+    weights = LinearSVM(epochs=3).fit(data, labels).model.weights
+    assert weights.nnz > 12 and all(id(key) in owned for key in weights)
+
+
+def test_pegasos_degenerate_inputs():
+    empty = [SparseVector(), SparseVector()]
+    _assert_same_pegasos(LinearSVM(epochs=3), empty, [1, -1])
+    assert LinearSVM(epochs=3).fit(empty, [1, -1]).model.weights.nnz == 0
+    constant = LinearSVM().fit([SparseVector({0: 1.0})] * 2, [-1, -1]).model
+    assert (constant.bias, constant.weights.nnz) == (-1.0, 0)
+
+
+# -- PACE: centroids hashed once per broadcast, buckets unchanged -------------------
+
+
+def _buckets(classifier):
+    return {receiver: dict(index._buckets)
+            for receiver, index in classifier._indexes.items()}
+
+
+@pytest.mark.parametrize("overlay", ["chord", "unstructured"])
+@pytest.mark.parametrize("protocol", ["pace", "private"])
+def test_pace_buckets_equal_per_receiver_hashing(protocol, overlay, monkeypatch):
+    """Every receiver's index after ``train()`` — under churn, with flood
+    duplicates, with noisy re-created bundles, and again after a second
+    ``train()`` — is what it is when each receiver hashes for itself."""
+    fast = build_classifier(protocol, build_scenario(overlay, "churn"))
+    slow = build_classifier(protocol, build_scenario(overlay, "churn"))
+    ml_scalar.install_per_receiver_hashing(slow)
+    calls = []
+    signature = RandomHyperplaneLSH.signature
+    monkeypatch.setattr(
+        RandomHyperplaneLSH, "signature",
+        lambda self, vector: calls.append(vector) or signature(self, vector),
+    )
+    for _ in range(2):
+        del calls[:]
+        fast.train()
+        hashed = len(calls)
+        slow.train()
+        assert _buckets(fast) == _buckets(slow)
+        assert any(_buckets(fast).values())
+        # one signature per centroid of each bundle that was broadcast ...
+        broadcast = {
+            id(bundle): bundle for store in fast._received.values()
+            for bundle in store.values()
+        }
+        assert hashed == sum(len(b.centroids) for b in broadcast.values())
+        # ... where per-receiver hashing pays one more per entry stored
+        stored = sum(len(index) for index in fast._indexes.values())
+        assert len(calls) - 2 * hashed == stored > 2 * hashed
 
 
 # -- packed decision: within 1e-12 of the scalar sum ------------------------------

@@ -51,9 +51,23 @@ index is derived from them and is never exported, diffed or logged.  And
 ``repro.overlay.chord``: ``benchmarks/perf/layers.TARGETS`` wraps them
 through the class ``__dict__``, so moving either blinds the ledger's
 ``overlay.*`` rows without failing anything else.
+
+(m) The training kernels declare the plain left-to-right sum their contract,
+so neither they (``gram_matrix``, ``KernelSVM.fit``, ``LinearSVM.fit``) nor
+their oracles in ``tests/reference/ml_scalar.py`` call the builtin ``sum`` —
+CPython >= 3.12 compensates it, and an oracle written with it would agree
+with the kernels on one interpreter and not on the next.
+
+(n) The local-column packing loop (``columns.setdefault(feature_id,
+len(columns))``) is written once under ``src/repro/ml`` — ``pack_rows`` —
+however many kernels pack a block.
+
+(o) ``PaceModelBundle`` has exactly the five wire fields: whatever a sender
+computes about its bundle (its centroids' bucket keys) does not ride on it.
 """
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -424,3 +438,63 @@ def test_chord_state_is_six_slots_and_the_ledger_still_sees_it():
     assert ChordOverlay.__module__ == "repro.overlay.chord"
     for name in ("route", "stabilize"):
         assert callable(ChordOverlay.__dict__.get(name)), name
+
+
+def _builtin_sum_calls(text, qualname):
+    """Line numbers of ``sum(...)`` calls inside the function ``qualname``
+    (``function`` or ``Class.method``) of ``text``."""
+    scope = ast.parse(text).body
+    for name in qualname.split("."):
+        (node,) = [
+            item for item in scope
+            if isinstance(item, (ast.FunctionDef, ast.ClassDef))
+            and item.name == name
+        ]
+        scope = node.body
+    return [
+        inner.lineno for inner in ast.walk(node)
+        if isinstance(inner, ast.Call)
+        and isinstance(inner.func, ast.Name) and inner.func.id == "sum"
+    ]
+
+
+def test_training_kernels_and_their_oracles_never_call_builtin_sum():
+    assert _builtin_sum_calls(
+        "class A:\n    def f(self, xs):\n        return sum(x for x in xs)\n"
+        "    def g(self, xs):\n        return xs.sum() + np.sum(xs)\n", "A.f",
+    ) == [3]  # the builtin, inside the named function only
+    assert _builtin_sum_calls(
+        "class A:\n    def g(self, xs):\n        return xs.sum() + np.sum(xs)\n",
+        "A.g",
+    ) == []
+    ml = ROOT / "src" / "repro" / "ml"
+    oracles = ROOT / "tests" / "reference" / "ml_scalar.py"
+    for path, qualname in [
+        (ml / "kernels.py", "gram_matrix"),
+        (ml / "kernel_svm.py", "KernelSVM.fit"),
+        (ml / "linear_svm.py", "LinearSVM.fit"),
+        (oracles, "dot"),
+        (oracles, "gram_matrix"),
+        (oracles, "smo_fit"),
+        (oracles, "pegasos_fit"),
+    ]:
+        calls = _builtin_sum_calls(path.read_text(encoding="utf-8"), qualname)
+        assert not calls, f"{path.relative_to(ROOT)}:{qualname} calls sum() at {calls}"
+
+
+def test_the_column_packing_loop_is_written_once():
+    packing = re.compile(r"\.setdefault\(\s*feature_id\s*,\s*len\(columns\)\s*\)")
+    found = {
+        str(path.relative_to(ROOT)): count
+        for path in (ROOT / "src" / "repro" / "ml").rglob("*.py")
+        if (count := len(packing.findall(path.read_text(encoding="utf-8"))))
+    }
+    assert sum(found.values()) == 1, found
+
+
+def test_pace_bundles_carry_exactly_the_five_wire_fields():
+    from repro.p2pclass.pace import PaceModelBundle
+
+    assert [field.name for field in dataclasses.fields(PaceModelBundle)] == [
+        "origin", "models", "accuracies", "calibration", "centroids",
+    ]
