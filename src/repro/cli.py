@@ -333,9 +333,7 @@ def cmd_overlay(args: argparse.Namespace) -> int:
     overlay = make_overlay(args.type, seed=args.seed, degree=4)
     for address in range(args.size):
         overlay.join(address)
-    stabilize = getattr(overlay, "stabilize", None)
-    if callable(stabilize):
-        stabilize()
+    overlay.stabilize()
     print(ascii_summary(overlay))
     results = [
         overlay.route(i % args.size, key_id_for(f"key{i}")) for i in range(100)

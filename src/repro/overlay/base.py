@@ -104,6 +104,15 @@ class Overlay(ABC):
     def members(self) -> List[int]:
         """Current member addresses."""
 
+    def stabilize(self) -> None:
+        """Recompute routing tables after membership changes — nothing to
+        do for an overlay that keeps no derived tables."""
+
+    def repair(self) -> int:
+        """Re-link under-connected nodes after churn; returns the links
+        added — none for an overlay whose links are its tables."""
+        return 0
+
     def __contains__(self, address: int) -> bool:
         """Whether ``address`` is a current member (O(1) in every overlay
         here; this default serves a subclass that only lists members)."""

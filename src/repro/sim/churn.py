@@ -199,10 +199,14 @@ class ChurnDriver:
         return self.simulator.rng
 
     def start(self, node_ids: List[int]) -> None:
-        """Begin churn cycles for each node (no-op under :class:`NoChurn`)."""
+        """Begin churn cycles for each node (no-op under :class:`NoChurn`,
+        and for a node already cycling: a second start must not schedule a
+        second leave/rejoin chain on top of the first)."""
         if not self.model.churns:
             return
         for node_id in node_ids:
+            if self._active.get(node_id):
+                continue
             self._active[node_id] = True
             self._schedule_leave(node_id)
 

@@ -5,22 +5,31 @@ message experiences propagation latency (per-pair, jittered), transmission
 delay (size / bandwidth), and optional loss.  Nodes can be marked down, in
 which case delivery silently fails — exactly how a UDP overlay sees churn.
 
-Three send paths exist and are RNG-equivalent: :meth:`PhysicalNetwork.send`
-(one message), :meth:`PhysicalNetwork.send_batch` (a same-tick block read
-once into columns: one liveness/ownership decision per source, one bulk
-stats charge, one vectorized pair-factor mix and jitter draw), and
-:meth:`PhysicalNetwork.broadcast_block` (one payload to many recipients
-with bulk stats arithmetic and lazily materialized messages).  numpy fills
-array draws by repeating the same underlying generator steps, so a batch of
-N sends consumes the RNG stream bit-identically to N sequential sends —
-batching never changes replay.
+One send core, three entry points, all RNG-equivalent:
+:meth:`PhysicalNetwork.send_batch` (a same-tick block of materialized
+messages) and :meth:`PhysicalNetwork.broadcast_block` (one payload to many
+recipients, constant columns kept scalar, messages materialized lazily at
+delivery) each present a :class:`SendBlock` to
+:meth:`PhysicalNetwork._send_block`, the only place a block is gated
+(loopback on the columns, liveness and ownership once per distinct
+source), observed, charged, drawn and scheduled;
+:meth:`PhysicalNetwork.send` is the n = 1 specialisation of the same five
+steps, which the core also takes row by row whenever draws must interleave
+per message (a loss model) or the block has fewer than two rows.  numpy
+fills array draws by repeating the same underlying generator steps, so a
+block of N sends consumes the RNG stream bit-identically to N sequential
+sends — batching never changes replay.  A subclass decides only who owns a
+peer (:meth:`PhysicalNetwork._owns`) and where a delivery goes
+(:meth:`PhysicalNetwork._schedule_block`).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -412,20 +421,13 @@ class PhysicalNetwork:
     def has_block_listeners(self) -> bool:
         return bool(self._block_listeners)
 
-    def _message_block(
-        self, messages: Sequence[Message], srcs=None, dsts=None
-    ) -> SendBlock:
-        """The SoA view of a same-tick block of materialized messages
-        (``srcs``/``dsts``: the two columns, when the caller already read
-        them)."""
-        if srcs is None:
-            srcs = [m.src for m in messages]
-            dsts = [m.dst for m in messages]
+    def _message_block(self, messages: Sequence[Message]) -> SendBlock:
+        """The SoA view of a same-tick block of materialized messages."""
         return SendBlock(
             time=self.simulator.now,
             count=len(messages),
-            src=srcs,
-            dst=dsts,
+            src=[m.src for m in messages],
+            dst=[m.dst for m in messages],
             msg_type=[m.msg_type for m in messages],
             size_bytes=[m.size_bytes for m in messages],
             wire_bytes=[m.wire_bytes for m in messages],
@@ -435,24 +437,6 @@ class PhysicalNetwork:
     def _notify(self, block: SendBlock) -> None:
         for listener in self._block_listeners:
             listener(block)
-
-    def _notify_broadcast_block(
-        self, src: int, dsts: Sequence[int], msg_type: str,
-        size_bytes: int, wire_bytes: int,
-    ) -> None:
-        """Present one broadcast fan-out to the block listeners: constant
-        columns stay scalars, only the destination column is an array."""
-        block = SendBlock(
-            time=self.simulator.now,
-            count=len(dsts),
-            src=src,
-            dst=dsts,
-            msg_type=msg_type,
-            size_bytes=size_bytes,
-            wire_bytes=wire_bytes,
-            hops=1,
-        )
-        self._notify(block)
 
     # -- latency -----------------------------------------------------------------
 
@@ -469,103 +453,193 @@ class PhysicalNetwork:
     # -- sending -------------------------------------------------------------------
 
     def send(self, message: Message) -> bool:
-        """Queue ``message`` for delivery.
+        """Queue ``message`` for delivery — the n = 1 case of
+        :meth:`_send_block`, the same five steps in the same order.
 
         Returns False when the message was dropped immediately (source down
         or loss); the caller cannot distinguish later failures, as in real
         networks.  Traffic is counted for every *sent* message, delivered or
-        not — bytes leave the NIC either way.
-
-        NOTE: :class:`repro.sim.shard.ShardNetwork` mirrors this method
-        with ownership gates interleaved; semantic edits here must be
-        mirrored there.
+        not — bytes leave the NIC either way.  A network that does not own
+        the source only reports the (identical) outcome: liveness from the
+        synced replica, the drop from the shared per-peer loss stream.
         """
         if message.src == message.dst:
             raise SimulationError("loopback messages need no network")
-        if self._block_listeners:
+        owned = self._owns(message.src)
+        if self._block_listeners and owned:
             self._notify(self._message_block((message,)))
         if not self.is_up(message.src):
             return False
-        self.stats.record_message(message)
+        if owned:
+            self.stats.record_message(message)
         if (
             self.latency.drop_probability > 0
             and self._loss_rng(message.src).random()
             < self.latency.drop_probability
         ):
-            self.stats.increment("messages_dropped")
+            if owned:
+                self.stats.increment("messages_dropped")
             return False
+        if not owned:
+            return True
         pair_factor = self._pair_base_latency(message.src, message.dst)
         delay = pair_factor * self.latency.delay_for(
             message, self._jitter_rng(message.src)
         )
-        self.simulator.schedule(
-            delay, self._deliver, label="deliver", args=(message,)
-        )
+        if self._owns(message.dst):
+            # one heap push: a one-row schedule_batch costs twice as much
+            self.simulator.schedule(
+                delay, self._deliver, label="deliver", args=(message,)
+            )
+        else:
+            self._schedule_block(
+                (message.dst,), (delay,), self._deliver, ((message,),)
+            )
         return True
 
-    def _owns(self, src: int) -> bool:
-        """Whether this network charges, draws and schedules for ``src``'s
-        sends — always, here; a shard worker owns a slice of the peers."""
+    def _owns(self, address: int) -> bool:
+        """Whether this network observes, charges, draws and schedules a
+        source's sends, and holds a destination's heap — always, here; a
+        shard worker owns a slice of the peers."""
         return True
 
     def send_batch(self, messages: Sequence[Message]) -> List[bool]:
-        """Send a same-tick block of messages, block-native.
+        """Send a same-tick block of messages: :meth:`_send_block` over
+        their columns, delivering the sender's own objects.
 
         Per-message results match :meth:`send` exactly (same RNG stream
         consumption, same delivery times, same stats and stats key order).
-        The block's ``src``/``dst`` columns are read once; liveness and
-        ownership are facts about a *source* that nothing inside a
-        same-tick block can change, so both are decided once per distinct
-        source; the survivors are charged, mixed, drawn and scheduled as
-        one :class:`SendBlock`.  With loss enabled the drop and jitter
-        draws interleave per message, so the block falls back to
-        sequential sends to preserve the stream order.
         """
-        srcs = [m.src for m in messages]
-        dsts = [m.dst for m in messages]
-        if any(map(operator.eq, srcs, dsts)):
-            # Validate the whole block before any side effect: a loopback
-            # anywhere rejects the batch with nothing charged or scheduled.
+        return self._send_block(self._message_block(messages), messages)
+
+    def broadcast_block(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        msg_type: str,
+        payload: Any,
+        size_bytes: int,
+        wire_bytes: Optional[int] = None,
+    ) -> np.ndarray:
+        """Send one identical-size payload to many destinations:
+        :meth:`_send_block` over a block whose constant columns stay scalars.
+
+        The hot path behind :meth:`Transport.broadcast` at 10k+ recipients:
+        stats arithmetic is aggregated in bulk, per-pair latency factors and
+        jitter come from single array operations, and no :class:`Message`
+        objects exist at send time — one is materialized per *delivered*
+        recipient when its delivery event fires (:meth:`_deliver_lazy`).
+        RNG, accounting and gates are those of ``send_batch`` over the
+        equivalent message block: a ``dst`` equal to ``src`` raises; from a
+        down or never-registered source the attempt is observed, nothing is
+        charged and every flag is False; ``dsts`` may repeat.
+
+        ``wire_bytes`` is the codec-modelled post-encoding size (defaults
+        to ``size_bytes``, i.e. identity); it flows into the wire-byte
+        stats dimension and onto lazily materialized messages, never into
+        delivery timing.  Returns the per-destination sent flags.
+        """
+        block = SendBlock(
+            time=self.simulator.now,
+            count=len(dsts),
+            src=src,
+            dst=dsts,
+            msg_type=msg_type,
+            size_bytes=size_bytes,
+            wire_bytes=size_bytes if wire_bytes is None else wire_bytes,
+            hops=1,
+        )
+        return np.asarray(self._send_block(block, payload=payload), dtype=bool)
+
+    def _send_block(
+        self,
+        block: SendBlock,
+        messages: Optional[Sequence[Message]] = None,
+        payload: Any = None,
+    ) -> Sequence[bool]:
+        """Gate, observe, charge, draw and schedule one same-tick block —
+        the only place a block meets any of the five.
+
+        ``block`` holds the columns of ``messages`` (all lists), or a
+        fan-out of one ``payload`` (``messages`` is None and every column
+        but ``dst`` is a scalar, so the gates are scalar decisions).  A
+        loopback anywhere rejects the block before any side effect.
+        Liveness and ownership are facts about a *source* that nothing
+        inside a same-tick block can change, so both are decided once per
+        distinct source; the survivors are charged, mixed, drawn and
+        scheduled together.  With loss enabled the drop and jitter draws
+        interleave per message, and one row is a plain :meth:`send`: both
+        go row by row.  Returns the per-row sent flags.
+        """
+        srcs, dsts = block.src, block.dst
+        fanout = messages is None
+        if (srcs in dsts) if fanout else any(map(operator.eq, srcs, dsts)):
             raise SimulationError("loopback messages need no network")
-        if self.latency.drop_probability > 0 or len(messages) < 2:
+        if self.latency.drop_probability > 0 or block.count < 2:
+            if fanout:
+                messages = [
+                    Message(src=srcs, dst=dst, msg_type=block.msg_type,
+                            payload=payload, size_bytes=block.size_bytes,
+                            wire_bytes=block.wire_bytes)
+                    for dst in dsts
+                ]
             return [self.send(message) for message in messages]
-        sources = set(srcs)
+        sources = {srcs} if fanout else set(srcs)
         up = {src: self.is_up(src) for src in sources}
-        results = [up[src] for src in srcs]
+        results = (
+            np.full(block.count, up[srcs]) if fanout
+            else [up[src] for src in srcs]
+        )
+        # A fan-out has one source and no messages to narrow: it passes a
+        # cut whole or stops at it.
         owned = set(filter(self._owns, sources))
         if len(owned) < len(sources):
             # Replicas only report the (identical) outcome; each attempt is
             # observed, charged and scheduled once, on its source's owner.
-            messages = [m for m in messages if m.src in owned]
+            messages = [m for m in messages or () if m.src in owned]
             if not messages:
                 return results
-            srcs = dsts = None
-        block = self._message_block(messages, srcs, dsts)
+            block = self._message_block(messages)
         if self._block_listeners:
             self._notify(block)
-        if not all(up.values()):
-            messages = [m for m in messages if up[m.src]]
+        if not all(map(up.get, owned)):
+            messages = [m for m in messages or () if up[m.src]]
             if not messages:
                 return results
             block = self._message_block(messages)
         self.stats.record_messages(block)
-        self._schedule_block(messages, self._block_delays(block))
+        delays = self._block_delays(block).tolist()
+        if fanout:
+            msg_type, size, wire = (
+                block.msg_type, block.size_bytes, block.wire_bytes
+            )
+            self._schedule_block(
+                dsts, delays, self._deliver_lazy,
+                ((srcs, dst, msg_type, payload, size, wire) for dst in dsts),
+            )
+        else:
+            self._schedule_block(
+                block.dst, delays, self._deliver, zip(messages)
+            )
         return results
 
     def _block_delays(self, block: SendBlock) -> np.ndarray:
         """Delivery delays for a live same-tick block.
 
         One stream feeds the block in single-stream mode and whenever the
-        block has one source: one vectorized jitter draw (bit-identical to
-        sequential :meth:`send` calls).  A mixed-source block in per-source
-        mode draws once *per source peer* over that peer's messages in
-        block order — bit-identical to sequential sends because each source
-        stream is consumed in the same per-message order either way.
+        block has one source (a scalar column, or one value repeated): one
+        vectorized jitter draw (bit-identical to sequential :meth:`send`
+        calls).  A mixed-source block in per-source mode draws once *per
+        source peer* over that peer's messages in block order —
+        bit-identical to sequential sends because each source stream is
+        consumed in the same per-message order either way.
         """
         srcs = block.src
-        sizes = np.array(block.size_bytes, dtype=np.float64)
-        if srcs.count(srcs[0]) == len(srcs):
+        sizes = np.empty(block.count)
+        sizes[:] = block.size_bytes  # a scalar column fills, a list converts
+        if isinstance(srcs, list) and srcs.count(srcs[0]) == len(srcs):
             srcs = srcs[0]
+        if not isinstance(srcs, list):
             jitters = self.latency.delays_for(sizes, self._jitter_rng(srcs))
         elif self._rng_for_src is None:
             jitters = self.latency.delays_for(sizes, self.simulator.rng)
@@ -581,72 +655,13 @@ class PhysicalNetwork:
         return pair_factors(srcs, block.dst) * jitters
 
     def _schedule_block(
-        self, live: Sequence[Message], delays: np.ndarray
+        self, dsts: Sequence[int], delays: Sequence[float],
+        deliver: Callable[..., None], rows: Iterable[tuple],
     ) -> None:
-        """Bulk-schedule delivery of an already-charged live block."""
-        self.simulator.schedule_batch(delays.tolist(), self._deliver, zip(live))
-
-    def broadcast_block(
-        self,
-        src: int,
-        dsts: Sequence[int],
-        msg_type: str,
-        payload: Any,
-        size_bytes: int,
-        wire_bytes: Optional[int] = None,
-    ) -> np.ndarray:
-        """Send one identical-size payload to many destinations, vectorized.
-
-        The hot path behind :meth:`Transport.broadcast` at 10k+ recipients:
-        stats arithmetic is aggregated in bulk, per-pair latency factors and
-        jitter come from single array operations, and no :class:`Message`
-        objects exist at send time — one is materialized per *delivered*
-        recipient when its delivery event fires (:meth:`_deliver_lazy`).
-
-        RNG and accounting are bit-identical to ``send_batch`` over the
-        equivalent message block: the jitter draw consumes the stream the
-        same way, pair factors are the same splitmix64 mix, and the stats
-        arithmetic matches message-by-message recording.  Callers must
-        pre-check the fallback conditions (loss model active or a down
-        source), which this fast path does not handle; ``dsts`` must be
-        distinct and must not contain ``src``.  Block listeners are notified right here — one SoA
-        :class:`SendBlock` with scalar columns — so tracing through the
-        block API never forces the scalar fallback.
-
-        ``wire_bytes`` is the codec-modelled post-encoding size (defaults
-        to ``size_bytes``, i.e. identity); it flows into the wire-byte
-        stats dimension and onto lazily materialized messages, never into
-        delivery timing.
-
-        Returns the per-destination sent flags (all True — a live source
-        with no loss model queues every message).
-        """
-        count = len(dsts)
-        if wire_bytes is None:
-            wire_bytes = size_bytes
-        if self._block_listeners:
-            self._notify_broadcast_block(src, dsts, msg_type, size_bytes,
-                                         wire_bytes)
-        self.stats.record_message_block(
-            msg_type, size_bytes, src=src, dsts=dsts, wire_bytes=wire_bytes
-        )
-        delays = self._broadcast_delays(src, dsts, size_bytes)
-        self.simulator.schedule_batch(
-            delays.tolist(),
-            self._deliver_lazy,
-            ((src, dst, msg_type, payload, size_bytes, wire_bytes)
-             for dst in dsts),
-        )
-        return np.ones(count, dtype=bool)
-
-    def _broadcast_delays(
-        self, src: int, dsts: Sequence[int], size_bytes: int
-    ) -> np.ndarray:
-        """Vectorized delivery delays for one broadcast block (one jitter
-        array draw from the source's stream — single-stream or per-source)."""
-        factors = pair_factors(src, np.asarray(dsts, dtype=np.uint64))
-        sizes = np.full(len(dsts), float(size_bytes))
-        return factors * self.latency.delays_for(sizes, self._jitter_rng(src))
+        """Bulk-schedule ``deliver(*row)`` per already-charged live row:
+        :meth:`_deliver` over ``(message,)`` rows, or :meth:`_deliver_lazy`
+        over its own argument rows."""
+        self.simulator.schedule_batch(delays, deliver, rows)
 
     def _deliver(self, message: Message) -> None:
         handler = self._handlers.get(message.dst)

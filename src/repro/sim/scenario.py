@@ -259,9 +259,7 @@ class Scenario:
         overlay = self.config.build_overlay()
         for address in self.peer_addresses:
             overlay.join(address)
-        stabilize = getattr(overlay, "stabilize", None)
-        if callable(stabilize):
-            stabilize()
+        overlay.stabilize()
         return overlay
 
     def _make_churn_driver(self):
@@ -396,12 +394,8 @@ class Scenario:
     MAINTENANCE_PROBES_PER_NODE = 4
 
     def _periodic_stabilize(self) -> None:
-        stabilize = getattr(self.overlay, "stabilize", None)
-        if callable(stabilize):
-            stabilize()
-        repair = getattr(self.overlay, "repair", None)
-        if callable(repair):
-            repair()
+        self.overlay.stabilize()
+        self.overlay.repair()
         if self.owns_control():
             self.stats.increment("stabilize_rounds")
         self._charge_maintenance()

@@ -18,7 +18,9 @@ per-window exchange outbox, columnarized into a struct-of-arrays
 :class:`~repro.sim.exchange.ExchangeFrame` at the barrier, and injected into
 the destination shard's heap ordered by ``(deliver_time, src_shard, seq)``
 (one ``numpy.lexsort`` + one :meth:`Simulator.schedule_block`).
-Intra-shard traffic never leaves its heap.
+Intra-shard traffic never leaves its heap.  The send path itself is the
+base network's, unmodified: :class:`ShardNetwork` overrides only who owns
+a peer (``_owns``) and where a delivery goes (``_schedule_block``).
 
 **Why this reproduces the single-heap kernel bit-for-bit.**  Three design
 rules make every observable identical to the unsharded kernel running the
@@ -120,7 +122,7 @@ from repro.sim.exchange import (
     exchange_timeout_seconds,
     merge_frames,
 )
-from repro.sim.messages import Message, payload_size
+from repro.sim.messages import payload_size
 from repro.sim.network import LatencyModel, PeerStreams, PhysicalNetwork
 from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.stats import StatsCollector
@@ -242,9 +244,7 @@ class DirectoryControlPlane:
         self.overlay = config.build_overlay()
         for address in self.peer_addresses:
             self.overlay.join(address)
-        stabilize = getattr(self.overlay, "stabilize", None)
-        if callable(stabilize):
-            stabilize()
+        self.overlay.stabilize()
         #: the startup snapshot workers restore their overlay views from
         self.snapshot = self.overlay.export_state()
         self.snapshot_bytes = payload_size(self.snapshot)
@@ -307,10 +307,12 @@ class DirectoryControlPlane:
         heapq.heappush(self._heap, (time, next(self._seq), kind, peer))
 
     def _start(self, t0: float) -> None:
-        """Mirror Scenario.start_churn: per-peer leave cycles, then the
-        periodic stabilize chain."""
+        """Mirror Scenario.start_churn: per-peer leave cycles (none for a
+        peer already cycling), then the periodic stabilize chain."""
         if self.model.churns:
             for peer in self.peer_addresses:
+                if self._active.get(peer):
+                    continue
                 self._active[peer] = True
                 self._schedule_leave(t0, peer)
         if self.model.churns and not self._stabilize_scheduled:
@@ -382,12 +384,8 @@ class DirectoryControlPlane:
         """One maintenance round, served: recompute on the authority, diff,
         emit only the changed route-table entries."""
         before = self.overlay.export_state()
-        stabilize = getattr(self.overlay, "stabilize", None)
-        if callable(stabilize):
-            stabilize()
-        repair = getattr(self.overlay, "repair", None)
-        if callable(repair):
-            repair()
+        self.overlay.stabilize()
+        self.overlay.repair()
         edits = self.overlay.diff_state(before)
         self.edits_emitted += len(edits)
         records.append((time, "maintenance", edits))
@@ -471,7 +469,7 @@ class _ShardRuntime:
         payload: Any,
         size_bytes: int,
         wire_bytes: int,
-        hops: int,
+        hops: int = 1,
     ) -> None:
         self._seq += 1
         self.outbound[dst % self.num_shards].append(
@@ -622,18 +620,20 @@ class ShardSimulator(Simulator):
 class ShardNetwork(PhysicalNetwork):
     """Shard-aware physical network: the cross-shard cut point.
 
-    Replicates the base send semantics with two twists:
+    The send core is the base class's; this class answers its two
+    questions:
 
-    - *Ownership gating*: only the source peer's owning shard records
-      traffic, draws jitter, and schedules delivery.  Replicated
-      orchestrator-level sends on other shards still compute the same
-      :class:`~repro.sim.transport.Outcome`-visible results (liveness from
-      the synced replica, drops from the shared per-peer loss stream) so
-      SPMD workload code observes identical outcomes everywhere while every
-      byte is accounted exactly once.
-    - *Exchange interception*: a delivery owed to a peer on another shard
-      becomes an :data:`ExchangeRecord` (full delivery time computed at
-      send time from the source's streams) instead of a local heap entry.
+    - *Who owns a peer* (:meth:`_owns`): only the source peer's owning
+      shard observes, records traffic, draws jitter, and schedules
+      delivery.  Replicated orchestrator-level sends on other shards still
+      compute the same :class:`~repro.sim.transport.Outcome`-visible
+      results (liveness from the synced replica, drops from the shared
+      per-peer loss stream) so SPMD workload code observes identical
+      outcomes everywhere while every byte is accounted exactly once.
+    - *Where a delivery goes* (:meth:`_schedule_block`): a delivery owed to
+      a peer on another shard becomes an :data:`ExchangeRecord` (full
+      delivery time computed at send time from the source's streams)
+      instead of a local heap entry.
     """
 
     def __init__(
@@ -657,138 +657,33 @@ class ShardNetwork(PhysicalNetwork):
     def _owns(self, address: int) -> bool:
         return self._runtime.owns(address)
 
-    # -- sending -----------------------------------------------------------
-    #
-    # send mirrors PhysicalNetwork.send line for line, with ownership gates
-    # interleaved at the three accounting points (record, drop counter,
-    # schedule/export).  The copy is deliberate: the base method is the
-    # per-message hot path and must stay free of per-message hook calls.
-    # ANY semantic edit to the base method must be mirrored here — the
-    # golden + fuzz equivalence suites fail loudly on a missed mirror, but
-    # fix the copy, don't silence the suite.  The block paths need no copy:
-    # PhysicalNetwork.send_batch gates on _owns once per source and
-    # dispatches through _schedule_block.
-
-    def send(self, message: Message) -> bool:
-        if message.src == message.dst:
-            raise SimulationError("loopback messages need no network")
-        if self._block_listeners and self._owns(message.src):
-            # Block observation is ownership-gated so K per-shard stores
-            # merge to exactly the unsharded store's row set (each attempt
-            # observed once, on its source's owner).
-            self._notify(self._message_block((message,)))
-        if not self.is_up(message.src):
-            return False
-        owned = self._owns(message.src)
-        if owned:
-            self.stats.record_message(message)
-        if (
-            self.latency.drop_probability > 0
-            and self._loss_rng(message.src).random()
-            < self.latency.drop_probability
-        ):
-            if owned:
-                self.stats.increment("messages_dropped")
-            return False
-        if not owned:
-            # The owning shard performs the charge, jitter draw, and
-            # scheduling; this replica only reports the (identical) outcome.
-            return True
-        pair_factor = self._pair_base_latency(message.src, message.dst)
-        delay = pair_factor * self.latency.delay_for(
-            message, self._jitter_rng(message.src)
-        )
-        if self._owns(message.dst):
-            self.simulator.schedule(
-                delay, self._deliver, label="deliver", args=(message,)
-            )
-        else:
-            self._runtime.append_record(
-                self.simulator.now + delay,
-                message.src,
-                message.dst,
-                message.msg_type,
-                message.payload,
-                message.size_bytes,
-                message.wire_bytes,
-                message.hops,
-            )
-        return True
-
-    def send_batch(self, messages: Sequence[Message]) -> List[bool]:
-        """The base block core, gated by :meth:`_owns`: a replica reports
-        liveness for every message but observes, charges and schedules
-        only its own sources' sends."""
-        return super().send_batch(messages)
-
-    def _schedule_block(
-        self, live: Sequence[Message], delays: np.ndarray
-    ) -> None:
-        runtime = self._runtime
+    def _schedule_block(self, dsts, delays, deliver, rows) -> None:
+        """Local destinations onto this heap, the rest into the window's
+        exchange outbox — as :meth:`_deliver_lazy` argument rows, which a
+        fan-out's rows already are and a message's fields fill."""
         now = self.simulator.now
-        local: List[Message] = []
+        append_record = self._runtime.append_record
+        materialized = deliver == self._deliver
         local_delays: List[float] = []
-        for message, delay in zip(live, delays.tolist()):
-            if self._owns(message.dst):
-                local.append(message)
-                local_delays.append(delay)
-            else:
-                runtime.append_record(
-                    now + delay,
-                    message.src,
-                    message.dst,
-                    message.msg_type,
-                    message.payload,
-                    message.size_bytes,
-                    message.wire_bytes,
-                    message.hops,
-                )
-        if local:
-            self.simulator.schedule_batch(
-                local_delays, self._deliver, zip(local)
-            )
-
-    def broadcast_block(
-        self,
-        src: int,
-        dsts: Sequence[int],
-        msg_type: str,
-        payload: Any,
-        size_bytes: int,
-        wire_bytes: Optional[int] = None,
-    ) -> np.ndarray:
-        count = len(dsts)
-        if not self._owns(src):
-            return np.ones(count, dtype=bool)
-        if wire_bytes is None:
-            wire_bytes = size_bytes
-        if self._block_listeners:
-            self._notify_broadcast_block(src, dsts, msg_type, size_bytes,
-                                         wire_bytes)
-        self.stats.record_message_block(
-            msg_type, size_bytes, src=src, dsts=dsts, wire_bytes=wire_bytes
-        )
-        delays = self._broadcast_delays(src, dsts, size_bytes)
-        runtime = self._runtime
-        now = self.simulator.now
-        local_args: List[tuple] = []
-        local_delays: List[float] = []
-        for dst, delay in zip(dsts, delays.tolist()):
+        local_rows: List[tuple] = []
+        for dst, delay, row in zip(dsts, delays, rows):
             if self._owns(dst):
-                local_args.append(
-                    (src, dst, msg_type, payload, size_bytes, wire_bytes)
-                )
                 local_delays.append(delay)
+                local_rows.append(row)
+            elif materialized:
+                (m,) = row
+                append_record(now + delay, m.src, dst, m.msg_type, m.payload,
+                              m.size_bytes, m.wire_bytes, m.hops)
             else:
-                runtime.append_record(
-                    now + delay, src, dst, msg_type, payload, size_bytes,
-                    wire_bytes, 1,
-                )
-        if local_args:
-            self.simulator.schedule_batch(
-                local_delays, self._deliver_lazy, local_args
-            )
-        return np.ones(count, dtype=bool)
+                append_record(now + delay, *row)
+        if local_rows:
+            self.simulator.schedule_batch(local_delays, deliver, local_rows)
+
+    # Own attributes, not inherited ones: benchmarks/perf resolves its span
+    # targets through ``ShardNetwork.__dict__``.
+    send = PhysicalNetwork.send
+    send_batch = PhysicalNetwork.send_batch
+    broadcast_block = PhysicalNetwork.broadcast_block
 
 
 class _ShardWorkerScenario(Scenario):

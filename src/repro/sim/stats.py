@@ -163,8 +163,17 @@ class StatsCollector:
         :meth:`delta_since` — and the WAL bytes pickled from it — cannot
         tell the two apart).  Consecutive rows that agree on everything but
         the destination are charged with one arithmetic operation per
-        family; destinations may repeat.
+        family; destinations may repeat.  A fan-out block (constant columns
+        kept scalar, told by its ``msg_type``) to distinct destinations is
+        :meth:`record_message_block`'s case and never expands a column.
         """
+        if isinstance(block.msg_type, str) and (
+            len(set(block.dst)) == block.count
+        ):
+            return self.record_message_block(
+                block.msg_type, block.size_bytes, block.src, block.dst,
+                block.hops, block.wire_bytes,
+            )
         sizes = block.column("size_bytes")
         received = self.per_peer_received
         for dst, size in zip(block.column("dst"), sizes):

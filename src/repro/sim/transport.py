@@ -10,8 +10,9 @@ destination up" check.  :class:`Transport` owns all of that:
   semantics (an :class:`Outcome` instead of a bare bool + is_up dance);
 - :meth:`route_and_send` — resolve a DHT key through the overlay, charge the
   route's hops, and send to the owner, in one call;
-- :meth:`broadcast` — one payload to many recipients, sized once and
-  delivered as a batched block (flood-aware on unstructured overlays);
+- :meth:`broadcast` — one payload to many recipients (flood-aware on
+  unstructured overlays), sized once and handed to the network as one
+  fan-out block: recipient resolution is all that is decided here;
 - :meth:`charge` — account traffic that is modelled but not simulated
   (maintenance probes, flood redundancy) through the same stats path.
 
@@ -269,18 +270,17 @@ class Transport:
         redundant edge crossings), overlay membership otherwise.  The payload
         is sized once and shared by every message.
 
-        Recipient bookkeeping is vectorized: per-recipient stats arithmetic
-        aggregates in bulk, latency factors and jitter come from single
-        array draws, and neither :class:`Message` nor :class:`Outcome`
-        objects are allocated per recipient at send time (messages
-        materialize at delivery, outcomes on :attr:`BroadcastOutcome.outcomes`
-        access).  The RNG stream is consumed bit-identically to the
-        message-per-recipient path, which is the fallback whenever the
-        block cannot be vectorized: a loss model needs per-message draws,
-        fewer than two targets, a down origin, or duplicate recipients.
-        Block listeners (the trace store) ride the fast path:
-        :meth:`PhysicalNetwork.broadcast_block` hands them one SoA batch,
-        so attaching a trace never disables the vectorization.
+        Recipient bookkeeping is the network's
+        (:meth:`PhysicalNetwork.broadcast_block`): per-recipient stats
+        arithmetic aggregates in bulk, latency factors and jitter come from
+        single array draws, and neither :class:`Message` nor
+        :class:`Outcome` objects are allocated per recipient at send time
+        (messages materialize at delivery, outcomes on
+        :attr:`BroadcastOutcome.outcomes` access).  The network also owns
+        the cases that go row by row — a loss model, fewer than two
+        targets — and a down origin or repeated recipients, so nothing
+        here chooses a path, and attaching a block listener (the trace
+        store) cannot change one.
         """
         redundant = 0
         if recipients is None:
@@ -298,46 +298,18 @@ class Transport:
         else:
             targets = [dst for dst in recipients if dst != origin]
         size = _HEADER_BYTES + payload_size(payload)
-        network = self.network
-        vectorizable = (
-            len(targets) >= 2
-            and network.latency.drop_probability == 0
-            and network.is_up(origin)
-            # Overlay-derived recipient sets are distinct by construction;
-            # caller-supplied duplicates need per-message accounting (the
-            # bulk per-destination Counter.update would collapse them).
-            and len(set(targets)) == len(targets)
+        wire = (
+            size if self._codec_is_identity
+            else self._codec.wire_size(msg_type, size)
         )
-        if vectorizable:
-            wire = (
-                size if self._codec_is_identity
-                else self._codec.wire_size(msg_type, size)
-            )
-            sent = network.broadcast_block(
-                origin, targets, msg_type, payload, size, wire_bytes=wire
-            )
-            delivered = sent & network.are_up(targets)
-        else:
-            # send_batch stamps each message's wire size; constructing
-            # without wire_bytes keeps one source of truth for it.
-            messages = [
-                Message(
-                    src=origin,
-                    dst=dst,
-                    msg_type=msg_type,
-                    payload=payload,
-                    size_bytes=size,
-                )
-                for dst in targets
-            ]
-            outcomes = self.send_batch(messages)
-            sent = [o.sent for o in outcomes]
-            delivered = [o.delivered for o in outcomes]
+        sent = self.network.broadcast_block(
+            origin, targets, msg_type, payload, size, wire_bytes=wire
+        )
         return BroadcastOutcome(
             origin=origin,
             targets=targets,
             sent=sent,
-            delivered=delivered,
+            delivered=sent & self.network.are_up(targets),
             redundant_messages=redundant,
         )
 

@@ -11,10 +11,10 @@ def install_per_message_broadcast(transport) -> None:
     """Make ``transport``'s broadcasts send one materialized
     :class:`Message` per recipient through ``PhysicalNetwork.send``.
 
-    Installed at the ``broadcast_block`` seam, below recipient resolution
-    and the vectorizable gate, so ``Transport.broadcast`` itself runs
-    unchanged and only the block arithmetic (bulk stats, array latency
-    draws, lazy delivery) is swapped for the scalar path."""
+    Installed at the ``broadcast_block`` seam, below recipient resolution,
+    so ``Transport.broadcast`` itself runs unchanged and the whole send
+    core under it (gates, bulk stats, array latency draws, lazy delivery)
+    is swapped for the scalar path."""
     network = transport.network
 
     def broadcast_block(src, dsts, msg_type, payload, size_bytes,

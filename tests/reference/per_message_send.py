@@ -2,8 +2,6 @@
 ``PhysicalNetwork.send_batch`` (the columnar core the flat and the sharded
 network share)."""
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.sim.network import SendBlock, pair_mix64
 
@@ -53,7 +51,9 @@ def install_per_message_send(network) -> None:
             delay = factor * latency.delay_for(
                 message, network._jitter_rng(message.src)
             )
-            network._schedule_block((message,), np.array([delay]))
+            network._schedule_block(
+                (message.dst,), (delay,), network._deliver, ((message,),)
+            )
         return results
 
     network.send_batch = send_batch

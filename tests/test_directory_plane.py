@@ -64,9 +64,7 @@ def _build_joined(name, members=8):
     overlay = make_overlay(name, seed=3, degree=3)
     for address in range(members):
         overlay.join(address)
-    stabilize = getattr(overlay, "stabilize", None)
-    if callable(stabilize):
-        stabilize()
+    overlay.stabilize()
     return overlay
 
 
@@ -106,12 +104,8 @@ def test_maintenance_diff_applies_to_an_identical_view(name):
     # ...then maintenance recomputes on the authority only and is served
     # to the view as route-table edits.
     before = authority.export_state()
-    stabilize = getattr(authority, "stabilize", None)
-    if callable(stabilize):
-        stabilize()
-    repair = getattr(authority, "repair", None)
-    if callable(repair):
-        repair()
+    authority.stabilize()
+    authority.repair()
     edits = authority.diff_state(before)
     built_before = view.entries_built
     view.apply_state_edits(edits)

@@ -258,10 +258,17 @@ def _config(num_peers, shards, **overrides):
     return ScenarioConfig(**options)
 
 
+def _register_peers(scenario):
+    # a broadcast from a never-registered source is refused (all False)
+    for address in scenario.peer_addresses:
+        scenario.register_peer(address, lambda message: None)
+
+
 def _ping_workload(scenario):
     """A couple of cross-shard sends with long quiet stretches between
     them — exercises zero-record windows on both sides of real traffic."""
     network = scenario.network
+    _register_peers(scenario)
     if scenario.owns(0):
         network.broadcast_block(0, [1, 2, 3], "ping", None, 64)
     scenario.simulator.run_until_idle()
@@ -321,6 +328,7 @@ def test_oversized_frame_takes_queue_fallback(monkeypatch, tmp_path):
 
 def _storm_workload(scenario):
     network = scenario.network
+    _register_peers(scenario)
     for src in range(8):
         if scenario.owns(src):
             dsts = [d for d in range(8) if d != src]
@@ -339,6 +347,7 @@ def test_mp_worker_hard_crash_propagates(monkeypatch):
 
     def workload(scenario):
         network = scenario.network
+        _register_peers(scenario)
         if scenario.owns(0):
             network.broadcast_block(0, [1, 2, 3], "ping", None, 64)
         if scenario.owns(1):

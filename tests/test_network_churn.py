@@ -11,10 +11,15 @@ from repro.sim.churn import (
     ParetoChurn,
     WeibullChurn,
 )
+from repro.core.tagger import P2PDocTaggerSystem
+from repro.data.delicious import DeliciousGenerator
+from repro.sim.distribution import ShardSpec
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 from repro.sim.network import LatencyModel, PhysicalNetwork
 from repro.sim.node import SimNode
+from repro.sim.scenario import Scenario, ScenarioConfig
+from repro.sim.shard import ShardedScenario, scenario_digest
 
 
 def make_network(seed=0, **latency_kwargs):
@@ -229,3 +234,79 @@ class TestChurnDriver:
         sim.run(until=100.0)
         # A few queued events may still fire, then everything quiesces.
         assert driver.leave_count + driver.join_count <= count_at_stop + 8
+
+
+# -- Scenario.start_churn() is idempotent while churn runs --------------------
+
+
+class _Churned:
+    """SPMD workload: ``calls`` start_churn() calls at t = 0 and ``later``
+    more at t = 100, then 300 s of virtual time in all."""
+
+    def __init__(self, calls, later=0):
+        self.calls = calls
+        self.later = later
+
+    def __call__(self, scenario):
+        for _ in range(self.calls):
+            scenario.start_churn()
+        scenario.run(100.0)
+        for _ in range(self.later):
+            scenario.start_churn()
+        scenario.run(200.0)
+        driver = scenario.churn_driver
+        return driver.leave_count, driver.join_count
+
+
+def _churn_config(**overrides):
+    return ScenarioConfig(
+        num_peers=32, overlay="chord", churn="exponential",
+        mean_session=60.0, mean_downtime=10.0, rng_mode="perpeer",
+        jitter_floor=0.5, shard=ShardSpec(num_peers=32), seed=3, **overrides,
+    )
+
+
+def _run_churned(workload, **overrides):
+    config = _churn_config(**overrides)
+    if config.shards:
+        run = ShardedScenario(config, executor="serial").run(workload)
+        return run.results, run.digest()
+    scenario = Scenario(config)
+    counts = workload(scenario)
+    return counts, scenario_digest(scenario.stats, scenario.simulator.now)
+
+
+@pytest.mark.parametrize("shape", [
+    {}, {"shards": 2, "control_plane": "directory"},
+], ids=["flat", "directory-k2"])
+def test_starting_churn_twice_is_starting_it_once(shape):
+    once = _run_churned(_Churned(1), **shape)
+    leaves = once[0][0][0] if shape else once[0][0]
+    assert leaves > 50  # the scenario really churns
+    assert _run_churned(_Churned(2), **shape) == once
+    assert _run_churned(_Churned(3, later=2), **shape) == once
+
+
+def test_retraining_a_churned_system_schedules_no_second_cycle():
+    corpus = DeliciousGenerator(
+        num_users=5, seed=0, num_tags=6, docs_per_user_range=(12, 16),
+        vocabulary_size=400, topic_words_per_tag=30,
+        doc_length_range=(30, 60),
+    ).generate()
+    system = P2PDocTaggerSystem.from_corpus(
+        corpus, algorithm="pace", churn="exponential", seed=1,
+    )
+
+    def queued_cycles():
+        return sorted(
+            entry[4].label.split(":")[1]
+            for entry in system.scenario.simulator._queue
+            if entry[4] is not None and not entry[4].cancelled
+            and entry[4].label.startswith("churn-")
+        )
+
+    system.train()
+    peers = sorted(str(address) for address in system.scenario.peer_addresses)
+    assert queued_cycles() == peers  # one pending leave or rejoin per peer
+    system.train()
+    assert queued_cycles() == peers

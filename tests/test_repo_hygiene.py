@@ -28,9 +28,16 @@ is ``python -m repro.cli worker`` and pays that import on each (re)spawn.
 ``with ..._transaction():`` block — the connection is in autocommit mode,
 so an unbracketed ``executemany`` commits once per row.
 
-(h) ``ShardNetwork.send_batch`` charges nothing itself — the block charge
-(``record_messages``) lives in ``PhysicalNetwork.send_batch`` only, gated
-by ``_owns``; a second copy is how the two drifted apart before.
+(h) The send core is written once.  In ``repro/sim/network.py`` the charge
+(``record_message*``) and the observation (``_notify``) are called from
+``PhysicalNetwork.send`` and ``_send_block`` only, and the kernel's
+``schedule*`` from ``send`` and ``_schedule_block`` only; ``ShardNetwork``
+defines ``__init__``, ``_owns`` and ``_schedule_block``, names the base's
+three entry points as its own attributes (``benchmarks/perf`` wraps them
+through the class ``__dict__``) and never charges or observes;
+``Transport.broadcast`` builds no ``Message`` and takes no second path.  A
+second copy of any of these is how the flat and sharded networks drifted
+apart before.
 
 (i) Every ``tests/...py::name`` id that ``docs/CLAIMS.md`` names resolves to
 a function or class defined in that file, and every test of
@@ -268,31 +275,71 @@ def test_trace_store_bulk_writes_are_bracketed_by_a_transaction():
     assert {"BEGIN", "COMMIT", "ROLLBACK"} <= set(issued)
 
 
-def _method_attribute_names(text, class_name, method):
-    """Every ``x.<name>`` attribute named inside ``class_name.method``."""
+def _own_methods(text, class_name):
+    """name -> ``FunctionDef`` of every function defined in the body of
+    ``class_name`` itself."""
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.ClassDef) and node.name == class_name:
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == method:
-                    return {
-                        inner.attr for inner in ast.walk(item)
-                        if isinstance(inner, ast.Attribute)
-                    }
-    raise AssertionError(f"{class_name}.{method} not found")
+            return {
+                item.name: item for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            }
+    raise AssertionError(f"class {class_name} not found")
 
 
-def test_the_block_charge_lives_in_the_base_send_batch_only():
+def _names_used(function):
+    """Every bare name and every ``x.<attribute>`` inside ``function``."""
+    return {
+        getattr(node, "id", None) or node.attr for node in ast.walk(function)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+_CHARGE = {"record_message", "record_messages", "record_message_block"}
+
+
+def _schedules(name):
+    return name.startswith("schedule")
+
+
+def _methods_using(methods, wanted):
+    return {
+        name for name, function in methods.items()
+        if any(wanted(used) for used in _names_used(function))
+    }
+
+
+def test_the_send_core_is_written_once():
+    from repro.sim.network import PhysicalNetwork
+    from repro.sim.shard import ShardNetwork
+
     sim = ROOT / "src" / "repro" / "sim"
-    base = _method_attribute_names(
-        (sim / "network.py").read_text(encoding="utf-8"),
-        "PhysicalNetwork", "send_batch",
+    base = _own_methods(
+        (sim / "network.py").read_text(encoding="utf-8"), "PhysicalNetwork"
     )
-    assert {"record_messages", "_owns", "_schedule_block"} <= base
-    shard = _method_attribute_names(
-        (sim / "shard.py").read_text(encoding="utf-8"),
-        "ShardNetwork", "send_batch",
+    assert _methods_using(base, _CHARGE.__contains__) == {"send", "_send_block"}
+    assert _methods_using(base, "_notify".__eq__) == {"send", "_send_block"}
+    assert _methods_using(base, _schedules) == {"send", "_schedule_block"}
+
+    shard = _own_methods(
+        (sim / "shard.py").read_text(encoding="utf-8"), "ShardNetwork"
     )
-    assert not shard & {"record_message", "record_messages"}
+    assert set(shard) == {"__init__", "_owns", "_schedule_block"}
+    assert not _methods_using(
+        shard, lambda name: name.startswith("record_") or name == "_notify"
+    )
+    assert _methods_using(shard, _schedules) == {"_schedule_block"}
+    for entry_point in ("send", "send_batch", "broadcast_block"):
+        assert (
+            ShardNetwork.__dict__[entry_point]
+            is PhysicalNetwork.__dict__[entry_point]
+        ), entry_point
+
+    broadcast = _own_methods(
+        (sim / "transport.py").read_text(encoding="utf-8"), "Transport"
+    )["broadcast"]
+    assert not _names_used(broadcast) & {"Message", "send_batch"}
+    assert "broadcast_block" in _names_used(broadcast)
 
 
 def _third_party_imports():

@@ -1,9 +1,10 @@
-"""``PhysicalNetwork.send_batch`` — the columnar block core the flat and the
-sharded network share — against the per-message loop it replaced
-(``tests/reference/per_message_send.py``).
+"""``PhysicalNetwork``'s one send core — under all three entry points,
+``send``, ``send_batch`` and ``broadcast_block`` — against the per-message
+loops it replaced (``tests/reference/per_message_send.py`` for a block of
+messages, ``tests/reference/broadcast.py`` for a fan-out).
 
-Two identically seeded stacks run the same script of same-tick blocks, one
-with the oracle installed on its network; everything a block send can move
+Two identically seeded stacks run the same script of same-tick steps, one
+with both oracles installed on its network; everything a send can move
 must then be *equal*, not close: the stats fingerprint, the first-touch
 order of every counter family's keys (the WAL pickles ``delta_since`` and
 verifies those bytes), the kernel and RNG cursors, every heap entry's
@@ -17,10 +18,10 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import install_per_message_send
+from reference import install_per_message_broadcast, install_per_message_send
 from repro.errors import SimulationError
 from repro.sim.distribution import ShardSpec
 from repro.sim.messages import Message
@@ -46,19 +47,48 @@ def messages(draw, src=None):
 
 
 @st.composite
-def blocks(draw):
-    """One same-tick block — one source or mixed — plus the peers whose
-    liveness flips just before it is sent."""
-    if draw(st.booleans()):
+def steps(draw):
+    """One same-tick step — a ``send_batch`` block (one source or mixed),
+    the same rows as scalar ``send`` calls, or a ``broadcast_block`` fan-out
+    (its rows share everything but the destination, which may repeat) —
+    plus the peers whose liveness flips just before it."""
+    kind = draw(st.sampled_from(("batch", "send", "fanout")))
+    flips = draw(st.lists(st.integers(0, PEERS - 1), max_size=2))
+    if kind == "fanout":
+        src, _, msg_type, size, wire, _ = draw(messages())
+        rows = [
+            (src, (src + offset) % PEERS, msg_type, size, wire, 1)
+            for offset in draw(st.lists(st.integers(1, PEERS - 1), max_size=6))
+        ]
+        if draw(st.booleans()):
+            flips.append(src)  # as often as not from a down origin
+    elif draw(st.booleans()):
         rows = draw(st.lists(messages(src=draw(st.integers(0, PEERS - 1))),
                              min_size=0, max_size=8))
     else:
         rows = draw(st.lists(messages(), min_size=0, max_size=8))
-    flips = draw(st.lists(st.integers(0, PEERS - 1), max_size=2))
-    return rows, flips
+    return kind, rows, flips
 
 
-scripts = st.lists(blocks(), min_size=1, max_size=4)
+scripts = st.lists(steps(), min_size=1, max_size=4)
+
+
+def _fanout(src, offsets, size=120, wire=120):
+    return [(src, (src + k) % PEERS, "beta", size, wire, 1) for k in offsets]
+
+
+#: the cases the issue names, run on every invocation: a fan-out to repeated
+#: recipients, to one, to none, from a down origin (then scalar sends and a
+#: block from the same down peer), and a compressed fan-out after recovery
+NAMED_CASES = [
+    ("fanout", _fanout(0, (1, 2, 2, 5, 1)), []),
+    ("fanout", _fanout(3, (4,)), []),
+    ("fanout", [], []),
+    ("fanout", _fanout(6, (1, 2, 3)), [6]),
+    ("send", _fanout(6, (1,)) + _fanout(2, (3, 3)), []),
+    ("batch", _fanout(6, (1, 2)) + _fanout(1, (2,)), []),
+    ("fanout", _fanout(6, (1, 2, 3, 4, 5, 6, 7), size=300, wire=40), [6]),
+]
 
 
 def _materialize(rows):
@@ -70,8 +100,8 @@ def _materialize(rows):
 
 
 class Script:
-    """SPMD workload: every replica flips the same peers and sends the same
-    blocks at ticks 0, 1, 2, … and reports everything observable."""
+    """SPMD workload: every replica flips the same peers and takes the same
+    steps at ticks 0, 1, 2, … and reports everything observable."""
 
     def __init__(self, script, oracle):
         self.script = script
@@ -82,6 +112,7 @@ class Script:
         simulator = scenario.simulator
         if self.oracle:
             install_per_message_send(network)
+            install_per_message_broadcast(scenario.transport)
         seen = {"results": [], "heap": [], "delivered": [], "blocks": []}
 
         def handler(message):
@@ -98,18 +129,42 @@ class Script:
             )
         )
 
-        def fire(rows, flips):
+        def send(kind, rows):
+            if kind == "batch":
+                return network.send_batch(_materialize(rows))
+            if kind == "send":
+                return [network.send(m) for m in _materialize(rows)]
+            if not rows:
+                return network.broadcast_block(0, [], "beta", None, 120).tolist()
+            src, _, msg_type, size, wire, _ = rows[0]
+            first = len(seen["blocks"])
+            results = network.broadcast_block(
+                src, [row[1] for row in rows], msg_type, None, size, wire
+            ).tolist()
+            # the core shows a fan-out as one block, its oracle row by row:
+            # the rows and their order are what the two must agree on
+            seen["blocks"][first:] = [
+                (time, 1, [row])
+                for time, _, observed in seen["blocks"][first:]
+                for row in observed
+            ]
+            return results
+
+        def heap_row(entry):
+            time, seq, callback, args = entry[:4]
+            if callback == network._deliver:
+                return time, seq, args[0].dst
+            if callback == network._deliver_lazy:
+                return time, seq, args[1]
+
+        def fire(kind, rows, flips):
             for peer in flips:
                 network.set_down(peer, not network.is_down(peer))
-            seen["results"].append(network.send_batch(_materialize(rows)))
-            seen["heap"].append(sorted(
-                (entry[0], entry[1], entry[3][0].dst)
-                for entry in simulator._queue
-                if entry[2] == network._deliver
-            ))
+            seen["results"].append(send(kind, rows))
+            seen["heap"].append(sorted(filter(None, map(heap_row, simulator._queue))))
 
-        for tick, block in enumerate(self.script):
-            simulator.schedule_at(float(tick), fire, args=block)
+        for tick, step in enumerate(self.script):
+            simulator.schedule_at(float(tick), fire, args=step)
         simulator.run_until_idle()
         stats = scenario.stats
         seen["fingerprint"] = stats.fingerprint_bytes()
@@ -122,29 +177,38 @@ class Script:
         return seen
 
 
-def _config(rng_mode, seed, shards=0):
+def _config(rng_mode, seed, shards=0, loss=0.0):
     return ScenarioConfig(
         num_peers=PEERS, overlay="fullmesh", rng_mode=rng_mode,
         jitter_floor=0.5, shards=shards, shard=ShardSpec(num_peers=PEERS),
-        seed=seed,
+        drop_probability=loss, seed=seed,
     )
+
+
+losses = st.sampled_from((0.0, 0.4))
 
 
 @pytest.mark.parametrize("rng_mode", ["stream", "perpeer"])
 @settings(max_examples=60, deadline=None)
-@given(script=scripts, seed=st.integers(0, 3))
-def test_flat_block_core_equals_the_per_message_loop(rng_mode, script, seed):
+@given(script=scripts, seed=st.integers(0, 3), loss=losses)
+@example(script=NAMED_CASES, seed=0, loss=0.0)
+@example(script=NAMED_CASES, seed=0, loss=0.4)
+def test_flat_block_core_equals_the_per_message_loop(
+    rng_mode, script, seed, loss
+):
     core, oracle = (
-        Script(script, oracle)(Scenario(_config(rng_mode, seed)))
+        Script(script, oracle)(Scenario(_config(rng_mode, seed, loss=loss)))
         for oracle in (False, True)
     )
     assert core == oracle
 
 
 @settings(max_examples=25, deadline=None)
-@given(script=scripts, seed=st.integers(0, 3))
-def test_sharded_block_core_equals_the_per_message_loop(script, seed):
-    config = _config("perpeer", seed, shards=2)
+@given(script=scripts, seed=st.integers(0, 3), loss=losses)
+@example(script=NAMED_CASES, seed=0, loss=0.0)
+@example(script=NAMED_CASES, seed=0, loss=0.4)
+def test_sharded_block_core_equals_the_per_message_loop(script, seed, loss):
+    config = _config("perpeer", seed, shards=2, loss=loss)
     core, oracle = (
         ShardedScenario(config, executor="serial").run(Script(script, oracle))
         for oracle in (False, True)
@@ -153,8 +217,10 @@ def test_sharded_block_core_equals_the_per_message_loop(script, seed):
     assert core.digest() == oracle.digest()
     # and the two replicas together are the single heap: same digest, every
     # attempt observed and every delivery made exactly once
-    flat = Script(script, False)(Scenario(_config("perpeer", seed)))
+    flat = Script(script, False)(Scenario(_config("perpeer", seed, loss=loss)))
     assert core.stats.fingerprint_bytes() == flat["fingerprint"]
+    for result in core.results:  # every replica reports the same outcomes
+        assert result["results"] == flat["results"]
 
     def pooled(key):
         return sum((result[key] for result in core.results), [])
@@ -166,6 +232,34 @@ def test_sharded_block_core_equals_the_per_message_loop(script, seed):
 
     assert sorted(pooled("delivered")) == sorted(flat["delivered"])
     assert observed_rows(pooled("blocks")) == observed_rows(flat["blocks"])
+
+
+def _run_everywhere(workload, shards):
+    if shards:
+        ShardedScenario(
+            _config("perpeer", 0, shards=shards), executor="serial"
+        ).run(workload)
+    else:
+        workload(Scenario(_config("perpeer", 0)))
+
+
+class _Untouched:
+    """Everything a refused send must leave alone, read before and after."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.before = self._cursors()
+
+    def _cursors(self):
+        return (self.scenario.streams.export_cursors(),
+                self.scenario.simulator.export_cursors())
+
+    def check(self):
+        scenario = self.scenario
+        assert scenario.stats.total_messages == 0
+        assert scenario.stats.delta_since({}) == {}
+        assert scenario.simulator.pending_events == 0
+        assert self.before == self._cursors()
 
 
 @pytest.mark.parametrize("shards", [0, 2])
@@ -182,27 +276,63 @@ def test_a_loopback_anywhere_rejects_the_whole_block(shards, rows, where, peer):
             scenario.register_peer(address, lambda message: None)
         blocks = []
         network.add_block_listener(blocks.append)
-        before = (scenario.streams.export_cursors(),
-                  scenario.simulator.export_cursors())
+        untouched = _Untouched(scenario)
         with pytest.raises(SimulationError, match="loopback"):
             network.send_batch(_materialize(rows))
-        assert scenario.stats.total_messages == 0
-        assert scenario.stats.delta_since({}) == {}
-        assert scenario.simulator.pending_events == 0
+        untouched.check()
         assert blocks == []
-        assert before == (scenario.streams.export_cursors(),
-                          scenario.simulator.export_cursors())
 
-    if shards:
-        ShardedScenario(
-            _config("perpeer", 0, shards=shards), executor="serial"
-        ).run(workload)
-    else:
-        workload(Scenario(_config("perpeer", 0)))
+    _run_everywhere(workload, shards)
+
+
+@pytest.mark.parametrize("shards", [0, 2])
+@pytest.mark.parametrize("dsts", [[3], [1, 3, 5], [4, 4, 3]])
+def test_a_fan_out_to_its_own_source_is_rejected_whole(shards, dsts):
+    def workload(scenario):
+        network = scenario.network
+        for address in range(PEERS):
+            scenario.register_peer(address, lambda message: None)
+        blocks = []
+        network.add_block_listener(blocks.append)
+        untouched = _Untouched(scenario)
+        with pytest.raises(SimulationError, match="loopback"):
+            network.broadcast_block(3, dsts, "alpha", None, 64)
+        untouched.check()
+        assert blocks == []
+
+    _run_everywhere(workload, shards)
+
+
+@pytest.mark.parametrize("shards", [0, 2])
+@pytest.mark.parametrize("source", ["down", "never registered"])
+def test_a_fan_out_from_a_dead_source_is_observed_and_charges_nothing(
+    shards, source
+):
+    def workload(scenario):
+        network = scenario.network
+        for address in range(1, PEERS):
+            scenario.register_peer(address, lambda message: None)
+        if source == "down":
+            scenario.register_peer(0, lambda message: None)
+            network.set_down(0)
+        blocks = []
+        network.add_block_listener(blocks.append)
+        untouched = _Untouched(scenario)
+        sent = network.broadcast_block(0, [1, 2, 3], "alpha", None, 64, 16)
+        assert sent.dtype == bool and sent.tolist() == [False] * 3
+        untouched.check()
+        # the attempt is one block with scalar columns, on the owner only
+        assert [(b.count, b.src, b.dst, b.msg_type, b.size_bytes,
+                 b.wire_bytes, b.hops) for b in blocks] == (
+            [(3, 0, [1, 2, 3], "alpha", 64, 16, 1)]
+            if scenario.owns(0) else []
+        )
+
+    _run_everywhere(workload, shards)
 
 
 def test_the_oracle_is_a_different_implementation():
-    """Mutation check on the harness itself: the oracle must reach
+    """Mutation check on the harness itself: the oracles must reach
     ``record_message`` and never ``record_messages``; the core the
     reverse."""
     calls = {}
@@ -216,11 +346,14 @@ def test_the_oracle_is_a_different_implementation():
                 _counted[_name] += 1
                 return _inner(*args)
             setattr(stats, name, wrapper)
-        script = [([(0, 1, "alpha", 10, 10, 1), (0, 2, "alpha", 10, 10, 1),
-                    (3, 2, "beta", 20, 5, 2)], [])]
+        script = [
+            ("batch", [(0, 1, "alpha", 10, 10, 1), (0, 2, "alpha", 10, 10, 1),
+                       (3, 2, "beta", 20, 5, 2)], []),
+            ("fanout", _fanout(4, (1, 2)), []),
+        ]
         Script(script, oracle)(scenario)
-    assert calls[False] == {"record_message": 0, "record_messages": 1}
-    assert calls[True] == {"record_message": 3, "record_messages": 0}
+    assert calls[False] == {"record_message": 0, "record_messages": 2}
+    assert calls[True] == {"record_message": 5, "record_messages": 0}
 
 
 # -- the WAL cannot tell the two apart ---------------------------------------

@@ -86,6 +86,8 @@ class _StormWorkload:
 
     def __call__(self, scenario):
         network = scenario.network
+        for address in range(8):  # an unregistered source's broadcast is refused
+            scenario.register_peer(address, lambda message: None)
         for src in range(8):
             if scenario.owns(src):
                 dsts = [d for d in range(8) if d != src]

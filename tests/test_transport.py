@@ -47,9 +47,7 @@ def build_transport(num_nodes=12, overlay_name=None, seed=0, drop=0.0,
         overlay = make_overlay(overlay_name, seed=seed, degree=4)
         for node in range(num_nodes):
             overlay.join(node)
-        stabilize = getattr(overlay, "stabilize", None)
-        if callable(stabilize):
-            stabilize()
+        overlay.stabilize()
     return Transport(
         network,
         overlay=overlay,
@@ -386,8 +384,9 @@ class TestVectorizedBroadcast:
             assert list(v.delivered) == list(s.delivered)
             assert not v.delivered[v.targets.index(2)]
 
-    # Under loss, a down origin or duplicate recipients the gate steps
-    # aside before ``broadcast_block``; the oracle there is a plain loop of
+    # Loss, a down origin, duplicate recipients and fewer than two targets
+    # are the send core's cases under ``broadcast_block`` (``Transport``
+    # chooses no path); the oracle there is a plain loop of
     # ``Transport.send`` over the same recipients.
 
     def test_loss_falls_back_to_scalar_draw_order(self):

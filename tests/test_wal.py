@@ -70,6 +70,8 @@ def _config(num_peers, shards, **overrides):
 
 def _storm_workload(scenario):
     network = scenario.network
+    for address in range(8):  # an unregistered source's broadcast is refused
+        scenario.register_peer(address, lambda message: None)
     for src in range(8):
         if scenario.owns(src):
             dsts = [d for d in range(8) if d != src]
