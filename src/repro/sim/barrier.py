@@ -1,47 +1,69 @@
-"""The window barrier's coordinator half — written once, for every executor.
+"""The window barrier protocol, both halves — written once, for every executor.
 
 A sharded run advances in conservative virtual-time windows
 (:mod:`repro.sim.shard`).  At each barrier every shard worker reports one
 message — ``sync`` (a :class:`SyncStatus`), ``done`` (its result payload)
 or ``error`` (a traceback) — and the coordinator answers each synced
-worker with a :data:`Verdict`: the next window start (the global minimum
+worker with a :class:`Verdict`: the next window start (the global minimum
 next-event time, so empty stretches are skipped in one hop), the agreed
 last-event clock and executed total, the worker's inbound exchange frames
 in src-shard order, and the directory plane's control records for the
-window.  :func:`coordinate` is that loop.  It is where the directory
-control plane advances, where the WAL appends (or verifies) its window
-record, and where divergence between workers is detected and the synced
-workers are told to abort.
+window.
 
-The loop talks to its workers through a *link* — three methods, one
-implementation per executor (serial threads, forked processes, tcp
-sockets):
+**The coordinator half** is :func:`coordinate`, the loop.  It is where the
+directory control plane advances, where the WAL appends (or verifies) its
+window record, and where divergence between workers is detected and the
+synced workers are told to abort.  It talks to its workers through a
+*link* — three methods, one implementation per executor (serial threads,
+forked processes, tcp sockets):
 
 - ``collect(barrier)`` — one round: an iterable of ``(shard_id, kind,
-  payload)``, one entry per shard, ``sync`` payloads already normalized to
-  :class:`SyncStatus`.  Supervision belongs here: the tcp link heals a
-  dead worker from the WAL inside this call and the loop never knows.
+  payload)``, one entry per shard.  Supervision belongs here: the tcp link
+  heals a dead worker from the WAL inside this call and the loop never
+  knows.
 - ``send_decision(shard_id, verdict)`` — deliver one worker's verdict.
 - ``abort(shard_id, failure)`` — tell a synced worker the run is over.
   Every call goes through :func:`abort_workers`' guard, so one dead worker
   can never mask the failure being reported.
 
-Spawning workers and tearing them down stay with the executor that owns
-them.
+**The worker half** is :class:`WorkerEndpoint`: its ``sync`` is the only
+place a worker's barrier is sequenced.  It talks to the coordinator
+through a *wire* — two methods, again one implementation per executor:
+
+- ``_send(kind, payload)`` — one ``sync`` / ``done`` / ``error`` message up.
+- ``_recv(barrier)`` — the answer: ``("decision", Verdict)`` or
+  ``("abort", reason)``.
+
+The mp wire also overrides ``_route`` / ``_frame``: its frames cross peer
+to peer through shared-memory rings instead of riding the sync and the
+verdict.  Spawning workers and tearing them down stay with the executor
+that owns them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.sim.exchange import ExchangeFrame, encode_outbound_blobs
 
 _INF = float("inf")
 
-#: one worker's window verdict as it crosses every link:
-#: ``(window_start, global_last, total_executed, inbound, control)`` with
-#: ``inbound`` the ``(src_shard, item)`` pairs routed to this worker
-Verdict = Tuple[float, float, int, List[Tuple[int, Any]], List[tuple]]
+
+class Verdict(NamedTuple):
+    """One worker's window verdict as it crosses every link — identical
+    for all shards except for ``inbound``."""
+
+    window_start: float
+    global_last: float
+    total_executed: int
+    #: ``(src_shard, item)`` per frame routed to this worker, in src-shard
+    #: order; ``item`` as the sender's :attr:`SyncStatus.routed` gave it
+    inbound: List[Tuple[int, Optional[bytes]]]
+    #: directory mode: this window's served control-plane delta records
+    #: (application is ownership-gated worker-side)
+    control: List[tuple]
 
 
 class SyncStatus(NamedTuple):
@@ -57,13 +79,20 @@ class SyncStatus(NamedTuple):
     #: the worker's pre-pickled WAL probe output (None without a WAL)
     extras: Optional[bytes]
     #: ``(dst_shard, item)`` per outbound frame; ``item`` rides the
-    #: receiver's verdict untouched — a frame object (serial), an encoded
-    #: blob (tcp, and an mp frame too large for its ring), or None (mp:
-    #: the frame is already in the receiver's ring)
-    routed: List[Tuple[int, Any]]
-    #: ``(dst_shard, encoded frame)`` per outbound frame for the WAL;
-    #: None when the run has none
+    #: receiver's verdict untouched — the encoded blob (serial, tcp, and
+    #: an mp frame too large for its ring), or None (mp: the frame is
+    #: already in the receiver's ring)
+    routed: List[Tuple[int, Optional[bytes]]]
+    #: ``(dst_shard, encoded frame)`` per outbound frame for the WAL: the
+    #: ``routed`` list itself on a relaying wire, None on an mp run
+    #: without a log
     blobs: Optional[List[Tuple[int, bytes]]]
+
+    @property
+    def logged(self) -> Tuple[float, float, int, list, Optional[bytes]]:
+        """The fields a WAL window record keeps, and verifies, per shard."""
+        return (self.next_time, self.last_time, self.executed,
+                self.requests, self.extras)
 
 
 def agreed_requests(
@@ -121,7 +150,7 @@ def verdict_for(
         for src_shard in range(num_shards)
         if (src_shard, shard_id) in routed
     ]
-    return (window_start, global_last, total_executed, inbound, control)
+    return Verdict(window_start, global_last, total_executed, inbound, control)
 
 
 def abort_workers(link: Any, shards: Iterable[int], failure: str) -> None:
@@ -133,6 +162,95 @@ def abort_workers(link: Any, shards: Iterable[int], failure: str) -> None:
             # That worker is already gone; the rest still need telling,
             # and the failure being reported must not be masked.
             pass
+
+
+class WorkerEndpoint:
+    """The worker half of the barrier protocol; an executor subclasses it
+    with its wire.  It owns the window-local exchange accounting
+    (:attr:`exchange` — the ``StatsCollector.exchange`` families) because
+    encoding and shipping happen here; the worker bootstrap folds the
+    counters into the worker's stats once the workload finishes.
+    """
+
+    #: ship each window's blobs for the WAL beside the routed items: free
+    #: on a relaying wire (they are one list); the mp wire, which routes
+    #: through rings, turns it on only for a durable run
+    wal_blobs = True
+
+    def __init__(self, shard_id: int) -> None:
+        self.shard_id = shard_id
+        self.exchange: Counter = Counter()
+        #: worker-side fault-plane accounting (stalls survived etc.),
+        #: folded into ``StatsCollector.faults`` like :attr:`exchange`
+        self.faults: Counter = Counter()
+        self._barrier = 0
+
+    def sync(
+        self,
+        outbound: List[List[tuple]],
+        next_time: float,
+        last_time: float,
+        executed: int,
+        requests: List[Tuple[str, float]],
+        extras: Optional[bytes] = None,
+    ) -> Tuple[Verdict, List[ExchangeFrame]]:
+        """One window barrier: ship this window's outboxes and status,
+        wait, and return the verdict with its inbound items opened into
+        frames (src-shard order).  An abort raises."""
+        barrier = self._barrier
+        self._barrier += 1
+        blobs, min_outbound = encode_outbound_blobs(
+            outbound, barrier, self.exchange
+        )
+        # Routed *before* the sync is announced, so a receiver told to
+        # expect a ring frame always finds it published.
+        status = SyncStatus(
+            next_time, last_time, executed, min_outbound, requests, extras,
+            self._route(blobs), blobs if self.wal_blobs else None,
+        )
+        self._send("sync", status)
+        kind, payload = self._recv(barrier)
+        if kind == "abort":
+            raise SimulationError(
+                f"shard {self.shard_id}: aborted at window barrier: {payload}"
+            )
+        return payload, [
+            self._frame(src_shard, item, barrier)
+            for src_shard, item in payload.inbound
+        ]
+
+    def finish(self, payload: Any) -> None:
+        self._send("done", payload)
+
+    def fail(self, message: str) -> None:
+        self._send("error", message)
+
+    def _send(self, kind: str, payload: Any) -> None:
+        raise NotImplementedError
+
+    def _recv(self, barrier: int) -> Tuple[str, Any]:
+        raise NotImplementedError
+
+    def _route(
+        self, blobs: List[Tuple[int, bytes]]
+    ) -> List[Tuple[int, Optional[bytes]]]:
+        """A relaying wire ships the list as it is — the *same object* as
+        the WAL's copy, so a pickling wire's memo writes it once."""
+        return blobs
+
+    def _frame(
+        self, src_shard: int, item: Optional[bytes], barrier: int
+    ) -> ExchangeFrame:
+        """One inbound item as a frame: an encoded blob, decoded and
+        checked against the barrier it must belong to."""
+        frame, frame_barrier = ExchangeFrame.decode(item)
+        if frame_barrier != barrier:
+            raise SimulationError(
+                f"shard {self.shard_id}: exchange frame from shard "
+                f"{src_shard} tagged barrier {frame_barrier}, expected "
+                f"{barrier}"
+            )
+        return frame
 
 
 def coordinate(
@@ -205,11 +323,7 @@ def coordinate(
                     window_start=window_start,
                     global_last=global_last,
                     total_executed=total_executed,
-                    statuses=[
-                        (status.next_time, status.last_time, status.executed,
-                         status.requests, status.extras)
-                        for status in statuses
-                    ],
+                    statuses=[status.logged for status in statuses],
                     frames={
                         (src_shard, dst_shard): blob
                         for src_shard, status in enumerate(statuses)

@@ -101,8 +101,7 @@ class ExchangeFrame:
 
     Built from the tuple records the shard runtime accumulates
     (:data:`repro.sim.shard.ExchangeRecord` layout) via
-    :meth:`from_records`; the serial executor passes frame objects through
-    memory while the mp executor round-trips them through
+    :meth:`from_records`; every executor round-trips them through
     :meth:`encode`/:meth:`decode`.
     """
 
@@ -412,44 +411,34 @@ def merge_frames(
     return times, columns
 
 
-def columnarize_outbound(
+def encode_outbound_blobs(
     outbound: Sequence[Sequence[tuple]],
+    barrier: int,
     exchange: Optional[MutableMapping[str, int]] = None,
-) -> Tuple[List[Tuple[int, ExchangeFrame]], float]:
-    """Columnarize one window's outboxes, one frame per non-empty box.
+) -> Tuple[List[Tuple[int, bytes]], float]:
+    """Columnarize and encode one window's outboxes, one frame per
+    non-empty box, tagged with ``barrier``.
 
-    Returns ``(frames, min_outbound)``: ``(dst_shard, frame)`` pairs plus
-    the minimum outbound delivery time (``inf`` when the window sent
+    Returns ``(blobs, min_outbound)``: ``(dst_shard, blob)`` pairs — the
+    bytes every executor routes, the mp rings carry and the WAL logs —
+    plus the minimum outbound delivery time (``inf`` when the window sent
     nothing).  ``exchange`` (a Counter) is credited per frame — the same
     way on every executor, so stats merge byte-equal.
     """
-    frames: List[Tuple[int, ExchangeFrame]] = []
+    blobs: List[Tuple[int, bytes]] = []
     min_outbound = float("inf")
     for dst_shard, box in enumerate(outbound):
         if not box:
             continue
         frame = ExchangeFrame.from_records(box)
         min_outbound = min(min_outbound, frame.min_time)
+        blob = frame.encode(barrier)
         if exchange is not None:
             exchange["frames"] += 1
             exchange["records"] += frame.count
             exchange["pickled_records"] += frame.payload_count
-        frames.append((dst_shard, frame))
-    return frames, min_outbound
-
-
-def encode_outbound_blobs(
-    outbound: Sequence[Sequence[tuple]],
-    barrier: int,
-    exchange: Optional[MutableMapping[str, int]] = None,
-) -> Tuple[List[Tuple[int, bytes]], float]:
-    """:func:`columnarize_outbound` for a byte transport: the frames come
-    back encoded, tagged with ``barrier`` — the blobs the mp rings carry,
-    tcp syncs ship, and the WAL logs."""
-    frames, min_outbound = columnarize_outbound(outbound, exchange)
-    blobs = [(dst_shard, frame.encode(barrier)) for dst_shard, frame in frames]
-    if exchange is not None and blobs:
-        exchange["encoded_bytes"] += sum(len(blob) for _, blob in blobs)
+            exchange["encoded_bytes"] += len(blob)
+        blobs.append((dst_shard, blob))
     return blobs, min_outbound
 
 

@@ -42,21 +42,24 @@ same scenario:
    the unsharded run regardless of execution order.
 
 Three executors run the same shard-worker bootstrap (:func:`_run_worker`)
-under the same coordinator loop (:func:`repro.sim.barrier.coordinate`);
-each contributes only worker spawn, teardown, and a *link* — how one
-barrier round of sync/done/error messages is collected and how decisions
-and aborts reach a worker:
+under the same window protocol (:mod:`repro.sim.barrier`: the coordinator
+loop :func:`~repro.sim.barrier.coordinate`, the worker endpoint
+:class:`~repro.sim.barrier.WorkerEndpoint`); each contributes only worker
+spawn, teardown, a *link* — how one barrier round of sync/done/error
+messages is collected and how decisions and aborts reach a worker — and a
+*wire* — how a worker sends one such message and receives the answer.
+Every executor ships the same encoded ``SoA1`` frame blobs:
 
 - ``serial`` — the deterministic reference: worker replicas run as lockstep
-  threads in one process; exchange frames cross the coordinator by
-  reference (encoded only for the WAL).
+  threads in one process; messages cross in-process queues and every frame
+  takes the relay route (up in the sync, down in the receiver's decision).
 - ``mp`` — one forked worker process per shard; control messages flow over
-  pipes, encoded exchange frames peer to peer over shared-memory rings
+  pipes, exchange frames peer to peer over shared-memory rings
   (:class:`~repro.sim.exchange.RingExchange` — zero per-record pickling).
   A frame too large for its ring is relayed through the coordinator
-  instead (up in the sync, down in the receiver's decision), counted in
-  ``StatsCollector.exchange["queue_fallbacks"]``; the per-worker stats are
-  merged in the parent via :meth:`StatsCollector.merge`.
+  instead, counted in ``StatsCollector.exchange["queue_fallbacks"]``; the
+  per-worker stats are merged in the parent via
+  :meth:`StatsCollector.merge`.
 - ``tcp`` — workers over sockets (:mod:`repro.sim.tcpexec`): every frame
   takes the relay route, and the link's collect step supervises the fleet.
 
@@ -104,21 +107,19 @@ import queue
 import threading
 import traceback
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.barrier import SyncStatus, Verdict, coordinate
+from repro.sim.barrier import Verdict, WorkerEndpoint, coordinate
 from repro.sim.churn import DirectoryChurnClient
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan
 from repro.sim.exchange import (
     ExchangeFrame,
     RingExchange,
-    columnarize_outbound,
-    encode_outbound_blobs,
     exchange_timeout_seconds,
     merge_frames,
 )
@@ -136,9 +137,8 @@ _INF = float("inf")
 #: at each window barrier the per-destination outbox is columnarized into a
 #: struct-of-arrays :class:`~repro.sim.exchange.ExchangeFrame` (numeric
 #: numpy columns, an interned msg_type id table, and a pickle sidecar only
-#: for records whose payload is a real object) that the serial executor
-#: passes through memory and the mp/tcp executors ship as one encoded blob
-#: — zero per-record pickling.
+#: for records whose payload is a real object) that every executor ships
+#: as one encoded blob — zero per-record pickling.
 ExchangeRecord = Tuple[float, int, int, int, int, str, Any, int, int, int]
 
 #: directory delta record layout — one control-plane observable, serialized
@@ -406,7 +406,7 @@ class _ShardRuntime:
         self,
         shard_id: int,
         num_shards: int,
-        channel: "_Channel",
+        channel: WorkerEndpoint,
         lookahead: float,
         snapshot: Optional[dict] = None,
     ) -> None:
@@ -528,7 +528,7 @@ class ShardSimulator(Simulator):
                 hook(runtime.windows)
             if runtime.fault_hook is not None:
                 runtime.fault_hook(runtime.windows)
-            decision = runtime.channel.sync(
+            decision, inbox = runtime.channel.sync(
                 runtime.take_outbound(),
                 self.next_event_time(),
                 last_this_run,
@@ -537,12 +537,7 @@ class ShardSimulator(Simulator):
                 probe() if probe is not None else None,
             )
             runtime.windows += 1
-            if decision.error is not None:
-                raise SimulationError(
-                    f"shard {runtime.shard_id}: aborted at window barrier: "
-                    f"{decision.error}"
-                )
-            self._inject(decision.inbox)
+            self._inject(inbox)
             if decision.control:
                 # Directory mode: schedule the window's served control-plane
                 # deltas at their exact virtual times (before any break —
@@ -786,88 +781,9 @@ class _ShardWorkerScenario(Scenario):
 
 
 # ---------------------------------------------------------------------------
-# Worker endpoints of the window protocol (the coordinator half, shared by
-# every executor, is repro.sim.barrier).
+# The worker bootstrap (both halves of the window protocol are
+# repro.sim.barrier; each executor below adds its wire and its link).
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Decision:
-    """One window barrier's coordinator verdict as the worker kernel
-    consumes it — identical for all shards except for the inbox."""
-
-    window_start: float = _INF
-    global_last: float = -_INF
-    total_executed: int = 0
-    #: one ``ExchangeFrame`` per sender shard, in src-shard order
-    inbox: List[ExchangeFrame] = field(default_factory=list)
-    #: directory mode: this window's served control-plane delta records,
-    #: identical for every shard (application is ownership-gated)
-    control: List[ControlRecord] = field(default_factory=list)
-    error: Optional[str] = None
-
-
-class _Channel:
-    """Worker-side endpoint of the barrier protocol.
-
-    Channels own the window-local exchange accounting
-    (:attr:`exchange` — frames/records/bytes counters, the
-    ``StatsCollector.exchange`` families) because columnarization and
-    shipping happen inside :meth:`sync`; :func:`_worker_body` folds the
-    counter into the worker's stats once the workload finishes.
-    """
-
-    def __init__(self, shard_id: int) -> None:
-        self.shard_id = shard_id
-        self.exchange: Counter = Counter()
-        #: worker-side fault-plane accounting (stalls survived etc.),
-        #: folded into ``StatsCollector.faults`` like :attr:`exchange`
-        self.faults: Counter = Counter()
-        self._barrier = 0
-
-    def sync(
-        self,
-        outbound: List[List[ExchangeRecord]],
-        next_time: float,
-        last_time: float,
-        executed: int,
-        requests: List[Tuple[str, float]],
-        extras: Optional[bytes] = None,
-    ) -> _Decision:
-        raise NotImplementedError
-
-    def finish(self, payload: Any) -> None:
-        raise NotImplementedError
-
-    def fail(self, message: str) -> None:
-        raise NotImplementedError
-
-    def _decision(self, verdict: Verdict, barrier: int) -> _Decision:
-        """Open the coordinator's verdict: every inbound item becomes a
-        frame (:meth:`_frame`), kept in src-shard order."""
-        window_start, global_last, total_executed, inbound, control = verdict
-        return _Decision(
-            window_start=window_start,
-            global_last=global_last,
-            total_executed=total_executed,
-            inbox=[
-                self._frame(src_shard, item, barrier)
-                for src_shard, item in inbound
-            ],
-            control=control,
-        )
-
-    def _frame(self, src_shard: int, item: Any, barrier: int) -> ExchangeFrame:
-        """One inbound item as a frame: an encoded blob, decoded and
-        checked against the barrier it must belong to."""
-        frame, frame_barrier = ExchangeFrame.decode(item)
-        if frame_barrier != barrier:
-            raise SimulationError(
-                f"shard {self.shard_id}: exchange frame from shard "
-                f"{src_shard} tagged barrier {frame_barrier}, expected "
-                f"{barrier}"
-            )
-        return frame
 
 
 def _worker_body(
@@ -891,15 +807,14 @@ def _worker_body(
     # execution-shape accounting, merged but never fingerprinted.
     if runtime.channel.faults:
         scenario.stats.faults.update(runtime.channel.faults)
-    if probe is not None:
-        # Fourth element: the WAL tail (post-barrier stats delta + final
-        # cursors), sealed into the commit record coordinator-side.
-        return (scenario.stats, scenario.simulator.now, result, probe.tail())
-    return (scenario.stats, scenario.simulator.now, result)
+    # Fourth element: the WAL tail (post-barrier stats delta + final
+    # cursors), sealed into the commit record coordinator-side.
+    tail = probe.tail() if probe is not None else None
+    return (scenario.stats, scenario.simulator.now, result, tail)
 
 
 def _run_worker(
-    channel: _Channel,
+    channel: WorkerEndpoint,
     config: ScenarioConfig,
     workload: Workload,
     num_shards: int,
@@ -929,62 +844,33 @@ def _run_worker(
 
 
 # ---------------------------------------------------------------------------
-# Serial executor: lockstep worker threads, in-memory exchange.
+# Serial executor: lockstep worker threads, in-process queues.
 # ---------------------------------------------------------------------------
 
 
-class _ThreadChannel(_Channel):
+class _ThreadChannel(WorkerEndpoint):
+    """The serial executor's wire: one shared queue up, this worker's own
+    queue down."""
+
     def __init__(
         self,
         shard_id: int,
         to_coordinator: "queue.Queue",
         from_coordinator: "queue.Queue",
-        wal_blobs: bool = False,
     ) -> None:
         super().__init__(shard_id)
         self.to_coordinator = to_coordinator
         self.from_coordinator = from_coordinator
-        #: WAL runs: also hand the coordinator each frame encoded
-        self.wal_blobs = wal_blobs
 
-    def sync(
-        self, outbound, next_time, last_time, executed, requests, extras=None
-    ) -> _Decision:
-        barrier = self._barrier
-        self._barrier += 1
-        # Columnarize worker-side (in parallel across threads); frames
-        # cross to the coordinator and on to their receiver by reference —
-        # the serial executor encodes nothing except for the WAL (the same
-        # bytes the mp and tcp workers ship).
-        frames, min_outbound = columnarize_outbound(outbound, self.exchange)
-        blobs = (
-            [(dst_shard, frame.encode(barrier)) for dst_shard, frame in frames]
-            if self.wal_blobs
-            else None
-        )
-        self.to_coordinator.put(
-            (
-                self.shard_id,
-                "sync",
-                SyncStatus(
-                    next_time, last_time, executed, min_outbound, requests,
-                    extras, frames, blobs,
-                ),
-            )
-        )
-        kind, payload = self.from_coordinator.get()
-        if kind == "abort":
-            return _Decision(error=payload)
-        return self._decision(payload, barrier)
+    def _send(self, kind: str, payload: Any) -> None:
+        self.to_coordinator.put((self.shard_id, kind, payload))
 
-    def _frame(self, src_shard, item, barrier) -> ExchangeFrame:
-        return item
+    def _recv(self, barrier: int) -> Tuple[str, Any]:
+        return self.from_coordinator.get()
 
-    def finish(self, payload: Any) -> None:
-        self.to_coordinator.put((self.shard_id, "done", payload))
-
-    def fail(self, message: str) -> None:
-        self.to_coordinator.put((self.shard_id, "error", message))
+    # An own attribute, not an inherited one: benchmarks/perf resolves its
+    # span target through ``_ThreadChannel.__dict__``.
+    sync = WorkerEndpoint.sync
 
 
 class _ThreadLink:
@@ -1016,8 +902,7 @@ def _run_serial(
 
     def worker(shard_id: int) -> None:
         channel = _ThreadChannel(
-            shard_id, link.to_coordinator, link.from_coordinator[shard_id],
-            wal_blobs=wal is not None,
+            shard_id, link.to_coordinator, link.from_coordinator[shard_id]
         )
         _run_worker(
             channel, config, workload, num_shards, lookahead, snapshot,
@@ -1043,10 +928,10 @@ def _run_serial(
 # ---------------------------------------------------------------------------
 
 
-class _ProcessChannel(_Channel):
-    """Worker endpoint: control over a pipe to the parent coordinator, bulk
-    exchange frames through shared-memory rings (peer to peer — the parent
-    sees counts and window decisions, not payload bytes).
+class _ProcessChannel(WorkerEndpoint):
+    """The mp executor's wire: control over a pipe to the parent
+    coordinator, bulk exchange frames through shared-memory rings (peer to
+    peer — the parent sees counts and window decisions, not payload bytes).
 
     Each destination's outbox is encoded into one length-prefixed
     :class:`ExchangeFrame` blob and published on the ``(src, dst)``
@@ -1079,16 +964,13 @@ class _ProcessChannel(_Channel):
         self.wal_blobs = wal_blobs
         self.timeout = exchange_timeout_seconds()
 
-    def sync(
-        self, outbound, next_time, last_time, executed, requests, extras=None
-    ) -> _Decision:
-        barrier = self._barrier
-        self._barrier += 1
-        blobs, min_outbound = encode_outbound_blobs(
-            outbound, barrier, self.exchange
-        )
-        # Frames are pushed *before* the sync is announced, so a receiver
-        # told to expect a ring frame always finds it published.
+    def _send(self, kind: str, payload: Any) -> None:
+        self.connection.send((kind, payload))
+
+    def _recv(self, barrier: int) -> Tuple[str, Any]:
+        return self.connection.recv()
+
+    def _route(self, blobs):
         routed: List[Tuple[int, Optional[bytes]]] = []
         for dst_shard, blob in blobs:
             if self.rings.ring(self.shard_id, dst_shard).try_push(blob):
@@ -1096,19 +978,7 @@ class _ProcessChannel(_Channel):
             else:
                 self.exchange["queue_fallbacks"] += 1
                 routed.append((dst_shard, blob))
-        self.connection.send(
-            (
-                "sync",
-                SyncStatus(
-                    next_time, last_time, executed, min_outbound, requests,
-                    extras, routed, blobs if self.wal_blobs else None,
-                ),
-            )
-        )
-        kind, payload = self.connection.recv()
-        if kind == "abort":
-            return _Decision(error=payload)
-        return self._decision(payload, barrier)
+        return routed
 
     def _frame(self, src_shard, item, barrier) -> ExchangeFrame:
         if item is None:
@@ -1120,12 +990,6 @@ class _ProcessChannel(_Channel):
                 ),
             )
         return super()._frame(src_shard, item, barrier)
-
-    def finish(self, payload: Any) -> None:
-        self.connection.send(("done", payload))
-
-    def fail(self, message: str) -> None:
-        self.connection.send(("error", message))
 
 
 class _PipeLink:
@@ -1140,11 +1004,11 @@ class _PipeLink:
         for shard_id, connection in enumerate(self.connections):
             try:
                 kind, payload = connection.recv()
-            except EOFError:
+            except (EOFError, OSError):
                 # The worker died without a word (hard crash / kill): its
-                # pipe closed.  Treat like an error report so the rest of
-                # the fleet is aborted instead of left waiting at the
-                # barrier forever.
+                # pipe closed, or reset with our last decision unread.
+                # Treat like an error report so the rest of the fleet is
+                # aborted instead of left waiting at the barrier forever.
                 kind, payload = "error", (
                     f"shard worker {shard_id} died mid-window "
                     "(pipe closed without a sync/done/error message)"
@@ -1153,7 +1017,12 @@ class _PipeLink:
         return round_messages
 
     def send_decision(self, shard_id: int, verdict: Verdict) -> None:
-        self.connections[shard_id].send(("decision", verdict))
+        try:
+            self.connections[shard_id].send(("decision", verdict))
+        except OSError:
+            # The worker died after syncing; the next collect surfaces the
+            # loud died-mid-window error and aborts the survivors.
+            pass
 
     def abort(self, shard_id: int, failure: str) -> None:
         self.connections[shard_id].send(("abort", failure))
@@ -1344,9 +1213,8 @@ class ShardedScenario:
             now = -_INF
             results = []
             tails: List[Optional[dict]] = []
-            for payload in payloads:
-                stats, worker_now, result = payload[0], payload[1], payload[2]
-                tails.append(payload[3] if len(payload) > 3 else None)
+            for stats, worker_now, result, tail in payloads:
+                tails.append(tail)
                 merged.merge(stats)
                 now = max(now, worker_now)
                 results.append(result)

@@ -42,9 +42,8 @@ class StatsCollector:
         self.directory: Counter = Counter()
         #: columnar shard-exchange accounting, credited by the worker
         #: channels: ``frames``/``records`` (SoA window frames and the
-        #: records they carry), ``encoded_bytes`` (wire size of frames
-        #: serialized for the mp rings or tcp — zero under the serial
-        #: executor, which passes frames in memory), ``pickled_records``
+        #: records they carry), ``encoded_bytes`` (size of the encoded
+        #: frames — every executor ships the same blobs), ``pickled_records``
         #: (payloads that needed the pickle sidecar) and
         #: ``queue_fallbacks`` (mp frames that outgrew their ring and were
         #: relayed through the coordinator).  Same contract as

@@ -2,13 +2,15 @@
 
 The mp executor (:func:`repro.sim.shard._run_mp`) caps out at one box —
 its control pipes and shared-memory rings need a common kernel.  This
-module runs the *same* barrier loop
-(:func:`repro.sim.barrier.coordinate`) between a **coordinator** (the
-process that owns the :class:`~repro.sim.shard.ShardedScenario`) and K
-**workers** connected over TCP, so shards can live on other machines
-while every observable stays byte-identical to serial/mp (the
-equivalence fuzz in ``tests/test_shard_equivalence.py`` proves it over
-localhost).  :class:`TcpCoordinator` is the loop's *link*: it assembles
+module runs the *same* window protocol (:mod:`repro.sim.barrier`: the
+loop :func:`~repro.sim.barrier.coordinate` and the worker endpoint's one
+``sync``) between a **coordinator** (the process that owns the
+:class:`~repro.sim.shard.ShardedScenario`) and K **workers** connected
+over TCP — :class:`_TcpChannel` is the endpoint's *wire* — so shards can
+live on other machines while every observable stays byte-identical to
+serial/mp (the equivalence fuzz in ``tests/test_shard_equivalence.py``
+proves it over localhost).  :class:`TcpCoordinator` is the loop's *link*:
+it assembles
 the fleet, and its collect step is the supervision pump — heartbeats,
 death detection, and in-run recovery all happen while one barrier round
 is being gathered, invisible to the loop.
@@ -31,10 +33,12 @@ worker:
   fleet must never reach the first window.  A duplicate (or out-of-
   range) shard claim gets an ``ERROR`` frame and its connection closed;
   the slot stays open for the real worker.
-- **barriers**: each worker ``SYNC`` carries its window status plus the
-  window's outboxes already encoded as :class:`ExchangeFrame` blobs (the
-  ``SoA1`` wire format, byte-for-byte — the same blobs the mp rings carry
-  and the WAL logs).  The coordinator routes blobs between workers
+- **barriers**: each worker ``SYNC`` carries one pickled
+  :class:`~repro.sim.barrier.SyncStatus` (protocol v3): its window status
+  plus the window's outboxes already encoded as :class:`ExchangeFrame`
+  blobs (the ``SoA1`` wire format, byte-for-byte — the same blobs the mp
+  rings carry and the WAL logs), written once — ``routed`` and ``blobs``
+  are one list.  The coordinator routes blobs between workers
   and answers per-shard ``DECISION`` frames (window start, inbound blobs
   in src-shard order, directory control records).  There is no
   worker-to-worker connection: the coordinator is the exchange fabric.
@@ -113,19 +117,19 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.envutil import env_float, env_int
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.barrier import (
-    SyncStatus,
     Verdict,
+    WorkerEndpoint,
     abort_workers,
     coordinate,
     verdict_for,
 )
-from repro.sim.exchange import encode_outbound_blobs
 from repro.sim.faults import FaultPlan, mix64, splitmix64
-from repro.sim.shard import _Channel, _Decision, _run_worker
+from repro.sim.shard import _run_worker
 from repro.sim.wal import config_fingerprint, verify_shard_window
 
-#: v2 added the liveness heartbeat (PING/PONG) and the RECOVER handshake
-PROTOCOL_VERSION = 2
+#: v2 added the liveness heartbeat (PING/PONG) and the RECOVER handshake;
+#: v3 made the SYNC payload a pickled ``SyncStatus``
+PROTOCOL_VERSION = 3
 
 _WIRE_MAGIC = 0x52545031  # "RTP1"
 #: magic, kind, payload length
@@ -395,9 +399,13 @@ class _Heartbeat(threading.Thread):
         self._stopped.set()
 
 
-class _TcpChannel(_Channel):
-    """Worker-side barrier endpoint: syncs up, decisions down, exchange
-    frames riding both as encoded blobs (the coordinator routes them)."""
+#: the wire kind of each message a worker endpoint sends
+_SEND_KINDS = {"sync": _K_SYNC, "done": _K_DONE, "error": _K_ERROR}
+
+
+class _TcpChannel(WorkerEndpoint):
+    """The tcp executor's wire: syncs up, decisions down, exchange frames
+    riding both as encoded blobs (the coordinator routes them)."""
 
     def __init__(
         self, sock: socket.socket, shard_id: int, lock: threading.Lock
@@ -420,67 +428,40 @@ class _TcpChannel(_Channel):
             if kind != _K_PONG:
                 return kind, payload
 
-    def sync(
-        self, outbound, next_time, last_time, executed, requests, extras=None
-    ) -> _Decision:
-        barrier = self._barrier
-        self._barrier += 1
-        blobs, min_outbound = encode_outbound_blobs(
-            outbound, barrier, self.exchange
-        )
-        payload = pickle.dumps(
-            (next_time, last_time, executed, min_outbound, requests,
-             extras, blobs),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        fault = (
-            self.injector.wire_fault(barrier)
-            if self.injector is not None
-            else None
-        )
-        if fault is not None:
-            # Mangle this barrier's sync on the wire, then die without
-            # releasing the lock — no heartbeat may follow the bad bytes.
-            with self.lock:
-                if fault == "corrupt":
-                    self.sock.sendall(
-                        _WIRE_HEADER.pack(0x0BADF00D, _K_SYNC, len(payload))
-                        + payload
-                    )
-                else:  # truncate: promise more bytes than ever arrive
-                    self.sock.sendall(
-                        _WIRE_HEADER.pack(
-                            _WIRE_MAGIC, _K_SYNC, len(payload) + 64
-                        )
-                        + payload
-                    )
-                os._exit(3)
+    def _send(self, kind: str, payload: Any) -> None:
+        if kind == "error":
+            data = payload.encode("utf-8")
+        else:
+            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        header = (_WIRE_MAGIC, _SEND_KINDS[kind], len(data))
+        fault = None
+        if kind == "sync" and self.injector is not None:
+            # sync() has already moved on to the next barrier index
+            fault = self.injector.wire_fault(self._barrier - 1)
+        if fault == "corrupt":
+            header = (0x0BADF00D, _K_SYNC, len(data))
+        elif fault == "truncate":  # promise more bytes than ever arrive
+            header = (_WIRE_MAGIC, _K_SYNC, len(data) + 64)
         with self.lock:
-            send_frame(self.sock, _K_SYNC, payload)
+            self.sock.sendall(_WIRE_HEADER.pack(*header) + data)
+            if fault is not None:
+                # Having mangled this barrier's sync, die without releasing
+                # the lock — no heartbeat may follow the bad bytes.
+                os._exit(3)
+
+    def _recv(self, barrier: int) -> Tuple[str, Any]:
         kind, payload = self._recv_protocol(
             f"shard {self.shard_id} waiting for the window decision at "
             f"barrier {barrier}",
         )
         if kind == _K_ABORT:
-            return _Decision(error=payload.decode("utf-8", "replace"))
+            return "abort", payload.decode("utf-8", "replace")
         if kind != _K_DECISION:
             raise SimulationError(
                 f"shard {self.shard_id}: expected a decision frame at "
                 f"barrier {barrier}, got kind {kind}"
             )
-        return self._decision(pickle.loads(payload), barrier)
-
-    def finish(self, payload: Any) -> None:
-        with self.lock:
-            send_frame(
-                self.sock,
-                _K_DONE,
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-
-    def fail(self, message: str) -> None:
-        with self.lock:
-            send_frame(self.sock, _K_ERROR, message.encode("utf-8"))
+        return "decision", pickle.loads(payload)
 
 
 def worker_main(
@@ -1074,11 +1055,9 @@ class TcpCoordinator:
                 )
             # Any drift means the replacement is not the worker it claims
             # to be: die before it can touch the digest.
-            next_time, last_time, executed, _min_outbound, requests, \
-                extras, blobs = pickle.loads(payload)
+            status = pickle.loads(payload)
             verify_shard_window(
-                record, shard_id,
-                (next_time, last_time, executed, requests, extras), blobs,
+                record, shard_id, status.logged, status.blobs,
                 prefix="RECOVER",
             )
             self.send_decision(
@@ -1110,18 +1089,12 @@ class TcpCoordinator:
                     # frame.
                     self._recover(shard_id, payload, barrier)
                     awaiting.add(shard_id)
-                elif kind == _K_SYNC:
-                    status = pickle.loads(payload)
-                    # On this wire the blobs a sync ships are both the
-                    # frames to route and the bytes the WAL logs.
-                    round_messages.append(
-                        (shard_id, "sync",
-                         SyncStatus(*status, blobs=status[-1]))
-                    )
-                elif kind == _K_DONE:
-                    round_messages.append(
-                        (shard_id, "done", pickle.loads(payload))
-                    )
+                elif kind in (_K_SYNC, _K_DONE):
+                    round_messages.append((
+                        shard_id,
+                        "sync" if kind == _K_SYNC else "done",
+                        pickle.loads(payload),
+                    ))
                 else:
                     round_messages.append((shard_id, "error", payload))
         return round_messages

@@ -71,6 +71,19 @@ however many kernels pack a block.
 
 (o) ``PaceModelBundle`` has exactly the five wire fields: whatever a sender
 computes about its bundle (its centroids' bucket keys) does not ride on it.
+
+(p) The worker half of the window protocol is written once.  Under
+``src/repro/sim`` there is one ``def sync`` and it lives in ``barrier.py``;
+``SyncStatus(`` is constructed at one call site and ``encode_outbound_blobs(``
+called from one function (that ``sync``); there is no ``_Decision`` class and
+``Verdict`` is a class, not a tuple alias; the three executors' endpoints
+define a wire (``_send``, ``_recv``; mp also ``_route``, ``_frame``) and
+nothing else of the protocol; ``_ThreadChannel`` names the endpoint's
+``sync`` as its own attribute (``benchmarks/perf`` wraps it through the
+class ``__dict__``); and ``tcpexec.py`` re-inflates no status
+(``SyncStatus(*``) and reaches into ``repro.sim.shard`` for ``_run_worker``
+only.  Three copies of ``sync`` is how the executors' envelopes drifted apart
+before.
 """
 
 import ast
@@ -545,3 +558,74 @@ def test_pace_bundles_carry_exactly_the_five_wire_fields():
     assert [field.name for field in dataclasses.fields(PaceModelBundle)] == [
         "origin", "models", "accuracies", "calibration", "centroids",
     ]
+
+
+def _calls_to(tree, name):
+    """name of the enclosing function (None at module level) per call of
+    ``name(...)`` / ``x.name(...)`` in ``tree``."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and name == (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        ):
+            sites.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sites
+
+
+def test_the_worker_half_of_the_window_protocol_is_written_once():
+    from repro.sim.barrier import WorkerEndpoint
+    from repro.sim.shard import _ThreadChannel
+
+    sim = ROOT / "src" / "repro" / "sim"
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sim.glob("*.py")
+    }
+    assert len(trees) >= 15  # the package was found
+    nodes = [
+        (name, node) for name, tree in trees.items() for node in ast.walk(tree)
+    ]
+    assert [
+        name for name, node in nodes
+        if isinstance(node, ast.FunctionDef) and node.name == "sync"
+    ] == ["barrier.py"]
+    for called in ("SyncStatus", "encode_outbound_blobs"):
+        assert [
+            (name, function) for name, tree in trees.items()
+            for function in _calls_to(tree, called)
+        ] == [("barrier.py", "sync")], called
+    classes = {
+        node.name for _, node in nodes if isinstance(node, ast.ClassDef)
+    }
+    assert "_Decision" not in classes and "Verdict" in classes
+    assert not [
+        name for name, node in nodes if isinstance(node, ast.Assign)
+        for target in node.targets if getattr(target, "id", None) == "Verdict"
+    ]
+    assert _ThreadChannel.__dict__["sync"] is WorkerEndpoint.sync
+
+    # an executor's endpoint is its wire: no sync, finish or fail body
+    for module, wire, extra in (
+        ("shard.py", "_ThreadChannel", set()),
+        ("shard.py", "_ProcessChannel", {"_route", "_frame"}),
+        ("tcpexec.py", "_TcpChannel", {"_recv_protocol"}),
+    ):
+        own = _own_methods((sim / module).read_text(encoding="utf-8"), wire)
+        assert set(own) == {"__init__", "_send", "_recv"} | extra, wire
+
+    tcpexec = (sim / "tcpexec.py").read_text(encoding="utf-8")
+    assert "SyncStatus(*" not in tcpexec
+    private = {
+        alias.name
+        for node in ast.walk(trees["tcpexec.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.sim.shard"
+        for alias in node.names if alias.name.startswith("_")
+    }
+    assert private == {"_run_worker"}

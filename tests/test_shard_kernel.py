@@ -18,7 +18,7 @@ from repro.sim.distribution import ShardSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, PeerStreams, stream_seed
 from repro.sim.barrier import SyncStatus, reduce_window, verdict_for
-from repro.sim.exchange import columnarize_outbound, merge_frames
+from repro.sim.exchange import ExchangeFrame, merge_frames
 from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.shard import (
     ShardedScenario,
@@ -146,9 +146,13 @@ def _record(deliver_at, src_shard, seq, dst=1):
 
 
 def _status(outbound, next_time, last_time, executed):
-    """A worker's sync as the serial channel builds it: outboxes
-    columnarized, frames routed by reference."""
-    frames, min_outbound = columnarize_outbound(outbound)
+    """A worker's sync with its outboxes columnarized; the routing under
+    test moves items untouched, so the frames ride unencoded."""
+    frames = [
+        (dst_shard, ExchangeFrame.from_records(box))
+        for dst_shard, box in enumerate(outbound) if box
+    ]
+    min_outbound = min((frame.min_time for _, frame in frames), default=INF)
     return SyncStatus(
         next_time, last_time, executed, min_outbound, [], None, frames, None
     )

@@ -31,6 +31,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.sim.barrier import SyncStatus
 from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.shard import ShardedScenario
@@ -782,7 +783,10 @@ def test_recover_divergence_names_the_extras_part(part):
             return record
 
     coordinator.wal = _Wal
-    sync = (1.0, 0.5, 1, None, [], pickle.dumps(replayed), [(0, b"frame")])
+    blobs = [(0, b"frame")]
+    sync = SyncStatus(
+        1.0, 0.5, 1, float("inf"), [], pickle.dumps(replayed), blobs, blobs
+    )
     coordinator._await_frames = lambda shards, barrier: {
         1: (_K_SYNC, pickle.dumps(sync))
     }
