@@ -130,18 +130,18 @@ class RandomHyperplaneLSH(Generic[T]):
     def __len__(self) -> int:
         return self._size
 
-    def query(
+    def candidates(
         self,
         vector: SparseVector,
         top_k: int,
         max_probe_distance: Optional[int] = None,
-    ) -> List[Tuple[float, T]]:
-        """Top-k nearest payloads by Euclidean distance to the stored vector.
+    ) -> List[Tuple[SparseVector, T]]:
+        """The probe half of :meth:`query`: ``(stored vector, payload)`` of
+        every entry in the buckets visited, in probe order, unranked.
 
-        Probes buckets in order of Hamming distance from the query signature
-        (multi-probe LSH) until at least ``top_k`` candidates are gathered or
-        ``max_probe_distance`` is exhausted, then ranks candidates exactly.
-        Returns ``(distance, payload)`` pairs sorted ascending.
+        Buckets are probed in order of Hamming distance from the query
+        signature (multi-probe LSH) until at least ``top_k`` candidates are
+        gathered or ``max_probe_distance`` is exhausted.
         """
         if top_k <= 0:
             raise ConfigurationError("top_k must be positive")
@@ -157,8 +157,22 @@ class RandomHyperplaneLSH(Generic[T]):
                 candidates.extend(self._buckets.get(key, ()))
             if len(candidates) >= top_k:
                 break
+        return candidates
+
+    def query(
+        self,
+        vector: SparseVector,
+        top_k: int,
+        max_probe_distance: Optional[int] = None,
+    ) -> List[Tuple[float, T]]:
+        """Top-k nearest payloads by Euclidean distance to the stored vector.
+
+        Ranks :meth:`candidates` exactly; ties keep probe order.  Returns
+        ``(distance, payload)`` pairs sorted ascending.
+        """
         scored = [
-            (vector.distance(stored), payload) for stored, payload in candidates
+            (vector.distance(stored), payload)
+            for stored, payload in self.candidates(vector, top_k, max_probe_distance)
         ]
         scored.sort(key=lambda pair: pair[0])
         return scored[:top_k]

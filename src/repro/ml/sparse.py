@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -94,12 +94,22 @@ class SparseVector:
         a, b = self._data, other._data
         if len(a) > len(b):
             a, b = b, a
-        return sum(value * b[key] for key, value in a.items() if key in b)
+        # Added left to right from the int 0: builtin ``sum`` compensates
+        # float sums from CPython 3.12 on, and the digests pin this order.
+        total = 0
+        for key, value in a.items():
+            if key in b:
+                total += value * b[key]
+        return total
 
     def dot_dense(self, dense: np.ndarray) -> float:
         """Dot product against a dense weight array (out-of-range ids are 0)."""
         n = dense.shape[0]
-        return float(sum(value * dense[key] for key, value in self._data.items() if key < n))
+        total = 0
+        for key, value in self._data.items():
+            if key < n:
+                total += value * dense[key]
+        return float(total)
 
     def add(self, other: "SparseVector", scale: float = 1.0) -> "SparseVector":
         """Return ``self + scale * other`` as a new vector."""
@@ -122,7 +132,10 @@ class SparseVector:
         """``<self, self>``, summed once per instance and cached."""
         cached = self._squared_norm
         if cached is None:
-            cached = self._squared_norm = sum(v * v for v in self._data.values())
+            cached = 0
+            for value in self._data.values():
+                cached += value * value
+            self._squared_norm = cached
         return cached
 
     def norm(self) -> float:
@@ -223,3 +236,61 @@ def pack_rows(vectors: Sequence[SparseVector]) -> PackedRows:
         rows=np.repeat(np.arange(len(vectors)), lengths),
         lengths=lengths,
     )
+
+
+class RowTable:
+    """Vectors laid out for the dot products of many of them with one query,
+    each summed in the *query's* iteration order — what
+    :meth:`SparseVector.dot` does for a row that has more entries than the
+    query (or as many, with the query as ``self``).
+
+    ``slots[row, column]`` is where the row keeps that column among its own
+    values, counted from 1; 0 is the row's leading ``0.0``, so an absent
+    column gathers a term of ``+0.0`` and every sum starts from zero like
+    the scalar one — both bit-neutral.  Two bytes a cell where no row
+    passes 65,535 entries: a float64 ``rows x columns`` table is the same
+    kernel at four times the memory.
+    """
+
+    def __init__(self, vectors: Sequence[SparseVector]) -> None:
+        columns, indices, data, rows, lengths = pack_rows(vectors)
+        # The pack is transient, 24 B an entry; each part is let go as soon
+        # as it is spent, because what overlaps is what peak RSS remembers.
+        del rows
+        first = np.cumsum(lengths) - lengths  # entries ahead of each row's
+        self.columns = columns
+        self.lengths = lengths
+        #: row -> index of its leading 0.0 in ``values``
+        self.starts = first + np.arange(len(vectors))
+        self.values = np.insert(data, first, 0.0)
+        del data
+        longest = int(lengths.max(initial=0))
+        ramp = np.arange(1, longest + 1, dtype=np.min_scalar_type(longest))
+        self.slots = np.zeros((len(vectors), len(columns)), dtype=ramp.dtype)
+        # Row by row, for the same reason: one scatter over every entry
+        # costs three more entry-long temporaries.
+        for row, (begin, length) in enumerate(zip(first.tolist(), lengths.tolist())):
+            self.slots[row, indices[begin:begin + length]] = ramp[:length]
+
+    def localize(self, query: SparseVector) -> Tuple[np.ndarray, np.ndarray]:
+        """``query``'s entries on the table's columns, in its own order.  A
+        feature no row has adds ``+0.0`` to every sum, so it is left out."""
+        column_of = self.columns.get
+        columns: List[int] = []
+        values: List[float] = []
+        for key, value in query.items():
+            column = column_of(key)
+            if column is not None:
+                columns.append(column)
+                values.append(value)
+        return np.array(columns, dtype=np.intp), np.array(values, dtype=np.float64)
+
+    def dots(self, rows: np.ndarray, columns: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``<row, query>`` for each of ``rows``, ``(columns, values)`` being
+        :meth:`localize` of the query: gather, multiply, and a prefix sum
+        that adds strictly left to right (``sum(axis=1)`` goes pairwise)."""
+        slots = self.slots.take(rows, axis=0).take(columns, axis=1)
+        terms = np.zeros((len(rows), len(columns) + 1), dtype=np.float64)
+        gathered = self.values.take(self.starts.take(rows)[:, None] + slots)
+        np.multiply(values, gathered, out=terms[:, 1:])
+        return np.add.accumulate(terms, axis=1)[:, -1]

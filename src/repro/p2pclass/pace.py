@@ -17,7 +17,7 @@ traffic).  The broadcast uses the overlay's flood primitive when available
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from repro.ml.calibration import PlattCalibrator
 from repro.ml.kmeans import KMeans
 from repro.ml.linear_svm import LinearSVM, LinearSVMModel
 from repro.ml.lsh import RandomHyperplaneLSH
-from repro.ml.sparse import SparseVector
+from repro.ml.sparse import RowTable, SparseVector
 from repro.p2pclass.base import P2PTagClassifier, PeerData, binary_problems
-from repro.p2pclass.voting import weighted_score
 from repro.sim.codec import register_traffic_class
 from repro.sim.scenario import Scenario
 
@@ -61,15 +60,6 @@ class PaceModelBundle:
         centroid_bytes = sum(c.wire_size() for c in self.centroids)
         return model_bytes + tag_bytes + platt_bytes + centroid_bytes + 8
 
-    def probability(self, tag: str, decision: float) -> float:
-        """Calibrated P(tag | decision) using the shipped Platt parameters."""
-        a, b = self.calibration.get(tag, (-2.0, 0.0))
-        z = a * decision + b
-        if z >= 0:
-            ez = np.exp(-min(z, 500.0))
-            return float(ez / (1.0 + ez))
-        return float(1.0 / (1.0 + np.exp(max(z, -500.0))))
-
 
 @dataclass
 class PaceConfig:
@@ -98,6 +88,107 @@ class PaceConfig:
             raise ConfigurationError("distance_smoothing must be positive")
 
 
+class _PredictionBlock:
+    """Every distinct bundle the receivers hold — one object serves each
+    store it sits in — with its centroids and weight vectors in one
+    :class:`RowTable` and its models' parameters in arrays beside it, so an
+    AutoTag is two kernel calls: rank the probe's centroids, score the
+    surviving bundles' models.
+
+    Bit-identical to one ``distance`` per candidate and one ``decision``
+    per model: a row :meth:`SparseVector.dot` would walk in the *row's*
+    order (the operand with fewer entries is iterated, ``self`` on a tie —
+    the query in a distance, the weights in a decision) still takes the
+    scalar ``dot``.
+    """
+
+    def __init__(self, stores: Iterable[Dict[int, PaceModelBundle]],
+                 tags: Sequence[str]) -> None:
+        slot_of = {tag: slot for slot, tag in enumerate(tags)}
+        self.num_tags = len(tags)
+        #: row -> its vector; kept alive, so the ids below stay theirs
+        self.vectors: List[SparseVector] = []
+        self.centroid_row: Dict[int, int] = {}  # id(centroid) -> row
+        self.model_rows: Dict[int, np.ndarray] = {}  # id(bundle) -> rows
+        parameters: List[Tuple[int, float, float, float, float]] = []
+        no_model = (0, 0.0, 0.0, 0.0, 0.0)
+        for store in stores:
+            for bundle in store.values():
+                if id(bundle) in self.model_rows:
+                    continue
+                for centroid in bundle.centroids:
+                    self.centroid_row[id(centroid)] = len(self.vectors)
+                    self.vectors.append(centroid)
+                    parameters.append(no_model)
+                first = len(self.vectors)
+                for tag, model in bundle.models.items():
+                    self.vectors.append(model.weights)
+                    parameters.append((
+                        slot_of[tag], model.bias,
+                        *bundle.calibration.get(tag, (-2.0, 0.0)),
+                        bundle.accuracies.get(tag, 0.5),
+                    ))
+                self.model_rows[id(bundle)] = np.arange(first, len(self.vectors))
+        self.table = RowTable(self.vectors)
+        columns = np.array(parameters, dtype=np.float64).reshape(-1, 5)
+        self.tag = columns[:, 0].astype(np.intp)
+        #: row -> bias, Platt A, Platt B, accuracy of the model it holds
+        self.parameters = np.ascontiguousarray(columns[:, 1:])
+        #: row -> squared norm of the centroid it holds
+        self.squared_norm = np.zeros(len(self.vectors), dtype=np.float64)
+        centroid_rows = list(self.centroid_row.values())
+        self.squared_norm[centroid_rows] = [
+            self.vectors[row].squared_norm() for row in centroid_rows
+        ]
+
+    def _dots(self, rows, vector, query, query_is_self):
+        """``vector.dot(row)`` (``query_is_self``) or ``row.dot(vector)``
+        for each of ``rows``, summed in the order the scalar takes."""
+        dots = self.table.dots(rows, *query)
+        # ties go to ``self``: the query walks an equally long centroid,
+        # equally long weights walk themselves
+        in_row_order = self.table.lengths.take(rows) <= len(vector) - query_is_self
+        for position in np.flatnonzero(in_row_order).tolist():
+            dots[position] = self.vectors[rows[position]].dot(vector)
+        return dots
+
+    def distances(self, vector: SparseVector, query, centroids) -> List[float]:
+        """``vector.distance(centroid)`` for each of ``centroids``."""
+        known = [self.centroid_row.get(id(centroid)) for centroid in centroids]
+        if None in known:  # indexed, but in no receiver's store
+            return [vector.distance(centroid) for centroid in centroids]
+        rows = np.array(known, dtype=np.intp)
+        squared = (
+            vector.squared_norm()
+            - 2.0 * self._dots(rows, vector, query, True)
+            + self.squared_norm.take(rows)
+        )
+        return np.sqrt(np.where(squared > 0.0, squared, 0.0)).tolist()
+
+    def vote(self, vector: SparseVector, query, bundles, proximities) -> List[float]:
+        """Per tag slot, the accuracy x proximity weighted mean of the
+        calibrated probabilities of every model of ``bundles``, taken in
+        that order (0.0 where nothing votes)."""
+        if not bundles:
+            return [0.0] * self.num_tags
+        per_bundle = [self.model_rows[id(bundle)] for bundle in bundles]
+        rows = np.concatenate(per_bundle)
+        bias, platt_a, platt_b, accuracy = self.parameters.take(rows, axis=0).T
+        z = platt_a * (self._dots(rows, vector, query, False) + bias) + platt_b
+        # the sigmoid from the side that cannot overflow, |z| capped at 500
+        ez = np.exp(-np.minimum(np.abs(z), 500.0))
+        probability = np.where(z >= 0, ez, 1.0) / (1.0 + ez)
+        weight = accuracy * np.repeat(proximities, [len(r) for r in per_bundle])
+        weight = np.where(weight > 0.0, weight, 0.0)
+        tag = self.tag.take(rows)
+        numerator = np.bincount(tag, probability * weight, self.num_tags)
+        denominator = np.bincount(tag, weight, self.num_tags)
+        return [
+            0.0 if total == 0.0 else score / total
+            for score, total in zip(numerator.tolist(), denominator.tolist())
+        ]
+
+
 class PaceClassifier(P2PTagClassifier):
     """PACE over the scenario's overlay."""
 
@@ -117,6 +208,9 @@ class PaceClassifier(P2PTagClassifier):
         # Per-receiving-peer state: LSH index over centroids + bundle store.
         self._indexes: Dict[int, RandomHyperplaneLSH] = {}
         self._received: Dict[int, Dict[int, PaceModelBundle]] = {}
+        # Every bundle some receiver holds, packed for prediction on the
+        # first query after train().
+        self._block: Optional[_PredictionBlock] = None
 
     # ------------------------------------------------------------------
     # Training
@@ -127,6 +221,7 @@ class PaceClassifier(P2PTagClassifier):
         # which replace each origin's previous models in every index.
         self._indexes.clear()
         self._received.clear()
+        self._block = None
         bundles = self._train_local_bundles()
         self._propagate(bundles)
         self._flush_network()
@@ -238,25 +333,34 @@ class PaceClassifier(P2PTagClassifier):
     def predict_scores(self, origin: int, vector: SparseVector) -> Dict[str, float]:
         self._require_trained()
         index = self._indexes.get(origin)
-        store = self._received.get(origin, {})
         if index is None or len(index) == 0:
             return {tag: 0.0 for tag in self.tags}
-        nearest = index.query(vector, top_k=self.config.top_k)
-        votes: Dict[str, List[Tuple[float, float]]] = {t: [] for t in self.tags}
+        store = self._received.get(origin, {})
+        block = self._block
+        if block is None:
+            block = self._block = _PredictionBlock(self._received.values(), self.tags)
+        query = block.table.localize(vector)
+        candidates = index.candidates(vector, self.config.top_k)
+        distances = block.distances(vector, query, [stored for stored, _ in candidates])
+        # Ranked before the repeated-origin skip, ties in probe order.
+        nearest = sorted(range(len(candidates)), key=distances.__getitem__)
+        bundles: List[PaceModelBundle] = []
+        proximities: List[float] = []
         seen_origins = set()
-        for distance, bundle_origin in nearest:
+        for position in nearest[: self.config.top_k]:
+            bundle_origin = candidates[position][1]
             if bundle_origin in seen_origins:
                 continue  # a bundle may match via several centroids
             seen_origins.add(bundle_origin)
             bundle = store.get(bundle_origin)
             if bundle is None:
                 continue
-            proximity = 1.0 / (self.config.distance_smoothing + distance)
-            for tag, model in bundle.models.items():
-                probability = bundle.probability(tag, model.decision(vector))
-                weight = bundle.accuracies.get(tag, 0.5) * proximity
-                votes[tag].append((probability, weight))
-        return {tag: weighted_score(votes[tag]) for tag in self.tags}
+            bundles.append(bundle)
+            proximities.append(
+                1.0 / (self.config.distance_smoothing + distances[position])
+            )
+        scores = block.vote(vector, query, bundles, proximities)
+        return dict(zip(self.tags, scores))
 
     # -- diagnostics --------------------------------------------------------
 

@@ -5,9 +5,11 @@ Each ``install_*`` replaces one bound method on ONE instance (the seam
 the fast path already goes through), so an equivalence test builds two
 identically seeded stacks, installs the reference on one, and compares
 fingerprints byte-for-byte.  ``ml_scalar`` holds the scalar loops of
-``repro.ml`` and PACE's per-receiver centroid hashing; its
-``install_scalar_ml`` patches classes for the length of a ``monkeypatch``
-context instead (models are born inside ``train()``).
+``repro.ml``, PACE's per-receiver centroid hashing and its scalar
+prediction; its ``install_scalar_ml`` patches classes for the length of a
+``monkeypatch`` context instead (models are born inside ``train()``).
+``compensated_sum`` is CPython 3.12's builtin ``sum``, installable as the
+``sum`` of every ``repro`` module on any interpreter.
 """
 
 from reference.broadcast import install_per_message_broadcast

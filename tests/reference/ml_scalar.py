@@ -1,15 +1,16 @@
 """The scalar inner loops of ``repro.ml``: oracles for the cached norm, the
 packed support-vector ``decision``, the shared-table LSH ``signature``, the
-array Gram matrix, the SMO sweep, the Pegasos steps and PACE's
-hash-once bundle store.
+array Gram matrix, the SMO sweep, the Pegasos steps, PACE's hash-once
+bundle store and PACE's block prediction.
 
 Nothing here reads a cache: norms are re-summed on every call and
 hyperplane components are re-drawn per feature id, so these are the loops
 the array forms replaced, one Python operation at a time.  The training
-loops (``dot``, ``gram_matrix``, ``smo_fit``, ``pegasos_fit``) accumulate
-with an explicit ``total += term``, never ``sum()``: CPython >= 3.12
-compensates ``sum()`` over floats, and the contract of the array kernels is
-the plain left-to-right sum on every interpreter.
+loops (``squared_norm``, ``dot``, ``gram_matrix``, ``smo_fit``,
+``pegasos_fit``) and PACE's ``predict_scores`` accumulate with an explicit
+``total += term``, never ``sum()``: CPython >= 3.12 compensates ``sum()``
+over floats, and the contract of the array kernels is the plain
+left-to-right sum on every interpreter.
 """
 
 import functools
@@ -23,10 +24,14 @@ from repro.ml.linear_svm import LinearSVM, LinearSVMModel
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import SparseVector
 from repro.p2pclass.pace import PaceClassifier
+from repro.p2pclass.voting import weighted_score
 
 
 def squared_norm(vector):
-    return sum(value * value for value in vector.values())
+    total = 0
+    for value in vector.values():
+        total += value * value
+    return total
 
 
 def dot(a, b):
@@ -213,6 +218,45 @@ def install_per_receiver_hashing(classifier) -> None:
     classifier._store_bundle = functools.partial(store_bundle, classifier)
 
 
+def probability(bundle, tag, decision):
+    """Calibrated P(tag | decision) from the bundle's shipped Platt
+    parameters, one document and one model at a time."""
+    a, b = bundle.calibration.get(tag, (-2.0, 0.0))
+    z = a * decision + b
+    if z >= 0:
+        ez = np.exp(-min(z, 500.0))
+        return float(ez / (1.0 + ez))
+    return float(1.0 / (1.0 + np.exp(max(z, -500.0))))
+
+
+def predict_scores(classifier, origin, vector):
+    """``PaceClassifier.predict_scores`` as it was before the prediction
+    block: ``index.query`` ranks the probe with one ``distance`` per
+    candidate, then one ``decision`` and one sigmoid per model, voted
+    through ``weighted_score``."""
+    classifier._require_trained()
+    index = classifier._indexes.get(origin)
+    store = classifier._received.get(origin, {})
+    if index is None or len(index) == 0:
+        return {tag: 0.0 for tag in classifier.tags}
+    nearest = index.query(vector, top_k=classifier.config.top_k)
+    votes = {t: [] for t in classifier.tags}
+    seen_origins = set()
+    for distance, bundle_origin in nearest:
+        if bundle_origin in seen_origins:
+            continue  # a bundle may match via several centroids
+        seen_origins.add(bundle_origin)
+        bundle = store.get(bundle_origin)
+        if bundle is None:
+            continue
+        proximity = 1.0 / (classifier.config.distance_smoothing + distance)
+        for tag, model in bundle.models.items():
+            p = probability(bundle, tag, model.decision(vector))
+            weight = bundle.accuracies.get(tag, 0.5) * proximity
+            votes[tag].append((p, weight))
+    return {tag: weighted_score(votes[tag]) for tag in classifier.tags}
+
+
 def _fit_with(loop, array_fit):
     """A ``fit`` that runs ``loop`` for a well-formed two-class problem and
     leaves validation and the one-class constant model to ``array_fit``."""
@@ -239,3 +283,4 @@ def install_scalar_ml(monkeypatch) -> None:
     ))
     monkeypatch.setattr(LinearSVM, "fit", _fit_with(pegasos_fit, LinearSVM.fit))
     monkeypatch.setattr(PaceClassifier, "_store_bundle", store_bundle)
+    monkeypatch.setattr(PaceClassifier, "predict_scores", predict_scores)

@@ -16,6 +16,7 @@ their smoke shapes.
 """
 
 import importlib
+import json
 import os
 import sys
 import threading
@@ -26,13 +27,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from determinism_fixtures import build_classifier, build_scenario
-from reference import ml_scalar
+from determinism_fixtures import (
+    build_classifier,
+    build_scenario,
+    build_scenario_config,
+)
+from reference import compensated_sum, ml_scalar
 from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, SupportVector
 from repro.ml.kernels import gram_matrix
-from repro.ml.linear_svm import LinearSVM
+from repro.ml.linear_svm import LinearSVM, LinearSVMModel
 from repro.ml.lsh import RandomHyperplaneLSH
-from repro.ml.sparse import SparseVector, pack_rows
+from repro.ml.sparse import RowTable, SparseVector, pack_rows
+from repro.p2pclass.pace import PaceClassifier, PaceConfig, PaceModelBundle
+from repro.sim.shard import ShardedScenario
 
 PERF = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -384,6 +391,294 @@ def test_pace_buckets_equal_per_receiver_hashing(protocol, overlay, monkeypatch)
         assert len(calls) - 2 * hashed == stored > 2 * hashed
 
 
+# -- RowTable: many rows against one query, in the query's order ---------------------
+
+
+def _hex(value):
+    return float(value).hex()
+
+
+def _table_dots(rows, query):
+    table = RowTable(rows)
+    return table.dots(np.arange(len(rows)), *table.localize(query)).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(vectors(max_id=20, max_size=16), min_size=1, max_size=8),
+       query=vectors(max_id=24, max_size=16))
+def test_row_table_dots_equal_the_scalar_dot_walked_by_the_query(rows, query):
+    """Whenever ``SparseVector.dot`` would iterate the query — the row is
+    longer, or as long with the query as ``self`` — the kernel's sum is
+    that sum, bit for bit; features no row has fall out of the query."""
+    got = _table_dots(rows, query)
+    for row, dot in zip(rows, got):
+        if len(row) >= len(query):
+            assert _hex(dot) == _hex(query.dot(row)) == _hex(ml_scalar.dot(query, row))
+        if len(row) > len(query):
+            assert _hex(dot) == _hex(row.dot(query))
+
+
+def test_row_table_sums_start_from_zero_and_go_left_to_right():
+    # every product underflows to -0.0: from the int 0 the scalar sum is +0.0
+    tiny = SparseVector({0: 1e-200, 1: 1e-200})
+    negative = SparseVector({0: -1e-200, 1: -1e-200, 2: 1.0})
+    assert _hex(tiny.dot(negative)) == _hex(0.0) != _hex(-0.0)
+    assert _hex(_table_dots([negative], tiny)[0]) == _hex(0.0)
+    # no terms at all: the empty query, and one no row shares a feature with
+    assert _table_dots([negative, SparseVector()], SparseVector()) == [0.0, 0.0]
+    assert _table_dots([negative], SparseVector({7: 2.0, 2 ** 17: 1.0})) == [0.0]
+    # [+B, s x7, -B] with s under half an ulp of B: left to right every s
+    # is absorbed; pairwise (``sum(axis=1)`` from eight terms up) they meet
+    # each other first and survive
+    ones = SparseVector({k: 1.0 for k in range(9)})
+    row = SparseVector(
+        [(0, 1e16)] + [(k, 0.5) for k in range(1, 8)] + [(8, -1e16), (9, 1.0)]
+    )
+    assert ones.dot(row) == 0.0
+    terms = np.array([[0.0, 1e16] + [0.5] * 7 + [-1e16]])
+    assert terms.sum(axis=1)[0] != 0.0  # the data has teeth
+    assert _table_dots([row], ones) == [0.0]
+
+
+def test_row_table_is_a_position_table_over_the_packed_values():
+    rows = [SparseVector({7: 1.0, 3: -2.0}), SparseVector(),
+            SparseVector({3: 4.0, 9: 0.5, 7: 8.0})]
+    table = RowTable(rows)
+    assert list(table.columns.items()) == [(7, 0), (3, 1), (9, 2)]
+    assert table.slots.tolist() == [[1, 2, 0], [0, 0, 0], [3, 1, 2]]
+    assert table.slots.dtype == np.uint8  # the longest row sets the width
+    assert table.values.tolist() == [0.0, 1.0, -2.0, 0.0, 0.0, 4.0, 0.5, 8.0]
+    assert table.starts.tolist() == [0, 3, 4]
+    assert table.lengths.tolist() == [2, 0, 3]
+    wide = RowTable([SparseVector({k: 1.0 for k in range(300)})])
+    assert wide.slots.dtype == np.uint16 and wide.slots.max() == 300
+    columns, values = table.localize(SparseVector({9: 2.0, 5: 1.0, 7: -1.0}))
+    assert (columns.tolist(), values.tolist()) == ([2, 0], [2.0, -1.0])
+    assert len(RowTable([]).values) == 0
+
+
+# -- PACE: block prediction equals one distance and one decision at a time ---------
+
+_PACE_TAGS = ("a", "b", "c")
+
+
+def _direction(scale, features=(0,)):
+    """Positive multiples of one direction share every LSH bucket."""
+    return SparseVector({feature: scale for feature in features})
+
+
+def _bundle(origin, centroids, models, accuracies=None, calibration=None):
+    return PaceModelBundle(
+        origin=origin,
+        models={tag: LinearSVMModel(SparseVector(weights), bias)
+                for tag, (weights, bias) in models.items()},
+        accuracies={tag: 0.8 for tag in models} if accuracies is None else accuracies,
+        calibration=(
+            {tag: (-1.5, 0.25) for tag in models} if calibration is None else calibration
+        ),
+        centroids=list(centroids),
+    )
+
+
+def _pace_holding(stores, **config):
+    """A trained-looking ``PaceClassifier`` whose receivers hold exactly
+    ``stores`` (receiver -> bundles), stored the way a broadcast stores."""
+    classifier = PaceClassifier(
+        build_scenario("fullmesh", "none"), {0: []}, _PACE_TAGS, PaceConfig(**config)
+    )
+    classifier._trained = True
+    for receiver, bundles in stores.items():
+        signature = classifier._index_of(receiver).signature
+        for bundle in bundles:
+            keys = [signature(centroid) for centroid in bundle.centroids]
+            classifier._store_bundle(receiver, bundle, keys)
+    return classifier
+
+
+def _assert_same_scores(classifier, origin, query):
+    got = classifier.predict_scores(origin, query)
+    want = ml_scalar.predict_scores(classifier, origin, query)
+    assert list(got) == list(want) == list(classifier.tags)
+    assert {tag: _hex(score) for tag, score in got.items()} == {
+        tag: _hex(score) for tag, score in want.items()
+    }
+    return got
+
+
+@st.composite
+def _bundles(draw, origin):
+    tags = draw(st.lists(st.sampled_from(_PACE_TAGS), unique=True, max_size=3))
+    models = {
+        tag: (draw(vectors(max_id=14, max_size=12)).to_dict(),
+              draw(st.floats(-2.0, 2.0)))
+        for tag in tags
+    }
+    # a bundle may lack a tag, a calibration entry or an accuracy entry;
+    # a negative accuracy votes with weight zero
+    accuracies = {tag: draw(st.floats(-0.25, 1.0)) for tag in tags
+                  if draw(st.booleans())}
+    calibration = {tag: (draw(st.floats(-4.0, 4.0)), draw(st.floats(-2.0, 2.0)))
+                   for tag in tags if draw(st.booleans())}
+    centroids = draw(st.lists(vectors(max_id=14, max_size=12),
+                              min_size=1, max_size=2))
+    return _bundle(origin, centroids, models, accuracies, calibration)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), origins=st.integers(1, 5), top_k=st.integers(1, 8),
+       smoothing=st.sampled_from([0.5, 1.0]),
+       queries=st.lists(vectors(max_id=18, max_size=14), min_size=1, max_size=4))
+def test_pace_scores_equal_the_scalar_prediction(data, origins, top_k, smoothing,
+                                                 queries):
+    bundles = [data.draw(_bundles(origin)) for origin in range(origins)]
+    kept = data.draw(st.lists(st.sampled_from(range(origins)), unique=True))
+    classifier = _pace_holding(
+        {0: bundles, 1: [bundles[origin] for origin in kept]},
+        top_k=top_k, distance_smoothing=smoothing,
+    )
+    for query in queries + [SparseVector(), SparseVector({10_000: 1.5})]:
+        for receiver in (0, 1, 2):
+            _assert_same_scores(classifier, receiver, query)
+
+
+def _walked_by(walker, other):
+    """``<walker, other>`` summed in ``walker``'s order, whatever the lengths."""
+    total = 0.0
+    for key, value in walker.items():
+        if key in other:
+            total += value * other[key]
+    return total
+
+
+def _shuffled_pairs(rng, ids, size):
+    keys = rng.choice(ids, size=size, replace=False).tolist()
+    values = rng.uniform(0.1, 3.0, size) * rng.choice([-1.0, 1.0], size)
+    return list(zip(keys, values.tolist()))
+
+
+def test_pace_walks_each_row_in_the_operand_order_the_scalar_dot_takes():
+    """Weights shorter than, as long as and longer than the query (``dot``
+    iterates the shorter operand, the weights on a tie); centroids strictly
+    shorter than and as long as it (the query on a tie) — on data where the
+    order shows in the last bit of a score."""
+    rng = np.random.default_rng(41)
+    ordered_by_weights = ordered_by_centroid = 0
+    for case in range(30):
+        length = int(rng.integers(6, 11))
+        query = SparseVector(_shuffled_pairs(rng, 14, length))
+        bundles = []
+        for origin in range(4):
+            models = {
+                tag: (dict(_shuffled_pairs(rng, 14, length + delta)),
+                      float(rng.uniform(-1, 1)))
+                for tag, delta in zip(_PACE_TAGS, rng.permutation([-2, 0, 3]))
+            }
+            centroids = [SparseVector(_shuffled_pairs(rng, 14, length + delta))
+                         for delta in (-1, 0)]
+            bundles.append(_bundle(origin, centroids, models))
+            ties = [SparseVector(weights) for weights, _ in models.values()
+                    if len(weights) == length]
+            ordered_by_weights += sum(
+                _walked_by(weights, query) != _walked_by(query, weights)
+                for weights in ties
+            )
+            ordered_by_centroid += (
+                _walked_by(centroids[0], query) != _walked_by(query, centroids[0])
+            )
+        classifier = _pace_holding({0: bundles}, top_k=6)
+        _assert_same_scores(classifier, 0, query)
+    # the data has teeth: tied weights, and a centroid one entry short,
+    # sum differently in the query's order
+    assert ordered_by_weights >= 10 and ordered_by_centroid >= 10
+
+
+def test_pace_ranks_the_probe_before_it_skips_a_repeated_origin():
+    """One origin matched through both its centroids fills both of the
+    ``top_k = 2`` places, so the third candidate never votes — skipping the
+    repeat first would let it in."""
+    twice = _bundle(1, [_direction(1.0), _direction(2.0)], {"a": ({0: 1.0}, 0.1)})
+    other = _bundle(2, [_direction(3.0)], {"a": ({0: -2.0}, 0.0), "b": ({0: 0.5}, 0.0)})
+    query = _direction(1.2)
+    narrow = _assert_same_scores(_pace_holding({0: [twice, other]}, top_k=2), 0, query)
+    wide = _assert_same_scores(_pace_holding({0: [twice, other]}, top_k=3), 0, query)
+    assert narrow["b"] == 0.0 != wide["b"] and narrow["a"] != wide["a"]
+
+
+def test_pace_keeps_probe_order_among_equally_distant_candidates():
+    first = _bundle(1, [_direction(2.0)], {"a": ({0: 1.0}, 0.0)})
+    second = _bundle(2, [_direction(2.0)], {"b": ({0: 1.0}, 0.0)})
+    query = _direction(1.0)
+    scores = _assert_same_scores(_pace_holding({0: [first, second]}, top_k=1), 0, query)
+    swapped = _assert_same_scores(_pace_holding({0: [second, first]}, top_k=1), 0, query)
+    assert scores["a"] > 0.0 == scores["b"] and swapped["b"] > 0.0 == swapped["a"]
+
+
+def test_pace_candidates_whose_origin_the_store_lacks_still_take_their_place():
+    near = _bundle(1, [_direction(1.0)], {"a": ({0: 1.0}, 0.0)})
+    far = _bundle(2, [_direction(5.0)], {"b": ({0: 1.0}, 0.0)})
+    query = _direction(1.1)
+    # another receiver still holds the bundle: the block knows its centroid
+    classifier = _pace_holding({0: [near, far], 1: [near]}, top_k=1)
+    del classifier._received[0][1]
+    assert _assert_same_scores(classifier, 0, query) == dict.fromkeys(_PACE_TAGS, 0.0)
+    assert _assert_same_scores(classifier, 1, query)["a"] > 0.0
+    # nobody holds it: its distance is the scalar one, its place still taken
+    alone = _pace_holding({0: [near, far]}, top_k=1)
+    del alone._received[0][1]
+    assert _assert_same_scores(alone, 0, query) == dict.fromkeys(_PACE_TAGS, 0.0)
+    alone.config.top_k = 2
+    assert _assert_same_scores(alone, 0, query)["b"] > 0.0
+
+
+def test_pace_edges_of_the_index_and_of_the_sigmoid():
+    steep = _bundle(
+        1, [_direction(1.0, (0, 1))],
+        {"a": ({0: 400.0}, 1.0), "b": ({0: -400.0}, -1.0), "c": ({1: 1.0}, 0.0)},
+        accuracies={"a": 0.9},            # b and c vote at the default 0.5
+        calibration={"a": (-2.0, 0.0), "b": (-2.0, 0.0)},  # c at the default
+    )
+    classifier = _pace_holding({0: [steep], 3: []}, top_k=50)  # top_k > candidates
+    scores = _assert_same_scores(classifier, 0, _direction(1.0))
+    # |z| = 802 and 798, both held at 500
+    assert scores["a"] == 1.0 / (1.0 + np.exp(-500.0)) == 1.0
+    assert 0.0 < scores["b"] < 1e-200
+    assert scores["c"] == 1.0 / (1.0 + np.exp(0.0)) == 0.5
+    for query in (SparseVector(), SparseVector({10_000: 1.5, 2 ** 17: -2.0})):
+        _assert_same_scores(classifier, 0, query)
+    # an index with nothing in it, and a peer that never received anything
+    for receiver in (3, 4):
+        assert _assert_same_scores(classifier, receiver, _direction(1.0)) == (
+            dict.fromkeys(_PACE_TAGS, 0.0)
+        )
+
+
+@pytest.mark.parametrize("protocol", ["pace", "private"])
+def test_pace_block_is_built_on_the_first_query_and_dropped_by_train(protocol):
+    classifier = build_classifier(protocol, build_scenario("chord", "churn"))
+    queries = [item.vector for items in classifier.peer_data.values()
+               for item in items]
+    classifier.train()
+    assert classifier._block is None  # train() packs nothing
+    for receiver in classifier._received:
+        for query in queries:
+            _assert_same_scores(classifier, receiver, query)
+    first = classifier._block
+    distinct = {id(bundle) for store in classifier._received.values()
+                for bundle in store.values()}
+    assert set(first.model_rows) == distinct  # one block, shared bundles once
+    # retraining on other data replaces every bundle, and the block with them
+    classifier.peer_data = {
+        address: items[: len(items) // 2 + 1]
+        for address, items in classifier.peer_data.items()
+    }
+    classifier.train()
+    assert classifier._block is None
+    for receiver in classifier._received:
+        for query in queries[::3]:
+            _assert_same_scores(classifier, receiver, query)
+    assert classifier._block is not first
+
+
 # -- packed decision: within 1e-12 of the scalar sum ------------------------------
 
 
@@ -459,31 +754,132 @@ def _perf_module(name):
     return importlib.import_module(name)
 
 
-def _run_smoke(workload_class):
-    """One repetition of a benchmark workload at its SMOKE shape, seed 0:
-    (exact values, predicted tag sets)."""
+def _run(workload_class, shape, seed=0):
+    """One repetition of a benchmark workload: the finished workload."""
     checks = _perf_module("workloads").Checks()
     watch = _perf_module("stopwatch").Stopwatch(calibrated=False)
-    workload = workload_class(workload_class.SMOKE, 0, "", checks, watch)
+    workload = workload_class(shape, seed, "", checks, watch)
     watch.start()
     workload.setup()
     workload.load()
     workload.query()
     workload.finish()
     assert checks.failed == 0
-    return workload.exact, workload._predicted
+    return workload
+
+
+def _assert_same_autotag(workload_class, shape, seed, install):
+    """The workload run with ``install``'s oracles in place and without:
+    the same tag sets and the same exact values; returns the plain run."""
+    with pytest.MonkeyPatch.context() as patch:
+        install(patch)
+        want = _run(workload_class, shape, seed)
+    got = _run(workload_class, shape, seed)
+    assert any(want._predicted)  # the oracle run tagged something
+    assert got._predicted == want._predicted
+    assert got.exact == want.exact  # scenario digest, micro-F1, bytes per peer
+    return got
 
 
 @pytest.mark.parametrize("name", ["TagCempar", "TagPaceChurn"])
-def test_autotag_results_agree_with_the_scalar_oracles(name, monkeypatch):
+def test_autotag_results_agree_with_the_scalar_oracles(name):
     workload_class = getattr(_perf_module("workloads"), name)
-    with monkeypatch.context() as patch:
-        ml_scalar.install_scalar_ml(patch)
-        want_exact, want_tags = _run_smoke(workload_class)
-    got_exact, got_tags = _run_smoke(workload_class)
-    assert any(want_tags)  # the oracle run tagged something
-    assert got_tags == want_tags
-    assert got_exact == want_exact  # scenario digest, micro-F1, bytes per peer
+    _assert_same_autotag(
+        workload_class, workload_class.SMOKE, 0, ml_scalar.install_scalar_ml
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pace_autotag_agrees_with_the_scalar_prediction_at_full_shape(seed):
+    """``tag-pace-churn`` as the benchmark runs it — the training oracles
+    re-hash 3,304 stores one hyperplane at a time, so only the prediction
+    is swapped here — and then every score of every tag, not only the side
+    of 0.5 it fell on."""
+    workload_class = _perf_module("workloads").TagPaceChurn
+    system = _assert_same_autotag(
+        workload_class, workload_class.FULL, seed,
+        lambda patch: patch.setattr(
+            PaceClassifier, "predict_scores", ml_scalar.predict_scores
+        ),
+    ).system
+    held_out = system.test_corpus.documents[:600]
+    assert len(held_out) == 600
+    for document in held_out:
+        _assert_same_scores(
+            system.classifier, document.owner, system.vector_of(document)
+        )
+
+
+def test_sharded_pace_workers_predict_from_their_own_stores():
+    """K = 2, serial executor: each worker's classifier holds only what its
+    own peers broadcast, packs its own block, and agrees with the scalar
+    prediction on it."""
+    def train_then_predict(scenario):
+        classifier = build_classifier("pace", scenario)
+        classifier.train()
+        compared = mismatched = 0
+        for receiver in sorted(classifier._received):
+            for items in classifier.peer_data.values():
+                for item in items:
+                    compared += 1
+                    try:
+                        _assert_same_scores(classifier, receiver, item.vector)
+                    except AssertionError:
+                        mismatched += 1
+        held = {origin for store in classifier._received.values() for origin in store}
+        return compared, mismatched, held, len(classifier._block.model_rows)
+
+    config = build_scenario_config("chord", "none", rng_mode="perpeer", shards=2)
+    results = ShardedScenario(config, executor="serial").run(train_then_predict).results
+    assert len(results) == 2
+    for compared, mismatched, held, packed in results:
+        assert compared > 100 and mismatched == 0
+        assert packed == len(held) > 0
+    assert not results[0][2] & results[1][2]  # no origin in both workers' stores
+
+
+_PINS = os.path.join(PERF, "expected.json")
+
+
+@pytest.mark.parametrize("name", ["TagCempar", "TagPaceChurn"])
+def test_full_shape_pins_hold_under_the_compensated_sum_of_cpython_3_12(
+        name, monkeypatch):
+    """``benchmarks/perf/expected.json`` was written on 3.11.  With 3.12's
+    ``sum`` standing in for the builtin in every ``repro`` module, the
+    tagging workloads must still land on it: no digest, wire size or tag
+    decision may hang on how ``sum()`` adds floats."""
+    workload_class = getattr(_perf_module("workloads"), name)
+    assert compensated_sum.install_everywhere(monkeypatch) >= 70
+    import repro.ml.sparse
+
+    assert repro.ml.sparse.sum is compensated_sum.compensated_sum
+    with open(_PINS, encoding="utf-8") as handle:
+        pins = json.load(handle)[workload_class.name]
+    assert set(pins) == {"digest", "micro_f1", "sim_bytes_per_peer"}
+    assert _run(workload_class, workload_class.FULL).exact == pins
+
+
+def test_compensated_sum_is_the_sum_of_cpython_3_12():
+    total = compensated_sum.compensated_sum
+    # where it differs from left to right: the correction is carried
+    assert total([1e16, 1.0, 1.0, -1e16]) == 2.0
+    assert total([0.1] * 10) == 1.0
+    plain = 0.0
+    for term in [0.1] * 10:
+        plain += term
+    assert plain != 1.0
+    # where it must not: ints, the start value, non-floats, no terms
+    assert total([]) == 0 and type(total([])) is int
+    assert total([1, 2, 3]) == 6 and type(total([1, 2, 3])) is int
+    assert total([1, 2.5, 3]) == 6.5
+    assert total([0.5, 0.25], 1.0) == 1.75
+    assert total([np.float64(0.1)] * 10) == sum([np.float64(0.1)] * 10)
+    assert total([[1], [2]], []) == [1, 2]
+    if sys.version_info >= (3, 12):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            terms = (rng.standard_normal(20) * 10.0 ** rng.integers(-8, 8, 20)).tolist()
+            assert total(terms) == sum(terms)
 
 
 def test_shared_table_survives_threads_racing_on_new_features():

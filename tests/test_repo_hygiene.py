@@ -59,11 +59,14 @@ index is derived from them and is never exported, diffed or logged.  And
 through the class ``__dict__``, so moving either blinds the ledger's
 ``overlay.*`` rows without failing anything else.
 
-(m) The training kernels declare the plain left-to-right sum their contract,
-so neither they (``gram_matrix``, ``KernelSVM.fit``, ``LinearSVM.fit``) nor
-their oracles in ``tests/reference/ml_scalar.py`` call the builtin ``sum`` —
-CPython >= 3.12 compensates it, and an oracle written with it would agree
-with the kernels on one interpreter and not on the next.
+(m) The array kernels declare the plain left-to-right sum their contract,
+so neither they (``gram_matrix``, ``KernelSVM.fit``, ``LinearSVM.fit``,
+``RowTable.dots``, PACE's ``predict_scores`` and its prediction block), nor
+the three ``SparseVector`` sums every digest hangs on (``dot``,
+``dot_dense``, ``squared_norm``), nor their oracles in
+``tests/reference/ml_scalar.py`` call the builtin ``sum`` — CPython >= 3.12
+compensates it, and an oracle written with it would agree with the kernels
+on one interpreter and not on the next.
 
 (n) The local-column packing loop (``columns.setdefault(feature_id,
 len(columns))``) is written once under ``src/repro/ml`` — ``pack_rows`` —
@@ -84,6 +87,13 @@ class ``__dict__``); and ``tcpexec.py`` re-inflates no status
 (``SyncStatus(*``) and reaches into ``repro.sim.shard`` for ``_run_worker``
 only.  Three copies of ``sync`` is how the executors' envelopes drifted apart
 before.
+
+(q) PACE predicts from its block.  ``PaceClassifier.predict_scores`` calls
+no ``.decision(`` and no ``.probability(`` — one per model is the loop the
+block replaced — the block's table is built from ``pack_rows``, and for 60
+bundles its arrays stay within ``2 * rows * columns + 24 * stored entries``
+bytes: a float64 ``rows x columns`` table is the same kernel at +10% peak
+RSS on ``tag-pace-churn``, over the benchmark's bound.
 """
 
 import ast
@@ -528,15 +538,25 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         "A.g",
     ) == []
     ml = ROOT / "src" / "repro" / "ml"
+    pace = ROOT / "src" / "repro" / "p2pclass" / "pace.py"
     oracles = ROOT / "tests" / "reference" / "ml_scalar.py"
     for path, qualname in [
         (ml / "kernels.py", "gram_matrix"),
         (ml / "kernel_svm.py", "KernelSVM.fit"),
         (ml / "linear_svm.py", "LinearSVM.fit"),
+        (ml / "sparse.py", "SparseVector.dot"),
+        (ml / "sparse.py", "SparseVector.dot_dense"),
+        (ml / "sparse.py", "SparseVector.squared_norm"),
+        (ml / "sparse.py", "RowTable"),
+        (pace, "_PredictionBlock"),
+        (pace, "PaceClassifier.predict_scores"),
+        (oracles, "squared_norm"),
         (oracles, "dot"),
         (oracles, "gram_matrix"),
         (oracles, "smo_fit"),
         (oracles, "pegasos_fit"),
+        (oracles, "probability"),
+        (oracles, "predict_scores"),
     ]:
         calls = _builtin_sum_calls(path.read_text(encoding="utf-8"), qualname)
         assert not calls, f"{path.relative_to(ROOT)}:{qualname} calls sum() at {calls}"
@@ -558,6 +578,60 @@ def test_pace_bundles_carry_exactly_the_five_wire_fields():
     assert [field.name for field in dataclasses.fields(PaceModelBundle)] == [
         "origin", "models", "accuracies", "calibration", "centroids",
     ]
+
+
+def test_pace_predicts_from_a_compact_block_built_by_pack_rows():
+    import numpy as np
+
+    from repro.ml.linear_svm import LinearSVMModel
+    from repro.ml.sparse import SparseVector
+    from repro.p2pclass.pace import PaceModelBundle, _PredictionBlock
+
+    pace = ROOT / "src" / "repro" / "p2pclass" / "pace.py"
+    sparse = ROOT / "src" / "repro" / "ml" / "sparse.py"
+    (predict,) = [
+        node for node in ast.walk(ast.parse(pace.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "predict_scores"
+    ]
+    called = {
+        node.func.attr for node in ast.walk(predict)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert called >= {"candidates", "distances", "vote"}  # the calls were found
+    assert not called & {"decision", "probability", "query", "distance"}
+    assert _calls_to(
+        ast.parse(sparse.read_text(encoding="utf-8")), "pack_rows"
+    ) == ["__init__"]  # RowTable's, the table the block is laid out in
+    assert "RowTable(" in pace.read_text(encoding="utf-8")
+
+    rng = np.random.default_rng(0)
+    tags = [f"tag{number}" for number in range(6)]
+
+    def vector(size):
+        return SparseVector(zip(rng.choice(1000, size, replace=False).tolist(),
+                                rng.standard_normal(size).tolist()))
+
+    bundles = {
+        origin: PaceModelBundle(
+            origin=origin,
+            models={tag: LinearSVMModel(vector(150), 0.1) for tag in tags},
+            accuracies=dict.fromkeys(tags, 0.9),
+            calibration=dict.fromkeys(tags, (-2.0, 0.0)),
+            centroids=[vector(300), vector(300)],
+        )
+        for origin in range(60)
+    }
+    block = _PredictionBlock([bundles, dict(bundles)], tags)
+    rows, columns = block.table.slots.shape
+    entries = int(block.table.lengths.sum())
+    assert (rows, entries) == (60 * 8, 60 * (6 * 150 + 2 * 300))
+    held = [
+        value for owner in (block, block.table) for value in vars(owner).values()
+        if isinstance(value, np.ndarray)
+    ] + list(block.model_rows.values())
+    assert len(held) >= 8
+    budget = 2 * rows * columns + 24 * entries
+    assert sum(array.nbytes for array in held) <= budget < 8 * rows * columns
 
 
 def _calls_to(tree, name):
