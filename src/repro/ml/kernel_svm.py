@@ -12,6 +12,7 @@ KKT-violation outer loop).  Local training sets in the P2P setting are small
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,29 +39,61 @@ class SupportVector:
         return self.vector.wire_size() + 4 + 8  # label + alpha
 
 
-class _PackedSupport:
-    """A model's support vectors as one CSR-style block over local columns
-    (feature ids renumbered densely): memory follows the SVs' nonzeros,
-    never the hashed feature space, and all SV dot products are one
-    gather-multiply-``bincount`` instead of a Python loop of sparse dots."""
+class PackedSupport:
+    """The support vectors of a sequence of models as one CSR-style block
+    over local columns (feature ids renumbered densely): memory follows the
+    SVs' nonzeros, never the hashed feature space, and every model's every
+    SV dot product is one gather-multiply-``bincount`` instead of a Python
+    loop of sparse dots.  A model's own ``decision`` is the one-model case.
 
-    def __init__(self, support_vectors: Sequence[SupportVector]) -> None:
-        vectors = [sv.vector for sv in support_vectors]
+    The models must share a kernel: the non-linear step runs once over all
+    support vectors, then each model sums its own slice."""
+
+    def __init__(self, models: Sequence["KernelSVMModel"]) -> None:
+        kernels = {(model.kernel_name, model.gamma) for model in models}
+        if len(kernels) != 1:
+            raise ConfigurationError(
+                f"one block packs models of one kernel, got {sorted(kernels)}"
+            )
+        ((self.kernel_name, self.gamma),) = kernels
+        support = [sv for model in models for sv in model.support_vectors]
+        vectors = [sv.vector for sv in support]
         self.columns, self.indices, self.data, self.rows, _ = pack_rows(vectors)
-        self.coef = np.array([sv.alpha * sv.label for sv in support_vectors], float)
+        self.coef = np.array([sv.alpha * sv.label for sv in support], float)
         self.squared_norms = np.array([v.squared_norm() for v in vectors], float)
+        stops = list(itertools.accumulate(len(m.support_vectors) for m in models))
+        #: per model: its slice of the support vectors, and its bias
+        self.per_model = [
+            (slice(start, stop), model.bias)
+            for start, stop, model in zip([0] + stops, stops, models)
+        ]
 
-    def dots(self, x: SparseVector) -> np.ndarray:
-        """``<sv_i, x>`` for every support vector."""
-        columns = self.columns
-        dense = np.zeros(len(columns), dtype=np.float64)
+    def decisions(self, x: SparseVector) -> List[float]:
+        """``model.decision(x)`` for each model, in the order given."""
+        column_of = self.columns.get
+        dense = np.zeros(len(self.columns), dtype=np.float64)
         for feature_id, value in x.items():
-            column = columns.get(feature_id)
+            column = column_of(feature_id)
             if column is not None:
                 dense[column] = value
-        return np.bincount(
-            self.rows, weights=self.data * dense[self.indices], minlength=len(self.coef)
+        # Only the entries whose feature ``x`` has (it stores no zeros): the
+        # others are terms of +-0.0, and ``bincount`` adds what is left in
+        # the same row-major order from the same 0.0, so every dot keeps
+        # its bits.
+        matched = np.flatnonzero((dense != 0.0).take(self.indices))
+        dots = np.bincount(
+            self.rows.take(matched),
+            weights=self.data.take(matched) * dense.take(self.indices.take(matched)),
+            minlength=len(self.coef),
         )
+        values = kernel_from_dots(
+            self.kernel_name, dots, self.squared_norms, x.squared_norm(),
+            gamma=self.gamma,
+        )
+        coef = self.coef
+        # each margin on its own slice: BLAS sums a model's terms in the
+        # order it would without the others beside them
+        return [float(coef[own] @ values[own]) + bias for own, bias in self.per_model]
 
 
 @dataclass
@@ -73,17 +106,17 @@ class KernelSVMModel:
     bias: float
     gamma: float
     kernel_name: str = "rbf"
-    _packed: Optional[_PackedSupport] = field(default=None, repr=False, compare=False)
+    _packed: Optional[PackedSupport] = field(default=None, repr=False, compare=False)
 
     def decision(self, x: SparseVector) -> float:
         packed = self._packed
         if packed is None:
-            packed = self._packed = _PackedSupport(self.support_vectors)
-        values = kernel_from_dots(
-            self.kernel_name, packed.dots(x), packed.squared_norms,
-            x.squared_norm(), gamma=self.gamma,
-        )
-        return float(packed.coef @ values) + self.bias
+            packed = self._packed = PackedSupport([self])
+        return packed.decisions(x)[0]
+
+    def release_pack(self) -> None:
+        """Let go of the pack; a later ``decision`` builds it again."""
+        self._packed = None
 
     def predict(self, x: SparseVector) -> int:
         return 1 if self.decision(x) >= 0.0 else -1

@@ -41,6 +41,8 @@ class SuperPeerDirectory:
             raise OverlayError("num_regions must be >= 1")
         self.overlay = overlay
         self.num_regions = num_regions
+        # (tag, region) -> DHT key: a query looks every label up again
+        self._keys: Dict[Tuple[str, int], int] = {}
 
     @staticmethod
     def label(tag: str, region: int) -> str:
@@ -48,7 +50,10 @@ class SuperPeerDirectory:
         return f"sp|{tag}|{region}"
 
     def key_for(self, tag: str, region: int) -> int:
-        return key_id_for(self.label(tag, region))
+        key = self._keys.get((tag, region))
+        if key is None:
+            key = self._keys[tag, region] = key_id_for(self.label(tag, region))
+        return key
 
     def region_of(self, address: int) -> int:
         """The region a peer reports into (deterministic, balanced)."""

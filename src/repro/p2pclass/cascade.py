@@ -109,6 +109,9 @@ def cascade_merge(
     svm = KernelSVM(C=C, gamma=gamma, kernel_name=kernel_name, seed=seed)
     svm.fit(vectors, labels)
     decisions = [svm.decision(v) for v in vectors]
+    # queries score every regional model from one block (CEMPaR packs it on
+    # the first of them); a pack kept per model would only sit in peak RSS
+    svm.model.release_pack()
     calibrator = PlattCalibrator().fit(decisions, labels)
     correct = sum(
         1 for d, y in zip(decisions, labels) if (1 if d >= 0 else -1) == y

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.ml.kernel_svm import KernelSVM, KernelSVMModel
+from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, PackedSupport
 from repro.ml.sparse import SparseVector
 from repro.overlay.superpeer import SuperPeerDirectory
 from repro.p2pclass.base import P2PTagClassifier, PeerData, binary_problems
@@ -62,6 +62,31 @@ class CemparConfig:
             raise ConfigurationError("C and gamma must be positive")
 
 
+class _PredictionBlock:
+    """Every regional model's support vectors in one
+    :class:`~repro.ml.kernel_svm.PackedSupport`, so a query is scored once
+    for all (tag, region) pairs — bit-identical to one
+    ``CascadeModel.probability`` per model."""
+
+    def __init__(self, regional_models: Dict[Tuple[str, int], CascadeModel]) -> None:
+        self.keys = sorted(regional_models)
+        self.models = [regional_models[key] for key in self.keys]
+        self.support = (
+            PackedSupport([model.svm for model in self.models]) if self.models else None
+        )
+
+    def probabilities(self, vector: SparseVector) -> Dict[Tuple[str, int], float]:
+        """(tag, region) -> calibrated P(tag | vector) of that region's model."""
+        if self.support is None:
+            return {}
+        return {
+            key: model.calibrator.probability(decision)
+            for key, model, decision in zip(
+                self.keys, self.models, self.support.decisions(vector)
+            )
+        }
+
+
 class CemparClassifier(P2PTagClassifier):
     """CEMPaR over the scenario's DHT overlay."""
 
@@ -86,6 +111,9 @@ class CemparClassifier(P2PTagClassifier):
         self.regional_models: Dict[Tuple[str, int], CascadeModel] = {}
         # (tag, region) -> super-peer address that built the model.
         self._model_holder: Dict[Tuple[str, int], int] = {}
+        # Every regional model's support vectors, packed for prediction on
+        # the first query after train().
+        self._block: Optional[_PredictionBlock] = None
         self._rng = np.random.default_rng(self.config.seed)
 
     # ------------------------------------------------------------------
@@ -98,6 +126,7 @@ class CemparClassifier(P2PTagClassifier):
         self._inbox.clear()
         self.regional_models.clear()
         self._model_holder.clear()
+        self._block = None
         self._upload_local_models()
         self._flush_network()
         self._cascade_regions()
@@ -204,9 +233,13 @@ class CemparClassifier(P2PTagClassifier):
             self.scenario.stats.increment("cempar_query_deferred")
             origin = self._any_live_peer()
         by_owner = self._group_roles_by_owner(origin)
+        block = self._block
+        if block is None:
+            block = self._block = _PredictionBlock(self.regional_models)
+        probabilities = block.probabilities(vector)
         votes: Dict[str, List[Tuple[float, float]]] = {t: [] for t in self.tags}
         for owner, roles in sorted(by_owner.items()):
-            regional_scores = self._scores_held_by(owner, roles, vector)
+            regional_scores = self._scores_held_by(owner, roles, probabilities)
             if not regional_scores:
                 continue
             if owner != origin:
@@ -251,9 +284,10 @@ class CemparClassifier(P2PTagClassifier):
         self,
         owner: int,
         roles: List[Tuple[str, int, int]],
-        vector: SparseVector,
+        probabilities: Dict[Tuple[str, int], float],
     ) -> Dict[str, Tuple[float, float]]:
-        """Evaluate the regional models the contacted super-peer holds.
+        """The answers of the regional models the contacted super-peer
+        holds, read from the block's ``probabilities`` for the query.
 
         Returns tag -> (calibrated probability, vote weight).  Under churn
         the DHT may resolve to a peer that never received the cascaded model
@@ -267,5 +301,5 @@ class CemparClassifier(P2PTagClassifier):
             if model is None or holder != owner:
                 continue
             weight = model.training_accuracy * model.training_size
-            scores[tag] = (model.probability(vector), weight)
+            scores[tag] = (probabilities[tag, region], weight)
         return scores

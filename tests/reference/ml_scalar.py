@@ -1,7 +1,8 @@
 """The scalar inner loops of ``repro.ml``: oracles for the cached norm, the
 packed support-vector ``decision``, the shared-table LSH ``signature``, the
 array Gram matrix, the SMO sweep, the Pegasos steps, PACE's hash-once
-bundle store and PACE's block prediction.
+bundle store, PACE's block prediction and CEMPaR's (one model at a time,
+``packed_decision`` being the bit-exact form of one model alone).
 
 Nothing here reads a cache: norms are re-summed on every call and
 hyperplane components are re-drawn per feature id, so these are the loops
@@ -19,10 +20,11 @@ import math
 import numpy as np
 
 from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, SupportVector
-from repro.ml.kernels import kernel_by_name
+from repro.ml.kernels import kernel_by_name, kernel_from_dots
 from repro.ml.linear_svm import LinearSVM, LinearSVMModel
 from repro.ml.lsh import RandomHyperplaneLSH
-from repro.ml.sparse import SparseVector
+from repro.ml.sparse import SparseVector, pack_rows
+from repro.p2pclass.cempar import _PredictionBlock
 from repro.p2pclass.pace import PaceClassifier
 from repro.p2pclass.voting import weighted_score
 
@@ -188,6 +190,35 @@ def decision(model, x):
     )
 
 
+def packed_decision(model, x):
+    """One model's ``decision`` as it was before models shared a block: its
+    own pack, *every* stored entry multiplied (a feature ``x`` lacks as a
+    term of ``+-0.0``) and added by ``bincount`` row after row, the kernel
+    over its own support vectors only, one BLAS dot over all of them.  The
+    block must give these bits for every model it holds."""
+    vectors = [sv.vector for sv in model.support_vectors]
+    columns, indices, data, rows, _ = pack_rows(vectors)
+    coef = np.array([sv.alpha * sv.label for sv in model.support_vectors], float)
+    norms = np.array([squared_norm(v) for v in vectors], float)
+    dense = np.zeros(len(columns), dtype=np.float64)
+    for feature_id, value in x.items():
+        if feature_id in columns:
+            dense[columns[feature_id]] = value
+    dots = np.bincount(rows, weights=data * dense[indices], minlength=len(coef))
+    values = kernel_from_dots(
+        model.kernel_name, dots, norms, squared_norm(x), gamma=model.gamma
+    )
+    return float(coef @ values) + model.bias
+
+
+def regional_probabilities(block, vector):
+    """CEMPaR's ``_PredictionBlock.probabilities`` as it was before the
+    block: one ``CascadeModel.probability`` per regional model."""
+    return {
+        key: model.probability(vector) for key, model in zip(block.keys, block.models)
+    }
+
+
 def signature(lsh, vector):
     projection = np.zeros(lsh.num_bits, dtype=np.float64)
     for feature_id, value in vector.items():
@@ -284,3 +315,4 @@ def install_scalar_ml(monkeypatch) -> None:
     monkeypatch.setattr(LinearSVM, "fit", _fit_with(pegasos_fit, LinearSVM.fit))
     monkeypatch.setattr(PaceClassifier, "_store_bundle", store_bundle)
     monkeypatch.setattr(PaceClassifier, "predict_scores", predict_scores)
+    monkeypatch.setattr(_PredictionBlock, "probabilities", regional_probabilities)

@@ -2,14 +2,25 @@
 
 import pytest
 
+from repro.core.metadata import TagMetadataStore
+from repro.core.refinement import Refinement, RefinementLoop
 from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
 from repro.data.delicious import DeliciousGenerator
 from repro.ml.sparse import SparseVector
 from repro.p2pclass.base import TaggedVector
+from repro.p2pclass.cempar import CemparClassifier
 from repro.p2pclass.nbagg import NBAggClassifier
 from repro.p2pclass.pace import PaceClassifier, PaceConfig
+from repro.sim.distribution import ShardSpec
+from repro.sim.scenario import Scenario, ScenarioConfig
 
-from tests.test_classifiers import PEER_DATA, TAGS, TEST_ITEMS, fresh_scenario
+from tests.test_classifiers import (
+    NUM_PEERS,
+    PEER_DATA,
+    TAGS,
+    TEST_ITEMS,
+    fresh_scenario,
+)
 
 
 def delta_items():
@@ -77,6 +88,58 @@ class TestNBAggIncremental:
         base = classifier.scenario.stats.total_messages
         classifier.incremental_update(0, [])
         assert classifier.scenario.stats.total_messages == base
+
+
+def _perpeer_scenario():
+    """Training draws keyed by (seed, peer), so a retrain and a fresh train
+    over the same data cascade the same models."""
+    return Scenario(ScenarioConfig(
+        num_peers=NUM_PEERS, shard=ShardSpec(num_peers=NUM_PEERS),
+        rng_mode="perpeer", jitter_floor=0.5,
+    ))
+
+
+class TestRetrainDropsThePredictionBlock:
+    """CEMPaR predicts from a block packed on the first query after
+    ``train()``: a refinement retrain must drop it, or the old models keep
+    answering."""
+
+    def test_retrained_predictions_equal_a_freshly_built_classifiers(self):
+        def scores(classifier):
+            return [
+                classifier.predict_scores(owner, vector)
+                for vector, _, owner in TEST_ITEMS
+            ]
+
+        data = {address: list(items) for address, items in PEER_DATA.items()}
+        refined = CemparClassifier(_perpeer_scenario(), data, TAGS)
+        refined.train()
+        before = scores(refined)  # packs the first block
+        loop = RefinementLoop(refined, TagMetadataStore(), retrain_every=8)
+        for doc_id, (vector, tags, owner) in enumerate(TEST_ITEMS[:8]):
+            loop.refine(Refinement(doc_id, owner, vector, frozenset(tags)))
+        assert loop.retrain_count == 1
+
+        fresh = CemparClassifier(_perpeer_scenario(), data, TAGS)  # the refined data
+        fresh.train()
+        after = scores(refined)
+        assert after == scores(fresh)
+        assert after != before  # the refinements moved the models
+
+    def test_cempar_packs_on_the_first_query_and_train_lets_go(self):
+        classifier = CemparClassifier(fresh_scenario(), PEER_DATA, TAGS)
+        classifier.train()
+        assert classifier._block is None  # train() packs nothing
+        vector, _, owner = TEST_ITEMS[0]
+        classifier.predict_scores(owner, vector)
+        first = classifier._block
+        assert first.keys == sorted(classifier.regional_models)
+        # one copy of the support vectors: the calibration's packs are gone
+        assert all(model.svm._packed is None for model in first.models)
+        classifier.predict_scores(owner, vector)
+        assert classifier._block is first
+        classifier.train()
+        assert classifier._block is None
 
 
 class TestRefinementLoopIntegration:

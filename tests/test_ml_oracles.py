@@ -9,10 +9,12 @@ objects, alphas, generator position), the Pegasos steps of
 store (every receiver's buckets).  The training oracles sum with an
 explicit ``total += term`` — the left-to-right order is the contract on
 every interpreter, where ``sum()`` is compensated from CPython 3.12 on.
-Held to a tolerance: the packed ``decision``, whose dot products and final
-sum associate differently — and, end to end, to the same AutoTag tag sets,
-digest and micro-F1 on the two tagging workloads of the repo benchmark at
-their smoke shapes.
+Held to a tolerance: the packed ``decision`` against the scalar sum, whose
+dot products and final sum associate differently — but bit-exact again
+between a block of many models and each model packed alone
+(``ml_scalar.packed_decision``), which is what CEMPaR's prediction rests on
+— and, end to end, to the same AutoTag tag sets, digest and micro-F1 on the
+two tagging workloads of the repo benchmark at their smoke shapes.
 """
 
 import importlib
@@ -33,7 +35,13 @@ from determinism_fixtures import (
     build_scenario_config,
 )
 from reference import compensated_sum, ml_scalar
-from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, SupportVector
+from repro.errors import ConfigurationError
+from repro.ml.kernel_svm import (
+    KernelSVM,
+    KernelSVMModel,
+    PackedSupport,
+    SupportVector,
+)
 from repro.ml.kernels import gram_matrix
 from repro.ml.linear_svm import LinearSVM, LinearSVMModel
 from repro.ml.lsh import RandomHyperplaneLSH
@@ -741,6 +749,94 @@ def test_unknown_kernel_name_is_refused_at_decision():
                            kernel_name="sigmoid")
     with pytest.raises(ValueError, match="unknown kernel"):
         model.decision(SparseVector())
+
+
+# -- many models in one block: each decides as it does packed alone -------------------
+
+
+def _assert_block_decides_like_each_model_alone(models, queries):
+    block = PackedSupport(models)
+    for x in queries:
+        got = [_hex(value) for value in block.decisions(x)]
+        assert got == [_hex(ml_scalar.packed_decision(model, x)) for model in models]
+        assert got == [_hex(model.decision(x)) for model in models]
+
+
+def _constant(name, bias):
+    return KernelSVMModel(support_vectors=[], bias=bias, gamma=0.5, kernel_name=name)
+
+
+@pytest.mark.parametrize("emulate_312_sum", [False, True])
+@pytest.mark.parametrize("name", KERNELS)
+@settings(max_examples=40, deadline=None)
+@given(drawn=st.lists(st.tuples(_support, st.floats(-5.0, 5.0)), max_size=5),
+       constant_at=st.integers(0, 5), constant_bias=st.sampled_from([-1.0, 1.0]),
+       queries=st.lists(vectors(), min_size=1, max_size=3))
+def test_block_decisions_equal_each_models_own(
+        name, emulate_312_sum, drawn, constant_at, constant_bias, queries):
+    models = [
+        KernelSVMModel(
+            support_vectors=[SupportVector(v, y, a) for v, y, a in support],
+            bias=bias, gamma=0.5, kernel_name=name,
+        )
+        for support, bias in drawn
+    ]
+    # a one-class model — no support vector, all bias — somewhere inside
+    models.insert(min(constant_at, len(models)), _constant(name, constant_bias))
+    queries = queries + [
+        SparseVector({10_000: 1.5, 2 ** 18: -2.0}),  # no feature of any SV's
+        SparseVector(),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        if emulate_312_sum:
+            compensated_sum.install_everywhere(patch)
+        _assert_block_decides_like_each_model_alone(models, queries)
+        _assert_block_decides_like_each_model_alone(models[:1], queries)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_block_adds_each_dot_in_the_rows_own_order_and_each_margin_alone(name):
+    """Support vectors that share most of a small feature set, each in an
+    order of its own, and enough of them per model for BLAS to sum in
+    lanes: adding the matched entries column by column, or taking every
+    margin out of one product over the whole block, changes last bits
+    here."""
+    rng = np.random.default_rng(24)
+    ids = list(range(40))
+    models = [
+        KernelSVMModel(
+            support_vectors=[
+                SupportVector(vector.normalized(), int(rng.choice([-1, 1])),
+                              float(rng.random() + 0.01))
+                for vector in _shuffled_vectors(rng, count, ids, 30, min_size=12)
+            ],
+            bias=float(rng.standard_normal()), gamma=0.5, kernel_name=name,
+        )
+        for count in (37, 1, 64, 23)
+    ]
+    models.insert(2, _constant(name, 1.0))
+    queries = [
+        vector.normalized()
+        for vector in _shuffled_vectors(rng, 40, ids + [99], 25, min_size=8)
+    ]
+    _assert_block_decides_like_each_model_alone(models, queries)
+    block = PackedSupport(models)
+    distinct = {_hex(value) for x in queries for value in block.decisions(x)}
+    # no kernel value under- or overflowed: only the constant model repeats
+    assert len(distinct) == 4 * len(queries) + 1
+
+
+def test_block_refuses_models_of_different_kernels():
+    rbf = KernelSVMModel([SupportVector(SparseVector({1: 1.0}), 1, 0.5)], 0.0, 0.5)
+    for other in (
+        KernelSVMModel(rbf.support_vectors, 0.0, 0.5, kernel_name="linear"),
+        KernelSVMModel(rbf.support_vectors, 0.0, 0.25),
+    ):
+        with pytest.raises(ConfigurationError, match="one kernel"):
+            PackedSupport([rbf, other])
+    assert PackedSupport([rbf, rbf]).decisions(SparseVector({1: 2.0})) == (
+        [rbf.decision(SparseVector({1: 2.0}))] * 2
+    )
 
 
 # -- end to end: the scientific result, not only the digest ---------------------------

@@ -94,6 +94,13 @@ block replaced — the block's table is built from ``pack_rows``, and for 60
 bundles its arrays stay within ``2 * rows * columns + 24 * stored entries``
 bytes: a float64 ``rows x columns`` table is the same kernel at +10% peak
 RSS on ``tag-pace-churn``, over the benchmark's bound.
+
+(r) The support-vector kernel is written once and CEMPaR scores its
+regional models as one block.  ``ml/kernel_svm.py`` calls ``bincount``
+once — in ``PackedSupport.decisions`` — and ``KernelSVMModel.decision`` is
+a call of that; neither ``predict_scores`` nor ``_scores_held_by`` in
+``p2pclass/cempar.py`` calls ``.decision(`` or ``.probability(`` — one per
+model is the loop the block replaced.
 """
 
 import ast
@@ -539,10 +546,13 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
     ) == []
     ml = ROOT / "src" / "repro" / "ml"
     pace = ROOT / "src" / "repro" / "p2pclass" / "pace.py"
+    cempar = ROOT / "src" / "repro" / "p2pclass" / "cempar.py"
     oracles = ROOT / "tests" / "reference" / "ml_scalar.py"
     for path, qualname in [
         (ml / "kernels.py", "gram_matrix"),
         (ml / "kernel_svm.py", "KernelSVM.fit"),
+        (ml / "kernel_svm.py", "PackedSupport"),
+        (ml / "kernel_svm.py", "KernelSVMModel.decision"),
         (ml / "linear_svm.py", "LinearSVM.fit"),
         (ml / "sparse.py", "SparseVector.dot"),
         (ml / "sparse.py", "SparseVector.dot_dense"),
@@ -550,6 +560,9 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (ml / "sparse.py", "RowTable"),
         (pace, "_PredictionBlock"),
         (pace, "PaceClassifier.predict_scores"),
+        (cempar, "_PredictionBlock"),
+        (cempar, "CemparClassifier.predict_scores"),
+        (cempar, "CemparClassifier._scores_held_by"),
         (oracles, "squared_norm"),
         (oracles, "dot"),
         (oracles, "gram_matrix"),
@@ -557,6 +570,8 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (oracles, "pegasos_fit"),
         (oracles, "probability"),
         (oracles, "predict_scores"),
+        (oracles, "packed_decision"),
+        (oracles, "regional_probabilities"),
     ]:
         calls = _builtin_sum_calls(path.read_text(encoding="utf-8"), qualname)
         assert not calls, f"{path.relative_to(ROOT)}:{qualname} calls sum() at {calls}"
@@ -632,6 +647,18 @@ def test_pace_predicts_from_a_compact_block_built_by_pack_rows():
     assert len(held) >= 8
     budget = 2 * rows * columns + 24 * entries
     assert sum(array.nbytes for array in held) <= budget < 8 * rows * columns
+
+
+def test_cempar_scores_its_regional_models_as_one_block():
+    src = ROOT / "src" / "repro"
+    kernel_svm = ast.parse((src / "ml" / "kernel_svm.py").read_text(encoding="utf-8"))
+    assert _calls_to(kernel_svm, "bincount") == ["decisions"]  # one, in the block
+    assert _calls_to(kernel_svm, "decisions") == ["decision"]
+    cempar = ast.parse((src / "p2pclass" / "cempar.py").read_text(encoding="utf-8"))
+    per_query = {"predict_scores", "_scores_held_by"}
+    assert "predict_scores" in _calls_to(cempar, "probabilities")  # calls are found
+    for loop in ("decision", "probability"):
+        assert not per_query & set(_calls_to(cempar, loop)), loop
 
 
 def _calls_to(tree, name):

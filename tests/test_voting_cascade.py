@@ -62,6 +62,15 @@ class TestCascade:
         assert cascaded.svm.predict(SparseVector({0: -3.0})) == -1
         assert cascaded.training_accuracy >= 0.9
 
+    def test_merge_hands_over_a_model_without_its_calibration_pack(self):
+        """CEMPaR answers queries from one block over every regional model;
+        a pack left on each would only sit in peak RSS until then."""
+        cascaded = cascade_merge(self.separable_children())
+        assert cascaded.svm.num_support_vectors > 0
+        assert cascaded.svm._packed is None
+        cascaded.probability(SparseVector({0: 1.0}))  # packs again on demand
+        assert cascaded.svm._packed is not None
+
     def test_probability_monotone(self):
         cascaded = cascade_merge(self.separable_children())
         low = cascaded.probability(SparseVector({0: -3.0}))
