@@ -117,16 +117,16 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor", choices=("serial", "mp", "tcp"), default="serial",
-        help="sharded executor: lockstep serial reference, one worker "
-        "process per shard (mp), or socket-connected workers spawned per "
+        help="sharded executor: lockstep serial reference, one forked worker "
+        "process per shard (mp), or socket-connected workers placed per "
         "--hosts (tcp)",
     )
     parser.add_argument(
         "--hosts", default=None, metavar="SPEC",
         help="tcp executor worker placement: comma-separated entries, one "
-        "per shard (or one for all) — 'local' spawns `repro worker` here, "
-        "'wait' expects an externally launched worker to connect, "
-        "'ssh:HOST' spawns over ssh (requires --executor tcp)",
+        "per shard (or one for all) — 'local' forks the worker here, "
+        "'wait' expects an externally launched `repro worker` to connect, "
+        "'ssh:HOST' starts `repro worker` over ssh (requires --executor tcp)",
     )
     parser.add_argument(
         "--control-plane", choices=("replicated", "directory"),
@@ -348,9 +348,10 @@ def cmd_overlay(args: argparse.Namespace) -> int:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    """One tcp shard worker process (spawned by the coordinator for
-    'local' hosts entries, or launched by hand / a remote init for
-    'wait' entries)."""
+    """One tcp shard worker process in a fresh interpreter: started over
+    ssh by the coordinator for 'ssh:HOST' hosts entries, or launched by
+    hand / a remote init for 'wait' entries ('local' workers are forked
+    from the coordinator and never pass through here)."""
     from repro.sim.tcpexec import parse_address, worker_main
 
     host, port = parse_address(args.connect)
@@ -445,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--backoff-seed", type=int, default=0, dest="backoff_seed",
         help="seed for the reconnect-backoff jitter (the coordinator "
-        "passes the fault plane's seed through; 0 = unseeded default)",
+        "passes the fault plane's seed to the workers it starts over ssh; "
+        "0 = unseeded default)",
     )
     p_worker.set_defaults(func=cmd_worker)
 

@@ -71,10 +71,11 @@ class ScenarioConfig:
     tcp_host: str = "127.0.0.1"
     tcp_port: int = 0
     #: ... and worker placement: a comma-separated spec with one entry per
-    #: shard (or one entry for all) — "local" spawns `repro worker`
-    #: subprocesses here, "wait" expects externally launched workers to
-    #: connect in, "ssh:HOST" spawns them over ssh.  Like wal/resume this
-    #: is plumbing, not physics: excluded from the WAL config fingerprint.
+    #: shard (or one entry for all) — "local" forks the worker from the
+    #: coordinator here, "wait" expects externally launched `repro worker`
+    #: processes to connect in, "ssh:HOST" starts them over ssh.  Like
+    #: wal/resume this is plumbing, not physics: excluded from the WAL
+    #: config fingerprint.
     tcp_hosts: Optional[str] = None
     #: sharded control plane: "replicated" (SPMD: every worker replays
     #: churn timelines and overlay maintenance for all N peers) or

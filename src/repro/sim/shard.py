@@ -1029,14 +1029,16 @@ class _PipeLink:
 
 
 def _mp_context():
+    """The one fork: mp's shard workers and tcp's ``local`` workers."""
     import multiprocessing
 
     try:
         return multiprocessing.get_context("fork")
     except ValueError as exc:  # pragma: no cover - non-fork platforms
         raise ConfigurationError(
-            "the mp shard executor requires the fork start method "
-            "(unavailable on this platform); use executor='serial'"
+            "the mp shard executor and tcp 'local' workers require the "
+            "fork start method (unavailable on this platform); use "
+            "executor='serial', or tcp 'wait' / 'ssh:HOST' workers"
         ) from exc
 
 

@@ -15,6 +15,14 @@ the fleet, and its collect step is the supervision pump — heartbeats,
 death detection, and in-run recovery all happen while one barrier round
 is being gathered, invisible to the loop.
 
+Workers start per the ``--hosts`` placement (:func:`parse_hosts`).  A
+``local`` worker is forked from the coordinator — the mp executor's fork,
+:func:`repro.sim.shard._mp_context` — and runs :func:`worker_main` over a
+socket exactly like a remote one, so it pays no interpreter start-up and
+no imports; ``wait`` and ``ssh:HOST`` workers are ``repro worker``
+processes in a fresh interpreter, which resolve the job's classes through
+the coordinator's ``sys.path`` carried by WELCOME.
+
 Wire model
 ----------
 
@@ -124,7 +132,7 @@ from repro.sim.barrier import (
     verdict_for,
 )
 from repro.sim.faults import FaultPlan, mix64, splitmix64
-from repro.sim.shard import _run_worker
+from repro.sim.shard import _mp_context, _run_worker
 from repro.sim.wal import config_fingerprint, verify_shard_window
 
 #: v2 added the liveness heartbeat (PING/PONG) and the RECOVER handshake;
@@ -242,10 +250,10 @@ def parse_hosts(spec: Optional[str], num_shards: int) -> List[str]:
     """The per-shard worker placement list from a ``--hosts`` spec.
 
     Comma-separated entries, one per shard (a single entry applies to
-    every shard): ``local`` spawns a ``repro worker`` subprocess on this
+    every shard): ``local`` forks the worker from the coordinator on this
     machine, ``wait`` expects a worker launched elsewhere (another box, a
-    terminal, a test) to connect in, ``ssh:HOST`` spawns the worker over
-    ssh against the coordinator's bind address.
+    terminal, a test) to connect in, ``ssh:HOST`` starts ``repro worker``
+    over ssh against the coordinator's bind address.
     """
     if spec is None or not spec.strip():
         entries = ["local"]
@@ -474,7 +482,8 @@ def worker_main(
 ) -> int:
     """One tcp shard worker: connect, handshake, run the window protocol.
 
-    The ``repro worker`` CLI entry point; exit code 0 on a clean run (the
+    The ``repro worker`` CLI entry point and a forked ``local`` worker's
+    body alike; exit code 0 on a clean run (the
     coordinator's BYE, or its disappearance after our DONE landed), 1 on
     any failure — which is also reported to the coordinator as an ERROR
     frame when the socket still stands.
@@ -603,8 +612,39 @@ def worker_main(
 # ---------------------------------------------------------------------------
 
 
+class _ForkedWorker:
+    """A ``local`` worker forked from the coordinator, behind the slice of
+    :class:`subprocess.Popen` the accept loop and teardown use — ``poll``,
+    ``wait``, ``terminate``, ``kill`` — so an ssh slot's process and a
+    forked one are handled alike."""
+
+    def __init__(self, target: Any, args: tuple) -> None:
+        self._process = _mp_context().Process(
+            target=target, args=args, daemon=True
+        )
+        self._process.start()
+
+    def poll(self) -> Optional[int]:
+        return self._process.exitcode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        self._process.join(timeout)
+        if self._process.exitcode is None:
+            raise subprocess.TimeoutExpired("forked tcp worker", timeout)
+        return self._process.exitcode
+
+    def terminate(self) -> None:
+        self._process.terminate()
+
+    def kill(self) -> None:
+        self._process.kill()
+
+
 class TcpCoordinator:
-    """The listening side of a tcp run: spawns/accepts K workers and is
+    """The listening side of a tcp run: forks, launches or awaits K
+    workers per the ``--hosts`` placement (a ``local`` slot is forked from
+    this process, ``ssh:HOST`` runs ``repro worker`` over ssh, ``wait``
+    starts nothing) and is
     the :func:`~repro.sim.barrier.coordinate` loop's link to them — one
     socket per worker, every exchange blob relayed through the decision
     frames.  Its :meth:`collect` is a supervision pump that answers
@@ -633,12 +673,13 @@ class TcpCoordinator:
         self.connections: List[Optional[socket.socket]] = (
             [None] * num_shards
         )
-        #: the *current* spawned process per slot ("wait" slots have none)
-        self.processes: Dict[int, subprocess.Popen] = {}
+        #: the *current* process per slot — a :class:`_ForkedWorker` for
+        #: "local", a ``subprocess.Popen`` for "ssh:HOST", none for "wait"
+        self.processes: Dict[int, Any] = {}
         #: replaced predecessors: a recovered slot's corpse carries the
         #: exit code of the death already healed, so nothing polls it
         #: again — :meth:`close` reaps it
-        self._reap: List[subprocess.Popen] = []
+        self._reap: List[Any] = []
         #: connections the accept loop turned away (garbage, bad claims)
         self.rejected = 0
         #: fault/recovery accounting: merged into the run's
@@ -675,35 +716,42 @@ class TcpCoordinator:
         self.address = listener.getsockname()[:2]
         return self.address
 
-    def _worker_command(self, shard_id: int) -> List[str]:
-        host, port = self.address
-        return [
-            "-m", "repro.cli", "worker",
-            "--connect", f"{host}:{port}",
-            "--shard", str(shard_id),
-            "--backoff-seed", str(self._backoff_seed),
-        ]
-
     def _spawn_one(self, shard_id: int, entry: str) -> None:
         if entry == "wait":
             return
         if entry == "local":
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                dict.fromkeys(self._sys_path())
-            )
-            process = subprocess.Popen(
-                [sys.executable] + self._worker_command(shard_id),
-                env=env,
-            )
+            process = _ForkedWorker(self._forked_worker, (shard_id,))
         else:  # ssh:HOST — the remote python must have repro installed
-            process = subprocess.Popen(
-                ["ssh", entry[len("ssh:"):], "python3"]
-                + self._worker_command(shard_id)
-            )
+            host, port = self.address
+            process = subprocess.Popen([
+                "ssh", entry[len("ssh:"):], "python3",
+                "-m", "repro.cli", "worker",
+                "--connect", f"{host}:{port}",
+                "--shard", str(shard_id),
+                "--backoff-seed", str(self._backoff_seed),
+            ])
         if shard_id in self.processes:
             self._reap.append(self.processes[shard_id])
         self.processes[shard_id] = process
+
+    def _forked_worker(self, shard_id: int) -> None:
+        """A ``local`` slot's whole life, in the forked child.
+
+        The child first closes its copies of the listener and of every
+        live worker connection: a replacement forked mid-run that kept a
+        sibling's coordinator socket open would stop that sibling from
+        ever seeing EOF.  It leaves by ``os._exit`` (no atexit, no
+        inherited teardown); an exception instead propagates to the fork's
+        bootstrap, which prints it and exits 1 — the accept loop's
+        "exited with code 1 before completing its handshake".
+        """
+        for sock in [self.listener, *self.connections]:
+            if sock is not None:
+                sock.close()
+        host, port = self.address
+        os._exit(
+            worker_main(host, port, shard_id, backoff_seed=self._backoff_seed)
+        )
 
     @staticmethod
     def _sys_path() -> List[str]:

@@ -21,8 +21,9 @@ right while vectors are immutable.
 — it is why the two storm workloads of the repo benchmark cannot move when
 the ml layer changes.
 
-(f) ``import repro.cli`` does not load ``networkx`` — every tcp shard worker
-is ``python -m repro.cli worker`` and pays that import on each (re)spawn.
+(f) ``import repro.cli`` does not load ``networkx`` — a tcp shard worker in a
+``wait`` or ``ssh:HOST`` slot is ``python -m repro.cli worker`` and pays that
+import on each (re)spawn.
 
 (g) Every ``executemany(`` in ``repro/sim/tracestore.py`` sits inside a
 ``with ..._transaction():`` block — the connection is in autocommit mode,
@@ -85,8 +86,8 @@ nothing else of the protocol; ``_ThreadChannel`` names the endpoint's
 ``sync`` as its own attribute (``benchmarks/perf`` wraps it through the
 class ``__dict__``); and ``tcpexec.py`` re-inflates no status
 (``SyncStatus(*``) and reaches into ``repro.sim.shard`` for ``_run_worker``
-only.  Three copies of ``sync`` is how the executors' envelopes drifted apart
-before.
+and ``_mp_context`` only.  Three copies of ``sync`` is how the executors'
+envelopes drifted apart before.
 
 (q) PACE predicts from its block.  ``PaceClassifier.predict_scores`` calls
 no ``.decision(`` and no ``.probability(`` — one per model is the loop the
@@ -101,6 +102,12 @@ once — in ``PackedSupport.decisions`` — and ``KernelSVMModel.decision`` is
 a call of that; neither ``predict_scores`` nor ``_scores_held_by`` in
 ``p2pclass/cempar.py`` calls ``.decision(`` or ``.probability(`` — one per
 model is the loop the block replaced.
+
+(s) There is one fork.  ``get_context("fork")`` and ``os.fork`` appear under
+``src/repro`` only inside ``shard._mp_context``; the tcp executor's ``local``
+workers are forked through it (``_ForkedWorker``), and ``tcpexec.py`` never
+names ``sys.executable`` — a ``local`` worker exec'ing a fresh interpreter
+paid interpreter start-up and every import on each (re)spawn.
 """
 
 import ast
@@ -661,23 +668,29 @@ def test_cempar_scores_its_regional_models_as_one_block():
         assert not per_query & set(_calls_to(cempar, loop)), loop
 
 
-def _calls_to(tree, name):
-    """name of the enclosing function (None at module level) per call of
-    ``name(...)`` / ``x.name(...)`` in ``tree``."""
+def _sites(tree, matches):
+    """name of the enclosing function (None at module level) per node of
+    ``tree`` that ``matches``."""
     sites = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and name == (
-            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        ):
+        if matches(node):
             sites.append(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, None)
     return sites
+
+
+def _calls_to(tree, name):
+    """name of the enclosing function (None at module level) per call of
+    ``name(...)`` / ``x.name(...)`` in ``tree``."""
+    return _sites(tree, lambda node: isinstance(node, ast.Call) and name == (
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    ))
 
 
 def test_the_worker_half_of_the_window_protocol_is_written_once():
@@ -729,4 +742,33 @@ def test_the_worker_half_of_the_window_protocol_is_written_once():
         if isinstance(node, ast.ImportFrom) and node.module == "repro.sim.shard"
         for alias in node.names if alias.name.startswith("_")
     }
-    assert private == {"_run_worker"}
+    assert private == {"_run_worker", "_mp_context"}
+
+
+def _is_fork(node):
+    """``get_context("fork")``, ``os.fork`` or ``from os import fork``."""
+    if isinstance(node, ast.Call) and "get_context" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    ):
+        return [getattr(arg, "value", None) for arg in node.args] == ["fork"]
+    if isinstance(node, ast.Attribute):
+        return node.attr == "fork" and getattr(node.value, "id", None) == "os"
+    return isinstance(node, ast.ImportFrom) and node.module == "os" and (
+        "fork" in [alias.name for alias in node.names]
+    )
+
+
+def test_there_is_one_fork_and_tcp_local_workers_use_it():
+    src = ROOT / "src" / "repro"
+    forks = [
+        (path.relative_to(src).as_posix(), function)
+        for path in sorted(src.rglob("*.py"))
+        for function in _sites(
+            ast.parse(path.read_text(encoding="utf-8")), _is_fork
+        )
+    ]
+    assert forks == [("sim/shard.py", "_mp_context")]
+    tcpexec = ast.parse((src / "sim" / "tcpexec.py").read_text(encoding="utf-8"))
+    assert _calls_to(tcpexec, "_mp_context") == ["__init__"]  # _ForkedWorker's
+    assert not _sites(tcpexec, lambda node: isinstance(node, ast.Attribute)
+                      and node.attr == "executable")

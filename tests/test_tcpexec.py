@@ -1,6 +1,6 @@
 """The tcp executor's wire protocol, handshake, and failure modes.
 
-Four layers of coverage:
+Five layers of coverage:
 
 - framing — length-prefixed frame round trips (property fuzz), and loud
   rejection of garbage magic, truncated headers, short payload reads,
@@ -10,6 +10,9 @@ Four layers of coverage:
 - handshake — version and config-fingerprint mismatches are run-fatal,
   duplicate/out-of-range shard claims and garbage connections are
   rejected while the slot stays open for the real worker;
+- placement — a forked ``local`` worker holds none of the coordinator's
+  sockets and fails its handshake loudly when it raises, and a ``wait``
+  slot takes ``python -m repro.cli worker`` in a fresh interpreter;
 - fault injection — a worker killed mid-window (``os._exit``) and a
   half-open socket both surface ``died mid-window`` within the deadline
   with full coordinator teardown (no hang, no orphan sockets, processes
@@ -25,6 +28,8 @@ import os
 import pickle
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -622,8 +627,10 @@ def test_garbage_hello_during_recovery_is_quarantined_exactly_once(
 class _FakeProcess:
     def __init__(self, code):
         self.code = code
+        self.polls = 0
 
     def poll(self):
+        self.polls += 1
         return self.code
 
     def wait(self, timeout=None):
@@ -640,7 +647,7 @@ def test_accept_loop_polls_only_the_current_process_per_slot(monkeypatch):
     corpse, replacement = _FakeProcess(3), _FakeProcess(None)
     spawned = iter([corpse, replacement])
     monkeypatch.setattr(
-        tcpexec.subprocess, "Popen", lambda *args, **kwargs: next(spawned)
+        tcpexec, "_ForkedWorker", lambda *args, **kwargs: next(spawned)
     )
     coordinator = _coordinator(shards=2, hosts="wait,local")
     host, port = coordinator.bind()
@@ -657,6 +664,7 @@ def test_accept_loop_polls_only_the_current_process_per_slot(monkeypatch):
     worker, kind, _ = _handshake_client(host, port, 1, greeting=_K_RECOVER)
     thread.join(timeout=10.0)
     assert outcome == {"done": True}
+    assert corpse.polls == 0 and replacement.polls > 0
 
     replacement.code = 7
     thread, outcome = _accept_in_thread(
@@ -700,6 +708,139 @@ def test_non_awaited_shard_failure_is_stashed_until_awaited(misbehaviour):
     other.close()
     coordinator.close()
 
+
+# ---------------------------------------------------------------------------
+# Worker placement: forked "local" workers and fresh-interpreter workers.
+# ---------------------------------------------------------------------------
+
+
+def _socket_inodes(pid):
+    """The socket inodes among a process's open file descriptors."""
+    fd_dir = f"/proc/{pid}/fd"
+    inodes = set()
+    for name in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, name))
+        except OSError:  # closed while listing
+            continue
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    return inodes
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/<pid>/fd"
+)
+def test_forked_workers_hold_no_coordinator_socket(tmp_path, monkeypatch):
+    """A forked ``local`` worker drops its copies of the coordinator's
+    listener and worker connections before it dials — checked once the
+    fleet is assembled, and for a RECOVER replacement forked while its
+    sibling's connection is live (a copy kept there would hide that
+    connection's EOF from the sibling)."""
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, "30")
+    accept = TcpCoordinator._accept
+    checks = []
+
+    def checked_accept(self, unclaimed, recover_barrier=None):
+        accept(self, unclaimed, recover_barrier)
+        coordinator_side = {
+            os.fstat(sock.fileno()).st_ino
+            for sock in [self.listener, *self.connections]
+            if sock is not None
+        }
+        assert len(coordinator_side) == 3  # the listener and two links
+        for shard_id, worker in sorted(self.processes.items()):
+            held = _socket_inodes(worker._process.pid)
+            checks.append(
+                (recover_barrier is not None, shard_id, held & coordinator_side)
+            )
+
+    monkeypatch.setattr(TcpCoordinator, "_accept", checked_accept)
+    run = ShardedScenario(
+        _config(
+            8, shards=2, executor="tcp", wal=str(tmp_path / "storm.wal"),
+            faults="crash@1:1",
+        )
+    ).run(_StormWorkload())
+    assert run.stats.faults["respawns"] == 1
+    assert run.digest() == (
+        ShardedScenario(_config(8, shards=2)).run(_StormWorkload()).digest()
+    )
+    assert [(recovery, shard) for recovery, shard, _ in checks] == [
+        (False, 0), (False, 1), (True, 0), (True, 1)
+    ]
+    assert not [leak for *_, leak in checks if leak], checks
+
+
+def test_forked_worker_raising_before_hello_fails_the_handshake(
+    monkeypatch, capfd
+):
+    """An exception in a forked worker before it says HELLO leaves its
+    traceback on stderr and exit code 1, which the accept loop reports at
+    once — not after the assembly deadline."""
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, "30")
+    import repro.sim.tcpexec as tcpexec
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("worker broke before dialling")
+
+    monkeypatch.setattr(tcpexec, "worker_main", broken)
+    start = time.monotonic()
+    with pytest.raises(
+        SimulationError,
+        match="exited with code 1 before completing its handshake",
+    ):
+        ShardedScenario(
+            _config(8, shards=2, executor="tcp")
+        ).run(_StormWorkload())
+    assert time.monotonic() - start < 10.0
+    assert "RuntimeError: worker broke before dialling" in (
+        capfd.readouterr().err
+    )
+
+
+def test_wait_slot_runs_repro_worker_in_a_fresh_interpreter(monkeypatch):
+    """``python -m repro.cli worker`` end to end, under another hash seed:
+    the CLI entry point passes ``--shard`` through, the job's workload
+    class (defined in this test module) resolves through WELCOME's
+    ``sys_path``, and the run lands on the serial reference's digest."""
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, "30")
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    import repro
+
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        PYTHONHASHSEED=(
+            "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        ),
+    )
+    # Started before the coordinator binds: the worker's connect retry
+    # covers the gap.
+    worker = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "worker",
+            "--connect", f"127.0.0.1:{port}", "--shard", "1",
+        ],
+        env=env,
+    )
+    try:
+        run = ShardedScenario(
+            _config(
+                8, shards=2, executor="tcp", tcp_hosts="local,wait",
+                tcp_port=port,
+            )
+        ).run(_StormWorkload())
+        assert worker.wait(timeout=30.0) == 0
+    finally:
+        if worker.poll() is None:
+            worker.kill()
+            worker.wait()
+    reference = ShardedScenario(_config(8, shards=2)).run(_StormWorkload())
+    assert run.digest() == reference.digest()
 
 
 # ---------------------------------------------------------------------------
