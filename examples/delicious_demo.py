@@ -13,7 +13,7 @@ Run:  python examples/delicious_demo.py [--users 12] [--docs 40]
 
 import argparse
 
-from repro.bench.reporting import format_table
+from repro.bench import format_table
 from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
 from repro.data import DeliciousGenerator
 

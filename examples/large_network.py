@@ -16,7 +16,7 @@ Run:  python examples/large_network.py [--peers 500]
 import argparse
 import statistics
 
-from repro.bench.reporting import format_table
+from repro.bench import format_table
 from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
 from repro.data import DeliciousGenerator
 from repro.overlay.chord import ChordOverlay

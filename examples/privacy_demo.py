@@ -16,7 +16,7 @@ The paper's privacy story has three layers, all exercised here:
 Run:  python examples/privacy_demo.py
 """
 
-from repro.bench.reporting import format_table
+from repro.bench import format_table
 from repro.data import DeliciousGenerator
 from repro.data.splits import per_user_split
 from repro.ml.metrics import micro_f1

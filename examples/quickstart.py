@@ -9,7 +9,7 @@ AutoTag, Library search, and the Tag Cloud.
 Run:  python examples/quickstart.py
 """
 
-from repro import P2PDocTaggerSystem
+from repro.core.tagger import P2PDocTaggerSystem
 from repro.data import DeliciousGenerator
 
 

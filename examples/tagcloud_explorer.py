@@ -10,7 +10,7 @@ co-occurrence graph: communities, bridges, and the rendered cloud.
 Run:  python examples/tagcloud_explorer.py
 """
 
-from repro.bench.reporting import format_table
+from repro.bench import format_table
 from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
 from repro.data import DeliciousGenerator
 

@@ -24,7 +24,7 @@ substrate it depends on:
 
 Quickstart::
 
-    from repro import P2PDocTaggerSystem
+    from repro.core.tagger import P2PDocTaggerSystem
     from repro.data import DeliciousGenerator
 
     corpus = DeliciousGenerator(num_users=16, seed=7).generate()
@@ -34,36 +34,4 @@ Quickstart::
     print(report.summary())
 """
 
-from repro.errors import (
-    ReproError,
-    ConfigurationError,
-    NotTrainedError,
-    OverlayError,
-    SimulationError,
-)
-
 __version__ = "1.0.0"
-
-_CORE_EXPORTS = {"P2PDocTaggerPeer", "P2PDocTaggerSystem", "EvaluationReport"}
-
-
-def __getattr__(name: str):
-    """Lazily import the core facade so substrates import independently."""
-    if name in _CORE_EXPORTS:
-        from repro.core import tagger
-
-        return getattr(tagger, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-__all__ = [
-    "P2PDocTaggerPeer",
-    "P2PDocTaggerSystem",
-    "EvaluationReport",
-    "ReproError",
-    "ConfigurationError",
-    "NotTrainedError",
-    "OverlayError",
-    "SimulationError",
-    "__version__",
-]

@@ -10,15 +10,3 @@
 - :class:`~repro.baselines.popularity.PopularityTagger` — assigns globally
   popular tags regardless of content: the sanity floor.
 """
-
-from repro.baselines.centralized import CentralizedTagger, CentralizedConfig
-from repro.baselines.localonly import LocalOnlyTagger, LocalOnlyConfig
-from repro.baselines.popularity import PopularityTagger
-
-__all__ = [
-    "CentralizedTagger",
-    "CentralizedConfig",
-    "LocalOnlyTagger",
-    "LocalOnlyConfig",
-    "PopularityTagger",
-]

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.bench.reporting import format_table
+from repro.bench import format_table
 from repro.core.tagger import ALGORITHMS, P2PDocTaggerSystem, SystemConfig
 from repro.data.delicious import DeliciousGenerator
 from repro.data.loaders import load_corpus, save_corpus

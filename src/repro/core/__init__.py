@@ -4,45 +4,3 @@ Pipeline stages: document processing -> (manual tagging | P2P collaborative
 learning -> auto tagging) -> refinement, with tags stored as file metadata
 and browsed through the Library and Tag Cloud components.
 """
-
-from repro.core.multilabel import (
-    ThresholdPolicy,
-    FixedThreshold,
-    TopKPolicy,
-    PerTagThreshold,
-)
-from repro.core.metadata import TagRecord, TagMetadataStore, TagSource
-from repro.core.filebrowser import FileBrowser, VirtualFileSystem
-from repro.core.library import Library
-from repro.core.tagcloud import TagCloud, CloudEntry
-from repro.core.suggestions import SuggestionEngine, Suggestion
-from repro.core.refinement import RefinementLoop, Refinement
-from repro.core.tagger import (
-    P2PDocTaggerPeer,
-    P2PDocTaggerSystem,
-    EvaluationReport,
-    SystemConfig,
-)
-
-__all__ = [
-    "ThresholdPolicy",
-    "FixedThreshold",
-    "TopKPolicy",
-    "PerTagThreshold",
-    "TagRecord",
-    "TagMetadataStore",
-    "TagSource",
-    "FileBrowser",
-    "VirtualFileSystem",
-    "Library",
-    "TagCloud",
-    "CloudEntry",
-    "SuggestionEngine",
-    "Suggestion",
-    "RefinementLoop",
-    "Refinement",
-    "P2PDocTaggerPeer",
-    "P2PDocTaggerSystem",
-    "EvaluationReport",
-    "SystemConfig",
-]

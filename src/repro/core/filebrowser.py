@@ -14,7 +14,7 @@ tagging pipeline is allowed to touch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.data.corpus import Document
 from repro.errors import ConfigurationError

@@ -7,9 +7,9 @@ of), confidence filtering (the slider), and free-text search over tag names.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
-from repro.core.metadata import TagMetadataStore, TagSource
+from repro.core.metadata import TagMetadataStore
 
 
 class Library:
@@ -66,30 +66,6 @@ class Library:
         """Tags whose name contains ``query`` (case-insensitive)."""
         needle = query.lower()
         return [tag for tag in self.tags() if needle in tag.lower()]
-
-    # -- provenance views --------------------------------------------------------
-
-    def documents_by_source(self, source: TagSource) -> List[int]:
-        """Documents having at least one tag from ``source``."""
-        result = []
-        for doc_id in self.store.documents():
-            if any(rec.source == source for rec in self.store.records_of(doc_id)):
-                result.append(doc_id)
-        return result
-
-    def low_confidence_documents(
-        self, below: float = 0.5
-    ) -> List[int]:
-        """Documents whose *best* tag confidence is below ``below``.
-
-        These are the refinement candidates surfaced to the user.
-        """
-        weak: List[int] = []
-        for doc_id in self.store.documents():
-            records = self.store.records_of(doc_id)
-            if records and max(r.confidence for r in records) < below:
-                weak.append(doc_id)
-        return weak
 
     def summary(self) -> str:
         frequencies = self.tag_frequencies()

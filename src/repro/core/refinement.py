@@ -14,8 +14,8 @@ localized-conflict-resolution design implies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List
 
 from repro.core.metadata import TagMetadataStore, TagSource
 from repro.errors import ConfigurationError

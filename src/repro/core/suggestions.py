@@ -13,7 +13,7 @@ threshold that strikes low-confidence tags out rather than hiding them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.ml.sparse import SparseVector

@@ -71,10 +71,6 @@ class TagCloud:
 
     # -- cloud rendering -----------------------------------------------------
 
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
-
     def frequencies(self) -> Dict[str, int]:
         return dict(self._frequencies)
 

@@ -14,7 +14,7 @@ drive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.library import Library
 from repro.core.metadata import TagMetadataStore, TagSource
@@ -31,7 +31,6 @@ from repro.p2pclass.base import (
     P2PTagClassifier,
     PeerData,
     TaggedVector,
-    corpus_to_peer_data,
 )
 from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import Scenario, ScenarioConfig

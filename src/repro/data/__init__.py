@@ -6,19 +6,6 @@ with the same controlling statistics (power-law tag popularity, 50-200
 multi-tagged documents per user, tag-correlated user interests).
 """
 
-from repro.data.corpus import Document, Corpus, UserProfile
-from repro.data.delicious import DeliciousGenerator, GeneratorConfig
-from repro.data.splits import train_test_split, per_user_split
-from repro.data.loaders import save_corpus, load_corpus
+from repro.data.delicious import DeliciousGenerator
 
-__all__ = [
-    "Document",
-    "Corpus",
-    "UserProfile",
-    "DeliciousGenerator",
-    "GeneratorConfig",
-    "train_test_split",
-    "per_user_split",
-    "save_corpus",
-    "load_corpus",
-]
+__all__ = ["DeliciousGenerator"]

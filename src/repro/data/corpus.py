@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence
 
 
 @dataclass(frozen=True)

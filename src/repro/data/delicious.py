@@ -26,7 +26,7 @@ signal — the same reason SVMs work on real bookmark text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -188,10 +188,6 @@ class DeliciousGenerator:
     @property
     def tags(self) -> List[str]:
         return list(self._tags)
-
-    @property
-    def vocabulary(self) -> List[str]:
-        return list(self._vocabulary)
 
     def groups_of(self, tag: str) -> List[int]:
         return list(self._tag_groups[tag])

@@ -6,58 +6,3 @@ centroids), locality-sensitive hashing (PACE's model index), probability
 calibration (the tag-confidence slider), and multi-label evaluation metrics.
 No third-party ML library is used.
 """
-
-from repro.ml.sparse import SparseVector
-from repro.ml.kernels import linear_kernel, rbf_kernel, polynomial_kernel, Kernel
-from repro.ml.linear_svm import LinearSVM
-from repro.ml.kernel_svm import KernelSVM
-from repro.ml.kmeans import KMeans
-from repro.ml.lsh import RandomHyperplaneLSH
-from repro.ml.calibration import PlattCalibrator
-from repro.ml.evaluation import (
-    auc,
-    average_precision,
-    best_f1_threshold,
-    per_tag_thresholds,
-    precision_recall_curve,
-    roc_curve,
-    threshold_sweep,
-)
-from repro.ml.metrics import (
-    multilabel_confusion,
-    micro_f1,
-    macro_f1,
-    hamming_loss,
-    subset_accuracy,
-    precision_at_k,
-    recall_at_k,
-    MultiLabelReport,
-)
-
-__all__ = [
-    "SparseVector",
-    "Kernel",
-    "linear_kernel",
-    "rbf_kernel",
-    "polynomial_kernel",
-    "LinearSVM",
-    "KernelSVM",
-    "KMeans",
-    "RandomHyperplaneLSH",
-    "PlattCalibrator",
-    "multilabel_confusion",
-    "micro_f1",
-    "macro_f1",
-    "hamming_loss",
-    "subset_accuracy",
-    "precision_at_k",
-    "recall_at_k",
-    "MultiLabelReport",
-    "auc",
-    "average_precision",
-    "best_f1_threshold",
-    "per_tag_thresholds",
-    "precision_recall_curve",
-    "roc_curve",
-    "threshold_sweep",
-]

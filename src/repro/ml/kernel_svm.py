@@ -308,9 +308,6 @@ class KernelSVM:
     def predict(self, x: SparseVector) -> int:
         return self.model.predict(x)
 
-    def predict_many(self, xs: Sequence[SparseVector]) -> List[int]:
-        return [self.predict(x) for x in xs]
-
     def accuracy(
         self, vectors: Sequence[SparseVector], labels: Sequence[int]
     ) -> float:

@@ -1,66 +1,20 @@
-"""Kernel functions over sparse vectors.
+"""Kernels over sparse vectors, in array form.
 
 CEMPaR's cascade uses a non-linear SVM; the kernels here operate directly on
-:class:`~repro.ml.sparse.SparseVector` so no densification of the (large,
-hashed) feature space is ever required.
+:class:`~repro.ml.sparse.SparseVector` blocks so no densification of the
+(large, hashed) feature space is ever required.  The scalar kernels, one
+pair of vectors at a time (``kernel_by_name``), are the test oracles in
+``tests/reference/ml_scalar.py``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
 from repro.ml.sparse import SparseVector, pack_rows
-
-Kernel = Callable[[SparseVector, SparseVector], float]
-
-
-def linear_kernel(a: SparseVector, b: SparseVector) -> float:
-    """Plain dot product ``<a, b>``."""
-    return a.dot(b)
-
-
-def rbf_kernel(a: SparseVector, b: SparseVector, gamma: float = 0.5) -> float:
-    """Gaussian RBF kernel ``exp(-gamma * ||a - b||^2)``."""
-    return math.exp(-gamma * a.distance_squared(b))
-
-
-def make_rbf(gamma: float) -> Kernel:
-    """Return an RBF kernel closure with fixed ``gamma``."""
-
-    def kernel(a: SparseVector, b: SparseVector) -> float:
-        return math.exp(-gamma * a.distance_squared(b))
-
-    return kernel
-
-
-def polynomial_kernel(
-    a: SparseVector, b: SparseVector, degree: int = 2, coef0: float = 1.0
-) -> float:
-    """Polynomial kernel ``(<a, b> + coef0)^degree``."""
-    return (a.dot(b) + coef0) ** degree
-
-
-def make_polynomial(degree: int, coef0: float = 1.0) -> Kernel:
-    """Return a polynomial kernel closure."""
-
-    def kernel(a: SparseVector, b: SparseVector) -> float:
-        return (a.dot(b) + coef0) ** degree
-
-    return kernel
-
-
-def kernel_by_name(name: str, gamma: float = 0.5, degree: int = 2) -> Kernel:
-    """Resolve a kernel from a configuration string."""
-    if name == "linear":
-        return linear_kernel
-    if name == "rbf":
-        return make_rbf(gamma)
-    if name == "poly":
-        return make_polynomial(degree)
-    raise ValueError(f"unknown kernel {name!r}; expected linear/rbf/poly")
 
 
 def kernel_from_dots(

@@ -13,7 +13,7 @@ largest-magnitude weights (PACE's communication/accuracy knob).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -162,9 +162,6 @@ class LinearSVM:
 
     def predict(self, x: SparseVector) -> int:
         return self.model.predict(x)
-
-    def predict_many(self, xs: Sequence[SparseVector]) -> List[int]:
-        return [self.predict(x) for x in xs]
 
     def accuracy(
         self, vectors: Sequence[SparseVector], labels: Sequence[int]

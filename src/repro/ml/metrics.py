@@ -9,9 +9,7 @@ accuracy, and ranked precision/recall@k for the suggestion experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
-
-TagSet = FrozenSet[str]
+from typing import Dict, Iterable, Sequence, Set
 
 
 @dataclass
@@ -180,19 +178,6 @@ def mean_precision_at_k(
         return 0.0
     return sum(
         precision_at_k(t, r, k) for t, r in zip(true_sets, ranked_lists)
-    ) / len(true_sets)
-
-
-def mean_recall_at_k(
-    true_sets: Sequence[Iterable[str]],
-    ranked_lists: Sequence[Sequence[str]],
-    k: int,
-) -> float:
-    """Mean recall@k across documents."""
-    if not true_sets:
-        return 0.0
-    return sum(
-        recall_at_k(t, r, k) for t, r in zip(true_sets, ranked_lists)
     ) / len(true_sets)
 
 

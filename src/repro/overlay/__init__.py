@@ -17,48 +17,8 @@ rather than naming classes:
 >>> overlay = make_overlay("chord")
 """
 
-from repro.overlay.idspace import (
-    ID_BITS,
-    ID_SPACE,
-    node_id_for,
-    key_id_for,
-    ring_distance,
-    xor_distance,
-    in_interval,
-)
-from repro.overlay.base import (
-    Overlay,
-    RouteResult,
-    make_overlay,
-    overlay_names,
-    register_overlay,
-)
-from repro.overlay.chord import ChordOverlay
-from repro.overlay.kademlia import KademliaOverlay
-from repro.overlay.pastry import PastryOverlay
-from repro.overlay.unstructured import UnstructuredOverlay, BroadcastResult
-from repro.overlay.fullmesh import FullMeshOverlay
-from repro.overlay.superpeer import SuperPeerDirectory, SuperPeerOverlay
+# Importing each overlay module registers it with the factory.
+from repro.overlay import chord, kademlia, pastry, unstructured, fullmesh, superpeer  # noqa: F401
+from repro.overlay.base import make_overlay, overlay_names
 
-__all__ = [
-    "ID_BITS",
-    "ID_SPACE",
-    "node_id_for",
-    "key_id_for",
-    "ring_distance",
-    "xor_distance",
-    "in_interval",
-    "Overlay",
-    "RouteResult",
-    "make_overlay",
-    "overlay_names",
-    "register_overlay",
-    "ChordOverlay",
-    "KademliaOverlay",
-    "PastryOverlay",
-    "UnstructuredOverlay",
-    "FullMeshOverlay",
-    "BroadcastResult",
-    "SuperPeerDirectory",
-    "SuperPeerOverlay",
-]
+__all__ = ["make_overlay", "overlay_names"]

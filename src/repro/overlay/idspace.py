@@ -29,24 +29,7 @@ def key_id_for(key: str) -> int:
     return _hash64(f"key:{key}".encode("utf-8"))
 
 
-def ring_distance(a: int, b: int) -> int:
-    """Clockwise distance from ``a`` to ``b`` on the ring."""
-    return (b - a) % ID_SPACE
-
-
 def xor_distance(a: int, b: int) -> int:
     """Kademlia's XOR metric."""
     return a ^ b
 
-
-def in_interval(x: int, left: int, right: int, inclusive_right: bool = True) -> bool:
-    """True if ``x`` lies in the circular interval (left, right] (or (left, right))."""
-    if left == right:
-        # Full circle (single-node ring): everything is inside.
-        return True
-    if left < right:
-        return (left < x <= right) if inclusive_right else (left < x < right)
-    # Wrapping interval.
-    if inclusive_right:
-        return x > left or x <= right
-    return x > left or x < right

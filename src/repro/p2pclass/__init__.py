@@ -10,37 +10,3 @@ Two approaches, both from the authors' prior work:
 Both implement :class:`~repro.p2pclass.base.P2PTagClassifier`, so P2PDocTagger
 treats the algorithm as a plug-in, exactly as the paper emphasizes.
 """
-
-from repro.p2pclass.base import (
-    TaggedVector,
-    PeerData,
-    P2PTagClassifier,
-    binary_problems,
-    corpus_to_peer_data,
-)
-from repro.p2pclass.voting import majority_vote, weighted_majority_vote
-from repro.p2pclass.cascade import cascade_merge, CascadeModel
-from repro.p2pclass.cempar import CemparClassifier, CemparConfig
-from repro.p2pclass.pace import PaceClassifier, PaceConfig
-from repro.p2pclass.private import PrivatePaceClassifier, PrivatePaceConfig
-from repro.p2pclass.nbagg import NBAggClassifier, NBAggConfig
-
-__all__ = [
-    "TaggedVector",
-    "PeerData",
-    "P2PTagClassifier",
-    "binary_problems",
-    "corpus_to_peer_data",
-    "majority_vote",
-    "weighted_majority_vote",
-    "cascade_merge",
-    "CascadeModel",
-    "CemparClassifier",
-    "CemparConfig",
-    "PaceClassifier",
-    "PaceConfig",
-    "PrivatePaceClassifier",
-    "PrivatePaceConfig",
-    "NBAggClassifier",
-    "NBAggConfig",
-]

@@ -16,7 +16,7 @@ contribution — exactly the degradation experiment E4 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

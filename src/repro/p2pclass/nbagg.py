@@ -17,7 +17,7 @@ plane: exact global model, cheap statistics upload, per-query routing cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -22,7 +22,7 @@ ablation sweeps: smaller epsilon = stronger privacy = noisier ensemble.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 

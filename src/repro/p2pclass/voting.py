@@ -7,7 +7,7 @@ data".  Both reduce to the two functions here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 def majority_vote(votes: Sequence[int]) -> int:
@@ -40,21 +40,3 @@ def weighted_score(votes: Sequence[Tuple[float, float]]) -> float:
     if denominator == 0.0:
         return 0.0
     return numerator / denominator
-
-
-def combine_score_maps(
-    maps: Sequence[Tuple[Dict[str, float], float]],
-    tags: Sequence[str],
-) -> Dict[str, float]:
-    """Combine several per-tag score maps with per-map weights.
-
-    Missing tags in a map simply do not vote for that tag (a regional model
-    that never saw a tag abstains rather than voting 0).
-    """
-    combined: Dict[str, float] = {}
-    for tag in tags:
-        votes: List[Tuple[float, float]] = [
-            (scores[tag], weight) for scores, weight in maps if tag in scores
-        ]
-        combined[tag] = weighted_score(votes)
-    return combined

@@ -23,85 +23,3 @@ discrete-event replacement providing the same observables:
   (:mod:`repro.sim.tcpexec`), and
 - network visualization helpers (:mod:`repro.sim.visualize`).
 """
-
-from repro.sim.engine import Simulator, Event
-from repro.sim.messages import Message, payload_size
-from repro.sim.network import (
-    PhysicalNetwork,
-    LatencyModel,
-    PeerStreams,
-    pair_mix64,
-    pair_seed,
-    stream_seed,
-)
-from repro.sim.transport import Transport, Outcome, BroadcastOutcome
-from repro.sim.codec import (
-    Codec,
-    CodecTable,
-    codec_names,
-    make_codec_table,
-    register_traffic_class,
-)
-from repro.sim.churn import (
-    ChurnModel,
-    NoChurn,
-    ExponentialChurn,
-    WeibullChurn,
-    ParetoChurn,
-    ChurnDriver,
-)
-from repro.sim.node import SimNode
-from repro.sim.stats import StatsCollector
-from repro.sim.workload import QueryWorkload, WorkloadConfig, QueryEvent
-from repro.sim.distribution import DataDistributor, ShardSpec
-from repro.sim.scenario import ScenarioConfig, Scenario
-from repro.sim.shard import (
-    ShardedRun,
-    ShardedScenario,
-    compute_lookahead,
-    run_sharded,
-    scenario_digest,
-    shard_of,
-)
-
-__all__ = [
-    "Simulator",
-    "Event",
-    "Message",
-    "payload_size",
-    "PhysicalNetwork",
-    "LatencyModel",
-    "pair_mix64",
-    "pair_seed",
-    "Transport",
-    "Outcome",
-    "BroadcastOutcome",
-    "Codec",
-    "CodecTable",
-    "codec_names",
-    "make_codec_table",
-    "register_traffic_class",
-    "ChurnModel",
-    "NoChurn",
-    "ExponentialChurn",
-    "WeibullChurn",
-    "ParetoChurn",
-    "ChurnDriver",
-    "SimNode",
-    "StatsCollector",
-    "QueryWorkload",
-    "WorkloadConfig",
-    "QueryEvent",
-    "DataDistributor",
-    "ShardSpec",
-    "ScenarioConfig",
-    "Scenario",
-    "PeerStreams",
-    "stream_seed",
-    "ShardedRun",
-    "ShardedScenario",
-    "compute_lookahead",
-    "run_sharded",
-    "scenario_digest",
-    "shard_of",
-]

@@ -16,7 +16,7 @@ new corpus whose owners are peer indices 0..N-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

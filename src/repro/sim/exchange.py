@@ -188,24 +188,6 @@ class ExchangeFrame:
             payload_count=payload_count,
         )
 
-    def to_records(self) -> List[tuple]:
-        """The frame back as :data:`ExchangeRecord` tuples (tests/debug)."""
-        payloads = self.payloads or [None] * self.count
-        return [
-            (
-                deliver, self.src_shard, seq, src, dst,
-                self.type_table[type_id], payload, size, wire, hops,
-            )
-            for deliver, seq, src, dst, type_id, payload, size, wire, hops
-            in zip(
-                self.deliver_time.tolist(), self.seq.tolist(),
-                self.src.tolist(), self.dst.tolist(),
-                self.type_ids.tolist(), payloads,
-                self.size_bytes.tolist(), self.wire_bytes.tolist(),
-                self.hops.tolist(),
-            )
-        ]
-
     # -- wire format --------------------------------------------------------
 
     def encode(self, barrier: int) -> bytes:

@@ -7,7 +7,7 @@ dispatches incoming messages to per-type handlers.  Application peers
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.errors import SimulationError
 from repro.sim.messages import Message
@@ -56,10 +56,6 @@ class SimNode:
         return self.network.send(message)
 
     # -- lifecycle ---------------------------------------------------------------------
-
-    @property
-    def is_up(self) -> bool:
-        return self.network.is_up(self.node_id)
 
     def shutdown(self) -> None:
         self.network.unregister(self.node_id)

@@ -1245,12 +1245,3 @@ class ShardedScenario:
         finally:
             if wal is not None:
                 wal.close()
-
-
-def run_sharded(
-    config: ScenarioConfig,
-    workload: Workload,
-    executor: Optional[str] = None,
-) -> ShardedRun:
-    """Convenience wrapper: ``ShardedScenario(config, executor).run(...)``."""
-    return ShardedScenario(config, executor=executor).run(workload)

@@ -37,8 +37,7 @@ class StatsCollector:
         #: artifact of the execution shape (it scales with K and vanishes at
         #: K=1), while :meth:`fingerprint` — and therefore every golden
         #: digest — pins workload observables that must be identical across
-        #: kernel shapes.  Merged by :meth:`merge`, reported via
-        #: :meth:`directory_summary`, never fingerprinted.
+        #: kernel shapes.  Merged by :meth:`merge`, never fingerprinted.
         self.directory: Counter = Counter()
         #: columnar shard-exchange accounting, credited by the worker
         #: channels: ``frames``/``records`` (SoA window frames and the
@@ -61,8 +60,7 @@ class StatsCollector:
         #: injected faults and their recovery are execution-shape
         #: artifacts — the fault plane's whole proof obligation is that
         #: golden digests cannot move — so the family is merged by
-        #: :meth:`merge`, reported via :meth:`faults_summary`, and never
-        #: joins :meth:`fingerprint`.
+        #: :meth:`merge` and never joins :meth:`fingerprint`.
         self.faults: Counter = Counter()
         #: True once any recorded message's wire size diverged from its raw
         #: size (i.e. a non-identity codec touched this collector).  Gates
@@ -231,21 +229,11 @@ class StatsCollector:
         self.directory["control_bytes"] += size_bytes
         self.directory["control_edits"] += edits
 
-    def directory_summary(self) -> Dict[str, int]:
-        """The directory service counters (diagnostics; K-dependent)."""
-        return dict(sorted(self.directory.items()))
-
     # -- shard-exchange accounting ------------------------------------------
 
     def exchange_summary(self) -> Dict[str, int]:
         """The shard-exchange counters (diagnostics; executor-dependent)."""
         return dict(sorted(self.exchange.items()))
-
-    # -- fault-plane / recovery accounting -----------------------------------
-
-    def faults_summary(self) -> Dict[str, int]:
-        """The fault/recovery counters (diagnostics; schedule-dependent)."""
-        return dict(sorted(self.faults.items()))
 
     # -- counters ----------------------------------------------------------
 

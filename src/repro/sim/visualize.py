@@ -7,7 +7,7 @@ also routes its co-occurrence graphs through networkx.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict
 
 from repro.overlay.base import Overlay
 
@@ -77,12 +77,3 @@ def ascii_summary(overlay: Overlay) -> str:
         ),
     ]
     return "\n".join(lines)
-
-
-def adjacency_table(overlay: Overlay, limit: int = 20) -> str:
-    """First ``limit`` adjacency rows, for debugging small overlays."""
-    rows: List[str] = []
-    for address in sorted(overlay.members())[:limit]:
-        neighbors = ", ".join(str(n) for n in overlay.neighbors(address)[:8])
-        rows.append(f"{address:>6} -> {neighbors}")
-    return "\n".join(rows)

@@ -258,29 +258,6 @@ class WalReader:
         )
 
 
-def truncate_wal(
-    path: str, keep_windows: int, out_path: Optional[str] = None
-) -> str:
-    """Copy (or rewrite in place) a WAL keeping only the first
-    ``keep_windows`` window records — the crash-at-window-W simulator used
-    by the resume fuzz harness."""
-    reader = WalReader(path)
-    if keep_windows > len(reader.windows):
-        raise ConfigurationError(
-            f"cannot keep {keep_windows} windows: {path} holds only "
-            f"{len(reader.windows)}"
-        )
-    end = (
-        reader.header_end if keep_windows == 0
-        else reader.window_offsets[keep_windows - 1]
-    )
-    with open(path, "rb") as fh:
-        data = fh.read(end)
-    target = out_path or path
-    with open(target, "wb") as fh:
-        fh.write(data)
-    return target
-
 
 # ---------------------------------------------------------------------------
 # Worker-side probe.

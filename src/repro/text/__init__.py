@@ -5,28 +5,3 @@ are filtered out, remaining words are normalized with the Porter stemming
 algorithm, and documents become sparse multidimensional feature vectors whose
 attribute ids are word ids and whose values are word weights.
 """
-
-from repro.text.tokenizer import tokenize, sentence_split
-from repro.text.stopwords import ENGLISH_STOP_WORDS, is_stop_word
-from repro.text.sensitive import SensitiveWordFilter
-from repro.text.porter import PorterStemmer, stem
-from repro.text.lexicon import Lexicon
-from repro.text.vectorizer import (
-    BagOfWordsVectorizer,
-    TfidfTransformer,
-    PreprocessingPipeline,
-)
-
-__all__ = [
-    "tokenize",
-    "sentence_split",
-    "ENGLISH_STOP_WORDS",
-    "is_stop_word",
-    "SensitiveWordFilter",
-    "PorterStemmer",
-    "stem",
-    "Lexicon",
-    "BagOfWordsVectorizer",
-    "TfidfTransformer",
-    "PreprocessingPipeline",
-]

@@ -77,10 +77,6 @@ class Lexicon:
         """Stop admitting new words; unknown words become out-of-vocabulary."""
         self._frozen = True
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     # -- lookup ---------------------------------------------------------------
 
     def id_of(self, word: str) -> Optional[int]:

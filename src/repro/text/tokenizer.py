@@ -9,7 +9,7 @@ information-retrieval style preprocessing the paper describes.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List
+from typing import List
 
 _WORD_RE = re.compile(r"[a-z]+(?:'[a-z]+)?")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
@@ -37,17 +37,6 @@ def tokenize(text: str, min_length: int = 2, max_length: int = 40) -> List[str]:
         if min_length <= len(token) <= max_length:
             tokens.append(token)
     return tokens
-
-
-def iter_tokens(text: str, min_length: int = 2, max_length: int = 40) -> Iterator[str]:
-    """Generator variant of :func:`tokenize` for very large documents."""
-    lowered = text.lower() if text else ""
-    for match in _WORD_RE.finditer(lowered):
-        token = match.group(0)
-        if "'" in token:
-            token = token.split("'", 1)[0]
-        if min_length <= len(token) <= max_length:
-            yield token
 
 
 def sentence_split(text: str) -> List[str]:

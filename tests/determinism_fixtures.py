@@ -3,7 +3,8 @@
 One tiny fixed-seed corpus, one scenario builder per environment variant,
 and one classifier factory per protocol — used by both the golden
 fingerprint suite (``tests/test_golden_determinism.py``) and the
-batch/scalar equivalence property tests (``tests/test_scheduled_rounds.py``).
+batch/scalar equivalence property tests (``tests/test_scheduled_rounds.py``),
+plus the log and frame tools the WAL and exchange suites share.
 
 Everything here must stay deterministic across interpreter versions and
 platforms: all ids flow through blake2 hashes, all randomness through
@@ -20,6 +21,7 @@ from repro.baselines.centralized import CentralizedTagger
 from repro.baselines.localonly import LocalOnlyTagger
 from repro.baselines.popularity import PopularityTagger
 from repro.data.delicious import DeliciousGenerator
+from repro.errors import ConfigurationError
 from repro.p2pclass.base import P2PTagClassifier, corpus_to_peer_data
 from repro.p2pclass.cempar import CemparClassifier, CemparConfig
 from repro.p2pclass.nbagg import NBAggClassifier
@@ -27,6 +29,7 @@ from repro.p2pclass.pace import PaceClassifier
 from repro.p2pclass.private import PrivatePaceClassifier
 from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import Scenario, ScenarioConfig
+from repro.sim.wal import WalReader
 from repro.text.vectorizer import PreprocessingPipeline
 
 NUM_PEERS = 5
@@ -288,3 +291,52 @@ def run_training_sharded(
     return ShardedScenario(config, executor=executor).run(
         training_workload(protocol, variant, codec)
     )
+
+
+# ---------------------------------------------------------------------------
+# Log and frame tools: a crashed run's WAL prefix, a frame as record tuples.
+# ---------------------------------------------------------------------------
+
+
+def truncate_wal(
+    path: str, keep_windows: int, out_path: Optional[str] = None
+) -> str:
+    """Copy (or rewrite in place) a WAL keeping only the first
+    ``keep_windows`` window records — the crash-at-window-W simulator used
+    by the resume fuzz harness."""
+    reader = WalReader(path)
+    if keep_windows > len(reader.windows):
+        raise ConfigurationError(
+            f"cannot keep {keep_windows} windows: {path} holds only "
+            f"{len(reader.windows)}"
+        )
+    end = (
+        reader.header_end if keep_windows == 0
+        else reader.window_offsets[keep_windows - 1]
+    )
+    with open(path, "rb") as fh:
+        data = fh.read(end)
+    target = out_path or path
+    with open(target, "wb") as fh:
+        fh.write(data)
+    return target
+
+
+def frame_records(frame) -> list:
+    """An :class:`~repro.sim.exchange.ExchangeFrame` back as ``ExchangeRecord``
+    tuples, in frame order."""
+    payloads = frame.payloads or [None] * frame.count
+    return [
+        (
+            deliver, frame.src_shard, seq, src, dst,
+            frame.type_table[type_id], payload, size, wire, hops,
+        )
+        for deliver, seq, src, dst, type_id, payload, size, wire, hops
+        in zip(
+            frame.deliver_time.tolist(), frame.seq.tolist(),
+            frame.src.tolist(), frame.dst.tolist(),
+            frame.type_ids.tolist(), payloads,
+            frame.size_bytes.tolist(), frame.wire_bytes.tolist(),
+            frame.hops.tolist(),
+        )
+    ]

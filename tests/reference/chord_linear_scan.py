@@ -17,7 +17,25 @@ from typing import List, Optional
 
 from repro.errors import OverlayError
 from repro.overlay.base import RouteResult
-from repro.overlay.idspace import ID_BITS, ID_SPACE, in_interval, node_id_for
+from repro.overlay.idspace import ID_BITS, ID_SPACE, node_id_for
+
+
+def ring_distance(a: int, b: int) -> int:
+    """Clockwise distance from ``a`` to ``b`` on the ring."""
+    return (b - a) % ID_SPACE
+
+
+def in_interval(x: int, left: int, right: int, inclusive_right: bool = True) -> bool:
+    """True if ``x`` lies in the circular interval (left, right] (or (left, right))."""
+    if left == right:
+        # Full circle (single-node ring): everything is inside.
+        return True
+    if left < right:
+        return (left < x <= right) if inclusive_right else (left < x < right)
+    # Wrapping interval.
+    if inclusive_right:
+        return x > left or x <= right
+    return x > left or x < right
 
 
 def join(self, address: int) -> None:

@@ -1,4 +1,5 @@
-"""The scalar inner loops of ``repro.ml``: oracles for the cached norm, the
+"""The scalar inner loops of ``repro.ml``: oracles for the array kernels
+(``kernel_by_name`` and the kernel functions it resolves), the cached norm, the
 packed support-vector ``decision``, the shared-table LSH ``signature``, the
 array Gram matrix, the SMO sweep, the Pegasos steps, PACE's hash-once
 bundle store, PACE's block prediction and CEMPaR's (one model at a time,
@@ -16,17 +17,67 @@ left-to-right sum on every interpreter.
 
 import functools
 import math
+from typing import Callable
 
 import numpy as np
 
 from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, SupportVector
-from repro.ml.kernels import kernel_by_name, kernel_from_dots
+from repro.ml.kernels import kernel_from_dots
 from repro.ml.linear_svm import LinearSVM, LinearSVMModel
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import SparseVector, pack_rows
 from repro.p2pclass.cempar import _PredictionBlock
 from repro.p2pclass.pace import PaceClassifier
 from repro.p2pclass.voting import weighted_score
+
+
+Kernel = Callable[[SparseVector, SparseVector], float]
+
+
+def linear_kernel(a: SparseVector, b: SparseVector) -> float:
+    """Plain dot product ``<a, b>``."""
+    return a.dot(b)
+
+
+def rbf_kernel(a: SparseVector, b: SparseVector, gamma: float = 0.5) -> float:
+    """Gaussian RBF kernel ``exp(-gamma * ||a - b||^2)``."""
+    return math.exp(-gamma * a.distance_squared(b))
+
+
+def make_rbf(gamma: float) -> Kernel:
+    """Return an RBF kernel closure with fixed ``gamma``."""
+
+    def kernel(a: SparseVector, b: SparseVector) -> float:
+        return math.exp(-gamma * a.distance_squared(b))
+
+    return kernel
+
+
+def polynomial_kernel(
+    a: SparseVector, b: SparseVector, degree: int = 2, coef0: float = 1.0
+) -> float:
+    """Polynomial kernel ``(<a, b> + coef0)^degree``."""
+    return (a.dot(b) + coef0) ** degree
+
+
+def make_polynomial(degree: int, coef0: float = 1.0) -> Kernel:
+    """Return a polynomial kernel closure."""
+
+    def kernel(a: SparseVector, b: SparseVector) -> float:
+        return (a.dot(b) + coef0) ** degree
+
+    return kernel
+
+
+def kernel_by_name(name: str, gamma: float = 0.5, degree: int = 2) -> Kernel:
+    """Resolve a kernel from a configuration string."""
+    if name == "linear":
+        return linear_kernel
+    if name == "rbf":
+        return make_rbf(gamma)
+    if name == "poly":
+        return make_polynomial(degree)
+    raise ValueError(f"unknown kernel {name!r}; expected linear/rbf/poly")
 
 
 def squared_norm(vector):

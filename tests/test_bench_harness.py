@@ -1,6 +1,6 @@
 """Tests for the table reporting ``repro compare`` and the examples print."""
 
-from repro.bench.reporting import format_cell, format_row, format_table
+from repro.bench import format_cell, format_row, format_table
 
 
 class TestReporting:

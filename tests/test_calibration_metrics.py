@@ -13,7 +13,6 @@ from repro.ml.metrics import (
     hamming_loss,
     macro_f1,
     mean_precision_at_k,
-    mean_recall_at_k,
     micro_f1,
     multilabel_confusion,
     precision_at_k,
@@ -139,7 +138,6 @@ class TestRankedMetrics:
         true_sets = [{"a"}, {"b"}]
         ranked = [["a", "c"], ["c", "b"]]
         assert mean_precision_at_k(true_sets, ranked, 1) == pytest.approx(0.5)
-        assert mean_recall_at_k(true_sets, ranked, 2) == pytest.approx(1.0)
         assert mean_precision_at_k([], [], 1) == 0.0
 
     def test_recall_monotone_in_k(self):

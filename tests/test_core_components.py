@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.library import Library
-from repro.core.metadata import TagMetadataStore, TagRecord, TagSource
+from repro.core.metadata import TagMetadataStore, TagSource
 from repro.core.multilabel import FixedThreshold, TopKPolicy
 from repro.core.suggestions import Suggestion, SuggestionEngine
 from repro.core.tagcloud import TagCloud
@@ -141,14 +141,6 @@ class TestLibrary:
 
     def test_tag_frequencies(self):
         assert self.make().tag_frequencies()["music"] == 2
-
-    def test_documents_by_source(self):
-        library = self.make()
-        assert library.documents_by_source(TagSource.MANUAL) == [1]
-        assert library.documents_by_source(TagSource.AUTO) == [2, 3]
-
-    def test_low_confidence_documents(self):
-        assert self.make().low_confidence_documents(below=0.5) == [3]
 
     def test_summary(self):
         assert "documents=3" in self.make().summary()

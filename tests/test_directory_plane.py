@@ -25,7 +25,6 @@ from repro.sim.shard import DirectoryControlPlane, ShardedScenario
 from repro.sim.stats import StatsCollector
 
 from tests.determinism_fixtures import (
-    SHARD_JITTER_FLOOR,
     build_scenario_config,
     digest_of,
     run_training_perpeer,
@@ -270,14 +269,14 @@ def test_directory_counters_do_not_touch_the_fingerprint():
     before = stats.fingerprint_bytes()
     stats.record_directory(7, 1234, edits=3)
     assert stats.fingerprint_bytes() == before
-    assert stats.directory_summary() == {
+    assert stats.directory == {
         "control_bytes": 1234,
         "control_edits": 3,
         "control_records": 7,
     }
     merged = StatsCollector()
     merged.merge(stats)
-    assert merged.directory_summary() == stats.directory_summary()
+    assert merged.directory == stats.directory
     assert merged.fingerprint_bytes() == before
 
 

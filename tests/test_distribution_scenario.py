@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError, DataError
 from repro.sim.distribution import DataDistributor, ShardSpec
 from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.visualize import (
-    adjacency_table,
     ascii_summary,
     connectivity_report,
     degree_statistics,
@@ -177,7 +176,6 @@ class TestVisualize:
     def test_ascii_and_table(self):
         overlay = self.overlay()
         assert "unstructured" in ascii_summary(overlay)
-        assert "->" in adjacency_table(overlay)
 
     def test_empty_overlay(self):
         from repro.overlay.unstructured import UnstructuredOverlay

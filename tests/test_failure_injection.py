@@ -4,10 +4,8 @@ These tests verify the systems *degrade* rather than break when the network
 misbehaves — the fault-tolerance story of paper §1.1.
 """
 
-import pytest
 
 from repro.baselines.centralized import CentralizedTagger
-from repro.ml.sparse import SparseVector
 from repro.p2pclass.cempar import CemparClassifier, CemparConfig
 from repro.p2pclass.nbagg import NBAggClassifier
 from repro.p2pclass.pace import PaceClassifier, PaceConfig

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.faults import KINDS, FaultEvent, FaultPlan, mix64, splitmix64
+from repro.sim.faults import FaultEvent, FaultPlan, mix64, splitmix64
 from repro.sim.tcpexec import TCP_MAX_RESPAWNS_ENV, TCP_TIMEOUT_ENV
 from repro.sim.wal import WalReader, config_fingerprint
 from determinism_fixtures import (

@@ -4,9 +4,8 @@ import pytest
 
 from repro.core.metadata import TagMetadataStore
 from repro.core.refinement import Refinement, RefinementLoop
-from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
+from repro.core.tagger import P2PDocTaggerSystem
 from repro.data.delicious import DeliciousGenerator
-from repro.ml.sparse import SparseVector
 from repro.p2pclass.base import TaggedVector
 from repro.p2pclass.cempar import CemparClassifier
 from repro.p2pclass.nbagg import NBAggClassifier

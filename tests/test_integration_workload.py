@@ -6,7 +6,6 @@ check the pieces agree with each other (trace totals vs stats totals,
 metadata growth vs queries served, maintenance traffic under churn).
 """
 
-import pytest
 
 from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
 from repro.data.delicious import DeliciousGenerator

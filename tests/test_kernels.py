@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ml.kernels import (
-    gram_matrix,
+from reference.ml_scalar import (
     kernel_by_name,
     linear_kernel,
     make_polynomial,
@@ -16,6 +15,7 @@ from repro.ml.kernels import (
     polynomial_kernel,
     rbf_kernel,
 )
+from repro.ml.kernels import gram_matrix
 from repro.ml.sparse import SparseVector
 
 

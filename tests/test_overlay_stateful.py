@@ -10,7 +10,6 @@ Kademlia and checks the invariants the P2P classifiers rely on:
 """
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 

@@ -4,18 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.chord_linear_scan import in_interval, ring_distance
 from repro.errors import OverlayError
 from repro.overlay import make_overlay, overlay_names
-from repro.overlay.base import Overlay, RouteResult
+from repro.overlay.base import Overlay
 from repro.overlay.chord import ChordOverlay
-from repro.overlay.idspace import (
-    ID_SPACE,
-    in_interval,
-    key_id_for,
-    node_id_for,
-    ring_distance,
-    xor_distance,
-)
+from repro.overlay.idspace import ID_SPACE, key_id_for, node_id_for, xor_distance
 from repro.overlay.kademlia import KademliaOverlay
 from repro.overlay.superpeer import SuperPeerDirectory, SuperPeerOverlay
 from repro.overlay.unstructured import UnstructuredOverlay

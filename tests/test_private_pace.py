@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.ml.metrics import micro_f1
 from repro.p2pclass.pace import PaceClassifier, PaceConfig
 from repro.p2pclass.private import PrivatePaceClassifier, PrivatePaceConfig
 

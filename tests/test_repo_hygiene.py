@@ -108,6 +108,17 @@ model is the loop the block replaced.
 workers are forked through it (``_ForkedWorker``), and ``tcpexec.py`` never
 names ``sys.executable`` — a ``local`` worker exec'ing a fresh interpreter
 paid interpreter start-up and every import on each (re)spawn.
+
+(t) Every public function, class and method of a public class under
+``src/repro`` is named somewhere else in ``src/`` — a package ``__init__``
+re-exporting it does not count — or is listed in
+``REACHED_FROM_OUTSIDE_SRC`` with the reason it stays; the list only shrinks.
+
+(u) A package ``__init__`` re-exports a ``repro`` name only if some module
+under ``src/``, ``tests/``, ``examples/`` or ``benchmarks/`` imports it
+through the package.
+
+(v) No module under ``src/repro`` imports a name it never uses.
 """
 
 import ast
@@ -772,3 +783,272 @@ def test_there_is_one_fork_and_tcp_local_workers_use_it():
     assert _calls_to(tcpexec, "_mp_context") == ["__init__"]  # _ForkedWorker's
     assert not _sites(tcpexec, lambda node: isinstance(node, ast.Attribute)
                       and node.attr == "executable")
+
+
+def _public_definitions(tree):
+    """Qualified names of the public functions and classes at module level
+    of ``tree`` and of the public methods of its public classes."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not node.name.startswith("_"):
+                found.append(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+
+    visit(tree.body, "")
+    return found
+
+
+def _references(tree, imports=True):
+    """Every bare name and ``x.<attribute>`` in ``tree``, plus (with
+    ``imports``) the last component of every imported name."""
+    names = _names_used(tree)
+    if imports:
+        names |= {
+            node.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+            if isinstance(node, ast.alias)
+        }
+    return names
+
+
+def _unreached(trees):
+    """``path:qualname`` of each public definition in ``trees`` (path ->
+    module tree) whose name nothing in ``trees`` references — a package
+    ``__init__`` re-exporting a name does not count."""
+    referenced = set().union(*(
+        _references(tree, imports=not path.endswith("__init__.py"))
+        for path, tree in trees.items()
+    ))
+    return {
+        f"{path}:{qualname}"
+        for path, tree in trees.items()
+        for qualname in _public_definitions(tree)
+        if qualname.rsplit(".", 1)[-1] not in referenced
+    }
+
+
+def _src_trees():
+    src = ROOT / "src" / "repro"
+    return {
+        path.relative_to(src).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(src.rglob("*.py"))
+    }
+
+
+#: Public definitions under ``src/repro`` that nothing under ``src/`` calls,
+#: each with the reason it stays.  The list only shrinks: an entry that src/
+#: starts to reference, or whose definition goes, fails the ratchet too.
+_BENCH = "benchmarks/perf calls it"
+_ANALYZE = "`repro analyze --report NAME` calls `report_NAME` by name"
+_EXAMPLE = "an example calls it (tests/test_examples.py runs every example)"
+_CLAIM = "a docs/CLAIMS.md row's test calls it"
+_OBSERVED = "an observable the tier-1 suites assert on; no run needs it"
+_DEMO = "a paper demo operation (Figs. 3-4) that only its unit tests drive"
+_UNIT = "only its own unit tests call it; deleting it deletes them"
+
+REACHED_FROM_OUTSIDE_SRC = {
+    "core/tagger.py:P2PDocTaggerSystem.from_corpus": _BENCH,
+    "core/tagger.py:P2PDocTaggerSystem.global_tag_cloud": _BENCH,
+    "sim/engine.py:Simulator.events_processed": _BENCH,
+    "sim/scenario.py:Scenario.construction_cost": _BENCH,
+    "sim/scenario.py:Scenario.live_peers": _BENCH,
+    "sim/scenario.py:Scenario.register_peer": _BENCH,
+    "sim/stats.py:StatsCollector.exchange_summary": _BENCH,
+    "sim/stats.py:StatsCollector.messages_for": _BENCH,
+    "sim/tracestore.py:TraceStore.attach_scenario": _BENCH,
+    "sim/tracestore.py:merge_stores": _BENCH,
+    "sim/tracestore.py:TraceStore.report_churn": _ANALYZE,
+    "sim/tracestore.py:TraceStore.report_codec": _ANALYZE,
+    "sim/tracestore.py:TraceStore.report_peers": _ANALYZE,
+    "sim/tracestore.py:TraceStore.report_traffic": _ANALYZE,
+    "core/filebrowser.py:FileBrowser": _EXAMPLE,
+    "core/filebrowser.py:FileBrowser.cd": _EXAMPLE,
+    "core/filebrowser.py:FileBrowser.ls": _EXAMPLE,
+    "core/filebrowser.py:FileBrowser.selected_documents": _EXAMPLE,
+    "core/filebrowser.py:VirtualFileSystem.from_documents": _EXAMPLE,
+    "core/library.py:Library.browse_by_tag": _EXAMPLE,
+    "core/refinement.py:RefinementLoop.pending_count": _EXAMPLE,
+    "core/tagcloud.py:TagCloud.ascii_cloud": _EXAMPLE,
+    "core/tagcloud.py:TagCloud.cooccurrence": _EXAMPLE,
+    "core/tagger.py:P2PDocTaggerPeer.manual_tag": _EXAMPLE,
+    "core/tagger.py:P2PDocTaggerSystem.auto_tag_all": _EXAMPLE,
+    "p2pclass/base.py:P2PTagClassifier.predict_tags": _EXAMPLE,
+    "p2pclass/base.py:corpus_to_peer_data": _EXAMPLE,
+    "p2pclass/private.py:PrivatePaceClassifier": _EXAMPLE,
+    "core/multilabel.py:TopKPolicy": _CLAIM,
+    "data/delicious.py:DeliciousGenerator.groups_of": _CLAIM,
+    "ml/metrics.py:mean_precision_at_k": _CLAIM,
+    "overlay/chord.py:ChordOverlay.staleness": _CLAIM,
+    "overlay/unstructured.py:UnstructuredOverlay.gossip": _CLAIM,
+    "sim/distribution.py:DataDistributor": _CLAIM,
+    "sim/distribution.py:DataDistributor.distribute": _CLAIM,
+    "text/vectorizer.py:PreprocessingPipeline.fit_tfidf": _CLAIM,
+    "data/corpus.py:Corpus.user_profile": _OBSERVED,
+    "ml/calibration.py:PlattCalibrator.is_fitted": _OBSERVED,
+    "ml/kernel_svm.py:KernelSVMModel.num_support_vectors": _OBSERVED,
+    "overlay/kademlia.py:KademliaOverlay.staleness": _OBSERVED,
+    "overlay/kademlia.py:KademliaOverlay.true_owner": _OBSERVED,
+    "overlay/pastry.py:PastryOverlay.staleness": _OBSERVED,
+    "overlay/pastry.py:PastryOverlay.true_owner": _OBSERVED,
+    "overlay/superpeer.py:SuperPeerOverlay.super_peers": _OBSERVED,
+    "overlay/unstructured.py:BroadcastResult.coverage": _OBSERVED,
+    "p2pclass/pace.py:PaceClassifier.models_indexed_at": _OBSERVED,
+    "sim/codec.py:registered_codecs": _OBSERVED,
+    "sim/faults.py:FaultPlan.describe": _OBSERVED,
+    "sim/network.py:PhysicalNetwork.has_block_listeners": _OBSERVED,
+    "sim/network.py:PhysicalNetwork.live_nodes": _OBSERVED,
+    "sim/network.py:PhysicalNetwork.registered_nodes": _OBSERVED,
+    "sim/stats.py:StatsCollector.bytes_for": _OBSERVED,
+    "sim/stats.py:StatsCollector.has_compressed_traffic": _OBSERVED,
+    "sim/stats.py:StatsCollector.wire_bytes_for": _OBSERVED,
+    "sim/tracestore.py:TraceStore.rows_written": _OBSERVED,
+    "sim/transport.py:BroadcastOutcome.delivered_count": _OBSERVED,
+    "sim/workload.py:QueryWorkload": _OBSERVED,
+    "sim/workload.py:QueryWorkload.expected_total": _OBSERVED,
+    "sim/workload.py:QueryWorkload.replay": _OBSERVED,
+    "core/filebrowser.py:FileBrowser.clear_selection": _DEMO,
+    "core/filebrowser.py:FileBrowser.deselect": _DEMO,
+    "core/library.py:Library.search": _DEMO,
+    "core/library.py:Library.search_tag_names": _DEMO,
+    "core/metadata.py:TagMetadataStore.iter_assignments": _DEMO,
+    "core/metadata.py:TagMetadataStore.save": _DEMO,
+    "core/suggestions.py:SuggestionEngine.render_cloud": _DEMO,
+    "core/suggestions.py:SuggestionEngine.top_tags": _DEMO,
+    "core/tagger.py:P2PDocTaggerPeer.tag_cloud": _DEMO,
+    "data/delicious.py:DeliciousGenerator.topic_words_of": _UNIT,
+    "data/splits.py:train_test_split": _UNIT,
+    "ml/evaluation.py:auc": _UNIT,
+    "ml/evaluation.py:average_precision": _UNIT,
+    "ml/evaluation.py:precision_recall_curve": _UNIT,
+    "ml/lsh.py:RandomHyperplaneLSH.bucket_sizes": _UNIT,
+    "ml/metrics.py:recall_at_k": _UNIT,
+    "ml/sparse.py:SparseVector.cosine_similarity": _UNIT,
+    "ml/sparse.py:SparseVector.dot_dense": _UNIT,
+    "ml/sparse.py:SparseVector.from_dense": _UNIT,
+    "ml/sparse.py:SparseVector.max_index": _UNIT,
+    "ml/sparse.py:SparseVector.to_dense": _UNIT,
+    "p2pclass/cascade.py:support_vectors_payload": _UNIT,
+    "p2pclass/voting.py:majority_vote": _UNIT,
+    "p2pclass/voting.py:weighted_majority_vote": _UNIT,
+    "sim/engine.py:Event.cancel": _UNIT,
+    "sim/network.py:pair_seed": _UNIT,
+    "sim/node.py:SimNode.on": _UNIT,
+    "sim/node.py:SimNode.shutdown": _UNIT,
+    "sim/shard.py:shard_of": _UNIT,
+    "sim/stats.py:StatsCollector.traffic_table": _UNIT,
+    "text/lexicon.py:Lexicon.document_frequency": _UNIT,
+    "text/lexicon.py:Lexicon.freeze": _UNIT,
+    "text/lexicon.py:Lexicon.id_of": _UNIT,
+    "text/lexicon.py:Lexicon.word_of": _UNIT,
+    "text/stopwords.py:is_stop_word": _UNIT,
+    "text/stopwords.py:remove_stop_words": _UNIT,
+    "text/tokenizer.py:sentence_split": _UNIT,
+    "text/vectorizer.py:PreprocessingPipeline.process_many": _UNIT,
+    "text/vectorizer.py:PreprocessingPipeline.uses_tfidf": _UNIT,
+    "text/vectorizer.py:build_lexicon": _UNIT,
+}
+
+
+def test_every_public_definition_is_reached_from_src_or_listed():
+    assert _unreached({
+        "a.py": ast.parse(
+            "def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
+            "class Box:\n    def open(self): pass\n    def shut(self): pass\n"
+            "used()\nBox().open()\n"
+        ),
+        "__init__.py": ast.parse("from a import unused\n"),
+    }) == {"a.py:unused", "a.py:Box.shut"}
+    unreached = _unreached(_src_trees())
+    assert len(unreached) >= 20  # the scan still finds the listed ones
+    unlisted = sorted(unreached - set(REACHED_FROM_OUTSIDE_SRC))
+    assert not unlisted, (
+        "no code under src/ references these; call them, delete them, or "
+        f"list each with its reason: {unlisted}"
+    )
+    stale = sorted(set(REACHED_FROM_OUTSIDE_SRC) - unreached)
+    assert not stale, f"listed but now referenced from src/ or gone: {stale}"
+
+
+def _re_exports(package_dir):
+    """Names ``package_dir/__init__.py`` binds with ``from repro… import
+    name`` where ``name`` is not a submodule of the package."""
+    tree = ast.parse((package_dir / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and (node.module or "").startswith("repro")
+        for alias in node.names
+        if not (package_dir / f"{alias.name}.py").exists()
+        and not (package_dir / alias.name).is_dir()
+    }
+
+
+def _taken_from(package, trees):
+    """Names any of ``trees`` imports as ``from <package> import name``."""
+    return {
+        alias.name
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == package
+        for alias in node.names
+    }
+
+
+def test_packages_re_export_only_what_callers_import():
+    callers = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "tests", "examples", "benchmarks")
+        for path in (ROOT / folder).rglob("*.py")
+    ]
+    src = ROOT / "src"
+    packages = sorted(path.parent for path in (src / "repro").rglob("__init__.py"))
+    assert len(packages) >= 9  # every package was found
+    # the scanner sees re-exports, not the submodules an __init__ imports
+    assert _re_exports(src / "repro" / "overlay") == {"make_overlay", "overlay_names"}
+    unused = {}
+    for package_dir in packages:
+        package = ".".join(package_dir.relative_to(src).parts)
+        extra = _re_exports(package_dir) - _taken_from(package, callers)
+        if extra:
+            unused[package] = sorted(extra)
+    assert not unused, f"re-exported but imported by no caller: {unused}"
+
+
+def _unused_imports(tree):
+    """Names ``tree`` imports at module level (or under a module-level
+    ``if``) and never mentions again — in code, annotations or strings."""
+    imported = {}
+    for node in tree.body:
+        for statement in [node] + (node.body if isinstance(node, ast.If) else []):
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                for alias in statement.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = statement.lineno
+    mentioned = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+    } | {
+        word for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for word in re.findall(r"\w+", node.value)
+    }
+    return sorted(
+        (line, name) for name, line in imported.items()
+        if name not in mentioned and name != "annotations"
+    )
+
+
+def test_no_module_under_src_imports_a_name_it_never_uses():
+    assert _unused_imports(ast.parse(
+        "from __future__ import annotations\nimport os, re\n"
+        "from typing import TYPE_CHECKING, List\nif TYPE_CHECKING:\n"
+        "    import numpy as np\ndef f(x: 'np.ndarray') -> List[int]:\n"
+        "    return os.sep\n"
+    )) == [(2, "re")]
+    offenders = {
+        path: found for path, tree in _src_trees().items()
+        if not path.endswith("__init__.py") and (found := _unused_imports(tree))
+    }
+    assert not offenders, offenders

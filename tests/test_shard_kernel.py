@@ -26,6 +26,7 @@ from repro.sim.shard import (
     scenario_digest,
     shard_of,
 )
+from determinism_fixtures import frame_records
 
 INF = float("inf")
 
@@ -177,7 +178,7 @@ def test_decide_routes_and_orders_by_time_shard_seq():
                     routed, [])[3]
         for shard in range(3)
     ]
-    assert [(src, frame.to_records()[0][:3]) for src, frame in inboxes[0]] == [
+    assert [(src, frame_records(frame)[0][:3]) for src, frame in inboxes[0]] == [
         (1, (4.0, 1, 1))
     ]
     # Frames reach the receiver in src-shard order; the tie at t=3.0 then

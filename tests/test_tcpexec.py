@@ -68,7 +68,8 @@ from repro.sim.tcpexec import (
     send_frame,
     worker_main,
 )
-from repro.sim.wal import WalReader, WindowRecord, truncate_wal
+from repro.sim.wal import WalReader, WindowRecord
+from determinism_fixtures import truncate_wal
 
 
 def _config(num_peers, shards, **overrides):

@@ -1,6 +1,6 @@
 """Tests for repro.text.tokenizer."""
 
-from repro.text.tokenizer import iter_tokens, sentence_split, tokenize
+from repro.text.tokenizer import sentence_split, tokenize
 
 
 class TestTokenize:
@@ -41,10 +41,6 @@ class TestTokenize:
     def test_unicode_text_keeps_ascii_words(self):
         tokens = tokenize("café naïve documents")
         assert "documents" in tokens
-
-    def test_iter_tokens_matches_tokenize(self):
-        text = "The quick brown fox's jump-start, over 9 dogs!"
-        assert list(iter_tokens(text)) == tokenize(text)
 
 
 class TestSentenceSplit:

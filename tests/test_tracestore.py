@@ -25,7 +25,6 @@ import sys
 import pytest
 
 from determinism_fixtures import (
-    SHARD_JITTER_FLOOR,
     TrainingWorkload,
     build_scenario_config,
     digest_of,

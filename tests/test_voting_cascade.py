@@ -7,7 +7,6 @@ from repro.ml.kernel_svm import KernelSVM
 from repro.ml.sparse import SparseVector
 from repro.p2pclass.cascade import cascade_merge, support_vectors_payload
 from repro.p2pclass.voting import (
-    combine_score_maps,
     majority_vote,
     weighted_majority_vote,
     weighted_score,
@@ -34,13 +33,6 @@ class TestVoting:
         assert weighted_score([(0.8, 3.0), (0.2, 1.0)]) == pytest.approx(0.65)
         assert weighted_score([]) == 0.0
         assert weighted_score([(0.9, 0.0)]) == 0.0
-
-    def test_combine_score_maps_abstention(self):
-        maps = [({"a": 1.0}, 1.0), ({"a": 0.0, "b": 0.8}, 1.0)]
-        combined = combine_score_maps(maps, ["a", "b", "c"])
-        assert combined["a"] == pytest.approx(0.5)
-        assert combined["b"] == pytest.approx(0.8)  # first map abstained on b
-        assert combined["c"] == 0.0
 
 
 def train_child(points, labels, seed=0):

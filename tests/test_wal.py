@@ -24,7 +24,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.distribution import ShardSpec
-from repro.sim.scenario import Scenario, ScenarioConfig
+from repro.sim.scenario import ScenarioConfig
 from repro.sim.shard import ShardedScenario, scenario_digest
 from repro.sim.stats import StatsCollector
 from repro.sim.wal import (
@@ -32,9 +32,8 @@ from repro.sim.wal import (
     WalWriter,
     WindowRecord,
     replay_windows,
-    truncate_wal,
 )
-from determinism_fixtures import run_training_sharded
+from determinism_fixtures import run_training_sharded, truncate_wal
 from tier_flags import env_flag
 
 SHARDED_GOLDEN_PATH = (

@@ -32,6 +32,7 @@ from repro.sim.tcpexec import (
     send_frame,
 )
 from repro.sim.wal import WalReader, WalSession
+from determinism_fixtures import frame_records
 
 INF = float("inf")
 LOOKAHEAD = 0.5
@@ -316,7 +317,7 @@ def test_sync_sends_one_status_per_barrier_and_opens_the_verdict():
     # the verdict comes back as it was sent, its inbound opened into frames
     verdict, frames = answers[1]
     assert verdict.window_start == 2.0 and verdict.control == []
-    assert [frame.to_records() for frame in frames] == [inbound.to_records()]
+    assert [frame_records(frame) for frame in frames] == [frame_records(inbound)]
     assert answers[0][1] == [] and answers[2][1] == []
     assert wire.exchange["frames"] == 3 and wire.exchange["records"] == 4
     assert wire.exchange["encoded_bytes"] == sum(

@@ -1,6 +1,5 @@
 """Tests for the query workload generator plus assorted edge coverage."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +10,7 @@ from repro.overlay.chord import ChordOverlay
 from repro.overlay.superpeer import SuperPeerDirectory
 from repro.sim.engine import Simulator
 from repro.sim.visualize import ascii_summary, degree_statistics
-from repro.sim.workload import QueryEvent, QueryWorkload, WorkloadConfig
+from repro.sim.workload import QueryWorkload, WorkloadConfig
 
 
 class TestWorkloadConfig:
