@@ -15,7 +15,7 @@ discrete-event replacement providing the same observables:
 - the sharded event kernel with conservative virtual-time windows
   (:mod:`repro.sim.shard`) and the one window-barrier coordinator loop
   every shard executor runs (:mod:`repro.sim.barrier`),
-- the columnar cross-shard exchange frames and rings
+- the columnar cross-shard exchange frames
   (:mod:`repro.sim.exchange`),
 - the per-window write-ahead log and prefix replay
   (:mod:`repro.sim.wal`),

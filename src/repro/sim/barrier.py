@@ -34,10 +34,11 @@ through a *wire* — two methods, again one implementation per executor:
 - ``_recv(barrier)`` — the answer: ``("decision", Verdict)`` or
   ``("abort", reason)``.
 
-The mp wire also overrides ``_route`` / ``_frame``: its frames cross peer
-to peer through shared-memory rings instead of riding the sync and the
-verdict.  Spawning workers and tearing them down stay with the executor
-that owns them.
+Every wire carries the window's exchange frames the same way: encoded
+blobs ride the sender's sync up and each receiver's verdict down.  The
+coordinator is the exchange fabric, and the blobs it routes are the bytes
+the WAL logs.  Spawning workers and tearing them down stay with the
+executor that owns them.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ class Verdict(NamedTuple):
     window_start: float
     global_last: float
     total_executed: int
-    #: ``(src_shard, item)`` per frame routed to this worker, in src-shard
-    #: order; ``item`` as the sender's :attr:`SyncStatus.routed` gave it
-    inbound: List[Tuple[int, Optional[bytes]]]
+    #: ``(src_shard, blob)`` per encoded frame routed to this worker, in
+    #: src-shard order
+    inbound: List[Tuple[int, bytes]]
     #: directory mode: this window's served control-plane delta records
     #: (application is ownership-gated worker-side)
     control: List[tuple]
@@ -78,15 +79,9 @@ class SyncStatus(NamedTuple):
     requests: list
     #: the worker's pre-pickled WAL probe output (None without a WAL)
     extras: Optional[bytes]
-    #: ``(dst_shard, item)`` per outbound frame; ``item`` rides the
-    #: receiver's verdict untouched — the encoded blob (serial, tcp, and
-    #: an mp frame too large for its ring), or None (mp: the frame is
-    #: already in the receiver's ring)
-    routed: List[Tuple[int, Optional[bytes]]]
-    #: ``(dst_shard, encoded frame)`` per outbound frame for the WAL: the
-    #: ``routed`` list itself on a relaying wire, None on an mp run
-    #: without a log
-    blobs: Optional[List[Tuple[int, bytes]]]
+    #: ``(dst_shard, encoded frame)`` per outbound frame: the blobs the
+    #: coordinator routes into the receivers' verdicts and the WAL logs
+    routed: List[Tuple[int, bytes]]
 
     @property
     def logged(self) -> Tuple[float, float, int, list, Optional[bytes]]:
@@ -112,23 +107,23 @@ def agreed_requests(
 
 def reduce_window(
     statuses: List[SyncStatus],
-) -> Tuple[float, float, int, Dict[Tuple[int, int], Any]]:
+) -> Tuple[float, float, int, Dict[Tuple[int, int], bytes]]:
     """Reduce one barrier round: the next window start (global minimum
     next-event time, counting the frames just sent), the agreed last-event
     clock, the global executed-event total, and the routing grid
-    ``(src_shard, dst_shard) -> item``.  Routing is pure pointer moves; the
+    ``(src_shard, dst_shard) -> blob``.  Routing is pure pointer moves; the
     cross-frame sort happens once, receiver-side, in
     :func:`~repro.sim.exchange.merge_frames`."""
     window_start = _INF
     global_last = -_INF
     total_executed = 0
-    routed: Dict[Tuple[int, int], Any] = {}
+    routed: Dict[Tuple[int, int], bytes] = {}
     for src_shard, status in enumerate(statuses):
         window_start = min(window_start, status.next_time, status.min_outbound)
         global_last = max(global_last, status.last_time)
         total_executed += status.executed
-        for dst_shard, item in status.routed:
-            routed[(src_shard, dst_shard)] = item
+        for dst_shard, blob in status.routed:
+            routed[(src_shard, dst_shard)] = blob
     return window_start, global_last, total_executed, routed
 
 
@@ -138,7 +133,7 @@ def verdict_for(
     window_start: float,
     global_last: float,
     total_executed: int,
-    routed: Dict[Tuple[int, int], Any],
+    routed: Dict[Tuple[int, int], bytes],
     control: List[tuple],
 ) -> Verdict:
     """One worker's verdict: the window's agreed scalars plus the worker's
@@ -172,11 +167,6 @@ class WorkerEndpoint:
     counters into the worker's stats once the workload finishes.
     """
 
-    #: ship each window's blobs for the WAL beside the routed items: free
-    #: on a relaying wire (they are one list); the mp wire, which routes
-    #: through rings, turns it on only for a durable run
-    wal_blobs = True
-
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
         self.exchange: Counter = Counter()
@@ -195,29 +185,34 @@ class WorkerEndpoint:
         extras: Optional[bytes] = None,
     ) -> Tuple[Verdict, List[ExchangeFrame]]:
         """One window barrier: ship this window's outboxes and status,
-        wait, and return the verdict with its inbound items opened into
-        frames (src-shard order).  An abort raises."""
+        wait, and return the verdict with its inbound blobs decoded into
+        frames (src-shard order), each checked against the barrier it must
+        belong to.  An abort raises."""
         barrier = self._barrier
         self._barrier += 1
         blobs, min_outbound = encode_outbound_blobs(
             outbound, barrier, self.exchange
         )
-        # Routed *before* the sync is announced, so a receiver told to
-        # expect a ring frame always finds it published.
-        status = SyncStatus(
+        self._send("sync", SyncStatus(
             next_time, last_time, executed, min_outbound, requests, extras,
-            self._route(blobs), blobs if self.wal_blobs else None,
-        )
-        self._send("sync", status)
+            blobs,
+        ))
         kind, payload = self._recv(barrier)
         if kind == "abort":
             raise SimulationError(
                 f"shard {self.shard_id}: aborted at window barrier: {payload}"
             )
-        return payload, [
-            self._frame(src_shard, item, barrier)
-            for src_shard, item in payload.inbound
-        ]
+        frames = []
+        for src_shard, blob in payload.inbound:
+            frame, frame_barrier = ExchangeFrame.decode(blob)
+            if frame_barrier != barrier:
+                raise SimulationError(
+                    f"shard {self.shard_id}: exchange frame from shard "
+                    f"{src_shard} tagged barrier {frame_barrier}, expected "
+                    f"{barrier}"
+                )
+            frames.append(frame)
+        return payload, frames
 
     def finish(self, payload: Any) -> None:
         self._send("done", payload)
@@ -230,27 +225,6 @@ class WorkerEndpoint:
 
     def _recv(self, barrier: int) -> Tuple[str, Any]:
         raise NotImplementedError
-
-    def _route(
-        self, blobs: List[Tuple[int, bytes]]
-    ) -> List[Tuple[int, Optional[bytes]]]:
-        """A relaying wire ships the list as it is — the *same object* as
-        the WAL's copy, so a pickling wire's memo writes it once."""
-        return blobs
-
-    def _frame(
-        self, src_shard: int, item: Optional[bytes], barrier: int
-    ) -> ExchangeFrame:
-        """One inbound item as a frame: an encoded blob, decoded and
-        checked against the barrier it must belong to."""
-        frame, frame_barrier = ExchangeFrame.decode(item)
-        if frame_barrier != barrier:
-            raise SimulationError(
-                f"shard {self.shard_id}: exchange frame from shard "
-                f"{src_shard} tagged barrier {frame_barrier}, expected "
-                f"{barrier}"
-            )
-        return frame
 
 
 def coordinate(
@@ -324,11 +298,7 @@ def coordinate(
                     global_last=global_last,
                     total_executed=total_executed,
                     statuses=[status.logged for status in statuses],
-                    frames={
-                        (src_shard, dst_shard): blob
-                        for src_shard, status in enumerate(statuses)
-                        for dst_shard, blob in status.blobs
-                    },
+                    frames=routed,
                     control=control,
                 )
         except SimulationError as exc:

@@ -1,4 +1,4 @@
-"""Columnar zero-copy shard exchange: SoA window frames + shm rings.
+"""Columnar zero-copy shard exchange: SoA window frames.
 
 This module is the data plane of the sharded kernel's cross-shard
 exchange (:mod:`repro.sim.shard`).  One pickled Python tuple per
@@ -19,12 +19,12 @@ window's records to one destination shard become a single
 Frames serialize to one length-prefixed binary blob
 (:meth:`ExchangeFrame.encode` / :meth:`ExchangeFrame.decode` — the
 LSN-prefixed delta-batch shape of a WAL, with the window barrier index as
-the LSN) and ship through :class:`ShardRing`: a single-producer /
-single-consumer byte ring in ``multiprocessing.shared_memory``, one
-writer/reader pair per directed shard pair (:class:`RingExchange`), so
-the mp executor's hot path does **zero per-record pickling** and the
-receiver decodes columns with ``np.frombuffer`` views straight off the
-copied frame bytes.
+the LSN).  Every executor ships the blobs by one route — up in the
+sender's barrier sync, down in each receiver's window verdict
+(:mod:`repro.sim.barrier`) — so the coordinator routes, and the WAL logs,
+exactly the bytes the receivers decode, no wire pickles per record, and
+the receiver decodes columns with ``np.frombuffer`` views straight off
+the blob.
 
 Receive-side injection is vectorized symmetrically:
 :func:`merge_frames` concatenates the per-sender frames, orders the
@@ -32,30 +32,19 @@ union with one ``np.lexsort`` by ``(deliver_time, src_shard, seq)`` and
 hands column lists to
 :meth:`repro.sim.engine.Simulator.schedule_block`.
 
-Synchronization leans on the window-barrier protocol: a writer only
-writes frames *before* announcing its barrier sync, a reader only reads
-frames its window decision told it to expect, and a sender can run at
-most one barrier ahead — so ring occupancy is bounded by two windows of
-traffic.  The pointer handshake is the classic SPSC publish: the writer
-copies payload bytes first and advances the write cursor last; aligned
-8-byte cursor loads/stores are single memcpy operations.  A frame that
-does not fit the ring is **never** waited on (a blocked writer inside the
-barrier handshake would deadlock the fleet) — its sender relays the same
-blob through the coordinator instead (up in the sync message, down in the
-receiver's decision: the route every tcp frame takes), counted loudly in
-``StatsCollector.exchange["queue_fallbacks"]``.
+:class:`RingExchange`, a K×K grid of shared-memory single-producer /
+single-consumer byte rings, is on no executor's path; it stays for the
+repo benchmark's ``sim.exchange.ring_roundtrip_us`` micro-measurement.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
-import time
 from typing import Any, List, MutableMapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.envutil import env_float
 from repro.errors import SimulationError
 
 _MAGIC = 0x536F4131  # "SoA1"
@@ -78,22 +67,10 @@ _RING_MIN_BYTES = 128 * 1024
 
 
 def ring_capacity_bytes(num_shards: int) -> int:
-    """Per-ring byte capacity for a ``num_shards``-way exchange.
-
-    Few-shard runs get deep rings (cross-shard windows are big), many-shard
-    runs get many shallow ones (per-pair windows shrink as 1/K²).  Oversized
-    frames are not an error — they take the loud relay fallback.
-    """
+    """Per-ring byte capacity for a ``num_shards``-way ring grid: few
+    shards get deep rings, many shards many shallow ones."""
     per_ring = _RING_TOTAL_BYTES // max(1, num_shards * num_shards)
     return max(_RING_MIN_BYTES, per_ring)
-
-
-def exchange_timeout_seconds() -> float:
-    """How long a reader polls a ring before declaring the sender dead."""
-    return env_float(
-        "REPRO_EXCHANGE_TIMEOUT_S", 60.0, exclusive_minimum=0.0,
-        error=SimulationError,
-    )
 
 
 class ExchangeFrame:
@@ -229,8 +206,8 @@ class ExchangeFrame:
 
         Numeric columns come back as ``np.frombuffer`` views over the blob
         (no copy); only the type table and the optional payload sidecar
-        allocate.  This is the single receive-side gate for rings, relayed
-        blobs, tcp decisions and WAL replay, so ``count``, the type-table
+        allocate.  This is the single receive-side gate for every
+        executor's verdicts and WAL replay, so ``count``, the type-table
         lengths and ``payload_len`` are untrusted: each is checked against
         ``len(data)`` before it sizes a view or a slice, and short or
         lying input raises a :class:`SimulationError` naming the field.
@@ -402,7 +379,7 @@ def encode_outbound_blobs(
     non-empty box, tagged with ``barrier``.
 
     Returns ``(blobs, min_outbound)``: ``(dst_shard, blob)`` pairs — the
-    bytes every executor routes, the mp rings carry and the WAL logs —
+    bytes every executor routes and the WAL logs —
     plus the minimum outbound delivery time (``inf`` when the window sent
     nothing).  ``exchange`` (a Counter) is credited per frame — the same
     way on every executor, so stats merge byte-equal.
@@ -442,11 +419,9 @@ class ShardRing:
     writer publishes a frame by copying ``[u32 length][payload]`` into the
     data region *first* and advancing the write cursor *last*; the reader
     mirrors this, so each side only ever trusts fully published state.
-    Frames wrap byte-wise around the region end.  Non-blocking by design:
-    :meth:`try_push` refuses (returns False) rather than wait for space —
-    inside the window-barrier handshake a blocked writer would deadlock
-    the whole fleet — and :meth:`try_pop` returns None when no complete
-    frame is published.
+    Frames wrap byte-wise around the region end.  Non-blocking:
+    :meth:`try_push` returns False when the frame does not fit, and
+    :meth:`try_pop` returns None when no complete frame is published.
     """
 
     def __init__(self, buffer: memoryview) -> None:
@@ -506,43 +481,16 @@ class ShardRing:
         self._publish_read(read + _LEN.size + length)
         return payload
 
-    def pop_wait(self, timeout: float, context: str = "") -> bytes:
-        """Poll :meth:`try_pop` until a frame lands; raise after `timeout`.
-
-        The barrier protocol guarantees the expected frame was pushed
-        before the window decision arrived, so under healthy
-        workers this returns almost immediately; the deadline exists so a
-        sender that died mid-window surfaces as a loud error, never a
-        hang.
-        """
-        deadline = time.monotonic() + timeout
-        spins = 0
-        while True:
-            data = self.try_pop()
-            if data is not None:
-                return data
-            spins += 1
-            if spins % 256 == 0:
-                if time.monotonic() > deadline:
-                    raise SimulationError(
-                        f"shard exchange ring starved for {timeout:.0f}s "
-                        f"({context}); a sender likely died mid-window"
-                    )
-                time.sleep(0.0001)
-
     def release(self) -> None:
         """Drop the memoryview reference (required before shm close)."""
         self._buf.release()
 
 
 class RingExchange:
-    """The K×K grid of :class:`ShardRing`s in one shared-memory segment.
-
-    Created by the mp coordinator *before* forking — workers inherit the
-    mapping through fork and attach :class:`ShardRing` views lazily, so no
-    names, fds, or handshakes cross the process boundary.  Slot ``(i, j)``
-    is the ring written by shard ``i`` and read by shard ``j``; the
-    diagonal is unused (intra-shard traffic never leaves its heap).
+    """The K×K grid of :class:`ShardRing`s in one shared-memory segment,
+    attached lazily.  Slot ``(i, j)`` is the ring written by shard ``i``
+    and read by shard ``j``.  No executor uses it: the repo benchmark
+    times one ring round trip (``sim.exchange.ring_roundtrip_us``).
     """
 
     def __init__(self, num_shards: int, capacity: Optional[int] = None) -> None:
@@ -569,11 +517,7 @@ class RingExchange:
         return ring
 
     def destroy(self) -> None:
-        """Release views, close the mapping, and unlink the segment.
-
-        Parent-side teardown; forked workers exit via ``os._exit`` and
-        never unlink (the parent owns the segment's lifetime).
-        """
+        """Release views, close the mapping, and unlink the segment."""
         for ring in self._rings.values():
             ring.release()
         self._rings.clear()

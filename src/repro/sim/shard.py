@@ -48,20 +48,16 @@ loop :func:`~repro.sim.barrier.coordinate`, the worker endpoint
 spawn, teardown, a *link* — how one barrier round of sync/done/error
 messages is collected and how decisions and aborts reach a worker — and a
 *wire* — how a worker sends one such message and receives the answer.
-Every executor ships the same encoded ``SoA1`` frame blobs:
+Every executor ships the same encoded ``SoA1`` frame blobs by the same
+route: up in the sender's sync, down in each receiver's verdict.
 
 - ``serial`` — the deterministic reference: worker replicas run as lockstep
-  threads in one process; messages cross in-process queues and every frame
-  takes the relay route (up in the sync, down in the receiver's decision).
-- ``mp`` — one forked worker process per shard; control messages flow over
-  pipes, exchange frames peer to peer over shared-memory rings
-  (:class:`~repro.sim.exchange.RingExchange` — zero per-record pickling).
-  A frame too large for its ring is relayed through the coordinator
-  instead, counted in ``StatsCollector.exchange["queue_fallbacks"]``; the
-  per-worker stats are merged in the parent via
+  threads in one process; messages cross in-process queues.
+- ``mp`` — one forked worker process per shard; messages cross pipes, and
+  the per-worker stats are merged in the parent via
   :meth:`StatsCollector.merge`.
-- ``tcp`` — workers over sockets (:mod:`repro.sim.tcpexec`): every frame
-  takes the relay route, and the link's collect step supervises the fleet.
+- ``tcp`` — workers over sockets (:mod:`repro.sim.tcpexec`); the link's
+  collect step supervises the fleet.
 
 All produce byte-identical fingerprints to each other and to the unsharded
 kernel; ``tests/test_shard_equivalence.py`` fuzzes that claim across
@@ -117,12 +113,7 @@ from repro.sim.barrier import Verdict, WorkerEndpoint, coordinate
 from repro.sim.churn import DirectoryChurnClient
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan
-from repro.sim.exchange import (
-    ExchangeFrame,
-    RingExchange,
-    exchange_timeout_seconds,
-    merge_frames,
-)
+from repro.sim.exchange import ExchangeFrame, merge_frames
 from repro.sim.messages import payload_size
 from repro.sim.network import LatencyModel, PeerStreams, PhysicalNetwork
 from repro.sim.scenario import Scenario, ScenarioConfig
@@ -799,7 +790,7 @@ def _worker_body(
         runtime.wal_probe = probe
     result = workload(scenario)
     # Fold the channel's exchange accounting (frames shipped, records,
-    # encoded bytes, fallbacks) into the worker's collector; merged
+    # encoded bytes, pickled payloads) into the worker's collector; merged
     # parent-side like the directory counters, never fingerprinted.
     if runtime.channel.exchange:
         scenario.stats.exchange.update(runtime.channel.exchange)
@@ -929,67 +920,20 @@ def _run_serial(
 
 
 class _ProcessChannel(WorkerEndpoint):
-    """The mp executor's wire: control over a pipe to the parent
-    coordinator, bulk exchange frames through shared-memory rings (peer to
-    peer — the parent sees counts and window decisions, not payload bytes).
+    """The mp executor's wire: one pipe to the parent coordinator, which
+    relays each window's frame blobs like every other executor's link.  A
+    worker that dies mid-window closes its pipe, and the coordinator's
+    next collect reports it."""
 
-    Each destination's outbox is encoded into one length-prefixed
-    :class:`ExchangeFrame` blob and published on the ``(src, dst)``
-    :class:`ShardRing` — zero per-record pickling, and no feeder threads
-    or fds involved.  The sender can run at most one barrier ahead (the
-    coordinator withholds the next decision until every shard has synced),
-    so ring occupancy is bounded by two windows of traffic; a frame that
-    still does not fit is **never** waited on — a writer blocking inside
-    the barrier handshake would deadlock the fleet — and is relayed
-    instead: the same blob rides this worker's sync up to the coordinator
-    and the receiver's decision back down (the route every tcp frame
-    takes), counted in ``exchange["queue_fallbacks"]``.
-
-    Ring frames surface per sender in barrier order (each ring is SPSC
-    FIFO), and the barrier tag in every frame header is verified on
-    decode.  Ring waits carry the ``REPRO_EXCHANGE_TIMEOUT_S`` deadline —
-    a sender that died mid-window surfaces as a loud error, never a hang.
-    """
-
-    def __init__(
-        self, shard_id, connection, rings: Optional[RingExchange] = None,
-        wal_blobs: bool = False,
-    ) -> None:
+    def __init__(self, shard_id, connection) -> None:
         super().__init__(shard_id)
         self.connection = connection
-        self.rings = rings
-        #: WAL runs: also hand the coordinator each window's encoded frame
-        #: blobs inside the sync message (the rings are peer-to-peer, so
-        #: the parent never sees payload bytes otherwise)
-        self.wal_blobs = wal_blobs
-        self.timeout = exchange_timeout_seconds()
 
     def _send(self, kind: str, payload: Any) -> None:
         self.connection.send((kind, payload))
 
     def _recv(self, barrier: int) -> Tuple[str, Any]:
         return self.connection.recv()
-
-    def _route(self, blobs):
-        routed: List[Tuple[int, Optional[bytes]]] = []
-        for dst_shard, blob in blobs:
-            if self.rings.ring(self.shard_id, dst_shard).try_push(blob):
-                routed.append((dst_shard, None))
-            else:
-                self.exchange["queue_fallbacks"] += 1
-                routed.append((dst_shard, blob))
-        return routed
-
-    def _frame(self, src_shard, item, barrier) -> ExchangeFrame:
-        if item is None:
-            item = self.rings.ring(src_shard, self.shard_id).pop_wait(
-                self.timeout,
-                context=(
-                    f"shard {src_shard} -> {self.shard_id}, "
-                    f"barrier {barrier}"
-                ),
-            )
-        return super()._frame(src_shard, item, barrier)
 
 
 class _PipeLink:
@@ -1054,19 +998,12 @@ def _run_mp(
     # BEFORE forking, so every worker inherits the snapshot through fork
     # copy-on-write memory — snapshot distribution costs no pickling at all.
     snapshot = plane.snapshot if plane is not None else None
-    # The ring grid likewise: one shared-memory segment mapped pre-fork, so
-    # no names or fds cross the process boundary.  K=1 has no cross-shard
-    # traffic and skips the mapping entirely.
-    rings = RingExchange(num_shards) if num_shards > 1 else None
-    # WAL plumbing is captured pre-fork as plain values (the session object
+    # WAL plumbing is captured pre-fork as a plain value (the session object
     # itself — open file handle and all — stays parent-only).
     wal_cadence = wal.cursor_every if wal is not None else 0
-    wal_blobs = wal is not None
 
     def child_main(shard_id: int, connection) -> None:
-        channel = _ProcessChannel(
-            shard_id, connection, rings=rings, wal_blobs=wal_blobs
-        )
+        channel = _ProcessChannel(shard_id, connection)
         _run_worker(
             channel, config, workload, num_shards, lookahead, snapshot,
             wal_cadence,
@@ -1104,8 +1041,6 @@ def _run_mp(
                 process.join(timeout=5.0)
         for connection in parent_connections:
             connection.close()
-        if rings is not None:
-            rings.destroy()
     return payloads, windows, Counter()
 
 

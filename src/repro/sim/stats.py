@@ -42,10 +42,9 @@ class StatsCollector:
         #: columnar shard-exchange accounting, credited by the worker
         #: channels: ``frames``/``records`` (SoA window frames and the
         #: records they carry), ``encoded_bytes`` (size of the encoded
-        #: frames — every executor ships the same blobs), ``pickled_records``
-        #: (payloads that needed the pickle sidecar) and
-        #: ``queue_fallbacks`` (mp frames that outgrew their ring and were
-        #: relayed through the coordinator).  Same contract as
+        #: frames — every executor ships the same blobs) and
+        #: ``pickled_records`` (payloads that needed the pickle sidecar).
+        #: Same contract as
         #: :attr:`directory`: an artifact of the execution shape (it scales
         #: with K and the executor and vanishes unsharded), so it is merged
         #: by :meth:`merge` and reported via :meth:`exchange_summary` but

@@ -1,7 +1,7 @@
 """The tcp shard executor: the window protocol over socket frames.
 
 The mp executor (:func:`repro.sim.shard._run_mp`) caps out at one box —
-its control pipes and shared-memory rings need a common kernel.  This
+its pipes and forked workers need a common kernel.  This
 module runs the *same* window protocol (:mod:`repro.sim.barrier`: the
 loop :func:`~repro.sim.barrier.coordinate` and the worker endpoint's one
 ``sync``) between a **coordinator** (the process that owns the
@@ -44,9 +44,8 @@ worker:
 - **barriers**: each worker ``SYNC`` carries one pickled
   :class:`~repro.sim.barrier.SyncStatus` (protocol v3): its window status
   plus the window's outboxes already encoded as :class:`ExchangeFrame`
-  blobs (the ``SoA1`` wire format, byte-for-byte — the same blobs the mp
-  rings carry and the WAL logs), written once — ``routed`` and ``blobs``
-  are one list.  The coordinator routes blobs between workers
+  blobs (the ``SoA1`` wire format, byte-for-byte — the same blobs every
+  executor relays and the WAL logs).  The coordinator routes blobs between workers
   and answers per-shard ``DECISION`` frames (window start, inbound blobs
   in src-shard order, directory control records).  There is no
   worker-to-worker connection: the coordinator is the exchange fabric.
@@ -1105,7 +1104,7 @@ class TcpCoordinator:
             # to be: die before it can touch the digest.
             status = pickle.loads(payload)
             verify_shard_window(
-                record, shard_id, status.logged, status.blobs,
+                record, shard_id, status.logged, status.routed,
                 prefix="RECOVER",
             )
             self.send_decision(

@@ -81,8 +81,10 @@ computes about its bundle (its centroids' bucket keys) does not ride on it.
 ``SyncStatus(`` is constructed at one call site and ``encode_outbound_blobs(``
 called from one function (that ``sync``); there is no ``_Decision`` class and
 ``Verdict`` is a class, not a tuple alias; the three executors' endpoints
-define a wire (``_send``, ``_recv``; mp also ``_route``, ``_frame``) and
-nothing else of the protocol; ``_ThreadChannel`` names the endpoint's
+define a wire (``_send``, ``_recv``) and nothing else of the protocol —
+every frame rides the sync up and the verdict down, and no module under
+``src/repro`` but ``sim/exchange.py`` names the shared-memory ring grid;
+``_ThreadChannel`` names the endpoint's
 ``sync`` as its own attribute (``benchmarks/perf`` wraps it through the
 class ``__dict__``); and ``tcpexec.py`` re-inflates no status
 (``SyncStatus(*``) and reaches into ``repro.sim.shard`` for ``_run_worker``
@@ -134,7 +136,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 RUNTIME_KNOBS = {
-    "REPRO_EXCHANGE_TIMEOUT_S",
     "REPRO_WAL_CURSORS_EVERY",
     "REPRO_TCP_TIMEOUT_S",
     "REPRO_TCP_RETRIES",
@@ -739,11 +740,16 @@ def test_the_worker_half_of_the_window_protocol_is_written_once():
     # an executor's endpoint is its wire: no sync, finish or fail body
     for module, wire, extra in (
         ("shard.py", "_ThreadChannel", set()),
-        ("shard.py", "_ProcessChannel", {"_route", "_frame"}),
+        ("shard.py", "_ProcessChannel", set()),
         ("tcpexec.py", "_TcpChannel", {"_recv_protocol"}),
     ):
         own = _own_methods((sim / module).read_text(encoding="utf-8"), wire)
         assert set(own) == {"__init__", "_send", "_recv"} | extra, wire
+    ring_grid = {"RingExchange", "ShardRing", "shared_memory"}
+    assert [
+        path for path in sorted(ROOT.joinpath("src", "repro").rglob("*.py"))
+        if ring_grid & _references(ast.parse(path.read_text(encoding="utf-8")))
+    ] == [sim / "exchange.py"]
 
     tcpexec = (sim / "tcpexec.py").read_text(encoding="utf-8")
     assert "SyncStatus(*" not in tcpexec
@@ -849,6 +855,8 @@ _CLAIM = "a docs/CLAIMS.md row's test calls it"
 _OBSERVED = "an observable the tier-1 suites assert on; no run needs it"
 _DEMO = "a paper demo operation (Figs. 3-4) that only its unit tests drive"
 _UNIT = "only its own unit tests call it; deleting it deletes them"
+_RING = ("benchmarks/perf's sim.exchange.ring_roundtrip_us times it; no "
+         "executor uses the ring grid")
 
 REACHED_FROM_OUTSIDE_SRC = {
     "core/tagger.py:P2PDocTaggerSystem.from_corpus": _BENCH,
@@ -861,6 +869,10 @@ REACHED_FROM_OUTSIDE_SRC = {
     "sim/stats.py:StatsCollector.messages_for": _BENCH,
     "sim/tracestore.py:TraceStore.attach_scenario": _BENCH,
     "sim/tracestore.py:merge_stores": _BENCH,
+    "sim/exchange.py:RingExchange": _RING,
+    "sim/exchange.py:RingExchange.destroy": _RING,
+    "sim/exchange.py:ShardRing.try_push": _RING,
+    "sim/exchange.py:ShardRing.try_pop": _RING,
     "sim/tracestore.py:TraceStore.report_churn": _ANALYZE,
     "sim/tracestore.py:TraceStore.report_codec": _ANALYZE,
     "sim/tracestore.py:TraceStore.report_peers": _ANALYZE,

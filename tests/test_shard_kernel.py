@@ -155,7 +155,7 @@ def _status(outbound, next_time, last_time, executed):
     ]
     min_outbound = min((frame.min_time for _, frame in frames), default=INF)
     return SyncStatus(
-        next_time, last_time, executed, min_outbound, [], None, frames, None
+        next_time, last_time, executed, min_outbound, [], None, frames
     )
 
 

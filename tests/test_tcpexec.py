@@ -925,9 +925,8 @@ def test_recover_divergence_names_the_extras_part(part):
             return record
 
     coordinator.wal = _Wal
-    blobs = [(0, b"frame")]
     sync = SyncStatus(
-        1.0, 0.5, 1, float("inf"), [], pickle.dumps(replayed), blobs, blobs
+        1.0, 0.5, 1, float("inf"), [], pickle.dumps(replayed), [(0, b"frame")]
     )
     coordinator._await_frames = lambda shards, barrier: {
         1: (_K_SYNC, pickle.dumps(sync))

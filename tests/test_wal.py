@@ -351,11 +351,10 @@ def _crashing_workload(die: bool):
     return workload
 
 
-def test_crash_recovery_resumes_to_identical_digest(tmp_path, monkeypatch):
+def test_crash_recovery_resumes_to_identical_digest(tmp_path):
     """Kill a worker mid-window while checkpointing, then resume from the
     durable prefix: the final fingerprint must be byte-identical to the
     never-crashed run."""
-    monkeypatch.setenv("REPRO_EXCHANGE_TIMEOUT_S", "10")
     reference = ShardedScenario(_config(8, shards=2)).run(
         _crashing_workload(die=False)
     )

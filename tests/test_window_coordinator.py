@@ -60,10 +60,9 @@ class ScriptedLink:
         self.aborted.append((shard_id, failure))
 
 
-def _sync(shard_id, next_time, requests=(), routed=(), blobs=(), last=-INF):
+def _sync(shard_id, next_time, requests=(), routed=(), last=-INF):
     status = SyncStatus(
         next_time, last, 1, INF, list(requests), None, list(routed),
-        list(blobs),
     )
     return (shard_id, "sync", status)
 
@@ -166,8 +165,7 @@ def _wal_config(**paths):
 def test_wal_divergence_aborts_every_synced_worker(tmp_path):
     path = str(tmp_path / "scripted.wal")
     rounds = [
-        [_sync(0, 1.0, routed=[(1, b"blob")], blobs=[(1, b"blob")]),
-         _sync(1, 2.0)],
+        [_sync(0, 1.0, routed=[(1, b"blob")]), _sync(1, 2.0)],
         [(0, "done", "zero"), (1, "done", "one")],
     ]
     wal = WalSession(_wal_config(wal=path), 2, LOOKAHEAD)
@@ -326,29 +324,34 @@ def test_sync_sends_one_status_per_barrier_and_opens_the_verdict():
 
 
 def test_a_relaying_wire_ships_each_blob_once():
-    """``routed`` and ``blobs`` are one list, so a pickling wire's memo
-    writes every blob once — a copy would double each tcp SYNC."""
+    """The routed blobs are also the WAL's copy, so a sync carries every
+    blob once on every wire — a second copy would double each sync."""
+    outbound = [[], _records(0, [float(i) for i in range(1, 65)])]
     wire = ScriptedWire(0, [_decision()])
-    wire.sync([[], _records(0, [float(i) for i in range(1, 65)])],
-              INF, -INF, 0, [])
+    wire.sync(outbound, INF, -INF, 0, [])
     (_, status), = wire.sent
-    assert status.routed is status.blobs
-    blob_bytes = sum(len(blob) for _, blob in status.blobs)
+    blob_bytes = sum(len(blob) for _, blob in status.routed)
     assert blob_bytes > 1000
-    # ... and over the real tcp wire: the SYNC frame, read off the socket
+    # ... and over the real tcp and mp wires: the sync as it crosses them
     channel, (near, far) = _tcp(_decision())
     try:
-        channel.sync([[], _records(0, [float(i) for i in range(1, 65)])],
-                     INF, -INF, 0, [])
+        channel.sync(outbound, INF, -INF, 0, [])
         kind, payload = recv_frame(near, "test")
     finally:
         near.close()
         far.close()
     assert kind == _K_SYNC
-    assert len(payload) <= 1.1 * blob_bytes
-    received = pickle.loads(payload)
-    assert received == status
-    assert received.routed is received.blobs
+    channel, (near, far) = _mp(_decision())
+    try:
+        channel.sync(outbound, INF, -INF, 0, [])
+        piped = near.recv_bytes()
+    finally:
+        near.close()
+        far.close()
+    for sent in (payload, piped):
+        assert len(sent) <= 1.1 * blob_bytes
+    assert pickle.loads(payload) == status
+    assert pickle.loads(piped) == ("sync", status)
 
 
 def test_an_abort_raises_naming_the_shard_and_the_reason():
