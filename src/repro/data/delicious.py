@@ -22,11 +22,18 @@ Document text is drawn from per-tag topic word distributions over a
 synthetic vocabulary plus a background distribution, i.e. a small mixture-of-
 multinomials language model.  That gives classifiers a learnable but noisy
 signal — the same reason SVMs work on real bookmark text.
+
+Text is nearly all of a corpus's draws (~80 per document), so it is drawn by
+:class:`_Pcg64Replay`: numpy's own scalar algorithms replayed in plain Python
+over one block of raw PCG64 words per document.  The stream is bit-identical
+to one scalar ``rng.random()`` / ``rng.integers(n)`` call per draw; that loop
+is the oracle in ``tests/reference/scalar_text.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,6 +55,90 @@ _TAG_NAME_POOL = [
 
 _CONSONANTS = "bcdfghjklmnpqrstvwz"
 _VOWELS = "aeiou"
+#: distinct pseudo-words :func:`_make_vocabulary` can spell (2-4 syllables)
+_PSEUDO_WORDS = sum(
+    (len(_CONSONANTS) * len(_VOWELS)) ** syllables for syllables in (2, 3, 4)
+)
+#: background words come from the first ``max(_BACKGROUND_HEAD_MIN,
+#: vocabulary_size // 10)`` ids
+_BACKGROUND_HEAD_MIN = 50
+
+_MASK32 = 0xFFFFFFFF
+_TWO_32 = 1 << 32
+_TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53
+
+
+class _Pcg64Replay:
+    """``Generator.random()`` and ``Generator.integers(n)`` of a PCG64
+    ``rng``, replayed in plain Python over a block of its raw words.
+
+    Each replays numpy's scalar algorithm exactly: ``random()`` is ``(word
+    >> 11) * 2**-53`` over a fresh 64-bit word; ``integers(n)`` is Lemire's
+    method over the generator's 32-bit halves — the low half of a fresh
+    word first, its high half buffered for the next draw (``has_uint32`` /
+    ``uinteger``, carried in from and written back to ``rng``) — and draws
+    nothing when ``n == 1``.  :meth:`close` rewinds ``rng`` to where the
+    replay started and advances it by the words actually used, so draws
+    made on ``rng`` afterwards continue the scalar stream.  ``words`` (>= 1)
+    is the first block's size; a longer run draws further blocks.  Nothing
+    else may draw from ``rng`` between construction and :meth:`close`.
+    """
+
+    __slots__ = ("_bitgen", "_start", "_spent", "_block", "_words", "_has", "_buf")
+
+    def __init__(self, rng: np.random.Generator, words: int) -> None:
+        bitgen = rng.bit_generator
+        self._bitgen = bitgen
+        self._start = bitgen.state
+        self._has = self._start["has_uint32"]
+        self._buf = self._start["uinteger"]
+        self._spent = 0  # words of the blocks before the current one
+        self._block = bitgen.random_raw(words).tolist()
+        self._words = iter(self._block)
+
+    def _word(self) -> int:
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._spent += len(self._block)
+            self._block = self._bitgen.random_raw(len(self._block)).tolist()
+            self._words = iter(self._block)
+            return next(self._words)
+
+    def _half(self) -> int:
+        """PCG64's ``next_uint32``: the buffered high half, else the low
+        half of a fresh word (its high half buffered)."""
+        if self._has:
+            self._has = 0
+            return self._buf
+        word = self._word()
+        self._has = 1
+        self._buf = word >> 32
+        return word & _MASK32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * _TO_DOUBLE
+
+    def integers(self, n: int) -> int:
+        """A draw from ``range(n)``, ``1 <= n < 2**32``."""
+        if n == 1:
+            return 0
+        m = self._half() * n
+        if m & _MASK32 < n:
+            threshold = (_TWO_32 - n) % n
+            while m & _MASK32 < threshold:
+                m = self._half() * n
+        return m >> 32
+
+    def close(self) -> None:
+        bitgen = self._bitgen
+        bitgen.state = self._start
+        # a list iterator's length hint is exactly the words it has left
+        bitgen.advance(self._spent + len(self._block) - length_hint(self._words))
+        state = bitgen.state  # advance() empties the 32-bit buffer
+        state["has_uint32"] = self._has
+        state["uinteger"] = self._buf
+        bitgen.state = state
 
 
 def _make_vocabulary(size: int, rng: np.random.Generator) -> List[str]:
@@ -101,10 +192,22 @@ class GeneratorConfig:
         lo, hi = self.docs_per_user_range
         if not 0 < lo <= hi:
             raise DataError("docs_per_user_range must satisfy 0 < lo <= hi")
+        if self.topic_words_per_tag < 1:
+            raise DataError("topic_words_per_tag must be positive")
         if self.vocabulary_size < self.num_tags * self.topic_words_per_tag:
             raise DataError(
                 "vocabulary too small for the requested topic words per tag"
             )
+        if not _BACKGROUND_HEAD_MIN <= self.vocabulary_size <= _PSEUDO_WORDS:
+            raise DataError(
+                f"vocabulary_size must be in [{_BACKGROUND_HEAD_MIN}, "
+                f"{_PSEUDO_WORDS}]: background words are the first "
+                f"max({_BACKGROUND_HEAD_MIN}, vocabulary_size // 10) ids, and "
+                "there are only so many distinct pseudo-words"
+            )
+        lo, hi = self.doc_length_range
+        if not 0 < lo <= hi < _TWO_32:
+            raise DataError("doc_length_range must satisfy 0 < lo <= hi < 2**32")
         if not 0 < self.mean_tags_per_doc <= self.max_tags_per_doc:
             raise DataError("mean_tags_per_doc must be in (0, max_tags_per_doc]")
         if self.interest_concentration <= 0:
@@ -263,20 +366,26 @@ class DeliciousGenerator:
     def _sample_text(self, tags: Sequence[str], rng: np.random.Generator) -> str:
         cfg = self.config
         lo, hi = cfg.doc_length_range
-        length = int(rng.integers(lo, hi + 1))
-        words: List[str] = []
+        vocabulary = self._vocabulary
         topic_ids = [self._topic_words[tag] for tag in tags]
+        head = max(_BACKGROUND_HEAD_MIN, cfg.vocabulary_size // 10)
+        # One raw word for the length and at most two per text word (a roll,
+        # then up to two 32-bit halves): one block unless a draw rejects.
+        draw = _Pcg64Replay(rng, 1 + 2 * hi)
+        random, integers = draw.random, draw.integers
+        length = lo + integers(hi - lo + 1)
+        words: List[str] = []
         for _ in range(length):
-            roll = rng.random()
+            roll = random()
             if roll < cfg.noise_weight:
                 # Pure noise word.
-                words.append(self._vocabulary[int(rng.integers(cfg.vocabulary_size))])
+                words.append(vocabulary[integers(cfg.vocabulary_size)])
             elif roll < cfg.noise_weight + cfg.topic_word_weight and topic_ids:
                 # Topic word from one of this document's tags.
-                ids = topic_ids[int(rng.integers(len(topic_ids)))]
-                words.append(self._vocabulary[ids[int(rng.integers(len(ids)))]])
+                ids = topic_ids[integers(len(topic_ids))]
+                words.append(vocabulary[ids[integers(len(ids))]])
             else:
                 # Background word (shared head of the vocabulary).
-                head = max(50, cfg.vocabulary_size // 10)
-                words.append(self._vocabulary[int(rng.integers(head))])
+                words.append(vocabulary[integers(head)])
+        draw.close()
         return " ".join(words)

@@ -9,7 +9,8 @@ fingerprints byte-for-byte.  ``ml_scalar`` holds the scalar loops of
 prediction; its ``install_scalar_ml`` patches classes for the length of a
 ``monkeypatch`` context instead (models are born inside ``train()``).
 ``compensated_sum`` is CPython 3.12's builtin ``sum``, installable as the
-``sum`` of every ``repro`` module on any interpreter.
+``sum`` of every ``repro`` module on any interpreter.  ``scalar_text`` is
+the corpus generator's one-numpy-call-per-draw text loop.
 """
 
 from reference.broadcast import install_per_message_broadcast
@@ -17,6 +18,7 @@ from reference.chord_linear_scan import install_linear_scan
 from reference.ml_scalar import install_per_receiver_hashing, install_scalar_ml
 from reference.per_message_send import install_per_message_send
 from reference.rounds import install_sequential_rounds
+from reference.scalar_text import install_scalar_text
 
 __all__ = [
     "install_linear_scan",
@@ -24,5 +26,6 @@ __all__ = [
     "install_per_message_send",
     "install_per_receiver_hashing",
     "install_scalar_ml",
+    "install_scalar_text",
     "install_sequential_rounds",
 ]

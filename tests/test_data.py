@@ -99,6 +99,30 @@ class TestGeneratorConfig:
         with pytest.raises(DataError):
             GeneratorConfig(num_tag_groups=99).validate()
 
+    # Each of these passed validate() and then failed partway through
+    # generate() with an error that was not a DataError.
+    @pytest.mark.parametrize("field, overrides", [
+        # background words come from the first 50 ids: IndexError
+        ("vocabulary_size", dict(vocabulary_size=30, num_tags=2,
+                                 num_tag_groups=2, topic_words_per_tag=10)),
+        # numpy's "low >= high"
+        ("doc_length_range", dict(doc_length_range=(5, 3))),
+        # numpy's "high <= 0"
+        ("topic_words_per_tag", dict(topic_words_per_tag=0)),
+    ])
+    def test_configs_that_broke_generation_are_rejected(self, field, overrides):
+        with pytest.raises(DataError, match=field):
+            DeliciousGenerator(num_users=2, seed=0, **overrides).generate()
+
+    def test_out_of_range_vocabulary_and_lengths_are_rejected(self):
+        # _make_vocabulary would look for the 82,317,026th word forever
+        GeneratorConfig(vocabulary_size=82_317_025).validate()
+        with pytest.raises(DataError, match="vocabulary_size"):
+            GeneratorConfig(vocabulary_size=82_317_026).validate()
+        for lengths in [(0, 10), (1, 2 ** 32)]:  # an empty document; n >= 2**32
+            with pytest.raises(DataError, match="doc_length_range"):
+                GeneratorConfig(doc_length_range=lengths).validate()
+
 
 class TestDeliciousGenerator:
     def test_reproducible(self):

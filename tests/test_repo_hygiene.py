@@ -121,6 +121,12 @@ under ``src/``, ``tests/``, ``examples/`` or ``benchmarks/`` imports it
 through the package.
 
 (v) No module under ``src/repro`` imports a name it never uses.
+
+(w) One place couples to PCG64's internals: ``random_raw``, ``has_uint32``
+and ``uinteger`` appear under ``src/repro`` only in ``data/delicious.py``,
+whose replay of numpy's scalar draws ``tests/test_delicious_replay.py`` pins
+against numpy itself.  Saving and restoring a whole ``bit_generator.state``
+(the resumable overlays do) stays allowed: it names no internal.
 """
 
 import ast
@@ -1064,3 +1070,29 @@ def test_no_module_under_src_imports_a_name_it_never_uses():
         if not path.endswith("__init__.py") and (found := _unused_imports(tree))
     }
     assert not offenders, offenders
+
+
+_PCG64_INTERNALS = re.compile(r"\b(random_raw|has_uint32|uinteger)\b")
+
+
+def _pcg64_internals(text):
+    """Line numbers of ``text`` that name a PCG64 internal."""
+    return [
+        number for number, line in enumerate(text.splitlines(), 1)
+        if _PCG64_INTERNALS.search(line)
+    ]
+
+
+def test_one_place_couples_to_pcg64_internals():
+    assert _pcg64_internals(
+        "words = rng.bit_generator.random_raw(8)\n"
+        "rng.bit_generator.state = saved\n"
+        'buffered = state["has_uint32"], state["uinteger"]\n'
+    ) == [1, 3]  # a whole-state save / restore is not an internal
+    src = ROOT / "src" / "repro"
+    coupled = {
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if _pcg64_internals(path.read_text(encoding="utf-8"))
+    }
+    assert coupled == {"data/delicious.py"}
