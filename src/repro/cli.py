@@ -118,8 +118,8 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor", choices=("serial", "mp", "tcp"), default="serial",
         help="sharded executor: lockstep serial reference, one forked worker "
-        "process per shard (mp), or socket-connected workers placed per "
-        "--hosts (tcp)",
+        "process per shard (mp: the tcp fleet with every worker forked "
+        "here), or socket-connected workers placed per --hosts (tcp)",
     )
     parser.add_argument(
         "--hosts", default=None, metavar="SPEC",
@@ -138,8 +138,8 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--wal", default=None, metavar="PATH",
         help="checkpoint the sharded run's window stream to this "
-        "write-ahead log; on --executor tcp the log doubles as the replay "
-        "source for --faults in-run worker recovery "
+        "write-ahead log; on --executor tcp or mp the log doubles as the "
+        "replay source for --faults in-run worker recovery "
         "(requires --shards >= 1)",
     )
     parser.add_argument(
@@ -150,7 +150,7 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",
-        help="seeded deterministic fault injection for the tcp fleet: "
+        help="seeded deterministic fault injection for the tcp or mp fleet: "
         "comma-separated 'kind[*count][@window[:shard]]' entries plus "
         "'seed=N', 'horizon=N', 'stall_s=F' knobs; kinds: crash, stall, "
         "halfopen, corrupt, truncate, tear. The schedule draws from its "
@@ -159,7 +159,7 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
         "(respawns crashed workers and replays them from the log, bounded "
         "by REPRO_TCP_MAX_RESPAWNS); without --wal an injected crash "
         "degrades gracefully to a loud abort naming the missing "
-        "checkpoint (requires --executor tcp, --shards >= 1)",
+        "checkpoint (requires --executor tcp or mp, --shards >= 1)",
     )
     parser.add_argument("--train-fraction", type=float, default=0.2)
     parser.add_argument("--threshold", type=float, default=0.5)

@@ -65,8 +65,8 @@ class SystemConfig:
     #: verified prefix replay; used when shards >= 1
     wal: Optional[str] = None
     resume: Optional[str] = None
-    #: seeded fault-injection schedule (repro.sim.faults) for the tcp
-    #: sharded replay's self-healing fleet; requires executor="tcp" and,
+    #: seeded fault-injection schedule (repro.sim.faults) for the sharded
+    #: replay's self-healing fleet; requires executor="tcp" or "mp" and,
     #: for in-run recovery rather than a loud abort, a wal path
     faults: Optional[str] = None
     mean_session: float = 600.0

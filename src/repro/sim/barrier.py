@@ -14,8 +14,8 @@ window.
 directory control plane advances, where the WAL appends (or verifies) its
 window record, and where divergence between workers is detected and the
 synced workers are told to abort.  It talks to its workers through a
-*link* — three methods, one implementation per executor (serial threads,
-forked processes, tcp sockets):
+*link* — three methods, one implementation per fleet (serial threads, and
+the tcp sockets that the mp executor's forked workers use too):
 
 - ``collect(barrier)`` — one round: an iterable of ``(shard_id, kind,
   payload)``, one entry per shard.  Supervision belongs here: the tcp link
@@ -28,7 +28,7 @@ forked processes, tcp sockets):
 
 **The worker half** is :class:`WorkerEndpoint`: its ``sync`` is the only
 place a worker's barrier is sequenced.  It talks to the coordinator
-through a *wire* — two methods, again one implementation per executor:
+through a *wire* — two methods, again one implementation per fleet:
 
 - ``_send(kind, payload)`` — one ``sync`` / ``done`` / ``error`` message up.
 - ``_recv(barrier)`` — the answer: ``("decision", Verdict)`` or

@@ -62,9 +62,10 @@ class ScenarioConfig:
     #: advanced in conservative virtual-time windows).
     shards: int = 0
     #: sharded executor: "serial" (lockstep in one process, the
-    #: deterministic reference), "mp" (one worker process per shard), or
-    #: "tcp" (a coordinator plus socket-connected workers, possibly on
-    #: other machines — repro.sim.tcpexec).
+    #: deterministic reference), "mp" (one worker process per shard: the
+    #: tcp fleet with every worker forked locally), or "tcp" (a
+    #: coordinator plus socket-connected workers, possibly on other
+    #: machines — repro.sim.tcpexec).
     executor: str = "serial"
     #: tcp executor: the coordinator's bind address (port 0 = ephemeral,
     #: the default for localhost test fleets) ...
@@ -92,7 +93,8 @@ class ScenarioConfig:
     #: are excluded from the WAL's own config fingerprint.
     resume: Optional[str] = None
     #: seeded fault-injection schedule (repro.sim.faults.FaultPlan spec,
-    #: e.g. "seed=7,crash@2") for the tcp executor's self-healing fleet.
+    #: e.g. "seed=7,crash@2") for the self-healing fleet of the tcp or mp
+    #: executor.
     #: Like the tcp placement fields this is execution shape, not physics
     #: — the schedule draws from its own splitmix64 stream, recovery
     #: replays the WAL prefix, and golden digests cannot move — so it is

@@ -41,23 +41,27 @@ same scenario:
    collectors (:meth:`StatsCollector.merge`) equals the single collector of
    the unsharded run regardless of execution order.
 
-Three executors run the same shard-worker bootstrap (:func:`_run_worker`)
+Every executor runs the same shard-worker bootstrap (:func:`_run_worker`)
 under the same window protocol (:mod:`repro.sim.barrier`: the coordinator
 loop :func:`~repro.sim.barrier.coordinate`, the worker endpoint
-:class:`~repro.sim.barrier.WorkerEndpoint`); each contributes only worker
-spawn, teardown, a *link* — how one barrier round of sync/done/error
-messages is collected and how decisions and aborts reach a worker — and a
-*wire* — how a worker sends one such message and receives the answer.
-Every executor ships the same encoded ``SoA1`` frame blobs by the same
-route: up in the sender's sync, down in each receiver's verdict.
+:class:`~repro.sim.barrier.WorkerEndpoint`).  There are two fleets, and
+each contributes only worker spawn, teardown, a *link* — how one barrier
+round of sync/done/error messages is collected and how decisions and
+aborts reach a worker — and a *wire* — how a worker sends one such message
+and receives the answer.  Both ship the same encoded ``SoA1`` frame blobs
+by the same route: up in the sender's sync, down in each receiver's
+verdict.
 
-- ``serial`` — the deterministic reference: worker replicas run as lockstep
-  threads in one process; messages cross in-process queues.
-- ``mp`` — one forked worker process per shard; messages cross pipes, and
-  the per-worker stats are merged in the parent via
-  :meth:`StatsCollector.merge`.
-- ``tcp`` — workers over sockets (:mod:`repro.sim.tcpexec`); the link's
-  collect step supervises the fleet.
+- ``serial`` — the deterministic reference, and the only executor on
+  platforms without fork: worker replicas run as lockstep threads in one
+  process; messages cross in-process queues.
+- ``tcp`` — workers over sockets (:mod:`repro.sim.tcpexec`), placed per
+  ``tcp_hosts``; the link's collect step supervises the fleet and, on a
+  WAL run, heals a dead worker by replaying it from the log.
+- ``mp`` — the tcp fleet with every slot forked from the coordinator onto
+  an ephemeral loopback port: one worker process per shard, the job taken
+  from fork memory (so a workload that cannot be pickled still runs), and
+  the tcp fleet's supervision and WAL recovery as they are.
 
 All produce byte-identical fingerprints to each other and to the unsharded
 kernel; ``tests/test_shard_equivalence.py`` fuzzes that claim across
@@ -98,12 +102,11 @@ import hashlib
 import heapq
 import itertools
 import json
-import os
 import queue
 import threading
 import traceback
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -188,10 +191,11 @@ def scenario_digest(stats: StatsCollector, now: float) -> str:
 class DirectoryControlPlane:
     """The single authoritative control plane of a directory-mode run.
 
-    Owned by the window coordinator (the parent process under the mp
-    executor, the coordinator loop under serial).  It constructs the one
-    authoritative overlay — N joins plus table finalization, paid exactly
-    once per run instead of once per shard — publishes its
+    Owned by the window coordinator (the coordinator process under the
+    mp and tcp executors, the coordinator loop under serial).  It
+    constructs the one authoritative overlay — N joins plus table
+    finalization, paid exactly once per run instead of once per shard —
+    publishes its
     :attr:`snapshot` for workers to restore at startup, and generates the
     churn/maintenance timeline as :data:`ControlRecord` deltas, one window
     *ahead* of execution.
@@ -433,10 +437,10 @@ class _ShardRuntime:
         #: outside the event stream and must not schedule events or draw
         #: from simulation RNGs
         self.barrier_hooks: List[Callable[[int], None]] = []
-        #: fault plane (repro.sim.faults): installed by the tcp worker to
-        #: fire this shard's injected process faults (crash/stall/half-
-        #: open) with the window index at each barrier, after the
-        #: accounting hooks and before the sync
+        #: fault plane (repro.sim.faults): installed by the fleet worker
+        #: (tcp or mp) to fire this shard's injected process faults
+        #: (crash/stall/half-open) with the window index at each barrier,
+        #: after the accounting hooks and before the sync
         self.fault_hook: Optional[Callable[[int], None]] = None
 
     def request_control(self, kind: str, time: float) -> None:
@@ -773,7 +777,8 @@ class _ShardWorkerScenario(Scenario):
 
 # ---------------------------------------------------------------------------
 # The worker bootstrap (both halves of the window protocol are
-# repro.sim.barrier; each executor below adds its wire and its link).
+# repro.sim.barrier; serial below and the tcp/mp fleet in repro.sim.tcpexec
+# each add a wire and a link).
 # ---------------------------------------------------------------------------
 
 
@@ -910,70 +915,17 @@ def _run_serial(
     for thread in threads:
         thread.join(timeout=30.0)
     # Third element: coordinator-side fault/recovery counters — always
-    # empty here (only the tcp supervision loop injects and recovers).
+    # empty here (only the tcp/mp fleet's supervision loop recovers).
     return payloads, windows, Counter()
 
 
 # ---------------------------------------------------------------------------
-# Multiprocessing executor: one forked worker per shard.
+# The one fork: every worker of an mp run, a tcp run's ``local`` slots.
 # ---------------------------------------------------------------------------
 
 
-class _ProcessChannel(WorkerEndpoint):
-    """The mp executor's wire: one pipe to the parent coordinator, which
-    relays each window's frame blobs like every other executor's link.  A
-    worker that dies mid-window closes its pipe, and the coordinator's
-    next collect reports it."""
-
-    def __init__(self, shard_id, connection) -> None:
-        super().__init__(shard_id)
-        self.connection = connection
-
-    def _send(self, kind: str, payload: Any) -> None:
-        self.connection.send((kind, payload))
-
-    def _recv(self, barrier: int) -> Tuple[str, Any]:
-        return self.connection.recv()
-
-
-class _PipeLink:
-    """The mp executor's :mod:`~repro.sim.barrier` link: one pipe per
-    forked worker."""
-
-    def __init__(self, connections: list) -> None:
-        self.connections = connections
-
-    def collect(self, barrier: int) -> List[Tuple[int, str, Any]]:
-        round_messages = []
-        for shard_id, connection in enumerate(self.connections):
-            try:
-                kind, payload = connection.recv()
-            except (EOFError, OSError):
-                # The worker died without a word (hard crash / kill): its
-                # pipe closed, or reset with our last decision unread.
-                # Treat like an error report so the rest of the fleet is
-                # aborted instead of left waiting at the barrier forever.
-                kind, payload = "error", (
-                    f"shard worker {shard_id} died mid-window "
-                    "(pipe closed without a sync/done/error message)"
-                )
-            round_messages.append((shard_id, kind, payload))
-        return round_messages
-
-    def send_decision(self, shard_id: int, verdict: Verdict) -> None:
-        try:
-            self.connections[shard_id].send(("decision", verdict))
-        except OSError:
-            # The worker died after syncing; the next collect surfaces the
-            # loud died-mid-window error and aborts the survivors.
-            pass
-
-    def abort(self, shard_id: int, failure: str) -> None:
-        self.connections[shard_id].send(("abort", failure))
-
-
 def _mp_context():
-    """The one fork: mp's shard workers and tcp's ``local`` workers."""
+    """The fork behind :class:`repro.sim.tcpexec._ForkedWorker`."""
     import multiprocessing
 
     try:
@@ -984,64 +936,6 @@ def _mp_context():
             "fork start method (unavailable on this platform); use "
             "executor='serial', or tcp 'wait' / 'ssh:HOST' workers"
         ) from exc
-
-
-def _run_mp(
-    config: ScenarioConfig, workload: Workload, num_shards: int,
-    lookahead: float, plane: Optional[DirectoryControlPlane] = None,
-    wal: Optional[WalSession] = None,
-) -> Tuple[List[tuple], int, Counter]:
-    context = _mp_context()
-    parent_connections = []
-    processes = []
-    # Directory mode: the plane (and its snapshot) is built in the parent
-    # BEFORE forking, so every worker inherits the snapshot through fork
-    # copy-on-write memory — snapshot distribution costs no pickling at all.
-    snapshot = plane.snapshot if plane is not None else None
-    # WAL plumbing is captured pre-fork as a plain value (the session object
-    # itself — open file handle and all — stays parent-only).
-    wal_cadence = wal.cursor_every if wal is not None else 0
-
-    def child_main(shard_id: int, connection) -> None:
-        channel = _ProcessChannel(shard_id, connection)
-        _run_worker(
-            channel, config, workload, num_shards, lookahead, snapshot,
-            wal_cadence,
-        )
-        try:
-            connection.recv()  # parent's "bye": results landed, safe to exit
-        except EOFError:
-            pass
-        os._exit(0)  # skip atexit/pytest teardown in the forked child
-
-    for shard_id in range(num_shards):
-        parent_end, child_end = context.Pipe()
-        process = context.Process(
-            target=child_main, args=(shard_id, child_end), daemon=True
-        )
-        process.start()
-        child_end.close()
-        parent_connections.append(parent_end)
-        processes.append(process)
-
-    try:
-        payloads, windows = coordinate(
-            _PipeLink(parent_connections), num_shards, lookahead, plane, wal
-        )
-    finally:
-        for connection in parent_connections:
-            try:
-                connection.send(("bye", None))
-            except (BrokenPipeError, OSError):
-                pass
-        for process in processes:
-            process.join(timeout=30.0)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(timeout=5.0)
-        for connection in parent_connections:
-            connection.close()
-    return payloads, windows, Counter()
 
 
 # ---------------------------------------------------------------------------
@@ -1081,11 +975,11 @@ class ShardedScenario:
     """K-shard execution harness behind one API for every executor.
 
     ``run(workload)`` executes the SPMD ``workload(scenario)`` callable on
-    every shard worker (serial threads, forked processes, or tcp-connected
-    workers per ``executor``), merges the per-shard
-    :class:`StatsCollector`s in shard
-    order, and agrees the final virtual clock — producing observables
-    byte-identical to the unsharded kernel running the same config.
+    every shard worker (serial threads, or the fleet's worker processes —
+    all forked here under mp, placed per ``tcp_hosts`` under tcp), merges
+    the per-shard :class:`StatsCollector`s in shard order, and agrees the
+    final virtual clock — producing observables byte-identical to the
+    unsharded kernel running the same config.
     """
 
     def __init__(
@@ -1103,24 +997,32 @@ class ShardedScenario:
         self.lookahead = compute_lookahead(config.build_latency())
 
     def run(self, workload: Workload) -> ShardedRun:
-        if self.executor == "tcp":
+        config = self.config
+        if self.executor == "serial":
+            runner = _run_serial
+        else:
             # Socket executor lives in its own module; imported lazily so
-            # serial/mp runs never touch it.
+            # serial runs never touch it.
             from repro.sim.tcpexec import run_tcp
 
             runner = run_tcp
-        else:
-            runner = _run_serial if self.executor == "serial" else _run_mp
-        plan = FaultPlan.parse(self.config.faults)
-        if plan is not None and self.executor != "tcp":
+            if self.executor == "mp":
+                # mp is the tcp fleet with every slot forked from this
+                # process onto an ephemeral loopback port; the placement
+                # fields are outside the WAL config fingerprint.
+                config = replace(
+                    config, tcp_hosts=None, tcp_host="127.0.0.1", tcp_port=0
+                )
+        plan = FaultPlan.parse(config.faults)
+        if plan is not None and self.executor == "serial":
             # Enforced here, not in validate(): the executor argument can
-            # override config.executor, and only the tcp fleet has the
-            # supervision loop (and separate worker processes) the fault
-            # plane targets — os._exit under serial/mp would kill the run.
+            # override config.executor, and the serial executor's workers
+            # are threads of this process with no supervision loop — an
+            # injected os._exit would kill the run.
             raise ConfigurationError(
-                "fault injection (config.faults) targets the tcp "
-                "executor's self-healing fleet; the serial/mp executors "
-                "have no supervision loop to recover injected faults "
+                "fault injection (config.faults) targets the self-healing "
+                "worker fleet of the tcp and mp executors; the serial "
+                "executor's threads cannot be crashed and recovered "
                 f"(this run uses executor={self.executor!r})"
             )
         if plan is not None and self.config.resume:
@@ -1134,16 +1036,13 @@ class ShardedScenario:
             else None
         )
         wal = (
-            WalSession(
-                self.config, self.config.shards, self.lookahead,
-                retain_records=(self.executor == "tcp"),
-            )
+            WalSession(self.config, self.config.shards, self.lookahead)
             if (self.config.wal or self.config.resume)
             else None
         )
         try:
             payloads, windows, run_faults = runner(
-                self.config, workload, self.config.shards, self.lookahead,
+                config, workload, self.config.shards, self.lookahead,
                 plane=plane, wal=wal,
             )
             merged = StatsCollector()

@@ -1,27 +1,30 @@
-"""The tcp shard executor: the window protocol over socket frames.
+"""The tcp shard executor: the window protocol over socket frames — the
+one multi-process fleet, behind both the ``tcp`` and the ``mp`` executor.
 
-The mp executor (:func:`repro.sim.shard._run_mp`) caps out at one box —
-its pipes and forked workers need a common kernel.  This
-module runs the *same* window protocol (:mod:`repro.sim.barrier`: the
-loop :func:`~repro.sim.barrier.coordinate` and the worker endpoint's one
+This module runs the window protocol (:mod:`repro.sim.barrier`: the loop
+:func:`~repro.sim.barrier.coordinate` and the worker endpoint's one
 ``sync``) between a **coordinator** (the process that owns the
 :class:`~repro.sim.shard.ShardedScenario`) and K **workers** connected
 over TCP — :class:`_TcpChannel` is the endpoint's *wire* — so shards can
 live on other machines while every observable stays byte-identical to
-serial/mp (the equivalence fuzz in ``tests/test_shard_equivalence.py``
-proves it over localhost).  :class:`TcpCoordinator` is the loop's *link*:
-it assembles
-the fleet, and its collect step is the supervision pump — heartbeats,
-death detection, and in-run recovery all happen while one barrier round
-is being gathered, invisible to the loop.
+the serial reference (the equivalence fuzz in
+``tests/test_shard_equivalence.py`` proves it over localhost).
+:class:`TcpCoordinator` is the loop's *link*: it assembles the fleet, and
+its collect step is the supervision pump — heartbeats, death detection,
+and in-run recovery all happen while one barrier round is being
+gathered, invisible to the loop.
 
 Workers start per the ``--hosts`` placement (:func:`parse_hosts`).  A
-``local`` worker is forked from the coordinator — the mp executor's fork,
+``local`` worker is forked from the coordinator — the one fork,
 :func:`repro.sim.shard._mp_context` — and runs :func:`worker_main` over a
 socket exactly like a remote one, so it pays no interpreter start-up and
-no imports; ``wait`` and ``ssh:HOST`` workers are ``repro worker``
-processes in a fresh interpreter, which resolve the job's classes through
-the coordinator's ``sys.path`` carried by WELCOME.
+no imports, and takes the job from fork memory instead of a pickled JOB
+frame; ``wait`` and ``ssh:HOST`` workers are ``repro worker`` processes
+in a fresh interpreter, which are sent the pickled job and resolve its
+classes through the coordinator's ``sys.path`` carried by WELCOME.  The
+``mp`` executor is this fleet with every slot ``local`` on an ephemeral
+loopback port, so it shares the supervision and the WAL recovery below,
+and still runs workloads that cannot be pickled.
 
 Wire model
 ----------
@@ -31,16 +34,17 @@ header (:data:`_WIRE_HEADER`) + payload — over one connection per
 worker:
 
 - **handshake**: the worker sends ``HELLO`` (protocol version + shard-id
-  claim, JSON); the coordinator answers ``WELCOME`` (assigned shard, the
-  scenario's config fingerprint, the coordinator's ``sys.path`` so
-  workload classes pickled into the job resolve worker-side) and the
-  pickled ``JOB`` (config, workload, lookahead, overlay snapshot, WAL
-  cadence); the worker confirms with ``READY`` carrying the fingerprint
-  it computed from the job it actually received.  A version or
-  fingerprint mismatch is a loud :class:`SimulationError` — a skewed
-  fleet must never reach the first window.  A duplicate (or out-of-
-  range) shard claim gets an ``ERROR`` frame and its connection closed;
-  the slot stays open for the real worker.
+  claim, and whether it was forked from the coordinator, JSON); the
+  coordinator answers ``WELCOME`` (assigned shard, the scenario's config
+  fingerprint, the coordinator's ``sys.path`` so workload classes pickled
+  into the job resolve worker-side) and — to a worker that was not forked
+  and so holds no job — the pickled ``JOB`` (config, workload, lookahead,
+  overlay snapshot, WAL cadence); the worker confirms with ``READY``
+  carrying the fingerprint it computed from the job it actually holds.  A
+  version or fingerprint mismatch is a loud :class:`SimulationError` — a
+  skewed fleet must never reach the first window.  A duplicate, out-of-
+  range or non-integer shard claim gets an ``ERROR`` frame and its
+  connection closed; the slot stays open for the real worker.
 - **barriers**: each worker ``SYNC`` carries one pickled
   :class:`~repro.sim.barrier.SyncStatus` (protocol v3): its window status
   plus the window's outboxes already encoded as :class:`ExchangeFrame`
@@ -74,18 +78,19 @@ dead connection, respawns the slot per its ``--hosts`` placement
 (bounded by ``REPRO_TCP_MAX_RESPAWNS``), handshakes the replacement
 with a ``RECOVER`` frame (``WELCOME`` plus the barrier to replay to,
 fingerprint-checked the same way), and replays it to the current
-barrier from the WAL's retained window records: the newcomer re-executes
-the workload from scratch, every replayed sync is verified field-by-
-field (and frame-blob byte-for-byte) against the log, and the logged
-decisions are served back — so by the time it reaches the live barrier
-it is bit-identical to the worker it replaced, and the run's final
-digest cannot move.  The slot refills through the same accept loop that
-assembled the fleet, with the same supervision pump answering the parked
-workers' heartbeats between accepts; a newcomer's HELLO is read under the
-heartbeat interval, so a connection that says nothing cannot starve them.
-Stale or duplicate connections that dial in during recovery are rejected
-and counted as quarantined.  Without a WAL the
-crash degrades gracefully to the pre-recovery behavior: a loud abort
+barrier from the WAL's window records — the resume log's verified
+prefix, then the log being appended, read back from disk: the newcomer
+re-executes the workload from scratch, every replayed sync is verified
+field-by-field (and frame-blob byte-for-byte) against the log, and the
+logged decisions are served back — so by the time it reaches the live
+barrier it is bit-identical to the worker it replaced, and the run's
+final digest cannot move.  The slot refills through the same accept loop
+that assembled the fleet, with the same supervision pump answering the
+parked workers' heartbeats between accepts; a newcomer's HELLO is read
+under the heartbeat interval, so a connection that says nothing cannot
+starve them.  Stale, duplicate or malformed connections that dial in
+during recovery are rejected and counted as quarantined.  Without a WAL
+the crash degrades gracefully to the pre-recovery behavior: a loud abort
 naming the missing checkpoint.  All recovery accounting lands in the
 ``StatsCollector.faults`` family (never fingerprinted).
 
@@ -93,16 +98,16 @@ The WAL integrates unchanged: the coordinator owns the log
 (:class:`~repro.sim.wal.WalSession` never leaves its process), workers
 ship their probe blobs inside syncs, and the frame blobs the coordinator
 routes are exactly the bytes the log records — so checkpoint/resume
-works with remote workers, and a tcp log resumes under serial/mp and
+works with remote workers, and a tcp or mp log resumes under serial and
 vice versa (``executor`` and the tcp plumbing fields are excluded from
 the config fingerprint).
 
 Trace stores ride along for free: workers execute through
 :class:`~repro.sim.shard.ShardSimulator`, so a workload that attaches a
 :class:`~repro.sim.tracestore.TraceStore` via ``attach_scenario`` gets
-its per-window flush from the runtime's barrier hooks on tcp exactly as
-on serial/mp — each worker writes its own shard's store file locally,
-merged afterwards with :func:`~repro.sim.tracestore.merge_stores`.
+its per-window flush from the runtime's barrier hooks on tcp and mp
+exactly as on serial — each worker writes its own shard's store file
+locally, merged afterwards with :func:`~repro.sim.tracestore.merge_stores`.
 """
 
 from __future__ import annotations
@@ -238,11 +243,17 @@ def parse_address(spec: str) -> Tuple[str, int]:
     """``HOST:PORT`` (or bare ``PORT``) to a connect/bind address."""
     host, _, port = spec.rpartition(":")
     try:
-        return (host or "127.0.0.1", int(port))
+        number = int(port)
     except ValueError:
         raise ConfigurationError(
             f"invalid tcp address {spec!r}; expected HOST:PORT"
         ) from None
+    if not 1 <= number <= 65535:
+        raise ConfigurationError(
+            f"invalid tcp address {spec!r}: port {number} is outside "
+            "1-65535"
+        )
+    return (host or "127.0.0.1", number)
 
 
 def parse_hosts(spec: Optional[str], num_shards: int) -> List[str]:
@@ -478,6 +489,7 @@ def worker_main(
     retries: Optional[int] = None,
     timeout: Optional[float] = None,
     backoff_seed: int = 0,
+    job: Optional[Dict[str, Any]] = None,
 ) -> int:
     """One tcp shard worker: connect, handshake, run the window protocol.
 
@@ -489,7 +501,11 @@ def worker_main(
 
     ``backoff_seed`` seeds the reconnect jitter (mixed with the shard
     claim, so siblings spread out); the coordinator passes the fault
-    plane's seed through so recovery timing stays reproducible.
+    plane's seed through so recovery timing stays reproducible.  A forked
+    worker passes the coordinator's ``job`` straight from fork memory and
+    says so in its HELLO, so no JOB frame is pickled for it — which is
+    also how a workload that cannot be pickled (a closure) still runs on
+    forked workers.
     """
     timeout = tcp_timeout_seconds() if timeout is None else timeout
     sock = connect_with_retry(
@@ -501,9 +517,10 @@ def worker_main(
         send_frame(
             sock,
             _K_HELLO,
-            json.dumps(
-                {"version": PROTOCOL_VERSION, "shard": shard}
-            ).encode("utf-8"),
+            json.dumps({
+                "version": PROTOCOL_VERSION, "shard": shard,
+                "forked": job is not None,
+            }).encode("utf-8"),
         )
         context = f"worker (claiming shard {shard}) awaiting welcome"
         kind, payload = recv_frame(sock, context)
@@ -538,15 +555,16 @@ def worker_main(
         for entry in welcome.get("sys_path", ()):
             if entry and entry not in sys.path:
                 sys.path.append(entry)
-        kind, payload = recv_frame(
-            sock, f"worker (shard {shard_id}) awaiting job"
-        )
-        if kind != _K_JOB:
-            raise SimulationError(
-                f"worker (shard {shard_id}): expected the job frame, "
-                f"got kind {kind}"
+        if job is None:
+            kind, payload = recv_frame(
+                sock, f"worker (shard {shard_id}) awaiting job"
             )
-        job = pickle.loads(payload)
+            if kind != _K_JOB:
+                raise SimulationError(
+                    f"worker (shard {shard_id}): expected the job frame, "
+                    f"got kind {kind}"
+                )
+            job = pickle.loads(payload)
         fingerprint = fingerprint_digest(job["config"])
         if fingerprint != welcome.get("fingerprint"):
             message = (
@@ -693,9 +711,10 @@ class TcpCoordinator:
         #: reproducible from the same knob that schedules the faults
         plan = FaultPlan.parse(getattr(config, "faults", None))
         self._backoff_seed = plan.seed if plan is not None else 0
-        #: the pickled JOB and the fleet's config fingerprint — set by
-        #: :meth:`run`, served to every worker and every replacement
-        self._job_blob = b""
+        #: the JOB and the fleet's config fingerprint — set by :meth:`run`;
+        #: a forked worker reads the job from fork memory, any other is
+        #: sent it pickled
+        self._job: Dict[str, Any] = {}
         self._fingerprint = ""
 
     # -- fleet assembly ------------------------------------------------------
@@ -748,9 +767,10 @@ class TcpCoordinator:
             if sock is not None:
                 sock.close()
         host, port = self.address
-        os._exit(
-            worker_main(host, port, shard_id, backoff_seed=self._backoff_seed)
-        )
+        os._exit(worker_main(
+            host, port, shard_id, backoff_seed=self._backoff_seed,
+            job=self._job,
+        ))
 
     @staticmethod
     def _sys_path() -> List[str]:
@@ -858,7 +878,12 @@ class TcpCoordinator:
             )
             self._reject(conn, message)
             raise SimulationError(message)
-        claim = int(hello.get("shard", -1))
+        claim = hello.get("shard", -1)
+        if type(claim) is not int:  # a string, null, list, bool or float
+            self._reject(
+                conn, f"shard id {claim!r} is not an integer", recovering
+            )
+            return
         if claim == -1 and unclaimed:
             claim = min(unclaimed)
         if claim not in unclaimed:
@@ -882,7 +907,11 @@ class TcpCoordinator:
             _K_RECOVER if recovering else _K_WELCOME,
             json.dumps(welcome).encode("utf-8"),
         )
-        send_frame(conn, _K_JOB, self._job_blob)
+        if hello.get("forked") is not True:
+            send_frame(
+                conn, _K_JOB,
+                pickle.dumps(self._job, protocol=pickle.HIGHEST_PROTOCOL),
+            )
         context = f"tcp coordinator awaiting READY from shard {claim}"
         kind, payload = recv_frame(conn, context)
         if kind == _K_ERROR:
@@ -1077,15 +1106,16 @@ class TcpCoordinator:
 
         The newcomer re-executes the workload from scratch and cannot
         tell replay from live windows: its syncs are verified against
-        the WAL's retained records (scalars field-by-field, frame blobs
+        the WAL's records (scalars field-by-field, frame blobs
         byte-for-byte — the same discipline as resume) and its decisions
         are rebuilt from the log through the live windows' own
         :func:`~repro.sim.barrier.verdict_for`, with the logged frame set
         as the routing grid.  Its outbound frames are discarded — the
         original recipients got them from the first incarnation.
         """
-        for replay_barrier in range(barrier):
-            record = self.wal.window_record(replay_barrier)
+        for replay_barrier, record in enumerate(
+            self.wal.window_records(barrier)
+        ):
             kind, payload = self._await_frames(
                 {shard_id}, replay_barrier
             )[shard_id]
@@ -1173,17 +1203,14 @@ class TcpCoordinator:
         self.bind()
         wal = self.wal
         plane = self.plane
-        self._job_blob = pickle.dumps(
-            {
-                "config": self.config,
-                "workload": workload,
-                "num_shards": self.num_shards,
-                "lookahead": self.lookahead,
-                "snapshot": plane.snapshot if plane is not None else None,
-                "wal_cadence": wal.cursor_every if wal is not None else 0,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        self._job = {
+            "config": self.config,
+            "workload": workload,
+            "num_shards": self.num_shards,
+            "lookahead": self.lookahead,
+            "snapshot": plane.snapshot if plane is not None else None,
+            "wal_cadence": wal.cursor_every if wal is not None else 0,
+        }
         self._fingerprint = fingerprint_digest(self.config)
         try:
             for shard_id, entry in enumerate(self.hosts):
@@ -1237,7 +1264,8 @@ def run_tcp(
     plane: Any = None,
     wal: Any = None,
 ) -> Tuple[List[tuple], int, Counter]:
-    """The ``executor="tcp"`` runner (the :func:`_run_mp` signature)."""
+    """The runner of the ``mp`` and ``tcp`` executors (the
+    :func:`~repro.sim.shard._run_serial` signature)."""
     return TcpCoordinator(
         config, num_shards, lookahead, plane=plane, wal=wal
     ).run(workload)

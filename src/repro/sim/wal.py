@@ -408,7 +408,6 @@ class WalSession:
         config: Any,
         num_shards: int,
         lookahead: float,
-        retain_records: bool = False,
     ) -> None:
         wal_path = config.wal
         resume_path = config.resume
@@ -422,11 +421,8 @@ class WalSession:
         self.writer: Optional[WalWriter] = None
         self._verified = 0
         self._appended = 0
-        #: in-run recovery (the tcp executor): keep every barrier's record
-        #: in memory so a respawned worker can be replayed to the current
-        #: barrier without re-reading the log file mid-run
-        self._retain = retain_records
-        self.records: List[WindowRecord] = []
+        #: the log this run appends to — read back by :meth:`window_records`
+        self._appending_to: Optional[str] = None
 
         fingerprint = config_fingerprint(config)
         if resume_path:
@@ -469,10 +465,12 @@ class WalSession:
             self.writer = WalWriter.create(
                 wal_path, num_shards, lookahead, meta
             )
+            self._appending_to = wal_path
             self._rewrite_prefix = True
         elif resume_path and self.commit is None:
             # Continue the same file past its last complete window.
             self.writer = WalWriter.appending(resume_path, reader.valid_offset)
+            self._appending_to = resume_path
             self._rewrite_prefix = False
         else:
             # Committed log, no new target: pure verification.
@@ -510,8 +508,6 @@ class WalSession:
                 f"{len(self.logged)} windows (committed)",
                 "a run that kept going",
             )
-        if self._retain:
-            self.records.append(record)
 
     def _verify(self, live: WindowRecord) -> None:
         logged = self.logged[live.barrier]
@@ -543,15 +539,24 @@ class WalSession:
                  if src == shard_id],
             )
 
-    def window_record(self, barrier: int) -> WindowRecord:
-        """The record this run logged (or verified) at ``barrier`` — the
-        replay source for in-run worker recovery (``retain_records``)."""
-        if barrier >= len(self.records):
+    def window_records(self, stop: int) -> List[WindowRecord]:
+        """The records this run logged (or verified) at barriers
+        ``0..stop-1`` — the replay source for in-run worker recovery.
+
+        A verified prefix is the resume log's own records; past it they
+        are read back from the log being appended, whose every record is
+        flushed — any prefix of the log replays, so the coordinator keeps
+        no second copy of the run in memory.
+        """
+        records = self.logged[:stop]
+        if len(records) < stop and self._appending_to is not None:
+            records = WalReader(self._appending_to).windows[:stop]
+        if len(records) < stop:
             raise SimulationError(
-                f"no retained WAL record for window {barrier} "
-                f"({len(self.records)} windows retained this run)"
+                f"no WAL record for window {len(records)} "
+                f"({len(records)} windows logged this run)"
             )
-        return self.records[barrier]
+        return records
 
     # -- run end ------------------------------------------------------------
 

@@ -275,7 +275,7 @@ def run_training_sharded(
     ``control_plane="directory"`` replays the same training with the
     directory-served control plane (overlay snapshot + per-window deltas)
     instead of SPMD replication — the digest must not change.
-    ``faults`` injects a seeded fault schedule (tcp executor only); the
+    ``faults`` injects a seeded fault schedule (tcp or mp executor); the
     chaos suites assert the recovered digest is byte-identical anyway.
     """
     from dataclasses import replace

@@ -4,10 +4,11 @@ Three layers of coverage:
 
 - the plan — spec grammar, seeded schedule determinism, the JSON
   description, worker-side injector filtering, WAL tearing;
-- the plumbing — config validation (faults target the sharded tcp
-  fleet), fingerprint exclusion (a faulted run resumes a clean log);
-- chaos — tcp runs with injected crashes / wire garbage / half-open
-  sockets / stalls, asserting the supervision loop respawns and
+- the plumbing — config validation (faults target the sharded tcp/mp
+  fleet, never the serial threads), fingerprint exclusion (a faulted run
+  resumes a clean log);
+- chaos — tcp (and one mp) runs with injected crashes / wire garbage /
+  half-open sockets / stalls, asserting the supervision loop respawns and
   WAL-replays workers to the **byte-identical** checked-in golden
   digest, that recovery without a WAL degrades to the loud abort naming
   the missing checkpoint, and that ``REPRO_TCP_MAX_RESPAWNS`` bounds it.
@@ -180,7 +181,8 @@ def test_bad_fault_spec_fails_config_validation():
         config.validate()
 
 
-@pytest.mark.parametrize("executor", ["serial", "mp"])
+# mp runs on the tcp fleet and heals like it: test_mp_heals_a_crash_from_the_wal
+@pytest.mark.parametrize("executor", ["serial"])
 def test_faults_reject_non_tcp_executors(executor):
     with pytest.raises(ConfigurationError, match="tcp"):
         run_training_sharded(
@@ -253,6 +255,19 @@ def test_crash_recovers_to_identical_digest(tmp_path, monkeypatch):
     assert run.stats.faults["respawns"] >= 1
     assert run.stats.faults["replayed_windows"] >= 1
     assert run.stats.faults["worker_deaths"] >= 1
+
+
+def test_mp_heals_a_crash_from_the_wal(tmp_path, monkeypatch):
+    """mp is the tcp fleet with every slot forked locally, so a crashed
+    mp worker is respawned and replayed from the WAL like a tcp one."""
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, "30")
+    run = run_training_sharded(
+        "pace", "chord", "none", 2, executor="mp",
+        wal=str(tmp_path / "chaos.wal"), faults="seed=3,crash@1",
+    )
+    assert run.digest() == golden("chord/pace/none/k2")
+    assert run.stats.faults["respawns"] == 1
+    assert run.stats.faults["replayed_windows"] >= 1
 
 
 def test_crash_at_window_zero_recovers(tmp_path, monkeypatch):

@@ -80,8 +80,8 @@ computes about its bundle (its centroids' bucket keys) does not ride on it.
 ``src/repro/sim`` there is one ``def sync`` and it lives in ``barrier.py``;
 ``SyncStatus(`` is constructed at one call site and ``encode_outbound_blobs(``
 called from one function (that ``sync``); there is no ``_Decision`` class and
-``Verdict`` is a class, not a tuple alias; the three executors' endpoints
-define a wire (``_send``, ``_recv``) and nothing else of the protocol —
+``Verdict`` is a class, not a tuple alias; the two executor endpoints
+(serial's ``_ThreadChannel``, the tcp fleet's ``_TcpChannel``) define a wire (``_send``, ``_recv``) and nothing else of the protocol —
 every frame rides the sync up and the verdict down, and no module under
 ``src/repro`` but ``sim/exchange.py`` names the shared-memory ring grid;
 ``_ThreadChannel`` names the endpoint's
@@ -106,8 +106,8 @@ a call of that; neither ``predict_scores`` nor ``_scores_held_by`` in
 model is the loop the block replaced.
 
 (s) There is one fork.  ``get_context("fork")`` and ``os.fork`` appear under
-``src/repro`` only inside ``shard._mp_context``; the tcp executor's ``local``
-workers are forked through it (``_ForkedWorker``), and ``tcpexec.py`` never
+``src/repro`` only inside ``shard._mp_context``; every mp worker and the tcp
+executor's ``local`` workers are forked through it (``_ForkedWorker``), and ``tcpexec.py`` never
 names ``sys.executable`` — a ``local`` worker exec'ing a fresh interpreter
 paid interpreter start-up and every import on each (re)spawn.
 
@@ -127,6 +127,13 @@ and ``uinteger`` appear under ``src/repro`` only in ``data/delicious.py``,
 whose replay of numpy's scalar draws ``tests/test_delicious_replay.py`` pins
 against numpy itself.  Saving and restoring a whole ``bit_generator.state``
 (the resumable overlays do) stays allowed: it names no internal.
+
+(x) One multi-process fleet.  No module under ``src/repro`` uses a
+``multiprocessing`` ``Pipe`` or ``Connection`` — the mp executor is the tcp
+coordinator with every slot forked locally — and ``sim/shard.py`` defines
+exactly one barrier link (a class with a ``collect``): the serial
+executor's ``_ThreadLink``.  A pipe link beside the socket one is how mp
+and tcp came to handle a dead worker two ways.
 """
 
 import ast
@@ -746,7 +753,6 @@ def test_the_worker_half_of_the_window_protocol_is_written_once():
     # an executor's endpoint is its wire: no sync, finish or fail body
     for module, wire, extra in (
         ("shard.py", "_ThreadChannel", set()),
-        ("shard.py", "_ProcessChannel", set()),
         ("tcpexec.py", "_TcpChannel", {"_recv_protocol"}),
     ):
         own = _own_methods((sim / module).read_text(encoding="utf-8"), wire)
@@ -1096,3 +1102,60 @@ def test_one_place_couples_to_pcg64_internals():
         if _pcg64_internals(path.read_text(encoding="utf-8"))
     }
     assert coupled == {"data/delicious.py"}
+
+
+def _pipe_uses(text):
+    """Line numbers in ``text`` that name a ``multiprocessing`` pipe or
+    connection: ``Pipe`` as a name or attribute, the
+    ``multiprocessing.connection`` module, or an import of ``Pipe`` /
+    ``Connection`` from ``multiprocessing``."""
+    lines = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            hit = node.id == "Pipe"
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "Pipe" or (
+                node.attr == "connection"
+                and getattr(node.value, "id", None) == "multiprocessing"
+            )
+        elif isinstance(node, ast.Import):
+            hit = "multiprocessing.connection" in [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("multiprocessing") and (
+                node.module == "multiprocessing.connection"
+                or {"Pipe", "Connection", "connection"}
+                & {alias.name for alias in node.names}
+            )
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_one_multi_process_fleet_and_no_pipe_link():
+    assert _pipe_uses(
+        "parent, child = context.Pipe()\n"
+        "from multiprocessing.connection import Connection\n"
+        "import multiprocessing.connection\n"
+        "wait = multiprocessing.connection.wait\n"
+        "from multiprocessing import Pipe, Process\n"
+        "db = sqlite3.connect(path)\n"
+        "from multiprocessing import get_context\n"
+    ) == [1, 2, 3, 4, 5]
+    src = ROOT / "src" / "repro"
+    piped = [
+        path.relative_to(src).as_posix()
+        for path in sorted(src.rglob("*.py"))
+        if _pipe_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert piped == []
+    shard = ast.parse((src / "sim" / "shard.py").read_text(encoding="utf-8"))
+    links = [
+        node.name for node in ast.walk(shard)
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.FunctionDef) and item.name == "collect"
+            for item in node.body
+        )
+    ]
+    assert links == ["_ThreadLink"]

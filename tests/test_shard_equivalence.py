@@ -310,7 +310,7 @@ def _directory_mp_cases():
 @pytest.mark.parametrize("case", _directory_mp_cases(), ids=_case_id)
 def test_directory_mp_matches_serial(case):
     """The mp executor reproduces the serial directory reference (control
-    deltas ride pipes; the snapshot rides fork memory)."""
+    deltas ride the decision frames; the snapshot rides fork memory)."""
     try:
         import multiprocessing
 

@@ -278,6 +278,12 @@ def test_parse_address():
     assert parse_address("9001") == ("127.0.0.1", 9001)
     with pytest.raises(ConfigurationError, match="HOST:PORT"):
         parse_address("nonsense")
+    assert parse_address("host:1") == ("host", 1)
+    assert parse_address("host:65535") == ("host", 65535)
+    # getaddrinfo would wrap 70000 to 4464 and dial the wrong port
+    for spec in ("host:70000", "host:65536", "host:0", "host:-1"):
+        with pytest.raises(ConfigurationError, match=f"{spec!r}.*1-65535"):
+            parse_address(spec)
 
 
 def test_parse_hosts_broadcast_and_per_shard():
@@ -320,7 +326,6 @@ def _accept_in_thread(coordinator, fingerprint, unclaimed=None, **recover):
     """Run the one accept loop (fleet assembly by default; a recovery
     accept with ``unclaimed``/``recover_barrier``) on a thread."""
     outcome = {}
-    coordinator._job_blob = b"fake-job"
     coordinator._fingerprint = fingerprint
     if unclaimed is None:
         unclaimed = set(range(coordinator.num_shards))
@@ -445,13 +450,29 @@ def test_duplicate_claim_rejected_and_slot_stays_open(monkeypatch):
     assert kind == _K_ERROR
     assert b"already claimed or out of range" in payload
 
+    # A claim that is no integer at all is turned away the same way, not
+    # raised out of the accept loop.
+    not_integers = []
+    for claim in ("x", None, [1], True, 1.0):
+        sock = socket.create_connection((host, port), timeout=5.0)
+        sock.settimeout(5.0)
+        not_integers.append(sock)
+        send_frame(
+            sock, _K_HELLO,
+            json.dumps({"version": PROTOCOL_VERSION, "shard": claim}).encode(),
+        )
+        kind, payload = recv_frame(sock, f"claimant of {claim!r}")
+        assert kind == _K_ERROR
+        assert b"is not an integer" in payload
+        assert sock.recv(1) == b""
+
     second, kind, _ = _handshake_client(host, port, 1)
     assert kind == _K_WELCOME
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert outcome.get("done")
-    assert coordinator.rejected == 2
-    for sock in (first, duplicate, out_of_range, second):
+    assert coordinator.rejected == 7
+    for sock in (first, duplicate, out_of_range, second, *not_integers):
         sock.close()
     coordinator.close()
 
@@ -612,15 +633,24 @@ def test_garbage_hello_during_recovery_is_quarantined_exactly_once(
     )
     noise = socket.create_connection((host, port), timeout=5.0)
     noise.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+    # a well-framed HELLO whose shard claim is not an integer
+    stray = socket.create_connection((host, port), timeout=5.0)
+    stray.settimeout(5.0)
+    send_frame(
+        stray, _K_HELLO,
+        json.dumps({"version": PROTOCOL_VERSION, "shard": "1"}).encode(),
+    )
+    assert recv_frame(stray, "stray claimant")[0] == _K_ERROR
     replacement, kind, _ = _handshake_client(
         host, port, 1, greeting=_K_RECOVER
     )
     assert kind == _K_RECOVER
     thread.join(timeout=10.0)
     assert outcome.get("done")
-    assert coordinator.rejected == 1
-    assert coordinator.faults["quarantined_connections"] == 1
+    assert coordinator.rejected == 2
+    assert coordinator.faults["quarantined_connections"] == 2
     noise.close()
+    stray.close()
     replacement.close()
     coordinator.close()
 
@@ -921,8 +951,8 @@ def test_recover_divergence_names_the_extras_part(part):
 
     class _Wal:
         @staticmethod
-        def window_record(barrier):
-            return record
+        def window_records(stop):
+            return [record] * stop
 
     coordinator.wal = _Wal
     sync = SyncStatus(

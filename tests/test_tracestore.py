@@ -468,8 +468,9 @@ class TestIngestTransactions:
 class TracingTrainingWorkload(TrainingWorkload):
     """The golden training workload with a per-shard TraceStore attached.
 
-    Module-level (not a closure) so the mp executor can pickle it into
-    worker processes; each worker opens ``{store_base}.{shard_id}``.
+    Module-level (not a closure) so it also pickles for tcp workers that
+    did not fork from the coordinator; each worker opens
+    ``{store_base}.{shard_id}``.
     """
 
     def __init__(self, protocol, variant, store_base, codec="identity"):

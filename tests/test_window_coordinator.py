@@ -1,8 +1,8 @@
 """The window protocol's two halves, each driven by a scripted twin.
 
-``repro.sim.barrier.coordinate`` is the one barrier loop behind the
-serial, mp and tcp executors, and ``WorkerEndpoint.sync`` the one worker
-barrier.  These tests feed the loop canned rounds through a
+``repro.sim.barrier.coordinate`` is the one barrier loop behind every
+executor (mp runs on the tcp coordinator), and ``WorkerEndpoint.sync``
+the one worker barrier.  These tests feed the loop canned rounds through a
 ``ScriptedLink`` and the endpoint canned answers through a
 ``ScriptedWire`` — no worker threads, processes or fleets — and assert
 what the executors' end-to-end suites cannot see: the exact error each
@@ -10,7 +10,6 @@ divergence raises, *which* workers are sent an abort (including when one
 of them is already dead), and what one ``sync`` puts on its wire.
 """
 
-import multiprocessing
 import pickle
 import queue
 import socket
@@ -23,10 +22,12 @@ from repro.sim.barrier import SyncStatus, Verdict, WorkerEndpoint, coordinate
 from repro.sim.distribution import ShardSpec
 from repro.sim.exchange import ExchangeFrame
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.shard import _PipeLink, _ProcessChannel, _ThreadChannel
+from repro.sim.shard import _ThreadChannel
 from repro.sim.tcpexec import (
+    _K_ABORT,
     _K_DECISION,
     _K_SYNC,
+    TcpCoordinator,
     _TcpChannel,
     recv_frame,
     send_frame,
@@ -40,7 +41,7 @@ LOOKAHEAD = 0.5
 
 class ScriptedLink:
     """Replays canned barrier rounds; records decisions and aborts.
-    Shards in ``dead`` raise on abort like a closed pipe or socket."""
+    Shards in ``dead`` raise on abort like a closed socket."""
 
     def __init__(self, rounds, dead=()):
         self._rounds = iter(rounds)
@@ -177,7 +178,7 @@ def test_wal_divergence_aborts_every_synced_worker(tmp_path):
     ]
     # Resume against the log with shard 1 reporting a different clock:
     # the loop names the field and tells both synced workers — shard 0,
-    # whose pipe is already closed, must not mask the report.
+    # whose socket is already closed, must not mask the report.
     rounds[0][1] = _sync(1, 2.5)
     link = ScriptedLink(rounds, dead=(0,))
     resumed = WalSession(_wal_config(resume=path), 2, LOOKAHEAD)
@@ -192,37 +193,61 @@ def test_wal_divergence_aborts_every_synced_worker(tmp_path):
     assert link.decisions == []
 
 
+def test_window_records_read_the_verified_prefix_then_the_log(tmp_path):
+    """In-run recovery's replay source: the verified prefix comes from the
+    resume log, the windows past it are read back from the file being
+    appended — the session holds no copy of its own."""
+    path = str(tmp_path / "scripted.wal")
+
+    def rounds(windows):
+        return [
+            [_sync(0, 1.0 + b, routed=[(1, b"blob %d" % b)]),
+             _sync(1, 1.0 + b)]
+            for b in range(windows)
+        ] + [[(0, "done", "zero"), (1, "done", "one")]]
+
+    wal = WalSession(_wal_config(wal=path), 2, LOOKAHEAD)
+    coordinate(ScriptedLink(rounds(2)), 2, LOOKAHEAD, wal=wal)
+    wal.close()  # no commit: the run "crashed" after two windows
+    resumed = WalSession(_wal_config(resume=path), 2, LOOKAHEAD)
+    coordinate(ScriptedLink(rounds(4)), 2, LOOKAHEAD, wal=resumed)
+    records = resumed.window_records(4)
+    assert records[:2] == resumed.logged
+    assert [record.barrier for record in records] == [0, 1, 2, 3]
+    assert [record.frames for record in records[2:]] == [
+        {(0, 1): b"blob 2"}, {(0, 1): b"blob 3"}
+    ]
+    assert resumed.window_records(1) == resumed.logged[:1]
+    with pytest.raises(SimulationError, match="no WAL record for window 4"):
+        resumed.window_records(5)
+    resumed.close()
+
+
 def test_a_worker_that_dies_after_its_sync_aborts_the_survivors():
-    """Over real pipes: shard 1 syncs and closes; shard 0 syncs twice.
+    """Over real sockets: shard 1 syncs and closes; shard 0 syncs twice.
     The decision to the dead worker must not crash the loop — the next
     collect names the shard and the survivor is told to abort."""
-    near0, far0 = multiprocessing.Pipe()
-    near1, far1 = multiprocessing.Pipe()
-    _, kind, status = _sync(0, 1.0)
-    far0.send((kind, status))
-    far0.send((kind, status))
-    far1.send((kind, status))
+    link = TcpCoordinator(_wal_config(), 2, LOOKAHEAD)
+    near0, far0 = socket.socketpair()
+    near1, far1 = socket.socketpair()
+    link.connections = [near0, near1]
+    _, _, status = _sync(0, 1.0)
+    for far in (far0, far0, far1):
+        send_frame(far, _K_SYNC, pickle.dumps(status))
     far1.close()
-    with pytest.raises(
-        SimulationError, match="shard worker 1 died mid-window"
-    ):
-        coordinate(_PipeLink([near0, near1]), 2, LOOKAHEAD)
-    assert far0.recv()[0] == "decision"
-    kind, failure = far0.recv()
-    assert kind == "abort"
-    assert "shard worker 1 died mid-window" in failure
-
-
-def test_pipe_link_outlives_a_closed_pipe():
-    near, far = multiprocessing.Pipe()
-    far.close()
-    link = _PipeLink([near])
-    link.send_decision(0, Verdict(1.0, 0.5, 1, [], []))  # returns
-    near.close()  # reading a dead handle is a death too, not a crash
-    assert link.collect(0) == [(0, "error", (
-        "shard worker 0 died mid-window "
-        "(pipe closed without a sync/done/error message)"
-    ))]
+    try:
+        with pytest.raises(
+            SimulationError, match="worker 1 died mid-window"
+        ):
+            coordinate(link, 2, LOOKAHEAD)
+        far0.settimeout(5.0)
+        assert recv_frame(far0, "survivor")[0] == _K_DECISION
+        kind, failure = recv_frame(far0, "survivor")
+        assert kind == _K_ABORT
+        assert b"worker 1 died mid-window" in failure
+    finally:
+        link.close()
+        far0.close()
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +293,6 @@ def _serial(answer):
     down = queue.Queue()
     down.put(answer)
     return _ThreadChannel(0, queue.Queue(), down), []
-
-
-def _mp(answer):
-    near, far = multiprocessing.Pipe()
-    near.send(answer)
-    return _ProcessChannel(0, far), [near, far]
 
 
 def _tcp(answer):
@@ -332,7 +351,7 @@ def test_a_relaying_wire_ships_each_blob_once():
     (_, status), = wire.sent
     blob_bytes = sum(len(blob) for _, blob in status.routed)
     assert blob_bytes > 1000
-    # ... and over the real tcp and mp wires: the sync as it crosses them
+    # ... and over the real tcp wire: the sync as it crosses it
     channel, (near, far) = _tcp(_decision())
     try:
         channel.sync(outbound, INF, -INF, 0, [])
@@ -341,17 +360,8 @@ def test_a_relaying_wire_ships_each_blob_once():
         near.close()
         far.close()
     assert kind == _K_SYNC
-    channel, (near, far) = _mp(_decision())
-    try:
-        channel.sync(outbound, INF, -INF, 0, [])
-        piped = near.recv_bytes()
-    finally:
-        near.close()
-        far.close()
-    for sent in (payload, piped):
-        assert len(sent) <= 1.1 * blob_bytes
+    assert len(payload) <= 1.1 * blob_bytes
     assert pickle.loads(payload) == status
-    assert pickle.loads(piped) == ("sync", status)
 
 
 def test_an_abort_raises_naming_the_shard_and_the_reason():
@@ -373,7 +383,7 @@ def test_finish_and_fail_arrive_as_done_and_error():
     ]
 
 
-@pytest.mark.parametrize("wire", [_scripted, _serial, _mp, _tcp])
+@pytest.mark.parametrize("wire", [_scripted, _serial, _tcp])
 def test_a_frame_tagged_with_the_wrong_barrier_is_refused_on_every_wire(wire):
     stale = ExchangeFrame.from_records(_records(1, [4.0], dst=0)).encode(7)
     channel, handles = wire(_decision([(1, stale)]))
