@@ -42,9 +42,32 @@ class SparseVector:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_counts(cls, counts: Mapping[int, int]) -> "SparseVector":
-        """Build from a term-frequency dictionary."""
-        return cls({k: float(v) for k, v in counts.items()})
+    def from_weights(cls, weights: Mapping[int, float], normalize: bool) -> "SparseVector":
+        """Build a document vector from positive term weights (raw counts
+        included), L2-normalized if ``normalize``, in one dict build.
+
+        Keys keep ``weights``' order, and the arithmetic is the one
+        ``SparseVector(...).normalized()`` does: the squared norm summed in
+        that order from the int 0, ``1.0 / norm`` taken once, each value
+        ``float(weight) * factor``; the squared norm is left uncached.
+        """
+        if not normalize:
+            data = {key: float(weight) for key, weight in weights.items()}
+        else:
+            total = 0
+            for weight in weights.values():
+                weight = float(weight)
+                total += weight * weight
+            norm = math.sqrt(total)
+            if norm == 0.0:
+                data = {}
+            else:
+                factor = 1.0 / norm
+                data = {key: float(weight) * factor for key, weight in weights.items()}
+        vector = cls.__new__(cls)
+        vector._data = data
+        vector._squared_norm = None
+        return vector
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseVector":

@@ -250,9 +250,5 @@ class PorterStemmer:
         return word
 
 
-_DEFAULT_STEMMER = PorterStemmer()
-
-
-def stem(word: str) -> str:
-    """Module-level convenience wrapper around :class:`PorterStemmer`."""
-    return _DEFAULT_STEMMER.stem(word)
+#: module-level convenience: the default :class:`PorterStemmer`'s ``stem``
+stem = PorterStemmer().stem

@@ -5,6 +5,11 @@ sensitive words" so they never enter the feature vectors that may be shared
 with other peers.  :class:`SensitiveWordFilter` implements that contract:
 exact words and simple ``*``-suffix patterns can be registered, and filtering
 is applied *before* stemming so users can reason about surface forms.
+
+Every :meth:`~SensitiveWordFilter.add` and :meth:`~SensitiveWordFilter.remove`
+bumps :attr:`~SensitiveWordFilter.version`; a pipeline that memoises its
+verdict per word drops the memo when the version it filled it under is no
+longer current, so a word registered later never reaches a vector.
 """
 
 from __future__ import annotations
@@ -26,11 +31,14 @@ class SensitiveWordFilter:
     def __init__(self, words: Iterable[str] = ()) -> None:
         self._exact: Set[str] = set()
         self._prefixes: List[str] = []
+        #: bumped by every add / remove: what a memo of verdicts keys on
+        self.version = 0
         for word in words:
             self.add(word)
 
     def add(self, word: str) -> None:
         """Register a sensitive word or ``prefix*`` pattern."""
+        self.version += 1
         cleaned = word.strip().lower()
         if not cleaned:
             return
@@ -43,6 +51,7 @@ class SensitiveWordFilter:
 
     def remove(self, word: str) -> None:
         """Unregister a previously added word or pattern (no-op if absent)."""
+        self.version += 1
         cleaned = word.strip().lower()
         if cleaned.endswith("*"):
             prefix = cleaned[:-1]
@@ -63,6 +72,15 @@ class SensitiveWordFilter:
 
     def __len__(self) -> int:
         return len(self._exact) + len(self._prefixes)
+
+    def __eq__(self, other: object) -> bool:
+        """Same words and patterns (registration order and history aside)."""
+        if not isinstance(other, SensitiveWordFilter):
+            return NotImplemented
+        return (
+            self._exact == other._exact
+            and set(self._prefixes) == set(other._prefixes)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

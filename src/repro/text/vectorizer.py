@@ -15,48 +15,19 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.errors import VocabularyError
 from repro.ml.sparse import SparseVector
 from repro.text.lexicon import Lexicon, stable_word_id
-from repro.text.porter import PorterStemmer
+from repro.text.porter import stem
 from repro.text.sensitive import SensitiveWordFilter
 from repro.text.stopwords import ENGLISH_STOP_WORDS
-from repro.text.tokenizer import tokenize
-
-
-class BagOfWordsVectorizer:
-    """Term-frequency vectorizer over a fixed hashed feature space.
-
-    Parameters
-    ----------
-    dimension:
-        Size of the hashed feature space.  Collisions are possible but rare
-        for realistic vocabularies; the privacy analysis in the paper in fact
-        *benefits* from hashing (ids reveal even less than a shared lexicon).
-    sublinear_tf:
-        If True, use ``1 + log(tf)`` instead of raw term frequency.
-    """
-
-    def __init__(self, dimension: int = 2 ** 18, sublinear_tf: bool = False) -> None:
-        if dimension <= 0:
-            raise VocabularyError("dimension must be positive")
-        self.dimension = dimension
-        self.sublinear_tf = sublinear_tf
-
-    def vectorize_tokens(self, tokens: Sequence[str]) -> SparseVector:
-        """Map stemmed tokens to a sparse TF vector."""
-        counts: Counter = Counter(
-            stable_word_id(token, self.dimension) for token in tokens
-        )
-        if not self.sublinear_tf:
-            return SparseVector.from_counts(counts)
-        return SparseVector({k: 1.0 + math.log(v) for k, v in counts.items()})
+from repro.text.tokenizer import _WORD_RE, tokenize
 
 
 class TfidfTransformer:
-    """Rescales TF vectors by inverse document frequency.
+    """Rescales term weights by inverse document frequency.
 
     IDF statistics are estimated from the *local* training documents of each
     peer (no global coordination needed); ``idf = log((1 + n) / (1 + df)) + 1``
@@ -67,10 +38,12 @@ class TfidfTransformer:
         self._df: Counter = Counter()
         self._num_documents = 0
 
-    def fit(self, vectors: Iterable[SparseVector]) -> "TfidfTransformer":
-        for vector in vectors:
+    def fit(self, documents: Iterable[Iterable[int]]) -> "TfidfTransformer":
+        """Count, per feature id, the documents holding it (each document
+        an iterable of its distinct feature ids: a vector or a TF dict)."""
+        for document in documents:
             self._num_documents += 1
-            for feature_id in vector:
+            for feature_id in document:
                 self._df[feature_id] += 1
         return self
 
@@ -82,22 +55,31 @@ class TfidfTransformer:
         df = self._df.get(feature_id, 0)
         return math.log((1.0 + self._num_documents) / (1.0 + df)) + 1.0
 
-    def transform(self, vector: SparseVector, normalize: bool = True) -> SparseVector:
+    def transform(self, weights: Mapping[int, float]) -> Dict[int, float]:
+        """Each term weight times its feature's IDF, in ``weights``' order."""
         if self._num_documents == 0:
             raise VocabularyError("TfidfTransformer.transform called before fit")
-        weighted = SparseVector(
-            {fid: value * self.idf(fid) for fid, value in vector.items()}
-        )
-        return weighted.normalized() if normalize else weighted
+        return {fid: weight * self.idf(fid) for fid, weight in weights.items()}
 
 
-@dataclass
+#: the memo's verdict for a word the chain drops (too short or long, a stop
+#: word, sensitive); never a feature id
+_DROPPED = -1
+
+
+@dataclass(frozen=True)
 class PreprocessingPipeline:
     """The paper's full preprocessing chain as one configurable object.
 
     ``process(text)`` returns the sparse document vector; ``tokens(text)``
     exposes the intermediate stemmed tokens (used by the library's snippet
     display and by tests).
+
+    The settings are fixed at construction (assigning one raises) and are
+    what two pipelines compare equal on: each distinct word's feature id is
+    worked out once and memoised on the instance, so a setting changed
+    afterwards would silently not apply.  The sensitive-word filter stays
+    mutable; the memo is dropped whenever its :attr:`version` moves.
     """
 
     dimension: int = 2 ** 18
@@ -105,15 +87,18 @@ class PreprocessingPipeline:
     normalize: bool = True
     use_stop_words: bool = True
     min_token_length: int = 2
-    sensitive_filter: SensitiveWordFilter = field(default_factory=SensitiveWordFilter)
-    _stemmer: PorterStemmer = field(default_factory=PorterStemmer, repr=False)
-    _stem_cache: Dict[str, str] = field(default_factory=dict, repr=False)
+    sensitive_filter: SensitiveWordFilter = field(
+        default_factory=SensitiveWordFilter, hash=False
+    )
 
     def __post_init__(self) -> None:
-        self._vectorizer = BagOfWordsVectorizer(
-            dimension=self.dimension, sublinear_tf=self.sublinear_tf
-        )
-        self._tfidf: Optional[TfidfTransformer] = None
+        if self.dimension <= 0:
+            raise VocabularyError("dimension must be positive")
+        # Not settings: the frozen dataclass leaves these out of __eq__.
+        object.__setattr__(self, "_tfidf", None)
+        #: raw regex match -> feature id, or _DROPPED
+        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo_version", self.sensitive_filter.version)
 
     def fit_tfidf(self, texts: Iterable[str]) -> "PreprocessingPipeline":
         """Estimate IDF weights from ``texts`` and enable TF-IDF weighting.
@@ -124,13 +109,10 @@ class PreprocessingPipeline:
         posture is unchanged.
         """
         transformer = TfidfTransformer()
-        transformer.fit(
-            self._vectorizer.vectorize_tokens(self.tokens(text))
-            for text in texts
-        )
+        transformer.fit(self._term_counts(text) for text in texts)
         if transformer.num_documents == 0:
             raise VocabularyError("fit_tfidf needs at least one document")
-        self._tfidf = transformer
+        object.__setattr__(self, "_tfidf", transformer)
         return self
 
     @property
@@ -143,15 +125,30 @@ class PreprocessingPipeline:
         if self.use_stop_words:
             raw = [token for token in raw if token not in ENGLISH_STOP_WORDS]
         raw = self.sensitive_filter.filter(raw)
-        stemmed = []
-        cache = self._stem_cache
-        for token in raw:
-            cached = cache.get(token)
-            if cached is None:
-                cached = self._stemmer.stem(token)
-                cache[token] = cached
-            stemmed.append(cached)
-        return stemmed
+        return [stem(token) for token in raw]
+
+    def _term_counts(self, text: str) -> Dict[int, int]:
+        """Feature id -> term count, in order of first occurrence.
+
+        One pass over the regex matches of ``text``: a word seen before
+        costs a dict lookup; a new one runs :meth:`tokens` on itself once.
+        """
+        memo = self._memo
+        version = self.sensitive_filter.version
+        if version != self._memo_version:
+            memo.clear()
+            object.__setattr__(self, "_memo_version", version)
+        counts: Dict[int, int] = {}
+        for match in _WORD_RE.findall(text.lower()):
+            feature_id = memo.get(match)
+            if feature_id is None:
+                stems = self.tokens(match)
+                feature_id = memo[match] = (
+                    stable_word_id(stems[0], self.dimension) if stems else _DROPPED
+                )
+            counts[feature_id] = counts.get(feature_id, 0) + 1
+        counts.pop(_DROPPED, None)
+        return counts
 
     def process(self, text: str) -> SparseVector:
         """Full chain: text -> sparse TF vector in the hashed feature space.
@@ -160,10 +157,12 @@ class PreprocessingPipeline:
         keeps RBF-kernel distances in [0, 2] — both SVM families depend on
         it for text.
         """
-        vector = self._vectorizer.vectorize_tokens(self.tokens(text))
+        weights = self._term_counts(text)
+        if self.sublinear_tf:
+            weights = {fid: 1.0 + math.log(count) for fid, count in weights.items()}
         if self._tfidf is not None:
-            return self._tfidf.transform(vector, normalize=self.normalize)
-        return vector.normalized() if self.normalize else vector
+            weights = self._tfidf.transform(weights)
+        return SparseVector.from_weights(weights, self.normalize)
 
     def process_many(self, texts: Iterable[str]) -> List[SparseVector]:
         return [self.process(text) for text in texts]

@@ -1,5 +1,7 @@
 """Tests for the lexicon and vectorization pipeline."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import VocabularyError
@@ -7,7 +9,6 @@ from repro.ml.sparse import SparseVector
 from repro.text.lexicon import Lexicon, stable_word_id
 from repro.text.sensitive import SensitiveWordFilter
 from repro.text.vectorizer import (
-    BagOfWordsVectorizer,
     PreprocessingPipeline,
     TfidfTransformer,
     build_lexicon,
@@ -78,42 +79,44 @@ class TestLexicon:
 
 class TestBagOfWords:
     def test_counts_repeated_tokens(self):
-        vec = BagOfWordsVectorizer(dimension=2 ** 16)
-        v = vec.vectorize_tokens(["tag", "tag", "peer"])
+        pipeline = PreprocessingPipeline(dimension=2 ** 16, normalize=False)
+        v = pipeline.process("tag tag peer")
         tag_id = stable_word_id("tag", 2 ** 16)
         assert v[tag_id] == 2.0
 
     def test_sublinear_tf(self):
-        vec = BagOfWordsVectorizer(dimension=2 ** 16, sublinear_tf=True)
-        v = vec.vectorize_tokens(["tag"] * 10)
+        pipeline = PreprocessingPipeline(
+            dimension=2 ** 16, sublinear_tf=True, normalize=False
+        )
+        v = pipeline.process(" ".join(["tag"] * 10))
         tag_id = stable_word_id("tag", 2 ** 16)
         assert 1.0 < v[tag_id] < 10.0
 
     def test_empty_tokens(self):
-        vec = BagOfWordsVectorizer()
-        assert vec.vectorize_tokens([]).nnz == 0
+        assert PreprocessingPipeline().process("the a of 42").nnz == 0
 
     def test_bad_dimension_raises(self):
         with pytest.raises(VocabularyError):
-            BagOfWordsVectorizer(dimension=0)
+            PreprocessingPipeline(dimension=0)
 
 
 class TestTfidf:
     def test_transform_before_fit_raises(self):
         with pytest.raises(VocabularyError):
-            TfidfTransformer().transform(SparseVector({1: 1.0}))
+            TfidfTransformer().transform({1: 1.0})
 
     def test_rare_features_upweighted(self):
         common = SparseVector({1: 1.0})
         rare = SparseVector({2: 1.0})
         both = SparseVector({1: 1.0, 2: 1.0})
         transformer = TfidfTransformer().fit([common, common, common, both])
-        weighted = transformer.transform(both, normalize=False)
+        weighted = transformer.transform({1: 1, 2: 1})
         assert weighted[2] > weighted[1]
+        assert list(weighted) == [1, 2]
 
     def test_normalized_output(self):
         t = TfidfTransformer().fit([SparseVector({1: 1.0, 2: 2.0})])
-        out = t.transform(SparseVector({1: 3.0, 2: 1.0}))
+        out = SparseVector.from_weights(t.transform({1: 3, 2: 1}), normalize=True)
         assert out.norm() == pytest.approx(1.0)
 
 
@@ -184,3 +187,59 @@ class TestPipelineTfidf:
         pipeline.fit_tfidf(["a word here", "another word there"])
         vector = pipeline.process("word word word")
         assert vector.norm() != pytest.approx(1.0)
+
+
+class TestPipelineSettings:
+    SETTINGS = [
+        ("dimension", 16),
+        ("sublinear_tf", True),
+        ("normalize", False),
+        ("use_stop_words", False),
+        ("min_token_length", 1),
+        ("sensitive_filter", SensitiveWordFilter(["peer*"])),
+    ]
+
+    def test_settings_are_read_only_after_construction(self):
+        pipeline = PreprocessingPipeline()
+        before = pipeline.process("hello world network peers")
+        for name, value in self.SETTINGS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pipeline, name, value)
+        # nothing half-applied: the memo and the settings still agree
+        assert pipeline.process("hello world network peers") == before
+
+    def test_pipelines_compare_on_settings_only(self):
+        assert PreprocessingPipeline() == PreprocessingPipeline()
+        used = PreprocessingPipeline()
+        used.process("peers tag shared documents")
+        assert used == PreprocessingPipeline()
+        assert hash(used) == hash(PreprocessingPipeline())
+        for name, value in self.SETTINGS:
+            assert PreprocessingPipeline(**{name: value}) != PreprocessingPipeline()
+        assert PreprocessingPipeline(
+            sensitive_filter=SensitiveWordFilter(["salar*", "budget"])
+        ) == PreprocessingPipeline(
+            sensitive_filter=SensitiveWordFilter(["budget", "salar*"])
+        )
+
+
+class TestSensitiveWordsAfterUse:
+    def test_a_word_registered_after_use_is_dropped(self):
+        pipeline = PreprocessingPipeline()
+        salary = stable_word_id(pipeline.tokens("salary")[0], pipeline.dimension)
+        assert salary in pipeline.process("salary budget")
+        pipeline.sensitive_filter.add("salar*")
+        assert salary not in pipeline.process("salary budget")
+        assert salary not in pipeline.process("salaries")
+        pipeline.sensitive_filter.remove("salar*")
+        assert salary in pipeline.process("salary budget")
+
+    def test_a_filter_shared_by_two_pipelines_reaches_both(self):
+        shared = SensitiveWordFilter()
+        first = PreprocessingPipeline(sensitive_filter=shared)
+        second = PreprocessingPipeline(sensitive_filter=shared)
+        budget = stable_word_id("budget", first.dimension)
+        assert budget in first.process("budget") and budget in second.process("budget")
+        shared.add("budget")
+        assert budget not in first.process("budget")
+        assert budget not in second.process("budget")

@@ -63,8 +63,9 @@ through the class ``__dict__``, so moving either blinds the ledger's
 (m) The array kernels declare the plain left-to-right sum their contract,
 so neither they (``gram_matrix``, ``KernelSVM.fit``, ``LinearSVM.fit``,
 ``RowTable.dots``, PACE's ``predict_scores`` and its prediction block), nor
-the three ``SparseVector`` sums every digest hangs on (``dot``,
-``dot_dense``, ``squared_norm``), nor their oracles in
+the four ``SparseVector`` sums every digest hangs on (``dot``,
+``dot_dense``, ``squared_norm`` and the norm ``from_weights`` divides every
+document vector by), nor their oracles in
 ``tests/reference/ml_scalar.py`` call the builtin ``sum`` — CPython >= 3.12
 compensates it, and an oracle written with it would agree with the kernels
 on one interpreter and not on the next.
@@ -134,6 +135,12 @@ coordinator with every slot forked locally — and ``sim/shard.py`` defines
 exactly one barrier link (a class with a ``collect``): the serial
 executor's ``_ThreadLink``.  A pipe link beside the socket one is how mp
 and tcp came to handle a dead worker two ways.
+
+(y) One text path.  Under ``src/repro`` only ``text/vectorizer.py`` calls
+``tokenize``, ``stable_word_id`` or a stemmer's ``stem`` — by bare name or
+as an attribute.  ``PreprocessingPipeline`` memoises each word's feature
+id and drops the memo when the sensitive-word filter changes; a second
+caller of the chain would hold its own verdicts that nothing invalidates.
 """
 
 import ast
@@ -589,6 +596,7 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (ml / "sparse.py", "SparseVector.dot"),
         (ml / "sparse.py", "SparseVector.dot_dense"),
         (ml / "sparse.py", "SparseVector.squared_norm"),
+        (ml / "sparse.py", "SparseVector.from_weights"),
         (ml / "sparse.py", "RowTable"),
         (pace, "_PredictionBlock"),
         (pace, "PaceClassifier.predict_scores"),
@@ -1159,3 +1167,36 @@ def test_one_multi_process_fleet_and_no_pipe_link():
         )
     ]
     assert links == ["_ThreadLink"]
+
+
+_TEXT_CHAIN = {"tokenize", "stable_word_id", "stem"}
+
+
+def _text_chain_calls(text):
+    """Line numbers of ``text`` that call ``tokenize``, ``stable_word_id``
+    or ``stem``, as a bare name or as an attribute."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) in _TEXT_CHAIN
+            or getattr(node.func, "attr", None) in _TEXT_CHAIN
+        )
+    })
+
+
+def test_one_text_path():
+    assert _text_chain_calls(
+        "words = tokenize(text, min_length=2)\n"
+        "feature = lexicon.stable_word_id(word, 64)\n"
+        "root = self._stemmer.stem(word)\n"
+        "name = path.stem\n"
+        "stem = PorterStemmer().stem\n"
+        "root = stem(word)\n"
+    ) == [1, 2, 3, 6]  # calls, not mentions
+    src = ROOT / "src" / "repro"
+    calling = {
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if _text_chain_calls(path.read_text(encoding="utf-8"))
+    }
+    assert calling == {"text/vectorizer.py"}

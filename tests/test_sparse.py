@@ -33,9 +33,10 @@ class TestConstruction:
         assert v.nnz == 1
 
     def test_from_counts(self):
-        v = SparseVector.from_counts({5: 2, 9: 1})
+        v = SparseVector.from_weights({5: 2, 9: 1}, normalize=False)
         assert v[5] == 2.0
         assert v[9] == 1.0
+        assert all(type(value) is float for value in v.values())
 
     def test_from_dense_roundtrip(self):
         dense = np.array([0.0, 1.5, 0.0, -2.0])
@@ -175,7 +176,8 @@ def test_builders_return_fresh_vectors_with_their_own_norm(a, b, factor):
         va.scale(factor),
         va.normalized(),
         SparseVector.from_dense(va.to_dense(201)),
-        SparseVector.from_counts({key: 3 for key in a}),
+        SparseVector.from_weights({key: 3 for key in a}, normalize=False),
+        SparseVector.from_weights({key: 3 for key in a}, normalize=True),
         SparseVector(va.to_dict()),
     ]
     for fresh in built:
@@ -186,6 +188,28 @@ def test_builders_return_fresh_vectors_with_their_own_norm(a, b, factor):
     assert va == sv(a) and vb == sv(b)
     assert va.squared_norm() == norm_a == squared_norm(va)
     assert vb.squared_norm() == norm_b == squared_norm(vb)
+
+
+_term_weights = st.dictionaries(
+    keys=st.integers(min_value=0, max_value=2 ** 18),
+    values=st.one_of(
+        st.integers(min_value=1, max_value=10 ** 6),
+        st.floats(min_value=1e-3, max_value=1e6),
+    ),
+    max_size=40,
+)
+
+
+@given(_term_weights, st.booleans())
+def test_from_weights_is_the_float_vector_normalized_bit_for_bit(weights, normalize):
+    built = SparseVector.from_weights(weights, normalize)
+    expected = SparseVector({key: float(w) for key, w in weights.items()})
+    if normalize:
+        expected = expected.normalized()
+    assert [(k, v.hex()) for k, v in built.items()] == [
+        (k, v.hex()) for k, v in expected.items()
+    ]
+    assert built._squared_norm is None  # summed on first use, like the rest
 
 
 @given(sparse_entries)
