@@ -9,10 +9,11 @@ over TCP — :class:`_TcpChannel` is the endpoint's *wire* — so shards can
 live on other machines while every observable stays byte-identical to
 the serial reference (the equivalence fuzz in
 ``tests/test_shard_equivalence.py`` proves it over localhost).
-:class:`TcpCoordinator` is the loop's *link*: it assembles the fleet, and
-its collect step is the supervision pump — heartbeats, death detection,
-and in-run recovery all happen while one barrier round is being
-gathered, invisible to the loop.
+:class:`TcpCoordinator` is the loop's *link* and the thin shell around
+:class:`Supervisor`, the sans-IO machine that takes every supervision
+decision — handshakes, heartbeats, death detection and in-run recovery
+all happen while one barrier round is being gathered, invisible to the
+loop.
 
 Workers start per the ``--hosts`` placement (:func:`parse_hosts`).  A
 ``local`` worker is forked from the coordinator — the one fork,
@@ -73,26 +74,23 @@ Self-healing (the fault plane's recovery side)
 ----------------------------------------------
 
 When a run carries a WAL (``--wal``), a worker death mid-window is no
-longer fleet-fatal: the coordinator's supervision loop quarantines the
-dead connection, respawns the slot per its ``--hosts`` placement
-(bounded by ``REPRO_TCP_MAX_RESPAWNS``), handshakes the replacement
-with a ``RECOVER`` frame (``WELCOME`` plus the barrier to replay to,
-fingerprint-checked the same way), and replays it to the current
-barrier from the WAL's window records — the resume log's verified
-prefix, then the log being appended, read back from disk: the newcomer
-re-executes the workload from scratch, every replayed sync is verified
-field-by-field (and frame-blob byte-for-byte) against the log, and the
-logged decisions are served back — so by the time it reaches the live
-barrier it is bit-identical to the worker it replaced, and the run's
-final digest cannot move.  The slot refills through the same accept loop
-that assembled the fleet, with the same supervision pump answering the
-parked workers' heartbeats between accepts; a newcomer's HELLO is read
-under the heartbeat interval, so a connection that says nothing cannot
-starve them.  Stale, duplicate or malformed connections that dial in
-during recovery are rejected and counted as quarantined.  Without a WAL
-the crash degrades gracefully to the pre-recovery behavior: a loud abort
-naming the missing checkpoint.  All recovery accounting lands in the
-``StatsCollector.faults`` family (never fingerprinted).
+longer fleet-fatal: the :class:`Supervisor` quarantines the dead
+connection, respawns the slot per its ``--hosts`` placement (bounded by
+``REPRO_TCP_MAX_RESPAWNS``), greets the replacement with ``RECOVER``
+(``WELCOME`` plus the barrier to replay to), and replays it to the
+current barrier from the WAL's window records (the resume log's
+verified prefix, then the log being appended, read back from disk): the
+newcomer re-executes the workload from scratch, every replayed sync is
+verified field-by-field (frame blobs byte-for-byte) against the log and
+the logged decisions are served back, so it reaches the live barrier
+bit-identical to the worker it replaced and the digest cannot move.
+The shell's one ``select`` covers the listener and every connection, so
+parked workers get PONGs while the slot refills, and a handshake is one
+event per frame with a deadline per step: no connection that is silent,
+half-spoken or hung up can stall them.  Strays that dial in once the fleet
+is up are turned away and counted as quarantined.  Without a WAL the
+crash is a loud abort naming the missing checkpoint.  Recovery counts
+land in ``StatsCollector.faults`` (never fingerprinted).
 
 The WAL integrates unchanged: the coordinator owns the log
 (:class:`~repro.sim.wal.WalSession` never leaves its process), workers
@@ -124,7 +122,9 @@ import sys
 import threading
 import time
 from collections import Counter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.envutil import env_float, env_int
 from repro.errors import ConfigurationError, SimulationError
@@ -166,9 +166,9 @@ _K_RECOVER = 11
 _K_PING = 12
 _K_PONG = 13
 
-#: internal supervision-loop sentinel (never on the wire): a shard whose
-#: connection died before delivering a protocol frame
-_K_DEAD = -1
+#: how often the shell polls an open slot's process for an early exit
+#: (a ``Popen`` cannot be selected on); never while every slot is bound
+_POLL_S = 0.2
 
 TCP_TIMEOUT_ENV = "REPRO_TCP_TIMEOUT_S"
 TCP_RETRIES_ENV = "REPRO_TCP_RETRIES"
@@ -625,13 +625,355 @@ def worker_main(
 
 
 # ---------------------------------------------------------------------------
-# Coordinator.
+# Coordinator: the supervision machine and its socket shell.
 # ---------------------------------------------------------------------------
+
+
+def _json_object(payload: bytes) -> Optional[Dict[str, Any]]:
+    """A handshake frame's JSON object, or None for anything else."""
+    try:
+        value = json.loads(payload.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return value if isinstance(value, dict) else None
+
+
+class Supervisor:
+    """Every supervision decision of a process fleet, as a sans-IO machine.
+
+    Its shell (:class:`TcpCoordinator`) feeds it events — :meth:`opened`,
+    :meth:`frame`, :meth:`closed` (EOF or garbage), :meth:`exited`, and
+    :meth:`expire` at :meth:`deadline` — and carries out the actions each
+    returns, in order: ``("send", conn, kind, payload)``,
+    ``("close", conn)``, ``("bind", conn, shard)`` (a handshake completed),
+    ``("spawn", shard)``, ``("decide", shard, verdict)`` (a replayed
+    window's logged decision), ``("abort", failure, report)`` (abort the
+    fleet with ``failure``, raise ``report``) and, last, ``("done",
+    messages)``: the phase — :meth:`assemble`, or one barrier round of
+    :meth:`collect` — is complete.  A connection is the shell's handle
+    while it handshakes and its shard id once bound.  The clock is
+    injected and nothing here blocks, so no connection can hold the fleet.
+    """
+
+    def __init__(
+        self, num_shards: int, timeout: float, max_respawns: int,
+        window_records: Optional[Callable[[int], list]],
+        clock: Callable[[], float], fingerprint: str = "",
+        sys_path: Sequence[str] = (),
+    ) -> None:
+        self.num_shards = num_shards
+        self.timeout = timeout
+        self.max_respawns = self.budget = max_respawns
+        #: ``wal.window_records``, the replay source; None without a WAL
+        self.window_records = window_records
+        self.clock = clock
+        #: fault/recovery accounting, merged into the run's
+        #: ``StatsCollector.faults`` family (never fingerprinted)
+        self.faults: Counter = Counter()
+        self.rejected = 0  # connections turned away
+        self.assembling = False
+        self.job: Dict[str, Any] = {}
+        self.welcome = dict(
+            version=PROTOCOL_VERSION, fingerprint=fingerprint,
+            sys_path=list(sys_path),
+        )
+        #: the round: shards whose frame is still awaited, frames already in
+        self.barrier = 0
+        self.pending = set(range(num_shards))
+        self.results: Dict[int, Tuple[str, Any]] = {}
+        self.last_seen: Dict[int, float] = {}
+        #: open slots and the instant each must be claimed by
+        self.open: Dict[int, float] = {}
+        #: handshaking connections: [deadline, the slot claimed at HELLO]
+        self.greeting: Dict[Any, list] = {}
+        #: recovering slots and the logged windows left to replay to them
+        self.replaying: Dict[int, list] = {}
+        #: quarantined shards nobody awaited yet, and why — surfaced once,
+        #: when the next round awaits them
+        self.dead: Dict[int, str] = {}
+
+    def assemble(self, job: Dict[str, Any]) -> List[tuple]:
+        """Open every slot for one read deadline and spawn its worker."""
+        self.job, self.assembling = job, True
+        deadline = self.clock() + self.timeout
+        self.open = dict.fromkeys(range(self.num_shards), deadline)
+        return [("spawn", shard) for shard in range(self.num_shards)]
+
+    def collect(self, barrier: int) -> List[tuple]:
+        """Await one frame per shard at ``barrier`` (one that came in while
+        the fleet assembled already counts for barrier 0)."""
+        if barrier != self.barrier:
+            self.barrier, self.results = barrier, {}
+            self.pending = set(range(self.num_shards))
+        bound = self.pending - set(self.open)
+        self.last_seen.update(dict.fromkeys(bound, self.clock()))
+        actions: List[tuple] = []
+        for shard in sorted(self.pending & self.dead.keys()):
+            actions += self._death(shard, self.dead.pop(shard))
+        return actions + self._progress()
+
+    def deadline(self) -> float:
+        """The next instant :meth:`expire` has something to decide — every
+        state that awaits anything has one."""
+        return min([
+            *self.open.values(), *(at for at, _ in self.greeting.values()),
+            *(self.last_seen[shard] + self.timeout
+              for shard in self.pending - set(self.open)),
+        ])
+
+    def opened(self, conn: Any) -> List[tuple]:
+        """A new connection has one heartbeat interval to say HELLO."""
+        deadline = self.clock() + heartbeat_interval(self.timeout)
+        self.greeting[conn] = [deadline, None]
+        return []
+
+    def frame(self, conn: Any, kind: int, payload: bytes) -> List[tuple]:
+        """One whole frame came in on ``conn``."""
+        if conn in self.greeting:
+            return self._handshake(conn, kind, payload)
+        self.last_seen[conn] = self.clock()
+        if kind == _K_PING:
+            self.faults["heartbeats"] += 1
+            return [("send", conn, _K_PONG, b"")]
+        if conn in self.replaying:
+            return self._replayed(conn, kind, payload)
+        if conn not in self.pending:
+            return self._quarantine(conn, (
+                f"worker {conn} sent unexpected frame kind {kind} out of turn"
+            ))
+        self.pending.discard(conn)
+        if kind in (_K_SYNC, _K_DONE):
+            name = "sync" if kind == _K_SYNC else "done"
+            self.results[conn] = (name, pickle.loads(payload))
+        elif kind == _K_ERROR:
+            self.results[conn] = ("error", payload.decode("utf-8", "replace"))
+        else:
+            self.results[conn] = ("error", (
+                f"worker {conn} sent unexpected frame kind {kind} at barrier "
+                f"{self.barrier}"
+            ))
+        return self._progress()
+
+    def closed(self, conn: Any, reason: str) -> List[tuple]:
+        """``conn`` hit EOF, or sent garbage no frame can be read from."""
+        if conn in self.greeting:
+            return self._turn_away(conn)
+        return self._quarantine(conn, (
+            f"worker {conn} died mid-window (no sync/done/error message: "
+            f"{reason})"
+        ))
+
+    def exited(self, shard: int, code: int) -> List[tuple]:
+        """The current process of slot ``shard`` exited with ``code``."""
+        if code == 0 or shard not in self.open:
+            return []
+        return _abort(
+            f"tcp worker process for shard {shard} exited with code {code} "
+            "before completing its handshake"
+        )
+
+    def expire(self) -> List[tuple]:
+        """Act on every deadline the clock has reached."""
+        now = self.clock()
+        if any(deadline <= now for deadline in self.open.values()):
+            return _abort(
+                f"tcp coordinator timed out after {self.timeout:.0f}s "
+                f"({TCP_TIMEOUT_ENV}) waiting for workers to claim shards "
+                f"{sorted(self.open)}"
+            )
+        actions: List[tuple] = []
+        for conn, (deadline, _) in list(self.greeting.items()):
+            if deadline <= now:
+                actions += self._turn_away(conn)
+        for shard in sorted(self.pending - set(self.open)):
+            # A half-open socket: a live shard in a long compute window
+            # keeps pinging and never lands here.
+            if self.last_seen[shard] + self.timeout <= now:
+                actions += self._quarantine(shard, (
+                    f"worker {shard} died mid-window (no sync/done/error "
+                    f"message: tcp coordinator waiting on shard {shard} at "
+                    f"barrier {self.barrier}: no data within the "
+                    f"{self.timeout:.0f}s deadline ({TCP_TIMEOUT_ENV}))"
+                ))
+                if actions[-1][0] == "abort":  # the fleet is going down
+                    break
+        return actions
+
+    def _handshake(self, conn: Any, kind: int, payload: bytes) -> List[tuple]:
+        """HELLO → WELCOME/RECOVER (+ JOB to a worker holding none) →
+        READY, one frame per event.  A version or fingerprint mismatch is
+        run-fatal; a bad, taken or out-of-range claim is turned away and
+        the slot stays open."""
+        claim = self.greeting[conn][1]
+        if claim is not None:
+            return self._ready(conn, claim, kind, payload)
+        hello = _json_object(payload) if kind == _K_HELLO else None
+        if hello is None:
+            return self._turn_away(conn, "expected a HELLO frame")
+        if hello.get("version") != PROTOCOL_VERSION:
+            return self._turn_away(conn, (
+                "tcp protocol version mismatch: worker speaks "
+                f"{hello.get('version')}, coordinator speaks "
+                f"{PROTOCOL_VERSION}"
+            ), fatal=True)
+        claim = hello.get("shard", -1)
+        if type(claim) is not int:  # a string, null, list, bool or float
+            return self._turn_away(
+                conn, f"shard id {claim!r} is not an integer"
+            )
+        if claim == -1 and self.open:  # the lowest slot nobody is claiming
+            claimed = {slot for _, slot in self.greeting.values()}
+            claim = min(set(self.open) - claimed or self.open)
+        if claim not in self.open:
+            return self._turn_away(conn, (
+                f"shard id {claim} is already claimed or out of range "
+                f"(open slots: {sorted(self.open)})"
+            ))
+        self.greeting[conn] = [self.clock() + self.timeout, claim]
+        welcome, reply = dict(self.welcome, shard=claim), _K_WELCOME
+        if claim in self.replaying:  # a recovered slot: replay it to here
+            welcome["barrier"], reply = self.barrier, _K_RECOVER
+        actions = [("send", conn, reply, json.dumps(welcome).encode("utf-8"))]
+        if hello.get("forked") is not True:
+            job = pickle.dumps(self.job, protocol=pickle.HIGHEST_PROTOCOL)
+            actions.append(("send", conn, _K_JOB, job))
+        return actions
+
+    def _ready(
+        self, conn: Any, claim: int, kind: int, payload: bytes
+    ) -> List[tuple]:
+        if kind == _K_ERROR:
+            return _abort(
+                f"tcp worker for shard {claim} failed its handshake: "
+                + payload.decode("utf-8", "replace")
+            )
+        ready = _json_object(payload) if kind == _K_READY else None
+        if ready is None:
+            return self._turn_away(
+                conn, f"expected READY, got frame kind {kind}"
+            )
+        if claim not in self.open:  # a rival claimant's READY came first
+            return self._turn_away(
+                conn, f"shard id {claim} is already claimed"
+            )
+        if ready.get("fingerprint") != self.welcome["fingerprint"]:
+            return self._turn_away(conn, (
+                f"config fingerprint mismatch: worker for shard {claim} "
+                f"computed {ready.get('fingerprint')}, coordinator has "
+                f"{self.welcome['fingerprint']} — the fleet disagrees about "
+                "the scenario"
+            ), fatal=True)
+        del self.greeting[conn], self.open[claim]
+        self.last_seen[claim] = self.clock()
+        self._caught_up(claim)
+        return [("bind", conn, claim)] + self._progress()
+
+    def _turn_away(
+        self, conn: Any, message: Optional[str] = None, fatal: bool = False
+    ) -> List[tuple]:
+        """Drop a handshaking connection (with an ERROR frame when there is
+        something to say); once the fleet is up it counts as quarantined.
+        ``fatal``: the whole fleet goes down with it."""
+        del self.greeting[conn]
+        self.rejected += 1
+        if not self.assembling:
+            self.faults["quarantined_connections"] += 1
+        if message is None:
+            return [("close", conn)]
+        error = ("send", conn, _K_ERROR, message.encode("utf-8"))
+        return [error, ("close", conn)] + (_abort(message) if fatal else [])
+
+    def _quarantine(self, shard: int, reason: str) -> List[tuple]:
+        """Close a dead or misbehaving shard's link.  An awaited shard's
+        death is handled now; any other's when the next round awaits it."""
+        if shard not in self.pending:
+            self.dead[shard] = reason
+            return [("close", shard)]
+        return [("close", shard)] + self._death(shard, reason)
+
+    def _death(self, shard: int, reason: str) -> List[tuple]:
+        """Respawn an awaited shard's slot, to be RECOVERed and replayed to
+        this barrier from the WAL — or abort the fleet: no WAL to replay
+        from (naming the missing checkpoint), the respawn budget spent, or
+        the replacement itself dying mid-replay."""
+        if shard in self.replaying:
+            window = self.barrier - len(self.replaying[shard])
+            return _abort(
+                f"replacement worker for shard {shard} failed during WAL "
+                f"replay at window {window}:\n{reason}"
+            )
+        self.faults["worker_deaths"] += 1
+        failure = None
+        if self.window_records is None:
+            failure = (
+                f"{reason}; no WAL checkpoint to replay a replacement worker "
+                "from — run with --wal PATH to enable in-run recovery"
+            )
+        elif self.budget <= 0:
+            failure = (
+                f"{reason}; worker respawn budget exhausted "
+                f"({TCP_MAX_RESPAWNS_ENV}={self.max_respawns})"
+            )
+        if failure is not None:
+            return _abort(failure, f"tcp shard worker failed:\n{failure}")
+        try:
+            self.replaying[shard] = list(self.window_records(self.barrier))
+        except SimulationError as exc:
+            return _abort(str(exc))
+        self.budget -= 1
+        self.open[shard] = self.clock() + self.timeout
+        return [("spawn", shard)]
+
+    def _replayed(self, shard: int, kind: int, payload: bytes) -> List[tuple]:
+        """One logged window for a replacement: its sync is verified against
+        the WAL's record (scalars field by field, frame blobs byte for byte
+        — resume's discipline) and the logged decision is served back
+        through :func:`~repro.sim.barrier.verdict_for`.  Its outbound
+        frames are dropped: the first incarnation delivered them."""
+        if kind == _K_ERROR:
+            return self._death(shard, payload.decode("utf-8", "replace"))
+        if kind != _K_SYNC:
+            return self._death(shard, f"sent frame kind {kind}, not a sync")
+        record = self.replaying[shard].pop(0)
+        status = pickle.loads(payload)
+        try:
+            verify_shard_window(
+                record, shard, status.logged, status.routed, prefix="RECOVER"
+            )
+        except SimulationError as exc:
+            return _abort(str(exc))
+        self.faults["replayed_windows"] += 1
+        self._caught_up(shard)
+        return [("decide", shard, verdict_for(
+            shard, self.num_shards, record.window_start, record.global_last,
+            record.total_executed, record.frames, record.control,
+        ))]
+
+    def _caught_up(self, shard: int) -> None:
+        """A replacement that has replayed every logged window is live."""
+        if self.replaying.get(shard) == []:
+            del self.replaying[shard]
+            self.faults["respawns"] += 1
+
+    def _progress(self) -> List[tuple]:
+        """``done`` once no slot is open and — past assembly — every
+        awaited frame is in."""
+        if self.open or (self.pending and not self.assembling):
+            return []
+        self.assembling = False
+        return [("done", [
+            (shard, *self.results[shard]) for shard in sorted(self.results)
+        ])]
+
+
+def _abort(failure: str, report: Optional[str] = None) -> List[tuple]:
+    """The supervisor's one fatal action."""
+    return [("abort", failure, report or failure)]
 
 
 class _ForkedWorker:
     """A ``local`` worker forked from the coordinator, behind the slice of
-    :class:`subprocess.Popen` the accept loop and teardown use — ``poll``,
+    :class:`subprocess.Popen` the shell and teardown use — ``poll``,
     ``wait``, ``terminate``, ``kill`` — so an ssh slot's process and a
     forked one are handled alike."""
 
@@ -658,15 +1000,15 @@ class _ForkedWorker:
 
 
 class TcpCoordinator:
-    """The listening side of a tcp run: forks, launches or awaits K
-    workers per the ``--hosts`` placement (a ``local`` slot is forked from
-    this process, ``ssh:HOST`` runs ``repro worker`` over ssh, ``wait``
-    starts nothing) and is
-    the :func:`~repro.sim.barrier.coordinate` loop's link to them — one
-    socket per worker, every exchange blob relayed through the decision
-    frames.  Its :meth:`collect` is a supervision pump that answers
-    heartbeats and (on WAL runs) respawns and replays workers that die
-    mid-window."""
+    """The listening side of a tcp run and the shell around its
+    :class:`Supervisor`: forks, launches or awaits K workers per the
+    ``--hosts`` placement (a ``local`` slot is forked from this process,
+    ``ssh:HOST`` runs ``repro worker`` over ssh, ``wait`` starts nothing)
+    and is the :func:`~repro.sim.barrier.coordinate` loop's link to them —
+    one socket per worker, every exchange blob relayed through the
+    decision frames.  It decides nothing: one ``select`` over the listener
+    and every connection turns readability into the supervisor's events,
+    and its actions into socket and process calls."""
 
     def __init__(
         self,
@@ -687,9 +1029,7 @@ class TcpCoordinator:
         )
         self.listener: Optional[socket.socket] = None
         self.address: Optional[Tuple[str, int]] = None
-        self.connections: List[Optional[socket.socket]] = (
-            [None] * num_shards
-        )
+        self.connections: List[Optional[socket.socket]] = [None] * num_shards
         #: the *current* process per slot — a :class:`_ForkedWorker` for
         #: "local", a ``subprocess.Popen`` for "ssh:HOST", none for "wait"
         self.processes: Dict[int, Any] = {}
@@ -697,27 +1037,17 @@ class TcpCoordinator:
         #: exit code of the death already healed, so nothing polls it
         #: again — :meth:`close` reaps it
         self._reap: List[Any] = []
-        #: connections the accept loop turned away (garbage, bad claims)
-        self.rejected = 0
-        #: fault/recovery accounting: merged into the run's
-        #: ``StatsCollector.faults`` family (never fingerprinted)
-        self.faults = Counter()
-        #: why each quarantined connection died — surfaced when the
-        #: supervision loop next awaits that shard
-        self._failed: Dict[int, str] = {}
-        self._respawn_budget = tcp_max_respawns()
+        self.supervisor = Supervisor(
+            num_shards, self.timeout, tcp_max_respawns(),
+            wal.window_records if wal is not None else None, time.monotonic,
+            fingerprint_digest(config), self._sys_path(),
+        )
+        self.faults = self.supervisor.faults
         #: reconnect-jitter base handed to spawned workers: the fault
         #: plane's seed when one is configured, so recovery timing is
         #: reproducible from the same knob that schedules the faults
         plan = FaultPlan.parse(getattr(config, "faults", None))
         self._backoff_seed = plan.seed if plan is not None else 0
-        #: the JOB and the fleet's config fingerprint — set by :meth:`run`;
-        #: a forked worker reads the job from fork memory, any other is
-        #: sent it pickled
-        self._job: Dict[str, Any] = {}
-        self._fingerprint = ""
-
-    # -- fleet assembly ------------------------------------------------------
 
     def bind(self) -> Tuple[str, int]:
         """Open the listener; returns the bound (host, port) — resolved
@@ -730,8 +1060,7 @@ class TcpCoordinator:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
         listener.listen(self.num_shards + 4)
-        self.listener = listener
-        self.address = listener.getsockname()[:2]
+        self.listener, self.address = listener, listener.getsockname()[:2]
         return self.address
 
     def _spawn_one(self, shard_id: int, entry: str) -> None:
@@ -742,11 +1071,9 @@ class TcpCoordinator:
         else:  # ssh:HOST — the remote python must have repro installed
             host, port = self.address
             process = subprocess.Popen([
-                "ssh", entry[len("ssh:"):], "python3",
-                "-m", "repro.cli", "worker",
-                "--connect", f"{host}:{port}",
-                "--shard", str(shard_id),
-                "--backoff-seed", str(self._backoff_seed),
+                "ssh", entry[len("ssh:"):], "python3", "-m", "repro.cli",
+                "worker", "--connect", f"{host}:{port}", "--shard",
+                str(shard_id), "--backoff-seed", str(self._backoff_seed),
             ])
         if shard_id in self.processes:
             self._reap.append(self.processes[shard_id])
@@ -756,440 +1083,119 @@ class TcpCoordinator:
         """A ``local`` slot's whole life, in the forked child.
 
         The child first closes its copies of the listener and of every
-        live worker connection: a replacement forked mid-run that kept a
-        sibling's coordinator socket open would stop that sibling from
-        ever seeing EOF.  It leaves by ``os._exit`` (no atexit, no
-        inherited teardown); an exception instead propagates to the fork's
-        bootstrap, which prints it and exits 1 — the accept loop's
-        "exited with code 1 before completing its handshake".
+        worker connection, handshaking ones included: a replacement forked
+        mid-run that kept a sibling's coordinator socket open would stop
+        that sibling from ever seeing EOF.  It leaves by ``os._exit`` (no
+        atexit, no inherited teardown); an exception instead propagates to
+        the fork's bootstrap, which prints it and exits 1 — "exited with
+        code 1 before completing its handshake".
         """
-        for sock in [self.listener, *self.connections]:
+        greeting = self.supervisor.greeting
+        for sock in [self.listener, *self.connections, *greeting]:
             if sock is not None:
                 sock.close()
         host, port = self.address
         os._exit(worker_main(
             host, port, shard_id, backoff_seed=self._backoff_seed,
-            job=self._job,
+            job=self.supervisor.job,
         ))
 
     @staticmethod
     def _sys_path() -> List[str]:
         return [entry or os.getcwd() for entry in sys.path]
 
-    def _accept(
-        self, unclaimed: Set[int], recover_barrier: Optional[int] = None
-    ) -> None:
-        """The one accept loop: hand every slot in ``unclaimed`` to a
-        connection that completes the handshake — the whole fleet at
-        assembly, a dead worker's slot during recovery (``recover_barrier``
-        set: the newcomer is greeted with RECOVER instead of WELCOME).
-
-        Garbage and stale/duplicate claims are turned away and the slot
-        stays open; version/fingerprint mismatches are run-fatal; so is
-        an open slot's spawned process exiting non-zero, and the deadline.
-        """
-        deadline = time.monotonic() + self.timeout
-        self.listener.settimeout(0.2)
-        while unclaimed:
-            if recover_barrier is not None:
-                # Recovery only: the surviving fleet is parked at a barrier
-                # and must keep getting PONGs while the slot refills.  At
-                # assembly nobody is parked, and an early worker's first
-                # SYNC may already be buffered — reading it here would be
-                # "out of turn"; it must wait for the first collect.
-                self._pump(set(), {}, {}, recover_barrier, wait=0.0)
-            for shard_id in sorted(unclaimed):
-                process = self.processes.get(shard_id)
-                code = process.poll() if process is not None else None
-                if code is not None and code != 0:
-                    raise SimulationError(
-                        f"tcp worker process for shard {shard_id} exited "
-                        f"with code {code} before completing its handshake"
-                    )
-            if time.monotonic() > deadline:
-                raise SimulationError(
-                    f"tcp coordinator timed out after {self.timeout:.0f}s "
-                    f"({TCP_TIMEOUT_ENV}) waiting for workers to claim "
-                    f"shards {sorted(unclaimed)}"
-                )
-            try:
-                conn, _ = self.listener.accept()
-            except socket.timeout:
-                continue
-            # HELLO is read under the heartbeat interval, not the full
-            # deadline: a connection that says nothing must not hold the
-            # loop past the point where parked workers miss their PONGs.
-            _configure(conn, heartbeat_interval(self.timeout))
-            self._handshake(conn, unclaimed, recover_barrier)
-
-    def _reject(
-        self,
-        conn: socket.socket,
-        message: Optional[str],
-        quarantined: bool = False,
-    ) -> None:
-        """Turn a connection away (with an ERROR frame when there is
-        something to say); ``quarantined`` counts it as a stale or stray
-        connection that dialed in while a dead slot was refilling."""
-        if message is not None:
-            try:
-                send_frame(conn, _K_ERROR, message.encode("utf-8"))
-            except OSError:
-                pass
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - close races
-            pass
-        self.rejected += 1
-        if quarantined:
-            self.faults["quarantined_connections"] += 1
-
-    def _handshake(
-        self,
-        conn: socket.socket,
-        unclaimed: set,
-        recover_barrier: Optional[int] = None,
-    ) -> None:
-        """One connection through HELLO → WELCOME/RECOVER → JOB → READY.
-
-        During recovery (``recover_barrier`` set) ``unclaimed`` holds
-        only the dead slot: any other claim — a stale duplicate of a
-        live worker included — is rejected and quarantined.
-        """
-        recovering = recover_barrier is not None
-        context = "tcp coordinator handshaking a new connection"
-        try:
-            kind, payload = recv_frame(conn, context)
-            hello = json.loads(payload.decode("utf-8"))
-        except (SimulationError, ValueError, UnicodeDecodeError):
-            # Garbage, truncation, or silence: not a worker — drop the
-            # connection, keep the slot open.
-            self._reject(conn, None, recovering)
-            return
-        if kind != _K_HELLO or not isinstance(hello, dict):
-            self._reject(conn, "expected a HELLO frame", recovering)
-            return
-        conn.settimeout(self.timeout)  # it speaks: the full read deadline
-        version = hello.get("version")
-        if version != PROTOCOL_VERSION:
-            message = (
-                f"tcp protocol version mismatch: worker speaks {version}, "
-                f"coordinator speaks {PROTOCOL_VERSION}"
-            )
-            self._reject(conn, message)
-            raise SimulationError(message)
-        claim = hello.get("shard", -1)
-        if type(claim) is not int:  # a string, null, list, bool or float
-            self._reject(
-                conn, f"shard id {claim!r} is not an integer", recovering
-            )
-            return
-        if claim == -1 and unclaimed:
-            claim = min(unclaimed)
-        if claim not in unclaimed:
-            self._reject(
-                conn,
-                f"shard id {claim} is already claimed or out of range "
-                f"(open slots: {sorted(unclaimed)})",
-                recovering,
-            )
-            return
-        welcome = {
-            "version": PROTOCOL_VERSION,
-            "shard": claim,
-            "fingerprint": self._fingerprint,
-            "sys_path": self._sys_path(),
-        }
-        if recovering:
-            welcome["barrier"] = recover_barrier
-        send_frame(
-            conn,
-            _K_RECOVER if recovering else _K_WELCOME,
-            json.dumps(welcome).encode("utf-8"),
-        )
-        if hello.get("forked") is not True:
-            send_frame(
-                conn, _K_JOB,
-                pickle.dumps(self._job, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        context = f"tcp coordinator awaiting READY from shard {claim}"
-        kind, payload = recv_frame(conn, context)
-        if kind == _K_ERROR:
-            raise SimulationError(
-                f"tcp worker for shard {claim} failed its handshake: "
-                + payload.decode("utf-8", "replace")
-            )
-        if kind != _K_READY:
-            self._reject(conn, f"expected READY, got frame kind {kind}")
-            return
-        ready = json.loads(payload.decode("utf-8"))
-        if ready.get("fingerprint") != self._fingerprint:
-            message = (
-                f"config fingerprint mismatch: worker for shard {claim} "
-                f"computed {ready.get('fingerprint')}, coordinator has "
-                f"{self._fingerprint} — the fleet disagrees about the "
-                "scenario"
-            )
-            self._reject(conn, message)
-            raise SimulationError(message)
-        unclaimed.discard(claim)
-        self.connections[claim] = conn
-
-    # -- the supervision pump ------------------------------------------------
-
-    def _quarantine(self, shard_id: int, reason: str) -> None:
-        """Close and forget a dead (or misbehaving) worker connection so
-        no later read can confuse its leftovers with live traffic;
-        ``reason`` is what the next wait on that shard reports."""
-        self._failed[shard_id] = reason
-        conn, self.connections[shard_id] = self.connections[shard_id], None
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover - close races
-            pass
-
-    def _pump(
-        self,
-        pending: Set[int],
-        results: Dict[int, Tuple[int, Any]],
-        last_seen: Dict[int, float],
-        barrier: int,
-        wait: float,
-    ) -> None:
-        """One supervision pass over the whole fleet — the only place a
-        worker connection is read once its handshake is done.
-
-        Selects (for up to ``wait`` seconds) over every live connection.
-        A PING, from anyone, is answered with a PONG and refreshes that
-        shard's ``last_seen`` clock.  A protocol frame from a shard in
-        ``pending`` moves it to ``results`` (an ERROR's text decoded, any
-        kind but SYNC/DONE/ERROR turned into one).  A connection that yields
-        EOF or garbage, and a protocol frame from a shard nobody awaits,
-        are quarantined — the barrier wait turns that into the shard's
-        ``_K_DEAD`` result now or whenever it is next awaited.
-        """
-        live = {
-            conn: shard_id
-            for shard_id, conn in enumerate(self.connections)
-            if conn is not None
-        }
-        try:
-            readable, _, _ = select.select(list(live), [], [], wait)
-        except (OSError, ValueError):  # pragma: no cover - close races
-            return
-        now = time.monotonic()
-        for conn in readable:
-            shard_id = live[conn]
-            try:
-                kind, payload = recv_frame(
-                    conn,
-                    f"tcp coordinator waiting on shard {shard_id} "
-                    f"at barrier {barrier}",
-                )
-            except SimulationError as exc:
-                self._quarantine(
-                    shard_id,
-                    f"worker {shard_id} died mid-window "
-                    f"(no sync/done/error message: {exc})",
-                )
-                continue
-            if kind == _K_PING:
-                self.faults["heartbeats"] += 1
-                if shard_id in last_seen:
-                    last_seen[shard_id] = now
-                try:
-                    send_frame(conn, _K_PONG)
-                except OSError:
-                    pass
-            elif shard_id not in pending:
-                self._quarantine(
-                    shard_id,
-                    f"worker {shard_id} sent unexpected frame kind {kind} "
-                    "out of turn",
-                )
-            else:
-                pending.discard(shard_id)
-                if kind == _K_ERROR:
-                    payload = payload.decode("utf-8", "replace")
-                elif kind not in (_K_SYNC, _K_DONE):
-                    kind, payload = _K_ERROR, (
-                        f"worker {shard_id} sent unexpected frame kind "
-                        f"{kind} at barrier {barrier}"
-                    )
-                results[shard_id] = (kind, payload)
-
-    def _await_frames(
-        self, awaiting: Set[int], barrier: int
-    ) -> Dict[int, Tuple[int, Any]]:
-        """One protocol frame from every awaited shard, pumping the whole
-        fleet's heartbeats meanwhile.
-
-        A shard whose connection is quarantined — before this wait, by a
-        pump pass, or here because it produced *no* frame at all, not
-        even a heartbeat, for the read deadline — comes back as the
-        ``_K_DEAD`` sentinel with the died-mid-window message, for the
-        supervision loop to recover or surface.
-        """
-        results: Dict[int, Tuple[int, Any]] = {}
-        pending = set(awaiting)
-        last_seen = dict.fromkeys(pending, time.monotonic())
+    def _serve(self, actions: List[tuple]) -> Any:
+        """Carry out the supervisor's actions, feeding it one event at a
+        time, until it reports the phase done; returns its messages."""
+        events = self._events()
         while True:
-            now = time.monotonic()
-            for shard_id in sorted(pending):
-                if (
-                    self.connections[shard_id] is not None
-                    and now - last_seen[shard_id] > self.timeout
-                ):
-                    # A half-open socket.  A live shard in a long compute
-                    # window keeps pinging and never lands here.
-                    self._quarantine(
-                        shard_id,
-                        f"worker {shard_id} died mid-window "
-                        "(no sync/done/error message: tcp coordinator "
-                        f"waiting on shard {shard_id} at barrier {barrier}: "
-                        f"no data within the {self.timeout:.0f}s deadline "
-                        f"({TCP_TIMEOUT_ENV}))",
-                    )
-                if self.connections[shard_id] is None:
-                    pending.discard(shard_id)
-                    results[shard_id] = (
-                        _K_DEAD,
-                        self._failed.pop(
-                            shard_id,
-                            f"worker {shard_id} died mid-window "
-                            "(connection already quarantined)",
-                        ),
-                    )
-            if not pending:
-                return results
-            self._pump(pending, results, last_seen, barrier, wait=0.2)
+            for verb, *args in actions:
+                if verb == "done":
+                    return args[0]
+                if verb == "abort":
+                    abort_workers(self, range(self.num_shards), args[0])
+                    raise SimulationError(args[1])
+                if verb == "spawn":
+                    self._spawn_one(args[0], self.hosts[args[0]])
+                elif verb == "decide":
+                    self.send_decision(*args)
+                elif verb == "bind":
+                    args[0].settimeout(self.timeout)  # the full deadline
+                    self.connections[args[1]] = args[0]
+                elif verb == "send":
+                    try:
+                        send_frame(self._socket(args[0]), args[1], args[2])
+                    except OSError:  # its read side finds the corpse
+                        pass
+                else:  # "close"
+                    self._socket(args[0]).close()
+                    if isinstance(args[0], int):
+                        self.connections[args[0]] = None
+            actions = next(events)
 
-    # -- in-run recovery -----------------------------------------------------
+    def _socket(self, conn: Any) -> socket.socket:
+        """A supervisor connection — a shard id, or a handshaking socket."""
+        return self.connections[conn] if isinstance(conn, int) else conn
 
-    def _recover(self, shard_id: int, reason: str, barrier: int) -> None:
-        """Respawn a dead worker's slot and replay it to ``barrier``.
-
-        Raises (after aborting the fleet) when recovery is impossible:
-        no WAL to replay from — the graceful degradation to the
-        pre-recovery loud abort, naming the missing checkpoint — or the
-        respawn budget is spent, or the replacement itself fails.
-        """
-        self.faults["worker_deaths"] += 1
-        failure = None
-        if self.wal is None:
-            failure = (
-                f"{reason}; no WAL checkpoint to replay a replacement "
-                "worker from — run with --wal PATH to enable in-run "
-                "recovery"
+    def _events(self) -> Iterator[List[tuple]]:
+        """The supervisor's events, one per ``next``.  One ``select`` over
+        the listener and every connection wakes on readability or at the
+        supervisor's next deadline (and, while a slot is open, every
+        :data:`_POLL_S` to poll its process); then each readable socket is
+        an event, the deadline check one, an open slot's exit one."""
+        supervisor = self.supervisor
+        while True:
+            names = {sock: sock for sock in supervisor.greeting}
+            names.update(
+                (sock, shard_id) for shard_id, sock
+                in enumerate(self.connections) if sock is not None
             )
-        elif self._respawn_budget <= 0:
-            failure = (
-                f"{reason}; worker respawn budget exhausted "
-                f"({TCP_MAX_RESPAWNS_ENV}={tcp_max_respawns()})"
-            )
-        if failure is not None:
-            abort_workers(self, range(self.num_shards), failure)
-            raise SimulationError(f"tcp shard worker failed:\n{failure}")
-        self._respawn_budget -= 1
-        try:
-            self._spawn_one(shard_id, self.hosts[shard_id])
-            self._accept({shard_id}, recover_barrier=barrier)
-            self._replay_prefix(shard_id, barrier)
-        except SimulationError as exc:
-            abort_workers(self, range(self.num_shards), str(exc))
-            raise
-        self.faults["respawns"] += 1
-
-    def _replay_prefix(self, shard_id: int, barrier: int) -> None:
-        """Re-feed the recovered worker the logged prefix up to (not
-        including) ``barrier``.
-
-        The newcomer re-executes the workload from scratch and cannot
-        tell replay from live windows: its syncs are verified against
-        the WAL's records (scalars field-by-field, frame blobs
-        byte-for-byte — the same discipline as resume) and its decisions
-        are rebuilt from the log through the live windows' own
-        :func:`~repro.sim.barrier.verdict_for`, with the logged frame set
-        as the routing grid.  Its outbound frames are discarded — the
-        original recipients got them from the first incarnation.
-        """
-        for replay_barrier, record in enumerate(
-            self.wal.window_records(barrier)
-        ):
-            kind, payload = self._await_frames(
-                {shard_id}, replay_barrier
-            )[shard_id]
-            if kind in (_K_DEAD, _K_ERROR):
-                raise SimulationError(
-                    f"replacement worker for shard {shard_id} failed during "
-                    f"WAL replay at window {replay_barrier}:\n{payload}"
-                )
-            if kind != _K_SYNC:
-                raise SimulationError(
-                    f"replacement worker for shard {shard_id} sent frame "
-                    f"kind {kind} at replay window {replay_barrier}, "
-                    "expected a sync"
-                )
-            # Any drift means the replacement is not the worker it claims
-            # to be: die before it can touch the digest.
-            status = pickle.loads(payload)
-            verify_shard_window(
-                record, shard_id, status.logged, status.routed,
-                prefix="RECOVER",
-            )
-            self.send_decision(
-                shard_id,
-                verdict_for(
-                    shard_id, self.num_shards, record.window_start,
-                    record.global_last, record.total_executed,
-                    record.frames, record.control,
-                ),
-            )
-            self.faults["replayed_windows"] += 1
+            if self.listener is not None:
+                names[self.listener] = None
+            wait = supervisor.deadline() - time.monotonic()
+            if supervisor.open:
+                wait = min(wait, _POLL_S)
+            for sock in select.select(list(names), [], [], max(0.0, wait))[0]:
+                if sock is self.listener:
+                    yield supervisor.opened(_configure(
+                        sock.accept()[0], heartbeat_interval(self.timeout)
+                    ))
+                elif sock.fileno() != -1:  # not closed by an earlier action
+                    try:
+                        kind, payload = recv_frame(
+                            sock, f"tcp coordinator waiting on shard "
+                            f"{names[sock]} at barrier {supervisor.barrier}",
+                        )
+                    except SimulationError as exc:
+                        yield supervisor.closed(names[sock], str(exc))
+                    else:
+                        yield supervisor.frame(names[sock], kind, payload)
+            yield supervisor.expire()
+            for shard_id in sorted(supervisor.open):
+                process = self.processes.get(shard_id)
+                code = None if process is None else process.poll()
+                if code is not None:
+                    yield supervisor.exited(shard_id, code)
 
     # -- the barrier loop's link --------------------------------------------
 
     def collect(self, barrier: int) -> List[Tuple[int, str, Any]]:
         """One barrier's worth of protocol frames from every shard,
         recovering dead workers in place when the WAL allows it."""
-        awaiting = set(range(self.num_shards))
-        round_messages: List[Tuple[int, str, Any]] = []
-        while awaiting:
-            results = self._await_frames(awaiting, barrier)
-            awaiting = set()
-            for shard_id in sorted(results):
-                kind, payload = results[shard_id]
-                if kind == _K_DEAD:
-                    # _recover raises (after aborting the fleet) when the
-                    # death cannot be healed; otherwise the slot is live
-                    # and replayed to this barrier — re-await its live
-                    # frame.
-                    self._recover(shard_id, payload, barrier)
-                    awaiting.add(shard_id)
-                elif kind in (_K_SYNC, _K_DONE):
-                    round_messages.append((
-                        shard_id,
-                        "sync" if kind == _K_SYNC else "done",
-                        pickle.loads(payload),
-                    ))
-                else:
-                    round_messages.append((shard_id, "error", payload))
-        return round_messages
+        return self._serve(self.supervisor.collect(barrier))
 
     def send_decision(self, shard_id: int, verdict: Verdict) -> None:
         conn = self.connections[shard_id]
         if conn is None:
             return
         try:
-            send_frame(
-                conn,
-                _K_DECISION,
-                pickle.dumps(verdict, protocol=pickle.HIGHEST_PROTOCOL),
-            )
+            send_frame(conn, _K_DECISION, pickle.dumps(
+                verdict, protocol=pickle.HIGHEST_PROTOCOL
+            ))
         except OSError:
             # The worker died after syncing; its next read slot surfaces
-            # the loud died-mid-window error (or the supervision loop
-            # recovers it).
+            # the loud died-mid-window error (or the supervisor recovers
+            # it).
             pass
 
     def abort(self, shard_id: int, failure: str) -> None:
@@ -1199,11 +1205,10 @@ class TcpCoordinator:
 
     def run(self, workload: Any) -> Tuple[List[tuple], int, Counter]:
         """Assemble the fleet and drive the run through the shared barrier
-        loop, with the supervision pump wrapped around every read."""
+        loop, with the supervisor wrapped around every read."""
         self.bind()
-        wal = self.wal
-        plane = self.plane
-        self._job = {
+        wal, plane = self.wal, self.plane
+        job = {
             "config": self.config,
             "workload": workload,
             "num_shards": self.num_shards,
@@ -1211,11 +1216,8 @@ class TcpCoordinator:
             "snapshot": plane.snapshot if plane is not None else None,
             "wal_cadence": wal.cursor_every if wal is not None else 0,
         }
-        self._fingerprint = fingerprint_digest(self.config)
         try:
-            for shard_id, entry in enumerate(self.hosts):
-                self._spawn_one(shard_id, entry)
-            self._accept(set(range(self.num_shards)))
+            self._serve(self.supervisor.assemble(job))
             payloads, windows = coordinate(
                 self, self.num_shards, self.lookahead, plane, wal
             )
@@ -1229,19 +1231,16 @@ class TcpCoordinator:
         Every step is individually guarded: a broken pipe mid-teardown
         must never mask the error that triggered it."""
         for conn in self.connections:
-            if conn is None:
-                continue
             try:
-                send_frame(conn, _K_BYE)
+                if conn is not None:
+                    send_frame(conn, _K_BYE)
             except Exception:
                 pass
+        greeting = self.supervisor.greeting
+        for sock in [self.listener, *self.connections, *greeting]:
             try:
-                conn.close()
-            except Exception:  # pragma: no cover - close races
-                pass
-        if self.listener is not None:
-            try:
-                self.listener.close()
+                if sock is not None:
+                    sock.close()
             except Exception:  # pragma: no cover - close races
                 pass
         for process in list(self.processes.values()) + self._reap:

@@ -141,6 +141,14 @@ and tcp came to handle a dead worker two ways.
 as an attribute.  ``PreprocessingPipeline`` memoises each word's feature
 id and drops the memo when the sensitive-word filter changes; a second
 caller of the chain would hold its own verdicts that nothing invalidates.
+
+(z) The fleet's supervision is one sans-IO machine.  In ``sim/tcpexec.py``
+the ``Supervisor`` class imports nothing and names no ``socket``,
+``select``, ``time`` or ``subprocess``, and no ``TcpCoordinator`` method
+compares a frame kind, subscripts ``faults`` or names the respawn
+budget: the shell carries out decisions, it never takes one.  Decisions
+spread over read loops in the shell are how a silent connection came to
+stall the fleet twice.
 """
 
 import ast
@@ -1200,3 +1208,57 @@ def test_one_text_path():
         if _text_chain_calls(path.read_text(encoding="utf-8"))
     }
     assert calling == {"text/vectorizer.py"}
+
+
+_IO_MODULES = {"socket", "select", "time", "subprocess"}
+
+
+def _supervision_leaks(text):
+    """Line numbers in ``text`` (a ``tcpexec.py``) that break ratchet (z):
+    an import or an I/O module named inside ``Supervisor``; a frame-kind
+    comparison, a ``faults[...]`` subscript or a respawn budget inside a
+    ``TcpCoordinator`` method.  A missing ``Supervisor`` is line 0."""
+    classes = {
+        node.name: node for node in ast.parse(text).body
+        if isinstance(node, ast.ClassDef)
+    }
+    if "Supervisor" not in classes:
+        return [0]
+    lines = [
+        node.lineno for node in ast.walk(classes["Supervisor"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        or (isinstance(node, ast.Name) and node.id in _IO_MODULES)
+    ]
+    shell = classes.get("TcpCoordinator")
+    for node in ast.walk(shell) if shell is not None else ():
+        if isinstance(node, ast.Compare):
+            hit = any(
+                isinstance(name, ast.Name) and name.id.startswith("_K_")
+                for name in ast.walk(node)
+            )
+        elif isinstance(node, ast.Subscript):
+            hit = getattr(node.value, "attr", None) == "faults" or (
+                getattr(node.value, "id", None) == "faults"
+            )
+        else:
+            named = getattr(node, "id", None) or getattr(node, "attr", "")
+            hit = "budget" in str(named)
+        if hit:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_fleet_supervision_is_one_sans_io_machine():
+    assert _supervision_leaks(
+        "class Supervisor:\n"
+        "    def frame(self, conn):\n"
+        "        return select.select([conn], [], [], 0.0)\n"
+        "class TcpCoordinator:\n"
+        "    def collect(self, kind, faults):\n"
+        "        if kind in (_K_SYNC, _K_DONE):\n"
+        "            self.supervisor.faults['heartbeats'] += 1\n"
+        "        self.supervisor.budget -= len(faults['x'])\n"
+    ) == [3, 6, 7, 8]
+    assert _supervision_leaks("class TcpCoordinator:\n    pass\n") == [0]
+    tcpexec = ROOT / "src" / "repro" / "sim" / "tcpexec.py"
+    assert _supervision_leaks(tcpexec.read_text(encoding="utf-8")) == []

@@ -7,9 +7,12 @@ Five layers of coverage:
   absurd lengths, and silent peers (per-read deadlines);
 - connection robustness — the capped-exponential backoff schedule and
   ``connect_with_retry`` giving up loudly after ``REPRO_TCP_RETRIES``;
-- handshake — version and config-fingerprint mismatches are run-fatal,
-  duplicate/out-of-range shard claims and garbage connections are
-  rejected while the slot stays open for the real worker;
+- handshake and supervision — event scripts against the sans-IO
+  ``Supervisor`` on a fake clock: version and config-fingerprint
+  mismatches are run-fatal, duplicate/out-of-range shard claims and
+  garbage connections are rejected while the slot stays open, deaths are
+  recovered or stashed; the shell driving it over real sockets keeps
+  parked workers answered while a slot refills;
 - placement — a forked ``local`` worker holds none of the coordinator's
   sockets and fails its handshake loudly when it raises, and a ``wait``
   slot takes ``python -m repro.cli worker`` in a fresh interpreter;
@@ -43,7 +46,6 @@ from repro.sim.shard import ShardedScenario
 from repro.sim.tcpexec import (
     _K_ERROR,
     _K_HELLO,
-    _K_DEAD,
     _K_JOB,
     _K_PING,
     _K_PONG,
@@ -57,6 +59,8 @@ from repro.sim.tcpexec import (
     PROTOCOL_VERSION,
     TCP_RETRIES_ENV,
     TCP_TIMEOUT_ENV,
+    TCP_MAX_RESPAWNS_ENV,
+    Supervisor,
     TcpCoordinator,
     backoff_schedule,
     connect_with_retry,
@@ -312,195 +316,166 @@ def test_fingerprint_excludes_placement_but_not_physics():
 
 
 # ---------------------------------------------------------------------------
-# Handshake: fatal mismatches vs rejected connections.
+# Handshake: fatal mismatches vs rejected connections, as event scripts
+# against the supervision machine on a fake clock.
 # ---------------------------------------------------------------------------
 
 
-def _coordinator(shards=2, hosts="wait"):
-    config = _config(8, shards=shards, executor="tcp", tcp_hosts=hosts)
-    lookahead = ShardedScenario(config, executor="tcp").lookahead
-    return TcpCoordinator(config, shards, lookahead)
+class _Clock:
+    """The supervisor's injected clock, moved by hand."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
 
 
-def _accept_in_thread(coordinator, fingerprint, unclaimed=None, **recover):
-    """Run the one accept loop (fleet assembly by default; a recovery
-    accept with ``unclaimed``/``recover_barrier``) on a thread."""
-    outcome = {}
-    coordinator._fingerprint = fingerprint
-    if unclaimed is None:
-        unclaimed = set(range(coordinator.num_shards))
-
-    def accept():
-        try:
-            coordinator._accept(unclaimed, **recover)
-            outcome["done"] = True
-        except SimulationError as exc:
-            outcome["error"] = str(exc)
-
-    thread = threading.Thread(target=accept, daemon=True)
-    thread.start()
-    return thread, outcome
+def _machine(shards=2, window_records=None, respawns=3, timeout=4.0):
+    """A :class:`Supervisor` on a fake clock, announcing fingerprint
+    ``"fp"``; ``window_records`` stands in for the WAL (None: no WAL)."""
+    clock = _Clock()
+    return Supervisor(
+        shards, timeout, respawns, window_records, clock, fingerprint="fp"
+    ), clock
 
 
-def _handshake_client(host, port, shard, version=PROTOCOL_VERSION,
-                      greeting=_K_WELCOME):
-    """A scripted worker: HELLO → WELCOME → JOB → READY (parroting the
-    announced fingerprint).  Returns the open socket.  A replacement
-    worker expects ``greeting=_K_RECOVER``."""
-    sock = socket.create_connection((host, port), timeout=5.0)
-    sock.settimeout(5.0)
-    send_frame(
-        sock, _K_HELLO,
-        json.dumps({"version": version, "shard": shard}).encode(),
+def _hello(machine, conn, shard, version=PROTOCOL_VERSION, forked=True):
+    """``conn`` dials in and says HELLO; returns the supervisor's answer."""
+    assert machine.opened(conn) == []
+    hello = {"version": version, "shard": shard, "forked": forked}
+    return machine.frame(conn, _K_HELLO, json.dumps(hello).encode())
+
+
+def _ready(machine, conn, shard, fingerprint="fp"):
+    ready = {"shard": shard, "fingerprint": fingerprint}
+    return machine.frame(conn, _K_READY, json.dumps(ready).encode())
+
+
+def _joined(machine, conn, shard):
+    """A full handshake; returns the READY's actions."""
+    greeting = _hello(machine, conn, shard)
+    assert [action[:3] for action in greeting] == [
+        ("send", conn,
+         _K_RECOVER if shard in machine.replaying else _K_WELCOME)
+    ]
+    return _ready(machine, conn, shard)
+
+
+def _sync(machine, shard, payload="sync"):
+    return machine.frame(shard, _K_SYNC, pickle.dumps(payload))
+
+
+def _turned_away(actions, conn, text=None):
+    """``actions`` drop ``conn``, with an ERROR frame containing ``text``."""
+    if text is None:
+        assert actions == [("close", conn)]
+    else:
+        (verb, to, kind, payload), close = actions
+        assert (verb, to, kind) == ("send", conn, _K_ERROR)
+        assert close == ("close", conn)
+        assert text.encode() in payload
+
+
+def test_version_mismatch_is_run_fatal():
+    machine, _ = _machine(shards=1)
+    machine.assemble({})
+    *rejection, abort = _hello(machine, "skewed", 0, version=99)
+    _turned_away(rejection, "skewed", "version mismatch")
+    assert abort[0] == "abort" and "version mismatch" in abort[2]
+
+
+def test_fingerprint_mismatch_is_run_fatal():
+    machine, _ = _machine(shards=1)
+    machine.assemble({"config": "c"})
+    welcome, job = _hello(machine, "w", 0, forked=False)
+    assert welcome[:3] == ("send", "w", _K_WELCOME)
+    assert json.loads(welcome[3]) == {
+        "version": PROTOCOL_VERSION, "fingerprint": "fp", "sys_path": [],
+        "shard": 0,
+    }
+    assert job == ("send", "w", _K_JOB, pickle.dumps(
+        {"config": "c"}, protocol=pickle.HIGHEST_PROTOCOL
+    ))
+    *rejection, abort = _ready(machine, "w", 0, "not-the-fingerprint")
+    _turned_away(rejection, "w", "fingerprint mismatch")
+    assert abort[0] == "abort" and "fingerprint mismatch" in abort[2]
+
+
+def test_duplicate_claim_rejected_and_slot_stays_open():
+    """A second claim on a taken shard, an out-of-range claim and a claim
+    that is no integer at all each get an ERROR and a closed connection;
+    the fleet still assembles.  Two workers claiming one slot at once
+    both get a WELCOME, and the first READY wins it."""
+    machine, _ = _machine(shards=2)
+    assert machine.assemble({}) == [("spawn", 0), ("spawn", 1)]
+    assert _joined(machine, "first", 0) == [("bind", "first", 0)]
+    _turned_away(
+        _hello(machine, "duplicate", 0), "duplicate",
+        "already claimed or out of range",
     )
-    kind, payload = recv_frame(sock, "client awaiting welcome")
-    if kind == _K_ERROR:
-        return sock, kind, payload
-    assert kind == greeting
-    welcome = json.loads(payload.decode())
-    kind, job = recv_frame(sock, "client awaiting job")
-    assert kind == _K_JOB
-    send_frame(
-        sock, _K_READY,
-        json.dumps(
-            {"shard": welcome["shard"], "fingerprint": welcome["fingerprint"]}
-        ).encode(),
+    _turned_away(
+        _hello(machine, "out-of-range", 7), "out-of-range",
+        "already claimed or out of range",
     )
-    return sock, greeting, payload
-
-
-def test_version_mismatch_is_run_fatal(monkeypatch):
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, "10")
-    coordinator = _coordinator(shards=1)
-    host, port = coordinator.bind()
-    fingerprint = fingerprint_digest(coordinator.config)
-    thread, outcome = _accept_in_thread(coordinator, fingerprint)
-    sock = socket.create_connection((host, port), timeout=5.0)
-    sock.settimeout(5.0)
-    send_frame(
-        sock, _K_HELLO, json.dumps({"version": 99, "shard": 0}).encode()
-    )
-    kind, payload = recv_frame(sock, "skewed client")
-    assert kind == _K_ERROR
-    assert b"version mismatch" in payload
-    thread.join(timeout=10.0)
-    assert not thread.is_alive()
-    assert "version mismatch" in outcome["error"]
-    sock.close()
-    coordinator.close()
-
-
-def test_fingerprint_mismatch_is_run_fatal(monkeypatch):
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, "10")
-    coordinator = _coordinator(shards=1)
-    host, port = coordinator.bind()
-    fingerprint = fingerprint_digest(coordinator.config)
-    thread, outcome = _accept_in_thread(coordinator, fingerprint)
-    sock = socket.create_connection((host, port), timeout=5.0)
-    sock.settimeout(5.0)
-    send_frame(
-        sock, _K_HELLO,
-        json.dumps({"version": PROTOCOL_VERSION, "shard": 0}).encode(),
-    )
-    kind, _ = recv_frame(sock, "client awaiting welcome")
-    assert kind == _K_WELCOME
-    kind, _ = recv_frame(sock, "client awaiting job")
-    assert kind == _K_JOB
-    send_frame(
-        sock, _K_READY,
-        json.dumps({"shard": 0, "fingerprint": "not-the-fingerprint"}).encode(),
-    )
-    thread.join(timeout=10.0)
-    assert not thread.is_alive()
-    assert "fingerprint mismatch" in outcome["error"]
-    sock.close()
-    coordinator.close()
-
-
-def test_duplicate_claim_rejected_and_slot_stays_open(monkeypatch):
-    """A second claim on a taken shard (and an out-of-range claim) gets an
-    ERROR and a closed connection; the fleet still assembles."""
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, "10")
-    coordinator = _coordinator(shards=2)
-    host, port = coordinator.bind()
-    fingerprint = fingerprint_digest(coordinator.config)
-    thread, outcome = _accept_in_thread(coordinator, fingerprint)
-
-    first, kind, _ = _handshake_client(host, port, 0)
-    assert kind == _K_WELCOME
-
-    duplicate = socket.create_connection((host, port), timeout=5.0)
-    duplicate.settimeout(5.0)
-    send_frame(
-        duplicate, _K_HELLO,
-        json.dumps({"version": PROTOCOL_VERSION, "shard": 0}).encode(),
-    )
-    kind, payload = recv_frame(duplicate, "duplicate claimant")
-    assert kind == _K_ERROR
-    assert b"already claimed or out of range" in payload
-    assert duplicate.recv(1) == b""  # coordinator closed it
-
-    out_of_range = socket.create_connection((host, port), timeout=5.0)
-    out_of_range.settimeout(5.0)
-    send_frame(
-        out_of_range, _K_HELLO,
-        json.dumps({"version": PROTOCOL_VERSION, "shard": 7}).encode(),
-    )
-    kind, payload = recv_frame(out_of_range, "out-of-range claimant")
-    assert kind == _K_ERROR
-    assert b"already claimed or out of range" in payload
-
-    # A claim that is no integer at all is turned away the same way, not
-    # raised out of the accept loop.
-    not_integers = []
     for claim in ("x", None, [1], True, 1.0):
-        sock = socket.create_connection((host, port), timeout=5.0)
-        sock.settimeout(5.0)
-        not_integers.append(sock)
-        send_frame(
-            sock, _K_HELLO,
-            json.dumps({"version": PROTOCOL_VERSION, "shard": claim}).encode(),
+        _turned_away(
+            _hello(machine, repr(claim), claim), repr(claim),
+            "is not an integer",
         )
-        kind, payload = recv_frame(sock, f"claimant of {claim!r}")
-        assert kind == _K_ERROR
-        assert b"is not an integer" in payload
-        assert sock.recv(1) == b""
-
-    second, kind, _ = _handshake_client(host, port, 1)
-    assert kind == _K_WELCOME
-    thread.join(timeout=10.0)
-    assert not thread.is_alive()
-    assert outcome.get("done")
-    assert coordinator.rejected == 7
-    for sock in (first, duplicate, out_of_range, second, *not_integers):
-        sock.close()
-    coordinator.close()
+    assert _hello(machine, "rival", 1)[0][2] == _K_WELCOME
+    assert _hello(machine, "second", 1)[0][2] == _K_WELCOME
+    assert _ready(machine, "second", 1) == [
+        ("bind", "second", 1), ("done", [])
+    ]
+    _turned_away(_ready(machine, "rival", 1), "rival", "already claimed")
+    assert machine.rejected == 8
+    # only the rival counts as quarantined: it was turned away once the
+    # fleet was up
+    assert machine.faults["quarantined_connections"] == 1
 
 
-def test_garbage_connection_rejected_fleet_still_assembles(monkeypatch):
-    """An HTTP probe (or any non-worker noise) on the port is dropped
-    without burning a shard slot."""
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, "10")
-    coordinator = _coordinator(shards=1)
-    host, port = coordinator.bind()
-    fingerprint = fingerprint_digest(coordinator.config)
-    thread, outcome = _accept_in_thread(coordinator, fingerprint)
+def test_unnumbered_workers_claim_distinct_slots():
+    """Workers started without ``--shard`` claim -1: concurrent ones are
+    offered different open slots."""
+    machine, _ = _machine(shards=2)
+    machine.assemble({})
+    offers = [
+        json.loads(_hello(machine, conn, -1)[0][3])["shard"]
+        for conn in ("a", "b")
+    ]
+    assert offers == [0, 1]
+    assert _ready(machine, "b", 1) == [("bind", "b", 1)]
+    assert _ready(machine, "a", 0) == [("bind", "a", 0), ("done", [])]
 
-    noise = socket.create_connection((host, port), timeout=5.0)
-    noise.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
-    stub = socket.create_connection((host, port), timeout=5.0)
-    stub.sendall(b"\x01\x02")
-    stub.close()
 
-    worker, kind, _ = _handshake_client(host, port, 0)
-    assert kind == _K_WELCOME
-    thread.join(timeout=10.0)
-    assert not thread.is_alive()
-    assert outcome.get("done")
-    assert coordinator.rejected == 2
-    noise.close()
-    worker.close()
-    coordinator.close()
+def test_garbage_connection_rejected_fleet_still_assembles():
+    """Noise on the port, a connection that falls silent, and a worker
+    that says HELLO and then closes, or sends anything but READY, are
+    dropped without burning a shard slot."""
+    machine, clock = _machine(shards=1)
+    machine.assemble({})
+    machine.opened("noise")
+    _turned_away(machine.closed("noise", "bad frame magic"), "noise")
+    machine.opened("not json")
+    _turned_away(
+        machine.frame("not json", _K_HELLO, b"\xff{"), "not json",
+        "expected a HELLO frame",
+    )
+    machine.opened("silent")
+    clock.now = heartbeat_interval(4.0)
+    _turned_away(machine.expire(), "silent")
+    _hello(machine, "hung-up", 0)
+    _turned_away(machine.closed("hung-up", "connection closed"), "hung-up")
+    _hello(machine, "chatty", 0)
+    _turned_away(
+        machine.frame("chatty", _K_PING, b""), "chatty", "expected READY"
+    )
+    assert machine.open == {0: 4.0}
+    assert _joined(machine, "worker", 0) == [
+        ("bind", "worker", 0), ("done", [])
+    ]
+    assert machine.rejected == 5
 
 
 def test_worker_rejects_coordinator_version_skew():
@@ -539,9 +514,137 @@ def test_worker_rejects_coordinator_version_skew():
 
 
 # ---------------------------------------------------------------------------
-# The single accept loop and the single supervision pump, on scripted
-# sockets (no subprocesses).
+# Supervision: the machine's rounds, deadlines and recoveries, then the
+# shell driving them over real sockets (no subprocesses).
 # ---------------------------------------------------------------------------
+
+
+def test_assembly_never_reads_a_protocol_frame():
+    """An early worker's first SYNC may come in before the fleet is
+    complete: it is the first collect's result, never quarantined as out
+    of turn.  Its heartbeats are answered meanwhile."""
+    machine, _ = _machine(shards=2)
+    machine.assemble({})
+    _joined(machine, "early", 0)
+    assert _sync(machine, 0, "first sync") == []
+    assert machine.frame(0, _K_PING, b"") == [("send", 0, _K_PONG, b"")]
+    assert _joined(machine, "late", 1) == [
+        ("bind", "late", 1), ("done", [(0, "sync", "first sync")])
+    ]
+    assert machine.collect(0) == []
+    assert _sync(machine, 1, "second sync") == [("done", [
+        (0, "sync", "first sync"), (1, "sync", "second sync")
+    ])]
+    assert machine.faults == {"heartbeats": 1}
+
+
+def test_a_half_open_shard_is_caught_by_its_deadline():
+    """An awaited shard that sends nothing, not even a heartbeat, for the
+    read deadline is dead; one that pings is not, however long it
+    computes."""
+    machine, clock = _machine(shards=2)
+    assert machine.collect(0) == []
+    assert machine.deadline() == 4.0
+    clock.now = 3.5
+    machine.frame(0, _K_PING, b"")
+    assert machine.expire() == []
+    clock.now = 4.0
+    close, (verb, failure, report) = machine.expire()
+    assert (close, verb) == (("close", 1), "abort")
+    assert "worker 1 died mid-window" in failure
+    assert "no data within the 4s deadline" in failure
+    assert report.startswith("tcp shard worker failed:\n")
+
+
+@pytest.mark.parametrize("misbehaviour", ("out-of-turn frame", "death"))
+def test_non_awaited_shard_failure_is_stashed_until_awaited(misbehaviour):
+    """Shard 1 speaking out of turn (or dying) after its sync — in a round,
+    or early, while the fleet still assembles — is quarantined at once but
+    surfaces, recovered with its reason, only when the next round awaits
+    it, and only once."""
+    def script(machine, assembling):
+        if assembling:
+            machine.assemble({})
+            _joined(machine, "one", 1)
+        else:
+            assert machine.collect(0) == []
+        assert _sync(machine, 1) == []
+        if misbehaviour == "death":
+            actions = machine.closed(1, "connection closed")
+        else:
+            actions = _sync(machine, 1, "too early")
+        assert actions == [("close", 1)]
+        if assembling:
+            _joined(machine, "zero", 0)
+            assert machine.collect(0) == []
+        assert _sync(machine, 0)[-1][0] == "done"
+        return machine.collect(1)
+
+    reason = (
+        "worker 1 died mid-window" if misbehaviour == "death" else
+        f"worker 1 sent unexpected frame kind {_K_SYNC} out of turn"
+    )
+    for assembling in (False, True):
+        machine, _ = _machine()
+        (verb, failure, _), = script(machine, assembling)
+        assert verb == "abort" and reason in failure
+        assert "no WAL checkpoint" in failure
+
+        machine, _ = _machine(window_records=lambda stop: [])
+        assert script(machine, assembling) == [("spawn", 1)]
+        assert machine.faults["worker_deaths"] == 1
+        assert _joined(machine, "replacement", 1) == [
+            ("bind", "replacement", 1)
+        ]
+        _sync(machine, 0)
+        assert _sync(machine, 1)[-1][0] == "done"
+        assert machine.collect(2) == []  # surfaced once
+        assert machine.faults["worker_deaths"] == 1
+        assert machine.faults["respawns"] == 1
+
+
+def test_recovery_aborts_with_todays_messages():
+    """No WAL names the missing checkpoint; a spent budget names its knob;
+    a replacement dying mid-replay names the window."""
+    machine, _ = _machine()
+    machine.collect(0)
+    (verb, failure, report), = machine.closed(1, "gone")[1:]
+    assert failure == (
+        "worker 1 died mid-window (no sync/done/error message: gone); no WAL "
+        "checkpoint to replay a replacement worker from — run with --wal "
+        "PATH to enable in-run recovery"
+    )
+    assert report == f"tcp shard worker failed:\n{failure}"
+
+    machine, _ = _machine(window_records=lambda stop: [], respawns=1)
+    machine.collect(0)
+    assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
+    _joined(machine, "replacement", 1)
+    (verb, failure, report), = machine.closed(1, "gone again")[1:]
+    assert f"worker respawn budget exhausted ({TCP_MAX_RESPAWNS_ENV}=1)" in (
+        failure
+    )
+    assert machine.faults["respawns"] == 1
+    assert machine.faults["worker_deaths"] == 2
+
+    machine, _ = _machine(window_records=lambda stop: ["w0", "w1"][:stop])
+    machine.collect(2)
+    machine.closed(1, "gone")
+    _joined(machine, "replacement", 1)
+    (verb, failure, _), = machine.closed(1, "eof")[1:]
+    assert failure.startswith(
+        "replacement worker for shard 1 failed during WAL replay at window 0"
+    )
+
+
+class _NoWindows:
+    """A WAL with nothing logged yet: a worker recovered at barrier 0 has
+    no window to replay."""
+
+    @staticmethod
+    def window_records(stop):
+        assert stop == 0
+        return []
 
 
 def _parked(coordinator, shard_id):
@@ -552,106 +655,146 @@ def _parked(coordinator, shard_id):
     return theirs
 
 
-def test_assembly_never_reads_a_protocol_frame(monkeypatch):
-    """An early worker's first SYNC (and heartbeat) may be buffered before
-    the fleet is complete: assembly must leave both for the first collect —
-    heartbeat servicing inside the accept loop is recovery-only."""
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, "10")
-    coordinator = _coordinator(shards=2)
-    host, port = coordinator.bind()
-    thread, outcome = _accept_in_thread(
-        coordinator, fingerprint_digest(coordinator.config)
+def _handshake_client(host, port, shard, version=PROTOCOL_VERSION,
+                      greeting=_K_WELCOME):
+    """A scripted worker: HELLO → WELCOME → JOB → READY (parroting the
+    announced fingerprint).  Returns the open socket.  A replacement
+    worker expects ``greeting=_K_RECOVER``."""
+    sock = socket.create_connection((host, port), timeout=5.0)
+    sock.settimeout(5.0)
+    send_frame(
+        sock, _K_HELLO,
+        json.dumps({"version": version, "shard": shard}).encode(),
     )
-    early, kind, _ = _handshake_client(host, port, 0)
-    assert kind == _K_WELCOME
-    send_frame(early, _K_SYNC, b"first sync")
-    send_frame(early, _K_PING)
-    time.sleep(0.6)  # several turns of the accept loop
-    late, kind, _ = _handshake_client(host, port, 1)
-    assert kind == _K_WELCOME
-    thread.join(timeout=10.0)
-    assert outcome.get("done")
-    assert coordinator.faults["heartbeats"] == 0
-    assert coordinator.connections[0] is not None, "quarantined out of turn"
-    assert recv_frame(coordinator.connections[0], "first collect") == (
-        _K_SYNC, b"first sync"
+    kind, payload = recv_frame(sock, "client awaiting welcome")
+    if kind == _K_ERROR:
+        return sock, kind, payload
+    assert kind == greeting
+    welcome = json.loads(payload.decode())
+    kind, job = recv_frame(sock, "client awaiting job")
+    assert kind == _K_JOB
+    send_frame(
+        sock, _K_READY,
+        json.dumps(
+            {"shard": welcome["shard"], "fingerprint": welcome["fingerprint"]}
+        ).encode(),
     )
-    early.close()
-    late.close()
-    coordinator.close()
+    return sock, greeting, payload
 
 
-def test_silent_connection_during_recovery_cannot_starve_parked_workers(
-    monkeypatch,
-):
-    """A stray connection that says nothing while a dead slot refills is
-    read under the heartbeat interval, not the full deadline: a parked
-    worker's PING is answered within about one interval, and the slot is
-    still open for the real replacement."""
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, "4")
-    coordinator = _coordinator(shards=2)
-    interval = heartbeat_interval(coordinator.timeout)
-    assert interval == 1.0
-    host, port = coordinator.bind()
-    parked = _parked(coordinator, 0)
-    thread, outcome = _accept_in_thread(
-        coordinator, fingerprint_digest(coordinator.config),
-        unclaimed={1}, recover_barrier=0,
-    )
-    silent = socket.create_connection((host, port), timeout=5.0)
-    time.sleep(0.4)  # the accept loop is now blocked reading its HELLO
-    start = time.monotonic()
-    send_frame(parked, _K_PING)
-    assert recv_frame(parked, "parked worker awaiting pong")[0] == _K_PONG
-    # Unfixed, the PONG waits out the full 4s deadline.
-    assert time.monotonic() - start < 2.0 * interval
-    assert thread.is_alive() and not outcome, "the slot must stay open"
+def _recovering(monkeypatch, timeout, hosts="wait"):
+    """A coordinator collecting barrier 0 on a thread, its shard 0 parked
+    (synced, waiting for the decision) and its shard 1 dead — so slot 1
+    is open for a RECOVER handshake.  Returns the coordinator, the parked
+    worker's socket, the thread and its outcome."""
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, str(timeout))
+    config = _config(8, shards=2, executor="tcp", tcp_hosts=hosts)
+    lookahead = ShardedScenario(config, executor="tcp").lookahead
+    coordinator = TcpCoordinator(config, 2, lookahead, wal=_NoWindows)
+    coordinator.bind()
+    for shard_id, entry in enumerate(coordinator.hosts):  # as assembly did
+        coordinator._spawn_one(shard_id, entry)
+    parked, dead = _parked(coordinator, 0), _parked(coordinator, 1)
+    send_frame(parked, _K_SYNC, pickle.dumps("parked"))
+    dead.close()
+    outcome = {}
+
+    def collect():
+        try:
+            outcome["messages"] = coordinator.collect(0)
+        except SimulationError as exc:
+            outcome["error"] = str(exc)
+
+    thread = threading.Thread(target=collect, daemon=True)
+    thread.start()
+    return coordinator, parked, thread, outcome
+
+
+def _replaced(coordinator, thread, outcome):
+    """The real replacement claims slot 1 and syncs: the round completes."""
+    host, port = coordinator.address
     replacement, kind, payload = _handshake_client(
         host, port, 1, greeting=_K_RECOVER
     )
     assert kind == _K_RECOVER
     assert json.loads(payload.decode())["barrier"] == 0
+    send_frame(replacement, _K_SYNC, pickle.dumps("replacement"))
     thread.join(timeout=10.0)
-    assert outcome.get("done")
-    assert coordinator.connections[1] is not None
-    assert coordinator.faults["quarantined_connections"] == 1
-    assert coordinator.faults["heartbeats"] == 1
-    for sock in (silent, parked, replacement):
-        sock.close()
-    coordinator.close()
+    assert outcome.get("messages") == [
+        (0, "sync", "parked"), (1, "sync", "replacement")
+    ], outcome
+    assert coordinator.faults["respawns"] == 1
+    return replacement
+
+
+def test_silent_connection_during_recovery_cannot_starve_parked_workers(
+    monkeypatch,
+):
+    """A stray connection that says nothing while a dead slot refills —
+    before its HELLO, or after a valid one — never holds the loop: a
+    parked worker's PING is answered within about one heartbeat interval,
+    and the slot stays open for the real replacement."""
+    for says_hello in (False, True):
+        coordinator, parked, thread, outcome = _recovering(monkeypatch, 4)
+        interval = heartbeat_interval(coordinator.timeout)
+        assert interval == 1.0
+        silent = socket.create_connection(coordinator.address, timeout=5.0)
+        if says_hello:  # a valid claim on the open slot, then silence
+            send_frame(silent, _K_HELLO, json.dumps(
+                {"version": PROTOCOL_VERSION, "shard": 1}
+            ).encode())
+            assert recv_frame(silent, "silent claimant")[0] == _K_RECOVER
+        time.sleep(0.4)  # unfixed, the loop is now blocked reading it
+        start = time.monotonic()
+        send_frame(parked, _K_PING)
+        assert recv_frame(parked, "parked worker awaiting pong")[0] == _K_PONG
+        # Unfixed, the PONG waits out the full 4s deadline.
+        assert time.monotonic() - start < 2.0 * interval
+        assert thread.is_alive() and not outcome, "the slot must stay open"
+        if not says_hello:  # turned away once its HELLO interval ran out
+            assert silent.recv(1) == b""
+            assert coordinator.faults["quarantined_connections"] == 1
+        replacement = _replaced(coordinator, thread, outcome)
+        assert coordinator.faults["heartbeats"] == 1
+        for sock in (silent, parked, replacement):
+            sock.close()
+        coordinator.close()
 
 
 def test_garbage_hello_during_recovery_is_quarantined_exactly_once(
     monkeypatch,
 ):
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, "10")
-    coordinator = _coordinator(shards=2)
-    host, port = coordinator.bind()
-    thread, outcome = _accept_in_thread(
-        coordinator, fingerprint_digest(coordinator.config),
-        unclaimed={1}, recover_barrier=3,
-    )
+    """Noise, a HELLO whose shard claim is no integer, a HELLO followed by
+    EOF and a HELLO followed by anything but READY: each is turned away
+    and counted as quarantined once, and the slot stays open."""
+    coordinator, parked, thread, outcome = _recovering(monkeypatch, 10)
+    host, port = coordinator.address
     noise = socket.create_connection((host, port), timeout=5.0)
     noise.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
-    # a well-framed HELLO whose shard claim is not an integer
-    stray = socket.create_connection((host, port), timeout=5.0)
-    stray.settimeout(5.0)
-    send_frame(
-        stray, _K_HELLO,
-        json.dumps({"version": PROTOCOL_VERSION, "shard": "1"}).encode(),
-    )
-    assert recv_frame(stray, "stray claimant")[0] == _K_ERROR
-    replacement, kind, _ = _handshake_client(
-        host, port, 1, greeting=_K_RECOVER
-    )
-    assert kind == _K_RECOVER
-    thread.join(timeout=10.0)
-    assert outcome.get("done")
-    assert coordinator.rejected == 2
-    assert coordinator.faults["quarantined_connections"] == 2
-    noise.close()
-    stray.close()
-    replacement.close()
+    strays = []
+    for claim, then in (("1", None), (1, "eof"), (1, _K_PING)):
+        stray = socket.create_connection((host, port), timeout=5.0)
+        stray.settimeout(5.0)
+        strays.append(stray)
+        send_frame(stray, _K_HELLO, json.dumps(
+            {"version": PROTOCOL_VERSION, "shard": claim}
+        ).encode())
+        if then is None:
+            assert recv_frame(stray, "stray claimant")[0] == _K_ERROR
+            continue
+        assert recv_frame(stray, "stray claimant")[0] == _K_RECOVER
+        assert recv_frame(stray, "stray claimant")[0] == _K_JOB
+        if then == "eof":
+            stray.close()
+            continue
+        send_frame(stray, then)
+        kind, payload = recv_frame(stray, "stray claimant")
+        assert (kind, b"expected READY" in payload) == (_K_ERROR, True)
+    assert thread.is_alive() and not outcome, "the slot must stay open"
+    replacement = _replaced(coordinator, thread, outcome)
+    assert coordinator.faults["quarantined_connections"] == 4
+    for sock in (noise, parked, replacement, *strays):
+        sock.close()
     coordinator.close()
 
 
@@ -672,71 +815,33 @@ def test_accept_loop_polls_only_the_current_process_per_slot(monkeypatch):
     """Respawning a slot moves the predecessor to the reap list: its
     non-zero exit code is the death being healed, not a failed handshake —
     but the *replacement* exiting non-zero still is."""
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, "10")
     import repro.sim.tcpexec as tcpexec
 
-    corpse, replacement = _FakeProcess(3), _FakeProcess(None)
-    spawned = iter([corpse, replacement])
+    corpse, replacement, broken = (
+        _FakeProcess(3), _FakeProcess(None), _FakeProcess(7)
+    )
+    spawned = iter([corpse, replacement, broken])
     monkeypatch.setattr(
         tcpexec, "_ForkedWorker", lambda *args, **kwargs: next(spawned)
     )
-    coordinator = _coordinator(shards=2, hosts="wait,local")
-    host, port = coordinator.bind()
-    coordinator._spawn_one(1, "local")
-    coordinator._spawn_one(1, "local")
+    coordinator, parked, thread, outcome = _recovering(
+        monkeypatch, 10, hosts="wait,local"
+    )
+    thread.join(timeout=0.5)  # a few polls with the corpse in the reap list
+    assert thread.is_alive() and not outcome
+    worker = _replaced(coordinator, thread, outcome)
     assert coordinator.processes == {1: replacement}
     assert coordinator._reap == [corpse]
-    fingerprint = fingerprint_digest(coordinator.config)
-    thread, outcome = _accept_in_thread(
-        coordinator, fingerprint, unclaimed={1}, recover_barrier=0
-    )
-    time.sleep(0.5)  # a few polls with the corpse in the reap list
-    assert thread.is_alive() and not outcome
-    worker, kind, _ = _handshake_client(host, port, 1, greeting=_K_RECOVER)
-    thread.join(timeout=10.0)
-    assert outcome == {"done": True}
     assert corpse.polls == 0 and replacement.polls > 0
 
-    replacement.code = 7
-    thread, outcome = _accept_in_thread(
-        coordinator, fingerprint, unclaimed={1}, recover_barrier=0
-    )
-    thread.join(timeout=10.0)
-    assert "shard 1 exited with code 7 before completing its handshake" in (
-        outcome["error"]
-    )
-    worker.close()
-    coordinator.close()
-
-
-@pytest.mark.parametrize("misbehaviour", ("out-of-turn frame", "death"))
-def test_non_awaited_shard_failure_is_stashed_until_awaited(misbehaviour):
-    """While only shard 0 is awaited, shard 1 speaking out of turn (or
-    dying) is quarantined by the same pump pass and surfaces — as the dead
-    sentinel with its reason — when shard 1 is next awaited."""
-    coordinator = _coordinator(shards=2)
-    awaited, other = _parked(coordinator, 0), _parked(coordinator, 1)
-    if misbehaviour == "death":
-        other.close()
-        reason = "worker 1 died mid-window"
-    else:
-        send_frame(other, _K_SYNC, b"too early")
-        reason = f"worker 1 sent unexpected frame kind {_K_SYNC} out of turn"
-    send_frame(awaited, _K_PING)
-    send_frame(awaited, _K_SYNC, b"on time")
-    assert coordinator._await_frames({0}, barrier=0) == {
-        0: (_K_SYNC, b"on time")
-    }
-    assert coordinator.faults["heartbeats"] == 1
-    assert coordinator.connections[1] is None
-    (kind, message), = coordinator._await_frames({1}, barrier=1).values()
-    assert kind == _K_DEAD
-    assert reason in message
-    # Surfaced once: a second wait falls back to the generic message.
-    (kind, message), = coordinator._await_frames({1}, barrier=1).values()
-    assert (kind, "already quarantined" in message) == (_K_DEAD, True)
-    awaited.close()
-    other.close()
+    worker.close()  # dies again at barrier 1; its replacement exits 7
+    coordinator.supervisor.window_records = lambda stop: []
+    with pytest.raises(
+        SimulationError,
+        match="shard 1 exited with code 7 before completing its handshake",
+    ):
+        coordinator.collect(1)
+    parked.close()
     coordinator.close()
 
 
@@ -769,11 +874,15 @@ def test_forked_workers_hold_no_coordinator_socket(tmp_path, monkeypatch):
     sibling's connection is live (a copy kept there would hide that
     connection's EOF from the sibling)."""
     monkeypatch.setenv(TCP_TIMEOUT_ENV, "30")
-    accept = TcpCoordinator._accept
-    checks = []
+    serve = TcpCoordinator._serve
+    checks, fleets = [], []
 
-    def checked_accept(self, unclaimed, recover_barrier=None):
-        accept(self, unclaimed, recover_barrier)
+    def checked_serve(self, actions):
+        messages = serve(self, actions)
+        fleet = sorted(map(id, self.processes.values()))
+        if fleets and fleets[-1] == fleet:
+            return messages  # checked once per fleet it assembled
+        fleets.append(fleet)
         coordinator_side = {
             os.fstat(sock.fileno()).st_ino
             for sock in [self.listener, *self.connections]
@@ -783,10 +892,11 @@ def test_forked_workers_hold_no_coordinator_socket(tmp_path, monkeypatch):
         for shard_id, worker in sorted(self.processes.items()):
             held = _socket_inodes(worker._process.pid)
             checks.append(
-                (recover_barrier is not None, shard_id, held & coordinator_side)
+                (bool(self._reap), shard_id, held & coordinator_side)
             )
+        return messages
 
-    monkeypatch.setattr(TcpCoordinator, "_accept", checked_accept)
+    monkeypatch.setattr(TcpCoordinator, "_serve", checked_serve)
     run = ShardedScenario(
         _config(
             8, shards=2, executor="tcp", wal=str(tmp_path / "storm.wal"),
@@ -947,25 +1057,17 @@ def test_recover_divergence_names_the_extras_part(part):
         ],
         frames={(1, 0): b"frame"},
     )
-    coordinator = _coordinator()
-
-    class _Wal:
-        @staticmethod
-        def window_records(stop):
-            return [record] * stop
-
-    coordinator.wal = _Wal
+    machine, _ = _machine(window_records=lambda stop: [record] * stop)
+    machine.collect(1)
+    assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
+    assert _joined(machine, "replacement", 1) == [("bind", "replacement", 1)]
     sync = SyncStatus(
         1.0, 0.5, 1, float("inf"), [], pickle.dumps(replayed), [(0, b"frame")]
     )
-    coordinator._await_frames = lambda shards, barrier: {
-        1: (_K_SYNC, pickle.dumps(sync))
-    }
-    with pytest.raises(
-        SimulationError,
-        match=f"RECOVER divergence at window 0: shard 1 {part} cursors",
-    ):
-        coordinator._replay_prefix(1, barrier=1)
+    (verb, failure, _), = machine.frame(1, _K_SYNC, pickle.dumps(sync))
+    assert verb == "abort"
+    assert f"RECOVER divergence at window 0: shard 1 {part} cursors" in failure
+    assert machine.faults["replayed_windows"] == 0
 
 
 def test_tcp_checkpoint_chopped_midlog_resumes_to_reference(tmp_path):
