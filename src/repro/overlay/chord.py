@@ -228,7 +228,7 @@ class ChordOverlay(Overlay):
                 # ``_closest_preceding(...) or successor`` and 0 is falsy, so
                 # that finger was never taken.  A routing bug, but the golden
                 # digests pin the paths it produces (chord-nbagg-churn-2), so
-                # it is reproduced here and fixed with ROADMAP item 3(b)'s
+                # it is reproduced here and fixed with ROADMAP item 3(a)'s
                 # re-pin; tests/test_chord_oracle.py holds today's path.
                 next_hop = successor
             path.append(next_hop)

@@ -13,7 +13,7 @@ session lengths, and Pareto models extremely skewed lifetimes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional, Set
 
 import numpy as np
 
@@ -124,12 +124,9 @@ class DirectoryChurnClient:
     directory generates every leave/rejoin once and serves them as
     per-window delta records, which the worker applies at their exact
     virtual times.  This client keeps the driver's *interface* alive for
-    SPMD workload code — ``start``/``stop`` forward control requests
-    through the next window barrier, the leave/join counters advance as
-    served records are applied, and :meth:`suppresses` reproduces the
-    driver's ``_active`` check locally (a record generated before the
-    directory learned of ``stop()`` must no-op, exactly as the queued
-    driver event would have).
+    SPMD workload code — ``start`` forwards a control request through the
+    next window barrier, and the leave/join counters advance as served
+    records are applied.
     """
 
     def __init__(
@@ -143,7 +140,6 @@ class DirectoryChurnClient:
         self._request = request
         self.leave_count = 0
         self.join_count = 0
-        self.stopped_at: Optional[float] = None
 
     def start(self, node_ids: List[int]) -> None:
         """Ask the directory to begin churn cycles (no-op without churn)."""
@@ -151,21 +147,14 @@ class DirectoryChurnClient:
             return
         self._request("start_churn", self.simulator.now)
 
-    def stop(self) -> None:
-        """Stop churn from now on (already-served records still no-op)."""
-        self.stopped_at = self.simulator.now
-        self._request("stop_churn", self.simulator.now)
-
-    def suppresses(self, time: float) -> bool:
-        """True when a served churn record at ``time`` must be skipped."""
-        return self.stopped_at is not None and time > self.stopped_at
-
 
 class ChurnDriver:
     """Schedules leave/rejoin cycles for a set of peers.
 
-    Callbacks (``on_leave`` / ``on_join``) let the overlay repair its routing
-    state; the driver itself only toggles liveness on the physical network.
+    Once started, a peer cycles for the rest of the run: churn has no off
+    switch, as in the paper's session/downtime process.  Callbacks
+    (``on_leave`` / ``on_join``) let the overlay repair its routing state;
+    the driver itself only toggles liveness on the physical network.
     """
 
     def __init__(
@@ -191,7 +180,8 @@ class ChurnDriver:
         self.rng_for = rng_for
         self.leave_count = 0
         self.join_count = 0
-        self._active: Dict[int, bool] = {}
+        #: peers already cycling — a second start must not chain again
+        self._active: Set[int] = set()
 
     def _rng(self, node_id: int) -> "np.random.Generator":
         if self.rng_for is not None:
@@ -205,27 +195,18 @@ class ChurnDriver:
         if not self.model.churns:
             return
         for node_id in node_ids:
-            if self._active.get(node_id):
+            if node_id in self._active:
                 continue
-            self._active[node_id] = True
+            self._active.add(node_id)
             self._schedule_leave(node_id)
-
-    def stop(self) -> None:
-        """Stop scheduling further churn (already-queued events still fire)."""
-        for node_id in self._active:
-            self._active[node_id] = False
 
     def _schedule_leave(self, node_id: int) -> None:
         session = self.model.session_time(self._rng(node_id))
         if session == float("inf"):
             return
-        self.simulator.schedule(
-            session, lambda: self._leave(node_id), label=f"churn-leave:{node_id}"
-        )
+        self.simulator.schedule(session, self._leave, args=(node_id,))
 
     def _leave(self, node_id: int) -> None:
-        if not self._active.get(node_id):
-            return
         if self.network.is_down(node_id):
             return
         self.network.set_down(node_id, True)
@@ -233,13 +214,9 @@ class ChurnDriver:
         if self.on_leave is not None:
             self.on_leave(node_id)
         down = self.model.downtime(self._rng(node_id))
-        self.simulator.schedule(
-            down, lambda: self._rejoin(node_id), label=f"churn-join:{node_id}"
-        )
+        self.simulator.schedule(down, self._rejoin, args=(node_id,))
 
     def _rejoin(self, node_id: int) -> None:
-        if not self._active.get(node_id):
-            return
         self.network.set_down(node_id, False)
         self.join_count += 1
         if self.on_join is not None:

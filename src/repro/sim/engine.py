@@ -1,10 +1,11 @@
 """Discrete-event simulation kernel.
 
 A heap-based event loop with a virtual clock, engineered for million-message
-runs: the heap holds plain ``(time, sequence, callback, args, handle)``
-tuples (no per-event dataclass), the pending count is a live counter rather
-than a queue scan, and :meth:`Simulator.schedule_batch` bulk-schedules whole
-delivery blocks without allocating a handle per event.
+runs: the heap holds plain ``(time, sequence, callback, args)`` tuples (no
+per-event object), the pending count is a live counter rather than a queue
+scan, and :meth:`Simulator.schedule_batch` bulk-schedules whole delivery
+blocks in one pass.  A scheduled event cannot be cancelled: every entry in
+the heap fires.
 
 Determinism is a hard requirement (experiments must be reproducible
 bit-for-bit), so:
@@ -28,41 +29,8 @@ from repro.errors import SimulationError
 EventCallback = Callable[..., None]
 
 
-class Event:
-    """Handle for a scheduled callback.
-
-    The kernel stores bare tuples in its heap; this handle exists so callers
-    can cancel an event or inspect its scheduled time.  Cancellation flips a
-    flag the run loop checks when the entry surfaces — O(1), no heap surgery.
-    """
-
-    __slots__ = ("time", "sequence", "label", "cancelled", "fired", "_sim")
-
-    def __init__(
-        self, time: float, sequence: int, label: str, sim: "Simulator"
-    ) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.label = label
-        self.cancelled = False
-        self.fired = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Mark the event as void; the kernel will skip it."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if not self.fired:
-            self._sim._pending -= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        return f"Event(t={self.time} seq={self.sequence} {state} {self.label!r})"
-
-
-#: heap entry layout: (time, sequence, callback, args, handle-or-None)
-_QueueEntry = Tuple[float, int, EventCallback, tuple, Optional[Event]]
+#: heap entry layout: (time, sequence, callback, args)
+_QueueEntry = Tuple[float, int, EventCallback, tuple]
 
 
 class _BlockRun:
@@ -110,7 +78,6 @@ class _BlockRun:
                     self.seq0 + successor,
                     self,
                     (successor,),
-                    None,
                 ),
             )
         self.callback(*[column[index] for column in self.columns])
@@ -148,15 +115,13 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Live (non-cancelled) queued events — O(1), maintained counter."""
+        """Queued events not yet run — O(1), maintained counter."""
         return self._pending
 
     def next_event_time(self) -> float:
-        """Scheduled time of the earliest queued entry (``inf`` when empty).
+        """Scheduled time of the earliest queued event (``inf`` when empty).
 
-        May report a cancelled entry's time — the window scheduler only
-        needs a conservative lower bound, and a stale head merely yields one
-        empty window before it is popped and skipped.
+        Exact: every queued entry fires, so the head is the next event.
         """
         return self._queue[0][0] if self._queue else float("inf")
 
@@ -181,12 +146,8 @@ class Simulator:
         }
 
     def schedule(
-        self,
-        delay: float,
-        callback: EventCallback,
-        label: str = "",
-        args: tuple = (),
-    ) -> Event:
+        self, delay: float, callback: EventCallback, args: tuple = ()
+    ) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Passing ``args`` instead of closing over state avoids building a
@@ -194,22 +155,21 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        sequence = next(self._sequence)
-        event = Event(time, sequence, label, self)
-        heapq.heappush(self._queue, (time, sequence, callback, args, event))
+        heapq.heappush(
+            self._queue,
+            (self._now + delay, next(self._sequence), callback, args),
+        )
         self._pending += 1
-        return event
 
     def schedule_at(
-        self, time: float, callback: EventCallback, label: str = "", args: tuple = ()
-    ) -> Event:
-        """Schedule ``callback`` at absolute virtual time ``time``."""
+        self, time: float, callback: EventCallback, args: tuple = ()
+    ) -> None:
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} < now {self._now}"
             )
-        return self.schedule(time - self._now, callback, label, args)
+        self.schedule(time - self._now, callback, args)
 
     def schedule_batch(
         self,
@@ -220,10 +180,8 @@ class Simulator:
         """Bulk-schedule one callback over a block of delays.
 
         ``args_seq`` supplies per-event argument tuples (e.g. one message per
-        delivery); when omitted the callback runs with no arguments.  No
-        :class:`Event` handles are allocated — batch events cannot be
-        cancelled individually, which is exactly right for in-flight message
-        deliveries.  Returns the number of events scheduled.
+        delivery); when omitted the callback runs with no arguments.
+        Returns the number of events scheduled.
 
         For large blocks the queue is extended and re-heapified in one O(n+k)
         pass instead of k O(log n) sifts.
@@ -232,12 +190,12 @@ class Simulator:
         counter = self._sequence
         if args_seq is None:
             entries = [
-                (now + delay, next(counter), callback, (), None)
+                (now + delay, next(counter), callback, ())
                 for delay in delays
             ]
         else:
             entries = [
-                (now + delay, next(counter), callback, args, None)
+                (now + delay, next(counter), callback, args)
                 for delay, args in zip(delays, args_seq)
             ]
         return self._push_batch(entries)
@@ -256,15 +214,14 @@ class Simulator:
         serializing through repeated ``run(until=...)`` calls.  Times are
         used exactly as given (no ``now + delay`` re-addition), which keeps
         activation instants bit-identical to a sequential accumulation of
-        the same gaps.  Like :meth:`schedule_batch`, no :class:`Event`
-        handles are allocated.  Returns the number of events scheduled.
+        the same gaps.  Returns the number of events scheduled.
         """
         counter = self._sequence
         if args_seq is None:
-            entries = [(time, next(counter), callback, (), None) for time in times]
+            entries = [(time, next(counter), callback, ()) for time in times]
         else:
             entries = [
-                (time, next(counter), callback, args, None)
+                (time, next(counter), callback, args)
                 for time, args in zip(times, args_seq)
             ]
         return self._push_batch(entries)
@@ -282,13 +239,12 @@ class Simulator:
         times and ``columns`` is one sequence per callback argument (record
         ``i`` fires ``callback(columns[0][i], columns[1][i], ...)``).  The
         whole block enters the heap as a single :class:`_BlockRun` entry —
-        no per-event heap tuples, argument tuples, or :class:`Event`
-        handles are allocated at schedule time — yet the pop order is
-        bit-identical to :meth:`schedule_batch_at` over the same records:
-        the block claims the same consecutive sequence-number range, and
-        each record surfaces with its own pre-allocated ``(time, seq)``
-        key.  Like the batch paths, block events cannot be cancelled
-        individually.  Returns the number of events scheduled.
+        no per-event heap tuples or argument tuples are allocated at
+        schedule time — yet the pop order is bit-identical to
+        :meth:`schedule_batch_at` over the same records: the block claims
+        the same consecutive sequence-number range, and each record
+        surfaces with its own pre-allocated ``(time, seq)`` key.  Returns
+        the number of events scheduled.
         """
         count = len(times)
         if count == 0:
@@ -318,7 +274,7 @@ class Simulator:
         # left it, so later schedules tie-break identically.
         self._sequence = itertools.count(seq0 + count)
         run = _BlockRun(self, times, seq0, callback, columns)
-        heapq.heappush(self._queue, (times[0], seq0, run, (0,), None))
+        heapq.heappush(self._queue, (times[0], seq0, run, (0,)))
         self._pending += count
         return count
 
@@ -362,11 +318,7 @@ class Simulator:
             if until is not None and time > until:
                 self._now = until
                 break
-            _, _, callback, args, handle = pop(queue)
-            if handle is not None:
-                if handle.cancelled:
-                    continue
-                handle.fired = True
+            _, _, callback, args = pop(queue)
             if time < self._now:
                 raise SimulationError("event queue time went backwards")
             self._pending -= 1
@@ -388,11 +340,3 @@ class Simulator:
                 f"simulation did not quiesce within {max_events} events"
             )
         return executed
-
-    def clear(self) -> None:
-        """Drop all pending events (used between experiment phases)."""
-        for _, _, _, _, handle in self._queue:
-            if handle is not None and not handle.cancelled:
-                handle.fired = True  # a cleared event can no longer cancel
-        self._queue.clear()
-        self._pending = 0

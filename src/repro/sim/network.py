@@ -488,9 +488,7 @@ class PhysicalNetwork:
         )
         if self._owns(message.dst):
             # one heap push: a one-row schedule_batch costs twice as much
-            self.simulator.schedule(
-                delay, self._deliver, label="deliver", args=(message,)
-            )
+            self.simulator.schedule(delay, self._deliver, args=(message,))
         else:
             self._schedule_block(
                 (message.dst,), (delay,), self._deliver, ((message,),)

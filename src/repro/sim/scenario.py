@@ -403,7 +403,7 @@ class Scenario:
             self.stats.increment("stabilize_rounds")
         self._charge_maintenance()
         self.simulator.schedule(
-            self.config.stabilize_interval, self._periodic_stabilize, "stabilize"
+            self.config.stabilize_interval, self._periodic_stabilize
         )
 
     def _charge_maintenance(self) -> None:
@@ -430,7 +430,11 @@ class Scenario:
     # ------------------------------------------------------------------
 
     def start_churn(self) -> None:
-        """Begin churn cycles and periodic overlay maintenance."""
+        """Begin churn cycles and periodic overlay maintenance.
+
+        Both run for the rest of the run: there is no stop.  A second call
+        schedules nothing new.
+        """
         self.churn_driver.start(self.peer_addresses)
         if self.directory_mode:
             # Maintenance is directory-scheduled: the control plane emits
@@ -439,7 +443,7 @@ class Scenario:
         if self.churn_model.churns and not self._stabilize_scheduled:
             self._stabilize_scheduled = True
             self.simulator.schedule(
-                self.config.stabilize_interval, self._periodic_stabilize, "stabilize"
+                self.config.stabilize_interval, self._periodic_stabilize
             )
 
     # -- directory control-plane application (shard workers) -------------
@@ -452,16 +456,12 @@ class Scenario:
     # do on the replicated path above.
 
     def _apply_control_record(self, record) -> None:
-        time, kind, payload = record
+        _, kind, payload = record
         if kind == "leave":
-            if self.churn_driver.suppresses(time):
-                return
             self.network.set_down(payload, True)
             self.churn_driver.leave_count += 1
             self._on_peer_leave(payload)
         elif kind == "join":
-            if self.churn_driver.suppresses(time):
-                return
             self.network.set_down(payload, False)
             self.churn_driver.join_count += 1
             self._on_peer_join(payload)

@@ -107,7 +107,7 @@ import threading
 import traceback
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -218,15 +218,8 @@ class DirectoryControlPlane:
     order — initial leaves in peer-address order, then stabilize, then
     rescheduled events in execution order — exactly the order the unsharded
     :class:`~repro.sim.churn.ChurnDriver` + stabilize chain would pop them.
-
-    ``stop_churn`` arrives at the barrier *after* the window in which the
-    workload called it; records already published past the stop time are
-    suppressed worker-side (:meth:`DirectoryChurnClient.suppresses`), which
-    reproduces the driver's "queued events fire inactive" semantics.  The
-    authoritative overlay, however, has already executed such records, so a
-    stop that lands mid-window with published churn behind it raises loudly
-    instead of letting later maintenance diffs serve diverged state (see
-    :meth:`_stop`).
+    Churn, once started, runs for the rest of the run, so every published
+    record is one the fleet applies.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -247,12 +240,8 @@ class DirectoryControlPlane:
         self.streams = PeerStreams(config.seed)
         self._heap: List[Tuple[float, int, str, Optional[int]]] = []
         self._seq = itertools.count()
-        self._active: Dict[int, bool] = {}
         self._down: set = set()
         self._stabilize_scheduled = False
-        #: virtual times of every published churn record — consulted by
-        #: _stop to detect the unsupported mid-window stop (see below)
-        self._published_churn_times: List[float] = []
         self.records_emitted = 0
         self.edits_emitted = 0
         self.record_bytes = 0
@@ -266,9 +255,7 @@ class DirectoryControlPlane:
         for kind, time in requests:
             if kind == "start_churn":
                 self._start(time)
-            elif kind == "stop_churn":
-                self._stop(time)
-            else:  # pragma: no cover - wire-format drift guard
+            else:  # wire-format drift guard
                 raise SimulationError(f"unknown control request {kind!r}")
 
     def next_time(self) -> float:
@@ -302,45 +289,15 @@ class DirectoryControlPlane:
         heapq.heappush(self._heap, (time, next(self._seq), kind, peer))
 
     def _start(self, t0: float) -> None:
-        """Mirror Scenario.start_churn: per-peer leave cycles (none for a
-        peer already cycling), then the periodic stabilize chain."""
-        if self.model.churns:
-            for peer in self.peer_addresses:
-                if self._active.get(peer):
-                    continue
-                self._active[peer] = True
-                self._schedule_leave(t0, peer)
-        if self.model.churns and not self._stabilize_scheduled:
-            self._stabilize_scheduled = True
-            self._schedule(
-                t0 + self.config.stabilize_interval, "stabilize", None
-            )
-
-    def _stop(self, time: float) -> None:
-        # A stop request reaches the plane one barrier after the workload
-        # called it, but records for that window were published — and
-        # executed against the authoritative overlay — at the window's
-        # opening barrier.  Workers correctly suppress published churn
-        # records past the stop instant (DirectoryChurnClient.suppresses),
-        # so a churn record in (stop, window_end] means the authority has
-        # applied a membership change the fleet skipped: every later
-        # maintenance diff would serve state the replicated kernel never
-        # reaches.  Rather than silently diverge, fail loudly — directory
-        # mode supports stop() whenever no churn record past the stop
-        # instant was already published (in particular any stop between
-        # run() calls or in churn-quiet stretches).
-        suppressed = [t for t in self._published_churn_times if t > time]
-        if suppressed:
-            raise SimulationError(
-                f"directory control plane: stop_churn at t={time} arrived "
-                f"after churn records at {sorted(suppressed)} were already "
-                "published and applied to the authoritative overlay; the "
-                "served state would diverge from the replicated kernel. "
-                "Stop churn at a churn-quiet point, or use "
-                "control_plane='replicated' for mid-window stops."
-            )
-        for peer in self._active:
-            self._active[peer] = False
+        """Mirror Scenario.start_churn: every peer's leave cycle, then the
+        periodic stabilize chain.  Every peer starts cycling at the first
+        start, so a second start schedules nothing."""
+        if not self.model.churns or self._stabilize_scheduled:
+            return
+        self._stabilize_scheduled = True
+        for peer in self.peer_addresses:
+            self._schedule_leave(t0, peer)
+        self._schedule(t0 + self.config.stabilize_interval, "stabilize", None)
 
     def _schedule_leave(self, now: float, peer: int) -> None:
         session = self.model.session_time(self.streams.churn_rng(peer))
@@ -351,26 +308,20 @@ class DirectoryControlPlane:
     def _exec_leave(
         self, time: float, peer: int, records: List[ControlRecord]
     ) -> None:
-        if not self._active.get(peer):
-            return
         if peer in self._down:
             return
         self._down.add(peer)
         self.overlay.leave(peer)
         records.append((time, "leave", peer))
-        self._published_churn_times.append(time)
         downtime = self.model.downtime(self.streams.churn_rng(peer))
         self._schedule(time + downtime, "rejoin", peer)
 
     def _exec_rejoin(
         self, time: float, peer: int, records: List[ControlRecord]
     ) -> None:
-        if not self._active.get(peer):
-            return
         self._down.discard(peer)
         self.overlay.join(peer)
         records.append((time, "join", peer))
-        self._published_churn_times.append(time)
         self._schedule_leave(time, peer)
 
     def _exec_stabilize(
@@ -682,7 +633,7 @@ class _ShardWorkerScenario(Scenario):
     Under ``control_plane="directory"`` the replica sheds its O(N) control
     plane: the overlay is a *view* restored from the directory's startup
     snapshot (no joins computed locally), churn is a
-    :class:`~repro.sim.churn.DirectoryChurnClient` forwarding start/stop
+    :class:`~repro.sim.churn.DirectoryChurnClient` forwarding its start
     through the barrier, served delta records apply at their exact virtual
     times, and per-peer state materializes only for owned peers.
     """

@@ -303,8 +303,8 @@ class StatsCollector:
             header += f"{'wire':>14}{'ratio':>8}"
         lines = [header]
 
-        def render(label: str, count: int, raw: int, wire: int) -> str:
-            line = f"{label:<28}{count:>10}{raw:>14}"
+        def render(name: str, count: int, raw: int, wire: int) -> str:
+            line = f"{name:<28}{count:>10}{raw:>14}"
             if compressed:
                 ratio = wire / raw if raw else 1.0
                 line += f"{wire:>14}{ratio:>8.2f}"

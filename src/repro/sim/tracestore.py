@@ -407,13 +407,13 @@ class TraceStore:
         if not rows:
             return out_headers, []
         picked: Rows = []
-        for label, target in (
+        for percentile, target in (
             ("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("max", 1.00),
         ):
             row = next(r for r in rows if r[4] >= target - 1e-12)
-            if label == "max":
+            if percentile == "max":
                 row = rows[-1]
-            picked.append((label,) + tuple(row[:4]))
+            picked.append((percentile,) + tuple(row[:4]))
         return out_headers, picked
 
     def report_routes(self, bucket: float = 1.0) -> Report:

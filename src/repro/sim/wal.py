@@ -45,7 +45,7 @@ redundant given deterministic re-execution), the
 excluded from golden digests by contract), and per-window RNG cursors at
 every barrier (reading ~3N generator states per window would dominate
 the <10% overhead budget at large N — they are sampled every
-``REPRO_WAL_CURSORS_EVERY`` windows, default 16, and always at commit).
+:data:`CURSORS_EVERY` windows, and always at commit).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.envutil import env_int
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.exchange import ExchangeFrame, merge_frames
 
@@ -72,12 +71,9 @@ _RECORD_HEADER = struct.Struct("<BII")
 _K_WINDOW = 1
 _K_COMMIT = 2
 
-CURSOR_EVERY_ENV = "REPRO_WAL_CURSORS_EVERY"
-
-
-def cursor_cadence() -> int:
-    """Windows between full RNG-cursor snapshots in the log (>= 1)."""
-    return env_int(CURSOR_EVERY_ENV, 16, minimum=1, error=SimulationError)
+#: windows between full RNG-cursor snapshots in a fresh log; a resumed
+#: run keeps the cadence its log was written with
+CURSORS_EVERY = 16
 
 
 def config_fingerprint(config: Any) -> Dict[str, Any]:
@@ -415,7 +411,7 @@ class WalSession:
             raise ConfigurationError(
                 "WalSession needs config.wal and/or config.resume"
             )
-        self.cursor_every = cursor_cadence()
+        self.cursor_every = CURSORS_EVERY
         self.logged: List[WindowRecord] = []
         self.commit: Optional[dict] = None
         self.writer: Optional[WalWriter] = None

@@ -104,9 +104,7 @@ class QueryWorkload:
             return len(events)
         for event in events:
             simulator.schedule_at(
-                max(simulator.now, event.time),
-                lambda e=event: handler(e),
-                label="workload-query",
+                max(simulator.now, event.time), handler, args=(event,)
             )
         simulator.run()
         return len(events)

@@ -9,8 +9,6 @@ byte-identity; this file pins the machinery underneath it:
 - delta *ordering* at a window barrier when several control events tie on
   virtual time — a crafted constant-session churn model makes every peer
   leave at exactly the same instant, which real exponential draws never do;
-- stop-churn suppression: records published past the stop time must no-op
-  exactly like the replicated driver's queued-but-inactive events;
 - the advance cursor (no duplicate or missed records across windows) and
   the service-traffic accounting staying outside golden fingerprints.
 """
@@ -168,59 +166,20 @@ def test_advance_cursor_never_duplicates_or_misses(monkeypatch):
     assert plane.records_emitted == len(seen)
 
 
-def test_stop_churn_deactivates_future_events(monkeypatch):
+def test_a_second_start_schedules_nothing(monkeypatch):
+    """Every peer cycles from the first start on, as on the replicated
+    path: a later start_churn adds no second leave or stabilize chain."""
     monkeypatch.setattr(
         ScenarioConfig, "build_churn_model", lambda self: ConstantChurn()
     )
-    plane = DirectoryControlPlane(_directory_config())
-    plane.handle_requests([("start_churn", 0.0)])
-    assert len(plane.advance(6.0)) == 5
-    plane.handle_requests([("stop_churn", 6.0)])
-    # The queued rejoins (7.0) and everything after fire inactive — the
-    # churn chains die out; only the stabilize chain keeps publishing,
-    # exactly like the replicated kernel's unconditional reschedule.
-    later = plane.advance(100.0)
-    assert [r for r in later if r[1] != "maintenance"] == []
-    assert [time for time, kind, _ in later if kind == "maintenance"] == [
-        30.0, 60.0, 90.0,
-    ]
-
-
-def test_stop_behind_published_churn_fails_loudly(monkeypatch):
-    """A stop instant with churn records already published past it means
-    the authoritative overlay executed membership changes the fleet
-    suppressed — later maintenance diffs would serve diverged state.  The
-    plane must refuse rather than silently break byte-identity."""
-    from repro.errors import SimulationError
-
-    monkeypatch.setattr(
-        ScenarioConfig, "build_churn_model", lambda self: ConstantChurn()
-    )
-    plane = DirectoryControlPlane(_directory_config())
-    plane.handle_requests([("start_churn", 0.0)])
-    plane.advance(20.0)  # publishes leaves @5, joins @7, leaves @12, ...
-    with pytest.raises(SimulationError, match="stop_churn at t=10.0"):
-        plane.handle_requests([("stop_churn", 10.0)])
-
-
-def test_client_suppresses_served_records_past_local_stop_time():
-    """A record published before the directory learned of stop() must no-op
-    on the worker — DirectoryChurnClient mirrors the driver's _active gate."""
-
-    class _Sim:
-        now = 10.0
-
-    requests = []
-    client = DirectoryChurnClient(
-        _Sim(), ConstantChurn(), lambda kind, t: requests.append((kind, t))
-    )
-    client.start([0, 1, 2])
-    assert requests == [("start_churn", 10.0)]
-    assert not client.suppresses(11.0)
-    client.stop()
-    assert requests[-1] == ("stop_churn", 10.0)
-    assert client.suppresses(10.5)
-    assert not client.suppresses(10.0)  # at-or-before stop still applies
+    once = DirectoryControlPlane(_directory_config())
+    once.handle_requests([("start_churn", 0.0)])
+    twice = DirectoryControlPlane(_directory_config())
+    twice.handle_requests([("start_churn", 0.0)])
+    assert twice.advance(3.0) == once.advance(3.0) == []
+    twice.handle_requests([("start_churn", 3.0)])
+    assert twice.advance(40.0) == once.advance(40.0)
+    assert twice.next_time() == once.next_time()
 
 
 def test_no_churn_model_sends_no_start_request():

@@ -95,15 +95,6 @@ class TestRunControl:
         assert executed == 3
         assert sim.pending_events == 7
 
-    def test_cancelled_events_skipped(self):
-        sim = Simulator()
-        hits = []
-        event = sim.schedule(1.0, lambda: hits.append("cancelled"))
-        sim.schedule(2.0, lambda: hits.append("kept"))
-        event.cancel()
-        sim.run()
-        assert hits == ["kept"]
-
     def test_run_until_idle_guard(self):
         sim = Simulator()
 
@@ -113,12 +104,6 @@ class TestRunControl:
         sim.schedule(1.0, reschedule)
         with pytest.raises(SimulationError):
             sim.run_until_idle(max_events=100)
-
-    def test_clear(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.clear()
-        assert sim.pending_events == 0
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -226,27 +211,15 @@ class TestScheduleBatchAt:
 class TestPendingCounter:
     def test_pending_is_live_counter(self):
         sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(5)]
-        assert sim.pending_events == 5
-        events[0].cancel()
-        events[0].cancel()  # idempotent
-        assert sim.pending_events == 4
+        for i in range(5):
+            sim.schedule(float(i + 1), lambda: None)
+        sim.schedule_at(2.5, lambda: None)
+        assert sim.pending_events == 6 == len(sim._queue)
         sim.run(max_events=2)
-        assert sim.pending_events == 2
-
-    def test_cancel_after_fire_is_noop(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
+        assert sim.pending_events == 4 == len(sim._queue)
+        sim.run(until=3.0)  # the clamp leaves the rest queued
+        assert sim.pending_events == 2 == len(sim._queue)
         sim.run()
-        assert sim.pending_events == 0
-        event.cancel()
-        assert sim.pending_events == 0
-
-    def test_cancel_after_clear_is_noop(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.clear()
-        event.cancel()
         assert sim.pending_events == 0
 
 
@@ -325,16 +298,6 @@ class TestScheduleBlock:
         assert seen == ["a"] and sim.now == 1.5
         sim.run()
         assert seen == ["a", "b", "c"]
-
-    def test_clear_drops_remaining_block(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_block([1.0, 2.0], seen.append, [["a", "b"]])
-        sim.run(max_events=1)
-        sim.clear()
-        sim.run()
-        assert seen == ["a"]
-        assert sim.pending_events == 0
 
     def test_past_time_rejected(self):
         sim = Simulator()

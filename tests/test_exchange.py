@@ -300,9 +300,7 @@ def test_mp_worker_hard_crash_propagates():
         if scenario.owns(0):
             network.broadcast_block(0, [1, 2, 3], "ping", None, 64)
         if scenario.owns(1):
-            scenario.simulator.schedule_at(
-                0.5, lambda: os._exit(3), label="die"
-            )
+            scenario.simulator.schedule_at(0.5, lambda: os._exit(3))
         scenario.simulator.run_until_idle()
         return None
 

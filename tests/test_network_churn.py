@@ -220,21 +220,6 @@ class TestChurnDriver:
         driver.start([0])
         assert sim.pending_events == 0
 
-    def test_stop_halts_cycles(self):
-        sim, network = make_network()
-        for address in range(4):
-            network.register(address, lambda m: None)
-        driver = ChurnDriver(
-            sim, network, ExponentialChurn(mean_session=5.0, mean_downtime=1.0)
-        )
-        driver.start(list(range(4)))
-        sim.run(until=20.0)
-        driver.stop()
-        count_at_stop = driver.leave_count + driver.join_count
-        sim.run(until=100.0)
-        # A few queued events may still fire, then everything quiesces.
-        assert driver.leave_count + driver.join_count <= count_at_stop + 8
-
 
 # -- Scenario.start_churn() is idempotent while churn runs --------------------
 
@@ -297,16 +282,18 @@ def test_retraining_a_churned_system_schedules_no_second_cycle():
         corpus, algorithm="pace", churn="exponential", seed=1,
     )
 
+    driver = system.scenario.churn_driver
+    cycle_steps = (driver._leave, driver._rejoin)
+
     def queued_cycles():
         return sorted(
-            entry[4].label.split(":")[1]
-            for entry in system.scenario.simulator._queue
-            if entry[4] is not None and not entry[4].cancelled
-            and entry[4].label.startswith("churn-")
+            args[0]
+            for _, _, callback, args in system.scenario.simulator._queue
+            if callback in cycle_steps
         )
 
     system.train()
-    peers = sorted(str(address) for address in system.scenario.peer_addresses)
+    peers = sorted(system.scenario.peer_addresses)
     assert queued_cycles() == peers  # one pending leave or rejoin per peer
     system.train()
     assert queued_cycles() == peers

@@ -149,6 +149,15 @@ compares a frame kind, subscripts ``faults`` or names the respawn
 budget: the shell carries out decisions, it never takes one.  Decisions
 spread over read loops in the shell are how a silent connection came to
 stall the fleet twice.
+
+(aa) Churn has no off switch and events no cancel handle.
+``repro.sim.engine`` defines no ``Event``; a queued entry is the 4-tuple
+``(time, seq, callback, args)`` and ``schedule`` / ``schedule_at`` return
+nothing; no function in ``sim/churn.py`` is named ``stop``; and the
+directory plane's ``handle_requests`` accepts ``start_churn`` alone.  Ratchet
+(t) cannot see these: ``stop`` and ``clear`` share their names with
+``_Heartbeat.stop`` and ``dict.clear``.  A stop nothing called is what
+kept the directory plane refusing what the replicated plane accepted.
 """
 
 import ast
@@ -164,7 +173,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 RUNTIME_KNOBS = {
-    "REPRO_WAL_CURSORS_EVERY",
     "REPRO_TCP_TIMEOUT_S",
     "REPRO_TCP_RETRIES",
     "REPRO_TCP_MAX_RESPAWNS",
@@ -974,7 +982,6 @@ REACHED_FROM_OUTSIDE_SRC = {
     "p2pclass/cascade.py:support_vectors_payload": _UNIT,
     "p2pclass/voting.py:majority_vote": _UNIT,
     "p2pclass/voting.py:weighted_majority_vote": _UNIT,
-    "sim/engine.py:Event.cancel": _UNIT,
     "sim/network.py:pair_seed": _UNIT,
     "sim/node.py:SimNode.on": _UNIT,
     "sim/node.py:SimNode.shutdown": _UNIT,
@@ -1262,3 +1269,49 @@ def test_fleet_supervision_is_one_sans_io_machine():
     assert _supervision_leaks("class TcpCoordinator:\n    pass\n") == [0]
     tcpexec = ROOT / "src" / "repro" / "sim" / "tcpexec.py"
     assert _supervision_leaks(tcpexec.read_text(encoding="utf-8")) == []
+
+
+def _stop_definitions(text):
+    """Line numbers of every function named ``stop`` in ``text``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "stop"
+    )
+
+
+def test_churn_has_no_off_switch_and_events_no_cancel_handle():
+    from repro.errors import SimulationError
+    from repro.sim import engine
+    from repro.sim.shard import DirectoryControlPlane
+
+    assert not hasattr(engine, "Event")
+    simulator = engine.Simulator()
+    assert simulator.schedule(1.0, print) is None
+    assert simulator.schedule_at(2.0, print, args=("x",)) is None
+    assert [len(entry) for entry in simulator._queue] == [4, 4]
+
+    assert _stop_definitions(
+        "class Driver:\n    def start(self):\n        pass\n"
+        "    def stop(self):\n        pass\n"
+        "def stop():\n    pass\n"
+    ) == [4, 6]
+    churn = ROOT / "src" / "repro" / "sim" / "churn.py"
+    assert _stop_definitions(churn.read_text(encoding="utf-8")) == []
+
+    class _Plane:
+        """Stands in for the plane: records what ``_start`` is handed."""
+
+        def __init__(self):
+            self.started = []
+
+        def _start(self, time):
+            self.started.append(time)
+
+    plane = _Plane()
+    DirectoryControlPlane.handle_requests(plane, [("start_churn", 3.0)])
+    assert plane.started == [3.0]
+    for kind in ("stop_churn", "pause_churn"):
+        with pytest.raises(SimulationError, match=f"request '{kind}'"):
+            DirectoryControlPlane.handle_requests(plane, [(kind, 4.0)])
+    assert plane.started == [3.0]

@@ -120,8 +120,7 @@ class _CrashingWorkload:
         if scenario.owns(1):
             die = self.die
             scenario.simulator.schedule_at(
-                1.6, (lambda: os._exit(3)) if die else (lambda: None),
-                label="die",
+                1.6, (lambda: os._exit(3)) if die else (lambda: None)
             )
         return _StormWorkload()(scenario)
 

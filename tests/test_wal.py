@@ -27,6 +27,7 @@ from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.shard import ShardedScenario, scenario_digest
 from repro.sim.stats import StatsCollector
+from repro.sim import wal as wal_module
 from repro.sim.wal import (
     WalReader,
     WalWriter,
@@ -305,15 +306,15 @@ def test_resume_at_every_window_fuzz(tmp_path, monkeypatch):
     """Chop the log at window W and resume, for W across the whole run:
     every resume must land on the identical digest.  Cursors are logged at
     every barrier (cadence 1) while the WAL is written, and the resume runs
-    under a different env cadence to prove the logged cadence wins."""
-    monkeypatch.setenv("REPRO_WAL_CURSORS_EVERY", "1")
+    under a different cadence to prove the logged cadence wins."""
+    monkeypatch.setattr(wal_module, "CURSORS_EVERY", 1)
     wal = str(tmp_path / "storm.wal")
     run = ShardedScenario(_config(8, shards=2, wal=wal)).run(_storm_workload)
     expected = run.digest()
     reader = WalReader(wal)
     assert len(reader.windows) == run.windows >= 3
 
-    monkeypatch.setenv("REPRO_WAL_CURSORS_EVERY", "7")
+    monkeypatch.setattr(wal_module, "CURSORS_EVERY", 7)
     total = len(reader.windows)
     if FULL_FUZZ:
         positions = list(range(total + 1))
@@ -343,8 +344,7 @@ def _crashing_workload(die: bool):
     def workload(scenario):
         if scenario.owns(1):
             scenario.simulator.schedule_at(
-                1.6, (lambda: os._exit(3)) if die else (lambda: None),
-                label="die",
+                1.6, (lambda: os._exit(3)) if die else (lambda: None)
             )
         return _storm_workload(scenario)
 
