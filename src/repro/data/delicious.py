@@ -295,9 +295,6 @@ class DeliciousGenerator:
     def groups_of(self, tag: str) -> List[int]:
         return list(self._tag_groups[tag])
 
-    def topic_words_of(self, tag: str) -> List[str]:
-        return [self._vocabulary[i] for i in self._topic_words[tag]]
-
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------

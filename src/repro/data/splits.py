@@ -17,22 +17,6 @@ from repro.data.corpus import Corpus, Document
 from repro.errors import DataError
 
 
-def train_test_split(
-    corpus: Corpus, train_fraction: float = 0.2, seed: int = 0
-) -> Tuple[Corpus, Corpus]:
-    """Global random split into (train, test) corpora."""
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError("train_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    documents = corpus.documents
-    order = rng.permutation(len(documents))
-    cut = max(1, int(round(train_fraction * len(documents))))
-    train_ids = {documents[i].doc_id for i in order[:cut]}
-    train = [d for d in documents if d.doc_id in train_ids]
-    test = [d for d in documents if d.doc_id not in train_ids]
-    return Corpus(train), Corpus(test)
-
-
 def per_user_split(
     corpus: Corpus, train_fraction: float = 0.2, seed: int = 0
 ) -> Tuple[Corpus, Corpus]:

@@ -21,7 +21,7 @@ class NotTrainedError(ReproError):
 
 
 class VocabularyError(ReproError):
-    """A vectorizer was used with an empty or frozen-violating lexicon."""
+    """A vectorizer was misconfigured or used before it was fitted."""
 
 
 class OverlayError(ReproError):

@@ -1,10 +1,9 @@
-"""Score-based evaluation utilities: ROC, precision-recall, threshold tuning.
+"""Score-based threshold tuning.
 
 The classifiers emit per-tag scores; the GUI's confidence slider and the
-AutoTag threshold both need principled defaults.  This module provides the
-standard machinery: ROC/PR curves over (score, label) pairs, their areas,
-and threshold selection maximizing F1 — used by the adaptive threshold
-policy and the threshold-ablation benchmark.
+AutoTag threshold both need principled defaults.  This module sweeps the
+thresholds over (score, label) pairs and picks the one maximizing F1 — the
+per-tag thresholds of ``--tune-thresholds``.
 """
 
 from __future__ import annotations
@@ -29,11 +28,6 @@ class CurvePoint:
     def tpr(self) -> float:
         denom = self.tp + self.fn
         return self.tp / denom if denom else 0.0
-
-    @property
-    def fpr(self) -> float:
-        denom = self.fp + self.tn
-        return self.fp / denom if denom else 0.0
 
     @property
     def precision(self) -> float:
@@ -93,57 +87,6 @@ def threshold_sweep(
             )
         )
     return points
-
-
-def roc_curve(
-    scores: Sequence[float], labels: Sequence[int]
-) -> List[Tuple[float, float]]:
-    """(FPR, TPR) points from (0,0) to (1,1)."""
-    points = threshold_sweep(scores, labels)
-    curve = [(0.0, 0.0)]
-    curve.extend((p.fpr, p.tpr) for p in points)
-    if curve[-1] != (1.0, 1.0):
-        curve.append((1.0, 1.0))
-    return curve
-
-
-def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Area under the ROC curve (trapezoidal).
-
-    Degenerate one-class inputs return 0.5 (no ranking information).
-    """
-    _validate(scores, labels)
-    if len(set(labels)) == 1:
-        return 0.5
-    curve = roc_curve(scores, labels)
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(curve, curve[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
-
-
-def precision_recall_curve(
-    scores: Sequence[float], labels: Sequence[int]
-) -> List[Tuple[float, float]]:
-    """(recall, precision) points, recall ascending."""
-    points = threshold_sweep(scores, labels)
-    return [(p.recall, p.precision) for p in points]
-
-
-def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """AP: precision averaged at each recall step."""
-    _validate(scores, labels)
-    total_pos = sum(labels)
-    if total_pos == 0:
-        return 0.0
-    pairs = sorted(zip(scores, labels), key=lambda p: -p[0])
-    seen_pos = 0
-    ap = 0.0
-    for rank, (_, label) in enumerate(pairs, start=1):
-        if label == 1:
-            seen_pos += 1
-            ap += seen_pos / rank
-    return ap / total_pos
 
 
 def best_f1_threshold(

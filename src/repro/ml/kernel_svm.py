@@ -118,9 +118,6 @@ class KernelSVMModel:
         """Let go of the pack; a later ``decision`` builds it again."""
         self._packed = None
 
-    def predict(self, x: SparseVector) -> int:
-        return 1 if self.decision(x) >= 0.0 else -1
-
     @property
     def num_support_vectors(self) -> int:
         return len(self.support_vectors)
@@ -304,14 +301,3 @@ class KernelSVM:
 
     def decision(self, x: SparseVector) -> float:
         return self.model.decision(x)
-
-    def predict(self, x: SparseVector) -> int:
-        return self.model.predict(x)
-
-    def accuracy(
-        self, vectors: Sequence[SparseVector], labels: Sequence[int]
-    ) -> float:
-        if not vectors:
-            return 1.0
-        correct = sum(1 for x, y in zip(vectors, labels) if self.predict(x) == y)
-        return correct / len(vectors)

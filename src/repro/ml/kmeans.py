@@ -9,11 +9,11 @@ documents) so their wire size is honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, NotTrainedError
+from repro.errors import ConfigurationError
 from repro.ml.sparse import SparseVector
 
 
@@ -57,7 +57,6 @@ class KMeans:
         self.k = k
         self.max_iterations = max_iterations
         self.seed = seed
-        self._result: Optional[KMeansResult] = None
 
     def fit(self, vectors: Sequence[SparseVector]) -> KMeansResult:
         if not vectors:
@@ -104,13 +103,12 @@ class KMeans:
             vector.distance_squared(centroids[assignment])
             for vector, assignment in zip(vectors, assignments)
         )
-        self._result = KMeansResult(
+        return KMeansResult(
             centroids=centroids,
             assignments=assignments,
             inertia=inertia,
             iterations=iterations,
         )
-        return self._result
 
     @staticmethod
     def _kmeanspp_init(
@@ -135,17 +133,3 @@ class KMeans:
             choice = int(rng.choice(len(vectors), p=probabilities))
             centroids.append(vectors[choice])
         return centroids
-
-    @property
-    def result(self) -> KMeansResult:
-        if self._result is None:
-            raise NotTrainedError("KMeans has not been fitted")
-        return self._result
-
-    def predict(self, vector: SparseVector) -> int:
-        """Index of the nearest centroid."""
-        centroids = self.result.centroids
-        return min(
-            range(len(centroids)),
-            key=lambda c: vector.distance_squared(centroids[c]),
-        )

@@ -112,21 +112,6 @@ class RandomHyperplaneLSH(Generic[T]):
         self._size += 1
         return key
 
-    def remove(self, payload: T) -> bool:
-        """Remove every entry carrying ``payload``; True if any was removed."""
-        removed = False
-        for key in list(self._buckets):
-            bucket = self._buckets[key]
-            kept = [(v, p) for v, p in bucket if p != payload]
-            if len(kept) != len(bucket):
-                removed = True
-                self._size -= len(bucket) - len(kept)
-                if kept:
-                    self._buckets[key] = kept
-                else:
-                    del self._buckets[key]
-        return removed
-
     def __len__(self) -> int:
         return self._size
 
@@ -198,7 +183,3 @@ class RandomHyperplaneLSH(Generic[T]):
         for occupied in self._buckets:
             if bin(occupied ^ key).count("1") == distance:
                 yield occupied
-
-    def bucket_sizes(self) -> Dict[int, int]:
-        """Occupied bucket -> entry count (diagnostics / tests)."""
-        return {key: len(bucket) for key, bucket in self._buckets.items()}

@@ -3,7 +3,7 @@
 Document tagging is multi-label: each document carries a *set* of tags.  The
 metrics below are the standard ones for that setting — micro/macro precision,
 recall and F1 over per-tag confusion counts, Hamming loss, subset (exact-set)
-accuracy, and ranked precision/recall@k for the suggestion experiments.
+accuracy, and ranked precision@k for the suggestion experiments.
 """
 
 from __future__ import annotations
@@ -153,19 +153,6 @@ def precision_at_k(
     if not top:
         return 0.0
     return sum(1 for tag in top if tag in truth) / len(top)
-
-
-def recall_at_k(
-    true_set: Iterable[str], ranked_tags: Sequence[str], k: int
-) -> float:
-    """Recall of the top-k ranked suggestions against the true tag set."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    truth = frozenset(true_set)
-    if not truth:
-        return 0.0
-    top = ranked_tags[:k]
-    return sum(1 for tag in top if tag in truth) / len(truth)
 
 
 def mean_precision_at_k(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, NotTrainedError
 from repro.ml.sparse import SparseVector
@@ -66,8 +66,7 @@ class NBSufficientStats:
 class MultinomialNB:
     """Binary multinomial NB with Laplace smoothing.
 
-    Built either directly from (vectors, labels) via :meth:`fit` or from
-    aggregated :class:`NBSufficientStats` via :meth:`from_stats`.
+    Built from aggregated :class:`NBSufficientStats` via :meth:`from_stats`.
     """
 
     def __init__(self, alpha: float = 1.0, vocabulary_size: int = 2 ** 18) -> None:
@@ -80,19 +79,6 @@ class MultinomialNB:
         self._stats: Optional[NBSufficientStats] = None
 
     # -- training ----------------------------------------------------------
-
-    def fit(
-        self, vectors: Sequence[SparseVector], labels: Sequence[int]
-    ) -> "MultinomialNB":
-        if len(vectors) != len(labels):
-            raise ConfigurationError("vectors and labels length mismatch")
-        if not vectors:
-            raise ConfigurationError("cannot fit on an empty training set")
-        stats = NBSufficientStats()
-        for vector, label in zip(vectors, labels):
-            stats.add_document(vector, label)
-        self._stats = stats
-        return self
 
     @classmethod
     def from_stats(
@@ -134,9 +120,6 @@ class MultinomialNB:
             )
         return score
 
-    def predict(self, vector: SparseVector) -> int:
-        return 1 if self.log_odds(vector) >= 0.0 else -1
-
     def probability(self, vector: SparseVector) -> float:
         """P(y=+1 | x) via the logistic of the log-odds."""
         z = self.log_odds(vector)
@@ -144,11 +127,3 @@ class MultinomialNB:
             ez = math.exp(-min(z, 500.0))
             return 1.0 / (1.0 + ez)
         return math.exp(max(z, -500.0)) / (1.0 + math.exp(max(z, -500.0)))
-
-    def accuracy(
-        self, vectors: Sequence[SparseVector], labels: Sequence[int]
-    ) -> float:
-        if not vectors:
-            return 1.0
-        correct = sum(1 for x, y in zip(vectors, labels) if self.predict(x) == y)
-        return correct / len(vectors)

@@ -25,7 +25,7 @@ class SparseVector:
 
     Zero-valued entries are never stored.  Supports the vector algebra the
     SVM/k-means/LSH implementations need: dot products, scaled addition,
-    norms, cosine distance, and densification against a fixed dimension.
+    norms and Euclidean distance.
     """
 
     __slots__ = ("_data", "_squared_norm")
@@ -69,12 +69,6 @@ class SparseVector:
         vector._squared_norm = None
         return vector
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseVector":
-        """Build from a dense numpy array, keeping nonzeros only."""
-        (indices,) = np.nonzero(dense)
-        return cls({int(i): float(dense[i]) for i in indices})
-
     # -- mapping protocol -----------------------------------------------
 
     def get(self, key: int, default: float = 0.0) -> float:
@@ -92,9 +86,6 @@ class SparseVector:
     def items(self) -> Iterable[Tuple[int, float]]:
         return self._data.items()
 
-    def keys(self):
-        return self._data.keys()
-
     def values(self):
         return self._data.values()
 
@@ -105,10 +96,6 @@ class SparseVector:
     @property
     def nnz(self) -> int:
         return len(self._data)
-
-    def max_index(self) -> int:
-        """Largest feature id present, or -1 for the zero vector."""
-        return max(self._data, default=-1)
 
     # -- algebra ---------------------------------------------------------
 
@@ -124,15 +111,6 @@ class SparseVector:
             if key in b:
                 total += value * b[key]
         return total
-
-    def dot_dense(self, dense: np.ndarray) -> float:
-        """Dot product against a dense weight array (out-of-range ids are 0)."""
-        n = dense.shape[0]
-        total = 0
-        for key, value in self._data.items():
-            if key < n:
-                total += value * dense[key]
-        return float(total)
 
     def add(self, other: "SparseVector", scale: float = 1.0) -> "SparseVector":
         """Return ``self + scale * other`` as a new vector."""
@@ -182,25 +160,7 @@ class SparseVector:
     def distance(self, other: "SparseVector") -> float:
         return math.sqrt(max(0.0, self.distance_squared(other)))
 
-    def cosine_similarity(self, other: "SparseVector") -> float:
-        denom = self.norm() * other.norm()
-        if denom == 0.0:
-            return 0.0
-        return self.dot(other) / denom
-
     # -- conversion -------------------------------------------------------
-
-    def to_dense(self, dimension: int) -> np.ndarray:
-        """Densify into a float64 array of length ``dimension``.
-
-        Feature ids at or beyond ``dimension`` are dropped (unseen test-time
-        vocabulary, mirroring how a fixed-lexicon model ignores new words).
-        """
-        dense = np.zeros(dimension, dtype=np.float64)
-        for key, value in self._data.items():
-            if key < dimension:
-                dense[key] = value
-        return dense
 
     def to_dict(self) -> Dict[int, float]:
         """Copy of the underlying mapping (for serialization)."""

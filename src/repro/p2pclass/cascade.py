@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.ml.calibration import PlattCalibrator
-from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, SupportVector
+from repro.ml.kernel_svm import KernelSVM, KernelSVMModel
 from repro.ml.sparse import SparseVector
 
 
@@ -122,9 +122,3 @@ def cascade_merge(
         training_size=len(labels),
         training_accuracy=correct / len(labels),
     )
-
-
-def support_vectors_payload(model: KernelSVMModel) -> List[SupportVector]:
-    """The exact objects CEMPaR ships to a super-peer (privacy note: these
-    are word-id/frequency vectors, never text)."""
-    return list(model.support_vectors)

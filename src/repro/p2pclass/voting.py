@@ -1,28 +1,12 @@
-"""Vote combiners.
+"""Vote combiner.
 
-CEMPaR assigns tags "by (weighted) majority voting" over regional models;
-PACE weights votes "according to their accuracy and distance from the test
-data".  Both reduce to the two functions here.
+CEMPaR assigns tags "by (weighted) majority voting" over regional models:
+each model's (score, weight) vote for a tag folds into one score here.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
-
-
-def majority_vote(votes: Sequence[int]) -> int:
-    """Unweighted majority over ±1 votes (ties break positive)."""
-    if not votes:
-        return -1
-    return 1 if sum(votes) >= 0 else -1
-
-
-def weighted_majority_vote(votes: Sequence[Tuple[int, float]]) -> int:
-    """Majority over (±1 vote, weight >= 0) pairs (ties break positive)."""
-    if not votes:
-        return -1
-    total = sum(vote * max(0.0, weight) for vote, weight in votes)
-    return 1 if total >= 0 else -1
 
 
 def weighted_score(votes: Sequence[Tuple[float, float]]) -> float:

@@ -117,11 +117,6 @@ def pair_mix64(src: int, dst: int) -> int:
     return x
 
 
-def pair_seed(src: int, dst: int) -> int:
-    """31-bit RNG seed for an unordered pair (see :func:`pair_mix64`)."""
-    return pair_mix64(src, dst) & 0x7FFFFFFF
-
-
 def stream_seed(seed: int, peer: int, lane: int) -> int:
     """Deterministic 64-bit seed for one peer's RNG stream in one ``lane``.
 
@@ -291,7 +286,7 @@ class PhysicalNetwork:
 
     Per-pair base latencies are derived deterministically from the node ids
     (stand-in for topology/geography), so two runs with the same seed see the
-    same network — on any interpreter (see :func:`pair_seed`).
+    same network — on any interpreter (see :func:`pair_mix64`).
     """
 
     def __init__(
@@ -351,11 +346,6 @@ class PhysicalNetwork:
         """
         if node_id not in self._handlers:
             self._remote.add(node_id)
-        self._down.discard(node_id)
-
-    def unregister(self, node_id: int) -> None:
-        self._handlers.pop(node_id, None)
-        self._remote.discard(node_id)
         self._down.discard(node_id)
 
     def set_down(self, node_id: int, down: bool = True) -> None:
@@ -682,7 +672,8 @@ class PhysicalNetwork:
         it on demand.
 
         Handlers see an ordinary :class:`Message`; undeliverable recipients
-        (churned out or unregistered since send time) never allocate one.
+        (churned out since send time, or with no handler here) never
+        allocate one.
         ``hops`` preserves the original message's hop count for cross-shard
         unicast deliveries (stats were already charged at send time).
         """

@@ -7,9 +7,8 @@ dispatches incoming messages to per-type handlers.  Application peers
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Callable, Dict
 
-from repro.errors import SimulationError
 from repro.sim.messages import Message
 from repro.sim.network import PhysicalNetwork
 
@@ -37,28 +36,6 @@ class SimNode:
             self.network.stats.increment(f"unhandled:{message.msg_type}")
             return
         handler(message)
-
-    # -- sending ------------------------------------------------------------------
-
-    def send(
-        self,
-        dst: int,
-        msg_type: str,
-        payload: Any = None,
-        hops: int = 1,
-    ) -> bool:
-        """Send a message; ``hops`` charges multi-hop overlay routing."""
-        if dst == self.node_id:
-            raise SimulationError("node attempted to message itself")
-        message = Message(
-            src=self.node_id, dst=dst, msg_type=msg_type, payload=payload, hops=hops
-        )
-        return self.network.send(message)
-
-    # -- lifecycle ---------------------------------------------------------------------
-
-    def shutdown(self) -> None:
-        self.network.unregister(self.node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(id={self.node_id})"

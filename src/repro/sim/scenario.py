@@ -105,6 +105,20 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.num_peers <= 0:
             raise ConfigurationError("num_peers must be positive")
+        if not self.stabilize_interval > 0:  # 0 reschedules at the same instant
+            raise ConfigurationError(
+                f"stabilize_interval must be > 0, got {self.stabilize_interval}"
+            )
+        if not self.bandwidth > 0:
+            raise ConfigurationError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not self.base_latency >= 0:
+            raise ConfigurationError(
+                f"base_latency must be >= 0, got {self.base_latency}"
+            )
+        if not 0.0 <= self.drop_probability <= 1.0:
+            raise ConfigurationError(
+                f"drop_probability must be in [0, 1], got {self.drop_probability}"
+            )
         if self.overlay not in overlay_names():
             raise ConfigurationError(f"unknown overlay {self.overlay!r}")
         if self.churn not in ("none", "exponential", "weibull", "pareto"):

@@ -3,7 +3,8 @@ advanced in conservative virtual-time windows.
 
 This is the parallel-discrete-event layer of the stack.  A
 :class:`ShardedScenario` splits the peer population across ``K`` shards
-(round-robin, :func:`shard_of`); each shard owns a full
+(round-robin: address ``a`` lives on shard ``a % K``, see
+:meth:`_ShardRuntime.owns`); each shard owns a full
 :class:`~repro.sim.engine.Simulator` heap and a replica of the scenario
 (overlay, liveness, churn timelines).  Shards advance in lockstep windows of
 length *lookahead* — the guaranteed minimum cross-shard delivery delay
@@ -144,11 +145,6 @@ ExchangeRecord = Tuple[float, int, int, int, int, str, Any, int, int, int]
 ControlRecord = Tuple[float, str, Any]
 
 Workload = Callable[[Scenario], Any]
-
-
-def shard_of(address: int, num_shards: int) -> int:
-    """Owning shard of a peer address (round-robin partition)."""
-    return address % num_shards
 
 
 def compute_lookahead(latency: LatencyModel) -> float:

@@ -7,7 +7,6 @@ Experiments read their cost columns from here.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from collections import Counter
@@ -63,9 +62,8 @@ class StatsCollector:
         self.faults: Counter = Counter()
         #: True once any recorded message's wire size diverged from its raw
         #: size (i.e. a non-identity codec touched this collector).  Gates
-        #: the compressed columns in :meth:`fingerprint` and
-        #: :meth:`traffic_table` so identity-codec runs stay byte-identical
-        #: to the pre-codec stack.
+        #: the compressed columns in :meth:`fingerprint` so identity-codec
+        #: runs stay byte-identical to the pre-codec stack.
         self._compressed = False
 
     # -- traffic -----------------------------------------------------------
@@ -283,47 +281,6 @@ class StatsCollector:
         return json.dumps(
             self.fingerprint(), sort_keys=True, separators=(",", ":")
         ).encode("ascii")
-
-    def digest(self) -> str:
-        """SHA-256 hex digest of the canonical fingerprint (golden suite)."""
-        return hashlib.sha256(self.fingerprint_bytes()).hexdigest()
-
-    # -- reporting -------------------------------------------------------------
-
-    def traffic_table(self) -> str:
-        """Human-readable per-type traffic summary.
-
-        Once compressed traffic exists the table grows ``wire`` and
-        ``ratio`` columns (wire/raw per type); identity-only runs keep the
-        original two-column layout.
-        """
-        compressed = self._compressed
-        header = f"{'message type':<28}{'count':>10}{'bytes':>14}"
-        if compressed:
-            header += f"{'wire':>14}{'ratio':>8}"
-        lines = [header]
-
-        def render(name: str, count: int, raw: int, wire: int) -> str:
-            line = f"{name:<28}{count:>10}{raw:>14}"
-            if compressed:
-                ratio = wire / raw if raw else 1.0
-                line += f"{wire:>14}{ratio:>8.2f}"
-            return line
-
-        for msg_type in sorted(self.messages_by_type):
-            lines.append(
-                render(
-                    msg_type,
-                    self.messages_by_type[msg_type],
-                    self.bytes_by_type[msg_type],
-                    self.wire_bytes_by_type[msg_type],
-                )
-            )
-        lines.append(
-            render("TOTAL", self.total_messages, self.total_bytes,
-                   self.total_wire_bytes)
-        )
-        return "\n".join(lines)
 
     def merge(self, other: "StatsCollector") -> None:
         """Fold another collector's numbers into this one."""

@@ -39,13 +39,3 @@ ENGLISH_STOP_WORDS: FrozenSet[str] = frozenset(
     without yet
     """.split()
 )
-
-
-def is_stop_word(token: str) -> bool:
-    """Return True if ``token`` (already lowercased) is an English stop word."""
-    return token in ENGLISH_STOP_WORDS
-
-
-def remove_stop_words(tokens: list[str]) -> list[str]:
-    """Filter stop words out of a token list, preserving order."""
-    return [token for token in tokens if token not in ENGLISH_STOP_WORDS]

@@ -1,4 +1,4 @@
-"""Word and sentence tokenization for English text.
+"""Word tokenization for English text.
 
 The tokenizer is intentionally simple and deterministic: lowercase, split on
 non-alphanumeric boundaries, keep internal apostrophes and hyphens collapsed
@@ -12,7 +12,6 @@ import re
 from typing import List
 
 _WORD_RE = re.compile(r"[a-z]+(?:'[a-z]+)?")
-_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
 
 def tokenize(text: str, min_length: int = 2, max_length: int = 40) -> List[str]:
@@ -37,16 +36,3 @@ def tokenize(text: str, min_length: int = 2, max_length: int = 40) -> List[str]:
         if min_length <= len(token) <= max_length:
             tokens.append(token)
     return tokens
-
-
-def sentence_split(text: str) -> List[str]:
-    """Split ``text`` into sentences on terminal punctuation.
-
-    Used by the example applications to show snippets around suggested tags;
-    the classifier itself never needs sentence structure (word order is
-    deliberately discarded for privacy, per the paper).
-    """
-    if not text:
-        return []
-    parts = [part.strip() for part in _SENTENCE_RE.split(text)]
-    return [part for part in parts if part]

@@ -5,9 +5,9 @@ sensitive words -> Porter-stem -> represent each document as a sparse vector
 ``{w_1, ..., w_m}`` where attribute id = word id and value = word weight.
 
 :class:`PreprocessingPipeline` packages that chain.  In the distributed
-setting all peers must agree on feature ids without exchanging lexicons, so
-the default id scheme is *feature hashing* (:func:`stable_word_id`): ids are
-stable hashes into a fixed-size space, exactly reproducible on every peer.
+setting all peers must agree on feature ids without exchanging a vocabulary,
+so ids come from *feature hashing* (:func:`stable_word_id`): stable hashes
+into a fixed-size space, exactly reproducible on every peer.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping
 
 from repro.errors import VocabularyError
 from repro.ml.sparse import SparseVector
-from repro.text.lexicon import Lexicon, stable_word_id
+from repro.text.lexicon import stable_word_id
 from repro.text.porter import stem
 from repro.text.sensitive import SensitiveWordFilter
 from repro.text.stopwords import ENGLISH_STOP_WORDS
@@ -72,8 +72,7 @@ class PreprocessingPipeline:
     """The paper's full preprocessing chain as one configurable object.
 
     ``process(text)`` returns the sparse document vector; ``tokens(text)``
-    exposes the intermediate stemmed tokens (used by the library's snippet
-    display and by tests).
+    exposes the intermediate stemmed tokens (the privacy demo prints them).
 
     The settings are fixed at construction (assigning one raises) and are
     what two pipelines compare equal on: each distinct word's feature id is
@@ -114,10 +113,6 @@ class PreprocessingPipeline:
             raise VocabularyError("fit_tfidf needs at least one document")
         object.__setattr__(self, "_tfidf", transformer)
         return self
-
-    @property
-    def uses_tfidf(self) -> bool:
-        return self._tfidf is not None
 
     def tokens(self, text: str) -> List[str]:
         """Tokenize, filter stop/sensitive words, and stem."""
@@ -163,26 +158,3 @@ class PreprocessingPipeline:
         if self._tfidf is not None:
             weights = self._tfidf.transform(weights)
         return SparseVector.from_weights(weights, self.normalize)
-
-    def process_many(self, texts: Iterable[str]) -> List[SparseVector]:
-        return [self.process(text) for text in texts]
-
-
-def build_lexicon(
-    texts: Iterable[str],
-    pipeline: Optional[PreprocessingPipeline] = None,
-    min_df: int = 1,
-) -> Lexicon:
-    """Build a compact (non-hashed) lexicon over ``texts``.
-
-    The hashed pipeline is what the P2P system uses; this helper exists for
-    the centralized baseline and for introspection (mapping ids back to words
-    in the tag cloud examples).
-    """
-    pipeline = pipeline or PreprocessingPipeline()
-    lexicon = Lexicon()
-    for text in texts:
-        lexicon.add_document(pipeline.tokens(text))
-    if min_df > 1:
-        lexicon = lexicon.prune(min_df=min_df)
-    return lexicon

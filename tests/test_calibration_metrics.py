@@ -16,7 +16,6 @@ from repro.ml.metrics import (
     micro_f1,
     multilabel_confusion,
     precision_at_k,
-    recall_at_k,
     subset_accuracy,
 )
 
@@ -124,27 +123,15 @@ class TestRankedMetrics:
         assert precision_at_k({"a", "b"}, ["a", "x", "b"], 2) == pytest.approx(0.5)
         assert precision_at_k({"a"}, ["a"], 3) == pytest.approx(1.0)
 
-    def test_recall_at_k(self):
-        assert recall_at_k({"a", "b"}, ["a", "x"], 2) == pytest.approx(0.5)
-        assert recall_at_k(set(), ["a"], 1) == 0.0
-
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             precision_at_k({"a"}, ["a"], 0)
-        with pytest.raises(ValueError):
-            recall_at_k({"a"}, ["a"], -1)
 
     def test_mean_variants(self):
         true_sets = [{"a"}, {"b"}]
         ranked = [["a", "c"], ["c", "b"]]
         assert mean_precision_at_k(true_sets, ranked, 1) == pytest.approx(0.5)
         assert mean_precision_at_k([], [], 1) == 0.0
-
-    def test_recall_monotone_in_k(self):
-        truth = {"a", "b", "c"}
-        ranked = ["a", "x", "b", "y", "c"]
-        recalls = [recall_at_k(truth, ranked, k) for k in range(1, 6)]
-        assert recalls == sorted(recalls)
 
 
 class TestReport:

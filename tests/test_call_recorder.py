@@ -1,7 +1,8 @@
 """The call recorder in ``tests/tools/sitecustomize.py`` sees a ``repro`` run
 whole: the CLI process and every shard worker it forks report their own
 (caller, callee) pairs, and no worker repeats the pairs its parent made
-before the fork."""
+before the fork.  Its ``--unreached`` census lists what the run never
+called."""
 
 import importlib.util
 import os
@@ -46,6 +47,18 @@ def test_the_recorder_sees_the_cli_and_its_forked_workers(tmp_path):
     workers = [pairs for pairs in dumps if WORKER in pairs]
     assert len(workers) == 2
     assert not any(CLI in pairs for pairs in workers)
+    # the census mode: every function under src/repro that no dump calls
+    census = subprocess.run(
+        [
+            sys.executable, str(tmp_path / "sitecustomize.py"),
+            str(tmp_path / "calls"), "--unreached", str(ROOT / "src" / "repro"),
+        ],
+        check=True, capture_output=True, text=True, timeout=120,
+    )
+    unreached = {line.rsplit(":", 1)[-1] for line in census.stdout.splitlines()}
+    assert "cmd_worker" in unreached  # only a hand-launched tcp worker runs it
+    assert "cmd_run" not in unreached
+    assert "TcpCoordinator._forked_worker" not in unreached  # seen in a child
 
 
 def _load_recorder():

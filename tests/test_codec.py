@@ -304,7 +304,6 @@ class TestStatsWireCounters:
         for dst in (1, 2, 5):
             scalar.record_traffic("t", 64, hops=2, src=3, dst=dst, wire_bytes=40)
         assert bulk.fingerprint_bytes() == scalar.fingerprint_bytes()
-        assert bulk.digest() == scalar.digest()
 
     def test_merge_folds_wire_counters(self):
         a, b = StatsCollector(), StatsCollector()
@@ -334,23 +333,3 @@ class TestStatsWireCounters:
         a.merge(b)
         assert not a.has_compressed_traffic
         assert "wire_bytes_by_type" not in a.fingerprint()
-
-    def test_traffic_table_plain_without_compression(self):
-        stats = StatsCollector()
-        stats.record_traffic("m", 64, src=0, dst=1)
-        table = stats.traffic_table()
-        assert "wire" not in table and "ratio" not in table
-
-    def test_traffic_table_gains_wire_and_ratio_columns(self):
-        stats = StatsCollector()
-        stats.record_traffic("model", 1000, src=0, dst=1, wire_bytes=400)
-        stats.record_traffic("query", 100, src=0, dst=1)
-        table = stats.traffic_table()
-        lines = table.splitlines()
-        assert "wire" in lines[0] and "ratio" in lines[0]
-        model_line = next(l for l in lines if l.startswith("model"))
-        assert "400" in model_line and "0.40" in model_line
-        query_line = next(l for l in lines if l.startswith("query"))
-        assert "1.00" in query_line
-        total_line = lines[-1]
-        assert "1100" in total_line and "500" in total_line

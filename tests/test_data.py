@@ -6,7 +6,7 @@ import pytest
 from repro.data.corpus import Corpus, Document
 from repro.data.delicious import DeliciousGenerator, GeneratorConfig
 from repro.data.loaders import load_corpus, save_corpus
-from repro.data.splits import per_user_split, train_test_split
+from repro.data.splits import per_user_split
 from repro.errors import DataError
 
 
@@ -169,7 +169,7 @@ class TestDeliciousGenerator:
         gen = DeliciousGenerator(num_users=2, seed=0)
         seen = set()
         for tag in gen.tags:
-            words = set(gen.topic_words_of(tag))
+            words = set(gen._topic_words[tag])  # vocabulary ids generate() draws
             assert not (words & seen)
             seen |= words
 
@@ -207,18 +207,6 @@ class TestSplits:
             num_users=5, seed=2, docs_per_user_range=(10, 10)
         ).generate()
 
-    def test_global_split_fractions(self):
-        train, test = train_test_split(self.corpus(), train_fraction=0.2, seed=0)
-        assert len(train) == 10 and len(test) == 40
-
-    def test_global_split_disjoint_and_complete(self):
-        corpus = self.corpus()
-        train, test = train_test_split(corpus, 0.2, seed=1)
-        train_ids = {d.doc_id for d in train}
-        test_ids = {d.doc_id for d in test}
-        assert not (train_ids & test_ids)
-        assert train_ids | test_ids == {d.doc_id for d in corpus}
-
     def test_per_user_split_every_user_trains(self):
         train, test = per_user_split(self.corpus(), 0.2, seed=0)
         assert set(train.owners) == set(self.corpus().owners)
@@ -232,7 +220,7 @@ class TestSplits:
 
     def test_invalid_fraction(self):
         with pytest.raises(DataError):
-            train_test_split(self.corpus(), 0.0)
+            per_user_split(self.corpus(), 0.0)
         with pytest.raises(DataError):
             per_user_split(self.corpus(), 1.0)
 

@@ -149,6 +149,21 @@ class TestScenario:
                 )
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("stabilize_interval", 0.0),
+        ("stabilize_interval", -1.0),
+        ("base_latency", -0.05),
+        ("bandwidth", 0.0),
+        ("drop_probability", 1.5),
+    ])
+    def test_configs_that_hang_or_crash_a_run_are_rejected(self, field, value):
+        config = ScenarioConfig(
+            num_peers=4, churn="exponential", shard=ShardSpec(num_peers=4),
+            **{field: value},
+        )
+        with pytest.raises(ConfigurationError, match=field):
+            config.validate()
+
 
 class TestVisualize:
     def overlay(self):

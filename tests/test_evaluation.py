@@ -1,6 +1,5 @@
-"""Tests for ROC/PR/threshold utilities and the PerTagThreshold policy."""
+"""Tests for threshold tuning and the PerTagThreshold policy."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,12 +7,8 @@ from hypothesis import strategies as st
 from repro.core.multilabel import PerTagThreshold
 from repro.errors import ConfigurationError
 from repro.ml.evaluation import (
-    auc,
-    average_precision,
     best_f1_threshold,
     per_tag_thresholds,
-    precision_recall_curve,
-    roc_curve,
     threshold_sweep,
 )
 
@@ -40,48 +35,6 @@ class TestThresholdSweep:
             threshold_sweep([0.5], [2])
         with pytest.raises(ConfigurationError):
             threshold_sweep([0.5], [1, 0])
-
-
-class TestRocAuc:
-    def test_perfect_ranking_auc_one(self):
-        assert auc(PERFECT_SCORES, PERFECT_LABELS) == pytest.approx(1.0)
-
-    def test_inverted_ranking_auc_zero(self):
-        assert auc(PERFECT_SCORES, [0, 0, 0, 1, 1]) == pytest.approx(0.0)
-
-    def test_random_scores_auc_half(self):
-        rng = np.random.default_rng(0)
-        scores = list(rng.random(2000))
-        labels = list((rng.random(2000) > 0.5).astype(int))
-        assert auc(scores, labels) == pytest.approx(0.5, abs=0.05)
-
-    def test_one_class_auc_half(self):
-        assert auc([0.5, 0.7], [1, 1]) == 0.5
-
-    def test_roc_curve_endpoints(self):
-        curve = roc_curve(PERFECT_SCORES, PERFECT_LABELS)
-        assert curve[0] == (0.0, 0.0)
-        assert curve[-1] == (1.0, 1.0)
-
-    def test_roc_curve_monotone(self):
-        curve = roc_curve(PERFECT_SCORES, PERFECT_LABELS)
-        xs = [x for x, _ in curve]
-        ys = [y for _, y in curve]
-        assert xs == sorted(xs)
-        assert ys == sorted(ys)
-
-
-class TestPrecisionRecall:
-    def test_perfect_average_precision(self):
-        assert average_precision(PERFECT_SCORES, PERFECT_LABELS) == pytest.approx(1.0)
-
-    def test_all_negative_ap_zero(self):
-        assert average_precision([0.5, 0.6], [0, 0]) == 0.0
-
-    def test_curve_recall_ascending(self):
-        curve = precision_recall_curve(PERFECT_SCORES, PERFECT_LABELS)
-        recalls = [r for r, _ in curve]
-        assert recalls == sorted(recalls)
 
 
 class TestBestF1:
@@ -164,13 +117,6 @@ scores_and_labels = st.lists(
     min_size=2,
     max_size=50,
 )
-
-
-@given(scores_and_labels)
-def test_auc_bounded(pairs):
-    scores = [s for s, _ in pairs]
-    labels = [l for _, l in pairs]
-    assert 0.0 <= auc(scores, labels) <= 1.0
 
 
 @given(scores_and_labels)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, NotTrainedError
+from repro.errors import ConfigurationError
 from repro.ml.kmeans import KMeans, _mean_vector
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import SparseVector
@@ -43,15 +43,6 @@ class TestKMeans:
         result = KMeans(k=10, seed=0).fit(vectors)
         assert len(result.centroids) == 3
 
-    def test_predict_nearest_centroid(self):
-        vectors = blobs([(0, 0), (10, 10)])
-        model = KMeans(k=2, seed=0)
-        result = model.fit(vectors)
-        near_first = model.predict(SparseVector({0: 0.1, 1: -0.1}))
-        near_second = model.predict(SparseVector({0: 9.9, 1: 10.2}))
-        assert near_first != near_second
-        assert {near_first, near_second} <= set(range(len(result.centroids)))
-
     def test_empty_dataset_raises(self):
         with pytest.raises(ConfigurationError):
             KMeans(k=2).fit([])
@@ -59,10 +50,6 @@ class TestKMeans:
     def test_bad_k_raises(self):
         with pytest.raises(ConfigurationError):
             KMeans(k=0)
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(NotTrainedError):
-            KMeans(k=2).predict(SparseVector({0: 1.0}))
 
     def test_identical_points(self):
         vectors = [SparseVector({0: 1.0})] * 5
@@ -125,15 +112,6 @@ class TestLSH:
         with pytest.raises(ConfigurationError):
             lsh.query(SparseVector({0: 1.0}), top_k=0)
 
-    def test_remove(self):
-        lsh = RandomHyperplaneLSH(num_bits=4, seed=0)
-        v = SparseVector({0: 1.0})
-        lsh.insert(v, "payload")
-        assert len(lsh) == 1
-        assert lsh.remove("payload")
-        assert len(lsh) == 0
-        assert not lsh.remove("payload")
-
     def test_bad_num_bits(self):
         with pytest.raises(ConfigurationError):
             RandomHyperplaneLSH(num_bits=0)
@@ -155,9 +133,3 @@ class TestLSH:
             agree_similar.append(32 - bin(s_base ^ lsh.signature(similar)).count("1"))
             agree_random.append(32 - bin(s_base ^ lsh.signature(unrelated)).count("1"))
         assert np.mean(agree_similar) > np.mean(agree_random)
-
-    def test_bucket_sizes(self):
-        lsh = RandomHyperplaneLSH(num_bits=2, seed=0)
-        for i in range(8):
-            lsh.insert(SparseVector({i: 1.0}), i)
-        assert sum(lsh.bucket_sizes().values()) == 8

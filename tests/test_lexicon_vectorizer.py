@@ -1,4 +1,4 @@
-"""Tests for the lexicon and vectorization pipeline."""
+"""Tests for feature ids and the vectorization pipeline."""
 
 import dataclasses
 
@@ -6,13 +6,9 @@ import pytest
 
 from repro.errors import VocabularyError
 from repro.ml.sparse import SparseVector
-from repro.text.lexicon import Lexicon, stable_word_id
+from repro.text.lexicon import stable_word_id
 from repro.text.sensitive import SensitiveWordFilter
-from repro.text.vectorizer import (
-    PreprocessingPipeline,
-    TfidfTransformer,
-    build_lexicon,
-)
+from repro.text.vectorizer import PreprocessingPipeline, TfidfTransformer
 
 
 class TestStableWordId:
@@ -26,55 +22,6 @@ class TestStableWordId:
     def test_different_words_usually_differ(self):
         ids = {stable_word_id(w, 2 ** 18) for w in ("peer", "tag", "doc", "net")}
         assert len(ids) == 4
-
-
-class TestLexicon:
-    def test_add_and_lookup(self):
-        lex = Lexicon()
-        ids = lex.add_document(["tag", "peer", "tag"])
-        assert len(ids) == 3
-        assert lex.id_of("tag") is not None
-        assert lex.word_of(lex.id_of("tag")) == "tag"
-
-    def test_document_frequency_counts_documents_not_tokens(self):
-        lex = Lexicon()
-        lex.add_document(["tag", "tag", "tag"])
-        lex.add_document(["tag", "peer"])
-        assert lex.document_frequency("tag") == 2
-        assert lex.document_frequency("peer") == 1
-
-    def test_frozen_lexicon_drops_unknown(self):
-        lex = Lexicon()
-        lex.add_document(["known"])
-        lex.freeze()
-        ids = lex.add_document(["known", "unknown"])
-        assert len(ids) == 1
-        assert "unknown" not in lex
-
-    def test_prune_by_min_df(self):
-        lex = Lexicon()
-        lex.add_document(["common", "rare"])
-        lex.add_document(["common"])
-        pruned = lex.prune(min_df=2)
-        assert "common" in pruned
-        assert "rare" not in pruned
-
-    def test_prune_by_max_df_fraction(self):
-        lex = Lexicon()
-        for i in range(10):
-            tokens = ["boilerplate"] if i >= 5 else ["boilerplate", "unique"]
-            lex.add_document(tokens)
-        pruned = lex.prune(max_df_fraction=0.8)
-        assert "boilerplate" not in pruned
-        assert "unique" in pruned
-
-    def test_prune_empty_raises(self):
-        with pytest.raises(VocabularyError):
-            Lexicon().prune()
-
-    def test_word_of_out_of_range_raises(self):
-        with pytest.raises(VocabularyError):
-            Lexicon().word_of(0)
 
 
 class TestBagOfWords:
@@ -145,25 +92,16 @@ class TestPipeline:
         text = "peers collaboratively tag shared documents"
         assert a.process(text) == b.process(text)
 
-    def test_process_many(self):
-        pipeline = PreprocessingPipeline()
-        vectors = pipeline.process_many(["first document", "second document"])
-        assert len(vectors) == 2
-        assert all(v.nnz > 0 for v in vectors)
-
-    def test_build_lexicon(self):
-        lex = build_lexicon(["tagging documents", "tagging peers"])
-        assert "tag" in lex
-        assert lex.num_documents == 2
-        assert lex.document_frequency("tag") == 2
-
 
 class TestPipelineTfidf:
     def test_fit_enables_tfidf(self):
-        pipeline = PreprocessingPipeline(dimension=2 ** 16)
-        assert not pipeline.uses_tfidf
+        pipeline = PreprocessingPipeline(dimension=2 ** 16, normalize=False)
+        alpha, beta = (stable_word_id(w, 2 ** 16) for w in ("alpha", "beta"))
+        raw = pipeline.process("alpha beta")
+        assert raw[alpha] == raw[beta]
         pipeline.fit_tfidf(["alpha beta gamma", "alpha beta", "alpha"])
-        assert pipeline.uses_tfidf
+        weighted = pipeline.process("alpha beta")
+        assert weighted[alpha] < weighted[beta]  # alpha is in every document
 
     def test_tfidf_downweights_common_words(self):
         pipeline = PreprocessingPipeline(dimension=2 ** 16)

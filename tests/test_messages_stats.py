@@ -98,7 +98,3 @@ class TestStatsCollector:
         a.merge(b)
         assert a.total_messages == 6
         assert a.per_peer_bytes[1] == 2 * (42 + 41)
-
-    def test_traffic_table_renders(self):
-        table = self.make().traffic_table()
-        assert "model" in table and "TOTAL" in table

@@ -723,7 +723,7 @@ def test_constant_model_decides_its_bias(name):
     model = KernelSVMModel(support_vectors=[], bias=-1.0, gamma=0.5,
                            kernel_name=name)
     assert model.decision(SparseVector({3: 1.0})) == -1.0
-    assert model.predict(SparseVector()) == -1
+    assert model.decision(SparseVector()) == -1.0
 
 
 @pytest.mark.parametrize("name", KERNELS)

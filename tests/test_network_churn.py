@@ -127,33 +127,21 @@ class TestPhysicalNetwork:
 class TestSimNode:
     def test_send_and_dispatch(self):
         sim, network = make_network()
-        a = SimNode(1, network)
+        SimNode(1, network)
         b = SimNode(2, network)
         got = []
         b.on("hello", lambda m: got.append(m.payload))
-        a.send(2, "hello", payload="world")
+        network.send(Message(src=1, dst=2, msg_type="hello", payload="world"))
         sim.run()
         assert got == ["world"]
 
     def test_unhandled_type_counted(self):
         sim, network = make_network()
-        a = SimNode(1, network)
+        SimNode(1, network)
         SimNode(2, network)
-        a.send(2, "mystery")
+        network.send(Message(src=1, dst=2, msg_type="mystery"))
         sim.run()
         assert network.stats.counters["unhandled:mystery"] == 1
-
-    def test_self_send_rejected(self):
-        _, network = make_network()
-        node = SimNode(1, network)
-        with pytest.raises(SimulationError):
-            node.send(1, "loop")
-
-    def test_shutdown_unregisters(self):
-        _, network = make_network()
-        node = SimNode(1, network)
-        node.shutdown()
-        assert 1 not in network.registered_nodes
 
 
 class TestChurnModels:

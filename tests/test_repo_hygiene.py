@@ -63,9 +63,9 @@ through the class ``__dict__``, so moving either blinds the ledger's
 (m) The array kernels declare the plain left-to-right sum their contract,
 so neither they (``gram_matrix``, ``KernelSVM.fit``, ``LinearSVM.fit``,
 ``RowTable.dots``, PACE's ``predict_scores`` and its prediction block), nor
-the four ``SparseVector`` sums every digest hangs on (``dot``,
-``dot_dense``, ``squared_norm`` and the norm ``from_weights`` divides every
-document vector by), nor their oracles in
+the three ``SparseVector`` sums every digest hangs on (``dot``,
+``squared_norm`` and the norm ``from_weights`` divides every document
+vector by), nor their oracles in
 ``tests/reference/ml_scalar.py`` call the builtin ``sum`` — CPython >= 3.12
 compensates it, and an oracle written with it would agree with the kernels
 on one interpreter and not on the next.
@@ -116,6 +116,13 @@ paid interpreter start-up and every import on each (re)spawn.
 ``src/repro`` is named somewhere else in ``src/`` — a package ``__init__``
 re-exporting it does not count — or is listed in
 ``REACHED_FROM_OUTSIDE_SRC`` with the reason it stays; the list only shrinks.
+Its ``_UNIT`` group (held by its own unit tests alone) is exactly
+``SimNode.on``, and no name in ``CUT_BY_CENSUS`` is defined again.  The
+name scan alone misses both: a name reached only through another unit-only
+name (all of ``Lexicon`` hung on ``build_lexicon``), and a method whose name
+something else shares (``predict``, ``fit``, ``keys``, ``remove``).  Those
+were found by the call recorder's ``--unreached`` census over every
+workload, example, CLI command and claim.
 
 (u) A package ``__init__`` re-exports a ``repro`` name only if some module
 under ``src/``, ``tests/``, ``examples/`` or ``benchmarks/`` imports it
@@ -610,7 +617,6 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (ml / "kernel_svm.py", "KernelSVMModel.decision"),
         (ml / "linear_svm.py", "LinearSVM.fit"),
         (ml / "sparse.py", "SparseVector.dot"),
-        (ml / "sparse.py", "SparseVector.dot_dense"),
         (ml / "sparse.py", "SparseVector.squared_norm"),
         (ml / "sparse.py", "SparseVector.from_weights"),
         (ml / "sparse.py", "RowTable"),
@@ -967,36 +973,55 @@ REACHED_FROM_OUTSIDE_SRC = {
     "core/suggestions.py:SuggestionEngine.render_cloud": _DEMO,
     "core/suggestions.py:SuggestionEngine.top_tags": _DEMO,
     "core/tagger.py:P2PDocTaggerPeer.tag_cloud": _DEMO,
-    "data/delicious.py:DeliciousGenerator.topic_words_of": _UNIT,
-    "data/splits.py:train_test_split": _UNIT,
-    "ml/evaluation.py:auc": _UNIT,
-    "ml/evaluation.py:average_precision": _UNIT,
-    "ml/evaluation.py:precision_recall_curve": _UNIT,
-    "ml/lsh.py:RandomHyperplaneLSH.bucket_sizes": _UNIT,
-    "ml/metrics.py:recall_at_k": _UNIT,
-    "ml/sparse.py:SparseVector.cosine_similarity": _UNIT,
-    "ml/sparse.py:SparseVector.dot_dense": _UNIT,
-    "ml/sparse.py:SparseVector.from_dense": _UNIT,
-    "ml/sparse.py:SparseVector.max_index": _UNIT,
-    "ml/sparse.py:SparseVector.to_dense": _UNIT,
-    "p2pclass/cascade.py:support_vectors_payload": _UNIT,
-    "p2pclass/voting.py:majority_vote": _UNIT,
-    "p2pclass/voting.py:weighted_majority_vote": _UNIT,
-    "sim/network.py:pair_seed": _UNIT,
     "sim/node.py:SimNode.on": _UNIT,
-    "sim/node.py:SimNode.shutdown": _UNIT,
-    "sim/shard.py:shard_of": _UNIT,
-    "sim/stats.py:StatsCollector.traffic_table": _UNIT,
-    "text/lexicon.py:Lexicon.document_frequency": _UNIT,
-    "text/lexicon.py:Lexicon.freeze": _UNIT,
-    "text/lexicon.py:Lexicon.id_of": _UNIT,
-    "text/lexicon.py:Lexicon.word_of": _UNIT,
-    "text/stopwords.py:is_stop_word": _UNIT,
-    "text/stopwords.py:remove_stop_words": _UNIT,
-    "text/tokenizer.py:sentence_split": _UNIT,
-    "text/vectorizer.py:PreprocessingPipeline.process_many": _UNIT,
-    "text/vectorizer.py:PreprocessingPipeline.uses_tfidf": _UNIT,
-    "text/vectorizer.py:build_lexicon": _UNIT,
+}
+
+
+#: Definitions the call census found no product run reaching, deleted with
+#: the unit tests whose only subject they were.  None comes back: not under
+#: its old name, and not on another module.
+CUT_BY_CENSUS = {
+    "data/delicious.py:DeliciousGenerator.topic_words_of",
+    "data/splits.py:train_test_split",
+    "ml/evaluation.py:CurvePoint.fpr",
+    "ml/evaluation.py:auc",
+    "ml/evaluation.py:average_precision",
+    "ml/evaluation.py:precision_recall_curve",
+    "ml/evaluation.py:roc_curve",
+    "ml/kernel_svm.py:KernelSVM.accuracy",
+    "ml/kernel_svm.py:KernelSVM.predict",
+    "ml/kernel_svm.py:KernelSVMModel.predict",
+    "ml/kmeans.py:KMeans.predict",
+    "ml/kmeans.py:KMeans.result",
+    "ml/lsh.py:RandomHyperplaneLSH.bucket_sizes",
+    "ml/lsh.py:RandomHyperplaneLSH.remove",
+    "ml/metrics.py:recall_at_k",
+    "ml/naive_bayes.py:MultinomialNB.accuracy",
+    "ml/naive_bayes.py:MultinomialNB.fit",
+    "ml/naive_bayes.py:MultinomialNB.predict",
+    "ml/sparse.py:SparseVector.cosine_similarity",
+    "ml/sparse.py:SparseVector.dot_dense",
+    "ml/sparse.py:SparseVector.from_dense",
+    "ml/sparse.py:SparseVector.keys",
+    "ml/sparse.py:SparseVector.max_index",
+    "ml/sparse.py:SparseVector.to_dense",
+    "p2pclass/cascade.py:support_vectors_payload",
+    "p2pclass/voting.py:majority_vote",
+    "p2pclass/voting.py:weighted_majority_vote",
+    "sim/network.py:PhysicalNetwork.unregister",
+    "sim/network.py:pair_seed",
+    "sim/node.py:SimNode.send",
+    "sim/node.py:SimNode.shutdown",
+    "sim/shard.py:shard_of",
+    "sim/stats.py:StatsCollector.digest",
+    "sim/stats.py:StatsCollector.traffic_table",
+    "text/lexicon.py:Lexicon",
+    "text/stopwords.py:is_stop_word",
+    "text/stopwords.py:remove_stop_words",
+    "text/tokenizer.py:sentence_split",
+    "text/vectorizer.py:PreprocessingPipeline.process_many",
+    "text/vectorizer.py:PreprocessingPipeline.uses_tfidf",
+    "text/vectorizer.py:build_lexicon",
 }
 
 
@@ -1018,6 +1043,20 @@ def test_every_public_definition_is_reached_from_src_or_listed():
     )
     stale = sorted(set(REACHED_FROM_OUTSIDE_SRC) - unreached)
     assert not stale, f"listed but now referenced from src/ or gone: {stale}"
+    unit_only = {
+        name for name, why in REACHED_FROM_OUTSIDE_SRC.items() if why is _UNIT
+    }
+    assert unit_only == {"sim/node.py:SimNode.on"}, (
+        "a definition only its own unit tests call: give it a product "
+        f"caller or delete it with them: {sorted(unit_only)}"
+    )
+    defined = {
+        qualname
+        for tree in _src_trees().values()
+        for qualname in _public_definitions(tree)
+    }
+    cut = {name.split(":", 1)[1] for name in CUT_BY_CENSUS}
+    assert not cut & defined, f"no run reaches these: {sorted(cut & defined)}"
 
 
 def _re_exports(package_dir):

@@ -23,8 +23,8 @@ from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.shard import (
     ShardedScenario,
     compute_lookahead,
+    _ShardRuntime,
     scenario_digest,
-    shard_of,
 )
 from determinism_fixtures import frame_records
 
@@ -109,7 +109,14 @@ def test_jitter_floor_clamps_delay_distribution():
 
 def test_shard_of_partitions_every_address():
     for num_shards in (1, 2, 3, 5):
-        owners = [shard_of(address, num_shards) for address in range(40)]
+        runtimes = [
+            _ShardRuntime(shard, num_shards, channel=None, lookahead=1.0)
+            for shard in range(num_shards)
+        ]
+        owners = []
+        for address in range(40):
+            (owner,) = [r.shard_id for r in runtimes if r.owns(address)]
+            owners.append(owner)
         assert set(owners) == set(range(num_shards))
         # Round-robin: ownership is periodic, so load differs by at most 1.
         counts = [owners.count(shard) for shard in range(num_shards)]

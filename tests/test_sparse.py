@@ -25,6 +25,14 @@ def sv(d):
     return SparseVector(d)
 
 
+def dense(vector, dimension):
+    """``vector`` as a float64 array of length ``dimension`` (the oracle)."""
+    out = np.zeros(dimension, dtype=np.float64)
+    for key, value in vector.items():
+        out[key] = value
+    return out
+
+
 class TestConstruction:
     def test_zero_values_dropped(self):
         v = sv({1: 0.0, 2: 3.0})
@@ -37,12 +45,6 @@ class TestConstruction:
         assert v[5] == 2.0
         assert v[9] == 1.0
         assert all(type(value) is float for value in v.values())
-
-    def test_from_dense_roundtrip(self):
-        dense = np.array([0.0, 1.5, 0.0, -2.0])
-        v = SparseVector.from_dense(dense)
-        assert v.to_dict() == {1: 1.5, 3: -2.0}
-        np.testing.assert_allclose(v.to_dense(4), dense)
 
     def test_from_pairs(self):
         v = SparseVector([(1, 2.0), (3, 0.0)])
@@ -88,23 +90,8 @@ class TestAlgebra:
         assert a.distance(b) == pytest.approx(b.distance(a))
         assert a.distance(b) == pytest.approx(math.sqrt(5.0))
 
-    def test_cosine_of_parallel_vectors(self):
-        a = sv({1: 1.0, 2: 2.0})
-        assert a.cosine_similarity(a.scale(3.0)) == pytest.approx(1.0)
-
-    def test_cosine_with_zero_vector(self):
-        assert sv({1: 1.0}).cosine_similarity(sv({})) == 0.0
-
-    def test_dot_dense_ignores_out_of_range(self):
-        weights = np.array([1.0, 2.0])
-        assert sv({0: 1.0, 5: 7.0}).dot_dense(weights) == 1.0
-
 
 class TestMisc:
-    def test_max_index(self):
-        assert sv({3: 1.0, 17: 1.0}).max_index() == 17
-        assert sv({}).max_index() == -1
-
     def test_wire_size(self):
         assert sv({1: 1.0, 2: 2.0}).wire_size() == 24
         assert sv({}).wire_size() == 0
@@ -113,10 +100,6 @@ class TestMisc:
         assert sv({1: 1.0}) == sv({1: 1.0})
         assert sv({1: 1.0}) != sv({1: 2.0})
         assert hash(sv({1: 1.0})) == hash(sv({1: 1.0}))
-
-    def test_to_dense_drops_out_of_range(self):
-        dense = sv({0: 1.0, 10: 5.0}).to_dense(2)
-        np.testing.assert_allclose(dense, [1.0, 0.0])
 
 
 @given(sparse_entries, sparse_entries)
@@ -128,10 +111,10 @@ def test_dot_commutative(a, b):
 @given(sparse_entries, sparse_entries)
 def test_add_matches_dense_addition(a, b):
     va, vb = sv(a), sv(b)
-    dim = max(va.max_index(), vb.max_index(), 0) + 1
+    dim = max([*va, *vb, 0]) + 1
     np.testing.assert_allclose(
-        va.add(vb).to_dense(dim),
-        va.to_dense(dim) + vb.to_dense(dim),
+        dense(va.add(vb), dim),
+        dense(va, dim) + dense(vb, dim),
         atol=1e-9,
     )
 
@@ -139,9 +122,9 @@ def test_add_matches_dense_addition(a, b):
 @given(sparse_entries)
 def test_norm_matches_numpy(a):
     va = sv(a)
-    dim = va.max_index() + 1 if va.nnz else 1
+    dim = max(va, default=0) + 1
     assert va.norm() == pytest.approx(
-        float(np.linalg.norm(va.to_dense(dim))), abs=1e-9
+        float(np.linalg.norm(dense(va, dim))), abs=1e-9
     )
 
 
@@ -175,7 +158,6 @@ def test_builders_return_fresh_vectors_with_their_own_norm(a, b, factor):
         va.add(vb, scale=factor),
         va.scale(factor),
         va.normalized(),
-        SparseVector.from_dense(va.to_dense(201)),
         SparseVector.from_weights({key: 3 for key in a}, normalize=False),
         SparseVector.from_weights({key: 3 for key in a}, normalize=True),
         SparseVector(va.to_dict()),

@@ -1,22 +1,23 @@
 """Tests for stop-word and sensitive-word filtering."""
 
 from repro.text.sensitive import SensitiveWordFilter
-from repro.text.stopwords import ENGLISH_STOP_WORDS, is_stop_word, remove_stop_words
+from repro.text.stopwords import ENGLISH_STOP_WORDS
+from repro.text.vectorizer import PreprocessingPipeline
 
 
 class TestStopWords:
     def test_paper_examples_are_stop_words(self):
         # The paper names "a, for, and, not" explicitly.
         for word in ("a", "for", "and", "not"):
-            assert is_stop_word(word)
+            assert word in ENGLISH_STOP_WORDS
 
     def test_content_words_are_not_stop_words(self):
         for word in ("document", "tagging", "peer", "network"):
-            assert not is_stop_word(word)
+            assert word not in ENGLISH_STOP_WORDS
 
     def test_remove_preserves_order(self):
-        tokens = ["the", "peer", "and", "the", "tag"]
-        assert remove_stop_words(tokens) == ["peer", "tag"]
+        tokens = PreprocessingPipeline().tokens("the peer and the tag")
+        assert tokens == ["peer", "tag"]
 
     def test_list_is_lowercase(self):
         assert all(word == word.lower() for word in ENGLISH_STOP_WORDS)

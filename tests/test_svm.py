@@ -96,7 +96,7 @@ class TestLinearSVMModel:
             weights=SparseVector({1: 0.1, 2: -5.0, 3: 2.0}), bias=0.5
         )
         truncated = model.truncated(2)
-        assert set(truncated.weights.keys()) == {2, 3}
+        assert set(truncated.weights) == {2, 3}
         assert truncated.bias == 0.5
 
     def test_truncation_noop_when_small(self):
@@ -113,16 +113,23 @@ class TestLinearSVMModel:
         assert model.wire_size() == 24 + 8
 
 
+def _training_accuracy(svm, vectors, labels):
+    """The share of ``vectors`` the sign of the decision gets right — the
+    cascade's own ``training_accuracy``."""
+    decisions = [svm.decision(x) for x in vectors]
+    return sum((1 if d >= 0 else -1) == y for d, y in zip(decisions, labels)) / len(labels)
+
+
 class TestKernelSVM:
     def test_separable_linear_kernel(self):
         vectors, labels = make_linearly_separable()
         svm = KernelSVM(kernel_name="linear", C=10.0).fit(vectors, labels)
-        assert svm.accuracy(vectors, labels) >= 0.95
+        assert _training_accuracy(svm, vectors, labels) >= 0.95
 
     def test_xor_needs_rbf(self):
         vectors, labels = make_xor()
         rbf = KernelSVM(kernel_name="rbf", gamma=1.0, C=10.0).fit(vectors, labels)
-        assert rbf.accuracy(vectors, labels) >= 0.9
+        assert _training_accuracy(rbf, vectors, labels) >= 0.9
 
     def test_support_vectors_subset_of_training(self):
         vectors, labels = make_linearly_separable(n=30)
@@ -136,12 +143,12 @@ class TestKernelSVM:
 
     def test_one_class_degenerate(self):
         svm = KernelSVM().fit([SparseVector({0: 1.0})], [-1])
-        assert svm.predict(SparseVector({9: 2.0})) == -1
+        assert svm.decision(SparseVector({9: 2.0})) < 0
         assert svm.model.num_support_vectors == 0
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotTrainedError):
-            KernelSVM().predict(SparseVector({0: 1.0}))
+            KernelSVM().decision(SparseVector({0: 1.0}))
 
     def test_model_wire_size_positive(self):
         vectors, labels = make_linearly_separable(n=20)

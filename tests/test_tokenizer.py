@@ -1,6 +1,6 @@
 """Tests for repro.text.tokenizer."""
 
-from repro.text.tokenizer import sentence_split, tokenize
+from repro.text.tokenizer import tokenize
 
 
 class TestTokenize:
@@ -41,17 +41,3 @@ class TestTokenize:
     def test_unicode_text_keeps_ascii_words(self):
         tokens = tokenize("café naïve documents")
         assert "documents" in tokens
-
-
-class TestSentenceSplit:
-    def test_splits_on_terminal_punctuation(self):
-        parts = sentence_split("First one. Second one! Third one?")
-        assert parts == ["First one.", "Second one!", "Third one?"]
-
-    def test_no_punctuation_yields_single_sentence(self):
-        assert sentence_split("no terminal punctuation here") == [
-            "no terminal punctuation here"
-        ]
-
-    def test_empty_input(self):
-        assert sentence_split("") == []

@@ -14,7 +14,7 @@ from repro.sim.churn import ChurnDriver, ExponentialChurn
 from repro.sim.codec import make_codec_table, register_traffic_class
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
-from repro.sim.network import LatencyModel, PhysicalNetwork, pair_seed
+from repro.sim.network import LatencyModel, PhysicalNetwork, pair_mix64
 from repro.sim.stats import StatsCollector
 from repro.sim.transport import Transport
 
@@ -453,7 +453,6 @@ class TestVectorizedBroadcast:
             scalar.record_traffic("t", 64, hops=2, src=3, dst=dst)
         assert stats_fingerprint(bulk) == stats_fingerprint(scalar)
         assert bulk.fingerprint_bytes() == scalar.fingerprint_bytes()
-        assert bulk.digest() == scalar.digest()
 
     def test_pair_factors_match_scalar_mix(self):
         import numpy as np
@@ -469,9 +468,9 @@ class TestVectorizedBroadcast:
     def test_are_up_matches_is_up(self):
         network = build_transport(num_nodes=6).network
         network.set_down(2)
-        network.unregister(4)
-        flags = network.are_up([0, 2, 4, 5])
-        assert list(flags) == [network.is_up(n) for n in (0, 2, 4, 5)]
+        flags = network.are_up([0, 2, 9, 5])  # 9 never registered
+        assert list(flags) == [network.is_up(n) for n in (0, 2, 9, 5)]
+        assert list(flags) == [True, False, False, True]
 
 
 class TestCodecAccounting:
@@ -562,10 +561,13 @@ class TestPairSeedStability:
     def test_explicit_values_pinned(self):
         # Pinned constants: if these move, latencies (and thus event order)
         # change between releases — bump deliberately, never accidentally.
-        assert pair_seed(0, 1) == pair_seed(1, 0)
-        assert pair_seed(0, 1) == 1145638755
-        assert pair_seed(3, 17) == 1030546435
+        # (The low 31 bits are the pair seeds earlier releases pinned.)
+        assert pair_mix64(0, 1) == pair_mix64(1, 0)
+        assert pair_mix64(0, 1) == 2262681382910758755
+        assert pair_mix64(3, 17) == 10382932752330449923
+        assert pair_mix64(0, 1) & 0x7FFFFFFF == 1145638755
+        assert pair_mix64(3, 17) & 0x7FFFFFFF == 1030546435
 
     def test_distinct_pairs_distinct_seeds(self):
-        seeds = {pair_seed(a, b) for a in range(30) for b in range(a + 1, 30)}
+        seeds = {pair_mix64(a, b) for a in range(30) for b in range(a + 1, 30)}
         assert len(seeds) == 30 * 29 // 2

@@ -13,15 +13,18 @@ first — once, even when two of the worker's threads race to exit — and
 exits even if the dump fails; a fork drops the parent's counts, so no pair
 is counted twice.
 
-Record, then ask who called a name (callers under ``tests/`` apart)::
+Record, then ask who called a name (callers under ``tests/`` apart), or
+list every function defined under a directory that no dump calls::
 
     PYTHONPATH=tests/tools:src python -m pytest -q
     python tests/tools/sitecustomize.py tests/tools/calls Simulator.run
+    python tests/tools/sitecustomize.py tests/tools/calls --unreached src/repro
 
 To record somewhere else, copy this file into that directory and put the
 copy on ``PYTHONPATH`` instead.
 """
 
+import ast
 import collections
 import gc
 import os
@@ -98,8 +101,52 @@ def _summary(directory, names):
                 print(f"    {count:>9}  {caller}")
 
 
+def _definitions(tree):
+    """``(firstline, qualname)`` of every function ``tree`` defines, nested
+    ones included; ``firstline`` is the first decorator's line, as a code
+    object's ``co_firstlineno`` has it."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                lines = [d.lineno for d in child.decorator_list] + [child.lineno]
+                found.append((min(lines), name))
+                visit(child, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def _unreached(directory, source):
+    """Print each function defined under ``source`` that no dump calls."""
+    called = set()
+    for entry in os.listdir(directory):
+        with open(os.path.join(directory, entry), encoding="utf-8") as rows:
+            for row in rows:
+                path, line, _ = row.split("\t")[1].rsplit(":", 2)
+                called.add((os.path.realpath(path), int(line)))
+    for root, dirs, files in os.walk(source):
+        dirs.sort()
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as text:
+                tree = ast.parse(text.read())
+            for line, qualname in _definitions(tree):
+                if (os.path.realpath(path), line) not in called:
+                    print(f"{path}:{line}:{qualname}")
+
+
 if __name__ == "__main__":
-    _summary(sys.argv[1], sys.argv[2:])
+    if sys.argv[2:3] == ["--unreached"]:
+        _unreached(sys.argv[1], sys.argv[3])
+    else:
+        _summary(sys.argv[1], sys.argv[2:])
 elif __name__ == "sitecustomize":
     os.register_at_fork(after_in_child=_pairs.clear)
     os._exit = _exit
