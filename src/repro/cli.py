@@ -27,6 +27,7 @@ from repro.bench import format_table
 from repro.core.tagger import ALGORITHMS, P2PDocTaggerSystem, SystemConfig
 from repro.data.delicious import DeliciousGenerator
 from repro.data.loaders import load_corpus, save_corpus
+from repro.errors import ConfigurationError, ReproError
 
 
 def _corpus_from_args(args: argparse.Namespace):
@@ -74,7 +75,6 @@ def _build_system(args: argparse.Namespace, algorithm: str) -> P2PDocTaggerSyste
             codec=args.codec,
             shards=args.shards,
             executor=args.executor,
-            control_plane=args.control_plane,
             tcp_hosts=args.hosts,
             wal=args.wal,
             resume=args.resume,
@@ -129,13 +129,6 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
         "'ssh:HOST' starts `repro worker` over ssh (requires --executor tcp)",
     )
     parser.add_argument(
-        "--control-plane", choices=("replicated", "directory"),
-        default="replicated", dest="control_plane",
-        help="sharded control plane: replicate churn/maintenance in every "
-        "worker, or serve overlay snapshots + per-window deltas from one "
-        "directory (O(N/K) per-worker cost; requires --shards >= 1)",
-    )
-    parser.add_argument(
         "--wal", default=None, metavar="PATH",
         help="checkpoint the sharded run's window stream to this "
         "write-ahead log; on --executor tcp or mp the log doubles as the "
@@ -173,15 +166,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         run = system.sharded_run
         line = (
             f"[shard] K={run.shards} executor={run.executor} "
-            f"plane={run.control_plane} windows={run.windows} "
-            f"lookahead={run.lookahead:.4f}s "
-            f"digest={run.digest()[:16]}… == local kernel (verified)"
+            f"windows={run.windows} lookahead={run.lookahead:.4f}s "
+            f"digest={run.digest()[:16]}… == local kernel (verified) "
+            f"control_records={run.control_records} "
+            f"control_bytes={run.control_bytes}"
         )
-        if run.control_plane == "directory":
-            line += (
-                f" control_records={run.control_records} "
-                f"control_bytes={run.control_bytes}"
-            )
         faults = getattr(run.stats, "faults", None)
         if faults:
             line += (
@@ -259,8 +248,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if not Path(args.path).exists():
         # Opening would create an empty store — catch the typo instead.
-        print(f"error: no trace store at {args.path}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"no trace store at {args.path}")
     with TraceStore(args.path) as store:
         if args.sql:
             headers, rows = store.sql(args.sql)
@@ -330,6 +318,8 @@ def cmd_overlay(args: argparse.Namespace) -> int:
     from repro.overlay.idspace import key_id_for
     from repro.sim.visualize import ascii_summary
 
+    if args.size < 1:
+        raise ConfigurationError(f"--size must be >= 1, got {args.size}")
     overlay = make_overlay(args.type, seed=args.seed, degree=4)
     for address in range(args.size):
         overlay.join(address)
@@ -487,7 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # A user error (a bad option mix, a missing or damaged log): one
+        # line on stderr and status 2, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

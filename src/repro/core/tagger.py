@@ -56,10 +56,6 @@ class SystemConfig:
     #: tcp executor worker placement spec (see
     #: repro.sim.tcpexec.parse_hosts); None = spawn local workers
     tcp_hosts: Optional[str] = None
-    #: sharded control plane ("replicated" or "directory"): "directory"
-    #: serves overlay snapshots + per-window deltas from one authoritative
-    #: control plane so per-worker cost is O(N/K)
-    control_plane: str = "replicated"
     #: simulation WAL (repro.sim.wal): checkpoint the sharded training
     #: replay's window stream to this path / resume from this log via
     #: verified prefix replay; used when shards >= 1
@@ -100,7 +96,6 @@ class SystemConfig:
             base,
             shards=self.shards,
             executor=self.executor,
-            control_plane=self.control_plane,
             wal=self.wal,
             resume=self.resume,
             faults=self.faults,

@@ -140,8 +140,8 @@ class Overlay(ABC):
         Must cover *all* state that routing, membership, and maintenance
         read — including any internal RNG (exported/restored as its
         bit-generator state), so a view that applies served maintenance
-        edits keeps its RNG aligned with the authority for later replicated
-        join ops.
+        edits keeps its RNG aligned with the authority for the join ops it
+        later applies itself.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not declare state slots"

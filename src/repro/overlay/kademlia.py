@@ -43,9 +43,9 @@ class KademliaOverlay(Overlay):
         self._rng.bit_generator.state = state
 
     def _state_slots(self):
-        # The sampling RNG is a state slot: join ops replicated on directory
-        # views consume it exactly like the authority, and served stabilize
-        # edits carry the post-refresh state so views never drift.
+        # The sampling RNG is a state slot: join ops every directory view
+        # applies itself consume it exactly like the authority, and served
+        # stabilize edits carry the post-refresh state so views never drift.
         return {
             "ids": StateSlot(
                 "dict", lambda: self._ids,

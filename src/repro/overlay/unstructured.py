@@ -50,7 +50,7 @@ class UnstructuredOverlay(Overlay):
 
     def _state_slots(self):
         # The link-sampling RNG rides along so directory views stay aligned
-        # with the authority across replicated joins and served repairs.
+        # with the authority across the joins they apply and served repairs.
         return {
             "edges": StateSlot(
                 "dict", lambda: self._edges,

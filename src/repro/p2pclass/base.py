@@ -148,11 +148,11 @@ class P2PTagClassifier(ABC):
         #: the PhysicalNetwork directly (uniform charging and batching).
         self.transport = scenario.transport
         # Register every peer on the physical network so traffic flows.
-        # Materialization is ownership-gated: on a directory-mode shard
-        # worker only owned peers build a SimNode (the O(N/K) construction
-        # contract); remote peers register as directory-served endpoints so
-        # liveness checks still answer globally.  Everywhere else the gate
-        # is constant-open and all N peers materialize as before.
+        # Materialization is ownership-gated: on a shard worker only owned
+        # peers build a SimNode (the O(N/K) construction contract); remote
+        # peers register as directory-served endpoints so liveness checks
+        # still answer globally.  On the flat kernel the gate is
+        # constant-open and all N peers materialize.
         self.nodes: Dict[int, SimNode] = {}
         for address in scenario.peer_addresses:
             node = scenario.materialize_peer(address)

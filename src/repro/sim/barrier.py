@@ -7,15 +7,15 @@ or ``error`` (a traceback) — and the coordinator answers each synced
 worker with a :class:`Verdict`: the next window start (the global minimum
 next-event time, so empty stretches are skipped in one hop), the agreed
 last-event clock and executed total, the worker's inbound exchange frames
-in src-shard order, and the directory plane's control records for the
-window.
+in src-shard order, and the control plane's records for the window.
 
 **The coordinator half** is :func:`coordinate`, the loop.  It is where the
-directory control plane advances, where the WAL appends (or verifies) its
-window record, and where divergence between workers is detected and the
-synced workers are told to abort.  It talks to its workers through a
-*link* — three methods, one implementation per fleet (serial threads, and
-the tcp sockets that the mp executor's forked workers use too):
+directory control plane (the run's one writer) advances, where the WAL
+appends (or verifies) its window record, and where divergence between
+workers is detected and the synced workers are told to abort.  It talks
+to its workers through a *link* — three methods, one implementation per
+fleet (serial threads, and the tcp sockets that the mp executor's forked
+workers use too):
 
 - ``collect(barrier)`` — one round: an iterable of ``(shard_id, kind,
   payload)``, one entry per shard.  Supervision belongs here: the tcp link
@@ -62,8 +62,8 @@ class Verdict(NamedTuple):
     #: ``(src_shard, blob)`` per encoded frame routed to this worker, in
     #: src-shard order
     inbound: List[Tuple[int, bytes]]
-    #: directory mode: this window's served control-plane delta records
-    #: (application is ownership-gated worker-side)
+    #: this window's served control-plane delta records (application is
+    #: ownership-gated worker-side)
     control: List[tuple]
 
 
@@ -75,7 +75,7 @@ class SyncStatus(NamedTuple):
     executed: int
     #: earliest delivery among the frames this worker just sent
     min_outbound: float
-    #: directory-mode control requests (SPMD-identical across shards)
+    #: control-plane requests (SPMD-identical across shards)
     requests: list
     #: the worker's pre-pickled WAL probe output (None without a WAL)
     extras: Optional[bytes]
@@ -231,7 +231,7 @@ def coordinate(
     link: Any,
     num_shards: int,
     lookahead: float,
-    plane: Any = None,
+    plane: Any,
     wal: Any = None,
 ) -> Tuple[List[Any], int]:
     """Drive a run's window barriers until every worker is done.
@@ -280,17 +280,16 @@ def coordinate(
         )
         control: List[tuple] = []
         try:
-            if plane is not None:
-                # Fold in the shards' control requests, let the timeline's
-                # next event open a window even when every worker heap is
-                # idle, and publish the window's deltas with the decision
-                # (one window ahead of execution).
-                plane.handle_requests(
-                    agreed_requests([status.requests for status in statuses])
-                )
-                window_start = min(window_start, plane.next_time())
-                if window_start != _INF:
-                    control = plane.advance(window_start + lookahead)
+            # Fold in the shards' control requests, let the timeline's next
+            # event open a window even when every worker heap is idle, and
+            # publish the window's deltas with the decision (one window
+            # ahead of execution).
+            plane.handle_requests(
+                agreed_requests([status.requests for status in statuses])
+            )
+            window_start = min(window_start, plane.next_time())
+            if window_start != _INF:
+                control = plane.advance(window_start + lookahead)
             if wal is not None:
                 wal.on_window(
                     barrier=windows,

@@ -117,10 +117,10 @@ class ParetoChurn(ChurnModel):
 
 
 class DirectoryChurnClient:
-    """Worker-side stand-in for :class:`ChurnDriver` under the directory
-    control plane (:mod:`repro.sim.shard`).
+    """Worker-side stand-in for :class:`ChurnDriver` in a sharded run
+    (:mod:`repro.sim.shard`).
 
-    Directory-mode shard workers do not replay churn timelines: the
+    Shard workers do not replay churn timelines: the
     directory generates every leave/rejoin once and serves them as
     per-window delta records, which the worker applies at their exact
     virtual times.  This client keeps the driver's *interface* alive for
@@ -174,9 +174,9 @@ class ChurnDriver:
         #: per-peer stream provider (decomposed-randomness mode): node ``n``'s
         #: session/downtime draws come from ``rng_for(n)`` instead of the
         #: simulator's single stream.  Makes each peer's churn timeline an
-        #: autonomous deterministic process — replicable in every shard of a
-        #: sharded run, keeping liveness/overlay replicas in sync without
-        #: any cross-shard traffic.
+        #: autonomous deterministic process — the one a sharded run's
+        #: directory control plane draws from the same per-peer streams
+        #: and serves to every shard, so both kernels churn alike.
         self.rng_for = rng_for
         self.leave_count = 0
         self.join_count = 0

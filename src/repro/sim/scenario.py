@@ -78,13 +78,11 @@ class ScenarioConfig:
     #: wal/resume this is plumbing, not physics: excluded from the WAL
     #: config fingerprint.
     tcp_hosts: Optional[str] = None
-    #: sharded control plane: "replicated" (SPMD: every worker replays
-    #: churn timelines and overlay maintenance for all N peers) or
-    #: "directory" (one authoritative control plane owns them,
-    #: publishes an overlay snapshot at startup plus per-window delta
-    #: records, and workers apply deltas at barriers — per-worker control
-    #: and construction cost drops to O(N/K)).
-    control_plane: str = "replicated"
+    #: not a setting: a sharded run always has one control plane (the
+    #: directory, repro.sim.shard) and a flat run the kernel's own.  Kept
+    #: only as a spelling older callers pass; ``None``, or exactly the
+    #: plane ``shards`` implies ("directory" / "replicated").
+    control_plane: Optional[str] = None
     #: simulation WAL (repro.sim.wal): checkpoint the run's window stream
     #: to this path ...
     wal: Optional[str] = None
@@ -133,14 +131,12 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"tcp_port must be in [0, 65535], got {self.tcp_port}"
             )
-        if self.control_plane not in ("replicated", "directory"):
+        implied = "directory" if self.shards >= 1 else "replicated"
+        if self.control_plane not in (None, implied):
             raise ConfigurationError(
-                f"unknown control plane {self.control_plane!r}"
-            )
-        if self.control_plane == "directory" and self.shards < 1:
-            raise ConfigurationError(
-                "the directory control plane only applies to sharded "
-                "execution (set shards >= 1)"
+                f"control_plane={self.control_plane!r} is not a choice: "
+                f"shards={self.shards} runs the {implied!r} plane (leave "
+                "control_plane unset)"
             )
         if self.shards < 0:
             raise ConfigurationError("shards must be >= 0")
@@ -223,11 +219,6 @@ class Scenario:
     #: refuses configs demanding sharded execution.
     sharded = False
 
-    #: True on directory-mode shard workers: overlay state is served by the
-    #: directory control plane (snapshot + per-window deltas) and per-peer
-    #: state materializes only for owned peers.
-    directory_mode = False
-
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         if config.shards >= 1 and not self.sharded:
@@ -245,8 +236,8 @@ class Scenario:
         self.network = self._make_network()
         self.peer_addresses: List[int] = list(range(config.num_peers))
         #: per-peer states (SimNodes / handler registrations) built by THIS
-        #: kernel — ≈ N/K on a directory-mode shard worker, N otherwise
-        #: (see construction_cost)
+        #: kernel — ≈ N/K on a shard worker, N on the flat kernel (see
+        #: construction_cost)
         self.peers_materialized = 0
         self.overlay = self._build_overlay()
         self.codec_table = make_codec_table(config.codec)
@@ -269,9 +260,8 @@ class Scenario:
     def _build_overlay(self) -> Overlay:
         """Construct the overlay with every peer joined and tables built.
 
-        Directory-mode shard workers override this: they restore the
-        directory's startup snapshot instead of recomputing N joins worth
-        of routing state.
+        Shard workers override this: they restore the directory's startup
+        snapshot instead of recomputing N joins worth of routing state.
         """
         overlay = self.config.build_overlay()
         for address in self.peer_addresses:
@@ -280,7 +270,7 @@ class Scenario:
         return overlay
 
     def _make_churn_driver(self):
-        """The churn process driver (directory workers use a served client)."""
+        """The churn process driver (shard workers use a served client)."""
         return ChurnDriver(
             self.simulator,
             self.network,
@@ -301,13 +291,15 @@ class Scenario:
 
     # -- ownership hooks -------------------------------------------------
     #
-    # In a sharded run every shard worker replicates the *global* control
-    # processes (churn timelines, overlay maintenance) to keep its replicas
-    # in sync, but each observable must be accounted exactly once across
-    # the fleet.  These hooks gate per-peer accounting to the peer's owning
-    # shard and run-global accounting to shard 0; on the single-heap
-    # kernel they are constant True, and the gated code paths are
-    # byte-identical to the ungated originals.
+    # In a sharded run one writer (the directory control plane) runs the
+    # global control processes — churn timelines, overlay maintenance —
+    # and every shard worker reads them, applying each served record to
+    # its own overlay view, so each such observable happens K times across
+    # the fleet but must be accounted once.  These hooks gate per-peer
+    # accounting and state to the peer's owning shard and run-global
+    # accounting to shard 0; on the single-heap kernel they are constant
+    # True, and the gated code paths are byte-identical to the ungated
+    # originals.
 
     @property
     def shard_id(self) -> int:
@@ -342,25 +334,17 @@ class Scenario:
         """True when this kernel accounts run-global observables."""
         return True
 
-    def materializes(self, address: int) -> bool:
-        """True when this kernel must build per-peer state for ``address``.
-
-        Constant True except on directory-mode shard workers, where only
-        owned peers materialize (remote peers are directory-served: their
-        liveness is synced by delta records, their handlers live on the
-        owning shard).
-        """
-        return True
-
     def materialize_peer(self, address: int) -> Optional[SimNode]:
         """Ownership-gated :class:`SimNode` construction.
 
-        Returns the node when this kernel materializes ``address``; remote
-        peers are registered as directory-served endpoints and ``None`` is
-        returned.  The one sanctioned way for protocols to build their peer
-        fleets — it feeds the ``peers_materialized`` construction counter.
+        Returns the node when this kernel owns ``address``; remote peers
+        (their liveness synced by served records, their handlers on the
+        owning shard) are registered as directory-served endpoints and
+        ``None`` is returned.  The one sanctioned way for protocols to
+        build their peer fleets — it feeds the ``peers_materialized``
+        construction counter.
         """
-        if self.materializes(address):
+        if self.owns(address):
             self.peers_materialized += 1
             return SimNode(address, self.network)
         self.network.register_remote(address)
@@ -370,7 +354,7 @@ class Scenario:
         """Ownership-gated raw handler registration (workloads that do not
         need typed :class:`SimNode` dispatch).  Returns True when the peer
         materialized locally."""
-        if self.materializes(address):
+        if self.owns(address):
             self.network.register(address, handler)
             self.peers_materialized += 1
             return True
@@ -450,42 +434,11 @@ class Scenario:
         schedules nothing new.
         """
         self.churn_driver.start(self.peer_addresses)
-        if self.directory_mode:
-            # Maintenance is directory-scheduled: the control plane emits
-            # per-window delta records for stabilize rounds too.
-            return
         if self.churn_model.churns and not self._stabilize_scheduled:
             self._stabilize_scheduled = True
             self.simulator.schedule(
                 self.config.stabilize_interval, self._periodic_stabilize
             )
-
-    # -- directory control-plane application (shard workers) -------------
-    #
-    # Under control_plane="directory" the worker's churn/maintenance state
-    # is *served*: the directory publishes (time, kind, payload) records one
-    # window ahead, the shard kernel schedules them at their exact virtual
-    # times, and this method applies them — mirroring, observable for
-    # observable, what ChurnDriver._leave/_rejoin and _periodic_stabilize
-    # do on the replicated path above.
-
-    def _apply_control_record(self, record) -> None:
-        _, kind, payload = record
-        if kind == "leave":
-            self.network.set_down(payload, True)
-            self.churn_driver.leave_count += 1
-            self._on_peer_leave(payload)
-        elif kind == "join":
-            self.network.set_down(payload, False)
-            self.churn_driver.join_count += 1
-            self._on_peer_join(payload)
-        elif kind == "maintenance":
-            self.overlay.apply_state_edits(payload)
-            if self.owns_control():
-                self.stats.increment("stabilize_rounds")
-            self._charge_maintenance()
-        else:  # pragma: no cover - wire-format drift guard
-            raise ConfigurationError(f"unknown control record kind {kind!r}")
 
     def live_peers(self) -> List[int]:
         """Peers currently in the overlay (i.e. not churned out)."""

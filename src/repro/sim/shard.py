@@ -5,11 +5,12 @@ This is the parallel-discrete-event layer of the stack.  A
 :class:`ShardedScenario` splits the peer population across ``K`` shards
 (round-robin: address ``a`` lives on shard ``a % K``, see
 :meth:`_ShardRuntime.owns`); each shard owns a full
-:class:`~repro.sim.engine.Simulator` heap and a replica of the scenario
-(overlay, liveness, churn timelines).  Shards advance in lockstep windows of
-length *lookahead* — the guaranteed minimum cross-shard delivery delay
-(:func:`compute_lookahead`) — so an event executed inside a window can never
-be affected by a message sent in the same window by another shard.
+:class:`~repro.sim.engine.Simulator` heap, a view of the overlay and
+liveness, and the per-peer state of the peers it owns.  Shards advance in
+lockstep windows of length *lookahead* — the guaranteed minimum
+cross-shard delivery delay (:func:`compute_lookahead`) — so an event
+executed inside a window can never be affected by a message sent in the
+same window by another shard.
 
 **The cut point is the transport stack's network layer**
 (:class:`ShardNetwork`): a send whose destination lives on another shard is
@@ -31,13 +32,22 @@ same scenario:
    draws come from per-peer streams (:class:`~repro.sim.network.PeerStreams`)
    consumed only in their owner's causal order — which conservative windows
    preserve — so no draw's value depends on cross-peer interleaving.
-2. *Replicated control plane*: churn timelines and overlay maintenance are
+2. *One writer, K readers*: churn timelines and overlay maintenance are
    autonomous deterministic processes (they draw only from per-peer streams
-   and overlay state), so every shard replays them in full, keeping its
-   overlay/liveness replicas in sync without any cross-shard traffic.
+   and overlay state), so one authoritative :class:`DirectoryControlPlane`,
+   owned by the window coordinator, runs them once for all N peers.  It
+   publishes an overlay snapshot at startup plus per-window
+   :data:`ControlRecord` deltas — join/leave membership ops and served
+   route-table edits — one window ahead of execution; every worker applies
+   them at their exact virtual times to an overlay *view* (same class,
+   same route algorithms, state restored rather than computed), so
+   mid-window routes see what the single-heap kernel's overlay holds.
    Ownership hooks (:meth:`~repro.sim.scenario.Scenario.owns`) gate each
-   replicated observable to exactly one shard's
-   :class:`~repro.sim.stats.StatsCollector`.
+   applied observable to exactly one shard's
+   :class:`~repro.sim.stats.StatsCollector`, and per-peer workload state
+   is built only on the owning shard
+   (:meth:`~repro.sim.scenario.Scenario.materialize_peer`), so a worker's
+   construction cost is O(N/K).
 3. *Commutative accounting*: stats are counters; the merge of the per-shard
    collectors (:meth:`StatsCollector.merge`) equals the single collector of
    the unsharded run regardless of execution order.
@@ -75,22 +85,6 @@ event-driven (scheduled only on the owning shard — see
 (replicated calls whose network effects the :class:`ShardNetwork` gates by
 source ownership).  A single peer must not mix both styles within one
 training phase, or its loss stream would desynchronize across replicas.
-
-**The directory control plane** (``control_plane="directory"``) sheds rule
-2's per-worker O(N) price: instead of every shard replaying churn timelines
-and overlay maintenance for all N peers, one authoritative
-:class:`DirectoryControlPlane` (owned by the window coordinator) runs them
-once, publishes a deterministic overlay snapshot at startup plus per-window
-:data:`ControlRecord` deltas — join/leave membership ops and served
-route-table edits, serialized and ordered like exchange records — and
-workers apply the deltas at barriers, scheduled at their exact virtual
-times.  Worker overlays become *views*: same class, same route algorithms,
-state restored rather than computed; per-peer workload state materializes
-only for owned peers (:meth:`Scenario.materialize_peer`).  The equivalence
-argument changes from "every shard computes everything identically" to "one
-writer, K readers, provably the same observable stream" — enforced by the
-same differential fuzz and golden suites, byte for byte, plus the
-directory-specific tiers in ``tests/test_directory_plane.py``.
 
 Not to be confused with :class:`repro.sim.distribution.ShardSpec`, which
 describes how *data* is distributed across peers; this module shards the
@@ -139,7 +133,7 @@ ExchangeRecord = Tuple[float, int, int, int, int, str, Any, int, int, int]
 #: directory delta record layout — one control-plane observable, serialized
 #: and ordered like exchange records: (virtual time, kind, payload) with
 #: kind ∈ {"leave", "join", "maintenance"}.  Leave/join carry the peer
-#: address (replicated cheap ops: the view updates membership itself);
+#: address (cheap ops: each view updates membership itself);
 #: maintenance carries the served route-table edits
 #: (:data:`repro.overlay.base.StateEdit` tuples) the authority computed.
 ControlRecord = Tuple[float, str, Any]
@@ -180,12 +174,12 @@ def scenario_digest(stats: StatsCollector, now: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The directory control plane (control_plane="directory").
+# The directory control plane: the run's one writer.
 # ---------------------------------------------------------------------------
 
 
 class DirectoryControlPlane:
-    """The single authoritative control plane of a directory-mode run.
+    """The single authoritative control plane of a sharded run.
 
     Owned by the window coordinator (the coordinator process under the
     mp and tcp executors, the coordinator loop under serial).  It
@@ -203,12 +197,12 @@ class DirectoryControlPlane:
     the next window ``[W, W + lookahead)``, every control event inside it is
     already computable: :meth:`advance` pops the event heap up to the window
     end, executes each event against the authoritative overlay, and emits
-    the resulting record (leave/join as replicated membership ops,
+    the resulting record (leave/join as membership ops every view applies,
     maintenance as served route-table edits via
     :meth:`~repro.overlay.base.Overlay.diff_state`).  Workers receive the
     records with the window decision and schedule their application at the
     exact virtual times, so mid-window route resolutions observe state
-    byte-identical to the replicated (and unsharded) kernels.
+    byte-identical to the unsharded kernel's.
 
     Tie ordering is the heap's ``(time, seq)``: seq is allocated in schedule
     order — initial leaves in peer-address order, then stabilize, then
@@ -219,10 +213,6 @@ class DirectoryControlPlane:
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
-        if config.control_plane != "directory":
-            raise ConfigurationError(
-                "DirectoryControlPlane requires control_plane='directory'"
-            )
         self.config = config
         self.peer_addresses = list(range(config.num_peers))
         self.overlay = config.build_overlay()
@@ -350,7 +340,7 @@ class _ShardRuntime:
         num_shards: int,
         channel: WorkerEndpoint,
         lookahead: float,
-        snapshot: Optional[dict] = None,
+        snapshot: dict,
     ) -> None:
         self.shard_id = shard_id
         self.num_shards = num_shards
@@ -366,16 +356,11 @@ class _ShardRuntime:
         #: worker scenario once its network exists)
         self.network: Optional[PhysicalNetwork] = None
         self.windows = 0
-        #: directory mode: the control plane's startup overlay snapshot
-        #: (shared read-only; views restore by deep copy)
+        #: the control plane's startup overlay snapshot (shared read-only;
+        #: views restore by deep copy)
         self.snapshot = snapshot
-        #: directory mode: control requests pending for the next barrier
+        #: control requests pending for the next barrier
         self.control_requests: List[Tuple[str, float]] = []
-        #: directory mode: installed by the worker scenario — schedules the
-        #: barrier's served delta records at their exact virtual times
-        self.control_sink: Optional[Callable[[List[ControlRecord]], None]] = (
-            None
-        )
         #: WAL runs: installed by :func:`_worker_body` — exports the
         #: worker's stats delta + kernel/RNG cursors at each barrier
         self.wal_probe: Optional[Callable[[], bytes]] = None
@@ -444,9 +429,17 @@ class ShardSimulator(Simulator):
     call, which is what keeps SPMD workloads aligned.
     """
 
-    def __init__(self, seed: int, runtime: _ShardRuntime) -> None:
+    def __init__(
+        self,
+        seed: int,
+        runtime: _ShardRuntime,
+        control_sink: Callable[[List[ControlRecord]], None],
+    ) -> None:
         super().__init__(seed)
         self._runtime = runtime
+        #: schedules a barrier's served delta records at their exact
+        #: virtual times (the worker scenario's)
+        self._control_sink = control_sink
         self._exhausted = False
 
     @property
@@ -481,11 +474,11 @@ class ShardSimulator(Simulator):
             runtime.windows += 1
             self._inject(inbox)
             if decision.control:
-                # Directory mode: schedule the window's served control-plane
-                # deltas at their exact virtual times (before any break —
-                # records may reach past this run's `until`, exactly like
-                # the replicated kernels' still-queued churn events).
-                runtime.control_sink(decision.control)
+                # Schedule the window's served control-plane deltas at their
+                # exact virtual times (before any break — records may reach
+                # past this run's `until`, exactly like the flat kernel's
+                # still-queued churn events).
+                self._control_sink(decision.control)
             window_start = decision.window_start
             if (
                 max_events is not None
@@ -624,12 +617,11 @@ class ShardNetwork(PhysicalNetwork):
 
 
 class _ShardWorkerScenario(Scenario):
-    """One shard's replica of the scenario, wired to the shard runtime.
+    """One shard's reader of the scenario, wired to the shard runtime.
 
-    Under ``control_plane="directory"`` the replica sheds its O(N) control
-    plane: the overlay is a *view* restored from the directory's startup
-    snapshot (no joins computed locally), churn is a
-    :class:`~repro.sim.churn.DirectoryChurnClient` forwarding its start
+    It computes no control plane: the overlay is a *view* restored from
+    the directory's startup snapshot (no joins computed locally), churn is
+    a :class:`~repro.sim.churn.DirectoryChurnClient` forwarding its start
     through the barrier, served delta records apply at their exact virtual
     times, and per-peer state materializes only for owned peers.
     """
@@ -638,16 +630,8 @@ class _ShardWorkerScenario(Scenario):
 
     def __init__(self, config: ScenarioConfig, runtime: _ShardRuntime) -> None:
         self._runtime = runtime
-        self.directory_mode = config.control_plane == "directory"
-        if self.directory_mode and runtime.snapshot is None:
-            raise ConfigurationError(
-                "directory-mode shard worker needs the control plane's "
-                "overlay snapshot"
-            )
         super().__init__(config)
         runtime.network = self.network
-        if self.directory_mode:
-            runtime.control_sink = self._schedule_control_records
 
     @property
     def shard_id(self) -> int:
@@ -661,7 +645,9 @@ class _ShardWorkerScenario(Scenario):
         return True
 
     def _make_simulator(self) -> Simulator:
-        return ShardSimulator(self.config.seed, self._runtime)
+        return ShardSimulator(
+            self.config.seed, self._runtime, self._schedule_control_records
+        )
 
     def _make_network(self) -> PhysicalNetwork:
         return ShardNetwork(
@@ -674,8 +660,6 @@ class _ShardWorkerScenario(Scenario):
         )
 
     def _build_overlay(self):
-        if not self.directory_mode:
-            return super()._build_overlay()
         # Directory-served view: restore the authoritative snapshot instead
         # of computing N joins + finalization (entries_built stays 0).
         overlay = self.config.build_overlay()
@@ -683,11 +667,14 @@ class _ShardWorkerScenario(Scenario):
         return overlay
 
     def _make_churn_driver(self):
-        if not self.directory_mode:
-            return super()._make_churn_driver()
         return DirectoryChurnClient(
             self.simulator, self.churn_model, self._runtime.request_control
         )
+
+    def start_churn(self) -> None:
+        """Ask the directory to begin churn cycles and maintenance; both
+        arrive as served records, so nothing is scheduled here."""
+        self.churn_driver.start(self.peer_addresses)
 
     def _schedule_control_records(
         self, records: List[ControlRecord]
@@ -712,14 +699,32 @@ class _ShardWorkerScenario(Scenario):
             ((record,) for record in records),
         )
 
+    def _apply_control_record(self, record: ControlRecord) -> None:
+        """Apply one served record — observable for observable what the
+        flat kernel's ``ChurnDriver._leave`` / ``_rejoin`` and
+        ``_periodic_stabilize`` do."""
+        _, kind, payload = record
+        if kind == "leave":
+            self.network.set_down(payload, True)
+            self.churn_driver.leave_count += 1
+            self._on_peer_leave(payload)
+        elif kind == "join":
+            self.network.set_down(payload, False)
+            self.churn_driver.join_count += 1
+            self._on_peer_join(payload)
+        elif kind == "maintenance":
+            self.overlay.apply_state_edits(payload)
+            if self.owns_control():
+                self.stats.increment("stabilize_rounds")
+            self._charge_maintenance()
+        else:  # pragma: no cover - wire-format drift guard
+            raise ConfigurationError(f"unknown control record kind {kind!r}")
+
     def owns(self, address: int) -> bool:
         return self._runtime.owns(address)
 
     def owns_control(self) -> bool:
         return self._runtime.shard_id == 0
-
-    def materializes(self, address: int) -> bool:
-        return not self.directory_mode or self._runtime.owns(address)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +767,7 @@ def _run_worker(
     workload: Workload,
     num_shards: int,
     lookahead: float,
-    snapshot: Optional[dict],
+    snapshot: dict,
     wal_cadence: int,
     fault_hook: Optional[Callable[[int], None]] = None,
 ) -> bool:
@@ -836,11 +841,10 @@ class _ThreadLink:
 
 def _run_serial(
     config: ScenarioConfig, workload: Workload, num_shards: int,
-    lookahead: float, plane: Optional[DirectoryControlPlane] = None,
+    lookahead: float, plane: DirectoryControlPlane,
     wal: Optional[WalSession] = None,
 ) -> Tuple[List[tuple], int, Counter]:
     link = _ThreadLink(num_shards)
-    snapshot = plane.snapshot if plane is not None else None
     wal_cadence = wal.cursor_every if wal is not None else 0
 
     def worker(shard_id: int) -> None:
@@ -848,7 +852,7 @@ def _run_serial(
             shard_id, link.to_coordinator, link.from_coordinator[shard_id]
         )
         _run_worker(
-            channel, config, workload, num_shards, lookahead, snapshot,
+            channel, config, workload, num_shards, lookahead, plane.snapshot,
             wal_cadence,
         )
 
@@ -904,14 +908,12 @@ class ShardedRun:
     #: skipping this is bounded by the number of event clusters, not the
     #: virtual duration / lookahead)
     windows: int
-    #: "replicated" (SPMD control plane) or "directory"
-    control_plane: str = "replicated"
-    #: directory mode: delta records / route-table edits the control plane
-    #: published, and their modelled service bytes (snapshot included) —
-    #: diagnostics, never part of the digest
-    control_records: int = 0
-    control_edits: int = 0
-    control_bytes: int = 0
+    #: delta records / route-table edits the control plane published, and
+    #: their modelled service bytes (snapshot included) — diagnostics,
+    #: never part of the digest
+    control_records: int
+    control_edits: int
+    control_bytes: int
 
     def digest(self) -> str:
         """Golden-suite-comparable digest (fingerprint + final clock)."""
@@ -977,11 +979,7 @@ class ShardedScenario:
             # WalSession opens it — WalReader discards the torn record
             # and the run replays the shorter verified prefix.
             plan.apply_wal_tears(self.config.resume, self.config.shards)
-        plane = (
-            DirectoryControlPlane(self.config)
-            if self.config.control_plane == "directory"
-            else None
-        )
+        plane = DirectoryControlPlane(self.config)
         wal = (
             WalSession(self.config, self.config.shards, self.lookahead)
             if (self.config.wal or self.config.resume)
@@ -1013,12 +1011,9 @@ class ShardedScenario:
                 executor=self.executor,
                 lookahead=self.lookahead,
                 windows=windows,
-                control_plane=self.config.control_plane,
-                control_records=plane.records_emitted if plane else 0,
-                control_edits=plane.edits_emitted if plane else 0,
-                control_bytes=(
-                    plane.snapshot_bytes + plane.record_bytes if plane else 0
-                ),
+                control_records=plane.records_emitted,
+                control_edits=plane.edits_emitted,
+                control_bytes=plane.snapshot_bytes + plane.record_bytes,
             )
             if wal is not None:
                 wal.finish(run.digest(), run.now, windows, tails)

@@ -601,7 +601,7 @@ def worker_main(
         heartbeat.start()
         if not _run_worker(
             channel, job["config"], job["workload"], job["num_shards"],
-            job["lookahead"], job.get("snapshot"), job.get("wal_cadence", 0),
+            job["lookahead"], job["snapshot"], job.get("wal_cadence", 0),
             fault_hook=fault_hook,
         ):
             return 1
@@ -1015,7 +1015,7 @@ class TcpCoordinator:
         config: Any,
         num_shards: int,
         lookahead: float,
-        plane: Any = None,
+        plane: Any,
         wal: Any = None,
     ) -> None:
         self.config = config
@@ -1213,7 +1213,7 @@ class TcpCoordinator:
             "workload": workload,
             "num_shards": self.num_shards,
             "lookahead": self.lookahead,
-            "snapshot": plane.snapshot if plane is not None else None,
+            "snapshot": plane.snapshot,
             "wal_cadence": wal.cursor_every if wal is not None else 0,
         }
         try:
@@ -1260,7 +1260,7 @@ def run_tcp(
     workload: Any,
     num_shards: int,
     lookahead: float,
-    plane: Any = None,
+    plane: Any,
     wal: Any = None,
 ) -> Tuple[List[tuple], int, Counter]:
     """The runner of the ``mp`` and ``tcp`` executors (the

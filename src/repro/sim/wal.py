@@ -83,13 +83,14 @@ def config_fingerprint(config: Any) -> Dict[str, Any]:
     ``resume`` (log plumbing, not physics), ``executor`` (serial, mp, and
     tcp runs are byte-equivalent, so cross-executor resume is legal),
     the tcp placement fields (where workers run, not what they compute),
-    and ``faults`` (an injected fault schedule plus its recovery leaves
+    ``faults`` (an injected fault schedule plus its recovery leaves
     the event stream untouched — that is the fault plane's proof
-    obligation) are excluded.
+    obligation) and ``control_plane`` (a spelling, not a choice: shards
+    imply the plane) are excluded.
     """
     fields = asdict(config)
     for key in ("wal", "resume", "executor", "tcp_host", "tcp_port",
-                "tcp_hosts", "faults"):
+                "tcp_hosts", "faults", "control_plane"):
         fields.pop(key, None)
     return fields
 

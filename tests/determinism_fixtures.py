@@ -103,7 +103,6 @@ def _build_large_peer_data():
 def build_scenario_config(
     overlay: str, variant: str, seed: int = 0, num_peers: int = NUM_PEERS,
     codec: str = "identity", rng_mode: str = "stream", shards: int = 0,
-    control_plane: str = "replicated",
 ) -> ScenarioConfig:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -119,7 +118,6 @@ def build_scenario_config(
         rng_mode=rng_mode,
         jitter_floor=SHARD_JITTER_FLOOR if rng_mode == "perpeer" else 0.0,
         shards=shards,
-        control_plane=control_plane,
         seed=seed,
     )
 
@@ -266,15 +264,12 @@ def run_training_perpeer(
 def run_training_sharded(
     protocol: str, overlay: str, variant: str, shards: int,
     executor: str = "serial", codec: str = "identity",
-    num_peers: int = NUM_PEERS, control_plane: str = "replicated",
+    num_peers: int = NUM_PEERS,
     wal: str = None, resume: str = None, faults: str = None,
 ):
     """Train one combo through the K-shard kernel; returns the
     :class:`repro.sim.shard.ShardedRun` (merged stats + agreed clock).
 
-    ``control_plane="directory"`` replays the same training with the
-    directory-served control plane (overlay snapshot + per-window deltas)
-    instead of SPMD replication — the digest must not change.
     ``faults`` injects a seeded fault schedule (tcp or mp executor); the
     chaos suites assert the recovered digest is byte-identical anyway.
     """
@@ -284,7 +279,7 @@ def run_training_sharded(
 
     config = build_scenario_config(
         overlay, variant, num_peers=num_peers, codec=codec,
-        rng_mode="perpeer", shards=shards, control_plane=control_plane,
+        rng_mode="perpeer", shards=shards,
     )
     if wal or resume or faults:
         config = replace(config, wal=wal, resume=resume, faults=faults)

@@ -48,7 +48,6 @@ class ConstantChurn(ChurnModel):
 def _directory_config(overlay="chord", shards=2, variant="churn", seed=0):
     return build_scenario_config(
         overlay, variant, seed=seed, rng_mode="perpeer", shards=shards,
-        control_plane="directory",
     )
 
 
@@ -95,7 +94,7 @@ def test_maintenance_diff_applies_to_an_identical_view(name):
     view = make_overlay(name, seed=3, degree=3)
     view.restore_state(authority.export_state())
 
-    # A churn leave is a replicated membership op on both sides...
+    # A churn leave is a membership op each side applies itself...
     authority.leave(2)
     view.leave(2)
     # ...then maintenance recomputes on the authority only and is served
@@ -108,7 +107,7 @@ def test_maintenance_diff_applies_to_an_identical_view(name):
     view.apply_state_edits(edits)
     assert view.entries_built == built_before  # served, not computed
     assert _observables(view) == _observables(authority)
-    # And the RNG-bearing overlays stay aligned for later replicated joins.
+    # And the RNG-bearing overlays stay aligned for later joins.
     authority.join(2)
     view.join(2)
     assert _observables(view) == _observables(authority)
@@ -127,7 +126,8 @@ def test_diff_state_is_empty_without_changes():
 
 def test_tied_delta_records_order_by_generation_seq(monkeypatch):
     """Five leaves at exactly t=5.0: emission order must be the schedule
-    order (peer-address order), the order the replicated driver pops them."""
+    order (peer-address order), the order the flat kernel's driver pops
+    them."""
     monkeypatch.setattr(
         ScenarioConfig, "build_churn_model", lambda self: ConstantChurn()
     )
@@ -167,8 +167,8 @@ def test_advance_cursor_never_duplicates_or_misses(monkeypatch):
 
 
 def test_a_second_start_schedules_nothing(monkeypatch):
-    """Every peer cycles from the first start on, as on the replicated
-    path: a later start_churn adds no second leave or stabilize chain."""
+    """Every peer cycles from the first start on, as on the flat kernel:
+    a later start_churn adds no second leave or stabilize chain."""
     monkeypatch.setattr(
         ScenarioConfig, "build_churn_model", lambda self: ConstantChurn()
     )
@@ -243,13 +243,30 @@ def test_directory_run_reports_service_traffic():
     run = ShardedScenario(
         _directory_config(shards=2), executor="serial"
     ).run(training_workload("pace", "churn"))
-    assert run.control_plane == "directory"
     assert run.control_records > 0
     assert run.control_bytes > 0
     # Every worker applied every record: K x emitted.
     assert (
         run.stats.directory["control_records"] == 2 * run.control_records
     )
+
+
+def test_control_plane_is_a_spelling_not_a_choice():
+    """``shards`` implies the plane: the field accepts only that plane's
+    name or nothing, and names itself when it refuses."""
+    from dataclasses import replace
+
+    from repro.errors import ConfigurationError
+
+    sharded = _directory_config()
+    for plane in (None, "directory"):
+        replace(sharded, control_plane=plane).validate()
+    for plane in ("replicated", "Directory"):
+        with pytest.raises(ConfigurationError, match="control_plane"):
+            replace(sharded, control_plane=plane).validate()
+    flat = ScenarioConfig()
+    for plane in (None, "replicated"):
+        replace(flat, control_plane=plane).validate()
 
 
 def test_plain_scenario_rejects_directory_config():

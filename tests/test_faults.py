@@ -14,7 +14,7 @@ Three layers of coverage:
   the missing checkpoint, and that ``REPRO_TCP_MAX_RESPAWNS`` bounds it.
 
 Tier-1 runs one crash-and-recover smoke per concern; ``REPRO_CHAOS_FULL=1``
-(nightly) sweeps fault kinds over overlay x control-plane x K and writes
+(nightly) sweeps fault kinds over overlay x K and writes
 the injected schedules to ``tests/artifacts/chaos_fault_schedules.json``
 (git-ignored) as the CI artifact.
 """
@@ -239,11 +239,9 @@ def test_apply_wal_tears_missing_file_is_a_noop(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _chaos_run(faults, wal=None, resume=None, shards=2, overlay="chord",
-               control_plane="replicated"):
+def _chaos_run(faults, wal=None, resume=None, shards=2, overlay="chord"):
     return run_training_sharded(
         "pace", overlay, "none", shards, executor="tcp",
-        control_plane=control_plane,
         wal=wal, resume=resume, faults=faults,
     )
 
@@ -368,19 +366,19 @@ def test_multiple_faults_in_one_run(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The nightly chaos fuzz (REPRO_CHAOS_FULL=1): fault kinds over overlay x
-# control-plane x K, schedules dumped as the CI artifact.
+# K, schedules dumped as the CI artifact.
 # ---------------------------------------------------------------------------
 
 _FUZZ_MATRIX = [
-    # (faults, overlay, control_plane, shards)
-    ("seed=11,crash", "chord", "replicated", 2),
-    ("seed=12,crash*2", "chord", "replicated", 4),
-    ("seed=13,crash", "superpeer", "directory", 2),
-    ("seed=14,corrupt", "chord", "directory", 2),
-    ("seed=15,truncate", "superpeer", "replicated", 4),
-    ("seed=16,crash,corrupt", "chord", "replicated", 4),
-    ("seed=17,halfopen", "superpeer", "replicated", 2),
-    ("seed=18,stall,crash,stall_s=1.5", "chord", "directory", 2),
+    # (faults, overlay, shards)
+    ("seed=11,crash", "chord", 2),
+    ("seed=12,crash*2", "chord", 4),
+    ("seed=13,crash", "superpeer", 2),
+    ("seed=14,corrupt", "chord", 2),
+    ("seed=15,truncate", "superpeer", 4),
+    ("seed=16,crash,corrupt", "chord", 4),
+    ("seed=17,halfopen", "superpeer", 2),
+    ("seed=18,stall,crash,stall_s=1.5", "chord", 2),
 ]
 
 
@@ -388,17 +386,15 @@ _FUZZ_MATRIX = [
     not CHAOS_FULL, reason=f"full chaos sweep runs with {CHAOS_FULL_ENV}=1"
 )
 @pytest.mark.parametrize(
-    "faults,overlay,control_plane,shards",
+    "faults,overlay,shards",
     _FUZZ_MATRIX,
-    ids=[f"{f}/{o}/{p}/k{k}" for f, o, p, k in _FUZZ_MATRIX],
+    ids=[f"{f}/{o}/k{k}" for f, o, k in _FUZZ_MATRIX],
 )
-def test_chaos_fuzz_full(
-    faults, overlay, control_plane, shards, tmp_path, monkeypatch
-):
+def test_chaos_fuzz_full(faults, overlay, shards, tmp_path, monkeypatch):
     monkeypatch.setenv(TCP_TIMEOUT_ENV, "8")
     run = _chaos_run(
         faults, wal=str(tmp_path / "chaos.wal"), shards=shards,
-        overlay=overlay, control_plane=control_plane,
+        overlay=overlay,
     )
     assert run.digest() == golden(f"{overlay}/pace/none/k{shards}")
     plan = FaultPlan.parse(faults)
@@ -422,7 +418,6 @@ def test_chaos_fuzz_full(
         {
             "schedule": plan.describe(shards),
             "overlay": overlay,
-            "control_plane": control_plane,
             "digest": run.digest(),
             "faults_observed": dict(run.stats.faults),
         }

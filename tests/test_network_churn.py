@@ -250,7 +250,7 @@ def _run_churned(workload, **overrides):
 
 
 @pytest.mark.parametrize("shape", [
-    {}, {"shards": 2, "control_plane": "directory"},
+    {}, {"shards": 2},
 ], ids=["flat", "directory-k2"])
 def test_starting_churn_twice_is_starting_it_once(shape):
     once = _run_churned(_Churned(1), **shape)

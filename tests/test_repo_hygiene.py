@@ -165,8 +165,18 @@ directory plane's ``handle_requests`` accepts ``start_churn`` alone.  Ratchet
 (t) cannot see these: ``stop`` and ``clear`` share their names with
 ``_Heartbeat.stop`` and ``dict.clear``.  A stop nothing called is what
 kept the directory plane refusing what the replicated plane accepted.
+
+(bb) One control plane.  Under ``src/repro`` only ``ScenarioConfig`` (its
+vestigial field and ``validate``) and ``wal.config_fingerprint`` name
+``control_plane``; nothing defines ``directory_mode`` or ``materializes``;
+no ``build_parser()`` subcommand has a ``--control-plane``; and the
+sharded runners (``coordinate``, ``_run_serial``, ``run_tcp``,
+``TcpCoordinator``) take a ``plane`` with no default.  Every sharded run
+is one writer and K readers; a second plane is what every sharded suite,
+fault matrix and WAL matrix paid for twice.
 """
 
+import argparse
 import ast
 import dataclasses
 import os
@@ -1354,3 +1364,88 @@ def test_churn_has_no_off_switch_and_events_no_cancel_handle():
         with pytest.raises(SimulationError, match=f"request '{kind}'"):
             DirectoryControlPlane.handle_requests(plane, [(kind, 4.0)])
     assert plane.started == [3.0]
+
+
+_PLANE_SCOPES = {"ScenarioConfig", "ScenarioConfig.validate",
+                 "config_fingerprint"}
+
+
+def _plane_mentions(text):
+    """``(line, scope)`` of every place ``text`` names ``control_plane`` —
+    a name, attribute, argument, keyword or the string itself — where
+    ``scope`` is the dotted chain of enclosing classes and functions."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        named = (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            getattr(node, "arg", None), getattr(node, "value", None),
+        )
+        if "control_plane" in named:
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), "")
+    return found
+
+
+def test_one_control_plane():
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.sim import barrier, shard, tcpexec
+
+    assert _plane_mentions(
+        "class ScenarioConfig:\n"
+        "    control_plane: str = None\n"
+        "def run(config, control_plane='directory'):\n"
+        "    return replace(config, control_plane=config.control_plane)\n"
+        "fields.pop('control_plane')\n"
+        "plane = 'directory'\n"
+    ) == [(2, "ScenarioConfig"), (3, "run"), (4, "run"), (4, "run"),
+          (5, "")]
+    src = ROOT / "src" / "repro"
+    stray = []
+    definitions = []
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        name = path.relative_to(src).as_posix()
+        stray += [
+            f"{name}:{line} {scope or '<module>'}"
+            for line, scope in _plane_mentions(text)
+            if scope not in _PLANE_SCOPES
+        ]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef):
+                defined = node.name
+            elif isinstance(getattr(node, "ctx", None), ast.Store):
+                defined = getattr(node, "id", None) or getattr(
+                    node, "attr", None
+                )
+            else:
+                continue
+            if defined in ("directory_mode", "materializes"):
+                definitions.append(f"{name}:{node.lineno} {defined}")
+    assert stray == []
+    assert definitions == []
+
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    options = {
+        option
+        for parser in subcommands.values()
+        for action in parser._actions
+        for option in action.option_strings
+    }
+    assert "--control-plane" not in options and "--executor" in options
+
+    for runner in (barrier.coordinate, shard._run_serial, tcpexec.run_tcp,
+                   tcpexec.TcpCoordinator.__init__):
+        plane = inspect.signature(runner).parameters["plane"]
+        assert plane.default is inspect.Parameter.empty, runner.__qualname__

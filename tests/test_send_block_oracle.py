@@ -400,13 +400,8 @@ class Storm:
         scenario.simulator.run_until_idle()
 
 
-@pytest.mark.parametrize("control_plane", ["replicated", "directory"])
-def test_wal_bytes_and_resume_across_the_two_implementations(
-    tmp_path, control_plane
-):
-    config = dataclasses.replace(
-        _config("perpeer", 11, shards=2), control_plane=control_plane
-    )
+def test_wal_bytes_and_resume_across_the_two_implementations(tmp_path):
+    config = _config("perpeer", 11, shards=2)
     logs = {}
     for oracle in (True, False):
         log = tmp_path / f"oracle-{oracle}.wal"

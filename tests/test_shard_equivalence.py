@@ -46,9 +46,9 @@ FUZZ_SEED = 0x5A4D
 CODECS = ("identity", "tuned", "gzip-model")
 SHARD_COUNTS = (1, 2, 3, 4)
 
-#: the directory-control-plane leg: fewer combos (the serial replicated leg
-#: already pins the window machinery), but shard counts reach past the peer
-#: population — K ∈ {8, 16} > N = 5 exercises zero-owned-peer workers.
+#: the high-K leg: fewer combos (the main leg already pins the window
+#: machinery), but shard counts reach past the peer population —
+#: K ∈ {8, 16} > N = 5 exercises zero-owned-peer workers.
 DIRECTORY_FUZZ_CASES = 18
 DIRECTORY_SHARD_COUNTS = (1, 2, 4, 8, 16)
 
@@ -57,8 +57,8 @@ MP_SUBSET = 6
 DIRECTORY_MP_SUBSET = 3
 MP_FULL_ENV = "REPRO_SHARD_MP_FULL"
 
-#: the tcp-executor leg (PR 8): localhost worker fleets over overlay ×
-#: protocol × control-plane × codec × K ∈ {1, 2, 4}.  Worker startup is a
+#: the tcp-executor leg: localhost worker fleets over overlay × protocol ×
+#: variant × codec × K ∈ {1, 2, 4}.  Worker startup is a
 #: whole interpreter (not a fork), so tier-1 runs a small subset and the
 #: nightly job the full matrix (``REPRO_SHARD_TCP_FULL=1``).
 TCP_FUZZ_CASES = 12
@@ -174,34 +174,9 @@ def test_fuzz_matrix_covers_every_axis():
 # ---------------------------------------------------------------------------
 
 
-def _sample_tcp_cases(count=TCP_FUZZ_CASES):
-    """Fixed-seed combos over the tcp leg's space — the control plane is a
-    sampled axis here (both planes must survive the wire)."""
-    rng = random.Random(FUZZ_SEED + 0x7C9)
-    seen = set()
-    cases = []
-    while len(cases) < count:
-        case = (
-            rng.choice(OVERLAYS),
-            rng.choice(PROTOCOLS),
-            rng.choice(VARIANTS),
-            rng.choice(CODECS),
-            rng.choice(("replicated", "directory")),
-            rng.choice(TCP_SHARD_COUNTS),
-        )
-        if case in seen:
-            continue
-        seen.add(case)
-        cases.append(case)
-    return cases
-
-
-TCP_CASES = _sample_tcp_cases()
-
-
-def _tcp_case_id(case):
-    overlay, protocol, variant, codec, plane, shards = case
-    return f"{overlay}-{protocol}-{variant}-{codec}-{plane}-k{shards}"
+TCP_CASES = _sample_cases(
+    count=TCP_FUZZ_CASES, shard_counts=TCP_SHARD_COUNTS, salt=0x7C9
+)
 
 
 def _tcp_cases():
@@ -210,25 +185,23 @@ def _tcp_cases():
     return TCP_CASES[:TCP_SUBSET]
 
 
-@pytest.mark.parametrize("case", _tcp_cases(), ids=_tcp_case_id)
+@pytest.mark.parametrize("case", _tcp_cases(), ids=_case_id)
 def test_sharded_tcp_matches_mp_serial_and_unsharded(case):
     """tcp ≡ mp ≡ serial ≡ unsharded, byte for byte, over localhost."""
-    overlay, protocol, variant, codec, plane, shards = case
+    overlay, protocol, variant, codec, shards = case
     reference = _reference_digest(protocol, overlay, variant, codec)
     serial = run_training_sharded(
         protocol, overlay, variant, shards, executor="serial", codec=codec,
-        control_plane=plane,
     )
     tcp = run_training_sharded(
         protocol, overlay, variant, shards, executor="tcp", codec=codec,
-        control_plane=plane,
     )
     assert serial.digest() == reference, (
         f"serial sharded run diverged from the unsharded kernel on "
-        f"{_tcp_case_id(case)}"
+        f"{_case_id(case)}"
     )
     assert tcp.digest() == serial.digest(), (
-        f"tcp executor diverged from serial on {_tcp_case_id(case)}"
+        f"tcp executor diverged from serial on {_case_id(case)}"
     )
     assert tcp.now == serial.now
     assert tcp.windows == serial.windows
@@ -240,18 +213,16 @@ def test_sharded_tcp_matches_mp_serial_and_unsharded(case):
         return
     mp = run_training_sharded(
         protocol, overlay, variant, shards, executor="mp", codec=codec,
-        control_plane=plane,
     )
     assert tcp.digest() == mp.digest(), (
-        f"tcp executor diverged from mp on {_tcp_case_id(case)}"
+        f"tcp executor diverged from mp on {_case_id(case)}"
     )
 
 
 def test_tcp_fuzz_covers_every_axis():
-    """The full tcp sample touches each shard count and both control
-    planes (the tier-1 subset is a prefix of this matrix)."""
-    assert {c[4] for c in TCP_CASES} == {"replicated", "directory"}
-    assert {c[5] for c in TCP_CASES} == set(TCP_SHARD_COUNTS)
+    """The full tcp sample touches each shard count (the tier-1 subset is
+    a prefix of this matrix)."""
+    assert {c[4] for c in TCP_CASES} == set(TCP_SHARD_COUNTS)
 
 
 @pytest.mark.parametrize(
@@ -279,9 +250,9 @@ def test_tcp_matches_checked_in_sharded_golden(key):
 
 
 # ---------------------------------------------------------------------------
-# Directory control plane: the same byte-identity contract with the SPMD
-# replication replaced by one authoritative control plane serving overlay
-# snapshots + per-window deltas — including K > N (zero-owned-peer workers).
+# The directory control plane past the peer population: one authoritative
+# plane serving overlay snapshots + per-window deltas to K > N workers
+# (zero-owned-peer shards).
 # ---------------------------------------------------------------------------
 
 
@@ -292,10 +263,9 @@ def test_directory_serial_matches_unsharded_kernel(case):
     reference = _reference_digest(protocol, overlay, variant, codec)
     run = run_training_sharded(
         protocol, overlay, variant, shards, executor="serial", codec=codec,
-        control_plane="directory",
     )
     assert run.digest() == reference, (
-        f"K={shards} directory-mode run diverged from the unsharded kernel "
+        f"K={shards} sharded run diverged from the unsharded kernel "
         f"on {_case_id(case)}"
     )
 
@@ -320,11 +290,9 @@ def test_directory_mp_matches_serial(case):
     overlay, protocol, variant, codec, shards = case
     serial = run_training_sharded(
         protocol, overlay, variant, shards, executor="serial", codec=codec,
-        control_plane="directory",
     )
     parallel = run_training_sharded(
         protocol, overlay, variant, shards, executor="mp", codec=codec,
-        control_plane="directory",
     )
     assert parallel.digest() == serial.digest(), (
         f"directory mp executor diverged from serial on {_case_id(case)}"
@@ -362,7 +330,6 @@ def test_zero_owned_peer_shards_merge_to_the_unsharded_digest():
 
     config = build_scenario_config(
         "chord", "churn", rng_mode="perpeer", shards=8,
-        control_plane="directory",
     )
     run = ShardedScenario(config, executor="serial").run(workload)
     reference = _reference_digest("nbagg", "chord", "churn", "identity")
@@ -372,7 +339,7 @@ def test_zero_owned_peer_shards_merge_to_the_unsharded_digest():
     # 5 peers across 8 shards: shard i owns peer i for i < 5, nothing after.
     assert materialized == [1, 1, 1, 1, 1, 0, 0, 0]
     # Directory views never compute routing entries at construction; the
-    # only entries built locally are the replicated churn-join ops.
+    # only entries built locally are the churn-join ops every view applies.
     for cost in per_shard:
         assert cost["overlay_entries_built"] < 200
 

@@ -110,7 +110,9 @@ def test_jitter_floor_clamps_delay_distribution():
 def test_shard_of_partitions_every_address():
     for num_shards in (1, 2, 3, 5):
         runtimes = [
-            _ShardRuntime(shard, num_shards, channel=None, lookahead=1.0)
+            _ShardRuntime(
+                shard, num_shards, channel=None, lookahead=1.0, snapshot={}
+            )
             for shard in range(num_shards)
         ]
         owners = []

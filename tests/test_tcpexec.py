@@ -42,7 +42,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.barrier import SyncStatus
 from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.shard import ShardedScenario
+from repro.sim.shard import DirectoryControlPlane, ShardedScenario
 from repro.sim.tcpexec import (
     _K_ERROR,
     _K_HELLO,
@@ -689,7 +689,9 @@ def _recovering(monkeypatch, timeout, hosts="wait"):
     monkeypatch.setenv(TCP_TIMEOUT_ENV, str(timeout))
     config = _config(8, shards=2, executor="tcp", tcp_hosts=hosts)
     lookahead = ShardedScenario(config, executor="tcp").lookahead
-    coordinator = TcpCoordinator(config, 2, lookahead, wal=_NoWindows)
+    coordinator = TcpCoordinator(
+        config, 2, lookahead, DirectoryControlPlane(config), wal=_NoWindows
+    )
     coordinator.bind()
     for shard_id, entry in enumerate(coordinator.hosts):  # as assembly did
         coordinator._spawn_one(shard_id, entry)
@@ -1009,7 +1011,9 @@ def test_half_open_worker_surfaces_died_mid_window(monkeypatch):
     monkeypatch.setenv(TCP_TIMEOUT_ENV, "5")
     config = _config(8, shards=2, executor="tcp", tcp_hosts="local,wait")
     lookahead = ShardedScenario(config, executor="tcp").lookahead
-    coordinator = TcpCoordinator(config, 2, lookahead)
+    coordinator = TcpCoordinator(
+        config, 2, lookahead, DirectoryControlPlane(config)
+    )
     host, port = coordinator.bind()
     outcome = {}
 

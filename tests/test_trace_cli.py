@@ -161,3 +161,16 @@ class TestCli:
     def test_overlay_kademlia_and_unstructured(self, capsys):
         assert main(["overlay", "--type", "kademlia", "--size", "16"]) == 0
         assert main(["overlay", "--type", "unstructured", "--size", "16"]) == 0
+
+    @pytest.mark.parametrize("argv, names", [
+        (["replay", "/nonexistent/run.wal"], "/nonexistent/run.wal"),
+        (["run", "--algorithm", "local", "--shards", "1", "--faults",
+          "crash@1"] + SMALL, "executor='serial'"),
+        (["overlay", "--size", "0"], "--size must be >= 1"),
+    ], ids=["replay-missing-log", "faults-on-serial", "overlay-size-0"])
+    def test_a_user_error_is_one_line_and_status_2(self, capsys, argv, names):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and names in line
+        assert "Traceback" not in captured.err + captured.out

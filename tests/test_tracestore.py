@@ -499,10 +499,9 @@ def run_unsharded_with_store(protocol, overlay, variant, store_base):
 
 
 def run_sharded_with_store(protocol, overlay, variant, shards, executor,
-                           control_plane, store_base):
+                           store_base):
     config = build_scenario_config(
         overlay, variant, rng_mode="perpeer", shards=shards,
-        control_plane=control_plane,
     )
     run = ShardedScenario(config, executor=executor).run(
         TracingTrainingWorkload(protocol, variant, str(store_base))
@@ -510,30 +509,28 @@ def run_sharded_with_store(protocol, overlay, variant, shards, executor,
     return run.digest()
 
 
-#: the sharded fuzz sample from the ISSUE: serial/mp x replicated/directory
+#: the sharded fuzz sample: serial/mp x overlay x K
 STORE_FUZZ = (
-    ("pace", "chord", "churn", 2, "serial", "replicated"),
-    ("nbagg", "superpeer", "none", 2, "serial", "directory"),
-    ("pace", "chord", "none", 2, "mp", "replicated"),
-    ("centralized", "superpeer", "churn", 4, "mp", "directory"),
+    ("pace", "chord", "churn", 2, "serial"),
+    ("nbagg", "superpeer", "none", 2, "serial"),
+    ("pace", "chord", "none", 2, "mp"),
+    ("centralized", "superpeer", "churn", 4, "mp"),
 )
 
 
 class TestShardedStore:
     @pytest.mark.parametrize(
-        "protocol,overlay,variant,shards,executor,plane", STORE_FUZZ
+        "protocol,overlay,variant,shards,executor", STORE_FUZZ
     )
     def test_golden_digest_invariant_with_store(
-        self, tmp_path, protocol, overlay, variant, shards, executor, plane
+        self, tmp_path, protocol, overlay, variant, shards, executor
     ):
         """Fingerprints byte-identical with and without ingest."""
         bare = run_training_sharded(
             protocol, overlay, variant, shards, executor=executor,
-            control_plane=plane,
         ).digest()
         stored = run_sharded_with_store(
-            protocol, overlay, variant, shards, executor, plane,
-            tmp_path / "shard",
+            protocol, overlay, variant, shards, executor, tmp_path / "shard",
         )
         assert stored == bare
         # And both equal the unsharded per-peer reference.
@@ -551,8 +548,7 @@ class TestShardedStore:
         for shards in (2, 4):
             base = tmp_path / f"k{shards}"
             sharded_digest = run_sharded_with_store(
-                protocol, overlay, variant, shards, "serial", "replicated",
-                base,
+                protocol, overlay, variant, shards, "serial", base,
             )
             assert sharded_digest == unsharded_digest
             sources = sorted(

@@ -186,24 +186,15 @@ def test_truncate_wal_keeps_exact_prefix(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "executor,control_plane",
-    [
-        ("serial", "replicated"),
-        ("serial", "directory"),
-        ("mp", "replicated"),
-        ("mp", "directory"),
-    ],
-)
-def test_checkpoint_then_resume_matches_golden(tmp_path, executor, control_plane):
+@pytest.mark.parametrize("executor", ["serial", "mp"])
+def test_checkpoint_then_resume_matches_golden(tmp_path, executor):
     """Checkpoint a training combo, chop the log mid-run, resume: both the
     checkpointed and the resumed digests must equal the checked-in sharded
     golden — byte-identical to the uninterrupted run."""
     expected = golden("chord/pace/churn/k2")
     wal = str(tmp_path / "train.wal")
     run = run_training_sharded(
-        "pace", "chord", "churn", 2, executor=executor,
-        control_plane=control_plane, wal=wal,
+        "pace", "chord", "churn", 2, executor=executor, wal=wal,
     )
     assert run.digest() == expected
     reader = WalReader(wal)
@@ -212,8 +203,7 @@ def test_checkpoint_then_resume_matches_golden(tmp_path, executor, control_plane
 
     truncate_wal(wal, len(reader.windows) // 2)
     resumed = run_training_sharded(
-        "pace", "chord", "churn", 2, executor=executor,
-        control_plane=control_plane, resume=wal,
+        "pace", "chord", "churn", 2, executor=executor, resume=wal,
     )
     assert resumed.digest() == expected
     assert WalReader(wal).commit["digest"] == expected  # re-sealed

@@ -170,7 +170,7 @@ def test_wal_divergence_aborts_every_synced_worker(tmp_path):
         [(0, "done", "zero"), (1, "done", "one")],
     ]
     wal = WalSession(_wal_config(wal=path), 2, LOOKAHEAD)
-    coordinate(ScriptedLink(rounds), 2, LOOKAHEAD, wal=wal)
+    coordinate(ScriptedLink(rounds), 2, LOOKAHEAD, _Plane(), wal=wal)
     wal.close()
     logged = WalReader(path).windows
     assert [sorted(record.frames.items()) for record in logged] == [
@@ -186,7 +186,7 @@ def test_wal_divergence_aborts_every_synced_worker(tmp_path):
         SimulationError,
         match="WAL divergence at window 0: shard 1 next event time",
     ):
-        coordinate(link, 2, LOOKAHEAD, wal=resumed)
+        coordinate(link, 2, LOOKAHEAD, _Plane(), wal=resumed)
     resumed.close()
     assert [shard_id for shard_id, _ in link.aborted] == [1]
     assert "WAL divergence at window 0" in link.aborted[0][1]
@@ -207,10 +207,10 @@ def test_window_records_read_the_verified_prefix_then_the_log(tmp_path):
         ] + [[(0, "done", "zero"), (1, "done", "one")]]
 
     wal = WalSession(_wal_config(wal=path), 2, LOOKAHEAD)
-    coordinate(ScriptedLink(rounds(2)), 2, LOOKAHEAD, wal=wal)
+    coordinate(ScriptedLink(rounds(2)), 2, LOOKAHEAD, _Plane(), wal=wal)
     wal.close()  # no commit: the run "crashed" after two windows
     resumed = WalSession(_wal_config(resume=path), 2, LOOKAHEAD)
-    coordinate(ScriptedLink(rounds(4)), 2, LOOKAHEAD, wal=resumed)
+    coordinate(ScriptedLink(rounds(4)), 2, LOOKAHEAD, _Plane(), wal=resumed)
     records = resumed.window_records(4)
     assert records[:2] == resumed.logged
     assert [record.barrier for record in records] == [0, 1, 2, 3]
@@ -227,7 +227,7 @@ def test_a_worker_that_dies_after_its_sync_aborts_the_survivors():
     """Over real sockets: shard 1 syncs and closes; shard 0 syncs twice.
     The decision to the dead worker must not crash the loop — the next
     collect names the shard and the survivor is told to abort."""
-    link = TcpCoordinator(_wal_config(), 2, LOOKAHEAD)
+    link = TcpCoordinator(_wal_config(), 2, LOOKAHEAD, _Plane())
     near0, far0 = socket.socketpair()
     near1, far1 = socket.socketpair()
     link.connections = [near0, near1]
@@ -239,7 +239,7 @@ def test_a_worker_that_dies_after_its_sync_aborts_the_survivors():
         with pytest.raises(
             SimulationError, match="worker 1 died mid-window"
         ):
-            coordinate(link, 2, LOOKAHEAD)
+            coordinate(link, 2, LOOKAHEAD, link.plane)
         far0.settimeout(5.0)
         assert recv_frame(far0, "survivor")[0] == _K_DECISION
         kind, failure = recv_frame(far0, "survivor")
