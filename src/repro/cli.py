@@ -24,7 +24,12 @@ import sys
 from typing import Optional, Sequence
 
 from repro.bench import format_table
-from repro.core.tagger import ALGORITHMS, P2PDocTaggerSystem, SystemConfig
+from repro.core.tagger import (
+    ALGORITHMS,
+    EXECUTORS,
+    P2PDocTaggerSystem,
+    SystemConfig,
+)
 from repro.data.delicious import DeliciousGenerator
 from repro.data.loaders import load_corpus, save_corpus
 from repro.errors import ConfigurationError, ReproError
@@ -75,7 +80,6 @@ def _build_system(args: argparse.Namespace, algorithm: str) -> P2PDocTaggerSyste
             codec=args.codec,
             shards=args.shards,
             executor=args.executor,
-            tcp_hosts=args.hosts,
             wal=args.wal,
             resume=args.resume,
             faults=args.faults,
@@ -116,22 +120,15 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
         "K-shard kernel and verifies it is byte-identical to the local run",
     )
     parser.add_argument(
-        "--executor", choices=("serial", "mp", "tcp"), default="serial",
-        help="sharded executor: lockstep serial reference, one forked worker "
-        "process per shard (mp: the tcp fleet with every worker forked "
-        "here), or socket-connected workers placed per --hosts (tcp)",
-    )
-    parser.add_argument(
-        "--hosts", default=None, metavar="SPEC",
-        help="tcp executor worker placement: comma-separated entries, one "
-        "per shard (or one for all) — 'local' forks the worker here, "
-        "'wait' expects an externally launched `repro worker` to connect, "
-        "'ssh:HOST' starts `repro worker` over ssh (requires --executor tcp)",
+        "--executor", choices=EXECUTORS, default="serial",
+        help="sharded executor: lockstep serial reference, or one forked "
+        "worker process per shard (mp: the tcp fleet with every worker "
+        "forked here)",
     )
     parser.add_argument(
         "--wal", default=None, metavar="PATH",
         help="checkpoint the sharded run's window stream to this "
-        "write-ahead log; on --executor tcp or mp the log doubles as the "
+        "write-ahead log; on --executor mp the log doubles as the "
         "replay source for --faults in-run worker recovery "
         "(requires --shards >= 1)",
     )
@@ -143,7 +140,7 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",
-        help="seeded deterministic fault injection for the tcp or mp fleet: "
+        help="seeded deterministic fault injection for the mp fleet: "
         "comma-separated 'kind[*count][@window[:shard]]' entries plus "
         "'seed=N', 'horizon=N', 'stall_s=F' knobs; kinds: crash, stall, "
         "halfopen, corrupt, truncate, tear. The schedule draws from its "
@@ -152,7 +149,7 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
         "(respawns crashed workers and replays them from the log, bounded "
         "by REPRO_TCP_MAX_RESPAWNS); without --wal an injected crash "
         "degrades gracefully to a loud abort naming the missing "
-        "checkpoint (requires --executor tcp or mp, --shards >= 1)",
+        "checkpoint (requires --executor mp, --shards >= 1)",
     )
     parser.add_argument("--train-fraction", type=float, default=0.2)
     parser.add_argument("--threshold", type=float, default=0.5)
@@ -339,7 +336,7 @@ def cmd_overlay(args: argparse.Namespace) -> int:
 
 def cmd_worker(args: argparse.Namespace) -> int:
     """One tcp shard worker process in a fresh interpreter: started over
-    ssh by the coordinator for 'ssh:HOST' hosts entries, or launched by
+    ssh by the coordinator for 'ssh:HOST' ``tcp_hosts`` entries, or launched by
     hand / a remote init for 'wait' entries ('local' workers are forked
     from the coordinator and never pass through here)."""
     from repro.sim.tcpexec import parse_address, worker_main
@@ -423,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker = subparsers.add_parser(
         "worker",
         help="run one tcp shard worker: connect to a coordinator "
-        "(--executor tcp) and execute the window protocol",
+        "(repro.sim.tcpexec) and execute the window protocol",
     )
     p_worker.add_argument(
         "--connect", required=True, metavar="HOST:PORT",

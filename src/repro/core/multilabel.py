@@ -23,21 +23,22 @@ class ThresholdPolicy(ABC):
 
 
 class FixedThreshold(ThresholdPolicy):
-    """Assign every tag scoring at or above ``threshold``.
-
-    ``fallback_best`` keeps AutoTag from producing untagged files: when
-    nothing clears the bar, the single best tag is assigned.
+    """Assign every tag scoring at or above ``threshold`` — and never
+    nothing: when no tag clears the bar the single best one is assigned,
+    so AutoTag leaves no file untagged.
     """
 
-    def __init__(self, threshold: float = 0.5, fallback_best: bool = True) -> None:
+    def __init__(self, threshold: float = 0.5) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ConfigurationError("threshold must be in [0, 1]")
         self.threshold = threshold
-        self.fallback_best = fallback_best
+
+    def _bar(self, tag: str) -> float:
+        return self.threshold
 
     def assign(self, scores: Dict[str, float]) -> FrozenSet[str]:
-        chosen = frozenset(t for t, s in scores.items() if s >= self.threshold)
-        if chosen or not self.fallback_best or not scores:
+        chosen = frozenset(t for t, s in scores.items() if s >= self._bar(t))
+        if chosen or not scores:
             return chosen
         best = max(scores.items(), key=lambda kv: kv[1])
         return frozenset({best[0]})
@@ -61,38 +62,23 @@ class TopKPolicy(ThresholdPolicy):
         )
 
 
-class PerTagThreshold(ThresholdPolicy):
+class PerTagThreshold(FixedThreshold):
     """Per-tag thresholds (typically tuned on validation data).
 
     Built from :func:`repro.ml.evaluation.per_tag_thresholds`; tags without
-    a tuned value use ``default``.  ``fallback_best`` mirrors
-    :class:`FixedThreshold`'s never-empty behaviour.
+    a tuned value use ``default``.  Never empty, as :class:`FixedThreshold`.
     """
 
     def __init__(
-        self,
-        thresholds: Dict[str, float],
-        default: float = 0.5,
-        fallback_best: bool = True,
+        self, thresholds: Dict[str, float], default: float = 0.5
     ) -> None:
         for tag, value in thresholds.items():
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(
                     f"threshold for {tag!r} out of [0, 1]: {value}"
                 )
-        if not 0.0 <= default <= 1.0:
-            raise ConfigurationError("default must be in [0, 1]")
+        super().__init__(default)
         self.thresholds = dict(thresholds)
-        self.default = default
-        self.fallback_best = fallback_best
 
-    def assign(self, scores: Dict[str, float]) -> FrozenSet[str]:
-        chosen = frozenset(
-            tag
-            for tag, score in scores.items()
-            if score >= self.thresholds.get(tag, self.default)
-        )
-        if chosen or not self.fallback_best or not scores:
-            return chosen
-        best = max(scores.items(), key=lambda kv: kv[1])
-        return frozenset({best[0]})
+    def _bar(self, tag: str) -> float:
+        return self.thresholds.get(tag, self.threshold)

@@ -37,6 +37,10 @@ from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.text.vectorizer import PreprocessingPipeline
 
 ALGORITHMS = ("pace", "cempar", "nbagg", "centralized", "local", "popularity")
+#: the sharded executors a system run may name.  tcp is left to
+#: ShardedScenario's callers: a system run sets no tcp_hosts or tcp_port,
+#: so its tcp would be mp under another name.
+EXECUTORS = ("serial", "mp")
 
 
 @dataclass
@@ -51,18 +55,15 @@ class SystemConfig:
     #: additionally replays training through the K-shard kernel and verifies
     #: the merged observables are byte-identical to the local run.
     shards: int = 0
-    #: sharded executor ("serial", "mp", or "tcp"), used when shards >= 1
+    #: sharded executor (one of EXECUTORS), used when shards >= 1
     executor: str = "serial"
-    #: tcp executor worker placement spec (see
-    #: repro.sim.tcpexec.parse_hosts); None = spawn local workers
-    tcp_hosts: Optional[str] = None
     #: simulation WAL (repro.sim.wal): checkpoint the sharded training
     #: replay's window stream to this path / resume from this log via
     #: verified prefix replay; used when shards >= 1
     wal: Optional[str] = None
     resume: Optional[str] = None
     #: seeded fault-injection schedule (repro.sim.faults) for the sharded
-    #: replay's self-healing fleet; requires executor="tcp" or "mp" and,
+    #: replay's self-healing fleet; requires executor="mp" and,
     #: for in-run recovery rather than a loud abort, a wal path
     faults: Optional[str] = None
     mean_session: float = 600.0
@@ -83,6 +84,10 @@ class SystemConfig:
             raise ConfigurationError("train_fraction must be in (0, 1)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigurationError("threshold must be in [0, 1]")
+        if self.executor not in EXECUTORS:
+            raise ConfigurationError(
+                f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
+            )
         # The sharded-execution fields are ScenarioConfig's to judge: check
         # them on the config the sharded replay would run.
         self._sharded_config(
@@ -95,11 +100,9 @@ class SystemConfig:
         return replace(
             base,
             shards=self.shards,
-            executor=self.executor,
             wal=self.wal,
             resume=self.resume,
             faults=self.faults,
-            tcp_hosts=self.tcp_hosts,
         )
 
 

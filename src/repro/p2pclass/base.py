@@ -24,6 +24,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.multilabel import FixedThreshold
 from repro.data.corpus import Corpus
 from repro.errors import ConfigurationError, NotTrainedError
 from repro.ml.sparse import SparseVector
@@ -68,8 +69,8 @@ def corpus_to_peer_data(
 def binary_problems(
     items: Sequence[TaggedVector],
     tags: Iterable[str],
-    max_negative_ratio: float = 3.0,
-    rng: Optional[np.random.Generator] = None,
+    max_negative_ratio: float,
+    rng: np.random.Generator,
 ) -> Dict[str, Tuple[List[SparseVector], List[int]]]:
     """One-vs-all decomposition of a local dataset.
 
@@ -82,7 +83,6 @@ def binary_problems(
     """
     if max_negative_ratio <= 0:
         raise ConfigurationError("max_negative_ratio must be positive")
-    rng = rng or np.random.default_rng(0)
     problems: Dict[str, Tuple[List[SparseVector], List[int]]] = {}
     for tag in tags:
         positives = [item.vector for item in items if tag in item.tags]
@@ -194,18 +194,12 @@ class P2PTagClassifier(ABC):
     def predict_tags(
         self, origin: int, vector: SparseVector, threshold: float = 0.5
     ) -> FrozenSet[str]:
-        """Tags whose score clears ``threshold`` (the auto-tag operation)."""
+        """Tags whose score clears ``threshold``, never none (the auto-tag
+        operation: :class:`~repro.core.multilabel.FixedThreshold`)."""
         self._require_trained()
-        scores = self.predict_scores(origin, vector)
-        chosen = frozenset(t for t, s in scores.items() if s >= threshold)
-        if chosen:
-            return chosen
-        # Never emit an empty tagging: fall back to the single best tag,
-        # matching AutoTag's behaviour of always assigning something.
-        if scores:
-            best = max(scores.items(), key=lambda kv: kv[1])
-            return frozenset({best[0]})
-        return frozenset()
+        return FixedThreshold(threshold).assign(
+            self.predict_scores(origin, vector)
+        )
 
     def rank_tags(
         self, origin: int, vector: SparseVector
@@ -262,32 +256,6 @@ class P2PTagClassifier(ABC):
                 owned_args.append((address,))
         simulator.schedule_batch_at(owned_times, action, owned_args)
         simulator.run(until=times[-1])
-
-    #: stream lane for per-peer activation draws (distinct from the
-    #: network/loss/churn lanes of repro.sim.network.PeerStreams)
-    _ACTIVATION_LANE = 17
-
-    def _activation_rng(
-        self, seed: int, address: int
-    ) -> Optional[np.random.Generator]:
-        """Per-peer stream for draws made *inside* a peer's activation event.
-
-        Under the decomposed-randomness mode (``rng_mode="perpeer"``),
-        activation events execute only on the peer's owning shard, so any
-        draw they take from a protocol-wide stream would desynchronize that
-        stream across shard replicas.  Protocols must route such draws
-        through this per-peer generator instead (deterministic in
-        ``(seed, address)``, so every execution shape agrees).  Returns
-        ``None`` in the legacy single-stream mode — callers fall back to
-        their protocol-wide RNG, keeping pre-shard digests byte-identical.
-        """
-        if self.scenario.config.rng_mode != "perpeer":
-            return None
-        from repro.sim.network import stream_seed
-
-        return np.random.default_rng(
-            stream_seed(seed, address, self._ACTIVATION_LANE)
-        )
 
     def _flush_network(self, settle_time: float = 5.0) -> None:
         """Let queued deliveries complete (advances virtual time).

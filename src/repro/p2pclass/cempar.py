@@ -155,10 +155,12 @@ class CemparClassifier(P2PTagClassifier):
             self.scenario.stats.increment("cempar_upload_skipped")
             return
         region = self.directory.region_of(address)
-        # Negative subsampling happens at the activation instant; under
-        # per-peer randomness it draws from the peer's own stream so the
-        # draw is identical no matter which shard executes the activation.
-        rng = self._activation_rng(cfg.seed, address) or self._rng
+        # Negative subsampling happens at the activation instant, so it
+        # draws from the peer's activation stream: under per-peer
+        # randomness the draw is identical whichever shard executes it.
+        rng = self.scenario.streams.activation_rng(
+            cfg.seed, address, self._rng
+        )
         problems = binary_problems(
             self.peer_data[address], self.tags, cfg.max_negative_ratio, rng
         )

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
-from repro.sim.network import PhysicalNetwork
+from repro.sim.network import PeerStreams, PhysicalNetwork, SharedStream
 
 
 class ChurnModel(ABC):
@@ -162,31 +162,25 @@ class ChurnDriver:
         simulator: Simulator,
         network: PhysicalNetwork,
         model: ChurnModel,
+        streams: PeerStreams | SharedStream,
         on_leave: Optional[Callable[[int], None]] = None,
         on_join: Optional[Callable[[int], None]] = None,
-        rng_for: Optional[Callable[[int], "np.random.Generator"]] = None,
     ) -> None:
         self.simulator = simulator
         self.network = network
         self.model = model
+        #: node ``n``'s session/downtime draws come from its ``churn`` lane.
+        #: Under per-peer streams that makes each timeline an autonomous
+        #: deterministic process — the one a sharded run's directory
+        #: control plane draws from the same lanes and serves to every
+        #: shard, so both kernels churn alike.
+        self.streams = streams
         self.on_leave = on_leave
         self.on_join = on_join
-        #: per-peer stream provider (decomposed-randomness mode): node ``n``'s
-        #: session/downtime draws come from ``rng_for(n)`` instead of the
-        #: simulator's single stream.  Makes each peer's churn timeline an
-        #: autonomous deterministic process — the one a sharded run's
-        #: directory control plane draws from the same per-peer streams
-        #: and serves to every shard, so both kernels churn alike.
-        self.rng_for = rng_for
         self.leave_count = 0
         self.join_count = 0
         #: peers already cycling — a second start must not chain again
         self._active: Set[int] = set()
-
-    def _rng(self, node_id: int) -> "np.random.Generator":
-        if self.rng_for is not None:
-            return self.rng_for(node_id)
-        return self.simulator.rng
 
     def start(self, node_ids: List[int]) -> None:
         """Begin churn cycles for each node (no-op under :class:`NoChurn`,
@@ -201,7 +195,7 @@ class ChurnDriver:
             self._schedule_leave(node_id)
 
     def _schedule_leave(self, node_id: int) -> None:
-        session = self.model.session_time(self._rng(node_id))
+        session = self.model.session_time(self.streams.churn_rng(node_id))
         if session == float("inf"):
             return
         self.simulator.schedule(session, self._leave, args=(node_id,))
@@ -213,7 +207,7 @@ class ChurnDriver:
         self.leave_count += 1
         if self.on_leave is not None:
             self.on_leave(node_id)
-        down = self.model.downtime(self._rng(node_id))
+        down = self.model.downtime(self.streams.churn_rng(node_id))
         self.simulator.schedule(down, self._rejoin, args=(node_id,))
 
     def _rejoin(self, node_id: int) -> None:

@@ -153,10 +153,11 @@ class PeerStreams:
     every shard replica (they decide :class:`~repro.sim.transport.Outcome`
     flags read by orchestrator code), while jitter is consumed only by the
     peer's owning shard.  Generators are cached — repeated lookups return
-    the same stream object, advancing as it is consumed.
+    the same stream object, advancing as it is consumed.  The
+    ``activation`` lane is not: :meth:`activation_rng` seeds a fresh one.
     """
 
-    _LANES = {"net": 1, "loss": 2, "churn": 3}
+    _LANES = {"net": 1, "loss": 2, "churn": 3, "activation": 17}
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -179,6 +180,21 @@ class PeerStreams:
     def churn_rng(self, peer: int) -> np.random.Generator:
         return self._stream(self._LANES["churn"], peer)
 
+    def activation_rng(
+        self, seed: int, peer: int, shared: np.random.Generator
+    ) -> np.random.Generator:
+        """A fresh stream for draws made *inside* ``peer``'s activation
+        event, seeded by the protocol's own ``seed``.
+
+        Activation events execute only on the peer's owning shard, so a
+        draw from the protocol-wide ``shared`` stream would desynchronize
+        it across shard replicas; this one is deterministic in ``(seed,
+        peer)``, so every execution shape agrees.
+        """
+        return np.random.default_rng(
+            stream_seed(seed, peer, self._LANES["activation"])
+        )
+
     def export_cursors(self) -> Dict[str, dict]:
         """RNG cursor snapshot for the simulation WAL: every *instantiated*
         stream's bit-generator state, keyed ``"lane:peer"`` in sorted order.
@@ -192,6 +208,29 @@ class PeerStreams:
             f"{lane}:{peer}": self._streams[(lane, peer)].bit_generator.state
             for lane, peer in sorted(self._streams)
         }
+
+
+class SharedStream:
+    """The single-stream layout behind :class:`PeerStreams`'s draw methods.
+
+    Every lane of every peer is the kernel's one seeded generator, drawn
+    in event order — the legacy mode (``rng_mode="stream"``) the pre-shard
+    golden digests were pinned under.  Activation draws come from the
+    protocol's own ``shared`` stream.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+
+    def net_rng(self, peer: int) -> np.random.Generator:
+        return self._rng
+
+    loss_rng = churn_rng = net_rng
+
+    def activation_rng(
+        self, seed: int, peer: int, shared: np.random.Generator
+    ) -> np.random.Generator:
+        return shared
 
 
 def pair_factors(src, dsts) -> np.ndarray:
@@ -292,10 +331,9 @@ class PhysicalNetwork:
     def __init__(
         self,
         simulator: Simulator,
+        streams: PeerStreams | SharedStream,
         latency: Optional[LatencyModel] = None,
         stats: Optional[StatsCollector] = None,
-        rng_for_src: Optional[Callable[[int], np.random.Generator]] = None,
-        loss_rng_for_src: Optional[Callable[[int], np.random.Generator]] = None,
     ) -> None:
         self.simulator = simulator
         self.latency = latency or LatencyModel()
@@ -307,25 +345,9 @@ class PhysicalNetwork:
         self._remote: Set[int] = set()
         self._down: Set[int] = set()
         self._block_listeners: List[BlockListener] = []
-        #: per-source stream providers (decomposed-randomness mode).  When
-        #: unset, every draw comes from the simulator's single seeded stream
-        #: in event order — the legacy mode, bit-identical to the pre-shard
-        #: stack.  When set (usually :class:`PeerStreams` lanes), each
-        #: message's jitter and drop draws come from its *source peer's* own
-        #: streams, making draw values independent of cross-peer event
-        #: interleaving — the property sharded execution relies on.
-        self._rng_for_src = rng_for_src
-        self._loss_rng_for_src = loss_rng_for_src
-
-    def _jitter_rng(self, src: int) -> np.random.Generator:
-        if self._rng_for_src is not None:
-            return self._rng_for_src(src)
-        return self.simulator.rng
-
-    def _loss_rng(self, src: int) -> np.random.Generator:
-        if self._loss_rng_for_src is not None:
-            return self._loss_rng_for_src(src)
-        return self.simulator.rng
+        #: the run's randomness layout: each message's jitter and drop
+        #: draws come from its *source peer's* ``net`` / ``loss`` lanes.
+        self.streams = streams
 
     # -- membership ----------------------------------------------------------
 
@@ -464,7 +486,7 @@ class PhysicalNetwork:
             self.stats.record_message(message)
         if (
             self.latency.drop_probability > 0
-            and self._loss_rng(message.src).random()
+            and self.streams.loss_rng(message.src).random()
             < self.latency.drop_probability
         ):
             if owned:
@@ -474,7 +496,7 @@ class PhysicalNetwork:
             return True
         pair_factor = self._pair_base_latency(message.src, message.dst)
         delay = pair_factor * self.latency.delay_for(
-            message, self._jitter_rng(message.src)
+            message, self.streams.net_rng(message.src)
         )
         if self._owns(message.dst):
             # one heap push: a one-row schedule_batch costs twice as much
@@ -614,31 +636,30 @@ class PhysicalNetwork:
     def _block_delays(self, block: SendBlock) -> np.ndarray:
         """Delivery delays for a live same-tick block.
 
-        One stream feeds the block in single-stream mode and whenever the
-        block has one source (a scalar column, or one value repeated): one
-        vectorized jitter draw (bit-identical to sequential :meth:`send`
-        calls).  A mixed-source block in per-source mode draws once *per
-        source peer* over that peer's messages in block order —
-        bit-identical to sequential sends because each source stream is
-        consumed in the same per-message order either way.
+        Each distinct source maps to its stream.  One stream (one source,
+        or the shared layout) draws once over the whole block; per-peer
+        streams draw once per source over its rows in block order, sources
+        in order of first appearance.  Either way each stream is consumed
+        in the same per-message order as sequential :meth:`send` calls, so
+        the delays are bit-identical to them.
         """
         srcs = block.src
         sizes = np.empty(block.count)
         sizes[:] = block.size_bytes  # a scalar column fills, a list converts
-        if isinstance(srcs, list) and srcs.count(srcs[0]) == len(srcs):
-            srcs = srcs[0]
-        if not isinstance(srcs, list):
-            jitters = self.latency.delays_for(sizes, self._jitter_rng(srcs))
-        elif self._rng_for_src is None:
-            jitters = self.latency.delays_for(sizes, self.simulator.rng)
+        distinct = dict.fromkeys(srcs) if isinstance(srcs, list) else (srcs,)
+        rng_of = {src: self.streams.net_rng(src) for src in distinct}
+        streams = set(rng_of.values())
+        if len(streams) == 1:
+            (rng,) = streams
+            jitters = self.latency.delays_for(sizes, rng)
         else:
-            jitters = np.empty(block.count)
-            by_src: Dict[int, List[int]] = {}
+            rows: Dict[int, List[int]] = {src: [] for src in distinct}
             for index, src in enumerate(srcs):
-                by_src.setdefault(src, []).append(index)
-            for src, indices in by_src.items():
+                rows[src].append(index)
+            jitters = np.empty(block.count)
+            for src, indices in rows.items():
                 jitters[indices] = self.latency.delays_for(
-                    sizes[indices], self._rng_for_src(src)
+                    sizes[indices], rng_of[src]
                 )
         return pair_factors(srcs, block.dst) * jitters
 

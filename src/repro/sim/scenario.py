@@ -25,10 +25,19 @@ from repro.sim.churn import (
 )
 from repro.sim.distribution import ShardSpec
 from repro.sim.engine import Simulator
-from repro.sim.network import LatencyModel, PeerStreams, PhysicalNetwork
+from repro.sim.network import (
+    LatencyModel, PeerStreams, PhysicalNetwork, SharedStream,
+)
 from repro.sim.node import SimNode
 from repro.sim.stats import StatsCollector
 from repro.sim.transport import Transport
+
+
+#: the sharded executors (repro.sim.shard.ShardedScenario): "serial"
+#: (lockstep in one process, the deterministic reference), "mp" (one worker
+#: process per shard: the tcp fleet with every worker forked locally) and
+#: "tcp" (a coordinator plus socket-connected workers — repro.sim.tcpexec).
+EXECUTORS = ("serial", "mp", "tcp")
 
 
 @dataclass
@@ -47,8 +56,9 @@ class ScenarioConfig:
     stabilize_interval: float = 30.0
     shard: ShardSpec = field(default_factory=lambda: ShardSpec(num_peers=32))
     codec: str = "identity"  # any name in repro.sim.codec.codec_names()
-    #: randomness layout: "stream" draws everything from the simulator's
-    #: single seeded generator in event order (the legacy mode, required for
+    #: randomness layout, read once into Scenario.streams: "stream" draws
+    #: everything from the simulator's single seeded generator in event
+    #: order (repro.sim.network.SharedStream: the legacy mode, required for
     #: the pre-shard golden digests); "perpeer" decomposes jitter/loss/churn
     #: into per-peer streams (repro.sim.network.PeerStreams), making draw
     #: values independent of cross-peer event interleaving — the invariant
@@ -61,12 +71,6 @@ class ScenarioConfig:
     #: repro.sim.shard.ShardedScenario (peers partitioned across heaps,
     #: advanced in conservative virtual-time windows).
     shards: int = 0
-    #: sharded executor: "serial" (lockstep in one process, the
-    #: deterministic reference), "mp" (one worker process per shard: the
-    #: tcp fleet with every worker forked locally), or "tcp" (a
-    #: coordinator plus socket-connected workers, possibly on other
-    #: machines — repro.sim.tcpexec).
-    executor: str = "serial"
     #: tcp executor: the coordinator's bind address (port 0 = ephemeral,
     #: the default for localhost test fleets) ...
     tcp_host: str = "127.0.0.1"
@@ -125,8 +129,6 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown codec {self.codec!r}")
         if self.rng_mode not in ("stream", "perpeer"):
             raise ConfigurationError(f"unknown rng_mode {self.rng_mode!r}")
-        if self.executor not in ("serial", "mp", "tcp"):
-            raise ConfigurationError(f"unknown executor {self.executor!r}")
         if not 0 <= self.tcp_port <= 65535:
             raise ConfigurationError(
                 f"tcp_port must be in [0, 65535], got {self.tcp_port}"
@@ -228,10 +230,14 @@ class Scenario:
                 "repro.sim.shard.ShardedScenario"
             )
         self.config = config
-        self.streams: Optional[PeerStreams] = (
-            PeerStreams(config.seed) if config.rng_mode == "perpeer" else None
-        )
         self.simulator = self._make_simulator()
+        #: the run's one randomness object, and the one place that knows
+        #: which layout it is: every network, churn and activation draw
+        #: asks it for a peer's stream.
+        self.streams = (
+            PeerStreams(config.seed) if config.rng_mode == "perpeer"
+            else SharedStream(self.simulator.rng)
+        )
         self.stats = StatsCollector()
         self.network = self._make_network()
         self.peer_addresses: List[int] = list(range(config.num_peers))
@@ -275,18 +281,17 @@ class Scenario:
             self.simulator,
             self.network,
             self.churn_model,
+            self.streams,
             on_leave=self._on_peer_leave,
             on_join=self._on_peer_join,
-            rng_for=self.streams.churn_rng if self.streams else None,
         )
 
     def _make_network(self) -> PhysicalNetwork:
         return PhysicalNetwork(
             self.simulator,
+            self.streams,
             latency=self.config.build_latency(),
             stats=self.stats,
-            rng_for_src=self.streams.net_rng if self.streams else None,
-            loss_rng_for_src=self.streams.loss_rng if self.streams else None,
         )
 
     # -- ownership hooks -------------------------------------------------

@@ -104,8 +104,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.barrier import Verdict, WorkerEndpoint, coordinate
 from repro.sim.churn import DirectoryChurnClient
@@ -114,7 +112,7 @@ from repro.sim.faults import FaultPlan
 from repro.sim.exchange import ExchangeFrame, merge_frames
 from repro.sim.messages import payload_size
 from repro.sim.network import LatencyModel, PeerStreams, PhysicalNetwork
-from repro.sim.scenario import Scenario, ScenarioConfig
+from repro.sim.scenario import EXECUTORS, Scenario, ScenarioConfig
 from repro.sim.stats import StatsCollector
 from repro.sim.wal import WalProbe, WalSession
 
@@ -571,17 +569,10 @@ class ShardNetwork(PhysicalNetwork):
         simulator: Simulator,
         latency: LatencyModel,
         stats: StatsCollector,
-        rng_for_src: Callable[[int], np.random.Generator],
-        loss_rng_for_src: Callable[[int], np.random.Generator],
+        streams: PeerStreams,
         runtime: _ShardRuntime,
     ) -> None:
-        super().__init__(
-            simulator,
-            latency=latency,
-            stats=stats,
-            rng_for_src=rng_for_src,
-            loss_rng_for_src=loss_rng_for_src,
-        )
+        super().__init__(simulator, streams, latency=latency, stats=stats)
         self._runtime = runtime
 
     def _owns(self, address: int) -> bool:
@@ -654,8 +645,7 @@ class _ShardWorkerScenario(Scenario):
             self.simulator,
             latency=self.config.build_latency(),
             stats=self.stats,
-            rng_for_src=self.streams.net_rng,
-            loss_rng_for_src=self.streams.loss_rng,
+            streams=self.streams,
             runtime=self._runtime,
         )
 
@@ -932,17 +922,17 @@ class ShardedScenario:
     """
 
     def __init__(
-        self, config: ScenarioConfig, executor: Optional[str] = None
+        self, config: ScenarioConfig, executor: str = "serial"
     ) -> None:
         config.validate()
         if config.shards < 1:
             raise ConfigurationError(
                 "ShardedScenario needs config.shards >= 1"
             )
+        if executor not in EXECUTORS:
+            raise ConfigurationError(f"unknown executor {executor!r}")
         self.config = config
-        self.executor = executor if executor is not None else config.executor
-        if self.executor not in ("serial", "mp", "tcp"):
-            raise ConfigurationError(f"unknown executor {self.executor!r}")
+        self.executor = executor
         self.lookahead = compute_lookahead(config.build_latency())
 
     def run(self, workload: Workload) -> ShardedRun:
@@ -964,10 +954,10 @@ class ShardedScenario:
                 )
         plan = FaultPlan.parse(config.faults)
         if plan is not None and self.executor == "serial":
-            # Enforced here, not in validate(): the executor argument can
-            # override config.executor, and the serial executor's workers
-            # are threads of this process with no supervision loop — an
-            # injected os._exit would kill the run.
+            # Enforced here, not in validate(): the executor is this
+            # harness's argument, not a config field.  The serial
+            # executor's workers are threads of this process with no
+            # supervision loop — an injected os._exit would kill the run.
             raise ConfigurationError(
                 "fault injection (config.faults) targets the self-healing "
                 "worker fleet of the tcp and mp executors; the serial "

@@ -15,7 +15,7 @@ decision — handshakes, heartbeats, death detection and in-run recovery
 all happen while one barrier round is being gathered, invisible to the
 loop.
 
-Workers start per the ``--hosts`` placement (:func:`parse_hosts`).  A
+Workers start per the ``tcp_hosts`` placement (:func:`parse_hosts`).  A
 ``local`` worker is forked from the coordinator — the one fork,
 :func:`repro.sim.shard._mp_context` — and runs :func:`worker_main` over a
 socket exactly like a remote one, so it pays no interpreter start-up and
@@ -75,7 +75,7 @@ Self-healing (the fault plane's recovery side)
 
 When a run carries a WAL (``--wal``), a worker death mid-window is no
 longer fleet-fatal: the :class:`Supervisor` quarantines the dead
-connection, respawns the slot per its ``--hosts`` placement (bounded by
+connection, respawns the slot per its ``tcp_hosts`` placement (bounded by
 ``REPRO_TCP_MAX_RESPAWNS``), greets the replacement with ``RECOVER``
 (``WELCOME`` plus the barrier to replay to), and replays it to the
 current barrier from the WAL's window records (the resume log's
@@ -257,7 +257,7 @@ def parse_address(spec: str) -> Tuple[str, int]:
 
 
 def parse_hosts(spec: Optional[str], num_shards: int) -> List[str]:
-    """The per-shard worker placement list from a ``--hosts`` spec.
+    """The per-shard worker placement list from a ``tcp_hosts`` spec.
 
     Comma-separated entries, one per shard (a single entry applies to
     every shard): ``local`` forks the worker from the coordinator on this
@@ -1002,7 +1002,7 @@ class _ForkedWorker:
 class TcpCoordinator:
     """The listening side of a tcp run and the shell around its
     :class:`Supervisor`: forks, launches or awaits K workers per the
-    ``--hosts`` placement (a ``local`` slot is forked from this process,
+    ``tcp_hosts`` placement (a ``local`` slot is forked from this process,
     ``ssh:HOST`` runs ``repro worker`` over ssh, ``wait`` starts nothing)
     and is the :func:`~repro.sim.barrier.coordinate` loop's link to them —
     one socket per worker, every exchange blob relayed through the

@@ -79,18 +79,18 @@ CURSORS_EVERY = 16
 def config_fingerprint(config: Any) -> Dict[str, Any]:
     """The scenario-identity fields a WAL is bound to.
 
-    Everything that shapes the event stream participates; ``wal``/
-    ``resume`` (log plumbing, not physics), ``executor`` (serial, mp, and
-    tcp runs are byte-equivalent, so cross-executor resume is legal),
-    the tcp placement fields (where workers run, not what they compute),
-    ``faults`` (an injected fault schedule plus its recovery leaves
-    the event stream untouched — that is the fault plane's proof
-    obligation) and ``control_plane`` (a spelling, not a choice: shards
-    imply the plane) are excluded.
+    Everything that shapes the event stream participates (the executor
+    is no field: serial, mp, and tcp runs are byte-equivalent, so
+    cross-executor resume is legal); ``wal``/``resume`` (log plumbing,
+    not physics), the tcp placement fields (where workers run, not what
+    they compute), ``faults`` (an injected fault schedule plus its
+    recovery leaves the event stream untouched — that is the fault
+    plane's proof obligation) and ``control_plane`` (a spelling, not a
+    choice: shards imply the plane) are excluded.
     """
     fields = asdict(config)
-    for key in ("wal", "resume", "executor", "tcp_host", "tcp_port",
-                "tcp_hosts", "faults", "control_plane"):
+    for key in ("wal", "resume", "tcp_host", "tcp_port", "tcp_hosts",
+                "faults", "control_plane"):
         fields.pop(key, None)
     return fields
 

@@ -49,7 +49,7 @@ def install_per_message_send(network) -> None:
                 2.0 ** -53
             )
             delay = factor * latency.delay_for(
-                message, network._jitter_rng(message.src)
+                message, network.streams.net_rng(message.src)
             )
             network._schedule_block(
                 (message.dst,), (delay,), network._deliver, ((message,),)

@@ -19,10 +19,6 @@ class TestThresholdPolicies:
     def test_fixed_threshold_fallback(self):
         assert FixedThreshold(0.99).assign(self.SCORES) == {"a"}
 
-    def test_fixed_threshold_no_fallback(self):
-        policy = FixedThreshold(0.99, fallback_best=False)
-        assert policy.assign(self.SCORES) == frozenset()
-
     def test_fixed_threshold_empty_scores(self):
         assert FixedThreshold(0.5).assign({}) == frozenset()
 

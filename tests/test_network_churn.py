@@ -16,7 +16,7 @@ from repro.data.delicious import DeliciousGenerator
 from repro.sim.distribution import ShardSpec
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
-from repro.sim.network import LatencyModel, PhysicalNetwork
+from repro.sim.network import LatencyModel, PhysicalNetwork, SharedStream
 from repro.sim.node import SimNode
 from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.shard import ShardedScenario, scenario_digest
@@ -24,7 +24,9 @@ from repro.sim.shard import ShardedScenario, scenario_digest
 
 def make_network(seed=0, **latency_kwargs):
     sim = Simulator(seed=seed)
-    network = PhysicalNetwork(sim, latency=LatencyModel(**latency_kwargs))
+    network = PhysicalNetwork(
+        sim, SharedStream(sim.rng), latency=LatencyModel(**latency_kwargs)
+    )
     return sim, network
 
 
@@ -192,6 +194,7 @@ class TestChurnDriver:
             sim,
             network,
             ExponentialChurn(mean_session=10.0, mean_downtime=5.0),
+            network.streams,
             on_leave=left.append,
             on_join=joined.append,
         )
@@ -204,7 +207,7 @@ class TestChurnDriver:
     def test_no_churn_schedules_nothing(self):
         sim, network = make_network()
         network.register(0, lambda m: None)
-        driver = ChurnDriver(sim, network, NoChurn())
+        driver = ChurnDriver(sim, network, NoChurn(), network.streams)
         driver.start([0])
         assert sim.pending_events == 0
 

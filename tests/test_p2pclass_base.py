@@ -37,31 +37,35 @@ ITEMS = [
 
 class TestBinaryProblems:
     def test_positive_and_negative_labels(self):
-        problems = binary_problems(ITEMS, ["a", "b", "c"])
+        problems = binary_problems(
+            ITEMS, ["a", "b", "c"], 3.0, np.random.default_rng(0)
+        )
         vectors, labels = problems["a"]
         assert labels.count(1) == 2
         assert all(label in (-1, 1) for label in labels)
         assert len(vectors) == len(labels)
 
     def test_tag_without_positives_skipped(self):
-        problems = binary_problems(ITEMS, ["zzz"])
+        problems = binary_problems(
+            ITEMS, ["zzz"], 3.0, np.random.default_rng(0)
+        )
         assert problems == {}
 
     def test_negative_ratio_cap(self):
         many = [tv({i: 1.0}, {"x"} if i == 0 else {"y"}) for i in range(50)]
-        problems = binary_problems(many, ["x"], max_negative_ratio=2.0)
+        problems = binary_problems(many, ["x"], 2.0, np.random.default_rng(0))
         _, labels = problems["x"]
         assert labels.count(-1) <= 2
 
     def test_invalid_ratio(self):
         with pytest.raises(ConfigurationError):
-            binary_problems(ITEMS, ["a"], max_negative_ratio=0)
+            binary_problems(ITEMS, ["a"], 0, np.random.default_rng(0))
 
     def test_deterministic_with_rng(self):
         rng1 = np.random.default_rng(3)
         rng2 = np.random.default_rng(3)
-        p1 = binary_problems(ITEMS, ["a"], rng=rng1)
-        p2 = binary_problems(ITEMS, ["a"], rng=rng2)
+        p1 = binary_problems(ITEMS, ["a"], 3.0, rng1)
+        p2 = binary_problems(ITEMS, ["a"], 3.0, rng2)
         assert p1["a"][1] == p2["a"][1]
 
 

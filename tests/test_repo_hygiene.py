@@ -174,6 +174,15 @@ sharded runners (``coordinate``, ``_run_serial``, ``run_tcp``,
 ``TcpCoordinator``) take a ``plane`` with no default.  Every sharded run
 is one writer and K readers; a second plane is what every sharded suite,
 fault matrix and WAL matrix paid for twice.
+
+(cc) One randomness object per run.  No parameter under ``src/repro/sim``
+or ``src/repro/p2pclass`` is named ``rng_for*`` or annotated with an
+``Optional`` generator, and under ``src/repro`` only
+``ScenarioConfig.validate`` and ``Scenario.__init__`` read an ``rng_mode``
+attribute: the scenario picks ``PeerStreams`` or ``SharedStream`` once and
+every network, churn and activation draw asks that object for a peer's
+stream.  The layout chosen again at six sites, each with its own
+``None`` fallback, is what this replaced.
 """
 
 import argparse
@@ -1449,3 +1458,87 @@ def test_one_control_plane():
                    tcpexec.TcpCoordinator.__init__):
         plane = inspect.signature(runner).parameters["plane"]
         assert plane.default is inspect.Parameter.empty, runner.__qualname__
+
+
+_MODE_SCOPES = {"ScenarioConfig.validate", "Scenario.__init__"}
+
+
+def _rng_parameters(text):
+    """``(line, name)`` of every parameter in ``text`` named ``rng_for*``
+    or annotated with an optional generator."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.arg):
+            continue
+        note = ast.unparse(node.annotation) if node.annotation else ""
+        optional = "Optional" in note or "None" in note
+        generator = optional and "Generator" in note
+        if node.arg.startswith("rng_for") or generator:
+            found.append((node.lineno, node.arg))
+    return found
+
+
+def _mode_reads(text):
+    """``(line, scope)`` of every read of an ``rng_mode`` attribute in
+    ``text``, ``scope`` being the dotted chain of enclosing classes and
+    functions."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "rng_mode"
+                and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), "")
+    return found
+
+
+def test_one_randomness_object_per_run():
+    from repro.sim.distribution import ShardSpec
+    from repro.sim.network import PeerStreams, SharedStream
+    from repro.sim.scenario import Scenario, ScenarioConfig
+
+    assert _rng_parameters(
+        "def send(a, rng_for_src=None,\n"
+        "         b: Optional[np.random.Generator] = None,\n"
+        "         c: np.random.Generator = None, d: Optional[int] = None):\n"
+        "    pass\n"
+    ) == [(1, "rng_for_src"), (2, "b")]
+    assert _mode_reads(
+        "class Scenario:\n"
+        "    def __init__(self, config):\n"
+        "        self.perpeer = config.rng_mode == 'perpeer'\n"
+        "def pick(scenario):\n"
+        "    return scenario.config.rng_mode\n"
+        "config = replace(config, rng_mode='perpeer')\n"
+    ) == [(3, "Scenario.__init__"), (5, "pick")]
+    src = ROOT / "src" / "repro"
+    parameters, reads = [], []
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        name = path.relative_to(src).as_posix()
+        if name.startswith(("sim/", "p2pclass/")):
+            parameters += [
+                f"{name}:{line} {arg}" for line, arg in _rng_parameters(text)
+            ]
+        reads += [
+            f"{name}:{line} {scope or '<module>'}"
+            for line, scope in _mode_reads(text)
+            if scope not in _MODE_SCOPES
+        ]
+    assert parameters == []
+    assert reads == []
+
+    for mode, layout in (("stream", SharedStream), ("perpeer", PeerStreams)):
+        scenario = Scenario(ScenarioConfig(
+            num_peers=4, shard=ShardSpec(num_peers=4), rng_mode=mode,
+            churn="exponential",
+        ))
+        assert type(scenario.streams) is layout
+        assert scenario.network.streams is scenario.streams
+        assert scenario.churn_driver.streams is scenario.streams

@@ -25,6 +25,7 @@ from reference import install_per_message_broadcast, install_per_message_send
 from repro.errors import SimulationError
 from repro.sim.distribution import ShardSpec
 from repro.sim.messages import Message
+from repro.sim.network import SharedStream
 from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.shard import ShardedScenario
 
@@ -170,11 +171,16 @@ class Script:
         seen["fingerprint"] = stats.fingerprint_bytes()
         seen["key_order"] = pickle.dumps(stats.delta_since({}))
         seen["kernel"] = simulator.export_cursors()
-        seen["rng"] = (
-            scenario.streams.export_cursors() if scenario.streams
-            else simulator.rng.bit_generator.state
-        )
+        seen["rng"] = _rng_cursors(scenario)
         return seen
+
+
+def _rng_cursors(scenario):
+    """Where every draw of the run was made: the per-peer streams, or the
+    kernel's one generator that a shared layout draws from."""
+    if type(scenario.streams) is SharedStream:
+        return scenario.simulator.rng.bit_generator.state
+    return scenario.streams.export_cursors()
 
 
 def _config(rng_mode, seed, shards=0, loss=0.0):

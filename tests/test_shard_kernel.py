@@ -385,6 +385,33 @@ def test_sharded_scenario_requires_at_least_one_shard():
         ShardedScenario(_config(shards=0))
 
 
+def test_sharded_scenario_rejects_an_unknown_executor():
+    with pytest.raises(ConfigurationError, match="unknown executor 'bogus'"):
+        ShardedScenario(_config(shards=2), executor="bogus")
+
+
+@pytest.mark.parametrize("executor", ["bogus", "tcp"])
+def test_system_rejects_an_unknown_executor_before_training(
+    executor, monkeypatch
+):
+    """The executor is no scenario field, so SystemConfig judges it: an
+    unknown one stops the system at construction, before any local
+    training or scenario exists.  tcp is unknown here: a system run sets
+    no worker placement or port, so its tcp would be mp."""
+    from repro.core import tagger
+
+    def no_scenario(config):
+        raise AssertionError("a scenario was built")
+
+    monkeypatch.setattr(tagger, "Scenario", no_scenario)
+    config = tagger.SystemConfig(algorithm="nbagg", shards=2, executor=executor)
+    unknown = f"unknown executor '{executor}'"
+    with pytest.raises(ConfigurationError, match=unknown):
+        config.validate()
+    with pytest.raises(ConfigurationError, match=unknown):
+        tagger.P2PDocTaggerSystem(_tiny_corpus(), config)
+
+
 def test_worker_failure_propagates():
     def workload(scenario):
         raise RuntimeError("boom in worker")
@@ -457,3 +484,25 @@ def test_cli_exposes_shards_and_executor():
     assert args.shards == 3 and args.executor == "mp"
     defaults = build_parser().parse_args(["run"])
     assert defaults.shards == 0 and defaults.executor == "serial"
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "suggest"])
+def test_cli_has_no_worker_placement_option(command, capsys):
+    """The CLI cannot name the coordinator's port, so a placement other
+    than forking every worker here could never connect: it offers no
+    ``--hosts`` and no tcp executor, only mp, which forks every worker
+    locally."""
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            [command, "--shards", "2", "--executor", "mp", "--hosts", "wait"]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --hosts wait" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            [command, "--shards", "2", "--executor", "tcp"]
+        )
+    assert exc.value.code == 2
+    assert "invalid choice: 'tcp'" in capsys.readouterr().err

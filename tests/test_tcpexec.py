@@ -306,7 +306,7 @@ def test_fingerprint_excludes_placement_but_not_physics():
     """Where workers run never changes scenario identity; the seed does."""
     base = _config(8, shards=2)
     moved = _config(
-        8, shards=2, executor="tcp", tcp_hosts="wait", tcp_port=9001,
+        8, shards=2, tcp_hosts="wait", tcp_port=9001,
         wal="/tmp/x.wal", faults="seed=7,crash",
     )
     reseeded = _config(8, shards=2, seed=6)
@@ -687,7 +687,7 @@ def _recovering(monkeypatch, timeout, hosts="wait"):
     is open for a RECOVER handshake.  Returns the coordinator, the parked
     worker's socket, the thread and its outcome."""
     monkeypatch.setenv(TCP_TIMEOUT_ENV, str(timeout))
-    config = _config(8, shards=2, executor="tcp", tcp_hosts=hosts)
+    config = _config(8, shards=2, tcp_hosts=hosts)
     lookahead = ShardedScenario(config, executor="tcp").lookahead
     coordinator = TcpCoordinator(
         config, 2, lookahead, DirectoryControlPlane(config), wal=_NoWindows
@@ -900,9 +900,9 @@ def test_forked_workers_hold_no_coordinator_socket(tmp_path, monkeypatch):
     monkeypatch.setattr(TcpCoordinator, "_serve", checked_serve)
     run = ShardedScenario(
         _config(
-            8, shards=2, executor="tcp", wal=str(tmp_path / "storm.wal"),
-            faults="crash@1:1",
-        )
+            8, shards=2, wal=str(tmp_path / "storm.wal"), faults="crash@1:1",
+        ),
+        executor="tcp",
     ).run(_StormWorkload())
     assert run.stats.faults["respawns"] == 1
     assert run.digest() == (
@@ -933,7 +933,7 @@ def test_forked_worker_raising_before_hello_fails_the_handshake(
         match="exited with code 1 before completing its handshake",
     ):
         ShardedScenario(
-            _config(8, shards=2, executor="tcp")
+            _config(8, shards=2), executor="tcp"
         ).run(_StormWorkload())
     assert time.monotonic() - start < 10.0
     assert "RuntimeError: worker broke before dialling" in (
@@ -971,10 +971,8 @@ def test_wait_slot_runs_repro_worker_in_a_fresh_interpreter(monkeypatch):
     )
     try:
         run = ShardedScenario(
-            _config(
-                8, shards=2, executor="tcp", tcp_hosts="local,wait",
-                tcp_port=port,
-            )
+            _config(8, shards=2, tcp_hosts="local,wait", tcp_port=port),
+            executor="tcp",
         ).run(_StormWorkload())
         assert worker.wait(timeout=30.0) == 0
     finally:
@@ -997,7 +995,7 @@ def test_killed_worker_surfaces_died_mid_window(monkeypatch):
     start = time.monotonic()
     with pytest.raises(SimulationError, match="died mid-window"):
         ShardedScenario(
-            _config(8, shards=2, executor="tcp")
+            _config(8, shards=2), executor="tcp"
         ).run(_CrashingWorkload(die=True))
     # The dead worker's socket closes on exit, so detection is EOF-fast —
     # far under even one read deadline.
@@ -1009,7 +1007,7 @@ def test_half_open_worker_surfaces_died_mid_window(monkeypatch):
     per-read deadline converts it into 'died mid-window', and teardown
     leaves no orphan sockets and no unreaped processes."""
     monkeypatch.setenv(TCP_TIMEOUT_ENV, "5")
-    config = _config(8, shards=2, executor="tcp", tcp_hosts="local,wait")
+    config = _config(8, shards=2, tcp_hosts="local,wait")
     lookahead = ShardedScenario(config, executor="tcp").lookahead
     coordinator = TcpCoordinator(
         config, 2, lookahead, DirectoryControlPlane(config)
@@ -1079,7 +1077,7 @@ def test_tcp_checkpoint_chopped_midlog_resumes_to_reference(tmp_path):
     reference = ShardedScenario(_config(8, shards=2)).run(_StormWorkload())
     wal = str(tmp_path / "storm.wal")
     full = ShardedScenario(
-        _config(8, shards=2, executor="tcp", wal=wal)
+        _config(8, shards=2, wal=wal), executor="tcp"
     ).run(_StormWorkload())
     assert full.digest() == reference.digest()
     total = len(WalReader(wal).windows)
@@ -1088,7 +1086,7 @@ def test_tcp_checkpoint_chopped_midlog_resumes_to_reference(tmp_path):
     truncate_wal(wal, total // 2, out_path=cut)
     assert WalReader(cut).commit is None
     resumed = ShardedScenario(
-        _config(8, shards=2, executor="tcp", resume=cut)
+        _config(8, shards=2, resume=cut), executor="tcp"
     ).run(_StormWorkload())
     assert resumed.digest() == reference.digest()
     assert WalReader(cut).commit["digest"] == reference.digest()

@@ -6,13 +6,13 @@ from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
-from repro.sim.network import PhysicalNetwork
+from repro.sim.network import PhysicalNetwork, SharedStream
 from repro.sim.tracestore import TraceStore
 
 
 def make_network():
     simulator = Simulator(seed=0)
-    network = PhysicalNetwork(simulator)
+    network = PhysicalNetwork(simulator, SharedStream(simulator.rng))
     network.register(1, lambda m: None)
     network.register(2, lambda m: None)
     network.register(3, lambda m: None)

@@ -35,7 +35,7 @@ from repro.cli import main
 from repro.sim.codec import make_codec_table
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
-from repro.sim.network import PhysicalNetwork, SendBlock
+from repro.sim.network import PhysicalNetwork, SendBlock, SharedStream
 from repro.sim.scenario import Scenario
 from repro.sim.shard import ShardedScenario
 from repro.sim.stats import StatsCollector
@@ -51,7 +51,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def make_stack(num_nodes=6, seed=0, codec=None):
     simulator = Simulator(seed=seed)
     stats = StatsCollector()
-    network = PhysicalNetwork(simulator, stats=stats)
+    network = PhysicalNetwork(
+        simulator, SharedStream(simulator.rng), stats=stats
+    )
     transport = Transport(
         network, stats=stats,
         codec=make_codec_table(codec) if codec else None,

@@ -14,7 +14,9 @@ from repro.sim.churn import ChurnDriver, ExponentialChurn
 from repro.sim.codec import make_codec_table, register_traffic_class
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
-from repro.sim.network import LatencyModel, PhysicalNetwork, pair_mix64
+from repro.sim.network import (
+    LatencyModel, PhysicalNetwork, SharedStream, pair_mix64,
+)
 from repro.sim.stats import StatsCollector
 from repro.sim.transport import Transport
 
@@ -37,6 +39,7 @@ def build_transport(num_nodes=12, overlay_name=None, seed=0, drop=0.0,
     stats = StatsCollector()
     network = PhysicalNetwork(
         simulator,
+        SharedStream(simulator.rng),
         latency=LatencyModel(drop_probability=drop),
         stats=stats,
     )
@@ -215,7 +218,9 @@ class TestBatchedStormUnderChurn:
         delivered = []
         for node in range(nodes):
             network.register(node, delivered.append)
-        driver = ChurnDriver(simulator, network, ExponentialChurn(6.0, 2.0))
+        driver = ChurnDriver(
+            simulator, network, ExponentialChurn(6.0, 2.0), network.streams
+        )
         driver.start(list(range(nodes)))
         for round_index in range(rounds):
             block = []
