@@ -24,12 +24,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.bench import format_table
-from repro.core.tagger import (
-    ALGORITHMS,
-    EXECUTORS,
-    P2PDocTaggerSystem,
-    SystemConfig,
-)
+from repro.core.tagger import ALGORITHMS, P2PDocTaggerSystem, SystemConfig
 from repro.data.delicious import DeliciousGenerator
 from repro.data.loaders import load_corpus, save_corpus
 from repro.errors import ConfigurationError, ReproError
@@ -78,11 +73,6 @@ def _build_system(args: argparse.Namespace, algorithm: str) -> P2PDocTaggerSyste
             overlay=args.overlay,
             churn=args.churn,
             codec=args.codec,
-            shards=args.shards,
-            executor=args.executor,
-            wal=args.wal,
-            resume=args.resume,
-            faults=args.faults,
             train_fraction=args.train_fraction,
             threshold=args.threshold,
             seed=args.seed,
@@ -114,43 +104,6 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
         "--codec", choices=_codec_choices(), default="identity",
         help="wire-format codec table for traffic accounting",
     )
-    parser.add_argument(
-        "--shards", type=int, default=0,
-        help="event-kernel shards: K >= 1 replays training through the "
-        "K-shard kernel and verifies it is byte-identical to the local run",
-    )
-    parser.add_argument(
-        "--executor", choices=EXECUTORS, default="serial",
-        help="sharded executor: lockstep serial reference, or one forked "
-        "worker process per shard (mp: the tcp fleet with every worker "
-        "forked here)",
-    )
-    parser.add_argument(
-        "--wal", default=None, metavar="PATH",
-        help="checkpoint the sharded run's window stream to this "
-        "write-ahead log; on --executor mp the log doubles as the "
-        "replay source for --faults in-run worker recovery "
-        "(requires --shards >= 1)",
-    )
-    parser.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="resume from a write-ahead log via verified prefix replay; "
-        "combine with --wal NEW to re-log to a fresh file "
-        "(requires --shards >= 1)",
-    )
-    parser.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="seeded deterministic fault injection for the mp fleet: "
-        "comma-separated 'kind[*count][@window[:shard]]' entries plus "
-        "'seed=N', 'horizon=N', 'stall_s=F' knobs; kinds: crash, stall, "
-        "halfopen, corrupt, truncate, tear. The schedule draws from its "
-        "own RNG stream so the final digest is byte-identical to the "
-        "fault-free run. With --wal PATH the coordinator self-heals "
-        "(respawns crashed workers and replays them from the log, bounded "
-        "by REPRO_TCP_MAX_RESPAWNS); without --wal an injected crash "
-        "degrades gracefully to a loud abort naming the missing "
-        "checkpoint (requires --executor mp, --shards >= 1)",
-    )
     parser.add_argument("--train-fraction", type=float, default=0.2)
     parser.add_argument("--threshold", type=float, default=0.5)
     parser.add_argument("--max-eval", type=int, default=80)
@@ -159,22 +112,6 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     system = _build_system(args, args.algorithm)
     system.train()
-    if system.sharded_run is not None:
-        run = system.sharded_run
-        line = (
-            f"[shard] K={run.shards} executor={run.executor} "
-            f"windows={run.windows} lookahead={run.lookahead:.4f}s "
-            f"digest={run.digest()[:16]}… == local kernel (verified) "
-            f"control_records={run.control_records} "
-            f"control_bytes={run.control_bytes}"
-        )
-        faults = getattr(run.stats, "faults", None)
-        if faults:
-            line += (
-                f" respawns={faults.get('respawns', 0)} "
-                f"replayed_windows={faults.get('replayed_windows', 0)}"
-            )
-        print(line)
     if args.tune_thresholds:
         system.tune_thresholds()
     report = system.evaluate(max_documents=args.max_eval)

@@ -13,7 +13,7 @@ drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.library import Library
@@ -37,10 +37,6 @@ from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.text.vectorizer import PreprocessingPipeline
 
 ALGORITHMS = ("pace", "cempar", "nbagg", "centralized", "local", "popularity")
-#: the sharded executors a system run may name.  tcp is left to
-#: ShardedScenario's callers: a system run sets no tcp_hosts or tcp_port,
-#: so its tcp would be mp under another name.
-EXECUTORS = ("serial", "mp")
 
 
 @dataclass
@@ -51,21 +47,6 @@ class SystemConfig:
     overlay: str = "chord"
     churn: str = "none"
     codec: str = "identity"  # wire-format codec table (repro.sim.codec)
-    #: event-kernel shards (repro.sim.shard): 0 = single-heap kernel; K >= 1
-    #: additionally replays training through the K-shard kernel and verifies
-    #: the merged observables are byte-identical to the local run.
-    shards: int = 0
-    #: sharded executor (one of EXECUTORS), used when shards >= 1
-    executor: str = "serial"
-    #: simulation WAL (repro.sim.wal): checkpoint the sharded training
-    #: replay's window stream to this path / resume from this log via
-    #: verified prefix replay; used when shards >= 1
-    wal: Optional[str] = None
-    resume: Optional[str] = None
-    #: seeded fault-injection schedule (repro.sim.faults) for the sharded
-    #: replay's self-healing fleet; requires executor="mp" and,
-    #: for in-run recovery rather than a loud abort, a wal path
-    faults: Optional[str] = None
     mean_session: float = 600.0
     mean_downtime: float = 60.0
     train_fraction: float = 0.2  # the paper's 20 % manual-tag protocol
@@ -84,26 +65,6 @@ class SystemConfig:
             raise ConfigurationError("train_fraction must be in (0, 1)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigurationError("threshold must be in [0, 1]")
-        if self.executor not in EXECUTORS:
-            raise ConfigurationError(
-                f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
-            )
-        # The sharded-execution fields are ScenarioConfig's to judge: check
-        # them on the config the sharded replay would run.
-        self._sharded_config(
-            ScenarioConfig(rng_mode="perpeer", jitter_floor=0.5)
-        ).validate()
-
-    def _sharded_config(self, base: ScenarioConfig) -> ScenarioConfig:
-        """``base`` with this config's sharded-execution fields applied —
-        the scenario the sharded training replay runs."""
-        return replace(
-            base,
-            shards=self.shards,
-            wal=self.wal,
-            resume=self.resume,
-            faults=self.faults,
-        )
 
 
 @dataclass
@@ -135,13 +96,7 @@ def build_classifier(
     seed: int,
     options: dict,
 ) -> P2PTagClassifier:
-    """Construct one algorithm's classifier over a scenario.
-
-    Module-level (rather than a system method) so sharded-training
-    workloads — which must pickle to mp/tcp shard workers — can carry
-    everything a worker needs without referencing the (unpicklable)
-    system object.
-    """
+    """Construct one algorithm's classifier over a scenario."""
     if algorithm == "pace":
         from repro.p2pclass.pace import PaceClassifier, PaceConfig
 
@@ -173,35 +128,6 @@ def build_classifier(
     from repro.baselines.popularity import PopularityTagger
 
     return PopularityTagger(scenario, peer_data, tags)
-
-
-class _ShardedTrainingWorkload:
-    """The SPMD training workload for sharded verification runs.
-
-    A plain data class (not a closure over the system) so it pickles into
-    mp/tcp shard workers; ``__call__`` rebuilds the classifier against the
-    worker's shard-local scenario and trains it frame-native.
-    """
-
-    def __init__(
-        self, churn: str, peer_data: PeerData, algorithm: str, tags,
-        options: dict, seed: int,
-    ) -> None:
-        self.churn = churn
-        self.peer_data = peer_data
-        self.algorithm = algorithm
-        self.tags = tags
-        self.options = options
-        self.seed = seed
-
-    def __call__(self, scenario: Scenario) -> None:
-        if self.churn != "none":
-            scenario.start_churn()
-        classifier = build_classifier(
-            self.algorithm, scenario, self.peer_data, self.tags,
-            self.seed, self.options,
-        )
-        classifier.train()
 
 
 class P2PDocTaggerPeer:
@@ -302,33 +228,31 @@ class P2PDocTaggerSystem:
         owners = self.corpus.owners
         self._owner_to_peer = {owner: index for index, owner in enumerate(owners)}
         num_peers = len(owners)
-        # With kernel sharding requested, the local system runs the same
-        # decomposed-randomness scenario the shard workers will replay, so
-        # the two executions are comparable byte-for-byte (the local run
-        # stays the unsharded reference: shards=0 here).
-        self._scenario_config = ScenarioConfig(
-            num_peers=num_peers,
-            overlay=self.config.overlay,
-            churn=self.config.churn,
-            codec=self.config.codec,
-            mean_session=self.config.mean_session,
-            mean_downtime=self.config.mean_downtime,
-            shard=ShardSpec(num_peers=num_peers, seed=self.config.seed),
-            rng_mode="perpeer" if self.config.shards >= 1 else "stream",
-            jitter_floor=0.5 if self.config.shards >= 1 else 0.0,
-            seed=self.config.seed,
+        self.scenario = Scenario(
+            ScenarioConfig(
+                num_peers=num_peers,
+                overlay=self.config.overlay,
+                churn=self.config.churn,
+                codec=self.config.codec,
+                mean_session=self.config.mean_session,
+                mean_downtime=self.config.mean_downtime,
+                shard=ShardSpec(num_peers=num_peers, seed=self.config.seed),
+                seed=self.config.seed,
+            )
         )
-        self.scenario = Scenario(self._scenario_config)
-        #: populated by train() when config.shards >= 1: the merged
-        #: ShardedRun whose digest was verified against the local kernel
-        self.sharded_run = None
 
         self.train_corpus, self.test_corpus = per_user_split(
             self.corpus, self.config.train_fraction, seed=self.config.seed
         )
         self._vector_cache: Dict[int, SparseVector] = {}
-        self._peer_data = self._build_peer_data(self.train_corpus)
-        self.classifier = self._build_classifier(self._peer_data)
+        self.classifier = build_classifier(
+            self.config.algorithm,
+            self.scenario,
+            self._build_peer_data(self.train_corpus),
+            self.corpus.tag_universe(),
+            self.config.seed,
+            self.config.algorithm_options,
+        )
         self.suggestions = SuggestionEngine(self.classifier)
 
         self.peers: Dict[int, P2PDocTaggerPeer] = {
@@ -365,19 +289,6 @@ class P2PDocTaggerSystem:
             remapped[address] = items
         return remapped
 
-    def _build_classifier(
-        self, peer_data: PeerData, scenario: Optional[Scenario] = None
-    ) -> P2PTagClassifier:
-        scenario = scenario if scenario is not None else self.scenario
-        return build_classifier(
-            self.config.algorithm,
-            scenario,
-            peer_data,
-            self.corpus.tag_universe(),
-            self.config.seed,
-            dict(self.config.algorithm_options),
-        )
-
     def _register_manual_tags(self) -> None:
         """Training documents appear as manually tagged in each peer's store."""
         for owner in self.train_corpus.owners:
@@ -406,47 +317,10 @@ class P2PDocTaggerSystem:
         return self.peers[address]
 
     def train(self) -> None:
-        """Run collaborative learning (optionally under churn).
-
-        With ``config.shards >= 1`` the same training additionally replays
-        through the K-shard event kernel (:mod:`repro.sim.shard`) and the
-        merged shard observables are verified byte-identical to the local
-        kernel — every ``--shards`` run is a live proof of the sharding
-        equivalence theorem.  Predictions serve from the (provably
-        identical) local replica, which holds the complete model state.
-        """
+        """Run collaborative learning (optionally under churn)."""
         if self.config.churn != "none":
             self.scenario.start_churn()
         self.classifier.train()
-        if self.config.shards >= 1:
-            self.sharded_run = self._verify_sharded_training()
-
-    def _verify_sharded_training(self):
-        from repro.errors import SimulationError
-        from repro.sim.shard import ShardedScenario, scenario_digest
-
-        sharded_config = self.config._sharded_config(self._scenario_config)
-        workload = _ShardedTrainingWorkload(
-            self.config.churn,
-            self._peer_data,
-            self.config.algorithm,
-            self.corpus.tag_universe(),
-            dict(self.config.algorithm_options),
-            self.config.seed,
-        )
-        run = ShardedScenario(
-            sharded_config, executor=self.config.executor
-        ).run(workload)
-        local_digest = scenario_digest(
-            self.scenario.stats, self.scenario.simulator.now
-        )
-        if run.digest() != local_digest:
-            raise SimulationError(
-                f"sharded training (K={run.shards}, {run.executor}) "
-                "diverged from the local kernel: "
-                f"{run.digest()[:16]}… != {local_digest[:16]}…"
-            )
-        return run
 
     def predict_scores(
         self, origin: int, document: Document

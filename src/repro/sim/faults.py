@@ -1,4 +1,4 @@
-"""The seeded deterministic fault-injection plane (``--faults``).
+"""The seeded deterministic fault-injection plane.
 
 A :class:`FaultPlan` turns a compact spec string into a concrete fault
 schedule — which worker dies (or stalls, or mangles its wire frames) at
@@ -33,7 +33,7 @@ Fault kinds
 Spec grammar
 ------------
 
-Comma-separated entries::
+A sharded run's ``ScenarioConfig.faults`` is comma-separated entries::
 
     seed=N | horizon=N | stall_s=F | kind[*count][@window[:shard]]
 
@@ -113,7 +113,8 @@ class FaultEvent:
 
 
 class FaultPlan:
-    """A parsed ``--faults`` spec plus its deterministic draw stream."""
+    """A parsed ``ScenarioConfig.faults`` spec plus its deterministic draw
+    stream."""
 
     def __init__(self, spec: str) -> None:
         self.spec = spec

@@ -73,23 +73,24 @@ half-open peer) surfaces as a loud ``worker N died mid-window``
 Self-healing (the fault plane's recovery side)
 ----------------------------------------------
 
-When a run carries a WAL (``--wal``), a worker death mid-window is no
-longer fleet-fatal: the :class:`Supervisor` quarantines the dead
-connection, respawns the slot per its ``tcp_hosts`` placement (bounded by
-``REPRO_TCP_MAX_RESPAWNS``), greets the replacement with ``RECOVER``
-(``WELCOME`` plus the barrier to replay to), and replays it to the
-current barrier from the WAL's window records (the resume log's
+When a run carries a WAL (``ScenarioConfig.wal``), a worker death
+mid-window (a crash, wire garbage, or a SYNC or DONE whose payload does
+not unpickle) is no longer fleet-fatal: the :class:`Supervisor`
+quarantines the dead connection, respawns the slot per its ``tcp_hosts``
+placement (bounded by ``REPRO_TCP_MAX_RESPAWNS``), greets the replacement
+with ``RECOVER`` (``WELCOME`` plus the barrier to replay to), and replays
+it to the current barrier from the WAL's window records (the resume log's
 verified prefix, then the log being appended, read back from disk): the
 newcomer re-executes the workload from scratch, every replayed sync is
 verified field-by-field (frame blobs byte-for-byte) against the log and
 the logged decisions are served back, so it reaches the live barrier
-bit-identical to the worker it replaced and the digest cannot move.
-The shell's one ``select`` covers the listener and every connection, so
+bit-identical to the worker it replaced and the digest cannot move.  The
+shell's one ``select`` covers the listener and every connection, so
 parked workers get PONGs while the slot refills, and a handshake is one
 event per frame with a deadline per step: no connection that is silent,
-half-spoken or hung up can stall them.  Strays that dial in once the fleet
-is up are turned away and counted as quarantined.  Without a WAL the
-crash is a loud abort naming the missing checkpoint.  Recovery counts
+half-spoken or hung up can stall them.  Strays that dial in once the
+fleet is up are turned away and counted as quarantined.  Without a WAL
+the crash is a loud abort naming the missing checkpoint.  Recovery counts
 land in ``StatsCollector.faults`` (never fingerprinted).
 
 The WAL integrates unchanged: the coordinator owns the log
@@ -741,17 +742,24 @@ class Supervisor:
             return self._quarantine(conn, (
                 f"worker {conn} sent unexpected frame kind {kind} out of turn"
             ))
-        self.pending.discard(conn)
         if kind in (_K_SYNC, _K_DONE):
             name = "sync" if kind == _K_SYNC else "done"
-            self.results[conn] = (name, pickle.loads(payload))
+            message, failure = _unpickled(payload)
+            if failure is not None:  # still awaited: its death is handled now
+                return self._quarantine(conn, (
+                    f"worker {conn} sent an undecodable {name} frame at "
+                    f"barrier {self.barrier}: {failure}"
+                ))
+            result = (name, message)
         elif kind == _K_ERROR:
-            self.results[conn] = ("error", payload.decode("utf-8", "replace"))
+            result = ("error", payload.decode("utf-8", "replace"))
         else:
-            self.results[conn] = ("error", (
+            result = ("error", (
                 f"worker {conn} sent unexpected frame kind {kind} at barrier "
                 f"{self.barrier}"
             ))
+        self.pending.discard(conn)
+        self.results[conn] = result
         return self._progress()
 
     def closed(self, conn: Any, reason: str) -> List[tuple]:
@@ -907,7 +915,7 @@ class Supervisor:
         if self.window_records is None:
             failure = (
                 f"{reason}; no WAL checkpoint to replay a replacement worker "
-                "from — run with --wal PATH to enable in-run recovery"
+                "from — set ScenarioConfig.wal to enable in-run recovery"
             )
         elif self.budget <= 0:
             failure = (
@@ -934,8 +942,10 @@ class Supervisor:
             return self._death(shard, payload.decode("utf-8", "replace"))
         if kind != _K_SYNC:
             return self._death(shard, f"sent frame kind {kind}, not a sync")
+        status, failure = _unpickled(payload)
+        if failure is not None:
+            return self._death(shard, f"sent an undecodable sync: {failure}")
         record = self.replaying[shard].pop(0)
-        status = pickle.loads(payload)
         try:
             verify_shard_window(
                 record, shard, status.logged, status.routed, prefix="RECOVER"
@@ -964,6 +974,16 @@ class Supervisor:
         return [("done", [
             (shard, *self.results[shard]) for shard in sorted(self.results)
         ])]
+
+
+def _unpickled(payload: bytes) -> Tuple[Any, Optional[str]]:
+    """``(message, None)``, or ``(None, why)`` for a payload that does not
+    unpickle — garbage, a torn write or nothing at all, which can raise
+    almost any exception."""
+    try:
+        return pickle.loads(payload), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _abort(failure: str, report: Optional[str] = None) -> List[tuple]:

@@ -15,12 +15,12 @@ to reach a consistent state baseline*.
 
 Three operations build on the log:
 
-- **checkpoint** (``ScenarioConfig.wal`` / CLI ``--wal PATH``): every
+- **checkpoint** (``ScenarioConfig.wal``): every
   barrier appends one window record; a commit record with the final
   digest seals a completed run.  Each record is flushed, so a crash at
   window W leaves windows ``0..W-1`` durable (a torn tail is detected by
   length/CRC and ignored).
-- **resume** (``ScenarioConfig.resume`` / CLI ``--resume PATH``):
+- **resume** (``ScenarioConfig.resume``):
   *verified prefix replay*.  Worker heaps hold closures (churn timers,
   protocol callbacks) that cannot be pickled, so the WAL deliberately
   does not snapshot heap state; instead the deterministic workload is
@@ -394,7 +394,7 @@ class WalSession:
     - checkpoint only — fresh log at ``wal``, every window appended;
     - resume in place — verified prefix replay against ``resume``, then
       live appends continue the same file (torn tail truncated);
-    - resume + re-log — ``--resume OLD --wal NEW`` verifies against OLD
+    - resume + re-log — ``resume=OLD, wal=NEW`` verifies against OLD
       while writing the full (verified + live) stream to NEW;
     - verify only — resuming a *committed* log runs the whole workload in
       verify mode and checks the final digest against the commit record.

@@ -1,8 +1,8 @@
 """The call recorder in ``tests/tools/sitecustomize.py`` sees a ``repro`` run
-whole: the CLI process and every shard worker it forks report their own
-(caller, callee) pairs, and no worker repeats the pairs its parent made
-before the fork.  Its ``--unreached`` census lists what the run never
-called."""
+whole: a CLI process, a sharded fleet's parent and every shard worker the
+fleet forks report their own (caller, callee) pairs, and no worker repeats
+the pairs its parent made before the fork.  Its ``--unreached`` census
+lists what the runs never called."""
 
 import importlib.util
 import os
@@ -16,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 CLI = ("main", "cmd_run")
+FLEET = ("run_training_sharded", "ShardedScenario.run")
 WORKER = ("TcpCoordinator._forked_worker", "worker_main")
 
 
@@ -31,22 +32,30 @@ def test_the_recorder_sees_the_cli_and_its_forked_workers(tmp_path):
     shutil.copy(ROOT / "tests" / "tools" / "sitecustomize.py", tmp_path)
     env = dict(
         os.environ,
-        PYTHONPATH=os.pathsep.join([str(tmp_path), str(ROOT / "src")]),
+        PYTHONPATH=os.pathsep.join(
+            [str(tmp_path), str(ROOT / "src"), str(ROOT / "tests")]
+        ),
     )
-    subprocess.run(
-        [
-            sys.executable, "-m", "repro.cli", "run", "--algorithm", "local",
-            "--users", "4", "--docs", "6", "--tags", "4",
-            "--shards", "2", "--executor", "mp",
-        ],
-        cwd=tmp_path, env=env, check=True, capture_output=True, timeout=120,
-    )
+    cli = [
+        "-m", "repro.cli", "run", "--algorithm", "local",
+        "--users", "4", "--docs", "6", "--tags", "4",
+    ]
+    fleet = [
+        "-c", "from determinism_fixtures import run_training_sharded; "
+        "run_training_sharded('local', 'chord', 'none', 2, executor='mp')",
+    ]
+    for argv in (cli, fleet):
+        subprocess.run(
+            [sys.executable, *argv], cwd=tmp_path, env=env, check=True,
+            capture_output=True, timeout=120,
+        )
     dumps = [_pairs(dump) for dump in sorted((tmp_path / "calls").iterdir())]
-    assert len(dumps) == 3  # the CLI and its two forked workers
+    assert len(dumps) == 4  # the CLI, the fleet and its two forked workers
     assert sum(CLI in pairs for pairs in dumps) == 1
+    assert sum(FLEET in pairs for pairs in dumps) == 1
     workers = [pairs for pairs in dumps if WORKER in pairs]
     assert len(workers) == 2
-    assert not any(CLI in pairs for pairs in workers)
+    assert not any(CLI in pairs or FLEET in pairs for pairs in workers)
     # the census mode: every function under src/repro that no dump calls
     census = subprocess.run(
         [

@@ -184,7 +184,9 @@ def test_bad_fault_spec_fails_config_validation():
 # mp runs on the tcp fleet and heals like it: test_mp_heals_a_crash_from_the_wal
 @pytest.mark.parametrize("executor", ["serial"])
 def test_faults_reject_non_tcp_executors(executor):
-    with pytest.raises(ConfigurationError, match="tcp"):
+    """``ShardedScenario.run`` refuses, naming the executor it was given."""
+    refusal = f"tcp and mp executors.*executor={executor!r}"
+    with pytest.raises(ConfigurationError, match=refusal):
         run_training_sharded(
             "pace", "chord", "none", 2, executor=executor, faults="crash@1"
         )
@@ -255,15 +257,18 @@ def test_crash_recovers_to_identical_digest(tmp_path, monkeypatch):
     assert run.stats.faults["worker_deaths"] >= 1
 
 
-def test_mp_heals_a_crash_from_the_wal(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fault", ["crash", "corrupt"])
+def test_mp_heals_a_crash_from_the_wal(fault, tmp_path, monkeypatch):
     """mp is the tcp fleet with every slot forked locally, so a crashed
-    mp worker is respawned and replayed from the WAL like a tcp one."""
+    mp worker, or one that garbles its sync, is quarantined, respawned and
+    replayed from the WAL like a tcp one."""
     monkeypatch.setenv(TCP_TIMEOUT_ENV, "30")
     run = run_training_sharded(
         "pace", "chord", "none", 2, executor="mp",
-        wal=str(tmp_path / "chaos.wal"), faults="seed=3,crash@1",
+        wal=str(tmp_path / "chaos.wal"), faults=f"seed=3,{fault}@1",
     )
     assert run.digest() == golden("chord/pace/none/k2")
+    assert run.stats.faults["worker_deaths"] == 1
     assert run.stats.faults["respawns"] == 1
     assert run.stats.faults["replayed_windows"] >= 1
 
@@ -318,7 +323,7 @@ def test_crash_without_wal_aborts_naming_the_checkpoint(monkeypatch):
     message = str(excinfo.value)
     assert "died mid-window" in message
     assert "no WAL checkpoint" in message
-    assert "--wal" in message
+    assert "ScenarioConfig.wal" in message
 
 
 def test_respawn_budget_bounds_recovery(tmp_path, monkeypatch):

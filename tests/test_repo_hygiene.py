@@ -183,6 +183,15 @@ attribute: the scenario picks ``PeerStreams`` or ``SharedStream`` once and
 every network, churn and activation draw asks that object for a peer's
 stream.  The layout chosen again at six sites, each with its own
 ``None`` fallback, is what this replaced.
+
+(dd) The product trains once.  No ``build_parser()`` subcommand offers
+``--shards``, ``--executor``, ``--wal``, ``--resume`` or ``--faults``;
+``SystemConfig`` has none of the matching fields; and no module under
+``src/repro/core`` imports ``repro.sim.shard``, ``tcpexec``, ``wal`` or
+``faults``.  The sharded kernel is ``ShardedScenario``'s API, proven by
+the sharded suites and the storm benchmark; a tagger that replayed its
+training through the fleet, only to serve every prediction from the flat
+replica, is what this replaced.
 """
 
 import argparse
@@ -926,6 +935,7 @@ REACHED_FROM_OUTSIDE_SRC = {
     "sim/scenario.py:Scenario.construction_cost": _BENCH,
     "sim/scenario.py:Scenario.live_peers": _BENCH,
     "sim/scenario.py:Scenario.register_peer": _BENCH,
+    "sim/shard.py:ShardedScenario": _BENCH,
     "sim/stats.py:StatsCollector.exchange_summary": _BENCH,
     "sim/stats.py:StatsCollector.messages_for": _BENCH,
     "sim/tracestore.py:TraceStore.attach_scenario": _BENCH,
@@ -1375,6 +1385,24 @@ def test_churn_has_no_off_switch_and_events_no_cancel_handle():
     assert plane.started == [3.0]
 
 
+def _cli_options():
+    """Each ``repro`` subcommand's option strings."""
+    from repro.cli import build_parser
+
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    return {
+        name: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+        }
+        for name, parser in subcommands.items()
+    }
+
+
 _PLANE_SCOPES = {"ScenarioConfig", "ScenarioConfig.validate",
                  "config_fingerprint"}
 
@@ -1405,7 +1433,6 @@ def _plane_mentions(text):
 def test_one_control_plane():
     import inspect
 
-    from repro.cli import build_parser
     from repro.sim import barrier, shard, tcpexec
 
     assert _plane_mentions(
@@ -1442,17 +1469,8 @@ def test_one_control_plane():
     assert stray == []
     assert definitions == []
 
-    subcommands = next(
-        action for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ).choices
-    options = {
-        option
-        for parser in subcommands.values()
-        for action in parser._actions
-        for option in action.option_strings
-    }
-    assert "--control-plane" not in options and "--executor" in options
+    options = set().union(*_cli_options().values())
+    assert "--control-plane" not in options and "--overlay" in options
 
     for runner in (barrier.coordinate, shard._run_serial, tcpexec.run_tcp,
                    tcpexec.TcpCoordinator.__init__):
@@ -1542,3 +1560,62 @@ def test_one_randomness_object_per_run():
         assert type(scenario.streams) is layout
         assert scenario.network.streams is scenario.streams
         assert scenario.churn_driver.streams is scenario.streams
+
+
+_SHARDED_RUN_FIELDS = ("shards", "executor", "wal", "resume", "faults")
+_SHARDED_RUN_MODULES = {
+    f"repro.sim.{name}" for name in ("shard", "tcpexec", "wal", "faults")
+}
+
+
+def _sharded_run_imports(text):
+    """``(line, module)`` of every import in ``text`` of a sharded-run
+    module, function-level imports included."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module]
+            names += [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [
+            (node.lineno, name) for name in names
+            if name in _SHARDED_RUN_MODULES
+        ]
+    return sorted(found)
+
+
+def test_the_product_trains_once():
+    from repro.core.tagger import SystemConfig
+
+    assert _sharded_run_imports(
+        "from repro.sim.shard import ShardedScenario\n"
+        "def train():\n"
+        "    from repro.sim import network, wal\n"
+        "import repro.sim.faults as plan, repro.sim.scenario\n"
+    ) == [(1, "repro.sim.shard"), (3, "repro.sim.wal"),
+          (4, "repro.sim.faults")]
+    flags = {f"--{field}" for field in _SHARDED_RUN_FIELDS}
+    commands = _cli_options()
+    assert "--overlay" in commands["run"]  # the scan sees the options
+    offered = {
+        name: sorted(options & flags) for name, options in commands.items()
+    }
+    assert offered == dict.fromkeys(commands, [])
+
+    fields = {field.name for field in dataclasses.fields(SystemConfig)}
+    assert "overlay" in fields
+    assert fields.isdisjoint(_SHARDED_RUN_FIELDS)
+
+    core = ROOT / "src" / "repro" / "core"
+    imports = [
+        f"{path.name}:{line} {module}"
+        for path in sorted(core.rglob("*.py"))
+        for line, module in _sharded_run_imports(
+            path.read_text(encoding="utf-8")
+        )
+    ]
+    assert imports == []

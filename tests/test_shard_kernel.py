@@ -390,28 +390,6 @@ def test_sharded_scenario_rejects_an_unknown_executor():
         ShardedScenario(_config(shards=2), executor="bogus")
 
 
-@pytest.mark.parametrize("executor", ["bogus", "tcp"])
-def test_system_rejects_an_unknown_executor_before_training(
-    executor, monkeypatch
-):
-    """The executor is no scenario field, so SystemConfig judges it: an
-    unknown one stops the system at construction, before any local
-    training or scenario exists.  tcp is unknown here: a system run sets
-    no worker placement or port, so its tcp would be mp."""
-    from repro.core import tagger
-
-    def no_scenario(config):
-        raise AssertionError("a scenario was built")
-
-    monkeypatch.setattr(tagger, "Scenario", no_scenario)
-    config = tagger.SystemConfig(algorithm="nbagg", shards=2, executor=executor)
-    unknown = f"unknown executor '{executor}'"
-    with pytest.raises(ConfigurationError, match=unknown):
-        config.validate()
-    with pytest.raises(ConfigurationError, match=unknown):
-        tagger.P2PDocTaggerSystem(_tiny_corpus(), config)
-
-
 def test_worker_failure_propagates():
     def workload(scenario):
         raise RuntimeError("boom in worker")
@@ -435,74 +413,3 @@ def test_runaway_window_raises_instead_of_hanging():
 
     with pytest.raises(SimulationError, match="did not quiesce"):
         ShardedScenario(_config(shards=2)).run(workload)
-
-
-# ---------------------------------------------------------------------------
-# The user-facing plumbing: SystemConfig.shards / CLI --shards.
-# ---------------------------------------------------------------------------
-
-
-def _tiny_corpus():
-    from repro.data.delicious import DeliciousGenerator
-
-    return DeliciousGenerator(
-        num_users=5, seed=11, num_tags=4, docs_per_user_range=(6, 7),
-        vocabulary_size=150, topic_words_per_tag=20,
-        doc_length_range=(10, 16),
-    ).generate()
-
-
-@pytest.mark.parametrize("churn", ["none", "exponential"])
-def test_system_trains_and_verifies_under_sharding(churn):
-    """SystemConfig.shards >= 1: training replays through the K-shard
-    kernel and the digest cross-check against the local kernel passes —
-    the product-level form of the equivalence theorem."""
-    from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
-
-    system = P2PDocTaggerSystem(
-        _tiny_corpus(),
-        SystemConfig(
-            algorithm="nbagg", churn=churn, mean_session=60.0,
-            mean_downtime=20.0, shards=2, seed=3,
-        ),
-    )
-    assert system.sharded_run is None
-    system.train()
-    run = system.sharded_run
-    assert run is not None and run.shards == 2 and run.executor == "serial"
-    # Predictions serve from the verified local replica.
-    report = system.evaluate(max_documents=5)
-    assert 0.0 <= report.metrics.micro_f1 <= 1.0
-
-
-def test_cli_exposes_shards_and_executor():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(
-        ["run", "--algorithm", "pace", "--shards", "3", "--executor", "mp"]
-    )
-    assert args.shards == 3 and args.executor == "mp"
-    defaults = build_parser().parse_args(["run"])
-    assert defaults.shards == 0 and defaults.executor == "serial"
-
-
-@pytest.mark.parametrize("command", ["run", "compare", "suggest"])
-def test_cli_has_no_worker_placement_option(command, capsys):
-    """The CLI cannot name the coordinator's port, so a placement other
-    than forking every worker here could never connect: it offers no
-    ``--hosts`` and no tcp executor, only mp, which forks every worker
-    locally."""
-    from repro.cli import build_parser
-
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(
-            [command, "--shards", "2", "--executor", "mp", "--hosts", "wait"]
-        )
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --hosts wait" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(
-            [command, "--shards", "2", "--executor", "tcp"]
-        )
-    assert exc.value.code == 2
-    assert "invalid choice: 'tcp'" in capsys.readouterr().err

@@ -44,6 +44,7 @@ from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.shard import DirectoryControlPlane, ShardedScenario
 from repro.sim.tcpexec import (
+    _K_DONE,
     _K_ERROR,
     _K_HELLO,
     _K_JOB,
@@ -610,8 +611,8 @@ def test_recovery_aborts_with_todays_messages():
     (verb, failure, report), = machine.closed(1, "gone")[1:]
     assert failure == (
         "worker 1 died mid-window (no sync/done/error message: gone); no WAL "
-        "checkpoint to replay a replacement worker from — run with --wal "
-        "PATH to enable in-run recovery"
+        "checkpoint to replay a replacement worker from — set "
+        "ScenarioConfig.wal to enable in-run recovery"
     )
     assert report == f"tcp shard worker failed:\n{failure}"
 
@@ -634,6 +635,51 @@ def test_recovery_aborts_with_todays_messages():
     assert failure.startswith(
         "replacement worker for shard 1 failed during WAL replay at window 0"
     )
+
+
+_UNDECODABLE = {
+    "not-a-pickle": b"not a pickle",
+    "truncated": b"\x80\x05\x95",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("payload", _UNDECODABLE.values(),
+                         ids=_UNDECODABLE.keys())
+def test_an_undecodable_sync_is_that_shards_death(payload):
+    """A SYNC (or DONE) whose payload does not unpickle kills its shard,
+    not the coordinator: with a WAL the slot is respawned, without one the
+    fleet aborts naming the shard — in both cases an action, never an
+    exception out of ``frame``."""
+    for kind in (_K_SYNC, _K_DONE):
+        machine, _ = _machine(shards=2, window_records=lambda stop: [])
+        machine.assemble({})
+        _joined(machine, "zero", 0)
+        _joined(machine, "one", 1)
+        assert machine.collect(0) == []
+        assert machine.frame(0, kind, payload) == [
+            ("close", 0), ("spawn", 0)
+        ]
+        assert machine.pending == {0, 1}
+        assert machine.faults["worker_deaths"] == 1
+
+        machine, _ = _machine(shards=2)
+        assert machine.collect(0) == []
+        close, (verb, failure, report) = machine.frame(0, kind, payload)
+        assert (close, verb) == (("close", 0), "abort")
+        assert failure.startswith("worker 0 sent an undecodable ")
+        assert "no WAL checkpoint" in failure
+
+    # a replacement replaying from the WAL is judged the same way
+    machine, _ = _machine(window_records=lambda stop: ["w0"][:stop])
+    machine.collect(1)
+    assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
+    _joined(machine, "replacement", 1)
+    (verb, failure, _), = machine.frame(1, _K_SYNC, payload)
+    assert verb == "abort" and failure.startswith(
+        "replacement worker for shard 1 failed during WAL replay at window 0"
+    )
+    assert "undecodable sync" in failure
 
 
 class _NoWindows:

@@ -164,10 +164,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, names", [
         (["replay", "/nonexistent/run.wal"], "/nonexistent/run.wal"),
-        (["run", "--algorithm", "local", "--shards", "1", "--faults",
-          "crash@1"] + SMALL, "executor='serial'"),
         (["overlay", "--size", "0"], "--size must be >= 1"),
-    ], ids=["replay-missing-log", "faults-on-serial", "overlay-size-0"])
+    ], ids=["replay-missing-log", "overlay-size-0"])
     def test_a_user_error_is_one_line_and_status_2(self, capsys, argv, names):
         assert main(argv) == 2
         captured = capsys.readouterr()
