@@ -23,15 +23,18 @@ synthetic vocabulary plus a background distribution, i.e. a small mixture-of-
 multinomials language model.  That gives classifiers a learnable but noisy
 signal — the same reason SVMs work on real bookmark text.
 
-Text is nearly all of a corpus's draws (~80 per document), so it is drawn by
-:class:`_Pcg64Replay`: numpy's own scalar algorithms replayed in plain Python
-over one block of raw PCG64 words per document.  The stream is bit-identical
-to one scalar ``rng.random()`` / ``rng.integers(n)`` call per draw; that loop
-is the oracle in ``tests/reference/scalar_text.py``.
+Every draw but a user's ``dirichlet`` interest and document count and the
+vocabulary's ``permutation`` is made by :class:`_Pcg64Replay`: numpy's own
+scalar ``random()``, ``integers(n)``, ``poisson(lam)`` and ``choice(k, p=p)``
+replayed in plain Python over blocks of raw PCG64 words, one replay for the
+vocabulary and one per user.  The stream is bit-identical to one numpy call
+per draw; that generator is the oracle in ``tests/reference/scalar_corpus.py``.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import length_hint
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -63,25 +66,35 @@ _PSEUDO_WORDS = sum(
 #: vocabulary_size // 10)`` ids
 _BACKGROUND_HEAD_MIN = 50
 
+#: numpy's ``poisson(lam)`` is the multiplication method for ``lam`` below
+#: this, PTRS at and above it; :meth:`_Pcg64Replay.poisson` replays the first
+_POISSON_MULT_MAX = 10
+#: raw words per block of the vocabulary's replay (~3.5 per pseudo-word)
+_VOCABULARY_BLOCK = 4096
+
 _MASK32 = 0xFFFFFFFF
 _TWO_32 = 1 << 32
 _TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53
 
 
 class _Pcg64Replay:
-    """``Generator.random()`` and ``Generator.integers(n)`` of a PCG64
-    ``rng``, replayed in plain Python over a block of its raw words.
+    """``Generator.random()``, ``integers(n)``, ``poisson(lam)`` and
+    ``choice(k, p=p)`` of a PCG64 ``rng``, replayed in plain Python over a
+    block of its raw words.
 
     Each replays numpy's scalar algorithm exactly: ``random()`` is ``(word
     >> 11) * 2**-53`` over a fresh 64-bit word; ``integers(n)`` is Lemire's
     method over the generator's 32-bit halves — the low half of a fresh
     word first, its high half buffered for the next draw (``has_uint32`` /
     ``uinteger``, carried in from and written back to ``rng``) — and draws
-    nothing when ``n == 1``.  :meth:`close` rewinds ``rng`` to where the
-    replay started and advances it by the words actually used, so draws
-    made on ``rng`` afterwards continue the scalar stream.  ``words`` (>= 1)
-    is the first block's size; a longer run draws further blocks.  Nothing
-    else may draw from ``rng`` between construction and :meth:`close`.
+    nothing when ``n == 1``; ``poisson(lam)`` is the multiplication method
+    numpy uses below ``lam = 10``; ``choice`` is one ``random()`` located in
+    the :func:`_cdf` of ``p`` by ``searchsorted(side="right")``.
+    :meth:`close` rewinds ``rng`` to where the replay started and advances
+    it by the words actually used, so draws made on ``rng`` afterwards
+    continue the scalar stream.  ``words`` (>= 1) is the size of every block
+    drawn.  Nothing else may draw from ``rng`` between construction and
+    :meth:`close`.
     """
 
     __slots__ = ("_bitgen", "_start", "_spent", "_block", "_words", "_has", "_buf")
@@ -130,6 +143,24 @@ class _Pcg64Replay:
                 m = self._half() * n
         return m >> 32
 
+    def poisson(self, lam: float) -> int:
+        """A Poisson draw, ``0 <= lam < _POISSON_MULT_MAX``; no draw when
+        ``lam == 0``."""
+        if lam == 0:
+            return 0
+        enlam = math.exp(-lam)
+        count, prod = 0, 1.0
+        while True:
+            prod *= self.random()
+            if prod > enlam:
+                count += 1
+            else:
+                return count
+
+    def choice(self, cdf: List[float]) -> int:
+        """``choice(len(p), p=p)`` given ``cdf = _cdf(p)``."""
+        return bisect_right(cdf, self.random())
+
     def close(self) -> None:
         bitgen = self._bitgen
         bitgen.state = self._start
@@ -141,15 +172,24 @@ class _Pcg64Replay:
         bitgen.state = state
 
 
-def _make_vocabulary(size: int, rng: np.random.Generator) -> List[str]:
+def _cdf(p: np.ndarray) -> List[float]:
+    """The table ``Generator.choice(len(p), p=p)`` searches, computed as
+    numpy computes it."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _make_vocabulary(size: int, draw: _Pcg64Replay) -> List[str]:
     """Deterministic pseudo-word vocabulary (CVCV[C] syllable strings)."""
     words: List[str] = []
     seen = set()
+    integers = draw.integers
     while len(words) < size:
-        syllables = int(rng.integers(2, 5))
+        syllables = 2 + integers(3)
         word = "".join(
-            _CONSONANTS[int(rng.integers(len(_CONSONANTS)))]
-            + _VOWELS[int(rng.integers(len(_VOWELS)))]
+            _CONSONANTS[integers(len(_CONSONANTS))]
+            + _VOWELS[integers(len(_VOWELS))]
             for _ in range(syllables)
         )
         if word not in seen:
@@ -210,8 +250,21 @@ class GeneratorConfig:
             raise DataError("doc_length_range must satisfy 0 < lo <= hi < 2**32")
         if not 0 < self.mean_tags_per_doc <= self.max_tags_per_doc:
             raise DataError("mean_tags_per_doc must be in (0, max_tags_per_doc]")
-        if self.interest_concentration <= 0:
-            raise DataError("interest_concentration must be positive")
+        if self.mean_tags_per_doc >= 1 + _POISSON_MULT_MAX:
+            raise DataError(
+                f"mean_tags_per_doc must be below {1 + _POISSON_MULT_MAX}: the "
+                "extra tags are Poisson(mean_tags_per_doc - 1), replayed by "
+                "numpy's multiplication method, which serves lam < "
+                f"{_POISSON_MULT_MAX}"
+            )
+        if not 0 <= self.zipf_exponent < math.inf:
+            raise DataError("zipf_exponent must be finite and non-negative")
+        # the user's Dirichlet alphas sum to interest_concentration * num_tags
+        if not 0 < self.interest_concentration * self.num_tags < math.inf:
+            raise DataError(
+                "interest_concentration must be positive, and finite times "
+                "num_tags"
+            )
         if not 0.0 <= self.within_group_bias <= 1.0:
             raise DataError("within_group_bias must be in [0, 1]")
         if self.num_tag_groups < 1 or self.num_tag_groups > self.num_tags:
@@ -278,7 +331,9 @@ class DeliciousGenerator:
         self._tag_groups = group_of
 
         # Vocabulary and per-tag topic word sets (disjoint across tags).
-        self._vocabulary = _make_vocabulary(cfg.vocabulary_size, rng)
+        draw = _Pcg64Replay(rng, _VOCABULARY_BLOCK)
+        self._vocabulary = _make_vocabulary(cfg.vocabulary_size, draw)
+        draw.close()
         permutation = rng.permutation(cfg.vocabulary_size)
         cursor = 0
         for tag in self._tags:
@@ -302,15 +357,20 @@ class DeliciousGenerator:
     def generate(self) -> Corpus:
         cfg = self.config
         rng = self._rng
+        # One raw word for a document's length and at most two per text word
+        # (a roll, then up to two 32-bit halves): about a document a block.
+        block = 1 + 2 * cfg.doc_length_range[1]
         documents: List[Document] = []
         doc_id = 0
         for user_id in range(cfg.num_users):
             interest = self._user_interest(rng)
             lo, hi = cfg.docs_per_user_range
             num_docs = int(rng.integers(lo, hi + 1))
+            cdf = _cdf(interest)
+            draw = _Pcg64Replay(rng, block)
             for _ in range(num_docs):
-                tags = self._sample_tags(interest, rng)
-                text = self._sample_text(tags, rng)
+                tags = self._sample_tags(interest, cdf, draw)
+                text = self._sample_text(tags, draw)
                 documents.append(
                     Document(
                         doc_id=doc_id,
@@ -320,6 +380,7 @@ class DeliciousGenerator:
                     )
                 )
                 doc_id += 1
+            draw.close()
         return Corpus(documents)
 
     def _user_interest(self, rng: np.random.Generator) -> np.ndarray:
@@ -334,16 +395,17 @@ class DeliciousGenerator:
         return rng.dirichlet(alpha)
 
     def _sample_tags(
-        self, interest: np.ndarray, rng: np.random.Generator
+        self, interest: np.ndarray, cdf: List[float], draw: _Pcg64Replay
     ) -> List[str]:
+        """A document's tags; ``cdf`` is ``_cdf(interest)``."""
         cfg = self.config
-        num_tags = 1 + int(rng.poisson(max(0.0, cfg.mean_tags_per_doc - 1.0)))
+        num_tags = 1 + draw.poisson(max(0.0, cfg.mean_tags_per_doc - 1.0))
         num_tags = min(num_tags, cfg.max_tags_per_doc, cfg.num_tags)
-        first = int(rng.choice(cfg.num_tags, p=interest))
+        first = draw.choice(cdf)
         chosen = [first]
         first_groups = set(self._tag_groups[self._tags[first]])
         while len(chosen) < num_tags:
-            if rng.random() < cfg.within_group_bias:
+            if draw.random() < cfg.within_group_bias:
                 # Prefer a tag sharing a concept group with the first tag.
                 candidates = [
                     i
@@ -357,18 +419,15 @@ class DeliciousGenerator:
                 break
             weights = interest[candidates] + 1e-9
             weights = weights / weights.sum()
-            chosen.append(int(rng.choice(candidates, p=weights)))
+            chosen.append(candidates[draw.choice(_cdf(weights))])
         return [self._tags[i] for i in chosen]
 
-    def _sample_text(self, tags: Sequence[str], rng: np.random.Generator) -> str:
+    def _sample_text(self, tags: Sequence[str], draw: _Pcg64Replay) -> str:
         cfg = self.config
         lo, hi = cfg.doc_length_range
         vocabulary = self._vocabulary
         topic_ids = [self._topic_words[tag] for tag in tags]
         head = max(_BACKGROUND_HEAD_MIN, cfg.vocabulary_size // 10)
-        # One raw word for the length and at most two per text word (a roll,
-        # then up to two 32-bit halves): one block unless a draw rejects.
-        draw = _Pcg64Replay(rng, 1 + 2 * hi)
         random, integers = draw.random, draw.integers
         length = lo + integers(hi - lo + 1)
         words: List[str] = []
@@ -384,5 +443,4 @@ class DeliciousGenerator:
             else:
                 # Background word (shared head of the vocabulary).
                 words.append(vocabulary[integers(head)])
-        draw.close()
         return " ".join(words)

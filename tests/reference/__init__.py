@@ -9,9 +9,10 @@ fingerprints byte-for-byte.  ``ml_scalar`` holds the scalar loops of
 prediction; its ``install_scalar_ml`` patches classes for the length of a
 ``monkeypatch`` context instead (models are born inside ``train()``).
 ``compensated_sum`` is CPython 3.12's builtin ``sum``, installable as the
-``sum`` of every ``repro`` module on any interpreter.  ``scalar_text`` is
-the corpus generator's one-numpy-call-per-draw text loop; ``token_chain``
-is the preprocessing chain run one token at a time, with no memo.
+``sum`` of every ``repro`` module on any interpreter.  ``scalar_corpus``
+is the corpus generator with one numpy call per draw — a factory, since
+the vocabulary is drawn in ``__init__``; ``token_chain`` is the
+preprocessing chain run one token at a time, with no memo.
 """
 
 from reference.broadcast import install_per_message_broadcast
@@ -19,7 +20,7 @@ from reference.chord_linear_scan import install_linear_scan
 from reference.ml_scalar import install_per_receiver_hashing, install_scalar_ml
 from reference.per_message_send import install_per_message_send
 from reference.rounds import install_sequential_rounds
-from reference.scalar_text import install_scalar_text
+from reference.scalar_corpus import scalar_generator
 from reference.token_chain import install_token_chain
 
 __all__ = [
@@ -28,7 +29,7 @@ __all__ = [
     "install_per_message_send",
     "install_per_receiver_hashing",
     "install_scalar_ml",
-    "install_scalar_text",
     "install_sequential_rounds",
     "install_token_chain",
+    "scalar_generator",
 ]

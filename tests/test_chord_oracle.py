@@ -197,7 +197,7 @@ def test_a_best_finger_at_address_0_loses_to_the_successor():
     (``tests/test_golden_determinism.py::
     test_sharded_training_digest_matches_golden[chord-nbagg-churn-2]`` is
     the first to fail) and rides the one deliberate re-pin of ROADMAP item
-    3(b); when it lands, this test flips to the direct paths below."""
+    3(a); when it lands, this test flips to the direct paths below."""
     overlay = ChordOverlay()
     for address in range(13):
         overlay.join(address)

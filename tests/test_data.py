@@ -109,6 +109,12 @@ class TestGeneratorConfig:
         ("doc_length_range", dict(doc_length_range=(5, 3))),
         # numpy's "high <= 0"
         ("topic_words_per_tag", dict(topic_words_per_tag=0)),
+        # numpy's "Probabilities contain NaN", from a NaN Zipf popularity ...
+        ("zipf_exponent", dict(zipf_exponent=float("nan"))),
+        ("zipf_exponent", dict(zipf_exponent=-400.0)),  # 12 ** 400 overflows
+        # ... or from a Dirichlet draw over infinite alphas
+        ("interest_concentration", dict(interest_concentration=float("inf"))),
+        ("interest_concentration", dict(interest_concentration=1e308)),
     ])
     def test_configs_that_broke_generation_are_rejected(self, field, overrides):
         with pytest.raises(DataError, match=field):
@@ -122,6 +128,15 @@ class TestGeneratorConfig:
         for lengths in [(0, 10), (1, 2 ** 32)]:  # an empty document; n >= 2**32
             with pytest.raises(DataError, match="doc_length_range"):
                 GeneratorConfig(doc_length_range=lengths).validate()
+
+    def test_draws_the_replay_cannot_serve_are_rejected(self):
+        # poisson(mean_tags_per_doc - 1) is replayed below lam = 10 only
+        wide = dict(max_tags_per_doc=20, num_tags=30)
+        GeneratorConfig(mean_tags_per_doc=10.99, **wide).validate()
+        with pytest.raises(DataError, match="mean_tags_per_doc"):
+            GeneratorConfig(mean_tags_per_doc=11.0, **wide).validate()
+        with pytest.raises(DataError, match="zipf_exponent"):
+            GeneratorConfig(zipf_exponent=float("inf")).validate()
 
 
 class TestDeliciousGenerator:

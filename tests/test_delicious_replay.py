@@ -1,26 +1,59 @@
-"""The corpus generator's PCG64 replay against numpy and against the scalar
-loop it replaced (``tests/reference/scalar_text.py``).
+"""The corpus generator's PCG64 replay against numpy and against the
+one-numpy-call-per-draw generator it replaced
+(``tests/reference/scalar_corpus.py``).
 
-``_Pcg64Replay`` re-implements numpy's scalar ``Generator.random()`` and
-``Generator.integers(n)`` over raw PCG64 words, so it is pinned twice: draw
-for draw against a twin ``np.random.default_rng`` — a numpy release that
-changes either algorithm fails here by name rather than as a wall of golden
-mismatches — and corpus for corpus against the scalar text loop under
-hypothesis, both to the byte and to the generator's final state.
+``_Pcg64Replay`` re-implements numpy's scalar ``Generator.random()``,
+``integers(n)``, ``poisson(lam)`` and ``choice(k, p=p)`` over raw PCG64
+words, so it is pinned twice: draw for draw against a twin
+``np.random.default_rng`` — a numpy release that changes any of the four
+algorithms fails here by name rather than as a wall of golden mismatches —
+and corpus for corpus against the scalar generator under hypothesis: the
+vocabulary, every document and the generator's final state.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import install_scalar_text
-from repro.data.delicious import DeliciousGenerator, _Pcg64Replay
+from reference import scalar_generator
+from repro.data.delicious import DeliciousGenerator, _cdf, _Pcg64Replay
 
 #: 1 draws nothing; 2**31 + 1 rejects about half its 32-bit draws; 3 * 2**30
 #: leaves one of four remainders, a quarter of them equal to the threshold,
 #: so an off-by-one in the threshold or its comparison changes draws
 SIZES = [1, 2, 3, 7, 50, 120, 1200, 2 ** 31 + 1, 3 * 2 ** 30]
+#: 0 draws nothing; 9.999 is the last stretch before numpy switches to PTRS
+LAMS = [0, 0.3, 1, 2, 9.5, 9.999]
+#: zero entries (ties in the cdf), one entry, and a sparse Dirichlet draw
+PS = [
+    np.array([0.0, 0.25, 0.0, 0.0, 0.75, 0.0]),
+    np.array([1.0]),
+    np.random.default_rng(12).dirichlet([0.01] * 12),
+]
+
+
+def _peek(rng):
+    """The next ``rng.random()``, without drawing it."""
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin.random()
+
+
+def _lam_at(u):
+    """A ``lam`` with ``exp(-lam) == u`` exactly, for ``u >= 0.5`` (there
+    ``exp`` steps less than a double's spacing per ``lam`` step, so it hits
+    every ``u``): ``poisson(lam)``'s first product then ties ``exp(-lam)``,
+    which stops the multiplication."""
+    lam = -math.log(u)
+    for _ in range(64):
+        enlam = math.exp(-lam)
+        if enlam == u:
+            return lam
+        lam = math.nextafter(lam, math.inf if enlam > u else -math.inf)
+    raise AssertionError(f"no lam with exp(-lam) == {u!r}")
 
 
 class _CountingReplay(_Pcg64Replay):
@@ -49,6 +82,24 @@ def test_the_replay_draws_what_numpy_draws(carried):
             expected.append(int(twin.integers(n)))
             drawn.append(replay.random())
             expected.append(twin.random())
+        for lam in LAMS:
+            drawn.append(replay.poisson(lam))
+            expected.append(int(twin.poisson(lam)))
+        for p in PS:
+            drawn.append(replay.choice(_cdf(p)))
+            expected.append(int(twin.choice(len(p), p=p)))
+        # the next draw tied on purpose: poisson's stop and choice's
+        # side="right" both decide on equality
+        while _peek(twin) < 0.5:
+            drawn.append(replay.random())
+            expected.append(twin.random())
+        lam = _lam_at(_peek(twin))
+        drawn.append(replay.poisson(lam))
+        expected.append(int(twin.poisson(lam)))
+        u = _peek(twin)
+        p = np.array([u, 0.0, 1.0 - u])  # cdf [u, u, 1.0]
+        drawn.append(replay.choice(_cdf(p)))
+        expected.append(int(twin.choice(len(p), p=p)))
     replay.close()
 
     assert drawn == expected
@@ -73,19 +124,21 @@ def _documents(generator):
     extra_vocabulary=st.integers(0, 400),
     noise_weight=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
     topic_word_weight=st.sampled_from([0.0, 0.4, 0.7, 1.0]),
-    mean_tags_per_doc=st.sampled_from([1.0, 2.0, 3.0]),
+    mean_tags_per_doc=st.floats(1.0, 10.9),
+    within_group_bias=st.sampled_from([0.0, 0.5, 1.0]),
 )
 # the edges, whatever hypothesis draws: one length, one topic word per tag,
-# single-tag documents, no noise or no topic words
+# single-tag documents, no noise or no topic words, the largest Poisson
+# mean the replay serves
 @example(seed=3, lengths=(7, 0), topic_words_per_tag=1, num_tags=3,
          extra_vocabulary=0, noise_weight=0.0, topic_word_weight=1.0,
-         mean_tags_per_doc=1.0)
+         mean_tags_per_doc=1.0, within_group_bias=1.0)
 @example(seed=11, lengths=(1, 30), topic_words_per_tag=1, num_tags=8,
          extra_vocabulary=400, noise_weight=0.05, topic_word_weight=0.0,
-         mean_tags_per_doc=3.0)
-def test_generate_matches_the_scalar_text_loop(
+         mean_tags_per_doc=10.9, within_group_bias=0.0)
+def test_generate_matches_the_scalar_generator(
     seed, lengths, topic_words_per_tag, num_tags, extra_vocabulary,
-    noise_weight, topic_word_weight, mean_tags_per_doc,
+    noise_weight, topic_word_weight, mean_tags_per_doc, within_group_bias,
 ):
     lo, span = lengths  # span 0: every document has length lo
     config = dict(
@@ -94,11 +147,12 @@ def test_generate_matches_the_scalar_text_loop(
         topic_words_per_tag=topic_words_per_tag,
         vocabulary_size=max(50, num_tags * topic_words_per_tag) + extra_vocabulary,
         noise_weight=noise_weight, topic_word_weight=topic_word_weight,
-        mean_tags_per_doc=mean_tags_per_doc,
+        mean_tags_per_doc=mean_tags_per_doc, max_tags_per_doc=11,
+        within_group_bias=within_group_bias,
     )
     replayed = DeliciousGenerator(**config)
-    scalar = DeliciousGenerator(**config)
-    install_scalar_text(scalar)
+    scalar = scalar_generator(**config)
 
+    assert replayed._vocabulary == scalar._vocabulary
     assert _documents(replayed) == _documents(scalar)
     assert replayed._rng.bit_generator.state == scalar._rng.bit_generator.state
