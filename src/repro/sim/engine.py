@@ -188,15 +188,16 @@ class Simulator:
         """
         now = self._now
         counter = self._sequence
+        # The counter zips last, so it advances once per scheduled row.
         if args_seq is None:
             entries = [
-                (now + delay, next(counter), callback, ())
-                for delay in delays
+                (now + delay, seq, callback, ())
+                for delay, seq in zip(delays, counter)
             ]
         else:
             entries = [
-                (now + delay, next(counter), callback, args)
-                for delay, args in zip(delays, args_seq)
+                (now + delay, seq, callback, args)
+                for delay, args, seq in zip(delays, args_seq, counter)
             ]
         return self._push_batch(entries)
 

@@ -8,11 +8,12 @@ which case delivery silently fails — exactly how a UDP overlay sees churn.
 One send core, three entry points, all RNG-equivalent:
 :meth:`PhysicalNetwork.send_batch` (a same-tick block of materialized
 messages) and :meth:`PhysicalNetwork.broadcast_block` (one payload to many
-recipients, constant columns kept scalar, messages materialized lazily at
-delivery) each present a :class:`SendBlock` to
-:meth:`PhysicalNetwork._send_block`, the only place a block is gated
-(loopback on the columns, liveness and ownership once per distinct
-source), observed, charged, drawn and scheduled;
+recipients, messages materialized lazily at delivery) each present a
+:class:`SendBlock` to :meth:`PhysicalNetwork._send_block`, the only place a
+block is gated (loopback on the columns, liveness and ownership once per
+distinct source), observed, charged, drawn and scheduled.  A fan-out, and
+a message block whose rows share one source and one shape, keep their
+constant columns scalar, so the core decides each gate once for them;
 :meth:`PhysicalNetwork.send` is the n = 1 specialisation of the same five
 steps, which the core also takes row by row whenever draws must interleave
 per message (a loss model) or the block has fewer than two rows.  numpy
@@ -41,6 +42,10 @@ from repro.sim.stats import StatsCollector
 DeliveryHandler = Callable[[Message], None]
 BlockListener = Callable[["SendBlock"], None]
 
+#: the columns a one-source, one-shape block keeps scalar
+_SHAPE = operator.attrgetter("src", "msg_type", "size_bytes", "wire_bytes",
+                             "hops")
+
 
 class SendBlock:
     """One same-tick block of send attempts, struct-of-arrays.
@@ -51,12 +56,12 @@ class SendBlock:
     of a per-message callback.  Columns follow the
     :class:`~repro.sim.exchange.ExchangeFrame` SoA convention: each of
     ``src``/``dst``/``msg_type``/``size_bytes``/``wire_bytes``/``hops`` is
-    either a scalar (constant over the block — how a broadcast ships its
-    shared type and size without expansion) or a sequence of length
-    ``count``.  ``time`` is the shared send tick.  Consumers that need
-    per-record values use :meth:`column` or :meth:`rows`; columnar
-    consumers (the trace store) read the raw attributes and broadcast
-    scalars themselves.
+    either a scalar (constant over the block — how a fan-out, or a block
+    of messages from one source in one shape, ships its shared source,
+    type and sizes without expansion) or a sequence of length ``count``.
+    ``time`` is the shared send tick.  Consumers that need per-record
+    values use :meth:`column` or :meth:`rows`; columnar consumers (the
+    trace store) read the raw attributes and broadcast scalars themselves.
     """
 
     __slots__ = ("time", "count", "src", "dst", "msg_type", "size_bytes",
@@ -91,12 +96,15 @@ _MIX_MULT_A = 0x9E3779B97F4A7C15
 _MIX_MULT_B = 0xBF58476D1CE4E5B9
 _MIX_MULT_C = 0x94D049BB133111EB
 _U64 = 0xFFFFFFFFFFFFFFFF
-#: the same constants as numpy scalars (built once, not per call)
-_NP_MULT_A = np.uint64(_MIX_MULT_A)
-_NP_MULT_B = np.uint64(_MIX_MULT_B)
-_NP_MULT_C = np.uint64(_MIX_MULT_C)
-_NP_PAIR_SALT = np.uint64(0x1F0A2F)
-_NP_11, _NP_27, _NP_30, _NP_31 = (np.uint64(n) for n in (11, 27, 30, 31))
+#: the same constants as 0-d ``uint64`` arrays, built once: a ufunc takes
+#: a 0-d array operand faster than a numpy scalar, with the same result
+_NP_MULT_A, _NP_MULT_B, _NP_MULT_C, _NP_PAIR_SALT = (
+    np.array(n, dtype=np.uint64)
+    for n in (_MIX_MULT_A, _MIX_MULT_B, _MIX_MULT_C, 0x1F0A2F)
+)
+_NP_11, _NP_27, _NP_30, _NP_31 = (
+    np.array(n, dtype=np.uint64) for n in (11, 27, 30, 31)
+)
 
 
 def pair_mix64(src: int, dst: int) -> int:
@@ -434,16 +442,30 @@ class PhysicalNetwork:
         return bool(self._block_listeners)
 
     def _message_block(self, messages: Sequence[Message]) -> SendBlock:
-        """The SoA view of a same-tick block of materialized messages."""
+        """The SoA view of a same-tick block of materialized messages.
+
+        When every row shares one source and one shape (``msg_type``,
+        ``size_bytes``, ``wire_bytes``, ``hops``) those five columns stay
+        scalars — the fan-out form :meth:`broadcast_block` builds, so the
+        core gates, charges and draws such a block once (a one-row block
+        always has this form).  Otherwise all six columns are lists.
+        """
+        shapes = list(map(_SHAPE, messages))
+        if shapes and shapes.count(shapes[0]) == len(shapes):
+            src, msg_type, size, wire, hops = shapes[0]
+        else:
+            src, msg_type, size, wire, hops = (
+                list(map(list, zip(*shapes))) or ([], [], [], [], [])
+            )
         return SendBlock(
             time=self.simulator.now,
             count=len(messages),
-            src=[m.src for m in messages],
+            src=src,
             dst=[m.dst for m in messages],
-            msg_type=[m.msg_type for m in messages],
-            size_bytes=[m.size_bytes for m in messages],
-            wire_bytes=[m.wire_bytes for m in messages],
-            hops=[m.hops for m in messages],
+            msg_type=msg_type,
+            size_bytes=size,
+            wire_bytes=wire,
+            hops=hops,
         )
 
     def _notify(self, block: SendBlock) -> None:
@@ -570,23 +592,25 @@ class PhysicalNetwork:
         """Gate, observe, charge, draw and schedule one same-tick block —
         the only place a block meets any of the five.
 
-        ``block`` holds the columns of ``messages`` (all lists), or a
-        fan-out of one ``payload`` (``messages`` is None and every column
-        but ``dst`` is a scalar, so the gates are scalar decisions).  A
-        loopback anywhere rejects the block before any side effect.
-        Liveness and ownership are facts about a *source* that nothing
-        inside a same-tick block can change, so both are decided once per
-        distinct source; the survivors are charged, mixed, drawn and
-        scheduled together.  With loss enabled the drop and jitter draws
-        interleave per message, and one row is a plain :meth:`send`: both
-        go row by row.  Returns the per-row sent flags.
+        ``block`` holds the columns of ``messages``, or a fan-out of one
+        ``payload`` (``messages`` is None, delivered lazily).  A scalar
+        ``src`` column — a fan-out, or messages that share one source and
+        one shape (:meth:`_message_block`) — makes every gate a scalar
+        decision: one ``is_up``, one ``_owns``, one bulk charge, one
+        stream.  A mixed block decides liveness and ownership once per
+        distinct source, facts nothing inside a same-tick block can
+        change, and narrows to the owned, then the live sources.  A
+        loopback anywhere rejects the block before any side effect.  With
+        loss enabled the drop and jitter draws interleave per message, and
+        one row is a plain :meth:`send`: both go row by row.  Returns the
+        per-row sent flags.
         """
         srcs, dsts = block.src, block.dst
-        fanout = messages is None
-        if (srcs in dsts) if fanout else any(map(operator.eq, srcs, dsts)):
+        mixed = isinstance(srcs, list)
+        if any(map(operator.eq, srcs, dsts)) if mixed else (srcs in dsts):
             raise SimulationError("loopback messages need no network")
         if self.latency.drop_probability > 0 or block.count < 2:
-            if fanout:
+            if messages is None:
                 messages = [
                     Message(src=srcs, dst=dst, msg_type=block.msg_type,
                             payload=payload, size_bytes=block.size_bytes,
@@ -594,32 +618,42 @@ class PhysicalNetwork:
                     for dst in dsts
                 ]
             return [self.send(message) for message in messages]
-        sources = {srcs} if fanout else set(srcs)
-        up = {src: self.is_up(src) for src in sources}
-        results = (
-            np.full(block.count, up[srcs]) if fanout
-            else [up[src] for src in srcs]
-        )
-        # A fan-out has one source and no messages to narrow: it passes a
-        # cut whole or stops at it.
-        owned = set(filter(self._owns, sources))
-        if len(owned) < len(sources):
-            # Replicas only report the (identical) outcome; each attempt is
-            # observed, charged and scheduled once, on its source's owner.
-            messages = [m for m in messages or () if m.src in owned]
-            if not messages:
+        if not mixed:
+            # One source: the block passes each cut whole or stops at it.
+            up = self.is_up(srcs)
+            results = (
+                np.full(block.count, up) if messages is None
+                else [up] * block.count
+            )
+            if not self._owns(srcs):
+                # Replicas only report the (identical) outcome.
                 return results
-            block = self._message_block(messages)
-        if self._block_listeners:
-            self._notify(block)
-        if not all(map(up.get, owned)):
-            messages = [m for m in messages or () if up[m.src]]
-            if not messages:
+            if self._block_listeners:
+                self._notify(block)
+            if not up:
                 return results
-            block = self._message_block(messages)
+        else:
+            sources = set(srcs)
+            up = {src: self.is_up(src) for src in sources}
+            results = [up[src] for src in srcs]
+            owned = set(filter(self._owns, sources))
+            if len(owned) < len(sources):
+                # Each attempt is observed, charged and scheduled once, on
+                # its source's owner.
+                messages = [m for m in messages if m.src in owned]
+                if not messages:
+                    return results
+                block = self._message_block(messages)
+            if self._block_listeners:
+                self._notify(block)
+            if not all(map(up.get, owned)):
+                messages = [m for m in messages if up[m.src]]
+                if not messages:
+                    return results
+                block = self._message_block(messages)
         self.stats.record_messages(block)
         delays = self._block_delays(block).tolist()
-        if fanout:
+        if messages is None:
             msg_type, size, wire = (
                 block.msg_type, block.size_bytes, block.wire_bytes
             )
@@ -636,8 +670,9 @@ class PhysicalNetwork:
     def _block_delays(self, block: SendBlock) -> np.ndarray:
         """Delivery delays for a live same-tick block.
 
-        Each distinct source maps to its stream.  One stream (one source,
-        or the shared layout) draws once over the whole block; per-peer
+        A scalar ``src`` draws once from its stream over the whole block.
+        A mixed block maps each distinct source to its stream: one stream
+        (the shared layout) draws once over the whole block; per-peer
         streams draw once per source over its rows in block order, sources
         in order of first appearance.  Either way each stream is consumed
         in the same per-message order as sequential :meth:`send` calls, so
@@ -646,11 +681,14 @@ class PhysicalNetwork:
         srcs = block.src
         sizes = np.empty(block.count)
         sizes[:] = block.size_bytes  # a scalar column fills, a list converts
-        distinct = dict.fromkeys(srcs) if isinstance(srcs, list) else (srcs,)
-        rng_of = {src: self.streams.net_rng(src) for src in distinct}
-        streams = set(rng_of.values())
-        if len(streams) == 1:
-            (rng,) = streams
+        if not isinstance(srcs, list):
+            rng = self.streams.net_rng(srcs)
+        else:
+            distinct = dict.fromkeys(srcs)
+            rng_of = {src: self.streams.net_rng(src) for src in distinct}
+            streams = set(rng_of.values())
+            rng = streams.pop() if len(streams) == 1 else None
+        if rng is not None:
             jitters = self.latency.delays_for(sizes, rng)
         else:
             rows: Dict[int, List[int]] = {src: [] for src in distinct}

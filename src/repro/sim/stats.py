@@ -122,14 +122,13 @@ class StatsCollector:
         hops: int = 1,
         wire_bytes: Optional[int] = None,
     ) -> None:
-        """Account a one-to-many block in bulk (vectorized broadcast path).
+        """Account a one-source, one-shape block in bulk.
 
-        Exactly equivalent to ``len(dsts)`` :meth:`record_traffic` calls with
-        the same ``msg_type``/``size_bytes``/``src``/``hops``/``wire_bytes``
-        — the per-type and per-src counters are bumped with one arithmetic
-        operation each, and the per-destination received bytes in one
-        ``Counter.update``.  ``dsts`` must be distinct addresses (broadcast
-        recipient sets are).
+        Exactly equivalent to one :meth:`record_traffic` call per ``dsts``
+        row, in row order, with the same ``msg_type``/``size_bytes``/
+        ``src``/``hops``/``wire_bytes`` — the per-type and per-src counters
+        are bumped with one arithmetic operation each, and each row credits
+        its destination's received bytes, so ``dsts`` may repeat.
         """
         count = len(dsts)
         if count == 0:
@@ -144,7 +143,10 @@ class StatsCollector:
         self.hops_by_type[msg_type] += hops * count
         self.per_peer_bytes[src] += total * count
         self.per_peer_wire_bytes[src] += wire_total * count
-        self.per_peer_received.update(dict.fromkeys(dsts, size_bytes))
+        received = self.per_peer_received
+        get = received.get  # a miss skips Counter.__missing__
+        for dst in dsts:
+            received[dst] = get(dst, 0) + size_bytes
         if wire_total != total:
             self._compressed = True
 
@@ -157,13 +159,12 @@ class StatsCollector:
         :meth:`delta_since` — and the WAL bytes pickled from it — cannot
         tell the two apart).  Consecutive rows that agree on everything but
         the destination are charged with one arithmetic operation per
-        family; destinations may repeat.  A fan-out block (constant columns
-        kept scalar, told by its ``msg_type``) to distinct destinations is
-        :meth:`record_message_block`'s case and never expands a column.
+        family; destinations may repeat.  A block with a scalar ``src``
+        (the network keeps a one-source, one-shape block's five constant
+        columns scalar) is :meth:`record_message_block`'s case and never
+        expands a column.
         """
-        if isinstance(block.msg_type, str) and (
-            len(set(block.dst)) == block.count
-        ):
+        if not isinstance(block.src, list):
             return self.record_message_block(
                 block.msg_type, block.size_bytes, block.src, block.dst,
                 block.hops, block.wire_bytes,

@@ -7,6 +7,8 @@ sweeps for *every* registered codec, so adding a codec automatically
 enrolls it in the contract.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -297,13 +299,22 @@ class TestStatsWireCounters:
         }
 
     def test_block_recording_equals_per_message_recording(self):
-        bulk, scalar = StatsCollector(), StatsCollector()
-        bulk.record_message_block(
-            "t", 64, src=3, dsts=[1, 2, 5], hops=2, wire_bytes=40
-        )
-        for dst in (1, 2, 5):
-            scalar.record_traffic("t", 64, hops=2, src=3, dst=dst, wire_bytes=40)
-        assert bulk.fingerprint_bytes() == scalar.fingerprint_bytes()
+        # each row credits its destination, so destinations may repeat, and
+        # every family's keys are first touched in row order, as the WAL's
+        # pickled deltas see them
+        for dsts in ([1, 2, 5], [1, 1, 2, 7, 2, 1]):
+            bulk, scalar = StatsCollector(), StatsCollector()
+            bulk.record_message_block(
+                "t", 64, src=3, dsts=dsts, hops=2, wire_bytes=40
+            )
+            for dst in dsts:
+                scalar.record_traffic(
+                    "t", 64, hops=2, src=3, dst=dst, wire_bytes=40
+                )
+            assert bulk.fingerprint_bytes() == scalar.fingerprint_bytes()
+            assert pickle.dumps(bulk.delta_since({})) == pickle.dumps(
+                scalar.delta_since({})
+            )
 
     def test_merge_folds_wire_counters(self):
         a, b = StatsCollector(), StatsCollector()

@@ -78,9 +78,12 @@ def _fanout(src, offsets, size=120, wire=120):
     return [(src, (src + k) % PEERS, "beta", size, wire, 1) for k in offsets]
 
 
-#: the cases the issue names, run on every invocation: a fan-out to repeated
-#: recipients, to one, to none, from a down origin (then scalar sends and a
-#: block from the same down peer), and a compressed fan-out after recovery
+#: cases run on every invocation: a fan-out to repeated recipients, to one,
+#: to none, from a down origin (then scalar sends and a block from the same
+#: down peer), and a compressed fan-out after recovery; then the one-source
+#: ``send_batch`` blocks random steps almost never draw — to a repeated
+#: destination, from a down source, compressed after recovery, and two rows
+#: from one source in two shapes (which must not collapse to scalars)
 NAMED_CASES = [
     ("fanout", _fanout(0, (1, 2, 2, 5, 1)), []),
     ("fanout", _fanout(3, (4,)), []),
@@ -89,6 +92,10 @@ NAMED_CASES = [
     ("send", _fanout(6, (1,)) + _fanout(2, (3, 3)), []),
     ("batch", _fanout(6, (1, 2)) + _fanout(1, (2,)), []),
     ("fanout", _fanout(6, (1, 2, 3, 4, 5, 6, 7), size=300, wire=40), [6]),
+    ("batch", _fanout(0, (1, 2, 2, 5, 1)), []),
+    ("batch", _fanout(5, (1, 3, 2)), [5]),
+    ("batch", _fanout(5, (2, 4, 4, 6), size=300, wire=40), [5]),
+    ("batch", [(2, 5, "gamma", 90, 90, 3), (2, 7, "alpha", 90, 60, 1)], []),
 ]
 
 
