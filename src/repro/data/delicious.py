@@ -26,18 +26,20 @@ signal — the same reason SVMs work on real bookmark text.
 Every draw but a user's ``dirichlet`` interest and document count and the
 vocabulary's ``permutation`` is made by :class:`_Pcg64Replay`: numpy's own
 scalar ``random()``, ``integers(n)``, ``poisson(lam)`` and ``choice(k, p=p)``
-replayed in plain Python over blocks of raw PCG64 words, one replay for the
-vocabulary and one per user.  The stream is bit-identical to one numpy call
-per draw; that generator is the oracle in ``tests/reference/scalar_corpus.py``.
+replayed in plain Python over chunks of raw PCG64 words, one replay for the
+vocabulary and one per user.  A user's replay (:class:`_TextReplay`) only
+scans where each text word's draws fall, and computes all of the user's
+words in one numpy pass after the last document.  The stream is
+bit-identical to one numpy call per draw; that generator is the oracle in
+``tests/reference/scalar_corpus.py``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import length_hint
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -69,18 +71,24 @@ _BACKGROUND_HEAD_MIN = 50
 #: numpy's ``poisson(lam)`` is the multiplication method for ``lam`` below
 #: this, PTRS at and above it; :meth:`_Pcg64Replay.poisson` replays the first
 _POISSON_MULT_MAX = 10
-#: raw words per block of the vocabulary's replay (~3.5 per pseudo-word)
-_VOCABULARY_BLOCK = 4096
+#: raw words a replay draws at a time (a user's documents take ~5,500 at the
+#: benchmark's shape); a longer document reserves more chunks
+_CHUNK = 2048
 
 _MASK32 = 0xFFFFFFFF
 _TWO_32 = 1 << 32
 _TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53
+#: a state past every position a replay can reach
+_NEVER = 1 << 62
+#: :class:`_TextReplay`'s state steps ``[has_uint32 == 0, has_uint32 == 1]``
+#: for a word with one 32-bit draw
+_ONE_HALF = bytes((5, 1))
 
 
 class _Pcg64Replay:
     """``Generator.random()``, ``integers(n)``, ``poisson(lam)`` and
-    ``choice(k, p=p)`` of a PCG64 ``rng``, replayed in plain Python over a
-    block of its raw words.
+    ``choice(k, p=p)`` of a PCG64 ``rng``, replayed in plain Python over its
+    raw words.
 
     Each replays numpy's scalar algorithm exactly: ``random()`` is ``(word
     >> 11) * 2**-53`` over a fresh 64-bit word; ``integers(n)`` is Lemire's
@@ -92,12 +100,14 @@ class _Pcg64Replay:
     the :func:`_cdf` of ``p`` by ``searchsorted(side="right")``.
     :meth:`close` rewinds ``rng`` to where the replay started and advances
     it by the words actually used, so draws made on ``rng`` afterwards
-    continue the scalar stream.  ``words`` (>= 1) is the size of every block
-    drawn.  Nothing else may draw from ``rng`` between construction and
-    :meth:`close`.
+    continue the scalar stream.  Raw words are drawn ``words`` (>= 1) at a
+    time, when the replay runs out or :meth:`reserve` asks for more; each
+    draw drops the words used but the last two.  Nothing else may draw from
+    ``rng`` between construction and :meth:`close`.
     """
 
-    __slots__ = ("_bitgen", "_start", "_spent", "_block", "_words", "_has", "_buf")
+    __slots__ = ("_bitgen", "_start", "_chunk", "_spent", "_words", "_pos",
+                 "_has", "_buf")
 
     def __init__(self, rng: np.random.Generator, words: int) -> None:
         bitgen = rng.bit_generator
@@ -105,18 +115,34 @@ class _Pcg64Replay:
         self._start = bitgen.state
         self._has = self._start["has_uint32"]
         self._buf = self._start["uinteger"]
-        self._spent = 0  # words of the blocks before the current one
-        self._block = bitgen.random_raw(words).tolist()
-        self._words = iter(self._block)
+        self._chunk = words
+        self._spent = 0  # words dropped from the front of ``_words``
+        self._words: List[int] = []  # raw word ``_spent + i`` at ``i``
+        self._pos = 0  # words used
+
+    def _extend(self) -> np.ndarray:
+        """Draw the next chunk of raw words."""
+        used = self._pos - 2 - self._spent
+        if used > 0:
+            del self._words[:used]
+            self._spent += used
+        raw = self._bitgen.random_raw(self._chunk)
+        self._words += raw.tolist()
+        return raw
+
+    def reserve(self, count: int) -> None:
+        """Draw chunks until ``count`` words past the position are drawn."""
+        while self._spent + len(self._words) < self._pos + count:
+            self._extend()
 
     def _word(self) -> int:
+        pos = self._pos
+        self._pos = pos + 1
         try:
-            return next(self._words)
-        except StopIteration:
-            self._spent += len(self._block)
-            self._block = self._bitgen.random_raw(len(self._block)).tolist()
-            self._words = iter(self._block)
-            return next(self._words)
+            return self._words[pos - self._spent]
+        except IndexError:
+            self._extend()
+            return self._words[pos - self._spent]
 
     def _half(self) -> int:
         """PCG64's ``next_uint32``: the buffered high half, else the low
@@ -164,12 +190,243 @@ class _Pcg64Replay:
     def close(self) -> None:
         bitgen = self._bitgen
         bitgen.state = self._start
-        # a list iterator's length hint is exactly the words it has left
-        bitgen.advance(self._spent + len(self._block) - length_hint(self._words))
+        bitgen.advance(self._pos)
         state = bitgen.state  # advance() empties the 32-bit buffer
         state["has_uint32"] = self._has
         state["uinteger"] = self._buf
         bitgen.state = state
+
+
+class _TextModel:
+    """What a document's words are drawn from, as :class:`_TextReplay`
+    draws them.
+
+    A word is a roll — ``random()`` — then up to two ``integers``: noise
+    (``roll < noise``) is ``integers(vocabulary_size)``, a topic word
+    (``roll < cut``) is ``integers(len(tags))`` for the tag, then
+    ``integers(topic_words)`` within its topic words, and background is
+    ``integers(head)``.
+    """
+
+    __slots__ = ("lo", "span", "noise", "cut", "vocabulary_size", "head",
+                 "topic_words", "topic_ids", "topic_table", "words")
+
+    def __init__(self, cfg: "GeneratorConfig", topic_ids: List[List[int]],
+                 vocabulary: List[str]) -> None:
+        lo, hi = cfg.doc_length_range
+        self.lo, self.span = lo, hi - lo + 1
+        self.noise = cfg.noise_weight
+        self.cut = cfg.noise_weight + cfg.topic_word_weight
+        self.vocabulary_size = cfg.vocabulary_size
+        self.head = max(_BACKGROUND_HEAD_MIN, cfg.vocabulary_size // 10)
+        self.topic_words = cfg.topic_words_per_tag
+        self.topic_ids = topic_ids  # per tag index
+        self.topic_table = np.array(topic_ids, dtype=np.int64)
+        self.words = np.array(vocabulary, dtype=object)
+
+
+class _TextReplay(_Pcg64Replay):
+    """A user's replay, which also draws each document's text.
+
+    :meth:`text` draws a document's length and then only *scans* its words.
+    Without a retry, each word takes a fresh raw word for its roll, then a
+    32-bit half per ``integers(n)`` with ``n > 1``: one for a noise or
+    background word; for a topic word one for its tag if the document has
+    two or more tags, and one within the tag's topic words if there are two
+    or more.  The tag draws between documents take whole words only, so
+    where each word's draws fall depends on its position ``p``,
+    ``has_uint32`` and its raw word's roll alone.  The scan walks the state
+    ``2·p + has_uint32`` through a step table built once per chunk of raw
+    words, one table per number of halves a topic word takes: ``+1`` (the
+    buffered half, emptied), ``+5`` (a fresh half, the other buffered) or
+    ``+4`` (two halves).  Whenever the buffer is full, it holds the high
+    half of the word before ``p``.
+
+    :meth:`texts` then computes every word of the user's documents in one
+    numpy pass over the recorded states — the halves, the Lemire products
+    ``h·n >> 32``, the topic-table rows and vocabulary ids — and joins each
+    document's slice.
+
+    A word the table cannot step is drawn as numpy draws it (``random`` and
+    ``integers``, retries and all) by :meth:`_scalar_word`: a word within one
+    position of a raw word with a half that would retry for an ``n`` the
+    user draws (a stop), the first word of a document whose buffered half
+    no length draw replaced, and every word of a document whose topic words
+    draw no half.
+    """
+
+    __slots__ = ("_model", "_sizes", "_rejecting", "_chunks", "_steps",
+                 "_stops", "_states", "_lengths", "_tags", "_scalar_ids")
+
+    def __init__(self, rng: np.random.Generator, model: _TextModel) -> None:
+        super().__init__(rng, _CHUNK)
+        self._model = model
+        self._sizes: Set[int] = set()  # the n of every integers(n) seen
+        self._rejecting: List[Tuple[np.uint32, np.uint32]] = []
+        self._chunks: List[np.ndarray] = []
+        # per number of halves a topic word draws: state -> step
+        self._steps = (b"", bytearray(), bytearray())
+        self._stops: List[int] = []  # sorted positions
+        self._states: List[int] = []  # per word, ``2·p + has_uint32``
+        self._lengths: List[int] = []  # per document
+        self._tags: List[List[int]] = []  # per document, tag indices
+        self._scalar_ids: Dict[int, int] = {}  # word index -> vocabulary id
+        for n in (model.vocabulary_size, model.head, model.topic_words):
+            self._reject(n)
+
+    def _extend(self) -> np.ndarray:
+        raw = super()._extend()
+        model = self._model
+        roll = (raw >> 11) * _TO_DOUBLE
+        topic = (roll >= model.noise) & (roll < model.cut)
+        self._steps[1].extend(_ONE_HALF * len(raw))
+        # two little-endian bytes per position: (5, 1), or (4, 4) if topic
+        self._steps[2].extend(
+            (topic.astype("<u2") * 0x02FF + 0x0105).astype("<u2").tobytes()
+        )
+        drawn = self._spent + len(self._words)
+        self._stops += _stops(raw, self._rejecting, drawn - len(raw))
+        self._chunks.append(raw)
+        return raw
+
+    def _reject(self, n: int) -> None:
+        """Stop also where ``integers(n)`` retries, in every word drawn so
+        far and every chunk drawn later."""
+        if n in self._sizes:
+            return
+        self._sizes.add(n)
+        if n > 1 and _TWO_32 % n:
+            added = [(np.uint32(n), np.uint32(_TWO_32 % n))]
+            self._rejecting += added
+            if self._chunks:
+                stops = _stops(np.concatenate(self._chunks), added, 0)
+                self._stops = sorted(set(self._stops).union(stops))
+
+    def _next_stop(self, state: int) -> int:
+        """The first state at or past ``state`` within one position of a
+        stop."""
+        stops = self._stops
+        if not stops:
+            return _NEVER
+        # the first stop f with 2·f + 3 >= state
+        at = bisect_left(stops, (state - 2) >> 1)
+        return 2 * stops[at] - 2 if at < len(stops) else _NEVER
+
+    def text(self, tags: List[int]) -> None:
+        """Draw the length of a document tagged ``tags`` (tag indices) and
+        scan its words."""
+        model = self._model
+        length = model.lo + self.integers(model.span)
+        self._lengths.append(length)
+        self._tags.append(tags)
+        self._reject(len(tags))
+        # a topic word's 32-bit draws: its tag, then its word within the tag
+        halves = (len(tags) > 1) + (model.topic_words > 1)
+        if not halves:
+            # a topic word draws no half, so a buffered half outlives it
+            # and the table's "the word before p" no longer holds
+            for _ in range(length):
+                self._scalar_word(tags)
+            return
+        if self._has and model.span == 1:
+            # no length draw: the buffer was filled before the tag draws
+            self._scalar_word(tags)
+            length -= 1
+        steps = self._steps[halves]
+        states = self._states
+        append = states.append
+        while length:
+            self.reserve(2 * length)
+            state = 2 * self._pos + self._has
+            stop = self._next_stop(state)
+            if state >= stop:
+                self._scalar_word(tags)
+                length -= 1
+                continue
+            start = len(states)
+            for _ in range(length):
+                append(state)
+                state += steps[state]
+            if states[-1] >= stop:
+                cut = bisect_left(states, stop, start)
+                state = states[cut]
+                del states[cut:]
+            length -= len(states) - start
+            pos = self._pos = state >> 1
+            self._has = state & 1
+            # numpy keeps the high half of the last word it split, buffered
+            # or not: the word before pos, or before that if the last step
+            # took the buffered half
+            buffered = pos - 1 - (steps[states[-1]] == 1) - self._spent
+            self._buf = self._words[buffered] >> 32
+
+    def _scalar_word(self, tags: List[int]) -> None:
+        """One word, drawn as numpy draws it."""
+        model = self._model
+        integers = self.integers
+        self._states.append(2 * self._pos + self._has)
+        roll = self.random()
+        if roll < model.noise:
+            word = integers(model.vocabulary_size)
+        elif roll < model.cut:
+            ids = model.topic_ids[tags[integers(len(tags))]]
+            word = ids[integers(len(ids))]
+        else:
+            word = integers(model.head)
+        self._scalar_ids[len(self._states) - 1] = word
+
+    def texts(self) -> List[str]:
+        """The text of every document :meth:`text` scanned, in order."""
+        model = self._model
+        raw = np.concatenate(self._chunks)
+        state = np.fromiter(self._states, np.int64, len(self._states))
+        pos = state >> 1
+        has = (state & 1).astype(bool)
+        # a scalar word's halves may lie anywhere: its id is replaced below
+        following = raw.take(pos + 1, mode="clip")
+        first = np.where(has, raw[pos - 1] >> 32, following & _MASK32)
+        second = np.where(has, following & _MASK32, following >> 32)
+        roll = (raw[pos] >> 11) * _TO_DOUBLE
+        noise = roll < model.noise
+        topic = ~noise & (roll < model.cut)
+        counts = np.array([len(tags) for tags in self._tags])
+        doc = np.repeat(np.arange(len(counts)), self._lengths)
+        count = counts[doc]
+        multi = count > 1
+        n = np.where(noise, model.vocabulary_size, np.where(
+            topic, np.where(multi, count, model.topic_words), model.head))
+        ids = ((first * n.astype(np.uint64)) >> 32).astype(np.int64)
+        at = np.flatnonzero(topic)
+        if len(at):
+            multi = multi[at]
+            drawn = ids[at]
+            flat = np.array([i for tags in self._tags for i in tags])
+            offsets = np.cumsum(counts) - counts
+            tag = flat[offsets[doc[at]] + np.where(multi, drawn, 0)]
+            within = ((second[at] * np.uint64(model.topic_words)) >> 32)
+            within = np.where(multi, within.astype(np.int64), drawn)
+            ids[at] = model.topic_table[tag, within]
+        if self._scalar_ids:
+            ids[list(self._scalar_ids)] = list(self._scalar_ids.values())
+        words = model.words[ids].tolist()
+        texts, end = [], 0
+        for length in self._lengths:
+            start, end = end, end + length
+            texts.append(" ".join(words[start:end]))
+        return texts
+
+
+def _stops(raw: np.ndarray, rejecting, base: int) -> List[int]:
+    """The positions (``base`` + index) of the words in ``raw`` with a half
+    ``h`` on which ``integers(n)`` retries, ``h·n mod 2**32 < 2**32 % n``,
+    for some ``(n, 2**32 % n)`` in ``rejecting``."""
+    halves = raw.view(np.uint32)  # either order: both halves are tested
+    product = np.empty_like(halves)
+    retries = np.zeros(len(halves), dtype=bool)
+    for n, threshold in rejecting:
+        np.multiply(halves, n, out=product)
+        retries |= product < threshold
+    return (np.flatnonzero(retries) // 2 + base).tolist()
 
 
 def _cdf(p: np.ndarray) -> List[float]:
@@ -330,8 +587,15 @@ class DeliciousGenerator:
             bridges += 1
         self._tag_groups = group_of
 
+        # The tags sharing a concept group with each tag (itself included).
+        self._group_mates = [
+            [i for i, other in enumerate(self._tags)
+             if set(group_of[tag]) & set(group_of[other])]
+            for tag in self._tags
+        ]
+
         # Vocabulary and per-tag topic word sets (disjoint across tags).
-        draw = _Pcg64Replay(rng, _VOCABULARY_BLOCK)
+        draw = _Pcg64Replay(rng, _CHUNK)
         self._vocabulary = _make_vocabulary(cfg.vocabulary_size, draw)
         draw.close()
         permutation = rng.permutation(cfg.vocabulary_size)
@@ -340,6 +604,9 @@ class DeliciousGenerator:
             ids = permutation[cursor : cursor + cfg.topic_words_per_tag]
             self._topic_words[tag] = [int(i) for i in ids]
             cursor += cfg.topic_words_per_tag
+        self._text = _TextModel(
+            cfg, [self._topic_words[tag] for tag in self._tags], self._vocabulary
+        )
 
     # -- introspection (used by tests and the tag-cloud experiment) -------
 
@@ -357,29 +624,23 @@ class DeliciousGenerator:
     def generate(self) -> Corpus:
         cfg = self.config
         rng = self._rng
-        # One raw word for a document's length and at most two per text word
-        # (a roll, then up to two 32-bit halves): about a document a block.
-        block = 1 + 2 * cfg.doc_length_range[1]
         documents: List[Document] = []
-        doc_id = 0
         for user_id in range(cfg.num_users):
             interest = self._user_interest(rng)
             lo, hi = cfg.docs_per_user_range
             num_docs = int(rng.integers(lo, hi + 1))
             cdf = _cdf(interest)
-            draw = _Pcg64Replay(rng, block)
+            cdfs: Dict[Tuple[int, ...], List[float]] = {}
+            draw = _TextReplay(rng, self._text)
+            drawn = []
             for _ in range(num_docs):
-                tags = self._sample_tags(interest, cdf, draw)
-                text = self._sample_text(tags, draw)
-                documents.append(
-                    Document(
-                        doc_id=doc_id,
-                        text=text,
-                        tags=frozenset(tags),
-                        owner=user_id,
-                    )
-                )
-                doc_id += 1
+                tags = self._sample_tags(interest, cdf, cdfs, draw)
+                draw.text(tags)
+                drawn.append(frozenset([self._tags[i] for i in tags]))
+            for tags, text in zip(drawn, draw.texts()):
+                documents.append(Document(
+                    doc_id=len(documents), text=text, tags=tags, owner=user_id,
+                ))
             draw.close()
         return Corpus(documents)
 
@@ -395,52 +656,32 @@ class DeliciousGenerator:
         return rng.dirichlet(alpha)
 
     def _sample_tags(
-        self, interest: np.ndarray, cdf: List[float], draw: _Pcg64Replay
-    ) -> List[str]:
-        """A document's tags; ``cdf`` is ``_cdf(interest)``."""
+        self,
+        interest: np.ndarray,
+        cdf: List[float],
+        cdfs: Dict[Tuple[int, ...], List[float]],
+        draw: _Pcg64Replay,
+    ) -> List[int]:
+        """A document's tag indices; ``cdf`` is ``_cdf(interest)`` and
+        ``cdfs`` the user's memo of each candidate tuple's cdf."""
         cfg = self.config
         num_tags = 1 + draw.poisson(max(0.0, cfg.mean_tags_per_doc - 1.0))
         num_tags = min(num_tags, cfg.max_tags_per_doc, cfg.num_tags)
         first = draw.choice(cdf)
         chosen = [first]
-        first_groups = set(self._tag_groups[self._tags[first]])
         while len(chosen) < num_tags:
             if draw.random() < cfg.within_group_bias:
                 # Prefer a tag sharing a concept group with the first tag.
-                candidates = [
-                    i
-                    for i in range(cfg.num_tags)
-                    if i not in chosen
-                    and first_groups & set(self._tag_groups[self._tags[i]])
-                ]
+                pool = self._group_mates[first]
             else:
-                candidates = [i for i in range(cfg.num_tags) if i not in chosen]
+                pool = range(cfg.num_tags)
+            candidates = tuple([i for i in pool if i not in chosen])
             if not candidates:
                 break
-            weights = interest[candidates] + 1e-9
-            weights = weights / weights.sum()
-            chosen.append(candidates[draw.choice(_cdf(weights))])
-        return [self._tags[i] for i in chosen]
-
-    def _sample_text(self, tags: Sequence[str], draw: _Pcg64Replay) -> str:
-        cfg = self.config
-        lo, hi = cfg.doc_length_range
-        vocabulary = self._vocabulary
-        topic_ids = [self._topic_words[tag] for tag in tags]
-        head = max(_BACKGROUND_HEAD_MIN, cfg.vocabulary_size // 10)
-        random, integers = draw.random, draw.integers
-        length = lo + integers(hi - lo + 1)
-        words: List[str] = []
-        for _ in range(length):
-            roll = random()
-            if roll < cfg.noise_weight:
-                # Pure noise word.
-                words.append(vocabulary[integers(cfg.vocabulary_size)])
-            elif roll < cfg.noise_weight + cfg.topic_word_weight and topic_ids:
-                # Topic word from one of this document's tags.
-                ids = topic_ids[integers(len(topic_ids))]
-                words.append(vocabulary[ids[integers(len(ids))]])
-            else:
-                # Background word (shared head of the vocabulary).
-                words.append(vocabulary[integers(head)])
-        return " ".join(words)
+            try:
+                candidate_cdf = cdfs[candidates]
+            except KeyError:
+                weights = interest[list(candidates)] + 1e-9
+                candidate_cdf = cdfs[candidates] = _cdf(weights / weights.sum())
+            chosen.append(candidates[draw.choice(candidate_cdf)])
+        return chosen

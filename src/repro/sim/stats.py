@@ -171,8 +171,9 @@ class StatsCollector:
             )
         sizes = block.column("size_bytes")
         received = self.per_peer_received
+        get = received.get  # a miss skips Counter.__missing__
         for dst, size in zip(block.column("dst"), sizes):
-            received[dst] += size
+            received[dst] = get(dst, 0) + size
         runs = itertools.groupby(zip(
             block.column("msg_type"), block.column("src"), sizes,
             block.column("wire_bytes"), block.column("hops"),

@@ -53,7 +53,7 @@ def _generate(generator, rng):
         for _ in range(int(rng.integers(lo, hi + 1))):
             tags = _sample_tags(generator, interest, rng)
             documents.append(Document(
-                doc_id=len(documents), text=_sample_text(generator, tags, rng),
+                doc_id=len(documents), text=sample_text(generator, tags, rng),
                 tags=frozenset(tags), owner=user_id,
             ))
     return Corpus(documents)
@@ -85,7 +85,8 @@ def _sample_tags(generator, interest, rng):
     return [generator.tags[i] for i in chosen]
 
 
-def _sample_text(generator, tags, rng):
+def sample_text(generator, tags, rng):
+    """A document tagged ``tags`` (names): its length, then each word."""
     cfg = generator.config
     vocabulary = generator._vocabulary
     lo, hi = cfg.doc_length_range

@@ -9,9 +9,17 @@ words, so it is pinned twice: draw for draw against a twin
 algorithms fails here by name rather than as a wall of golden mismatches —
 and corpus for corpus against the scalar generator under hypothesis: the
 vocabulary, every document and the generator's final state.
+
+The text scan (``_TextReplay``) steps where no Lemire draw retries and
+hands every other word to the scalar ``integers``; default shapes retry
+about once in 10**7 draws, so two pinned cases reach that hand-over on
+purpose: a corpus whose noise words retry, and a crafted buffered half of
+0 (which retries for every ``n`` that can) ahead of documents that span a
+refill of the replay's words.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +27,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import scalar_generator
-from repro.data.delicious import DeliciousGenerator, _cdf, _Pcg64Replay
+from reference.scalar_corpus import sample_text
+from repro.data import delicious
+from repro.data.delicious import (
+    DeliciousGenerator,
+    _cdf,
+    _Pcg64Replay,
+    _TextReplay,
+)
 
 #: 1 draws nothing; 2**31 + 1 rejects about half its 32-bit draws; 3 * 2**30
 #: leaves one of four remainders, a quarter of them equal to the threshold,
@@ -156,3 +171,91 @@ def test_generate_matches_the_scalar_generator(
     assert replayed._vocabulary == scalar._vocabulary
     assert _documents(replayed) == _documents(scalar)
     assert replayed._rng.bit_generator.state == scalar._rng.bit_generator.state
+
+
+def _count_retries(monkeypatch):
+    """Count the ``integers`` calls that took more than one 32-bit half."""
+    retries = []
+    integers = _Pcg64Replay.integers
+
+    def counting(self, n):
+        pos, has = self._pos, self._has
+        drawn = integers(self, n)
+        if 2 * (self._pos - pos) + has - self._has > 1:  # halves taken
+            retries.append(n)
+        return drawn
+
+    monkeypatch.setattr(_Pcg64Replay, "integers", counting)
+    return retries
+
+
+def test_a_retried_text_draw_matches_the_scalar_generator(monkeypatch):
+    # every word is noise, integers(100_000), which retries on 67,296 of
+    # 2**32 halves; the length draw's n = 1024 never retries.  Seed 2 is
+    # the first whose text retries (found by search)
+    config = dict(
+        num_users=2, seed=2, num_tags=3, docs_per_user_range=(4, 4),
+        doc_length_range=(1024, 2047), vocabulary_size=100_000,
+        noise_weight=1.0, topic_word_weight=0.0,
+    )
+    replayed = DeliciousGenerator(**config)
+    scalar = scalar_generator(**config)
+    retries = _count_retries(monkeypatch)
+
+    assert _documents(replayed) == _documents(scalar)
+    assert replayed._rng.bit_generator.state == scalar._rng.bit_generator.state
+    assert retries == [100_000]
+
+
+@pytest.mark.parametrize("tag_lists", [
+    [[0, 1, 2], [1], [2, 0], [0, 1, 2]],
+    [[1], [0, 1, 2], [2], [1, 2]],
+], ids=["three-tags-first", "one-tag-first"])
+def test_a_carried_buffer_and_a_refill_match_the_scalar_text(
+    monkeypatch, tag_lists
+):
+    # lo == hi draws no length, so the first word takes the carried half: 0,
+    # which retries for every n but 2 (2**32 % n > 0); 3,000 words take
+    # ~4,800 raw words, more than a chunk, so every document spans a refill
+    generator = DeliciousGenerator(num_tags=3, doc_length_range=(3000, 3000))
+    ours, twin = np.random.default_rng(5), np.random.default_rng(5)
+    for rng in (ours, twin):
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        rng.bit_generator.state = state
+    retries = _count_retries(monkeypatch)
+
+    replay = _TextReplay(ours, generator._text)
+    for tags in tag_lists:
+        replay.text(tags)
+    texts = replay.texts()
+    replay.close()
+    expected = [
+        sample_text(generator, [generator.tags[i] for i in tags], twin)
+        for tags in tag_lists
+    ]
+
+    assert texts == expected
+    assert ours.bit_generator.state == twin.bit_generator.state
+    assert replay._pos > len(tag_lists) * delicious._CHUNK
+    assert retries  # the carried 0 retried
+
+
+def test_a_short_document_reserves_words_by_its_drawn_length():
+    # doc_length_range admits 2**20 words, but seed 7212 draws 48 (found by
+    # search); words were once reserved for the longest document the range
+    # admits, 2**21 of them (~100 MiB here)
+    generator = DeliciousGenerator(
+        num_users=1, seed=7212, num_tags=3, topic_words_per_tag=10,
+        vocabulary_size=50, docs_per_user_range=(1, 1),
+        doc_length_range=(1, 2 ** 20),
+    )
+    tracemalloc.start()
+    try:
+        corpus = generator.generate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert len(corpus[0].text.split()) == 48
+    assert peak < 4 * 2 ** 20
