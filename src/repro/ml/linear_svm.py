@@ -12,6 +12,7 @@ largest-magnitude weights (PACE's communication/accuracy knob).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -74,8 +75,10 @@ class LinearSVM:
         epochs: int = 10,
         seed: int = 0,
     ) -> None:
-        if lambda_reg <= 0:
-            raise ConfigurationError("lambda_reg must be positive")
+        if not 0 < lambda_reg < math.inf:
+            raise ConfigurationError(
+                f"lambda_reg must be positive and finite, got {lambda_reg!r}"
+            )
         if epochs <= 0:
             raise ConfigurationError("epochs must be positive")
         self.lambda_reg = lambda_reg

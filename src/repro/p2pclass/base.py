@@ -9,6 +9,7 @@ pluggable interface P2PDocTagger trains and queries.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import (
@@ -81,8 +82,11 @@ def binary_problems(
     dictates).  Tags without local positives are skipped — that peer simply
     contributes nothing for them.
     """
-    if max_negative_ratio <= 0:
-        raise ConfigurationError("max_negative_ratio must be positive")
+    if not 0 < max_negative_ratio < math.inf:
+        raise ConfigurationError(
+            "max_negative_ratio must be positive and finite, "
+            f"got {max_negative_ratio!r}"
+        )
     problems: Dict[str, Tuple[List[SparseVector], List[int]]] = {}
     for tag in tags:
         positives = [item.vector for item in items if tag in item.tags]

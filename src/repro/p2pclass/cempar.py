@@ -16,6 +16,7 @@ contribution — exactly the degradation experiment E4 measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -58,8 +59,22 @@ class CemparConfig:
     def validate(self) -> None:
         if self.num_regions < 1:
             raise ConfigurationError("num_regions must be >= 1")
-        if self.C <= 0 or self.gamma <= 0:
-            raise ConfigurationError("C and gamma must be positive")
+        if not self.C > 0:  # C = inf is the hard-margin SVM
+            raise ConfigurationError(f"C must be positive, got {self.C!r}")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigurationError(
+                f"gamma must be positive and finite, got {self.gamma!r}"
+            )
+        if not 0 < self.max_negative_ratio < math.inf:
+            raise ConfigurationError(
+                "max_negative_ratio must be positive and finite, "
+                f"got {self.max_negative_ratio!r}"
+            )
+        if self.max_cascade_training_size < 1:
+            raise ConfigurationError(
+                "max_cascade_training_size must be >= 1, "
+                f"got {self.max_cascade_training_size!r}"
+            )
 
 
 class _PredictionBlock:

@@ -115,6 +115,20 @@ class TestCempar:
                 fresh_scenario(), PEER_DATA, TAGS, CemparConfig(num_regions=0)
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("C", float("nan")),
+        ("gamma", float("nan")),
+        ("gamma", float("inf")),
+        ("max_cascade_training_size", 0),
+        ("max_negative_ratio", float("nan")),
+    ])
+    def test_config_that_fails_late_is_refused_by_validate(self, field, value):
+        """Each used to pass ``validate``: NaN C and gamma trained empty
+        models, a zero cascade cap raised only after the upload round, and
+        a NaN ratio failed inside ``binary_problems`` without its name."""
+        with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
+            CemparConfig(**{field: value}).validate()
+
     def test_upload_privacy_no_text(self, trained_cempar):
         """CEMPaR messages carry vectors (word ids + counts), never strings."""
         for (tag, region), model in trained_cempar.regional_models.items():

@@ -263,6 +263,69 @@ def test_smo_equals_the_scalar_sweep_on_noisy_overlapping_classes(name):
         _assert_same_smo(svm, data, labels)
 
 
+def _scalar_draws(seed, n, state):
+    """How many scalar ``integers(0, n - 1)`` draws take a fresh generator
+    of ``seed`` to ``state``."""
+    rng = np.random.default_rng(seed)
+    for count in range(10_000):
+        if rng.bit_generator.state == state:
+            return count
+        rng.integers(0, n - 1)
+    raise AssertionError("the state is not a scalar draw count away")
+
+
+def _overlapping_problem(seed, n):
+    rng = np.random.default_rng(seed)
+    data = [v.normalized() for v in
+            _shuffled_vectors(rng, n, ids=14, max_size=8, min_size=1)]
+    labels = rng.choice([-1, 1], n).tolist()
+    labels[:2] = [-1, 1]
+    return data, labels
+
+
+@pytest.mark.parametrize("block, drawn", [
+    pytest.param(96, 96, id="ends_on_the_first_block"),
+    pytest.param(32, 96, id="ends_on_a_later_block_boundary"),
+    pytest.param(100, 100, id="over_draws_and_rewinds"),
+    pytest.param(40, 120, id="refills_more_than_once_then_rewinds"),
+])
+def test_smo_block_draws_replay_the_scalar_sequence(block, drawn, monkeypatch):
+    """The sweep draws its second indices ``_DRAW_BLOCK`` at a time; wherever
+    its 96 draws end against the blocks, the trajectory and the generator's
+    final state are the scalar sweep's."""
+    data, labels = _overlapping_problem(7, 16)
+    svm = KernelSVM(C=1.0, gamma=0.5, seed=7)
+    _, want_rng = ml_scalar.smo_fit(svm, data, labels)
+    used = _scalar_draws(svm.seed, len(data), want_rng.bit_generator.state)
+    assert used == 96 and -(-used // block) * block == drawn
+    monkeypatch.setattr("repro.ml.kernel_svm._DRAW_BLOCK", block)
+    _assert_same_smo(svm, data, labels)
+
+
+def test_smo_with_two_points_consumes_no_draw():
+    """``integers(0, 1)`` is always 0 and takes nothing from the generator,
+    sized or not."""
+    data, labels = [SparseVector({0: 1.0}), SparseVector({1: 1.0})], [1, -1]
+    svm = KernelSVM(seed=4)
+    _assert_same_smo(svm, data, labels)
+    _, rng = _fit_capturing_generator(svm, data, labels)
+    assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
+
+def test_smo_on_one_class_draws_nothing():
+    made = []
+    real = np.random.default_rng
+    with mock.patch.object(
+        np.random, "default_rng", lambda seed: made.append(real(seed)) or made[-1]
+    ):
+        model = KernelSVM(seed=2).fit(
+            [SparseVector({0: 1.0}), SparseVector({1: 2.0}), SparseVector()], [-1] * 3,
+        ).model
+    assert (model.support_vectors, model.bias) == ([], -1.0)
+    fresh = real(2).bit_generator.state
+    assert all(rng.bit_generator.state == fresh for rng in made)
+
+
 def test_unknown_kernel_name_is_refused_at_fit():
     data = [SparseVector({0: 1.0}), SparseVector({1: 1.0})]
     with pytest.raises(ValueError, match="unknown kernel"):

@@ -61,6 +61,11 @@ class TestBinaryProblems:
         with pytest.raises(ConfigurationError):
             binary_problems(ITEMS, ["a"], 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    def test_non_finite_ratio_is_refused_by_name(self, ratio):
+        with pytest.raises(ConfigurationError, match="max_negative_ratio"):
+            binary_problems(ITEMS, ["a"], ratio, np.random.default_rng(0))
+
     def test_deterministic_with_rng(self):
         rng1 = np.random.default_rng(3)
         rng2 = np.random.default_rng(3)

@@ -9,6 +9,9 @@ from repro.ml.linear_svm import LinearSVM, LinearSVMModel
 from repro.ml.sparse import SparseVector
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def make_linearly_separable(n=60, seed=0):
     """Two Gaussian blobs along feature 0/1, labels by which blob."""
     rng = np.random.default_rng(seed)
@@ -83,6 +86,11 @@ class TestLinearSVM:
             LinearSVM(lambda_reg=0.0)
         with pytest.raises(ConfigurationError):
             LinearSVM(epochs=0)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_non_finite_lambda_reg_is_refused(self, value):
+        with pytest.raises(ConfigurationError, match="lambda_reg"):
+            LinearSVM(lambda_reg=value)
 
     def test_accuracy_on_empty_eval_is_one(self):
         vectors, labels = make_linearly_separable(n=10)
@@ -166,6 +174,26 @@ class TestKernelSVM:
             KernelSVM(C=-1.0)
         with pytest.raises(ConfigurationError):
             KernelSVM(gamma=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("C", NAN),
+        ("gamma", NAN),
+        ("gamma", INF),
+        ("tol", NAN),
+        ("max_passes", 0),
+        ("max_iterations", 0),
+    ])
+    def test_settings_that_train_nothing_are_refused(self, field, value):
+        """Each of these used to fit a model with no support vectors and
+        a zero bias, without a word."""
+        with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
+            KernelSVM(**{field: value})
+
+    def test_infinite_C_is_the_hard_margin_svm(self):
+        vectors, labels = make_linearly_separable(n=20)
+        svm = KernelSVM(C=INF).fit(vectors, labels)
+        assert svm.model.num_support_vectors > 0
+        assert _training_accuracy(svm, vectors, labels) == 1.0
 
     def test_deterministic_given_seed(self):
         vectors, labels = make_linearly_separable(n=30)
