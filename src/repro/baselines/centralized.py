@@ -114,14 +114,14 @@ class CentralizedTagger(P2PTagClassifier):
             raise ConfigurationError("no training data reached the server")
 
         rng = np.random.default_rng(cfg.seed)
-        problems = binary_problems(pooled, self.tags, cfg.max_negative_ratio, rng)
-        for tag, (vectors, labels) in sorted(problems.items()):
-            svm = LinearSVM(
-                lambda_reg=cfg.lambda_reg, epochs=cfg.epochs, seed=cfg.seed
-            )
-            svm.fit(vectors, labels)
-            self._models[tag] = svm.model
-            decisions = [svm.decision(v) for v in vectors]
+        problems = sorted(
+            binary_problems(pooled, self.tags, cfg.max_negative_ratio, rng).items()
+        )
+        svm = LinearSVM(lambda_reg=cfg.lambda_reg, epochs=cfg.epochs, seed=cfg.seed)
+        [fitted] = svm.fit_block([[problem for _, problem in problems]])
+        for (tag, (vectors, labels)), model in zip(problems, fitted):
+            self._models[tag] = model
+            decisions = [model.decision(v) for v in vectors]
             self._calibrators[tag] = PlattCalibrator().fit(decisions, labels)
         self._trained = True
 

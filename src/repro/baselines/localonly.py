@@ -55,21 +55,24 @@ class LocalOnlyTagger(P2PTagClassifier):
     def train(self) -> None:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
+        peers = []  # (address, its problems in tag order)
         for address, items in sorted(self.peer_data.items()):
             if not items:
                 continue
             problems = binary_problems(
                 items, self.tags, cfg.max_negative_ratio, rng
             )
+            peers.append((address, sorted(problems.items())))
+        svm = LinearSVM(lambda_reg=cfg.lambda_reg, epochs=cfg.epochs, seed=cfg.seed)
+        fitted = svm.fit_block(
+            [[problem for _, problem in problems] for _, problems in peers]
+        )
+        for (address, problems), peer_models in zip(peers, fitted):
             models: Dict[str, LinearSVMModel] = {}
             calibrators: Dict[str, PlattCalibrator] = {}
-            for tag, (vectors, labels) in sorted(problems.items()):
-                svm = LinearSVM(
-                    lambda_reg=cfg.lambda_reg, epochs=cfg.epochs, seed=cfg.seed
-                )
-                svm.fit(vectors, labels)
-                models[tag] = svm.model
-                decisions = [svm.decision(v) for v in vectors]
+            for (tag, (vectors, labels)), model in zip(problems, peer_models):
+                models[tag] = model
+                decisions = [model.decision(v) for v in vectors]
                 calibrators[tag] = PlattCalibrator().fit(decisions, labels)
             self._models[address] = models
             self._calibrators[address] = calibrators

@@ -69,6 +69,15 @@ class SparseVector:
         vector._squared_norm = None
         return vector
 
+    @classmethod
+    def from_items(cls, keys: Iterable[int], values: Iterable[float]) -> "SparseVector":
+        """``SparseVector(zip(keys, values))`` for distinct int ``keys`` and
+        float ``values``, taken as they are: order kept, exact zeros dropped."""
+        vector = cls.__new__(cls)
+        vector._data = {key: value for key, value in zip(keys, values) if value}
+        vector._squared_norm = None
+        return vector
+
     # -- mapping protocol -----------------------------------------------
 
     def get(self, key: int, default: float = 0.0) -> float:

@@ -75,6 +75,10 @@ class CemparConfig:
                 "max_cascade_training_size must be >= 1, "
                 f"got {self.max_cascade_training_size!r}"
             )
+        if not 0 <= self.upload_window < math.inf:
+            raise ConfigurationError(
+                f"upload_window must be finite and >= 0, got {self.upload_window!r}"
+            )
 
 
 class _PredictionBlock:

@@ -16,6 +16,7 @@ plane: exact global model, cheap statistics upload, per-query routing cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -54,6 +55,10 @@ class NBAggConfig:
             raise ConfigurationError("alpha must be positive")
         if self.vocabulary_size <= 0:
             raise ConfigurationError("vocabulary_size must be positive")
+        if not 0 <= self.upload_window < math.inf:
+            raise ConfigurationError(
+                f"upload_window must be finite and >= 0, got {self.upload_window!r}"
+            )
 
 
 class NBAggClassifier(P2PTagClassifier):

@@ -16,6 +16,7 @@ traffic).  The broadcast uses the overlay's flood primitive when available
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -84,8 +85,16 @@ class PaceConfig:
             raise ConfigurationError("num_clusters must be >= 1")
         if self.max_model_features < 1:
             raise ConfigurationError("max_model_features must be >= 1")
-        if self.distance_smoothing <= 0:
-            raise ConfigurationError("distance_smoothing must be positive")
+        if not 0 < self.distance_smoothing < math.inf:
+            raise ConfigurationError(
+                "distance_smoothing must be positive and finite, "
+                f"got {self.distance_smoothing!r}"
+            )
+        if not 0 <= self.propagation_window < math.inf:
+            raise ConfigurationError(
+                "propagation_window must be finite and >= 0, "
+                f"got {self.propagation_window!r}"
+            )
 
 
 class _PredictionBlock:
@@ -228,28 +237,42 @@ class PaceClassifier(P2PTagClassifier):
         self._trained = True
 
     def _train_local_bundles(self) -> Dict[int, PaceModelBundle]:
+        """Every peer's bundle.  The per-tag problems are built peer by peer
+        (drawing their negatives from ``self._rng`` in that order), trained
+        in one :meth:`LinearSVM.fit_block`, then truncated, calibrated and
+        clustered peer by peer."""
         cfg = self.config
-        bundles: Dict[int, PaceModelBundle] = {}
+        peers = []  # (address, items, its problems in tag order)
         for address, items in sorted(self.peer_data.items()):
             if not items:
                 continue
             problems = binary_problems(
                 items, self.tags, cfg.max_negative_ratio, self._rng
             )
-            if not problems:
-                continue
+            if problems:
+                peers.append((address, items, sorted(problems.items())))
+        svm = LinearSVM(lambda_reg=cfg.lambda_reg, epochs=cfg.epochs, seed=cfg.seed)
+        fitted = svm.fit_block(
+            [[problem for _, problem in problems] for _, _, problems in peers]
+        )
+        bundles: Dict[int, PaceModelBundle] = {}
+        for (address, items, problems), peer_models in zip(peers, fitted):
             models: Dict[str, LinearSVMModel] = {}
             accuracies: Dict[str, float] = {}
             calibration: Dict[str, Tuple[float, float]] = {}
-            for tag, (vectors, labels) in sorted(problems.items()):
-                svm = LinearSVM(
-                    lambda_reg=cfg.lambda_reg, epochs=cfg.epochs, seed=cfg.seed
-                )
-                svm.fit(vectors, labels)
-                truncated = svm.model.truncated(cfg.max_model_features)
+            for (tag, (vectors, labels)), model in zip(problems, peer_models):
+                truncated = model.truncated(cfg.max_model_features)
                 models[tag] = truncated
-                accuracies[tag] = svm.accuracy(vectors, labels)
                 decisions = [truncated.decision(v) for v in vectors]
+                # the accuracy is the full model's, whose decisions these are
+                # when truncation kept every weight
+                full = decisions if truncated is model else [
+                    model.decision(v) for v in vectors
+                ]
+                correct = sum(
+                    1 for d, y in zip(full, labels) if (1 if d >= 0.0 else -1) == y
+                )
+                accuracies[tag] = correct / len(vectors)
                 calibrator = PlattCalibrator().fit(decisions, labels)
                 calibration[tag] = calibrator.parameters()
             clusters = KMeans(

@@ -1,7 +1,8 @@
 """The scalar inner loops of ``repro.ml``: oracles for the array kernels
 (``kernel_by_name`` and the kernel functions it resolves), the cached norm, the
 packed support-vector ``decision``, the shared-table LSH ``signature``, the
-array Gram matrix, the SMO sweep, the Pegasos steps, PACE's hash-once
+array Gram matrix, the SMO sweep, the Pegasos steps (one problem at a time
+where the array kernel trains a block in lockstep), PACE's hash-once
 bundle store, PACE's block prediction and CEMPaR's (one model at a time,
 ``packed_decision`` being the bit-exact form of one model alone).
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, SupportVector
 from repro.ml.kernels import kernel_from_dots
+from repro.ml import linear_svm
 from repro.ml.linear_svm import LinearSVM, LinearSVMModel
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import SparseVector, pack_rows
@@ -32,6 +34,8 @@ from repro.p2pclass.voting import weighted_score
 
 
 Kernel = Callable[[SparseVector, SparseVector], float]
+
+_ARRAY_PEGASOS_BLOCK = linear_svm.pegasos_block
 
 
 def linear_kernel(a: SparseVector, b: SparseVector) -> float:
@@ -205,7 +209,7 @@ def smo_fit(svm, vectors, labels):
 def pegasos_fit(svm, vectors, labels):
     """``LinearSVM.fit``'s two-class body as it was before the array
     Pegasos: a dict of weights, filled in the order steps first touch a
-    feature."""
+    feature.  ``svm`` supplies ``lambda_reg``, ``epochs`` and ``seed``."""
     rng = np.random.default_rng(svm.seed)
     n = len(vectors)
     weights = {}
@@ -231,6 +235,25 @@ def pegasos_fit(svm, vectors, labels):
                 bias += eta * y * 0.1
     final = {fid: scale * value for fid, value in weights.items() if scale * value}
     return LinearSVMModel(weights=SparseVector(final), bias=bias)
+
+
+def pegasos_block(groups, *, lambda_reg, epochs, seed):
+    """``linear_svm.pegasos_block`` one problem at a time: every two-class
+    problem through ``pegasos_fit``, the rest (the refusals and the
+    one-class constant model) through the array kernel alone."""
+    svm = LinearSVM(lambda_reg=lambda_reg, epochs=epochs, seed=seed)
+    models = []
+    for group in groups:
+        models.append([])
+        for vectors, labels in group:
+            if len(vectors) != len(labels) or set(labels) != {-1, 1}:
+                [[model]] = _ARRAY_PEGASOS_BLOCK(
+                    [[(vectors, labels)]], lambda_reg=lambda_reg, epochs=epochs, seed=seed
+                )
+            else:
+                model = pegasos_fit(svm, vectors, labels)
+            models[-1].append(model)
+    return models
 
 
 def decision(model, x):
@@ -354,16 +377,17 @@ def _fit_with(loop, array_fit):
 
 def install_scalar_ml(monkeypatch) -> None:
     """Swap the array forms for their oracles until ``monkeypatch`` is
-    undone.  Class-level, unlike the other ``install_*``: models and
-    indexes are created deep inside ``train()``, so there is no single
-    instance to patch."""
+    undone.  Class- and module-level, unlike the other ``install_*``:
+    models and indexes are created deep inside ``train()``, so there is no
+    single instance to patch."""
     monkeypatch.setattr(SparseVector, "squared_norm", squared_norm)
     monkeypatch.setattr(KernelSVMModel, "decision", decision)
     monkeypatch.setattr(RandomHyperplaneLSH, "signature", signature)
     monkeypatch.setattr(KernelSVM, "fit", _fit_with(
         lambda *problem: smo_fit(*problem)[0], KernelSVM.fit
     ))
-    monkeypatch.setattr(LinearSVM, "fit", _fit_with(pegasos_fit, LinearSVM.fit))
+    # ``LinearSVM.fit`` and ``fit_block`` both resolve the module's kernel
+    monkeypatch.setattr(linear_svm, "pegasos_block", pegasos_block)
     monkeypatch.setattr(PaceClassifier, "_store_bundle", store_bundle)
     monkeypatch.setattr(PaceClassifier, "predict_scores", predict_scores)
     monkeypatch.setattr(_PredictionBlock, "probabilities", regional_probabilities)

@@ -12,6 +12,7 @@ from repro.ml.metrics import micro_f1
 from repro.ml.sparse import SparseVector
 from repro.p2pclass.base import corpus_to_peer_data
 from repro.p2pclass.cempar import CemparClassifier, CemparConfig
+from repro.p2pclass.nbagg import NBAggConfig
 from repro.p2pclass.pace import PaceClassifier, PaceConfig
 from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import Scenario, ScenarioConfig
@@ -129,6 +130,15 @@ class TestCempar:
         with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
             CemparConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_upload_window_that_cannot_schedule_is_refused(self, value):
+        """A negative window raised numpy's bare ``scale < 0`` inside
+        ``train()``; a NaN one trained without a word."""
+        with pytest.raises(ConfigurationError, match=r"\bupload_window\b"):
+            CemparConfig(upload_window=value).validate()
+        with pytest.raises(ConfigurationError, match=r"\bupload_window\b"):
+            NBAggConfig(upload_window=value).validate()
+
     def test_upload_privacy_no_text(self, trained_cempar):
         """CEMPaR messages carry vectors (word ids + counts), never strings."""
         for (tag, region), model in trained_cempar.regional_models.items():
@@ -171,6 +181,27 @@ class TestPace:
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             PaceClassifier(fresh_scenario(), PEER_DATA, TAGS, PaceConfig(top_k=0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("propagation_window", -1.0),
+        ("propagation_window", float("nan")),
+        ("propagation_window", float("inf")),
+        ("distance_smoothing", float("nan")),
+        ("distance_smoothing", float("inf")),
+    ])
+    def test_config_that_fails_late_is_refused_by_validate(self, field, value):
+        """Each used to pass ``validate``: a negative window raised numpy's
+        bare ``scale < 0`` inside ``train()``, a NaN one trained without a
+        word, and a NaN smoothing made every score 0.0."""
+        with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
+            PaceConfig(**{field: value}).validate()
+
+    def test_a_zero_propagation_window_still_trains(self):
+        classifier = PaceClassifier(
+            fresh_scenario(), PEER_DATA, TAGS, PaceConfig(propagation_window=0.0)
+        )
+        classifier.train()
+        assert classifier.models_indexed_at(0) >= NUM_PEERS - 1
 
 
 class TestBaselines:

@@ -43,7 +43,7 @@ from repro.ml.kernel_svm import (
     SupportVector,
 )
 from repro.ml.kernels import gram_matrix
-from repro.ml.linear_svm import LinearSVM, LinearSVMModel
+from repro.ml.linear_svm import LinearSVM, LinearSVMModel, pegasos_block
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import RowTable, SparseVector, pack_rows
 from repro.p2pclass.pace import PaceClassifier, PaceConfig, PaceModelBundle
@@ -419,6 +419,101 @@ def test_pegasos_degenerate_inputs():
     assert LinearSVM(epochs=3).fit(empty, [1, -1]).model.weights.nnz == 0
     constant = LinearSVM().fit([SparseVector({0: 1.0})] * 2, [-1, -1]).model
     assert (constant.bias, constant.weights.nnz) == (-1.0, 0)
+
+
+# -- Pegasos in lockstep: each problem as if trained alone ---------------------------
+
+
+def _random_groups(rng, peers, ids):
+    """``peers`` groups of problems over each peer's own documents: sizes
+    2 to 11 in one call, some problems one-class, an empty document per
+    peer, documents shared by several problems of a peer, and feature ids
+    shared across peers."""
+    groups = []
+    for _ in range(peers):
+        documents = _shuffled_vectors(rng, int(rng.integers(3, 14)), ids, max_size=12)
+        documents[int(rng.integers(len(documents)))] = SparseVector()
+        problems = []
+        for _ in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(2, min(len(documents), 11) + 1))
+            chosen = rng.choice(len(documents), size=n, replace=False).tolist()
+            labels = rng.choice([-1, 1], size=n).tolist()
+            if rng.random() < 0.2:
+                labels = [labels[0]] * n
+            problems.append(([documents[i] for i in chosen], labels))
+        groups.append(problems)
+    return groups
+
+
+def _trained_alone(problem, lambda_reg, epochs, seed):
+    vectors, labels = problem
+    if set(labels) != {-1, 1}:
+        return LinearSVMModel(weights=SparseVector(), bias=float(labels[0]))
+    svm = LinearSVM(lambda_reg=lambda_reg, epochs=epochs, seed=seed)
+    return ml_scalar.pegasos_fit(svm, vectors, labels)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_pegasos_block_trains_each_problem_as_if_alone(seed):
+    """Bias and weights *in order* of every model, against the scalar steps
+    on that problem alone: the step count sorts the active prefix, padding
+    must never reach a real weight, and emission follows the first update."""
+    rng = np.random.default_rng(200 + seed)
+    sizes, one_class, shared = set(), 0, 0
+    for case in range(12):
+        groups = _random_groups(rng, peers=int(rng.integers(1, 5)), ids=30)
+        lambda_reg, epochs = (1e-4, 0.05, 0.5)[case % 3], int(rng.integers(1, 5))
+        got = pegasos_block(groups, lambda_reg=lambda_reg, epochs=epochs, seed=seed)
+        assert [len(models) for models in got] == [len(group) for group in groups]
+        for group, models in zip(groups, got):
+            held = [id(vector) for vectors, _ in group for vector in vectors]
+            shared += len(held) > len(set(held))
+            for problem, model in zip(group, models):
+                want = _trained_alone(problem, lambda_reg, epochs, seed)
+                assert model.bias == want.bias
+                assert list(model.weights.items()) == list(want.weights.items())
+                sizes.add(len(problem[0]))
+                one_class += len(set(problem[1])) == 1
+    assert 2 in sizes and len(sizes) >= 8 and one_class and shared
+
+
+def test_pegasos_block_refuses_what_linear_svm_refuses():
+    good = ([SparseVector({0: 1.0}), SparseVector({1: 1.0})], [1, -1])
+    for bad, message in [
+        (([SparseVector()], [1, -1]), "length mismatch"),
+        (([], []), "empty training set"),
+        (([SparseVector(), SparseVector()], [1, 0]), "labels must be"),
+    ]:
+        with pytest.raises(ConfigurationError, match=message):
+            pegasos_block([[good], [good, bad]], lambda_reg=1e-4, epochs=2, seed=0)
+        with pytest.raises(ConfigurationError, match=message):
+            LinearSVM().fit(*bad)
+    for lambda_reg, epochs in [(0.0, 1), (float("nan"), 1), (1e-4, 0)]:
+        with pytest.raises(ConfigurationError):
+            pegasos_block([[good]], lambda_reg=lambda_reg, epochs=epochs, seed=0)
+        with pytest.raises(ConfigurationError):
+            LinearSVM(lambda_reg=lambda_reg, epochs=epochs)
+    assert pegasos_block([[], []], lambda_reg=1e-4, epochs=2, seed=0) == [[], []]
+
+
+def test_the_scalar_oracle_trains_pace_one_problem_at_a_time(monkeypatch):
+    """With the oracles installed PACE's block is the scalar steps, so an
+    end-to-end comparison against them compares two Pegasos, not one."""
+    calls = []
+    scalar = ml_scalar.pegasos_fit
+    monkeypatch.setattr(
+        ml_scalar, "pegasos_fit", lambda *problem: calls.append(1) or scalar(*problem)
+    )
+    ml_scalar.install_scalar_ml(monkeypatch)
+    classifier = build_classifier("pace", build_scenario("chord", "churn"))
+    classifier.train()
+    models = [
+        model for store in classifier._received.values()
+        for bundle in store.values() for model in bundle.models.values()
+    ]
+    assert len(calls) >= len({id(bundle) for store in classifier._received.values()
+                              for bundle in store.values()}) > 0
+    assert any(model.weights.nnz for model in models)
 
 
 # -- PACE: centroids hashed once per broadcast, buckets unchanged -------------------

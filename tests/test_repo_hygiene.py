@@ -659,6 +659,7 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (ml / "kernel_svm.py", "PackedSupport"),
         (ml / "kernel_svm.py", "KernelSVMModel.decision"),
         (ml / "linear_svm.py", "LinearSVM.fit"),
+        (ml / "linear_svm.py", "pegasos_block"),
         (ml / "sparse.py", "SparseVector.dot"),
         (ml / "sparse.py", "SparseVector.squared_norm"),
         (ml / "sparse.py", "SparseVector.from_weights"),
@@ -673,6 +674,7 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (oracles, "gram_matrix"),
         (oracles, "smo_fit"),
         (oracles, "pegasos_fit"),
+        (oracles, "pegasos_block"),
         (oracles, "probability"),
         (oracles, "predict_scores"),
         (oracles, "packed_decision"),
