@@ -12,6 +12,7 @@ sends the untagged vector to the server and receives scores back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -53,8 +54,12 @@ class CentralizedConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if not 0 < self.lambda_reg < math.inf:
+            raise ConfigurationError(
+                f"lambda_reg must be positive and finite, got {self.lambda_reg!r}"
+            )
         if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
+            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs!r}")
 
 
 class CentralizedTagger(P2PTagClassifier):

@@ -7,6 +7,7 @@ between this baseline and the P2P methods *is* the value of collaboration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -30,8 +31,12 @@ class LocalOnlyConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if not 0 < self.lambda_reg < math.inf:
+            raise ConfigurationError(
+                f"lambda_reg must be positive and finite, got {self.lambda_reg!r}"
+            )
         if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
+            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs!r}")
 
 
 class LocalOnlyTagger(P2PTagClassifier):

@@ -74,7 +74,9 @@ class SparseVector:
         """``SparseVector(zip(keys, values))`` for distinct int ``keys`` and
         float ``values``, taken as they are: order kept, exact zeros dropped."""
         vector = cls.__new__(cls)
-        vector._data = {key: value for key, value in zip(keys, values) if value}
+        vector._data = data = dict(zip(keys, values))
+        if not all(data.values()):
+            vector._data = {key: value for key, value in data.items() if value}
         vector._squared_norm = None
         return vector
 

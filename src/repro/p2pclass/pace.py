@@ -17,6 +17,7 @@ traffic).  The broadcast uses the overlay's flood primitive when available
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -81,8 +82,16 @@ class PaceConfig:
     def validate(self) -> None:
         if self.top_k < 1:
             raise ConfigurationError("top_k must be >= 1")
-        if self.num_clusters < 1:
-            raise ConfigurationError("num_clusters must be >= 1")
+        if not isinstance(self.num_clusters, numbers.Integral) or self.num_clusters < 1:
+            raise ConfigurationError(
+                f"num_clusters must be an integer >= 1, got {self.num_clusters!r}"
+            )
+        if not 0 < self.lambda_reg < math.inf:
+            raise ConfigurationError(
+                f"lambda_reg must be positive and finite, got {self.lambda_reg!r}"
+            )
+        if self.epochs < 1:
+            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs!r}")
         if self.max_model_features < 1:
             raise ConfigurationError("max_model_features must be >= 1")
         if not 0 < self.distance_smoothing < math.inf:
@@ -239,8 +248,9 @@ class PaceClassifier(P2PTagClassifier):
     def _train_local_bundles(self) -> Dict[int, PaceModelBundle]:
         """Every peer's bundle.  The per-tag problems are built peer by peer
         (drawing their negatives from ``self._rng`` in that order), trained
-        in one :meth:`LinearSVM.fit_block`, then truncated, calibrated and
-        clustered peer by peer."""
+        in one :meth:`LinearSVM.fit_block`, clustered in one
+        :meth:`KMeans.fit_block`, then truncated and calibrated peer by
+        peer."""
         cfg = self.config
         peers = []  # (address, items, its problems in tag order)
         for address, items in sorted(self.peer_data.items()):
@@ -255,8 +265,11 @@ class PaceClassifier(P2PTagClassifier):
         fitted = svm.fit_block(
             [[problem for _, problem in problems] for _, _, problems in peers]
         )
+        clustered = KMeans(k=cfg.num_clusters, seed=cfg.seed).fit_block(
+            [[item.vector for item in items] for _, items, _ in peers]
+        )
         bundles: Dict[int, PaceModelBundle] = {}
-        for (address, items, problems), peer_models in zip(peers, fitted):
+        for (address, _, problems), peer_models, clusters in zip(peers, fitted, clustered):
             models: Dict[str, LinearSVMModel] = {}
             accuracies: Dict[str, float] = {}
             calibration: Dict[str, Tuple[float, float]] = {}
@@ -275,9 +288,6 @@ class PaceClassifier(P2PTagClassifier):
                 accuracies[tag] = correct / len(vectors)
                 calibrator = PlattCalibrator().fit(decisions, labels)
                 calibration[tag] = calibrator.parameters()
-            clusters = KMeans(
-                k=cfg.num_clusters, seed=cfg.seed
-            ).fit([item.vector for item in items])
             bundles[address] = PaceModelBundle(
                 origin=address,
                 models=models,

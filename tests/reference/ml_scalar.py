@@ -2,7 +2,8 @@
 (``kernel_by_name`` and the kernel functions it resolves), the cached norm, the
 packed support-vector ``decision``, the shared-table LSH ``signature``, the
 array Gram matrix, the SMO sweep, the Pegasos steps (one problem at a time
-where the array kernel trains a block in lockstep), PACE's hash-once
+where the array kernel trains a block in lockstep), k-means (one group at a
+time where the array kernel clusters a block in lockstep), PACE's hash-once
 bundle store, PACE's block prediction and CEMPaR's (one model at a time,
 ``packed_decision`` being the bit-exact form of one model alone).
 
@@ -10,10 +11,10 @@ Nothing here reads a cache: norms are re-summed on every call and
 hyperplane components are re-drawn per feature id, so these are the loops
 the array forms replaced, one Python operation at a time.  The training
 loops (``squared_norm``, ``dot``, ``gram_matrix``, ``smo_fit``,
-``pegasos_fit``) and PACE's ``predict_scores`` accumulate with an explicit
-``total += term``, never ``sum()``: CPython >= 3.12 compensates ``sum()``
-over floats, and the contract of the array kernels is the plain
-left-to-right sum on every interpreter.
+``pegasos_fit``, ``kmeans_fit``) and PACE's ``predict_scores`` accumulate
+with an explicit ``total += term``, never ``sum()``: CPython >= 3.12
+compensates ``sum()`` over floats, and the contract of the array kernels is
+the plain left-to-right sum on every interpreter.
 """
 
 import functools
@@ -22,9 +23,10 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, SupportVector
 from repro.ml.kernels import kernel_from_dots
-from repro.ml import linear_svm
+from repro.ml import kmeans, linear_svm
 from repro.ml.linear_svm import LinearSVM, LinearSVMModel
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import SparseVector, pack_rows
@@ -36,6 +38,7 @@ from repro.p2pclass.voting import weighted_score
 Kernel = Callable[[SparseVector, SparseVector], float]
 
 _ARRAY_PEGASOS_BLOCK = linear_svm.pegasos_block
+_ARRAY_KMEANS_BLOCK = kmeans.kmeans_block
 
 
 def linear_kernel(a: SparseVector, b: SparseVector) -> float:
@@ -256,6 +259,104 @@ def pegasos_block(groups, *, lambda_reg, epochs, seed):
     return models
 
 
+def mean_vector(vectors):
+    """Sparse mean of a non-empty list of sparse vectors: keys in order of
+    first appearance, each summed in member order from ``0.0``."""
+    accumulator = {}
+    for vector in vectors:
+        for fid, value in vector.items():
+            accumulator[fid] = accumulator.get(fid, 0.0) + value
+    n = float(len(vectors))
+    return SparseVector({fid: value / n for fid, value in accumulator.items()})
+
+
+def distance_squared(a, b):
+    """``a.distance_squared(b)`` over the re-summed norms and ``dot``."""
+    return squared_norm(a) - 2.0 * dot(a, b) + squared_norm(b)
+
+
+def kmeanspp_init(vectors, k, rng):
+    """k-means++ seeding: spread initial centroids proportionally to D^2."""
+    first = int(rng.integers(0, len(vectors)))
+    centroids = [vectors[first]]
+    while len(centroids) < k:
+        distances = np.array(
+            [min(distance_squared(v, c) for c in centroids) for v in vectors]
+        )
+        total = distances.sum()
+        if total <= 0:
+            # All points identical to some centroid; duplicate arbitrarily.
+            centroids.append(vectors[int(rng.integers(0, len(vectors)))])
+            continue
+        probabilities = distances / total
+        choice = int(rng.choice(len(vectors), p=probabilities))
+        centroids.append(vectors[choice])
+    return centroids
+
+
+def kmeans_fit(vectors, k, max_iterations, seed):
+    """``KMeans.fit`` as it was before the array k-means: one
+    ``distance_squared`` and one dict mean at a time, its own
+    ``default_rng(seed)``, and the inertia added left to right from the
+    int 0 (it was a builtin ``sum``)."""
+    if not vectors:
+        raise ConfigurationError("cannot cluster an empty dataset")
+    k = min(k, len(vectors))
+    rng = np.random.default_rng(seed)
+    centroids = kmeanspp_init(vectors, k, rng)
+
+    assignments = [0] * len(vectors)
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        moved = False
+        for i, vector in enumerate(vectors):
+            best = min(
+                range(len(centroids)),
+                key=lambda c: distance_squared(vector, centroids[c]),
+            )
+            if best != assignments[i]:
+                assignments[i] = best
+                moved = True
+        new_centroids = []
+        for c in range(len(centroids)):
+            members = [v for v, a in zip(vectors, assignments) if a == c]
+            if members:
+                new_centroids.append(mean_vector(members))
+            else:
+                # Re-seed an empty cluster at the farthest point.
+                far = max(
+                    vectors,
+                    key=lambda v: min(
+                        distance_squared(v, existing) for existing in centroids
+                    ),
+                )
+                new_centroids.append(far)
+        converged = not moved and all(
+            distance_squared(old, new) < 1e-12
+            for old, new in zip(centroids, new_centroids)
+        )
+        centroids = new_centroids
+        if converged:
+            break
+
+    inertia = 0
+    for vector, assignment in zip(vectors, assignments):
+        inertia += distance_squared(vector, centroids[assignment])
+    return kmeans.KMeansResult(
+        centroids=centroids,
+        assignments=assignments,
+        inertia=inertia,
+        iterations=iterations,
+    )
+
+
+def kmeans_block(groups, *, k, max_iterations, seed):
+    """``kmeans.kmeans_block`` one group at a time through ``kmeans_fit``,
+    after the array kernel has checked the settings."""
+    _ARRAY_KMEANS_BLOCK([], k=k, max_iterations=max_iterations, seed=seed)
+    return [kmeans_fit(group, k, max_iterations, seed) for group in groups]
+
+
 def decision(model, x):
     k = kernel_by_name(model.kernel_name, gamma=model.gamma)
     return (
@@ -388,6 +489,8 @@ def install_scalar_ml(monkeypatch) -> None:
     ))
     # ``LinearSVM.fit`` and ``fit_block`` both resolve the module's kernel
     monkeypatch.setattr(linear_svm, "pegasos_block", pegasos_block)
+    # and ``KMeans.fit`` and ``fit_block`` the k-means one
+    monkeypatch.setattr(kmeans, "kmeans_block", kmeans_block)
     monkeypatch.setattr(PaceClassifier, "_store_bundle", store_bundle)
     monkeypatch.setattr(PaceClassifier, "predict_scores", predict_scores)
     monkeypatch.setattr(_PredictionBlock, "probabilities", regional_probabilities)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.centralized import CentralizedConfig, CentralizedTagger
-from repro.baselines.localonly import LocalOnlyTagger
+from repro.baselines.localonly import LocalOnlyConfig, LocalOnlyTagger
 from repro.baselines.popularity import PopularityTagger
 from repro.data.delicious import DeliciousGenerator
 from repro.data.splits import per_user_split
@@ -188,11 +188,19 @@ class TestPace:
         ("propagation_window", float("inf")),
         ("distance_smoothing", float("nan")),
         ("distance_smoothing", float("inf")),
+        ("num_clusters", 1.5),
+        ("lambda_reg", float("nan")),
+        ("lambda_reg", float("inf")),
+        ("lambda_reg", 0.0),
+        ("epochs", 0),
     ])
     def test_config_that_fails_late_is_refused_by_validate(self, field, value):
         """Each used to pass ``validate``: a negative window raised numpy's
         bare ``scale < 0`` inside ``train()``, a NaN one trained without a
-        word, and a NaN smoothing made every score 0.0."""
+        word, a NaN smoothing made every score 0.0, a fractional cluster
+        count clustered into its ceiling, and the linear SVM's settings were
+        refused only inside ``train()``, without the config's word for
+        them."""
         with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
             PaceConfig(**{field: value}).validate()
 
@@ -223,6 +231,20 @@ class TestBaselines:
             CentralizedTagger(
                 fresh_scenario(), PEER_DATA, TAGS, CentralizedConfig(server=99)
             )
+
+    @pytest.mark.parametrize("config", [LocalOnlyConfig, CentralizedConfig])
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_reg", float("nan")),
+        ("lambda_reg", float("inf")),
+        ("lambda_reg", 0.0),
+        ("lambda_reg", -1e-4),
+        ("epochs", 0),
+    ])
+    def test_linear_svm_settings_are_refused_by_validate(self, config, field, value):
+        """A bad ``lambda_reg`` used to pass ``validate`` and fail only
+        when ``train()`` built its ``LinearSVM``."""
+        with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
+            config(**{field: value}).validate()
 
     def test_local_only_zero_traffic(self):
         classifier = LocalOnlyTagger(fresh_scenario(), PEER_DATA, TAGS)

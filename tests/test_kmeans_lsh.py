@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.ml.kmeans import KMeans, _mean_vector
+from repro.ml.kmeans import KMeans
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import SparseVector
 
@@ -51,6 +51,19 @@ class TestKMeans:
         with pytest.raises(ConfigurationError):
             KMeans(k=0)
 
+    @pytest.mark.parametrize("settings, field", [
+        (dict(k=1.5), "k"),
+        (dict(k=2, max_iterations=0), "max_iterations"),
+        (dict(k=2, max_iterations=-1), "max_iterations"),
+        (dict(k=2, max_iterations=2.5), "max_iterations"),
+    ])
+    def test_settings_it_cannot_run_are_refused(self, settings, field):
+        """Each used to be accepted: ``k=1.5`` yielded two centroids, and
+        ``max_iterations=0`` returned every assignment 0 beside k centroids
+        no Lloyd step had refined."""
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be"):
+            KMeans(**settings)
+
     def test_identical_points(self):
         vectors = [SparseVector({0: 1.0})] * 5
         result = KMeans(k=2, seed=0).fit(vectors)
@@ -63,7 +76,9 @@ class TestKMeans:
         assert r1.assignments == r2.assignments
 
     def test_mean_vector(self):
-        mean = _mean_vector([SparseVector({0: 2.0}), SparseVector({1: 2.0})])
+        mean = KMeans(k=1).fit(
+            [SparseVector({0: 2.0}), SparseVector({1: 2.0})]
+        ).centroids[0]
         assert mean.to_dict() == {0: 1.0, 1: 1.0}
 
 

@@ -43,6 +43,7 @@ from repro.ml.kernel_svm import (
     SupportVector,
 )
 from repro.ml.kernels import gram_matrix
+from repro.ml.kmeans import KMeans, kmeans_block
 from repro.ml.linear_svm import LinearSVM, LinearSVMModel, pegasos_block
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import RowTable, SparseVector, pack_rows
@@ -514,6 +515,161 @@ def test_the_scalar_oracle_trains_pace_one_problem_at_a_time(monkeypatch):
     assert len(calls) >= len({id(bundle) for store in classifier._received.values()
                               for bundle in store.values()}) > 0
     assert any(model.weights.nnz for model in models)
+
+
+def test_the_scalar_oracle_clusters_pace_one_group_at_a_time(monkeypatch):
+    """With the oracles installed PACE's k-means block is ``kmeans_fit``,
+    one peer at a time, so an end-to-end comparison against them compares
+    two k-means, not one; and every bundle's centroids come out the same
+    either way, items in order."""
+    def centroids(classifier):
+        return {
+            origin: [list(centroid.items()) for centroid in bundle.centroids]
+            for store in classifier._received.values()
+            for origin, bundle in store.items()
+        }
+
+    plain = build_classifier("pace", build_scenario("chord", "churn"))
+    plain.train()
+    calls = []
+    scalar = ml_scalar.kmeans_fit
+    monkeypatch.setattr(
+        ml_scalar, "kmeans_fit", lambda *group: calls.append(1) or scalar(*group)
+    )
+    ml_scalar.install_scalar_ml(monkeypatch)
+    classifier = build_classifier("pace", build_scenario("chord", "churn"))
+    classifier.train()
+    assert len(calls) >= len(centroids(classifier)) > 1
+    assert centroids(classifier) == centroids(plain)
+
+
+# -- k-means in lockstep: each group as if clustered alone ---------------------------
+
+
+def _kmeans_groups(rng, count):
+    """``count`` groups of 1 to 24 documents over a small id range, each
+    document in its own order with signed values of mixed magnitude: whole
+    groups of one repeated point, repeated documents, empty documents, and
+    near-twins whose private keys cancel — a mean shorter than its members,
+    so the centroid walks their dots, in an order of its own."""
+    groups = []
+    for _ in range(count):
+        ids = int(rng.integers(4, 16))
+        documents = [
+            SparseVector((key, value * 10.0 ** int(rng.integers(-3, 3)))
+                         for key, value in document.items())
+            for document in _shuffled_vectors(rng, int(rng.integers(1, 25)), ids, ids)
+        ]
+        shape = rng.random()
+        if shape < 0.15:
+            documents = [documents[0]] * len(documents)
+        elif shape < 0.4:
+            documents += [documents[i] for i in rng.integers(len(documents), size=3)]
+        elif shape < 0.8:
+            [full] = _shuffled_vectors(rng, 1, ids, ids, min_size=ids)
+            private = [(ids + 1, 1e-3), (ids + 2, -2e-3)]
+            twin = [(key, value * 1.001) for key, value in reversed(full.items())]
+            for document in (
+                SparseVector(twin + [(key, -value) for key, value in private]),
+                SparseVector(list(full.items()) + private),
+            ):
+                documents.insert(int(rng.integers(len(documents) + 1)), document)
+        groups.append(documents)
+    return groups
+
+
+def _assert_clustered_alone(groups, got, k, max_iterations, seed):
+    """Each result against ``kmeans_fit`` on its group alone: centroid items
+    in order (and which centroids *are* documents), assignments, inertia
+    bits and iteration count."""
+    assert len(got) == len(groups)
+    for group, result in zip(groups, got):
+        want = ml_scalar.kmeans_fit(group, k, max_iterations, seed)
+        assert [list(c.items()) for c in result.centroids] == [
+            list(c.items()) for c in want.centroids
+        ]
+        assert [any(c is d for d in group) for c in result.centroids] == [
+            any(c is d for d in group) for c in want.centroids
+        ]
+        assert result.assignments == want.assignments
+        assert result.inertia.hex() == float(want.inertia).hex()
+        assert result.iterations == want.iterations
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_kmeans_block_clusters_each_group_as_if_alone(seed):
+    """Random blocks (k 1 to 4, 1 to 11 groups), with every path the block
+    must take as the scalar one does counted: k above the group size, a
+    group of one point (k-means++'s ``total <= 0`` draw), an empty cluster
+    re-seeded at the farthest point, an empty document, dots walked by the
+    document and by a shorter centroid, groups of one call stopping at
+    different iterations, and the iteration cap."""
+    rng = np.random.default_rng(300 + seed)
+    seen = dict.fromkeys(
+        ["k > n", "one point", "re-seeded", "empty", "doc walks", "centroid walks",
+         "staggered", "capped"], 0
+    )
+    for _ in range(25):
+        groups = _kmeans_groups(rng, int(rng.integers(1, 12)))
+        k, cap = int(rng.integers(1, 5)), int(rng.choice([1, 2, 3, 50]))
+        got = kmeans_block(groups, k=k, max_iterations=cap, seed=seed)
+        _assert_clustered_alone(groups, got, k, cap, seed)
+        seen["staggered"] += len({result.iterations for result in got}) > 1
+        for group, result in zip(groups, got):
+            seen["k > n"] += k > len(group)
+            seen["one point"] += k > 1 and len(group) > 1 and all(
+                document is group[0] for document in group
+            )
+            seen["re-seeded"] += any(any(c is d for d in group) for c in result.centroids)
+            seen["empty"] += any(not document for document in group)
+            seen["capped"] += result.iterations == cap
+            for document, slot in zip(group, result.assignments):
+                walker = len(document) <= len(result.centroids[slot])
+                seen["doc walks" if walker else "centroid walks"] += 1
+    assert all(seen.values()), seen
+
+
+def test_kmeans_block_of_pace_groups_equals_the_scalar_fits():
+    """The groups a PACE classifier clusters, as one block and as one
+    ``KMeans.fit`` each."""
+    classifier = build_classifier("pace", build_scenario("chord", "churn"))
+    groups = [[item.vector for item in items]
+              for _, items in sorted(classifier.peer_data.items()) if items]
+    assert len(groups) > 1
+    _assert_clustered_alone(
+        groups, kmeans_block(groups, k=2, max_iterations=50, seed=0), 2, 50, 0
+    )
+    _assert_clustered_alone(groups, [KMeans(k=2).fit(group) for group in groups], 2, 50, 0)
+
+
+def test_kmeans_block_edges():
+    """Groups with no entry at all, a lone empty document, and feature ids
+    too far apart to key by (group, id) directly, in one block each."""
+    for groups in (
+        [[SparseVector(), SparseVector()], [SparseVector()]],
+        [[SparseVector(), SparseVector({1: 2.0})], [SparseVector()]],
+        [[SparseVector({-5: 1.0, 2 ** 40: 2.0}), SparseVector({-(2 ** 62): 3.0})]],
+    ):
+        _assert_clustered_alone(
+            groups, kmeans_block(groups, k=3, max_iterations=4, seed=1), 3, 4, 1
+        )
+
+
+def test_kmeans_block_refuses_what_kmeans_refuses():
+    good = [SparseVector({0: 1.0}), SparseVector({1: 1.0})]
+    with pytest.raises(ConfigurationError, match="empty dataset"):
+        kmeans_block([good, []], k=2, max_iterations=5, seed=0)
+    for settings_, field in [
+        (dict(k=1.5, max_iterations=5), "k"),
+        (dict(k=0, max_iterations=5), "k"),
+        (dict(k=2, max_iterations=0), "max_iterations"),
+        (dict(k=2, max_iterations=2.5), "max_iterations"),
+    ]:
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be"):
+            kmeans_block([good], seed=0, **settings_)
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be"):
+            ml_scalar.kmeans_block([good], seed=0, **settings_)
+    assert kmeans_block([], k=2, max_iterations=5, seed=0) == []
 
 
 # -- PACE: centroids hashed once per broadcast, buckets unchanged -------------------

@@ -62,7 +62,8 @@ through the class ``__dict__``, so moving either blinds the ledger's
 
 (m) The array kernels declare the plain left-to-right sum their contract,
 so neither they (``gram_matrix``, ``KernelSVM.fit``, ``LinearSVM.fit``,
-``RowTable.dots``, PACE's ``predict_scores`` and its prediction block), nor
+``RowTable.dots``, the k-means block down to its inertia, PACE's
+``predict_scores`` and its prediction block), nor
 the three ``SparseVector`` sums every digest hangs on (``dot``,
 ``squared_norm`` and the norm ``from_weights`` divides every document
 vector by), nor their oracles in
@@ -660,6 +661,12 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (ml / "kernel_svm.py", "KernelSVMModel.decision"),
         (ml / "linear_svm.py", "LinearSVM.fit"),
         (ml / "linear_svm.py", "pegasos_block"),
+        (ml / "kmeans.py", "kmeans_block"),
+        (ml / "kmeans.py", "_Chunk"),
+        (ml / "kmeans.py", "_kmeanspp"),
+        (ml / "kmeans.py", "_lloyd"),
+        (ml / "kmeans.py", "_results"),
+        (ml / "kmeans.py", "KMeans.fit"),
         (ml / "sparse.py", "SparseVector.dot"),
         (ml / "sparse.py", "SparseVector.squared_norm"),
         (ml / "sparse.py", "SparseVector.from_weights"),
@@ -675,6 +682,9 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (oracles, "smo_fit"),
         (oracles, "pegasos_fit"),
         (oracles, "pegasos_block"),
+        (oracles, "kmeans_fit"),
+        (oracles, "kmeanspp_init"),
+        (oracles, "mean_vector"),
         (oracles, "probability"),
         (oracles, "predict_scores"),
         (oracles, "packed_decision"),

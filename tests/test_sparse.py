@@ -50,6 +50,12 @@ class TestConstruction:
         v = SparseVector([(1, 2.0), (3, 0.0)])
         assert v.to_dict() == {1: 2.0}
 
+    def test_from_items_keeps_order_and_drops_exact_zeros(self):
+        v = SparseVector.from_items([9, 2, 4, 6], [1.0, 0.0, -0.0, -2.5])
+        assert list(v.items()) == [(9, 1.0), (6, -2.5)]
+        v = SparseVector.from_items([9, 2, 4], [1.0, 3.0, -2.5])
+        assert list(v.items()) == [(9, 1.0), (2, 3.0), (4, -2.5)]
+
     def test_missing_key_is_zero(self):
         v = sv({1: 1.0})
         assert v[999] == 0.0
