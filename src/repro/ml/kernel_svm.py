@@ -20,8 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, NotTrainedError
-from repro.ml.kernels import gram_matrix, kernel_from_dots
+from repro.ml.kernels import KERNEL_NAMES, PairDots, gram_matrix, kernel_from_dots
 from repro.ml.sparse import SparseVector, pack_rows
+
+Problem = Tuple[Sequence[SparseVector], Sequence[int]]
 
 #: Second indices SMO draws per numpy call (a median ``tag-cempar`` fit
 #: draws 34).
@@ -119,9 +121,29 @@ class KernelSVMModel:
             packed = self._packed = PackedSupport([self])
         return packed.decisions(x)[0]
 
-    def release_pack(self) -> None:
-        """Let go of the pack; a later ``decision`` builds it again."""
-        self._packed = None
+    def decisions_from(
+        self, table: PairDots, vectors: Sequence[SparseVector]
+    ) -> List[float]:
+        """``decision(x)`` for each of ``vectors``, bit for bit, read off
+        ``table``'s dots (it must hold them and the support vectors); no
+        pack is built.  ``table.by_row[x, sv]`` is the dot the pack sums,
+        in the support vector's order; the kernel is the pack's
+        ``np.exp`` through ``kernel_from_dots``, and each margin one
+        ``ddot`` over a C-contiguous row, as the pack's is (a strided row
+        or one ``gemv`` over the block sums in other orders)."""
+        support = [sv.vector for sv in self.support_vectors]
+        dots = np.ascontiguousarray(
+            table.by_row[np.ix_(table.rows(vectors), table.rows(support))]
+        )
+        values = kernel_from_dots(
+            self.kernel_name, dots,
+            np.array([v.squared_norm() for v in support], float),
+            np.array([v.squared_norm() for v in vectors], float)[:, None],
+            gamma=self.gamma,
+        )
+        dot = np.array([sv.alpha * sv.label for sv in self.support_vectors], float).dot
+        bias = self.bias
+        return [float(dot(row)) + bias for row in values]
 
     @property
     def num_support_vectors(self) -> int:
@@ -178,6 +200,10 @@ class KernelSVM:
             raise ConfigurationError(
                 f"tol must be non-negative and finite, got {tol!r}"
             )
+        if kernel_name not in KERNEL_NAMES:
+            raise ConfigurationError(
+                f"kernel_name must be one of {KERNEL_NAMES}, got {kernel_name!r}"
+            )
         if max_passes < 1 or max_iterations < 1:
             raise ConfigurationError(
                 "max_passes and max_iterations must be >= 1, "
@@ -197,26 +223,52 @@ class KernelSVM:
     def fit(
         self, vectors: Sequence[SparseVector], labels: Sequence[int]
     ) -> "KernelSVM":
-        """Train on labels in {-1, +1}; one-class input yields a constant model."""
-        if len(vectors) != len(labels):
-            raise ConfigurationError("vectors and labels length mismatch")
-        if not vectors:
-            raise ConfigurationError("cannot fit on an empty training set")
-        unique = set(labels)
-        if not unique <= {-1, 1}:
-            raise ConfigurationError(f"labels must be in {{-1, +1}}, got {unique}")
-        if len(unique) == 1:
-            only = float(next(iter(unique)))
-            self._model = KernelSVMModel(
-                support_vectors=[], bias=only, gamma=self.gamma,
+        """Train on labels in {-1, +1}: the one-problem case of
+        :meth:`fit_block`."""
+        [self._model] = self.fit_block([(vectors, labels)])
+        return self
+
+    def fit_block(
+        self, problems: Sequence[Problem], table: Optional[PairDots] = None
+    ) -> List[KernelSVMModel]:
+        """One model per ``(vectors, labels)`` problem, trained with these
+        settings, each bit for bit the problem fitted alone; ``model`` is
+        left as it is.  One-class input yields a constant model.
+
+        Every Gram is read from one :class:`~repro.ml.kernels.PairDots`:
+        ``table``, which must hold every vector of a two-class problem, or
+        one built over every problem's vectors (none when no problem has
+        two classes).  A peer's per-tag problems share its documents, so
+        their dots are summed once for all of them.
+        """
+        two_class = []
+        for vectors, labels in problems:
+            if len(vectors) != len(labels):
+                raise ConfigurationError("vectors and labels length mismatch")
+            if not vectors:
+                raise ConfigurationError("cannot fit on an empty training set")
+            unique = set(labels)
+            if not unique <= {-1, 1}:
+                raise ConfigurationError(f"labels must be in {{-1, +1}}, got {unique}")
+            two_class.append(len(unique) == 2)
+        if table is None and any(two_class):
+            table = PairDots([vector for vectors, _ in problems for vector in vectors])
+        return [
+            self._smo(vectors, labels, table) if both else KernelSVMModel(
+                support_vectors=[], bias=float(labels[0]), gamma=self.gamma,
                 kernel_name=self.kernel_name,
             )
-            return self
+            for (vectors, labels), both in zip(problems, two_class)
+        ]
 
+    def _smo(
+        self, vectors: Sequence[SparseVector], labels: Sequence[int], table: PairDots
+    ) -> KernelSVMModel:
+        """The two-class fit: SMO over the Gram read from ``table``."""
         n = len(vectors)
         C, tol = float(self.C), self.tol
         y = [float(label) for label in labels]
-        K = gram_matrix(list(vectors), self.kernel_name, self.gamma)
+        K = gram_matrix(vectors, self.kernel_name, self.gamma, table)
         entries = K.tolist()  # scalar reads; the row dots keep the array rows
         # ``dot(rows[k])`` is the ``cblas_ddot`` that ``np.dot(signed, K[k])``
         # calls, without its dispatch or a fresh row view per call
@@ -319,13 +371,12 @@ class KernelSVM:
             for i in range(n)
             if alphas[i] > 1e-8
         ]
-        self._model = KernelSVMModel(
+        return KernelSVMModel(
             support_vectors=support,
             bias=bias,
             gamma=self.gamma,
             kernel_name=self.kernel_name,
         )
-        return self
 
     # ------------------------------------------------------------------
 

@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.ml.calibration import PlattCalibrator
 from repro.ml.kernel_svm import KernelSVM, KernelSVMModel
+from repro.ml.kernels import PairDots
 from repro.ml.sparse import SparseVector
 
 
@@ -106,18 +107,20 @@ def cascade_merge(
             training_accuracy=1.0,
         )
 
+    # One table of the pool's dots trains the model and scores the pool for
+    # its Platt fit; it goes with this call.  No pack is built: queries score
+    # every regional model from one block, and a pack kept per model would
+    # only sit in peak RSS.
+    table = PairDots(vectors)
     svm = KernelSVM(C=C, gamma=gamma, kernel_name=kernel_name, seed=seed)
-    svm.fit(vectors, labels)
-    decisions = [svm.decision(v) for v in vectors]
-    # queries score every regional model from one block (CEMPaR packs it on
-    # the first of them); a pack kept per model would only sit in peak RSS
-    svm.model.release_pack()
+    [model] = svm.fit_block([(vectors, labels)], table)
+    decisions = model.decisions_from(table, vectors)
     calibrator = PlattCalibrator().fit(decisions, labels)
     correct = sum(
         1 for d, y in zip(decisions, labels) if (1 if d >= 0 else -1) == y
     )
     return CascadeModel(
-        svm=svm.model,
+        svm=model,
         calibrator=calibrator,
         training_size=len(labels),
         training_accuracy=correct / len(labels),

@@ -17,6 +17,7 @@ contribution — exactly the degradation experiment E4 measures.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, PackedSupport
+from repro.ml.kernels import KERNEL_NAMES
 from repro.ml.sparse import SparseVector
 from repro.overlay.superpeer import SuperPeerDirectory
 from repro.p2pclass.base import P2PTagClassifier, PeerData, binary_problems
@@ -57,8 +59,10 @@ class CemparConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.num_regions < 1:
-            raise ConfigurationError("num_regions must be >= 1")
+        if not isinstance(self.num_regions, numbers.Integral) or self.num_regions < 1:
+            raise ConfigurationError(
+                f"num_regions must be an integer >= 1, got {self.num_regions!r}"
+            )
         if not self.C > 0:  # C = inf is the hard-margin SVM
             raise ConfigurationError(f"C must be positive, got {self.C!r}")
         if not 0 < self.gamma < math.inf:
@@ -70,9 +74,16 @@ class CemparConfig:
                 "max_negative_ratio must be positive and finite, "
                 f"got {self.max_negative_ratio!r}"
             )
-        if self.max_cascade_training_size < 1:
+        if self.kernel_name not in KERNEL_NAMES:
             raise ConfigurationError(
-                "max_cascade_training_size must be >= 1, "
+                f"kernel_name must be one of {KERNEL_NAMES}, got {self.kernel_name!r}"
+            )
+        if (
+            not isinstance(self.max_cascade_training_size, numbers.Integral)
+            or self.max_cascade_training_size < 1
+        ):
+            raise ConfigurationError(
+                "max_cascade_training_size must be an integer >= 1, "
                 f"got {self.max_cascade_training_size!r}"
             )
         if not 0 <= self.upload_window < math.inf:
@@ -183,15 +194,17 @@ class CemparClassifier(P2PTagClassifier):
         problems = binary_problems(
             self.peer_data[address], self.tags, cfg.max_negative_ratio, rng
         )
-        for tag, (vectors, labels) in sorted(problems.items()):
-            svm = KernelSVM(
-                C=cfg.C,
-                gamma=cfg.gamma,
-                kernel_name=cfg.kernel_name,
-                seed=cfg.seed,
-            )
-            svm.fit(vectors, labels)
-            self._send_model(address, tag, region, svm.model)
+        tags = sorted(problems)
+        # one block per peer: its per-tag problems share its documents, so
+        # their Grams come from one table of the peer's dot products
+        models = KernelSVM(
+            C=cfg.C,
+            gamma=cfg.gamma,
+            kernel_name=cfg.kernel_name,
+            seed=cfg.seed,
+        ).fit_block([problems[tag] for tag in tags])
+        for tag, model in zip(tags, models):
+            self._send_model(address, tag, region, model)
 
     def _send_model(
         self, address: int, tag: str, region: int, model: KernelSVMModel

@@ -1,9 +1,12 @@
 """The scalar inner loops of ``repro.ml``: oracles for the array kernels
 (``kernel_by_name`` and the kernel functions it resolves), the cached norm, the
 packed support-vector ``decision``, the shared-table LSH ``signature``, the
-array Gram matrix, the SMO sweep, the Pegasos steps (one problem at a time
-where the array kernel trains a block in lockstep), k-means (one group at a
-time where the array kernel clusters a block in lockstep), PACE's hash-once
+array Gram matrix, the SMO sweep (one problem at a time where the array
+block reads every Gram from one table of dot products, and one scalar
+``decision`` per vector where a cascade scores its training set off that
+table), the Pegasos steps (one problem at a time where the array kernel
+trains a block in lockstep), k-means (one group at a time where the array
+kernel clusters a block in lockstep), PACE's hash-once
 bundle store, PACE's block prediction and CEMPaR's (one model at a time,
 ``packed_decision`` being the bit-exact form of one model alone).
 
@@ -38,6 +41,7 @@ from repro.p2pclass.voting import weighted_score
 Kernel = Callable[[SparseVector, SparseVector], float]
 
 _ARRAY_PEGASOS_BLOCK = linear_svm.pegasos_block
+_ARRAY_FIT_BLOCK = KernelSVM.fit_block
 _ARRAY_KMEANS_BLOCK = kmeans.kmeans_block
 
 
@@ -463,17 +467,24 @@ def predict_scores(classifier, origin, vector):
     return {tag: weighted_score(votes[tag]) for tag in classifier.tags}
 
 
-def _fit_with(loop, array_fit):
-    """A ``fit`` that runs ``loop`` for a well-formed two-class problem and
-    leaves validation and the one-class constant model to ``array_fit``."""
+def fit_block(svm, problems, table=None):
+    """``KernelSVM.fit_block`` one problem at a time, ``table`` unread: each
+    well-formed two-class problem through ``smo_fit`` over its own scalar
+    Gram, and validation and the one-class constant model left to the
+    array block."""
+    return [
+        smo_fit(svm, vectors, labels)[0]
+        if len(vectors) == len(labels) and set(labels) == {-1, 1}
+        else _ARRAY_FIT_BLOCK(svm, [(vectors, labels)])[0]
+        for vectors, labels in problems
+    ]
 
-    def fit(self, vectors, labels):
-        if len(vectors) != len(labels) or set(labels) != {-1, 1}:
-            return array_fit(self, vectors, labels)
-        self._model = loop(self, vectors, labels)
-        return self
 
-    return fit
+def decisions_from(model, table, vectors):
+    """``KernelSVMModel.decisions_from`` as the cascade scored its training
+    set before the table: one scalar ``decision`` per vector, ``table``
+    unread."""
+    return [decision(model, x) for x in vectors]
 
 
 def install_scalar_ml(monkeypatch) -> None:
@@ -484,9 +495,9 @@ def install_scalar_ml(monkeypatch) -> None:
     monkeypatch.setattr(SparseVector, "squared_norm", squared_norm)
     monkeypatch.setattr(KernelSVMModel, "decision", decision)
     monkeypatch.setattr(RandomHyperplaneLSH, "signature", signature)
-    monkeypatch.setattr(KernelSVM, "fit", _fit_with(
-        lambda *problem: smo_fit(*problem)[0], KernelSVM.fit
-    ))
+    # ``KernelSVM.fit`` is ``fit_block``'s one-problem case
+    monkeypatch.setattr(KernelSVM, "fit_block", fit_block)
+    monkeypatch.setattr(KernelSVMModel, "decisions_from", decisions_from)
     # ``LinearSVM.fit`` and ``fit_block`` both resolve the module's kernel
     monkeypatch.setattr(linear_svm, "pegasos_block", pegasos_block)
     # and ``KMeans.fit`` and ``fit_block`` the k-means one

@@ -121,12 +121,19 @@ class TestCempar:
         ("gamma", float("nan")),
         ("gamma", float("inf")),
         ("max_cascade_training_size", 0),
+        ("max_cascade_training_size", 2.5),
         ("max_negative_ratio", float("nan")),
+        ("kernel_name", "sigmoid"),
+        ("num_regions", 1.5),
+        ("num_regions", 2.0),
     ])
     def test_config_that_fails_late_is_refused_by_validate(self, field, value):
         """Each used to pass ``validate``: NaN C and gamma trained empty
-        models, a zero cascade cap raised only after the upload round, and
-        a NaN ratio failed inside ``binary_problems`` without its name."""
+        models, a zero cascade cap raised only after the upload round, a
+        NaN ratio failed inside ``binary_problems`` without its name, and
+        inside ``train()`` an unknown kernel raised ``gram_matrix``'s bare
+        ``ValueError``, a fractional cascade cap numpy's ``TypeError`` and a
+        float region count a ``TypeError`` in ``SuperPeerDirectory``."""
         with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
             CemparConfig(**{field: value}).validate()
 

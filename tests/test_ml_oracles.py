@@ -4,7 +4,9 @@
 Bit-exact by construction, so asserted with ``==``: the cached squared norm,
 the LSH ``signature``, and the whole training path — the array
 ``gram_matrix``, the SMO sweep of ``KernelSVM.fit`` (bias, support-vector
-objects, alphas, generator position), the Pegasos steps of
+objects, alphas, generator position) and of each problem of a
+``fit_block`` sharing one table of dot products, a cascade's training
+decisions read off that table, the Pegasos steps of
 ``LinearSVM.fit`` (bias, weights *in order*) and PACE's hash-once bundle
 store (every receiver's buckets).  The training oracles sum with an
 explicit ``total += term`` — the left-to-right order is the contract on
@@ -42,11 +44,14 @@ from repro.ml.kernel_svm import (
     PackedSupport,
     SupportVector,
 )
-from repro.ml.kernels import gram_matrix
+from repro.ml import kmeans
+from repro.ml.calibration import PlattCalibrator
+from repro.ml.kernels import PairDots, gram_matrix
 from repro.ml.kmeans import KMeans, kmeans_block
 from repro.ml.linear_svm import LinearSVM, LinearSVMModel, pegasos_block
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import RowTable, SparseVector, pack_rows
+from repro.p2pclass.cascade import cascade_merge
 from repro.p2pclass.pace import PaceClassifier, PaceConfig, PaceModelBundle
 from repro.sim.shard import ShardedScenario
 
@@ -328,13 +333,112 @@ def test_smo_on_one_class_draws_nothing():
 
 
 def test_unknown_kernel_name_is_refused_at_fit():
+    """Refused when the SVM is built, so no fit gets that far: a one-class
+    problem, which never reaches the kernel, used to fit without a word."""
     data = [SparseVector({0: 1.0}), SparseVector({1: 1.0})]
-    with pytest.raises(ValueError, match="unknown kernel"):
-        KernelSVM(kernel_name="sigmoid").fit(data, [-1, 1])
+    with pytest.raises(ConfigurationError, match=r"\bkernel_name\b.*'sigmoid'"):
+        KernelSVM(kernel_name="sigmoid")
     with pytest.raises(ValueError, match="unknown kernel"):
         gram_matrix(data, "sigmoid", 0.5)
-    # a one-class problem never reaches the kernel
-    assert KernelSVM(kernel_name="sigmoid").fit(data, [1, 1]).model.bias == 1.0
+
+
+# -- one table of dot products: a block of problems, a cascade's scoring -------------
+
+
+def _shared_problems(rng):
+    """A peer's worth of problems over one pool of documents, as CEMPaR's
+    per-tag problems and a cascade's pool are: vectors shared across
+    problems, repeated within one, twins of equal length whose keys run in
+    another order (the tie ``dot`` breaks by argument order), documents
+    whose supports meet no other's, two-point and one-class problems."""
+    pool = _shuffled_vectors(rng, 40, ids=14, max_size=8, min_size=1)
+    for vector in pool[:8]:
+        items = list(vector.items())
+        pool.append(SparseVector(items[1:] + items[:1]))
+    apart = [SparseVector({100 + k: 1.0 + k, 120 + k: -0.5}) for k in range(3)]
+    problems = []
+    for size in (60, 45, 30, 12):
+        chosen = rng.choice(len(pool), size=size).tolist()  # with repeats
+        labels = rng.choice([-1, 1], size).tolist()
+        labels[:2] = [-1, 1]
+        problems.append(([pool[i] for i in chosen], labels))
+    problems += [
+        ([pool[0], pool[1], pool[0]] + apart, [1, -1, 1, -1, 1, -1]),
+        (pool[:2], [1, -1]),
+        (apart[:2], [-1, 1]),
+        (pool[2:6], [1, 1, 1, 1]),
+        (pool[6:7], [-1]),
+    ]
+    return problems
+
+
+def _model_bits(model):
+    return (
+        _hex(model.bias), model.gamma, model.kernel_name,
+        [(id(sv.vector), sv.label, _hex(sv.alpha)) for sv in model.support_vectors],
+    )
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_models_and_table_decisions_equal_each_problem_fitted_alone(name, seed):
+    """Every model of one ``fit_block`` is ``smo_fit``'s on that problem
+    alone, and ``decisions_from`` over a table of just the problem's vectors
+    (a cascade's) or of the whole block's gives each vector the bits its
+    packed ``decision`` gives it."""
+    problems = _shared_problems(np.random.default_rng(seed))
+    svm = KernelSVM(C=4.0, gamma=0.3, kernel_name=name, seed=seed,
+                    max_iterations=300)
+    models = svm.fit_block(problems)
+    shared = PairDots([vector for vectors, _ in problems for vector in vectors])
+    assert len(shared.vectors) < sum(len(vectors) for vectors, _ in problems)
+    for (vectors, labels), model in zip(problems, models):
+        if set(labels) == {-1, 1}:
+            want, _ = ml_scalar.smo_fit(svm, vectors, labels)
+            assert _model_bits(model) == _model_bits(want)
+        else:
+            assert (model.bias, model.support_vectors) == (labels[0], [])
+        decided = [_hex(model.decision(x)) for x in vectors]
+        for table in (PairDots(vectors), shared):
+            assert [_hex(d) for d in model.decisions_from(table, vectors)] == decided
+    # long enough margins for ddot's unrolled loop, where the order of a
+    # strided row or a gemv shows
+    assert max(model.num_support_vectors for model in models) >= 32
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_cascade_calibrates_on_the_decisions_of_its_model(name, monkeypatch):
+    """The Platt fit of ``cascade_merge`` sees, for each pooled support
+    vector (one child's are another's too), the bits the merged model's
+    packed ``decision`` gives it."""
+    problems = _shared_problems(np.random.default_rng(4))
+    children = KernelSVM(C=4.0, kernel_name=name).fit_block(problems[:3])
+    pool = [vector for child in children for vector in child.training_pairs()[0]]
+    assert len({id(vector) for vector in pool}) < len(pool) > 32
+    seen = []
+    real = PlattCalibrator.fit
+    monkeypatch.setattr(PlattCalibrator, "fit", lambda calibrator, decisions, labels: (
+        seen.append(decisions) or real(calibrator, decisions, labels)
+    ))
+    cascaded = cascade_merge(children, C=4.0, gamma=0.3, kernel_name=name)
+    assert [[_hex(d) for d in decisions] for decisions in seen] == [
+        [_hex(cascaded.svm.decision(x)) for x in pool]
+    ]
+
+
+def test_fit_block_validates_every_problem_and_builds_no_table_for_one_class():
+    good = ([SparseVector({0: 1.0}), SparseVector({1: 1.0})], [-1, 1])
+    for bad, message in [
+        (([SparseVector({0: 1.0})], [1, -1]), "length mismatch"),
+        (([], []), "empty training set"),
+        (([SparseVector({0: 1.0})], [2]), "labels must be"),
+    ]:
+        with pytest.raises(ConfigurationError, match=message):
+            KernelSVM().fit_block([good, bad])
+    with mock.patch("repro.ml.kernel_svm.PairDots") as table:
+        [model] = KernelSVM().fit_block([([SparseVector({0: 1.0})] * 3, [1] * 3)])
+    assert not table.called and model.bias == 1.0
+    assert KernelSVM().fit_block([]) == []
 
 
 # -- Pegasos: the same weights in the same order ----------------------------------
@@ -517,18 +621,20 @@ def test_the_scalar_oracle_trains_pace_one_problem_at_a_time(monkeypatch):
     assert any(model.weights.nnz for model in models)
 
 
+def _pace_centroids(classifier):
+    """origin -> the items of each centroid its bundle carries, in order."""
+    return {
+        origin: [list(centroid.items()) for centroid in bundle.centroids]
+        for store in classifier._received.values()
+        for origin, bundle in store.items()
+    }
+
+
 def test_the_scalar_oracle_clusters_pace_one_group_at_a_time(monkeypatch):
     """With the oracles installed PACE's k-means block is ``kmeans_fit``,
     one peer at a time, so an end-to-end comparison against them compares
     two k-means, not one; and every bundle's centroids come out the same
     either way, items in order."""
-    def centroids(classifier):
-        return {
-            origin: [list(centroid.items()) for centroid in bundle.centroids]
-            for store in classifier._received.values()
-            for origin, bundle in store.items()
-        }
-
     plain = build_classifier("pace", build_scenario("chord", "churn"))
     plain.train()
     calls = []
@@ -539,8 +645,49 @@ def test_the_scalar_oracle_clusters_pace_one_group_at_a_time(monkeypatch):
     ml_scalar.install_scalar_ml(monkeypatch)
     classifier = build_classifier("pace", build_scenario("chord", "churn"))
     classifier.train()
-    assert len(calls) >= len(centroids(classifier)) > 1
-    assert centroids(classifier) == centroids(plain)
+    assert len(calls) >= len(_pace_centroids(classifier)) > 1
+    assert _pace_centroids(classifier) == _pace_centroids(plain)
+
+
+def test_the_scalar_oracle_trains_cempar_one_problem_at_a_time(monkeypatch):
+    """With the oracles installed every two-class problem of CEMPaR's blocks
+    (each peer's, each cascade's) trains through ``smo_fit`` and each
+    cascade scores its training set one scalar ``decision`` at a time, so an
+    end-to-end comparison against them compares two trainings, not one;
+    and every regional model comes out the same either way."""
+    def regional(classifier):
+        return {
+            key: _model_bits(model.svm) + (model.training_size,)
+            for key, model in classifier.regional_models.items()
+        }
+
+    def train():
+        classifier = build_classifier("cempar", build_scenario("chord", "churn"))
+        classifier.train()
+        return classifier
+
+    two_class, scored = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        fit_block, decisions_from = KernelSVM.fit_block, KernelSVMModel.decisions_from
+        patch.setattr(KernelSVM, "fit_block", lambda svm, problems, table=None: (
+            two_class.extend(set(labels) == {-1, 1} for _, labels in problems)
+            or fit_block(svm, problems, table)
+        ))
+        patch.setattr(KernelSVMModel, "decisions_from", lambda model, table, xs: (
+            scored.extend(xs) or decisions_from(model, table, xs)
+        ))
+        plain = train()
+    calls = {"smo_fit": 0, "decision": 0}
+    for name in calls:
+        scalar = getattr(ml_scalar, name)
+        monkeypatch.setattr(ml_scalar, name, lambda *args, name=name, scalar=scalar: (
+            calls.__setitem__(name, calls[name] + 1) or scalar(*args)
+        ))
+    ml_scalar.install_scalar_ml(monkeypatch)
+    classifier = train()
+    assert calls == {"smo_fit": sum(two_class), "decision": len(scored)}
+    assert len(scored) > sum(two_class) > len(classifier.regional_models) > 1
+    assert regional(classifier) == regional(plain)
 
 
 # -- k-means in lockstep: each group as if clustered alone ---------------------------
@@ -1178,9 +1325,10 @@ def _run(workload_class, shape, seed=0):
     return workload
 
 
-def _assert_same_autotag(workload_class, shape, seed, install):
+def _assert_same_autotag(workload_class, shape, seed, install, trained=None):
     """The workload run with ``install``'s oracles in place and without:
-    the same tag sets and the same exact values; returns the plain run."""
+    the same tag sets and the same exact values, and the same
+    ``trained(classifier)`` where one is given; returns the plain run."""
     with pytest.MonkeyPatch.context() as patch:
         install(patch)
         want = _run(workload_class, shape, seed)
@@ -1188,15 +1336,37 @@ def _assert_same_autotag(workload_class, shape, seed, install):
     assert any(want._predicted)  # the oracle run tagged something
     assert got._predicted == want._predicted
     assert got.exact == want.exact  # scenario digest, micro-F1, bytes per peer
+    if trained is not None:
+        assert trained(got.system.classifier) == trained(want.system.classifier)
     return got
 
 
-@pytest.mark.parametrize("name", ["TagCempar", "TagPaceChurn"])
-def test_autotag_results_agree_with_the_scalar_oracles(name):
+@pytest.mark.parametrize("name, resized", [
+    pytest.param("TagCempar", {}, id="TagCempar"),
+    pytest.param("TagPaceChurn", {}, id="TagPaceChurn"),
+    pytest.param("TagPaceChurn", {"docs_per_user": 80}, id="TagPaceChurn-clustering"),
+])
+def test_autotag_results_agree_with_the_scalar_oracles(name, resized, monkeypatch):
+    """At the smoke shapes.  There every PACE peer clusters 2 documents with
+    k = 2, each centroid one document, which no k-means fault can move; the
+    clustering row gives every peer more documents than clusters (counted
+    on the plain run's k-means block) and compares every bundle's
+    centroids too: a wrong centroid seldom flips a tag set."""
     workload_class = getattr(_perf_module("workloads"), name)
+    surplus = []  # documents beyond k, per clustered group
+    block = kmeans.kmeans_block
+
+    def counted(groups, **settings):
+        surplus.extend(len(group) - settings["k"] for group in groups)
+        return block(groups, **settings)
+
+    monkeypatch.setattr(kmeans, "kmeans_block", counted)
     _assert_same_autotag(
-        workload_class, workload_class.SMOKE, 0, ml_scalar.install_scalar_ml
+        workload_class, dict(workload_class.SMOKE, **resized), 0,
+        ml_scalar.install_scalar_ml, _pace_centroids if resized else None,
     )
+    if resized:
+        assert surplus and min(surplus) > 0, surplus
 
 
 @pytest.mark.parametrize("seed", [0, 7])

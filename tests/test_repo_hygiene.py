@@ -194,14 +194,24 @@ the sharded suites and the storm benchmark; a tagger that replayed its
 training through the fleet, only to serve every prediction from the flat
 replica, is what this replaced.
 
-(ee) SMO makes no numpy call per KKT violator.  In ``KernelSVM.fit``
-every ``integers(...)`` call passes ``size=`` — second indices are drawn a
+(ee) SMO makes no numpy call per KKT violator.  In ``KernelSVM._smo``
+(the sweep ``fit_block`` runs for each two-class problem) every
+``integers(...)`` call passes ``size=`` — second indices are drawn a
 block at a time, and the generator rewound to where one scalar draw per
 violator leaves it — and nothing calls ``np.dot``: a row's dot is the bound
 ``signed.dot`` over rows split once per fit, the same ``ddot`` without the
 dispatcher.  A ``tag-cempar`` ``train()`` made ~22k scalar draws and ~65k
 dispatched dots at a few microseconds of numpy each, the sweep's largest
 cost after its own Python.
+
+(ff) CEMPaR trains from tables of dot products.  The one ``.decision(``
+call in ``p2pclass/cascade.py`` is ``CascadeModel.probability``'s, a
+query's: ``cascade_merge`` scores its training set off the table it trained
+from.  And ``p2pclass/cempar.py`` constructs no ``KernelSVM`` inside a loop
+or comprehension: a peer's per-tag problems are one ``fit_block``, whose
+Grams share one table.  1,216 packed ``decision`` calls per ``tag-cempar``
+``train()``, and ~7 fits per peer each re-summing the dots of the same
+documents, are what this replaced.
 """
 
 import argparse
@@ -655,8 +665,12 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
     cempar = ROOT / "src" / "repro" / "p2pclass" / "cempar.py"
     oracles = ROOT / "tests" / "reference" / "ml_scalar.py"
     for path, qualname in [
+        (ml / "kernels.py", "PairDots"),
         (ml / "kernels.py", "gram_matrix"),
         (ml / "kernel_svm.py", "KernelSVM.fit"),
+        (ml / "kernel_svm.py", "KernelSVM.fit_block"),
+        (ml / "kernel_svm.py", "KernelSVM._smo"),
+        (ml / "kernel_svm.py", "KernelSVMModel.decisions_from"),
         (ml / "kernel_svm.py", "PackedSupport"),
         (ml / "kernel_svm.py", "KernelSVMModel.decision"),
         (ml / "linear_svm.py", "LinearSVM.fit"),
@@ -680,6 +694,7 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (oracles, "dot"),
         (oracles, "gram_matrix"),
         (oracles, "smo_fit"),
+        (oracles, "fit_block"),
         (oracles, "pegasos_fit"),
         (oracles, "pegasos_block"),
         (oracles, "kmeans_fit"),
@@ -695,10 +710,10 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
 
 
 def _numpy_calls_per_step(text):
-    """Line numbers in ``KernelSVM.fit`` of ``text`` of a scalar draw (an
+    """Line numbers in ``KernelSVM._smo`` of ``text`` of a scalar draw (an
     ``integers(...)`` call without ``size=``) or a dispatched ``np.dot``."""
     return [
-        node.lineno for node in ast.walk(_definition(text, "KernelSVM.fit"))
+        node.lineno for node in ast.walk(_definition(text, "KernelSVM._smo"))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and (
             node.func.attr == "integers"
@@ -711,7 +726,7 @@ def _numpy_calls_per_step(text):
 
 def test_smo_makes_no_scalar_draw_and_no_dispatched_dot():
     assert _numpy_calls_per_step(
-        "class KernelSVM:\n    def fit(self):\n"
+        "class KernelSVM:\n    def _smo(self):\n"
         "        j = int(rng.integers(0, n - 1))\n"
         "        drawn = rng.integers(0, n - 1, size=64)\n"
         "        out = float(np.dot(signed, K[i]))\n"
@@ -803,6 +818,46 @@ def test_cempar_scores_its_regional_models_as_one_block():
     assert "predict_scores" in _calls_to(cempar, "probabilities")  # calls are found
     for loop in ("decision", "probability"):
         assert not per_query & set(_calls_to(cempar, loop)), loop
+
+
+def _calls_in_loops(tree, name):
+    """Line numbers of the calls of ``name(...)`` / ``x.name(...)`` in
+    ``tree`` made once per turn of a loop or comprehension (a ``for``'s
+    iterable is evaluated once, so it does not count)."""
+    lines = []
+
+    def visit(node, looped):
+        if looped and isinstance(node, ast.Call) and name == (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        ):
+            lines.append(node.lineno)
+        for field, value in ast.iter_fields(node):
+            inner = looped or isinstance(
+                node, (ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+                       ast.GeneratorExp)
+            ) or isinstance(node, ast.For) and field in ("body", "orelse")
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, inner)
+
+    visit(tree, False)
+    return lines
+
+
+def test_cempar_trains_from_tables_of_dot_products():
+    assert _calls_in_loops(ast.parse(
+        "for tag in tags(KernelSVM()):\n"
+        "    svm = KernelSVM(C=1)\n"
+        "models = [m.KernelSVM() for _ in range(3)]\n"
+        "one = KernelSVM().fit_block(problems)\n"
+    ), "KernelSVM") == [2, 3]  # in the body and the comprehension only
+    p2pclass = ROOT / "src" / "repro" / "p2pclass"
+    cascade = ast.parse((p2pclass / "cascade.py").read_text(encoding="utf-8"))
+    assert _calls_to(cascade, "decision") == ["probability"]
+    assert "cascade_merge" in _calls_to(cascade, "decisions_from")
+    cempar = ast.parse((p2pclass / "cempar.py").read_text(encoding="utf-8"))
+    assert _calls_to(cempar, "KernelSVM") == ["_upload_one"]  # the call is found
+    assert _calls_in_loops(cempar, "KernelSVM") == []
 
 
 def _sites(tree, matches):

@@ -182,10 +182,12 @@ class TestKernelSVM:
         ("tol", NAN),
         ("max_passes", 0),
         ("max_iterations", 0),
+        ("kernel_name", "sigmoid"),
     ])
     def test_settings_that_train_nothing_are_refused(self, field, value):
         """Each of these used to fit a model with no support vectors and
-        a zero bias, without a word."""
+        a zero bias, without a word; an unknown kernel fitted one-class
+        problems and failed two-class ones with a bare ``ValueError``."""
         with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
             KernelSVM(**{field: value})
 
