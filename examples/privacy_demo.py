@@ -80,7 +80,7 @@ def inspect_wire_content(peer_data, tags) -> None:
             ("pace.model_broadcast",),
         )
     print(f"model broadcasts on the wire: {broadcasts}")
-    sample = classifier._received[0][1]
+    sample = classifier.held_bundles(0)[1]
     print(
         "a bundle contains: "
         f"{len(sample.models)} per-tag weight vectors, "

@@ -60,6 +60,11 @@ class CentralizedConfig:
             )
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs!r}")
+        if not 0 < self.max_negative_ratio < math.inf:
+            raise ConfigurationError(
+                "max_negative_ratio must be positive and finite, "
+                f"got {self.max_negative_ratio!r}"
+            )
 
 
 class CentralizedTagger(P2PTagClassifier):
@@ -124,10 +129,9 @@ class CentralizedTagger(P2PTagClassifier):
         )
         svm = LinearSVM(lambda_reg=cfg.lambda_reg, epochs=cfg.epochs, seed=cfg.seed)
         [fitted] = svm.fit_block([[problem for _, problem in problems]])
-        for (tag, (vectors, labels)), model in zip(problems, fitted):
+        for (tag, (_, labels)), (model, margins) in zip(problems, fitted):
             self._models[tag] = model
-            decisions = [model.decision(v) for v in vectors]
-            self._calibrators[tag] = PlattCalibrator().fit(decisions, labels)
+            self._calibrators[tag] = PlattCalibrator().fit(margins, labels)
         self._trained = True
 
     def predict_scores(self, origin: int, vector: SparseVector) -> Dict[str, float]:

@@ -37,6 +37,11 @@ class LocalOnlyConfig:
             )
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs!r}")
+        if not 0 < self.max_negative_ratio < math.inf:
+            raise ConfigurationError(
+                "max_negative_ratio must be positive and finite, "
+                f"got {self.max_negative_ratio!r}"
+            )
 
 
 class LocalOnlyTagger(P2PTagClassifier):
@@ -75,10 +80,9 @@ class LocalOnlyTagger(P2PTagClassifier):
         for (address, problems), peer_models in zip(peers, fitted):
             models: Dict[str, LinearSVMModel] = {}
             calibrators: Dict[str, PlattCalibrator] = {}
-            for (tag, (vectors, labels)), model in zip(problems, peer_models):
+            for (tag, (_, labels)), (model, margins) in zip(problems, peer_models):
                 models[tag] = model
-                decisions = [model.decision(v) for v in vectors]
-                calibrators[tag] = PlattCalibrator().fit(decisions, labels)
+                calibrators[tag] = PlattCalibrator().fit(margins, labels)
             self._models[address] = models
             self._calibrators[address] = calibrators
         self._trained = True

@@ -53,7 +53,8 @@ class PlattCalibrator:
             for f, t in zip(decisions, targets):
                 z = a * f + b
                 if z >= 0:
-                    p = math.exp(-z) / (1.0 + math.exp(-z))
+                    ez = math.exp(-z)
+                    p = ez / (1.0 + ez)
                 else:
                     p = 1.0 / (1.0 + math.exp(z))
                 # p = P(y=1) under current parameters; dL/dz = t - p with

@@ -16,7 +16,9 @@ from __future__ import annotations
 import functools
 import threading
 from collections import defaultdict
-from typing import Dict, Generic, Hashable, Iterable, List, Optional, Tuple, TypeVar
+from typing import (
+    Dict, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -48,6 +50,17 @@ class _HyperplaneTable(dict):
                 self.rows[row] = rng.standard_normal(self.rows.shape[1])
                 self[feature_id] = row  # published last: readers take no lock
         return row
+
+
+@functools.lru_cache(maxsize=None)
+def _flip_masks(num_bits: int) -> Tuple[Tuple[int, ...], ...]:
+    """The XOR masks of 0, 1 and 2 bit flips, by flipped bits in order."""
+    bits = range(num_bits)
+    return (
+        (0,),
+        tuple(1 << bit for bit in bits),
+        tuple((1 << first) | (1 << second) for first in bits for second in bits[first + 1:]),
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,24 +138,49 @@ class RandomHyperplaneLSH(Generic[T]):
         every entry in the buckets visited, in probe order, unranked.
 
         Buckets are probed in order of Hamming distance from the query
-        signature (multi-probe LSH) until at least ``top_k`` candidates are
-        gathered or ``max_probe_distance`` is exhausted.
+        signature (multi-probe LSH, :meth:`probe`) until at least ``top_k``
+        candidates are gathered or ``max_probe_distance`` is exhausted.
         """
         if top_k <= 0:
             raise ConfigurationError("top_k must be positive")
         if self._size == 0:
             return []
+        candidates: List[Tuple[SparseVector, T]] = []
+        for buckets in self.probe(vector, max_probe_distance):
+            for bucket in buckets:
+                candidates.extend(bucket)
+            if len(candidates) >= top_k:
+                break
+        return candidates
+
+    def probe(
+        self, vector: SparseVector, max_probe_distance: Optional[int] = None
+    ) -> Iterator[List[List[Tuple[SparseVector, T]]]]:
+        """The occupied buckets around ``vector``'s signature, one list per
+        Hamming distance from 0 to ``max_probe_distance`` (every bit by
+        default): up to 2 flips in the order of the flipped bits, beyond
+        that in the order the buckets were first filled.  Each bucket is
+        its entries in insertion order (the index's own list: read only)."""
         max_probe = (
             self.num_bits if max_probe_distance is None else max_probe_distance
         )
         query_key = self.signature(vector)
-        candidates: List[Tuple[SparseVector, T]] = []
-        for distance in range(0, max_probe + 1):
-            for key in self._keys_at_hamming_distance(query_key, distance):
-                candidates.extend(self._buckets.get(key, ()))
-            if len(candidates) >= top_k:
-                break
-        return candidates
+        buckets = self._buckets
+        # up to 2 flips every key is tried; beyond, the combinatorial
+        # blow-up makes one pass over the occupied buckets cheaper
+        for masks in _flip_masks(self.num_bits)[:max_probe + 1]:
+            yield [
+                bucket for mask in masks
+                if (bucket := buckets.get(query_key ^ mask)) is not None
+            ]
+        if max_probe > 2:
+            # every occupied bucket's distance at once, not one scan a distance
+            far: List[List[List[Tuple[SparseVector, T]]]] = [
+                [] for _ in range(self.num_bits + 1)
+            ]
+            for key, bucket in buckets.items():
+                far[(key ^ query_key).bit_count()].append(bucket)
+            yield from far[3:max_probe + 1]
 
     def query(
         self,
@@ -161,25 +199,3 @@ class RandomHyperplaneLSH(Generic[T]):
         ]
         scored.sort(key=lambda pair: pair[0])
         return scored[:top_k]
-
-    def _keys_at_hamming_distance(self, key: int, distance: int) -> Iterable[int]:
-        """Occupied bucket keys exactly ``distance`` bit-flips from ``key``.
-
-        For distance <= 2 we enumerate flips; beyond that we scan occupied
-        buckets (cheaper than the combinatorial blow-up).
-        """
-        if distance == 0:
-            yield key
-            return
-        if distance == 1:
-            for bit in range(self.num_bits):
-                yield key ^ (1 << bit)
-            return
-        if distance == 2:
-            for first in range(self.num_bits):
-                for second in range(first + 1, self.num_bits):
-                    yield key ^ (1 << first) ^ (1 << second)
-            return
-        for occupied in self._buckets:
-            if bin(occupied ^ key).count("1") == distance:
-                yield occupied

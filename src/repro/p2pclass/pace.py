@@ -80,8 +80,19 @@ class PaceConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.top_k < 1:
-            raise ConfigurationError("top_k must be >= 1")
+        if not isinstance(self.top_k, numbers.Integral) or self.top_k < 1:
+            raise ConfigurationError(
+                f"top_k must be an integer >= 1, got {self.top_k!r}"
+            )
+        if not isinstance(self.lsh_bits, numbers.Integral) or not 1 <= self.lsh_bits <= 64:
+            raise ConfigurationError(
+                f"lsh_bits must be an integer in [1, 64], got {self.lsh_bits!r}"
+            )
+        if not 0 < self.max_negative_ratio < math.inf:
+            raise ConfigurationError(
+                "max_negative_ratio must be positive and finite, "
+                f"got {self.max_negative_ratio!r}"
+            )
         if not isinstance(self.num_clusters, numbers.Integral) or self.num_clusters < 1:
             raise ConfigurationError(
                 f"num_clusters must be an integer >= 1, got {self.num_clusters!r}"
@@ -107,8 +118,8 @@ class PaceConfig:
 
 
 class _PredictionBlock:
-    """Every distinct bundle the receivers hold — one object serves each
-    store it sits in — with its centroids and weight vectors in one
+    """Every bundle broadcast this round — one object serves each receiver
+    that holds it — with its centroids and weight vectors in one
     :class:`RowTable` and its models' parameters in arrays beside it, so an
     AutoTag is two kernel calls: rank the probe's centroids, score the
     surviving bundles' models.
@@ -120,8 +131,7 @@ class _PredictionBlock:
     scalar ``dot``.
     """
 
-    def __init__(self, stores: Iterable[Dict[int, PaceModelBundle]],
-                 tags: Sequence[str]) -> None:
+    def __init__(self, bundles: Sequence[PaceModelBundle], tags: Sequence[str]) -> None:
         slot_of = {tag: slot for slot, tag in enumerate(tags)}
         self.num_tags = len(tags)
         #: row -> its vector; kept alive, so the ids below stay theirs
@@ -130,23 +140,20 @@ class _PredictionBlock:
         self.model_rows: Dict[int, np.ndarray] = {}  # id(bundle) -> rows
         parameters: List[Tuple[int, float, float, float, float]] = []
         no_model = (0, 0.0, 0.0, 0.0, 0.0)
-        for store in stores:
-            for bundle in store.values():
-                if id(bundle) in self.model_rows:
-                    continue
-                for centroid in bundle.centroids:
-                    self.centroid_row[id(centroid)] = len(self.vectors)
-                    self.vectors.append(centroid)
-                    parameters.append(no_model)
-                first = len(self.vectors)
-                for tag, model in bundle.models.items():
-                    self.vectors.append(model.weights)
-                    parameters.append((
-                        slot_of[tag], model.bias,
-                        *bundle.calibration.get(tag, (-2.0, 0.0)),
-                        bundle.accuracies.get(tag, 0.5),
-                    ))
-                self.model_rows[id(bundle)] = np.arange(first, len(self.vectors))
+        for bundle in bundles:
+            for centroid in bundle.centroids:
+                self.centroid_row[id(centroid)] = len(self.vectors)
+                self.vectors.append(centroid)
+                parameters.append(no_model)
+            first = len(self.vectors)
+            for tag, model in bundle.models.items():
+                self.vectors.append(model.weights)
+                parameters.append((
+                    slot_of[tag], model.bias,
+                    *bundle.calibration.get(tag, (-2.0, 0.0)),
+                    bundle.accuracies.get(tag, 0.5),
+                ))
+            self.model_rows[id(bundle)] = np.arange(first, len(self.vectors))
         self.table = RowTable(self.vectors)
         columns = np.array(parameters, dtype=np.float64).reshape(-1, 5)
         self.tag = columns[:, 0].astype(np.intp)
@@ -172,10 +179,8 @@ class _PredictionBlock:
 
     def distances(self, vector: SparseVector, query, centroids) -> List[float]:
         """``vector.distance(centroid)`` for each of ``centroids``."""
-        known = [self.centroid_row.get(id(centroid)) for centroid in centroids]
-        if None in known:  # indexed, but in no receiver's store
-            return [vector.distance(centroid) for centroid in centroids]
-        rows = np.array(known, dtype=np.intp)
+        row = self.centroid_row
+        rows = np.array([row[id(centroid)] for centroid in centroids], dtype=np.intp)
         squared = (
             vector.squared_norm()
             - 2.0 * self._dots(rows, vector, query, True)
@@ -207,6 +212,81 @@ class _PredictionBlock:
         ]
 
 
+class _ReceiverIndex:
+    """What every receiver holds, kept once: one LSH index over the
+    centroids of every bundle broadcast, in broadcast order, and a
+    receivers x bundles membership table.
+
+    A receiver's own index would hold exactly its bundles' entries,
+    inserted in broadcast order (every peer hashes with the one shared
+    seed), so each of its buckets is the shared bucket filtered to its row
+    of the table; :meth:`candidates` reads that index off the shared one.
+    """
+
+    def __init__(self, addresses: Sequence[int], num_bits: int, seed: int) -> None:
+        #: entries ``(centroid, (column of its bundle, its place in the
+        #: bundle))``: the payloads sort in insertion order
+        self.lsh: RandomHyperplaneLSH = RandomHyperplaneLSH(num_bits=num_bits, seed=seed)
+        self.row_of = {address: row for row, address in enumerate(addresses)}
+        #: column -> bundle, in broadcast order
+        self.bundles: List[PaceModelBundle] = []
+        self.column_of: Dict[int, int] = {}  # origin -> column
+        #: ``held[row, column]``: that receiver holds that bundle (a column
+        #: per origin, and every origin is a peer)
+        self.held = np.zeros((len(addresses), len(addresses)), dtype=bool)
+        self._held_rows: Dict[int, List[bool]] = {}  # row -> held[row], as read
+
+    def store(self, bundle: PaceModelBundle, keys: Sequence[int],
+              receivers: Iterable[int]) -> bool:
+        """``receivers`` hold ``bundle``, whose centroids hash to ``keys``;
+        whether this is its first store (an origin broadcasts once a round,
+        so a repeat only adds holders)."""
+        column = self.column_of.get(bundle.origin)
+        first = column is None
+        if first:
+            column = self.column_of[bundle.origin] = len(self.bundles)
+            self.bundles.append(bundle)
+            for place, (centroid, key) in enumerate(zip(bundle.centroids, keys)):
+                self.lsh.insert(centroid, (column, place), key)
+        self.held[[self.row_of[receiver] for receiver in receivers], column] = True
+        self._held_rows.clear()
+        return first
+
+    def held_by(self, receiver: int) -> List[int]:
+        """The columns of the bundles ``receiver`` holds, in broadcast order."""
+        row = self.row_of.get(receiver)
+        if row is None:
+            return []
+        return np.flatnonzero(self.held[row, :len(self.bundles)]).tolist()
+
+    def candidates(self, receiver: int, vector: SparseVector,
+                   top_k: int) -> List[Tuple[SparseVector, Tuple[int, int]]]:
+        """``(centroid, (column, place))`` of every entry ``receiver`` holds
+        in the buckets visited, in probe order: what its own index's
+        :meth:`RandomHyperplaneLSH.candidates` returns.  The probe stops at
+        the first Hamming distance with ``top_k`` *held* entries; beyond 2
+        flips the shared index scans buckets in the order they were first
+        filled, and a receiver's own index in the order its first entry came
+        in, so those buckets are re-sorted by their first held entry."""
+        row = self.row_of.get(receiver)
+        if row is None:
+            return []
+        held = self._held_rows.get(row)
+        if held is None:
+            held = self._held_rows[row] = self.held[row].tolist()
+        found: List[Tuple[SparseVector, Tuple[int, int]]] = []
+        for distance, buckets in enumerate(self.lsh.probe(vector)):
+            if distance <= 2:
+                found += [entry for bucket in buckets for entry in bucket if held[entry[1][0]]]
+            else:
+                kept = [[entry for entry in bucket if held[entry[1][0]]] for bucket in buckets]
+                for entries in sorted(filter(None, kept), key=lambda kept: kept[0][1]):
+                    found += entries
+            if len(found) >= top_k:
+                break
+        return found
+
+
 class PaceClassifier(P2PTagClassifier):
     """PACE over the scenario's overlay."""
 
@@ -223,12 +303,16 @@ class PaceClassifier(P2PTagClassifier):
         self.config = config or PaceConfig()
         self.config.validate()
         self._rng = np.random.default_rng(self.config.seed)
-        # Per-receiving-peer state: LSH index over centroids + bundle store.
-        self._indexes: Dict[int, RandomHyperplaneLSH] = {}
-        self._received: Dict[int, Dict[int, PaceModelBundle]] = {}
-        # Every bundle some receiver holds, packed for prediction on the
-        # first query after train().
+        # What every receiver holds: one index and a membership table.
+        self._receivers = self._new_receivers()
+        # Every bundle broadcast, packed for prediction on the first query
+        # after train().
         self._block: Optional[_PredictionBlock] = None
+
+    def _new_receivers(self) -> _ReceiverIndex:
+        return _ReceiverIndex(
+            self.scenario.peer_addresses, self.config.lsh_bits, self.config.lsh_seed
+        )
 
     # ------------------------------------------------------------------
     # Training
@@ -236,9 +320,8 @@ class PaceClassifier(P2PTagClassifier):
 
     def train(self) -> None:
         # Retraining (e.g. after refinements) re-propagates fresh bundles,
-        # which replace each origin's previous models in every index.
-        self._indexes.clear()
-        self._received.clear()
+        # which replace each origin's previous models at every receiver.
+        self._receivers = self._new_receivers()
         self._block = None
         bundles = self._train_local_bundles()
         self._propagate(bundles)
@@ -273,17 +356,16 @@ class PaceClassifier(P2PTagClassifier):
             models: Dict[str, LinearSVMModel] = {}
             accuracies: Dict[str, float] = {}
             calibration: Dict[str, Tuple[float, float]] = {}
-            for (tag, (vectors, labels)), model in zip(problems, peer_models):
+            for (tag, (vectors, labels)), (model, margins) in zip(problems, peer_models):
                 truncated = model.truncated(cfg.max_model_features)
                 models[tag] = truncated
-                decisions = [truncated.decision(v) for v in vectors]
-                # the accuracy is the full model's, whose decisions these are
-                # when truncation kept every weight
-                full = decisions if truncated is model else [
-                    model.decision(v) for v in vectors
+                # the accuracy is the full model's; a truncated model scores
+                # itself for its calibration
+                decisions = margins if truncated is model else [
+                    truncated.decision(v) for v in vectors
                 ]
                 correct = sum(
-                    1 for d, y in zip(full, labels) if (1 if d >= 0.0 else -1) == y
+                    1 for d, y in zip(margins, labels) if (1 if d >= 0.0 else -1) == y
                 )
                 accuracies[tag] = correct / len(vectors)
                 calibrator = PlattCalibrator().fit(decisions, labels)
@@ -329,35 +411,18 @@ class PaceClassifier(P2PTagClassifier):
             )
         # Hashed once here, not once per receiver: every peer's hyperplanes
         # come from the one shared seed.
-        signature = self._index_of(address).signature
+        signature = self._receivers.lsh.signature
         keys = [signature(centroid) for centroid in bundle.centroids]
-        for recipient in result.delivered_to():
-            self._store_bundle(recipient, bundle, keys)
         # A peer also indexes its own models (no message).
-        self._store_bundle(address, bundle, keys)
-
-    def _index_of(self, receiver: int) -> RandomHyperplaneLSH:
-        """``receiver``'s LSH index, created with its bundle store on first use."""
-        index = self._indexes.get(receiver)
-        if index is None:
-            index = RandomHyperplaneLSH(
-                num_bits=self.config.lsh_bits, seed=self.config.lsh_seed
-            )
-            self._indexes[receiver] = index
-            self._received[receiver] = {}
-        return index
+        self._store_bundle(bundle, keys, [*result.delivered_to(), address])
 
     def _store_bundle(
-        self, receiver: int, bundle: PaceModelBundle, keys: List[int]
+        self, bundle: PaceModelBundle, keys: List[int], receivers: Iterable[int]
     ) -> None:
-        """Index ``bundle`` at ``receiver`` under its centroids' bucket ``keys``."""
-        index = self._index_of(receiver)
-        store = self._received[receiver]
-        if bundle.origin in store:
-            return  # duplicate delivery (flood redundancy)
-        store[bundle.origin] = bundle
-        for centroid, key in zip(bundle.centroids, keys):
-            index.insert(centroid, bundle.origin, key)
+        """``receivers`` hold ``bundle``, indexed once under its centroids'
+        bucket ``keys``."""
+        if self._receivers.store(bundle, keys, receivers):
+            self._block = None
 
     # ------------------------------------------------------------------
     # Prediction (fully local — the PACE advantage)
@@ -365,30 +430,26 @@ class PaceClassifier(P2PTagClassifier):
 
     def predict_scores(self, origin: int, vector: SparseVector) -> Dict[str, float]:
         self._require_trained()
-        index = self._indexes.get(origin)
-        if index is None or len(index) == 0:
+        receivers = self._receivers
+        candidates = receivers.candidates(origin, vector, self.config.top_k)
+        if not candidates:  # it holds no centroid
             return {tag: 0.0 for tag in self.tags}
-        store = self._received.get(origin, {})
         block = self._block
         if block is None:
-            block = self._block = _PredictionBlock(self._received.values(), self.tags)
+            block = self._block = _PredictionBlock(receivers.bundles, self.tags)
         query = block.table.localize(vector)
-        candidates = index.candidates(vector, self.config.top_k)
         distances = block.distances(vector, query, [stored for stored, _ in candidates])
         # Ranked before the repeated-origin skip, ties in probe order.
         nearest = sorted(range(len(candidates)), key=distances.__getitem__)
         bundles: List[PaceModelBundle] = []
         proximities: List[float] = []
-        seen_origins = set()
+        seen_columns = set()
         for position in nearest[: self.config.top_k]:
-            bundle_origin = candidates[position][1]
-            if bundle_origin in seen_origins:
+            column = candidates[position][1][0]
+            if column in seen_columns:
                 continue  # a bundle may match via several centroids
-            seen_origins.add(bundle_origin)
-            bundle = store.get(bundle_origin)
-            if bundle is None:
-                continue
-            bundles.append(bundle)
+            seen_columns.add(column)
+            bundles.append(receivers.bundles[column])
             proximities.append(
                 1.0 / (self.config.distance_smoothing + distances[position])
             )
@@ -397,6 +458,15 @@ class PaceClassifier(P2PTagClassifier):
 
     # -- diagnostics --------------------------------------------------------
 
+    def held_bundles(self, receiver: int) -> Dict[int, PaceModelBundle]:
+        """``receiver``'s view: origin -> the bundle it holds, in broadcast
+        order."""
+        bundles = self._receivers.bundles
+        return {
+            bundles[column].origin: bundles[column]
+            for column in self._receivers.held_by(receiver)
+        }
+
     def models_indexed_at(self, address: int) -> int:
         """How many peers' bundles this peer has indexed (tests/diagnostics)."""
-        return len(self._received.get(address, {}))
+        return len(self.held_bundles(address))

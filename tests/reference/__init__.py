@@ -5,9 +5,12 @@ Each ``install_*`` replaces one bound method on ONE instance (the seam
 the fast path already goes through), so an equivalence test builds two
 identically seeded stacks, installs the reference on one, and compares
 fingerprints byte-for-byte.  ``ml_scalar`` holds the scalar loops of
-``repro.ml``, PACE's per-receiver centroid hashing and its scalar
-prediction; its ``install_scalar_ml`` patches classes for the length of a
-``monkeypatch`` context instead (models are born inside ``train()``).
+``repro.ml``, PACE's per-receiver stores and indexes (the shared index's
+oracle; ``install_per_receiver_hashing`` has every receiver hash for
+itself too) and its scalar prediction; its ``install_scalar_ml`` patches
+classes for the length of a ``monkeypatch`` context instead (models are
+born inside ``train()``).  ``platt`` is Platt's Newton loop as it was
+when the sigmoid's z >= 0 branch took ``exp(-z)`` twice.
 ``compensated_sum`` is CPython 3.12's builtin ``sum``, installable as the
 ``sum`` of every ``repro`` module on any interpreter.  ``scalar_corpus``
 is the corpus generator with one numpy call per draw — a factory, since

@@ -6,9 +6,10 @@ block reads every Gram from one table of dot products, and one scalar
 ``decision`` per vector where a cascade scores its training set off that
 table), the Pegasos steps (one problem at a time where the array kernel
 trains a block in lockstep), k-means (one group at a time where the array
-kernel clusters a block in lockstep), PACE's hash-once
-bundle store, PACE's block prediction and CEMPaR's (one model at a time,
-``packed_decision`` being the bit-exact form of one model alone).
+kernel clusters a block in lockstep), PACE's receivers
+(one store and one index each, where the array form shares one index and
+a membership table), PACE's block prediction and CEMPaR's (one model at a
+time, ``packed_decision`` being the bit-exact form of one model alone).
 
 Nothing here reads a cache: norms are re-summed on every call and
 hyperplane components are re-drawn per feature id, so these are the loops
@@ -22,6 +23,7 @@ the plain left-to-right sum on every interpreter.
 
 import functools
 import math
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -35,6 +37,7 @@ from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import SparseVector, pack_rows
 from repro.p2pclass.cempar import _PredictionBlock
 from repro.p2pclass.pace import PaceClassifier
+from repro.p2pclass.pace import _PredictionBlock as _PaceBlock
 from repro.p2pclass.voting import weighted_score
 
 
@@ -247,20 +250,22 @@ def pegasos_fit(svm, vectors, labels):
 def pegasos_block(groups, *, lambda_reg, epochs, seed):
     """``linear_svm.pegasos_block`` one problem at a time: every two-class
     problem through ``pegasos_fit``, the rest (the refusals and the
-    one-class constant model) through the array kernel alone."""
+    one-class constant model) through the array kernel alone, and every
+    model's margins one scalar ``dot`` per training vector."""
     svm = LinearSVM(lambda_reg=lambda_reg, epochs=epochs, seed=seed)
-    models = []
+    fitted = []
     for group in groups:
-        models.append([])
+        fitted.append([])
         for vectors, labels in group:
             if len(vectors) != len(labels) or set(labels) != {-1, 1}:
-                [[model]] = _ARRAY_PEGASOS_BLOCK(
+                [[(model, _)]] = _ARRAY_PEGASOS_BLOCK(
                     [[(vectors, labels)]], lambda_reg=lambda_reg, epochs=epochs, seed=seed
                 )
             else:
                 model = pegasos_fit(svm, vectors, labels)
-            models[-1].append(model)
-    return models
+            margins = [dot(model.weights, x) + model.bias for x in vectors]
+            fitted[-1].append((model, margins))
+    return fitted
 
 
 def mean_vector(vectors):
@@ -410,22 +415,176 @@ def signature(lsh, vector):
     return bits
 
 
-def store_bundle(classifier, receiver, bundle, keys):
-    """``PaceClassifier._store_bundle`` as it was before bundles were hashed
-    once per broadcast: the handed-in ``keys`` are ignored and every
-    receiver's index hashes every centroid itself."""
-    index = classifier._index_of(receiver)
-    store = classifier._received[receiver]
-    if bundle.origin in store:
+class PerReceiverStore:
+    """PACE's receivers as they were before the shared index: one
+    ``RandomHyperplaneLSH`` and one origin -> bundle dict per receiver, each
+    bundle inserted into the index of every receiver it reaches, and the
+    probe one receiver's index at a time."""
+
+    def __init__(self, classifier, hash_each):
+        self.num_bits = classifier.config.lsh_bits
+        self.seed = classifier.config.lsh_seed
+        self.hash_each = hash_each
+        self.indexes = {}  # receiver -> its own index
+        self.received = {}  # receiver -> origin -> bundle
+        self.block = None
+
+    def index_of(self, receiver):
+        index = self.indexes.get(receiver)
+        if index is None:
+            index = RandomHyperplaneLSH(num_bits=self.num_bits, seed=self.seed)
+            self.indexes[receiver] = index
+            self.received[receiver] = {}
+        return index
+
+    def store(self, bundle, keys, receivers):
+        """``PaceClassifier._store_bundle`` once per receiver; with
+        ``hash_each`` the handed-in ``keys`` are ignored and every receiver's
+        index hashes every centroid itself."""
+        for receiver in receivers:
+            index = self.index_of(receiver)
+            store = self.received[receiver]
+            if bundle.origin in store:
+                continue  # duplicate delivery (flood redundancy)
+            store[bundle.origin] = bundle
+            for centroid, key in zip(bundle.centroids, keys):
+                index.insert(centroid, bundle.origin, None if self.hash_each else key)
+            self.block = None
+
+
+def keys_at_hamming_distance(index, key, distance):
+    """Occupied bucket keys of ``index`` exactly ``distance`` bit-flips from
+    ``key``: flips enumerated up to 2, occupied buckets scanned beyond."""
+    if distance == 0:
+        yield key
         return
-    store[bundle.origin] = bundle
-    for centroid in bundle.centroids:
-        index.insert(centroid, bundle.origin)
+    if distance == 1:
+        for bit in range(index.num_bits):
+            yield key ^ (1 << bit)
+        return
+    if distance == 2:
+        for first in range(index.num_bits):
+            for second in range(first + 1, index.num_bits):
+                yield key ^ (1 << first) ^ (1 << second)
+        return
+    for occupied in index._buckets:
+        if bin(occupied ^ key).count("1") == distance:
+            yield occupied
+
+
+def candidates(index, vector, top_k):
+    """``RandomHyperplaneLSH.candidates`` as it was before ``probe``: keys
+    by Hamming distance, buckets beyond 2 flips in this index's own
+    first-fill order, until ``top_k`` entries."""
+    if len(index) == 0:
+        return []
+    query_key = index.signature(vector)
+    found = []
+    for distance in range(index.num_bits + 1):
+        for key in keys_at_hamming_distance(index, query_key, distance):
+            found.extend(index._buckets.get(key, ()))
+        if len(found) >= top_k:
+            break
+    return found
+
+
+#: the per-receiver stores of each training round (``classifier._receivers``)
+_STORES = weakref.WeakKeyDictionary()
+
+
+def per_receiver_store(classifier, hash_each=True):
+    """The :class:`PerReceiverStore` of ``classifier``'s current round."""
+    store = _STORES.get(classifier._receivers)
+    if store is None:
+        store = _STORES[classifier._receivers] = PerReceiverStore(classifier, hash_each)
+    return store
+
+
+def store_bundle(classifier, bundle, keys, receivers):
+    per_receiver_store(classifier).store(bundle, keys, receivers)
+
+
+def held_bundles(classifier, receiver):
+    return dict(per_receiver_store(classifier).received.get(receiver, {}))
+
+
+def per_receiver_predict_scores(classifier, origin, vector):
+    """``PaceClassifier.predict_scores`` as it was before the shared index:
+    the asking receiver's own index probed, its own store read, the block
+    packed from every bundle some store holds."""
+    classifier._require_trained()
+    state = per_receiver_store(classifier)
+    index = state.indexes.get(origin)
+    if index is None or len(index) == 0:
+        return {tag: 0.0 for tag in classifier.tags}
+    store = state.received.get(origin, {})
+    if state.block is None:
+        distinct = {id(bundle): bundle for held in state.received.values()
+                    for bundle in held.values()}
+        state.block = _PaceBlock(list(distinct.values()), classifier.tags)
+    block = state.block
+    query = block.table.localize(vector)
+    found = candidates(index, vector, classifier.config.top_k)
+    distances = block.distances(vector, query, [stored for stored, _ in found])
+    nearest = sorted(range(len(found)), key=distances.__getitem__)
+    bundles, proximities, seen_origins = [], [], set()
+    for position in nearest[: classifier.config.top_k]:
+        bundle_origin = found[position][1]
+        if bundle_origin in seen_origins:
+            continue
+        seen_origins.add(bundle_origin)
+        bundles.append(store[bundle_origin])
+        proximities.append(
+            1.0 / (classifier.config.distance_smoothing + distances[position])
+        )
+    return dict(zip(classifier.tags, block.vote(vector, query, bundles, proximities)))
+
+
+def install_per_receiver_store(classifier, hash_each=False) -> None:
+    """Make ONE PACE classifier hold, index and probe its bundles one
+    receiver at a time."""
+    _STORES.pop(classifier._receivers, None)
+    classifier._new_receivers = functools.partial(_fresh_round, classifier, hash_each)
+    classifier._receivers = classifier._new_receivers()
+    for name, function in [("_store_bundle", store_bundle),
+                           ("held_bundles", held_bundles),
+                           ("predict_scores", per_receiver_predict_scores)]:
+        setattr(classifier, name, functools.partial(function, classifier))
+
+
+def _fresh_round(classifier, hash_each):
+    """A new round's (unused) shared index, keyed to a new per-receiver store."""
+    receivers = type(classifier)._new_receivers(classifier)
+    _STORES[receivers] = PerReceiverStore(classifier, hash_each)
+    return receivers
 
 
 def install_per_receiver_hashing(classifier) -> None:
-    """Make ONE PACE classifier store bundles the per-receiver way."""
-    classifier._store_bundle = functools.partial(store_bundle, classifier)
+    """Make ONE PACE classifier store bundles the per-receiver way, each
+    receiver hashing every centroid itself."""
+    install_per_receiver_store(classifier, hash_each=True)
+
+
+#: each round's receivers' own indexes, rebuilt from their views
+_OWN_INDEXES = weakref.WeakKeyDictionary()
+
+
+def own_index(classifier, receiver):
+    """``receiver``'s view and its own index rebuilt from it: each held
+    bundle's centroids hashed and inserted in broadcast order."""
+    view = classifier.held_bundles(receiver)
+    built = _OWN_INDEXES.setdefault(classifier._receivers, {})
+    key = (receiver, tuple(map(id, view.values())))
+    if key not in built:
+        index = RandomHyperplaneLSH(
+            num_bits=classifier.config.lsh_bits, seed=classifier.config.lsh_seed
+        )
+        for bundle in view.values():
+            for centroid in bundle.centroids:
+                index.insert(centroid, bundle.origin)
+        built[key] = index
+    return view, built[key]
+
 
 
 def probability(bundle, tag, decision):
@@ -441,13 +600,13 @@ def probability(bundle, tag, decision):
 
 def predict_scores(classifier, origin, vector):
     """``PaceClassifier.predict_scores`` as it was before the prediction
-    block: ``index.query`` ranks the probe with one ``distance`` per
+    block and the shared index: the receiver's own index (rebuilt from its
+    view), ``index.query`` ranking the probe with one ``distance`` per
     candidate, then one ``decision`` and one sigmoid per model, voted
     through ``weighted_score``."""
     classifier._require_trained()
-    index = classifier._indexes.get(origin)
-    store = classifier._received.get(origin, {})
-    if index is None or len(index) == 0:
+    store, index = own_index(classifier, origin)
+    if len(index) == 0:
         return {tag: 0.0 for tag in classifier.tags}
     nearest = index.query(vector, top_k=classifier.config.top_k)
     votes = {t: [] for t in classifier.tags}
@@ -502,6 +661,8 @@ def install_scalar_ml(monkeypatch) -> None:
     monkeypatch.setattr(linear_svm, "pegasos_block", pegasos_block)
     # and ``KMeans.fit`` and ``fit_block`` the k-means one
     monkeypatch.setattr(kmeans, "kmeans_block", kmeans_block)
+    # every receiver's own store, hashing for itself
     monkeypatch.setattr(PaceClassifier, "_store_bundle", store_bundle)
+    monkeypatch.setattr(PaceClassifier, "held_bundles", held_bundles)
     monkeypatch.setattr(PaceClassifier, "predict_scores", predict_scores)
     monkeypatch.setattr(_PredictionBlock, "probabilities", regional_probabilities)

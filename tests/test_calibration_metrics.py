@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import platt
 from repro.errors import ConfigurationError, NotTrainedError
 from repro.ml.calibration import PlattCalibrator
 from repro.ml.metrics import (
@@ -18,6 +19,41 @@ from repro.ml.metrics import (
     precision_at_k,
     subset_accuracy,
 )
+
+
+def _hex_pair(pair):
+    return tuple(float(value).hex() for value in pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(-6.0, 6.0), st.sampled_from([-1, 1])),
+                min_size=1, max_size=40))
+def test_platt_fit_equals_the_loop_that_took_exp_twice(points):
+    """The z >= 0 branch takes ``math.exp(-z)`` once now: the fitted A and
+    B are the reference loop's, bit for bit."""
+    decisions, labels = map(list, zip(*points))
+    got = PlattCalibrator().fit(decisions, labels).parameters()
+    assert _hex_pair(got) == _hex_pair(platt.fit(decisions, labels))
+
+
+def test_platt_fit_equals_the_reference_on_both_sides_of_the_sigmoid():
+    """Seeded fits, nearly all visiting both branches of the sigmoid, like
+    the per-tag fits a PACE round makes over its training margins."""
+    rng = np.random.default_rng(9)
+    both = 0
+    for case in range(60):
+        n = int(rng.integers(4, 40))
+        labels = rng.choice([-1, 1], size=n).tolist()
+        labels[:2] = [-1, 1]
+        shift = rng.uniform(-3.0, 3.0)
+        decisions = (np.array(labels) * rng.uniform(0.0, 2.0, n)
+                     + rng.normal(shift, 1.0, n)).tolist()
+        branches = {"z >= 0": 0, "z < 0": 0}
+        want = platt.fit(decisions, labels, branches=branches)
+        both += min(branches.values()) > 0
+        got = PlattCalibrator().fit(decisions, labels).parameters()
+        assert _hex_pair(got) == _hex_pair(want)
+    assert both >= 50
 
 
 class TestPlattCalibrator:

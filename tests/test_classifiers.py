@@ -174,8 +174,8 @@ class TestPace:
 
     def test_no_document_vectors_in_bundles(self, trained_pace):
         """PACE privacy property: bundles hold weights/centroids only."""
-        for store in trained_pace._received.values():
-            for bundle in store.values():
+        for receiver in range(NUM_PEERS):
+            for bundle in trained_pace.held_bundles(receiver).values():
                 assert not hasattr(bundle, "documents")
                 assert set(vars(bundle)) == {
                     "origin", "models", "accuracies", "calibration", "centroids",
@@ -200,6 +200,12 @@ class TestPace:
         ("lambda_reg", float("inf")),
         ("lambda_reg", 0.0),
         ("epochs", 0),
+        ("lsh_bits", 0),
+        ("lsh_bits", 65),
+        ("lsh_bits", 8.5),
+        ("top_k", 2.5),
+        ("max_negative_ratio", 0.0),
+        ("max_negative_ratio", float("nan")),
     ])
     def test_config_that_fails_late_is_refused_by_validate(self, field, value):
         """Each used to pass ``validate``: a negative window raised numpy's
@@ -207,7 +213,10 @@ class TestPace:
         word, a NaN smoothing made every score 0.0, a fractional cluster
         count clustered into its ceiling, and the linear SVM's settings were
         refused only inside ``train()``, without the config's word for
-        them."""
+        them; an LSH width outside [1, 64] was refused only after the
+        Pegasos and k-means blocks, a fractional one raised a bare
+        ``TypeError`` mid-train, a fractional ``top_k`` one at the first
+        AutoTag, and a zero or NaN negative ratio inside ``train()``."""
         with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
             PaceConfig(**{field: value}).validate()
 
@@ -250,6 +259,18 @@ class TestBaselines:
     def test_linear_svm_settings_are_refused_by_validate(self, config, field, value):
         """A bad ``lambda_reg`` used to pass ``validate`` and fail only
         when ``train()`` built its ``LinearSVM``."""
+        with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
+            config(**{field: value}).validate()
+
+    @pytest.mark.parametrize("config", [LocalOnlyConfig, CentralizedConfig])
+    @pytest.mark.parametrize("field, value", [
+        ("max_negative_ratio", 0.0),
+        ("max_negative_ratio", float("nan")),
+        ("max_negative_ratio", float("inf")),
+    ])
+    def test_config_that_fails_late_is_refused_by_validate(self, config, field, value):
+        """Each used to pass ``validate`` (``CemparConfig`` refused them) and
+        fail inside ``train()``'s ``binary_problems``."""
         with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
             config(**{field: value}).validate()
 

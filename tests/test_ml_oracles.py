@@ -19,6 +19,7 @@ between a block of many models and each model packed alone
 two tagging workloads of the repo benchmark at their smoke shapes.
 """
 
+import functools
 import importlib
 import json
 import os
@@ -37,6 +38,7 @@ from determinism_fixtures import (
     build_scenario_config,
 )
 from reference import compensated_sum, ml_scalar
+from repro.data.delicious import DeliciousGenerator
 from repro.errors import ConfigurationError
 from repro.ml.kernel_svm import (
     KernelSVM,
@@ -48,12 +50,16 @@ from repro.ml import kmeans
 from repro.ml.calibration import PlattCalibrator
 from repro.ml.kernels import PairDots, gram_matrix
 from repro.ml.kmeans import KMeans, kmeans_block
+from repro.ml import linear_svm
 from repro.ml.linear_svm import LinearSVM, LinearSVMModel, pegasos_block
 from repro.ml.lsh import RandomHyperplaneLSH
+from repro.ml.metrics import micro_f1
 from repro.ml.sparse import RowTable, SparseVector, pack_rows
 from repro.p2pclass.cascade import cascade_merge
+from repro.p2pclass.base import corpus_to_peer_data
 from repro.p2pclass.pace import PaceClassifier, PaceConfig, PaceModelBundle
 from repro.sim.shard import ShardedScenario
+from repro.text.vectorizer import PreprocessingPipeline
 
 PERF = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -558,28 +564,62 @@ def _trained_alone(problem, lambda_reg, epochs, seed):
     return ml_scalar.pegasos_fit(svm, vectors, labels)
 
 
+def _margins(model, vectors):
+    """``model.decision`` of each vector, as ``float.hex``."""
+    return [_hex(ml_scalar.dot(model.weights, vector) + model.bias)
+            for vector in vectors]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_pegasos_block_trains_each_problem_as_if_alone(seed):
     """Bias and weights *in order* of every model, against the scalar steps
     on that problem alone: the step count sorts the active prefix, padding
-    must never reach a real weight, and emission follows the first update."""
+    must never reach a real weight, and emission follows the first update.
+    And every margin handed back is the scalar decision, bit for bit, both
+    where the gather walks the vector and where the weights are shorter."""
     rng = np.random.default_rng(200 + seed)
-    sizes, one_class, shared = set(), 0, 0
+    sizes, one_class, shared, walked = set(), 0, 0, {True: 0, False: 0}
     for case in range(12):
         groups = _random_groups(rng, peers=int(rng.integers(1, 5)), ids=30)
         lambda_reg, epochs = (1e-4, 0.05, 0.5)[case % 3], int(rng.integers(1, 5))
         got = pegasos_block(groups, lambda_reg=lambda_reg, epochs=epochs, seed=seed)
-        assert [len(models) for models in got] == [len(group) for group in groups]
-        for group, models in zip(groups, got):
+        assert [len(fitted) for fitted in got] == [len(group) for group in groups]
+        for group, fitted in zip(groups, got):
             held = [id(vector) for vectors, _ in group for vector in vectors]
             shared += len(held) > len(set(held))
-            for problem, model in zip(group, models):
+            for problem, (model, margins) in zip(group, fitted):
                 want = _trained_alone(problem, lambda_reg, epochs, seed)
                 assert model.bias == want.bias
                 assert list(model.weights.items()) == list(want.weights.items())
+                assert [_hex(margin) for margin in margins] == _margins(want, problem[0])
+                assert margins == [model.decision(vector) for vector in problem[0]]
                 sizes.add(len(problem[0]))
                 one_class += len(set(problem[1])) == 1
+                for vector in problem[0]:
+                    walked[len(vector) < model.weights.nnz] += 1
     assert 2 in sizes and len(sizes) >= 8 and one_class and shared
+    assert min(walked.values()) > 20  # both sides of the operand rule
+
+
+def test_pegasos_margins_are_the_scalar_sum_in_the_vectors_order():
+    """Margins where the order shows: products that all underflow to -0.0
+    (from the int 0 the scalar sum is +0.0), a vector no weight shares a
+    feature with, and ``[+B, s x7, -B]`` terms where left to right every
+    ``s`` is absorbed."""
+    big = [(0, 1e8)] + [(k, 0.5) for k in range(1, 8)] + [(8, -1e8)]
+    cases = [
+        [SparseVector({0: 1e-200, 1: -1e-200, 2: 1.0}), SparseVector({5: 1.0})],
+        [SparseVector(big), SparseVector({9: -1.0}), SparseVector({20: 1.0})],
+        [SparseVector({0: -1e-300, 1: -1e-300}), SparseVector({0: 1e-300, 3: 2.0}),
+         SparseVector()],
+    ]
+    for vectors in cases:
+        for labels in ([1, -1] * 2)[:len(vectors)], ([-1] + [1] * 3)[:len(vectors)]:
+            for lambda_reg in (1e-4, 1.0):
+                [[(model, margins)]] = pegasos_block(
+                    [[(vectors, labels)]], lambda_reg=lambda_reg, epochs=3, seed=1
+                )
+                assert [_hex(margin) for margin in margins] == _margins(model, vectors)
 
 
 def test_pegasos_block_refuses_what_linear_svm_refuses():
@@ -601,6 +641,28 @@ def test_pegasos_block_refuses_what_linear_svm_refuses():
     assert pegasos_block([[], []], lambda_reg=1e-4, epochs=2, seed=0) == [[], []]
 
 
+def test_pegasos_block_chunks_stay_small_and_agree():
+    """Problems whose walked entries overflow several chunks, and one
+    problem longer than a chunk by itself, train and score as if alone."""
+    rng = np.random.default_rng(11)
+    documents = _shuffled_vectors(rng, 120, 400, max_size=300, min_size=200)
+    labels = rng.choice([-1, 1], size=120).tolist()
+    labels[:2] = [-1, 1]
+    groups = [[(documents, labels), (documents[:9], labels[:9])]]
+    chunked = []
+    chunks = linear_svm._chunks
+    with mock.patch.object(linear_svm, "_chunks", lambda cells: [
+        chunked.append((cells.tolist(), list(chunks(cells)))) or chunked[-1][1]
+    ][0]):
+        got = pegasos_block(groups, lambda_reg=1.0, epochs=2, seed=3)
+    for problem, (model, margins) in zip(groups[0], got[0]):
+        want = _trained_alone(problem, 1.0, 2, 3)
+        assert list(model.weights.items()) == list(want.weights.items())
+        assert [_hex(margin) for margin in margins] == _margins(want, problem[0])
+    [(cells, ranges)] = chunked
+    assert cells[0] > linear_svm._CHUNK_CELLS and ranges == [(0, 1), (1, 2)]
+
+
 def test_the_scalar_oracle_trains_pace_one_problem_at_a_time(monkeypatch):
     """With the oracles installed PACE's block is the scalar steps, so an
     end-to-end comparison against them compares two Pegasos, not one."""
@@ -613,20 +675,30 @@ def test_the_scalar_oracle_trains_pace_one_problem_at_a_time(monkeypatch):
     classifier = build_classifier("pace", build_scenario("chord", "churn"))
     classifier.train()
     models = [
-        model for store in classifier._received.values()
-        for bundle in store.values() for model in bundle.models.values()
+        model for view in _views(classifier).values()
+        for bundle in view.values() for model in bundle.models.values()
     ]
-    assert len(calls) >= len({id(bundle) for store in classifier._received.values()
-                              for bundle in store.values()}) > 0
+    assert len(calls) >= len({id(bundle) for view in _views(classifier).values()
+                              for bundle in view.values()}) > 0
     assert any(model.weights.nnz for model in models)
+
+
+def _views(classifier):
+    """receiver -> the bundles it holds (origin -> bundle, in broadcast
+    order), for every receiver that holds one."""
+    views = {
+        receiver: classifier.held_bundles(receiver)
+        for receiver in classifier.scenario.peer_addresses
+    }
+    return {receiver: view for receiver, view in views.items() if view}
 
 
 def _pace_centroids(classifier):
     """origin -> the items of each centroid its bundle carries, in order."""
     return {
         origin: [list(centroid.items()) for centroid in bundle.centroids]
-        for store in classifier._received.values()
-        for origin, bundle in store.items()
+        for view in _views(classifier).values()
+        for origin, bundle in view.items()
     }
 
 
@@ -637,6 +709,7 @@ def test_the_scalar_oracle_clusters_pace_one_group_at_a_time(monkeypatch):
     either way, items in order."""
     plain = build_classifier("pace", build_scenario("chord", "churn"))
     plain.train()
+    want = _pace_centroids(plain)
     calls = []
     scalar = ml_scalar.kmeans_fit
     monkeypatch.setattr(
@@ -646,7 +719,7 @@ def test_the_scalar_oracle_clusters_pace_one_group_at_a_time(monkeypatch):
     classifier = build_classifier("pace", build_scenario("chord", "churn"))
     classifier.train()
     assert len(calls) >= len(_pace_centroids(classifier)) > 1
-    assert _pace_centroids(classifier) == _pace_centroids(plain)
+    assert _pace_centroids(classifier) == want
 
 
 def test_the_scalar_oracle_trains_cempar_one_problem_at_a_time(monkeypatch):
@@ -819,20 +892,45 @@ def test_kmeans_block_refuses_what_kmeans_refuses():
     assert kmeans_block([], k=2, max_iterations=5, seed=0) == []
 
 
-# -- PACE: centroids hashed once per broadcast, buckets unchanged -------------------
+# -- PACE: one shared index, every receiver's own buckets unchanged ---------------
 
 
-def _buckets(classifier):
-    return {receiver: dict(index._buckets)
-            for receiver, index in classifier._indexes.items()}
+def _own_buckets(classifier):
+    """receiver -> its own index's buckets, in their order, each entry
+    ``(centroid, origin)``: read off the shared index (every entry in
+    insertion order, which its payload ``(column, place)`` sorts in, kept
+    where the receiver's row holds its bundle), or
+    the per-receiver oracle's own indexes where it is installed."""
+    receivers = classifier._receivers
+    if receivers in ml_scalar._STORES:
+        indexes = ml_scalar.per_receiver_store(classifier).indexes
+        return {receiver: list(index._buckets.items())
+                for receiver, index in indexes.items() if len(index)}
+    entries = sorted(
+        (payload, key, centroid)
+        for key, bucket in receivers.lsh._buckets.items()
+        for centroid, payload in bucket
+    )
+    own = {}
+    for receiver, row in receivers.row_of.items():
+        buckets = {}
+        for (column, _), key, centroid in entries:
+            if receivers.held[row, column]:
+                origin = receivers.bundles[column].origin
+                buckets.setdefault(key, []).append((centroid, origin))
+        if buckets:
+            own[receiver] = list(buckets.items())
+    return own
 
 
 @pytest.mark.parametrize("overlay", ["chord", "unstructured"])
 @pytest.mark.parametrize("protocol", ["pace", "private"])
 def test_pace_buckets_equal_per_receiver_hashing(protocol, overlay, monkeypatch):
-    """Every receiver's index after ``train()`` — under churn, with flood
-    duplicates, with noisy re-created bundles, and again after a second
-    ``train()`` — is what it is when each receiver hashes for itself."""
+    """Every receiver's own buckets after ``train()`` — under churn, with
+    flood duplicates, with noisy re-created bundles, and again after a
+    second ``train()`` — are what they are when each receiver keeps its own
+    index and hashes for itself, keys and entries in order; and the shared
+    index takes one insert per centroid broadcast."""
     fast = build_classifier(protocol, build_scenario(overlay, "churn"))
     slow = build_classifier(protocol, build_scenario(overlay, "churn"))
     ml_scalar.install_per_receiver_hashing(slow)
@@ -847,16 +945,16 @@ def test_pace_buckets_equal_per_receiver_hashing(protocol, overlay, monkeypatch)
         fast.train()
         hashed = len(calls)
         slow.train()
-        assert _buckets(fast) == _buckets(slow)
-        assert any(_buckets(fast).values())
-        # one signature per centroid of each bundle that was broadcast ...
-        broadcast = {
-            id(bundle): bundle for store in fast._received.values()
-            for bundle in store.values()
-        }
-        assert hashed == sum(len(b.centroids) for b in broadcast.values())
+        assert _own_buckets(fast) == _own_buckets(slow)
+        assert any(_own_buckets(fast).values())
+        assert _views(fast) == _views(slow)
+        # one signature and one insert per centroid of each bundle that
+        # was broadcast ...
+        broadcast = fast._receivers.bundles
+        assert hashed == sum(len(b.centroids) for b in broadcast) == len(fast._receivers.lsh)
         # ... where per-receiver hashing pays one more per entry stored
-        stored = sum(len(index) for index in fast._indexes.values())
+        stored = sum(len(b.centroids) for view in _views(fast).values()
+                     for b in view.values())
         assert len(calls) - 2 * hashed == stored > 2 * hashed
 
 
@@ -951,16 +1049,25 @@ def _bundle(origin, centroids, models, accuracies=None, calibration=None):
 
 def _pace_holding(stores, **config):
     """A trained-looking ``PaceClassifier`` whose receivers hold exactly
-    ``stores`` (receiver -> bundles), stored the way a broadcast stores."""
+    ``stores`` (receiver -> bundles), stored the way broadcasts store: each
+    bundle once, in the order bundles first appear in ``stores``, held by
+    every receiver that lists it (each list in that order)."""
     classifier = PaceClassifier(
         build_scenario("fullmesh", "none"), {0: []}, _PACE_TAGS, PaceConfig(**config)
     )
     classifier._trained = True
+    holders = {}  # id(bundle) -> (bundle, receivers), in broadcast order
     for receiver, bundles in stores.items():
-        signature = classifier._index_of(receiver).signature
         for bundle in bundles:
-            keys = [signature(centroid) for centroid in bundle.centroids]
-            classifier._store_bundle(receiver, bundle, keys)
+            holders.setdefault(id(bundle), (bundle, []))[1].append(receiver)
+    order = list(holders)
+    for bundles in stores.values():
+        places = [order.index(id(bundle)) for bundle in bundles]
+        assert places == sorted(places), "a store out of broadcast order"
+    signature = classifier._receivers.lsh.signature
+    for bundle, receivers in holders.values():
+        keys = [signature(centroid) for centroid in bundle.centroids]
+        classifier._store_bundle(bundle, keys, receivers)
     return classifier
 
 
@@ -1000,9 +1107,9 @@ def _bundles(draw, origin):
 def test_pace_scores_equal_the_scalar_prediction(data, origins, top_k, smoothing,
                                                  queries):
     bundles = [data.draw(_bundles(origin)) for origin in range(origins)]
-    kept = data.draw(st.lists(st.sampled_from(range(origins)), unique=True))
+    kept = data.draw(st.sets(st.sampled_from(range(origins))))
     classifier = _pace_holding(
-        {0: bundles, 1: [bundles[origin] for origin in kept]},
+        {0: bundles, 1: [bundles[origin] for origin in sorted(kept)]},
         top_k=top_k, distance_smoothing=smoothing,
     )
     for query in queries + [SparseVector(), SparseVector({10_000: 1.5})]:
@@ -1082,21 +1189,20 @@ def test_pace_keeps_probe_order_among_equally_distant_candidates():
     assert scores["a"] > 0.0 == scores["b"] and swapped["b"] > 0.0 == swapped["a"]
 
 
-def test_pace_candidates_whose_origin_the_store_lacks_still_take_their_place():
+def test_pace_candidates_the_receiver_does_not_hold_take_no_place():
+    """The nearer bundle is held by receiver 1 only: receiver 0's probe never
+    sees its centroid, so with ``top_k = 1`` the farther one votes there,
+    as it does in an index that never stored the nearer one."""
     near = _bundle(1, [_direction(1.0)], {"a": ({0: 1.0}, 0.0)})
     far = _bundle(2, [_direction(5.0)], {"b": ({0: 1.0}, 0.0)})
     query = _direction(1.1)
-    # another receiver still holds the bundle: the block knows its centroid
-    classifier = _pace_holding({0: [near, far], 1: [near]}, top_k=1)
-    del classifier._received[0][1]
-    assert _assert_same_scores(classifier, 0, query) == dict.fromkeys(_PACE_TAGS, 0.0)
-    assert _assert_same_scores(classifier, 1, query)["a"] > 0.0
-    # nobody holds it: its distance is the scalar one, its place still taken
-    alone = _pace_holding({0: [near, far]}, top_k=1)
-    del alone._received[0][1]
-    assert _assert_same_scores(alone, 0, query) == dict.fromkeys(_PACE_TAGS, 0.0)
-    alone.config.top_k = 2
-    assert _assert_same_scores(alone, 0, query)["b"] > 0.0
+    classifier = _pace_holding({1: [near, far], 0: [far]}, top_k=1)
+    lacking = _assert_same_scores(classifier, 0, query)
+    assert lacking["b"] > 0.0 == lacking["a"]
+    holding = _assert_same_scores(classifier, 1, query)
+    assert holding["a"] > 0.0 == holding["b"]
+    reference = _pace_holding({0: [far]}, top_k=1)
+    assert reference.predict_scores(0, query) == lacking
 
 
 def test_pace_edges_of_the_index_and_of_the_sigmoid():
@@ -1121,6 +1227,152 @@ def test_pace_edges_of_the_index_and_of_the_sigmoid():
         )
 
 
+@pytest.mark.parametrize("num_bits", [1, 3, 8])
+@settings(max_examples=40, deadline=None)
+@given(stored=st.lists(vectors(max_id=12, max_size=4), max_size=30),
+       queries=st.lists(vectors(max_id=14, max_size=4), min_size=1, max_size=4),
+       top_k=st.integers(1, 12))
+def test_lsh_probe_visits_buckets_in_the_enumerated_order(num_bits, stored, queries,
+                                                          top_k):
+    """Keys up to 2 flips by flipped bits, occupied buckets beyond in
+    first-fill order, stopping at the first distance with ``top_k``
+    entries: the per-distance key walk the probe's mask table and one-pass
+    distances replaced."""
+    index = RandomHyperplaneLSH(num_bits=num_bits, seed=5)
+    for payload, vector in enumerate(stored):
+        index.insert(vector, payload)
+    for query in queries:
+        assert index.candidates(query, top_k) == ml_scalar.candidates(index, query, top_k)
+
+
+def test_lsh_probe_order_on_a_crowded_index():
+    """Enough buckets at every distance that their order shows."""
+    rng = np.random.default_rng(8)
+    index = RandomHyperplaneLSH(num_bits=8, seed=17)
+    for payload, vector in enumerate(_shuffled_vectors(rng, 150, 60, max_size=6, min_size=1)):
+        index.insert(vector, payload)
+    for query in _shuffled_vectors(rng, 60, 60, max_size=6, min_size=1):
+        for top_k in (1, 5, 20, 60):
+            got = index.candidates(query, top_k)
+            assert [p for _, p in got] == [
+                p for _, p in ml_scalar.candidates(index, query, top_k)
+            ]
+
+
+# -- PACE: the shared probe against each receiver's own index ----------------------
+
+
+def _hamming(a, b):
+    return bin(a ^ b).count("1")
+
+
+def test_pace_probes_far_buckets_in_the_receivers_own_fill_order():
+    """Receiver 0 misses the bundle that first filled a bucket 3 flips from
+    the query.  Its own index filled that bucket only with a later bundle,
+    after another bucket 3 flips away, so it probes that other bucket first;
+    with every candidate equally distant and ``top_k = 1`` the first probed
+    votes.  Probing in the shared index's first-fill order lets the other
+    bundle vote."""
+    query, filled_first, filled_later = (_direction(1.0, (k,)) for k in (0, 1, 4))
+    missed = _bundle(1, [filled_first], {"c": ({1: 1.0}, 0.0)})
+    earlier = _bundle(2, [filled_later], {"a": ({0: 1.0}, 0.0)})
+    later = _bundle(3, [_direction(1.0, (1,))], {"b": ({0: 1.0}, 0.0)})
+    classifier = _pace_holding({1: [missed, earlier, later], 0: [earlier, later]},
+                               top_k=1)
+    signature = classifier._receivers.lsh.signature
+    keys = [signature(vector) for vector in (query, filled_first, filled_later)]
+    assert _hamming(keys[0], keys[1]) == _hamming(keys[0], keys[2]) == 3
+    assert keys[1] != keys[2]
+    assert list(classifier._receivers.lsh._buckets) == [keys[1], keys[2]]
+    found = classifier._receivers.candidates(0, query, 1)
+    assert [payload for _, payload in found] == [(1, 0), (2, 0)]  # earlier, later
+    scores = _assert_same_scores(classifier, 0, query)
+    assert scores["a"] > 0.0 == scores["b"] == scores["c"]
+    reference = _pace_holding({0: [earlier, later]}, top_k=1)
+    assert reference.predict_scores(0, query) == scores
+    # the receiver that holds all three probes the shared order
+    assert _assert_same_scores(classifier, 1, query)["c"] > 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _broadcast_bundles(protocol, overlay):
+    """The bundles one round of ``protocol`` on ``overlay`` broadcasts over
+    24 peers, with the documents to query them with."""
+    corpus = DeliciousGenerator(
+        num_users=24, seed=5, num_tags=4, docs_per_user_range=(4, 6),
+        vocabulary_size=150, topic_words_per_tag=18, doc_length_range=(10, 18),
+    ).generate()
+    peer_data = corpus_to_peer_data(corpus, PreprocessingPipeline(dimension=2 ** 16))
+    tags = sorted(corpus.tag_universe())
+    classifier = build_classifier(
+        protocol, build_scenario(overlay, "churn", num_peers=24), peer_data, tags
+    )
+    classifier.train()
+    items = [item for held in peer_data.values() for item in held]
+    return list(classifier._receivers.bundles), items, tags
+
+
+def _holding_round(protocol, overlay, tags, top_k):
+    classifier = build_classifier(
+        protocol, build_scenario(overlay, "none", num_peers=24), {0: []}, tags
+    )
+    classifier.config.top_k = top_k
+    classifier._trained = True
+    return classifier
+
+
+@pytest.mark.parametrize("overlay", ["chord", "unstructured"])
+@pytest.mark.parametrize("protocol", ["pace", "private"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), top_k=st.integers(1, 12),
+       down=st.sampled_from([0.0, 0.3, 0.6, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_index_equals_per_receiver_stores(protocol, overlay, data, top_k,
+                                                  down, seed):
+    """Bundles broadcast in a random order, each reaching the receivers a
+    churn mask leaves up (its sender always, some twice as a flood would):
+    every receiver's candidates, in order, its scores bit for bit and the
+    micro-F1 they give are those of one index and one store per
+    receiver."""
+    bundles, items, tags = _broadcast_bundles(protocol, overlay)
+    order = data.draw(st.permutations(range(len(bundles))))
+    rng = np.random.default_rng(seed)
+    fast = _holding_round(protocol, overlay, tags, top_k)
+    slow = _holding_round(protocol, overlay, tags, top_k)
+    ml_scalar.install_per_receiver_store(slow)
+    receivers = fast.scenario.peer_addresses
+    for position in order:
+        bundle = bundles[position]
+        up = [r for r in receivers if rng.random() >= down]
+        reached = up + up[: len(up) // 3] + [bundle.origin]
+        keys = [fast._receivers.lsh.signature(c) for c in bundle.centroids]
+        fast._store_bundle(bundle, keys, reached)
+        slow._store_bundle(bundle, keys, reached)
+    queries = [items[i] for i in rng.choice(len(items), size=8, replace=False)]
+    indexes = ml_scalar.per_receiver_store(slow).indexes
+    truth, predicted = [], {"fast": [], "slow": []}
+    for receiver in receivers:
+        assert fast.held_bundles(receiver) == slow.held_bundles(receiver)
+        for item in queries:
+            got = fast._receivers.candidates(receiver, item.vector, top_k)
+            index = indexes.get(receiver)
+            want = [] if index is None else ml_scalar.candidates(index, item.vector, top_k)
+            columns = fast._receivers.bundles
+            assert [(id(c), columns[column].origin) for c, (column, _) in got] == [
+                (id(c), origin) for c, origin in want
+            ]
+            fast_scores = fast.predict_scores(receiver, item.vector)
+            slow_scores = slow.predict_scores(receiver, item.vector)
+            assert {t: _hex(v) for t, v in fast_scores.items()} == {
+                t: _hex(v) for t, v in slow_scores.items()
+            }
+            truth.append(item.tags)
+            predicted["fast"].append(fast.predict_tags(receiver, item.vector))
+            predicted["slow"].append(slow.predict_tags(receiver, item.vector))
+    assert micro_f1(truth, predicted["fast"], tags) == micro_f1(
+        truth, predicted["slow"], tags
+    )
+
+
 @pytest.mark.parametrize("protocol", ["pace", "private"])
 def test_pace_block_is_built_on_the_first_query_and_dropped_by_train(protocol):
     classifier = build_classifier(protocol, build_scenario("chord", "churn"))
@@ -1128,13 +1380,14 @@ def test_pace_block_is_built_on_the_first_query_and_dropped_by_train(protocol):
                for item in items]
     classifier.train()
     assert classifier._block is None  # train() packs nothing
-    for receiver in classifier._received:
+    for receiver in _views(classifier):
         for query in queries:
             _assert_same_scores(classifier, receiver, query)
     first = classifier._block
-    distinct = {id(bundle) for store in classifier._received.values()
-                for bundle in store.values()}
+    distinct = {id(bundle) for view in _views(classifier).values()
+                for bundle in view.values()}
     assert set(first.model_rows) == distinct  # one block, shared bundles once
+    assert len(first.model_rows) == len(classifier._receivers.bundles)
     # retraining on other data replaces every bundle, and the block with them
     classifier.peer_data = {
         address: items[: len(items) // 2 + 1]
@@ -1142,7 +1395,7 @@ def test_pace_block_is_built_on_the_first_query_and_dropped_by_train(protocol):
     }
     classifier.train()
     assert classifier._block is None
-    for receiver in classifier._received:
+    for receiver in _views(classifier):
         for query in queries[::3]:
             _assert_same_scores(classifier, receiver, query)
     assert classifier._block is not first
@@ -1332,12 +1585,14 @@ def _assert_same_autotag(workload_class, shape, seed, install, trained=None):
     with pytest.MonkeyPatch.context() as patch:
         install(patch)
         want = _run(workload_class, shape, seed)
+        # read while the oracles that hold its state are installed
+        want_trained = trained and trained(want.system.classifier)
     got = _run(workload_class, shape, seed)
     assert any(want._predicted)  # the oracle run tagged something
     assert got._predicted == want._predicted
     assert got.exact == want.exact  # scenario digest, micro-F1, bytes per peer
     if trained is not None:
-        assert trained(got.system.classifier) == trained(want.system.classifier)
+        assert trained(got.system.classifier) == want_trained
     return got
 
 
@@ -1398,7 +1653,8 @@ def test_sharded_pace_workers_predict_from_their_own_stores():
         classifier = build_classifier("pace", scenario)
         classifier.train()
         compared = mismatched = 0
-        for receiver in sorted(classifier._received):
+        views = _views(classifier)
+        for receiver in sorted(views):
             for items in classifier.peer_data.values():
                 for item in items:
                     compared += 1
@@ -1406,7 +1662,7 @@ def test_sharded_pace_workers_predict_from_their_own_stores():
                         _assert_same_scores(classifier, receiver, item.vector)
                     except AssertionError:
                         mismatched += 1
-        held = {origin for store in classifier._received.values() for origin in store}
+        held = {origin for view in views.values() for origin in view}
         return compared, mismatched, held, len(classifier._block.model_rows)
 
     config = build_scenario_config("chord", "none", rng_mode="perpeer", shards=2)

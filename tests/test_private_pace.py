@@ -15,6 +15,17 @@ from tests.test_classifiers import (
 )
 
 
+def _held_anywhere(classifier):
+    """Every bundle some receiver holds, once."""
+    held = {
+        id(bundle): bundle
+        for receiver in classifier.scenario.peer_addresses
+        for bundle in classifier.held_bundles(receiver).values()
+    }
+    assert held
+    return list(held.values())
+
+
 @pytest.fixture(scope="module")
 def trained_private():
     classifier = PrivatePaceClassifier(
@@ -40,8 +51,8 @@ class TestPrivatePace:
             fresh_scenario(), PEER_DATA, TAGS, PrivatePaceConfig(epsilon=1.0)
         )
         private.train()
-        plain_bundle = plain._received[0][1]
-        private_bundle = private._received[0][1]
+        plain_bundle = plain.held_bundles(0)[1]
+        private_bundle = private.held_bundles(0)[1]
         shared_tag = next(iter(plain_bundle.models))
         assert (
             plain_bundle.models[shared_tag].weights
@@ -63,8 +74,8 @@ class TestPrivatePace:
             private.train()
             total = 0.0
             count = 0
-            for origin, plain_bundle in plain._received[0].items():
-                private_bundle = private._received[0].get(origin)
+            for origin, plain_bundle in plain.held_bundles(0).items():
+                private_bundle = private.held_bundles(0).get(origin)
                 if private_bundle is None:
                     continue
                 for tag, model in plain_bundle.models.items():
@@ -78,10 +89,9 @@ class TestPrivatePace:
         assert weight_distortion(0.1) > weight_distortion(10.0)
 
     def test_accuracies_clamped(self, trained_private):
-        for store in trained_private._received.values():
-            for bundle in store.values():
-                for accuracy in bundle.accuracies.values():
-                    assert 0.0 <= accuracy <= 1.0
+        for bundle in _held_anywhere(trained_private):
+            for accuracy in bundle.accuracies.values():
+                assert 0.0 <= accuracy <= 1.0
 
     def test_privacy_budget_validation(self):
         with pytest.raises(ConfigurationError):
@@ -109,8 +119,7 @@ class TestPrivatePace:
 
     def test_no_document_vectors_leave_peer(self, trained_private):
         """The inherited privacy property: bundles carry no documents."""
-        for store in trained_private._received.values():
-            for bundle in store.values():
-                assert set(vars(bundle)) == {
-                    "origin", "models", "accuracies", "calibration", "centroids",
-                }
+        for bundle in _held_anywhere(trained_private):
+            assert set(vars(bundle)) == {
+                "origin", "models", "accuracies", "calibration", "centroids",
+            }

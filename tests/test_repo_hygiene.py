@@ -675,6 +675,10 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (ml / "kernel_svm.py", "KernelSVMModel.decision"),
         (ml / "linear_svm.py", "LinearSVM.fit"),
         (ml / "linear_svm.py", "pegasos_block"),
+        (ml / "linear_svm.py", "_train"),  # the steps, emission and margins
+        (ml / "linear_svm.py", "_chunks"),
+        (ml / "lsh.py", "RandomHyperplaneLSH.candidates"),
+        (ml / "lsh.py", "RandomHyperplaneLSH.probe"),
         (ml / "kmeans.py", "kmeans_block"),
         (ml / "kmeans.py", "_Chunk"),
         (ml / "kmeans.py", "_kmeanspp"),
@@ -686,6 +690,7 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (ml / "sparse.py", "SparseVector.from_weights"),
         (ml / "sparse.py", "RowTable"),
         (pace, "_PredictionBlock"),
+        (pace, "_ReceiverIndex"),  # the shared probe
         (pace, "PaceClassifier.predict_scores"),
         (cempar, "_PredictionBlock"),
         (cempar, "CemparClassifier.predict_scores"),
@@ -702,6 +707,9 @@ def test_training_kernels_and_their_oracles_never_call_builtin_sum():
         (oracles, "mean_vector"),
         (oracles, "probability"),
         (oracles, "predict_scores"),
+        (oracles, "PerReceiverStore"),
+        (oracles, "candidates"),
+        (oracles, "per_receiver_predict_scores"),
         (oracles, "packed_decision"),
         (oracles, "regional_probabilities"),
     ]:
@@ -795,7 +803,7 @@ def test_pace_predicts_from_a_compact_block_built_by_pack_rows():
         )
         for origin in range(60)
     }
-    block = _PredictionBlock([bundles, dict(bundles)], tags)
+    block = _PredictionBlock(list(bundles.values()), tags)
     rows, columns = block.table.slots.shape
     entries = int(block.table.lengths.sum())
     assert (rows, entries) == (60 * 8, 60 * (6 * 150 + 2 * 300))
