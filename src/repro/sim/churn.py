@@ -12,6 +12,7 @@ session lengths, and Pareto models extremely skewed lifetimes.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Callable, List, Optional, Set
 
@@ -20,6 +21,17 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.network import PeerStreams, PhysicalNetwork, SharedStream
+
+
+def _check(name: str, value: float, zero_ok: bool = False) -> None:
+    """Refuse a churn parameter that is not a finite number ``> 0`` (``>=
+    0`` when ``zero_ok``): a NaN or an infinity would schedule leaves and
+    joins at times the event heap cannot order."""
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ConfigurationError(
+            f"{name} must be finite and {bound}, got {value}"
+        )
 
 
 class ChurnModel(ABC):
@@ -57,8 +69,8 @@ class ExponentialChurn(ChurnModel):
     """Memoryless sessions/downtimes with given means (seconds)."""
 
     def __init__(self, mean_session: float, mean_downtime: float) -> None:
-        if mean_session <= 0 or mean_downtime < 0:
-            raise ConfigurationError("churn means must be positive")
+        _check("mean_session", mean_session)
+        _check("mean_downtime", mean_downtime, zero_ok=True)
         self.mean_session = mean_session
         self.mean_downtime = mean_downtime
 
@@ -77,8 +89,9 @@ class WeibullChurn(ChurnModel):
     def __init__(
         self, scale_session: float, shape: float = 0.6, mean_downtime: float = 60.0
     ) -> None:
-        if scale_session <= 0 or shape <= 0 or mean_downtime < 0:
-            raise ConfigurationError("Weibull parameters must be positive")
+        _check("scale_session", scale_session)
+        _check("shape", shape)
+        _check("mean_downtime", mean_downtime, zero_ok=True)
         self.scale_session = scale_session
         self.shape = shape
         self.mean_downtime = mean_downtime
@@ -101,8 +114,9 @@ class ParetoChurn(ChurnModel):
         alpha: float = 1.5,
         mean_downtime: float = 60.0,
     ) -> None:
-        if minimum_session <= 0 or alpha <= 0 or mean_downtime < 0:
-            raise ConfigurationError("Pareto parameters must be positive")
+        _check("minimum_session", minimum_session)
+        _check("alpha", alpha)
+        _check("mean_downtime", mean_downtime, zero_ok=True)
         self.minimum_session = minimum_session
         self.alpha = alpha
         self.mean_downtime = mean_downtime

@@ -3,9 +3,10 @@
 A heap-based event loop with a virtual clock, engineered for million-message
 runs: the heap holds plain ``(time, sequence, callback, args)`` tuples (no
 per-event object), the pending count is a live counter rather than a queue
-scan, and :meth:`Simulator.schedule_batch` bulk-schedules whole delivery
-blocks in one pass.  A scheduled event cannot be cancelled: every entry in
-the heap fires.
+scan, :meth:`Simulator.schedule_batch` bulk-schedules a block of events in
+one pass, and :meth:`Simulator.schedule_run` puts a whole delivery block in
+the heap as one entry that walks its sorted rows (:class:`_BlockRun`).  A
+scheduled event cannot be cancelled: every entry in the heap fires.
 
 Determinism is a hard requirement (experiments must be reproducible
 bit-for-bit), so:
@@ -32,55 +33,67 @@ EventCallback = Callable[..., None]
 #: heap entry layout: (time, sequence, callback, args)
 _QueueEntry = Tuple[float, int, EventCallback, tuple]
 
+_heappush = heapq.heappush
+
+
+def _untimely(time: float, now: float) -> SimulationError:
+    """The error for an event time that is not ``>= now`` — in the past,
+    or NaN, which every comparison fails and which would corrupt the
+    heap's order silently."""
+    return SimulationError(f"cannot schedule an event at t={time} (now {now})")
+
 
 class _BlockRun:
-    """A homogeneous delivery block living in the heap as ONE entry.
+    """A block of deliveries living in the heap as ONE entry.
 
-    :meth:`Simulator.schedule_block` pre-allocates the block's whole
-    sequence-number range, then keeps exactly one heap entry alive for the
-    block: popping record ``i`` pushes the entry for record ``i + 1`` (with
-    its pre-allocated ``(time, seq)``) before firing the callback.  Because
-    the block's times are non-decreasing and its sequence numbers are the
-    same consecutive range a per-event ``schedule_batch_at`` would have
-    assigned, the global pop order — and therefore every observable — is
-    bit-identical to the per-event path, while the heap never balloons by
-    the block size and no per-record entry/argument tuples exist up front.
+    Row ``i`` fires ``callback(columns[0][i], columns[1][i], ...)`` at
+    ``times[i]`` and carries ``seqs[i]``, the sequence number a per-event
+    :meth:`Simulator.schedule_batch` would have given it.  The rows are
+    sorted by ``(time, seq)``, so the run's head — the one heap entry it
+    keeps alive — is always its smallest remaining key: popping row ``i``
+    pushes row ``i + 1`` with its own ``(time, seq)`` before firing the
+    callback.  Every queued row fires and no key is shared, so the global
+    pop order, and with it ``next_event_time``, ``pending_events`` and
+    ``export_cursors``, is bit-identical to one heap entry per row, while
+    the heap never grows by the block size and no per-row entry or
+    argument tuple exists before the row is due.
 
-    The run object itself is the heap entry's callback; per-record callback
-    arguments are read out of the column sequences only when the record
-    actually fires.
+    The run itself is the heap entry's callback; its argument is the row.
+    Rows fire strictly in order, so one ``map`` of the callback over the
+    columns fires them, one ``next`` a row.
     """
 
-    __slots__ = ("_sim", "times", "seq0", "callback", "columns", "count")
+    __slots__ = ("_queue", "times", "seqs", "callback", "columns", "count",
+                 "_fire")
 
     def __init__(
         self,
-        sim: "Simulator",
+        queue: List[_QueueEntry],
         times: Sequence[float],
-        seq0: int,
+        seqs: Sequence[int],
         callback: EventCallback,
         columns: Sequence[Sequence[Any]],
     ) -> None:
-        self._sim = sim
+        self._queue = queue
         self.times = times
-        self.seq0 = seq0
+        self.seqs = seqs
         self.callback = callback
         self.columns = columns
         self.count = len(times)
+        self._fire = (
+            map(callback, *columns) if columns
+            else itertools.starmap(callback, itertools.repeat((), self.count))
+        )
 
     def __call__(self, index: int) -> None:
         successor = index + 1
         if successor < self.count:
-            heapq.heappush(
-                self._sim._queue,
-                (
-                    self.times[successor],
-                    self.seq0 + successor,
-                    self,
-                    (successor,),
-                ),
+            _heappush(
+                self._queue,
+                (self.times[successor], self.seqs[successor], self,
+                 (successor,)),
             )
-        self.callback(*[column[index] for column in self.columns])
+        next(self._fire)
 
 
 class Simulator:
@@ -153,8 +166,8 @@ class Simulator:
         Passing ``args`` instead of closing over state avoids building a
         closure per event on hot paths.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:  # a NaN delay fails too
+            raise _untimely(self._now + delay, self._now)
         heapq.heappush(
             self._queue,
             (self._now + delay, next(self._sequence), callback, args),
@@ -165,10 +178,8 @@ class Simulator:
         self, time: float, callback: EventCallback, args: tuple = ()
     ) -> None:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} < now {self._now}"
-            )
+        if not time >= self._now:
+            raise _untimely(time, self._now)
         self.schedule(time - self._now, callback, args)
 
     def schedule_batch(
@@ -227,57 +238,97 @@ class Simulator:
             ]
         return self._push_batch(entries)
 
+    def schedule_run(
+        self,
+        delays: Sequence[float],
+        callback: EventCallback,
+        columns: Sequence[Sequence[Any]],
+    ) -> int:
+        """Bulk-schedule one callback over a block of rows as ONE heap entry.
+
+        Observationally :meth:`schedule_batch` over ``zip(*columns)``:
+        row ``i`` fires ``callback(columns[0][i], columns[1][i], ...)`` at
+        ``now + delays[i]`` under the sequence number ``schedule_batch``
+        would have given it, so the pop order and every cursor are the
+        same.  The rows are sorted once by ``(time, row)`` — a stable
+        argsort — and enter the heap as a :class:`_BlockRun`, the
+        delivery block of a fan-out.  Returns the number of events
+        scheduled.
+        """
+        count = len(delays)
+        if count == 0:
+            return 0
+        times = self._now + np.asarray(delays, dtype=float)
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        self._check_run(times[0], times[-1], columns, count)
+        seq0 = self._claim(count)
+        rows = order.tolist()
+        self._push_run(
+            times.tolist(), (order + seq0).tolist(), callback,
+            [[column[row] for row in rows] for column in columns],
+        )
+        return count
+
     def schedule_block(
         self,
         times: Sequence[float],
         callback: EventCallback,
         columns: Sequence[Sequence[Any]],
     ) -> int:
-        """Array-native bulk schedule of one callback over a sorted block.
+        """:meth:`schedule_run` over rows already sorted by absolute time.
 
         The columnar injection primitive behind the sharded kernel's
         exchange path: ``times`` must be non-decreasing absolute virtual
-        times and ``columns`` is one sequence per callback argument (record
-        ``i`` fires ``callback(columns[0][i], columns[1][i], ...)``).  The
-        whole block enters the heap as a single :class:`_BlockRun` entry —
-        no per-event heap tuples or argument tuples are allocated at
-        schedule time — yet the pop order is bit-identical to
-        :meth:`schedule_batch_at` over the same records: the block claims
-        the same consecutive sequence-number range, and each record
-        surfaces with its own pre-allocated ``(time, seq)`` key.  Returns
-        the number of events scheduled.
+        times and ``columns`` is one sequence per callback argument.  The
+        rows keep their order, so the block claims the consecutive
+        sequence range :meth:`schedule_batch_at` would, row ``i`` taking
+        ``seq0 + i``, and its pop order is bit-identical to that per-event
+        path.  Returns the number of events scheduled.
         """
         count = len(times)
         if count == 0:
             return 0
-        now = self._now
-        if times[0] < now:
-            raise SimulationError(
-                f"cannot schedule into the past (delay={times[0] - now})"
-            )
         previous = times[0]
         for time in times:
-            if time < previous:
+            if not time >= previous:
                 raise SimulationError(
                     "schedule_block requires non-decreasing times "
                     f"({time} after {previous})"
                 )
             previous = time
+        self._check_run(times[0], times[-1], columns, count)
+        seq0 = self._claim(count)
+        self._push_run(times, range(seq0, seq0 + count), callback, columns)
+        return count
+
+    def _check_run(self, first: float, last: float,
+                   columns: Sequence[Sequence[Any]], count: int) -> None:
+        """Refuse a sorted run that starts in the past or ends in NaN (a
+        stable argsort sorts NaN last, where a heap would not keep it), or
+        whose columns do not hold one value per row."""
+        for time in (first, last):
+            if not time >= self._now:
+                raise _untimely(time, self._now)
         for column in columns:
             if len(column) != count:
                 raise SimulationError(
-                    "schedule_block column length mismatch "
-                    f"({len(column)} != {count})"
+                    f"run column length mismatch ({len(column)} != {count})"
                 )
+
+    def _claim(self, count: int) -> int:
+        """Claim ``count`` consecutive sequence numbers in one hop and
+        return the first: the counter resumes exactly where per-event
+        allocation would have left it, so later schedules tie-break
+        identically."""
         seq0 = next(self._sequence)
-        # Claim the rest of the block's sequence range in one hop: the
-        # counter resumes exactly where per-event allocation would have
-        # left it, so later schedules tie-break identically.
         self._sequence = itertools.count(seq0 + count)
-        run = _BlockRun(self, times, seq0, callback, columns)
-        heapq.heappush(self._queue, (times[0], seq0, run, (0,)))
-        self._pending += count
-        return count
+        return seq0
+
+    def _push_run(self, times, seqs, callback, columns) -> None:
+        run = _BlockRun(self._queue, times, seqs, callback, columns)
+        _heappush(self._queue, (times[0], seqs[0], run, (0,)))
+        self._pending += run.count
 
     def _push_batch(self, entries: List[_QueueEntry]) -> int:
         """Validate and push a block of heap entries (one O(n+k) heapify for
@@ -285,10 +336,8 @@ class Simulator:
         now = self._now
         queue = self._queue
         for entry in entries:
-            if entry[0] < now:
-                raise SimulationError(
-                    f"cannot schedule into the past (delay={entry[0] - now})"
-                )
+            if not entry[0] >= now:
+                raise _untimely(entry[0], now)
         if len(entries) > 8 and len(entries) >= len(queue):
             queue.extend(entries)
             heapq.heapify(queue)

@@ -19,7 +19,9 @@ steps, which the core also takes row by row whenever draws must interleave
 per message (a loss model) or the block has fewer than two rows.  numpy
 fills array draws by repeating the same underlying generator steps, so a
 block of N sends consumes the RNG stream bit-identically to N sequential
-sends — batching never changes replay.  A subclass decides only who owns a
+sends — batching never changes replay.  A fan-out's live rows enter the
+kernel as one delivery run (:meth:`Simulator.schedule_run`), not one heap
+entry per recipient.  A subclass decides only who owns a
 peer (:meth:`PhysicalNetwork._owns`) and where a delivery goes
 (:meth:`PhysicalNetwork._schedule_block`).
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -524,9 +526,7 @@ class PhysicalNetwork:
             # one heap push: a one-row schedule_batch costs twice as much
             self.simulator.schedule(delay, self._deliver, args=(message,))
         else:
-            self._schedule_block(
-                (message.dst,), (delay,), self._deliver, ((message,),)
-            )
+            self._schedule_block((message.dst,), (delay,), (message,))
         return True
 
     def _owns(self, address: int) -> bool:
@@ -559,8 +559,10 @@ class PhysicalNetwork:
         The hot path behind :meth:`Transport.broadcast` at 10k+ recipients:
         stats arithmetic is aggregated in bulk, per-pair latency factors and
         jitter come from single array operations, and no :class:`Message`
-        objects exist at send time — one is materialized per *delivered*
-        recipient when its delivery event fires (:meth:`_deliver_lazy`).
+        objects exist at send time — the live rows enter the kernel as one
+        delivery run, and a :class:`Message` is materialized per
+        *delivered* recipient when its row fires
+        (:meth:`_fan_out_delivery`).
         RNG, accounting and gates are those of ``send_batch`` over the
         equivalent message block: a ``dst`` equal to ``src`` raises; from a
         down or never-registered source the attempt is observed, nothing is
@@ -652,19 +654,14 @@ class PhysicalNetwork:
                     return results
                 block = self._message_block(messages)
         self.stats.record_messages(block)
-        delays = self._block_delays(block).tolist()
+        delays = self._block_delays(block)
         if messages is None:
-            msg_type, size, wire = (
-                block.msg_type, block.size_bytes, block.wire_bytes
-            )
-            self._schedule_block(
-                dsts, delays, self._deliver_lazy,
-                ((srcs, dst, msg_type, payload, size, wire) for dst in dsts),
-            )
+            self._schedule_block(dsts, delays, fan_out=(
+                srcs, block.msg_type, payload, block.size_bytes,
+                block.wire_bytes,
+            ))
         else:
-            self._schedule_block(
-                block.dst, delays, self._deliver, zip(messages)
-            )
+            self._schedule_block(block.dst, delays.tolist(), messages)
         return results
 
     def _block_delays(self, block: SendBlock) -> np.ndarray:
@@ -703,12 +700,44 @@ class PhysicalNetwork:
 
     def _schedule_block(
         self, dsts: Sequence[int], delays: Sequence[float],
-        deliver: Callable[..., None], rows: Iterable[tuple],
+        messages: Optional[Sequence[Message]] = None,
+        fan_out: Optional[tuple] = None,
     ) -> None:
-        """Bulk-schedule ``deliver(*row)`` per already-charged live row:
-        :meth:`_deliver` over ``(message,)`` rows, or :meth:`_deliver_lazy`
-        over its own argument rows."""
-        self.simulator.schedule_batch(delays, deliver, rows)
+        """Schedule the deliveries of an already-charged live block: one
+        :meth:`_deliver` event per row of ``messages`` (``delays`` a list
+        of floats), or — for a fan-out whose rows share ``fan_out = (src,
+        msg_type, payload, size_bytes, wire_bytes)`` — one
+        :meth:`Simulator.schedule_run` over ``dsts``, whose rows deliver
+        through :meth:`_fan_out_delivery` (``delays`` the core's array)."""
+        if messages is None:
+            self.simulator.schedule_run(
+                delays, self._fan_out_delivery(*fan_out), (dsts,)
+            )
+        else:
+            self.simulator.schedule_batch(delays, self._deliver, zip(messages))
+
+    def _fan_out_delivery(
+        self, src: int, msg_type: str, payload: Any, size_bytes: int,
+        wire_bytes: int,
+    ) -> Callable[[int], None]:
+        """The per-row delivery of one fan-out: :meth:`_deliver_lazy`'s
+        work with the shared fields bound once, so a row is a handler
+        lookup, a down check and — only for a recipient that is up — one
+        :class:`Message`."""
+        handlers = self._handlers
+        down = self._down
+        stats = self.stats
+
+        def deliver(dst: int) -> None:
+            handler = handlers.get(dst)
+            if handler is None or dst in down:
+                stats.increment("messages_undeliverable")
+                return
+            handler(Message(src=src, dst=dst, msg_type=msg_type,
+                            payload=payload, size_bytes=size_bytes,
+                            wire_bytes=wire_bytes))
+
+        return deliver
 
     def _deliver(self, message: Message) -> None:
         handler = self._handlers.get(message.dst)
@@ -727,8 +756,7 @@ class PhysicalNetwork:
         wire_bytes: int,
         hops: int = 1,
     ) -> None:
-        """Deliver a broadcast-block (or cross-shard) message, materializing
-        it on demand.
+        """Deliver a cross-shard message, materializing it on demand.
 
         Handlers see an ordinary :class:`Message`; undeliverable recipients
         (churned out since send time, or with no handler here) never

@@ -8,6 +8,8 @@ overlay, churn driver, and stats into one ready-to-run environment.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -105,6 +107,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("num_peers", "shards"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if self.num_peers <= 0:
             raise ConfigurationError("num_peers must be positive")
         if not self.stabilize_interval > 0:  # 0 reschedules at the same instant
@@ -113,9 +121,9 @@ class ScenarioConfig:
             )
         if not self.bandwidth > 0:
             raise ConfigurationError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if not self.base_latency >= 0:
+        if not 0 <= self.base_latency < math.inf:
             raise ConfigurationError(
-                f"base_latency must be >= 0, got {self.base_latency}"
+                f"base_latency must be finite and >= 0, got {self.base_latency}"
             )
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ConfigurationError(
@@ -125,6 +133,7 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown overlay {self.overlay!r}")
         if self.churn not in ("none", "exponential", "weibull", "pareto"):
             raise ConfigurationError(f"unknown churn model {self.churn!r}")
+        self.build_churn_model()  # the model refuses bad means by name
         if self.codec not in codec_names():
             raise ConfigurationError(f"unknown codec {self.codec!r}")
         if self.rng_mode not in ("stream", "perpeer"):

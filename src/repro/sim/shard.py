@@ -578,27 +578,32 @@ class ShardNetwork(PhysicalNetwork):
     def _owns(self, address: int) -> bool:
         return self._runtime.owns(address)
 
-    def _schedule_block(self, dsts, delays, deliver, rows) -> None:
-        """Local destinations onto this heap, the rest into the window's
-        exchange outbox — as :meth:`_deliver_lazy` argument rows, which a
-        fan-out's rows already are and a message's fields fill."""
+    def _schedule_block(self, dsts, delays, messages=None, fan_out=None):
+        """Local destinations onto this heap through the base class, the
+        rest into the window's exchange outbox as :meth:`_deliver_lazy`
+        records, which a fan-out's shared fields or a message fill."""
         now = self.simulator.now
         append_record = self._runtime.append_record
-        materialized = deliver == self._deliver
-        local_delays: List[float] = []
-        local_rows: List[tuple] = []
-        for dst, delay, row in zip(dsts, delays, rows):
+        local: List[int] = []
+        if messages is None:
+            delays = delays.tolist()
+            src, msg_type, payload, size_bytes, wire_bytes = fan_out
+        for row, (dst, delay) in enumerate(zip(dsts, delays)):
             if self._owns(dst):
-                local_delays.append(delay)
-                local_rows.append(row)
-            elif materialized:
-                (m,) = row
+                local.append(row)
+            elif messages is None:
+                append_record(now + delay, src, dst, msg_type, payload,
+                              size_bytes, wire_bytes)
+            else:
+                m = messages[row]
                 append_record(now + delay, m.src, dst, m.msg_type, m.payload,
                               m.size_bytes, m.wire_bytes, m.hops)
-            else:
-                append_record(now + delay, *row)
-        if local_rows:
-            self.simulator.schedule_batch(local_delays, deliver, local_rows)
+        if local:
+            super()._schedule_block(
+                [dsts[row] for row in local], [delays[row] for row in local],
+                None if messages is None else [messages[row] for row in local],
+                fan_out,
+            )
 
     # Own attributes, not inherited ones: benchmarks/perf resolves its span
     # targets through ``ShardNetwork.__dict__``.

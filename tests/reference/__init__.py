@@ -16,10 +16,13 @@ when the sigmoid's z >= 0 branch took ``exp(-z)`` twice.
 is the corpus generator with one numpy call per draw — a factory, since
 the vocabulary is drawn in ``__init__``; ``token_chain`` is the
 preprocessing chain run one token at a time, with no memo.
+``heap_entries`` is the kernel heap one entry per event, every delivery
+run expanded into its remaining rows.
 """
 
 from reference.broadcast import install_per_message_broadcast
 from reference.chord_linear_scan import install_linear_scan
+from reference.heap import heap_entries
 from reference.ml_scalar import install_per_receiver_hashing, install_scalar_ml
 from reference.per_message_send import install_per_message_send
 from reference.rounds import install_sequential_rounds
@@ -27,6 +30,7 @@ from reference.scalar_corpus import scalar_generator
 from reference.token_chain import install_token_chain
 
 __all__ = [
+    "heap_entries",
     "install_linear_scan",
     "install_per_message_broadcast",
     "install_per_message_send",

@@ -51,9 +51,7 @@ def install_per_message_send(network) -> None:
             delay = factor * latency.delay_for(
                 message, network.streams.net_rng(message.src)
             )
-            network._schedule_block(
-                (message.dst,), (delay,), network._deliver, ((message,),)
-            )
+            network._schedule_block((message.dst,), (delay,), (message,))
         return results
 
     network.send_batch = send_batch

@@ -155,13 +155,22 @@ class TestScenario:
         ("base_latency", -0.05),
         ("bandwidth", 0.0),
         ("drop_probability", 1.5),
+        # a NaN session mean ran silently, leaving peers at NaN times; a
+        # NaN downtime died late with "event queue time went backwards"
+        ("mean_session", float("nan")),
+        ("mean_session", float("inf")),
+        ("mean_downtime", float("nan")),
+        ("mean_downtime", float("inf")),
+        ("base_latency", float("inf")),
+        # a fractional size raised a bare TypeError
+        ("num_peers", 2.5),
+        ("shards", 1.5),
     ])
     def test_configs_that_hang_or_crash_a_run_are_rejected(self, field, value):
-        config = ScenarioConfig(
-            num_peers=4, churn="exponential", shard=ShardSpec(num_peers=4),
-            **{field: value},
-        )
-        with pytest.raises(ConfigurationError, match=field):
+        settings = dict(num_peers=4, churn="exponential",
+                        shard=ShardSpec(num_peers=4))
+        config = ScenarioConfig(**{**settings, field: value})
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be"):
             config.validate()
 
 

@@ -1,7 +1,10 @@
 """Tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reference import heap_entries
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 
@@ -315,3 +318,153 @@ class TestScheduleBlock:
         sim = Simulator()
         with pytest.raises(SimulationError, match="mismatch"):
             sim.schedule_block([1.0, 2.0], lambda v: None, [[1]])
+        with pytest.raises(SimulationError, match="mismatch"):
+            sim.schedule_run([1.0, 2.0], lambda v: None, [[1, 2, 3]])
+        assert sim.pending_events == 0
+
+
+class TestNotANumberTimes:
+    """A NaN time fails every comparison, so a ``time < now`` guard lets it
+    through and it corrupts the heap's order silently; every entry point
+    refuses it, and names it."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("schedule", [
+        lambda sim, nan: sim.schedule(nan, lambda: None),
+        lambda sim, nan: sim.schedule_at(nan, lambda: None),
+        lambda sim, nan: sim.schedule_batch([1.0, nan], lambda: None),
+        lambda sim, nan: sim.schedule_batch_at([nan], lambda: None),
+        lambda sim, nan: sim.schedule_block([nan], lambda v: None, [[1]]),
+        lambda sim, nan: sim.schedule_block(
+            [1.0, nan], lambda v: None, [[1, 2]]
+        ),
+        lambda sim, nan: sim.schedule_run([nan, 1.0], lambda v: None, [[1, 2]]),
+        lambda sim, nan: sim.schedule_run([1.0, nan], lambda v: None, [[1, 2]]),
+    ])
+    def test_refused_by_name_and_nothing_queued(self, schedule):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            schedule(sim, self.NAN)
+        assert sim.pending_events == 0 and sim._queue == []
+
+    def test_run_refuses_the_past(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="t=0.5"):
+            sim.schedule_run([0.5, -0.5], lambda v: None, [[1, 2]])
+
+
+# -- delivery runs: one heap entry, the pop order of one entry per row -------
+
+#: few distinct delays, so rows tie exactly inside a block and across blocks
+_DELAYS = st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.5))
+
+
+@st.composite
+def _run_plans(draw):
+    """Blocks to schedule up front (``run`` rows in any order, ``block``
+    rows sorted, ``single`` one event), the blocks a row schedules when it
+    fires, and the stops (``until`` / ``max_events``) the run makes."""
+
+    def block():
+        kind = draw(st.sampled_from(("run", "run", "block", "single")))
+        delays = draw(st.lists(_DELAYS, min_size=1, max_size=6))
+        if kind == "block":
+            delays.sort()
+        if kind == "single":
+            delays = delays[:1]
+        return kind, delays
+
+    upfront = [block() for _ in range(draw(st.integers(1, 5)))]
+    nested = [block() for _ in range(draw(st.integers(0, 3)))]
+    stops = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("until"), st.sampled_from((0.5, 1.0, 1.25, 2.5))),
+            st.tuples(st.just("max"), st.integers(0, 7)),
+        ),
+        max_size=4,
+    ))
+    return upfront, nested, stops
+
+
+class _Script:
+    """Runs one plan on one simulator; ``as_runs`` picks how a block is
+    scheduled — ``schedule_run`` / ``schedule_block``, or the per-event
+    ``schedule_batch`` / ``schedule_batch_at`` over the same rows."""
+
+    def __init__(self, plan, as_runs):
+        self.upfront, self.nested, self.stops = plan
+        self.as_runs = as_runs
+        self.sim = Simulator()
+        self.log = []
+        self.blocks = 0
+
+    def schedule(self, kind, delays):
+        sim = self.sim
+        tags = [(self.blocks, row) for row in range(len(delays))]
+        self.blocks += 1
+        if kind == "single":
+            sim.schedule(delays[0], self.fire, (tags[0],))
+        elif kind == "block":
+            times = [sim.now + delay for delay in delays]
+            if self.as_runs:
+                sim.schedule_block(times, self.fire, [tags])
+            else:
+                sim.schedule_batch_at(times, self.fire, zip(tags))
+        elif self.as_runs:
+            sim.schedule_run(delays, self.fire, [tags])
+        else:
+            sim.schedule_batch(delays, self.fire, zip(tags))
+
+    def fire(self, tag):
+        self.log.append((self.sim.now, tag))
+        # the first rows to fire schedule the nested blocks, mid-run
+        if len(self.log) <= len(self.nested):
+            self.schedule(*self.nested[len(self.log) - 1])
+
+    def observed(self):
+        sim = self.sim
+        heap = sorted(
+            (time, seq, args) for time, seq, _, args in heap_entries(sim._queue)
+        )
+        return (list(self.log), heap, sim.pending_events, sim.now,
+                sim.next_event_time(), sim.export_cursors())
+
+    def __call__(self):
+        for block in self.upfront:
+            self.schedule(*block)
+        seen = [self.observed()]
+        for stop, value in self.stops:
+            if stop == "until":
+                self.sim.run(until=self.sim.now + value)
+            else:
+                self.sim.run(max_events=value)
+            seen.append(self.observed())
+        self.sim.run()
+        seen.append(self.observed())
+        return seen
+
+
+#: two runs whose rows are not in time order, stopped while both are half
+#: fired: the heap then holds rows whose sequence number is not their
+#: sorted position — what a run keyed by sorted position gets wrong
+_UNSORTED_MID_RUN = (
+    [("run", [2.5, 0.0, 1.0, 0.0]), ("single", [1.0]),
+     ("run", [1.0, 0.5, 0.0])],
+    [("run", [1.5, 0.0])],
+    [("until", 1.0), ("max", 1)],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=_run_plans())
+@example(plan=_UNSORTED_MID_RUN)
+def test_a_run_pops_as_one_event_per_row(plan):
+    """Runs interleaved with ordinary events, with other runs and with
+    blocks a firing row schedules, stopped by ``until`` and
+    ``max_events`` in the middle of a run: the pop order, the heap read
+    one row per entry, ``pending_events``, ``next_event_time`` and
+    ``export_cursors`` equal ``schedule_batch`` over the same rows."""
+    assert _Script(plan, as_runs=True)() == _Script(plan, as_runs=False)()

@@ -167,6 +167,27 @@ class TestChurnModels:
         with pytest.raises(ConfigurationError):
             ParetoChurn(minimum_session=0)
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: ExponentialChurn(v, 10.0), "mean_session"),
+        (lambda v: ExponentialChurn(10.0, v), "mean_downtime"),
+        (lambda v: WeibullChurn(v), "scale_session"),
+        (lambda v: WeibullChurn(10.0, shape=v), "shape"),
+        (lambda v: WeibullChurn(10.0, mean_downtime=v), "mean_downtime"),
+        (lambda v: ParetoChurn(minimum_session=v), "minimum_session"),
+        (lambda v: ParetoChurn(alpha=v), "alpha"),
+        (lambda v: ParetoChurn(mean_downtime=v), "mean_downtime"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameters_refused_by_name(self, build, name, value):
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be finite"):
+            build(value)
+
+    def test_zero_downtime_stays_valid(self):
+        rng = np.random.default_rng(0)
+        for model in (ExponentialChurn(10.0, 0.0), WeibullChurn(10.0, 0.6, 0.0),
+                      ParetoChurn(10.0, 1.5, 0.0)):
+            assert model.downtime(rng) == 0.0
+
     def test_all_models_positive_draws(self):
         rng = np.random.default_rng(1)
         for model in (

@@ -8,8 +8,9 @@ with both oracles installed on its network; everything a send can move
 must then be *equal*, not close: the stats fingerprint, the first-touch
 order of every counter family's keys (the WAL pickles ``delta_since`` and
 verifies those bytes), the kernel and RNG cursors, every heap entry's
-``(time, seq, dst)``, the delivery sequence, and the ``SendBlock`` columns
-a listener sees.  The last section holds the WAL to it: a log written by
+``(time, seq, dst)`` (a delivery run read as the rows it has not fired,
+``reference.heap_entries``), the delivery sequence, and the ``SendBlock``
+columns a listener sees.  The last section holds the WAL to it: a log written by
 the per-message loop is byte-identical to one written by the block core,
 and resumes under it.
 """
@@ -21,7 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import install_per_message_broadcast, install_per_message_send
+from reference import (
+    heap_entries, install_per_message_broadcast, install_per_message_send,
+)
 from repro.errors import SimulationError
 from repro.sim.distribution import ShardSpec
 from repro.sim.messages import Message
@@ -31,6 +34,8 @@ from repro.sim.shard import ShardedScenario
 
 PEERS = 8
 TYPES = ("alpha", "beta", "gamma")
+#: a fan-out row's callback: the delivery its run binds once per fan-out
+_FAN_OUT_ROW = "PhysicalNetwork._fan_out_delivery.<locals>.deliver"
 
 
 @st.composite
@@ -159,17 +164,21 @@ class Script:
             return results
 
         def heap_row(entry):
-            time, seq, callback, args = entry[:4]
+            time, seq, callback, args = entry
             if callback == network._deliver:
                 return time, seq, args[0].dst
             if callback == network._deliver_lazy:
                 return time, seq, args[1]
+            if getattr(callback, "__qualname__", "") == _FAN_OUT_ROW:
+                return time, seq, args[0]
 
         def fire(kind, rows, flips):
             for peer in flips:
                 network.set_down(peer, not network.is_down(peer))
             seen["results"].append(send(kind, rows))
-            seen["heap"].append(sorted(filter(None, map(heap_row, simulator._queue))))
+            seen["heap"].append(sorted(filter(
+                None, map(heap_row, heap_entries(simulator._queue))
+            )))
 
         for tick, step in enumerate(self.script):
             simulator.schedule_at(float(tick), fire, args=step)
