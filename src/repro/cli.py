@@ -271,19 +271,6 @@ def cmd_overlay(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    """One tcp shard worker process in a fresh interpreter: started over
-    ssh by the coordinator for 'ssh:HOST' ``tcp_hosts`` entries, or launched by
-    hand / a remote init for 'wait' entries ('local' workers are forked
-    from the coordinator and never pass through here)."""
-    from repro.sim.tcpexec import parse_address, worker_main
-
-    host, port = parse_address(args.connect)
-    return worker_main(
-        host, port, shard=args.shard, backoff_seed=args.backoff_seed
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="P2PDocTagger command-line interface"
@@ -353,27 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every re-executed delivery and control record",
     )
     p_replay.set_defaults(func=cmd_replay)
-
-    p_worker = subparsers.add_parser(
-        "worker",
-        help="run one tcp shard worker: connect to a coordinator "
-        "(repro.sim.tcpexec) and execute the window protocol",
-    )
-    p_worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator's listen address",
-    )
-    p_worker.add_argument(
-        "--shard", type=int, default=-1,
-        help="shard id to claim (-1 lets the coordinator assign one)",
-    )
-    p_worker.add_argument(
-        "--backoff-seed", type=int, default=0, dest="backoff_seed",
-        help="seed for the reconnect-backoff jitter (the coordinator "
-        "passes the fault plane's seed to the workers it starts over ssh; "
-        "0 = unseeded default)",
-    )
-    p_worker.set_defaults(func=cmd_worker)
 
     p_analyze = subparsers.add_parser(
         "analyze",

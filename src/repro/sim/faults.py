@@ -314,7 +314,7 @@ class FaultInjector:
     """Worker-side fault executioner for one shard.
 
     Installed as ``_ShardRuntime.fault_hook`` (barrier faults) and into
-    the tcp channel (wire faults).  Never installed on a RECOVER-ed
+    the fleet channel (wire faults).  Never installed on a recovering
     worker: a replacement replaying the WAL prefix must not re-fire the
     fault that killed its predecessor, or recovery would crash-loop.
     """

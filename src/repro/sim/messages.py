@@ -8,12 +8,10 @@ simple recursive rules that approximate a compact binary encoding.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 _HEADER_BYTES = 40  # src + dst + type + msg id + overlay routing header
-_message_ids = itertools.count(1)
 
 
 def payload_size(payload: Any) -> int:
@@ -72,7 +70,6 @@ class Message:
     msg_type: str
     payload: Any = None
     size_bytes: int = -1
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
     hops: int = 1
     wire_bytes: int = -1
 
@@ -92,6 +89,6 @@ class Message:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Message(#{self.msg_id} {self.msg_type} {self.src}->{self.dst} "
+            f"Message({self.msg_type} {self.src}->{self.dst} "
             f"{self.size_bytes}B hops={self.hops})"
         )

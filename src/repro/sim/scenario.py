@@ -36,9 +36,10 @@ from repro.sim.transport import Transport
 
 
 #: the sharded executors (repro.sim.shard.ShardedScenario): "serial"
-#: (lockstep in one process, the deterministic reference), "mp" (one worker
-#: process per shard: the tcp fleet with every worker forked locally) and
-#: "tcp" (a coordinator plus socket-connected workers — repro.sim.tcpexec).
+#: (lockstep in one process, the deterministic reference) and "mp" (one
+#: forked worker process per shard on a socketpair — repro.sim.tcpexec).
+#: "tcp" is a second name for the same fleet, kept while the repo
+#: benchmark's storm-sharded workload runs a leg under it.
 EXECUTORS = ("serial", "mp", "tcp")
 
 
@@ -73,17 +74,6 @@ class ScenarioConfig:
     #: repro.sim.shard.ShardedScenario (peers partitioned across heaps,
     #: advanced in conservative virtual-time windows).
     shards: int = 0
-    #: tcp executor: the coordinator's bind address (port 0 = ephemeral,
-    #: the default for localhost test fleets) ...
-    tcp_host: str = "127.0.0.1"
-    tcp_port: int = 0
-    #: ... and worker placement: a comma-separated spec with one entry per
-    #: shard (or one entry for all) — "local" forks the worker from the
-    #: coordinator here, "wait" expects externally launched `repro worker`
-    #: processes to connect in, "ssh:HOST" starts them over ssh.  Like
-    #: wal/resume this is plumbing, not physics: excluded from the WAL
-    #: config fingerprint.
-    tcp_hosts: Optional[str] = None
     #: not a setting: a sharded run always has one control plane (the
     #: directory, repro.sim.shard) and a flat run the kernel's own.  Kept
     #: only as a spelling older callers pass; ``None``, or exactly the
@@ -99,7 +89,7 @@ class ScenarioConfig:
     #: seeded fault-injection schedule (repro.sim.faults.FaultPlan spec,
     #: e.g. "seed=7,crash@2") for the self-healing fleet of the tcp or mp
     #: executor.
-    #: Like the tcp placement fields this is execution shape, not physics
+    #: Like wal/resume this is execution shape, not physics
     #: — the schedule draws from its own splitmix64 stream, recovery
     #: replays the WAL prefix, and golden digests cannot move — so it is
     #: excluded from the WAL config fingerprint.
@@ -138,10 +128,6 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown codec {self.codec!r}")
         if self.rng_mode not in ("stream", "perpeer"):
             raise ConfigurationError(f"unknown rng_mode {self.rng_mode!r}")
-        if not 0 <= self.tcp_port <= 65535:
-            raise ConfigurationError(
-                f"tcp_port must be in [0, 65535], got {self.tcp_port}"
-            )
         implied = "directory" if self.shards >= 1 else "replicated"
         if self.control_plane not in (None, implied):
             raise ConfigurationError(
@@ -151,10 +137,6 @@ class ScenarioConfig:
             )
         if self.shards < 0:
             raise ConfigurationError("shards must be >= 0")
-        if self.tcp_hosts is not None:
-            from repro.sim.tcpexec import parse_hosts
-
-            parse_hosts(self.tcp_hosts, self.shards)  # grammar errors
         if not 0.0 <= self.jitter_floor <= 1.0:
             raise ConfigurationError("jitter_floor must be in [0, 1]")
         if self.shards >= 1:

@@ -66,13 +66,12 @@ verdict.
 - ``serial`` — the deterministic reference, and the only executor on
   platforms without fork: worker replicas run as lockstep threads in one
   process; messages cross in-process queues.
-- ``tcp`` — workers over sockets (:mod:`repro.sim.tcpexec`), placed per
-  ``tcp_hosts``; the link's collect step supervises the fleet and, on a
-  WAL run, heals a dead worker by replaying it from the log.
-- ``mp`` — the tcp fleet with every slot forked from the coordinator onto
-  an ephemeral loopback port: one worker process per shard, the job taken
-  from fork memory (so a workload that cannot be pickled still runs), and
-  the tcp fleet's supervision and WAL recovery as they are.
+- ``mp`` — one worker process per shard (:mod:`repro.sim.tcpexec`), each
+  forked from the coordinator onto one end of a socketpair, the job taken
+  from fork memory (so a workload that cannot be pickled still runs); the
+  link's collect step supervises the fleet and, on a WAL run, heals a dead
+  worker by replaying it from the log.  ``tcp`` is a second name for the
+  same fleet.
 
 All produce byte-identical fingerprints to each other and to the unsharded
 kernel; ``tests/test_shard_equivalence.py`` fuzzes that claim across
@@ -101,7 +100,7 @@ import queue
 import threading
 import traceback
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
@@ -871,16 +870,16 @@ def _run_serial(
 
 
 def _mp_context():
-    """The fork behind :class:`repro.sim.tcpexec._ForkedWorker`."""
+    """The fork behind every worker of the fleet
+    (:meth:`repro.sim.tcpexec.TcpCoordinator._spawn`)."""
     import multiprocessing
 
     try:
         return multiprocessing.get_context("fork")
     except ValueError as exc:  # pragma: no cover - non-fork platforms
         raise ConfigurationError(
-            "the mp shard executor and tcp 'local' workers require the "
-            "fork start method (unavailable on this platform); use "
-            "executor='serial', or tcp 'wait' / 'ssh:HOST' workers"
+            "the mp and tcp shard executors require the fork start "
+            "method (unavailable on this platform); use executor='serial'"
         ) from exc
 
 
@@ -919,8 +918,8 @@ class ShardedScenario:
     """K-shard execution harness behind one API for every executor.
 
     ``run(workload)`` executes the SPMD ``workload(scenario)`` callable on
-    every shard worker (serial threads, or the fleet's worker processes —
-    all forked here under mp, placed per ``tcp_hosts`` under tcp), merges
+    every shard worker (serial threads, or the fleet's worker processes,
+    all forked here under mp and its second name tcp), merges
     the per-shard :class:`StatsCollector`s in shard order, and agrees the
     final virtual clock — producing observables byte-identical to the
     unsharded kernel running the same config.
@@ -941,23 +940,15 @@ class ShardedScenario:
         self.lookahead = compute_lookahead(config.build_latency())
 
     def run(self, workload: Workload) -> ShardedRun:
-        config = self.config
         if self.executor == "serial":
             runner = _run_serial
         else:
-            # Socket executor lives in its own module; imported lazily so
-            # serial runs never touch it.
+            # The fleet lives in its own module; imported lazily so serial
+            # runs never touch it.
             from repro.sim.tcpexec import run_tcp
 
             runner = run_tcp
-            if self.executor == "mp":
-                # mp is the tcp fleet with every slot forked from this
-                # process onto an ephemeral loopback port; the placement
-                # fields are outside the WAL config fingerprint.
-                config = replace(
-                    config, tcp_hosts=None, tcp_host="127.0.0.1", tcp_port=0
-                )
-        plan = FaultPlan.parse(config.faults)
+        plan = FaultPlan.parse(self.config.faults)
         if plan is not None and self.executor == "serial":
             # Enforced here, not in validate(): the executor is this
             # harness's argument, not a config field.  The serial
@@ -982,7 +973,7 @@ class ShardedScenario:
         )
         try:
             payloads, windows, run_faults = runner(
-                config, workload, self.config.shards, self.lookahead,
+                self.config, workload, self.config.shards, self.lookahead,
                 plane=plane, wal=wal,
             )
             merged = StatsCollector()

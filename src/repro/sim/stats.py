@@ -51,10 +51,9 @@ class StatsCollector:
         #: observables that must be identical across kernel shapes.
         self.exchange: Counter = Counter()
         #: fault-plane and recovery accounting (repro.sim.faults plus the
-        #: tcp coordinator's supervision loop): worker deaths observed,
-        #: slots respawned, WAL windows replayed into recovered workers,
-        #: stale connections quarantined, heartbeats serviced, stalls
-        #: survived.  Same contract as :attr:`directory`/:attr:`exchange`:
+        #: fleet's supervision loop): worker deaths observed, slots
+        #: respawned, WAL windows replayed into recovered workers,
+        #: heartbeats serviced, stalls survived.  Same contract as :attr:`directory`/:attr:`exchange`:
         #: injected faults and their recovery are execution-shape
         #: artifacts — the fault plane's whole proof obligation is that
         #: golden digests cannot move — so the family is merged by

@@ -65,7 +65,7 @@ def test_the_recorder_sees_the_cli_and_its_forked_workers(tmp_path):
         check=True, capture_output=True, text=True, timeout=120,
     )
     unreached = {line.rsplit(":", 1)[-1] for line in census.stdout.splitlines()}
-    assert "cmd_worker" in unreached  # only a hand-launched tcp worker runs it
+    assert "cmd_overlay" in unreached  # neither run calls that command
     assert "cmd_run" not in unreached
     assert "TcpCoordinator._forked_worker" not in unreached  # seen in a child
 

@@ -81,7 +81,7 @@ def test_env_float_default_parse_and_bounds(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The tcp executor's knobs (repro.sim.tcpexec): routed through the same
+# The fleet's knobs (repro.sim.tcpexec): routed through the same
 # parsers, failing as SimulationError with the variable and range named.
 # ---------------------------------------------------------------------------
 
@@ -103,25 +103,6 @@ def test_tcp_timeout_rejects_malformed_and_out_of_range(monkeypatch, raw):
     with pytest.raises(SimulationError, match=TCP_TIMEOUT_ENV) as excinfo:
         tcp_timeout_seconds()
     assert "> 0" in str(excinfo.value) or "expected" in str(excinfo.value)
-
-
-def test_tcp_retries_default_and_parse(monkeypatch):
-    from repro.sim.tcpexec import TCP_RETRIES_ENV, tcp_retries
-
-    monkeypatch.delenv(TCP_RETRIES_ENV, raising=False)
-    assert tcp_retries() == 8
-    monkeypatch.setenv(TCP_RETRIES_ENV, " 3 ")
-    assert tcp_retries() == 3
-
-
-@pytest.mark.parametrize("raw", ["", "abc", "1.5", "0", "-1"])
-def test_tcp_retries_rejects_malformed_and_out_of_range(monkeypatch, raw):
-    from repro.sim.tcpexec import TCP_RETRIES_ENV, tcp_retries
-
-    monkeypatch.setenv(TCP_RETRIES_ENV, raw)
-    with pytest.raises(SimulationError, match=TCP_RETRIES_ENV) as excinfo:
-        tcp_retries()
-    assert ">= 1" in str(excinfo.value) or "expected" in str(excinfo.value)
 
 
 def test_tcp_max_respawns_default_and_parse(monkeypatch):

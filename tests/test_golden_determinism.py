@@ -19,6 +19,8 @@ second thanks to the tiny fixture corpus.
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,3 +236,43 @@ def test_sharded_golden_file_has_no_stale_entries():
     }
     stale = set(goldens) - expected
     assert not stale, f"stale sharded golden entries: {sorted(stale)}. {REGEN_HINT}"
+
+
+# ---------------------------------------------------------------------------
+# Across interpreters: ``str`` hashing is salted per process
+# (``PYTHONHASHSEED``), so an iteration order that follows ``hash(str)``
+# moves a digest between processes while every in-process comparison above
+# stays green.
+# ---------------------------------------------------------------------------
+
+_CROSS_SEED_SCRIPT = """\
+from determinism_fixtures import digest_of, run_training, run_training_sharded
+scenario, _ = run_training("pace", "chord", "churn")
+print(digest_of(scenario.stats, scenario.simulator.now))
+print(run_training_sharded("pace", "chord", "churn", 2, executor="mp").digest())
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ("1", "2"))
+def test_goldens_hold_in_a_fresh_interpreter_under_a_fixed_hash_seed(
+    hash_seed,
+):
+    """One flat key, and one K = 2 sharded key through the forked mp fleet,
+    each in a fresh interpreter under a fixed hash seed, land their
+    checked-in digests."""
+    tests = Path(__file__).parent
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+    )
+    digests = subprocess.run(
+        [sys.executable, "-c", _CROSS_SEED_SCRIPT], env=env, cwd=tests,
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout.split()
+    assert digests == [
+        load_goldens()[combo_key("chord", "pace", "churn")],
+        load_goldens(SHARDED_GOLDEN_PATH)[
+            sharded_combo_key("chord", "pace", "churn", 2)
+        ],
+    ], f"a digest moved under PYTHONHASHSEED={hash_seed}. {REGEN_HINT}"

@@ -57,10 +57,15 @@ class TestMessage:
         message = Message(src=1, dst=2, msg_type="m", payload=None, hops=3)
         assert message.total_bytes() == 40 * 3
 
-    def test_message_ids_unique(self):
-        a = Message(src=1, dst=2, msg_type="m")
-        b = Message(src=1, dst=2, msg_type="m")
-        assert a.msg_id != b.msg_id
+    def test_a_message_is_its_fields(self):
+        """No process-global counter stamps a message: two built alike are
+        equal and print alike, however many were built before them."""
+        a = Message(src=1, dst=2, msg_type="m", payload="x")
+        for _ in range(3):
+            Message(src=3, dst=4, msg_type="other")
+        b = Message(src=1, dst=2, msg_type="m", payload="x")
+        assert a == b
+        assert repr(a) == repr(b) == "Message(m 1->2 41B hops=1)"
 
 
 class TestStatsCollector:

@@ -21,9 +21,9 @@ right while vectors are immutable.
 — it is why the two storm workloads of the repo benchmark cannot move when
 the ml layer changes.
 
-(f) ``import repro.cli`` does not load ``networkx`` — a tcp shard worker in a
-``wait`` or ``ssh:HOST`` slot is ``python -m repro.cli worker`` and pays that
-import on each (re)spawn.
+(f) ``import repro.cli`` does not load ``networkx`` — every ``repro``
+command would pay that import (~0.2 s) before parsing its first option,
+and only the commands that draw a graph need it.
 
 (g) Every ``executemany(`` in ``repro/sim/tracestore.py`` sits inside a
 ``with ..._transaction():`` block — the connection is in autocommit mode,
@@ -109,10 +109,10 @@ a call of that; neither ``predict_scores`` nor ``_scores_held_by`` in
 model is the loop the block replaced.
 
 (s) There is one fork.  ``get_context("fork")`` and ``os.fork`` appear under
-``src/repro`` only inside ``shard._mp_context``; every mp worker and the tcp
-executor's ``local`` workers are forked through it (``_ForkedWorker``), and ``tcpexec.py`` never
-names ``sys.executable`` — a ``local`` worker exec'ing a fresh interpreter
-paid interpreter start-up and every import on each (re)spawn.
+``src/repro`` only inside ``shard._mp_context``; every fleet worker is forked
+through it (``TcpCoordinator._spawn``), and ``tcpexec.py`` never names
+``sys.executable`` — a worker exec'ing a fresh interpreter paid interpreter
+start-up and every import on each (re)spawn.
 
 (t) Every public function, class and method of a public class under
 ``src/repro`` is named somewhere else in ``src/`` — a package ``__init__``
@@ -139,8 +139,8 @@ against numpy itself.  Saving and restoring a whole ``bit_generator.state``
 (the resumable overlays do) stays allowed: it names no internal.
 
 (x) One multi-process fleet.  No module under ``src/repro`` uses a
-``multiprocessing`` ``Pipe`` or ``Connection`` — the mp executor is the tcp
-coordinator with every slot forked locally — and ``sim/shard.py`` defines
+``multiprocessing`` ``Pipe`` or ``Connection`` — the mp executor's workers
+talk to the coordinator over socketpairs — and ``sim/shard.py`` defines
 exactly one barrier link (a class with a ``collect``): the serial
 executor's ``_ThreadLink``.  A pipe link beside the socket one is how mp
 and tcp came to handle a dead worker two ways.
@@ -213,6 +213,15 @@ or comprehension: a peer's per-tag problems are one ``fit_block``, whose
 Grams share one table.  1,216 packed ``decision`` calls per ``tag-cempar``
 ``train()``, and ~7 fits per peer each re-summing the dots of the same
 documents, are what this replaced.
+
+(gg) Every fleet worker is a forked child on a socketpair.  No module under
+``src/repro/sim`` names ``ssh``, ``.listen(``, ``.accept(``, ``.bind(``,
+``create_connection`` or ``subprocess``; ``build_parser()`` has no
+``worker`` subcommand; and ``ScenarioConfig`` has no ``tcp_*`` field.  Remote
+placement (``wait`` / ``ssh:HOST`` slots, ``repro worker``, a listener, a
+four-frame HELLO handshake, reconnect backoff) is what this replaced: no
+benchmark leg, example or CLI path reached it, and a one-host fleet bound at
+fork has no handshake to get wrong.
 """
 
 import argparse
@@ -230,7 +239,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 RUNTIME_KNOBS = {
     "REPRO_TCP_TIMEOUT_S",
-    "REPRO_TCP_RETRIES",
     "REPRO_TCP_MAX_RESPAWNS",
 }
 
@@ -978,7 +986,7 @@ def test_there_is_one_fork_and_tcp_local_workers_use_it():
     ]
     assert forks == [("sim/shard.py", "_mp_context")]
     tcpexec = ast.parse((src / "sim" / "tcpexec.py").read_text(encoding="utf-8"))
-    assert _calls_to(tcpexec, "_mp_context") == ["__init__"]  # _ForkedWorker's
+    assert _calls_to(tcpexec, "_mp_context") == ["_spawn"]
     assert not _sites(tcpexec, lambda node: isinstance(node, ast.Attribute)
                       and node.attr == "executable")
 
@@ -1741,3 +1749,61 @@ def test_the_product_trains_once():
         )
     ]
     assert imports == []
+
+
+_REMOTE_FLEET = re.compile(
+    r"\bssh\b|\.listen\(|\.accept\(|\.bind\(|create_connection|subprocess"
+)
+
+
+def _remote_fleet_lines(text):
+    """Line numbers of ``text`` that name a piece of remote placement."""
+    return [
+        number for number, line in enumerate(text.splitlines(), 1)
+        if _REMOTE_FLEET.search(line)
+    ]
+
+
+#: one planted line per piece of remote placement (each must be caught),
+#: and lines a forked fleet writes that merely look alike (none may be)
+_PLANTED_REMOTE_LINES = {
+    "ssh": "argv = ['ssh', host, 'repro', 'worker']",
+    "listen": "listener.listen(4)",
+    "accept": "conn, _ = listener.accept()",
+    "bind": "sock.bind(('127.0.0.1', 0))",
+    "create_connection": "socket.create_connection((host, port))",
+    "subprocess": "import subprocess",
+}
+_FORKED_FLEET_LINES = {
+    "bind_heartbeat": "injector.bind_heartbeat(heartbeat)",
+    "socketpair": "ours, theirs = socket.socketpair()",
+    "ssh-substring": "sshd = classhash = None",
+}
+
+
+@pytest.mark.parametrize(
+    "line, caught",
+    [(line, True) for line in _PLANTED_REMOTE_LINES.values()]
+    + [(line, False) for line in _FORKED_FLEET_LINES.values()],
+    ids=[*_PLANTED_REMOTE_LINES, *_FORKED_FLEET_LINES],
+)
+def test_the_remote_fleet_pattern_catches_each_planted_line(line, caught):
+    text = f"import socket\n{line}\n"
+    assert _remote_fleet_lines(text) == ([2] if caught else [])
+
+
+def test_every_fleet_worker_is_a_forked_child_on_a_socketpair():
+    from repro.sim.scenario import ScenarioConfig
+
+    sim = ROOT / "src" / "repro" / "sim"
+    offenders = {
+        path.name: lines for path in sorted(sim.glob("*.py"))
+        if (lines := _remote_fleet_lines(path.read_text(encoding="utf-8")))
+    }
+    assert len(list(sim.glob("*.py"))) >= 15  # the package was found
+    assert not offenders, offenders
+    commands = _cli_options()
+    assert "run" in commands and "worker" not in commands
+    fields = [field.name for field in dataclasses.fields(ScenarioConfig)]
+    assert "shards" in fields
+    assert not [name for name in fields if name.startswith("tcp_")]

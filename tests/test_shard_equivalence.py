@@ -12,8 +12,8 @@ The sample is drawn from a fixed seed so the matrix is stable across runs
 (a failure always reproduces); widening the space only requires bumping
 ``FUZZ_CASES``.  The mp leg runs a deterministic subset in tier-1 (process
 startup dominates its cost) and the whole matrix in the nightly job
-(``REPRO_SHARD_MP_FULL=1``); the tcp leg (socket-connected worker fleets
-over localhost, :mod:`repro.sim.tcpexec`) likewise runs a subset in tier-1
+(``REPRO_SHARD_MP_FULL=1``); the tcp leg (the same forked fleet under its
+second name, :mod:`repro.sim.tcpexec`) likewise runs a subset in tier-1
 and its full matrix under ``REPRO_SHARD_TCP_FULL=1``, plus a golden smoke
 against the checked-in sharded digests.
 
@@ -57,10 +57,10 @@ MP_SUBSET = 6
 DIRECTORY_MP_SUBSET = 3
 MP_FULL_ENV = "REPRO_SHARD_MP_FULL"
 
-#: the tcp-executor leg: localhost worker fleets over overlay × protocol ×
-#: variant × codec × K ∈ {1, 2, 4}.  Worker startup is a
-#: whole interpreter (not a fork), so tier-1 runs a small subset and the
-#: nightly job the full matrix (``REPRO_SHARD_TCP_FULL=1``).
+#: the tcp-executor leg: forked worker fleets over overlay × protocol ×
+#: variant × codec × K ∈ {1, 2, 4}.  Each case forks K workers and runs a
+#: whole training, so tier-1 runs a small subset and the nightly job the
+#: full matrix (``REPRO_SHARD_TCP_FULL=1``).
 TCP_FUZZ_CASES = 12
 TCP_SUBSET = 4
 TCP_SHARD_COUNTS = (1, 2, 4)
@@ -168,9 +168,8 @@ def test_fuzz_matrix_covers_every_axis():
 
 
 # ---------------------------------------------------------------------------
-# The tcp executor: the same byte-identity contract with workers running as
-# socket-connected processes behind a coordinator (localhost fleets here;
-# the protocol is machine-agnostic).
+# The tcp executor: the same byte-identity contract under the fleet's second
+# name — forked worker processes on socketpairs behind a coordinator.
 # ---------------------------------------------------------------------------
 
 
@@ -187,7 +186,7 @@ def _tcp_cases():
 
 @pytest.mark.parametrize("case", _tcp_cases(), ids=_case_id)
 def test_sharded_tcp_matches_mp_serial_and_unsharded(case):
-    """tcp ≡ mp ≡ serial ≡ unsharded, byte for byte, over localhost."""
+    """tcp ≡ mp ≡ serial ≡ unsharded, byte for byte."""
     overlay, protocol, variant, codec, shards = case
     reference = _reference_digest(protocol, overlay, variant, codec)
     serial = run_training_sharded(

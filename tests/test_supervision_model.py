@@ -5,15 +5,14 @@ on an injected clock, so every schedule of a small fleet can be explored
 with no socket and no sleep.  Here: K = 2 shards awaited at one barrier,
 and every interleaving of up to four events per shard, each one of
 
-- ``SYNC`` — the shard's protocol frame; on an open slot, the replacement
-  dialling in and completing its RECOVER handshake;
-- ``PING`` — a heartbeat; on an open slot, a stray that claims it with a
-  valid HELLO and then falls silent;
-- ``EOF`` — the connection dies; on an open slot, a stray that claims it
-  and hangs up;
-- ``deadline`` — the clock jumps to the shard's own deadline (its read
-  deadline, or its slot's claim deadline) and the machine expires what
-  is due.
+- ``SYNC`` — the shard's protocol frame;
+- ``PING`` — a heartbeat;
+- ``EOF`` — the connection dies;
+- ``deadline`` — the clock jumps to the shard's read deadline and the
+  machine expires what is due.
+
+A slot is bound to its worker from the fork, so on a respawned slot each
+event is the replacement's: its first frame, its EOF, or its deadline.
 
 Invariants, after every event:
 
@@ -24,30 +23,23 @@ Invariants, after every event:
   shard's SYNC — every death on the way was recovered exactly once.
 
 The checker is shown able to fail: a machine that takes an awaited
-shard's PING for its result is caught.
+shard's PING for its result is caught, and so is one per invariant — a
+machine that never expires a deadline, one that never spends its respawn
+budget, and one that never counts a replacement live.
 """
 
 import copy
-import json
 import pickle
 
-from repro.sim.tcpexec import (
-    _K_HELLO,
-    _K_PING,
-    _K_READY,
-    _K_SYNC,
-    PROTOCOL_VERSION,
-    Supervisor,
-)
+import pytest
+
+from repro.sim.tcpexec import _K_PING, _K_SYNC, Supervisor
 
 SHARDS = 2
 DEPTH = 4
 BUDGET = 1
 TIMEOUT = 4.0
 EVENTS = ("SYNC", "PING", "EOF", "deadline")
-#: what a connection that claims an open slot does after its HELLO, per
-#: abstract event
-ON_OPEN_SLOT = {"SYNC": "ready", "PING": "silent", "EOF": "eof"}
 
 
 class _Clock:
@@ -64,11 +56,9 @@ class _Run:
     def __init__(self, machine_class):
         self.clock = _Clock()
         self.machine = machine_class(
-            SHARDS, TIMEOUT, BUDGET, lambda stop: [], self.clock,
-            fingerprint="fp",
+            SHARDS, TIMEOUT, BUDGET, lambda stop: [], self.clock
         )
         self.spawns = 0
-        self.strays = 0
         self.outcome = None
 
     def feed(self, actions):
@@ -79,32 +69,9 @@ class _Run:
             if action[0] in ("done", "abort"):
                 self.outcome = action
 
-    def dial(self, shard, then):
-        """A connection claims ``shard``'s open slot with a valid HELLO,
-        then READYs, falls silent, or hangs up."""
-        self.strays += 1
-        conn = f"conn-{self.strays}"
-        machine = self.machine
-        self.feed(machine.opened(conn))
-        hello = {"version": PROTOCOL_VERSION, "shard": shard, "forked": True}
-        self.feed(machine.frame(conn, _K_HELLO, json.dumps(hello).encode()))
-        if then == "ready":
-            ready = {"shard": shard, "fingerprint": "fp"}
-            ready = json.dumps(ready).encode()
-            self.feed(machine.frame(conn, _K_READY, ready))
-        elif then == "eof":
-            self.feed(machine.closed(conn, "connection closed"))
-
     def step(self, shard, event):
         """Apply one abstract event; False when it does not apply."""
         machine = self.machine
-        if shard in machine.open:
-            if event == "deadline":
-                self.clock.now = max(self.clock.now, machine.open[shard])
-                self.feed(machine.expire())
-            else:
-                self.dial(shard, ON_OPEN_SLOT[event])
-            return True
         if event == "SYNC":
             self.feed(machine.frame(shard, _K_SYNC, pickle.dumps(f"s{shard}")))
         elif event == "PING":
@@ -121,15 +88,13 @@ class _Run:
 
     def state(self):
         """What can still change this schedule's future: the machine with
-        times taken relative to the clock, connection names and the
-        heartbeat count dropped."""
+        times taken relative to the clock and the heartbeat count
+        dropped."""
         machine, now = self.machine, self.clock.now
         return repr((
             sorted(machine.pending), sorted(machine.results.items()),
             sorted((shard, at - now)
                    for shard, at in machine.last_seen.items()),
-            sorted((shard, at - now) for shard, at in machine.open.items()),
-            sorted((at - now, slot) for at, slot in machine.greeting.values()),
             sorted(machine.replaying.items()), sorted(machine.dead),
             machine.budget, self.spawns,
             sorted(
@@ -178,15 +143,14 @@ def _explore(machine_class):
 
 
 def test_every_schedule_at_one_barrier_keeps_the_invariants():
-    assert _explore(Supervisor) > 1_000
+    assert _explore(Supervisor) >= 371
 
 
 class _PingIsAResult(Supervisor):
     """The mutation: an awaited shard's heartbeat counts as its frame."""
 
     def frame(self, conn, kind, payload):
-        awaited = conn in self.pending and conn not in self.greeting
-        if kind == _K_PING and awaited:
+        if kind == _K_PING and conn in self.pending:
             self.pending.discard(conn)
             self.results[conn] = ("sync", "heartbeat")
             return self._progress()
@@ -199,3 +163,36 @@ def test_the_checker_catches_a_heartbeat_taken_for_a_result():
     except AssertionError:
         return
     raise AssertionError("the mutant machine passed the exhaustive check")
+
+
+class _DeadlinesNeverExpire(Supervisor):
+    """The mutation: a silent shard is never declared dead."""
+
+    def expire(self):
+        return []
+
+
+class _BudgetNeverSpent(Supervisor):
+    """The mutation: every death may be respawned."""
+
+    def _death(self, shard, reason):
+        self.budget = self.max_respawns
+        return super()._death(shard, reason)
+
+
+class _ReplacementNeverCounted(Supervisor):
+    """The mutation: a replacement's first frame does not count it live."""
+
+    def frame(self, shard, kind, payload):
+        respawns = self.faults["respawns"]
+        actions = super().frame(shard, kind, payload)
+        self.faults["respawns"] = respawns
+        return actions
+
+
+@pytest.mark.parametrize("mutant", (
+    _DeadlinesNeverExpire, _BudgetNeverSpent, _ReplacementNeverCounted,
+), ids=lambda mutant: mutant.__name__.lstrip("_"))
+def test_the_checker_catches_a_machine_breaking_each_invariant(mutant):
+    with pytest.raises(AssertionError):
+        _explore(mutant)

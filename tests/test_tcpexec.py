@@ -1,74 +1,63 @@
-"""The tcp executor's wire protocol, handshake, and failure modes.
+"""The fleet's wire protocol, supervision, and failure modes.
 
-Five layers of coverage:
+Four layers of coverage:
 
 - framing — length-prefixed frame round trips (property fuzz), and loud
   rejection of garbage magic, truncated headers, short payload reads,
   absurd lengths, and silent peers (per-read deadlines);
-- connection robustness — the capped-exponential backoff schedule and
-  ``connect_with_retry`` giving up loudly after ``REPRO_TCP_RETRIES``;
-- handshake and supervision — event scripts against the sans-IO
-  ``Supervisor`` on a fake clock: version and config-fingerprint
-  mismatches are run-fatal, duplicate/out-of-range shard claims and
-  garbage connections are rejected while the slot stays open, deaths are
-  recovered or stashed; the shell driving it over real sockets keeps
-  parked workers answered while a slot refills;
-- placement — a forked ``local`` worker holds none of the coordinator's
-  sockets and fails its handshake loudly when it raises, and a ``wait``
-  slot takes ``python -m repro.cli worker`` in a fresh interpreter;
+- supervision — event scripts against the sans-IO ``Supervisor`` on a
+  fake clock: deaths are recovered or stashed, a replacement is live at
+  its first frame and fatal if it dies before, parked workers are
+  answered while a slot refills, a frame kind no worker sends is loud,
+  and a replayed window that drifts from the WAL names what moved;
+- worker endpoint — ``worker_main`` on one end of a socketpair arms the
+  fault injector only on a fresh worker, and exits 0 or 1 as its run
+  went; its channel skips PONGs and refuses anything but a decision;
+- placement — a forked worker's end of its socketpair lives in that
+  worker alone, and a worker raising before its first frame fails the
+  run loudly with its traceback;
 - fault injection — a worker killed mid-window (``os._exit``) and a
-  half-open socket both surface ``died mid-window`` within the deadline
-  with full coordinator teardown (no hang, no orphan sockets, processes
-  reaped), and a tcp checkpoint chopped mid-log resumes to the
-  never-crashed digest.
+  half-open worker (heartbeat stopped, socket left open) both surface
+  ``died mid-window`` within the deadline with full coordinator teardown
+  (no hang, no orphan sockets, processes reaped), a replacement that
+  dies before it rejoins fails the run, and a checkpoint chopped mid-log
+  resumes to the never-crashed digest.
 
-The byte-identity contract itself (tcp ≡ mp ≡ serial ≡ unsharded) lives
+The byte-identity contract itself (mp ≡ tcp ≡ serial ≡ unsharded) lives
 in ``test_shard_equivalence.py``.
 """
 
-import json
 import os
 import pickle
 import socket
 import struct
-import subprocess
-import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.barrier import SyncStatus
 from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.shard import DirectoryControlPlane, ShardedScenario
 from repro.sim.tcpexec import (
+    _K_ABORT,
+    _K_BYE,
+    _K_DECISION,
     _K_DONE,
     _K_ERROR,
-    _K_HELLO,
-    _K_JOB,
     _K_PING,
     _K_PONG,
-    _K_READY,
-    _K_RECOVER,
     _K_SYNC,
-    _K_WELCOME,
     _MAX_FRAME,
     _WIRE_HEADER,
     _WIRE_MAGIC,
-    PROTOCOL_VERSION,
-    TCP_RETRIES_ENV,
     TCP_TIMEOUT_ENV,
     TCP_MAX_RESPAWNS_ENV,
     Supervisor,
     TcpCoordinator,
-    backoff_schedule,
-    connect_with_retry,
-    fingerprint_digest,
-    heartbeat_interval,
-    parse_address,
-    parse_hosts,
+    _TcpChannel,
     recv_frame,
     send_frame,
     worker_main,
@@ -220,104 +209,8 @@ def test_silent_peer_hits_the_read_deadline():
 
 
 # ---------------------------------------------------------------------------
-# Connect retry / backoff.
-# ---------------------------------------------------------------------------
-
-
-def test_backoff_schedule_is_capped_exponential():
-    assert backoff_schedule(8) == [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
-    assert backoff_schedule(1) == []
-    assert backoff_schedule(3, base=0.01, cap=0.015) == [0.01, 0.015]
-
-
-def test_backoff_jitter_is_seeded_and_bounded():
-    """Seeded jitter scales each delay into [0.5, 1.0) of the unjittered
-    value — reproducible per seed, spread across seeds, and the default
-    (unseeded) schedule stays exactly the historical one."""
-    base = backoff_schedule(8)
-    jittered = backoff_schedule(8, jitter_seed=7)
-    assert jittered == backoff_schedule(8, jitter_seed=7)
-    assert all(
-        0.5 * delay <= value < delay
-        for value, delay in zip(jittered, base)
-    )
-    assert jittered != backoff_schedule(8, jitter_seed=8)
-    assert backoff_schedule(8, jitter_seed=None) == base
-
-
-def test_connect_with_retry_gives_up_loudly():
-    """A dead port exhausts the retry budget and the error names the
-    attempt count and its knob."""
-    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    probe.bind(("127.0.0.1", 0))
-    host, port = probe.getsockname()[:2]
-    probe.close()  # nothing listens here now
-    start = time.monotonic()
-    with pytest.raises(SimulationError) as excinfo:
-        connect_with_retry(host, port, retries=3, timeout=1.0)
-    assert "3 attempts" in str(excinfo.value)
-    assert TCP_RETRIES_ENV in str(excinfo.value)
-    assert time.monotonic() - start < 5.0
-
-
-def test_connect_with_retry_succeeds_once_listener_is_up():
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    host, port = listener.getsockname()[:2]
-    try:
-        sock = connect_with_retry(host, port, retries=2, timeout=2.0)
-        sock.close()
-    finally:
-        listener.close()
-
-
-# ---------------------------------------------------------------------------
-# Address / hosts specs and the config fingerprint.
-# ---------------------------------------------------------------------------
-
-
-def test_parse_address():
-    assert parse_address("10.0.0.7:9001") == ("10.0.0.7", 9001)
-    assert parse_address("9001") == ("127.0.0.1", 9001)
-    with pytest.raises(ConfigurationError, match="HOST:PORT"):
-        parse_address("nonsense")
-    assert parse_address("host:1") == ("host", 1)
-    assert parse_address("host:65535") == ("host", 65535)
-    # getaddrinfo would wrap 70000 to 4464 and dial the wrong port
-    for spec in ("host:70000", "host:65536", "host:0", "host:-1"):
-        with pytest.raises(ConfigurationError, match=f"{spec!r}.*1-65535"):
-            parse_address(spec)
-
-
-def test_parse_hosts_broadcast_and_per_shard():
-    assert parse_hosts(None, 3) == ["local", "local", "local"]
-    assert parse_hosts("wait", 2) == ["wait", "wait"]
-    assert parse_hosts("local, wait", 2) == ["local", "wait"]
-    assert parse_hosts("ssh:alpha,ssh:beta", 2) == ["ssh:alpha", "ssh:beta"]
-    with pytest.raises(ConfigurationError, match="2 workers"):
-        parse_hosts("local,wait", 3)
-    with pytest.raises(ConfigurationError, match="unknown tcp hosts entry"):
-        parse_hosts("docker:x", 1)
-    with pytest.raises(ConfigurationError, match="empty entry"):
-        parse_hosts("local,,wait", 3)
-
-
-def test_fingerprint_excludes_placement_but_not_physics():
-    """Where workers run never changes scenario identity; the seed does."""
-    base = _config(8, shards=2)
-    moved = _config(
-        8, shards=2, tcp_hosts="wait", tcp_port=9001,
-        wal="/tmp/x.wal", faults="seed=7,crash",
-    )
-    reseeded = _config(8, shards=2, seed=6)
-    assert fingerprint_digest(base) == fingerprint_digest(moved)
-    assert fingerprint_digest(base) != fingerprint_digest(reseeded)
-
-
-# ---------------------------------------------------------------------------
-# Handshake: fatal mismatches vs rejected connections, as event scripts
-# against the supervision machine on a fake clock.
+# Supervision: the machine's rounds, deadlines and recoveries, as event
+# scripts on a fake clock.
 # ---------------------------------------------------------------------------
 
 
@@ -332,210 +225,14 @@ class _Clock:
 
 
 def _machine(shards=2, window_records=None, respawns=3, timeout=4.0):
-    """A :class:`Supervisor` on a fake clock, announcing fingerprint
-    ``"fp"``; ``window_records`` stands in for the WAL (None: no WAL)."""
+    """A :class:`Supervisor` on a fake clock; ``window_records`` stands in
+    for the WAL (None: no WAL)."""
     clock = _Clock()
-    return Supervisor(
-        shards, timeout, respawns, window_records, clock, fingerprint="fp"
-    ), clock
-
-
-def _hello(machine, conn, shard, version=PROTOCOL_VERSION, forked=True):
-    """``conn`` dials in and says HELLO; returns the supervisor's answer."""
-    assert machine.opened(conn) == []
-    hello = {"version": version, "shard": shard, "forked": forked}
-    return machine.frame(conn, _K_HELLO, json.dumps(hello).encode())
-
-
-def _ready(machine, conn, shard, fingerprint="fp"):
-    ready = {"shard": shard, "fingerprint": fingerprint}
-    return machine.frame(conn, _K_READY, json.dumps(ready).encode())
-
-
-def _joined(machine, conn, shard):
-    """A full handshake; returns the READY's actions."""
-    greeting = _hello(machine, conn, shard)
-    assert [action[:3] for action in greeting] == [
-        ("send", conn,
-         _K_RECOVER if shard in machine.replaying else _K_WELCOME)
-    ]
-    return _ready(machine, conn, shard)
+    return Supervisor(shards, timeout, respawns, window_records, clock), clock
 
 
 def _sync(machine, shard, payload="sync"):
     return machine.frame(shard, _K_SYNC, pickle.dumps(payload))
-
-
-def _turned_away(actions, conn, text=None):
-    """``actions`` drop ``conn``, with an ERROR frame containing ``text``."""
-    if text is None:
-        assert actions == [("close", conn)]
-    else:
-        (verb, to, kind, payload), close = actions
-        assert (verb, to, kind) == ("send", conn, _K_ERROR)
-        assert close == ("close", conn)
-        assert text.encode() in payload
-
-
-def test_version_mismatch_is_run_fatal():
-    machine, _ = _machine(shards=1)
-    machine.assemble({})
-    *rejection, abort = _hello(machine, "skewed", 0, version=99)
-    _turned_away(rejection, "skewed", "version mismatch")
-    assert abort[0] == "abort" and "version mismatch" in abort[2]
-
-
-def test_fingerprint_mismatch_is_run_fatal():
-    machine, _ = _machine(shards=1)
-    machine.assemble({"config": "c"})
-    welcome, job = _hello(machine, "w", 0, forked=False)
-    assert welcome[:3] == ("send", "w", _K_WELCOME)
-    assert json.loads(welcome[3]) == {
-        "version": PROTOCOL_VERSION, "fingerprint": "fp", "sys_path": [],
-        "shard": 0,
-    }
-    assert job == ("send", "w", _K_JOB, pickle.dumps(
-        {"config": "c"}, protocol=pickle.HIGHEST_PROTOCOL
-    ))
-    *rejection, abort = _ready(machine, "w", 0, "not-the-fingerprint")
-    _turned_away(rejection, "w", "fingerprint mismatch")
-    assert abort[0] == "abort" and "fingerprint mismatch" in abort[2]
-
-
-def test_duplicate_claim_rejected_and_slot_stays_open():
-    """A second claim on a taken shard, an out-of-range claim and a claim
-    that is no integer at all each get an ERROR and a closed connection;
-    the fleet still assembles.  Two workers claiming one slot at once
-    both get a WELCOME, and the first READY wins it."""
-    machine, _ = _machine(shards=2)
-    assert machine.assemble({}) == [("spawn", 0), ("spawn", 1)]
-    assert _joined(machine, "first", 0) == [("bind", "first", 0)]
-    _turned_away(
-        _hello(machine, "duplicate", 0), "duplicate",
-        "already claimed or out of range",
-    )
-    _turned_away(
-        _hello(machine, "out-of-range", 7), "out-of-range",
-        "already claimed or out of range",
-    )
-    for claim in ("x", None, [1], True, 1.0):
-        _turned_away(
-            _hello(machine, repr(claim), claim), repr(claim),
-            "is not an integer",
-        )
-    assert _hello(machine, "rival", 1)[0][2] == _K_WELCOME
-    assert _hello(machine, "second", 1)[0][2] == _K_WELCOME
-    assert _ready(machine, "second", 1) == [
-        ("bind", "second", 1), ("done", [])
-    ]
-    _turned_away(_ready(machine, "rival", 1), "rival", "already claimed")
-    assert machine.rejected == 8
-    # only the rival counts as quarantined: it was turned away once the
-    # fleet was up
-    assert machine.faults["quarantined_connections"] == 1
-
-
-def test_unnumbered_workers_claim_distinct_slots():
-    """Workers started without ``--shard`` claim -1: concurrent ones are
-    offered different open slots."""
-    machine, _ = _machine(shards=2)
-    machine.assemble({})
-    offers = [
-        json.loads(_hello(machine, conn, -1)[0][3])["shard"]
-        for conn in ("a", "b")
-    ]
-    assert offers == [0, 1]
-    assert _ready(machine, "b", 1) == [("bind", "b", 1)]
-    assert _ready(machine, "a", 0) == [("bind", "a", 0), ("done", [])]
-
-
-def test_garbage_connection_rejected_fleet_still_assembles():
-    """Noise on the port, a connection that falls silent, and a worker
-    that says HELLO and then closes, or sends anything but READY, are
-    dropped without burning a shard slot."""
-    machine, clock = _machine(shards=1)
-    machine.assemble({})
-    machine.opened("noise")
-    _turned_away(machine.closed("noise", "bad frame magic"), "noise")
-    machine.opened("not json")
-    _turned_away(
-        machine.frame("not json", _K_HELLO, b"\xff{"), "not json",
-        "expected a HELLO frame",
-    )
-    machine.opened("silent")
-    clock.now = heartbeat_interval(4.0)
-    _turned_away(machine.expire(), "silent")
-    _hello(machine, "hung-up", 0)
-    _turned_away(machine.closed("hung-up", "connection closed"), "hung-up")
-    _hello(machine, "chatty", 0)
-    _turned_away(
-        machine.frame("chatty", _K_PING, b""), "chatty", "expected READY"
-    )
-    assert machine.open == {0: 4.0}
-    assert _joined(machine, "worker", 0) == [
-        ("bind", "worker", 0), ("done", [])
-    ]
-    assert machine.rejected == 5
-
-
-def test_worker_rejects_coordinator_version_skew():
-    """The worker side of the version check: a WELCOME speaking another
-    protocol version is fatal, and the worker reports it back."""
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    host, port = listener.getsockname()[:2]
-    seen = {}
-
-    def fake_coordinator():
-        conn, _ = listener.accept()
-        conn.settimeout(5.0)
-        kind, payload = recv_frame(conn, "fake coordinator")
-        seen["hello"] = (kind, json.loads(payload.decode()))
-        send_frame(
-            conn, _K_WELCOME,
-            json.dumps(
-                {"version": 99, "shard": 0, "fingerprint": "x", "sys_path": []}
-            ).encode(),
-        )
-        kind, payload = recv_frame(conn, "fake coordinator awaiting error")
-        seen["reply"] = (kind, payload)
-        conn.close()
-
-    thread = threading.Thread(target=fake_coordinator, daemon=True)
-    thread.start()
-    with pytest.raises(SimulationError, match="version mismatch"):
-        worker_main(host, port, shard=0, retries=1, timeout=5.0)
-    thread.join(timeout=5.0)
-    listener.close()
-    assert seen["hello"][0] == _K_HELLO
-    assert seen["reply"][0] == _K_ERROR
-    assert b"version mismatch" in seen["reply"][1]
-
-
-# ---------------------------------------------------------------------------
-# Supervision: the machine's rounds, deadlines and recoveries, then the
-# shell driving them over real sockets (no subprocesses).
-# ---------------------------------------------------------------------------
-
-
-def test_assembly_never_reads_a_protocol_frame():
-    """An early worker's first SYNC may come in before the fleet is
-    complete: it is the first collect's result, never quarantined as out
-    of turn.  Its heartbeats are answered meanwhile."""
-    machine, _ = _machine(shards=2)
-    machine.assemble({})
-    _joined(machine, "early", 0)
-    assert _sync(machine, 0, "first sync") == []
-    assert machine.frame(0, _K_PING, b"") == [("send", 0, _K_PONG, b"")]
-    assert _joined(machine, "late", 1) == [
-        ("bind", "late", 1), ("done", [(0, "sync", "first sync")])
-    ]
-    assert machine.collect(0) == []
-    assert _sync(machine, 1, "second sync") == [("done", [
-        (0, "sync", "first sync"), (1, "sync", "second sync")
-    ])]
-    assert machine.faults == {"heartbeats": 1}
 
 
 def test_a_half_open_shard_is_caught_by_its_deadline():
@@ -558,25 +255,17 @@ def test_a_half_open_shard_is_caught_by_its_deadline():
 
 @pytest.mark.parametrize("misbehaviour", ("out-of-turn frame", "death"))
 def test_non_awaited_shard_failure_is_stashed_until_awaited(misbehaviour):
-    """Shard 1 speaking out of turn (or dying) after its sync — in a round,
-    or early, while the fleet still assembles — is quarantined at once but
-    surfaces, recovered with its reason, only when the next round awaits
-    it, and only once."""
-    def script(machine, assembling):
-        if assembling:
-            machine.assemble({})
-            _joined(machine, "one", 1)
-        else:
-            assert machine.collect(0) == []
+    """Shard 1 speaking out of turn (or dying) after its sync is
+    quarantined at once but surfaces, recovered with its reason, only when
+    the next round awaits it, and only once."""
+    def script(machine):
+        assert machine.collect(0) == []
         assert _sync(machine, 1) == []
         if misbehaviour == "death":
             actions = machine.closed(1, "connection closed")
         else:
             actions = _sync(machine, 1, "too early")
         assert actions == [("close", 1)]
-        if assembling:
-            _joined(machine, "zero", 0)
-            assert machine.collect(0) == []
         assert _sync(machine, 0)[-1][0] == "done"
         return machine.collect(1)
 
@@ -584,23 +273,19 @@ def test_non_awaited_shard_failure_is_stashed_until_awaited(misbehaviour):
         "worker 1 died mid-window" if misbehaviour == "death" else
         f"worker 1 sent unexpected frame kind {_K_SYNC} out of turn"
     )
-    for assembling in (False, True):
-        machine, _ = _machine()
-        (verb, failure, _), = script(machine, assembling)
-        assert verb == "abort" and reason in failure
-        assert "no WAL checkpoint" in failure
+    machine, _ = _machine()
+    (verb, failure, _), = script(machine)
+    assert verb == "abort" and reason in failure
+    assert "no WAL checkpoint" in failure
 
-        machine, _ = _machine(window_records=lambda stop: [])
-        assert script(machine, assembling) == [("spawn", 1)]
-        assert machine.faults["worker_deaths"] == 1
-        assert _joined(machine, "replacement", 1) == [
-            ("bind", "replacement", 1)
-        ]
-        _sync(machine, 0)
-        assert _sync(machine, 1)[-1][0] == "done"
-        assert machine.collect(2) == []  # surfaced once
-        assert machine.faults["worker_deaths"] == 1
-        assert machine.faults["respawns"] == 1
+    machine, _ = _machine(window_records=lambda stop: [])
+    assert script(machine) == [("spawn", 1)]
+    assert machine.faults["worker_deaths"] == 1
+    _sync(machine, 0)
+    assert _sync(machine, 1)[-1][0] == "done"  # the replacement's first frame
+    assert machine.collect(2) == []  # surfaced once
+    assert machine.faults["worker_deaths"] == 1
+    assert machine.faults["respawns"] == 1
 
 
 def test_recovery_aborts_with_todays_messages():
@@ -619,7 +304,7 @@ def test_recovery_aborts_with_todays_messages():
     machine, _ = _machine(window_records=lambda stop: [], respawns=1)
     machine.collect(0)
     assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
-    _joined(machine, "replacement", 1)
+    machine.frame(1, _K_PING, b"")  # the replacement is live
     (verb, failure, report), = machine.closed(1, "gone again")[1:]
     assert f"worker respawn budget exhausted ({TCP_MAX_RESPAWNS_ENV}=1)" in (
         failure
@@ -630,11 +315,77 @@ def test_recovery_aborts_with_todays_messages():
     machine, _ = _machine(window_records=lambda stop: ["w0", "w1"][:stop])
     machine.collect(2)
     machine.closed(1, "gone")
-    _joined(machine, "replacement", 1)
     (verb, failure, _), = machine.closed(1, "eof")[1:]
     assert failure.startswith(
         "replacement worker for shard 1 failed during WAL replay at window 0"
     )
+
+
+def test_a_replacement_is_live_at_its_first_frame_and_fatal_before():
+    """A replacement with nothing to replay is bound to its slot from the
+    fork, so the first thing it says — a heartbeat or its sync — makes it
+    live.  Dying or falling silent before that fails the run: the budget
+    is not spent on a worker that never started."""
+    for ending in ("eof", "silence"):
+        machine, clock = _machine(window_records=lambda stop: [])
+        machine.collect(1)
+        clock.now = 1.0
+        assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
+        assert machine.replaying == {1: []}  # the fork reads "recovering"
+        assert machine.deadline() == 4.0  # shard 0 was due first
+        _sync(machine, 0)
+        assert machine.deadline() == 5.0  # the replacement's own deadline
+        if ending == "eof":
+            actions = machine.closed(1, "connection closed")
+        else:
+            clock.now = 5.0
+            actions = machine.expire()
+        close, (verb, failure, _) = actions
+        assert (close, verb) == (("close", 1), "abort")
+        assert failure.startswith(
+            "replacement worker for shard 1 failed during WAL replay at "
+            "window 1"
+        )
+        assert machine.faults["respawns"] == 0
+
+    machine, _ = _machine(window_records=lambda stop: [])
+    machine.collect(1)
+    machine.closed(1, "gone")
+    assert machine.frame(1, _K_PING, b"") == [("send", 1, _K_PONG, b"")]
+    assert machine.replaying == {} and machine.faults["respawns"] == 1
+
+
+def test_parked_workers_are_answered_while_a_slot_refills():
+    """Shard 0 has synced and waits for its decision while shard 1's
+    replacement replays a logged window: every heartbeat of the parked
+    worker is answered at once, and the round completes once the
+    replacement's live sync is in."""
+    record = WindowRecord(
+        barrier=0, window_start=0.0, global_last=0.5, total_executed=3,
+        statuses=[
+            (1.0, 0.5, 2, [], pickle.dumps({})),
+            (1.0, 0.5, 1, [], pickle.dumps({})),
+        ],
+        frames={},
+    )
+    machine, clock = _machine(window_records=lambda stop: [record] * stop)
+    machine.collect(1)
+    assert _sync(machine, 0, "parked") == []
+    assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
+    for tick in (1.0, 2.0, 3.0):
+        clock.now = tick
+        assert machine.frame(0, _K_PING, b"") == [("send", 0, _K_PONG, b"")]
+    assert machine.deadline() == 4.0  # only the replacement is awaited
+    replayed = SyncStatus(1.0, 0.5, 1, float("inf"), [], pickle.dumps({}), [])
+    (verb, shard, verdict), = machine.frame(1, _K_SYNC, pickle.dumps(replayed))
+    assert (verb, shard) == ("decide", 1)
+    assert _sync(machine, 1, "replacement") == [("done", [
+        (0, "sync", "parked"), (1, "sync", "replacement")
+    ])]
+    assert machine.faults == {
+        "heartbeats": 3, "worker_deaths": 1, "replayed_windows": 1,
+        "respawns": 1,
+    }
 
 
 _UNDECODABLE = {
@@ -653,9 +404,6 @@ def test_an_undecodable_sync_is_that_shards_death(payload):
     exception out of ``frame``."""
     for kind in (_K_SYNC, _K_DONE):
         machine, _ = _machine(shards=2, window_records=lambda stop: [])
-        machine.assemble({})
-        _joined(machine, "zero", 0)
-        _joined(machine, "one", 1)
         assert machine.collect(0) == []
         assert machine.frame(0, kind, payload) == [
             ("close", 0), ("spawn", 0)
@@ -674,7 +422,6 @@ def test_an_undecodable_sync_is_that_shards_death(payload):
     machine, _ = _machine(window_records=lambda stop: ["w0"][:stop])
     machine.collect(1)
     assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
-    _joined(machine, "replacement", 1)
     (verb, failure, _), = machine.frame(1, _K_SYNC, payload)
     assert verb == "abort" and failure.startswith(
         "replacement worker for shard 1 failed during WAL replay at window 0"
@@ -682,226 +429,184 @@ def test_an_undecodable_sync_is_that_shards_death(payload):
     assert "undecodable sync" in failure
 
 
-class _NoWindows:
-    """A WAL with nothing logged yet: a worker recovered at barrier 0 has
-    no window to replay."""
-
-    @staticmethod
-    def window_records(stop):
-        assert stop == 0
-        return []
+#: kinds only the coordinator sends, and the first frame of the retired
+#: HELLO handshake — none of them is a worker's message
+_FOREIGN_KINDS = {
+    "decision": _K_DECISION, "abort": _K_ABORT, "bye": _K_BYE,
+    "pong": _K_PONG, "retired-hello": 1,
+}
 
 
-def _parked(coordinator, shard_id):
-    """Install one end of a socketpair as shard ``shard_id``'s live
-    connection; returns the scripted worker's end."""
-    ours, theirs = _pair()
-    coordinator.connections[shard_id] = ours
-    return theirs
+@pytest.mark.parametrize("kind", _FOREIGN_KINDS.values(),
+                         ids=_FOREIGN_KINDS.keys())
+def test_a_frame_kind_no_worker_sends_is_loud(kind):
+    """An awaited worker that answers its round with a kind no worker
+    sends lands an error result naming the kind — the round still
+    completes, so the barrier loop aborts the fleet with it; a replacement
+    doing so mid-replay fails the run."""
+    machine, _ = _machine()
+    machine.collect(0)
+    assert machine.frame(0, kind, b"") == []
+    assert _sync(machine, 1) == [("done", [
+        (0, "error", f"worker 0 sent unexpected frame kind {kind} at "
+                     "barrier 0"),
+        (1, "sync", "sync"),
+    ])]
 
-
-def _handshake_client(host, port, shard, version=PROTOCOL_VERSION,
-                      greeting=_K_WELCOME):
-    """A scripted worker: HELLO → WELCOME → JOB → READY (parroting the
-    announced fingerprint).  Returns the open socket.  A replacement
-    worker expects ``greeting=_K_RECOVER``."""
-    sock = socket.create_connection((host, port), timeout=5.0)
-    sock.settimeout(5.0)
-    send_frame(
-        sock, _K_HELLO,
-        json.dumps({"version": version, "shard": shard}).encode(),
+    machine, _ = _machine(window_records=lambda stop: ["w0"][:stop])
+    machine.collect(1)
+    assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
+    (verb, failure, report), = machine.frame(1, kind, b"")
+    assert verb == "abort" and failure == report == (
+        "replacement worker for shard 1 failed during WAL replay at window "
+        f"0:\nsent frame kind {kind}, not a sync"
     )
-    kind, payload = recv_frame(sock, "client awaiting welcome")
-    if kind == _K_ERROR:
-        return sock, kind, payload
-    assert kind == greeting
-    welcome = json.loads(payload.decode())
-    kind, job = recv_frame(sock, "client awaiting job")
-    assert kind == _K_JOB
-    send_frame(
-        sock, _K_READY,
-        json.dumps(
-            {"shard": welcome["shard"], "fingerprint": welcome["fingerprint"]}
-        ).encode(),
+    assert machine.faults["replayed_windows"] == 0
+
+
+@pytest.mark.parametrize("part", ("stats", "kernel", "rng"))
+def test_recover_divergence_names_the_extras_part(part):
+    """A replacement worker whose replayed sync drifts from the WAL dies
+    on the shared logged-window verifier, which names what moved (the
+    part of the probe extras, as resume does) under the RECOVER prefix."""
+    logged = {"stats": {"counters": {"x": 1}}, "kernel": {"seq": 4},
+              "rng": {"0:1": "state"}}
+    replayed = dict(logged, **{part: {"moved": True}})
+    record = WindowRecord(
+        barrier=0, window_start=0.0, global_last=0.5, total_executed=3,
+        statuses=[
+            (1.0, 0.5, 2, [], pickle.dumps(logged)),
+            (1.0, 0.5, 1, [], pickle.dumps(logged)),
+        ],
+        frames={(1, 0): b"frame"},
     )
-    return sock, greeting, payload
-
-
-def _recovering(monkeypatch, timeout, hosts="wait"):
-    """A coordinator collecting barrier 0 on a thread, its shard 0 parked
-    (synced, waiting for the decision) and its shard 1 dead — so slot 1
-    is open for a RECOVER handshake.  Returns the coordinator, the parked
-    worker's socket, the thread and its outcome."""
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, str(timeout))
-    config = _config(8, shards=2, tcp_hosts=hosts)
-    lookahead = ShardedScenario(config, executor="tcp").lookahead
-    coordinator = TcpCoordinator(
-        config, 2, lookahead, DirectoryControlPlane(config), wal=_NoWindows
+    machine, _ = _machine(window_records=lambda stop: [record] * stop)
+    machine.collect(1)
+    assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
+    sync = SyncStatus(
+        1.0, 0.5, 1, float("inf"), [], pickle.dumps(replayed), [(0, b"frame")]
     )
-    coordinator.bind()
-    for shard_id, entry in enumerate(coordinator.hosts):  # as assembly did
-        coordinator._spawn_one(shard_id, entry)
-    parked, dead = _parked(coordinator, 0), _parked(coordinator, 1)
-    send_frame(parked, _K_SYNC, pickle.dumps("parked"))
-    dead.close()
-    outcome = {}
-
-    def collect():
-        try:
-            outcome["messages"] = coordinator.collect(0)
-        except SimulationError as exc:
-            outcome["error"] = str(exc)
-
-    thread = threading.Thread(target=collect, daemon=True)
-    thread.start()
-    return coordinator, parked, thread, outcome
-
-
-def _replaced(coordinator, thread, outcome):
-    """The real replacement claims slot 1 and syncs: the round completes."""
-    host, port = coordinator.address
-    replacement, kind, payload = _handshake_client(
-        host, port, 1, greeting=_K_RECOVER
-    )
-    assert kind == _K_RECOVER
-    assert json.loads(payload.decode())["barrier"] == 0
-    send_frame(replacement, _K_SYNC, pickle.dumps("replacement"))
-    thread.join(timeout=10.0)
-    assert outcome.get("messages") == [
-        (0, "sync", "parked"), (1, "sync", "replacement")
-    ], outcome
-    assert coordinator.faults["respawns"] == 1
-    return replacement
-
-
-def test_silent_connection_during_recovery_cannot_starve_parked_workers(
-    monkeypatch,
-):
-    """A stray connection that says nothing while a dead slot refills —
-    before its HELLO, or after a valid one — never holds the loop: a
-    parked worker's PING is answered within about one heartbeat interval,
-    and the slot stays open for the real replacement."""
-    for says_hello in (False, True):
-        coordinator, parked, thread, outcome = _recovering(monkeypatch, 4)
-        interval = heartbeat_interval(coordinator.timeout)
-        assert interval == 1.0
-        silent = socket.create_connection(coordinator.address, timeout=5.0)
-        if says_hello:  # a valid claim on the open slot, then silence
-            send_frame(silent, _K_HELLO, json.dumps(
-                {"version": PROTOCOL_VERSION, "shard": 1}
-            ).encode())
-            assert recv_frame(silent, "silent claimant")[0] == _K_RECOVER
-        time.sleep(0.4)  # unfixed, the loop is now blocked reading it
-        start = time.monotonic()
-        send_frame(parked, _K_PING)
-        assert recv_frame(parked, "parked worker awaiting pong")[0] == _K_PONG
-        # Unfixed, the PONG waits out the full 4s deadline.
-        assert time.monotonic() - start < 2.0 * interval
-        assert thread.is_alive() and not outcome, "the slot must stay open"
-        if not says_hello:  # turned away once its HELLO interval ran out
-            assert silent.recv(1) == b""
-            assert coordinator.faults["quarantined_connections"] == 1
-        replacement = _replaced(coordinator, thread, outcome)
-        assert coordinator.faults["heartbeats"] == 1
-        for sock in (silent, parked, replacement):
-            sock.close()
-        coordinator.close()
-
-
-def test_garbage_hello_during_recovery_is_quarantined_exactly_once(
-    monkeypatch,
-):
-    """Noise, a HELLO whose shard claim is no integer, a HELLO followed by
-    EOF and a HELLO followed by anything but READY: each is turned away
-    and counted as quarantined once, and the slot stays open."""
-    coordinator, parked, thread, outcome = _recovering(monkeypatch, 10)
-    host, port = coordinator.address
-    noise = socket.create_connection((host, port), timeout=5.0)
-    noise.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
-    strays = []
-    for claim, then in (("1", None), (1, "eof"), (1, _K_PING)):
-        stray = socket.create_connection((host, port), timeout=5.0)
-        stray.settimeout(5.0)
-        strays.append(stray)
-        send_frame(stray, _K_HELLO, json.dumps(
-            {"version": PROTOCOL_VERSION, "shard": claim}
-        ).encode())
-        if then is None:
-            assert recv_frame(stray, "stray claimant")[0] == _K_ERROR
-            continue
-        assert recv_frame(stray, "stray claimant")[0] == _K_RECOVER
-        assert recv_frame(stray, "stray claimant")[0] == _K_JOB
-        if then == "eof":
-            stray.close()
-            continue
-        send_frame(stray, then)
-        kind, payload = recv_frame(stray, "stray claimant")
-        assert (kind, b"expected READY" in payload) == (_K_ERROR, True)
-    assert thread.is_alive() and not outcome, "the slot must stay open"
-    replacement = _replaced(coordinator, thread, outcome)
-    assert coordinator.faults["quarantined_connections"] == 4
-    for sock in (noise, parked, replacement, *strays):
-        sock.close()
-    coordinator.close()
-
-
-class _FakeProcess:
-    def __init__(self, code):
-        self.code = code
-        self.polls = 0
-
-    def poll(self):
-        self.polls += 1
-        return self.code
-
-    def wait(self, timeout=None):
-        return self.code
-
-
-def test_accept_loop_polls_only_the_current_process_per_slot(monkeypatch):
-    """Respawning a slot moves the predecessor to the reap list: its
-    non-zero exit code is the death being healed, not a failed handshake —
-    but the *replacement* exiting non-zero still is."""
-    import repro.sim.tcpexec as tcpexec
-
-    corpse, replacement, broken = (
-        _FakeProcess(3), _FakeProcess(None), _FakeProcess(7)
-    )
-    spawned = iter([corpse, replacement, broken])
-    monkeypatch.setattr(
-        tcpexec, "_ForkedWorker", lambda *args, **kwargs: next(spawned)
-    )
-    coordinator, parked, thread, outcome = _recovering(
-        monkeypatch, 10, hosts="wait,local"
-    )
-    thread.join(timeout=0.5)  # a few polls with the corpse in the reap list
-    assert thread.is_alive() and not outcome
-    worker = _replaced(coordinator, thread, outcome)
-    assert coordinator.processes == {1: replacement}
-    assert coordinator._reap == [corpse]
-    assert corpse.polls == 0 and replacement.polls > 0
-
-    worker.close()  # dies again at barrier 1; its replacement exits 7
-    coordinator.supervisor.window_records = lambda stop: []
-    with pytest.raises(
-        SimulationError,
-        match="shard 1 exited with code 7 before completing its handshake",
-    ):
-        coordinator.collect(1)
-    parked.close()
-    coordinator.close()
+    (verb, failure, _), = machine.frame(1, _K_SYNC, pickle.dumps(sync))
+    assert verb == "abort"
+    assert f"RECOVER divergence at window 0: shard 1 {part} cursors" in failure
+    assert machine.faults["replayed_windows"] == 0
 
 
 # ---------------------------------------------------------------------------
-# Worker placement: forked "local" workers and fresh-interpreter workers.
+# Worker endpoint: ``worker_main`` and its channel, in-process on one end
+# of a socketpair, the coordinator played by hand on the other.
+# ---------------------------------------------------------------------------
+
+
+def _job(**overrides):
+    """What a forked worker reads from fork memory; ``_run_worker`` is
+    stubbed in these tests, so only the fault plan's config matters."""
+    return {
+        "config": _config(8, shards=2, **overrides), "workload": None,
+        "num_shards": 2, "lookahead": 0.5, "snapshot": None,
+        "wal_cadence": 0,
+    }
+
+
+@pytest.mark.parametrize("recovering", (False, True),
+                         ids=("fresh", "recovering"))
+def test_only_a_fresh_worker_arms_the_fault_injector(monkeypatch, recovering):
+    """A replacement knows it is recovering from fork memory and must not
+    arm the fault plan, or the fault that killed its predecessor fires
+    again and recovery loops; a fresh worker arms it on both the channel
+    (wire faults) and the barrier hook."""
+    import repro.sim.tcpexec as tcpexec
+
+    seen = {}
+
+    def stub(channel, *args, fault_hook=None):
+        seen.update(injector=channel.injector, fault_hook=fault_hook)
+        return False
+
+    monkeypatch.setattr(tcpexec, "_run_worker", stub)
+    ours, theirs = _pair()
+    try:
+        assert worker_main(
+            theirs, 0, _job(faults="crash@1:0"), recovering
+        ) == 1
+    finally:
+        ours.close()
+    if recovering:
+        assert seen == {"injector": None, "fault_hook": None}
+    else:
+        assert seen["injector"] is not None
+        assert seen["fault_hook"] == seen["injector"].at_barrier
+    assert theirs.fileno() == -1  # the worker closes its end on the way out
+
+
+@pytest.mark.parametrize("ending", ("bye", "hang-up", "failed run"))
+def test_worker_main_exits_as_its_run_went(monkeypatch, ending):
+    """Exit code 0 once the run is done and the coordinator says BYE —
+    PONGs for in-flight heartbeats skipped on the way — or hangs up; 1
+    when the run failed, without waiting for the coordinator at all."""
+    import repro.sim.tcpexec as tcpexec
+
+    monkeypatch.setattr(
+        tcpexec, "_run_worker",
+        lambda *args, **kwargs: ending != "failed run",
+    )
+    ours, theirs = _pair()
+    try:
+        if ending == "bye":
+            send_frame(ours, _K_PONG)
+            send_frame(ours, _K_BYE)
+        elif ending == "hang-up":
+            ours.close()
+        start = time.monotonic()
+        code = worker_main(theirs, 1, _job(), recovering=False)
+        assert time.monotonic() - start < 2.0  # no read deadline waited out
+    finally:
+        ours.close()
+    assert code == (1 if ending == "failed run" else 0)
+
+
+@pytest.mark.parametrize("answer", ("decision", "abort", "stray"))
+def test_the_worker_channel_takes_only_a_decision_or_an_abort(answer):
+    """Parked at a barrier, a worker skips every PONG and takes the
+    decision or the abort; any other kind is a loud protocol error."""
+    ours, theirs = _pair()
+    channel = _TcpChannel(theirs, 1, threading.Lock())
+    try:
+        send_frame(ours, _K_PONG)
+        send_frame(ours, _K_PONG)
+        if answer == "decision":
+            send_frame(ours, _K_DECISION, pickle.dumps(("verdict", 3)))
+            assert channel._recv(3) == ("decision", ("verdict", 3))
+        elif answer == "abort":
+            send_frame(ours, _K_ABORT, "shard 0 failed".encode("utf-8"))
+            assert channel._recv(3) == ("abort", "shard 0 failed")
+        else:
+            send_frame(ours, _K_ERROR, b"not for a worker")
+            with pytest.raises(SimulationError, match=(
+                f"shard 1: expected a decision frame at barrier 3, got "
+                f"kind {_K_ERROR}"
+            )):
+                channel._recv(3)
+    finally:
+        ours.close()
+        theirs.close()
+
+
+# ---------------------------------------------------------------------------
+# Placement: every worker is a forked child on its own socketpair.
 # ---------------------------------------------------------------------------
 
 
 def _socket_inodes(pid):
-    """The socket inodes among a process's open file descriptors."""
+    """The socket inodes among a process's open file descriptors (none
+    for a process that is gone)."""
     fd_dir = f"/proc/{pid}/fd"
     inodes = set()
-    for name in os.listdir(fd_dir):
+    try:
+        names = os.listdir(fd_dir)
+    except OSError:  # exited (or a zombie) already
+        return inodes
+    for name in names:
         try:
             target = os.readlink(os.path.join(fd_dir, name))
         except OSError:  # closed while listing
@@ -915,118 +620,84 @@ def _socket_inodes(pid):
     not os.path.isdir("/proc/self/fd"), reason="needs /proc/<pid>/fd"
 )
 def test_forked_workers_hold_no_coordinator_socket(tmp_path, monkeypatch):
-    """A forked ``local`` worker drops its copies of the coordinator's
-    listener and worker connections before it dials — checked once the
-    fleet is assembled, and for a RECOVER replacement forked while its
-    sibling's connection is live (a copy kept there would hide that
-    connection's EOF from the sibling)."""
+    """Per socketpair: the child's end lives in exactly one process, the
+    worker forked with it, and the coordinator's end in no worker at all —
+    checked after every barrier round, a replacement forked mid-run while
+    its sibling's connection is live included (a copy of that connection
+    kept there would hide the coordinator's hang-up from the sibling)."""
     monkeypatch.setenv(TCP_TIMEOUT_ENV, "30")
-    serve = TcpCoordinator._serve
-    checks, fleets = [], []
+    pairs = []  # (coordinator end's inode, child end's inode) per fork
+    socketpair = socket.socketpair
 
-    def checked_serve(self, actions):
-        messages = serve(self, actions)
-        fleet = sorted(map(id, self.processes.values()))
-        if fleets and fleets[-1] == fleet:
-            return messages  # checked once per fleet it assembled
-        fleets.append(fleet)
-        coordinator_side = {
-            os.fstat(sock.fileno()).st_ino
-            for sock in [self.listener, *self.connections]
-            if sock is not None
+    def recorded_socketpair(*args):
+        ours, theirs = socketpair(*args)
+        pairs.append(tuple(
+            os.fstat(end.fileno()).st_ino for end in (ours, theirs)
+        ))
+        return ours, theirs
+
+    collect, checks = TcpCoordinator.collect, []
+
+    def checked_collect(self, barrier):
+        messages = collect(self, barrier)
+        assert len(pairs) == len(self.processes)
+        held = {
+            process.pid: _socket_inodes(process.pid)
+            for process in self.processes
         }
-        assert len(coordinator_side) == 3  # the listener and two links
-        for shard_id, worker in sorted(self.processes.items()):
-            held = _socket_inodes(worker._process.pid)
-            checks.append(
-                (bool(self._reap), shard_id, held & coordinator_side)
-            )
+        held[os.getpid()] = _socket_inodes(os.getpid())
+        for process, (ours, theirs) in zip(self.processes, pairs):
+            holders = sorted(pid for pid, inodes in held.items()
+                             if theirs in inodes)
+            assert holders in ([process.pid], []), (barrier, holders)
+            assert not [pid for pid, inodes in held.items()
+                        if ours in inodes and pid != os.getpid()]
+        checks.append(sum(
+            theirs in held[process.pid]
+            for process, (_, theirs) in zip(self.processes, pairs)
+        ))
         return messages
 
-    monkeypatch.setattr(TcpCoordinator, "_serve", checked_serve)
+    monkeypatch.setattr(socket, "socketpair", recorded_socketpair)
+    monkeypatch.setattr(TcpCoordinator, "collect", checked_collect)
     run = ShardedScenario(
         _config(
             8, shards=2, wal=str(tmp_path / "storm.wal"), faults="crash@1:1",
         ),
-        executor="tcp",
+        executor="mp",
     ).run(_StormWorkload())
     assert run.stats.faults["respawns"] == 1
     assert run.digest() == (
         ShardedScenario(_config(8, shards=2)).run(_StormWorkload()).digest()
     )
-    assert [(recovery, shard) for recovery, shard, _ in checks] == [
-        (False, 0), (False, 1), (True, 0), (True, 1)
-    ]
-    assert not [leak for *_, leak in checks if leak], checks
+    assert len(pairs) == 3  # two slots, and one replacement
+    # every round saw both live workers holding their own ends
+    assert checks and set(checks) == {2}
 
 
-def test_forked_worker_raising_before_hello_fails_the_handshake(
+def test_forked_worker_raising_before_its_first_frame_fails_loudly(
     monkeypatch, capfd
 ):
-    """An exception in a forked worker before it says HELLO leaves its
-    traceback on stderr and exit code 1, which the accept loop reports at
-    once — not after the assembly deadline."""
+    """An exception in a forked worker before it sends anything leaves its
+    traceback on stderr and exit code 1; the coordinator reads EOF on the
+    worker's connection and fails the run at once — not after the read
+    deadline."""
     monkeypatch.setenv(TCP_TIMEOUT_ENV, "30")
     import repro.sim.tcpexec as tcpexec
 
     def broken(*args, **kwargs):
-        raise RuntimeError("worker broke before dialling")
+        raise RuntimeError("worker broke before its first frame")
 
     monkeypatch.setattr(tcpexec, "worker_main", broken)
     start = time.monotonic()
-    with pytest.raises(
-        SimulationError,
-        match="exited with code 1 before completing its handshake",
-    ):
+    with pytest.raises(SimulationError, match=r"worker [01] died mid-window"):
         ShardedScenario(
-            _config(8, shards=2), executor="tcp"
+            _config(8, shards=2), executor="mp"
         ).run(_StormWorkload())
     assert time.monotonic() - start < 10.0
-    assert "RuntimeError: worker broke before dialling" in (
+    assert "RuntimeError: worker broke before its first frame" in (
         capfd.readouterr().err
     )
-
-
-def test_wait_slot_runs_repro_worker_in_a_fresh_interpreter(monkeypatch):
-    """``python -m repro.cli worker`` end to end, under another hash seed:
-    the CLI entry point passes ``--shard`` through, the job's workload
-    class (defined in this test module) resolves through WELCOME's
-    ``sys_path``, and the run lands on the serial reference's digest."""
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, "30")
-    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    import repro
-
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
-        PYTHONHASHSEED=(
-            "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-        ),
-    )
-    # Started before the coordinator binds: the worker's connect retry
-    # covers the gap.
-    worker = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "worker",
-            "--connect", f"127.0.0.1:{port}", "--shard", "1",
-        ],
-        env=env,
-    )
-    try:
-        run = ShardedScenario(
-            _config(8, shards=2, tcp_hosts="local,wait", tcp_port=port),
-            executor="tcp",
-        ).run(_StormWorkload())
-        assert worker.wait(timeout=30.0) == 0
-    finally:
-        if worker.poll() is None:
-            worker.kill()
-            worker.wait()
-    reference = ShardedScenario(_config(8, shards=2)).run(_StormWorkload())
-    assert run.digest() == reference.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -1049,77 +720,83 @@ def test_killed_worker_surfaces_died_mid_window(monkeypatch):
 
 
 def test_half_open_worker_surfaces_died_mid_window(monkeypatch):
-    """A worker that handshakes then goes silent (half-open socket): the
-    per-read deadline converts it into 'died mid-window', and teardown
-    leaves no orphan sockets and no unreaped processes."""
-    monkeypatch.setenv(TCP_TIMEOUT_ENV, "5")
-    config = _config(8, shards=2, tcp_hosts="local,wait")
-    lookahead = ShardedScenario(config, executor="tcp").lookahead
+    """Shard 1's worker stops its heartbeat and goes silent with its
+    socket open (half-open): the read deadline converts it into 'died
+    mid-window', and teardown leaves no orphan socket and no unreaped
+    process."""
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, "2")
+    import repro.sim.tcpexec as tcpexec
+
+    run_worker = tcpexec._run_worker
+
+    def half_open(channel, *args, **kwargs):
+        if channel.shard_id != 1:
+            return run_worker(channel, *args, **kwargs)
+        for thread in threading.enumerate():
+            if isinstance(thread, tcpexec._Heartbeat):
+                thread.stop()
+        channel.sock.settimeout(None)
+        while channel.sock.recv(1 << 16):  # silent until the coordinator
+            pass  # hangs up on it
+        return False
+
+    monkeypatch.setattr(tcpexec, "_run_worker", half_open)
+    config = _config(8, shards=2)
     coordinator = TcpCoordinator(
-        config, 2, lookahead, DirectoryControlPlane(config)
+        config, 2, ShardedScenario(config).lookahead,
+        DirectoryControlPlane(config),
     )
-    host, port = coordinator.bind()
-    outcome = {}
-
-    def drive():
-        try:
-            coordinator.run(_StormWorkload())
-        except SimulationError as exc:
-            outcome["error"] = str(exc)
-
-    thread = threading.Thread(target=drive, daemon=True)
-    thread.start()
-    # Claim shard 1 with a full handshake, then never sync.
-    half_open, kind, _ = _handshake_client(host, port, 1)
-    assert kind == _K_WELCOME
     start = time.monotonic()
-    thread.join(timeout=60.0)
-    assert not thread.is_alive(), "coordinator hung on a half-open worker"
-    assert "worker 1 died mid-window" in outcome["error"]
-    assert time.monotonic() - start < 30.0
-    # Full teardown: listener and per-worker sockets closed, spawned
-    # worker processes reaped.
-    assert coordinator.listener.fileno() == -1
+    with pytest.raises(SimulationError, match="worker 1 died mid-window"):
+        coordinator.run(_StormWorkload())
+    assert 2.0 <= time.monotonic() - start < 10.0
+    # Full teardown: every connection closed, every worker reaped.
     for conn in coordinator.connections:
         assert conn is None or conn.fileno() == -1
-    assert set(coordinator.processes) == {0}
-    for process in coordinator.processes.values():
-        assert process.poll() is not None
-    half_open.close()
+    assert len(coordinator.processes) == 2
+    assert all(
+        process.exitcode is not None for process in coordinator.processes
+    )
 
 
-@pytest.mark.parametrize("part", ("stats", "kernel", "rng"))
-def test_recover_divergence_names_the_extras_part(part):
-    """A replacement worker whose replayed sync drifts from the WAL dies
-    on the shared logged-window verifier, which names what moved (the
-    part of the probe extras, as resume does) under the RECOVER prefix."""
-    logged = {"stats": {"counters": {"x": 1}}, "kernel": {"seq": 4},
-              "rng": {"0:1": "state"}}
-    replayed = dict(logged, **{part: {"moved": True}})
-    record = WindowRecord(
-        barrier=0, window_start=0.0, global_last=0.5, total_executed=3,
-        statuses=[
-            (1.0, 0.5, 2, [], pickle.dumps(logged)),
-            (1.0, 0.5, 1, [], pickle.dumps(logged)),
-        ],
-        frames={(1, 0): b"frame"},
+def test_a_replacement_dying_before_it_rejoins_fails_the_run(
+    tmp_path, monkeypatch, capfd
+):
+    """A crash at window 1 is healed by a forked replacement; one that
+    raises before its first frame fails the run loudly and at once, with
+    its traceback — no respawn loop, no wait for the read deadline."""
+    monkeypatch.setenv(TCP_TIMEOUT_ENV, "30")
+    import repro.sim.tcpexec as tcpexec
+
+    worker_main = tcpexec.worker_main
+
+    def flaky(sock, shard_id, job, recovering):
+        if recovering:
+            raise RuntimeError("replacement broke before its first frame")
+        return worker_main(sock, shard_id, job, recovering)
+
+    monkeypatch.setattr(tcpexec, "worker_main", flaky)
+    start = time.monotonic()
+    with pytest.raises(
+        SimulationError,
+        match="replacement worker for shard 1 failed during WAL replay",
+    ):
+        ShardedScenario(
+            _config(
+                8, shards=2, wal=str(tmp_path / "storm.wal"),
+                faults="crash@1:1",
+            ),
+            executor="mp",
+        ).run(_StormWorkload())
+    assert time.monotonic() - start < 10.0
+    assert "RuntimeError: replacement broke before its first frame" in (
+        capfd.readouterr().err
     )
-    machine, _ = _machine(window_records=lambda stop: [record] * stop)
-    machine.collect(1)
-    assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
-    assert _joined(machine, "replacement", 1) == [("bind", "replacement", 1)]
-    sync = SyncStatus(
-        1.0, 0.5, 1, float("inf"), [], pickle.dumps(replayed), [(0, b"frame")]
-    )
-    (verb, failure, _), = machine.frame(1, _K_SYNC, pickle.dumps(sync))
-    assert verb == "abort"
-    assert f"RECOVER divergence at window 0: shard 1 {part} cursors" in failure
-    assert machine.faults["replayed_windows"] == 0
 
 
 def test_tcp_checkpoint_chopped_midlog_resumes_to_reference(tmp_path):
-    """Chop a tcp-written WAL mid-log (the crash simulator) and resume
-    under tcp: the final digest equals the never-crashed run's."""
+    """Chop a fleet-written WAL mid-log (the crash simulator) and resume
+    under the fleet: the final digest equals the never-crashed run's."""
     reference = ShardedScenario(_config(8, shards=2)).run(_StormWorkload())
     wal = str(tmp_path / "storm.wal")
     full = ShardedScenario(

@@ -128,9 +128,10 @@ class TestBatchedEquivalence:
         for node in range(5):
             network.register(
                 node,
-                lambda message, log=log: log.append(
-                    (transport.simulator.now, message.msg_id)
-                ),
+                lambda message, log=log: log.append((
+                    transport.simulator.now,
+                    (message.src, message.dst, message.payload),
+                )),
             )
         messages = self._messages()
         if batched:
