@@ -12,15 +12,17 @@ sends the untagged vector to the server and receives scores back.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.constraints import (
+    at_least, check, finite, in_range, integer, positive, setting,
+)
 from repro.errors import ConfigurationError
 from repro.ml.calibration import PlattCalibrator
-from repro.ml.linear_svm import LinearSVM, LinearSVMModel
+from repro.ml.linear_svm import MAX_EPOCHS, LinearSVM, LinearSVMModel
 from repro.ml.sparse import SparseVector
 from repro.p2pclass.base import (
     P2PTagClassifier,
@@ -47,24 +49,14 @@ register_traffic_class(MSG_PREDICTION, "control")
 class CentralizedConfig:
     """Centralized baseline hyperparameters."""
 
-    server: int = 0
-    lambda_reg: float = 1e-4
-    epochs: int = 15
-    max_negative_ratio: float = 5.0
-    seed: int = 0
+    server: int = setting(0, integer, at_least(0))  # a scenario peer
+    lambda_reg: float = setting(1e-4, finite, positive)
+    epochs: int = setting(15, integer, in_range(1, MAX_EPOCHS))
+    max_negative_ratio: float = setting(5.0, finite, positive)
+    seed: int = setting(0, integer, at_least(0))
 
     def validate(self) -> None:
-        if not 0 < self.lambda_reg < math.inf:
-            raise ConfigurationError(
-                f"lambda_reg must be positive and finite, got {self.lambda_reg!r}"
-            )
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs!r}")
-        if not 0 < self.max_negative_ratio < math.inf:
-            raise ConfigurationError(
-                "max_negative_ratio must be positive and finite, "
-                f"got {self.max_negative_ratio!r}"
-            )
+        check(self)
 
 
 class CentralizedTagger(P2PTagClassifier):

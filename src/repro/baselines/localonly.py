@@ -7,15 +7,16 @@ between this baseline and the P2P methods *is* the value of collaboration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.constraints import (
+    at_least, check, finite, in_range, integer, positive, setting,
+)
 from repro.ml.calibration import PlattCalibrator
-from repro.ml.linear_svm import LinearSVM, LinearSVMModel
+from repro.ml.linear_svm import MAX_EPOCHS, LinearSVM, LinearSVMModel
 from repro.ml.sparse import SparseVector
 from repro.p2pclass.base import P2PTagClassifier, PeerData, binary_problems
 from repro.sim.scenario import Scenario
@@ -25,23 +26,13 @@ from repro.sim.scenario import Scenario
 class LocalOnlyConfig:
     """Local-only baseline hyperparameters."""
 
-    lambda_reg: float = 1e-4
-    epochs: int = 12
-    max_negative_ratio: float = 3.0
-    seed: int = 0
+    lambda_reg: float = setting(1e-4, finite, positive)
+    epochs: int = setting(12, integer, in_range(1, MAX_EPOCHS))
+    max_negative_ratio: float = setting(3.0, finite, positive)
+    seed: int = setting(0, integer, at_least(0))
 
     def validate(self) -> None:
-        if not 0 < self.lambda_reg < math.inf:
-            raise ConfigurationError(
-                f"lambda_reg must be positive and finite, got {self.lambda_reg!r}"
-            )
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs!r}")
-        if not 0 < self.max_negative_ratio < math.inf:
-            raise ConfigurationError(
-                "max_negative_ratio must be positive and finite, "
-                f"got {self.max_negative_ratio!r}"
-            )
+        check(self)
 
 
 class LocalOnlyTagger(P2PTagClassifier):

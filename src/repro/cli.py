@@ -24,10 +24,12 @@ import sys
 from typing import Optional, Sequence
 
 from repro.bench import format_table
+from repro.constraints import at_least, check_value
 from repro.core.tagger import ALGORITHMS, P2PDocTaggerSystem, SystemConfig
 from repro.data.delicious import DeliciousGenerator
 from repro.data.loaders import load_corpus, save_corpus
 from repro.errors import ConfigurationError, ReproError
+from repro.sim.scenario import CHURN_MODELS
 
 
 def _corpus_from_args(args: argparse.Namespace):
@@ -97,7 +99,7 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
         "--overlay", choices=_overlay_choices(), default="chord",
     )
     parser.add_argument(
-        "--churn", choices=("none", "exponential", "weibull", "pareto"),
+        "--churn", choices=CHURN_MODELS,
         default="none",
     )
     parser.add_argument(
@@ -232,6 +234,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_suggest(args: argparse.Namespace) -> int:
+    check_value("--count", args.count, at_least(0))
     system = _build_system(args, args.algorithm)
     system.train()
     for document in system.test_corpus.documents[: args.count]:
@@ -252,8 +255,7 @@ def cmd_overlay(args: argparse.Namespace) -> int:
     from repro.overlay.idspace import key_id_for
     from repro.sim.visualize import ascii_summary
 
-    if args.size < 1:
-        raise ConfigurationError(f"--size must be >= 1, got {args.size}")
+    check_value("--size", args.size, at_least(1))
     overlay = make_overlay(args.type, seed=args.seed, degree=4)
     for address in range(args.size):
         overlay.join(address)

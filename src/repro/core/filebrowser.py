@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
+from repro.constraints import at_least, check_value, integer
 from repro.data.corpus import Document
 from repro.errors import ConfigurationError
 
@@ -115,8 +116,7 @@ class VirtualFileSystem:
 
         A convenience for demos: real deployments map actual file trees.
         """
-        if folders < 1:
-            raise ConfigurationError("folders must be >= 1")
+        check_value("folders", folders, integer, at_least(1))
         fs = cls()
         for index, document in enumerate(documents):
             folder = f"{prefix}/folder{index % folders:02d}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet
 
-from repro.errors import ConfigurationError
+from repro.constraints import at_least, check_value, in_range, integer
 
 
 class ThresholdPolicy(ABC):
@@ -29,8 +29,7 @@ class FixedThreshold(ThresholdPolicy):
     """
 
     def __init__(self, threshold: float = 0.5) -> None:
-        if not 0.0 <= threshold <= 1.0:
-            raise ConfigurationError("threshold must be in [0, 1]")
+        check_value("threshold", threshold, in_range(0, 1))
         self.threshold = threshold
 
     def _bar(self, tag: str) -> float:
@@ -48,10 +47,8 @@ class TopKPolicy(ThresholdPolicy):
     """Assign the ``k`` highest-scoring tags (above an optional floor)."""
 
     def __init__(self, k: int = 3, floor: float = 0.0) -> None:
-        if k < 1:
-            raise ConfigurationError("k must be >= 1")
-        if not 0.0 <= floor <= 1.0:
-            raise ConfigurationError("floor must be in [0, 1]")
+        check_value("k", k, integer, at_least(1))
+        check_value("floor", floor, in_range(0, 1))
         self.k = k
         self.floor = floor
 
@@ -73,10 +70,7 @@ class PerTagThreshold(FixedThreshold):
         self, thresholds: Dict[str, float], default: float = 0.5
     ) -> None:
         for tag, value in thresholds.items():
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(
-                    f"threshold for {tag!r} out of [0, 1]: {value}"
-                )
+            check_value(f"the threshold for {tag!r}", value, in_range(0, 1))
         super().__init__(default)
         self.thresholds = dict(thresholds)
 

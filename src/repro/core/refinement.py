@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List
 
+from repro.constraints import at_least, check_value, integer
 from repro.core.metadata import TagMetadataStore, TagSource
 from repro.errors import ConfigurationError
 from repro.ml.sparse import SparseVector
@@ -52,8 +53,7 @@ class RefinementLoop:
         store: TagMetadataStore,
         retrain_every: int = 10,
     ) -> None:
-        if retrain_every < 1:
-            raise ConfigurationError("retrain_every must be >= 1")
+        check_value("retrain_every", retrain_every, integer, at_least(1))
         self.classifier = classifier
         self.store = store
         self.retrain_every = retrain_every

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.errors import ConfigurationError
+from repro.constraints import at_least, check_value, in_range, integer
 from repro.ml.sparse import SparseVector
 from repro.p2pclass.base import P2PTagClassifier
 
@@ -40,8 +40,7 @@ class SuggestionEngine:
     def __init__(
         self, classifier: P2PTagClassifier, max_suggestions: int = 10
     ) -> None:
-        if max_suggestions < 1:
-            raise ConfigurationError("max_suggestions must be >= 1")
+        check_value("max_suggestions", max_suggestions, integer, at_least(1))
         self.classifier = classifier
         self.max_suggestions = max_suggestions
 
@@ -57,8 +56,7 @@ class SuggestionEngine:
         tags alphabetically after ("filtered out, struck out, and placed
         last").
         """
-        if not 0.0 <= confidence_threshold <= 1.0:
-            raise ConfigurationError("confidence_threshold must be in [0, 1]")
+        check_value("confidence_threshold", confidence_threshold, in_range(0, 1))
         ranked = self.classifier.rank_tags(origin, vector)[: self.max_suggestions]
         suggestions = [
             Suggestion(
@@ -81,8 +79,7 @@ class SuggestionEngine:
         self, origin: int, vector: SparseVector, k: int
     ) -> List[str]:
         """The k highest-confidence tags (evaluation helper for E7)."""
-        if k < 1:
-            raise ConfigurationError("k must be >= 1")
+        check_value("k", k, integer, at_least(1))
         ranked = self.classifier.rank_tags(origin, vector)
         return [tag for tag, _ in ranked[:k]]
 

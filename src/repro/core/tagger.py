@@ -13,9 +13,14 @@ drive.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
+from repro.constraints import (
+    at_least, check, check_value, finite, in_range, integer, one_of, positive,
+    setting,
+)
 from repro.core.library import Library
 from repro.core.metadata import TagMetadataStore, TagSource
 from repro.core.multilabel import FixedThreshold, ThresholdPolicy
@@ -43,28 +48,23 @@ ALGORITHMS = ("pace", "cempar", "nbagg", "centralized", "local", "popularity")
 class SystemConfig:
     """Top-level system configuration."""
 
-    algorithm: str = "pace"
+    algorithm: str = setting("pace", one_of(ALGORITHMS))
     overlay: str = "chord"
     churn: str = "none"
     codec: str = "identity"  # wire-format codec table (repro.sim.codec)
-    mean_session: float = 600.0
-    mean_downtime: float = 60.0
-    train_fraction: float = 0.2  # the paper's 20 % manual-tag protocol
-    threshold: float = 0.5
-    feature_dimension: int = 2 ** 18
-    min_tag_support: int = 2
-    seed: int = 0
+    mean_session: float = setting(600.0, finite, positive)
+    mean_downtime: float = setting(60.0, finite, at_least(0))
+    #: the paper's 20 % manual-tag protocol; 1.0 is refused by the split
+    train_fraction: float = setting(0.2, positive, in_range(0, 1))
+    threshold: float = setting(0.5, in_range(0, 1))
+    feature_dimension: int = setting(2 ** 18, integer, at_least(1))
+    min_tag_support: int = setting(2, integer, at_least(1))
+    seed: int = setting(0, integer, at_least(0))
     algorithm_options: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigurationError("train_fraction must be in (0, 1)")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigurationError("threshold must be in [0, 1]")
+        check(self)
+        _options_are_the_algorithms_settings(self)
 
 
 @dataclass
@@ -88,6 +88,36 @@ class EvaluationReport:
         )
 
 
+def _algorithm_classes(algorithm: str):
+    """``algorithm``'s classifier class and its settings dataclass (None for
+    popularity, which has no settings)."""
+    from repro.baselines import centralized, localonly, popularity
+    from repro.p2pclass import cempar, nbagg, pace
+
+    return {
+        "pace": (pace.PaceClassifier, pace.PaceConfig),
+        "cempar": (cempar.CemparClassifier, cempar.CemparConfig),
+        "nbagg": (nbagg.NBAggClassifier, nbagg.NBAggConfig),
+        "centralized": (centralized.CentralizedTagger, centralized.CentralizedConfig),
+        "local": (localonly.LocalOnlyTagger, localonly.LocalOnlyConfig),
+        "popularity": (popularity.PopularityTagger, None),
+    }[algorithm]
+
+
+def _options_are_the_algorithms_settings(config: SystemConfig) -> None:
+    """Each ``algorithm_options`` key names a field of the algorithm's
+    settings dataclass; its ``seed`` is ``SystemConfig.seed``."""
+    _, settings = _algorithm_classes(config.algorithm)
+    names = {f.name for f in dataclasses.fields(settings)} if settings else set()
+    for key in config.algorithm_options:
+        if key == "seed" or key not in names:
+            raise ConfigurationError(
+                f"algorithm_options key {key!r} is not a setting of algorithm "
+                f"{config.algorithm!r}"
+                + (" (set SystemConfig.seed)" if key == "seed" else "")
+            )
+
+
 def build_classifier(
     algorithm: str,
     scenario: Scenario,
@@ -97,37 +127,10 @@ def build_classifier(
     options: dict,
 ) -> P2PTagClassifier:
     """Construct one algorithm's classifier over a scenario."""
-    if algorithm == "pace":
-        from repro.p2pclass.pace import PaceClassifier, PaceConfig
-
-        config = PaceConfig(seed=seed, **options)
-        return PaceClassifier(scenario, peer_data, tags, config)
-    if algorithm == "cempar":
-        from repro.p2pclass.cempar import CemparClassifier, CemparConfig
-
-        config = CemparConfig(seed=seed, **options)
-        return CemparClassifier(scenario, peer_data, tags, config)
-    if algorithm == "nbagg":
-        from repro.p2pclass.nbagg import NBAggClassifier, NBAggConfig
-
-        config = NBAggConfig(seed=seed, **options)
-        return NBAggClassifier(scenario, peer_data, tags, config)
-    if algorithm == "centralized":
-        from repro.baselines.centralized import (
-            CentralizedConfig,
-            CentralizedTagger,
-        )
-
-        config = CentralizedConfig(seed=seed, **options)
-        return CentralizedTagger(scenario, peer_data, tags, config)
-    if algorithm == "local":
-        from repro.baselines.localonly import LocalOnlyConfig, LocalOnlyTagger
-
-        config = LocalOnlyConfig(seed=seed, **options)
-        return LocalOnlyTagger(scenario, peer_data, tags, config)
-    from repro.baselines.popularity import PopularityTagger
-
-    return PopularityTagger(scenario, peer_data, tags)
+    classifier, settings = _algorithm_classes(algorithm)
+    if settings is None:
+        return classifier(scenario, peer_data, tags)
+    return classifier(scenario, peer_data, tags, settings(seed=seed, **options))
 
 
 class P2PDocTaggerPeer:
@@ -341,6 +344,7 @@ class P2PDocTaggerSystem:
             raise NotTrainedError("call train() before evaluate()")
         documents = self.test_corpus.documents
         if max_documents is not None:
+            check_value("max_documents", max_documents, integer, at_least(0))
             documents = documents[:max_documents]
         true_sets: List[FrozenSet[str]] = []
         predicted: List[FrozenSet[str]] = []

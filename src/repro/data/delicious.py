@@ -43,6 +43,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.constraints import (
+    at_least, check, finite, in_range, integer, positive, setting,
+)
 from repro.data.corpus import Corpus, Document
 from repro.errors import DataError
 
@@ -455,6 +458,12 @@ def _make_vocabulary(size: int, draw: _Pcg64Replay) -> List[str]:
     return words
 
 
+#: users (each becomes a peer) and documents per user a corpus may hold:
+#: the whole corpus is generated into memory
+_MAX_USERS = 2 ** 20
+_MAX_DOCS_PER_USER = 2 ** 20
+
+
 @dataclass
 class GeneratorConfig:
     """All the knobs of the synthetic corpus.
@@ -464,68 +473,83 @@ class GeneratorConfig:
     (the paper's demonstration range is (50, 200)).
     """
 
-    num_users: int = 16
-    num_tags: int = 12
-    docs_per_user_range: Tuple[int, int] = (10, 30)
-    vocabulary_size: int = 1200
-    topic_words_per_tag: int = 40
-    doc_length_range: Tuple[int, int] = (40, 120)
-    mean_tags_per_doc: float = 2.0
-    max_tags_per_doc: int = 5
-    zipf_exponent: float = 1.1
-    interest_concentration: float = 0.5
-    num_tag_groups: int = 3
-    within_group_bias: float = 0.8
-    bridge_tags: int = 1
-    topic_word_weight: float = 0.7
-    noise_weight: float = 0.05
-    seed: int = 0
+    num_users: int = setting(16, integer, in_range(1, _MAX_USERS))
+    num_tags: int = setting(12, integer, at_least(2))
+    docs_per_user_range: Tuple[int, int] = setting(
+        (10, 30), integer, in_range(1, _MAX_DOCS_PER_USER)
+    )
+    #: background words are the first max(_BACKGROUND_HEAD_MIN,
+    #: vocabulary_size // 10) ids, and there are only so many distinct
+    #: pseudo-words
+    vocabulary_size: int = setting(
+        1200, integer, in_range(_BACKGROUND_HEAD_MIN, _PSEUDO_WORDS)
+    )
+    topic_words_per_tag: int = setting(40, integer, at_least(1))
+    doc_length_range: Tuple[int, int] = setting(
+        (40, 120), integer, in_range(1, _TWO_32 - 1)
+    )
+    mean_tags_per_doc: float = setting(2.0, finite, positive)
+    max_tags_per_doc: int = setting(5, integer, at_least(1))
+    zipf_exponent: float = setting(1.1, finite, at_least(0))
+    interest_concentration: float = setting(0.5, finite, positive)
+    num_tag_groups: int = setting(3, integer, at_least(1))
+    within_group_bias: float = setting(0.8, in_range(0, 1))
+    bridge_tags: int = setting(1, integer, at_least(0))
+    topic_word_weight: float = setting(0.7, in_range(0, 1))
+    noise_weight: float = setting(0.05, in_range(0, 1))
+    seed: int = setting(0, integer, at_least(0))
 
     def validate(self) -> None:
-        if self.num_users <= 0:
-            raise DataError("num_users must be positive")
-        if self.num_tags < 2:
-            raise DataError("need at least 2 tags")
-        lo, hi = self.docs_per_user_range
-        if not 0 < lo <= hi:
-            raise DataError("docs_per_user_range must satisfy 0 < lo <= hi")
-        if self.topic_words_per_tag < 1:
-            raise DataError("topic_words_per_tag must be positive")
-        if self.vocabulary_size < self.num_tags * self.topic_words_per_tag:
-            raise DataError(
-                "vocabulary too small for the requested topic words per tag"
-            )
-        if not _BACKGROUND_HEAD_MIN <= self.vocabulary_size <= _PSEUDO_WORDS:
-            raise DataError(
-                f"vocabulary_size must be in [{_BACKGROUND_HEAD_MIN}, "
-                f"{_PSEUDO_WORDS}]: background words are the first "
-                f"max({_BACKGROUND_HEAD_MIN}, vocabulary_size // 10) ids, and "
-                "there are only so many distinct pseudo-words"
-            )
-        lo, hi = self.doc_length_range
-        if not 0 < lo <= hi < _TWO_32:
-            raise DataError("doc_length_range must satisfy 0 < lo <= hi < 2**32")
-        if not 0 < self.mean_tags_per_doc <= self.max_tags_per_doc:
-            raise DataError("mean_tags_per_doc must be in (0, max_tags_per_doc]")
-        if self.mean_tags_per_doc >= 1 + _POISSON_MULT_MAX:
-            raise DataError(
-                f"mean_tags_per_doc must be below {1 + _POISSON_MULT_MAX}: the "
-                "extra tags are Poisson(mean_tags_per_doc - 1), replayed by "
-                "numpy's multiplication method, which serves lam < "
-                f"{_POISSON_MULT_MAX}"
-            )
-        if not 0 <= self.zipf_exponent < math.inf:
-            raise DataError("zipf_exponent must be finite and non-negative")
-        # the user's Dirichlet alphas sum to interest_concentration * num_tags
-        if not 0 < self.interest_concentration * self.num_tags < math.inf:
-            raise DataError(
-                "interest_concentration must be positive, and finite times "
-                "num_tags"
-            )
-        if not 0.0 <= self.within_group_bias <= 1.0:
-            raise DataError("within_group_bias must be in [0, 1]")
-        if self.num_tag_groups < 1 or self.num_tag_groups > self.num_tags:
-            raise DataError("num_tag_groups must be in [1, num_tags]")
+        check(self, DataError)
+        _ranges_are_ordered(self)
+        _topic_words_fit_the_vocabulary(self)
+        _tag_counts_fit(self)
+        _dirichlet_alphas_sum_finite(self)
+
+
+def _ranges_are_ordered(config: GeneratorConfig) -> None:
+    for name in ("docs_per_user_range", "doc_length_range"):
+        lo, hi = getattr(config, name)
+        if lo > hi:
+            raise DataError(f"{name} must satisfy lo <= hi, got {(lo, hi)}")
+
+
+def _topic_words_fit_the_vocabulary(config: GeneratorConfig) -> None:
+    if config.vocabulary_size < config.num_tags * config.topic_words_per_tag:
+        raise DataError(
+            f"vocabulary_size {config.vocabulary_size} is too small for "
+            f"num_tags * topic_words_per_tag = {config.num_tags} * "
+            f"{config.topic_words_per_tag} disjoint topic words"
+        )
+
+
+def _tag_counts_fit(config: GeneratorConfig) -> None:
+    if config.mean_tags_per_doc > config.max_tags_per_doc:
+        raise DataError(
+            f"mean_tags_per_doc {config.mean_tags_per_doc} must be at most "
+            f"max_tags_per_doc {config.max_tags_per_doc}"
+        )
+    if config.mean_tags_per_doc >= 1 + _POISSON_MULT_MAX:
+        raise DataError(
+            f"mean_tags_per_doc must be below {1 + _POISSON_MULT_MAX}: the "
+            "extra tags are Poisson(mean_tags_per_doc - 1), replayed by "
+            "numpy's multiplication method, which serves lam < "
+            f"{_POISSON_MULT_MAX}"
+        )
+    if config.num_tag_groups > config.num_tags:
+        raise DataError(
+            f"num_tag_groups {config.num_tag_groups} must be at most "
+            f"num_tags {config.num_tags}"
+        )
+
+
+def _dirichlet_alphas_sum_finite(config: GeneratorConfig) -> None:
+    """A user's Dirichlet alphas sum to interest_concentration * num_tags."""
+    if not math.isfinite(config.interest_concentration * config.num_tags):
+        raise DataError(
+            "interest_concentration * num_tags must be finite, got "
+            f"{config.interest_concentration} * {config.num_tags}"
+        )
 
 
 class DeliciousGenerator:

@@ -13,12 +13,14 @@ KKT-violation outer loop).  Local training sets in the P2P setting are small
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.constraints import (
+    at_least, check_value, finite, integer, one_of, positive,
+)
 from repro.errors import ConfigurationError, NotTrainedError
 from repro.ml.kernels import KERNEL_NAMES, PairDots, gram_matrix, kernel_from_dots
 from repro.ml.sparse import SparseVector, pack_rows
@@ -190,25 +192,12 @@ class KernelSVM:
     ) -> None:
         # each setting that fails these would train a model that knows
         # nothing; C = inf is the hard-margin SVM
-        if not C > 0:
-            raise ConfigurationError(f"C must be positive, got {C!r}")
-        if not 0 < gamma < math.inf:
-            raise ConfigurationError(
-                f"gamma must be positive and finite, got {gamma!r}"
-            )
-        if not 0 <= tol < math.inf:
-            raise ConfigurationError(
-                f"tol must be non-negative and finite, got {tol!r}"
-            )
-        if kernel_name not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"kernel_name must be one of {KERNEL_NAMES}, got {kernel_name!r}"
-            )
-        if max_passes < 1 or max_iterations < 1:
-            raise ConfigurationError(
-                "max_passes and max_iterations must be >= 1, "
-                f"got {max_passes!r} and {max_iterations!r}"
-            )
+        check_value("C", C, positive)
+        check_value("gamma", gamma, finite, positive)
+        check_value("tol", tol, finite, at_least(0))
+        check_value("kernel_name", kernel_name, one_of(KERNEL_NAMES))
+        check_value("max_passes", max_passes, integer, at_least(1))
+        check_value("max_iterations", max_iterations, integer, at_least(1))
         self.C = C
         self.gamma = gamma
         self.kernel_name = kernel_name

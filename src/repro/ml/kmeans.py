@@ -13,12 +13,12 @@ every peer's documents in one call, through :meth:`KMeans.fit_block`, and
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.constraints import at_least, check_value, integer
 from repro.errors import ConfigurationError
 from repro.ml.sparse import SparseVector
 
@@ -39,9 +39,8 @@ class KMeansResult:
 
 
 def _check_settings(k: int, max_iterations: int) -> None:
-    for name, value in (("k", k), ("max_iterations", max_iterations)):
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+    check_value("k", k, integer, at_least(1))
+    check_value("max_iterations", max_iterations, integer, at_least(1))
 
 
 class _Centroids(NamedTuple):
@@ -73,7 +72,8 @@ class _Chunk:
         self.sizes = sizes.tolist()
         self.starts = (np.cumsum(sizes) - sizes).tolist()
         self.doc_group = np.repeat(np.arange(self.groups), sizes)
-        self.k = np.minimum(sizes, k)
+        # no group has more documents than the chunk: k past that is moot
+        self.k = np.minimum(sizes, min(k, len(vectors)))
         self.slots = int(self.k.max())
         self.doc_length = np.fromiter(map(len, vectors), np.intp, len(vectors))
         entries = int(self.doc_length.sum())

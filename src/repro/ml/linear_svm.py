@@ -18,12 +18,14 @@ case.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.constraints import (
+    at_least, check_value, finite, in_range, integer, positive,
+)
 from repro.errors import ConfigurationError, NotTrainedError
 from repro.ml.sparse import SparseVector, pack_rows
 
@@ -48,8 +50,7 @@ class LinearSVMModel:
 
     def truncated(self, max_features: int) -> "LinearSVMModel":
         """Keep only the ``max_features`` largest-|w| entries."""
-        if max_features <= 0:
-            raise ConfigurationError("max_features must be positive")
+        check_value("max_features", max_features, integer, at_least(1))
         if self.weights.nnz <= max_features:
             return self
         top = sorted(
@@ -66,13 +67,14 @@ class LinearSVMModel:
 Problem = Tuple[Sequence[SparseVector], Sequence[int]]
 
 
+#: Pegasos holds every step's sample, ``epochs x documents`` rows per
+#: problem, so an epoch count is bounded like a buffer size
+MAX_EPOCHS = 1000
+
+
 def _check_settings(lambda_reg: float, epochs: int) -> None:
-    if not 0 < lambda_reg < math.inf:
-        raise ConfigurationError(
-            f"lambda_reg must be positive and finite, got {lambda_reg!r}"
-        )
-    if epochs <= 0:
-        raise ConfigurationError("epochs must be positive")
+    check_value("lambda_reg", lambda_reg, finite, positive)
+    check_value("epochs", epochs, integer, in_range(1, MAX_EPOCHS))
 
 
 def _one_class(vectors: Sequence[SparseVector], labels: Sequence[int]) -> Optional[int]:

@@ -22,7 +22,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.constraints import at_least, check_value, in_range, integer
 from repro.ml.sparse import SparseVector
 
 T = TypeVar("T", bound=Hashable)
@@ -86,8 +86,7 @@ class RandomHyperplaneLSH(Generic[T]):
     """
 
     def __init__(self, num_bits: int = 8, seed: int = 0) -> None:
-        if not 1 <= num_bits <= 64:
-            raise ConfigurationError("num_bits must be in [1, 64]")
+        check_value("num_bits", num_bits, integer, in_range(1, 64))
         self.num_bits = num_bits
         self.seed = seed
         self._table = _shared_table(seed, num_bits)
@@ -141,8 +140,7 @@ class RandomHyperplaneLSH(Generic[T]):
         signature (multi-probe LSH, :meth:`probe`) until at least ``top_k``
         candidates are gathered or ``max_probe_distance`` is exhausted.
         """
-        if top_k <= 0:
-            raise ConfigurationError("top_k must be positive")
+        check_value("top_k", top_k, integer, at_least(1))
         if self._size == 0:
             return []
         candidates: List[Tuple[SparseVector, T]] = []

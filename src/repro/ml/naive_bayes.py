@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.constraints import (
+    at_least, check_value, in_range, integer, positive,
+)
 from repro.errors import ConfigurationError, NotTrainedError
 from repro.ml.sparse import SparseVector
 
@@ -63,6 +66,12 @@ class NBSufficientStats:
         return self.doc_counts[0] + self.doc_counts[1]
 
 
+#: the largest smoothing pseudo-count: a document's term mass (at most a
+#: few units) keeps about 20 bits beside it in float64, where 2**63 drowns
+#: it and every score reads 0.5
+MAX_ALPHA = 2 ** 32
+
+
 class MultinomialNB:
     """Binary multinomial NB with Laplace smoothing.
 
@@ -70,10 +79,8 @@ class MultinomialNB:
     """
 
     def __init__(self, alpha: float = 1.0, vocabulary_size: int = 2 ** 18) -> None:
-        if alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
-        if vocabulary_size <= 0:
-            raise ConfigurationError("vocabulary_size must be positive")
+        check_value("alpha", alpha, positive, in_range(0, MAX_ALPHA))
+        check_value("vocabulary_size", vocabulary_size, integer, at_least(1))
         self.alpha = alpha
         self.vocabulary_size = vocabulary_size
         self._stats: Optional[NBSufficientStats] = None

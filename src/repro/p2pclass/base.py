@@ -9,7 +9,6 @@ pluggable interface P2PDocTagger trains and queries.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import (
@@ -25,6 +24,7 @@ from typing import (
 
 import numpy as np
 
+from repro.constraints import check_value, finite, positive
 from repro.core.multilabel import FixedThreshold
 from repro.data.corpus import Corpus
 from repro.errors import ConfigurationError, NotTrainedError
@@ -82,11 +82,7 @@ def binary_problems(
     dictates).  Tags without local positives are skipped — that peer simply
     contributes nothing for them.
     """
-    if not 0 < max_negative_ratio < math.inf:
-        raise ConfigurationError(
-            "max_negative_ratio must be positive and finite, "
-            f"got {max_negative_ratio!r}"
-        )
+    check_value("max_negative_ratio", max_negative_ratio, finite, positive)
     problems: Dict[str, Tuple[List[SparseVector], List[int]]] = {}
     for tag in tags:
         positives = [item.vector for item in items if tag in item.tags]

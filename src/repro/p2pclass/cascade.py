@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.constraints import at_least, check_value, integer
 from repro.ml.calibration import PlattCalibrator
 from repro.ml.kernel_svm import KernelSVM, KernelSVMModel
 from repro.ml.kernels import PairDots
@@ -78,8 +78,7 @@ def cascade_merge(
     every child was a degenerate one-class model) — the caller treats the
     (tag, region) as having no model.
     """
-    if max_training_size <= 0:
-        raise ConfigurationError("max_training_size must be positive")
+    check_value("max_training_size", max_training_size, integer, at_least(1))
     vectors: List[SparseVector] = []
     labels: List[int] = []
     for model in child_models:

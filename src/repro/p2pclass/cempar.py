@@ -16,13 +16,14 @@ contribution — exactly the degradation experiment E4 measures.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.constraints import (
+    at_least, check, finite, in_range, integer, one_of, positive, setting,
+)
 from repro.errors import ConfigurationError
 from repro.ml.kernel_svm import KernelSVM, KernelSVMModel, PackedSupport
 from repro.ml.kernels import KERNEL_NAMES
@@ -32,6 +33,7 @@ from repro.p2pclass.base import P2PTagClassifier, PeerData, binary_problems
 from repro.p2pclass.cascade import CascadeModel, cascade_merge
 from repro.p2pclass.voting import weighted_score
 from repro.sim.codec import register_traffic_class
+from repro.sim.distribution import MAX_PEERS
 from repro.sim.scenario import Scenario
 
 MSG_MODEL_UPLOAD = "cempar.model_upload"
@@ -49,47 +51,19 @@ register_traffic_class(MSG_PREDICTION, "control")
 class CemparConfig:
     """CEMPaR hyperparameters."""
 
-    num_regions: int = 2
-    C: float = 1.0
-    gamma: float = 0.5
-    kernel_name: str = "rbf"
-    max_negative_ratio: float = 3.0
-    max_cascade_training_size: int = 400
-    upload_window: float = 60.0  # peers upload at staggered virtual times
-    seed: int = 0
+    #: one regional super-peer per region, a region per peer at most
+    num_regions: int = setting(2, integer, in_range(1, MAX_PEERS))
+    C: float = setting(1.0, positive)  # C = inf is the hard-margin SVM
+    gamma: float = setting(0.5, finite, positive)
+    kernel_name: str = setting("rbf", one_of(KERNEL_NAMES))
+    max_negative_ratio: float = setting(3.0, finite, positive)
+    max_cascade_training_size: int = setting(400, integer, at_least(1))
+    #: peers upload at staggered virtual times
+    upload_window: float = setting(60.0, finite, at_least(0))
+    seed: int = setting(0, integer, at_least(0))
 
     def validate(self) -> None:
-        if not isinstance(self.num_regions, numbers.Integral) or self.num_regions < 1:
-            raise ConfigurationError(
-                f"num_regions must be an integer >= 1, got {self.num_regions!r}"
-            )
-        if not self.C > 0:  # C = inf is the hard-margin SVM
-            raise ConfigurationError(f"C must be positive, got {self.C!r}")
-        if not 0 < self.gamma < math.inf:
-            raise ConfigurationError(
-                f"gamma must be positive and finite, got {self.gamma!r}"
-            )
-        if not 0 < self.max_negative_ratio < math.inf:
-            raise ConfigurationError(
-                "max_negative_ratio must be positive and finite, "
-                f"got {self.max_negative_ratio!r}"
-            )
-        if self.kernel_name not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"kernel_name must be one of {KERNEL_NAMES}, got {self.kernel_name!r}"
-            )
-        if (
-            not isinstance(self.max_cascade_training_size, numbers.Integral)
-            or self.max_cascade_training_size < 1
-        ):
-            raise ConfigurationError(
-                "max_cascade_training_size must be an integer >= 1, "
-                f"got {self.max_cascade_training_size!r}"
-            )
-        if not 0 <= self.upload_window < math.inf:
-            raise ConfigurationError(
-                f"upload_window must be finite and >= 0, got {self.upload_window!r}"
-            )
+        check(self)
 
 
 class _PredictionBlock:

@@ -16,14 +16,15 @@ plane: exact global model, cheap statistics upload, per-query routing cost.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.ml.naive_bayes import MultinomialNB, NBSufficientStats
+from repro.constraints import (
+    at_least, check, finite, in_range, integer, positive, setting,
+)
+from repro.ml.naive_bayes import MAX_ALPHA, MultinomialNB, NBSufficientStats
 from repro.ml.sparse import SparseVector
 from repro.overlay.superpeer import SuperPeerDirectory
 from repro.p2pclass.base import P2PTagClassifier, PeerData
@@ -45,20 +46,13 @@ register_traffic_class(MSG_PREDICTION, "control")
 class NBAggConfig:
     """NB-Agg hyperparameters."""
 
-    alpha: float = 0.2
-    vocabulary_size: int = 2 ** 18
-    upload_window: float = 60.0
-    seed: int = 0
+    alpha: float = setting(0.2, positive, in_range(0, MAX_ALPHA))
+    vocabulary_size: int = setting(2 ** 18, integer, at_least(1))
+    upload_window: float = setting(60.0, finite, at_least(0))
+    seed: int = setting(0, integer, at_least(0))
 
     def validate(self) -> None:
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
-        if self.vocabulary_size <= 0:
-            raise ConfigurationError("vocabulary_size must be positive")
-        if not 0 <= self.upload_window < math.inf:
-            raise ConfigurationError(
-                f"upload_window must be finite and >= 0, got {self.upload_window!r}"
-            )
+        check(self)
 
 
 class NBAggClassifier(P2PTagClassifier):

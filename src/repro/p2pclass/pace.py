@@ -16,17 +16,17 @@ traffic).  The broadcast uses the overlay's flood primitive when available
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.constraints import (
+    at_least, check, finite, in_range, integer, positive, setting,
+)
 from repro.ml.calibration import PlattCalibrator
 from repro.ml.kmeans import KMeans
-from repro.ml.linear_svm import LinearSVM, LinearSVMModel
+from repro.ml.linear_svm import MAX_EPOCHS, LinearSVM, LinearSVMModel
 from repro.ml.lsh import RandomHyperplaneLSH
 from repro.ml.sparse import RowTable, SparseVector
 from repro.p2pclass.base import P2PTagClassifier, PeerData, binary_problems
@@ -67,54 +67,22 @@ class PaceModelBundle:
 class PaceConfig:
     """PACE hyperparameters."""
 
-    top_k: int = 6
-    num_clusters: int = 2
-    lsh_bits: int = 8
-    lsh_seed: int = 17  # shared by all peers, like the hashed feature space
-    max_model_features: int = 400
-    lambda_reg: float = 1e-4
-    epochs: int = 12
-    max_negative_ratio: float = 3.0
-    distance_smoothing: float = 1.0
-    propagation_window: float = 60.0  # peers broadcast at staggered times
-    seed: int = 0
+    top_k: int = setting(6, integer, at_least(1))
+    num_clusters: int = setting(2, integer, at_least(1))
+    lsh_bits: int = setting(8, integer, in_range(1, 64))
+    #: shared by all peers, like the hashed feature space
+    lsh_seed: int = setting(17, integer, at_least(0))
+    max_model_features: int = setting(400, integer, at_least(1))
+    lambda_reg: float = setting(1e-4, finite, positive)
+    epochs: int = setting(12, integer, in_range(1, MAX_EPOCHS))
+    max_negative_ratio: float = setting(3.0, finite, positive)
+    distance_smoothing: float = setting(1.0, finite, positive)
+    #: peers broadcast at staggered times
+    propagation_window: float = setting(60.0, finite, at_least(0))
+    seed: int = setting(0, integer, at_least(0))
 
     def validate(self) -> None:
-        if not isinstance(self.top_k, numbers.Integral) or self.top_k < 1:
-            raise ConfigurationError(
-                f"top_k must be an integer >= 1, got {self.top_k!r}"
-            )
-        if not isinstance(self.lsh_bits, numbers.Integral) or not 1 <= self.lsh_bits <= 64:
-            raise ConfigurationError(
-                f"lsh_bits must be an integer in [1, 64], got {self.lsh_bits!r}"
-            )
-        if not 0 < self.max_negative_ratio < math.inf:
-            raise ConfigurationError(
-                "max_negative_ratio must be positive and finite, "
-                f"got {self.max_negative_ratio!r}"
-            )
-        if not isinstance(self.num_clusters, numbers.Integral) or self.num_clusters < 1:
-            raise ConfigurationError(
-                f"num_clusters must be an integer >= 1, got {self.num_clusters!r}"
-            )
-        if not 0 < self.lambda_reg < math.inf:
-            raise ConfigurationError(
-                f"lambda_reg must be positive and finite, got {self.lambda_reg!r}"
-            )
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs!r}")
-        if self.max_model_features < 1:
-            raise ConfigurationError("max_model_features must be >= 1")
-        if not 0 < self.distance_smoothing < math.inf:
-            raise ConfigurationError(
-                "distance_smoothing must be positive and finite, "
-                f"got {self.distance_smoothing!r}"
-            )
-        if not 0 <= self.propagation_window < math.inf:
-            raise ConfigurationError(
-                "propagation_window must be finite and >= 0, "
-                f"got {self.propagation_window!r}"
-            )
+        check(self)
 
 
 class _PredictionBlock:

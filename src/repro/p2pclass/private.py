@@ -26,7 +26,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.constraints import finite, positive, setting
 from repro.ml.linear_svm import LinearSVMModel
 from repro.ml.sparse import SparseVector
 from repro.p2pclass.base import PeerData
@@ -38,15 +38,10 @@ from repro.sim.scenario import Scenario
 class PrivatePaceConfig(PaceConfig):
     """PACE hyperparameters plus the privacy budget."""
 
-    epsilon: float = 1.0  # per-peer privacy budget (smaller = more private)
-    weight_sensitivity: float = 2.0  # ERM output sensitivity bound
-
-    def validate(self) -> None:  # noqa: D102 - inherited contract
-        super().validate()
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
-        if self.weight_sensitivity <= 0:
-            raise ConfigurationError("weight_sensitivity must be positive")
+    #: per-peer privacy budget (smaller = more private; inf adds no noise)
+    epsilon: float = setting(1.0, positive)
+    #: ERM output sensitivity bound
+    weight_sensitivity: float = setting(2.0, finite, positive)
 
 
 class PrivatePaceClassifier(PaceClassifier):

@@ -12,26 +12,14 @@ session lengths, and Pareto models extremely skewed lifetimes.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Callable, List, Optional, Set
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.constraints import at_least, check_value, finite, positive
 from repro.sim.engine import Simulator
 from repro.sim.network import PeerStreams, PhysicalNetwork, SharedStream
-
-
-def _check(name: str, value: float, zero_ok: bool = False) -> None:
-    """Refuse a churn parameter that is not a finite number ``> 0`` (``>=
-    0`` when ``zero_ok``): a NaN or an infinity would schedule leaves and
-    joins at times the event heap cannot order."""
-    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
-        bound = ">= 0" if zero_ok else "> 0"
-        raise ConfigurationError(
-            f"{name} must be finite and {bound}, got {value}"
-        )
 
 
 class ChurnModel(ABC):
@@ -69,8 +57,8 @@ class ExponentialChurn(ChurnModel):
     """Memoryless sessions/downtimes with given means (seconds)."""
 
     def __init__(self, mean_session: float, mean_downtime: float) -> None:
-        _check("mean_session", mean_session)
-        _check("mean_downtime", mean_downtime, zero_ok=True)
+        check_value("mean_session", mean_session, finite, positive)
+        check_value("mean_downtime", mean_downtime, finite, at_least(0))
         self.mean_session = mean_session
         self.mean_downtime = mean_downtime
 
@@ -89,9 +77,9 @@ class WeibullChurn(ChurnModel):
     def __init__(
         self, scale_session: float, shape: float = 0.6, mean_downtime: float = 60.0
     ) -> None:
-        _check("scale_session", scale_session)
-        _check("shape", shape)
-        _check("mean_downtime", mean_downtime, zero_ok=True)
+        check_value("scale_session", scale_session, finite, positive)
+        check_value("shape", shape, finite, positive)
+        check_value("mean_downtime", mean_downtime, finite, at_least(0))
         self.scale_session = scale_session
         self.shape = shape
         self.mean_downtime = mean_downtime
@@ -114,9 +102,9 @@ class ParetoChurn(ChurnModel):
         alpha: float = 1.5,
         mean_downtime: float = 60.0,
     ) -> None:
-        _check("minimum_session", minimum_session)
-        _check("alpha", alpha)
-        _check("mean_downtime", mean_downtime, zero_ok=True)
+        check_value("minimum_session", minimum_session, finite, positive)
+        check_value("alpha", alpha, finite, positive)
+        check_value("mean_downtime", mean_downtime, finite, at_least(0))
         self.minimum_session = minimum_session
         self.alpha = alpha
         self.mean_downtime = mean_downtime

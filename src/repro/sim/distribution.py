@@ -15,39 +15,35 @@ new corpus whose owners are peer indices 0..N-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Dict, List
 
 import numpy as np
 
+from repro.constraints import (
+    at_least, check, finite, in_range, integer, one_of, positive, setting,
+)
 from repro.data.corpus import Corpus, Document
 from repro.errors import DataError
+
+
+#: peers a simulation builds: each is a SimNode and overlay state in memory
+MAX_PEERS = 2 ** 20
 
 
 @dataclass
 class ShardSpec:
     """How to shard a corpus across ``num_peers`` peers."""
 
-    num_peers: int
-    size_distribution: str = "uniform"  # "uniform" | "zipf"
-    class_distribution: str = "iid"  # "iid" | "dirichlet"
-    zipf_exponent: float = 1.0
-    dirichlet_alpha: float = 1.0
-    seed: int = 0
+    num_peers: int = setting(MISSING, integer, in_range(1, MAX_PEERS))
+    size_distribution: str = setting("uniform", one_of(("uniform", "zipf")))
+    class_distribution: str = setting("iid", one_of(("iid", "dirichlet")))
+    zipf_exponent: float = setting(1.0, finite, at_least(0))
+    dirichlet_alpha: float = setting(1.0, finite, positive)
+    seed: int = setting(0, integer, at_least(0))
 
     def validate(self) -> None:
-        if self.num_peers <= 0:
-            raise DataError("num_peers must be positive")
-        if self.size_distribution not in ("uniform", "zipf"):
-            raise DataError(f"unknown size distribution {self.size_distribution!r}")
-        if self.class_distribution not in ("iid", "dirichlet"):
-            raise DataError(
-                f"unknown class distribution {self.class_distribution!r}"
-            )
-        if self.dirichlet_alpha <= 0:
-            raise DataError("dirichlet_alpha must be positive")
-        if self.zipf_exponent < 0:
-            raise DataError("zipf_exponent must be non-negative")
+        check(self, DataError)
 
 
 class DataDistributor:

@@ -8,11 +8,12 @@ overlay, churn driver, and stats into one ready-to-run environment.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.constraints import (
+    at_least, check, finite, in_range, integer, one_of, positive, setting,
+)
 from repro.errors import ConfigurationError
 from repro.overlay import make_overlay, overlay_names
 from repro.overlay.base import Overlay
@@ -25,7 +26,7 @@ from repro.sim.churn import (
     ParetoChurn,
     WeibullChurn,
 )
-from repro.sim.distribution import ShardSpec
+from repro.sim.distribution import MAX_PEERS, ShardSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import (
     LatencyModel, PeerStreams, PhysicalNetwork, SharedStream,
@@ -43,22 +44,27 @@ from repro.sim.transport import Transport
 EXECUTORS = ("serial", "mp", "tcp")
 
 
+#: the churn models ScenarioConfig.churn names (repro.sim.churn)
+CHURN_MODELS = ("none", "exponential", "weibull", "pareto")
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one simulated P2P environment."""
 
-    num_peers: int = 32
-    overlay: str = "chord"  # any name in repro.overlay.overlay_names()
-    churn: str = "none"  # "none" | "exponential" | "weibull" | "pareto"
-    mean_session: float = 600.0
-    mean_downtime: float = 60.0
-    base_latency: float = 0.05
-    bandwidth: float = 1_000_000.0
-    drop_probability: float = 0.0
-    unstructured_degree: int = 4
-    stabilize_interval: float = 30.0
+    num_peers: int = setting(32, integer, in_range(1, MAX_PEERS))
+    overlay: str = setting("chord", one_of(overlay_names()))
+    churn: str = setting("none", one_of(CHURN_MODELS))
+    mean_session: float = setting(600.0, finite, positive)
+    mean_downtime: float = setting(60.0, finite, at_least(0))
+    base_latency: float = setting(0.05, finite, at_least(0))
+    bandwidth: float = setting(1_000_000.0, positive)
+    drop_probability: float = setting(0.0, in_range(0, 1))
+    unstructured_degree: int = setting(4, integer, at_least(1))
+    #: 0 would reschedule stabilization at the same instant forever
+    stabilize_interval: float = setting(30.0, finite, positive)
     shard: ShardSpec = field(default_factory=lambda: ShardSpec(num_peers=32))
-    codec: str = "identity"  # any name in repro.sim.codec.codec_names()
+    codec: str = setting("identity", one_of(codec_names()))
     #: randomness layout, read once into Scenario.streams: "stream" draws
     #: everything from the simulator's single seeded generator in event
     #: order (repro.sim.network.SharedStream: the legacy mode, required for
@@ -66,14 +72,14 @@ class ScenarioConfig:
     #: into per-peer streams (repro.sim.network.PeerStreams), making draw
     #: values independent of cross-peer event interleaving — the invariant
     #: sharded execution needs.
-    rng_mode: str = "stream"
+    rng_mode: str = setting("stream", one_of(("stream", "perpeer")))
     #: lower clamp on the jitter draw; must be positive for sharded runs
     #: (it bounds the minimum cross-shard latency, i.e. the lookahead).
-    jitter_floor: float = 0.0
+    jitter_floor: float = setting(0.0, in_range(0, 1))
     #: event-kernel shards: 0 = single-heap kernel; >= 1 runs through
     #: repro.sim.shard.ShardedScenario (peers partitioned across heaps,
     #: advanced in conservative virtual-time windows).
-    shards: int = 0
+    shards: int = setting(0, integer, at_least(0))
     #: not a setting: a sharded run always has one control plane (the
     #: directory, repro.sim.shard) and a flat run the kernel's own.  Kept
     #: only as a spelling older callers pass; ``None``, or exactly the
@@ -94,81 +100,31 @@ class ScenarioConfig:
     #: replays the WAL prefix, and golden digests cannot move — so it is
     #: excluded from the WAL config fingerprint.
     faults: Optional[str] = None
-    seed: int = 0
+    seed: int = setting(0, integer, at_least(0))
 
     def validate(self) -> None:
-        for name in ("num_peers", "shards"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-        if self.num_peers <= 0:
-            raise ConfigurationError("num_peers must be positive")
-        if not self.stabilize_interval > 0:  # 0 reschedules at the same instant
+        check(self)
+        # The rules on rng_mode and control_plane stay in this method, the
+        # one place outside Scenario.__init__ that reads either.
+        if self.shards and self.rng_mode != "perpeer":
             raise ConfigurationError(
-                f"stabilize_interval must be > 0, got {self.stabilize_interval}"
+                f"shards={self.shards} requires rng_mode='perpeer' (a single "
+                "RNG stream cannot be split across shard heaps)"
             )
-        if not self.bandwidth > 0:
-            raise ConfigurationError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if not 0 <= self.base_latency < math.inf:
+        if self.shards and not self.jitter_floor:
             raise ConfigurationError(
-                f"base_latency must be finite and >= 0, got {self.base_latency}"
+                f"shards={self.shards} requires jitter_floor > 0 (it bounds "
+                "the cross-shard lookahead window)"
             )
-        if not 0.0 <= self.drop_probability <= 1.0:
-            raise ConfigurationError(
-                f"drop_probability must be in [0, 1], got {self.drop_probability}"
-            )
-        if self.overlay not in overlay_names():
-            raise ConfigurationError(f"unknown overlay {self.overlay!r}")
-        if self.churn not in ("none", "exponential", "weibull", "pareto"):
-            raise ConfigurationError(f"unknown churn model {self.churn!r}")
-        self.build_churn_model()  # the model refuses bad means by name
-        if self.codec not in codec_names():
-            raise ConfigurationError(f"unknown codec {self.codec!r}")
-        if self.rng_mode not in ("stream", "perpeer"):
-            raise ConfigurationError(f"unknown rng_mode {self.rng_mode!r}")
-        implied = "directory" if self.shards >= 1 else "replicated"
+        implied = "directory" if self.shards else "replicated"
         if self.control_plane not in (None, implied):
             raise ConfigurationError(
                 f"control_plane={self.control_plane!r} is not a choice: "
                 f"shards={self.shards} runs the {implied!r} plane (leave "
                 "control_plane unset)"
             )
-        if self.shards < 0:
-            raise ConfigurationError("shards must be >= 0")
-        if not 0.0 <= self.jitter_floor <= 1.0:
-            raise ConfigurationError("jitter_floor must be in [0, 1]")
-        if self.shards >= 1:
-            if self.rng_mode != "perpeer":
-                raise ConfigurationError(
-                    "sharded execution requires rng_mode='perpeer' (a single "
-                    "RNG stream cannot be split across shard heaps)"
-                )
-            if self.jitter_floor <= 0.0:
-                raise ConfigurationError(
-                    "sharded execution requires jitter_floor > 0 (it bounds "
-                    "the cross-shard lookahead window)"
-                )
-        if (self.wal or self.resume) and self.shards < 1:
-            raise ConfigurationError(
-                "the simulation WAL hooks the sharded kernel's window "
-                "barriers (set shards >= 1 to use wal/resume)"
-            )
-        if self.faults:
-            if self.shards < 1:
-                raise ConfigurationError(
-                    "fault injection targets the sharded tcp fleet "
-                    "(set shards >= 1 to use faults)"
-                )
-            from repro.sim.faults import FaultPlan
-
-            FaultPlan.parse(self.faults)  # grammar errors surface here
-        if self.shard.num_peers != self.num_peers:
-            raise ConfigurationError(
-                "shard.num_peers must equal num_peers "
-                f"({self.shard.num_peers} != {self.num_peers})"
-            )
+        _logs_and_faults_need_shards(self)
+        _shard_spec_covers_the_peers(self)
 
     def build_churn_model(self) -> ChurnModel:
         if self.churn == "none":
@@ -197,6 +153,31 @@ class ScenarioConfig:
     def build_overlay(self) -> Overlay:
         return make_overlay(
             self.overlay, seed=self.seed, degree=self.unstructured_degree
+        )
+
+
+def _logs_and_faults_need_shards(config: ScenarioConfig) -> None:
+    if (config.wal or config.resume) and config.shards < 1:
+        raise ConfigurationError(
+            "the simulation WAL hooks the sharded kernel's window "
+            "barriers (set shards >= 1 to use wal/resume)"
+        )
+    if config.faults:
+        if config.shards < 1:
+            raise ConfigurationError(
+                "fault injection targets the sharded tcp fleet "
+                "(set shards >= 1 to use faults)"
+            )
+        from repro.sim.faults import FaultPlan
+
+        FaultPlan.parse(config.faults)  # grammar errors surface here
+
+
+def _shard_spec_covers_the_peers(config: ScenarioConfig) -> None:
+    if config.shard.num_peers != config.num_peers:
+        raise ConfigurationError(
+            "shard.num_peers must equal num_peers "
+            f"({config.shard.num_peers} != {config.num_peers})"
         )
 
 

@@ -61,7 +61,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.constraints import check_value, finite, positive
 from repro.sim.codec import TRAFFIC_CLASSES, traffic_class_of
 from repro.sim.network import PhysicalNetwork, SendBlock
 from repro.sim.stats import StatsCollector
@@ -423,8 +423,7 @@ class TraceStore:
         count) — the cumulative column is a per-hops running ``SUM() OVER``
         so multi-hop growth is visible window by window.
         """
-        if bucket <= 0:
-            raise ConfigurationError("bucket must be positive")
+        check_value("bucket", bucket, finite, positive)
         return self.sql(
             "WITH buckets AS ("
             " SELECT CAST(time / ? AS INTEGER) AS bucket, hops,"

@@ -15,6 +15,9 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
+from repro.constraints import (
+    at_least, check, finite, integer, positive, setting,
+)
 from repro.errors import ConfigurationError
 
 
@@ -27,26 +30,35 @@ class QueryEvent:
     doc_index: int  # index into the peer's (or global) untagged pool
 
 
+#: mean requests per peer a schedule may hold: it is one list in memory
+MAX_REQUESTS_PER_PEER = 10 ** 6
+
+
 @dataclass
 class WorkloadConfig:
     """Parameters of the request process."""
 
     peers: Sequence[int]
-    rate_per_peer: float = 0.05  # requests / second / peer
-    duration: float = 600.0
+    rate_per_peer: float = setting(0.05, finite, positive)  # requests / s / peer
+    duration: float = setting(600.0, finite, positive)
     diurnal: bool = False  # sinusoidal day/night modulation
-    diurnal_period: float = 86_400.0
-    seed: int = 0
+    diurnal_period: float = setting(86_400.0, finite, positive)
+    seed: int = setting(0, integer, at_least(0))
 
     def validate(self) -> None:
         if not self.peers:
             raise ConfigurationError("workload needs at least one peer")
-        if self.rate_per_peer <= 0:
-            raise ConfigurationError("rate_per_peer must be positive")
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if self.diurnal_period <= 0:
-            raise ConfigurationError("diurnal_period must be positive")
+        check(self)
+        _schedule_fits_in_memory(self)
+
+
+def _schedule_fits_in_memory(config: WorkloadConfig) -> None:
+    if config.rate_per_peer * config.duration > MAX_REQUESTS_PER_PEER:
+        raise ConfigurationError(
+            "rate_per_peer * duration must be at most "
+            f"{MAX_REQUESTS_PER_PEER} requests per peer, got "
+            f"{config.rate_per_peer!r} * {config.duration!r}"
+        )
 
 
 class QueryWorkload:

@@ -13,8 +13,13 @@ from typing import List
 
 _WORD_RE = re.compile(r"[a-z]+(?:'[a-z]+)?")
 
+#: the longest token kept by default
+MAX_TOKEN_LENGTH = 40
 
-def tokenize(text: str, min_length: int = 2, max_length: int = 40) -> List[str]:
+
+def tokenize(
+    text: str, min_length: int = 2, max_length: int = MAX_TOKEN_LENGTH
+) -> List[str]:
     """Split ``text`` into lowercase word tokens.
 
     Tokens shorter than ``min_length`` or longer than ``max_length`` are

@@ -17,13 +17,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping
 
+from repro.constraints import at_least, check, in_range, integer, setting
 from repro.errors import VocabularyError
 from repro.ml.sparse import SparseVector
 from repro.text.lexicon import stable_word_id
 from repro.text.porter import stem
 from repro.text.sensitive import SensitiveWordFilter
 from repro.text.stopwords import ENGLISH_STOP_WORDS
-from repro.text.tokenizer import _WORD_RE, tokenize
+from repro.text.tokenizer import _WORD_RE, MAX_TOKEN_LENGTH, tokenize
 
 
 class TfidfTransformer:
@@ -81,18 +82,18 @@ class PreprocessingPipeline:
     mutable; the memo is dropped whenever its :attr:`version` moves.
     """
 
-    dimension: int = 2 ** 18
+    dimension: int = setting(2 ** 18, integer, at_least(1))
     sublinear_tf: bool = False
     normalize: bool = True
     use_stop_words: bool = True
-    min_token_length: int = 2
+    #: a minimum past the longest token kept would drop every word
+    min_token_length: int = setting(2, integer, in_range(1, MAX_TOKEN_LENGTH))
     sensitive_filter: SensitiveWordFilter = field(
         default_factory=SensitiveWordFilter, hash=False
     )
 
     def __post_init__(self) -> None:
-        if self.dimension <= 0:
-            raise VocabularyError("dimension must be positive")
+        check(self, VocabularyError)
         # Not settings: the frozen dataclass leaves these out of __eq__.
         object.__setattr__(self, "_tfidf", None)
         #: raw regex match -> feature id, or _DROPPED

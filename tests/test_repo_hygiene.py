@@ -222,6 +222,17 @@ placement (``wait`` / ``ssh:HOST`` slots, ``repro worker``, a listener, a
 four-frame HELLO handshake, reconnect backoff) is what this replaced: no
 benchmark leg, example or CLI path reached it, and a one-host fleet bound at
 fork has no handshake to get wrong.
+
+(hh) Every config declares its constraints once.  Each numeric field of
+each config dataclass under ``src/repro`` (found as
+``tests/test_config_constraints.py`` finds them) names its constraints in
+its ``field(metadata=...)`` through ``repro.constraints.setting``, and no
+``validate`` or ``__post_init__`` compares a field of ``self`` to a number
+literal: ``repro.constraints.check`` does that, naming the field and the
+value.  Eleven hand-written ``validate`` bodies, each checking a different
+subset of "finite, positive, integer, in range", are what this replaced;
+the fields they skipped let a NaN smoothing constant, a fractional epoch
+count or a negative seed reach training.
 """
 
 import argparse
@@ -231,6 +242,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -1807,3 +1819,105 @@ def test_every_fleet_worker_is_a_forked_child_on_a_socketpair():
     fields = [field.name for field in dataclasses.fields(ScenarioConfig)]
     assert "shards" in fields
     assert not [name for name in fields if name.startswith("tcp_")]
+
+
+def _is_self_field(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+        if isinstance(node, ast.Name) and node.id == "self":
+            return True
+    return False
+
+
+def _is_number(node):
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_is_number, node.elts))
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, (int, float))
+        and not isinstance(node.value, bool)
+    )
+
+
+def _numeric_branches(text, configs):
+    """``(line, method)`` of every comparison of a ``self`` field with a
+    number literal inside a ``validate`` or ``__post_init__`` of a class
+    named in ``configs``."""
+    return [
+        (compare.lineno, f"{config.name}.{method.name}")
+        for config in ast.walk(ast.parse(text))
+        if isinstance(config, ast.ClassDef) and config.name in configs
+        for method in config.body
+        if isinstance(method, ast.FunctionDef)
+        and method.name in ("validate", "__post_init__")
+        for compare in ast.walk(method)
+        if isinstance(compare, ast.Compare)
+        and any(map(_is_self_field, [compare.left, *compare.comparators]))
+        and any(map(_is_number, [compare.left, *compare.comparators]))
+    ]
+
+
+def _undeclared_numeric_fields(classes):
+    from repro.constraints import constraints_of
+    from test_config_constraints import numeric_fields
+
+    return [
+        f"{cls.__name__}.{field.name}"
+        for cls in classes
+        for field in numeric_fields(cls)
+        if not constraints_of(field)
+    ]
+
+
+def test_every_config_declares_its_constraints_once():
+    from repro.constraints import at_least, setting
+    from test_config_constraints import config_classes
+
+    assert _numeric_branches(
+        "class C:\n"
+        "    def validate(self):\n"
+        "        check(self)\n"
+        "        if self.x <= 0:\n"
+        "            raise ValueError\n"
+        "        if not 0 < self.rate.value < math.inf or self.k in (1, 2):\n"
+        "            raise ValueError\n"
+        "        if self.shards and self.rng_mode != 'perpeer':\n"
+        "            raise ValueError\n"
+        "    def rule(self):\n"
+        "        return self.x < 1\n"
+        "class Message:\n"
+        "    def __post_init__(self):\n"
+        "        if self.size_bytes < 0:\n"
+        "            raise ValueError\n",
+        {"C"},
+    ) == [(4, "C.validate"), (6, "C.validate"), (6, "C.validate")]
+
+    @dataclasses.dataclass
+    class Planted:
+        declared: int = setting(1, at_least(1))
+        window: float = 60.0
+        spans: typing.Tuple[int, int] = (1, 2)
+        name: str = "x"
+        flag: bool = False
+
+    assert _undeclared_numeric_fields([Planted]) == [
+        "Planted.window", "Planted.spans",
+    ]
+
+    classes = config_classes()
+    assert {"ScenarioConfig", "ShardSpec", "WorkloadConfig", "GeneratorConfig",
+            "SystemConfig", "PaceConfig", "PrivatePaceConfig", "CemparConfig",
+            "NBAggConfig", "CentralizedConfig", "LocalOnlyConfig",
+            "PreprocessingPipeline"} <= set(classes)
+    assert _undeclared_numeric_fields(classes.values()) == []
+    src = ROOT / "src" / "repro"
+    branches = [
+        f"{path.relative_to(src).as_posix()}:{line} {method}"
+        for path in sorted(src.rglob("*.py"))
+        for line, method in _numeric_branches(
+            path.read_text(encoding="utf-8"), set(classes)
+        )
+    ]
+    assert branches == []

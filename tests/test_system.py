@@ -59,6 +59,23 @@ class TestConstruction:
     def test_default_split_is_the_papers_protocol(self):
         assert SystemConfig().train_fraction == 0.2  # 20 % tagged by hand
 
+    @pytest.mark.parametrize("algorithm, key", [
+        ("pace", "bogus"),  # was PaceConfig.__init__'s bare TypeError
+        ("cempar", "seed"),  # was "got multiple values for ... 'seed'"
+        ("popularity", "top_k"),  # was dropped without a word
+    ])
+    def test_an_option_the_algorithm_lacks_is_refused_by_name(
+        self, algorithm, key
+    ):
+        config = SystemConfig(algorithm=algorithm, algorithm_options={key: 1})
+        with pytest.raises(ConfigurationError, match=rf"{key!r}.*{algorithm!r}"):
+            config.validate()
+
+    def test_evaluate_refuses_a_negative_count(self, trained_system):
+        """``max_documents=-1`` scored all held-out documents but the last."""
+        with pytest.raises(ConfigurationError, match="^max_documents must be"):
+            trained_system.evaluate(max_documents=-1)
+
     def test_algorithm_options_reach_classifier(self):
         system = P2PDocTaggerSystem.from_corpus(
             small_corpus(), algorithm="pace", algorithm_options={"top_k": 3}

@@ -1,8 +1,12 @@
 """Tests for message tracing and the command-line interface."""
 
+import functools
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core.tagger import SystemConfig
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
@@ -162,11 +166,31 @@ class TestCli:
         assert main(["overlay", "--type", "kademlia", "--size", "16"]) == 0
         assert main(["overlay", "--type", "unstructured", "--size", "16"]) == 0
 
-    @pytest.mark.parametrize("argv, names", [
-        (["replay", "/nonexistent/run.wal"], "/nonexistent/run.wal"),
-        (["overlay", "--size", "0"], "--size must be >= 1"),
-    ], ids=["replay-missing-log", "overlay-size-0"])
-    def test_a_user_error_is_one_line_and_status_2(self, capsys, argv, names):
+    @pytest.mark.parametrize("argv, options, names", [
+        (["replay", "/nonexistent/run.wal"], None, "/nonexistent/run.wal"),
+        (["overlay", "--size", "0"], None, "--size must be >= 1"),
+        # numpy's "expected non-negative integer" traceback, status 1
+        (["run"] + SMALL + ["--seed", "-1"], None, "seed must be"),
+        (["corpus", "/nonexistent/c.jsonl", "--seed", "-1"], None,
+         "seed must be"),
+        # a report over every held-out document but the last, status 0
+        (["run", "--algorithm", "local", "--max-eval", "-1"] + SMALL, None,
+         "max_documents must be"),
+        (["suggest", "--algorithm", "local", "--count", "-1"] + SMALL, None,
+         "--count must be"),
+        # PaceConfig.__init__'s TypeError, status 1
+        (["run", "--algorithm", "pace"] + SMALL, {"bogus": 1}, "'bogus'"),
+    ], ids=["replay-missing-log", "overlay-size-0", "run-seed-negative",
+            "corpus-seed-negative", "run-max-eval-negative",
+            "suggest-count-negative", "run-unknown-algorithm-option"])
+    def test_a_user_error_is_one_line_and_status_2(
+        self, capsys, monkeypatch, argv, options, names
+    ):
+        if options is not None:  # the CLI has no flag for algorithm_options
+            monkeypatch.setattr(
+                cli, "SystemConfig",
+                functools.partial(SystemConfig, algorithm_options=options),
+            )
         assert main(argv) == 2
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
