@@ -44,6 +44,10 @@ def at_least(low: float) -> Constraint:
     return Constraint(f">= {low}", lambda v: _number(v) and v >= low)
 
 
+def below(high: float) -> Constraint:
+    return Constraint(f"< {high}", lambda v: _number(v) and v < high)
+
+
 def in_range(low: float, high: float) -> Constraint:
     """``low <= value <= high``; NaN is in no range."""
     return Constraint(f"in [{low}, {high}]", lambda v: _number(v) and low <= v <= high)

@@ -28,7 +28,7 @@ from repro.core.refinement import Refinement, RefinementLoop
 from repro.core.suggestions import Suggestion, SuggestionEngine
 from repro.core.tagcloud import TagCloud
 from repro.data.corpus import Corpus, Document
-from repro.data.splits import per_user_split
+from repro.data.splits import TRAIN_FRACTION, per_user_split
 from repro.errors import ConfigurationError, NotTrainedError
 from repro.ml.metrics import MultiLabelReport
 from repro.ml.sparse import SparseVector
@@ -54,8 +54,8 @@ class SystemConfig:
     codec: str = "identity"  # wire-format codec table (repro.sim.codec)
     mean_session: float = setting(600.0, finite, positive)
     mean_downtime: float = setting(60.0, finite, at_least(0))
-    #: the paper's 20 % manual-tag protocol; 1.0 is refused by the split
-    train_fraction: float = setting(0.2, positive, in_range(0, 1))
+    #: the paper's 20 % manual-tag protocol
+    train_fraction: float = setting(0.2, *TRAIN_FRACTION)
     threshold: float = setting(0.5, in_range(0, 1))
     feature_dimension: int = setting(2 ** 18, integer, at_least(1))
     min_tag_support: int = setting(2, integer, at_least(1))

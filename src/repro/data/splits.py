@@ -13,8 +13,13 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.constraints import below, check_value, positive
 from repro.data.corpus import Corpus, Document
 from repro.errors import DataError
+
+#: what ``train_fraction`` admits, here and as ``SystemConfig``'s field:
+#: a split that trains on every document leaves nothing to tag
+TRAIN_FRACTION = (positive, below(1))
 
 
 def per_user_split(
@@ -25,8 +30,8 @@ def per_user_split(
     Guarantees at least one training document per user (a peer with zero
     labeled documents would have no local model to contribute).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError("train_fraction must be in (0, 1)")
+    check_value("train_fraction", train_fraction, *TRAIN_FRACTION,
+                error=DataError)
     rng = np.random.default_rng(seed)
     train: List[Document] = []
     test: List[Document] = []

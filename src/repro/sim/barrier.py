@@ -170,9 +170,6 @@ class WorkerEndpoint:
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
         self.exchange: Counter = Counter()
-        #: worker-side fault-plane accounting (stalls survived etc.),
-        #: folded into ``StatsCollector.faults`` like :attr:`exchange`
-        self.faults: Counter = Counter()
         self._barrier = 0
 
     def sync(

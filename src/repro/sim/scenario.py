@@ -92,14 +92,6 @@ class ScenarioConfig:
     #: log plumbing, not physics — they never change the event stream and
     #: are excluded from the WAL's own config fingerprint.
     resume: Optional[str] = None
-    #: seeded fault-injection schedule (repro.sim.faults.FaultPlan spec,
-    #: e.g. "seed=7,crash@2") for the self-healing fleet of the tcp or mp
-    #: executor.
-    #: Like wal/resume this is execution shape, not physics
-    #: — the schedule draws from its own splitmix64 stream, recovery
-    #: replays the WAL prefix, and golden digests cannot move — so it is
-    #: excluded from the WAL config fingerprint.
-    faults: Optional[str] = None
     seed: int = setting(0, integer, at_least(0))
 
     def validate(self) -> None:
@@ -123,7 +115,7 @@ class ScenarioConfig:
                 f"shards={self.shards} runs the {implied!r} plane (leave "
                 "control_plane unset)"
             )
-        _logs_and_faults_need_shards(self)
+        _logs_need_shards(self)
         _shard_spec_covers_the_peers(self)
 
     def build_churn_model(self) -> ChurnModel:
@@ -156,21 +148,12 @@ class ScenarioConfig:
         )
 
 
-def _logs_and_faults_need_shards(config: ScenarioConfig) -> None:
+def _logs_need_shards(config: ScenarioConfig) -> None:
     if (config.wal or config.resume) and config.shards < 1:
         raise ConfigurationError(
             "the simulation WAL hooks the sharded kernel's window "
             "barriers (set shards >= 1 to use wal/resume)"
         )
-    if config.faults:
-        if config.shards < 1:
-            raise ConfigurationError(
-                "fault injection targets the sharded tcp fleet "
-                "(set shards >= 1 to use faults)"
-            )
-        from repro.sim.faults import FaultPlan
-
-        FaultPlan.parse(config.faults)  # grammar errors surface here
 
 
 def _shard_spec_covers_the_peers(config: ScenarioConfig) -> None:

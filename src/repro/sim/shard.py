@@ -107,7 +107,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.barrier import Verdict, WorkerEndpoint, coordinate
 from repro.sim.churn import DirectoryChurnClient
 from repro.sim.engine import Simulator
-from repro.sim.faults import FaultPlan
 from repro.sim.exchange import ExchangeFrame, merge_frames
 from repro.sim.messages import payload_size
 from repro.sim.network import LatencyModel, PeerStreams, PhysicalNetwork
@@ -366,11 +365,6 @@ class _ShardRuntime:
         #: outside the event stream and must not schedule events or draw
         #: from simulation RNGs
         self.barrier_hooks: List[Callable[[int], None]] = []
-        #: fault plane (repro.sim.faults): installed by the fleet worker
-        #: (tcp or mp) to fire this shard's injected process faults
-        #: (crash/stall/half-open) with the window index at each barrier,
-        #: after the accounting hooks and before the sync
-        self.fault_hook: Optional[Callable[[int], None]] = None
 
     def request_control(self, kind: str, time: float) -> None:
         """Queue a control request for the next window barrier."""
@@ -458,8 +452,6 @@ class ShardSimulator(Simulator):
         while True:
             for hook in runtime.barrier_hooks:
                 hook(runtime.windows)
-            if runtime.fault_hook is not None:
-                runtime.fault_hook(runtime.windows)
             decision, inbox = runtime.channel.sync(
                 runtime.take_outbound(),
                 self.next_event_time(),
@@ -745,10 +737,6 @@ def _worker_body(
     # parent-side like the directory counters, never fingerprinted.
     if runtime.channel.exchange:
         scenario.stats.exchange.update(runtime.channel.exchange)
-    # Same for the worker-side fault-plane counters (survived stalls):
-    # execution-shape accounting, merged but never fingerprinted.
-    if runtime.channel.faults:
-        scenario.stats.faults.update(runtime.channel.faults)
     # Fourth element: the WAL tail (post-barrier stats delta + final
     # cursors), sealed into the commit record coordinator-side.
     tail = probe.tail() if probe is not None else None
@@ -763,7 +751,6 @@ def _run_worker(
     lookahead: float,
     snapshot: dict,
     wal_cadence: int,
-    fault_hook: Optional[Callable[[int], None]] = None,
 ) -> bool:
     """One shard worker's whole life, whatever carries its channel: build
     the runtime, run the workload, report ``finish(payload)`` — or
@@ -773,7 +760,6 @@ def _run_worker(
         runtime = _ShardRuntime(
             channel.shard_id, num_shards, channel, lookahead, snapshot=snapshot
         )
-        runtime.fault_hook = fault_hook
         channel.finish(_worker_body(config, workload, runtime, wal_cadence))
         return True
     except BaseException:
@@ -859,7 +845,7 @@ def _run_serial(
     payloads, windows = coordinate(link, num_shards, lookahead, plane, wal)
     for thread in threads:
         thread.join(timeout=30.0)
-    # Third element: coordinator-side fault/recovery counters — always
+    # Third element: coordinator-side recovery counters — always
     # empty here (only the tcp/mp fleet's supervision loop recovers).
     return payloads, windows, Counter()
 
@@ -948,23 +934,6 @@ class ShardedScenario:
             from repro.sim.tcpexec import run_tcp
 
             runner = run_tcp
-        plan = FaultPlan.parse(self.config.faults)
-        if plan is not None and self.executor == "serial":
-            # Enforced here, not in validate(): the executor is this
-            # harness's argument, not a config field.  The serial
-            # executor's workers are threads of this process with no
-            # supervision loop — an injected os._exit would kill the run.
-            raise ConfigurationError(
-                "fault injection (config.faults) targets the self-healing "
-                "worker fleet of the tcp and mp executors; the serial "
-                "executor's threads cannot be crashed and recovered "
-                f"(this run uses executor={self.executor!r})"
-            )
-        if plan is not None and self.config.resume:
-            # Injected torn tails apply to the resume log before the
-            # WalSession opens it — WalReader discards the torn record
-            # and the run replays the shorter verified prefix.
-            plan.apply_wal_tears(self.config.resume, self.config.shards)
         plane = DirectoryControlPlane(self.config)
         wal = (
             WalSession(self.config, self.config.shards, self.lookahead)
@@ -972,7 +941,7 @@ class ShardedScenario:
             else None
         )
         try:
-            payloads, windows, run_faults = runner(
+            payloads, windows, recovery = runner(
                 self.config, workload, self.config.shards, self.lookahead,
                 plane=plane, wal=wal,
             )
@@ -985,10 +954,9 @@ class ShardedScenario:
                 merged.merge(stats)
                 now = max(now, worker_now)
                 results.append(result)
-            # Coordinator-side fault/recovery accounting (respawns, WAL
-            # windows replayed, heartbeats) joins the workers' counters.
-            if run_faults:
-                merged.faults.update(run_faults)
+            # Coordinator-side recovery accounting (worker deaths,
+            # respawns, WAL windows replayed, heartbeats).
+            merged.faults.update(recovery)
             run = ShardedRun(
                 stats=merged,
                 now=now,

@@ -50,14 +50,14 @@ class StatsCollector:
         #: NEVER joins :meth:`fingerprint` — golden digests pin workload
         #: observables that must be identical across kernel shapes.
         self.exchange: Counter = Counter()
-        #: fault-plane and recovery accounting (repro.sim.faults plus the
-        #: fleet's supervision loop): worker deaths observed, slots
-        #: respawned, WAL windows replayed into recovered workers,
-        #: heartbeats serviced, stalls survived.  Same contract as :attr:`directory`/:attr:`exchange`:
-        #: injected faults and their recovery are execution-shape
-        #: artifacts — the fault plane's whole proof obligation is that
-        #: golden digests cannot move — so the family is merged by
-        #: :meth:`merge` and never joins :meth:`fingerprint`.
+        #: recovery accounting, counted coordinator-side by the fleet's
+        #: supervision loop (repro.sim.tcpexec.Supervisor): worker deaths
+        #: observed, slots respawned, WAL windows replayed into recovered
+        #: workers, heartbeats serviced.  Same contract as
+        #: :attr:`directory`/:attr:`exchange`: a death and its recovery
+        #: are execution-shape artifacts — a recovered run lands on the
+        #: never-faulted digest — so the family is merged by :meth:`merge`
+        #: and never joins :meth:`fingerprint`.
         self.faults: Counter = Counter()
         #: True once any recorded message's wire size diverged from its raw
         #: size (i.e. a non-identity codec touched this collector).  Gates
@@ -248,9 +248,10 @@ class StatsCollector:
         per-peer sent/received bytes, and named counters.  The
         :attr:`directory`, :attr:`exchange`, and :attr:`faults` counters
         are excluded — control-plane service traffic, shard-exchange
-        framing, and fault/recovery events scale with the shard count,
-        executor, and injected fault schedule, while the fingerprint pins
-        observables that must be identical across every kernel shape.
+        framing, and recovery events scale with the shard count, the
+        executor, and the worker deaths a run survived, while the
+        fingerprint pins observables that must be identical across every
+        kernel shape.
         Keys are stringified so the snapshot serializes to canonical JSON.
 
         The wire-byte counters appear only once compressed traffic exists:

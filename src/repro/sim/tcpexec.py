@@ -38,7 +38,7 @@ forked.
 - **liveness**: each worker runs a ``PING`` heartbeat (every quarter of
   the read deadline) answered with ``PONG``; both sides treat heartbeat
   frames as pure liveness traffic and skip them when waiting for a
-  protocol frame.  A long compute window (or an injected stall) keeps
+  protocol frame.  A long compute window (or a stalled worker) keeps
   pinging and is *not* dead; a half-open worker stops pinging and is.
 - **completion**: ``DONE`` returns the worker's payload (stats, clock,
   result, WAL tail); ``BYE`` releases the worker once results landed.
@@ -48,8 +48,8 @@ dies at any point — before its first frame included — is EOF on its
 connection: a loud ``worker N died mid-window`` :class:`SimulationError`,
 never a hang.
 
-Self-healing (the fault plane's recovery side)
-----------------------------------------------
+Self-healing
+------------
 
 When a run carries a WAL (``ScenarioConfig.wal``), a worker death
 mid-window (a crash, wire garbage, silence past the deadline, or a SYNC
@@ -62,13 +62,10 @@ newcomer re-executes the workload from scratch, every replayed sync is
 verified field-by-field (frame blobs byte-for-byte) against the log and
 the logged decisions are served back, so it reaches the live barrier
 bit-identical to the worker it replaced and the digest cannot move.  The
-replacement knows it is recovering from fork memory (its slot is in
-``Supervisor.replaying``) and does not arm the fault injector, or the
-fault that killed its predecessor would fire again.  The shell's one
-``select`` covers every connection, so parked workers get PONGs while a
-slot refills.  Without a WAL the death is a loud abort naming the missing
-checkpoint.  Recovery counts land in ``StatsCollector.faults`` (never
-fingerprinted).
+shell's one ``select`` covers every connection, so parked workers get
+PONGs while a slot refills.  Without a WAL the death is a loud abort
+naming the missing checkpoint.  Recovery counts land in
+``StatsCollector.faults`` (never fingerprinted).
 
 The WAL integrates unchanged: the coordinator owns the log
 (:class:`~repro.sim.wal.WalSession` never leaves its process), workers
@@ -106,7 +103,6 @@ from repro.sim.barrier import (
     coordinate,
     verdict_for,
 )
-from repro.sim.faults import FaultPlan
 from repro.sim.shard import _mp_context, _run_worker
 from repro.sim.wal import verify_shard_window
 
@@ -254,14 +250,10 @@ class _TcpChannel(WorkerEndpoint):
         self.sock = sock
         #: shared with the heartbeat thread: all sends are serialized
         self.lock = lock
-        #: fault plane (repro.sim.faults.FaultInjector) — wire faults
-        #: replace this barrier's sync frame; None on clean and
-        #: recovering workers
-        self.injector: Any = None
 
     def _recv_protocol(self, context: str) -> Tuple[int, bytes]:
         """Next non-heartbeat frame; every PONG skipped refreshes the
-        read deadline, so a worker parked behind a slow (or recovering)
+        read deadline, so a worker parked behind a slow (or respawned)
         sibling shard never starves while its heartbeat is answered."""
         while True:
             kind, payload = recv_frame(self.sock, context)
@@ -273,21 +265,8 @@ class _TcpChannel(WorkerEndpoint):
             data = payload.encode("utf-8")
         else:
             data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        header = (_WIRE_MAGIC, _SEND_KINDS[kind], len(data))
-        fault = None
-        if kind == "sync" and self.injector is not None:
-            # sync() has already moved on to the next barrier index
-            fault = self.injector.wire_fault(self._barrier - 1)
-        if fault == "corrupt":
-            header = (0x0BADF00D, _K_SYNC, len(data))
-        elif fault == "truncate":  # promise more bytes than ever arrive
-            header = (_WIRE_MAGIC, _K_SYNC, len(data) + 64)
         with self.lock:
-            self.sock.sendall(_WIRE_HEADER.pack(*header) + data)
-            if fault is not None:
-                # Having mangled this barrier's sync, die without releasing
-                # the lock — no heartbeat may follow the bad bytes.
-                os._exit(3)
+            send_frame(self.sock, _SEND_KINDS[kind], data)
 
     def _recv(self, barrier: int) -> Tuple[str, Any]:
         kind, payload = self._recv_protocol(
@@ -308,7 +287,6 @@ def worker_main(
     sock: socket.socket,
     shard_id: int,
     job: Dict[str, Any],
-    recovering: bool,
 ) -> int:
     """One shard worker over its end of the socketpair: run the window
     protocol, then wait for the coordinator's BYE.
@@ -316,11 +294,9 @@ def worker_main(
     Exit code 0 on a clean run (the BYE, or the coordinator's
     disappearance after our DONE landed), 1 on any failure — which is also
     reported to the coordinator as an ERROR frame when the socket still
-    stands.  A ``recovering`` worker (a replacement the coordinator
-    replays from the WAL) runs the workload exactly as a fresh one —
-    replay is transparent, the coordinator serves the logged decisions —
-    but must NOT arm the fault injector, or the fault that killed its
-    predecessor would fire again and recovery would loop.
+    stands.  A replacement the coordinator replays from the WAL runs
+    exactly as a fresh worker: replay is transparent, the coordinator
+    serves the logged decisions.
     """
     timeout = tcp_timeout_seconds()
     sock.settimeout(timeout)
@@ -328,23 +304,10 @@ def worker_main(
     channel = _TcpChannel(sock, shard_id, lock)
     heartbeat = _Heartbeat(sock, lock, heartbeat_interval(timeout))
     try:
-        plan = FaultPlan.parse(job["config"].faults)
-        fault_hook = None
-        if plan is not None and not recovering:
-            channel.injector = plan.injector(
-                shard_id,
-                job["num_shards"],
-                counters=channel.faults,
-                blackhole_s=2.0 * timeout + 1.0,
-            )
-        if channel.injector is not None:
-            channel.injector.bind_heartbeat(heartbeat)
-            fault_hook = channel.injector.at_barrier
         heartbeat.start()
         if not _run_worker(
             channel, job["config"], job["workload"], job["num_shards"],
             job["lookahead"], job["snapshot"], job["wal_cadence"],
-            fault_hook=fault_hook,
         ):
             return 1
         try:
@@ -397,7 +360,7 @@ class Supervisor:
         #: ``wal.window_records``, the replay source; None without a WAL
         self.window_records = window_records
         self.clock = clock
-        #: fault/recovery accounting, merged into the run's
+        #: recovery accounting, merged into the run's
         #: ``StatsCollector.faults`` family (never fingerprinted)
         self.faults: Counter = Counter()
         #: the round: shards whose frame is still awaited, frames already in
@@ -405,7 +368,7 @@ class Supervisor:
         self.pending = set(range(num_shards))
         self.results: Dict[int, Tuple[str, Any]] = {}
         self.last_seen: Dict[int, float] = {}
-        #: recovering slots and the logged windows left to replay to them
+        #: respawned slots and the logged windows left to replay to them
         self.replaying: Dict[int, list] = {}
         #: quarantined shards nobody awaited yet, and why — surfaced once,
         #: when the next round awaits them
@@ -651,9 +614,7 @@ class TcpCoordinator:
         for conn in self.connections:
             if conn is not None:
                 conn.close()
-        os._exit(worker_main(
-            sock, shard_id, self.job, shard_id in self.supervisor.replaying
-        ))
+        os._exit(worker_main(sock, shard_id, self.job))
 
     def _serve(self, actions: List[tuple]) -> Any:
         """Carry out the supervisor's actions, feeding it one event at a
@@ -710,7 +671,7 @@ class TcpCoordinator:
 
     def collect(self, barrier: int) -> List[Tuple[int, str, Any]]:
         """One barrier's worth of protocol frames from every shard,
-        recovering dead workers in place when the WAL allows it."""
+        healing dead workers in place when the WAL allows it."""
         return self._serve(self.supervisor.collect(barrier))
 
     def send_decision(self, shard_id: int, verdict: Verdict) -> None:

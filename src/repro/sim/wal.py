@@ -82,13 +82,11 @@ def config_fingerprint(config: Any) -> Dict[str, Any]:
     Everything that shapes the event stream participates (the executor
     is no field: serial, mp, and tcp runs are byte-equivalent, so
     cross-executor resume is legal); ``wal``/``resume`` (log plumbing,
-    not physics), ``faults`` (an injected fault schedule plus its
-    recovery leaves the event stream untouched — that is the fault
-    plane's proof obligation) and ``control_plane`` (a spelling, not a
-    choice: shards imply the plane) are excluded.
+    not physics) and ``control_plane`` (a spelling, not a choice: shards
+    imply the plane) are excluded.
     """
     fields = asdict(config)
-    for key in ("wal", "resume", "faults", "control_plane"):
+    for key in ("wal", "resume", "control_plane"):
         fields.pop(key, None)
     return fields
 

@@ -265,14 +265,10 @@ def run_training_sharded(
     protocol: str, overlay: str, variant: str, shards: int,
     executor: str = "serial", codec: str = "identity",
     num_peers: int = NUM_PEERS,
-    wal: str = None, resume: str = None, faults: str = None,
+    wal: str = None, resume: str = None,
 ):
     """Train one combo through the K-shard kernel; returns the
-    :class:`repro.sim.shard.ShardedRun` (merged stats + agreed clock).
-
-    ``faults`` injects a seeded fault schedule (tcp or mp executor); the
-    chaos suites assert the recovered digest is byte-identical anyway.
-    """
+    :class:`repro.sim.shard.ShardedRun` (merged stats + agreed clock)."""
     from dataclasses import replace
 
     from repro.sim.shard import ShardedScenario
@@ -281,8 +277,8 @@ def run_training_sharded(
         overlay, variant, num_peers=num_peers, codec=codec,
         rng_mode="perpeer", shards=shards,
     )
-    if wal or resume or faults:
-        config = replace(config, wal=wal, resume=resume, faults=faults)
+    if wal or resume:
+        config = replace(config, wal=wal, resume=resume)
     return ShardedScenario(config, executor=executor).run(
         training_workload(protocol, variant, codec)
     )

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import repro
 from repro.baselines.centralized import CentralizedConfig, CentralizedTagger
 from repro.baselines.localonly import LocalOnlyConfig, LocalOnlyTagger
-from repro.constraints import constraints_of
+from repro.constraints import below, constraints_of
 from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
 from repro.data.delicious import DeliciousGenerator, GeneratorConfig
 from repro.data.splits import per_user_split
@@ -249,3 +249,29 @@ def test_an_edge_value_is_refused_by_name_or_runs_to_finite_scores(
     name, field, value
 ):
     _outcome(name, field, value)
+
+
+@pytest.mark.parametrize("value", (1.0, 0.0, 1.5, math.nan), ids=str)
+def test_train_fraction_is_refused_where_it_is_declared_and_where_it_is_used(
+    value
+):
+    """A split that trains on every document leaves nothing to tag: the
+    config refuses ``train_fraction=1.0`` by name, as the split does, from
+    the one declared constraint."""
+    from repro.errors import ConfigurationError, DataError
+
+    with pytest.raises(ConfigurationError, match="train_fraction must be"):
+        SystemConfig(train_fraction=value).validate()
+    with pytest.raises(DataError, match="train_fraction must be"):
+        per_user_split(_corpus(), train_fraction=value)
+    SystemConfig(train_fraction=0.999).validate()
+
+
+@pytest.mark.parametrize("value,admitted", [
+    (0.999, True), (-3, True), (1, False), (1.0, False), (1.5, False),
+    (math.inf, False), (math.nan, False), (True, False),
+], ids=str)
+def test_below_admits_only_numbers_under_its_bound(value, admitted):
+    """``below(1)`` is exclusive; NaN is under no bound, and a bool is no
+    number."""
+    assert below(1).admits(value) is admitted

@@ -233,6 +233,15 @@ value.  Eleven hand-written ``validate`` bodies, each checking a different
 subset of "finite, positive, integer, in range", are what this replaced;
 the fields they skipped let a NaN smoothing constant, a fractional epoch
 count or a negative seed reach training.
+
+(ii) The fault plane lives in the tests.  ``repro.sim.faults`` does not
+exist, ``ScenarioConfig`` has no ``faults`` field, and no name under
+``src/repro/sim`` — a definition, parameter, attribute, variable or import
+— is ``fault_hook``, ``injector``, ``FaultPlan`` or ``recovering``.  A test
+makes a forked worker misbehave by patching the fleet before it forks
+(``tests/misbehave.py``); a spec grammar, a seeded schedule and a
+fresh-or-recovering flag threaded through the worker, which no product
+run set, are what this replaced.
 """
 
 import argparse
@@ -1123,7 +1132,6 @@ REACHED_FROM_OUTSIDE_SRC = {
     "overlay/unstructured.py:BroadcastResult.coverage": _OBSERVED,
     "p2pclass/pace.py:PaceClassifier.models_indexed_at": _OBSERVED,
     "sim/codec.py:registered_codecs": _OBSERVED,
-    "sim/faults.py:FaultPlan.describe": _OBSERVED,
     "sim/network.py:PhysicalNetwork.has_block_listeners": _OBSERVED,
     "sim/network.py:PhysicalNetwork.live_nodes": _OBSERVED,
     "sim/network.py:PhysicalNetwork.registered_nodes": _OBSERVED,
@@ -1921,3 +1929,79 @@ def test_every_config_declares_its_constraints_once():
         )
     ]
     assert branches == []
+
+
+_FAULT_PLANE_NAMES = {"fault_hook", "injector", "FaultPlan", "recovering"}
+
+
+def _fault_plane_names(text):
+    """``(line, name)`` of every name in ``text`` that is one of the fault
+    plane's: identifiers, attributes, definitions, parameters, keywords
+    and imports — not comments or strings."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, ast.keyword):
+            names = [node.arg]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+            names += [alias.name for alias in node.names]
+        found += [
+            (node.lineno, name) for name in names if name in _FAULT_PLANE_NAMES
+        ]
+    return sorted(set(found))
+
+
+#: one planted line per way a fault-plane name comes back (each must be
+#: caught), and lines that only mention one (none may be)
+_PLANTED_FAULT_LINES = {
+    "attribute": "runtime.fault_hook = None",
+    "parameter": "def worker_main(sock, recovering): pass",
+    "import": "from repro.sim.faults import FaultPlan",
+    "keyword": "_run_worker(channel, fault_hook=hook)",
+    "variable": "injector = None",
+    "class": "class FaultPlan: pass",
+}
+_MENTION_LINES = {
+    "comment": "x = 1  # a recovering worker arms no injector",
+    "string": "x = 'fault_hook'",
+    "prefix": "recovering_slots = injectors = None",
+}
+
+
+@pytest.mark.parametrize(
+    "line, caught",
+    [(line, True) for line in _PLANTED_FAULT_LINES.values()]
+    + [(line, False) for line in _MENTION_LINES.values()],
+    ids=[*_PLANTED_FAULT_LINES, *_MENTION_LINES],
+)
+def test_the_fault_plane_scan_catches_each_planted_line(line, caught):
+    text = f"import os\n{line}\n"
+    assert bool(_fault_plane_names(text)) is caught
+    assert all(number == 2 for number, _ in _fault_plane_names(text))
+
+
+def test_the_fault_plane_lives_in_the_tests():
+    import importlib.util
+
+    from repro.sim.scenario import ScenarioConfig
+
+    assert importlib.util.find_spec("repro.sim.scenario") is not None
+    assert importlib.util.find_spec("repro.sim.faults") is None
+    fields = [field.name for field in dataclasses.fields(ScenarioConfig)]
+    assert "wal" in fields and "faults" not in fields
+    sim = ROOT / "src" / "repro" / "sim"
+    offenders = {
+        path.name: names for path in sorted(sim.glob("*.py"))
+        if (names := _fault_plane_names(path.read_text(encoding="utf-8")))
+    }
+    assert len(list(sim.glob("*.py"))) >= 15  # the package was found
+    assert not offenders, offenders

@@ -10,13 +10,13 @@ Four layers of coverage:
   its first frame and fatal if it dies before, parked workers are
   answered while a slot refills, a frame kind no worker sends is loud,
   and a replayed window that drifts from the WAL names what moved;
-- worker endpoint — ``worker_main`` on one end of a socketpair arms the
-  fault injector only on a fresh worker, and exits 0 or 1 as its run
-  went; its channel skips PONGs and refuses anything but a decision;
+- worker endpoint — ``worker_main`` on one end of a socketpair exits 0
+  or 1 as its run went and closes its end on the way out; its channel
+  skips PONGs and refuses anything but a decision;
 - placement — a forked worker's end of its socketpair lives in that
   worker alone, and a worker raising before its first frame fails the
   run loudly with its traceback;
-- fault injection — a worker killed mid-window (``os._exit``) and a
+- dead workers — a worker killed mid-window (``os._exit``) and a
   half-open worker (heartbeat stopped, socket left open) both surface
   ``died mid-window`` within the deadline with full coordinator teardown
   (no hang, no orphan sockets, processes reaped), a replacement that
@@ -40,7 +40,7 @@ from repro.errors import SimulationError
 from repro.sim.barrier import SyncStatus
 from repro.sim.distribution import ShardSpec
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.shard import DirectoryControlPlane, ShardedScenario
+from repro.sim.shard import ShardedScenario
 from repro.sim.tcpexec import (
     _K_ABORT,
     _K_BYE,
@@ -64,6 +64,7 @@ from repro.sim.tcpexec import (
 )
 from repro.sim.wal import WalReader, WindowRecord
 from determinism_fixtures import truncate_wal
+from misbehave import GARBLED, install
 
 
 def _config(num_peers, shards, **overrides):
@@ -191,6 +192,23 @@ def test_short_payload_read_rejected():
         a.close()
         with pytest.raises(SimulationError, match=r"10 of 100 bytes"):
             recv_frame(b, "short payload")
+    finally:
+        b.close()
+
+
+@pytest.mark.parametrize("kind,error", [
+    ("corrupt", "bad frame magic"),
+    ("truncate", r"8 of 72 bytes"),
+])
+def test_a_garbled_sync_is_refused_by_the_frame_reader(kind, error):
+    """The bytes a garbling worker sends before it exits are refused by
+    the frame reader itself, not merely cut short by the hang-up."""
+    a, b = _pair()
+    try:
+        a.sendall(_WIRE_HEADER.pack(*GARBLED[kind]) + b"x" * 8)
+        a.close()
+        with pytest.raises(SimulationError, match=error):
+            recv_frame(b, kind)
     finally:
         b.close()
 
@@ -331,7 +349,7 @@ def test_a_replacement_is_live_at_its_first_frame_and_fatal_before():
         machine.collect(1)
         clock.now = 1.0
         assert machine.closed(1, "gone") == [("close", 1), ("spawn", 1)]
-        assert machine.replaying == {1: []}  # the fork reads "recovering"
+        assert machine.replaying == {1: []}  # nothing logged to replay
         assert machine.deadline() == 4.0  # shard 0 was due first
         _sync(machine, 0)
         assert machine.deadline() == 5.0  # the replacement's own deadline
@@ -498,45 +516,12 @@ def test_recover_divergence_names_the_extras_part(part):
 # ---------------------------------------------------------------------------
 
 
-def _job(**overrides):
-    """What a forked worker reads from fork memory; ``_run_worker`` is
-    stubbed in these tests, so only the fault plan's config matters."""
-    return {
-        "config": _config(8, shards=2, **overrides), "workload": None,
-        "num_shards": 2, "lookahead": 0.5, "snapshot": None,
-        "wal_cadence": 0,
-    }
-
-
-@pytest.mark.parametrize("recovering", (False, True),
-                         ids=("fresh", "recovering"))
-def test_only_a_fresh_worker_arms_the_fault_injector(monkeypatch, recovering):
-    """A replacement knows it is recovering from fork memory and must not
-    arm the fault plan, or the fault that killed its predecessor fires
-    again and recovery loops; a fresh worker arms it on both the channel
-    (wire faults) and the barrier hook."""
-    import repro.sim.tcpexec as tcpexec
-
-    seen = {}
-
-    def stub(channel, *args, fault_hook=None):
-        seen.update(injector=channel.injector, fault_hook=fault_hook)
-        return False
-
-    monkeypatch.setattr(tcpexec, "_run_worker", stub)
-    ours, theirs = _pair()
-    try:
-        assert worker_main(
-            theirs, 0, _job(faults="crash@1:0"), recovering
-        ) == 1
-    finally:
-        ours.close()
-    if recovering:
-        assert seen == {"injector": None, "fault_hook": None}
-    else:
-        assert seen["injector"] is not None
-        assert seen["fault_hook"] == seen["injector"].at_barrier
-    assert theirs.fileno() == -1  # the worker closes its end on the way out
+#: what a forked worker reads from fork memory; ``_run_worker`` is
+#: stubbed in these tests, so none of it is run
+_JOB = {
+    "config": None, "workload": None, "num_shards": 2, "lookahead": 0.5,
+    "snapshot": None, "wal_cadence": 0,
+}
 
 
 @pytest.mark.parametrize("ending", ("bye", "hang-up", "failed run"))
@@ -558,11 +543,12 @@ def test_worker_main_exits_as_its_run_went(monkeypatch, ending):
         elif ending == "hang-up":
             ours.close()
         start = time.monotonic()
-        code = worker_main(theirs, 1, _job(), recovering=False)
+        code = worker_main(theirs, 1, _JOB)
         assert time.monotonic() - start < 2.0  # no read deadline waited out
     finally:
         ours.close()
     assert code == (1 if ending == "failed run" else 0)
+    assert theirs.fileno() == -1  # the worker closes its end on the way out
 
 
 @pytest.mark.parametrize("answer", ("decision", "abort", "stray"))
@@ -660,11 +646,9 @@ def test_forked_workers_hold_no_coordinator_socket(tmp_path, monkeypatch):
 
     monkeypatch.setattr(socket, "socketpair", recorded_socketpair)
     monkeypatch.setattr(TcpCoordinator, "collect", checked_collect)
+    install(monkeypatch, tmp_path, ("crash", 1, 1))
     run = ShardedScenario(
-        _config(
-            8, shards=2, wal=str(tmp_path / "storm.wal"), faults="crash@1:1",
-        ),
-        executor="mp",
+        _config(8, shards=2, wal=str(tmp_path / "storm.wal")), executor="mp",
     ).run(_StormWorkload())
     assert run.stats.faults["respawns"] == 1
     assert run.digest() == (
@@ -701,7 +685,7 @@ def test_forked_worker_raising_before_its_first_frame_fails_loudly(
 
 
 # ---------------------------------------------------------------------------
-# Fault injection: dead and half-open workers, and crash-consistent WALs.
+# Dead and half-open workers, and crash-consistent WALs.
 # ---------------------------------------------------------------------------
 
 
@@ -719,44 +703,21 @@ def test_killed_worker_surfaces_died_mid_window(monkeypatch):
     assert time.monotonic() - start < 30.0
 
 
-def test_half_open_worker_surfaces_died_mid_window(monkeypatch):
+def test_half_open_worker_surfaces_died_mid_window(tmp_path, monkeypatch):
     """Shard 1's worker stops its heartbeat and goes silent with its
     socket open (half-open): the read deadline converts it into 'died
     mid-window', and teardown leaves no orphan socket and no unreaped
     process."""
     monkeypatch.setenv(TCP_TIMEOUT_ENV, "2")
-    import repro.sim.tcpexec as tcpexec
-
-    run_worker = tcpexec._run_worker
-
-    def half_open(channel, *args, **kwargs):
-        if channel.shard_id != 1:
-            return run_worker(channel, *args, **kwargs)
-        for thread in threading.enumerate():
-            if isinstance(thread, tcpexec._Heartbeat):
-                thread.stop()
-        channel.sock.settimeout(None)
-        while channel.sock.recv(1 << 16):  # silent until the coordinator
-            pass  # hangs up on it
-        return False
-
-    monkeypatch.setattr(tcpexec, "_run_worker", half_open)
-    config = _config(8, shards=2)
-    coordinator = TcpCoordinator(
-        config, 2, ShardedScenario(config).lookahead,
-        DirectoryControlPlane(config),
-    )
+    fleet = install(monkeypatch, tmp_path, ("halfopen", 1, 0))
     start = time.monotonic()
     with pytest.raises(SimulationError, match="worker 1 died mid-window"):
-        coordinator.run(_StormWorkload())
+        ShardedScenario(
+            _config(8, shards=2), executor="tcp"
+        ).run(_StormWorkload())
     assert 2.0 <= time.monotonic() - start < 10.0
-    # Full teardown: every connection closed, every worker reaped.
-    for conn in coordinator.connections:
-        assert conn is None or conn.fileno() == -1
-    assert len(coordinator.processes) == 2
-    assert all(
-        process.exitcode is not None for process in coordinator.processes
-    )
+    fleet.assert_torn_down()
+    assert len(fleet.connections) == 2  # no replacement without a WAL
 
 
 def test_a_replacement_dying_before_it_rejoins_fails_the_run(
@@ -769,11 +730,12 @@ def test_a_replacement_dying_before_it_rejoins_fails_the_run(
     import repro.sim.tcpexec as tcpexec
 
     worker_main = tcpexec.worker_main
+    fleet = install(monkeypatch, tmp_path, ("crash", 1, 1))
 
-    def flaky(sock, shard_id, job, recovering):
-        if recovering:
+    def flaky(sock, shard_id, job):
+        if fleet.fired():  # the crash happened: this is its replacement
             raise RuntimeError("replacement broke before its first frame")
-        return worker_main(sock, shard_id, job, recovering)
+        return worker_main(sock, shard_id, job)
 
     monkeypatch.setattr(tcpexec, "worker_main", flaky)
     start = time.monotonic()
@@ -782,16 +744,14 @@ def test_a_replacement_dying_before_it_rejoins_fails_the_run(
         match="replacement worker for shard 1 failed during WAL replay",
     ):
         ShardedScenario(
-            _config(
-                8, shards=2, wal=str(tmp_path / "storm.wal"),
-                faults="crash@1:1",
-            ),
+            _config(8, shards=2, wal=str(tmp_path / "storm.wal")),
             executor="mp",
         ).run(_StormWorkload())
     assert time.monotonic() - start < 10.0
     assert "RuntimeError: replacement broke before its first frame" in (
         capfd.readouterr().err
     )
+    fleet.assert_torn_down()
 
 
 def test_tcp_checkpoint_chopped_midlog_resumes_to_reference(tmp_path):

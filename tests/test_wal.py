@@ -17,6 +17,7 @@ full every-window matrix when ``REPRO_WAL_FUZZ=1`` (nightly).
 import json
 import os
 import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,9 +30,12 @@ from repro.sim.shard import ShardedScenario, scenario_digest
 from repro.sim.stats import StatsCollector
 from repro.sim import wal as wal_module
 from repro.sim.wal import (
+    _FILE_HEADER,
+    _RECORD_HEADER,
     WalReader,
     WalWriter,
     WindowRecord,
+    config_fingerprint,
     replay_windows,
 )
 from determinism_fixtures import run_training_sharded, truncate_wal
@@ -144,6 +148,47 @@ def test_reader_tolerates_torn_tail(tmp_path):
     assert len(reader.windows) == 2
     assert reader.windows[1] == _record(1)
     assert reader.valid_offset == full.window_offsets[1]
+
+
+#: how much of the last window record a crash mid-append leaves on disk
+_TEARS = {
+    "one byte": lambda length: 1,
+    "all but one header byte": lambda length: _RECORD_HEADER.size - 1,
+    "the header alone": lambda length: _RECORD_HEADER.size,
+    "the header and one byte": lambda length: _RECORD_HEADER.size + 1,
+    "half": lambda length: length // 2,
+    "all but one byte": lambda length: length - 1,
+}
+
+
+@pytest.mark.parametrize("kept", _TEARS.values(), ids=_TEARS.keys())
+def test_a_tail_torn_anywhere_keeps_the_verified_prefix(tmp_path, kept):
+    """Wherever the crash cut the last record, the reader keeps the records
+    before it and points the resume writer at the end of the last one."""
+    path = tmp_path / "log.wal"
+    _write_log(path, windows=3)
+    full = WalReader(str(path))
+    start = full.window_offsets[1]
+    os.truncate(path, start + kept(full.window_offsets[2] - start))
+    reader = WalReader(str(path))
+    assert reader.truncated
+    assert reader.windows == [_record(0), _record(1)]
+    assert reader.valid_offset == start
+
+
+@pytest.mark.parametrize("cut,error", [
+    (3, "too short"),
+    (_FILE_HEADER.size, "truncated WAL header"),
+    (_FILE_HEADER.size + 1, "truncated WAL header"),
+], ids=("inside the fixed header", "before the meta", "inside the meta"))
+def test_a_cut_inside_the_file_header_is_refused(tmp_path, cut, error):
+    """A log cut before its header ends is no log to resume from: the
+    reader refuses it by name rather than reading it as empty."""
+    path = tmp_path / "log.wal"
+    _write_log(path, windows=1)
+    os.truncate(path, cut)
+    with pytest.raises(SimulationError, match=error):
+        WalReader(str(path))
 
 
 def test_reader_treats_crc_corruption_as_torn_tail(tmp_path):
@@ -411,6 +456,28 @@ def test_resume_rejects_mismatched_shard_count(tmp_path):
 def test_wal_requires_sharded_kernel():
     with pytest.raises(ConfigurationError, match="shards >= 1"):
         _config(8, shards=0, wal="x.wal").validate()
+
+
+def test_resume_requires_sharded_kernel():
+    with pytest.raises(ConfigurationError, match="shards >= 1"):
+        _config(8, shards=0, resume="x.wal").validate()
+
+
+@pytest.mark.parametrize("field,value,binds", [
+    ("wal", "elsewhere.wal", False),
+    ("resume", "elsewhere.wal", False),
+    ("control_plane", "directory", False),
+    ("seed", 6, True),
+    ("shards", 4, True),
+    ("num_peers", 9, True),
+])
+def test_a_wal_is_bound_to_the_physics_not_the_plumbing(field, value, binds):
+    """Where the log lives and how the plane is spelled leave the
+    fingerprint a resume checks alone; a field that shapes the event
+    stream moves it."""
+    config = _config(8, shards=2)
+    moved = replace(config, **{field: value})
+    assert (config_fingerprint(moved) != config_fingerprint(config)) == binds
 
 
 # ---------------------------------------------------------------------------
