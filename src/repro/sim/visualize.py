@@ -1,43 +1,39 @@
 """Network visualization helpers (P2PDMT "Visualize network / statistics").
 
-Exports overlays as :mod:`networkx` graphs for structural analysis, plus
-ASCII summaries usable from terminals and logs.  The tag-cloud experiment
-also routes its co-occurrence graphs through networkx.
+Reads an overlay's links as an undirected adjacency — a link either end
+lists counts once, and an address a member lists is a node even if it is
+not a member — and summarises its degrees and connected components, plus
+an ASCII summary usable from terminals and logs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import Dict, Set
 
 from repro.overlay.base import Overlay
 
-if TYPE_CHECKING:  # imported where a graph is built, never at module import
-    import networkx as nx
 
-
-def overlay_to_graph(overlay: Overlay) -> nx.Graph:
-    """Undirected graph of the overlay's current links."""
-    import networkx as nx
-
-    graph = nx.Graph()
+def _links(overlay: Overlay) -> Dict[int, Set[int]]:
+    """Each node's neighbours over the overlay's links, both directions."""
     members = overlay.members()
-    graph.add_nodes_from(members)
+    links: Dict[int, Set[int]] = {address: set() for address in members}
     for address in members:
         for neighbor in overlay.neighbors(address):
-            graph.add_edge(address, neighbor)
-    return graph
+            links[address].add(neighbor)
+            links.setdefault(neighbor, set()).add(address)
+    return links
 
 
 def degree_statistics(overlay: Overlay) -> Dict[str, float]:
     """Degree distribution summary of the overlay graph."""
-    graph = overlay_to_graph(overlay)
-    if graph.number_of_nodes() == 0:
+    links = _links(overlay)
+    if not links:
         return {"nodes": 0, "edges": 0, "min_degree": 0.0,
                 "mean_degree": 0.0, "max_degree": 0.0}
-    degrees = [d for _, d in graph.degree()]
+    degrees = [len(neighbors) for neighbors in links.values()]
     return {
-        "nodes": float(graph.number_of_nodes()),
-        "edges": float(graph.number_of_edges()),
+        "nodes": float(len(links)),
+        "edges": float(sum(degrees) // 2),
         "min_degree": float(min(degrees)),
         "mean_degree": float(sum(degrees) / len(degrees)),
         "max_degree": float(max(degrees)),
@@ -46,17 +42,25 @@ def degree_statistics(overlay: Overlay) -> Dict[str, float]:
 
 def connectivity_report(overlay: Overlay) -> Dict[str, float]:
     """Connectivity facts that matter for broadcast coverage."""
-    graph = overlay_to_graph(overlay)
-    if graph.number_of_nodes() == 0:
+    links = _links(overlay)
+    if not links:
         return {"connected": 0.0, "components": 0.0, "largest_component": 0.0}
-    import networkx as nx
-
-    components = list(nx.connected_components(graph))
-    largest = max((len(c) for c in components), default=0)
+    sizes = []
+    unseen = set(links)
+    while unseen:
+        frontier = [unseen.pop()]
+        size = 1
+        while frontier:
+            for neighbor in links[frontier.pop()]:
+                if neighbor in unseen:
+                    unseen.remove(neighbor)
+                    frontier.append(neighbor)
+                    size += 1
+        sizes.append(size)
     return {
-        "connected": 1.0 if len(components) == 1 else 0.0,
-        "components": float(len(components)),
-        "largest_component": float(largest),
+        "connected": 1.0 if len(sizes) == 1 else 0.0,
+        "components": float(len(sizes)),
+        "largest_component": float(max(sizes)),
     }
 
 

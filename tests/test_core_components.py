@@ -206,6 +206,28 @@ class TestTagCloud:
         rendered = cloud.ascii_cloud()
         assert "(" in rendered
 
+    @pytest.mark.parametrize("method, tag, name, value", [
+        ("bridge_tags", None, "top", -1),
+        ("bridge_tags", None, "top", 1.5),
+        ("ascii_cloud", None, "max_tags", -1),
+        ("ascii_cloud", None, "max_tags", 2.0),
+        ("font_size", "python", "buckets", 0),
+        ("font_size", "python", "buckets", -3),
+        ("font_size", "python", "buckets", 2.5),
+        ("font_size", "unknown", "buckets", 0),
+    ])
+    def test_a_bad_parameter_is_refused_by_name(self, method, tag, name, value):
+        call = getattr(TagCloud(self.two_cluster_sets()), method)
+        args = () if tag is None else (tag,)
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be"):
+            call(*args, **{name: value})
+
+    def test_the_smallest_parameters_are_admitted(self):
+        cloud = TagCloud(self.two_cluster_sets())
+        assert cloud.bridge_tags(top=0) == []
+        assert cloud.ascii_cloud(max_tags=0) == ""
+        assert {cloud.font_size(tag, buckets=1) for tag in cloud.frequencies()} == {1}
+
 
 class _FakeClassifier:
     """Stand-in ranking classifier for suggestion tests."""

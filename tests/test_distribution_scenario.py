@@ -8,10 +8,10 @@ from repro.errors import ConfigurationError, DataError
 from repro.sim.distribution import DataDistributor, ShardSpec
 from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.visualize import (
+    _links,
     ascii_summary,
     connectivity_report,
     degree_statistics,
-    overlay_to_graph,
 )
 
 
@@ -184,9 +184,12 @@ class TestVisualize:
         return overlay
 
     def test_graph_export(self):
-        graph = overlay_to_graph(self.overlay())
-        assert graph.number_of_nodes() == 12
-        assert graph.number_of_edges() > 0
+        links = _links(self.overlay())
+        assert sorted(links) == list(range(12))
+        assert all(node in links[neighbor]
+                   for node, neighbors in links.items()
+                   for neighbor in neighbors)
+        assert sum(map(len, links.values())) > 0
 
     def test_degree_statistics(self):
         stats = degree_statistics(self.overlay())

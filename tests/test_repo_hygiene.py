@@ -21,9 +21,12 @@ right while vectors are immutable.
 — it is why the two storm workloads of the repo benchmark cannot move when
 the ml layer changes.
 
-(f) ``import repro.cli`` does not load ``networkx`` — every ``repro``
-command would pay that import (~0.2 s) before parsing its first option,
-and only the commands that draw a graph need it.
+(f) Nothing under ``src/repro`` imports ``networkx`` — no ``import
+networkx`` or ``from networkx ...``, at module level, in a function or
+under ``TYPE_CHECKING``.  The tag cloud and the overlay summaries run their
+graph algorithms on plain dicts; networkx is the test-only oracle
+``tests/test_tagcloud_oracle.py`` holds them to, and its import alone
+costs ~13 MiB of resident memory and ~0.2 s.
 
 (g) Every ``executemany(`` in ``repro/sim/tracestore.py`` sits inside a
 ``with ..._transaction():`` block — the connection is in autocommit mode,
@@ -247,7 +250,6 @@ run set, are what this replaced.
 import argparse
 import ast
 import dataclasses
-import os
 import re
 import subprocess
 import sys
@@ -374,18 +376,59 @@ def test_sim_and_overlay_do_not_import_ml():
     assert scanned >= 20  # both packages were found
 
 
-def test_importing_the_cli_does_not_load_networkx():
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro.cli; print('networkx' in sys.modules)"],
-        capture_output=True, text=True, timeout=120, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(ROOT / "src")] + [
-                entry for entry in [os.environ.get("PYTHONPATH")] if entry
-            ]
-        )},
-    )
-    assert probe.stdout.strip() == "False"
+def _networkx_imports(text):
+    """Line numbers of ``text``'s import statements that name networkx."""
+    lines = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "networkx" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+#: each planted import must be caught; each near miss must not be
+_PLANTED_NETWORKX_IMPORTS = {
+    "module": "import networkx",
+    "alias": "import networkx as nx",
+    "submodule": "import networkx.algorithms.community",
+    "among-others": "import os, networkx",
+    "from": "from networkx import Graph",
+    "from-submodule": "from networkx.algorithms import community",
+    "function-level": "def f():\n    import networkx as nx",
+    "type-checking": "if TYPE_CHECKING:\n    import networkx as nx",
+}
+_NETWORKX_NEAR_MISSES = {
+    "comment": "# import networkx",
+    "string": "hint = 'import networkx as nx'",
+    "longer-name": "import networkxlike",
+    "relative": "from .networkx import Graph",
+}
+
+
+@pytest.mark.parametrize(
+    "text, caught",
+    [(text, True) for text in _PLANTED_NETWORKX_IMPORTS.values()]
+    + [(text, False) for text in _NETWORKX_NEAR_MISSES.values()],
+    ids=[*_PLANTED_NETWORKX_IMPORTS, *_NETWORKX_NEAR_MISSES],
+)
+def test_the_networkx_scan_catches_each_planted_import(text, caught):
+    source = f"import sys\n{text}\n"
+    assert bool(_networkx_imports(source)) is caught
+
+
+def test_nothing_under_src_imports_networkx():
+    paths = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    assert len(paths) >= 60  # the package was found
+    offenders = {
+        str(path.relative_to(ROOT)): lines for path in paths
+        if (lines := _networkx_imports(path.read_text(encoding="utf-8")))
+    }
+    assert not offenders, offenders
 
 
 def _unbracketed_executemany(text):
@@ -1785,7 +1828,7 @@ def _remote_fleet_lines(text):
 
 
 #: one planted line per piece of remote placement (each must be caught),
-#: and lines a forked fleet writes that merely look alike (none may be)
+#: and lines that merely look alike (none may be)
 _PLANTED_REMOTE_LINES = {
     "ssh": "argv = ['ssh', host, 'repro', 'worker']",
     "listen": "listener.listen(4)",
@@ -1795,7 +1838,7 @@ _PLANTED_REMOTE_LINES = {
     "subprocess": "import subprocess",
 }
 _FORKED_FLEET_LINES = {
-    "bind_heartbeat": "injector.bind_heartbeat(heartbeat)",
+    "bind_partial": "bound = signature.bind_partial(*args)",
     "socketpair": "ours, theirs = socket.socketpair()",
     "ssh-substring": "sshd = classhash = None",
 }
