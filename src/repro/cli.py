@@ -121,49 +121,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    """Re-execute a window range from a simulation WAL in isolation."""
-    from repro.sim.wal import WalReader, replay_windows
-
-    reader = WalReader(args.path)
-    status = "committed" if reader.commit is not None else (
-        "torn tail discarded" if reader.truncated else "open"
-    )
-    print(
-        f"[wal] {args.path}: shards={reader.num_shards} "
-        f"lookahead={reader.lookahead:.4f}s windows={len(reader.windows)} "
-        f"({status})"
-    )
-    stop = args.to_window
-    total_deliveries = 0
-    for window in replay_windows(args.path, start=args.from_window, stop=stop):
-        total_deliveries += len(window.deliveries)
-        print(
-            f"window {window.barrier}: start={window.window_start:.4f} "
-            f"deliveries={len(window.deliveries)} "
-            f"control={len(window.control)} "
-            f"executed_total={window.total_executed}"
-        )
-        if args.records:
-            for (time, src, dst, msg_type, size, wire, hops) in (
-                window.deliveries
-            ):
-                print(
-                    f"  t={time:.6f} {msg_type} {src}->{dst} "
-                    f"{size}B/{wire}B hops={hops}"
-                )
-            for record in window.control:
-                print(f"  control t={record[0]:.6f} {record[1]}")
-    print(f"[wal] replayed {total_deliveries} cross-shard deliveries")
-    if reader.commit is not None:
-        print(
-            f"[wal] commit: digest={reader.commit['digest'][:16]}… "
-            f"now={reader.commit['now']:.6f} "
-            f"windows={reader.commit['windows']}"
-        )
-    return 0
-
-
 _ANALYZE_REPORTS = ("summary", "traffic", "peers", "routes", "churn", "codec")
 
 _ANALYZE_TITLES = {
@@ -177,7 +134,8 @@ _ANALYZE_TITLES = {
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    """Query a trace store: canned analytics or passthrough SQL."""
+    """Query a trace store: canned analytics or read-only SQL."""
+    import sqlite3
     from pathlib import Path
 
     from repro.sim.tracestore import TraceStore
@@ -185,9 +143,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not Path(args.path).exists():
         # Opening would create an empty store — catch the typo instead.
         raise ConfigurationError(f"no trace store at {args.path}")
-    with TraceStore(args.path) as store:
+    try:
+        store = TraceStore(args.path)
+    except sqlite3.DatabaseError as exc:
+        raise ConfigurationError(
+            f"{args.path} is not a trace store: {exc}"
+        ) from None
+    with store:
         if args.sql:
-            headers, rows = store.sql(args.sql)
+            # Analysis never edits the store: SQLite refuses any write
+            # until the query is done (closing may still build indexes).
+            store.sql("PRAGMA query_only = ON")
+            try:
+                headers, rows = store.sql(args.sql)
+            except sqlite3.Error as exc:
+                raise ConfigurationError(f"--sql: {exc}") from None
+            finally:
+                store.sql("PRAGMA query_only = OFF")
             print(format_table("SQL", list(headers), [list(r) for r in rows]))
             return 0
         reports = args.report or ["summary", "traffic"]
@@ -322,26 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_options(p_suggest)
     _add_system_options(p_suggest)
     p_suggest.set_defaults(func=cmd_suggest)
-
-    p_replay = subparsers.add_parser(
-        "replay",
-        help="re-execute a window range from a simulation WAL "
-        "(time-travel debugging)",
-    )
-    p_replay.add_argument("path", help="write-ahead log file")
-    p_replay.add_argument(
-        "--from", type=int, default=0, dest="from_window",
-        help="first window to replay (default 0)",
-    )
-    p_replay.add_argument(
-        "--to", type=int, default=None, dest="to_window",
-        help="stop before this window (default: end of log)",
-    )
-    p_replay.add_argument(
-        "--records", action="store_true",
-        help="print every re-executed delivery and control record",
-    )
-    p_replay.set_defaults(func=cmd_replay)
 
     p_analyze = subparsers.add_parser(
         "analyze",

@@ -157,6 +157,10 @@ class TagCloud:
             for a, b in combinations(tag_list, 2):
                 row_a, row_b = self._adjacency[a], self._adjacency[b]
                 row_a[b] = row_b[a] = row_a.get(b, 0) + 1
+        #: frequency -> how many tags are strictly rarer (its font rank)
+        self._rank: Dict[int, int] = {}
+        for index, frequency in enumerate(sorted(self._frequencies.values())):
+            self._rank.setdefault(frequency, index)
         self._communities = _greedy_modularity_communities(self._adjacency)
         self._community_index = {
             tag: index
@@ -178,9 +182,8 @@ class TagCloud:
         check_value("buckets", buckets, integer, at_least(1))
         if tag not in self._frequencies:
             return 0
-        counts = sorted(self._frequencies.values())
-        rank = counts.index(self._frequencies[tag])
-        bucket = 1 + (rank * buckets) // max(1, len(counts))
+        rank = self._rank[self._frequencies[tag]]
+        bucket = 1 + (rank * buckets) // len(self._frequencies)
         return min(buckets, bucket)
 
     def community_of(self, tag: str) -> int:

@@ -374,6 +374,3 @@ class KernelSVM:
         if self._model is None:
             raise NotTrainedError("KernelSVM has not been fitted")
         return self._model
-
-    def decision(self, x: SparseVector) -> float:
-        return self.model.decision(x)

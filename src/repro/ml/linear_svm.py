@@ -44,10 +44,6 @@ class LinearSVMModel:
     def decision(self, x: SparseVector) -> float:
         return self.weights.dot(x) + self.bias
 
-    def predict(self, x: SparseVector) -> int:
-        """Class in {-1, +1}."""
-        return 1 if self.decision(x) >= 0.0 else -1
-
     def truncated(self, max_features: int) -> "LinearSVMModel":
         """Keep only the ``max_features`` largest-|w| entries."""
         check_value("max_features", max_features, integer, at_least(1))
@@ -378,20 +374,3 @@ class LinearSVM:
         if self._model is None:
             raise NotTrainedError("LinearSVM has not been fitted")
         return self._model
-
-    def decision(self, x: SparseVector) -> float:
-        return self.model.decision(x)
-
-    def predict(self, x: SparseVector) -> int:
-        return self.model.predict(x)
-
-    def accuracy(
-        self, vectors: Sequence[SparseVector], labels: Sequence[int]
-    ) -> float:
-        """Fraction of correct {-1, +1} predictions (1.0 on empty input)."""
-        if not vectors:
-            return 1.0
-        correct = sum(
-            1 for x, y in zip(vectors, labels) if self.predict(x) == y
-        )
-        return correct / len(vectors)

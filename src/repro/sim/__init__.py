@@ -17,9 +17,9 @@ discrete-event replacement providing the same observables:
   every shard executor runs (:mod:`repro.sim.barrier`),
 - the columnar cross-shard exchange frames
   (:mod:`repro.sim.exchange`),
-- the per-window write-ahead log and prefix replay
+- the per-window write-ahead log: checkpoint and resume
   (:mod:`repro.sim.wal`),
-- the socket executor placing shard workers across machines
-  (:mod:`repro.sim.tcpexec`), and
+- the shard fleet: K forked workers on socketpairs behind the ``mp`` and
+  ``tcp`` executors (:mod:`repro.sim.tcpexec`), and
 - network visualization helpers (:mod:`repro.sim.visualize`).
 """

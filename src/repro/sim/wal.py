@@ -1,4 +1,4 @@
-"""The simulation write-ahead log: checkpoint, resume, and window replay.
+"""The simulation write-ahead log: checkpoint and resume.
 
 The sharded kernel already funnels *everything* that crosses a shard
 boundary through one chokepoint — the window barrier.  Per barrier the
@@ -13,7 +13,7 @@ exactly that, one CRC-framed record per window, to a log file — in the
 spirit of GnitzDB's unified WAL: *any prefix of the WAL can be replayed
 to reach a consistent state baseline*.
 
-Three operations build on the log:
+Two operations build on the log:
 
 - **checkpoint** (``ScenarioConfig.wal``): every
   barrier appends one window record; a commit record with the final
@@ -33,11 +33,6 @@ Three operations build on the log:
   construction* (same event stream) and *checked* (cursor + delta
   verification at every logged barrier, digest verification against a
   sealed commit).
-- **replay** (``repro replay PATH --from W --to V``): re-executes a
-  window range in isolation — each window's frames are decoded, merged
-  in the canonical ``(deliver_time, src_shard, seq)`` order, and pushed
-  through a fresh kernel — for time-travel debugging without the
-  workload, the overlay, or the other 999 windows.
 
 What is *not* logged, and why: worker event heaps (unpicklable closures;
 redundant given deterministic re-execution), the
@@ -56,10 +51,9 @@ import pickle
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.exchange import ExchangeFrame, merge_frames
 
 _MAGIC = 0x4C415752  # "RWAL"
 _VERSION = 1
@@ -110,7 +104,7 @@ class WindowRecord:
     #: bytes so the coordinator embeds it without parsing — or None when
     #: probing is off
     statuses: List[Tuple[float, float, int, list, Optional[bytes]]]
-    #: encoded :class:`ExchangeFrame` blobs keyed (src_shard, dst_shard)
+    #: encoded :class:`~repro.sim.exchange.ExchangeFrame` blobs keyed (src_shard, dst_shard)
     frames: Dict[Tuple[int, int], bytes]
     #: directory-plane control records served with this window's decision
     control: List[tuple] = field(default_factory=list)
@@ -584,100 +578,3 @@ class WalSession:
         if self.writer is not None:
             self.writer.close()
             self.writer = None
-
-
-# ---------------------------------------------------------------------------
-# Replay.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReplayWindow:
-    """One re-executed window: the canonical delivery order plus the
-    logged control records and cursor/delta sidecars."""
-
-    barrier: int
-    window_start: float
-    global_last: float
-    total_executed: int
-    #: (deliver_time, src, dst, msg_type, size_bytes, wire_bytes, hops) in
-    #: exact injection order, re-executed through a fresh kernel
-    deliveries: List[Tuple[float, int, int, str, int, int, int]]
-    control: List[tuple]
-    #: merged per-shard stats delta for the window ({} when probing off)
-    stats_delta: dict
-    #: per-shard kernel cursors (None when probing off)
-    kernel: List[Optional[dict]]
-
-
-def replay_windows(
-    path: str, start: int = 0, stop: Optional[int] = None
-) -> Iterator[ReplayWindow]:
-    """Re-execute the logged windows ``start..stop`` in isolation.
-
-    Every window's frames are decoded per destination shard, merged in
-    the canonical ``(deliver_time, src_shard, seq)`` order, and pushed
-    through a fresh :class:`~repro.sim.engine.Simulator` via the same
-    ``schedule_block`` path the live kernel uses — so the delivery order
-    printed here is exactly the order the original run injected.
-    """
-    from repro.sim.engine import Simulator
-    from repro.sim.stats import StatsCollector
-
-    reader = WalReader(path)
-    stop = len(reader.windows) if stop is None else stop
-    if start < 0 or stop > len(reader.windows) or start > stop:
-        raise ConfigurationError(
-            f"window range [{start}, {stop}) outside the log's "
-            f"0..{len(reader.windows)}"
-        )
-    for record in reader.windows[start:stop]:
-        per_dst: Dict[int, List[ExchangeFrame]] = {}
-        for (src_shard, dst_shard) in sorted(record.frames):
-            frame, frame_barrier = ExchangeFrame.decode(
-                record.frames[(src_shard, dst_shard)]
-            )
-            if frame_barrier != record.barrier:
-                raise SimulationError(
-                    f"WAL {path}: frame tagged barrier {frame_barrier} "
-                    f"inside window record {record.barrier}"
-                )
-            per_dst.setdefault(dst_shard, []).append(frame)
-        deliveries: List[Tuple[float, int, int, str, int, int, int]] = []
-        for dst_shard in sorted(per_dst):
-            times, columns = merge_frames(per_dst[dst_shard])
-            simulator = Simulator(0)
-            src_col, dst_col, types, _payloads, sizes, wires, hops = columns
-
-            def deliver(src, dst, msg_type, size, wire, hop, sim=simulator):
-                deliveries.append(
-                    (sim.now, src, dst, msg_type, size, wire, hop)
-                )
-
-            simulator.schedule_block(
-                times, deliver, (src_col, dst_col, types, sizes, wires, hops)
-            )
-            simulator.run()
-        stats_delta = StatsCollector()
-        kernel: List[Optional[dict]] = []
-        for status in record.statuses:
-            extras = (
-                None if status[4] is None else pickle.loads(status[4])
-            )
-            kernel.append(None if extras is None else extras.get("kernel"))
-            if extras is not None and extras.get("stats"):
-                stats_delta.apply_delta(extras["stats"])
-        yield ReplayWindow(
-            barrier=record.barrier,
-            window_start=record.window_start,
-            global_last=record.global_last,
-            total_executed=record.total_executed,
-            deliveries=deliveries,
-            control=record.control,
-            stats_delta={
-                name: dict(getattr(stats_delta, name))
-                for name in StatsCollector._DELTA_FAMILIES
-                if getattr(stats_delta, name)
-            },
-            kernel=kernel,
-        )

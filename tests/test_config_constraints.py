@@ -6,7 +6,7 @@ dataclass is one under ``src/repro`` whose name ends in ``Config`` or
 ``Spec``, or one that declares a constraint (``repro.constraints``).  Each
 has a smoke run in :data:`SMOKES`: a ``train()`` at the
 ``tests/test_classifiers.py`` fixture size, a ``Scenario`` run, a
-``DataDistributor``, a tiny ``generate()`` or a ``QueryWorkload``.
+``DataDistributor`` or a tiny ``generate()``.
 """
 
 import dataclasses
@@ -36,7 +36,6 @@ from repro.p2pclass.pace import PaceClassifier, PaceConfig
 from repro.p2pclass.private import PrivatePaceClassifier, PrivatePaceConfig
 from repro.sim.distribution import DataDistributor, ShardSpec
 from repro.sim.scenario import Scenario, ScenarioConfig
-from repro.sim.workload import QueryWorkload, WorkloadConfig
 from repro.text.vectorizer import PreprocessingPipeline
 
 EDGE_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 2.5, 2 ** 63)
@@ -142,11 +141,6 @@ def _generate_smoke(config):
     return [float(len(corpus))]
 
 
-def _workload_smoke(config):
-    events = QueryWorkload(config).generate()
-    return [float(len(events))] + [event.time for event in events]
-
-
 def _system_smoke(config):
     system = P2PDocTaggerSystem(_corpus(), config)
     system.train()
@@ -171,7 +165,6 @@ SMOKES = {
         _scenario_smoke,
     ),
     "ShardSpec": (dict(num_peers=NUM_PEERS), _distribute_smoke),
-    "WorkloadConfig": (dict(peers=[0, 1]), _workload_smoke),
     "GeneratorConfig": (
         dict(num_users=2, num_tags=4, docs_per_user_range=(2, 3),
              vocabulary_size=200, topic_words_per_tag=10,

@@ -1,6 +1,8 @@
 """Tests for metadata store, library, tag cloud, suggestions, and policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.library import Library
 from repro.core.metadata import TagMetadataStore, TagSource
@@ -170,6 +172,42 @@ class TestTagCloud:
         cloud = TagCloud([["common"]] * 10 + [["rare"]])
         assert cloud.font_size("common") > cloud.font_size("rare")
         assert cloud.font_size("unknown") == 0
+
+    @pytest.mark.parametrize("buckets", [1, 2, 3, 5, 7])
+    def test_font_size_buckets_tied_frequencies_by_rank(self, buckets):
+        """Every tag's bucket is the definition's: its rank is the count of
+        strictly rarer tags, so tied tags share one bucket."""
+        frequencies = {"a": 1, "b": 1, "c": 1, "d": 2, "e": 2, "f": 4,
+                       "g": 4, "h": 4, "i": 4, "j": 9}
+        cloud = TagCloud(
+            [[tag] for tag, count in frequencies.items() for _ in range(count)]
+        )
+        counts = sorted(frequencies.values())
+        for tag, count in frequencies.items():
+            slow = 1 + counts.index(count) * buckets // len(counts)
+            assert cloud.font_size(tag, buckets=buckets) == min(buckets, slow)
+        assert [entry.font_size for entry in cloud.entries()] == [
+            cloud.font_size(tag) for tag in sorted(frequencies)
+        ]
+
+    @given(
+        tag_sets=st.lists(
+            st.lists(st.sampled_from("abcdefghijkl"), min_size=1, max_size=4),
+            min_size=1, max_size=30,
+        ),
+        buckets=st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_font_size_is_the_rank_definition_on_any_cloud(
+        self, tag_sets, buckets
+    ):
+        """The bucket of every tag of any cloud is the one the definition
+        gives: the index of its frequency in the sorted frequencies."""
+        cloud = TagCloud(tag_sets)
+        counts = sorted(cloud.frequencies().values())
+        for tag, count in cloud.frequencies().items():
+            slow = 1 + counts.index(count) * buckets // len(counts)
+            assert cloud.font_size(tag, buckets=buckets) == min(buckets, slow)
 
     def test_two_communities_detected(self):
         cloud = TagCloud(self.two_cluster_sets())

@@ -1,7 +1,7 @@
-"""End-to-end integration: trained system + query workload + message trace.
+"""End-to-end integration: trained system + held-out queries + message trace.
 
-A "day in the life" run: train collaboratively, then replay a Poisson
-tagging workload through the simulator while tracing every message, and
+A "day in the life" run: train collaboratively, then auto-tag the
+held-out documents on their owning peers while tracing every message, and
 check the pieces agree with each other (trace totals vs stats totals,
 metadata growth vs queries served, maintenance traffic under churn).
 """
@@ -10,7 +10,6 @@ metadata growth vs queries served, maintenance traffic under churn).
 from repro.core.tagger import P2PDocTaggerSystem, SystemConfig
 from repro.data.delicious import DeliciousGenerator
 from repro.sim.tracestore import TraceStore
-from repro.sim.workload import QueryWorkload, WorkloadConfig
 
 
 def make_system(algorithm="nbagg", churn="none", seed=4):
@@ -27,44 +26,20 @@ def make_system(algorithm="nbagg", churn="none", seed=4):
     )
 
 
-class TestWorkloadIntegration:
-    def test_workload_replay_tags_documents(self):
+class TestSystemIntegration:
+    def test_held_out_documents_are_tagged_on_their_peers(self):
         system = make_system()
         system.train()
-        workload = QueryWorkload(
-            WorkloadConfig(
-                peers=list(system.peers),
-                rate_per_peer=0.02,
-                duration=300.0,
-                seed=1,
-            )
-        )
-        events = workload.generate()
-        assert events
-        pools = {
-            address: [
-                d for d in system.test_corpus
-                if system._owner_to_peer[d.owner] == address
-            ]
-            for address in system.peers
-        }
-
         served = []
-
-        def handle(event):
-            pool = pools[event.peer]
-            if not pool:
-                return
-            document = pool[event.doc_index % len(pool)]
-            tags = system.peers[event.peer].auto_tag(document.untagged())
-            served.append((event.peer, document.doc_id, tags))
-
-        workload.replay(events, handle, simulator=system.scenario.simulator)
-        assert len(served) == len(events)
+        for document in system.test_corpus:
+            peer = system.peer_of(document)
+            served.append((peer, document.doc_id,
+                           peer.auto_tag(document.untagged())))
+        assert len({id(peer) for peer, _, _ in served}) > 1
         assert all(tags for _, _, tags in served)
         # Every served document got persisted metadata on its peer.
-        for peer_id, doc_id, tags in served:
-            assert system.peers[peer_id].store.tags_of(doc_id) == tags
+        for peer, doc_id, tags in served:
+            assert peer.store.tags_of(doc_id) == tags
 
     def test_trace_agrees_with_stats(self):
         system = make_system()

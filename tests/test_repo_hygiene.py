@@ -245,6 +245,12 @@ makes a forked worker misbehave by patching the fleet before it forks
 (``tests/misbehave.py``); a spec grammar, a seeded schedule and a
 fresh-or-recovering flag threaded through the worker, which no product
 run set, are what this replaced.
+
+(jj) ``repro`` has exactly six subcommands: ``corpus``, ``run``,
+``compare``, ``suggest``, ``analyze`` and ``overlay``.  ``repro replay``
+re-executed logged windows through a fresh kernel and checked nothing that
+resume does not check byte for byte; no product run reached it, and the
+log's one reader is resume.
 """
 
 import argparse
@@ -1126,6 +1132,7 @@ REACHED_FROM_OUTSIDE_SRC = {
     "core/tagger.py:P2PDocTaggerSystem.from_corpus": _BENCH,
     "core/tagger.py:P2PDocTaggerSystem.global_tag_cloud": _BENCH,
     "sim/engine.py:Simulator.events_processed": _BENCH,
+    "sim/engine.py:Simulator.schedule_at": _BENCH,
     "sim/scenario.py:Scenario.construction_cost": _BENCH,
     "sim/scenario.py:Scenario.live_peers": _BENCH,
     "sim/scenario.py:Scenario.register_peer": _BENCH,
@@ -1178,14 +1185,12 @@ REACHED_FROM_OUTSIDE_SRC = {
     "sim/network.py:PhysicalNetwork.has_block_listeners": _OBSERVED,
     "sim/network.py:PhysicalNetwork.live_nodes": _OBSERVED,
     "sim/network.py:PhysicalNetwork.registered_nodes": _OBSERVED,
+    "sim/stats.py:StatsCollector.apply_delta": _OBSERVED,
     "sim/stats.py:StatsCollector.bytes_for": _OBSERVED,
     "sim/stats.py:StatsCollector.has_compressed_traffic": _OBSERVED,
     "sim/stats.py:StatsCollector.wire_bytes_for": _OBSERVED,
     "sim/tracestore.py:TraceStore.rows_written": _OBSERVED,
     "sim/transport.py:BroadcastOutcome.delivered_count": _OBSERVED,
-    "sim/workload.py:QueryWorkload": _OBSERVED,
-    "sim/workload.py:QueryWorkload.expected_total": _OBSERVED,
-    "sim/workload.py:QueryWorkload.replay": _OBSERVED,
     "core/filebrowser.py:FileBrowser.clear_selection": _DEMO,
     "core/filebrowser.py:FileBrowser.deselect": _DEMO,
     "core/library.py:Library.search": _DEMO,
@@ -1203,6 +1208,7 @@ REACHED_FROM_OUTSIDE_SRC = {
 #: the unit tests whose only subject they were.  None comes back: not under
 #: its old name, and not on another module.
 CUT_BY_CENSUS = {
+    "cli.py:cmd_replay",
     "data/delicious.py:DeliciousGenerator.topic_words_of",
     "data/splits.py:train_test_split",
     "ml/evaluation.py:CurvePoint.fpr",
@@ -1211,10 +1217,15 @@ CUT_BY_CENSUS = {
     "ml/evaluation.py:precision_recall_curve",
     "ml/evaluation.py:roc_curve",
     "ml/kernel_svm.py:KernelSVM.accuracy",
+    "ml/kernel_svm.py:KernelSVM.decision",
     "ml/kernel_svm.py:KernelSVM.predict",
     "ml/kernel_svm.py:KernelSVMModel.predict",
     "ml/kmeans.py:KMeans.predict",
     "ml/kmeans.py:KMeans.result",
+    "ml/linear_svm.py:LinearSVM.accuracy",
+    "ml/linear_svm.py:LinearSVM.decision",
+    "ml/linear_svm.py:LinearSVM.predict",
+    "ml/linear_svm.py:LinearSVMModel.predict",
     "ml/lsh.py:RandomHyperplaneLSH.bucket_sizes",
     "ml/lsh.py:RandomHyperplaneLSH.remove",
     "ml/metrics.py:recall_at_k",
@@ -1237,6 +1248,15 @@ CUT_BY_CENSUS = {
     "sim/shard.py:shard_of",
     "sim/stats.py:StatsCollector.digest",
     "sim/stats.py:StatsCollector.traffic_table",
+    "sim/wal.py:ReplayWindow",
+    "sim/wal.py:replay_windows",
+    "sim/workload.py:QueryEvent",
+    "sim/workload.py:QueryWorkload",
+    "sim/workload.py:QueryWorkload.expected_total",
+    "sim/workload.py:QueryWorkload.generate",
+    "sim/workload.py:QueryWorkload.replay",
+    "sim/workload.py:WorkloadConfig",
+    "sim/workload.py:WorkloadConfig.validate",
     "text/lexicon.py:Lexicon",
     "text/stopwords.py:is_stop_word",
     "text/stopwords.py:remove_stop_words",
@@ -1578,12 +1598,12 @@ def test_churn_has_no_off_switch_and_events_no_cancel_handle():
     assert plane.started == [3.0]
 
 
-def _cli_options():
-    """Each ``repro`` subcommand's option strings."""
+def _cli_options(parser=None):
+    """Each subcommand's option strings, of ``repro``'s parser by default."""
     from repro.cli import build_parser
 
     subcommands = next(
-        action for action in build_parser()._actions
+        action for action in (parser or build_parser())._actions
         if isinstance(action, argparse._SubParsersAction)
     ).choices
     return {
@@ -1958,9 +1978,9 @@ def test_every_config_declares_its_constraints_once():
     ]
 
     classes = config_classes()
-    assert {"ScenarioConfig", "ShardSpec", "WorkloadConfig", "GeneratorConfig",
-            "SystemConfig", "PaceConfig", "PrivatePaceConfig", "CemparConfig",
-            "NBAggConfig", "CentralizedConfig", "LocalOnlyConfig",
+    assert {"ScenarioConfig", "ShardSpec", "GeneratorConfig", "SystemConfig",
+            "PaceConfig", "PrivatePaceConfig", "CemparConfig", "NBAggConfig",
+            "CentralizedConfig", "LocalOnlyConfig",
             "PreprocessingPipeline"} <= set(classes)
     assert _undeclared_numeric_fields(classes.values()) == []
     src = ROOT / "src" / "repro"
@@ -2048,3 +2068,18 @@ def test_the_fault_plane_lives_in_the_tests():
     }
     assert len(list(sim.glob("*.py"))) >= 15  # the package was found
     assert not offenders, offenders
+
+
+SUBCOMMANDS = {"corpus", "run", "compare", "suggest", "analyze", "overlay"}
+
+
+def test_repro_has_exactly_the_six_subcommands():
+    from repro.cli import build_parser
+
+    planted = build_parser()
+    next(
+        action for action in planted._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).add_parser("replay")
+    assert set(_cli_options(planted)) == SUBCOMMANDS | {"replay"}
+    assert set(_cli_options()) == SUBCOMMANDS

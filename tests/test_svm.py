@@ -41,22 +41,29 @@ def make_xor(n=80, seed=1):
     return vectors, labels
 
 
+def _training_accuracy(svm, vectors, labels):
+    """The share of ``vectors`` the sign of the model's decision gets
+    right — the cascade's own ``training_accuracy``."""
+    decisions = [svm.model.decision(x) for x in vectors]
+    return sum((1 if d >= 0 else -1) == y for d, y in zip(decisions, labels)) / len(labels)
+
+
 class TestLinearSVM:
     def test_separable_data_high_accuracy(self):
         vectors, labels = make_linearly_separable()
         svm = LinearSVM(epochs=20, seed=3).fit(vectors, labels)
-        assert svm.accuracy(vectors, labels) >= 0.95
+        assert _training_accuracy(svm, vectors, labels) >= 0.95
 
-    def test_predict_signs(self):
+    def test_decision_signs(self):
         vectors, labels = make_linearly_separable()
         svm = LinearSVM(epochs=20).fit(vectors, labels)
-        assert svm.predict(SparseVector({0: 3.0})) == 1
-        assert svm.predict(SparseVector({0: -3.0})) == -1
+        assert svm.model.decision(SparseVector({0: 3.0})) >= 0
+        assert svm.model.decision(SparseVector({0: -3.0})) < 0
 
     def test_one_class_degenerate(self):
         vectors = [SparseVector({0: 1.0}), SparseVector({1: 1.0})]
         svm = LinearSVM().fit(vectors, [1, 1])
-        assert svm.predict(SparseVector({5: 1.0})) == 1
+        assert svm.model.decision(SparseVector({5: 1.0})) >= 0
 
     def test_empty_training_raises(self):
         with pytest.raises(ConfigurationError):
@@ -70,9 +77,9 @@ class TestLinearSVM:
         with pytest.raises(ConfigurationError):
             LinearSVM().fit([SparseVector({0: 1.0})], [1, -1])
 
-    def test_predict_before_fit_raises(self):
+    def test_model_before_fit_raises(self):
         with pytest.raises(NotTrainedError):
-            LinearSVM().predict(SparseVector({0: 1.0}))
+            LinearSVM().model
 
     def test_deterministic_given_seed(self):
         vectors, labels = make_linearly_separable()
@@ -91,11 +98,6 @@ class TestLinearSVM:
     def test_non_finite_lambda_reg_is_refused(self, value):
         with pytest.raises(ConfigurationError, match="lambda_reg"):
             LinearSVM(lambda_reg=value)
-
-    def test_accuracy_on_empty_eval_is_one(self):
-        vectors, labels = make_linearly_separable(n=10)
-        svm = LinearSVM().fit(vectors, labels)
-        assert svm.accuracy([], []) == 1.0
 
 
 class TestLinearSVMModel:
@@ -120,12 +122,14 @@ class TestLinearSVMModel:
         model = LinearSVMModel(weights=SparseVector({1: 1.0, 2: 2.0}), bias=0.0)
         assert model.wire_size() == 24 + 8
 
-
-def _training_accuracy(svm, vectors, labels):
-    """The share of ``vectors`` the sign of the decision gets right — the
-    cascade's own ``training_accuracy``."""
-    decisions = [svm.decision(x) for x in vectors]
-    return sum((1 if d >= 0 else -1) == y for d, y in zip(decisions, labels)) / len(labels)
+    def test_decision_is_the_margin(self):
+        """``w . x + b``: a feature the model has no weight for adds
+        nothing, and the empty vector scores the bias."""
+        model = LinearSVMModel(
+            weights=SparseVector({1: 2.0, 2: -0.5}), bias=0.25
+        )
+        assert model.decision(SparseVector({1: 1.5, 2: 4.0, 9: 7.0})) == 1.25
+        assert model.decision(SparseVector()) == 0.25
 
 
 class TestKernelSVM:
@@ -149,14 +153,20 @@ class TestKernelSVM:
             assert sv.label in (-1, 1)
             assert 0 < sv.alpha <= 1.0 + 1e-9
 
+    def test_decision_signs(self):
+        vectors, labels = make_linearly_separable()
+        svm = KernelSVM(kernel_name="linear", C=10.0).fit(vectors, labels)
+        assert svm.model.decision(SparseVector({0: 3.0})) >= 0
+        assert svm.model.decision(SparseVector({0: -3.0})) < 0
+
     def test_one_class_degenerate(self):
         svm = KernelSVM().fit([SparseVector({0: 1.0})], [-1])
-        assert svm.decision(SparseVector({9: 2.0})) < 0
+        assert svm.model.decision(SparseVector({9: 2.0})) < 0
         assert svm.model.num_support_vectors == 0
 
-    def test_predict_before_fit_raises(self):
+    def test_model_before_fit_raises(self):
         with pytest.raises(NotTrainedError):
-            KernelSVM().decision(SparseVector({0: 1.0}))
+            KernelSVM().model
 
     def test_model_wire_size_positive(self):
         vectors, labels = make_linearly_separable(n=20)

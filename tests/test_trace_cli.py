@@ -166,8 +166,23 @@ class TestCli:
         assert main(["overlay", "--type", "kademlia", "--size", "16"]) == 0
         assert main(["overlay", "--type", "unstructured", "--size", "16"]) == 0
 
+    def test_replay_is_not_a_subcommand(self, capsys):
+        """The WAL's one reader is resume; ``repro replay`` is refused by
+        the parser like any unknown subcommand."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", "run.wal"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'replay'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, options, names", [
-        (["replay", "/nonexistent/run.wal"], None, "/nonexistent/run.wal"),
+        (["analyze", "/nonexistent/run.db"], None, "/nonexistent/run.db"),
+        # sqlite3's "file is not a database" traceback, status 1
+        (["analyze", "{text}"], None, "not a trace store"),
+        # sqlite3's syntax-error traceback, status 1
+        (["analyze", "{store}", "--sql", "SELEC 1"], None, "syntax error"),
+        # deleted every row, status 0
+        (["analyze", "{store}", "--sql", "DELETE FROM messages"], None,
+         "readonly"),
         (["overlay", "--size", "0"], None, "--size must be >= 1"),
         # numpy's "expected non-negative integer" traceback, status 1
         (["run"] + SMALL + ["--seed", "-1"], None, "seed must be"),
@@ -180,19 +195,30 @@ class TestCli:
          "--count must be"),
         # PaceConfig.__init__'s TypeError, status 1
         (["run", "--algorithm", "pace"] + SMALL, {"bogus": 1}, "'bogus'"),
-    ], ids=["replay-missing-log", "overlay-size-0", "run-seed-negative",
+    ], ids=["analyze-missing-store", "analyze-not-a-store",
+            "analyze-bad-sql", "analyze-write-sql", "overlay-size-0", "run-seed-negative",
             "corpus-seed-negative", "run-max-eval-negative",
             "suggest-count-negative", "run-unknown-algorithm-option"])
     def test_a_user_error_is_one_line_and_status_2(
-        self, capsys, monkeypatch, argv, options, names
+        self, capsys, monkeypatch, tmp_path, argv, options, names
     ):
         if options is not None:  # the CLI has no flag for algorithm_options
             monkeypatch.setattr(
                 cli, "SystemConfig",
                 functools.partial(SystemConfig, algorithm_options=options),
             )
+        text = tmp_path / "notes.txt"
+        text.write_text("not a trace store\n")
+        store = str(tmp_path / "trace.db")
+        simulator, network = make_network()
+        with TraceStore(store).attach(network):
+            network.send(Message(src=1, dst=2, msg_type="a"))
+            network.send(Message(src=2, dst=3, msg_type="b"))
+        argv = [arg.format(text=text, store=store) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and names in line
         assert "Traceback" not in captured.err + captured.out
+        with TraceStore(store) as after:  # nothing was written
+            assert after.sql("SELECT COUNT(*) FROM messages")[1] == [(2,)]

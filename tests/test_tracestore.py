@@ -19,6 +19,7 @@ import hashlib
 import importlib
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 
@@ -256,6 +257,33 @@ class TestTraceStore:
         ]) == 0
         assert "7" in capsys.readouterr().out
         assert main(["analyze", str(tmp_path / "missing.db")]) == 2
+
+    def test_analyze_sql_refuses_a_write_and_the_store_closes_indexed(
+        self, tmp_path, capsys
+    ):
+        """``--sql`` reads only: a write fails at status 2 and leaves every
+        row, the next read still answers, and the store is writable again
+        when it closes, so the query indexes it builds there come back."""
+        path = str(tmp_path / "s.db")
+        simulator, stats, network, transport = make_stack(num_nodes=8)
+        with TraceStore(path).attach(network):
+            transport.broadcast(0, "cast", "c" * 48,
+                                recipients=list(range(1, 8)))
+            simulator.run()
+        with sqlite3.connect(path) as conn:
+            conn.execute("DROP INDEX idx_messages_type")
+            conn.execute("DROP INDEX idx_messages_src")
+        assert main(["analyze", path, "--sql", "DELETE FROM messages"]) == 2
+        assert "readonly" in capsys.readouterr().err
+        assert main([
+            "analyze", path, "--sql", "SELECT COUNT(*) AS n FROM messages",
+        ]) == 0
+        assert "7" in capsys.readouterr().out
+        with sqlite3.connect(path) as conn:
+            indexes = {row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'"
+            )}
+        assert {"idx_messages_type", "idx_messages_src"} <= indexes
 
     def test_reporting_from_store_matches_stats(self, tmp_path):
         path = str(tmp_path / "s.db")

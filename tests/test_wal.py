@@ -1,4 +1,4 @@
-"""The simulation WAL: checkpoint, resume, and window-prefix replay.
+"""The simulation WAL: checkpoint, resume, and the logged cross-shard stream.
 
 Three layers of coverage:
 
@@ -8,7 +8,8 @@ Three layers of coverage:
   digests for serial/mp executors under both control planes, the
   resume-at-every-window fuzz, hard-crash recovery, divergence and
   config-mismatch rejection;
-- replay — the isolated window re-execution API and its CLI.
+- the log as the cross-shard stream — its frames decode to every record
+  the run exchanged.
 
 The fuzz sweep runs a handful of resume positions in tier-1 and the
 full every-window matrix when ``REPRO_WAL_FUZZ=1`` (nightly).
@@ -22,9 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main as cli_main
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.distribution import ShardSpec
+from repro.sim.exchange import ExchangeFrame
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.shard import ShardedScenario, scenario_digest
 from repro.sim.stats import StatsCollector
@@ -36,7 +37,6 @@ from repro.sim.wal import (
     WalWriter,
     WindowRecord,
     config_fingerprint,
-    replay_windows,
 )
 from determinism_fixtures import run_training_sharded, truncate_wal
 from tier_flags import env_flag
@@ -508,33 +508,44 @@ def test_logged_deltas_and_tails_reconstruct_final_stats(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Replay.
+# The log as the cross-shard stream.
 # ---------------------------------------------------------------------------
 
 
-def test_replay_reexecutes_logged_windows(tmp_path):
+def test_the_logged_frames_carry_every_cross_shard_record(tmp_path):
+    """Decoding the log's frames yields every record the run exchanged
+    across shards, each frame tagged with its window's barrier."""
     wal = str(tmp_path / "storm.wal")
     run = ShardedScenario(_config(8, shards=2, wal=wal)).run(_storm_workload)
-    windows = list(replay_windows(wal))
-    assert len(windows) == run.windows
-    total = sum(len(w.deliveries) for w in windows)
-    assert total == run.stats.exchange["records"]
-    for window in windows:
-        for (time, src, dst, msg_type, size, wire, hops) in window.deliveries:
-            assert window.window_start <= time
-            assert msg_type == "storm" and size == 256 and hops >= 1
-    # A sub-range replays in isolation.
-    subset = list(replay_windows(wal, start=1, stop=3))
-    assert [w.barrier for w in subset] == [1, 2]
-    assert subset[0].deliveries == windows[1].deliveries
-    with pytest.raises(ConfigurationError, match="outside the log"):
-        list(replay_windows(wal, start=5, stop=2))
+    reader = WalReader(wal)
+    assert len(reader.windows) == run.windows
+    records = 0
+    for record in reader.windows:
+        for (src_shard, _dst_shard), blob in record.frames.items():
+            frame, barrier = ExchangeFrame.decode(blob)
+            assert barrier == record.barrier
+            assert frame.src_shard == src_shard
+            assert frame.min_time >= record.window_start
+            assert set(frame.type_table) == {"storm"}
+            assert (frame.size_bytes == 256).all() and (frame.hops >= 1).all()
+            records += frame.count
+    assert records == run.stats.exchange["records"] > 0
 
 
-def test_replay_cli(tmp_path, capsys):
+def test_a_run_logs_consecutive_barriers_up_to_its_commit(tmp_path):
+    """The log holds one record per window, in barrier order, each window
+    starting after the last; its executed count only grows and ends at the
+    events the shards' tails report, and the commit names every window."""
     wal = str(tmp_path / "storm.wal")
-    ShardedScenario(_config(8, shards=2, wal=wal)).run(_storm_workload)
-    assert cli_main(["replay", wal, "--from", "0", "--to", "2", "--records"]) == 0
-    out = capsys.readouterr().out
-    assert "[wal]" in out and "window 0:" in out and "commit:" in out
-    assert "storm" in out
+    run = ShardedScenario(_config(8, shards=2, wal=wal)).run(_storm_workload)
+    reader = WalReader(wal)
+    windows = reader.windows
+    assert [record.barrier for record in windows] == list(range(run.windows))
+    starts = [record.window_start for record in windows]
+    assert starts == sorted(set(starts))
+    executed = [record.total_executed for record in windows]
+    assert executed == sorted(executed)
+    assert executed[-1] == sum(
+        tail["kernel"]["events"] for tail in reader.commit["tails"]
+    ) > 0
+    assert reader.commit["windows"] == len(windows)
