@@ -10,19 +10,19 @@ One send core, three entry points, all RNG-equivalent:
 messages) and :meth:`PhysicalNetwork.broadcast_block` (one payload to many
 recipients, messages materialized lazily at delivery) each present a
 :class:`SendBlock` to :meth:`PhysicalNetwork._send_block`, the only place a
-block is gated (loopback on the columns, liveness and ownership once per
-distinct source), observed, charged, drawn and scheduled.  A fan-out, and
-a message block whose rows share one source and one shape, keep their
-constant columns scalar, so the core decides each gate once for them;
+block is gated (loopback, liveness, ownership), observed, charged, drawn
+and scheduled.  A block has one form: its rows share one source and one
+shape, those columns are scalars, and the core decides each gate once.
 :meth:`PhysicalNetwork.send` is the n = 1 specialisation of the same five
-steps, which the core also takes row by row whenever draws must interleave
-per message (a loss model) or the block has fewer than two rows.  numpy
-fills array draws by repeating the same underlying generator steps, so a
-block of N sends consumes the RNG stream bit-identically to N sequential
-sends — batching never changes replay.  A fan-out's live rows enter the
-kernel as one delivery run (:meth:`Simulator.schedule_run`), not one heap
-entry per recipient.  A subclass decides only who owns a
-peer (:meth:`PhysicalNetwork._owns`) and where a delivery goes
+steps, which every block also takes row by row when its rows are mixed
+(sources or shapes differ), when draws must interleave per message (a
+loss model) or when it has fewer than two rows.  numpy fills array draws
+by repeating the same underlying generator steps, so a block of N sends
+consumes the RNG stream bit-identically to N sequential sends — batching
+never changes replay.  A fan-out's live rows enter the kernel as one
+delivery run (:meth:`Simulator.schedule_run`), not one heap entry per
+recipient.  A subclass decides only who owns a peer
+(:meth:`PhysicalNetwork._owns`) and where a delivery goes
 (:meth:`PhysicalNetwork._schedule_block`).
 """
 
@@ -44,7 +44,7 @@ from repro.sim.stats import StatsCollector
 DeliveryHandler = Callable[[Message], None]
 BlockListener = Callable[["SendBlock"], None]
 
-#: the columns a one-source, one-shape block keeps scalar
+#: the columns every row of a block shares
 _SHAPE = operator.attrgetter("src", "msg_type", "size_bytes", "wire_bytes",
                              "hops")
 
@@ -55,15 +55,13 @@ class SendBlock:
     Block listeners (:meth:`PhysicalNetwork.add_block_listener`) receive
     exactly one of these per network call — a single :meth:`send`, a
     :meth:`send_batch` block, or a :meth:`broadcast_block` fan-out — instead
-    of a per-message callback.  Columns follow the
-    :class:`~repro.sim.exchange.ExchangeFrame` SoA convention: each of
-    ``src``/``dst``/``msg_type``/``size_bytes``/``wire_bytes``/``hops`` is
-    either a scalar (constant over the block — how a fan-out, or a block
-    of messages from one source in one shape, ships its shared source,
-    type and sizes without expansion) or a sequence of length ``count``.
-    ``time`` is the shared send tick.  Consumers that need per-record
-    values use :meth:`column` or :meth:`rows`; columnar consumers (the
-    trace store) read the raw attributes and broadcast scalars themselves.
+    of a per-message callback (a :meth:`send_batch` whose rows are mixed
+    goes row by row, so its listeners see one one-row block per row).
+    Every row shares one source and one shape: ``src``, ``msg_type``,
+    ``size_bytes``, ``wire_bytes`` and ``hops`` are scalars, ``dst`` is a
+    sequence of length ``count``, and ``time`` is the shared send tick.
+    Consumers that need per-record values use :meth:`rows`; columnar
+    consumers (the trace store) read the raw attributes.
     """
 
     __slots__ = ("time", "count", "src", "dst", "msg_type", "size_bytes",
@@ -80,18 +78,14 @@ class SendBlock:
         self.wire_bytes = wire_bytes
         self.hops = hops
 
-    _COLUMNS = ("src", "dst", "msg_type", "size_bytes", "wire_bytes", "hops")
-
-    def column(self, name: str) -> Sequence:
-        """The named column as a length-``count`` sequence (scalars expand)."""
-        value = getattr(self, name)
-        if isinstance(value, (int, np.integer, float, str)):
-            return [value] * self.count
-        return value
-
     def rows(self):
         """Iterate (src, dst, msg_type, size_bytes, wire_bytes, hops) rows."""
-        return zip(*(self.column(name) for name in self._COLUMNS))
+        return (
+            (self.src, dst, self.msg_type, self.size_bytes, self.wire_bytes,
+             self.hops)
+            for dst in self.dst
+        )
+
 
 #: splitmix64 constants — explicit integer mix for per-pair latency seeds.
 _MIX_MULT_A = 0x9E3779B97F4A7C15
@@ -246,12 +240,11 @@ class SharedStream:
 def pair_factors(src, dsts) -> np.ndarray:
     """Vectorized per-pair latency factors in [0.5, 1.5].
 
-    ``src`` is one source address or a column of them aligned with
-    ``dsts``.  Bit-identical to ``0.5 + (pair_mix64(src, dst) >> 11) *
-    2**-53`` per pair — the splitmix64 finalizer runs in wrapping
-    ``uint64`` numpy arithmetic, so a 10k-recipient broadcast computes its
-    factors in a handful of array operations instead of 10k Python-level
-    mixes.
+    ``src`` is one source address.  Bit-identical to ``0.5 +
+    (pair_mix64(src, dst) >> 11) * 2**-53`` per pair — the splitmix64
+    finalizer runs in wrapping ``uint64`` numpy arithmetic, so a
+    10k-recipient broadcast computes its factors in a handful of array
+    operations instead of 10k Python-level mixes.
     """
     dsts = np.asarray(dsts, dtype=np.uint64)
     source = np.asarray(src, dtype=np.uint64)
@@ -443,22 +436,19 @@ class PhysicalNetwork:
     def has_block_listeners(self) -> bool:
         return bool(self._block_listeners)
 
-    def _message_block(self, messages: Sequence[Message]) -> SendBlock:
-        """The SoA view of a same-tick block of materialized messages.
-
-        When every row shares one source and one shape (``msg_type``,
-        ``size_bytes``, ``wire_bytes``, ``hops``) those five columns stay
-        scalars — the fan-out form :meth:`broadcast_block` builds, so the
-        core gates, charges and draws such a block once (a one-row block
-        always has this form).  Otherwise all six columns are lists.
+    def _message_block(
+        self, messages: Sequence[Message]
+    ) -> Optional[SendBlock]:
+        """The SoA view of a same-tick block of materialized messages —
+        the fan-out form :meth:`broadcast_block` builds, with scalar
+        ``src``/``msg_type``/``size_bytes``/``wire_bytes``/``hops`` — or
+        None when the rows do not share one source and one shape (or there
+        are none).  A one-row block always has the form.
         """
         shapes = list(map(_SHAPE, messages))
-        if shapes and shapes.count(shapes[0]) == len(shapes):
-            src, msg_type, size, wire, hops = shapes[0]
-        else:
-            src, msg_type, size, wire, hops = (
-                list(map(list, zip(*shapes))) or ([], [], [], [], [])
-            )
+        if not shapes or shapes.count(shapes[0]) != len(shapes):
+            return None
+        src, msg_type, size, wire, hops = shapes[0]
         return SendBlock(
             time=self.simulator.now,
             count=len(messages),
@@ -537,12 +527,20 @@ class PhysicalNetwork:
 
     def send_batch(self, messages: Sequence[Message]) -> List[bool]:
         """Send a same-tick block of messages: :meth:`_send_block` over
-        their columns, delivering the sender's own objects.
+        their columns when the rows share one source and one shape,
+        delivering the sender's own objects; any other block goes through
+        :meth:`send` row by row, after a loopback anywhere has rejected
+        the whole call before any side effect.
 
         Per-message results match :meth:`send` exactly (same RNG stream
         consumption, same delivery times, same stats and stats key order).
         """
-        return self._send_block(self._message_block(messages), messages)
+        block = self._message_block(messages)
+        if block is not None:
+            return self._send_block(block, messages)
+        if any(m.src == m.dst for m in messages):
+            raise SimulationError("loopback messages need no network")
+        return [self.send(message) for message in messages]
 
     def broadcast_block(
         self,
@@ -595,108 +593,57 @@ class PhysicalNetwork:
         the only place a block meets any of the five.
 
         ``block`` holds the columns of ``messages``, or a fan-out of one
-        ``payload`` (``messages`` is None, delivered lazily).  A scalar
-        ``src`` column — a fan-out, or messages that share one source and
-        one shape (:meth:`_message_block`) — makes every gate a scalar
-        decision: one ``is_up``, one ``_owns``, one bulk charge, one
-        stream.  A mixed block decides liveness and ownership once per
-        distinct source, facts nothing inside a same-tick block can
-        change, and narrows to the owned, then the live sources.  A
-        loopback anywhere rejects the block before any side effect.  With
-        loss enabled the drop and jitter draws interleave per message, and
-        one row is a plain :meth:`send`: both go row by row.  Returns the
-        per-row sent flags.
+        ``payload`` (``messages`` is None, delivered lazily).  Its rows
+        share one source and one shape, so every gate is one decision: one
+        ``is_up``, one ``_owns``, one bulk charge, one stream.  A loopback
+        rejects the block before any side effect.  With loss enabled the
+        drop and jitter draws interleave per message, and one row is a
+        plain :meth:`send`: both go row by row.  Returns the per-row sent
+        flags.
         """
-        srcs, dsts = block.src, block.dst
-        mixed = isinstance(srcs, list)
-        if any(map(operator.eq, srcs, dsts)) if mixed else (srcs in dsts):
+        src, dsts = block.src, block.dst
+        if src in dsts:
             raise SimulationError("loopback messages need no network")
         if self.latency.drop_probability > 0 or block.count < 2:
             if messages is None:
                 messages = [
-                    Message(src=srcs, dst=dst, msg_type=block.msg_type,
+                    Message(src=src, dst=dst, msg_type=block.msg_type,
                             payload=payload, size_bytes=block.size_bytes,
                             wire_bytes=block.wire_bytes)
                     for dst in dsts
                 ]
             return [self.send(message) for message in messages]
-        if not mixed:
-            # One source: the block passes each cut whole or stops at it.
-            up = self.is_up(srcs)
-            results = (
-                np.full(block.count, up) if messages is None
-                else [up] * block.count
-            )
-            if not self._owns(srcs):
-                # Replicas only report the (identical) outcome.
-                return results
-            if self._block_listeners:
-                self._notify(block)
-            if not up:
-                return results
-        else:
-            sources = set(srcs)
-            up = {src: self.is_up(src) for src in sources}
-            results = [up[src] for src in srcs]
-            owned = set(filter(self._owns, sources))
-            if len(owned) < len(sources):
-                # Each attempt is observed, charged and scheduled once, on
-                # its source's owner.
-                messages = [m for m in messages if m.src in owned]
-                if not messages:
-                    return results
-                block = self._message_block(messages)
-            if self._block_listeners:
-                self._notify(block)
-            if not all(map(up.get, owned)):
-                messages = [m for m in messages if up[m.src]]
-                if not messages:
-                    return results
-                block = self._message_block(messages)
-        self.stats.record_messages(block)
-        delays = self._block_delays(block)
+        # The block passes each cut whole or stops at it.
+        up = self.is_up(src)
+        results = (
+            np.full(block.count, up) if messages is None
+            else [up] * block.count
+        )
+        if not self._owns(src):
+            # Replicas only report the (identical) outcome.
+            return results
+        if self._block_listeners:
+            self._notify(block)
+        if not up:
+            return results
+        self.stats.record_message_block(
+            block.msg_type, block.size_bytes, src, dsts, block.hops,
+            block.wire_bytes,
+        )
+        # One stream draws over the whole block, in the per-message order
+        # of sequential sends, so the delays are bit-identical to them.
+        sizes = np.full(block.count, block.size_bytes, dtype=np.float64)
+        delays = pair_factors(src, dsts) * self.latency.delays_for(
+            sizes, self.streams.net_rng(src)
+        )
         if messages is None:
             self._schedule_block(dsts, delays, fan_out=(
-                srcs, block.msg_type, payload, block.size_bytes,
+                src, block.msg_type, payload, block.size_bytes,
                 block.wire_bytes,
             ))
         else:
-            self._schedule_block(block.dst, delays.tolist(), messages)
+            self._schedule_block(dsts, delays.tolist(), messages)
         return results
-
-    def _block_delays(self, block: SendBlock) -> np.ndarray:
-        """Delivery delays for a live same-tick block.
-
-        A scalar ``src`` draws once from its stream over the whole block.
-        A mixed block maps each distinct source to its stream: one stream
-        (the shared layout) draws once over the whole block; per-peer
-        streams draw once per source over its rows in block order, sources
-        in order of first appearance.  Either way each stream is consumed
-        in the same per-message order as sequential :meth:`send` calls, so
-        the delays are bit-identical to them.
-        """
-        srcs = block.src
-        sizes = np.empty(block.count)
-        sizes[:] = block.size_bytes  # a scalar column fills, a list converts
-        if not isinstance(srcs, list):
-            rng = self.streams.net_rng(srcs)
-        else:
-            distinct = dict.fromkeys(srcs)
-            rng_of = {src: self.streams.net_rng(src) for src in distinct}
-            streams = set(rng_of.values())
-            rng = streams.pop() if len(streams) == 1 else None
-        if rng is not None:
-            jitters = self.latency.delays_for(sizes, rng)
-        else:
-            rows: Dict[int, List[int]] = {src: [] for src in distinct}
-            for index, src in enumerate(srcs):
-                rows[src].append(index)
-            jitters = np.empty(block.count)
-            for src, indices in rows.items():
-                jitters[indices] = self.latency.delays_for(
-                    sizes[indices], rng_of[src]
-                )
-        return pair_factors(srcs, block.dst) * jitters
 
     def _schedule_block(
         self, dsts: Sequence[int], delays: Sequence[float],

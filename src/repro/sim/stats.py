@@ -7,15 +7,11 @@ Experiments read their cost columns from here.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.sim.messages import Message
-
-if TYPE_CHECKING:
-    from repro.sim.network import SendBlock
 
 
 class StatsCollector:
@@ -148,47 +144,6 @@ class StatsCollector:
             received[dst] = get(dst, 0) + size_bytes
         if wire_total != total:
             self._compressed = True
-
-    def record_messages(self, block: "SendBlock") -> None:
-        """Account a :class:`~repro.sim.network.SendBlock` in bulk.
-
-        Exactly equivalent to :meth:`record_message` on each row in row
-        order: every counter is an integer sum, and every family's keys are
-        first touched in the order the rows first name them (so
-        :meth:`delta_since` — and the WAL bytes pickled from it — cannot
-        tell the two apart).  Consecutive rows that agree on everything but
-        the destination are charged with one arithmetic operation per
-        family; destinations may repeat.  A block with a scalar ``src``
-        (the network keeps a one-source, one-shape block's five constant
-        columns scalar) is :meth:`record_message_block`'s case and never
-        expands a column.
-        """
-        if not isinstance(block.src, list):
-            return self.record_message_block(
-                block.msg_type, block.size_bytes, block.src, block.dst,
-                block.hops, block.wire_bytes,
-            )
-        sizes = block.column("size_bytes")
-        received = self.per_peer_received
-        get = received.get  # a miss skips Counter.__missing__
-        for dst, size in zip(block.column("dst"), sizes):
-            received[dst] = get(dst, 0) + size
-        runs = itertools.groupby(zip(
-            block.column("msg_type"), block.column("src"), sizes,
-            block.column("wire_bytes"), block.column("hops"),
-        ))
-        for (msg_type, src, size, wire, hops), run in runs:
-            count = len(list(run))
-            total = size * max(1, hops) * count
-            wire_total = wire * max(1, hops) * count
-            self.messages_by_type[msg_type] += count
-            self.bytes_by_type[msg_type] += total
-            self.wire_bytes_by_type[msg_type] += wire_total
-            self.hops_by_type[msg_type] += hops * count
-            self.per_peer_bytes[src] += total
-            self.per_peer_wire_bytes[src] += wire_total
-            if wire_total != total:
-                self._compressed = True
 
     @property
     def total_messages(self) -> int:

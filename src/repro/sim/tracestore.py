@@ -10,10 +10,10 @@ a :class:`TraceStore` registers as a *block listener*
   vectorized path — a 10k-recipient fan-out arrives as ONE callback whose
   constant columns are still scalars.
 
-Records accumulate as raw SoA blocks (the
-:class:`~repro.sim.exchange.ExchangeFrame` convention: scalars stand for
-constant columns) and flush — at every window barrier on the sharded
-kernel (:meth:`attach_scenario` registers a barrier hook), or every
+Records accumulate as raw SoA blocks (a block's shared source, type and
+sizes stay scalars beside its destination column) and flush — at every
+window barrier on the sharded kernel (:meth:`attach_scenario` registers a
+barrier hook), or every
 ``batch_records`` rows otherwise, plus a final flush on :meth:`close` — by
 building the seven row columns once per flush and inserting them inside
 **one explicit transaction per flush** (and one per :meth:`record_stats`).
@@ -28,7 +28,10 @@ journal lives in memory, so the one exception is a process killed *while a
 commit writes its pages*: that can damage the file.  The store is derived
 data; rerun to rebuild it.)
 
-The store is a SQLite file (stdlib).  Per-shard stores written by sharded
+The store is a SQLite file (stdlib).  Opening a new file lays out the schema
+and its ``meta`` rows; opening an existing store writes nothing, and an
+existing SQLite file with no ``meta`` table or ``schema_version`` row is
+refused before any write.  Per-shard stores written by sharded
 runs merge with :func:`merge_stores` (``ATTACH`` + append, mirroring
 :meth:`StatsCollector.merge` — type ids are remapped by name, so shards may
 intern types in different orders).
@@ -62,6 +65,7 @@ from typing import (
 import numpy as np
 
 from repro.constraints import check_value, finite, positive
+from repro.errors import ConfigurationError
 from repro.sim.codec import TRAFFIC_CLASSES, traffic_class_of
 from repro.sim.network import PhysicalNetwork, SendBlock
 from repro.sim.stats import StatsCollector
@@ -81,11 +85,11 @@ Report = Tuple[Headers, Rows]
 
 
 _SCHEMA = (
-    "CREATE TABLE IF NOT EXISTS meta ("
+    "CREATE TABLE meta ("
     " key TEXT PRIMARY KEY, value TEXT NOT NULL)",
-    "CREATE TABLE IF NOT EXISTS msg_types ("
+    "CREATE TABLE msg_types ("
     " type_id INTEGER PRIMARY KEY, name TEXT UNIQUE NOT NULL)",
-    "CREATE TABLE IF NOT EXISTS messages ("
+    "CREATE TABLE messages ("
     " time DOUBLE NOT NULL,"
     " src BIGINT NOT NULL,"
     " dst BIGINT NOT NULL,"
@@ -94,13 +98,13 @@ _SCHEMA = (
     " wire_bytes BIGINT NOT NULL,"
     " hops INTEGER NOT NULL,"
     " shard INTEGER NOT NULL)",
-    "CREATE TABLE IF NOT EXISTS window_stats ("
+    "CREATE TABLE window_stats ("
     " win INTEGER NOT NULL,"
     " shard INTEGER NOT NULL,"
     " family TEXT NOT NULL,"
     " key TEXT NOT NULL,"
     " delta BIGINT NOT NULL)",
-    "CREATE VIEW IF NOT EXISTS traffic AS"
+    "CREATE VIEW traffic AS"
     " SELECT m.time, m.src, m.dst, t.name AS msg_type, m.size_bytes,"
     " m.wire_bytes, m.hops, m.shard"
     " FROM messages m JOIN msg_types t ON t.type_id = m.type_id",
@@ -118,20 +122,14 @@ _INSERT_STATS = (
 )
 
 
-def _expand(value, count: int) -> Iterable:
-    """A SendBlock column (scalar or sequence) as ``count`` values."""
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return repeat(value, count)
-    return value
-
-
 class TraceStore:
     """Streaming columnar store for message sends and per-window stats.
 
     Open one per output file; a sharded run opens one per shard (name the
     files by :attr:`Scenario.shard_id`) and merges them afterwards with
     :func:`merge_stores`.  Reopening an existing store file *appends* —
-    delete the file first for a fresh run.
+    delete the file first for a fresh run.  An existing SQLite file that
+    is not a store raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -159,13 +157,38 @@ class TraceStore:
         # still buffered — so fsync-per-commit and an on-disk journal buy
         # nothing.
         self._conn = sqlite3.connect(self.path, isolation_level=None)
-        self._conn.execute("PRAGMA synchronous=OFF")
-        self._conn.execute("PRAGMA journal_mode=MEMORY")
-        for statement in _SCHEMA:
-            self._conn.execute(statement)
+        try:
+            self._conn.execute("PRAGMA synchronous=OFF")
+            self._conn.execute("PRAGMA journal_mode=MEMORY")
+            self._open_or_lay_out()
+        except BaseException:
+            self._conn.close()
+            raise
         self._type_ids = self._stored_type_ids()
-        self._set_meta("backend", "sqlite")
-        self._set_meta("schema_version", "1")
+
+    def _open_or_lay_out(self) -> None:
+        """Lay out the schema in a database with no tables; refuse, before
+        any write, a database whose tables are not a store's."""
+        execute = self._conn.execute
+        tables = {
+            name for (name,) in execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        if not tables:
+            for statement in _SCHEMA:
+                execute(statement)
+            execute(
+                "INSERT INTO meta (key, value)"
+                " VALUES ('backend', 'sqlite'), ('schema_version', '1')"
+            )
+        elif "meta" not in tables or not execute(
+            "SELECT 1 FROM meta WHERE key = 'schema_version'"
+        ).fetchone():
+            raise ConfigurationError(
+                f"{self.path} is not a trace store: it has no meta table"
+                " with a schema_version row"
+            )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -273,20 +296,17 @@ class TraceStore:
 
     def _columns(self, blocks: List[tuple], count: int) -> List[list]:
         """The seven row columns of ``blocks``, each built once: one pass
-        gathers every column's parts (a scalar is a ``repeat``, never an
-        array per block), then one ``fromiter`` per column."""
+        gathers every column's parts (a block's shared values are a
+        ``repeat``, never an array per block), then one ``fromiter`` per
+        column."""
         type_id = self._type_id
         parts: Tuple[List[Iterable], ...] = tuple([] for _ in range(7))
         for time, n, src, dst, msg_type, size_bytes, wire_bytes, hops \
                 in blocks:
-            if isinstance(msg_type, str):
-                type_ids: Iterable = repeat(type_id(msg_type), n)
-            else:
-                type_ids = map(type_id, msg_type)
             for part, values in zip(parts, (
-                repeat(time, n), _expand(src, n), _expand(dst, n), type_ids,
-                _expand(size_bytes, n), _expand(wire_bytes, n),
-                _expand(hops, n),
+                repeat(time, n), repeat(src, n), dst,
+                repeat(type_id(msg_type), n), repeat(size_bytes, n),
+                repeat(wire_bytes, n), repeat(hops, n),
             )):
                 part.append(values)
         return [
@@ -338,12 +358,6 @@ class TraceStore:
             with self._transaction():
                 self._conn.executemany(_INSERT_STATS, rows)
         return len(rows)
-
-    def _set_meta(self, key: str, value: str) -> None:
-        self._conn.execute("DELETE FROM meta WHERE key = ?", (key,))
-        self._conn.execute(
-            "INSERT INTO meta (key, value) VALUES (?, ?)", (key, value)
-        )
 
     # -- queries -------------------------------------------------------------
 

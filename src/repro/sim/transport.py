@@ -195,7 +195,9 @@ class Transport:
         )
 
     def send_batch(self, messages: Sequence[Message]) -> List[Outcome]:
-        """Send a same-tick block; delivery draws are vectorized."""
+        """Send a same-tick block: rows that share one source and one shape
+        draw their delays in one vectorized step, any other block goes
+        through the network row by row (:meth:`PhysicalNetwork.send_batch`)."""
         if not self._codec_is_identity:
             for message in messages:
                 self._stamp_wire_size(message)

@@ -13,9 +13,11 @@ def install_per_message_send(network) -> None:
     ownership — is taken here per message; every message is charged with
     ``record_message``, mixed with the scalar ``pair_mix64``, drawn with
     the scalar ``delay_for`` from its own source's stream and handed to
-    ``_schedule_block`` alone.  Works on a ``PhysicalNetwork`` and on a
-    ``ShardNetwork`` (``_owns`` and ``_schedule_block`` are the two seams
-    the core leaves virtual)."""
+    ``_schedule_block`` alone.  Listeners see one block with scalar
+    columns when every row shares one source and one shape, and one
+    one-row block per owned attempt otherwise.  Works on a
+    ``PhysicalNetwork`` and on a ``ShardNetwork`` (``_owns`` and
+    ``_schedule_block`` are the two seams the core leaves virtual)."""
     latency = network.latency
 
     def send_batch(messages):
@@ -25,17 +27,24 @@ def install_per_message_send(network) -> None:
         if latency.drop_probability > 0 or len(messages) < 2:
             return [network.send(message) for message in messages]
         attempts = [m for m in messages if network._owns(m.src)]
-        if attempts and network.has_block_listeners:
-            network._notify(SendBlock(
-                time=network.simulator.now,
-                count=len(attempts),
-                src=[m.src for m in attempts],
-                dst=[m.dst for m in attempts],
-                msg_type=[m.msg_type for m in attempts],
-                size_bytes=[m.size_bytes for m in attempts],
-                wire_bytes=[m.wire_bytes for m in attempts],
-                hops=[m.hops for m in attempts],
-            ))
+        one_form = len({
+            (m.src, m.msg_type, m.size_bytes, m.wire_bytes, m.hops)
+            for m in messages
+        }) == 1
+        groups = [attempts] if one_form else [[m] for m in attempts]
+        if network.has_block_listeners:
+            for group in filter(None, groups):
+                first = group[0]
+                network._notify(SendBlock(
+                    time=network.simulator.now,
+                    count=len(group),
+                    src=first.src,
+                    dst=[m.dst for m in group],
+                    msg_type=first.msg_type,
+                    size_bytes=first.size_bytes,
+                    wire_bytes=first.wire_bytes,
+                    hops=first.hops,
+                ))
         results = []
         for message in messages:
             if not network.is_up(message.src):

@@ -33,11 +33,12 @@ costs ~13 MiB of resident memory and ~0.2 s.
 so an unbracketed ``executemany`` commits once per row.
 
 (h) The send core is written once.  In ``repro/sim/network.py`` the charge
-(``record_message*``) and the observation (``_notify``) are called from
-``PhysicalNetwork.send`` and ``_send_block`` only, and the kernel's
-``schedule*`` from ``send`` and ``_schedule_block`` only; ``ShardNetwork``
-defines ``__init__``, ``_owns`` and ``_schedule_block`` (which reaches the
-kernel only through the base's ``_schedule_block``), names the base's
+(``record_message`` / ``record_message_block``) and the observation
+(``_notify``) are called from ``PhysicalNetwork.send`` and ``_send_block``
+only, and the kernel's ``schedule*`` from ``send`` and ``_schedule_block``
+only; ``ShardNetwork`` defines ``__init__``, ``_owns`` and
+``_schedule_block`` (which reaches the kernel only through the base's
+``_schedule_block``), names the base's
 three entry points as its own attributes (``benchmarks/perf`` wraps them
 through the class ``__dict__``) and never charges or observes;
 ``Transport.broadcast`` builds no ``Message`` and takes no second path.  A
@@ -514,7 +515,7 @@ def _names_used(function):
     }
 
 
-_CHARGE = {"record_message", "record_messages", "record_message_block"}
+_CHARGE = {"record_message", "record_message_block"}
 
 
 def _schedules(name):
@@ -1247,6 +1248,7 @@ CUT_BY_CENSUS = {
     "sim/node.py:SimNode.shutdown",
     "sim/shard.py:shard_of",
     "sim/stats.py:StatsCollector.digest",
+    "sim/stats.py:StatsCollector.record_messages",
     "sim/stats.py:StatsCollector.traffic_table",
     "sim/wal.py:ReplayWindow",
     "sim/wal.py:replay_windows",

@@ -28,7 +28,7 @@ from reference import (
 from repro.errors import SimulationError
 from repro.sim.distribution import ShardSpec
 from repro.sim.messages import Message
-from repro.sim.network import SharedStream
+from repro.sim.network import PhysicalNetwork, SharedStream
 from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.shard import ShardedScenario
 
@@ -88,7 +88,7 @@ def _fanout(src, offsets, size=120, wire=120):
 #: down peer), and a compressed fan-out after recovery; then the one-source
 #: ``send_batch`` blocks random steps almost never draw — to a repeated
 #: destination, from a down source, compressed after recovery, and two rows
-#: from one source in two shapes (which must not collapse to scalars)
+#: from one source in two shapes (which go row by row)
 NAMED_CASES = [
     ("fanout", _fanout(0, (1, 2, 2, 5, 1)), []),
     ("fanout", _fanout(3, (4,)), []),
@@ -256,6 +256,43 @@ def test_sharded_block_core_equals_the_per_message_loop(script, seed, loss):
     assert observed_rows(pooled("blocks")) == observed_rows(flat["blocks"])
 
 
+@pytest.mark.parametrize("rng_mode, shards", [
+    ("stream", 0), ("perpeer", 0), ("perpeer", 2),
+])
+@settings(max_examples=25, deadline=None)
+@given(script=scripts, seed=st.integers(0, 3), loss=losses)
+@example(script=NAMED_CASES, seed=0, loss=0.0)
+@example(script=NAMED_CASES, seed=0, loss=0.4)
+def test_the_core_sees_only_one_source_one_shape_blocks(
+    rng_mode, shards, script, seed, loss
+):
+    """A block has one form: whatever the script sends, every block the
+    core receives keeps ``src``, ``msg_type``, ``size_bytes``,
+    ``wire_bytes`` and ``hops`` scalar beside a ``dst`` column."""
+    core = PhysicalNetwork._send_block
+    received = []
+
+    def one_form_only(self, block, *args, **kwargs):
+        shared = (block.src, block.msg_type, block.size_bytes,
+                  block.wire_bytes, block.hops)
+        assert all(isinstance(value, (int, str)) for value in shared), shared
+        assert len(block.dst) == block.count
+        received.append(block.count)
+        return core(self, block, *args, **kwargs)
+
+    config = _config(rng_mode, seed, shards=shards, loss=loss)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PhysicalNetwork, "_send_block", one_form_only)
+        if shards:
+            ShardedScenario(config, executor="serial").run(
+                Script(script, False)
+            )
+        else:
+            Script(script, False)(Scenario(config))
+    # every fan-out reaches the core, so the spy saw it at work
+    assert len(received) >= sum(kind == "fanout" for kind, _, _ in script)
+
+
 def _run_everywhere(workload, shards):
     if shards:
         ShardedScenario(
@@ -355,13 +392,16 @@ def test_a_fan_out_from_a_dead_source_is_observed_and_charges_nothing(
 
 def test_the_oracle_is_a_different_implementation():
     """Mutation check on the harness itself: the oracles must reach
-    ``record_message`` and never ``record_messages``; the core the
-    reverse."""
+    ``record_message`` and never ``record_message_block``; the core charges
+    a one-source, one-shape block in bulk and sends a mixed one row by
+    row."""
     calls = {}
     for oracle in (False, True):
         scenario = Scenario(_config("perpeer", 0))
         stats = scenario.stats
-        counted = calls[oracle] = {"record_message": 0, "record_messages": 0}
+        counted = calls[oracle] = {
+            "record_message": 0, "record_message_block": 0,
+        }
         for name in counted:
             def wrapper(*args, _name=name, _inner=getattr(stats, name),
                         _counted=counted):
@@ -369,13 +409,15 @@ def test_the_oracle_is_a_different_implementation():
                 return _inner(*args)
             setattr(stats, name, wrapper)
         script = [
+            ("batch", [(0, 1, "alpha", 10, 10, 1), (0, 2, "alpha", 10, 10, 1)],
+             []),
             ("batch", [(0, 1, "alpha", 10, 10, 1), (0, 2, "alpha", 10, 10, 1),
                        (3, 2, "beta", 20, 5, 2)], []),
             ("fanout", _fanout(4, (1, 2)), []),
         ]
         Script(script, oracle)(scenario)
-    assert calls[False] == {"record_message": 0, "record_messages": 2}
-    assert calls[True] == {"record_message": 5, "record_messages": 0}
+    assert calls[False] == {"record_message": 3, "record_message_block": 2}
+    assert calls[True] == {"record_message": 7, "record_message_block": 0}
 
 
 # -- the WAL cannot tell the two apart ---------------------------------------

@@ -1,6 +1,8 @@
 """Tests for message tracing and the command-line interface."""
 
 import functools
+import hashlib
+import sqlite3
 
 import pytest
 
@@ -21,6 +23,21 @@ def make_network():
     network.register(2, lambda m: None)
     network.register(3, lambda m: None)
     return simulator, network
+
+
+def sha256(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def closed_store(path):
+    """A store a traced run wrote and closed."""
+    simulator, network = make_network()
+    with TraceStore(path).attach(network) as store:
+        network.send(Message(src=1, dst=2, msg_type="a"))
+        network.send(Message(src=2, dst=3, msg_type="b"))
+        store.record_stats(network.stats)
+    return str(path)
 
 
 def traffic(store, where="1=1", params=()):
@@ -166,6 +183,24 @@ class TestCli:
         assert main(["overlay", "--type", "kademlia", "--size", "16"]) == 0
         assert main(["overlay", "--type", "unstructured", "--size", "16"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="default"),
+        *(pytest.param(["--report", name], id=name)
+          for name in cli._ANALYZE_TITLES),
+        pytest.param(
+            ["--sql", "SELECT msg_type, COUNT(*) FROM traffic GROUP BY 1"],
+            id="sql",
+        ),
+    ])
+    def test_analyze_leaves_a_closed_store_unchanged(
+        self, capsys, tmp_path, argv
+    ):
+        store = closed_store(tmp_path / "trace.db")
+        before = sha256(store)
+        assert main(["analyze", store, *argv]) == 0
+        assert capsys.readouterr().out
+        assert sha256(store) == before
+
     def test_replay_is_not_a_subcommand(self, capsys):
         """The WAL's one reader is resume; ``repro replay`` is refused by
         the parser like any unknown subcommand."""
@@ -178,6 +213,8 @@ class TestCli:
         (["analyze", "/nonexistent/run.db"], None, "/nonexistent/run.db"),
         # sqlite3's "file is not a database" traceback, status 1
         (["analyze", "{text}"], None, "not a trace store"),
+        # the trace schema added to it and reported on, status 0
+        (["analyze", "{other}"], None, "no meta table"),
         # sqlite3's syntax-error traceback, status 1
         (["analyze", "{store}", "--sql", "SELEC 1"], None, "syntax error"),
         # deleted every row, status 0
@@ -196,7 +233,8 @@ class TestCli:
         # PaceConfig.__init__'s TypeError, status 1
         (["run", "--algorithm", "pace"] + SMALL, {"bogus": 1}, "'bogus'"),
     ], ids=["analyze-missing-store", "analyze-not-a-store",
-            "analyze-bad-sql", "analyze-write-sql", "overlay-size-0", "run-seed-negative",
+            "analyze-sqlite-not-a-store", "analyze-bad-sql",
+            "analyze-write-sql", "overlay-size-0", "run-seed-negative",
             "corpus-seed-negative", "run-max-eval-negative",
             "suggest-count-negative", "run-unknown-algorithm-option"])
     def test_a_user_error_is_one_line_and_status_2(
@@ -209,16 +247,20 @@ class TestCli:
             )
         text = tmp_path / "notes.txt"
         text.write_text("not a trace store\n")
-        store = str(tmp_path / "trace.db")
-        simulator, network = make_network()
-        with TraceStore(store).attach(network):
-            network.send(Message(src=1, dst=2, msg_type="a"))
-            network.send(Message(src=2, dst=3, msg_type="b"))
-        argv = [arg.format(text=text, store=store) for arg in argv]
+        other = tmp_path / "other.db"  # a SQLite database, not a store
+        with sqlite3.connect(other) as conn:
+            conn.execute("CREATE TABLE notes (body TEXT)")
+            conn.execute("INSERT INTO notes VALUES ('kept as it is')")
+        conn.close()
+        store = closed_store(tmp_path / "trace.db")
+        before = {path: sha256(path) for path in (text, other, store)}
+        argv = [arg.format(text=text, other=other, store=store)
+                for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and names in line
         assert "Traceback" not in captured.err + captured.out
+        assert {path: sha256(path) for path in before} == before
         with TraceStore(store) as after:  # nothing was written
             assert after.sql("SELECT COUNT(*) FROM messages")[1] == [(2,)]

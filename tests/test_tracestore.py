@@ -33,6 +33,7 @@ from determinism_fixtures import (
     run_training_sharded,
 )
 from repro.cli import main
+from repro.errors import ConfigurationError
 from repro.sim.codec import make_codec_table
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
@@ -87,16 +88,27 @@ class TestBlockListeners:
         blocks = []
         network.add_block_listener(blocks.append)
         network.send(Message(src=0, dst=1, msg_type="uni", payload="x"))
+        # two sources: the batch goes row by row, one one-row block a row
         network.send_batch([
             Message(src=1, dst=2, msg_type="bat", size_bytes=10),
             Message(src=2, dst=3, msg_type="bat", size_bytes=11),
         ])
+        # one source, one shape: the batch is one block
+        network.send_batch([
+            Message(src=3, dst=4, msg_type="one", size_bytes=12),
+            Message(src=3, dst=5, msg_type="one", size_bytes=12),
+        ])
         network.broadcast_block(4, [0, 1, 2], "cast", None, 50,
                                 wire_bytes=30)
-        assert [b.count for b in blocks] == [1, 2, 3]
-        unicast, batch, cast = blocks
+        assert [b.count for b in blocks] == [1, 1, 1, 2, 3]
+        unicast, first, second, batch, cast = blocks
         assert list(unicast.rows())[0][2] == "uni"
-        assert [row[3] for row in batch.rows()] == [10, 11]
+        assert [list(b.rows()) for b in (first, second)] == [
+            [(1, 2, "bat", 10, 10, 1)], [(2, 3, "bat", 11, 11, 1)],
+        ]
+        assert (batch.src, batch.dst, batch.msg_type, batch.size_bytes) == (
+            3, [4, 5], "one", 12,
+        )
         # Broadcast columns stay scalar — no per-recipient expansion.
         assert cast.src == 4 and cast.msg_type == "cast"
         assert cast.size_bytes == 50 and cast.wire_bytes == 30
@@ -285,6 +297,24 @@ class TestTraceStore:
             )}
         assert {"idx_messages_type", "idx_messages_src"} <= indexes
 
+    @pytest.mark.parametrize("statements", [
+        ("CREATE TABLE notes (body TEXT)",),
+        ("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)",
+         "INSERT INTO meta VALUES ('backend', 'sqlite')"),
+    ], ids=["no-meta-table", "no-schema-version-row"])
+    def test_a_sqlite_file_that_is_not_a_store_is_refused_untouched(
+        self, tmp_path, statements
+    ):
+        path = tmp_path / "other.db"
+        with sqlite3.connect(path) as conn:
+            for statement in statements:
+                conn.execute(statement)
+        conn.close()
+        before = path.read_bytes()
+        with pytest.raises(ConfigurationError, match="not a trace store"):
+            TraceStore(path)
+        assert path.read_bytes() == before
+
     def test_reporting_from_store_matches_stats(self, tmp_path):
         path = str(tmp_path / "s.db")
         simulator, stats, network, transport = make_stack(
@@ -378,7 +408,7 @@ class TestIngestTransactions:
         store, statements, stats, network, transport = self._traced(
             tmp_path / "s.db"
         )
-        store._blocks.append((0.0, 2, [1, 2], [3, 4], "uni", [1, "x"], 1, 1))
+        store._blocks.append((0.0, 2, 1, [3, 4], "uni", "x", 1, 1))
         store._pending = 2
         with pytest.raises(ValueError):
             store.flush()

@@ -194,7 +194,7 @@ class TestBatchedEquivalence:
         transport = build_transport(num_nodes=4, seed=2)
         seen = []
         transport.network.add_block_listener(
-            lambda block: seen.extend(block.column("src"))
+            lambda block: seen.extend(row[0] for row in block.rows())
         )
         transport.network.set_down(1)
         transport.send_batch(
